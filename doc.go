@@ -20,11 +20,11 @@
 //     meta-table lookups cached, and pure conversion results are cached
 //     per statement; whole statement plans are cached on the DB keyed by
 //     SQL text and invalidated by referenced-table versions and DDL
-//     (engine/plan.go); the tree-walking interpreter remains the
-//     row-at-a-time fallback behind the same kernels
-//     (DB.SetCompileExprs(false) selects it), and the classic
-//     materialize-everything executor is retained as the differential
-//     oracle (DB.SetStreamExec(false)). The client API is Prepare → Stmt →
+//     (engine/plan.go). Two oracles sit beside production (ADR-010): the
+//     evaluator check (DB.SetCompileExprs(false)) runs the same operators
+//     with every expression lifted onto the tree-walking interpreter; the
+//     reference executor (DB.SetStreamExec(false)) materializes, interprets
+//     row-at-a-time, serially. The client API is Prepare → Stmt →
 //     Query(args...) → Rows (engine/stmt.go, engine/rows.go): statements
 //     carry ? / $n bind parameters resolved per execution (one cached plan
 //     serves every binding), Rows pulls the operator tree batch-at-a-time

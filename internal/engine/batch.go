@@ -1,27 +1,25 @@
 package engine
 
-// This file implements the batch-at-a-time execution infrastructure. The
-// compiled path no longer pulls one row at a time through closures: operators
-// exchange fixed-size windows of tuples (a batch) together with a selection
-// vector of surviving row indices, and expressions run as tight loops over
-// those vectors (vector.go). Filters refine the selection vector instead of
-// copying rows; join, group-by and sort keys are computed into per-batch key
-// columns and encoded from there.
+// This file implements the batch-at-a-time execution infrastructure.
+// Operators exchange fixed-size windows of tuples (a batch) together with a
+// selection vector of surviving row indices, and expressions run as batch
+// programs over those vectors (vector.go) — compiled kernels in production,
+// the lifted interpreter in the evaluator check; the operators cannot tell.
+// Filters refine the selection vector instead of copying rows; join,
+// group-by and sort keys are computed into per-batch key columns and encoded
+// from there.
 //
-// Error discipline: batched evaluation must abort with exactly the error the
-// row-at-a-time interpreter would raise — the one belonging to the first
+// Error discipline: batched evaluation must abort with exactly the error
+// row-at-a-time evaluation would raise — the one belonging to the first
 // failing row in row order, with later conjuncts/projectors of that row
-// short-circuited exactly as the interpreter short-circuits them. Kernels
-// therefore never return an error directly; they poison the failing row in
-// batch.errs and drop it from subsequent evaluation, and the driving operator
-// picks the first poisoned row of the batch once the batch is complete. The
-// differential property test (property_test.go) holds the two paths to
-// identical results and identical errors.
+// short-circuited exactly as the interpreter short-circuits them. Batch
+// programs therefore never return an error directly; they poison the failing
+// row in batch.errs and drop it from subsequent evaluation, and the driving
+// operator picks the first poisoned row of the batch once the batch is
+// complete. The differential suites hold this to the reference executor
+// (exec.go), which really is row-at-a-time.
 
-import (
-	"mtbase/internal/sqlast"
-	"mtbase/internal/sqltypes"
-)
+import "mtbase/internal/sqltypes"
 
 // BatchSize is the number of rows operators exchange per step in batched
 // execution. Benchmark artifacts record it so BENCH_*.json files stay
@@ -150,15 +148,6 @@ func encodeKeyCols(buf []byte, cols [][]sqltypes.Value, i int32) []byte {
 
 // ---------------------------------------------------------------- operators
 
-// batchOp is the pull-based operator interface of the batched executor:
-// next fills b with the operator's next batch and reports whether one was
-// produced. Both execution modes run behind it — the compiled path refines
-// selection vectors with vectorized kernels, the interpreter fallback
-// evaluates row-at-a-time inside the same batches.
-type batchOp interface {
-	next(b *Batch) bool
-}
-
 // scanOp streams a materialized row set in fixed-size windows.
 type scanOp struct {
 	rows [][]sqltypes.Value
@@ -181,44 +170,17 @@ func (s *scanOp) next(b *Batch) bool {
 	return true
 }
 
-// filterOp refines each input batch's selection vector with a conjunct list.
-// In compiled mode every conjunct is a vectorized program looping over the
-// selection vector; with compilation disabled the same operator evaluates the
-// conjuncts through the tree-walking interpreter one row at a time. A batch
-// is only surfaced when rows survive; on a poisoned row the operator stops
-// and exposes the first failing row's error via failed.
+// filterOp refines a batch's selection vector with a conjunct list, one
+// batch program per conjunct. On a poisoned row it records the first failing
+// row's error in failed; the driving operator stops there.
 type filterOp struct {
-	src    batchOp
-	ex     *exec
-	sc     *scope        // row context for interpreted conjuncts
-	progs  []vecExpr     // compiled mode: one program per conjunct
-	exprs  []sqlast.Expr // interpreter mode: the conjunct expressions
+	progs  []vecExpr
 	out    []sqltypes.Value
 	selBuf []int32
 	failed error
 }
 
-func (f *filterOp) next(b *Batch) bool {
-	if f.failed != nil {
-		return false
-	}
-	for f.src.next(b) {
-		if f.progs != nil {
-			f.applyVec(b)
-		} else {
-			f.applyInterp(b)
-		}
-		if f.failed != nil {
-			return false
-		}
-		if len(b.sel) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func (f *filterOp) applyVec(b *Batch) {
+func (f *filterOp) apply(b *Batch) {
 	sel := b.sel
 	for _, prog := range f.progs {
 		if len(sel) == 0 {
@@ -242,37 +204,12 @@ func (f *filterOp) applyVec(b *Batch) {
 	f.failed = b.firstErr()
 }
 
-func (f *filterOp) applyInterp(b *Batch) {
-	f.selBuf = growSel(f.selBuf, len(b.sel))
-	kept := f.selBuf[:0]
-	for _, i := range b.sel {
-		f.sc.row = b.rows[i]
-		keep := true
-		for _, e := range f.exprs {
-			v, err := f.ex.eval(e, f.sc)
-			if err != nil {
-				f.failed = err
-				return
-			}
-			if truth, _ := sqltypes.Truthy(v); !truth {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			kept = append(kept, i)
-		}
-	}
-	b.sel = kept
-}
-
 // ---------------------------------------------------------------- row chunks
 
 // rowChunk hands out fixed-width result tuples from one pre-sized
 // allocation. Batch drivers count their output rows before materializing
 // (projection emits the selection vector, joins sum their hash buckets), so
-// a batch's tuples cost exactly one allocation with zero slack — replacing
-// the one-make-per-row pattern of row-at-a-time execution.
+// a batch's tuples cost exactly one allocation with zero slack.
 type rowChunk struct {
 	buf []sqltypes.Value
 }
@@ -297,14 +234,38 @@ func (c *rowChunk) concat(l, r []sqltypes.Value) []sqltypes.Value {
 	return c.buf[off:len(c.buf):len(c.buf)]
 }
 
-// concatRows is the row-at-a-time counterpart used by the interpreter paths.
-func concatRows(l, r []sqltypes.Value, width int) []sqltypes.Value {
-	row := make([]sqltypes.Value, 0, width)
-	row = append(row, l...)
-	return append(row, r...)
-}
-
 // ---------------------------------------------------------------- sorting
+
+// orderByKeyCols returns rows stably ordered by their ORDER BY key columns
+// (keys[k][i] is key k of rows[i]; NULLs first, desc[k] flips key k).
+// sortIdx is the permutation sort to run: stableSortIdx, or an
+// order-equivalent parallel one.
+func orderByKeyCols(rows [][]sqltypes.Value, keys [][]sqltypes.Value, desc []bool, sortIdx func(idx []int32, less func(a, b int32) bool)) [][]sqltypes.Value {
+	if len(desc) == 0 || len(rows) < 2 {
+		return rows
+	}
+	idx := make([]int32, len(rows))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sortIdx(idx, func(a, b int32) bool {
+		for k := range desc {
+			c := compareNullsFirst(keys[k][a], keys[k][b])
+			if desc[k] {
+				c = -c
+			}
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
+	out := make([][]sqltypes.Value, len(idx))
+	for i, j := range idx {
+		out[i] = rows[j]
+	}
+	return out
+}
 
 // stableSortIdx stably sorts a permutation vector with an explicit
 // comparator: bottom-up merge sort over insertion-sorted runs. It replaces

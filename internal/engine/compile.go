@@ -58,7 +58,7 @@ type cenv struct {
 // only to decide how $n parameters resolve. It returns nil when e uses any
 // construct outside the compiled subset; callers then fall back to exec.eval.
 func (ex *exec) compile(e sqlast.Expr, bindings []*binding, sc *scope) compiledExpr {
-	if ex.db.noCompile {
+	if ex.interp {
 		return nil
 	}
 	env := &cenv{db: ex.db, cat: ex.cat, bindings: bindings, clientBinds: !scopeHasParams(sc)}
@@ -920,8 +920,13 @@ type udfPlanEntry struct {
 // plan owns the memo, so a cached statement pays the analysis — and the
 // per-parameter-tuple relations its entries accumulate — once across all of
 // its executions; version-based plan invalidation (plan.go) discards them
-// the moment any table a body reads changes.
+// the moment any table a body reads changes. An interpreting execution gets
+// the empty lowering and never touches the memo, so one cached Plan serves
+// every execution configuration.
 func (ex *exec) planUDF(fn *Function) *udfPlan {
+	if ex.interp {
+		return &udfPlan{}
+	}
 	p := ex.plan
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -929,9 +934,6 @@ func (ex *exec) planUDF(fn *Function) *udfPlan {
 		return plan
 	}
 	plan := buildUDFPlan(fn.Body)
-	if ex.db.noCompile {
-		plan = &udfPlan{}
-	}
 	if p.udfPlans == nil {
 		p.udfPlans = make(map[*Function]*udfPlan)
 	}

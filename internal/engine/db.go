@@ -202,19 +202,14 @@ type DB struct {
 	// 0 means GOMAXPROCS. Read under mu at exec creation.
 	par int
 
-	// noCompile forces the tree-walking interpreter for every expression.
-	// The differential property test uses it to prove the compiled and
-	// interpreted paths agree.
-	noCompile bool
+	// The execution configuration (DESIGN.md ADR-010), set by
+	// SetCompileExprs and SetStreamExec and pinned per statement by newExec —
+	// nothing else reads these two fields.
+	noCompile, streamOff bool
 
-	// streamOff forces the materializing executor (exec.go) instead of the
-	// pull-based operator tree (operator.go). The streaming differential
-	// test uses it to prove both executors produce identical results.
-	streamOff bool
-
-	// plans is the statement plan cache (plan.go): SQL text + compile mode
-	// → immutable Plan, validated against dependency versions per lookup.
-	plans       map[planKey]*Plan
+	// plans is the statement plan cache (plan.go): SQL text → immutable
+	// Plan, validated against dependency versions per lookup.
+	plans       map[string]*Plan
 	planClock   uint64
 	noPlanCache bool
 
@@ -231,16 +226,26 @@ type DB struct {
 	Stats Stats
 }
 
-// SetCompileExprs toggles the compiled-expression fast path (on by
-// default). Turning it off forces the tree-walking interpreter; results
-// must be identical either way.
-func (db *DB) SetCompileExprs(on bool) { db.noCompile = !on }
+// SetCompileExprs toggles the compiled expression kernels (on by default).
+// Turning them off is the evaluator check: the same operator tree runs, but
+// every expression is the tree-walking interpreter lifted over the batch.
+// Results must be byte-identical either way.
+func (db *DB) SetCompileExprs(on bool) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.noCompile = !on
+}
 
 // SetStreamExec toggles the pull-based operator executor (on by default).
-// Turning it off forces the classic materialize-everything executor;
-// results must be identical either way — the streaming differential tests
-// rely on it.
-func (db *DB) SetStreamExec(on bool) { db.streamOff = !on }
+// Turning it off selects the reference configuration the differential tests
+// compare against: the materializing executor of exec.go, serial and
+// row-at-a-time through the interpreter whatever SetCompileExprs and
+// SetParallelism say. Results must be byte-identical either way.
+func (db *DB) SetStreamExec(on bool) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.streamOff = !on
+}
 
 // SetParallelism sets the degree of intra-query parallelism for morsel
 // scans, aggregate evaluation, sort runs and join builds. n <= 0 restores
@@ -797,8 +802,9 @@ func (db *DB) update(ex *exec, up *sqlast.Update) (*Result, error) {
 	// compiled subset *and* call no SQL-bodied functions — then they are
 	// pure row functions (nothing that could observe earlier rows' in-place
 	// updates), so evaluating a batch ahead of applying it is
-	// indistinguishable from the row loop.
-	if allCompiled && !db.noCompile {
+	// indistinguishable from the row loop. An interpreting execution
+	// compiles nothing and stays on the row loop.
+	if allCompiled {
 		return db.updateBatched(ex, t, up, sc)
 	}
 	// Copy-on-write: the scan walks the pristine snapshot, updated rows are
@@ -975,74 +981,44 @@ func (db *DB) delete(ex *exec, del *sqlast.Delete) (*Result, error) {
 	if t == nil {
 		return nil, fmt.Errorf("engine: no such table %s", del.Table)
 	}
-	sc := tableScope(t)
 	heap := t.Heap()
-	// Both paths stage the kept rows in a fresh slice and publish once at
-	// the end: the snapshot is pristine for the whole scan — predicates with
-	// subqueries over the same table observe identical state row-at-a-time
-	// and batch-ahead, an erroring predicate publishes nothing, and
-	// concurrent readers keep their pinned heap.
-	if del.Where != nil && !db.noCompile {
-		// Batched path: the predicate runs column-wise per batch; the
-		// keep/drop walk then follows row order, so the first poisoned row
-		// aborts exactly where the row loop would have stopped.
-		vpred := ex.vecCompile(del.Where, sc.bindings, sc)
-		kept := make([][]sqltypes.Value, 0, len(heap))
-		affected := 0
-		src := scanOp{rows: heap}
-		var b Batch
-		for src.next(&b) {
-			if err := ex.cancelled(); err != nil {
-				return nil, err
-			}
-			m := ex.vs.mark()
-			predCol := ex.vs.takeVals(len(b.rows))
-			vpred(&b, b.sel, predCol)
-			for i := range b.rows {
-				if b.errs[i] != nil {
-					return nil, b.errs[i]
-				}
-				if truth, _ := sqltypes.Truthy(predCol[i]); truth {
-					affected++
-				} else {
-					kept = append(kept, b.rows[i])
-				}
-			}
-			ex.vs.release(m)
+	if del.Where == nil {
+		if len(heap) > 0 {
+			t.publish([][]sqltypes.Value{})
 		}
-		if affected > 0 {
-			t.publish(kept)
-		}
-		return &Result{Affected: affected}, nil
+		return &Result{Affected: len(heap)}, nil
 	}
-	var pred compiledExpr
-	if del.Where != nil {
-		pred = ex.compile(del.Where, sc.bindings, sc)
-	}
+	sc := tableScope(t)
+	// The kept rows are staged in a fresh slice and published once at the
+	// end: the snapshot is pristine for the whole scan — a predicate with
+	// subqueries over the same table observes the state a row loop would,
+	// an erroring predicate publishes nothing, and concurrent readers keep
+	// their pinned heap. The predicate runs column-wise per batch; the
+	// keep/drop walk then follows row order, so the first poisoned row aborts
+	// exactly where a row loop would have stopped.
+	vpred := ex.vecCompile(del.Where, sc.bindings, sc)
 	kept := make([][]sqltypes.Value, 0, len(heap))
 	affected := 0
-	for _, row := range heap {
-		sc.row = row
-		drop := del.Where == nil
-		if del.Where != nil {
-			var v sqltypes.Value
-			var err error
-			if pred != nil {
-				v, err = pred(ex, row)
+	src := scanOp{rows: heap}
+	var b Batch
+	for src.next(&b) {
+		if err := ex.cancelled(); err != nil {
+			return nil, err
+		}
+		m := ex.vs.mark()
+		predCol := ex.vs.takeVals(len(b.rows))
+		vpred(&b, b.sel, predCol)
+		for i := range b.rows {
+			if b.errs[i] != nil {
+				return nil, b.errs[i]
+			}
+			if truth, _ := sqltypes.Truthy(predCol[i]); truth {
+				affected++
 			} else {
-				v, err = ex.eval(del.Where, sc)
+				kept = append(kept, b.rows[i])
 			}
-			if err != nil {
-				return nil, err
-			}
-			truth, _ := sqltypes.Truthy(v)
-			drop = truth
 		}
-		if drop {
-			affected++
-		} else {
-			kept = append(kept, row)
-		}
+		ex.vs.release(m)
 	}
 	if affected > 0 {
 		t.publish(kept)

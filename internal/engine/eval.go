@@ -42,6 +42,14 @@ type exec struct {
 	// (1 = serial). Worker clones and nested executions run serial.
 	par int
 
+	// interp and reference are the statement's execution configuration
+	// (DESIGN.md ADR-010), pinned at exec creation under DB.mu like the
+	// snapshot. interp turns the expression seam (vecCompile, compile,
+	// planUDF) to the tree-walking interpreter; reference additionally runs
+	// queries on the serial materializing executor of exec.go, and implies
+	// interp. Production is both false.
+	interp, reference bool
+
 	// udfProj caches per-execution compiled projections of planned UDF
 	// bodies: entries (rows + bindings) are shared across executions on the
 	// plan, but the projection closure resolves $n through udfArgs, which
@@ -145,10 +153,15 @@ func (db *DB) newExec(p *Plan) *exec {
 		cat:        cat,
 		snap:       newSnapshotSet(cat),
 		par:        db.parallelism(),
+		interp:     db.noCompile || db.streamOff,
+		reference:  db.streamOff,
 		udfCache:   make(map[string]sqltypes.Value),
 		subqCache:  make(map[int32]*Result),
 		inSetCache: make(map[int32]*inSet),
 		nextDynID:  p.nSubq,
+	}
+	if ex.reference {
+		ex.par = 1
 	}
 	if db.memLimit > 0 {
 		ex.acct = &memAccountant{limit: db.memLimit, db: db}
@@ -206,6 +219,7 @@ func (ex *exec) workerClone() *exec {
 		cat:        ex.cat,
 		snap:       ex.snap,
 		par:        1,
+		interp:     ex.interp,
 		depth:      ex.depth,
 		binds:      ex.binds,
 		ctx:        ex.ctx,
@@ -269,8 +283,9 @@ type scope struct {
 }
 
 // groupCtx holds the rows of the current group during aggregate evaluation,
-// plus aggregate arguments vectorized against the grouped relation (shared
-// by every group of one grouped projection, along with the batch scratch).
+// plus — on the operator tree — the aggregate arguments lowered to batch
+// programs against the grouped relation (shared by every group of one
+// grouped projection, along with the batch scratch).
 type groupCtx struct {
 	rows   [][]sqltypes.Value
 	aggVec map[sqlast.Expr]vecExpr
@@ -1125,6 +1140,8 @@ func (ex *exec) evalAggregate(x *sqlast.FuncCall, sc *scope) (sqltypes.Value, er
 			ex.vs.release(m)
 		}
 	} else {
+		// No program: the reference executor's grouped projection, which
+		// folds one interpreted row at a time.
 		for _, row := range g.rows {
 			sc.row = row
 			v, err := ex.eval(arg, sc)
@@ -1141,8 +1158,8 @@ func (ex *exec) evalAggregate(x *sqlast.FuncCall, sc *scope) (sqltypes.Value, er
 	return res, nil
 }
 
-// aggAcc accumulates one aggregate over a group's argument values; both the
-// batched and the interpreted path feed it in row order.
+// aggAcc accumulates one aggregate over a group's argument values; every
+// path feeds it in row order.
 type aggAcc struct {
 	op       string
 	distinct bool

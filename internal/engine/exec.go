@@ -1,5 +1,14 @@
 package engine
 
+// This file holds the reference executor — runQueryMaterialized and the
+// functions under it — plus the query analysis both executors share
+// (relations, conjunct and equi-pair analysis, output shape, ORDER BY
+// plans). The reference is deliberately naive: every step materializes its
+// full result, every expression is interpreted one row at a time through
+// exec.eval, and nothing runs in parallel. It shares no operator, batch
+// program or compiled closure with the operator tree it is the differential
+// oracle for (DESIGN.md ADR-010); TestModeSeam keeps it that way.
+
 import (
 	"fmt"
 	"sort"
@@ -44,20 +53,19 @@ type conjunct struct {
 
 // ---------------------------------------------------------------- runQuery
 
-// runQuery executes one SELECT level. The default executor is the pull-
-// based operator tree (operator.go); the materializing executor below is
-// retained behind DB.SetStreamExec(false) as the differential-testing
-// reference.
+// runQuery executes one SELECT level: on the pull-based operator tree
+// (operator.go), or on the reference executor below when the statement
+// pinned the reference configuration (DB.SetStreamExec(false)).
 func (ex *exec) runQuery(sel *sqlast.Select, parent *scope) (*Result, error) {
-	if ex.db.streamOff {
+	if ex.reference {
 		return ex.runQueryMaterialized(sel, parent)
 	}
 	return ex.runQueryStream(sel, parent)
 }
 
-// runQueryMaterialized is the classic materialize-everything executor:
-// FROM/WHERE builds a full intermediate relation, projection and grouping
-// build the full result, then DISTINCT/ORDER BY/LIMIT post-process it.
+// runQueryMaterialized is the reference executor: FROM/WHERE builds a full
+// intermediate relation, projection and grouping build the full result,
+// then DISTINCT/ORDER BY/LIMIT post-process it.
 func (ex *exec) runQueryMaterialized(sel *sqlast.Select, parent *scope) (*Result, error) {
 	rel, err := ex.buildFromWhere(sel, parent)
 	if err != nil {
@@ -80,7 +88,7 @@ func (ex *exec) runQueryMaterialized(sel *sqlast.Select, parent *scope) (*Result
 	if sel.Distinct {
 		res.dedupe()
 	}
-	res.sortAndTrim(ex, sel.Limit)
+	res.sortAndTrim(sel.Limit)
 	return res.finish(), nil
 }
 
@@ -120,38 +128,8 @@ func (r *execResult) dedupe() {
 	}
 }
 
-func (r *execResult) sortAndTrim(ex *exec, limit int64) {
-	if len(r.desc) > 0 && len(r.Rows) > 1 {
-		idx := make([]int32, len(r.Rows))
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		keys, desc := r.keyCols, r.desc
-		less := func(a, b int32) bool {
-			for k := range desc {
-				c := compareNullsFirst(keys[k][a], keys[k][b])
-				if desc[k] {
-					c = -c
-				}
-				if c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		}
-		// Parallel sorted runs merge into the same order a global stable
-		// sort produces (earlier run wins ties).
-		if ex != nil && ex.par > 1 && ex.depth == 0 && len(idx) >= 2*morselLen() {
-			parallelSortIdx(ex.par, idx, less)
-		} else {
-			stableSortIdx(idx, less)
-		}
-		rows := make([][]sqltypes.Value, len(idx))
-		for i, j := range idx {
-			rows[i] = r.Rows[j]
-		}
-		r.Rows = rows
-	}
+func (r *execResult) sortAndTrim(limit int64) {
+	r.Rows = orderByKeyCols(r.Rows, r.keyCols, r.desc, stableSortIdx)
 	if limit >= 0 && int64(len(r.Rows)) > limit {
 		r.Rows = r.Rows[:limit]
 	}
@@ -268,8 +246,7 @@ func (ex *exec) outputShape(sel *sqlast.Select, rel *relation) ([]string, error)
 }
 
 // orderPlan decides, per ORDER BY item, whether to reuse an output column
-// or evaluate an expression in the row/group context. In the ungrouped
-// batched path the expression is vectorized against the source relation.
+// or evaluate an expression in the row/group context.
 type orderPlan struct {
 	outCol int         // >= 0: sort by this output column
 	expr   sqlast.Expr // else: evaluate this
@@ -297,8 +274,7 @@ func buildOrderPlan(sel *sqlast.Select, outCols []string, sc *scope, aliases map
 }
 
 // projector is one SELECT item resolved against the source relation once
-// per query: star items become row-slice segments, expressions are either
-// vectorized (batched path) or interpreted per row.
+// per query: star items become row-slice segments of the source row.
 type projector struct {
 	star bool
 	segs [][2]int // star: (offset, length) segments of the source row
@@ -348,14 +324,6 @@ func (ex *exec) projectRows(sel *sqlast.Select, rel *relation, parent *scope, al
 		res.keyCols = make([][]sqltypes.Value, len(plans))
 	}
 
-	if !ex.db.noCompile {
-		if err := ex.projectRowsBatched(rel, sc, projs, plans, width, res); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-
-	// Interpreter fallback: row-at-a-time projection.
 	for ri, row := range rel.rows {
 		if ri&(BatchSize-1) == 0 {
 			if err := ex.cancelled(); err != nil {
@@ -384,84 +352,6 @@ func (ex *exec) projectRows(sel *sqlast.Select, rel *relation, parent *scope, al
 		}
 	}
 	return res, nil
-}
-
-// projectRowsBatched is the compiled projection pipeline: SELECT items and
-// ORDER BY keys are vectorized and evaluated column-wise per batch, output
-// tuples are carved from one exactly-sized chunk per batch (the selection
-// vector's length is known before materializing), and sort keys land
-// directly in the result's key columns.
-func (ex *exec) projectRowsBatched(rel *relation, sc *scope, projs []projector, plans []orderPlan, width int, res *execResult) error {
-	vprojs := make([]vecExpr, len(projs))
-	for i := range projs {
-		if !projs[i].star {
-			vprojs[i] = ex.vecCompile(projs[i].expr, rel.bindings, sc)
-		}
-	}
-	vkeys := make([]vecExpr, len(plans))
-	for k := range plans {
-		if plans[k].outCol < 0 {
-			vkeys[k] = ex.vecCompile(plans[k].expr, rel.bindings, sc)
-		}
-	}
-	cols := make([][]sqltypes.Value, len(projs))
-	keyBuf := make([][]sqltypes.Value, len(plans))
-	src := scanOp{rows: rel.rows}
-	var b Batch
-	for src.next(&b) {
-		if err := ex.cancelled(); err != nil {
-			return err
-		}
-		n := len(b.rows)
-		sel := b.sel
-		m := ex.vs.mark()
-		selBuf := ex.vs.takeSel(len(sel))
-		for i, vp := range vprojs {
-			if vp == nil {
-				continue
-			}
-			cols[i] = ex.vs.takeVals(n)
-			vp(&b, sel, cols[i])
-			sel = b.compactSel(selBuf, sel)
-		}
-		for k, vk := range vkeys {
-			if vk == nil {
-				continue
-			}
-			keyBuf[k] = ex.vs.takeVals(n)
-			vk(&b, sel, keyBuf[k])
-			sel = b.compactSel(selBuf, sel)
-		}
-		if err := b.firstErr(); err != nil {
-			return err
-		}
-		ck := newRowChunk(len(sel), width)
-		for _, i := range sel {
-			row := ck.alloc(width)
-			pos := 0
-			for j := range projs {
-				p := &projs[j]
-				if p.star {
-					for _, seg := range p.segs {
-						pos += copy(row[pos:pos+seg[1]], b.rows[i][seg[0]:seg[0]+seg[1]])
-					}
-					continue
-				}
-				row[pos] = cols[j][i]
-				pos++
-			}
-			res.Rows = append(res.Rows, row)
-			for k := range plans {
-				if plans[k].outCol >= 0 {
-					res.keyCols[k] = append(res.keyCols[k], row[plans[k].outCol])
-				} else {
-					res.keyCols[k] = append(res.keyCols[k], keyBuf[k][i])
-				}
-			}
-		}
-		ex.vs.release(m)
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------- grouping
@@ -503,44 +393,22 @@ func (ex *exec) projectGrouped(sel *sqlast.Select, rel *relation, parent *scope,
 		}
 		gr.rows = append(gr.rows, row)
 	}
-	if gks := ex.vecKeys(groupExprs, rel.bindings, sc); gks != nil {
-		// Batched grouping: key expressions run column-wise per batch, rows
-		// are bucketed from the precomputed key columns in row order.
-		src := scanOp{rows: rel.rows}
-		var b Batch
-		for src.next(&b) {
+	for ri, row := range rel.rows {
+		if ri&(BatchSize-1) == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, err
 			}
-			m := ex.vs.mark()
-			gsel := gks.compute(&b, false, nil)
-			if err := b.firstErr(); err != nil {
+		}
+		sc.row = row
+		buf = buf[:0]
+		for _, g := range groupExprs {
+			v, err := ex.eval(g, sc)
+			if err != nil {
 				return nil, err
 			}
-			for _, i := range gsel {
-				buf = encodeKeyCols(buf[:0], gks.cols, i)
-				bucket(buf, b.rows[i])
-			}
-			ex.vs.release(m)
+			buf = sqltypes.AppendKey(buf, v)
 		}
-	} else {
-		for ri, row := range rel.rows {
-			if ri&(BatchSize-1) == 0 {
-				if err := ex.cancelled(); err != nil {
-					return nil, err
-				}
-			}
-			sc.row = row
-			buf = buf[:0]
-			for _, g := range groupExprs {
-				v, err := ex.eval(g, sc)
-				if err != nil {
-					return nil, err
-				}
-				buf = sqltypes.AppendKey(buf, v)
-			}
-			bucket(buf, row)
-		}
+		bucket(buf, row)
 	}
 	// A global aggregate (no GROUP BY) over zero rows still yields one group.
 	if len(sel.GroupBy) == 0 && len(order) == 0 {
@@ -553,26 +421,6 @@ func (ex *exec) projectGrouped(sel *sqlast.Select, rel *relation, parent *scope,
 		having = sqlast.TransformExpr(sqlast.CloneExpr(having), func(e sqlast.Expr) sqlast.Expr {
 			return substituteAlias(e, sc, aliases)
 		})
-	}
-
-	// Vectorize every aggregate argument once; each group's evaluation then
-	// streams its member rows through the batch program.
-	aggExprs := make([]sqlast.Expr, 0, len(sel.Items)+1+len(plans))
-	for _, it := range sel.Items {
-		aggExprs = append(aggExprs, it.Expr)
-	}
-	if having != nil {
-		aggExprs = append(aggExprs, having)
-	}
-	for _, p := range plans {
-		if p.expr != nil {
-			aggExprs = append(aggExprs, p.expr)
-		}
-	}
-	aggVec := ex.vecAggArgs(rel.bindings, sc, aggExprs...)
-	var aggScr *aggScratch
-	if aggVec != nil {
-		aggScr = &aggScratch{}
 	}
 
 	res := &execResult{Cols: outCols}
@@ -589,7 +437,7 @@ func (ex *exec) projectGrouped(sel *sqlast.Select, rel *relation, parent *scope,
 		} else {
 			sc.row = nil
 		}
-		sc.group = &groupCtx{rows: gr.rows, aggVec: aggVec, scr: aggScr}
+		sc.group = &groupCtx{rows: gr.rows} // no programs: evalAggregate folds row by row
 		if having != nil {
 			hv, err := ex.eval(having, sc)
 			if err != nil {
@@ -931,29 +779,27 @@ func (ex *exec) filterRelation(r *relation, conjs []*conjunct, parent *scope) (*
 		return out, nil
 	}
 	sc := r.scopeFor(parent)
-	f := &filterOp{src: &scanOp{rows: rows}, ex: ex, sc: sc}
-	if !ex.db.noCompile {
-		f.progs = make([]vecExpr, len(rest))
-		for i, c := range rest {
-			f.progs[i] = ex.vecCompile(c.expr, r.bindings, sc)
+	for ri, row := range rows {
+		if ri&(BatchSize-1) == 0 {
+			if err := ex.cancelled(); err != nil {
+				return nil, err
+			}
 		}
-	} else {
-		f.exprs = make([]sqlast.Expr, len(rest))
-		for i, c := range rest {
-			f.exprs[i] = c.expr
+		sc.row = row
+		keep := true
+		for _, c := range rest {
+			v, err := ex.eval(c.expr, sc)
+			if err != nil {
+				return nil, err
+			}
+			if truth, _ := sqltypes.Truthy(v); !truth {
+				keep = false
+				break
+			}
 		}
-	}
-	var b Batch
-	for f.next(&b) {
-		if err := ex.cancelled(); err != nil {
-			return nil, err
+		if keep {
+			out.rows = append(out.rows, row)
 		}
-		for _, i := range b.sel {
-			out.rows = append(out.rows, b.rows[i])
-		}
-	}
-	if f.failed != nil {
-		return nil, f.failed
 	}
 	return out, nil
 }
@@ -1071,12 +917,55 @@ func pairExprs(pairs []equiPair, right bool) []sqlast.Expr {
 	return exprs
 }
 
-// hashJoin joins L and R on the equi pairs (inner). With no pairs it
-// degrades to the cross product. In compiled mode the probe side streams in
-// batches: key expressions fill per-batch key columns (NULL-key rows drop
-// out of the selection vector), keys are encoded from the columns, hash
-// buckets are counted first, and each batch's output tuples come from one
-// exactly-sized chunk.
+// indexableBuild reports whether build side r is an unfiltered base table
+// and every right key a plain column of it — the shape served by the
+// table's persistent index instead of a transient hash table — and returns
+// the key columns.
+func indexableBuild(r *relation, pairs []equiPair) ([]string, bool) {
+	if r.base == nil || len(r.bindings) != 1 || len(pairs) == 0 {
+		return nil, false
+	}
+	cols := make([]string, 0, len(pairs))
+	for _, p := range pairs {
+		cr, ok := p.right.(*sqlast.ColumnRef)
+		if !ok || !relationHasRef(r, cr) {
+			return nil, false
+		}
+		cols = append(cols, cr.Name)
+	}
+	return cols, true
+}
+
+// concatRows returns the concatenation of l and r as one freshly allocated
+// tuple of the given width.
+func concatRows(l, r []sqltypes.Value, width int) []sqltypes.Value {
+	row := make([]sqltypes.Value, 0, width)
+	row = append(row, l...)
+	return append(row, r...)
+}
+
+// joinKey encodes the join key expressions of one side for row (installed in
+// sc) into buf; null reports a NULL component, which never matches an equi
+// key.
+func (ex *exec) joinKey(buf []byte, exprs []sqlast.Expr, row []sqltypes.Value, sc *scope) (key []byte, null bool, err error) {
+	sc.row = row
+	buf = buf[:0]
+	for _, e := range exprs {
+		v, err := ex.eval(e, sc)
+		if err != nil {
+			return buf, false, err
+		}
+		if v.IsNull() {
+			return buf, true, nil
+		}
+		buf = sqltypes.AppendKey(buf, v)
+	}
+	return buf, false, nil
+}
+
+// hashJoin joins L and R on the equi pairs (inner), probing in L's row
+// order and expanding buckets in R's. With no pairs it degrades to the
+// cross product.
 func (ex *exec) hashJoin(l, r *relation, pairs []equiPair, parent *scope) (*relation, error) {
 	out := &relation{width: l.width + r.width}
 	out.bindings = append(out.bindings, l.bindings...)
@@ -1086,150 +975,43 @@ func (ex *exec) hashJoin(l, r *relation, pairs []equiPair, parent *scope) (*rela
 		out.bindings = append(out.bindings, &nb)
 	}
 	if len(pairs) == 0 {
-		ck := newRowChunk(len(l.rows)*len(r.rows), out.width)
 		for _, lr := range l.rows {
 			for _, rr := range r.rows {
-				out.rows = append(out.rows, ck.concat(lr, rr))
+				out.rows = append(out.rows, concatRows(lr, rr, out.width))
 			}
 		}
 		return out, nil
 	}
-	lsc := l.scopeFor(parent)
-	lks := ex.vecKeys(pairExprs(pairs, false), l.bindings, lsc)
-	// Index fast path: when the build side is an unfiltered base table and
-	// every right key is a plain column, probe the table's persistent lazy
-	// index instead of building a transient hash table. This makes the
-	// meta-table lookups inside conversion-UDF bodies O(1) per call
-	// regardless of the number of tenants.
-	if r.base != nil && len(r.bindings) == 1 {
-		cols := make([]string, 0, len(pairs))
-		simple := true
-		for _, p := range pairs {
-			cr, ok := p.right.(*sqlast.ColumnRef)
-			if !ok || !relationHasRef(r, cr) {
-				simple = false
-				break
-			}
-			cols = append(cols, cr.Name)
+	// Index fast path: an unfiltered base table keyed on plain columns is
+	// probed through its persistent lazy index, whose map has exactly the
+	// shape (and bucket order) buildJoinHash would produce. This keeps the
+	// meta-table lookups inside conversion-UDF bodies O(1) per call.
+	var build map[string][]int
+	if cols, ok := indexableBuild(r, pairs); ok {
+		idx, err := ex.tableIndex(r.base, cols)
+		if err != nil {
+			return nil, err
 		}
-		if simple {
-			idx, err := ex.tableIndex(r.base, cols)
-			if err != nil {
-				return nil, err
-			}
-			var buf []byte
-			if lks != nil {
-				src := scanOp{rows: l.rows}
-				var b Batch
-				var buckets [][]int
-				for src.next(&b) {
-					if err := ex.cancelled(); err != nil {
-						return nil, err
-					}
-					m := ex.vs.mark()
-					sel := lks.compute(&b, true, nil)
-					if err := b.firstErr(); err != nil {
-						return nil, err
-					}
-					if cap(buckets) < len(b.rows) {
-						buckets = make([][]int, len(b.rows))
-					}
-					total := 0
-					for _, i := range sel {
-						var ids []int
-						ids, buf = idx.probeKeyCols(buf, lks.cols, i)
-						buckets[i] = ids
-						total += len(ids)
-					}
-					ck := newRowChunk(total, out.width)
-					for _, i := range sel {
-						for _, id := range buckets[i] {
-							out.rows = append(out.rows, ck.concat(b.rows[i], r.rows[id]))
-						}
-					}
-					ex.vs.release(m)
-				}
-				return out, nil
-			}
-			vals := make([]sqltypes.Value, len(pairs))
-			for _, lr := range l.rows {
-				null := false
-				for i, p := range pairs {
-					lsc.row = lr
-					v, err := ex.eval(p.left, lsc)
-					if err != nil {
-						return nil, err
-					}
-					if v.IsNull() {
-						null = true
-						break
-					}
-					vals[i] = v
-				}
-				if null {
-					continue
-				}
-				var ids []int
-				ids, buf = idx.probeBuf(buf, vals)
-				for _, id := range ids {
-					out.rows = append(out.rows, concatRows(lr, r.rows[id], out.width))
-				}
-			}
-			return out, nil
+		build = idx.m
+	} else {
+		var err error
+		if build, err = ex.buildJoinHash(r, pairs, parent); err != nil {
+			return nil, err
 		}
 	}
-	// build on R
-	build, err := ex.buildJoinHash(r, pairs, parent)
-	if err != nil {
-		return nil, err
-	}
+	lsc, lexprs := l.scopeFor(parent), pairExprs(pairs, false)
 	var buf []byte
-	if lks != nil {
-		src := scanOp{rows: l.rows}
-		var b Batch
-		var buckets [][]int
-		for src.next(&b) {
+	var err error
+	for ri, lr := range l.rows {
+		if ri&(BatchSize-1) == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, err
 			}
-			m := ex.vs.mark()
-			sel := lks.compute(&b, true, nil)
-			if err := b.firstErr(); err != nil {
-				return nil, err
-			}
-			if cap(buckets) < len(b.rows) {
-				buckets = make([][]int, len(b.rows))
-			}
-			total := 0
-			for _, i := range sel {
-				buf = encodeKeyCols(buf[:0], lks.cols, i)
-				buckets[i] = build[string(buf)]
-				total += len(buckets[i])
-			}
-			ck := newRowChunk(total, out.width)
-			for _, i := range sel {
-				for _, ri := range buckets[i] {
-					out.rows = append(out.rows, ck.concat(b.rows[i], r.rows[ri]))
-				}
-			}
-			ex.vs.release(m)
 		}
-		return out, nil
-	}
-	for _, lr := range l.rows {
-		buf = buf[:0]
-		null := false
-		for _, p := range pairs {
-			lsc.row = lr
-			v, err := ex.eval(p.left, lsc)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			buf = sqltypes.AppendKey(buf, v)
+		var null bool
+		buf, null, err = ex.joinKey(buf, lexprs, lr, lsc)
+		if err != nil {
+			return nil, err
 		}
 		if null {
 			continue
@@ -1241,68 +1023,22 @@ func (ex *exec) hashJoin(l, r *relation, pairs []equiPair, parent *scope) (*rela
 	return out, nil
 }
 
-// buildJoinHash hashes relation r on the right-side key expressions;
-// NULL keys never participate in an equi join. Compiled mode computes the
-// keys column-wise per batch and encodes from the key columns.
+// buildJoinHash hashes relation r on the right-side key expressions, bucket
+// lists in row order; NULL keys never participate in an equi join.
 func (ex *exec) buildJoinHash(r *relation, pairs []equiPair, parent *scope) (map[string][]int, error) {
-	rsc := r.scopeFor(parent)
+	rsc, rexprs := r.scopeFor(parent), pairExprs(pairs, true)
 	build := make(map[string][]int, len(r.rows))
 	var buf []byte
-	// Morsel-parallel build: workers encode the key column for disjoint row
-	// ranges, then the map inserts run serially in row order — bucket
-	// contents and order match the serial build exactly.
-	if !ex.db.noCompile && ex.par > 1 && ex.depth == 0 && len(r.rows) >= 2*morselLen() {
-		keys, err := ex.parallelJoinKeys(r, pairs, parent)
+	for i, row := range r.rows {
+		var null bool
+		var err error
+		buf, null, err = ex.joinKey(buf, rexprs, row, rsc)
 		if err != nil {
 			return nil, err
 		}
-		for i, k := range keys {
-			if k == nil {
-				continue // NULL key: never participates in an equi join
-			}
-			build[string(k)] = append(build[string(k)], i)
+		if !null {
+			build[string(buf)] = append(build[string(buf)], i)
 		}
-		return build, nil
-	}
-	if rks := ex.vecKeys(pairExprs(pairs, true), r.bindings, rsc); rks != nil {
-		src := scanOp{rows: r.rows}
-		var b Batch
-		for src.next(&b) {
-			if err := ex.cancelled(); err != nil {
-				return nil, err
-			}
-			m := ex.vs.mark()
-			sel := rks.compute(&b, true, nil)
-			if err := b.firstErr(); err != nil {
-				return nil, err
-			}
-			for _, i := range sel {
-				buf = encodeKeyCols(buf[:0], rks.cols, i)
-				build[string(buf)] = append(build[string(buf)], b.base+int(i))
-			}
-			ex.vs.release(m)
-		}
-		return build, nil
-	}
-	for i, row := range r.rows {
-		buf = buf[:0]
-		null := false
-		for _, p := range pairs {
-			rsc.row = row
-			v, err := ex.eval(p.right, rsc)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			buf = sqltypes.AppendKey(buf, v)
-		}
-		if null {
-			continue
-		}
-		build[string(buf)] = append(build[string(buf)], i)
 	}
 	return build, nil
 }
@@ -1453,22 +1189,12 @@ func (ex *exec) leftOuterJoin(l, r *relation, on sqlast.Expr, parent *scope) (*r
 
 	nulls := make([]sqltypes.Value, r.width)
 	osc := out.scopeFor(parent)
-	lsc := l.scopeFor(parent)
-	resFns := make([]compiledExpr, len(residual))
-	for i, c := range residual {
-		resFns[i] = ex.compile(c.expr, out.bindings, osc)
-	}
+	lsc, lexprs := l.scopeFor(parent), pairExprs(pairs, false)
 	// matchResidual applies the non-equi ON conjuncts to one candidate.
 	matchResidual := func(combined []sqltypes.Value) (bool, error) {
-		for i, c := range residual {
-			var v sqltypes.Value
-			var err error
-			if resFns[i] != nil {
-				v, err = resFns[i](ex, combined)
-			} else {
-				osc.row = combined
-				v, err = ex.eval(c.expr, osc)
-			}
+		osc.row = combined
+		for _, c := range residual {
+			v, err := ex.eval(c.expr, osc)
 			if err != nil {
 				return false, err
 			}
@@ -1479,80 +1205,16 @@ func (ex *exec) leftOuterJoin(l, r *relation, on sqlast.Expr, parent *scope) (*r
 		return true, nil
 	}
 	var buf []byte
-	if lks := ex.vecKeys(pairExprs(pairs, false), l.bindings, lsc); lks != nil {
-		// Batched probe: after key-column computation every row of the batch
-		// is either in the selection vector (valid keys) or flagged in the
-		// null mask (NULL key: unmatched by definition, emitted null-extended).
-		var nullMask []bool
-		var buckets [][]int
-		src := scanOp{rows: l.rows}
-		var b Batch
-		for src.next(&b) {
+	for ri, lr := range l.rows {
+		if ri&(BatchSize-1) == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, err
 			}
-			n := len(b.rows)
-			if cap(nullMask) < n {
-				nullMask = make([]bool, n)
-				buckets = make([][]int, n)
-			}
-			nullMask = nullMask[:n]
-			buckets = buckets[:n]
-			for i := range nullMask {
-				nullMask[i] = false
-			}
-			m := ex.vs.mark()
-			lks.compute(&b, true, nullMask)
-			if err := b.firstErr(); err != nil {
-				return nil, err
-			}
-			// Size the chunk before materializing: every candidate pair plus
-			// at most one null-extended tuple per left row.
-			total := n
-			for i := 0; i < n; i++ {
-				buckets[i] = nil
-				if !nullMask[i] {
-					buf = encodeKeyCols(buf[:0], lks.cols, int32(i))
-					buckets[i] = build[string(buf)]
-					total += len(buckets[i])
-				}
-			}
-			ck := newRowChunk(total, out.width)
-			for i := 0; i < n; i++ {
-				matched := false
-				for _, ri := range buckets[i] {
-					combined := ck.concat(b.rows[i], r.rows[ri])
-					ok, err := matchResidual(combined)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						matched = true
-						out.rows = append(out.rows, combined)
-					}
-				}
-				if !matched {
-					out.rows = append(out.rows, ck.concat(b.rows[i], nulls))
-				}
-			}
-			ex.vs.release(m)
 		}
-		return out, nil
-	}
-	for _, lr := range l.rows {
-		buf = buf[:0]
-		null := false
-		for _, p := range pairs {
-			lsc.row = lr
-			v, err := ex.eval(p.left, lsc)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			buf = sqltypes.AppendKey(buf, v)
+		var null bool
+		buf, null, err = ex.joinKey(buf, lexprs, lr, lsc)
+		if err != nil {
+			return nil, err
 		}
 		matched := false
 		if !null {

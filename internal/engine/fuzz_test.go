@@ -3,10 +3,10 @@ package engine_test
 // Randomized differential fuzzer over the mtdbgen (MT-H) schemas: random
 // SELECTs — joins, GROUP BY, ORDER BY, DISTINCT, IN- and EXISTS-subqueries —
 // are cross-checked through every execution arm the engine offers: the
-// streaming operator tree vs the materializing executor, compiled vs
-// interpreted expressions, parallelism 1 vs 8, and unlimited vs a tiny
-// memory limit that forces every pipeline breaker through the spill path.
-// All arms must agree byte for byte.
+// three configurations of DESIGN.md ADR-010 (production, evaluator check,
+// reference executor), parallelism 1 vs 8, and unlimited vs a tiny memory
+// limit that forces every pipeline breaker through the spill path. All arms
+// must agree byte for byte.
 //
 // The generator emits only total expressions (no division), because a
 // spilled statement may evaluate expressions an in-memory LIMIT run never
@@ -14,7 +14,7 @@ package engine_test
 // ADR-006). The native FuzzQuery target, whose mutated inputs can contain
 // anything, therefore treats error/success disagreement on capped arms as
 // out of scope while still requiring byte identity whenever both runs
-// succeed, and hard agreement on the materialized/interpreted/parallel arms.
+// succeed, and hard agreement on the reference/evaluator-check/parallel arms.
 
 import (
 	"context"
@@ -226,7 +226,7 @@ func (a *fuzzArms) reset() {
 }
 
 // run executes sql through the cursor path (which honors every knob,
-// including the materializing fallback) under a timeout: mutated fuzz
+// including the reference executor) under a timeout: mutated fuzz
 // inputs can drop a join predicate and turn into multi-million-row cross
 // products, and one such exec must not stall the whole fuzz loop.
 func (a *fuzzArms) run(sql string, timeout time.Duration) string {
@@ -249,8 +249,9 @@ func timedOut(key string) bool {
 // fuzz dataset.
 const fuzzMemLimit = 48 << 10
 
-// check runs sql through every arm and compares against the serial,
-// streamed, compiled, unlimited baseline. strict requires bit-identical
+// check runs sql through every arm — the reference executor, the evaluator
+// check, and production under parallelism and memory caps — and compares
+// against the serial, unlimited production baseline. strict requires bit-identical
 // outcomes everywhere (the generated corpus is total, so even errors must
 // agree textually); lenient mode — for arbitrary mutated inputs — skips
 // error/success disagreement on the capped arms only.
@@ -273,15 +274,15 @@ func (a *fuzzArms) check(t *testing.T, sql string, strict bool) {
 		prep   func()
 		capped bool
 	}{
-		{"materialized", func() { a.db.SetStreamExec(false) }, false},
-		{"interpreted", func() { a.db.SetCompileExprs(false) }, false},
+		{"reference", func() { a.db.SetStreamExec(false) }, false},
+		{"evaluator-check", func() { a.db.SetCompileExprs(false) }, false},
 		{"parallel-8", func() { a.db.SetParallelism(8) }, false},
 		{"capped", func() { a.db.SetMemoryLimit(fuzzMemLimit) }, true},
 		{"capped-parallel-8", func() {
 			a.db.SetMemoryLimit(fuzzMemLimit)
 			a.db.SetParallelism(8)
 		}, true},
-		{"capped-interpreted", func() {
+		{"capped-evaluator-check", func() {
 			a.db.SetMemoryLimit(fuzzMemLimit)
 			a.db.SetCompileExprs(false)
 		}, true},

@@ -24,10 +24,7 @@ package engine
 // (charged, never spilled); the index fast path probes the table's
 // persistent index and retains no transient build at all.
 
-import (
-	"mtbase/internal/sqlast"
-	"mtbase/internal/sqltypes"
-)
+import "mtbase/internal/sqltypes"
 
 // graceParts is the partition fan-out per level.
 const graceParts = 16
@@ -121,44 +118,16 @@ func (g *graceState) close() {
 
 // forEachKeyedRow invokes fn for every row of b whose join key has no NULL
 // component, in selection order, with the key encoded exactly as the hash
-// probe encodes it. It uses the compiled key set when available and the
-// interpreter otherwise — the same split as the in-memory paths.
-func (ex *exec) forEachKeyedRow(b *Batch, ks *vecKeySet, sc *scope, exprs []sqlast.Expr, buf []byte, fn func(i int32, key []byte) error) ([]byte, error) {
-	if ks != nil {
-		m := ex.vs.mark()
-		sel := ks.compute(b, true, nil)
-		if err := b.firstErr(); err != nil {
-			ex.vs.release(m)
-			return buf, err
-		}
-		for _, i := range sel {
-			buf = encodeKeyCols(buf[:0], ks.cols, i)
-			if err := fn(i, buf); err != nil {
-				ex.vs.release(m)
-				return buf, err
-			}
-		}
-		ex.vs.release(m)
-		return buf, nil
+// probe encodes it.
+func (ex *exec) forEachKeyedRow(b *Batch, ks *vecKeySet, buf []byte, fn func(i int32, key []byte) error) ([]byte, error) {
+	m := ex.vs.mark()
+	defer ex.vs.release(m)
+	sel := ks.compute(b, true, nil)
+	if err := b.firstErr(); err != nil {
+		return buf, err
 	}
-	for _, i := range b.sel {
-		buf = buf[:0]
-		null := false
-		for _, e := range exprs {
-			sc.row = b.rows[i]
-			v, err := ex.eval(e, sc)
-			if err != nil {
-				return buf, err
-			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			buf = sqltypes.AppendKey(buf, v)
-		}
-		if null {
-			continue
-		}
+	for _, i := range sel {
+		buf = encodeKeyCols(buf[:0], ks.cols, i)
 		if err := fn(i, buf); err != nil {
 			return buf, err
 		}
@@ -168,9 +137,9 @@ func (ex *exec) forEachKeyedRow(b *Batch, ks *vecKeySet, sc *scope, exprs []sqla
 
 // partitionBuildBatch routes one batch of build rows into the build
 // partition files.
-func (g *graceState) partitionBuildBatch(ex *exec, b *Batch, ks *vecKeySet, sc *scope, exprs []sqlast.Expr) error {
+func (g *graceState) partitionBuildBatch(ex *exec, b *Batch, ks *vecKeySet) error {
 	var err error
-	g.buf, err = ex.forEachKeyedRow(b, ks, sc, exprs, g.buf, func(i int32, key []byte) error {
+	g.buf, err = ex.forEachKeyedRow(b, ks, g.buf, func(i int32, key []byte) error {
 		p := g.buildParts[graceHash(key, 0)%graceParts]
 		return p.write(&spillRec{key: key, row: b.rows[i]})
 	})
@@ -179,14 +148,14 @@ func (g *graceState) partitionBuildBatch(ex *exec, b *Batch, ks *vecKeySet, sc *
 
 // partitionBuildRows streams already-materialized build rows (table heap or
 // the rows drained before the budget overflowed) through the partitioner.
-func (g *graceState) partitionBuildRows(ex *exec, rows [][]sqltypes.Value, ks *vecKeySet, sc *scope, exprs []sqlast.Expr) error {
+func (g *graceState) partitionBuildRows(ex *exec, rows [][]sqltypes.Value, ks *vecKeySet) error {
 	src := scanOp{rows: rows}
 	var b Batch
 	for src.next(&b) {
 		if err := ex.cancelled(); err != nil {
 			return err
 		}
-		if err := g.partitionBuildBatch(ex, &b, ks, sc, exprs); err != nil {
+		if err := g.partitionBuildBatch(ex, &b, ks); err != nil {
 			return err
 		}
 	}
@@ -196,9 +165,9 @@ func (g *graceState) partitionBuildRows(ex *exec, rows [][]sqltypes.Value, ks *v
 // partitionProbeBatch routes one batch of inner-join probe rows, assigning
 // global sequence numbers in stream order. NULL-key rows are dropped — they
 // cannot match.
-func (g *graceState) partitionProbeBatch(ex *exec, b *Batch, ks *vecKeySet, sc *scope, exprs []sqlast.Expr) error {
+func (g *graceState) partitionProbeBatch(ex *exec, b *Batch, ks *vecKeySet) error {
 	var err error
-	g.buf, err = ex.forEachKeyedRow(b, ks, sc, exprs, g.buf, func(i int32, key []byte) error {
+	g.buf, err = ex.forEachKeyedRow(b, ks, g.buf, func(i int32, key []byte) error {
 		seq := g.probeSeq
 		g.probeSeq++
 		p := g.probeParts[graceHash(key, 0)%graceParts]
@@ -309,10 +278,15 @@ func (g *graceState) processPartition(ex *exec, bp, pp *partWriter, salt, depth 
 			return nil
 		}
 		ids := build[string(rec.key)]
+		nout := len(ids)
+		if g.outer {
+			nout++ // room for the null extension
+		}
+		ck := newRowChunk(nout, g.width)
 		if g.outer {
 			matched := false
 			for _, ri := range ids {
-				combined := concatRows(rec.row, brows[ri], g.width)
+				combined := ck.concat(rec.row, brows[ri])
 				okm, err := g.louter.matchResidual(ex, combined)
 				if err != nil {
 					return err
@@ -325,14 +299,14 @@ func (g *graceState) processPartition(ex *exec, bp, pp *partWriter, salt, depth 
 				}
 			}
 			if !matched {
-				if err := g.emitOut(ex, rec.seq, concatRows(rec.row, g.nulls, g.width)); err != nil {
+				if err := g.emitOut(ex, rec.seq, ck.concat(rec.row, g.nulls)); err != nil {
 					return err
 				}
 			}
 			continue
 		}
 		for _, ri := range ids {
-			if err := g.emitOut(ex, rec.seq, concatRows(rec.row, brows[ri], g.width)); err != nil {
+			if err := g.emitOut(ex, rec.seq, ck.concat(rec.row, brows[ri])); err != nil {
 				return err
 			}
 		}
@@ -420,10 +394,7 @@ func (g *graceState) emit(ex *exec, out *Batch) (*Batch, error) {
 // ever materializing it.
 func (j *joinOperator) openChargedBuild(ex *exec) error {
 	j.acct = ex.acct
-	brel := &relation{bindings: j.rrel.bindings, width: j.rrel.width}
-	rsc := brel.scopeFor(j.parent)
-	rexprs := pairExprs(j.pairs, true)
-	rks := ex.vecKeys(rexprs, j.rrel.bindings, rsc)
+	rks := ex.vecKeys(pairExprs(j.pairs, true), j.rrel.bindings, j.rrel.scopeFor(j.parent))
 	rows := j.rrel.rows
 	streamed := rows == nil
 	spill := false
@@ -472,7 +443,7 @@ func (j *joinOperator) openChargedBuild(ex *exec) error {
 	}
 	if !spill {
 		j.rightRows = rows
-		build, err := ex.buildJoinHash(&relation{bindings: j.rrel.bindings, rows: rows, width: j.rrel.width}, j.pairs, j.parent)
+		build, err := ex.vecJoinBuild(j.rrel, rows, j.pairs, j.parent)
 		if err != nil {
 			return err
 		}
@@ -483,7 +454,7 @@ func (j *joinOperator) openChargedBuild(ex *exec) error {
 	j.charged = 0
 	g := newGraceState(ex, j.pairs, j.orel.width)
 	j.grace = g
-	if err := g.partitionBuildRows(ex, rows, rks, rsc, rexprs); err != nil {
+	if err := g.partitionBuildRows(ex, rows, rks); err != nil {
 		return err
 	}
 	if streamed {
@@ -498,7 +469,7 @@ func (j *joinOperator) openChargedBuild(ex *exec) error {
 			if b == nil {
 				break
 			}
-			if err := g.partitionBuildBatch(ex, b, rks, rsc, rexprs); err != nil {
+			if err := g.partitionBuildBatch(ex, b, rks); err != nil {
 				return err
 			}
 		}
@@ -512,7 +483,6 @@ func (j *joinOperator) graceNext(ex *exec) (*Batch, error) {
 	g := j.grace
 	if !g.ran {
 		g.ran = true
-		lexprs := pairExprs(j.pairs, false)
 		for {
 			if err := ex.cancelled(); err != nil {
 				return nil, err
@@ -524,7 +494,7 @@ func (j *joinOperator) graceNext(ex *exec) (*Batch, error) {
 			if b == nil {
 				break
 			}
-			if err := g.partitionProbeBatch(ex, b, j.lks, j.lsc, lexprs); err != nil {
+			if err := g.partitionProbeBatch(ex, b, j.lks); err != nil {
 				return nil, err
 			}
 		}
@@ -540,10 +510,7 @@ func (j *joinOperator) graceNext(ex *exec) (*Batch, error) {
 // extension and the residual evaluator.
 func (o *leftOuterOperator) openChargedBuild(ex *exec) error {
 	o.acct = ex.acct
-	brel := &relation{bindings: o.rrel.bindings, width: o.rrel.width}
-	rsc := brel.scopeFor(o.parent)
-	rexprs := pairExprs(o.pairs, true)
-	rks := ex.vecKeys(rexprs, o.rrel.bindings, rsc)
+	rks := ex.vecKeys(pairExprs(o.pairs, true), o.rrel.bindings, o.rrel.scopeFor(o.parent))
 	rows := o.rrel.rows
 	streamed := rows == nil
 	spill := false
@@ -592,7 +559,7 @@ func (o *leftOuterOperator) openChargedBuild(ex *exec) error {
 	}
 	if !spill {
 		o.rightRows = rows
-		build, err := ex.buildJoinHash(&relation{bindings: o.rrel.bindings, rows: rows, width: o.rrel.width}, o.pairs, o.parent)
+		build, err := ex.vecJoinBuild(o.rrel, rows, o.pairs, o.parent)
 		if err != nil {
 			return err
 		}
@@ -606,7 +573,7 @@ func (o *leftOuterOperator) openChargedBuild(ex *exec) error {
 	g.nulls = o.nulls
 	g.louter = o
 	o.grace = g
-	if err := g.partitionBuildRows(ex, rows, rks, rsc, rexprs); err != nil {
+	if err := g.partitionBuildRows(ex, rows, rks); err != nil {
 		return err
 	}
 	if streamed {
@@ -621,7 +588,7 @@ func (o *leftOuterOperator) openChargedBuild(ex *exec) error {
 			if b == nil {
 				break
 			}
-			if err := g.partitionBuildBatch(ex, b, rks, rsc, rexprs); err != nil {
+			if err := g.partitionBuildBatch(ex, b, rks); err != nil {
 				return err
 			}
 		}
@@ -636,77 +603,49 @@ func (o *leftOuterOperator) openChargedBuild(ex *exec) error {
 // participate — the same inSel bookkeeping as the in-memory probe.
 func (o *leftOuterOperator) gracePartitionProbe(ex *exec, b *Batch) error {
 	g := o.grace
-	if o.lks != nil {
-		n := len(b.rows)
-		if cap(o.nullMask) < n {
-			o.nullMask = make([]bool, n)
-			o.buckets = make([][]int, n)
-			o.inSel = make([]bool, n)
-		}
-		o.nullMask = o.nullMask[:n]
-		inSel := o.inSel[:n]
-		for i := range inSel {
-			o.nullMask[i] = false
-			inSel[i] = false
-		}
-		for _, i := range b.sel {
-			inSel[i] = true
-		}
-		m := ex.vs.mark()
-		o.lks.compute(b, true, o.nullMask)
-		if err := b.firstErr(); err != nil {
-			ex.vs.release(m)
-			return err
-		}
-		for i := 0; i < n; i++ {
-			if !inSel[i] {
-				continue
-			}
-			seq := g.probeSeq
-			g.probeSeq++
-			if o.nullMask[i] {
-				if err := g.emitOut(ex, seq, concatRows(b.rows[i], o.nulls, g.width)); err != nil {
-					ex.vs.release(m)
-					return err
-				}
-				continue
-			}
-			g.buf = encodeKeyCols(g.buf[:0], o.lks.cols, int32(i))
-			p := g.probeParts[graceHash(g.buf, 0)%graceParts]
-			if err := p.write(&spillRec{seq: seq, key: g.buf, row: b.rows[i]}); err != nil {
-				ex.vs.release(m)
-				return err
-			}
-		}
-		ex.vs.release(m)
-		return nil
+	n := len(b.rows)
+	if cap(o.nullMask) < n {
+		o.nullMask = make([]bool, n)
+		o.buckets = make([][]int, n)
+		o.inSel = make([]bool, n)
+	}
+	o.nullMask = o.nullMask[:n]
+	inSel := o.inSel[:n]
+	for i := range inSel {
+		o.nullMask[i] = false
+		inSel[i] = false
 	}
 	for _, i := range b.sel {
-		lr := b.rows[i]
-		g.buf = g.buf[:0]
-		null := false
-		for _, p := range o.pairs {
-			o.lsc.row = lr
-			v, err := ex.eval(p.left, o.lsc)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			g.buf = sqltypes.AppendKey(g.buf, v)
+		inSel[i] = true
+	}
+	m := ex.vs.mark()
+	defer ex.vs.release(m)
+	o.lks.compute(b, true, o.nullMask)
+	if err := b.firstErr(); err != nil {
+		return err
+	}
+	nulls := 0
+	for i := 0; i < n; i++ {
+		if inSel[i] && o.nullMask[i] {
+			nulls++
+		}
+	}
+	ck := newRowChunk(nulls, g.width)
+	for i := 0; i < n; i++ {
+		if !inSel[i] {
+			continue
 		}
 		seq := g.probeSeq
 		g.probeSeq++
-		if null {
-			if err := g.emitOut(ex, seq, concatRows(lr, o.nulls, g.width)); err != nil {
+		if o.nullMask[i] {
+			if err := g.emitOut(ex, seq, ck.concat(b.rows[i], o.nulls)); err != nil {
 				return err
 			}
 			continue
 		}
-		pw := g.probeParts[graceHash(g.buf, 0)%graceParts]
-		if err := pw.write(&spillRec{seq: seq, key: g.buf, row: lr}); err != nil {
+		g.buf = encodeKeyCols(g.buf[:0], o.lks.cols, int32(i))
+		p := g.probeParts[graceHash(g.buf, 0)%graceParts]
+		if err := p.write(&spillRec{seq: seq, key: g.buf, row: b.rows[i]}); err != nil {
 			return err
 		}
 	}

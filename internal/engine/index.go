@@ -67,29 +67,12 @@ func (d *tableData) index(t *Table, cols []string) (*hashIndex, error) {
 
 // probe returns the row ordinals matching the given key values.
 func (ix *hashIndex) probe(vals []sqltypes.Value) []int {
-	ids, _ := ix.probeBuf(nil, vals)
-	return ids
-}
-
-// probeBuf is probe with a caller-owned scratch buffer, so per-row probe
-// loops (the hash-join index fast path) encode keys without allocating.
-// It returns the matching ordinals and the possibly grown buffer.
-func (ix *hashIndex) probeBuf(buf []byte, vals []sqltypes.Value) ([]int, []byte) {
-	buf = buf[:0]
+	var buf []byte
 	for _, v := range vals {
 		if v.IsNull() {
-			return nil, buf
+			return nil
 		}
 		buf = sqltypes.AppendKey(buf, v)
 	}
-	return ix.m[string(buf)], buf
-}
-
-// probeKeyCols probes with the i-th entries of precomputed key columns —
-// the batched executor's probe form. Callers guarantee the entries are
-// non-NULL: batched key computation drops NULL-key rows from the selection
-// vector before any probing happens.
-func (ix *hashIndex) probeKeyCols(buf []byte, cols [][]sqltypes.Value, i int32) ([]int, []byte) {
-	buf = encodeKeyCols(buf[:0], cols, i)
-	return ix.m[string(buf)], buf
+	return ix.m[string(buf)]
 }

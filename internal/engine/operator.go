@@ -26,9 +26,13 @@ package engine
 // (project, group, distinct, sort, limit) emit dense batches — sel is the
 // identity — optionally carrying ORDER BY key columns in Batch.keys.
 //
-// Row-order equivalence with the materializing executor (exec.go, kept
-// behind DB.SetStreamExec(false) as the differential-test reference) is by
-// construction: filters refine selection vectors in row order, joins probe
+// Every operator has one arm: expressions arrive as batch programs
+// (vecCompile), and whether a program is a compiled kernel or the lifted
+// interpreter is decided there, never here (DESIGN.md ADR-010).
+//
+// Row-order equivalence with the reference executor (exec.go, behind
+// DB.SetStreamExec(false); it shares no operator and no kernel with this
+// file) is by construction: filters refine selection vectors in row order, joins probe
 // in input order and expand hash buckets in build insertion order, groups
 // are emitted in first-seen key order, and the sort operator runs the same
 // stable merge over the same precomputed key columns.
@@ -194,29 +198,19 @@ func (w *errWrapOperator) Close() { w.child.Close() }
 // ---------------------------------------------------------------- filter
 
 // filterOperator refines each input batch's selection vector with a
-// conjunct list, reusing the batched filter kernel (batch.go) in both
-// compile modes. Batches are passed through (never copied); empty batches
-// are skipped.
+// conjunct list through the batched filter kernel (batch.go). Batches are
+// passed through (never copied); empty batches are skipped.
 type filterOperator struct {
 	child Operator
 	f     filterOp
 }
 
-// newFilterOperator lowers conjuncts against the stream's schema exactly
-// like the materializing filterRelation.
+// newFilterOperator lowers conjuncts against the stream's schema.
 func newFilterOperator(ex *exec, child Operator, rel *relation, conjs []*conjunct, parent *scope) *filterOperator {
 	sc := rel.scopeFor(parent)
-	o := &filterOperator{child: child, f: filterOp{ex: ex, sc: sc}}
-	if !ex.db.noCompile {
-		o.f.progs = make([]vecExpr, len(conjs))
-		for i, c := range conjs {
-			o.f.progs[i] = ex.vecCompile(c.expr, rel.bindings, sc)
-		}
-	} else {
-		o.f.exprs = make([]sqlast.Expr, len(conjs))
-		for i, c := range conjs {
-			o.f.exprs[i] = c.expr
-		}
+	o := &filterOperator{child: child, f: filterOp{progs: make([]vecExpr, len(conjs))}}
+	for i, c := range conjs {
+		o.f.progs[i] = ex.vecCompile(c.expr, rel.bindings, sc)
 	}
 	return o
 }
@@ -238,11 +232,7 @@ func (o *filterOperator) Next(ex *exec) (*Batch, error) {
 		if b == nil {
 			return nil, nil
 		}
-		if o.f.progs != nil {
-			o.f.applyVec(b)
-		} else {
-			o.f.applyInterp(b)
-		}
+		o.f.apply(b)
 		if o.f.failed != nil {
 			return nil, o.f.failed
 		}
@@ -261,8 +251,7 @@ func (o *filterOperator) Close() { o.child.Close() }
 // no equi pairs): Open materializes only the build side — the hash table,
 // or the probe plan against a base table's persistent index — and Next
 // streams probe batches, expanding each into at most batch-size output
-// windows. Output rows are chunk-allocated per probe batch, exactly like
-// the materializing hashJoin, so values and row order are identical.
+// windows. Output rows are chunk-allocated per probe batch.
 type joinOperator struct {
 	ex     *exec
 	left   Operator
@@ -273,14 +262,11 @@ type joinOperator struct {
 	pairs  []equiPair
 	parent *scope
 
-	// Build state (Open): exactly one of idx (index fast path) or
-	// build+rightRows (hash build / cross product) is used.
-	idx       *hashIndex
-	idxCols   []string
+	// Build state (Open): the build rows and, for an equi join, the hash
+	// table over them — a transient one, or a base table's persistent index.
 	build     map[string][]int
 	rightRows [][]sqltypes.Value
 
-	lsc     *scope
 	lks     *vecKeySet
 	buf     []byte
 	buckets [][]int
@@ -316,31 +302,18 @@ func (j *joinOperator) Open(ex *exec) error {
 	if err := j.left.Open(ex); err != nil {
 		return err
 	}
-	j.lsc = j.lrel.scopeFor(j.parent)
 	if len(j.pairs) > 0 {
-		j.lks = ex.vecKeys(pairExprs(j.pairs, false), j.lrel.bindings, j.lsc)
-		// Index fast path: unfiltered base table on the build side with
-		// plain-column keys probes the table's persistent lazy index; no
-		// transient hash table is built at all.
-		if j.rrel.base != nil && len(j.rrel.bindings) == 1 {
-			cols := make([]string, 0, len(j.pairs))
-			simple := true
-			for _, p := range j.pairs {
-				cr, ok := p.right.(*sqlast.ColumnRef)
-				if !ok || !relationHasRef(j.rrel, cr) {
-					simple = false
-					break
-				}
-				cols = append(cols, cr.Name)
+		j.lks = ex.vecKeys(pairExprs(j.pairs, false), j.lrel.bindings, j.lrel.scopeFor(j.parent))
+		// Index fast path: the table's persistent lazy index already is the
+		// hash table (same key encoding, buckets in heap order); no transient
+		// one is built at all.
+		if cols, ok := indexableBuild(j.rrel, j.pairs); ok {
+			idx, err := ex.tableIndex(j.rrel.base, cols)
+			if err != nil {
+				return err
 			}
-			if simple {
-				idx, err := ex.tableIndex(j.rrel.base, cols)
-				if err != nil {
-					return err
-				}
-				j.idx, j.idxCols = idx, cols
-				return nil
-			}
+			j.build, j.rightRows = idx.m, j.rrel.rows
+			return nil
 		}
 	}
 	// Build side: drain the right child (base scans are already
@@ -367,13 +340,58 @@ func (j *joinOperator) Open(ex *exec) error {
 		ex.acct.charge(j.charged)
 	}
 	if len(j.pairs) > 0 {
-		build, err := ex.buildJoinHash(&relation{bindings: j.rrel.bindings, rows: rows, width: j.rrel.width}, j.pairs, j.parent)
+		build, err := ex.vecJoinBuild(j.rrel, rows, j.pairs, j.parent)
 		if err != nil {
 			return err
 		}
 		j.build = build
 	}
 	return nil
+}
+
+// vecJoinBuild hashes the build rows of rrel on the right-side key
+// expressions; NULL keys never participate in an equi join. Keys are
+// computed column-wise per batch and encoded from the key columns, so bucket
+// lists keep build row order.
+func (ex *exec) vecJoinBuild(rrel *relation, rows [][]sqltypes.Value, pairs []equiPair, parent *scope) (map[string][]int, error) {
+	r := &relation{bindings: rrel.bindings, rows: rows, width: rrel.width}
+	build := make(map[string][]int, len(rows))
+	// Morsel-parallel build: workers encode the key column for disjoint row
+	// ranges, then the map inserts run serially in row order — bucket
+	// contents and order match the serial build exactly.
+	if ex.par > 1 && ex.depth == 0 && len(rows) >= 2*morselLen() {
+		keys, err := ex.parallelJoinKeys(r, pairs, parent)
+		if err != nil {
+			return nil, err
+		}
+		for i, k := range keys {
+			if k == nil {
+				continue // NULL key
+			}
+			build[string(k)] = append(build[string(k)], i)
+		}
+		return build, nil
+	}
+	rks := ex.vecKeys(pairExprs(pairs, true), r.bindings, r.scopeFor(parent))
+	var buf []byte
+	src := scanOp{rows: rows}
+	var b Batch
+	for src.next(&b) {
+		if err := ex.cancelled(); err != nil {
+			return nil, err
+		}
+		m := ex.vs.mark()
+		sel := rks.compute(&b, true, nil)
+		if err := b.firstErr(); err != nil {
+			return nil, err
+		}
+		for _, i := range sel {
+			buf = encodeKeyCols(buf[:0], rks.cols, i)
+			build[string(buf)] = append(build[string(buf)], b.base+int(i))
+		}
+		ex.vs.release(m)
+	}
+	return build, nil
 }
 
 func (j *joinOperator) Next(ex *exec) (*Batch, error) {
@@ -407,114 +425,40 @@ func (j *joinOperator) Next(ex *exec) (*Batch, error) {
 	return &j.out, nil
 }
 
-// fillPending expands one probe batch into joined output rows, mirroring
-// the per-batch loops of the materializing hashJoin.
+// fillPending expands one probe batch into joined output rows: the probe
+// keys fill per-batch key columns (NULL-key rows drop out of the selection
+// vector), buckets are counted first, and the batch's output tuples come
+// from one exactly-sized chunk.
 func (j *joinOperator) fillPending(ex *exec, b *Batch) error {
 	width := j.orel.width
-	switch {
-	case len(j.pairs) == 0: // cross product
+	if len(j.pairs) == 0 { // cross product
 		ck := newRowChunk(len(b.sel)*len(j.rightRows), width)
 		for _, i := range b.sel {
 			for _, rr := range j.rightRows {
 				j.pending = append(j.pending, ck.concat(b.rows[i], rr))
 			}
 		}
-	case j.idx != nil && j.lks != nil: // compiled index probe
-		m := ex.vs.mark()
-		sel := j.lks.compute(b, true, nil)
-		if err := b.firstErr(); err != nil {
-			ex.vs.release(m)
-			return err
-		}
-		if cap(j.buckets) < len(b.rows) {
-			j.buckets = make([][]int, len(b.rows))
-		}
-		total := 0
-		for _, i := range sel {
-			var ids []int
-			ids, j.buf = j.idx.probeKeyCols(j.buf, j.lks.cols, i)
-			j.buckets[i] = ids
-			total += len(ids)
-		}
-		ck := newRowChunk(total, width)
-		for _, i := range sel {
-			for _, id := range j.buckets[i] {
-				j.pending = append(j.pending, ck.concat(b.rows[i], j.rrel.rows[id]))
-			}
-		}
-		ex.vs.release(m)
-	case j.idx != nil: // interpreted index probe
-		vals := make([]sqltypes.Value, len(j.pairs))
-		for _, i := range b.sel {
-			lr := b.rows[i]
-			null := false
-			for k, p := range j.pairs {
-				j.lsc.row = lr
-				v, err := ex.eval(p.left, j.lsc)
-				if err != nil {
-					return err
-				}
-				if v.IsNull() {
-					null = true
-					break
-				}
-				vals[k] = v
-			}
-			if null {
-				continue
-			}
-			var ids []int
-			ids, j.buf = j.idx.probeBuf(j.buf, vals)
-			for _, id := range ids {
-				j.pending = append(j.pending, concatRows(lr, j.rrel.rows[id], width))
-			}
-		}
-	case j.lks != nil: // compiled hash probe
-		m := ex.vs.mark()
-		sel := j.lks.compute(b, true, nil)
-		if err := b.firstErr(); err != nil {
-			ex.vs.release(m)
-			return err
-		}
-		if cap(j.buckets) < len(b.rows) {
-			j.buckets = make([][]int, len(b.rows))
-		}
-		total := 0
-		for _, i := range sel {
-			j.buf = encodeKeyCols(j.buf[:0], j.lks.cols, i)
-			j.buckets[i] = j.build[string(j.buf)]
-			total += len(j.buckets[i])
-		}
-		ck := newRowChunk(total, width)
-		for _, i := range sel {
-			for _, ri := range j.buckets[i] {
-				j.pending = append(j.pending, ck.concat(b.rows[i], j.rightRows[ri]))
-			}
-		}
-		ex.vs.release(m)
-	default: // interpreted hash probe
-		for _, i := range b.sel {
-			lr := b.rows[i]
-			j.buf = j.buf[:0]
-			null := false
-			for _, p := range j.pairs {
-				j.lsc.row = lr
-				v, err := ex.eval(p.left, j.lsc)
-				if err != nil {
-					return err
-				}
-				if v.IsNull() {
-					null = true
-					break
-				}
-				j.buf = sqltypes.AppendKey(j.buf, v)
-			}
-			if null {
-				continue
-			}
-			for _, ri := range j.build[string(j.buf)] {
-				j.pending = append(j.pending, concatRows(lr, j.rightRows[ri], width))
-			}
+		return nil
+	}
+	m := ex.vs.mark()
+	defer ex.vs.release(m)
+	sel := j.lks.compute(b, true, nil)
+	if err := b.firstErr(); err != nil {
+		return err
+	}
+	if cap(j.buckets) < len(b.rows) {
+		j.buckets = make([][]int, len(b.rows))
+	}
+	total := 0
+	for _, i := range sel {
+		j.buf = encodeKeyCols(j.buf[:0], j.lks.cols, i)
+		j.buckets[i] = j.build[string(j.buf)]
+		total += len(j.buckets[i])
+	}
+	ck := newRowChunk(total, width)
+	for _, i := range sel {
+		for _, ri := range j.buckets[i] {
+			j.pending = append(j.pending, ck.concat(b.rows[i], j.rightRows[ri]))
 		}
 	}
 	return nil
@@ -552,7 +496,6 @@ type leftOuterOperator struct {
 	build     map[string][]int
 	rightRows [][]sqltypes.Value
 	nulls     []sqltypes.Value
-	lsc       *scope
 	osc       *scope
 	lks       *vecKeySet
 	resFns    []compiledExpr
@@ -593,9 +536,8 @@ func (o *leftOuterOperator) Open(ex *exec) error {
 		return err
 	}
 	o.nulls = make([]sqltypes.Value, o.rrel.width)
-	o.lsc = o.lrel.scopeFor(o.parent)
 	o.osc = o.orel.scopeFor(o.parent)
-	o.lks = ex.vecKeys(pairExprs(o.pairs, false), o.lrel.bindings, o.lsc)
+	o.lks = ex.vecKeys(pairExprs(o.pairs, false), o.lrel.bindings, o.lrel.scopeFor(o.parent))
 	o.resFns = make([]compiledExpr, len(o.resid))
 	for i, c := range o.resid {
 		o.resFns[i] = ex.compile(c.expr, o.orel.bindings, o.osc)
@@ -623,7 +565,7 @@ func (o *leftOuterOperator) Open(ex *exec) error {
 		}
 		ex.acct.charge(o.charged)
 	}
-	build, err := ex.buildJoinHash(&relation{bindings: o.rrel.bindings, rows: rows, width: o.rrel.width}, o.pairs, o.parent)
+	build, err := ex.vecJoinBuild(o.rrel, rows, o.pairs, o.parent)
 	if err != nil {
 		return err
 	}
@@ -683,105 +625,66 @@ func (o *leftOuterOperator) Next(ex *exec) (*Batch, error) {
 	return &o.out, nil
 }
 
+// fillPending probes one batch: valid keys land in the selection vector,
+// NULL keys in the null mask (unmatched by definition, emitted
+// null-extended). A filtered probe stream may have dropped rows from the
+// window: only rows still in the incoming selection participate at all.
 func (o *leftOuterOperator) fillPending(ex *exec, b *Batch) error {
 	width := o.orel.width
-	if o.lks != nil {
-		// Batched probe: valid keys land in the selection vector, NULL keys
-		// in the null mask (unmatched by definition, emitted null-extended).
-		// A filtered probe stream may have dropped rows from the window: only
-		// rows still in the incoming selection participate at all.
-		n := len(b.rows)
-		if cap(o.nullMask) < n {
-			o.nullMask = make([]bool, n)
-			o.buckets = make([][]int, n)
-			o.inSel = make([]bool, n)
-		}
-		o.nullMask = o.nullMask[:n]
-		o.buckets = o.buckets[:n]
-		inSel := o.inSel[:n]
-		for i := range inSel {
-			o.nullMask[i] = false
-			inSel[i] = false
-		}
-		for _, i := range b.sel {
-			inSel[i] = true
-		}
-		m := ex.vs.mark()
-		o.lks.compute(b, true, o.nullMask)
-		if err := b.firstErr(); err != nil {
-			ex.vs.release(m)
-			return err
-		}
-		total := 0
-		for i := 0; i < n; i++ {
-			o.buckets[i] = nil
-			if !inSel[i] {
-				continue
-			}
-			total++
-			if !o.nullMask[i] {
-				o.buf = encodeKeyCols(o.buf[:0], o.lks.cols, int32(i))
-				o.buckets[i] = o.build[string(o.buf)]
-				total += len(o.buckets[i])
-			}
-		}
-		ck := newRowChunk(total, width)
-		for i := 0; i < n; i++ {
-			if !inSel[i] {
-				continue
-			}
-			matched := false
-			for _, ri := range o.buckets[i] {
-				combined := ck.concat(b.rows[i], o.rightRows[ri])
-				ok, err := o.matchResidual(ex, combined)
-				if err != nil {
-					ex.vs.release(m)
-					return err
-				}
-				if ok {
-					matched = true
-					o.pending = append(o.pending, combined)
-				}
-			}
-			if !matched {
-				o.pending = append(o.pending, ck.concat(b.rows[i], o.nulls))
-			}
-		}
-		ex.vs.release(m)
-		return nil
+	n := len(b.rows)
+	if cap(o.nullMask) < n {
+		o.nullMask = make([]bool, n)
+		o.buckets = make([][]int, n)
+		o.inSel = make([]bool, n)
+	}
+	o.nullMask = o.nullMask[:n]
+	o.buckets = o.buckets[:n]
+	inSel := o.inSel[:n]
+	for i := range inSel {
+		o.nullMask[i] = false
+		inSel[i] = false
 	}
 	for _, i := range b.sel {
-		lr := b.rows[i]
-		o.buf = o.buf[:0]
-		null := false
-		for _, p := range o.pairs {
-			o.lsc.row = lr
-			v, err := ex.eval(p.left, o.lsc)
+		inSel[i] = true
+	}
+	m := ex.vs.mark()
+	defer ex.vs.release(m)
+	o.lks.compute(b, true, o.nullMask)
+	if err := b.firstErr(); err != nil {
+		return err
+	}
+	total := 0
+	for i := 0; i < n; i++ {
+		o.buckets[i] = nil
+		if !inSel[i] {
+			continue
+		}
+		total++
+		if !o.nullMask[i] {
+			o.buf = encodeKeyCols(o.buf[:0], o.lks.cols, int32(i))
+			o.buckets[i] = o.build[string(o.buf)]
+			total += len(o.buckets[i])
+		}
+	}
+	ck := newRowChunk(total, width)
+	for i := 0; i < n; i++ {
+		if !inSel[i] {
+			continue
+		}
+		matched := false
+		for _, ri := range o.buckets[i] {
+			combined := ck.concat(b.rows[i], o.rightRows[ri])
+			ok, err := o.matchResidual(ex, combined)
 			if err != nil {
 				return err
 			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			o.buf = sqltypes.AppendKey(o.buf, v)
-		}
-		matched := false
-		if !null {
-			for _, ri := range o.build[string(o.buf)] {
-				combined := concatRows(lr, o.rightRows[ri], width)
-				ok, err := o.matchResidual(ex, combined)
-				if err != nil {
-					return err
-				}
-				if ok {
-					matched = true
-					o.pending = append(o.pending, combined)
-				}
+			if ok {
+				matched = true
+				o.pending = append(o.pending, combined)
 			}
 		}
 		if !matched {
-			o.pending = append(o.pending, concatRows(lr, o.nulls, width))
+			o.pending = append(o.pending, ck.concat(b.rows[i], o.nulls))
 		}
 	}
 	return nil
@@ -805,19 +708,16 @@ func (o *leftOuterOperator) Close() {
 
 // projectOperator evaluates the SELECT list (and ORDER BY key expressions)
 // batch-at-a-time, emitting dense batches of freshly chunk-allocated output
-// tuples with key columns attached. It is the streaming twin of
-// projectRowsBatched / the interpreter's projection loop.
+// tuples with key columns attached.
 type projectOperator struct {
 	child Operator
-	rel   *relation
-	sc    *scope
 	projs []projector
 	plans []orderPlan
 	width int
 	cols  []string
 
-	vprojs []vecExpr // compiled mode; nil entries are star segments
-	vkeys  []vecExpr // compiled key expressions (outCol plans stay nil)
+	vprojs []vecExpr // nil entries are star segments
+	vkeys  []vecExpr // key expressions (outCol plans stay nil)
 
 	colBuf  [][]sqltypes.Value
 	keyBuf  [][]sqltypes.Value
@@ -834,22 +734,20 @@ func (ex *exec) newProjectOperator(child Operator, rel *relation, sel *sqlast.Se
 	}
 	plans := buildOrderPlan(sel, cols, sc, aliases)
 	projs, width := ex.buildProjectors(sel, rel)
-	o := &projectOperator{child: child, rel: rel, sc: sc, projs: projs, plans: plans, width: width, cols: cols}
-	if !ex.db.noCompile {
-		o.vprojs = make([]vecExpr, len(projs))
-		for i := range projs {
-			if !projs[i].star {
-				o.vprojs[i] = ex.vecCompile(projs[i].expr, rel.bindings, sc)
-			}
+	o := &projectOperator{
+		child: child, projs: projs, plans: plans, width: width, cols: cols,
+		vprojs: make([]vecExpr, len(projs)), colBuf: make([][]sqltypes.Value, len(projs)),
+		vkeys: make([]vecExpr, len(plans)), keyBuf: make([][]sqltypes.Value, len(plans)),
+	}
+	for i := range projs {
+		if !projs[i].star {
+			o.vprojs[i] = ex.vecCompile(projs[i].expr, rel.bindings, sc)
 		}
-		o.vkeys = make([]vecExpr, len(plans))
-		for k := range plans {
-			if plans[k].outCol < 0 {
-				o.vkeys[k] = ex.vecCompile(plans[k].expr, rel.bindings, sc)
-			}
+	}
+	for k := range plans {
+		if plans[k].outCol < 0 {
+			o.vkeys[k] = ex.vecCompile(plans[k].expr, rel.bindings, sc)
 		}
-		o.colBuf = make([][]sqltypes.Value, len(projs))
-		o.keyBuf = make([][]sqltypes.Value, len(plans))
 	}
 	return o, nil
 }
@@ -869,14 +767,8 @@ func (o *projectOperator) Next(ex *exec) (*Batch, error) {
 	}
 	o.rowBuf = o.rowBuf[:0]
 	o.keyCols = resetKeyCols(o.keyCols, len(o.plans))
-	if o.vprojs != nil {
-		if err := o.projectVec(ex, b); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := o.projectInterp(ex, b); err != nil {
-			return nil, err
-		}
+	if err := o.project(ex, b); err != nil {
+		return nil, err
 	}
 	o.out.window(o.rowBuf)
 	o.out.keys = o.keyCols
@@ -884,7 +776,7 @@ func (o *projectOperator) Next(ex *exec) (*Batch, error) {
 	return &o.out, nil
 }
 
-func (o *projectOperator) projectVec(ex *exec, b *Batch) error {
+func (o *projectOperator) project(ex *exec, b *Batch) error {
 	n := len(b.rows)
 	sel := b.sel
 	m := ex.vs.mark()
@@ -936,44 +828,6 @@ func (o *projectOperator) projectVec(ex *exec, b *Batch) error {
 	return nil
 }
 
-func (o *projectOperator) projectInterp(ex *exec, b *Batch) error {
-	for _, i := range b.sel {
-		row := b.rows[i]
-		o.sc.row = row
-		out := make([]sqltypes.Value, 0, o.width)
-		for j := range o.projs {
-			p := &o.projs[j]
-			if p.star {
-				for _, seg := range p.segs {
-					out = append(out, row[seg[0]:seg[0]+seg[1]]...)
-				}
-				continue
-			}
-			v, err := ex.eval(p.expr, o.sc)
-			if err != nil {
-				return err
-			}
-			out = append(out, v)
-		}
-		o.rowBuf = append(o.rowBuf, out)
-		for k := range o.plans {
-			p := &o.plans[k]
-			var v sqltypes.Value
-			var err error
-			if p.outCol >= 0 {
-				v = out[p.outCol]
-			} else {
-				v, err = ex.eval(p.expr, o.sc)
-				if err != nil {
-					return err
-				}
-			}
-			o.keyCols[k] = append(o.keyCols[k], v)
-		}
-	}
-	return nil
-}
-
 func (o *projectOperator) Close() { o.child.Close() }
 
 // ---------------------------------------------------------------- group
@@ -992,7 +846,6 @@ type groupOperator struct {
 	cols     []string
 	plans    []orderPlan
 	having   sqlast.Expr
-	gexprs   []sqlast.Expr
 	gks      *vecKeySet
 	aggVec   map[sqlast.Expr]vecExpr
 	aggScr   *aggScratch
@@ -1068,7 +921,7 @@ func (ex *exec) newGroupOperator(child Operator, rel *relation, sel *sqlast.Sele
 	}
 	o := &groupOperator{
 		child: child, rel: rel, sel: sel, sc: sc, cols: cols, plans: plans,
-		having: having, gexprs: gexprs,
+		having:   having,
 		gks:      ex.vecKeys(gexprs, rel.bindings, sc),
 		aggVec:   ex.vecAggArgs(rel.bindings, sc, aggExprs...),
 		aggExprs: aggExprs,
@@ -1116,32 +969,17 @@ func (o *groupOperator) Open(ex *exec) error {
 		if b == nil {
 			break
 		}
-		if o.gks != nil {
-			m := ex.vs.mark()
-			gsel := o.gks.compute(b, false, nil)
-			if err := b.firstErr(); err != nil {
-				ex.vs.release(m)
-				return err
-			}
-			for _, i := range gsel {
-				buf = encodeKeyCols(buf[:0], o.gks.cols, i)
-				bucket(buf, b.rows[i])
-			}
+		m := ex.vs.mark()
+		gsel := o.gks.compute(b, false, nil)
+		if err := b.firstErr(); err != nil {
 			ex.vs.release(m)
-		} else {
-			for _, i := range b.sel {
-				o.sc.row = b.rows[i]
-				buf = buf[:0]
-				for _, g := range o.gexprs {
-					v, err := ex.eval(g, o.sc)
-					if err != nil {
-						return err
-					}
-					buf = sqltypes.AppendKey(buf, v)
-				}
-				bucket(buf, b.rows[i])
-			}
+			return err
 		}
+		for _, i := range gsel {
+			buf = encodeKeyCols(buf[:0], o.gks.cols, i)
+			bucket(buf, b.rows[i])
+		}
+		ex.vs.release(m)
 		ex.acct.charge(pend)
 		o.charged += pend
 		pend = 0
@@ -1377,9 +1215,9 @@ func (o *groupOperator) nextMerged(ex *exec) (*Batch, error) {
 // nextGroupAgg consumes the next group (one run of equal-rank records) from
 // the merge, streaming its rows through every aggregate site's accumulator
 // in ≤ batchSize chunks, and returns the group's first row, row count and
-// the per-site results. Compiled aggregate arguments run through the same
-// vectorized programs as the in-memory path, over a fresh window per site
-// per chunk so one site's poisoned rows never leak into another's.
+// the per-site results. Aggregate arguments run through the same batch
+// programs as the in-memory path, over a fresh window per site per chunk so
+// one site's poisoned rows never leak into another's.
 func (o *groupOperator) nextGroupAgg(ex *exec) ([]sqltypes.Value, int, map[*sqlast.FuncCall]precompAgg, error) {
 	seq := o.mrec.seq
 	firstRow := o.mrec.row
@@ -1398,7 +1236,6 @@ func (o *groupOperator) nextGroupAgg(ex *exec) ([]sqltypes.Value, int, map[*sqla
 		}
 		st.acc = aggAcc{op: upper, distinct: fc.Distinct}
 	}
-	sc := o.sc
 	flush := func() {
 		if len(o.chunk) == 0 {
 			return
@@ -1408,34 +1245,20 @@ func (o *groupOperator) nextGroupAgg(ex *exec) ([]sqltypes.Value, int, map[*sqla
 			if st.star || st.err != nil {
 				continue
 			}
-			arg := fc.Args[0]
-			if vecFn := o.aggVec[arg]; vecFn != nil && o.aggScr != nil {
-				o.aggB.window(o.chunk)
-				m := ex.vs.mark()
-				col := ex.vs.takeVals(len(o.chunk))
-				vecFn(&o.aggB, o.aggB.sel, col)
-				if err := o.aggB.firstErr(); err != nil {
-					st.err = err
-				} else {
-					for _, j := range o.aggB.sel {
-						st.acc.add(col[j])
-					}
+			// Every evaluated site has exactly one argument, so vecAggArgs
+			// built its program.
+			o.aggB.window(o.chunk)
+			m := ex.vs.mark()
+			col := ex.vs.takeVals(len(o.chunk))
+			o.aggVec[fc.Args[0]](&o.aggB, o.aggB.sel, col)
+			if err := o.aggB.firstErr(); err != nil {
+				st.err = err
+			} else {
+				for _, j := range o.aggB.sel {
+					st.acc.add(col[j])
 				}
-				ex.vs.release(m)
-				continue
 			}
-			savedRow, savedGroup := sc.row, sc.group
-			sc.group = nil
-			for _, row := range o.chunk {
-				sc.row = row
-				v, err := ex.eval(arg, sc)
-				if err != nil {
-					st.err = err
-					break
-				}
-				st.acc.add(v)
-			}
-			sc.row, sc.group = savedRow, savedGroup
+			ex.vs.release(m)
 		}
 		o.chunk = o.chunk[:0]
 	}
@@ -1734,9 +1557,9 @@ func (o *distinctOperator) Close() {
 // ---------------------------------------------------------------- sort
 
 // sortOperator is the ORDER BY pipeline breaker: Open drains the child,
-// collecting rows and their precomputed key columns, runs the same stable
-// merge sort as the materializing path, and Next emits windows of the
-// sorted result.
+// collecting rows and their precomputed key columns, stable-sorts them
+// (morsel-parallel runs merged in run order when the input is large), and
+// Next emits windows of the sorted result.
 //
 // Under a memory limit the buffer is charged per input batch; when the
 // budget overflows, buffered rows move into an external merge sort
@@ -1765,7 +1588,7 @@ func newSortOperator(child Operator, desc []bool) *sortOperator {
 }
 
 // sortRecLess orders spill records by the operator's key columns with the
-// exact comparator of execResult.sortAndTrim; ties report false so the
+// exact comparator of orderByKeyCols; ties report false so the
 // stable run sort and the earlier-run-wins merge preserve arrival order.
 func sortRecLess(desc []bool) func(a, b *spillRec) bool {
 	return func(a, b *spillRec) bool {
@@ -1842,9 +1665,13 @@ func (o *sortOperator) Open(ex *exec) error {
 		o.merge = m
 		return nil
 	}
-	res := &execResult{Rows: o.rows, keyCols: o.keyCols, desc: o.desc}
-	res.sortAndTrim(ex, -1)
-	o.rows = res.Rows
+	// Parallel sorted runs merge into the same order a global stable sort
+	// produces (earlier run wins ties).
+	sortIdx := stableSortIdx
+	if ex.par > 1 && ex.depth == 0 && len(o.rows) >= 2*morselLen() {
+		sortIdx = func(idx []int32, less func(a, b int32) bool) { parallelSortIdx(ex.par, idx, less) }
+	}
+	o.rows = orderByKeyCols(o.rows, o.keyCols, o.desc, sortIdx)
 	return nil
 }
 
@@ -1951,8 +1778,8 @@ func (o *limitOperator) Close() { o.child.Close() }
 
 // buildQueryOp lowers one SELECT level into a physical operator tree:
 // FROM/WHERE pipeline, then grouped or plain projection, then DISTINCT,
-// ORDER BY and LIMIT. The tree's structure mirrors the materializing
-// executor's evaluation order exactly.
+// ORDER BY and LIMIT. The tree's structure mirrors the reference executor's
+// evaluation order exactly.
 func (ex *exec) buildQueryOp(sel *sqlast.Select, parent *scope) (*queryRoot, error) {
 	src, err := ex.buildSourcePipe(sel, parent)
 	if err != nil {
@@ -2352,7 +2179,7 @@ func totalPipeWidth(pipes []*pipe) int {
 }
 
 // runQueryStream executes one SELECT by building, opening and draining its
-// operator tree — the streaming counterpart of the materializing runQuery.
+// operator tree.
 func (ex *exec) runQueryStream(sel *sqlast.Select, parent *scope) (*Result, error) {
 	root, err := ex.buildQueryOp(sel, parent)
 	if err != nil {
@@ -2378,13 +2205,10 @@ func (ex *exec) runQueryStream(sel *sqlast.Select, parent *scope) (*Result, erro
 }
 
 // fromWhereRelation materializes the FROM/WHERE part of one query level —
-// the shape UDF body planning caches per parameter tuple. It drains the
-// streaming pipeline (or delegates to the materializing builder when
-// streaming is disabled).
+// the shape UDF body planning caches per parameter tuple (production only:
+// an interpreting execution plans no UDF bodies) — by draining the streaming
+// pipeline.
 func (ex *exec) fromWhereRelation(sel *sqlast.Select, parent *scope) (*relation, error) {
-	if ex.db.streamOff {
-		return ex.buildFromWhere(sel, parent)
-	}
 	p, err := ex.buildSourcePipe(sel, parent)
 	if err != nil {
 		return nil, err

@@ -159,60 +159,36 @@ func (p *workerPool) worker(w int) *exec {
 
 // parallelAggColumn evaluates one aggregate argument expression for every
 // row of a group, morsel-parallel: workers fill disjoint ranges of one
-// output column, each through its own compiled program (or interpreter when
-// compilation is off — same per-mode semantics as the serial branches of
-// evalAggregate). The caller folds the column serially in row order.
+// output column, each through its own batch program. The caller folds the
+// column serially in row order.
 func (ex *exec) parallelAggColumn(arg sqlast.Expr, sc *scope, rows [][]sqltypes.Value) ([]sqltypes.Value, error) {
 	morsel := morselLen()
 	n := len(rows)
 	nm := (n + morsel - 1) / morsel
 	col := make([]sqltypes.Value, n)
 	pool := ex.workerPool()
-	type wstate struct {
-		prog vecExpr
-		sc   *scope
-	}
-	states := make([]*wstate, ex.par)
+	progs := make([]vecExpr, ex.par)
 	err := parallelFor(ex.par, nm, func(w, m int) error {
 		we := pool.worker(w)
-		ws := states[w]
-		if ws == nil {
-			wsc := &scope{parent: sc.parent, bindings: sc.bindings}
-			ws = &wstate{sc: wsc, prog: we.vecCompile(arg, sc.bindings, wsc)}
-			states[w] = ws
+		if progs[w] == nil {
+			progs[w] = we.vecCompile(arg, sc.bindings, &scope{parent: sc.parent, bindings: sc.bindings})
 		}
 		lo := m * morsel
 		hi := lo + morsel
 		if hi > n {
 			hi = n
 		}
-		if ws.prog != nil {
-			src := scanOp{rows: rows[lo:hi]}
-			var b Batch
-			for src.next(&b) {
-				if err := we.cancelled(); err != nil {
-					return err
-				}
-				out := col[lo+b.base : lo+b.base+len(b.rows)]
-				ws.prog(&b, b.sel, out)
-				if err := b.firstErr(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for i := lo; i < hi; i++ {
-			if i%batchSize == 0 {
-				if err := we.cancelled(); err != nil {
-					return err
-				}
-			}
-			ws.sc.row = rows[i]
-			v, err := we.eval(arg, ws.sc)
-			if err != nil {
+		src := scanOp{rows: rows[lo:hi]}
+		var b Batch
+		for src.next(&b) {
+			if err := we.cancelled(); err != nil {
 				return err
 			}
-			col[i] = v
+			out := col[lo+b.base : lo+b.base+len(b.rows)]
+			progs[w](&b, b.sel, out)
+			if err := b.firstErr(); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
@@ -227,8 +203,8 @@ func (ex *exec) parallelAggColumn(arg sqlast.Expr, sc *scope, rows [][]sqltypes.
 // parallelScanFilter is the fused morsel-parallel scan+filter operator: it
 // replaces the scanOperator→filterOperator pair over a base-table heap when
 // the execution runs parallel. Open fans the morsels out to the pool — each
-// worker filters its morsels with privately compiled conjunct programs —
-// and Next streams the surviving rows in heap order.
+// worker filters its morsels with privately lowered conjunct programs — and
+// Next streams the surviving rows in heap order.
 //
 // On a poisoned row the serial pipeline emits every batch before the
 // failing one and then surfaces the row's error; this operator reproduces
@@ -270,52 +246,40 @@ func (o *parallelScanFilter) Open(ex *exec) error {
 	outs := make([][][]sqltypes.Value, nm)
 	merrs := make([]error, nm)
 	pool := o.ex.workerPool()
-	type wstate struct {
-		sc    *scope
-		progs []vecExpr
-	}
-	states := make([]*wstate, o.ex.par)
+	progs := make([][]vecExpr, o.ex.par)
 	parallelFor(o.ex.par, nm, func(w, m int) error {
 		we := pool.worker(w)
-		ws := states[w]
-		if ws == nil {
-			ws = &wstate{sc: o.rel.scopeFor(o.parent)}
-			if !we.db.noCompile {
-				ws.progs = make([]vecExpr, len(o.conjs))
-				for i, e := range o.conjs {
-					ws.progs[i] = we.vecCompile(e, o.rel.bindings, ws.sc)
-				}
+		if progs[w] == nil {
+			sc := o.rel.scopeFor(o.parent)
+			progs[w] = make([]vecExpr, len(o.conjs))
+			for i, e := range o.conjs {
+				progs[w][i] = we.vecCompile(e, o.rel.bindings, sc)
 			}
-			states[w] = ws
 		}
 		lo := m * morsel
 		hi := lo + morsel
 		if hi > n {
 			hi = n
 		}
-		f := &filterOp{src: &scanOp{rows: o.rows[lo:hi]}, ex: we, sc: ws.sc}
-		if ws.progs != nil {
-			f.progs = ws.progs
-		} else {
-			f.exprs = o.conjs
-		}
+		f := filterOp{progs: progs[w]}
+		src := scanOp{rows: o.rows[lo:hi]}
 		var b Batch
 		var kept [][]sqltypes.Value
-		for f.next(&b) {
+		for f.failed == nil && src.next(&b) {
 			if err := we.cancelled(); err != nil {
 				merrs[m] = err
 				return err
 			}
-			for _, i := range b.sel {
-				kept = append(kept, b.rows[i])
+			f.apply(&b)
+			if f.failed == nil {
+				for _, i := range b.sel {
+					kept = append(kept, b.rows[i])
+				}
 			}
 		}
 		outs[m] = kept // survivors ahead of a failing batch still emit
-		if f.failed != nil {
-			merrs[m] = f.failed
-			return f.failed
-		}
-		return nil
+		merrs[m] = f.failed
+		return f.failed
 	})
 	for m := 0; m < nm; m++ {
 		o.kept = append(o.kept, outs[m]...)

@@ -22,31 +22,22 @@ func forceParallel(t *testing.T) {
 	t.Cleanup(func() { SetMorselSize(0) })
 }
 
-// TestParallelMatchesSerial runs every streaming shape at parallelism 8
-// and requires byte-identical output to the parallelism-1 serial oracle,
-// in both compile modes and both executor modes.
+// TestParallelMatchesSerial runs every streaming shape at parallelism 1 and
+// 8, with compiled kernels and with the lifted interpreter, and requires
+// output byte-identical to the reference executor (serial by construction).
 func TestParallelMatchesSerial(t *testing.T) {
 	forceParallel(t)
-	for _, compiled := range []bool{true, false} {
-		for _, stream := range []bool{true, false} {
-			db := streamTestDB(t, 3000)
-			if _, err := db.ExecSQL(`CREATE TABLE fact2 (id INTEGER NOT NULL)`); err != nil {
-				t.Fatal(err)
-			}
-			f2 := db.Table("fact2")
-			for i := 0; i < 300; i++ {
-				f2.AppendRow([]sqltypes.Value{sqltypes.NewInt(int64(i * 2))})
-			}
-			db.SetCompileExprs(compiled)
-			db.SetStreamExec(stream)
-			for _, q := range streamShapes {
-				db.SetParallelism(1)
-				want := execKey(db.QuerySQL(q))
-				db.SetParallelism(8)
-				got := execKey(db.QuerySQL(q))
-				if got != want {
-					t.Errorf("compiled=%v stream=%v %q:\npar=8:\n%s\npar=1:\n%s",
-						compiled, stream, q, got, want)
+	db := streamTestDB(t, 3000)
+	addFact2(t, db)
+	for _, q := range streamShapes {
+		cfgReference.apply(db)
+		want := execKey(db.QuerySQL(q))
+		for _, cfg := range checkedConfigs {
+			cfg.apply(db)
+			for _, par := range []int{1, 8} {
+				db.SetParallelism(par)
+				if got := execKey(db.QuerySQL(q)); got != want {
+					t.Errorf("%s par=%d %q:\ngot:\n%s\nreference:\n%s", cfg.name, par, q, got, want)
 				}
 			}
 		}

@@ -10,8 +10,9 @@ package engine
 // per-execution exec object (eval.go), so one Plan serves any number of
 // executions.
 //
-// Plans are cached on the DB keyed by SQL text plus the compile-mode flag and
-// validated against their dependencies on every lookup: each referenced
+// Plans are cached on the DB keyed by SQL text — a Plan holds nothing that
+// depends on the execution configuration, which each execution pins for
+// itself (newExec) — and validated against their dependencies on every lookup: each referenced
 // table is pinned by identity *and* version (any write bumps Table.version),
 // views and functions by identity. A DML write, a DROP/CREATE of a referenced
 // name, or a schema change therefore evicts exactly the plans that could
@@ -36,14 +37,6 @@ import (
 // least-recently-used half is dropped.
 const planCacheCap = 512
 
-// planKey identifies a cached plan: the statement text and whether it was
-// lowered for the compiled or the interpreted path (the differential test
-// toggles SetCompileExprs on one DB).
-type planKey struct {
-	sql      string
-	compiled bool
-}
-
 // planDep pins one schema object the plan depends on. Exactly one of tab,
 // view, fn is set. Tables are additionally pinned by version so data writes
 // invalidate plans that cache derived artifacts (UDF body relations).
@@ -64,7 +57,7 @@ type planDep struct {
 type Plan struct {
 	mu        sync.Mutex
 	stmt      sqlast.Statement
-	key       planKey
+	sql       string                   // cache key; "" for ephemeral plans
 	subqIDs   map[*sqlast.Select]int32 // plan-stable subquery IDs
 	nSubq     int32
 	arityErr  error // IN-subquery arity mismatch found at plan time
@@ -186,10 +179,7 @@ func (p *Plan) bindArgs(args []sqltypes.Value) ([]sqltypes.Value, error) {
 // buildPlanLocked analyses stmt into a Plan. sql may be empty for ephemeral
 // plans built around caller-supplied ASTs.
 func (db *DB) buildPlanLocked(sql string, stmt sqlast.Statement) *Plan {
-	p := &Plan{
-		stmt: stmt,
-		key:  planKey{sql: sql, compiled: !db.noCompile},
-	}
+	p := &Plan{stmt: stmt, sql: sql}
 	switch st := stmt.(type) {
 	case *sqlast.Select, *sqlast.Insert, *sqlast.Update, *sqlast.Delete:
 		p.subqIDs = make(map[*sqlast.Select]int32)
@@ -772,8 +762,7 @@ func (db *DB) colKindResolverLocked(sel *sqlast.Select) func(cr *sqlast.ColumnRe
 // dependencies are unchanged, re-lowering the retained AST when they are
 // not (the parse never depends on the schema), and parsing on a cold miss.
 func (db *DB) planForLocked(sql string) (*Plan, error) {
-	key := planKey{sql: sql, compiled: !db.noCompile}
-	if p, ok := db.plans[key]; ok {
+	if p, ok := db.plans[sql]; ok {
 		if db.planValidLocked(p) {
 			atomic.AddInt64(&db.Stats.PlanCacheHits, 1)
 			db.planClock++
@@ -789,7 +778,7 @@ func (db *DB) planForLocked(sql string) (*Plan, error) {
 			// The rebuild cannot be pinned (a dependency no longer
 			// resolves): drop the stale entry instead of leaving a zombie
 			// that re-invalidates on every lookup.
-			delete(db.plans, key)
+			delete(db.plans, sql)
 		}
 		return np, nil
 	}
@@ -804,18 +793,18 @@ func (db *DB) planForLocked(sql string) (*Plan, error) {
 }
 
 func (db *DB) storePlanLocked(p *Plan) {
-	if !p.cacheable || p.key.sql == "" || db.noPlanCache {
+	if !p.cacheable || p.sql == "" || db.noPlanCache {
 		return
 	}
 	if db.plans == nil {
-		db.plans = make(map[planKey]*Plan)
+		db.plans = make(map[string]*Plan)
 	}
 	if len(db.plans) >= planCacheCap {
 		db.evictPlansLocked()
 	}
 	db.planClock++
 	p.lastUse = db.planClock
-	db.plans[p.key] = p
+	db.plans[p.sql] = p
 }
 
 // evictPlansLocked drops the least-recently-used half of the cache.
@@ -852,11 +841,11 @@ func (db *DB) revalidatePlanLocked(p *Plan) *Plan {
 		return p
 	}
 	atomic.AddInt64(&db.Stats.PlanCacheInvalidations, 1)
-	np := db.buildPlanLocked(p.key.sql, p.stmt)
+	np := db.buildPlanLocked(p.sql, p.stmt)
 	if np.cacheable {
 		db.storePlanLocked(np)
-	} else if p.key.sql != "" {
-		delete(db.plans, p.key)
+	} else if p.sql != "" {
+		delete(db.plans, p.sql)
 	}
 	return np
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // TestPlanCacheHitsRepeatedText: repeated execution of the same SQL text
-// reuses the cached plan; distinct texts and distinct compile modes do not.
+// reuses the cached plan, whatever the execution configuration — a Plan
+// holds nothing configuration-dependent (DESIGN.md ADR-010).
 func TestPlanCacheHitsRepeatedText(t *testing.T) {
 	db := newEmployeeDB(t, ModePostgres)
 	db.Stats = Stats{}
@@ -22,14 +23,14 @@ func TestPlanCacheHitsRepeatedText(t *testing.T) {
 	if db.Stats.PlanCacheHits != 3 || db.Stats.PlanCacheMisses != 1 {
 		t.Fatalf("want 3 hits / 1 miss, got %+v", db.Stats)
 	}
-	// The interpreter lowering is a separate plan.
-	db.SetCompileExprs(false)
-	if _, err := db.ExecSQL(sql); err != nil {
-		t.Fatal(err)
+	for _, cfg := range []execConfig{cfgEvalCheck, cfgReference} {
+		cfg.apply(db)
+		if _, err := db.ExecSQL(sql); err != nil {
+			t.Fatal(err)
+		}
 	}
-	db.SetCompileExprs(true)
-	if db.Stats.PlanCacheMisses != 2 {
-		t.Fatalf("interpreter run should miss: %+v", db.Stats)
+	if db.Stats.PlanCacheHits != 5 || db.Stats.PlanCacheMisses != 1 {
+		t.Fatalf("%s and %s runs should hit the production plan: %+v", cfgEvalCheck.name, cfgReference.name, db.Stats)
 	}
 }
 
@@ -168,7 +169,7 @@ func TestStalePlanEntryDroppedWhenRebuildUncacheable(t *testing.T) {
 	if _, err := db.ExecSQL(sql); err == nil {
 		t.Fatal("query over dropped table succeeded")
 	}
-	if _, zombie := db.plans[planKey{sql: sql, compiled: true}]; zombie {
+	if _, zombie := db.plans[sql]; zombie {
 		t.Fatal("stale plan entry left in cache after uncacheable rebuild")
 	}
 	inv := db.Stats.PlanCacheInvalidations
@@ -194,7 +195,7 @@ func TestValuesInsertNotCached(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, cached := db.plans[planKey{sql: sql, compiled: true}]; cached {
+	if _, cached := db.plans[sql]; cached {
 		t.Fatal("VALUES-only INSERT plan was cached")
 	}
 }
@@ -322,7 +323,7 @@ func TestUDFPlanRelationsSharedAcrossExecutions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := db.plans[planKey{sql: sql, compiled: true}]
+	p := db.plans[sql]
 	if p == nil {
 		t.Fatal("plan not cached")
 	}
@@ -340,7 +341,7 @@ func TestUDFPlanRelationsSharedAcrossExecutions(t *testing.T) {
 	if first.Rows[0][0] != again.Rows[0][0] {
 		t.Fatalf("results differ across executions: %v vs %v", first.Rows[0][0], again.Rows[0][0])
 	}
-	if db.plans[planKey{sql: sql, compiled: true}] != p {
+	if db.plans[sql] != p {
 		t.Fatal("second execution rebuilt the plan")
 	}
 	// Writes to an unrelated table must NOT evict the plan.
@@ -350,7 +351,7 @@ func TestUDFPlanRelationsSharedAcrossExecutions(t *testing.T) {
 	if _, err := db.ExecSQL(sql); err != nil {
 		t.Fatal(err)
 	}
-	if db.plans[planKey{sql: sql, compiled: true}] != p {
+	if db.plans[sql] != p {
 		t.Fatal("write to unrelated table evicted the plan")
 	}
 	// Appending an employee (referenced table) must evict it.
@@ -361,7 +362,7 @@ func TestUDFPlanRelationsSharedAcrossExecutions(t *testing.T) {
 	if _, err := db.ExecSQL(sql); err != nil {
 		t.Fatal(err)
 	}
-	if db.plans[planKey{sql: sql, compiled: true}] == p {
+	if db.plans[sql] == p {
 		t.Fatal("write to referenced table did not evict the plan")
 	}
 }

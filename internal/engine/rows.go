@@ -242,7 +242,6 @@ func (db *DB) queryRowsUnlock(ctx context.Context, p *Plan, sel *sqlast.Select, 
 		return nil, p.arityErr
 	}
 	ex, err := db.newExecArgs(ctx, p, args)
-	streamOff := db.streamOff
 	db.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -252,7 +251,7 @@ func (db *DB) queryRowsUnlock(ctx context.Context, p *Plan, sel *sqlast.Select, 
 	if err := ex.cancelled(); err != nil {
 		return nil, err
 	}
-	if streamOff {
+	if ex.reference {
 		res, err := ex.runQueryMaterialized(sel, rootScope())
 		if err != nil {
 			return nil, err

@@ -32,8 +32,9 @@ func rowsTestDB(t *testing.T, compiled bool, n int) *DB {
 }
 
 // TestRowsMatchesResult drains cursors for a spread of query shapes —
-// every one of which now streams through the operator tree — and compares
-// against the classic materializing executor.
+// every one of which streams through the operator tree — in the production
+// and evaluator-check configurations and compares against the reference
+// executor.
 func TestRowsMatchesResult(t *testing.T) {
 	queries := []string{
 		`SELECT id, val FROM seq WHERE val % 3 = 0`,              // scan shape
@@ -44,30 +45,29 @@ func TestRowsMatchesResult(t *testing.T) {
 		`SELECT DISTINCT val % 7 AS k FROM seq`,                  // streamed distinct
 		`SELECT id FROM seq WHERE id > 100 LIMIT 17`,             // streamed limit
 	}
-	for _, compiled := range []bool{true, false} {
-		db := rowsTestDB(t, compiled, 3000)
-		for _, q := range queries {
-			sel, err := sqlparse.ParseQuery(q)
-			if err != nil {
-				t.Fatalf("%q: %v", q, err)
-			}
-			// The materializing executor is the reference.
-			db.SetStreamExec(false)
-			want, err := db.Query(sel)
-			db.SetStreamExec(true)
-			if err != nil {
-				t.Fatalf("compiled=%v %q: %v", compiled, q, err)
-			}
+	db := rowsTestDB(t, true, 3000)
+	for _, q := range queries {
+		sel, err := sqlparse.ParseQuery(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		cfgReference.apply(db)
+		want, err := db.Query(sel)
+		if err != nil {
+			t.Fatalf("reference %q: %v", q, err)
+		}
+		for _, cfg := range checkedConfigs {
+			cfg.apply(db)
 			rows, err := db.QueryRows(q)
 			if err != nil {
-				t.Fatalf("compiled=%v %q: %v", compiled, q, err)
+				t.Fatalf("%s %q: %v", cfg.name, q, err)
 			}
 			got, err := rows.Collect()
 			if err != nil {
-				t.Fatalf("compiled=%v %q: %v", compiled, q, err)
+				t.Fatalf("%s %q: %v", cfg.name, q, err)
 			}
 			if gk, wk := resultKey(t, got), resultKey(t, want); gk != wk {
-				t.Fatalf("compiled=%v %q: cursor differs from result\n%s\nvs\n%s", compiled, q, gk, wk)
+				t.Fatalf("%s %q: cursor differs from reference\n%s\nvs\n%s", cfg.name, q, gk, wk)
 			}
 		}
 	}

@@ -242,19 +242,17 @@ var spillShapes = []string{
 }
 
 // TestSpillDifferentialShapes is the engine-level acceptance gate: every
-// breaker shape, at every memory limit down to 8KB, in both compile modes
-// and at parallelism 1 and 8, must be byte-identical to the unlimited
-// serial run; tight limits must actually spill, the accounted peak must
-// stay within one batch of the limit, and every temp file must be gone.
+// breaker shape, unlimited and at every memory limit down to 8KB, with
+// compiled kernels and with the lifted interpreter, at parallelism 1 and 8,
+// must be byte-identical to the reference executor (which never spills);
+// tight limits must actually spill, the accounted peak must stay within one
+// batch of the limit, and every temp file must be gone.
 func TestSpillDifferentialShapes(t *testing.T) {
 	db := streamTestDB(t, 10000)
 	dir := t.TempDir()
 	db.SetSpillDir(dir)
-	db.SetStreamExec(true)
-	defer db.SetCompileExprs(true)
-	defer db.SetParallelism(0)
 
-	db.SetParallelism(1)
+	cfgReference.apply(db)
 	db.SetMemoryLimit(0)
 	base := make(map[string]string, len(spillShapes))
 	for _, q := range spillShapes {
@@ -265,29 +263,35 @@ func TestSpillDifferentialShapes(t *testing.T) {
 	// overshoot is bounded by one 1024-row batch of charged records (plus
 	// parallel scan row references, which never spill).
 	const slack = 512 << 10
-	for _, limit := range []int64{1 << 20, 64 << 10, 8 << 10} {
-		for _, compiled := range []bool{true, false} {
+	for _, limit := range []int64{0, 1 << 20, 64 << 10, 8 << 10} {
+		for _, cfg := range checkedConfigs {
 			for _, par := range []int{1, 8} {
-				db.SetCompileExprs(compiled)
+				cfg.apply(db)
 				db.SetParallelism(par)
 				db.SetMemoryLimit(limit)
 				db.Stats = Stats{}
 				for _, q := range spillShapes {
 					if got := execKey(db.QuerySQL(q)); got != base[q] {
-						t.Errorf("limit=%d compiled=%v par=%d %q: capped run differs from unlimited oracle",
-							limit, compiled, par, q)
+						t.Errorf("limit=%d %s par=%d %q: run differs from the reference",
+							limit, cfg.name, par, q)
 					}
 				}
 				st := db.Stats.Snapshot()
+				if limit == 0 {
+					if st.SpillRuns != 0 {
+						t.Errorf("%s par=%d: unlimited run spilled", cfg.name, par)
+					}
+					continue
+				}
 				if limit <= 64<<10 && st.SpillRuns == 0 {
-					t.Errorf("limit=%d compiled=%v par=%d: tight limit never spilled", limit, compiled, par)
+					t.Errorf("limit=%d %s par=%d: tight limit never spilled", limit, cfg.name, par)
 				}
 				if st.SpillRuns > 0 && st.SpillBytes == 0 {
-					t.Errorf("limit=%d compiled=%v par=%d: runs without bytes", limit, compiled, par)
+					t.Errorf("limit=%d %s par=%d: runs without bytes", limit, cfg.name, par)
 				}
 				if st.PeakMemBytes > limit+slack {
-					t.Errorf("limit=%d compiled=%v par=%d: PeakMemBytes %d exceeds limit plus one batch of slack",
-						limit, compiled, par, st.PeakMemBytes)
+					t.Errorf("limit=%d %s par=%d: PeakMemBytes %d exceeds limit plus one batch of slack",
+						limit, cfg.name, par, st.PeakMemBytes)
 				}
 			}
 		}
@@ -407,7 +411,6 @@ func TestSpillFaultInjection(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			db := streamTestDB(t, 6000)
-			db.SetStreamExec(true)
 			db.SetParallelism(1)
 			db.SetMemoryLimit(0)
 			want := execKey(db.QuerySQL(tc.query))
@@ -464,7 +467,6 @@ func TestSpillFaultInjection(t *testing.T) {
 // Close must stay idempotent.
 func TestSpillCursorCleanup(t *testing.T) {
 	db := streamTestDB(t, 6000)
-	db.SetStreamExec(true)
 	db.SetParallelism(1)
 	dir := t.TempDir()
 	db.SetSpillDir(dir)

@@ -1,10 +1,10 @@
 package engine
 
-// Tests for the pull-based operator executor: differential equivalence
-// against the materializing executor across query shapes and compile
-// modes, cancellation inside operators (mid-join included), cursor
-// lifecycle (idempotent Close, error propagation through Collect), and the
-// bounded-memory property of streamed joins.
+// Tests for the pull-based operator executor: differential equivalence of
+// the production and evaluator-check configurations against the reference
+// executor across query shapes, cancellation inside operators (mid-join
+// included), cursor lifecycle (idempotent Close, error propagation through
+// Collect), and the bounded-memory property of streamed joins.
 
 import (
 	"context"
@@ -99,31 +99,54 @@ func execKey(res *Result, err error) string {
 	return sb.String()
 }
 
-// TestOperatorTreeMatchesMaterialized runs every shape through the
-// operator tree and the materializing executor in both compile modes,
-// requiring byte-identical results.
-func TestOperatorTreeMatchesMaterialized(t *testing.T) {
-	for _, compiled := range []bool{true, false} {
-		db := streamTestDB(t, 3000)
-		// A second copy of fact for the self-join-ish shape.
-		if _, err := db.ExecSQL(`CREATE TABLE fact2 (id INTEGER NOT NULL)`); err != nil {
-			t.Fatal(err)
-		}
-		f2 := db.Table("fact2")
-		for i := 0; i < 300; i++ {
-			f2.AppendRow([]sqltypes.Value{sqltypes.NewInt(int64(i * 2))})
-		}
-		db.SetCompileExprs(compiled)
-		for _, q := range streamShapes {
-			db.SetStreamExec(true)
-			sk := execKey(db.QuerySQL(q))
-			db.SetStreamExec(false)
-			mk := execKey(db.QuerySQL(q))
-			if sk != mk {
-				t.Errorf("compiled=%v %q:\nstream:\n%s\nmaterialized:\n%s", compiled, q, sk, mk)
+// execConfig is one of the three execution configurations (DESIGN.md
+// ADR-010). Every differential suite compares cfgProduction and
+// cfgEvalCheck against cfgReference.
+type execConfig struct {
+	name            string
+	compile, stream bool
+}
+
+var (
+	cfgProduction = execConfig{"production", true, true}       // operator tree + compiled kernels
+	cfgEvalCheck  = execConfig{"evaluator-check", false, true} // operator tree + lifted interpreter
+	cfgReference  = execConfig{"reference", true, false}       // materializing executor; interprets whatever compile says
+
+	checkedConfigs = []execConfig{cfgProduction, cfgEvalCheck}
+)
+
+func (c execConfig) apply(db *DB) {
+	db.SetCompileExprs(c.compile)
+	db.SetStreamExec(c.stream)
+}
+
+// addFact2 adds the second fact-ish table of the self-join shape.
+func addFact2(t *testing.T, db *DB) {
+	t.Helper()
+	if _, err := db.ExecSQL(`CREATE TABLE fact2 (id INTEGER NOT NULL)`); err != nil {
+		t.Fatal(err)
+	}
+	f2 := db.Table("fact2")
+	for i := 0; i < 300; i++ {
+		f2.AppendRow([]sqltypes.Value{sqltypes.NewInt(int64(i * 2))})
+	}
+}
+
+// TestOperatorTreeMatchesReference runs every shape through the operator
+// tree — with compiled kernels and with the lifted interpreter, as a
+// materialized Result and through the cursor — requiring results
+// byte-identical to the reference executor's.
+func TestOperatorTreeMatchesReference(t *testing.T) {
+	db := streamTestDB(t, 3000)
+	addFact2(t, db)
+	for _, q := range streamShapes {
+		cfgReference.apply(db)
+		want := execKey(db.QuerySQL(q))
+		for _, cfg := range checkedConfigs {
+			cfg.apply(db)
+			if got := execKey(db.QuerySQL(q)); got != want {
+				t.Errorf("%s %q:\ngot:\n%s\nreference:\n%s", cfg.name, q, got, want)
 			}
-			// The cursor must agree with both.
-			db.SetStreamExec(true)
 			rows, err := db.QueryRows(q)
 			var ck string
 			if err != nil {
@@ -131,8 +154,8 @@ func TestOperatorTreeMatchesMaterialized(t *testing.T) {
 			} else {
 				ck = execKey(rows.Collect())
 			}
-			if ck != mk {
-				t.Errorf("compiled=%v %q: cursor differs:\n%s\nvs\n%s", compiled, q, ck, mk)
+			if ck != want {
+				t.Errorf("%s %q: cursor differs:\n%s\nreference:\n%s", cfg.name, q, ck, want)
 			}
 		}
 	}

@@ -2,16 +2,19 @@ package engine
 
 // This file lowers expressions into batch evaluators (vecExpr): tight loops
 // over a batch's selection vector, the vectorized counterpart of the per-row
-// closures in compile.go. Compilation is total in compiled mode — IN-
-// subqueries and EXISTS run as native kernels probing the statement's
-// subquery memos, and the remaining constructs without a batch kernel are
-// lifted, either as a loop over the row-compiled closure (UDF call sites,
-// builtins, EXTRACT/SUBSTRING) or, for constructs outside the row-compiled
-// subset too (scalar subqueries, correlated references, aggregates misused
-// outside a group), as a loop over the tree-walking interpreter. Lifting
-// preserves exact per-row value and error semantics by construction, so
-// mixing native kernels with lifted subtrees stays behaviourally identical
-// to full interpretation.
+// closures in compile.go. Lowering is total, in three tiers — IN-subqueries
+// and EXISTS run as native kernels probing the statement's subquery memos,
+// and the remaining constructs without a batch kernel are lifted, either as
+// a loop over the row-compiled closure (UDF call sites, builtins,
+// EXTRACT/SUBSTRING) or, for constructs outside the row-compiled subset too
+// (scalar subqueries, correlated references, aggregates misused outside a
+// group), as a loop over the tree-walking interpreter. Lifting preserves
+// exact per-row value and error semantics by construction, so mixing native
+// kernels with lifted subtrees stays behaviourally identical to full
+// interpretation — and full interpretation is just the last tier applied to
+// the whole expression, which is what vecCompile returns for an
+// interpreting execution. That is the evaluator seam (DESIGN.md ADR-010):
+// operators only ever hold vecExprs and never ask which tier is inside.
 //
 // Contract for every vecExpr fn(b, sel, out):
 //   - on entry b.errs[i] == nil for every i in sel;
@@ -99,11 +102,11 @@ type venv struct {
 
 // vecCompile lowers e into a batch evaluator over the flat row layout of
 // bindings; sc is the evaluation scope lifted interpretation runs in. It
-// returns nil only when compilation is disabled (SetCompileExprs(false)) —
-// operators then stay on their row-at-a-time loops.
+// never returns nil: an interpreting execution gets the interpreter lift of
+// the whole expression.
 func (ex *exec) vecCompile(e sqlast.Expr, bindings []*binding, sc *scope) vecExpr {
-	if ex.db.noCompile {
-		return nil
+	if ex.interp {
+		return liftInterp(ex, e, sc)
 	}
 	env := &cenv{db: ex.db, cat: ex.cat, bindings: bindings, clientBinds: !scopeHasParams(sc)}
 	ve := &venv{env: env, ex: ex, sc: sc, vs: &ex.vs}
@@ -215,7 +218,12 @@ func (ve *venv) lift(e sqlast.Expr) vecExpr {
 			}
 		}
 	}
-	ex, sc := ve.ex, ve.sc
+	return liftInterp(ve.ex, e, ve.sc)
+}
+
+// liftInterp is the last lowering tier: the tree-walking interpreter run
+// once per selected row, with the row installed in sc.
+func liftInterp(ex *exec, e sqlast.Expr, sc *scope) vecExpr {
 	return func(b *Batch, sel []int32, out []sqltypes.Value) {
 		rows := b.rows
 		for _, i := range sel {
@@ -712,12 +720,8 @@ type vecKeySet struct {
 	cols  [][]sqltypes.Value
 }
 
-// vecKeys compiles one batch program per expression; nil when compilation
-// is disabled.
+// vecKeys compiles one batch program per expression.
 func (ex *exec) vecKeys(exprs []sqlast.Expr, bindings []*binding, sc *scope) *vecKeySet {
-	if ex.db.noCompile {
-		return nil
-	}
 	ks := &vecKeySet{ex: ex, progs: make([]vecExpr, len(exprs)), cols: make([][]sqltypes.Value, len(exprs))}
 	for i, e := range exprs {
 		ks.progs[i] = ex.vecCompile(e, bindings, sc)
@@ -758,13 +762,10 @@ func (ks *vecKeySet) compute(b *Batch, dropNulls bool, nullMask []bool) []int32 
 
 // ---------------------------------------------------------------- agg args
 
-// vecAggArgs builds batch programs for single-argument aggregate calls, the
-// vectorized counterpart the grouped projection hands to evalAggregate,
-// which streams each group's rows through them batch-at-a-time.
+// vecAggArgs builds batch programs for single-argument aggregate calls; the
+// group operator hands them to evalAggregate, which streams each group's
+// rows through them batch-at-a-time.
 func (ex *exec) vecAggArgs(bindings []*binding, sc *scope, exprs ...sqlast.Expr) map[sqlast.Expr]vecExpr {
-	if ex.db.noCompile {
-		return nil
-	}
 	var m map[sqlast.Expr]vecExpr
 	for _, e := range exprs {
 		sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
@@ -775,12 +776,10 @@ func (ex *exec) vecAggArgs(bindings []*binding, sc *scope, exprs ...sqlast.Expr)
 			if _, done := m[fc.Args[0]]; done {
 				return true
 			}
-			if fn := ex.vecCompile(fc.Args[0], bindings, sc); fn != nil {
-				if m == nil {
-					m = make(map[sqlast.Expr]vecExpr)
-				}
-				m[fc.Args[0]] = fn
+			if m == nil {
+				m = make(map[sqlast.Expr]vecExpr)
 			}
+			m[fc.Args[0]] = ex.vecCompile(fc.Args[0], bindings, sc)
 			return true
 		})
 	}

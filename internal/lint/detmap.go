@@ -8,10 +8,13 @@ import (
 
 // DetMap guards the byte-identity guarantee: inside the engine (any
 // package that declares the Operator interface — the engine itself and the
-// test fixtures), iterating a map in an order-sensitive way is forbidden,
-// because Go randomizes map iteration order and the differential suites
-// (ADR-005/006) require byte-identical output across runs, compile modes,
-// parallelism settings and memory budgets. A `range m` loop is flagged
+// test fixtures) and inside every package whose output is SQL text or
+// result order (detMapPackages), iterating a map in an order-sensitive way
+// is forbidden, because Go randomizes map iteration order and the
+// differential suites (ADR-005/006) require byte-identical output across
+// runs, execution configurations, parallelism settings and memory budgets —
+// and a rewrite that serializes differently per call defeats the engine's
+// plan cache. A `range m` loop is flagged
 // when its body leaks iteration order into state that survives the loop:
 // appending to an outer slice, folding into an outer float or string
 // accumulator (float addition is not associative; string concat is not
@@ -23,14 +26,20 @@ import (
 // justification, which is exactly the review trail ADR-007 wants.
 var DetMap = &Analyzer{
 	Name: "detmap",
-	Doc: "report order-sensitive `range` over a map in engine code; map order " +
-		"is randomized and would break byte-identical differential guarantees",
+	Doc: "report order-sensitive `range` over a map in engine, rewrite and routing code; map " +
+		"order is randomized and would break byte-identical differential guarantees",
 	Run: runDetMap,
 }
 
+// detMapPackages names the packages outside the engine that produce SQL
+// text (sqlast, rewrite, optimizer, middleware) or merged result order
+// (shard).
+var detMapPackages = map[string]bool{
+	"sqlast": true, "rewrite": true, "optimizer": true, "middleware": true, "shard": true,
+}
+
 func runDetMap(pass *Pass) error {
-	// Scope: only packages that themselves declare the Operator interface.
-	if namedInterface(pass.Pkg, "Operator") == nil {
+	if namedInterface(pass.Pkg, "Operator") == nil && !detMapPackages[pass.Pkg.Name()] {
 		return nil
 	}
 	funcDecls(pass, func(fn *ast.FuncDecl) {

@@ -37,3 +37,15 @@ func concatNames(m map[string]int64) string {
 	}
 	return s
 }
+
+// The shape of the o3 bug: the select list of a rewritten query appended to
+// through a struct field, once per entry of a map of per-aggregate plans.
+type selectList struct {
+	items []string
+}
+
+func emitPlans(inner *selectList, plans map[string][]string) {
+	for _, plan := range plans { // want "leaks iteration order"
+		inner.items = append(inner.items, plan...)
+	}
+}

@@ -146,7 +146,7 @@ func (s *Server) Tenants() []int64 {
 
 func (s *Server) tenantsLocked() []int64 {
 	out := make([]int64, 0, len(s.tenants))
-	for t := range s.tenants {
+	for t := range s.tenants { //mtlint:ignore detmap the ttids are sorted below before they are returned
 		out = append(out, t)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -3,9 +3,10 @@ package mth
 // Differential acceptance suite for bounded-memory execution: every MT-H
 // query, at every optimization level, in both compile modes and at
 // parallelism 1 and 8, must produce byte-identical results under a 1MB and
-// a 64KB statement memory limit as under the unlimited default — the
-// serial in-memory path is the oracle, the capped runs overflow sort
-// buffers, group tables, DISTINCT sets and join builds to disk. The suite
+// a 64KB statement memory limit as the reference executor (materializing,
+// interpreted, serial — it never spills) produces unlimited; the capped runs
+// overflow sort buffers, group tables, DISTINCT sets and join builds to
+// disk. The suite
 // also asserts the tight limits actually spilled (so it cannot silently
 // pass on the in-memory path), that the accounted peak stays within one
 // batch of slack above the limit, and that no temp file outlives a
@@ -57,20 +58,22 @@ func TestSpillDifferentialQ1toQ22(t *testing.T) {
 
 	for _, level := range levels {
 		conn.SetOptLevel(level)
+
+		// The reference executor, unlimited: the oracle.
+		db.SetStreamExec(false)
+		db.SetMemoryLimit(0)
+		base := make(map[int]string)
+		for _, q := range Queries(cfg.SF) {
+			res, err := RunOnMT(conn, q)
+			if err != nil {
+				t.Fatalf("level=%v Q%d reference: %v", level, q.ID, err)
+			}
+			base[q.ID] = exactKey(res)
+		}
+		db.SetStreamExec(true)
+
 		for _, compiled := range compileModes {
 			db.SetCompileExprs(compiled)
-
-			// Serial, unlimited, in-memory: the oracle.
-			db.SetParallelism(1)
-			db.SetMemoryLimit(0)
-			base := make(map[int]string)
-			for _, q := range Queries(cfg.SF) {
-				res, err := RunOnMT(conn, q)
-				if err != nil {
-					t.Fatalf("level=%v compiled=%v Q%d oracle: %v", level, compiled, q.ID, err)
-				}
-				base[q.ID] = exactKey(res)
-			}
 
 			for _, limit := range limits {
 				for _, par := range []int{1, 8} {
@@ -84,7 +87,7 @@ func TestSpillDifferentialQ1toQ22(t *testing.T) {
 								level, compiled, limit, par, q.ID, err)
 						}
 						if exactKey(res) != base[q.ID] {
-							t.Errorf("level=%v compiled=%v limit=%d par=%d Q%d: capped run differs from unlimited oracle",
+							t.Errorf("level=%v compiled=%v limit=%d par=%d Q%d: capped run differs from the reference",
 								level, compiled, limit, par, q.ID)
 						}
 					}

@@ -3,9 +3,9 @@ package mth
 // Differential acceptance suite for the pull-based operator executor: every
 // MT-H query (the full Q1–Q22 shape spread — joins, grouping, ORDER BY,
 // DISTINCT, correlated and uncorrelated subqueries, EXISTS/IN, conversion
-// UDFs) must produce byte-identical results through the streaming operator
-// tree and the materializing reference executor, in both compile modes and
-// at both ends of the optimization-level spectrum.
+// UDFs) must produce byte-identical results in the production and
+// evaluator-check configurations, serial and parallel, and on the reference
+// executor (engine DESIGN.md ADR-010), across the optimization levels.
 
 import (
 	"fmt"
@@ -34,53 +34,15 @@ func exactKey(res *engine.Result) string {
 	return sb.String()
 }
 
-func TestStreamDifferentialQ1toQ22(t *testing.T) {
-	cfg := Config{SF: 0.002, Tenants: 3, Dist: Uniform, Seed: 7, Mode: engine.ModePostgres}
-	inst, err := LoadMT(Generate(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.GrantReadTo(1); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := inst.Connect(1, "IN ()")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := inst.Srv.DB()
-	defer db.SetStreamExec(true)
-	defer db.SetCompileExprs(true)
-
-	for _, level := range []optimizer.Level{optimizer.Canonical, optimizer.O4} {
-		conn.SetOptLevel(level)
-		for _, compiled := range []bool{true, false} {
-			db.SetCompileExprs(compiled)
-			for _, q := range Queries(cfg.SF) {
-				db.SetStreamExec(true)
-				streamed, err := RunOnMT(conn, q)
-				if err != nil {
-					t.Fatalf("level=%v compiled=%v Q%d streamed: %v", level, compiled, q.ID, err)
-				}
-				db.SetStreamExec(false)
-				materialized, err := RunOnMT(conn, q)
-				if err != nil {
-					t.Fatalf("level=%v compiled=%v Q%d materialized: %v", level, compiled, q.ID, err)
-				}
-				if sk, mk := exactKey(streamed), exactKey(materialized); sk != mk {
-					t.Errorf("level=%v compiled=%v Q%d: operator tree differs from materializing executor", level, compiled, q.ID)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelDifferentialQ1toQ22 is the acceptance gate for morsel-driven
-// parallel execution: every MT-H query at canonical, O3 and O4, in both
-// compile modes, must produce byte-identical results at parallelism 8 and
-// at parallelism 1 (the serial oracle). The morsel size is shrunk so the
+// TestStreamDifferentialQ1toQ22 is the acceptance gate for the operator
+// tree and for morsel-driven parallel execution at once: every MT-H query
+// at canonical, O3 and O4 runs once on the reference executor (materializing,
+// interpreted, serial), and then on the operator tree with compiled kernels
+// and with the lifted interpreter, at parallelism 1 and 8 — all four must
+// match the reference byte for byte. The morsel size is shrunk so the
 // parallel scan, aggregate, join-build and sort paths all engage on the
 // small differential dataset.
-func TestParallelDifferentialQ1toQ22(t *testing.T) {
+func TestStreamDifferentialQ1toQ22(t *testing.T) {
 	engine.SetMorselSize(1)
 	defer engine.SetMorselSize(0)
 	cfg := Config{SF: 0.002, Tenants: 3, Dist: Uniform, Seed: 7, Mode: engine.ModePostgres}
@@ -97,25 +59,31 @@ func TestParallelDifferentialQ1toQ22(t *testing.T) {
 	}
 	db := inst.Srv.DB()
 	defer db.SetParallelism(0)
+	defer db.SetStreamExec(true)
 	defer db.SetCompileExprs(true)
 
 	for _, level := range []optimizer.Level{optimizer.Canonical, optimizer.O3, optimizer.O4} {
 		conn.SetOptLevel(level)
-		for _, compiled := range []bool{true, false} {
-			db.SetCompileExprs(compiled)
-			for _, q := range Queries(cfg.SF) {
-				db.SetParallelism(1)
-				serial, err := RunOnMT(conn, q)
-				if err != nil {
-					t.Fatalf("level=%v compiled=%v Q%d serial: %v", level, compiled, q.ID, err)
-				}
-				db.SetParallelism(8)
-				parallel, err := RunOnMT(conn, q)
-				if err != nil {
-					t.Fatalf("level=%v compiled=%v Q%d parallel: %v", level, compiled, q.ID, err)
-				}
-				if sk, pk := exactKey(serial), exactKey(parallel); sk != pk {
-					t.Errorf("level=%v compiled=%v Q%d: parallelism 8 differs from serial oracle", level, compiled, q.ID)
+		for _, q := range Queries(cfg.SF) {
+			db.SetStreamExec(false)
+			reference, err := RunOnMT(conn, q)
+			if err != nil {
+				t.Fatalf("level=%v Q%d reference: %v", level, q.ID, err)
+			}
+			want := exactKey(reference)
+			db.SetStreamExec(true)
+			for _, compiled := range []bool{true, false} {
+				db.SetCompileExprs(compiled)
+				for _, par := range []int{1, 8} {
+					db.SetParallelism(par)
+					got, err := RunOnMT(conn, q)
+					if err != nil {
+						t.Fatalf("level=%v compiled=%v par=%d Q%d: %v", level, compiled, par, q.ID, err)
+					}
+					if exactKey(got) != want {
+						t.Errorf("level=%v compiled=%v par=%d Q%d: operator tree differs from the reference executor",
+							level, compiled, par, q.ID)
+					}
 				}
 			}
 		}

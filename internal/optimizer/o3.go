@@ -77,6 +77,10 @@ func distributeAggregates(ctx *rewrite.Context, s *sqlast.Select) {
 	var ttidKey string
 	var ttidExpr sqlast.Expr
 	plans := make(map[string]*aggPlan)
+	// planOrder keeps first-seen aggregate order; the inner select list is
+	// emitted from it, never from the map, so the same input always rewrites
+	// to the same text.
+	var planOrder []*aggPlan
 	nextID := 0
 	for _, agg := range aggs {
 		key := agg.String()
@@ -98,6 +102,7 @@ func distributeAggregates(ctx *rewrite.Context, s *sqlast.Select) {
 		}
 		plan.key = key
 		plans[key] = plan
+		planOrder = append(planOrder, plan)
 	}
 	if !anyConv {
 		return
@@ -140,7 +145,7 @@ func distributeAggregates(ctx *rewrite.Context, s *sqlast.Select) {
 		groupRefs[s.GroupBy[i].String()] = ref
 	}
 	inner.GroupBy = append(inner.GroupBy, sqlast.CloneExpr(ttidExpr))
-	for _, plan := range plans {
+	for _, plan := range planOrder {
 		inner.Items = append(inner.Items, plan.innerItems...)
 	}
 

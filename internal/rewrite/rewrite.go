@@ -303,7 +303,7 @@ func expandStar(it sqlast.SelectItem, res *resolver) ([]sqlast.SelectItem, error
 			}
 		} else {
 			cols := make([]string, 0, len(b.outputs))
-			for c := range b.outputs {
+			for c := range b.outputs { //mtlint:ignore detmap the column names are sorted below before the items are emitted
 				cols = append(cols, c)
 			}
 			sort.Strings(cols)

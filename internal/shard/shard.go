@@ -221,7 +221,7 @@ func (s *Server) group(d []int64) []shardSet {
 		byRank[r] = append(byRank[r], t)
 	}
 	ranks := make([]int, 0, len(byRank))
-	for r := range byRank {
+	for r := range byRank { //mtlint:ignore detmap the ranks are sorted below before the targets are built
 		ranks = append(ranks, r)
 	}
 	sort.Ints(ranks)
