@@ -12,6 +12,7 @@
 //	mtbench -table 3 -parallelism 4  # intra-query parallel scans
 //	mtbench -table 5 -shards 4       # tenant-partitioned scatter/gather
 //	mtbench -table 3 -memlimit 64KB  # bounded memory: statements spill to disk
+//	mtbench -table 5 -queries 18 -level o4 -cpuprofile q18.prof   # where does Q18 o4 go
 //	mtbench -mixed -concurrency 4 -parallelism 2 -ops 200
 //	mtbench -serve -concurrency 4 -ops 100
 //	mtbench -serve -serve-addr localhost:7687
@@ -29,6 +30,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -59,12 +62,15 @@ func main() {
 		concurrency = flag.Int("concurrency", 1, "concurrent reader connections for -mixed/-serve")
 		writers     = flag.Int("writers", 2, "background writer goroutines for -mixed")
 		ops         = flag.Int("ops", 64, "total measured reads for -mixed (per level for -serve)")
-		level       = flag.String("level", "o4", "optimization level for -mixed")
+		level       = flag.String("level", "o4", "optimization level for -mixed; given with -table, the only level the table runs")
 		mixedQuery  = flag.Int("mixed-query", 6, "measured query id for -mixed/-serve")
 		serve       = flag.Bool("serve", false, "run the wire-protocol throughput mode (per optimization level, over TCP)")
 		serveAddr   = flag.String("serve-addr", "", "benchmark a running mtserve at host:port instead of an in-process loopback server")
+		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memprofile  = flag.String("memprofile", "", "write an allocation profile (every allocation sampled) to this file at exit")
 	)
 	flag.Parse()
+	defer startProfiles(*cpuprofile, *memprofile)()
 
 	if *printBatch {
 		fmt.Println(engine.BatchSize)
@@ -155,11 +161,22 @@ func main() {
 		progressW = os.Stderr
 	}
 
+	var tableLevels []optimizer.Level
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "level" {
+			lv, err := optimizer.ParseLevel(*level)
+			if err != nil {
+				fatal(err)
+			}
+			tableLevels = []optimizer.Level{lv}
+		}
+	})
 	for _, n := range tableNums {
 		spec, err := bench.TableSpec(n, *sf, *tenants)
 		if err != nil {
 			fatal(err)
 		}
+		spec.Levels = tableLevels
 		spec.Repeats = *repeats
 		spec.Queries = queryIDs
 		spec.NoPlanCache = *noPlanCache
@@ -197,6 +214,47 @@ func main() {
 		}
 		res.WriteFigure(os.Stdout)
 		fmt.Println()
+	}
+}
+
+// startProfiles starts the requested profiles and returns the function that
+// finishes them. The allocation profile samples every allocation, so its
+// alloc_space view adds up to what the run allocated.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		var err error
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			fatal(err)
+		}
+	}
+	if memPath != "" {
+		runtime.MemProfileRate = 1
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fatal(err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			fatal(err)
+		}
+		runtime.GC() // fold the last cycle's allocations into the profile
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
 	}
 }
 

@@ -12,8 +12,10 @@
 //     vectors (engine/batch.go); only the pipeline breakers (join builds,
 //     group buckets, sort buffers) materialize state, so memory is bounded
 //     by batch size plus breaker state rather than intermediate result
-//     size (ADR-004 in DESIGN.md). Expressions are lowered into vectorized
-//     kernels looping over those vectors (engine/vector.go) with
+//     size (ADR-004 in DESIGN.md). A FROM list joins as one chain that
+//     materializes each output row once, and closed subquery conjuncts
+//     filter their source below it (ADR-011). Expressions are lowered
+//     into vectorized kernels looping over those vectors (engine/vector.go) with
 //     row-compiled closures (engine/compile.go) as the lifted fallback,
 //     ORDER BY sorts over precomputed key columns, conversion-UDF bodies
 //     are planned once per cached statement plan with their tenant-keyed

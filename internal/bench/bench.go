@@ -31,6 +31,10 @@ type OptSpec struct {
 	Repeats int     // measurement runs; the last one is reported (§6.2)
 	Queries []int   // query ids; nil = all 22
 
+	// Levels restricts the table to these optimization levels (nil = all
+	// six of the paper's Table 6) — one level is what a profile wants.
+	Levels []optimizer.Level
+
 	// NoPlanCache disables the statement plan caches (middleware and
 	// engine), restoring per-execution lowering for A/B comparison.
 	NoPlanCache bool
@@ -55,6 +59,13 @@ type OptSpec struct {
 var levels = []optimizer.Level{
 	optimizer.Canonical, optimizer.O1, optimizer.O2,
 	optimizer.O3, optimizer.O4, optimizer.InlOnly,
+}
+
+func (s OptSpec) levels() []optimizer.Level {
+	if len(s.Levels) > 0 {
+		return s.Levels
+	}
+	return levels
 }
 
 // OptResult holds measured response times in seconds.
@@ -214,7 +225,7 @@ func RunOptLevels(spec OptSpec, progress io.Writer) (*OptResult, error) {
 		res.Baseline = append(res.Baseline, secs)
 	}
 
-	for _, level := range levels {
+	for _, level := range spec.levels() {
 		conn.SetOptLevel(level)
 		for _, id := range ids {
 			q, err := mth.QueryByID(spec.SF, id)
@@ -305,7 +316,7 @@ func (r *OptResult) WriteTable(w io.Writer) {
 		fmt.Fprintf(w, " %8s", sig2(t))
 	}
 	fmt.Fprintln(w)
-	for _, level := range levels {
+	for _, level := range r.Spec.levels() {
 		fmt.Fprintf(w, "%-10s", level.String())
 		for _, t := range r.Times[level] {
 			fmt.Fprintf(w, " %8s", sig2(t))
@@ -313,7 +324,7 @@ func (r *OptResult) WriteTable(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "UDF body executions per level (ablation):")
-	for _, level := range levels {
+	for _, level := range r.Spec.levels() {
 		fmt.Fprintf(w, "%-10s", level.String())
 		for _, n := range r.UDFCalls[level] {
 			fmt.Fprintf(w, " %8d", n)
@@ -321,7 +332,7 @@ func (r *OptResult) WriteTable(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "heap allocations per level (measured run):")
-	for _, level := range levels {
+	for _, level := range r.Spec.levels() {
 		fmt.Fprintf(w, "%-10s", level.String())
 		for _, n := range r.Allocs[level] {
 			fmt.Fprintf(w, " %8d", n)
@@ -329,7 +340,7 @@ func (r *OptResult) WriteTable(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "plan cache hits/misses per level (across all runs of a query):")
-	for _, level := range levels {
+	for _, level := range r.Spec.levels() {
 		fmt.Fprintf(w, "%-10s", level.String())
 		for i := range r.PlanHits[level] {
 			fmt.Fprintf(w, " %8s", fmt.Sprintf("%d/%d", r.PlanHits[level][i], r.PlanMisses[level][i]))
@@ -338,7 +349,7 @@ func (r *OptResult) WriteTable(w io.Writer) {
 	}
 	if r.Spec.MemLimit > 0 {
 		fmt.Fprintf(w, "spill runs / peak accounted KB per level (memory limit %d bytes):\n", r.Spec.MemLimit)
-		for _, level := range levels {
+		for _, level := range r.Spec.levels() {
 			fmt.Fprintf(w, "%-10s", level.String())
 			for i := range r.SpillRuns[level] {
 				fmt.Fprintf(w, " %8s", fmt.Sprintf("%d/%d", r.SpillRuns[level][i], r.PeakMem[level][i]>>10))

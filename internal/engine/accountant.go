@@ -78,9 +78,11 @@ const valueSize = 40
 const rowRefBytes = 24
 
 // rowBytes is the logical footprint of one row: slice header plus the
-// fixed-size Value structs plus owned string payloads.
+// fixed-size Value structs plus owned string payloads. The structs are
+// counted by capacity: a join-chain row owns its reserved tail whether or
+// not it has been filled yet (DESIGN.md ADR-011).
 func rowBytes(row []sqltypes.Value) int64 {
-	n := int64(rowRefBytes) + valueSize*int64(len(row))
+	n := int64(rowRefBytes) + valueSize*int64(cap(row))
 	for i := range row {
 		n += int64(len(row[i].S))
 	}

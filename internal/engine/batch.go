@@ -206,7 +206,7 @@ func (f *filterOp) apply(b *Batch) {
 
 // ---------------------------------------------------------------- row chunks
 
-// rowChunk hands out fixed-width result tuples from one pre-sized
+// rowChunk hands out result tuples of one fixed capacity from one pre-sized
 // allocation. Batch drivers count their output rows before materializing
 // (projection emits the selection vector, joins sum their hash buckets), so
 // a batch's tuples cost exactly one allocation with zero slack.
@@ -227,11 +227,16 @@ func (c *rowChunk) alloc(width int) []sqltypes.Value {
 	return c.buf[off : off+width : off+width]
 }
 
-// concat appends the concatenation of l and r as one output tuple.
-func (c *rowChunk) concat(l, r []sqltypes.Value) []sqltypes.Value {
+// concat returns l ++ r as one output tuple of capacity rowCap: the tail
+// beyond len(l)+len(r) is reserved for whoever the tuple is handed to (the
+// next join of a chain), and the capacity bound keeps a later extension
+// from reaching the neighbouring tuple.
+func (c *rowChunk) concat(l, r []sqltypes.Value, rowCap int) []sqltypes.Value {
 	off := len(c.buf)
-	c.buf = append(append(c.buf, l...), r...)
-	return c.buf[off:len(c.buf):len(c.buf)]
+	c.buf = c.buf[:off+rowCap]
+	row := c.buf[off : off+len(l)+len(r) : off+rowCap]
+	copy(row[copy(row, l):], r)
+	return row
 }
 
 // ---------------------------------------------------------------- sorting

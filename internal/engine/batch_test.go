@@ -311,12 +311,17 @@ func TestDeleteErrorLeavesTableIntact(t *testing.T) {
 // ---------------------------------------------------------------- chunks
 
 // TestRowChunkIsolation: tuples handed out by a chunk must be fully
-// isolated — appending to one must never bleed into the next.
+// isolated — filling one's reserved tail, or appending past it, must never
+// bleed into the next.
 func TestRowChunkIsolation(t *testing.T) {
-	ck := newRowChunk(4, 2)
-	a := ck.concat([]sqltypes.Value{sqltypes.NewInt(1)}, []sqltypes.Value{sqltypes.NewInt(2)})
-	b := ck.concat([]sqltypes.Value{sqltypes.NewInt(3)}, []sqltypes.Value{sqltypes.NewInt(4)})
-	_ = append(a, sqltypes.NewInt(99)) // must not clobber b
+	ck := newRowChunk(2, 3)
+	a := ck.concat([]sqltypes.Value{sqltypes.NewInt(1)}, []sqltypes.Value{sqltypes.NewInt(2)}, 3)
+	b := ck.concat([]sqltypes.Value{sqltypes.NewInt(3)}, []sqltypes.Value{sqltypes.NewInt(4)}, 3)
+	if len(a) != 2 || cap(a) != 3 {
+		t.Fatalf("len/cap = %d/%d, want 2/3", len(a), cap(a))
+	}
+	a = append(a, sqltypes.NewInt(98)) // the reserved tail
+	_ = append(a, sqltypes.NewInt(99)) // past it: must reallocate, not clobber b
 	if b[0].I != 3 || b[1].I != 4 {
 		t.Fatalf("chunk rows alias: %v", b)
 	}

@@ -42,11 +42,25 @@ func (r *relation) scopeFor(parent *scope) *scope {
 	return &scope{parent: parent, bindings: r.bindings}
 }
 
+// joinRel is the schema of a join's output: the bindings of l and r laid
+// side by side, no rows.
+func joinRel(l, r *relation) *relation {
+	out := &relation{width: l.width + r.width}
+	out.bindings = append(out.bindings, l.bindings...)
+	for _, b := range r.bindings {
+		nb := *b
+		nb.off += l.width
+		out.bindings = append(out.bindings, &nb)
+	}
+	return out
+}
+
 // conjunct is one AND-factor of a WHERE clause with its analysis.
 type conjunct struct {
 	expr         sqlast.Expr
 	refs         map[string]bool // local binding names referenced
 	hasSub       bool
+	closed       bool // hasSub, and every subquery is statically closed (selectClosed)
 	used         bool
 	fromOrFactor bool // extracted from an OR; implied, never a residual
 }
@@ -495,69 +509,21 @@ func (ex *exec) buildFromWhere(sel *sqlast.Select, parent *scope) (*relation, er
 		}
 		rels[i] = r
 	}
-	// Duplicate binding names are ambiguous.
-	seen := make(map[string]bool)
-	for _, r := range rels {
-		for _, b := range r.bindings {
-			if seen[b.name] {
-				return nil, fmt.Errorf("engine: duplicate table alias %s", b.name)
-			}
-			seen[b.name] = true
-		}
+	pl, err := ex.placeConjuncts(sel, rels, parent)
+	if err != nil {
+		return nil, err
 	}
-
-	// colOwner: unqualified column name -> binding names that define it.
-	colOwner := make(map[string][]string)
-	for _, r := range rels {
-		for _, b := range r.bindings {
-			//mtlint:ignore detmap one append per (column, binding); the binding slice order fixes each per-column list
-			for c := range b.colIdx {
-				colOwner[c] = append(colOwner[c], b.name)
-			}
-		}
+	if pl.empty {
+		return &relation{bindings: allBindings(rels), width: totalWidth(rels)}, nil
 	}
-	local := func(name string) bool { return seen[strings.ToLower(name)] }
-
-	a := ex.selectAnalysis(sel)
-	analyzed := make([]*conjunct, len(a.conjs))
-	for i, c := range a.conjs {
-		analyzed[i] = analyzeConjunct(c, local, colOwner)
-		analyzed[i].fromOrFactor = i >= a.nPlain
-	}
-
-	// Constant conjuncts (no local refs, no subqueries) gate the whole FROM.
-	for _, c := range analyzed {
-		if len(c.refs) == 0 && !c.hasSub {
-			sc := &scope{parent: parent}
-			v, err := ex.eval(c.expr, sc)
-			if err != nil {
-				return nil, err
-			}
-			c.used = true
-			if truth, _ := sqltypes.Truthy(v); !truth {
-				return &relation{bindings: allBindings(rels), rows: nil, width: totalWidth(rels)}, nil
-			}
-		}
-	}
-
-	// Pre-filter each relation with its single-relation conjuncts.
-	for i, r := range rels {
-		names := r.names()
-		var mine []*conjunct
-		for _, c := range analyzed {
-			if c.used || c.hasSub || len(c.refs) == 0 {
+	for i := range rels {
+		for _, conjs := range [][]*conjunct{pl.plain[i], pl.closed[i]} {
+			if len(conjs) == 0 {
 				continue
 			}
-			if subset(c.refs, names) {
-				mine = append(mine, c)
-			}
-		}
-		if len(mine) > 0 {
-			fr, err := ex.filterRelation(r, mine, parent)
-			if err != nil {
+			if rels[i], err = ex.filterRelation(rels[i], conjs, parent); err != nil {
 				return nil, err
 			}
-			rels[i] = fr
 		}
 	}
 
@@ -568,7 +534,7 @@ func (ex *exec) buildFromWhere(sel *sqlast.Select, parent *scope) (*relation, er
 		pick := -1
 		var pairs []equiPair
 		for i, r := range remaining {
-			p := equiPairsBetween(analyzed, cur, r)
+			p := equiPairsBetween(pl.conjs, cur, r)
 			if len(p) > 0 {
 				pick, pairs = i, p
 				break
@@ -595,21 +561,99 @@ func (ex *exec) buildFromWhere(sel *sqlast.Select, parent *scope) (*relation, er
 		cur = joined
 	}
 
-	// Residual conjuncts (multi-relation non-equi, subqueries).
-	var residual []*conjunct
-	for _, c := range analyzed {
-		if !c.used && !c.fromOrFactor {
-			residual = append(residual, c)
+	if residual := pl.residual(); len(residual) > 0 {
+		return ex.filterRelation(cur, residual, parent)
+	}
+	return cur, nil
+}
+
+// placement is where the WHERE conjuncts of one query level run: both
+// executors take it from placeConjuncts, so production and the reference
+// evaluate every conjunct at the same point — and raise the same errors — by
+// construction.
+type placement struct {
+	conjs []*conjunct // every conjunct, WHERE order, OR-factored ones last
+	empty bool        // a constant conjunct is not true: the level yields no rows
+	// Per FROM source: the conjuncts that reference only that source. plain
+	// ones filter it first (index probes where a base table allows), then
+	// the closed-subquery ones; either way before any join.
+	plain, closed [][]*conjunct
+}
+
+// placeConjuncts classifies the WHERE conjuncts of sel over its FROM
+// sources. Constant conjuncts are evaluated here and gate the whole FROM. A
+// conjunct over one source filters that source — a subquery conjunct only
+// when all its subqueries are statically closed, since a correlated one may
+// read columns the source alone does not supply. What is left is for the
+// caller: equi conjuncts become join keys (marking themselves used), and
+// residual() filters the joined stream.
+func (ex *exec) placeConjuncts(sel *sqlast.Select, rels []*relation, parent *scope) (*placement, error) {
+	// Duplicate binding names are ambiguous.
+	seen := make(map[string]bool)
+	for _, r := range rels {
+		for _, b := range r.bindings {
+			if seen[b.name] {
+				return nil, fmt.Errorf("engine: duplicate table alias %s", b.name)
+			}
+			seen[b.name] = true
 		}
 	}
-	if len(residual) > 0 {
-		fr, err := ex.filterRelation(cur, residual, parent)
+	local := func(name string) bool { return seen[strings.ToLower(name)] }
+	colOwner := ownerMap(rels...)
+
+	a := ex.selectAnalysis(sel)
+	pl := &placement{
+		conjs:  make([]*conjunct, len(a.conjs)),
+		plain:  make([][]*conjunct, len(rels)),
+		closed: make([][]*conjunct, len(rels)),
+	}
+	for i, e := range a.conjs {
+		c := analyzeConjunct(e, local, colOwner)
+		c.fromOrFactor = i >= a.nPlain
+		c.closed = !c.fromOrFactor && a.closed[i]
+		pl.conjs[i] = c
+	}
+	for _, c := range pl.conjs {
+		if len(c.refs) > 0 || c.hasSub {
+			continue
+		}
+		v, err := ex.eval(c.expr, &scope{parent: parent})
 		if err != nil {
 			return nil, err
 		}
-		cur = fr
+		c.used = true
+		if truth, _ := sqltypes.Truthy(v); !truth {
+			pl.empty = true
+			return pl, nil
+		}
 	}
-	return cur, nil
+	for i, r := range rels {
+		names := r.names()
+		for _, c := range pl.conjs {
+			if c.used || len(c.refs) == 0 || (c.hasSub && !c.closed) || !subset(c.refs, names) {
+				continue
+			}
+			c.used = true
+			if c.hasSub {
+				pl.closed[i] = append(pl.closed[i], c)
+			} else {
+				pl.plain[i] = append(pl.plain[i], c)
+			}
+		}
+	}
+	return pl, nil
+}
+
+// residual returns the conjuncts neither a source filter nor a join key
+// consumed: multi-relation non-equi conjuncts and open subqueries.
+func (pl *placement) residual() []*conjunct {
+	var out []*conjunct
+	for _, c := range pl.conjs {
+		if !c.used && !c.fromOrFactor {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 func allBindings(rels []*relation) []*binding {
@@ -771,9 +815,6 @@ func (ex *exec) filterRelation(r *relation, conjs []*conjunct, parent *scope) (*
 	}
 
 	out := &relation{bindings: r.bindings, width: r.width}
-	for _, c := range conjs {
-		c.used = true
-	}
 	if len(rest) == 0 {
 		out.rows = rows
 		return out, nil
@@ -967,13 +1008,7 @@ func (ex *exec) joinKey(buf []byte, exprs []sqlast.Expr, row []sqltypes.Value, s
 // order and expanding buckets in R's. With no pairs it degrades to the
 // cross product.
 func (ex *exec) hashJoin(l, r *relation, pairs []equiPair, parent *scope) (*relation, error) {
-	out := &relation{width: l.width + r.width}
-	out.bindings = append(out.bindings, l.bindings...)
-	for _, b := range r.bindings {
-		nb := *b
-		nb.off += l.width
-		out.bindings = append(out.bindings, &nb)
-	}
+	out := joinRel(l, r)
 	if len(pairs) == 0 {
 		for _, lr := range l.rows {
 			for _, rr := range r.rows {
@@ -1148,13 +1183,7 @@ func ownerMap(rels ...*relation) map[string][]string {
 // leftOuterJoin preserves every left row; the full ON condition decides
 // matches, with an equi fast path for the probe set.
 func (ex *exec) leftOuterJoin(l, r *relation, on sqlast.Expr, parent *scope) (*relation, error) {
-	out := &relation{width: l.width + r.width}
-	out.bindings = append(out.bindings, l.bindings...)
-	for _, b := range r.bindings {
-		nb := *b
-		nb.off += l.width
-		out.bindings = append(out.bindings, &nb)
-	}
+	out := joinRel(l, r)
 
 	conjs := splitConjuncts(on)
 	names := func(n string) bool {

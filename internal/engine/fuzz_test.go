@@ -143,9 +143,10 @@ func (g *mtGen) pred(c fuzzCols, depth int) string {
 }
 
 // query emits one random SELECT covering the breaker-heavy shapes: sorts,
-// grouped aggregation, inner and LEFT joins, DISTINCT, IN and EXISTS.
+// grouped aggregation, inner and LEFT joins, join chains, DISTINCT, IN and
+// EXISTS.
 func (g *mtGen) query() string {
-	switch g.r.Intn(9) {
+	switch g.r.Intn(10) {
 	case 0: // filtered scan through the external sort
 		return fmt.Sprintf(
 			"SELECT l_orderkey, l_linenumber, %s AS e FROM lineitem WHERE %s ORDER BY e, l_orderkey, l_linenumber LIMIT %d",
@@ -186,6 +187,14 @@ func (g *mtGen) query() string {
 			"SELECT c_custkey, c_name FROM customer WHERE EXISTS "+
 				"(SELECT 1 FROM orders WHERE o_custkey = c_custkey AND %s) ORDER BY c_custkey",
 			g.pred(ordersCols, 1))
+	case 8: // closed IN-subquery conjunct over one source of a three-way join
+		all := merge(customerCols, ordersCols, lineitemCols)
+		return fmt.Sprintf(
+			"SELECT c_custkey, o_orderkey, l_linenumber, %s AS e FROM customer, orders, lineitem "+
+				"WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey AND o_orderkey IN "+
+				"(SELECT l_orderkey FROM lineitem GROUP BY l_orderkey HAVING SUM(l_quantity) > %d) AND %s "+
+				"ORDER BY c_custkey, o_orderkey, l_linenumber LIMIT %d",
+			g.numExpr(all, 1), 100+g.r.Intn(150), g.pred(all, 1), 100+g.r.Intn(300))
 	default: // join against the globally shared tables
 		both := merge(supplierCols, fuzzCols{nums: []string{"n_nationkey", "n_regionkey"}})
 		return fmt.Sprintf(

@@ -286,7 +286,7 @@ func (g *graceState) processPartition(ex *exec, bp, pp *partWriter, salt, depth 
 		if g.outer {
 			matched := false
 			for _, ri := range ids {
-				combined := ck.concat(rec.row, brows[ri])
+				combined := ck.concat(rec.row, brows[ri], g.width)
 				okm, err := g.louter.matchResidual(ex, combined)
 				if err != nil {
 					return err
@@ -299,14 +299,14 @@ func (g *graceState) processPartition(ex *exec, bp, pp *partWriter, salt, depth 
 				}
 			}
 			if !matched {
-				if err := g.emitOut(ex, rec.seq, ck.concat(rec.row, g.nulls)); err != nil {
+				if err := g.emitOut(ex, rec.seq, ck.concat(rec.row, g.nulls, g.width)); err != nil {
 					return err
 				}
 			}
 			continue
 		}
 		for _, ri := range ids {
-			if err := g.emitOut(ex, rec.seq, ck.concat(rec.row, brows[ri])); err != nil {
+			if err := g.emitOut(ex, rec.seq, ck.concat(rec.row, brows[ri], g.width)); err != nil {
 				return err
 			}
 		}
@@ -638,7 +638,7 @@ func (o *leftOuterOperator) gracePartitionProbe(ex *exec, b *Batch) error {
 		seq := g.probeSeq
 		g.probeSeq++
 		if o.nullMask[i] {
-			if err := g.emitOut(ex, seq, ck.concat(b.rows[i], o.nulls)); err != nil {
+			if err := g.emitOut(ex, seq, ck.concat(b.rows[i], o.nulls, g.width)); err != nil {
 				return err
 			}
 			continue

@@ -1,0 +1,255 @@
+package engine
+
+// Tests for the two rules of DESIGN.md ADR-011: a closed subquery conjunct
+// filters its source below the joins (and nothing else does), and a join
+// chain materializes each output row once without ever sharing or rewriting
+// a row's storage.
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"mtbase/internal/sqlast"
+	"mtbase/internal/sqltypes"
+)
+
+// sourceOf builds the FROM/WHERE pipeline of a SELECT the way an execution
+// would and returns it with its exec.
+func sourceOf(t *testing.T, db *DB, sql string) (*exec, *pipe) {
+	t.Helper()
+	p, err := db.PreparePlan(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.mu.Lock()
+	ex := db.newExec(p)
+	db.mu.Unlock()
+	src, err := ex.buildSourcePipe(p.stmt.(*sqlast.Select), rootScope())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ex, src
+}
+
+// opShape renders the join/filter skeleton of an operator tree.
+func opShape(op Operator) string {
+	switch o := op.(type) {
+	case *scanOperator:
+		return "scan"
+	case *indexScanOperator:
+		return "index"
+	case *parallelScanFilter:
+		return "filter(scan)"
+	case *filterOperator:
+		return "filter(" + opShape(o.child) + ")"
+	case *joinOperator:
+		return "join(" + opShape(o.left) + "," + opShape(o.right) + ")"
+	}
+	return fmt.Sprintf("%T", op)
+}
+
+// TestSubqueryConjunctPlacement: an uncorrelated IN / NOT IN / scalar
+// compare over one source sits below the join; every subquery the static
+// check cannot prove closed stays a residual filter above it.
+func TestSubqueryConjunctPlacement(t *testing.T) {
+	db := streamTestDB(t, 200)
+	const below, above = "join(filter(scan),scan)", "filter(join(scan,scan))"
+	for _, tc := range []struct{ name, where, want string }{
+		{"in", `f.val IN (SELECT val FROM fact WHERE grp = 1)`, below},
+		{"not-in", `f.id NOT IN (SELECT id FROM other)`, below},
+		{"tuple-in", `(f.k, f.grp) IN (SELECT k, grp FROM fact GROUP BY k, grp HAVING COUNT(*) > 5)`, below},
+		{"scalar-compare", `f.val > (SELECT AVG(val) FROM fact)`, below},
+		{"nested-closed", `f.id IN (SELECT id FROM other o WHERE EXISTS (SELECT 1 FROM dim WHERE dim.k = o.id))`, below},
+		{"joined-from", `f.id IN (SELECT o.id FROM other o JOIN dim x ON x.k = o.id)`, below},
+		{"other-source", `d.k IN (SELECT k FROM fact WHERE val > 90)`, "join(scan,filter(scan))"},
+		{"after-plain", `f.val IN (SELECT val FROM fact WHERE grp = 1) AND f.grp > 2`, "join(filter(filter(scan)),scan)"},
+		{"after-index-probe", `f.val IN (SELECT val FROM fact WHERE grp = 1) AND f.grp = 2`, "join(filter(index),scan)"},
+		// Q17 shape: the subquery reads the outer row.
+		{"correlated-scalar", `f.val < (SELECT AVG(f2.val) FROM fact f2 WHERE f2.k = d.k)`, above},
+		// Q22 shape.
+		{"correlated-exists", `NOT EXISTS (SELECT 1 FROM other o WHERE o.id = f.id)`, above},
+		{"correlated-nested", `f.id IN (SELECT id FROM other o WHERE EXISTS (SELECT 1 FROM dim WHERE dim.k = f.k))`, above},
+		// The inner alias f is other, which has no val: f.val is the outer row's.
+		{"alias-shadowed", `f.id IN (SELECT f.id FROM other f WHERE f.val > 3)`, above},
+		{"view", `f.id IN (SELECT id FROM bigval)`, above},
+		{"derived-table", `f.id IN (SELECT x.id FROM (SELECT id FROM other) AS x)`, above},
+		{"unknown-table", `f.id IN (SELECT id FROM nosuch)`, above},
+		{"unknown-column", `f.id IN (SELECT nosuch FROM other)`, above},
+		{"output-alias", `f.id IN (SELECT id AS oid FROM other ORDER BY oid)`, above},
+		{"two-sources", `f.val + d.k IN (SELECT val FROM fact)`, above},
+		{"no-outer-ref", `EXISTS (SELECT 1 FROM other)`, above},
+		{"or-of-subqueries", `f.id IN (SELECT id FROM other) OR f.val < (SELECT AVG(f2.val) FROM fact f2 WHERE f2.k = d.k)`, above},
+	} {
+		_, src := sourceOf(t, db, `SELECT f.id FROM fact f, dim d WHERE f.k = d.k AND `+tc.where)
+		if got := opShape(src.op); got != tc.want {
+			t.Errorf("%s: shape %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestSubqueryConjunctSameErrors: production and the reference place
+// conjuncts by the same function, so a failing closed subquery surfaces —
+// with the same text — in both, also when the other join input is empty and
+// a residual filter would never have run.
+func TestSubqueryConjunctSameErrors(t *testing.T) {
+	db := streamTestDB(t, 200)
+	defer cfgProduction.apply(db)
+	for _, tc := range []struct{ sql, wantErr string }{
+		{`SELECT f.id FROM fact f, dim d WHERE f.k = d.k AND d.k > 100 AND f.val > (SELECT val FROM fact)`, "scalar subquery returned"},
+		{`SELECT f.id FROM fact f, dim d WHERE f.k = d.k AND f.id < 0 AND d.k IN (SELECT k, name FROM dim)`, "IN subquery returns 2 columns"},
+		{`SELECT f.id FROM fact f, dim d, other o WHERE f.k = d.k AND o.id = f.id AND o.id < 0 AND d.k NOT IN (SELECT 1 / (k - 3) FROM dim)`, "division by zero"},
+		// Open subqueries keep the residual's behaviour: no joined row, no error.
+		{`SELECT f.id FROM fact f, dim d WHERE f.k = d.k AND d.k > 100 AND f.val > (SELECT f2.val FROM fact f2 WHERE f2.k <> d.k)`, ""},
+	} {
+		cfgReference.apply(db)
+		want := execKey(db.QuerySQL(tc.sql))
+		if tc.wantErr == "" {
+			if strings.HasPrefix(want, "error: ") {
+				t.Errorf("%q: reference failed: %s", tc.sql, want)
+			}
+		} else if !strings.HasPrefix(want, "error: ") || !strings.Contains(want, tc.wantErr) {
+			t.Errorf("%q: reference returned %q, want error containing %q", tc.sql, want, tc.wantErr)
+		}
+		for _, cfg := range checkedConfigs {
+			cfg.apply(db)
+			if got := execKey(db.QuerySQL(tc.sql)); got != want {
+				t.Errorf("%s %q:\ngot:       %s\nreference: %s", cfg.name, tc.sql, got, want)
+			}
+		}
+	}
+}
+
+// chainTestDB has a 1:N:M shape with gaps: a.k -> b.k (0..3 rows per key,
+// none for k%5 == 4), b.x -> c.x (2 rows per x, none for odd x), plus a
+// one-row-per-id table for the mid-chain cross product.
+func chainTestDB(t *testing.T, n int) *DB {
+	t.Helper()
+	db := Open(ModePostgres)
+	if _, err := db.ExecScript(`
+		CREATE TABLE a (id INTEGER NOT NULL, k INTEGER NOT NULL, pad VARCHAR NOT NULL);
+		CREATE TABLE b (k INTEGER NOT NULL, x INTEGER NOT NULL, bv INTEGER NOT NULL);
+		CREATE TABLE c (x INTEGER NOT NULL, cv VARCHAR NOT NULL);
+		CREATE TABLE one (id INTEGER NOT NULL, v INTEGER NOT NULL)`); err != nil {
+		t.Fatal(err)
+	}
+	ta, tb, tc, to := db.Table("a"), db.Table("b"), db.Table("c"), db.Table("one")
+	for i := 0; i < n; i++ {
+		ta.AppendRow([]sqltypes.Value{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % 97)), sqltypes.NewString(fmt.Sprintf("pad-%04d", i))})
+	}
+	for k := 0; k < 97; k++ {
+		for r := 0; r < (k%5+1)%5; r++ { // 1,2,3,4,0 rows
+			tb.AppendRow([]sqltypes.Value{sqltypes.NewInt(int64(k)), sqltypes.NewInt(int64(k + r)), sqltypes.NewInt(int64(100*k + r))})
+		}
+	}
+	for x := 0; x < 100; x += 2 {
+		for r := 0; r < 2; r++ {
+			tc.AppendRow([]sqltypes.Value{sqltypes.NewInt(int64(x)), sqltypes.NewString(fmt.Sprintf("c%d.%d", x, r))})
+		}
+	}
+	for id := 0; id < 3; id++ {
+		to.AppendRow([]sqltypes.Value{sqltypes.NewInt(int64(id)), sqltypes.NewInt(int64(2 * id))})
+	}
+	return db
+}
+
+// graceChain filters its build sides, so they are hashed per statement
+// (no persistent index) and a memory cap sends the joins through Grace.
+const graceChain = `SELECT * FROM a, b, c, one WHERE a.k = b.k AND b.bv >= 0 AND b.x = c.x AND c.cv <> '' AND one.id = 2`
+
+var chainShapes = []string{
+	// 1:N fan-out at both later joins, probe rows without a match at each.
+	`SELECT * FROM a, b, c WHERE a.k = b.k AND b.x = c.x`,
+	graceChain,
+	// The Q18/Q22 shape: a filtered single-row source cross-joined in
+	// mid-chain, the next table keyed on it (mt_inl3.T_tenant_key = 1).
+	`SELECT * FROM a, b, one, c WHERE a.k = b.k AND one.id = 1 AND one.v = c.x`,
+	// Cross product that fans out (three rows), then a keyed join.
+	`SELECT * FROM a, one, b WHERE a.id < 40 AND a.k = b.k`,
+	// A chain whose first operand is an explicit JOIN: never extended.
+	`SELECT * FROM a JOIN b ON a.k = b.k, c, one WHERE b.x = c.x AND one.id = c.x`,
+	// Chain output consumed by a breaker and a residual filter.
+	`SELECT a.k, COUNT(*) AS n, MIN(cv) AS m FROM a, b, c WHERE a.k = b.k AND b.x = c.x AND a.id + bv > c.x GROUP BY a.k ORDER BY a.k`,
+	// No row survives the second join.
+	`SELECT * FROM a, b, c WHERE a.k = b.k AND b.bv = c.x AND b.bv > 100`,
+}
+
+// TestJoinChainMatchesReference: every chain shape is byte-identical to the
+// reference executor, unlimited and under a memory cap.
+func TestJoinChainMatchesReference(t *testing.T) {
+	db := chainTestDB(t, 3000)
+	db.SetSpillDir(t.TempDir())
+	defer cfgProduction.apply(db)
+	for _, q := range chainShapes {
+		db.SetMemoryLimit(0)
+		cfgReference.apply(db)
+		want := execKey(db.QuerySQL(q))
+		if strings.HasPrefix(want, "error: ") {
+			t.Fatalf("%q: %s", q, want)
+		}
+		for _, limit := range []int64{0, 8 << 10} {
+			db.SetMemoryLimit(limit)
+			for _, cfg := range checkedConfigs {
+				cfg.apply(db)
+				if got := execKey(db.QuerySQL(q)); got != want {
+					t.Errorf("%s limit=%d %q: differs from reference (%d vs %d bytes)", cfg.name, limit, q, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestJoinChainRowOwnership drives chains directly and checks the
+// invariant on what comes out: a final-chain row fills its capacity
+// exactly, and no two output rows share storage — the first match of a
+// probe row is written in place, every further match is a copy. The capped
+// run repeats it on a chain whose lower joins went through Grace
+// partitions, so the joins above them probe with rows that came back from
+// disk without any reserved capacity.
+func TestJoinChainRowOwnership(t *testing.T) {
+	db := chainTestDB(t, 3000)
+	db.SetSpillDir(t.TempDir())
+	// check returns how many joins below the top one ran as Grace joins.
+	check := func(q string, limit int64) (graced int) {
+		t.Helper()
+		db.SetMemoryLimit(limit)
+		ex, src := sourceOf(t, db, q)
+		defer ex.releaseSpills()
+		defer src.op.Close()
+		top, ok := src.op.(*joinOperator)
+		if !ok || !top.extends {
+			t.Fatalf("%q: top of the pipeline is %s, want a join that extends its chain", q, opShape(src.op))
+		}
+		rows, err := drainRows(ex, src.op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) == 0 {
+			t.Fatalf("%q: no rows", q)
+		}
+		seen := make(map[unsafe.Pointer]bool, len(rows))
+		for _, row := range rows {
+			if len(row) != src.rel.width || cap(row) != len(row) {
+				t.Fatalf("%q: row len/cap = %d/%d, want %d/%d", q, len(row), cap(row), src.rel.width, src.rel.width)
+			}
+			p := unsafe.Pointer(&row[0])
+			if seen[p] {
+				t.Fatalf("%q: two output rows share storage", q)
+			}
+			seen[p] = true
+		}
+		for j, ok := top.left.(*joinOperator); ok; j, ok = j.left.(*joinOperator) {
+			if j.grace != nil {
+				graced++
+			}
+		}
+		return graced
+	}
+	for _, q := range chainShapes[:5] {
+		check(q, 0)
+	}
+	if graced := check(graceChain, 8<<10); graced != 2 {
+		t.Errorf("%d of the 2 lower joins ran as Grace joins under the cap: the chain never saw respilled probe rows", graced)
+	}
+}

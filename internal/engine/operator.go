@@ -251,7 +251,18 @@ func (o *filterOperator) Close() { o.child.Close() }
 // no equi pairs): Open materializes only the build side — the hash table,
 // or the probe plan against a base table's persistent index — and Next
 // streams probe batches, expanding each into at most batch-size output
-// windows. Output rows are chunk-allocated per probe batch.
+// windows.
+//
+// Row ownership (DESIGN.md ADR-011). Rows this operator allocates are
+// chunk-allocated per probe batch with capacity rowCap — the final width of
+// the join chain it belongs to — and handed to exactly one consumer, the
+// next join of that chain. That join (extends) therefore owns the reserved
+// tail of each probe row: a row's first match is written in place behind
+// the prefix, only further matches of a 1:N bucket copy. Whether a given
+// probe row really has the capacity is read off cap(row) — a row that came
+// back from a Grace spill has none and is copied like any foreign row. The
+// prefix of a row is never rewritten, so copies of it stay valid whenever
+// they are made.
 type joinOperator struct {
 	ex     *exec
 	left   Operator
@@ -262,9 +273,14 @@ type joinOperator struct {
 	pairs  []equiPair
 	parent *scope
 
+	rowCap  int  // capacity of the output rows allocated here (>= orel.width)
+	extends bool // probe rows come from the previous join of the same chain
+
 	// Build state (Open): the build rows and, for an equi join, the hash
-	// table over them — a transient one, or a base table's persistent index.
+	// table over them — a transient one, or a base table's persistent index;
+	// for the cross product, the one bucket that holds every build row.
 	build     map[string][]int
+	cross     []int
 	rightRows [][]sqltypes.Value
 
 	lks     *vecKeySet
@@ -282,18 +298,20 @@ type joinOperator struct {
 	grace   *graceState
 }
 
-func (ex *exec) newJoinPipe(l, r *pipe, pairs []equiPair, parent *scope) *pipe {
-	orel := &relation{width: l.rel.width + r.rel.width}
-	orel.bindings = append(orel.bindings, l.rel.bindings...)
-	for _, b := range r.rel.bindings {
-		nb := *b
-		nb.off += l.rel.width
-		orel.bindings = append(orel.bindings, &nb)
+// newJoinPipe joins l and r. A join of a FROM-list chain (buildSourcePipe)
+// passes the chain's final width as rowCap and whether l is the chain's
+// previous join; a standalone join passes 0, false and allocates exactly
+// its own width.
+func (ex *exec) newJoinPipe(l, r *pipe, pairs []equiPair, parent *scope, rowCap int, extends bool) *pipe {
+	orel := joinRel(l.rel, r.rel)
+	if rowCap < orel.width {
+		rowCap = orel.width
 	}
 	jo := &joinOperator{
 		ex: ex, left: l.op, right: r.op,
 		lrel: l.rel, rrel: r.rel, orel: orel,
 		pairs: pairs, parent: parent,
+		rowCap: rowCap, extends: extends,
 	}
 	return &pipe{op: jo, rel: orel}
 }
@@ -339,13 +357,18 @@ func (j *joinOperator) Open(ex *exec) error {
 		}
 		ex.acct.charge(j.charged)
 	}
-	if len(j.pairs) > 0 {
-		build, err := ex.vecJoinBuild(j.rrel, rows, j.pairs, j.parent)
-		if err != nil {
-			return err
+	if len(j.pairs) == 0 {
+		j.cross = make([]int, len(rows))
+		for i := range j.cross {
+			j.cross[i] = i
 		}
-		j.build = build
+		return nil
 	}
+	build, err := ex.vecJoinBuild(j.rrel, rows, j.pairs, j.parent)
+	if err != nil {
+		return err
+	}
+	j.build = build
 	return nil
 }
 
@@ -427,47 +450,64 @@ func (j *joinOperator) Next(ex *exec) (*Batch, error) {
 
 // fillPending expands one probe batch into joined output rows: the probe
 // keys fill per-batch key columns (NULL-key rows drop out of the selection
-// vector), buckets are counted first, and the batch's output tuples come
-// from one exactly-sized chunk.
+// vector; the cross product matches every row with every build row),
+// buckets are counted first, and the rows that need allocating come from
+// one exactly-sized chunk.
 func (j *joinOperator) fillPending(ex *exec, b *Batch) error {
-	width := j.orel.width
-	if len(j.pairs) == 0 { // cross product
-		ck := newRowChunk(len(b.sel)*len(j.rightRows), width)
-		for _, i := range b.sel {
-			for _, rr := range j.rightRows {
-				j.pending = append(j.pending, ck.concat(b.rows[i], rr))
-			}
-		}
-		return nil
-	}
-	m := ex.vs.mark()
-	defer ex.vs.release(m)
-	sel := j.lks.compute(b, true, nil)
-	if err := b.firstErr(); err != nil {
-		return err
-	}
 	if cap(j.buckets) < len(b.rows) {
 		j.buckets = make([][]int, len(b.rows))
 	}
-	total := 0
-	for _, i := range sel {
-		j.buf = encodeKeyCols(j.buf[:0], j.lks.cols, i)
-		j.buckets[i] = j.build[string(j.buf)]
-		total += len(j.buckets[i])
+	sel := b.sel
+	if len(j.pairs) == 0 {
+		for _, i := range sel {
+			j.buckets[i] = j.cross
+		}
+	} else {
+		m := ex.vs.mark()
+		defer ex.vs.release(m)
+		sel = j.lks.compute(b, true, nil)
+		if err := b.firstErr(); err != nil {
+			return err
+		}
+		for _, i := range sel {
+			j.buf = encodeKeyCols(j.buf[:0], j.lks.cols, i)
+			j.buckets[i] = j.build[string(j.buf)]
+		}
 	}
-	ck := newRowChunk(total, width)
+	fresh := 0 // rows to allocate: every match but the in-place ones
 	for _, i := range sel {
-		for _, ri := range j.buckets[i] {
-			j.pending = append(j.pending, ck.concat(b.rows[i], j.rightRows[ri]))
+		fresh += len(j.buckets[i])
+		if len(j.buckets[i]) > 0 && j.owns(b.rows[i]) {
+			fresh--
+		}
+	}
+	ck := newRowChunk(fresh, j.rowCap)
+	for _, i := range sel {
+		l := b.rows[i]
+		for k, ri := range j.buckets[i] {
+			r := j.rightRows[ri]
+			if k == 0 && j.owns(l) {
+				row := l[:len(l)+len(r)]
+				copy(row[len(l):], r)
+				j.pending = append(j.pending, row)
+			} else {
+				j.pending = append(j.pending, ck.concat(l, r, j.rowCap))
+			}
 		}
 	}
 	return nil
 }
 
+// owns reports whether this join may write probe row l's first match into
+// l's reserved tail instead of copying l.
+func (j *joinOperator) owns(l []sqltypes.Value) bool {
+	return j.extends && cap(l) >= j.orel.width
+}
+
 func (j *joinOperator) Close() {
 	j.left.Close()
 	j.right.Close()
-	j.build = nil
+	j.build, j.cross = nil, nil
 	j.rightRows = nil
 	j.pending = nil
 	if j.grace != nil {
@@ -516,13 +556,7 @@ type leftOuterOperator struct {
 }
 
 func (ex *exec) newLeftOuterPipe(l, r *pipe, pairs []equiPair, residual []*conjunct, parent *scope) *pipe {
-	orel := &relation{width: l.rel.width + r.rel.width}
-	orel.bindings = append(orel.bindings, l.rel.bindings...)
-	for _, b := range r.rel.bindings {
-		nb := *b
-		nb.off += l.rel.width
-		orel.bindings = append(orel.bindings, &nb)
-	}
+	orel := joinRel(l.rel, r.rel)
 	o := &leftOuterOperator{
 		ex: ex, left: l.op, right: r.op,
 		lrel: l.rel, rrel: r.rel, orel: orel,
@@ -673,7 +707,7 @@ func (o *leftOuterOperator) fillPending(ex *exec, b *Batch) error {
 		}
 		matched := false
 		for _, ri := range o.buckets[i] {
-			combined := ck.concat(b.rows[i], o.rightRows[ri])
+			combined := ck.concat(b.rows[i], o.rightRows[ri], width)
 			ok, err := o.matchResidual(ex, combined)
 			if err != nil {
 				return err
@@ -684,7 +718,7 @@ func (o *leftOuterOperator) fillPending(ex *exec, b *Batch) error {
 			}
 		}
 		if !matched {
-			o.pending = append(o.pending, ck.concat(b.rows[i], o.nulls))
+			o.pending = append(o.pending, ck.concat(b.rows[i], o.nulls, width))
 		}
 	}
 	return nil
@@ -1822,10 +1856,10 @@ func (ex *exec) buildQueryOp(sel *sqlast.Select, parent *scope) (*queryRoot, err
 }
 
 // buildSourcePipe lowers the FROM/WHERE part of one query level into a
-// streaming pipeline, mirroring buildFromWhere: constant conjuncts gate the
-// whole FROM, single-relation conjuncts filter their source (index probes
-// where a base table allows), the greedy equi-join order composes join
-// operators, and the residual conjuncts filter the joined stream.
+// streaming pipeline, mirroring buildFromWhere over the same placement
+// (placeConjuncts): single-relation conjuncts filter their source (index
+// probes where a base table allows), the greedy equi-join order composes
+// join operators, and the residual conjuncts filter the joined stream.
 func (ex *exec) buildSourcePipe(sel *sqlast.Select, parent *scope) (*pipe, error) {
 	if len(sel.From) == 0 {
 		rel := &relation{rows: [][]sqltypes.Value{{}}}
@@ -1851,76 +1885,43 @@ func (ex *exec) buildSourcePipe(sel *sqlast.Select, parent *scope) (*pipe, error
 		}
 		pipes[i] = p
 	}
-	// Duplicate binding names are ambiguous.
-	seen := make(map[string]bool)
-	for _, p := range pipes {
-		for _, b := range p.rel.bindings {
-			if seen[b.name] {
-				return nil, fmt.Errorf("engine: duplicate table alias %s", b.name)
-			}
-			seen[b.name] = true
-		}
-	}
-
-	colOwner := make(map[string][]string)
-	for _, p := range pipes {
-		for _, b := range p.rel.bindings {
-			//mtlint:ignore detmap one append per (column, binding); the binding slice order fixes each per-column list
-			for c := range b.colIdx {
-				colOwner[c] = append(colOwner[c], b.name)
-			}
-		}
-	}
-	local := func(name string) bool { return seen[strings.ToLower(name)] }
-
-	a := ex.selectAnalysis(sel)
-	analyzed := make([]*conjunct, len(a.conjs))
-	for i, c := range a.conjs {
-		analyzed[i] = analyzeConjunct(c, local, colOwner)
-		analyzed[i].fromOrFactor = i >= a.nPlain
-	}
-
-	// Constant conjuncts (no local refs, no subqueries) gate the whole FROM.
-	for _, c := range analyzed {
-		if len(c.refs) == 0 && !c.hasSub {
-			sc := &scope{parent: parent}
-			v, err := ex.eval(c.expr, sc)
-			if err != nil {
-				return nil, err
-			}
-			c.used = true
-			if truth, _ := sqltypes.Truthy(v); !truth {
-				rel := &relation{bindings: allPipeBindings(pipes), width: totalPipeWidth(pipes)}
-				return &pipe{op: &scanOperator{}, rel: rel}, nil
-			}
-		}
-	}
-
-	// Pre-filter each source with its single-relation conjuncts.
+	rels := make([]*relation, len(pipes))
 	for i, p := range pipes {
-		names := p.rel.names()
-		var mine []*conjunct
-		for _, c := range analyzed {
-			if c.used || c.hasSub || len(c.refs) == 0 {
-				continue
-			}
-			if subset(c.refs, names) {
-				mine = append(mine, c)
-			}
+		rels[i] = p.rel
+	}
+	pl, err := ex.placeConjuncts(sel, rels, parent)
+	if err != nil {
+		return nil, err
+	}
+	if pl.empty {
+		rel := &relation{bindings: allBindings(rels), width: totalWidth(rels)}
+		return &pipe{op: &scanOperator{}, rel: rel}, nil
+	}
+	for i, p := range pipes {
+		if len(pl.plain[i]) > 0 {
+			p = ex.filterPipe(p, pl.plain[i], parent)
 		}
-		if len(mine) > 0 {
-			pipes[i] = ex.filterPipe(p, mine, parent)
+		// Closed-subquery conjuncts get a serial filter of their own: inside
+		// the morsel-parallel scan every worker would run the subquery again.
+		if len(pl.closed[i]) > 0 {
+			fo := newFilterOperator(ex, p.op, p.rel, pl.closed[i], parent)
+			p = &pipe{op: fo, rel: &relation{bindings: p.rel.bindings, width: p.rel.width}}
 		}
+		pipes[i] = p
 	}
 
-	// Greedy hash-join order: prefer sources connected by equi-conjuncts.
+	// Greedy hash-join order: prefer sources connected by equi-conjuncts. The
+	// joins form one left-deep chain whose final width is known here, so the
+	// chain materializes each output row once (joinOperator, ADR-011): its
+	// first join reserves the whole width, the later ones fill it in.
+	chainWidth := totalWidth(rels)
 	cur := pipes[0]
 	remaining := pipes[1:]
 	for len(remaining) > 0 {
 		pick := -1
 		var pairs []equiPair
 		for i, p := range remaining {
-			pr := equiPairsBetween(analyzed, cur.rel, p.rel)
+			pr := equiPairsBetween(pl.conjs, cur.rel, p.rel)
 			if len(pr) > 0 {
 				pick, pairs = i, pr
 				break
@@ -1945,20 +1946,13 @@ func (ex *exec) buildSourcePipe(sel *sqlast.Select, parent *scope) (*pipe, error
 		}
 		next := remaining[pick]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		cur = ex.newJoinPipe(cur, next, pairs, parent)
+		cur = ex.newJoinPipe(cur, next, pairs, parent, chainWidth, cur != pipes[0])
 		for _, p := range pairs {
 			p.src.used = true
 		}
 	}
 
-	// Residual conjuncts (multi-relation non-equi, subqueries).
-	var residual []*conjunct
-	for _, c := range analyzed {
-		if !c.used && !c.fromOrFactor {
-			residual = append(residual, c)
-		}
-	}
-	if len(residual) > 0 {
+	if residual := pl.residual(); len(residual) > 0 {
 		cur = ex.filterPipe(cur, residual, parent)
 	}
 	return cur, nil
@@ -1990,9 +1984,6 @@ func (ex *exec) filterPipe(p *pipe, conjs []*conjunct, parent *scope) *pipe {
 		} else {
 			rest = conjs
 		}
-	}
-	for _, c := range conjs {
-		c.used = true
 	}
 	if len(rest) == 0 {
 		return &pipe{op: src, rel: rel}
@@ -2066,7 +2057,7 @@ func (ex *exec) buildJoinExprPipe(j *sqlast.JoinExpr, parent *scope) (*pipe, err
 	}
 	switch j.Kind {
 	case sqlast.JoinCross:
-		return ex.newJoinPipe(l, r, nil, parent), nil
+		return ex.newJoinPipe(l, r, nil, parent, 0, false), nil
 	case sqlast.JoinInner:
 		conjs := splitConjuncts(j.On)
 		colOwner := ownerMap(l.rel, r.rel)
@@ -2075,7 +2066,7 @@ func (ex *exec) buildJoinExprPipe(j *sqlast.JoinExpr, parent *scope) (*pipe, err
 			analyzed[i] = analyzeConjunct(c, names, colOwner)
 		}
 		pairs := equiPairsBetween(analyzed, l.rel, r.rel)
-		joined := ex.newJoinPipe(l, r, pairs, parent)
+		joined := ex.newJoinPipe(l, r, pairs, parent, 0, false)
 		var residual []*conjunct
 		for _, c := range analyzed {
 			used := false
@@ -2153,29 +2144,6 @@ func drainRows(ex *exec, op Operator) ([][]sqltypes.Value, error) {
 			rows = append(rows, b.rows[i])
 		}
 	}
-}
-
-// allPipeBindings flattens pipe schemas into one combined binding list.
-func allPipeBindings(pipes []*pipe) []*binding {
-	var out []*binding
-	off := 0
-	for _, p := range pipes {
-		for _, b := range p.rel.bindings {
-			nb := *b
-			nb.off = off + b.off
-			out = append(out, &nb)
-		}
-		off += p.rel.width
-	}
-	return out
-}
-
-func totalPipeWidth(pipes []*pipe) int {
-	w := 0
-	for _, p := range pipes {
-		w += p.rel.width
-	}
-	return w
 }
 
 // runQueryStream executes one SELECT by building, opening and draining its

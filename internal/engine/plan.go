@@ -89,19 +89,27 @@ type Plan struct {
 
 // selAnalysis is the per-Select execution analysis shared by the streaming
 // and materializing executors: the flattened WHERE conjuncts (with the
-// OR-factored implied conjuncts appended after nPlain), the output alias
-// map, and whether the query projects through grouping.
+// OR-factored implied conjuncts appended after nPlain), which of the plain
+// conjuncts carry only statically closed subqueries (closed[i], see
+// selectClosed), the output alias map, and whether the query projects
+// through grouping.
 type selAnalysis struct {
 	conjs   []sqlast.Expr
 	nPlain  int
+	closed  []bool
 	aliases map[string]sqlast.Expr
 	grouped bool
 }
 
-func analyzeSelect(sel *sqlast.Select) *selAnalysis {
+func analyzeSelect(sel *sqlast.Select, cat *catalog) *selAnalysis {
 	a := &selAnalysis{aliases: selectAliases(sel)}
 	a.conjs = splitConjuncts(sel.Where)
 	a.nPlain = len(a.conjs)
+	a.closed = make([]bool, a.nPlain)
+	for i, c := range a.conjs {
+		subs := sqlast.SubqueriesOf(c)
+		a.closed[i] = len(subs) > 0 && allClosed(subs, cat, nil)
+	}
 	a.conjs = append(a.conjs, factorCommonOr(sel.Where)...)
 	a.grouped = len(sel.GroupBy) > 0 || sel.Having != nil
 	if !a.grouped {
@@ -115,6 +123,90 @@ func analyzeSelect(sel *sqlast.Select) *selAnalysis {
 	return a
 }
 
+// closeFrame is the FROM list of one query level during the closedness
+// check: binding name -> base table, linked to the enclosing levels that
+// still lie inside the subquery being judged.
+type closeFrame struct {
+	outer *closeFrame
+	tabs  map[string]*Table
+}
+
+// resolves mirrors scope.lookup over the frames: innermost level first, a
+// qualifier must name a binding that has the column.
+func (f *closeFrame) resolves(cr *sqlast.ColumnRef) bool {
+	for ; f != nil; f = f.outer {
+		if cr.Table != "" {
+			if t := f.tabs[strings.ToLower(cr.Table)]; t != nil && t.ColIndex(cr.Name) >= 0 {
+				return true
+			}
+			continue
+		}
+		for _, t := range f.tabs {
+			if t.ColIndex(cr.Name) >= 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// selectClosed reports whether sel is statically closed: every column
+// reference in it (nested subqueries included) resolves against a FROM list
+// inside sel itself, so no evaluation of it can read a row of the query
+// level that contains it. The test is deliberately conservative — FROM may
+// hold base tables and joins of them only (no view, no derived table, no
+// unknown name), and a name that resolves only as an output alias counts as
+// unresolved — because a wrong "closed" would move a correlated conjunct
+// below a join, while a wrong "open" merely keeps today's residual filter.
+func selectClosed(sel *sqlast.Select, cat *catalog, outer *closeFrame) bool {
+	f := &closeFrame{outer: outer, tabs: make(map[string]*Table)}
+	var exprs []sqlast.Expr
+	var addFrom func(te sqlast.TableExpr) bool
+	addFrom = func(te sqlast.TableExpr) bool {
+		switch t := te.(type) {
+		case *sqlast.TableName:
+			key, name := strings.ToLower(t.Name), strings.ToLower(t.Binding())
+			tab := cat.tables[key]
+			if tab == nil || cat.views[key] != nil || f.tabs[name] != nil {
+				return false
+			}
+			f.tabs[name] = tab
+			return true
+		case *sqlast.JoinExpr:
+			if t.On != nil {
+				exprs = append(exprs, t.On)
+			}
+			return addFrom(t.L) && addFrom(t.R)
+		}
+		return false
+	}
+	for _, te := range sel.From {
+		if !addFrom(te) {
+			return false
+		}
+	}
+	for _, e := range append(exprs, selectLevelExprs(sel)...) {
+		for _, cr := range sqlast.ColumnRefsOf(e) {
+			if !f.resolves(cr) {
+				return false
+			}
+		}
+		if !allClosed(sqlast.SubqueriesOf(e), cat, f) {
+			return false
+		}
+	}
+	return true
+}
+
+func allClosed(subs []*sqlast.Select, cat *catalog, outer *closeFrame) bool {
+	for _, sub := range subs {
+		if !selectClosed(sub, cat, outer) {
+			return false
+		}
+	}
+	return true
+}
+
 // selectAnalysis returns sel's analysis, serving plan-owned nodes from the
 // plan's cache. Nodes the plan has never seen (clones made during
 // execution: view bodies, UDF subqueries) are analyzed per use — their
@@ -122,14 +214,14 @@ func analyzeSelect(sel *sqlast.Select) *selAnalysis {
 func (ex *exec) selectAnalysis(sel *sqlast.Select) *selAnalysis {
 	p := ex.plan
 	if _, owned := p.subqIDs[sel]; !owned {
-		return analyzeSelect(sel)
+		return analyzeSelect(sel, ex.cat)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if a, ok := p.analysis[sel]; ok {
 		return a
 	}
-	a := analyzeSelect(sel)
+	a := analyzeSelect(sel, ex.cat)
 	if p.analysis == nil {
 		p.analysis = make(map[*sqlast.Select]*selAnalysis)
 	}

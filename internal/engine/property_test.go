@@ -515,6 +515,22 @@ func sameResult(a, b *Result) bool {
 func TestCompiledMatchesInterpreter(t *testing.T) {
 	for _, mode := range []Mode{ModePostgres, ModeSystemC} {
 		db := diffDB(t, mode)
+		check := func(sql string) {
+			t.Helper()
+			ir, cr, ierr, cerr := runBothPaths(db, sql)
+			if (ierr == nil) != (cerr == nil) {
+				t.Fatalf("mode %s query %q: interpreter err %v, compiled err %v", mode, sql, ierr, cerr)
+			}
+			if ierr != nil {
+				if ierr.Error() != cerr.Error() {
+					t.Fatalf("mode %s query %q: error mismatch:\n  interp:   %v\n  compiled: %v", mode, sql, ierr, cerr)
+				}
+				return
+			}
+			if !sameResult(ir, cr) {
+				t.Fatalf("mode %s query %q: result mismatch:\n  interp:   %v rows\n  compiled: %v rows", mode, sql, ir.Rows, cr.Rows)
+			}
+		}
 		r := rand.New(rand.NewSource(int64(99 + mode)))
 		for i := 0; i < 400; i++ {
 			var sql string
@@ -562,19 +578,25 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 						r.Intn(60), genBigExpr(r, 1))
 				}
 			}
-			ir, cr, ierr, cerr := runBothPaths(db, sql)
-			if (ierr == nil) != (cerr == nil) {
-				t.Fatalf("mode %s query %q: interpreter err %v, compiled err %v", mode, sql, ierr, cerr)
-			}
-			if ierr != nil {
-				if ierr.Error() != cerr.Error() {
-					t.Fatalf("mode %s query %q: error mismatch:\n  interp:   %v\n  compiled: %v", mode, sql, ierr, cerr)
-				}
-				continue
-			}
-			if !sameResult(ir, cr) {
-				t.Fatalf("mode %s query %q: result mismatch:\n  interp:   %v rows\n  compiled: %v rows", mode, sql, ir.Rows, cr.Rows)
-			}
+			check(sql)
+		}
+		// Literal-only subtrees fold to one constant at lowering time; a
+		// subtree whose one evaluation fails must stay unfolded, so its error
+		// still belongs to the rows that evaluate it — all of them, only
+		// those an AND/CASE lets through, or none.
+		for _, sql := range []string{
+			"SELECT a, d FROM t WHERE d <= DATE '1998-01-01' - INTERVAL '90' DAY ORDER BY a, b, s, f",
+			"SELECT a FROM t WHERE d >= DATE '1997-06-01' AND d < DATE '1997-06-01' + INTERVAL '3' MONTH ORDER BY a, b, s, f",
+			"SELECT a * (2 + 3) - 4 * 5, (1 < 2) = (3 >= 3), - (1 - 2) FROM t ORDER BY a, b, s, f",
+			"SELECT g FROM big WHERE h < 10 * 10 + 2500 AND fl > 100 / 8 ORDER BY h",
+			"SELECT a, 1 / 0 FROM t ORDER BY a",
+			"SELECT a FROM t WHERE a > (3 + 4) / (2 - 2) ORDER BY a",
+			"SELECT a FROM t WHERE a > 1000 AND 1 / 0 = 1 ORDER BY a",
+			"SELECT h FROM big WHERE h < 2000 OR 7 % 0 = 1 ORDER BY h",
+			"SELECT CASE WHEN a IS NULL THEN 1 / 0 ELSE a END FROM t WHERE a IS NOT NULL ORDER BY a, b, s, f",
+			"SELECT COUNT(*) FROM u WHERE 1 / 0 = 1 AND k < 0",
+		} {
+			check(sql)
 		}
 		db.SetCompileExprs(true)
 	}

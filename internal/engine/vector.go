@@ -149,6 +149,9 @@ func (ve *venv) compile(e sqlast.Expr) vecExpr {
 			}
 		}
 	case *sqlast.BinaryExpr:
+		if v, ok := ve.foldConst(x); ok {
+			return vecConst(v)
+		}
 		if fn := ve.compileBinary(x); fn != nil {
 			return fn
 		}
@@ -189,6 +192,32 @@ func (ve *venv) compile(e sqlast.Expr) vecExpr {
 		}
 	}
 	return ve.lift(e)
+}
+
+// foldConst evaluates a literal-only arithmetic/compare subtree once, at
+// lowering time — DATE '1998-12-01' - INTERVAL '90' DAY otherwise walks the
+// calendar for every row. A subtree whose evaluation fails (1/0) is not
+// folded: its error must surface per evaluated row, short-circuits included.
+func (ve *venv) foldConst(x *sqlast.BinaryExpr) (sqltypes.Value, bool) {
+	if !literalOnly(x) {
+		return sqltypes.Null, false
+	}
+	v, err := ve.ex.eval(x, rootScope())
+	return v, err == nil
+}
+
+// literalOnly reports whether e is built from literals, intervals, unary
+// minus and non-logical binary operators alone.
+func literalOnly(e sqlast.Expr) bool {
+	switch x := e.(type) {
+	case *sqlast.Literal, *sqlast.IntervalExpr:
+		return true
+	case *sqlast.UnaryExpr:
+		return x.Op == "-" && literalOnly(x.X)
+	case *sqlast.BinaryExpr:
+		return x.Op != "AND" && x.Op != "OR" && literalOnly(x.L) && literalOnly(x.R)
+	}
+	return false
 }
 
 // vecConst broadcasts a constant.

@@ -232,6 +232,12 @@ func planAggregate(ctx *rewrite.Context, agg *sqlast.FuncCall, nextID *int) (*ag
 		return &sqlast.ColumnRef{Table: partAlias, Name: alias}
 	}
 
+	// Anything but f(x) or COUNT(*) — COUNT() included — is left as written
+	// for the engine to reject.
+	if len(agg.Args) != 1 && !(upper == "COUNT" && agg.Star) {
+		return nil, false, nil, false
+	}
+
 	if upper == "COUNT" {
 		// COUNT distributes over every conversion class; conversions
 		// inside the argument preserve NULLs and can simply be stripped.
@@ -256,9 +262,6 @@ func planAggregate(ctx *rewrite.Context, agg *sqlast.FuncCall, nextID *int) (*ag
 		}, false, nil, true
 	}
 
-	if len(agg.Args) != 1 {
-		return nil, false, nil, false
-	}
 	arg := agg.Args[0]
 	cc := findSingleConversion(ctx, arg)
 
