@@ -62,17 +62,21 @@
 //     engine's concurrency, determinism and resource invariants; run
 //     `go run ./cmd/mtlint ./...` next to tier-1 verification (ADR-007
 //     in DESIGN.md)
-//   - shard — tenant-partitioned scale-out (ADR-009 in DESIGN.md): N
-//     independent engine+middleware shards plus a coordinator replica
-//     behind the same Conn/Prepare/Stmt/Rows surface. The rewrite's
-//     privilege-pruned tenant set D′ routes every statement: one shard
-//     for single-tenant work, deterministic scatter/gather for
-//     cross-tenant work (ordered k-way merge under ORDER BY,
-//     partial-aggregation pushdown with a coordinator fold, repartition
-//     fallback for shapes the pinned-query classifier cannot prove
-//     exact), byte-identical to the unsharded instance at every
-//     optimization level. cmd/mtserve -shards N serves a sharded
-//     instance; cmd/mtsh -shards N explores one (\shards, \stats).
+//   - shard — tenant-partitioned scale-out (ADR-009 and ADR-012 in
+//     DESIGN.md): N independent engine+middleware shards plus a
+//     coordinator replica behind the same Conn/Prepare/Stmt/Rows surface.
+//     The rewrite's privilege-pruned tenant set D′ routes every
+//     statement: one shard for single-tenant work, deterministic
+//     scatter/gather for cross-tenant work (ordered k-way merge under
+//     ORDER BY, partial-aggregation pushdown with a coordinator fold,
+//     repartition fallback for shapes the pinned-query classifier cannot
+//     prove exact), byte-identical to the unsharded instance at every
+//     optimization level. The coordinator is stateless between
+//     statements: fold and fallback read the shards' rows as
+//     statement-local relations (engine.DB.QueryWith) that never enter
+//     the replica's catalog, and a shard session under a sub-scope is a
+//     value copy (middleware.Conn.Scoped). cmd/mtserve -shards N serves a
+//     sharded instance; cmd/mtsh -shards N explores one (\shards, \stats).
 //   - wire, server, wal, client — the network service (ADR-008 in
 //     DESIGN.md): cmd/mtserve serves an instance over TCP with
 //     per-tenant sessions bound in the protocol handshake, streaming row

@@ -555,7 +555,40 @@ func (db *DB) QueryContext(ctx context.Context, sql string, args ...sqltypes.Val
 		}
 		return nil, fmt.Errorf("engine: not a query: %s", sql)
 	}
-	return db.queryRowsUnlock(ctx, p, sel, args)
+	return db.queryRowsUnlock(ctx, p, sel, args, nil)
+}
+
+// Relation is a named in-memory row set that one statement reads as a table
+// (QueryWith). Rows are not copied and must not be modified afterwards.
+type Relation struct {
+	Name string
+	Cols []Column           // ignored when Name is a catalog table: its schema stays
+	Rows [][]sqltypes.Value // one value per column of that schema
+}
+
+// QueryWith executes sel with rels visible to this execution only: a name
+// the catalog already holds as a table is shadowed (same schema, these rows,
+// fresh indexes), a new name is added. Both live in a private clone of the
+// catalog the statement pins, so the DB's catalog, the tables' heaps and
+// versions, the plan cache and every other statement are untouched, and the
+// cursor keeps its relations for as long as it is open. The plan is
+// ephemeral: whatever it derives from the relations dies with it.
+func (db *DB) QueryWith(ctx context.Context, sel *sqlast.Select, args []sqltypes.Value, rels ...Relation) (*Rows, error) {
+	db.mu.Lock()
+	cat := db.catalogNow().clone()
+	for _, r := range rels {
+		key := strings.ToLower(r.Name)
+		if cat.views[key] != nil {
+			db.mu.Unlock()
+			return nil, fmt.Errorf("engine: relation %s would shadow a view", r.Name)
+		}
+		t := newTable(r.Name, r.Cols, r.Rows)
+		if base := cat.tables[key]; base != nil {
+			t.Name, t.Cols, t.PK, t.colIdx, t.Constraints = base.Name, base.Cols, base.PK, base.colIdx, base.Constraints
+		}
+		cat.tables[key] = t
+	}
+	return db.queryRowsUnlock(ctx, db.buildPlan(cat, "", sel), sel, args, cat)
 }
 
 // ---------------------------------------------------------------- DDL
@@ -615,14 +648,21 @@ func (db *DB) createTable(ct *sqlast.CreateTable) (*Result, error) {
 func (db *DB) CreateTableDirect(name string, cols []Column, pk []string) *Table {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t := &Table{Name: name, Cols: cols, PK: pk, colIdx: make(map[string]int), db: db}
-	t.data.Store(newTableData(nil))
-	for i, c := range cols {
-		t.colIdx[strings.ToLower(c.Name)] = i
-	}
+	t := newTable(name, cols, nil)
+	t.PK, t.db = pk, db
 	nc := db.catalogNow().clone()
 	nc.tables[strings.ToLower(name)] = t
 	db.cat.Store(nc)
+	return t
+}
+
+// newTable builds a table over rows that no catalog knows yet.
+func newTable(name string, cols []Column, rows [][]sqltypes.Value) *Table {
+	t := &Table{Name: name, Cols: cols, colIdx: make(map[string]int, len(cols))}
+	t.data.Store(newTableData(rows))
+	for i, c := range cols {
+		t.colIdx[strings.ToLower(c.Name)] = i
+	}
 	return t
 }
 

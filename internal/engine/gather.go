@@ -234,11 +234,3 @@ func newGatherSrc(limit int64, parts []*Rows) gatherSrc {
 	}
 	return gatherSrc{feeders: feeders, done: done, limit: limit}
 }
-
-// MaterializedRows wraps precomputed rows as a cursor. The sharding
-// layer's partial-aggregation gather folds shard partials on a coordinator
-// table and hands the (small) folded result back through the standard
-// cursor surface.
-func MaterializedRows(cols []string, rows [][]sqltypes.Value) *Rows {
-	return &Rows{cols: cols, buf: rows}
-}

@@ -271,6 +271,12 @@ func (p *Plan) bindArgs(args []sqltypes.Value) ([]sqltypes.Value, error) {
 // buildPlanLocked analyses stmt into a Plan. sql may be empty for ephemeral
 // plans built around caller-supplied ASTs.
 func (db *DB) buildPlanLocked(sql string, stmt sqlast.Statement) *Plan {
+	return db.buildPlan(db.catalogNow(), sql, stmt)
+}
+
+// buildPlan is buildPlanLocked against an explicit catalog: QueryWith lowers
+// against its statement-local one (sql empty, so nothing is pinned or cached).
+func (db *DB) buildPlan(cat *catalog, sql string, stmt sqlast.Statement) *Plan {
 	p := &Plan{stmt: stmt, sql: sql}
 	switch st := stmt.(type) {
 	case *sqlast.Select, *sqlast.Insert, *sqlast.Update, *sqlast.Delete:
@@ -293,10 +299,10 @@ func (db *DB) buildPlanLocked(sql string, stmt sqlast.Statement) *Plan {
 		if ins, isIns := st.(*sqlast.Insert); isIns && ins.Sub == nil {
 			p.cacheable = false
 		}
-		p.arityErr = db.checkInArityLocked(stmt)
+		p.arityErr = cat.checkInArity(stmt)
 		p.nParams = sqlast.MaxParam(stmt)
 		if p.nParams > 0 {
-			p.paramKinds = db.paramKindsLocked(stmt, p.nParams)
+			p.paramKinds = cat.paramKinds(stmt, p.nParams)
 		}
 	default:
 		// DDL and anything else: execute through an ephemeral plan.
@@ -519,13 +525,13 @@ func (db *DB) planValidLocked(p *Plan) bool {
 
 // ---------------------------------------------------------------- IN arity
 
-// checkInArityLocked validates every IN-subquery whose output arity is
+// checkInArity validates every IN-subquery whose output arity is
 // derivable from the schema at plan time. The check used to run only on the
 // set-build path of evalInSubquery, so a memo hit skipped it; validating here
 // makes the error independent of evaluation order, caching and engine mode.
 // Shapes whose arity cannot be derived (unresolvable names) keep the runtime
 // check in buildInSet as the backstop.
-func (db *DB) checkInArityLocked(stmt sqlast.Statement) error {
+func (cat *catalog) checkInArity(stmt sqlast.Statement) error {
 	var err error
 	check := func(e sqlast.Expr) {
 		sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
@@ -540,7 +546,7 @@ func (db *DB) checkInArityLocked(stmt sqlast.Statement) error {
 			if row, isRow := x.X.(*sqlast.RowExpr); isRow {
 				left = len(row.Exprs)
 			}
-			if n, known := db.selectArityLocked(x.Sub, 0); known && n != left {
+			if n, known := cat.selectArity(x.Sub, 0); known && n != left {
 				err = fmt.Errorf("engine: IN subquery returns %d columns, left side has %d", n, left)
 			}
 			return err == nil
@@ -580,14 +586,13 @@ func (db *DB) checkInArityLocked(stmt sqlast.Statement) error {
 	return err
 }
 
-// selectArityLocked derives the output column count of sel against the
-// current schema; known=false when any name fails to resolve (runtime will
+// selectArity derives the output column count of sel against the
+// catalog; known=false when any name fails to resolve (runtime will
 // raise its own error, or the shape is star-free and trivially countable).
-func (db *DB) selectArityLocked(sel *sqlast.Select, depth int) (n int, known bool) {
+func (cat *catalog) selectArity(sel *sqlast.Select, depth int) (n int, known bool) {
 	if depth > 24 {
 		return 0, false
 	}
-	cat := db.catalogNow()
 	type bnd struct {
 		name  string
 		width int
@@ -599,7 +604,7 @@ func (db *DB) selectArityLocked(sel *sqlast.Select, depth int) (n int, known boo
 		case *sqlast.TableName:
 			lower := strings.ToLower(t.Name)
 			if view, isView := cat.views[lower]; isView {
-				w, wok := db.selectArityLocked(view, depth+1)
+				w, wok := cat.selectArity(view, depth+1)
 				if !wok {
 					return false
 				}
@@ -612,7 +617,7 @@ func (db *DB) selectArityLocked(sel *sqlast.Select, depth int) (n int, known boo
 			}
 			return false
 		case *sqlast.DerivedTable:
-			w, wok := db.selectArityLocked(t.Sub, depth+1)
+			w, wok := cat.selectArity(t.Sub, depth+1)
 			if !wok {
 				return false
 			}
@@ -657,13 +662,13 @@ func (db *DB) selectArityLocked(sel *sqlast.Select, depth int) (n int, known boo
 
 // ---------------------------------------------------------------- param hints
 
-// paramKindsLocked derives a type hint per bind-parameter slot from the
-// contexts the slot appears in against the current schema: direct
+// paramKinds derives a type hint per bind-parameter slot from the
+// contexts the slot appears in against the catalog: direct
 // comparisons with base-table columns, BETWEEN bounds, IN lists, LIKE
 // patterns and DML assignment targets. Slots used against columns of
 // different kinds get no hint (KindNull) and bind values pass through
 // unconverted, exactly like pre-hint behaviour.
-func (db *DB) paramKindsLocked(stmt sqlast.Statement, n int) []sqltypes.Kind {
+func (cat *catalog) paramKinds(stmt sqlast.Statement, n int) []sqltypes.Kind {
 	kinds := make([]sqltypes.Kind, n)
 	conflict := make([]bool, n)
 	hint := func(pn int, k sqltypes.Kind) {
@@ -731,7 +736,7 @@ func (db *DB) paramKindsLocked(stmt sqlast.Statement, n int) []sqltypes.Kind {
 	}
 
 	for _, sel := range statementSelects(stmt) {
-		kindOf := db.colKindResolverLocked(sel)
+		kindOf := cat.colKindResolver(sel)
 		for _, e := range selectLevelExprs(sel) {
 			hintExprs(e, kindOf)
 		}
@@ -752,7 +757,7 @@ func (db *DB) paramKindsLocked(stmt sqlast.Statement, n int) []sqltypes.Kind {
 
 	// DML statements evaluate against their target table's layout.
 	tableKindOf := func(name string) func(cr *sqlast.ColumnRef) sqltypes.Kind {
-		t := db.catalogNow().table(name)
+		t := cat.table(name)
 		return func(cr *sqlast.ColumnRef) sqltypes.Kind {
 			if t == nil {
 				return sqltypes.KindNull
@@ -779,7 +784,7 @@ func (db *DB) paramKindsLocked(stmt sqlast.Statement, n int) []sqltypes.Kind {
 	case *sqlast.Delete:
 		hintExprs(st.Where, tableKindOf(st.Table))
 	case *sqlast.Insert:
-		if t := db.catalogNow().table(st.Table); t != nil && st.Sub == nil {
+		if t := cat.table(st.Table); t != nil && st.Sub == nil {
 			cols := st.Columns
 			if len(cols) == 0 {
 				cols = t.ColNames()
@@ -802,11 +807,11 @@ var comparisonPlanOps = map[string]bool{
 	"=": true, "<>": true, "<": true, "<=": true, ">": true, ">=": true,
 }
 
-// colKindResolverLocked builds a column-kind resolver for one query level:
+// colKindResolver builds a column-kind resolver for one query level:
 // base tables in FROM contribute their columns under the binding name and,
 // when unambiguous across the level, unqualified. Views and derived tables
 // contribute nothing (no hint is always safe).
-func (db *DB) colKindResolverLocked(sel *sqlast.Select) func(cr *sqlast.ColumnRef) sqltypes.Kind {
+func (cat *catalog) colKindResolver(sel *sqlast.Select) func(cr *sqlast.ColumnRef) sqltypes.Kind {
 	type colKey struct{ binding, col string }
 	qualified := make(map[colKey]sqltypes.Kind)
 	unqualified := make(map[string]sqltypes.Kind)
@@ -815,7 +820,7 @@ func (db *DB) colKindResolverLocked(sel *sqlast.Select) func(cr *sqlast.ColumnRe
 	addTE = func(te sqlast.TableExpr) {
 		switch t := te.(type) {
 		case *sqlast.TableName:
-			tab := db.catalogNow().table(t.Name)
+			tab := cat.table(t.Name)
 			if tab == nil {
 				return
 			}

@@ -235,13 +235,18 @@ func (r *Rows) Collect() (*Result, error) {
 // entered with db.mu held: bind coercion and snapshot pinning (newExecArgs)
 // happen under the lock, which is then released — operator tree
 // construction and all execution run against the exec's immutable pinned
-// snapshots, overlapping freely with writers and other cursors.
-func (db *DB) queryRowsUnlock(ctx context.Context, p *Plan, sel *sqlast.Select, args []sqltypes.Value) (*Rows, error) {
+// snapshots, overlapping freely with writers and other cursors. A non-nil
+// local is the statement's private catalog (QueryWith), pinned in place of
+// the current one.
+func (db *DB) queryRowsUnlock(ctx context.Context, p *Plan, sel *sqlast.Select, args []sqltypes.Value, local *catalog) (*Rows, error) {
 	if p.arityErr != nil {
 		db.mu.Unlock()
 		return nil, p.arityErr
 	}
 	ex, err := db.newExecArgs(ctx, p, args)
+	if err == nil && local != nil {
+		ex.cat, ex.snap = local, newSnapshotSet(local)
+	}
 	db.mu.Unlock()
 	if err != nil {
 		return nil, err

@@ -214,6 +214,16 @@ type Conn struct {
 // C returns the session's client tenant.
 func (c *Conn) C() int64 { return c.c }
 
+// Scoped returns a copy of the session under another scope: same server,
+// client tenant and optimization level, nothing shared that a statement
+// writes. The sharding layer addresses "this shard under D′ ∩ owned(shard)"
+// this way, so a scatter leaves the session's own scope alone.
+func (c *Conn) Scoped(scope *sqlast.SetScope) *Conn {
+	cp := *c
+	cp.scope = scope
+	return &cp
+}
+
 // SetOptLevel switches the optimization pass stack for this session.
 func (c *Conn) SetOptLevel(l optimizer.Level) { c.level = l }
 
@@ -289,16 +299,16 @@ func (c *Conn) Query(sql string, args ...any) (*engine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel, err := c.parseSelect(sql)
+	sel, err := c.ParseSelect(sql)
 	if err != nil {
 		return nil, err
 	}
 	return c.query(context.Background(), sel, sql, vals)
 }
 
-// parseSelect resolves sql to a SELECT through the parse cache, rejecting
-// non-queries.
-func (c *Conn) parseSelect(sql string) (*sqlast.Select, error) {
+// ParseSelect resolves sql to a SELECT through the server's parse cache,
+// rejecting non-queries. The AST is shared: callers clone before mutating.
+func (c *Conn) ParseSelect(sql string) (*sqlast.Select, error) {
 	if sel, ok := c.srv.cachedSelect(sql); ok {
 		return sel, nil
 	}
@@ -330,7 +340,7 @@ func (c *Conn) QueryContext(ctx context.Context, sql string, args ...any) (*engi
 	if err != nil {
 		return nil, err
 	}
-	sel, err := c.parseSelect(sql)
+	sel, err := c.ParseSelect(sql)
 	if err != nil {
 		return nil, err
 	}

@@ -9,8 +9,11 @@ package mth
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"mtbase/internal/engine"
@@ -470,5 +473,152 @@ func TestShardWriteRouting(t *testing.T) {
 	}
 	if n := srv.Replica().DB().Table("region").RowCount(); n != 6 {
 		t.Errorf("replica region rows = %d, want 6", n)
+	}
+}
+
+// TestShardCoordinatorStateless (ADR-012): sessions with different scopes
+// run partial folds (Q1/Q3/Q6), the repartition fallback (Q22) and the
+// copy-all fallback of a view query (Q15) at the same time; every result
+// equals what an unsharded instance answers for that scope, and the
+// coordinator replica is left exactly as it was — same catalog, empty
+// tenant tables, not one plan invalidated — because the gathered rows were
+// never anything but statement-local relations. A shard that then fails to
+// open its cursor fails the statement and leaves nothing behind either.
+func TestShardCoordinatorStateless(t *testing.T) {
+	cfg := shardTestConfig()
+	d := Generate(cfg)
+	place := shard.MapPlacement{Assign: map[int64]int{1: 0, 2: 1, 3: 2, 4: 3, 5: 0}, Fallback: shard.HashPlacement{N: 4}}
+	sinst, err := LoadMTSharded(d, 4, shard.WithPlacement(place))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oinst, err := LoadMT(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sinst.GrantReadTo(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := oinst.GrantReadTo(1); err != nil {
+		t.Fatal(err)
+	}
+	q15, _ := QueryByID(cfg.SF, 15)
+	stmts := []string{q15.SQL}
+	for _, id := range []int{1, 3, 6, 22} {
+		q, err := QueryByID(cfg.SF, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts = append(stmts, q.SQL)
+	}
+
+	// Every scope spans at least two shards under the placement above.
+	scopes := []string{"IN ()", "IN (1, 2, 3)", "IN (2, 4, 5)", "IN (1, 3, 4, 5)", "IN (3, 4)"}
+	conns := make([]*shard.Conn, len(scopes))
+	want := make([][]string, len(scopes))
+	for i, scope := range scopes {
+		if conns[i], err = sinst.Connect(1, scope); err != nil {
+			t.Fatal(err)
+		}
+		oconn, err := oinst.Connect(1, scope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 { // the view bakes the creator's tenant set: everyone
+			for _, c := range []Session{conns[0], oconn} {
+				if _, err := c.Exec(q15.Setup[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, sql := range stmts {
+			res, err := oconn.Exec(sql)
+			if err != nil {
+				t.Fatalf("oracle scope %s: %v", scope, err)
+			}
+			want[i] = append(want[i], exactKey(res))
+		}
+	}
+
+	rdb := sinst.Srv.Replica().DB()
+	tenantTables := []string{"customer", "orders", "lineitem"}
+	replicaState := func() string {
+		names := rdb.TableNames()
+		for _, n := range names {
+			if strings.HasPrefix(strings.ToLower(n), "mt_gather") || strings.EqualFold(n, "mt_partials") {
+				return "scratch table " + n
+			}
+		}
+		for _, n := range tenantTables {
+			if c := rdb.Table(n).RowCount(); c != 0 {
+				return fmt.Sprintf("%s holds %d rows", n, c)
+			}
+		}
+		return strings.Join(names, ",")
+	}
+	names, stats0, routes0 := replicaState(), rdb.Stats.Snapshot(), sinst.Srv.Stats().Snapshot()
+
+	const rounds = 3
+	var wg sync.WaitGroup
+	for i := range conns {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for n := 0; n < rounds*len(stmts); n++ {
+				k := (n + i) % len(stmts) // sessions are on different routes at any moment
+				res, err := conns[i].Exec(stmts[k])
+				if err != nil {
+					t.Errorf("scope %s statement %d: %v", scopes[i], k, err)
+					return
+				}
+				if got := exactKey(res); got != want[i][k] {
+					t.Errorf("scope %s statement %d differs from the unsharded answer\n got: %.300s\nwant: %.300s", scopes[i], k, got, want[i][k])
+				}
+				if got := replicaState(); got != names {
+					t.Errorf("replica while statements run: %s, want %s", got, names)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	if got := replicaState(); got != names {
+		t.Errorf("replica after the run: %s, want %s", got, names)
+	}
+	stats, routes, n := rdb.Stats.Snapshot(), sinst.Srv.Stats().Snapshot(), int64(rounds*len(scopes))
+	if got := stats.PlanCacheInvalidations - stats0.PlanCacheInvalidations; got != 0 {
+		t.Errorf("replica plan cache: %d invalidations over %d folds and %d fallbacks, want 0", got, 3*n, 2*n)
+	}
+	if p, f := routes.PartialsPushed-routes0.PartialsPushed, routes.RoutedFallback-routes0.RoutedFallback; p != 3*n || f != 2*n {
+		t.Errorf("routes: %d partial folds and %d fallbacks, want %d and %d", p, f, 3*n, 2*n)
+	}
+
+	// Shard 3 (tenant 4) loses a table behind the coordinator's back: its
+	// cursor fails to open after shards 0–2 opened theirs. The statement
+	// fails as a whole, on the merge and on the partial route, and the same
+	// session answers correctly again under a scope that avoids the shard.
+	if _, err := sinst.Srv.Shards()[3].DB().ExecSQL("DROP TABLE lineitem"); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{stmts[3], "SELECT l_orderkey, l_linenumber FROM lineitem ORDER BY l_orderkey, l_linenumber"} {
+		if _, err := conns[0].Exec(sql); err == nil {
+			t.Errorf("statement over a broken shard succeeded: %.60s", sql)
+		}
+	}
+	if _, err := conns[0].Exec(`SET SCOPE = "IN (1, 2, 3)"`); err != nil {
+		t.Fatal(err)
+	}
+	for k, sql := range stmts[1:] {
+		res, err := conns[0].Exec(sql)
+		if err != nil {
+			t.Fatalf("after the failed scatter, statement %d: %v", k+1, err)
+		}
+		if exactKey(res) != want[1][k+1] {
+			t.Errorf("after the failed scatter, statement %d differs from the unsharded answer", k+1)
+		}
+	}
+	if got := replicaState(); got != names {
+		t.Errorf("replica after the failed scatter: %s, want %s", got, names)
 	}
 }

@@ -4,8 +4,8 @@ package mth
 // generated rows as LoadMT, stood up over a shard.Server. Metadata,
 // global tables and conversion meta rows replicate to every shard AND the
 // coordinator replica; each tenant's rows bulk load onto its owning shard
-// only (the replica holds none — its tenant tables are the repartition
-// scratch area).
+// only (the replica holds none, ever: a repartition fallback reads the
+// shards' rows as statement-local relations over its empty tenant tables).
 
 import (
 	"fmt"

@@ -85,7 +85,7 @@ func (c *Conn) QueryRows(sql string, args ...any) (*engine.Rows, error) {
 // cursor: routed to one shard when D′ lands on one, scattered and
 // gathered otherwise.
 func (c *Conn) QueryContext(ctx context.Context, sql string, args ...any) (*engine.Rows, error) {
-	sel, err := c.srv.parseSelect(sql)
+	sel, err := c.rconn.ParseSelect(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -117,8 +117,8 @@ func (c *Conn) dispatch(ctx context.Context, stmt sqlast.Statement, sql string, 
 	}
 }
 
-// setScope installs the session scope on every sub-connection and
-// remembers the AST for scatter-time restores.
+// setScope installs the session scope on every sub-connection; the AST is
+// kept to tell a data-dependent (complex) scope from a metadata one.
 func (c *Conn) setScope(st *sqlast.SetScope) (*engine.Result, error) {
 	c.srv.ddlMu.RLock()
 	defer c.srv.ddlMu.RUnlock()
@@ -134,51 +134,26 @@ func (c *Conn) setScope(st *sqlast.SetScope) (*engine.Result, error) {
 	return &engine.Result{}, nil
 }
 
-// sessionScope returns the scope AST to restore after a sub-scope hijack.
-// The default scope has no explicit AST; SCOPE IN (C) resolves to the
-// identical dataset.
-func (c *Conn) sessionScope() *sqlast.SetScope {
-	if c.scope != nil {
-		return c.scope
-	}
-	return &sqlast.SetScope{Simple: []int64{c.c}}
+// sub is shard ss.rank's session under the tenant subset it owns: a value
+// copy, so the session's own scope is never touched.
+func (c *Conn) sub(ss shardSet) *middleware.Conn {
+	return c.sconns[ss.rank].Scoped(&sqlast.SetScope{Simple: ss.ds})
 }
 
-// setSub points one shard's sub-connection at an explicit tenant subset.
-func (c *Conn) setSub(rank int, ds []int64) error {
-	_, err := c.sconns[rank].ExecStatement(&sqlast.SetScope{Simple: ds})
-	return err
-}
+// complexScope reports whether the session scope is data-dependent.
+func (c *Conn) complexScope() bool { return c.scope != nil && c.scope.Complex != nil }
 
-// restoreSubs restores the session scope on the given shard ranks.
-func (c *Conn) restoreSubs(ranks []int) {
-	orig := c.sessionScope()
-	for _, r := range ranks {
-		c.sconns[r].ExecStatement(orig) //nolint:errcheck // scope install cannot fail
-	}
-}
-
-// resolveDPrime computes the global privilege-pruned tenant set D′ for a
-// statement touching tables. Default, simple and all scopes resolve on
-// the replica (pure metadata, identical everywhere). A complex scope is
-// data-dependent: each shard resolves it against its own partition — a
-// tenant qualifies based on rows that live only on its owning shard — and
-// the union, pruned on the replica under a temporary explicit scope, is
-// the global answer.
-func (c *Conn) resolveDPrime(priv sqlast.Privilege, tables []string) (d []int64, all bool, err error) {
-	if c.scope == nil || c.scope.Complex == nil {
-		rctx, err := c.rconn.RewriteContext(priv, tables...)
-		if err != nil {
-			return nil, false, err
-		}
-		return rctx.D, rctx.DAll, nil
-	}
+// resolveComplex evaluates a complex scope globally: each shard resolves it
+// against its own partition — a tenant qualifies based on rows that live
+// only on its owning shard — and the sorted union is the explicit scope
+// every server must agree on.
+func (c *Conn) resolveComplex() (*sqlast.SetScope, error) {
 	seen := make(map[int64]bool)
 	var union []int64
 	for _, sc := range c.sconns {
 		part, _, err := sc.ResolveScope()
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		for _, t := range part {
 			if !seen[t] {
@@ -188,15 +163,27 @@ func (c *Conn) resolveDPrime(priv sqlast.Privilege, tables []string) (d []int64,
 		}
 	}
 	sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
-	if _, err := c.rconn.ExecStatement(&sqlast.SetScope{Simple: union}); err != nil {
-		return nil, false, err
+	return &sqlast.SetScope{Simple: union}, nil
+}
+
+// resolveDPrime computes the global privilege-pruned tenant set D′ for a
+// statement touching tables. Default, simple and all scopes resolve on
+// the replica (pure metadata, identical everywhere); a complex scope is
+// resolved globally first and pruned on the replica under that result.
+func (c *Conn) resolveDPrime(priv sqlast.Privilege, tables []string) ([]int64, error) {
+	rconn := c.rconn
+	if c.complexScope() {
+		resolved, err := c.resolveComplex()
+		if err != nil {
+			return nil, err
+		}
+		rconn = rconn.Scoped(resolved)
 	}
-	rctx, err := c.rconn.RewriteContext(priv, tables...)
-	c.rconn.ExecStatement(c.sessionScope()) //nolint:errcheck // scope install cannot fail
+	rctx, err := rconn.RewriteContext(priv, tables...)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return rctx.D, false, nil
+	return rctx.D, nil
 }
 
 // routeQuery picks the execution strategy for one SELECT. Caller holds
@@ -210,21 +197,22 @@ func (c *Conn) routeQuery(ctx context.Context, sel *sqlast.Select, sql string, a
 	}
 	schema := c.srv.Schema()
 	tables := middleware.TenantSpecificTables(sel)
-	hasTenant := false
+	hasTenant, hasView := false, false
 	for _, t := range tables {
 		if ti := schema.Table(t); ti != nil && ti.TenantSpecific() {
 			hasTenant = true
-			break
+		}
+		if schema.View(t) != nil {
+			hasView = true
 		}
 	}
-	hasView := queryReferencesView(sel, schema)
 	if !hasTenant && !hasView {
 		// Pure-global query: every shard holds the same global data; run
 		// on the client's home shard.
 		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
 		return c.sconns[c.srv.ShardOf(c.c)].QueryContext(ctx, sql, args...)
 	}
-	d, _, err := c.resolveDPrime(sqlast.PrivRead, tables)
+	d, err := c.resolveDPrime(sqlast.PrivRead, tables)
 	if err != nil {
 		return nil, err
 	}
@@ -234,33 +222,63 @@ func (c *Conn) routeQuery(ctx context.Context, sel *sqlast.Select, sql string, a
 		// tenant's rows to the replica and run there.
 		atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
 		atomic.AddInt64(&c.srv.stats.RoutedFallback, 1)
-		return c.fallback(ctx, sql, args, d, true)
+		return c.fallback(ctx, sel, args, d, c.srv.Tenants())
 	}
 	sets := c.srv.group(d)
 	if len(sets) <= 1 {
-		rank := c.srv.ShardOf(c.c)
-		if len(sets) == 1 {
-			rank = sets[0].rank
-		}
 		// All of D′ lives on one shard: the shard's own middleware
 		// resolves the original session scope to the same D′ locally.
 		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
-		return c.sconns[rank].QueryContext(ctx, sql, args...)
+		return c.sconns[c.homeRank(sets)].QueryContext(ctx, sql, args...)
 	}
 	an := analyze(sel, schema)
 	switch {
 	case an.pinned && an.aggPush:
 		atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
 		atomic.AddInt64(&c.srv.stats.PartialsPushed, 1)
-		return c.partialScatter(ctx, sel, args, sets, an)
+		return c.partialScatter(ctx, an.plan, args, sets)
 	case an.pinned && an.plainScan:
 		atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
 		return c.scatterMerge(ctx, sel, sql, args, sets, an)
 	default:
 		atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
 		atomic.AddInt64(&c.srv.stats.RoutedFallback, 1)
-		return c.fallback(ctx, sql, args, d, false)
+		return c.fallback(ctx, sel, args, d, d)
 	}
+}
+
+// homeRank is the single-shard target: the one shard owning D′, or the
+// client's home shard when D′ is empty.
+func (c *Conn) homeRank(sets []shardSet) int {
+	if len(sets) == 1 {
+		return sets[0].rank
+	}
+	return c.srv.ShardOf(c.c)
+}
+
+// openParts opens one cursor per scatter target, in rank order. It is the
+// only place shard cursors are opened, and its one error path closes the
+// cursors already open before reporting the failure.
+func openParts(sets []shardSet, open func(shardSet) (*engine.Rows, error)) ([]*engine.Rows, error) {
+	parts := make([]*engine.Rows, 0, len(sets))
+	for _, ss := range sets {
+		rows, err := open(ss)
+		if err != nil {
+			for _, p := range parts {
+				p.Close()
+			}
+			return nil, err
+		}
+		parts = append(parts, rows)
+	}
+	return parts, nil
+}
+
+// scatter runs sql on every owning shard under D′ ∩ owned(shard).
+func (c *Conn) scatter(ctx context.Context, sql string, args []any, sets []shardSet) ([]*engine.Rows, error) {
+	return openParts(sets, func(ss shardSet) (*engine.Rows, error) {
+		return c.sub(ss).QueryContext(ctx, sql, args...)
+	})
 }
 
 // scatterMerge runs the statement unchanged on every owning shard under
@@ -269,27 +287,10 @@ func (c *Conn) routeQuery(ctx context.Context, sel *sqlast.Select, sql string, a
 // pinned scan-shaped statements come here (analyze), so per-shard results
 // partition the unsharded result by tenant.
 func (c *Conn) scatterMerge(ctx context.Context, sel *sqlast.Select, sql string, args []any, sets []shardSet, an analysis) (*engine.Rows, error) {
-	parts := make([]*engine.Rows, 0, len(sets))
-	ranks := make([]int, 0, len(sets))
-	fail := func(err error) (*engine.Rows, error) {
-		for _, p := range parts {
-			p.Close()
-		}
-		c.restoreSubs(ranks)
+	parts, err := c.scatter(ctx, sql, args, sets)
+	if err != nil {
 		return nil, err
 	}
-	for _, ss := range sets {
-		ranks = append(ranks, ss.rank)
-		if err := c.setSub(ss.rank, ss.ds); err != nil {
-			return fail(err)
-		}
-		rows, err := c.sconns[ss.rank].QueryContext(ctx, sql, args...)
-		if err != nil {
-			return fail(err)
-		}
-		parts = append(parts, rows)
-	}
-	c.restoreSubs(ranks)
 	cols := parts[0].Columns()
 	if len(an.mergeKeys) > 0 {
 		return engine.MergeRows(cols, an.mergeKeys, sel.Limit, parts...), nil
@@ -297,72 +298,69 @@ func (c *Conn) scatterMerge(ctx context.Context, sel *sqlast.Select, sql string,
 	return engine.ConcatRows(cols, sel.Limit, parts...), nil
 }
 
-// fallback repartitions: the owning shards' tenant rows for D′ are copied
-// into the replica's (normally empty) tenant tables, the original
-// statement executes there under an explicit D′ scope, and the scratch
-// rows are dropped once the cursor has pinned its snapshot. copyAll
-// widens the copy to every tenant (views bake their own tenant set, which
-// routing cannot see). Serialized by fbMu; the copied heaps are immutable
-// shard snapshots, so shards keep serving while the fallback runs.
-func (c *Conn) fallback(ctx context.Context, sql string, args []any, d []int64, copyAll bool) (*engine.Rows, error) {
+// fallback repartitions: the original statement is rewritten on the replica
+// under the explicit scope D′ and executed there over the owning shards'
+// rows of the tenants in copyD — D′ itself, or every tenant for a view,
+// which bakes a tenant set of its own that routing cannot see. The rows are
+// statement-local relations shadowing the replica's (always empty) tenant
+// tables: immutable shard snapshots that never enter the replica's catalog,
+// so shards keep serving and fallbacks of other sessions run alongside.
+func (c *Conn) fallback(ctx context.Context, sel *sqlast.Select, args []any, d, copyD []int64) (*engine.Rows, error) {
 	s := c.srv
-	s.fbMu.Lock()
-	defer s.fbMu.Unlock()
-	copyD := d
-	if copyAll {
-		copyD = s.Tenants()
-	}
 	want := make(map[int64]bool, len(copyD))
 	for _, t := range copyD {
 		want[t] = true
 	}
-	schema := s.Schema()
-	rdb := s.replica.DB()
-	var scratch []string
-	clear := func() {
-		for _, name := range scratch {
-			rdb.Table(name).ReplaceRows(nil)
-		}
-	}
-	for _, ti := range schema.Tables() {
-		if !ti.TenantSpecific() {
+	var rels []engine.Relation
+	for _, ti := range s.Schema().Tables() {
+		if !ti.TenantSpecific() || s.replica.DB().Table(ti.Name) == nil {
 			continue
 		}
-		rt := rdb.Table(ti.Name)
-		if rt == nil {
-			continue
-		}
-		ttid := rt.ColIndex("ttid")
-		if ttid < 0 {
-			clear()
-			return nil, fmt.Errorf("shard: table %s has no ttid column", ti.Name)
-		}
-		var rows [][]sqltypes.Value
+		rel := engine.Relation{Name: ti.Name}
 		for _, mw := range s.shards {
 			st := mw.DB().Table(ti.Name)
 			if st == nil {
 				continue
 			}
+			ttid := st.ColIndex("ttid")
+			if ttid < 0 {
+				return nil, fmt.Errorf("shard: table %s has no ttid column", ti.Name)
+			}
 			for _, row := range st.Heap() {
 				if want[row[ttid].AsInt()] {
-					rows = append(rows, row)
+					rel.Rows = append(rel.Rows, row)
 				}
 			}
 		}
-		scratch = append(scratch, ti.Name)
-		rt.ReplaceRows(rows)
+		rels = append(rels, rel)
 	}
-	if _, err := c.rconn.ExecStatement(&sqlast.SetScope{Simple: d}); err != nil {
-		clear()
-		return nil, err
-	}
-	rows, err := c.rconn.QueryContext(ctx, sql, args...)
-	c.rconn.ExecStatement(c.sessionScope()) //nolint:errcheck // scope install cannot fail
-	clear() // the cursor pinned its copy-on-write snapshot at creation
+	q, err := c.rconn.Scoped(&sqlast.SetScope{Simple: d}).RewriteOnly(sel)
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	// The DBMS is addressed in pure SQL (§3): serialize and reparse, as the
+	// middleware does for every statement it ships.
+	if q, err = sqlparse.ParseQuery(q.String()); err != nil {
+		return nil, fmt.Errorf("shard: rewritten SQL failed to parse: %w", err)
+	}
+	vals, err := bindValues(args)
+	if err != nil {
+		return nil, err
+	}
+	return s.replica.DB().QueryWith(ctx, q, vals, rels...)
+}
+
+// bindValues converts client bind arguments to engine values.
+func bindValues(args []any) ([]sqltypes.Value, error) {
+	vals := make([]sqltypes.Value, len(args))
+	for i, a := range args {
+		v, err := sqltypes.BindValue(a)
+		if err != nil {
+			return nil, fmt.Errorf("shard: bind $%d: %w", i+1, err)
+		}
+		vals[i] = v
+	}
+	return vals, nil
 }
 
 // execInsert routes an INSERT: global targets replicate to every shard
@@ -374,57 +372,25 @@ func (c *Conn) execInsert(ctx context.Context, ins *sqlast.Insert, sql string, a
 	defer c.srv.ddlMu.RUnlock()
 	schema := c.srv.Schema()
 	info := schema.Table(ins.Table)
-	tenantTarget := info != nil && info.TenantSpecific()
+	tables := []string{ins.Table}
 	var subTenant bool
 	if ins.Sub != nil {
-		for _, t := range middleware.TenantSpecificTables(ins.Sub) {
+		sub := middleware.TenantSpecificTables(ins.Sub)
+		tables = append(tables, sub...)
+		for _, t := range sub {
 			if ti := schema.Table(t); ti != nil && ti.TenantSpecific() {
 				subTenant = true
 				break
 			}
 		}
 	}
-	if !tenantTarget {
+	if info == nil || !info.TenantSpecific() {
 		if subTenant && len(c.sconns) > 1 {
 			return nil, fmt.Errorf("shard: INSERT into global table from tenant-specific SELECT is not supported with %d shards", len(c.sconns))
 		}
-		var first *engine.Result
-		if _, err := c.rconn.ExecContext(ctx, sql, args...); err != nil {
-			return nil, err
-		}
-		for _, sc := range c.sconns {
-			res, err := sc.ExecContext(ctx, sql, args...)
-			if err != nil {
-				return nil, err
-			}
-			if first == nil {
-				first = res
-			}
-		}
-		return first, nil
+		return c.replicate(ctx, sql, args)
 	}
-	tables := []string{ins.Table}
-	if ins.Sub != nil {
-		tables = append(tables, middleware.TenantSpecificTables(ins.Sub)...)
-	}
-	d, _, err := c.resolveDPrime(sqlast.PrivInsert, tables)
-	if err != nil {
-		return nil, err
-	}
-	sets := c.srv.group(d)
-	if len(sets) <= 1 {
-		rank := c.srv.ShardOf(c.c)
-		if len(sets) == 1 {
-			rank = sets[0].rank
-		}
-		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
-		return c.sconns[rank].ExecContext(ctx, sql, args...)
-	}
-	if subTenant {
-		return nil, fmt.Errorf("shard: INSERT ... SELECT over a cross-shard tenant set is not supported")
-	}
-	atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
-	return c.scatterExec(ctx, sql, args, sets)
+	return c.routeWrite(ctx, sqlast.PrivInsert, tables, subTenant, sql, args)
 }
 
 // execTargetedDML routes UPDATE/DELETE by the target table: per-tenant
@@ -432,54 +398,52 @@ func (c *Conn) execInsert(ctx context.Context, ins *sqlast.Insert, sql string, a
 func (c *Conn) execTargetedDML(ctx context.Context, table string, priv sqlast.Privilege, sql string, args []any) (*engine.Result, error) {
 	c.srv.ddlMu.RLock()
 	defer c.srv.ddlMu.RUnlock()
-	schema := c.srv.Schema()
-	info := schema.Table(table)
-	if info == nil || !info.TenantSpecific() {
-		// Global target: replicate the write everywhere.
-		var first *engine.Result
-		if _, err := c.rconn.ExecContext(ctx, sql, args...); err != nil {
+	if info := c.srv.Schema().Table(table); info == nil || !info.TenantSpecific() {
+		return c.replicate(ctx, sql, args)
+	}
+	return c.routeWrite(ctx, priv, []string{table}, false, sql, args)
+}
+
+// replicate applies a write to a global table on the replica and every
+// shard, returning the first shard's result.
+func (c *Conn) replicate(ctx context.Context, sql string, args []any) (*engine.Result, error) {
+	if _, err := c.rconn.ExecContext(ctx, sql, args...); err != nil {
+		return nil, err
+	}
+	var first *engine.Result
+	for _, sc := range c.sconns {
+		res, err := sc.ExecContext(ctx, sql, args...)
+		if err != nil {
 			return nil, err
 		}
-		for _, sc := range c.sconns {
-			res, err := sc.ExecContext(ctx, sql, args...)
-			if err != nil {
-				return nil, err
-			}
-			if first == nil {
-				first = res
-			}
+		if first == nil {
+			first = res
 		}
-		return first, nil
 	}
-	d, _, err := c.resolveDPrime(priv, []string{table})
+	return first, nil
+}
+
+// routeWrite applies a tenant-table write: on the one shard owning D′, or
+// on every owning shard under its sub-scope, summing affected counts
+// (per-tenant effects are disjoint). An INSERT ... SELECT reading tenant
+// data (fromTenants) cannot be split that way.
+func (c *Conn) routeWrite(ctx context.Context, priv sqlast.Privilege, tables []string, fromTenants bool, sql string, args []any) (*engine.Result, error) {
+	d, err := c.resolveDPrime(priv, tables)
 	if err != nil {
 		return nil, err
 	}
 	sets := c.srv.group(d)
 	if len(sets) <= 1 {
-		rank := c.srv.ShardOf(c.c)
-		if len(sets) == 1 {
-			rank = sets[0].rank
-		}
 		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
-		return c.sconns[rank].ExecContext(ctx, sql, args...)
+		return c.sconns[c.homeRank(sets)].ExecContext(ctx, sql, args...)
+	}
+	if fromTenants {
+		return nil, fmt.Errorf("shard: INSERT ... SELECT over a cross-shard tenant set is not supported")
 	}
 	atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
-	return c.scatterExec(ctx, sql, args, sets)
-}
-
-// scatterExec runs a mutating statement on every owning shard under its
-// sub-scope, summing affected counts (per-tenant effects are disjoint).
-func (c *Conn) scatterExec(ctx context.Context, sql string, args []any, sets []shardSet) (*engine.Result, error) {
-	ranks := make([]int, 0, len(sets))
-	defer func() { c.restoreSubs(ranks) }()
 	affected := 0
 	for _, ss := range sets {
-		ranks = append(ranks, ss.rank)
-		if err := c.setSub(ss.rank, ss.ds); err != nil {
-			return nil, err
-		}
-		res, err := c.sconns[ss.rank].ExecContext(ctx, sql, args...)
+		res, err := c.sub(ss).ExecContext(ctx, sql, args...)
 		if err != nil {
 			return nil, err
 		}
@@ -492,45 +456,27 @@ func (c *Conn) scatterExec(ctx context.Context, sql string, args []any, sets []s
 // shard under the exclusive schema barrier. The replica goes first: a
 // statement that fails its checks (privileges, unknown table) fails there
 // before any shard changed. Statements whose semantics bake the resolved
-// scope (CREATE VIEW; GRANT/REVOKE ... TO ALL) are pre-resolved globally
-// when the session scope is complex — each server evaluating a complex
-// scope against its own partition would diverge.
+// scope (CREATE VIEW; GRANT/REVOKE ... TO ALL) run under the globally
+// resolved scope when the session scope is complex — each server evaluating
+// a complex scope against its own partition would diverge.
 func (c *Conn) execDDL(stmt sqlast.Statement, sql string) (*engine.Result, error) {
 	c.srv.ddlMu.Lock()
 	defer c.srv.ddlMu.Unlock()
-	if needsResolvedScope(stmt) && c.scope != nil && c.scope.Complex != nil {
-		seen := make(map[int64]bool)
-		var union []int64
-		for _, sc := range c.sconns {
-			part, _, err := sc.ResolveScope()
-			if err != nil {
-				return nil, err
-			}
-			for _, t := range part {
-				if !seen[t] {
-					seen[t] = true
-					union = append(union, t)
-				}
-			}
+	conns := append([]*middleware.Conn{c.rconn}, c.sconns...)
+	if needsResolvedScope(stmt) && c.complexScope() {
+		resolved, err := c.resolveComplex()
+		if err != nil {
+			return nil, err
 		}
-		sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
-		resolved := &sqlast.SetScope{Simple: union}
-		orig := c.scope
-		conns := append([]*middleware.Conn{c.rconn}, c.sconns...)
-		for _, sc := range conns {
-			sc.ExecStatement(resolved) //nolint:errcheck // scope install cannot fail
+		for i, sc := range conns {
+			conns[i] = sc.Scoped(resolved)
 		}
-		defer func() {
-			for _, sc := range conns {
-				sc.ExecStatement(orig) //nolint:errcheck // scope install cannot fail
-			}
-		}()
 	}
-	if _, err := c.rconn.Exec(sql); err != nil {
+	if _, err := conns[0].Exec(sql); err != nil {
 		return nil, err
 	}
 	var first *engine.Result
-	for _, sc := range c.sconns {
+	for _, sc := range conns[1:] {
 		res, err := sc.Exec(sql)
 		if err != nil {
 			return nil, fmt.Errorf("shard: DDL diverged across shards (replica succeeded): %w", err)
@@ -560,85 +506,21 @@ func needsResolvedScope(stmt sqlast.Statement) bool {
 // text a single-shard route would run, or the replica's rewrite under the
 // pre-resolved global D′ for cross-shard statements.
 func (c *Conn) RewriteSQL(sql string) (*sqlast.Select, error) {
-	sel, err := c.srv.parseSelect(sql)
+	sel, err := c.rconn.ParseSelect(sql)
 	if err != nil {
 		return nil, err
 	}
 	c.srv.ddlMu.RLock()
 	defer c.srv.ddlMu.RUnlock()
 	if len(c.sconns) == 1 {
-		return c.sconns[0].RewriteSQL(sql)
+		return c.sconns[0].RewriteOnly(sel)
 	}
-	tables := middleware.TenantSpecificTables(sel)
-	d, _, err := c.resolveDPrime(sqlast.PrivRead, tables)
+	d, err := c.resolveDPrime(sqlast.PrivRead, middleware.TenantSpecificTables(sel))
 	if err != nil {
 		return nil, err
 	}
-	sets := c.srv.group(d)
-	if len(sets) == 1 {
-		return c.sconns[sets[0].rank].RewriteSQL(sql)
+	if sets := c.srv.group(d); len(sets) == 1 {
+		return c.sconns[sets[0].rank].RewriteOnly(sel)
 	}
-	if _, err := c.rconn.ExecStatement(&sqlast.SetScope{Simple: d}); err != nil {
-		return nil, err
-	}
-	defer c.rconn.ExecStatement(c.sessionScope()) //nolint:errcheck // scope install cannot fail
-	return c.rconn.RewriteSQL(sql)
-}
-
-// queryReferencesView reports whether any table name anywhere in the
-// query resolves to a stored view.
-func queryReferencesView(sel *sqlast.Select, schema interface {
-	View(name string) []string
-}) bool {
-	found := false
-	var visitQ func(s *sqlast.Select)
-	var visitTE func(te sqlast.TableExpr)
-	visitExpr := func(e sqlast.Expr) {
-		if e == nil {
-			return
-		}
-		sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-			switch x := n.(type) {
-			case *sqlast.SubqueryExpr:
-				visitQ(x.Sub)
-			case *sqlast.ExistsExpr:
-				visitQ(x.Sub)
-			case *sqlast.InExpr:
-				if x.Sub != nil {
-					visitQ(x.Sub)
-				}
-			case *sqlast.Select:
-				visitQ(x)
-			}
-			return !found
-		})
-	}
-	visitTE = func(te sqlast.TableExpr) {
-		switch x := te.(type) {
-		case *sqlast.TableName:
-			if schema.View(x.Name) != nil {
-				found = true
-			}
-		case *sqlast.DerivedTable:
-			visitQ(x.Sub)
-		case *sqlast.JoinExpr:
-			visitTE(x.L)
-			visitTE(x.R)
-		}
-	}
-	visitQ = func(s *sqlast.Select) {
-		if s == nil || found {
-			return
-		}
-		for _, te := range s.From {
-			visitTE(te)
-		}
-		for _, it := range s.Items {
-			visitExpr(it.Expr)
-		}
-		visitExpr(s.Where)
-		visitExpr(s.Having)
-	}
-	visitQ(sel)
-	return found
+	return c.rconn.Scoped(&sqlast.SetScope{Simple: d}).RewriteOnly(sel)
 }

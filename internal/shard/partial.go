@@ -9,11 +9,12 @@ package shard
 // own middleware (full rewrite under the shard's sub-scope), so
 // conversions and D-filters apply exactly as they would unsharded.
 //
-// The gathered partial rows land in a scratch table on the coordinator
-// replica and a combine statement folds them: COUNT → SUM of partial
-// counts, SUM → SUM of partial sums, MIN/MAX → MIN/MAX of partial
-// extrema, AVG → SUM(partial sums) * 1.0 / SUM(partial counts) (the
-// `* 1.0` forces float division; the engine's AVG is always a float).
+// The gathered partial rows become a statement-local relation of the
+// coordinator replica (engine.QueryWith) and a combine statement folds
+// them: COUNT → SUM of partial counts, SUM → SUM of partial sums, MIN/MAX →
+// MIN/MAX of partial extrema, AVG → SUM(partial sums) * 1.0 / SUM(partial
+// counts) (the `* 1.0` forces float division; the engine's AVG is always a
+// float).
 //
 // The fold needs no tenant keys: grouping is by value, and because the
 // decomposed aggregates are associative and commutative, folding partials
@@ -39,9 +40,12 @@ import (
 type partialPlan struct {
 	partial     *sqlast.Select
 	combine     *sqlast.Select
-	tempTable   *sqlast.TableName // combine's FROM — renamed to the scratch slot at run time
-	partialCols []string          // partial output columns, in order (mtg_*, mtp_*)
+	partialCols []string // partial output columns, in order (mtg_*, mtp_*)
 }
+
+// partialsName is the relation the combine statement reads: the gathered
+// partial rows, visible to that one statement only.
+const partialsName = "mt_partials"
 
 // substitution maps original expression text to its combine-side
 // replacement (group keys → mtg refs, aggregate calls → fold exprs).
@@ -181,10 +185,9 @@ func buildPartialPlan(sel *sqlast.Select) (*partialPlan, bool) {
 	partial.Limit = -1
 	partial.Distinct = false
 
-	// Coordinator-side combine over the scratch table.
-	tempTable := &sqlast.TableName{}
+	// Coordinator-side combine over the gathered partial rows.
 	combine := &sqlast.Select{
-		From:    []sqlast.TableExpr{tempTable},
+		From:    []sqlast.TableExpr{&sqlast.TableName{Name: partialsName}},
 		GroupBy: combineGroup,
 		Limit:   sel.Limit,
 	}
@@ -225,7 +228,6 @@ func buildPartialPlan(sel *sqlast.Select) (*partialPlan, bool) {
 	return &partialPlan{
 		partial:     partial,
 		combine:     combine,
-		tempTable:   tempTable,
 		partialCols: partialCols,
 	}, true
 }
@@ -263,7 +265,7 @@ func validIdentifier(s string) bool {
 // substitution key are replaced whole; everything else is rebuilt with
 // substituted children. It fails when a base-table column reference
 // survives outside any substituted subtree — the combine statement may
-// reference only mtg/mtp columns of the scratch table.
+// reference only mtg/mtp columns of the partial rows.
 func substituteExpr(e sqlast.Expr, subst substitution) (sqlast.Expr, bool) {
 	if e == nil {
 		return nil, true
@@ -384,38 +386,27 @@ func sliceArgs(args []any, stmt sqlast.Statement) ([]any, error) {
 }
 
 // partialScatter executes an aggregation pushdown: partials on every
-// owning shard (concurrently — each shard has its own sub-connection and
-// engine), fold on the replica's scratch table.
-func (c *Conn) partialScatter(ctx context.Context, sel *sqlast.Select, args []any, sets []shardSet, an analysis) (*engine.Rows, error) {
-	plan := an.plan
-	partialSQL := plan.partial.String()
+// owning shard (drained concurrently — each shard has its own engine),
+// then the combine statement over the gathered partial rows as a
+// statement-local relation of the replica: the engine's own group, filter,
+// sort and project operators fold them, and nothing enters its catalog.
+func (c *Conn) partialScatter(ctx context.Context, plan *partialPlan, args []any, sets []shardSet) (*engine.Rows, error) {
 	pargs, err := sliceArgs(args, plan.partial)
 	if err != nil {
 		return nil, err
 	}
-
-	// Create all shard cursors sequentially (cursor creation captures the
-	// sub-scope rewrite), then drain them concurrently.
-	curs := make([]*engine.Rows, len(sets))
-	ranks := make([]int, 0, len(sets))
-	for i, ss := range sets {
-		ranks = append(ranks, ss.rank)
-		if err := c.setSub(ss.rank, ss.ds); err != nil {
-			c.restoreSubs(ranks[:i])
-			return nil, err
-		}
-		rows, qerr := c.sconns[ss.rank].QueryContext(ctx, partialSQL, pargs...)
-		if qerr != nil {
-			for _, r := range curs[:i] {
-				r.Close()
-			}
-			c.restoreSubs(ranks)
-			return nil, qerr
-		}
-		curs[i] = rows
+	cargs, err := sliceArgs(args, plan.combine)
+	if err != nil {
+		return nil, err
 	}
-	c.restoreSubs(ranks)
-
+	cvals, err := bindValues(cargs)
+	if err != nil {
+		return nil, err
+	}
+	curs, err := c.scatter(ctx, plan.partial.String(), pargs, sets)
+	if err != nil {
+		return nil, err
+	}
 	results := make([]*engine.Result, len(curs))
 	errs := make([]error, len(curs))
 	var wg sync.WaitGroup
@@ -427,97 +418,17 @@ func (c *Conn) partialScatter(ctx context.Context, sel *sqlast.Select, args []an
 		}(i, rows)
 	}
 	wg.Wait()
-	var partialRows [][]sqltypes.Value
+	partials := engine.Relation{Name: partialsName}
 	for i, e := range errs {
 		if e != nil {
 			return nil, e
 		}
-		partialRows = append(partialRows, results[i].Rows...)
+		partials.Rows = append(partials.Rows, results[i].Rows...)
 	}
-
-	return c.srv.foldPartials(ctx, plan, partialRows, args)
-}
-
-// foldPartials loads partial rows into a scratch slot on the replica and
-// runs the combine statement there, returning the materialized result.
-func (s *Server) foldPartials(ctx context.Context, plan *partialPlan, partialRows [][]sqltypes.Value, args []any) (*engine.Rows, error) {
-	name, err := s.acquireGatherSlot(plan.partialCols, partialRows)
-	if err != nil {
-		return nil, err
+	for i, cn := range plan.partialCols {
+		partials.Cols = append(partials.Cols, engine.Column{Name: cn, Type: inferKind(partials.Rows, i)})
 	}
-	defer s.releaseGatherSlot(name)
-
-	plan.tempTable.Name = name
-	combineSQL := plan.combine.String()
-	cargs, err := sliceArgs(args, plan.combine)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]sqltypes.Value, len(cargs))
-	for i, a := range cargs {
-		if vals[i], err = sqltypes.BindValue(a); err != nil {
-			return nil, err
-		}
-	}
-	rows, err := s.replica.DB().QueryContext(ctx, combineSQL, vals...)
-	if err != nil {
-		return nil, err
-	}
-	res, err := rows.Collect()
-	if err != nil {
-		return nil, err
-	}
-	return engine.MaterializedRows(res.Cols, res.Rows), nil
-}
-
-// acquireGatherSlot takes a scratch table slot on the replica, recreating
-// the table for this gather's column shape and loading the partial rows.
-// Slot names are a small reused pool so the replica's plan cache stays
-// bounded.
-func (s *Server) acquireGatherSlot(cols []string, rows [][]sqltypes.Value) (string, error) {
-	s.gatherMu.Lock()
-	var slot int
-	if n := len(s.gatherFree); n > 0 {
-		slot = s.gatherFree[n-1]
-		s.gatherFree = s.gatherFree[:n-1]
-	} else {
-		slot = s.gatherNext
-		s.gatherNext++
-	}
-	s.gatherMu.Unlock()
-
-	name := fmt.Sprintf("mt_gather_%d", slot)
-	rdb := s.replica.DB()
-	if rdb.Table(name) != nil {
-		if _, err := rdb.ExecSQL("DROP TABLE " + name); err != nil {
-			s.freeSlot(slot)
-			return "", err
-		}
-	}
-	tcols := make([]engine.Column, len(cols))
-	for i, cn := range cols {
-		tcols[i] = engine.Column{Name: cn, Type: inferKind(rows, i)}
-	}
-	rdb.CreateTableDirect(name, tcols, nil)
-	rdb.Table(name).BulkLoad(rows)
-	return name, nil
-}
-
-func (s *Server) releaseGatherSlot(name string) {
-	var slot int
-	fmt.Sscanf(name, "mt_gather_%d", &slot)
-	// Keep the (empty) table definition; the next acquire drops and
-	// recreates it for its own column shape.
-	if t := s.replica.DB().Table(name); t != nil {
-		t.ReplaceRows(nil)
-	}
-	s.freeSlot(slot)
-}
-
-func (s *Server) freeSlot(slot int) {
-	s.gatherMu.Lock()
-	s.gatherFree = append(s.gatherFree, slot)
-	s.gatherMu.Unlock()
+	return c.srv.replica.DB().QueryWith(ctx, plan.combine, cvals, partials)
 }
 
 // inferKind picks a column type from the first non-null value; an

@@ -19,10 +19,15 @@
 //     fallback on the coordinator replica).
 //
 // A "replica" middleware.Server accompanies the shards as coordinator: it
-// holds all metadata and global data but NO tenant rows. It resolves
-// scopes and privileges for routing, hosts the fold tables of the
-// partial-aggregation gather, and executes repartition fallbacks after
-// the owning shards' rows are copied in.
+// holds all metadata and global data but NO tenant rows, ever. It resolves
+// scopes and privileges for routing and executes the two gathers that need
+// an engine — the partial-aggregation fold and the repartition fallback —
+// over statement-local relations (engine.QueryWith): the shards' rows are
+// visible to that one statement and never enter the replica's catalog.
+//
+// The coordinator keeps no per-statement state outside the statement
+// (DESIGN.md ADR-012): a shard session under a sub-scope is a value copy
+// (middleware.Conn.Scoped), so sessions share nothing but the shards.
 //
 // DDL, grants and tenant registration fan out to the replica and every
 // shard under a schema-generation barrier (ddlMu): statements route under
@@ -38,8 +43,6 @@ import (
 	"mtbase/internal/engine"
 	"mtbase/internal/middleware"
 	"mtbase/internal/mtsql"
-	"mtbase/internal/sqlast"
-	"mtbase/internal/sqlparse"
 )
 
 // Server is a sharded counterpart of middleware.Server: same Connect/
@@ -55,24 +58,8 @@ type Server struct {
 	// exclusively while fanning out to every shard.
 	ddlMu sync.RWMutex
 
-	// fbMu serializes repartition fallbacks: the replica's tenant tables
-	// are a scratch area owned by one fallback at a time.
-	fbMu sync.Mutex
-
 	stats Stats
-
-	// Gather-slot pool: scratch tables on the replica for partial-agg
-	// folds. Slots are reused so the replica's catalog stays bounded.
-	gatherMu   sync.Mutex
-	gatherFree []int
-	gatherNext int
-
-	// selCache mirrors the middleware's parse cache for the routing layer.
-	selMu    sync.Mutex
-	selCache map[string]*sqlast.Select
 }
-
-const selCacheCap = 512
 
 type config struct {
 	place     Placement
@@ -111,7 +98,7 @@ func New(nshards int, mode engine.Mode, opts ...Option) (*Server, error) {
 	for _, m := range cfg.modellers {
 		mwOpts = append(mwOpts, middleware.WithDataModeller(m))
 	}
-	s := &Server{place: cfg.place, selCache: make(map[string]*sqlast.Select)}
+	s := &Server{place: cfg.place}
 	for i := 0; i < nshards; i++ {
 		s.shards = append(s.shards, middleware.NewServer(engine.Open(mode), mwOpts...))
 	}
@@ -180,29 +167,6 @@ func (s *Server) Connect(ttid int64) (*Conn, error) {
 		}
 	}
 	return &Conn{srv: s, c: ttid, level: rconn.OptLevel(), rconn: rconn, sconns: sconns}, nil
-}
-
-// parseSelect parses sql as a query, serving repeats from the routing
-// layer's parse cache. Cached ASTs are shared: routing only reads them,
-// and the partial-aggregation builder clones before mutating.
-func (s *Server) parseSelect(sql string) (*sqlast.Select, error) {
-	s.selMu.Lock()
-	if sel, ok := s.selCache[sql]; ok {
-		s.selMu.Unlock()
-		return sel, nil
-	}
-	s.selMu.Unlock()
-	sel, err := sqlparse.ParseQuery(sql)
-	if err != nil {
-		return nil, err
-	}
-	s.selMu.Lock()
-	if len(s.selCache) >= selCacheCap {
-		s.selCache = make(map[string]*sqlast.Select)
-	}
-	s.selCache[sql] = sel
-	s.selMu.Unlock()
-	return sel, nil
 }
 
 // shardSet is one scatter target: a shard rank and the subset of D′ it

@@ -5,6 +5,7 @@
 package shard
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -278,5 +279,39 @@ func TestBuildPartialPlanDecomposition(t *testing.T) {
 	if _, ok := buildPartialPlan(parseSel(t,
 		"SELECT COUNT(DISTINCT e_name) FROM emp")); ok {
 		t.Error("COUNT(DISTINCT) must reject the pushdown")
+	}
+}
+
+// TestOpenPartsClosesOpenedOnFailure: the one place shard cursors are
+// opened has one error path — a target that fails to open closes every
+// cursor opened before it, and no later target is tried.
+func TestOpenPartsClosesOpenedOnFailure(t *testing.T) {
+	db := engine.Open(engine.ModePostgres)
+	down := errors.New("shard 2 is down")
+	var opened []*engine.Rows
+	open := func(ss shardSet) (*engine.Rows, error) {
+		if ss.rank == 2 {
+			return nil, down
+		}
+		rows, err := db.QueryRows("SELECT 1 AS one")
+		opened = append(opened, rows)
+		return rows, err
+	}
+	sets := []shardSet{{rank: 0}, {rank: 1}, {rank: 2}, {rank: 3}}
+	if parts, err := openParts(sets, open); !errors.Is(err, down) || parts != nil {
+		t.Fatalf("openParts = %v, %v; want nil and the shard's error", parts, err)
+	}
+	if len(opened) != 2 {
+		t.Fatalf("%d cursors opened, want 2 (ranks 0 and 1; rank 3 never tried)", len(opened))
+	}
+	for i, rows := range opened {
+		if rows.Next() {
+			t.Errorf("cursor of rank %d is still open after the failed scatter", i)
+		}
+	}
+
+	parts, err := openParts(sets[:2], open)
+	if err != nil || len(parts) != 2 || !parts[0].Next() || !parts[1].Next() {
+		t.Fatalf("openParts without a failure = %d cursors, %v; want 2 readable ones", len(parts), err)
 	}
 }

@@ -31,7 +31,7 @@ type Stmt struct {
 // session statements have nothing to parameterize and are rejected.
 func (c *Conn) Prepare(sql string) (*Stmt, error) {
 	st := &Stmt{conn: c, raw: sql}
-	if sel, err := c.srv.parseSelect(sql); err == nil {
+	if sel, err := c.rconn.ParseSelect(sql); err == nil {
 		st.sel = sel
 		st.nParams = sqlast.MaxParam(sel)
 		return st, nil
