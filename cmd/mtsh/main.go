@@ -30,6 +30,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -47,37 +48,30 @@ import (
 	"mtbase/internal/sqltypes"
 )
 
-// rowStream is the cursor surface the shell prints from. *engine.Rows
-// (in-process) and *client.Rows (wire) both satisfy it.
-type rowStream interface {
-	Columns() []string
-	Next() bool
-	Row() []sqltypes.Value
-	Err() error
-	Close() error
+// preparedStmt is one \prepare'd statement: what \exec needs of it, whichever
+// transport holds the handle.
+type preparedStmt struct {
+	nParams int
+	run     func(args ...any) (*engine.Result, error)
+	close   func() error
 }
 
-// prepStmt is the prepared-statement surface. *middleware.Stmt and
-// *client.Stmt both satisfy it.
-type prepStmt interface {
-	NumParams() int
-	IsQuery() bool
-	Exec(args ...any) (*engine.Result, error)
-	QueryResult(args ...any) (*engine.Result, error)
-	Close() error
-}
-
-// backend abstracts where statements run: an in-process middleware
-// connection or a wire connection to mtserve.
+// backend abstracts the transport statements travel over: function calls
+// into an in-process tier (any middleware.Session), or the mtserve wire
+// protocol, whose cursors and statement handles are the client package's
+// own types.
 type backend interface {
 	C() int64
 	Exec(sql string) (*engine.Result, error)
-	Stream(sql string) (rowStream, error)
-	Prepare(sql string) (prepStmt, error)
+	// Stream runs a query, handing the column names and then each row (valid
+	// only during the call) to the callbacks as batches arrive.
+	Stream(sql string, header func(cols []string), row func([]sqltypes.Value)) error
+	Prepare(sql string) (*preparedStmt, error)
 	SetLevel(l optimizer.Level) error
 	Explain(sql string) (string, error)
 	Reconnect(ttid int64) (backend, error)
 	Stats() ([]string, error)
+	ShardInfo() ([]string, error)
 }
 
 func main() {
@@ -98,10 +92,8 @@ func main() {
 	switch {
 	case *connect != "":
 		be, err = dialRemote(*connect, *ttid, optimizer.O4)
-	case *shards > 1:
-		be, err = buildSharded(*sf, *tenants, *mode, *shards, *ttid)
 	default:
-		be, err = buildLocal(*sf, *tenants, *mode, *ttid)
+		be, err = buildInProcess(*sf, *tenants, *mode, *shards, *ttid)
 	}
 	if err != nil {
 		fatal(err)
@@ -110,7 +102,7 @@ func main() {
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 1<<20), 1<<20)
 	var pending strings.Builder
-	prepared := make(map[string]prepStmt)
+	prepared := make(map[string]*preparedStmt)
 	prompt := func() { fmt.Printf("mtsql(C=%d)> ", be.C()) }
 	prompt()
 	for in.Scan() {
@@ -137,43 +129,83 @@ func main() {
 	}
 }
 
-// localBackend runs statements on an in-process instance.
-type localBackend struct {
-	inst *mth.Instance
-	conn *middleware.Conn
+// inProcess runs statements on an in-process instance, unsharded or
+// tenant-partitioned: the two tiers differ only in how a session is opened
+// and which counters they report.
+type inProcess struct {
+	connect func(ttid int64) (middleware.Session, error)
+	stats   func() []middleware.Stat
+	shards  *shard.Server // nil when unsharded
+	conn    middleware.Session
 }
 
-func buildLocal(sf float64, tenants int, mode string, ttid int64) (backend, error) {
-	m := engine.ModePostgres
+func buildInProcess(sf float64, tenants int, mode string, nshards int, ttid int64) (backend, error) {
+	cfg := mth.Config{SF: sf, Tenants: tenants, Dist: mth.Uniform, Seed: 42, Mode: engine.ModePostgres}
 	if mode == "system-c" {
-		m = engine.ModeSystemC
+		cfg.Mode = engine.ModeSystemC
 	}
-	fmt.Fprintf(os.Stderr, "loading MT-H sf=%g T=%d ...\n", sf, tenants)
-	inst, err := mth.BuildMT(mth.Config{SF: sf, Tenants: tenants, Dist: mth.Uniform, Seed: 42, Mode: m})
-	if err != nil {
-		return nil, err
+	fmt.Fprintf(os.Stderr, "loading MT-H sf=%g T=%d over %d shard(s) ...\n", sf, tenants, nshards)
+	b := &inProcess{}
+	var grantRead func(client int64) error
+	if nshards > 1 {
+		inst, err := mth.BuildMTSharded(cfg, nshards)
+		if err != nil {
+			return nil, err
+		}
+		b.connect, b.stats, b.shards = middleware.Connector(inst.Srv.Connect), inst.Srv.StatLines, inst.Srv
+		grantRead = inst.GrantReadTo
+	} else {
+		inst, err := mth.BuildMT(cfg)
+		if err != nil {
+			return nil, err
+		}
+		b.connect, b.stats = middleware.Connector(inst.Srv.Connect), inst.Srv.StatLines
+		grantRead = inst.GrantReadTo
 	}
 	// Demo convenience: everyone may read everyone (the paper's healthcare
 	// scenario would use explicit GRANTs instead).
 	for t := int64(1); t <= int64(tenants); t++ {
-		if err := inst.GrantReadTo(t); err != nil {
+		if err := grantRead(t); err != nil {
 			return nil, err
 		}
 	}
-	conn, err := inst.Srv.Connect(ttid)
+	var err error
+	if b.conn, err = b.connect(ttid); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+func (b *inProcess) C() int64                                { return b.conn.C() }
+func (b *inProcess) Exec(sql string) (*engine.Result, error) { return b.conn.Exec(sql) }
+func (b *inProcess) SetLevel(l optimizer.Level) error        { b.conn.SetOptLevel(l); return nil }
+
+func (b *inProcess) Stream(sql string, header func([]string), row func([]sqltypes.Value)) error {
+	rows, err := b.conn.QueryRows(sql)
+	if err != nil {
+		return err
+	}
+	defer rows.Close()
+	header(rows.Columns())
+	for rows.Next() {
+		row(rows.Row())
+	}
+	return rows.Err()
+}
+
+func (b *inProcess) Prepare(sql string) (*preparedStmt, error) {
+	st, err := b.conn.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	return &localBackend{inst: inst, conn: conn}, nil
+	run := st.Exec
+	if st.IsQuery() {
+		run = st.QueryResult
+	}
+	return &preparedStmt{nParams: st.NumParams(), run: run, close: st.Close}, nil
 }
 
-func (b *localBackend) C() int64                                 { return b.conn.C() }
-func (b *localBackend) Exec(sql string) (*engine.Result, error)  { return b.conn.Exec(sql) }
-func (b *localBackend) Stream(sql string) (rowStream, error)     { return b.conn.QueryRows(sql) }
-func (b *localBackend) Prepare(sql string) (prepStmt, error)     { return b.conn.Prepare(sql) }
-func (b *localBackend) SetLevel(l optimizer.Level) error         { b.conn.SetOptLevel(l); return nil }
-
-func (b *localBackend) Explain(sql string) (string, error) {
+func (b *inProcess) Explain(sql string) (string, error) {
 	rewritten, err := b.conn.RewriteSQL(sql)
 	if err != nil {
 		return "", err
@@ -181,91 +213,19 @@ func (b *localBackend) Explain(sql string) (string, error) {
 	return rewritten.String(), nil
 }
 
-func (b *localBackend) Reconnect(ttid int64) (backend, error) {
-	next, err := b.inst.Srv.Connect(ttid)
+func (b *inProcess) Reconnect(ttid int64) (backend, error) {
+	conn, err := b.connect(ttid)
 	if err != nil {
 		return nil, err
 	}
-	next.SetOptLevel(b.conn.OptLevel())
-	return &localBackend{inst: b.inst, conn: next}, nil
+	conn.SetOptLevel(b.conn.OptLevel())
+	next := *b
+	next.conn = conn
+	return &next, nil
 }
 
-func (b *localBackend) Stats() ([]string, error) {
-	es := b.inst.Srv.DB().Stats.Snapshot()
-	hits, misses := b.inst.Srv.RewriteCacheStats()
-	return []string{
-		fmt.Sprintf("engine.udf_calls %d", es.UDFCalls),
-		fmt.Sprintf("engine.plan_cache_hits %d", es.PlanCacheHits),
-		fmt.Sprintf("engine.plan_cache_misses %d", es.PlanCacheMisses),
-		fmt.Sprintf("engine.rows_streamed %d", es.RowsStreamed),
-		fmt.Sprintf("engine.spill_runs %d", es.SpillRuns),
-		fmt.Sprintf("engine.spill_bytes %d", es.SpillBytes),
-		fmt.Sprintf("engine.peak_mem_bytes %d", es.PeakMemBytes),
-		fmt.Sprintf("middleware.rewrite_cache_hits %d", hits),
-		fmt.Sprintf("middleware.rewrite_cache_misses %d", misses),
-	}, nil
-}
-
-// shardInfo is the optional backend surface behind \shards.
-type shardInfo interface {
-	ShardInfo() ([]string, error)
-}
-
-// shardedBackend runs statements on an in-process tenant-partitioned
-// instance: single-tenant statements hit one shard, cross-tenant ones
-// scatter/gather.
-type shardedBackend struct {
-	inst *mth.ShardedInstance
-	conn *shard.Conn
-}
-
-func buildSharded(sf float64, tenants int, mode string, nshards int, ttid int64) (backend, error) {
-	m := engine.ModePostgres
-	if mode == "system-c" {
-		m = engine.ModeSystemC
-	}
-	fmt.Fprintf(os.Stderr, "loading MT-H sf=%g T=%d over %d shards ...\n", sf, tenants, nshards)
-	inst, err := mth.BuildMTSharded(mth.Config{SF: sf, Tenants: tenants, Dist: mth.Uniform, Seed: 42, Mode: m}, nshards)
-	if err != nil {
-		return nil, err
-	}
-	for t := int64(1); t <= int64(tenants); t++ {
-		if err := inst.GrantReadTo(t); err != nil {
-			return nil, err
-		}
-	}
-	conn, err := inst.Srv.Connect(ttid)
-	if err != nil {
-		return nil, err
-	}
-	return &shardedBackend{inst: inst, conn: conn}, nil
-}
-
-func (b *shardedBackend) C() int64                                { return b.conn.C() }
-func (b *shardedBackend) Exec(sql string) (*engine.Result, error) { return b.conn.Exec(sql) }
-func (b *shardedBackend) Stream(sql string) (rowStream, error)    { return b.conn.QueryRows(sql) }
-func (b *shardedBackend) Prepare(sql string) (prepStmt, error)    { return b.conn.Prepare(sql) }
-func (b *shardedBackend) SetLevel(l optimizer.Level) error        { b.conn.SetOptLevel(l); return nil }
-
-func (b *shardedBackend) Explain(sql string) (string, error) {
-	rewritten, err := b.conn.RewriteSQL(sql)
-	if err != nil {
-		return "", err
-	}
-	return rewritten.String(), nil
-}
-
-func (b *shardedBackend) Reconnect(ttid int64) (backend, error) {
-	next, err := b.inst.Srv.Connect(ttid)
-	if err != nil {
-		return nil, err
-	}
-	next.SetOptLevel(b.conn.OptLevel())
-	return &shardedBackend{inst: b.inst, conn: next}, nil
-}
-
-func (b *shardedBackend) Stats() ([]string, error) {
-	stats := b.inst.Srv.StatLines()
+func (b *inProcess) Stats() ([]string, error) {
+	stats := b.stats()
 	lines := make([]string, len(stats))
 	for i, st := range stats {
 		lines[i] = fmt.Sprintf("%s %d", st.Name, st.Value)
@@ -273,17 +233,21 @@ func (b *shardedBackend) Stats() ([]string, error) {
 	return lines, nil
 }
 
-func (b *shardedBackend) ShardInfo() ([]string, error) {
-	srv := b.inst.Srv
-	lines := []string{fmt.Sprintf("shards %d (placement: tenant -> shard)", srv.NumShards())}
-	for _, ts := range srv.PlacementMap() {
+func (b *inProcess) ShardInfo() ([]string, error) {
+	if b.shards == nil {
+		return nil, errNotSharded
+	}
+	lines := []string{fmt.Sprintf("shards %d (placement: tenant -> shard)", b.shards.NumShards())}
+	for _, ts := range b.shards.PlacementMap() {
 		lines = append(lines, fmt.Sprintf("tenant %d -> shard %d", ts.Tenant, ts.Shard))
 	}
-	for rank, n := range srv.RowCounts() {
+	for rank, n := range b.shards.RowCounts() {
 		lines = append(lines, fmt.Sprintf("shard %d: %d tenant rows", rank, n))
 	}
 	return lines, nil
 }
+
+var errNotSharded = errors.New("not a sharded session (start mtsh with -shards N)")
 
 // remoteBackend runs statements over the mtserve wire protocol.
 type remoteBackend struct {
@@ -303,9 +267,33 @@ func dialRemote(addr string, ttid int64, level optimizer.Level) (backend, error)
 
 func (b *remoteBackend) C() int64                                { return b.conn.C() }
 func (b *remoteBackend) Exec(sql string) (*engine.Result, error) { return b.conn.Exec(sql) }
-func (b *remoteBackend) Stream(sql string) (rowStream, error)    { return b.conn.QueryRows(sql) }
-func (b *remoteBackend) Prepare(sql string) (prepStmt, error)    { return b.conn.Prepare(sql) }
 func (b *remoteBackend) Explain(sql string) (string, error)      { return b.conn.Explain(sql) }
+func (b *remoteBackend) ShardInfo() ([]string, error)            { return nil, errNotSharded }
+
+func (b *remoteBackend) Stream(sql string, header func([]string), row func([]sqltypes.Value)) error {
+	rows, err := b.conn.QueryRows(sql)
+	if err != nil {
+		return err
+	}
+	defer rows.Close()
+	header(rows.Columns())
+	for rows.Next() {
+		row(rows.Row())
+	}
+	return rows.Err()
+}
+
+func (b *remoteBackend) Prepare(sql string) (*preparedStmt, error) {
+	st, err := b.conn.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	run := st.Exec
+	if st.IsQuery() {
+		run = st.QueryResult
+	}
+	return &preparedStmt{nParams: st.NumParams(), run: run, close: st.Close}, nil
+}
 
 func (b *remoteBackend) SetLevel(l optimizer.Level) error {
 	if err := b.conn.SetOptLevel(l); err != nil {
@@ -336,7 +324,7 @@ func (b *remoteBackend) Stats() ([]string, error) {
 	return lines, nil
 }
 
-func metaCommand(be *backend, prepared map[string]prepStmt, cmd string) bool {
+func metaCommand(be *backend, prepared map[string]*preparedStmt, cmd string) bool {
 	fields := strings.Fields(cmd)
 	switch fields[0] {
 	case "\\q":
@@ -359,7 +347,7 @@ func metaCommand(be *backend, prepared map[string]prepStmt, cmd string) bool {
 		*be = next
 		// Prepared statements capture the session's C; drop them.
 		for name, st := range prepared {
-			st.Close()
+			st.close()
 			delete(prepared, name)
 		}
 		fmt.Println("prepared statements cleared")
@@ -376,7 +364,7 @@ func metaCommand(be *backend, prepared map[string]prepStmt, cmd string) bool {
 			return false
 		}
 		prepared[name] = st
-		fmt.Printf("prepared %q (%d parameters)\n", name, st.NumParams())
+		fmt.Printf("prepared %q (%d parameters)\n", name, st.nParams)
 	case "\\exec":
 		if len(fields) < 2 {
 			fmt.Println("usage: \\exec name [args...]")
@@ -393,15 +381,11 @@ func metaCommand(be *backend, prepared map[string]prepStmt, cmd string) bool {
 			fmt.Println(err)
 			return false
 		}
-		if len(args) != st.NumParams() {
-			fmt.Printf("statement %q takes %d parameters, got %d\n", fields[1], st.NumParams(), len(args))
+		if len(args) != st.nParams {
+			fmt.Printf("statement %q takes %d parameters, got %d\n", fields[1], st.nParams, len(args))
 			return false
 		}
-		run := st.Exec
-		if st.IsQuery() {
-			run = st.QueryResult
-		}
-		res, err := run(args...)
+		res, err := st.run(args...)
 		if err != nil {
 			fmt.Println("error:", err)
 			return false
@@ -440,12 +424,7 @@ func metaCommand(be *backend, prepared map[string]prepStmt, cmd string) bool {
 			fmt.Println(l)
 		}
 	case "\\shards":
-		si, ok := (*be).(shardInfo)
-		if !ok {
-			fmt.Println("not a sharded session (start mtsh with -shards N)")
-			return false
-		}
-		lines, err := si.ShardInfo()
+		lines, err := (*be).ShardInfo()
 		if err != nil {
 			fmt.Println(err)
 			return false
@@ -478,37 +457,33 @@ func execute(be backend, sql string) {
 	printResult(res)
 }
 
-// streamQuery drains a cursor, printing the first maxShow rows as they are
-// delivered and counting the rest.
+// streamQuery prints the first maxShow rows as they are delivered and
+// counts the rest.
 func streamQuery(be backend, sql string) {
-	rows, err := be.Stream(sql)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	defer rows.Close()
 	const maxShow = 50
-	fmt.Println(strings.Join(rows.Columns(), " | "))
 	n := 0
-	for rows.Next() {
-		n++
-		if n > maxShow {
-			continue
-		}
-		row := rows.Row()
-		parts := make([]string, len(row))
-		for j, v := range row {
-			parts[j] = v.String()
-		}
-		fmt.Println(strings.Join(parts, " | "))
-	}
-	if err := rows.Err(); err != nil {
+	err := be.Stream(sql,
+		func(cols []string) { fmt.Println(strings.Join(cols, " | ")) },
+		func(row []sqltypes.Value) {
+			if n++; n <= maxShow {
+				fmt.Println(rowLine(row))
+			}
+		})
+	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	if n > maxShow {
 		fmt.Printf("... (%d rows total)\n", n)
 	}
+}
+
+func rowLine(row []sqltypes.Value) string {
+	parts := make([]string, len(row))
+	for j, v := range row {
+		parts[j] = v.String()
+	}
+	return strings.Join(parts, " | ")
 }
 
 func printResult(res *engine.Result) {
@@ -522,11 +497,7 @@ func printResult(res *engine.Result) {
 			fmt.Printf("... (%d rows total)\n", len(res.Rows))
 			break
 		}
-		parts := make([]string, len(row))
-		for j, v := range row {
-			parts[j] = v.String()
-		}
-		fmt.Println(strings.Join(parts, " | "))
+		fmt.Println(rowLine(row))
 	}
 }
 

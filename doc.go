@@ -53,7 +53,12 @@
 //   - optimizer — the o1–o4 / inl-only optimization passes (§4)
 //   - middleware — MTBase proper: sessions, scopes, privileges (Figure 4);
 //     Conn.Prepare gives prepared MTSQL statements whose rewrite is cached
-//     against the parameterized text and shared across bindings
+//     against the parameterized text and shared across bindings. The
+//     session shape is declared once, in middleware/session.go (ADR-013 in
+//     DESIGN.md): a tier implements a six-method parsed-statement core,
+//     and Exec/Query/Prepare and the prepared Stmt are written once over
+//     it (Text), so middleware.Conn and shard.Conn are both a
+//     middleware.Session and return the same *Stmt and *engine.Rows
 //   - mth — the MT-H benchmark: dbgen, 22 queries, validation (§5)
 //   - bench — the experiment driver for every table and figure (§6), plus
 //     the mixed read/write throughput mode (mtbench -mixed) and the wire
@@ -64,7 +69,8 @@
 //     in DESIGN.md)
 //   - shard — tenant-partitioned scale-out (ADR-009 and ADR-012 in
 //     DESIGN.md): N independent engine+middleware shards plus a
-//     coordinator replica behind the same Conn/Prepare/Stmt/Rows surface.
+//     coordinator replica behind the same middleware.Session surface
+//     (shard.Conn implements only the routing core).
 //     The rewrite's privilege-pruned tenant set D′ routes every
 //     statement: one shard for single-tenant work, deterministic
 //     scatter/gather for cross-tenant work (ordered k-way merge under

@@ -102,21 +102,15 @@ func (s OptSpec) queryIDs() []int {
 	return ids
 }
 
-// session is the measured surface: a middleware.Conn or a shard.Conn.
-type session interface {
-	SetOptLevel(optimizer.Level)
-	Exec(sql string) (*engine.Result, error)
-}
-
 // buildMTSession stands up the measured deployment — unsharded, or with
 // nshards > 1 partitioned over engine shards — applying the spec's engine
 // knobs everywhere, and returns the session plus every engine DB involved
 // so counters can be aggregated across shards and the gather replica.
 func buildMTSession(cfg mth.Config, nshards int, c int64, scope string,
-	noPlanCache bool, parallelism int, memLimit int64) (session, []*engine.DB, error) {
+	noPlanCache bool, parallelism int, memLimit int64) (middleware.Session, []*engine.DB, error) {
 	data := mth.Generate(cfg)
 	var (
-		conn    session
+		conn    middleware.Session
 		servers []*middleware.Server
 	)
 	if nshards > 1 {
@@ -282,7 +276,7 @@ func timePlain(db *engine.DB, q mth.Query, repeats int) (float64, uint64, error)
 	return last, allocs, nil
 }
 
-func timeMT(conn mth.Session, q mth.Query, repeats int) (float64, uint64, error) {
+func timeMT(conn middleware.Session, q mth.Query, repeats int) (float64, uint64, error) {
 	var last float64
 	var allocs uint64
 	for i := 0; i < repeats; i++ {

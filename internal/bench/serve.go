@@ -72,26 +72,6 @@ func (s *ServeSpec) defaults() {
 	}
 }
 
-// runWireQuery mirrors mth.RunOnMT over a wire connection: setup
-// statements, the measured SELECT, teardown.
-func runWireQuery(conn *client.Conn, q mth.Query) error {
-	for _, s := range q.Setup {
-		if _, err := conn.Exec(s); err != nil {
-			return fmt.Errorf("Q%d setup: %w", q.ID, err)
-		}
-	}
-	_, err := conn.Query(q.SQL)
-	for _, s := range q.Teardown {
-		if _, terr := conn.Exec(s); terr != nil && err == nil {
-			err = terr
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("Q%d: %w", q.ID, err)
-	}
-	return nil
-}
-
 // RunServe measures wire-protocol query throughput per optimization level.
 // With spec.Addr empty it builds the MT-H instance and serves it on a TCP
 // loopback; otherwise it connects to the server already running there
@@ -152,7 +132,11 @@ func runServeLevel(addr string, level optimizer.Level, q mth.Query, spec ServeSp
 		}
 		conns[i] = conn
 	}
-	if err := runWireQuery(conns[0], q); err != nil { // warm plan + UDF caches
+	runWireQuery := func(conn *client.Conn) error {
+		_, err := q.Run(func(sql string) (*engine.Result, error) { return conn.Exec(sql) })
+		return err
+	}
+	if err := runWireQuery(conns[0]); err != nil { // warm plan + UDF caches
 		return nil, err
 	}
 
@@ -167,7 +151,7 @@ func runServeLevel(addr string, level optimizer.Level, q mth.Query, spec ServeSp
 			defer wg.Done()
 			for atomic.AddInt64(&taken, 1) <= int64(spec.Ops) {
 				t0 := time.Now()
-				if err := runWireQuery(conns[r], q); err != nil {
+				if err := runWireQuery(conns[r]); err != nil {
 					errc <- err
 					return
 				}

@@ -165,21 +165,6 @@ func (c *Conn) readReply() (wire.MsgType, []byte, error) {
 	return t, payload, nil
 }
 
-func bindArgs(args []any) ([]sqltypes.Value, error) {
-	if len(args) == 0 {
-		return nil, nil
-	}
-	out := make([]sqltypes.Value, len(args))
-	for i, a := range args {
-		v, err := sqltypes.BindValue(a)
-		if err != nil {
-			return nil, fmt.Errorf("client: arg %d: %w", i+1, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // Exec runs one statement (any kind) and returns its materialized result.
 func (c *Conn) Exec(sql string, args ...any) (*engine.Result, error) {
 	return c.ExecContext(context.Background(), sql, args...)
@@ -218,7 +203,7 @@ func (c *Conn) QueryRows(sql string, args ...any) (*Rows, error) {
 // exhausted; Result() (or collect via ExecContext) carries the affected
 // count.
 func (c *Conn) QueryContext(ctx context.Context, sql string, args ...any) (*Rows, error) {
-	vals, err := bindArgs(args)
+	vals, err := sqltypes.BindValues(args)
 	if err != nil {
 		return nil, err
 	}

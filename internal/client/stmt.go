@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"mtbase/internal/engine"
+	"mtbase/internal/sqltypes"
 	"mtbase/internal/wire"
 )
 
@@ -87,7 +88,7 @@ func (st *Stmt) bindExecute(args []any, wantRows bool) error {
 	if st.closed {
 		return fmt.Errorf("client: statement closed")
 	}
-	vals, err := bindArgs(args)
+	vals, err := sqltypes.BindValues(args)
 	if err != nil {
 		return err
 	}

@@ -1009,8 +1009,22 @@ func (ex *exec) joinKey(buf []byte, exprs []sqlast.Expr, row []sqltypes.Value, s
 // cross product.
 func (ex *exec) hashJoin(l, r *relation, pairs []equiPair, parent *scope) (*relation, error) {
 	out := joinRel(l, r)
+	// Cancellation is polled every BatchSize probe rows and every BatchSize
+	// output rows: a cross product or a wide bucket expands one probe row
+	// into many.
+	polled := 0
+	poll := func(li int) error {
+		if li&(BatchSize-1) != 0 && len(out.rows)-polled < BatchSize {
+			return nil
+		}
+		polled = len(out.rows)
+		return ex.cancelled()
+	}
 	if len(pairs) == 0 {
-		for _, lr := range l.rows {
+		for li, lr := range l.rows {
+			if err := poll(li); err != nil {
+				return nil, err
+			}
 			for _, rr := range r.rows {
 				out.rows = append(out.rows, concatRows(lr, rr, out.width))
 			}
@@ -1037,11 +1051,9 @@ func (ex *exec) hashJoin(l, r *relation, pairs []equiPair, parent *scope) (*rela
 	lsc, lexprs := l.scopeFor(parent), pairExprs(pairs, false)
 	var buf []byte
 	var err error
-	for ri, lr := range l.rows {
-		if ri&(BatchSize-1) == 0 {
-			if err := ex.cancelled(); err != nil {
-				return nil, err
-			}
+	for li, lr := range l.rows {
+		if err := poll(li); err != nil {
+			return nil, err
 		}
 		var null bool
 		buf, null, err = ex.joinKey(buf, lexprs, lr, lsc)

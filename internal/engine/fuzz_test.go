@@ -353,6 +353,45 @@ func TestQueryFuzz(t *testing.T) {
 	}
 }
 
+// TestCancelMidJoinMutant is the input that kept the fuzz leg red: a TPC-H
+// seed whose WHERE the fuzzer mutated away, so the FROM list is a cross
+// product of 150 x 1 500 x 6 000 rows. No arm can finish it; every arm must
+// notice the deadline within a fill (production) or a probe row (reference)
+// instead of first expanding a probe batch against the whole build side,
+// and leave no spill file behind.
+func TestCancelMidJoinMutant(t *testing.T) {
+	a := newFuzzArms(t)
+	dir := t.TempDir()
+	a.db.SetSpillDir(dir)
+	defer a.reset()
+	arms := map[string]func(){
+		"production":      func() {},
+		"reference":       func() { a.db.SetStreamExec(false) },
+		"evaluator-check": func() { a.db.SetCompileExprs(false) },
+		"parallel-8":      func() { a.db.SetParallelism(8) },
+		"capped":          func() { a.db.SetMemoryLimit(fuzzMemLimit) },
+	}
+	for name, prep := range arms {
+		a.reset()
+		prep()
+		start := time.Now()
+		got := a.run(`SELECT * FROM customer, orders, lineitem`, 100*time.Millisecond)
+		if !timedOut(got) {
+			t.Errorf("%s: want the context's deadline error, got %.80q", name, got)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("%s: took %v to notice a 100ms deadline", name, d)
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Errorf("%d spill files leaked", len(ents))
+	}
+}
+
 // FuzzQuery is the native fuzz target: arbitrary SQL (seeded with the 22
 // MT-H queries and a sample of generated shapes) must never panic the
 // engine, and whenever the baseline succeeds, every arm must agree as

@@ -283,9 +283,18 @@ type joinOperator struct {
 	cross     []int
 	rightRows [][]sqltypes.Value
 
-	lks     *vecKeySet
-	buf     []byte
+	lks *vecKeySet
+	buf []byte
+
+	// Probe state: the probe batch being expanded, its selected rows with
+	// their buckets, how far the expansion got (row selPos of sel, match
+	// bktPos of its bucket) and how many output rows it still allocates.
+	probe   *Batch
+	sel     []int32
 	buckets [][]int
+	selPos  int
+	bktPos  int
+	fresh   int
 
 	pending [][]sqltypes.Value
 	pendPos int
@@ -425,18 +434,19 @@ func (j *joinOperator) Next(ex *exec) (*Batch, error) {
 		if err := ex.cancelled(); err != nil {
 			return nil, err
 		}
-		b, err := j.left.Next(ex)
-		if err != nil {
-			return nil, err
+		if j.selPos >= len(j.sel) {
+			b, err := j.left.Next(ex)
+			if err != nil {
+				return nil, err
+			}
+			if b == nil {
+				return nil, nil
+			}
+			if err := j.probeBatch(ex, b); err != nil {
+				return nil, err
+			}
 		}
-		if b == nil {
-			return nil, nil
-		}
-		j.pending = j.pending[:0]
-		j.pendPos = 0
-		if err := j.fillPending(ex, b); err != nil {
-			return nil, err
-		}
+		j.fillPending()
 	}
 	n := len(j.pending) - j.pendPos
 	if n > batchSize {
@@ -448,12 +458,18 @@ func (j *joinOperator) Next(ex *exec) (*Batch, error) {
 	return &j.out, nil
 }
 
-// fillPending expands one probe batch into joined output rows: the probe
-// keys fill per-batch key columns (NULL-key rows drop out of the selection
-// vector; the cross product matches every row with every build row),
-// buckets are counted first, and the rows that need allocating come from
-// one exactly-sized chunk.
-func (j *joinOperator) fillPending(ex *exec, b *Batch) error {
+// joinFillRows bounds the output rows one fill holds. A probe batch whose
+// buckets are wide — a cross product, a skewed 1:N key — expands over
+// several fills, so cancellation is polled and memory bounded per fill
+// rather than per probe batch times build side.
+const joinFillRows = 16 * batchSize
+
+// probeBatch looks up the buckets of one probe batch: the probe keys fill
+// per-batch key columns (NULL-key rows drop out of the selection vector; the
+// cross product matches every row with every build row), and the matches
+// are counted so the rows that need allocating come from exactly-sized
+// chunks.
+func (j *joinOperator) probeBatch(ex *exec, b *Batch) error {
 	if cap(j.buckets) < len(b.rows) {
 		j.buckets = make([][]int, len(b.rows))
 	}
@@ -474,28 +490,47 @@ func (j *joinOperator) fillPending(ex *exec, b *Batch) error {
 			j.buckets[i] = j.build[string(j.buf)]
 		}
 	}
-	fresh := 0 // rows to allocate: every match but the in-place ones
+	j.fresh = 0 // rows to allocate: every match but the in-place ones
 	for _, i := range sel {
-		fresh += len(j.buckets[i])
+		j.fresh += len(j.buckets[i])
 		if len(j.buckets[i]) > 0 && j.owns(b.rows[i]) {
-			fresh--
+			j.fresh--
 		}
 	}
-	ck := newRowChunk(fresh, j.rowCap)
-	for _, i := range sel {
-		l := b.rows[i]
-		for k, ri := range j.buckets[i] {
-			r := j.rightRows[ri]
+	// The selection vector may live in scratch released on return.
+	j.probe, j.sel = b, append(j.sel[:0], sel...)
+	j.selPos, j.bktPos = 0, 0
+	return nil
+}
+
+// fillPending expands the probe batch into joined output rows, from where
+// the previous fill stopped until the batch is exhausted or pending holds
+// joinFillRows rows.
+func (j *joinOperator) fillPending() {
+	j.pending, j.pendPos = j.pending[:0], 0
+	ck := newRowChunk(min(j.fresh, joinFillRows), j.rowCap)
+	pos, k := j.selPos, j.bktPos
+	for ; pos < len(j.sel); pos, k = pos+1, 0 {
+		l, bucket := j.probe.rows[j.sel[pos]], j.buckets[j.sel[pos]]
+		if room := joinFillRows - len(j.pending); len(bucket)-k > room {
+			bucket = bucket[:k+room]
+		}
+		for ; k < len(bucket); k++ {
+			r := j.rightRows[bucket[k]]
 			if k == 0 && j.owns(l) {
 				row := l[:len(l)+len(r)]
 				copy(row[len(l):], r)
 				j.pending = append(j.pending, row)
 			} else {
 				j.pending = append(j.pending, ck.concat(l, r, j.rowCap))
+				j.fresh--
 			}
 		}
+		if len(j.pending) == joinFillRows {
+			break // resume at match k of this row (or, past its end, at the next)
+		}
 	}
-	return nil
+	j.selPos, j.bktPos = pos, k
 }
 
 // owns reports whether this join may write probe row l's first match into
@@ -509,7 +544,7 @@ func (j *joinOperator) Close() {
 	j.right.Close()
 	j.build, j.cross = nil, nil
 	j.rightRows = nil
-	j.pending = nil
+	j.probe, j.sel, j.pending = nil, nil, nil
 	if j.grace != nil {
 		j.grace.close()
 		j.grace = nil

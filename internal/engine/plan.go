@@ -967,6 +967,19 @@ func (db *DB) ExecPlanContext(ctx context.Context, p *Plan, args ...sqltypes.Val
 	return db.execPlanUnlock(ctx, db.revalidatePlanLocked(p), args)
 }
 
+// QueryPlanContext is ExecPlanContext's streaming counterpart: it executes a
+// prepared SELECT plan and returns the cursor over its operator tree.
+func (db *DB) QueryPlanContext(ctx context.Context, p *Plan, args ...sqltypes.Value) (*Rows, error) {
+	db.mu.Lock()
+	p = db.revalidatePlanLocked(p)
+	sel, ok := p.stmt.(*sqlast.Select)
+	if !ok {
+		db.mu.Unlock()
+		return nil, fmt.Errorf("engine: not a query: %s", p.sql)
+	}
+	return db.queryRowsUnlock(ctx, p, sel, args, nil)
+}
+
 // InvalidatePlans drops every cached plan (and resets nothing else); used
 // by benchmarks to isolate planning cost and by tests.
 func (db *DB) InvalidatePlans() {

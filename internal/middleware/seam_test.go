@@ -1,0 +1,114 @@
+package middleware
+
+// TestSessionSeam pins the shape DESIGN.md ADR-013 describes, by reading
+// the repository's own source (benchmark/ and test files excluded): the
+// session shape is declared once, the prepared statement is implemented
+// once per transport, and the packages that merely use sessions declare no
+// session-shaped interface of their own.
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// stmtMethods is the prepared statement's method set.
+var stmtMethods = []string{
+	"NumParams", "SQL", "IsQuery", "Close",
+	"Query", "QueryContext", "QueryResult", "Exec", "ExecContext",
+}
+
+// sessionUsers are the packages that run statements on a session without
+// being a tier; only mtsh's transport-level backend may declare an
+// interface with Exec there.
+var sessionUsers = []string{"internal/server", "internal/mth", "internal/bench", "cmd/mtsh"}
+
+func TestSessionSeam(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	var sessionFiles []string        // files declaring an interface with Prepare and QueryContext
+	methods := map[string][]string{} // "dir.Type" -> method names
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
+		if d.IsDir() {
+			if rel == "benchmark" || d.Name() == "testdata" || (strings.HasPrefix(d.Name(), ".") && path != root) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if st, ok := recv.(*ast.StarExpr); ok {
+					recv = st.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					methods[dir+"."+id.Name] = append(methods[dir+"."+id.Name], fd.Name.Name)
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			it, ok := ts.Type.(*ast.InterfaceType)
+			if !ok {
+				return true
+			}
+			var names []string
+			for _, m := range it.Methods.List {
+				for _, id := range m.Names {
+					names = append(names, id.Name)
+				}
+			}
+			if slices.Contains(names, "Prepare") && slices.Contains(names, "QueryContext") {
+				sessionFiles = append(sessionFiles, rel)
+			}
+			hasExec := slices.Contains(names, "Exec") || slices.Contains(names, "ExecContext")
+			if hasExec && slices.Contains(sessionUsers, dir) && !(dir == "cmd/mtsh" && ts.Name.Name == "backend") {
+				t.Errorf("%s: interface %s declares Exec/ExecContext; use middleware.Session", rel, ts.Name.Name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"internal/middleware/session.go"}; !slices.Equal(sessionFiles, want) {
+		t.Errorf("interfaces with Prepare and QueryContext are declared in %v; the session shape belongs to %v alone", sessionFiles, want)
+	}
+	for typ, names := range methods {
+		full := true
+		for _, m := range stmtMethods {
+			full = full && slices.Contains(names, m)
+		}
+		if full && typ != "internal/middleware.Stmt" && typ != "internal/client.Stmt" {
+			t.Errorf("%s has the prepared-statement method set; only middleware.Stmt (in process) and client.Stmt (wire) implement it", typ)
+		}
+	}
+	for _, typ := range []string{"internal/middleware.Stmt", "internal/client.Stmt"} {
+		for _, m := range stmtMethods {
+			if !slices.Contains(methods[typ], m) {
+				t.Errorf("%s lost %s: the two prepared statements must keep one method set", typ, m)
+			}
+		}
+	}
+}

@@ -199,12 +199,17 @@ func (s *Server) Connect(ttid int64) (*Conn, error) {
 	if !s.tenants[ttid] && !s.modellers[ttid] {
 		return nil, fmt.Errorf("middleware: unknown tenant %d", ttid)
 	}
-	return &Conn{srv: s, c: ttid, level: optimizer.O4}, nil
+	c := &Conn{srv: s, c: ttid, level: optimizer.O4}
+	c.Text = NewText(c, s)
+	return c, nil
 }
 
 // Conn is one client session: the client tenant C, the current SCOPE and
-// the optimization level applied to rewritten statements.
+// the optimization level applied to rewritten statements. It implements the
+// core of Session; the embedded Text supplies Exec, Query, Prepare and the
+// rest of the text-level surface.
 type Conn struct {
+	Text
 	srv   *Server
 	c     int64
 	scope *sqlast.SetScope // nil = default scope {C}
@@ -221,6 +226,7 @@ func (c *Conn) C() int64 { return c.c }
 func (c *Conn) Scoped(scope *sqlast.SetScope) *Conn {
 	cp := *c
 	cp.scope = scope
+	cp.Text = NewText(&cp, c.srv)
 	return &cp
 }
 
@@ -230,22 +236,10 @@ func (c *Conn) SetOptLevel(l optimizer.Level) { c.level = l }
 // OptLevel returns the session's optimization level.
 func (c *Conn) OptLevel() optimizer.Level { return c.level }
 
-// Exec parses and executes one MTSQL statement. SELECT texts hit the
-// statement caches: the parse, the canonical rewrite and the optimization
-// are each reused when the text, session context and schema are unchanged.
-func (c *Conn) Exec(sql string) (*engine.Result, error) {
-	return c.ExecContext(context.Background(), sql)
-}
-
-// ExecStatement executes a parsed MTSQL statement.
-func (c *Conn) ExecStatement(stmt sqlast.Statement) (*engine.Result, error) {
-	return c.execStatement(context.Background(), stmt, nil)
-}
-
-func (c *Conn) execStatement(ctx context.Context, stmt sqlast.Statement, args []sqltypes.Value) (*engine.Result, error) {
+// ExecStmt executes a parsed MTSQL statement other than a SELECT (those
+// stream through QueryStmt).
+func (c *Conn) ExecStmt(ctx context.Context, stmt sqlast.Statement, raw string, args []sqltypes.Value) (*engine.Result, error) {
 	switch st := stmt.(type) {
-	case *sqlast.Select:
-		return c.query(ctx, st, "", args)
 	case *sqlast.Insert:
 		return c.insert(ctx, st, args)
 	case *sqlast.Update:
@@ -288,100 +282,6 @@ func (c *Conn) execStatement(ctx context.Context, stmt sqlast.Statement, args []
 		return c.revoke(st)
 	}
 	return nil, fmt.Errorf("middleware: unsupported statement %T", stmt)
-}
-
-// Query executes a SELECT and materializes the result atomically (the
-// whole execution runs under the DBMS lock, unlike a streaming cursor).
-// Unlike Exec it rejects anything that is not a query — DML/DDL must go
-// through Exec.
-func (c *Conn) Query(sql string, args ...any) (*engine.Result, error) {
-	vals, err := bindValues(args)
-	if err != nil {
-		return nil, err
-	}
-	sel, err := c.ParseSelect(sql)
-	if err != nil {
-		return nil, err
-	}
-	return c.query(context.Background(), sel, sql, vals)
-}
-
-// ParseSelect resolves sql to a SELECT through the server's parse cache,
-// rejecting non-queries. The AST is shared: callers clone before mutating.
-func (c *Conn) ParseSelect(sql string) (*sqlast.Select, error) {
-	if sel, ok := c.srv.cachedSelect(sql); ok {
-		return sel, nil
-	}
-	stmt, err := sqlparse.ParseStatement(sql)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sqlast.Select)
-	if !ok {
-		return nil, fmt.Errorf("middleware: not a query: %T (use Exec for DML/DDL)", stmt)
-	}
-	c.srv.storeSelect(sql, sel)
-	return sel, nil
-}
-
-// QueryRows executes a SELECT and returns a streaming cursor.
-func (c *Conn) QueryRows(sql string, args ...any) (*engine.Rows, error) {
-	return c.QueryContext(context.Background(), sql, args...)
-}
-
-// QueryContext executes a SELECT with bind-parameter values, returning a
-// streaming cursor over the engine's operator tree — every query shape
-// streams batch-at-a-time, joins and grouping included; ctx cancellation
-// is polled inside every operator. Only queries are accepted. See
-// engine.Rows for the cursor's concurrency contract (each batch pull
-// briefly re-acquires the DBMS lock).
-func (c *Conn) QueryContext(ctx context.Context, sql string, args ...any) (*engine.Rows, error) {
-	vals, err := bindValues(args)
-	if err != nil {
-		return nil, err
-	}
-	sel, err := c.ParseSelect(sql)
-	if err != nil {
-		return nil, err
-	}
-	return c.queryRows(ctx, sel, sql, vals)
-}
-
-// ExecContext executes one MTSQL statement with bind-parameter values;
-// ctx cancellation is checked at batch boundaries of the DBMS execution.
-func (c *Conn) ExecContext(ctx context.Context, sql string, args ...any) (*engine.Result, error) {
-	vals, err := bindValues(args)
-	if err != nil {
-		return nil, err
-	}
-	if sel, ok := c.srv.cachedSelect(sql); ok {
-		return c.query(ctx, sel, sql, vals)
-	}
-	stmt, err := sqlparse.ParseStatement(sql)
-	if err != nil {
-		return nil, err
-	}
-	if sel, ok := stmt.(*sqlast.Select); ok {
-		c.srv.storeSelect(sql, sel)
-		return c.query(ctx, sel, sql, vals)
-	}
-	return c.execStatement(ctx, stmt, vals)
-}
-
-// bindValues converts client bind arguments to engine values.
-func bindValues(args []any) ([]sqltypes.Value, error) {
-	if len(args) == 0 {
-		return nil, nil
-	}
-	out := make([]sqltypes.Value, len(args))
-	for i, a := range args {
-		v, err := sqltypes.BindValue(a)
-		if err != nil {
-			return nil, fmt.Errorf("middleware: bind $%d: %w", i+1, err)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 func (s *Server) isModeller(ttid int64) bool {
@@ -607,30 +507,19 @@ func (c *Conn) rewrittenText(q *sqlast.Select, raw string) (string, error) {
 	return txt, nil
 }
 
-// query executes a SELECT, materializing the result.
-func (c *Conn) query(ctx context.Context, q *sqlast.Select, raw string, args []sqltypes.Value) (*engine.Result, error) {
-	// The middleware communicates with the DBMS "by the means of pure
-	// SQL" (§3): serialize and reparse.
+// QueryStmt executes a parsed SELECT through a streaming cursor. The
+// middleware communicates with the DBMS "by the means of pure SQL" (§3):
+// the rewritten statement is serialized and reparsed there.
+func (c *Conn) QueryStmt(ctx context.Context, q *sqlast.Select, raw string, args []sqltypes.Value) (*engine.Rows, error) {
 	txt, err := c.rewrittenText(q, raw)
 	if err != nil {
 		return nil, err
 	}
-	return c.srv.execSQLArgs(ctx, txt, args)
-}
-
-// queryRows executes a SELECT through a streaming cursor.
-func (c *Conn) queryRows(ctx context.Context, q *sqlast.Select, raw string, args []sqltypes.Value) (*engine.Rows, error) {
-	txt, err := c.rewrittenText(q, raw)
+	plan, err := c.srv.plan(txt)
 	if err != nil {
 		return nil, err
 	}
-	// A parse failure of the rewritten text is a rewrite bug worth showing
-	// with the SQL; bind and execution errors are the caller's and pass
-	// through clean (mirroring execSQLArgs).
-	if _, err := c.srv.db.PreparePlan(txt); err != nil {
-		return nil, fmt.Errorf("middleware: rewritten SQL failed to parse: %w\n%s", err, txt)
-	}
-	return c.srv.db.QueryContext(ctx, txt, args...)
+	return c.srv.db.QueryPlanContext(ctx, plan, args...)
 }
 
 // datasetKey serializes the rewrite-relevant dataset state: D′ in rewrite
@@ -649,16 +538,21 @@ func datasetKey(ctx *rewrite.Context) string {
 	return sb.String()
 }
 
-func (s *Server) execSQLText(sql string) (*engine.Result, error) {
-	return s.execSQLArgs(context.Background(), sql, nil)
-}
-
-func (s *Server) execSQLArgs(ctx context.Context, sql string, args []sqltypes.Value) (*engine.Result, error) {
-	// PreparePlan hits the engine's plan cache; its errors are parse errors
-	// of the rewritten text, i.e. rewrite bugs worth showing with the SQL.
+// plan resolves rewritten SQL through the engine's plan cache. A failure is
+// a parse error of the rewritten text — a rewrite bug worth showing with the
+// SQL; bind and execution errors are the caller's and pass through clean.
+func (s *Server) plan(sql string) (*engine.Plan, error) {
 	plan, err := s.db.PreparePlan(sql)
 	if err != nil {
 		return nil, fmt.Errorf("middleware: rewritten SQL failed to parse: %w\n%s", err, sql)
+	}
+	return plan, nil
+}
+
+func (s *Server) execSQLArgs(ctx context.Context, sql string, args []sqltypes.Value) (*engine.Result, error) {
+	plan, err := s.plan(sql)
+	if err != nil {
+		return nil, err
 	}
 	return s.db.ExecPlanContext(ctx, plan, args...)
 }
@@ -733,6 +627,33 @@ func (s *Server) RewriteCacheStats() (hits, misses int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rwHits, s.rwMisses
+}
+
+// Stat is one named counter of a stats surface (mtserve Stats frames,
+// mtsh \stats).
+type Stat struct {
+	Name  string
+	Value int64
+}
+
+// StatLines reports the engine and middleware counters in a stable order.
+func (s *Server) StatLines() []Stat {
+	es := s.db.Stats.Snapshot()
+	rwHits, rwMisses := s.RewriteCacheStats()
+	return []Stat{
+		{Name: "engine.udf_calls", Value: es.UDFCalls},
+		{Name: "engine.udf_cache_hits", Value: es.UDFCacheHits},
+		{Name: "engine.plan_cache_hits", Value: es.PlanCacheHits},
+		{Name: "engine.plan_cache_misses", Value: es.PlanCacheMisses},
+		{Name: "engine.plan_cache_invalidations", Value: es.PlanCacheInvalidations},
+		{Name: "engine.rows_streamed", Value: es.RowsStreamed},
+		{Name: "engine.peak_batch", Value: es.PeakBatch},
+		{Name: "engine.spill_runs", Value: es.SpillRuns},
+		{Name: "engine.spill_bytes", Value: es.SpillBytes},
+		{Name: "engine.peak_mem_bytes", Value: es.PeakMemBytes},
+		{Name: "middleware.rewrite_cache_hits", Value: rwHits},
+		{Name: "middleware.rewrite_cache_misses", Value: rwMisses},
+	}
 }
 
 // InvalidateStatementCaches drops the parse and rewrite caches and the

@@ -227,11 +227,22 @@ func LoadMT(d *Data) (*Instance, error) {
 // GrantReadTo lets the given client read every tenant's data (database-
 // wide READ grants from every owner), the §6 evaluation setup.
 func (inst *Instance) GrantReadTo(client int64) error {
-	for t := int64(1); t <= int64(inst.Cfg.Tenants); t++ {
+	return grantReadTo(inst.Srv.Connect, inst.Cfg.Tenants, client)
+}
+
+// Connect opens a session with the given scope already set.
+func (inst *Instance) Connect(ttid int64, scope string) (*middleware.Conn, error) {
+	return connectScoped(inst.Srv.Connect, ttid, scope)
+}
+
+// grantReadTo and connectScoped serve both deployments (Instance and
+// ShardedInstance): they need nothing but a session.
+func grantReadTo[C middleware.Session](connect func(int64) (C, error), tenants int, client int64) error {
+	for t := int64(1); t <= int64(tenants); t++ {
 		if t == client {
 			continue
 		}
-		conn, err := inst.Srv.Connect(t)
+		conn, err := connect(t)
 		if err != nil {
 			return err
 		}
@@ -242,16 +253,14 @@ func (inst *Instance) GrantReadTo(client int64) error {
 	return nil
 }
 
-// Connect opens a session with the given scope already set.
-func (inst *Instance) Connect(ttid int64, scope string) (*middleware.Conn, error) {
-	conn, err := inst.Srv.Connect(ttid)
-	if err != nil {
-		return nil, err
+func connectScoped[C middleware.Session](connect func(int64) (C, error), ttid int64, scope string) (C, error) {
+	conn, err := connect(ttid)
+	if err != nil || scope == "" {
+		return conn, err
 	}
-	if scope != "" {
-		if _, err := conn.Exec(fmt.Sprintf("SET SCOPE = \"%s\"", scope)); err != nil {
-			return nil, err
-		}
+	if _, err := conn.Exec(fmt.Sprintf("SET SCOPE = \"%s\"", scope)); err != nil {
+		var none C
+		return none, err
 	}
 	return conn, nil
 }

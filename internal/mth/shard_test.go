@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"mtbase/internal/engine"
+	"mtbase/internal/middleware"
 	"mtbase/internal/optimizer"
 	"mtbase/internal/shard"
 )
@@ -525,7 +526,7 @@ func TestShardCoordinatorStateless(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 0 { // the view bakes the creator's tenant set: everyone
-			for _, c := range []Session{conns[0], oconn} {
+			for _, c := range []middleware.Session{conns[0], oconn} {
 				if _, err := c.Exec(q15.Setup[0]); err != nil {
 					t.Fatal(err)
 				}

@@ -134,34 +134,13 @@ func LoadMTSharded(d *Data, nshards int, opts ...shard.Option) (*ShardedInstance
 	return &ShardedInstance{Cfg: cfg, Srv: srv, Data: d}, nil
 }
 
-// GrantReadTo lets the given client read every tenant's data, mirroring
+// GrantReadTo lets the given client read every tenant's data, like
 // Instance.GrantReadTo. Grants are metadata and fan out to every server.
 func (inst *ShardedInstance) GrantReadTo(client int64) error {
-	for t := int64(1); t <= int64(inst.Cfg.Tenants); t++ {
-		if t == client {
-			continue
-		}
-		conn, err := inst.Srv.Connect(t)
-		if err != nil {
-			return err
-		}
-		if _, err := conn.Exec(fmt.Sprintf("GRANT READ ON DATABASE TO %d", client)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return grantReadTo(inst.Srv.Connect, inst.Cfg.Tenants, client)
 }
 
 // Connect opens a sharded session with the given scope already set.
 func (inst *ShardedInstance) Connect(ttid int64, scope string) (*shard.Conn, error) {
-	conn, err := inst.Srv.Connect(ttid)
-	if err != nil {
-		return nil, err
-	}
-	if scope != "" {
-		if _, err := conn.Exec(fmt.Sprintf("SET SCOPE = \"%s\"", scope)); err != nil {
-			return nil, err
-		}
-	}
-	return conn, nil
+	return connectScoped(inst.Srv.Connect, ttid, scope)
 }

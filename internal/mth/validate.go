@@ -7,21 +7,22 @@ import (
 	"strings"
 
 	"mtbase/internal/engine"
+	"mtbase/internal/middleware"
 	"mtbase/internal/optimizer"
 	"mtbase/internal/sqltypes"
 )
 
-// RunOnPlain executes a query (with setup/teardown) on the plain TPC-H
-// baseline database.
-func RunOnPlain(db *engine.DB, q Query) (*engine.Result, error) {
+// Run executes the query — setup statements, the query, teardown — through
+// exec, whichever tier's statement entry point that is.
+func (q Query) Run(exec func(sql string) (*engine.Result, error)) (*engine.Result, error) {
 	for _, s := range q.Setup {
-		if _, err := db.ExecSQL(s); err != nil {
+		if _, err := exec(s); err != nil {
 			return nil, fmt.Errorf("mth: Q%d setup: %w", q.ID, err)
 		}
 	}
-	res, err := db.ExecSQL(q.SQL)
+	res, err := exec(q.SQL)
 	for _, s := range q.Teardown {
-		if _, terr := db.ExecSQL(s); terr != nil && err == nil {
+		if _, terr := exec(s); terr != nil && err == nil {
 			err = fmt.Errorf("mth: Q%d teardown: %w", q.ID, terr)
 		}
 	}
@@ -31,30 +32,11 @@ func RunOnPlain(db *engine.DB, q Query) (*engine.Result, error) {
 	return res, nil
 }
 
-// Session is the statement-execution surface RunOnMT needs — satisfied by
-// both middleware.Conn (unsharded) and shard.Conn (sharded).
-type Session interface {
-	Exec(sql string) (*engine.Result, error)
-}
+// RunOnPlain executes a query on the plain TPC-H baseline database.
+func RunOnPlain(db *engine.DB, q Query) (*engine.Result, error) { return q.Run(db.ExecSQL) }
 
 // RunOnMT executes a query through a middleware or sharded session.
-func RunOnMT(conn Session, q Query) (*engine.Result, error) {
-	for _, s := range q.Setup {
-		if _, err := conn.Exec(s); err != nil {
-			return nil, fmt.Errorf("mth: Q%d setup: %w", q.ID, err)
-		}
-	}
-	res, err := conn.Exec(q.SQL)
-	for _, s := range q.Teardown {
-		if _, terr := conn.Exec(s); terr != nil && err == nil {
-			err = fmt.Errorf("mth: Q%d teardown: %w", q.ID, terr)
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("mth: Q%d: %w", q.ID, err)
-	}
-	return res, nil
-}
+func RunOnMT(conn middleware.Session, q Query) (*engine.Result, error) { return q.Run(conn.Exec) }
 
 // canonicalRows renders a result as a sorted multiset of rows for
 // order-insensitive comparison; floats are normalized.

@@ -6,13 +6,17 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"net"
 	"testing"
 	"time"
 
 	"mtbase/internal/engine"
+	"mtbase/internal/middleware"
 	"mtbase/internal/mth"
+	"mtbase/internal/sqlast"
+	"mtbase/internal/sqltypes"
 	"mtbase/internal/wal"
 	"mtbase/internal/wire"
 )
@@ -57,6 +61,64 @@ func TestHandshakeFailureReleasesConnSlot(t *testing.T) {
 		t.Fatalf("conn slot leaked by failed handshake: %v", e)
 	}
 	srv.adm.releaseConn(1)
+}
+
+// cancelledOpen is a session whose statements fail only after the client's
+// Cancel has landed — the deterministic form of a statement that is
+// cancelled while it is still opening (a scatter draining its partials, a
+// write waiting on the engine lock).
+type cancelledOpen struct {
+	middleware.Session
+	sess *session
+}
+
+func (c cancelledOpen) QueryStmt(context.Context, *sqlast.Select, string, []sqltypes.Value) (*engine.Rows, error) {
+	c.sess.cancelStmt()
+	return nil, context.Canceled
+}
+
+func (c cancelledOpen) ExecStmt(context.Context, sqlast.Statement, string, []sqltypes.Value) (*engine.Result, error) {
+	c.sess.cancelStmt()
+	return nil, context.Canceled
+}
+
+// TestCancelledAtOpenIsTypedCancelled: every statement kind that fails while
+// its context is cancelled answers `cancelled`, ad-hoc SELECT and SET SCOPE
+// included (they used to answer `exec`, unlike the prepared path and DML).
+func TestCancelledAtOpenIsTypedCancelled(t *testing.T) {
+	cfg := mth.Config{SF: 0.001, Tenants: 1, Dist: mth.Uniform, Seed: 1, Mode: engine.ModePostgres}
+	inst, err := mth.BuildMT(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := inst.Srv.Connect(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	sess := &session{
+		srv: New(inst.Srv, nil, Config{}), tenant: 1,
+		bw: bufio.NewWriter(&out), ctx: context.Background(),
+	}
+	sess.conn = cancelledOpen{Session: conn, sess: sess}
+	for _, sql := range []string{
+		`SELECT COUNT(*) FROM customer`,
+		`SET SCOPE = "IN ()"`,
+		`DELETE FROM customer WHERE c_custkey = 1`,
+	} {
+		out.Reset()
+		if !sess.handleQuery(wire.EncodeQuery(wire.Query{SQL: sql})) {
+			t.Fatalf("%s: session did not survive", sql)
+		}
+		sess.bw.Flush()
+		typ, payload, err := wire.ReadFrame(bufio.NewReader(&out))
+		if err != nil || typ != wire.MsgError {
+			t.Fatalf("%s: want an Error frame, got %s %v", sql, typ, err)
+		}
+		if e, _ := wire.DecodeError(payload); e == nil || e.Code != wire.CodeCancelled {
+			t.Errorf("%s: answered %v, want code %q", sql, e, wire.CodeCancelled)
+		}
+	}
 }
 
 // TestApplySyncFailureUnwindsSnapshotTrigger: a WAL sync failure on a

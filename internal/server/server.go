@@ -37,10 +37,17 @@ type Config struct {
 
 // Server accepts connections and runs sessions until Shutdown.
 type Server struct {
-	backend Backend
-	store   *Store // nil = ephemeral
-	cfg     Config
-	adm     *admission
+	// The tier the server fronts — the unsharded middleware or the
+	// tenant-partitioned shard router — is these two functions; sessions
+	// speak middleware.Session, so the wire behavior (streaming,
+	// cancellation, prepared statements, typed errors) is identical over
+	// either, which the differential server suite leans on.
+	connect func(ttid int64) (middleware.Session, error)
+	stats   func() []middleware.Stat
+
+	store *Store // nil = ephemeral
+	cfg   Config
+	adm   *admission
 
 	mu         sync.Mutex
 	cond       *sync.Cond // signalled when inflight hits zero
@@ -59,7 +66,7 @@ func New(mw *middleware.Server, store *Store, cfg Config) *Server {
 	if cfg.Name == "" {
 		cfg.Name = "mtserve/1"
 	}
-	s := &Server{backend: mwBackend{mw}, store: store, cfg: cfg,
+	s := &Server{connect: middleware.Connector(mw.Connect), stats: mw.StatLines, store: store, cfg: cfg,
 		adm: newAdmission(cfg.Limits, nil), sessions: make(map[uint64]*session)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -72,7 +79,7 @@ func NewSharded(ss *shard.Server, cfg Config) *Server {
 	if cfg.Name == "" {
 		cfg.Name = "mtserve/1"
 	}
-	s := &Server{backend: shardBackend{ss}, cfg: cfg,
+	s := &Server{connect: middleware.Connector(ss.Connect), stats: ss.StatLines, cfg: cfg,
 		adm: newAdmission(cfg.Limits, ss.ShardOf), sessions: make(map[uint64]*session)}
 	s.cond = sync.NewCond(&s.mu)
 	return s

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"mtbase/internal/engine"
+	"mtbase/internal/middleware"
 	"mtbase/internal/optimizer"
 	"mtbase/internal/sqlast"
 	"mtbase/internal/sqlparse"
@@ -42,7 +43,7 @@ type frame struct {
 }
 
 type sessStmt struct {
-	st      BackendStmt
+	st      *middleware.Stmt
 	args    []sqltypes.Value
 	bound   bool
 	bindErr *wire.Err // deterministic failure replayed to the pipelined Execute
@@ -58,7 +59,7 @@ type session struct {
 	cancel context.CancelFunc
 
 	tenant int64
-	conn   BackendConn
+	conn   middleware.Session
 	scope  string // verbatim SET SCOPE statement in effect; "" = default
 	stmts  map[uint32]*sessStmt
 
@@ -187,7 +188,7 @@ func (s *session) handshake() error {
 		s.srv.adm.releaseConn(hello.Tenant)
 		return err
 	}
-	conn, err := s.srv.backend.Connect(hello.Tenant)
+	conn, err := s.srv.connect(hello.Tenant)
 	if err != nil {
 		return release(fail(wireErr(wire.CodeAuth, err)))
 	}
@@ -271,37 +272,42 @@ func (s *session) handleQuery(payload []byte) bool {
 	if err != nil {
 		return s.sendErr(wireErr(wire.CodeParse, err))
 	}
+	return s.execute(stmt, q.SQL, q.Args)
+}
+
+// execute runs one admitted statement on the session's core and answers
+// it: a SELECT streams, anything else answers Done with its affected count,
+// after going through the WAL when it mutates durable state. The caller
+// already holds the parsed statement and the decoded bind values, so
+// nothing is parsed or converted again on the way down.
+func (s *session) execute(stmt sqlast.Statement, sql string, args []sqltypes.Value) bool {
 	ctx, finish := s.beginStmtCtx()
 	defer finish()
-	args := valuesToAny(q.Args)
-	switch st := stmt.(type) {
-	case *sqlast.Select:
-		rows, err := s.conn.QueryContext(ctx, q.SQL, args...)
-		if err != nil {
-			return s.sendErr(wireErr(wire.CodeExec, err))
-		}
-		return s.streamRows(ctx, rows)
-	case *sqlast.SetScope:
-		res, err := s.conn.ExecContext(ctx, q.SQL, args...)
-		if err != nil {
-			return s.sendErr(wireErr(wire.CodeExec, err))
-		}
-		s.scope = q.SQL
-		return s.sendResult(res)
-	default:
-		kind, logged := classify(st)
-		exec := func() (*engine.Result, error) { return s.conn.ExecContext(ctx, q.SQL, args...) }
-		var res *engine.Result
-		if logged && s.srv.store != nil {
-			res, err = s.srv.store.Apply(kind, s.tenant, s.conn.OptLevel(), s.scope, q.SQL, q.Args, exec)
-		} else {
-			res, err = exec()
-		}
+	if sel, ok := stmt.(*sqlast.Select); ok {
+		rows, err := s.conn.QueryStmt(ctx, sel, sql, args)
 		if err != nil {
 			return s.sendErr(s.execErr(ctx, err))
 		}
-		return s.sendResult(res)
+		return s.streamRows(ctx, rows)
 	}
+	exec := func() (*engine.Result, error) { return s.conn.ExecStmt(ctx, stmt, sql, args) }
+	var (
+		res *engine.Result
+		err error
+	)
+	if kind, logged := classify(stmt); logged && s.srv.store != nil {
+		res, err = s.srv.store.Apply(kind, s.tenant, s.conn.OptLevel(), s.scope, sql, args, exec)
+	} else {
+		res, err = exec()
+	}
+	if err != nil {
+		return s.sendErr(s.execErr(ctx, err))
+	}
+	if _, ok := stmt.(*sqlast.SetScope); ok {
+		s.scope = sql
+	}
+	// Only SELECTs return rows, and those streamed above.
+	return s.send(wire.MsgDone, wire.EncodeDone(wire.Done{Affected: int64(res.Affected)}))
 }
 
 // classify sorts a mutating statement into its WAL record kind; the second
@@ -394,32 +400,11 @@ func (s *session) handleExecute(payload []byte) bool {
 		return s.sendErr(adErr)
 	}
 	defer done()
-	ctx, finish := s.beginStmtCtx()
-	defer finish()
-	args := valuesToAny(st.args)
-	if st.st.IsQuery() {
-		rows, err := st.st.QueryContext(ctx, args...)
-		if err != nil {
-			return s.sendErr(s.execErr(ctx, err))
-		}
-		return s.streamRows(ctx, rows)
-	}
-	if e.WantRows {
+	if e.WantRows && !st.st.IsQuery() {
 		return s.sendErr(&wire.Err{Code: wire.CodeNotQuery,
 			Message: fmt.Sprintf("statement id %d is not a query", e.StmtID)})
 	}
-	exec := func() (*engine.Result, error) { return st.st.ExecContext(ctx, args...) }
-	var res *engine.Result
-	if s.srv.store != nil {
-		res, err = s.srv.store.Apply(wal.KindData, s.tenant, s.conn.OptLevel(), s.scope,
-			st.st.SQL(), st.args, exec)
-	} else {
-		res, err = exec()
-	}
-	if err != nil {
-		return s.sendErr(s.execErr(ctx, err))
-	}
-	return s.sendResult(res)
+	return s.execute(st.st.Statement(), st.st.SQL(), st.args)
 }
 
 func (s *session) handleCloseStmt(payload []byte) bool {
@@ -482,51 +467,14 @@ func (s *session) streamRows(ctx context.Context, rows *engine.Rows) bool {
 	return s.send(wire.MsgDone, wire.EncodeDone(wire.Done{Rows: total}))
 }
 
-// sendResult ships a materialized result: row-returning ones as a header
-// plus RowBatch frames chunked under the same bounds as streamRows (a
-// single batch could exceed MaxFrame for large results), DML as a bare
-// Done.
-func (s *session) sendResult(res *engine.Result) bool {
-	if len(res.Cols) == 0 {
-		return s.send(wire.MsgDone, wire.EncodeDone(wire.Done{Affected: int64(res.Affected)}))
-	}
-	if !s.send(wire.MsgRowHeader, wire.EncodeRowHeader(wire.RowHeader{Cols: res.Cols})) {
-		return false
-	}
-	var (
-		count int
-		body  []byte
-	)
-	flush := func() bool {
-		if count == 0 {
-			return true
-		}
-		payload := wire.AppendUvarint(make([]byte, 0, len(body)+4), uint64(count))
-		payload = append(payload, body...)
-		ok := s.send(wire.MsgRowBatch, payload)
-		count, body = 0, body[:0]
-		return ok && s.bw.Flush() == nil
-	}
-	for _, row := range res.Rows {
-		body = wire.AppendValues(body, row)
-		count++
-		if count >= batchRows || len(body) >= batchBytes {
-			if !flush() {
-				return false
-			}
-		}
-	}
-	if !flush() {
-		return false
-	}
-	return s.send(wire.MsgDone, wire.EncodeDone(wire.Done{Rows: int64(len(res.Rows))}))
-}
-
-// handleStats replies with backend (engine + middleware, or shard) and
-// server counters in a stable order (StatsOK is part of the protocol; map
-// iteration would leak nondeterminism onto the wire).
+// handleStats replies with the tier's (engine + middleware, or shard) and
+// the server's counters in a stable order (StatsOK is part of the protocol;
+// map iteration would leak nondeterminism onto the wire).
 func (s *session) handleStats() bool {
-	pairs := s.srv.backend.StatPairs()
+	var pairs []wire.StatPair
+	for _, st := range s.srv.stats() {
+		pairs = append(pairs, wire.StatPair(st))
+	}
 	pairs = append(pairs,
 		wire.StatPair{Name: "server.sessions_open", Value: s.srv.sessionsOpen()},
 		wire.StatPair{Name: "server.statements", Value: s.srv.statements.Load()},

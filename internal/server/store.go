@@ -25,6 +25,7 @@ import (
 	"mtbase/internal/middleware"
 	"mtbase/internal/mth"
 	"mtbase/internal/optimizer"
+	"mtbase/internal/sqlparse"
 	"mtbase/internal/sqltypes"
 	"mtbase/internal/wal"
 )
@@ -323,7 +324,11 @@ func (st *Store) replay(recs []wal.Record, snap *wal.Snapshot) error {
 			return err
 		}
 		c.SetOptLevel(optimizer.Level(rec.Level))
-		if _, err := c.ExecContext(ctx, rec.SQL, valuesToAny(rec.Args)...); err != nil {
+		stmt, err := sqlparse.ParseStatement(rec.SQL)
+		if err == nil {
+			_, err = c.ExecStmt(ctx, stmt, rec.SQL, rec.Args)
+		}
+		if err != nil {
 			// Only successful statements are logged; a replay failure
 			// means the directory does not match its manifest.
 			return fmt.Errorf("server: replay LSN %d (%s): %w", rec.LSN, rec.SQL, err)
@@ -335,17 +340,6 @@ func (st *Store) replay(recs []wal.Record, snap *wal.Snapshot) error {
 		}
 	}
 	return nil
-}
-
-func valuesToAny(vals []sqltypes.Value) []any {
-	if len(vals) == 0 {
-		return nil
-	}
-	out := make([]any, len(vals))
-	for i, v := range vals {
-		out[i] = v
-	}
-	return out
 }
 
 func readManifest(dir string) (Manifest, error) {

@@ -14,10 +14,13 @@ import (
 	"mtbase/internal/sqltypes"
 )
 
-// Conn is a sharded session: the same surface as middleware.Conn, with
-// every statement routed by its resolved tenant set D′. It is not safe
-// for concurrent use by multiple goroutines (like middleware.Conn).
+// Conn is a sharded session: a middleware.Session whose core routes every
+// statement by its resolved tenant set D′; the text-level surface and the
+// prepared statement are the embedded middleware.Text's, parsing through
+// the replica's parse cache. It is not safe for concurrent use by multiple
+// goroutines (like middleware.Conn).
 type Conn struct {
+	middleware.Text
 	srv   *Server
 	c     int64
 	level optimizer.Level
@@ -43,90 +46,34 @@ func (c *Conn) SetOptLevel(l optimizer.Level) {
 // OptLevel returns the session's optimization level.
 func (c *Conn) OptLevel() optimizer.Level { return c.level }
 
-// Exec parses and executes one statement, materializing any result.
-func (c *Conn) Exec(sql string) (*engine.Result, error) {
-	return c.ExecContext(context.Background(), sql)
-}
-
-// ExecStatement executes an already parsed statement. SET SCOPE is
+// ExecStmt routes a parsed statement other than a SELECT: SET SCOPE is
 // installed from the AST (never re-serialized: an empty simple scope
-// serializes to the all-tenants form); everything else re-enters by text.
-func (c *Conn) ExecStatement(stmt sqlast.Statement) (*engine.Result, error) {
-	if sc, ok := stmt.(*sqlast.SetScope); ok {
-		return c.setScope(sc)
-	}
-	return c.dispatch(context.Background(), stmt, stmt.String(), nil)
-}
-
-// ExecContext parses and executes one statement under ctx.
-func (c *Conn) ExecContext(ctx context.Context, sql string, args ...any) (*engine.Result, error) {
-	stmt, err := sqlparse.ParseStatement(sql)
-	if err != nil {
-		return nil, err
-	}
-	return c.dispatch(ctx, stmt, sql, args)
-}
-
-// Query executes a SELECT and materializes the result.
-func (c *Conn) Query(sql string, args ...any) (*engine.Result, error) {
-	rows, err := c.QueryRows(sql, args...)
-	if err != nil {
-		return nil, err
-	}
-	return rows.Collect()
-}
-
-// QueryRows executes a SELECT and returns a streaming cursor.
-func (c *Conn) QueryRows(sql string, args ...any) (*engine.Rows, error) {
-	return c.QueryContext(context.Background(), sql, args...)
-}
-
-// QueryContext executes a SELECT under ctx and returns a streaming
-// cursor: routed to one shard when D′ lands on one, scattered and
-// gathered otherwise.
-func (c *Conn) QueryContext(ctx context.Context, sql string, args ...any) (*engine.Rows, error) {
-	sel, err := c.rconn.ParseSelect(sql)
-	if err != nil {
-		return nil, err
-	}
-	c.srv.ddlMu.RLock()
-	defer c.srv.ddlMu.RUnlock()
-	return c.routeQuery(ctx, sel, sql, args)
-}
-
-func (c *Conn) dispatch(ctx context.Context, stmt sqlast.Statement, sql string, args []any) (*engine.Result, error) {
+// serializes to the all-tenants form), DML goes to the owning shards, and
+// everything else is schema or privilege state that fans out everywhere.
+func (c *Conn) ExecStmt(ctx context.Context, stmt sqlast.Statement, raw string, args []sqltypes.Value) (*engine.Result, error) {
 	switch st := stmt.(type) {
 	case *sqlast.Select:
-		c.srv.ddlMu.RLock()
-		rows, err := c.routeQuery(ctx, st, sql, args)
-		c.srv.ddlMu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		return rows.Collect()
+		return nil, fmt.Errorf("shard: unsupported statement %T (queries stream through QueryStmt)", stmt)
 	case *sqlast.SetScope:
-		return c.setScope(st)
+		return c.setScope(ctx, st, args)
 	case *sqlast.Insert:
-		return c.execInsert(ctx, st, sql, args)
+		return c.execInsert(ctx, st, raw, args)
 	case *sqlast.Update:
-		return c.execTargetedDML(ctx, st.Table, sqlast.PrivUpdate, sql, args)
+		return c.execTargetedDML(ctx, st, st.Table, sqlast.PrivUpdate, raw, args)
 	case *sqlast.Delete:
-		return c.execTargetedDML(ctx, st.Table, sqlast.PrivDelete, sql, args)
+		return c.execTargetedDML(ctx, st, st.Table, sqlast.PrivDelete, raw, args)
 	default:
-		return c.execDDL(stmt, sql)
+		return c.execDDL(stmt, raw)
 	}
 }
 
 // setScope installs the session scope on every sub-connection; the AST is
 // kept to tell a data-dependent (complex) scope from a metadata one.
-func (c *Conn) setScope(st *sqlast.SetScope) (*engine.Result, error) {
+func (c *Conn) setScope(ctx context.Context, st *sqlast.SetScope, args []sqltypes.Value) (*engine.Result, error) {
 	c.srv.ddlMu.RLock()
 	defer c.srv.ddlMu.RUnlock()
-	if _, err := c.rconn.ExecStatement(st); err != nil {
-		return nil, err
-	}
-	for _, sc := range c.sconns {
-		if _, err := sc.ExecStatement(st); err != nil {
+	for _, sc := range append([]*middleware.Conn{c.rconn}, c.sconns...) {
+		if _, err := sc.ExecStmt(ctx, st, "", args); err != nil {
 			return nil, err
 		}
 	}
@@ -186,14 +133,17 @@ func (c *Conn) resolveDPrime(priv sqlast.Privilege, tables []string) ([]int64, e
 	return rctx.D, nil
 }
 
-// routeQuery picks the execution strategy for one SELECT. Caller holds
-// ddlMu shared.
-func (c *Conn) routeQuery(ctx context.Context, sel *sqlast.Select, sql string, args []any) (*engine.Rows, error) {
+// QueryStmt picks the execution strategy for one SELECT and returns its
+// cursor: routed to one shard when D′ lands on one, scattered and gathered
+// otherwise.
+func (c *Conn) QueryStmt(ctx context.Context, sel *sqlast.Select, sql string, args []sqltypes.Value) (*engine.Rows, error) {
+	c.srv.ddlMu.RLock()
+	defer c.srv.ddlMu.RUnlock()
 	if len(c.sconns) == 1 {
 		// One shard: the original scope passes through verbatim — this is
 		// the differential oracle configuration.
 		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
-		return c.sconns[0].QueryContext(ctx, sql, args...)
+		return c.sconns[0].QueryStmt(ctx, sel, sql, args)
 	}
 	schema := c.srv.Schema()
 	tables := middleware.TenantSpecificTables(sel)
@@ -210,7 +160,7 @@ func (c *Conn) routeQuery(ctx context.Context, sel *sqlast.Select, sql string, a
 		// Pure-global query: every shard holds the same global data; run
 		// on the client's home shard.
 		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
-		return c.sconns[c.srv.ShardOf(c.c)].QueryContext(ctx, sql, args...)
+		return c.sconns[c.srv.ShardOf(c.c)].QueryStmt(ctx, sel, sql, args)
 	}
 	d, err := c.resolveDPrime(sqlast.PrivRead, tables)
 	if err != nil {
@@ -229,7 +179,7 @@ func (c *Conn) routeQuery(ctx context.Context, sel *sqlast.Select, sql string, a
 		// All of D′ lives on one shard: the shard's own middleware
 		// resolves the original session scope to the same D′ locally.
 		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
-		return c.sconns[c.homeRank(sets)].QueryContext(ctx, sql, args...)
+		return c.sconns[c.homeRank(sets)].QueryStmt(ctx, sel, sql, args)
 	}
 	an := analyze(sel, schema)
 	switch {
@@ -274,10 +224,10 @@ func openParts(sets []shardSet, open func(shardSet) (*engine.Rows, error)) ([]*e
 	return parts, nil
 }
 
-// scatter runs sql on every owning shard under D′ ∩ owned(shard).
-func (c *Conn) scatter(ctx context.Context, sql string, args []any, sets []shardSet) ([]*engine.Rows, error) {
+// scatter runs sel on every owning shard under D′ ∩ owned(shard).
+func (c *Conn) scatter(ctx context.Context, sel *sqlast.Select, sql string, args []sqltypes.Value, sets []shardSet) ([]*engine.Rows, error) {
 	return openParts(sets, func(ss shardSet) (*engine.Rows, error) {
-		return c.sub(ss).QueryContext(ctx, sql, args...)
+		return c.sub(ss).QueryStmt(ctx, sel, sql, args)
 	})
 }
 
@@ -286,8 +236,8 @@ func (c *Conn) scatter(ctx context.Context, sql string, args []any, sets []shard
 // orders its output, stable rank-order concatenation otherwise. Only
 // pinned scan-shaped statements come here (analyze), so per-shard results
 // partition the unsharded result by tenant.
-func (c *Conn) scatterMerge(ctx context.Context, sel *sqlast.Select, sql string, args []any, sets []shardSet, an analysis) (*engine.Rows, error) {
-	parts, err := c.scatter(ctx, sql, args, sets)
+func (c *Conn) scatterMerge(ctx context.Context, sel *sqlast.Select, sql string, args []sqltypes.Value, sets []shardSet, an analysis) (*engine.Rows, error) {
+	parts, err := c.scatter(ctx, sel, sql, args, sets)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +255,7 @@ func (c *Conn) scatterMerge(ctx context.Context, sel *sqlast.Select, sql string,
 // statement-local relations shadowing the replica's (always empty) tenant
 // tables: immutable shard snapshots that never enter the replica's catalog,
 // so shards keep serving and fallbacks of other sessions run alongside.
-func (c *Conn) fallback(ctx context.Context, sel *sqlast.Select, args []any, d, copyD []int64) (*engine.Rows, error) {
+func (c *Conn) fallback(ctx context.Context, sel *sqlast.Select, args []sqltypes.Value, d, copyD []int64) (*engine.Rows, error) {
 	s := c.srv
 	want := make(map[int64]bool, len(copyD))
 	for _, t := range copyD {
@@ -343,31 +293,14 @@ func (c *Conn) fallback(ctx context.Context, sel *sqlast.Select, args []any, d, 
 	if q, err = sqlparse.ParseQuery(q.String()); err != nil {
 		return nil, fmt.Errorf("shard: rewritten SQL failed to parse: %w", err)
 	}
-	vals, err := bindValues(args)
-	if err != nil {
-		return nil, err
-	}
-	return s.replica.DB().QueryWith(ctx, q, vals, rels...)
-}
-
-// bindValues converts client bind arguments to engine values.
-func bindValues(args []any) ([]sqltypes.Value, error) {
-	vals := make([]sqltypes.Value, len(args))
-	for i, a := range args {
-		v, err := sqltypes.BindValue(a)
-		if err != nil {
-			return nil, fmt.Errorf("shard: bind $%d: %w", i+1, err)
-		}
-		vals[i] = v
-	}
-	return vals, nil
+	return s.replica.DB().QueryWith(ctx, q, args, rels...)
 }
 
 // execInsert routes an INSERT: global targets replicate to every shard
 // and the replica; tenant-specific targets split by the owning shard of
 // each tenant in D′ (rewrite.Insert already derives one statement per
 // target tenant).
-func (c *Conn) execInsert(ctx context.Context, ins *sqlast.Insert, sql string, args []any) (*engine.Result, error) {
+func (c *Conn) execInsert(ctx context.Context, ins *sqlast.Insert, sql string, args []sqltypes.Value) (*engine.Result, error) {
 	c.srv.ddlMu.RLock()
 	defer c.srv.ddlMu.RUnlock()
 	schema := c.srv.Schema()
@@ -388,31 +321,31 @@ func (c *Conn) execInsert(ctx context.Context, ins *sqlast.Insert, sql string, a
 		if subTenant && len(c.sconns) > 1 {
 			return nil, fmt.Errorf("shard: INSERT into global table from tenant-specific SELECT is not supported with %d shards", len(c.sconns))
 		}
-		return c.replicate(ctx, sql, args)
+		return c.replicate(ctx, ins, sql, args)
 	}
-	return c.routeWrite(ctx, sqlast.PrivInsert, tables, subTenant, sql, args)
+	return c.routeWrite(ctx, ins, sqlast.PrivInsert, tables, subTenant, sql, args)
 }
 
 // execTargetedDML routes UPDATE/DELETE by the target table: per-tenant
 // application splits cleanly by owning shard.
-func (c *Conn) execTargetedDML(ctx context.Context, table string, priv sqlast.Privilege, sql string, args []any) (*engine.Result, error) {
+func (c *Conn) execTargetedDML(ctx context.Context, stmt sqlast.Statement, table string, priv sqlast.Privilege, sql string, args []sqltypes.Value) (*engine.Result, error) {
 	c.srv.ddlMu.RLock()
 	defer c.srv.ddlMu.RUnlock()
 	if info := c.srv.Schema().Table(table); info == nil || !info.TenantSpecific() {
-		return c.replicate(ctx, sql, args)
+		return c.replicate(ctx, stmt, sql, args)
 	}
-	return c.routeWrite(ctx, priv, []string{table}, false, sql, args)
+	return c.routeWrite(ctx, stmt, priv, []string{table}, false, sql, args)
 }
 
 // replicate applies a write to a global table on the replica and every
 // shard, returning the first shard's result.
-func (c *Conn) replicate(ctx context.Context, sql string, args []any) (*engine.Result, error) {
-	if _, err := c.rconn.ExecContext(ctx, sql, args...); err != nil {
+func (c *Conn) replicate(ctx context.Context, stmt sqlast.Statement, sql string, args []sqltypes.Value) (*engine.Result, error) {
+	if _, err := c.rconn.ExecStmt(ctx, stmt, sql, args); err != nil {
 		return nil, err
 	}
 	var first *engine.Result
 	for _, sc := range c.sconns {
-		res, err := sc.ExecContext(ctx, sql, args...)
+		res, err := sc.ExecStmt(ctx, stmt, sql, args)
 		if err != nil {
 			return nil, err
 		}
@@ -427,7 +360,7 @@ func (c *Conn) replicate(ctx context.Context, sql string, args []any) (*engine.R
 // on every owning shard under its sub-scope, summing affected counts
 // (per-tenant effects are disjoint). An INSERT ... SELECT reading tenant
 // data (fromTenants) cannot be split that way.
-func (c *Conn) routeWrite(ctx context.Context, priv sqlast.Privilege, tables []string, fromTenants bool, sql string, args []any) (*engine.Result, error) {
+func (c *Conn) routeWrite(ctx context.Context, stmt sqlast.Statement, priv sqlast.Privilege, tables []string, fromTenants bool, sql string, args []sqltypes.Value) (*engine.Result, error) {
 	d, err := c.resolveDPrime(priv, tables)
 	if err != nil {
 		return nil, err
@@ -435,7 +368,7 @@ func (c *Conn) routeWrite(ctx context.Context, priv sqlast.Privilege, tables []s
 	sets := c.srv.group(d)
 	if len(sets) <= 1 {
 		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
-		return c.sconns[c.homeRank(sets)].ExecContext(ctx, sql, args...)
+		return c.sconns[c.homeRank(sets)].ExecStmt(ctx, stmt, sql, args)
 	}
 	if fromTenants {
 		return nil, fmt.Errorf("shard: INSERT ... SELECT over a cross-shard tenant set is not supported")
@@ -443,7 +376,7 @@ func (c *Conn) routeWrite(ctx context.Context, priv sqlast.Privilege, tables []s
 	atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
 	affected := 0
 	for _, ss := range sets {
-		res, err := c.sub(ss).ExecContext(ctx, sql, args...)
+		res, err := c.sub(ss).ExecStmt(ctx, stmt, sql, args)
 		if err != nil {
 			return nil, err
 		}
@@ -506,7 +439,7 @@ func needsResolvedScope(stmt sqlast.Statement) bool {
 // text a single-shard route would run, or the replica's rewrite under the
 // pre-resolved global D′ for cross-shard statements.
 func (c *Conn) RewriteSQL(sql string) (*sqlast.Select, error) {
-	sel, err := c.rconn.ParseSelect(sql)
+	sel, err := c.ParseSelect(sql)
 	if err != nil {
 		return nil, err
 	}

@@ -377,7 +377,7 @@ func exprHasSubquery(e sqlast.Expr) bool {
 
 // sliceArgs trims the statement arguments to the exact bind arity the
 // engine demands.
-func sliceArgs(args []any, stmt sqlast.Statement) ([]any, error) {
+func sliceArgs(args []sqltypes.Value, stmt sqlast.Statement) ([]sqltypes.Value, error) {
 	n := sqlast.MaxParam(stmt)
 	if n > len(args) {
 		return nil, fmt.Errorf("shard: statement references $%d but only %d arguments given", n, len(args))
@@ -390,7 +390,7 @@ func sliceArgs(args []any, stmt sqlast.Statement) ([]any, error) {
 // then the combine statement over the gathered partial rows as a
 // statement-local relation of the replica: the engine's own group, filter,
 // sort and project operators fold them, and nothing enters its catalog.
-func (c *Conn) partialScatter(ctx context.Context, plan *partialPlan, args []any, sets []shardSet) (*engine.Rows, error) {
+func (c *Conn) partialScatter(ctx context.Context, plan *partialPlan, args []sqltypes.Value, sets []shardSet) (*engine.Rows, error) {
 	pargs, err := sliceArgs(args, plan.partial)
 	if err != nil {
 		return nil, err
@@ -399,11 +399,14 @@ func (c *Conn) partialScatter(ctx context.Context, plan *partialPlan, args []any
 	if err != nil {
 		return nil, err
 	}
-	cvals, err := bindValues(cargs)
+	// The shards get the partial as the text a client would have sent,
+	// reparsed (once per text: the parse cache holds it).
+	ptxt := plan.partial.String()
+	partial, err := c.ParseSelect(ptxt)
 	if err != nil {
 		return nil, err
 	}
-	curs, err := c.scatter(ctx, plan.partial.String(), pargs, sets)
+	curs, err := c.scatter(ctx, partial, ptxt, pargs, sets)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +431,7 @@ func (c *Conn) partialScatter(ctx context.Context, plan *partialPlan, args []any
 	for i, cn := range plan.partialCols {
 		partials.Cols = append(partials.Cols, engine.Column{Name: cn, Type: inferKind(partials.Rows, i)})
 	}
-	return c.srv.replica.DB().QueryWith(ctx, plan.combine, cvals, partials)
+	return c.srv.replica.DB().QueryWith(ctx, plan.combine, cargs, partials)
 }
 
 // inferKind picks a column type from the first non-null value; an

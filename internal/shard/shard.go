@@ -25,6 +25,13 @@
 // over statement-local relations (engine.QueryWith): the shards' rows are
 // visible to that one statement and never enter the replica's catalog.
 //
+// A sharded session is a middleware.Session (DESIGN.md ADR-013): Conn
+// implements the parsed-statement core — QueryStmt routes a SELECT, ExecStmt
+// routes everything else — and embeds middleware.Text for the text-level
+// entry points and the prepared statement, so Prepare returns the same
+// *middleware.Stmt as the unsharded tier and every execution re-routes by
+// the D′ of that moment.
+//
 // The coordinator keeps no per-statement state outside the statement
 // (DESIGN.md ADR-012): a shard session under a sub-scope is a value copy
 // (middleware.Conn.Scoped), so sessions share nothing but the shards.
@@ -45,9 +52,8 @@ import (
 	"mtbase/internal/mtsql"
 )
 
-// Server is a sharded counterpart of middleware.Server: same Connect/
-// Conn/Prepare/Stmt/Rows surface, tenants partitioned over nshards
-// engines.
+// Server is a sharded counterpart of middleware.Server: Connect opens a
+// middleware.Session, tenants partitioned over nshards engines.
 type Server struct {
 	place   Placement
 	shards  []*middleware.Server
@@ -166,7 +172,9 @@ func (s *Server) Connect(ttid int64) (*Conn, error) {
 			return nil, err
 		}
 	}
-	return &Conn{srv: s, c: ttid, level: rconn.OptLevel(), rconn: rconn, sconns: sconns}, nil
+	c := &Conn{srv: s, c: ttid, level: rconn.OptLevel(), rconn: rconn, sconns: sconns}
+	c.Text = middleware.NewText(c, s.replica)
+	return c, nil
 }
 
 // shardSet is one scatter target: a shard rank and the subset of D′ it
@@ -196,12 +204,8 @@ func (s *Server) group(d []int64) []shardSet {
 	return sets
 }
 
-// Stat is one named counter for stats surfaces (mtserve Stats frames,
-// mtsh \stats).
-type Stat struct {
-	Name  string
-	Value int64
-}
+// Stat is the one counter type both tiers' StatLines return.
+type Stat = middleware.Stat
 
 // StatLines reports the routing counters plus per-shard engine counters
 // in a stable order (shard rank; the replica last as "replica").

@@ -143,6 +143,23 @@ func BindValue(v any) (Value, error) {
 	return Null, fmt.Errorf("sqltypes: unsupported bind type %T", v)
 }
 
+// BindValues converts a client's bind arguments with BindValue; the error
+// names the failing parameter by its 1-based position.
+func BindValues(args []any) ([]Value, error) {
+	if len(args) == 0 {
+		return nil, nil
+	}
+	out := make([]Value, len(args))
+	for i, a := range args {
+		v, err := BindValue(a)
+		if err != nil {
+			return nil, fmt.Errorf("bind $%d: %w", i+1, err)
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.K == KindNull }
 
