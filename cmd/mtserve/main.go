@@ -71,7 +71,14 @@ func main() {
 		TenantInflight: *inflight, MaxStmtWait: *stmtWait,
 	}
 
-	if *shards > 1 {
+	// Each tier ends in a server and the engines behind it.
+	var (
+		srv  *server.Server
+		dbs  []*engine.DB
+		scfg = server.Config{AdminTenant: mth.ModellerTTID, Limits: limits}
+	)
+	switch {
+	case *shards > 1:
 		if *data != "" {
 			log.Fatal("-shards and -data are mutually exclusive: durability is an unsharded-tier feature")
 		}
@@ -84,84 +91,65 @@ func main() {
 			log.Fatal(err)
 		}
 		if *grantAll {
-			for t := int64(1); t <= int64(cfg.Tenants); t++ {
-				if err := sinst.GrantReadTo(t); err != nil {
-					log.Fatal(err)
-				}
-			}
+			grantReadToAll(cfg.Tenants, sinst.GrantReadTo)
 		}
-		dbs := make([]*engine.DB, 0, *shards+1)
 		for _, mw := range sinst.Srv.Shards() {
 			dbs = append(dbs, mw.DB())
 		}
 		dbs = append(dbs, sinst.Srv.Replica().DB())
-		for _, db := range dbs {
-			if *memLimit > 0 {
-				db.SetMemoryLimit(*memLimit)
-			}
-			if *spillDir != "" {
-				db.SetSpillDir(*spillDir)
-			}
-			if *parallelism > 0 {
-				db.SetParallelism(*parallelism)
-			}
-		}
 		log.Printf("sharded: shards=%d sf=%g tenants=%d mode=%s", *shards, *sf, *tenants, *mode)
-		srv := server.NewSharded(sinst.Srv, server.Config{
-			AdminTenant: mth.ModellerTTID, Limits: limits,
-		})
-		serveUntilSignal(srv, *addr, *drain)
-		return
-	}
-
-	var (
-		inst  *mth.Instance
-		store *server.Store
-	)
-	if *data != "" {
+		srv = server.NewSharded(sinst.Srv, scfg)
+	case *data != "":
+		// The store applies the manifest's grant-all itself, on first start
+		// and on every recovery.
 		st, err := server.OpenStore(*data, man, *snapEvery)
 		if err != nil {
 			log.Fatal(err)
 		}
-		store = st
-		inst = st.Instance()
 		eff := st.Manifest()
 		log.Printf("durable: dir=%s sf=%g tenants=%d mode=%s recovered=%d records (lsn %d)",
 			*data, eff.SF, eff.Tenants, eff.Mode, st.Recovered(), st.LastLSN())
-	} else {
+		mw := st.Instance().Srv
+		dbs = []*engine.DB{mw.DB()}
+		srv = server.New(mw, st, scfg)
+	default:
 		cfg, err := man.Config()
 		if err != nil {
 			log.Fatal(err)
 		}
-		inst, err = mth.BuildMT(cfg)
+		inst, err := mth.BuildMT(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if *grantAll {
-			for t := int64(1); t <= int64(cfg.Tenants); t++ {
-				if err := inst.GrantReadTo(t); err != nil {
-					log.Fatal(err)
-				}
-			}
+			grantReadToAll(cfg.Tenants, inst.GrantReadTo)
 		}
 		log.Printf("ephemeral: sf=%g tenants=%d mode=%s", *sf, *tenants, *mode)
+		dbs = []*engine.DB{inst.Srv.DB()}
+		srv = server.New(inst.Srv, nil, scfg)
 	}
-
-	db := inst.Srv.DB()
-	if *memLimit > 0 {
-		db.SetMemoryLimit(*memLimit)
+	for _, db := range dbs {
+		if *memLimit > 0 {
+			db.SetMemoryLimit(*memLimit)
+		}
+		if *spillDir != "" {
+			db.SetSpillDir(*spillDir)
+		}
+		if *parallelism > 0 {
+			db.SetParallelism(*parallelism)
+		}
 	}
-	if *spillDir != "" {
-		db.SetSpillDir(*spillDir)
-	}
-	if *parallelism > 0 {
-		db.SetParallelism(*parallelism)
-	}
-
-	srv := server.New(inst.Srv, store, server.Config{
-		AdminTenant: mth.ModellerTTID, Limits: limits,
-	})
 	serveUntilSignal(srv, *addr, *drain)
+}
+
+// grantReadToAll gives every tenant read access to every tenant's data, the
+// paper's evaluation setup.
+func grantReadToAll(tenants int, grantReadTo func(ttid int64) error) {
+	for t := int64(1); t <= int64(tenants); t++ {
+		if err := grantReadTo(t); err != nil {
+			log.Fatal(err)
+		}
+	}
 }
 
 // serveUntilSignal listens, blocks for SIGINT/SIGTERM, then drains.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"mtbase/internal/sqltypes"
@@ -239,16 +240,20 @@ func TestBatchedDMLParity(t *testing.T) {
 }
 
 // TestDMLSelfReferencePathParity pins the cases where DML expressions can
-// observe the statement's own table: a DELETE predicate with a subquery
-// over the same table, and an UPDATE whose SET calls a UDF reading the
-// table (running-sum semantics — must take the row loop, not the batched
-// snapshot evaluation). Both paths must agree exactly.
+// observe the statement's own table — a DELETE predicate with a subquery
+// over the same table, an UPDATE whose SET calls a UDF reading the table —
+// and the order in which a failing UPDATE fails. DML is copy-on-write and
+// has one arm, so the three configurations must agree on the result, the
+// error text and the published heap: every row sees the pre-statement
+// snapshot, and the first failing row in row order decides the error (row
+// 1's assignment fails coercion before row 2's predicate divides by zero).
 func TestDMLSelfReferencePathParity(t *testing.T) {
-	mk := func(compiled bool) *DB {
+	mk := func(cfg execConfig) *DB {
 		db := Open(ModePostgres)
-		db.SetCompileExprs(compiled)
+		cfg.apply(db)
 		if _, err := db.ExecScript(`
 			CREATE TABLE t (x INTEGER);
+			CREATE TABLE u (a INTEGER, d DATE);
 			CREATE FUNCTION s () RETURNS INTEGER AS 'SELECT SUM(x) FROM t' LANGUAGE SQL`); err != nil {
 			t.Fatal(err)
 		}
@@ -256,27 +261,43 @@ func TestDMLSelfReferencePathParity(t *testing.T) {
 		for i := 1; i <= 1500; i++ {
 			tab.AppendRow([]sqltypes.Value{sqltypes.NewInt(int64(i % 40))})
 		}
+		for _, a := range []int64{1, 0, 2} {
+			db.Table("u").AppendRow([]sqltypes.Value{sqltypes.NewInt(a), sqltypes.Null})
+		}
 		return db
 	}
-	dump := func(db *DB) string {
-		res, err := db.QuerySQL("SELECT x FROM t")
+	outcome := func(db *DB, stmt string) string {
+		res, err := db.ExecSQL(stmt)
+		out := "error: "
 		if err != nil {
-			t.Fatal(err)
+			out += err.Error()
+		} else {
+			out = fmt.Sprint("affected: ", res.Affected)
 		}
-		return fmt.Sprint(res.Rows)
+		for _, q := range []string{"SELECT x FROM t", "SELECT a, d FROM u"} {
+			res, err := db.QuerySQL(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out += fmt.Sprint("\n", res.Rows)
+		}
+		return out
 	}
-	for _, stmt := range []string{
-		"DELETE FROM t WHERE x * 50 > (SELECT SUM(x) / 30 FROM t)",
-		"UPDATE t SET x = s() WHERE x = 3",
+	for _, tc := range []struct{ stmt, wantErr string }{
+		{"DELETE FROM t WHERE x * 50 > (SELECT SUM(x) / 30 FROM t)", ""},
+		{"UPDATE t SET x = s() WHERE x = 3", ""},
+		{"UPDATE t SET x = x + s() WHERE s() > x", ""},
+		{"UPDATE u SET d = 'soon' WHERE 10 / a > 0", "soon"},
+		{"UPDATE u SET a = 7 WHERE 10 / a > 5", "division by zero"},
 	} {
-		dbI, dbC := mk(false), mk(true)
-		ri, erri := dbI.ExecSQL(stmt)
-		rc, errc := dbC.ExecSQL(stmt)
-		if erri != nil || errc != nil {
-			t.Fatalf("%s: errors %v / %v", stmt, erri, errc)
+		want := outcome(mk(cfgReference), tc.stmt)
+		if head, _, _ := strings.Cut(want, "\n"); strings.HasPrefix(head, "error: ") != (tc.wantErr != "") || !strings.Contains(head, tc.wantErr) {
+			t.Errorf("%s: reference: %s, want error containing %q", tc.stmt, head, tc.wantErr)
 		}
-		if ri.Affected != rc.Affected || dump(dbI) != dump(dbC) {
-			t.Fatalf("%s: paths diverge (affected %d vs %d)", stmt, ri.Affected, rc.Affected)
+		for _, cfg := range checkedConfigs {
+			if got := outcome(mk(cfg), tc.stmt); got != want {
+				t.Errorf("%s %s:\ngot:       %.300s\nreference: %.300s", cfg.name, tc.stmt, got, want)
+			}
 		}
 	}
 }

@@ -12,12 +12,13 @@ package engine
 //
 // Compilation is best-effort: any construct the compiler does not cover —
 // subqueries, EXISTS, aggregates, correlated references that resolve in an
-// enclosing scope, $n parameters outside a UDF body plan — makes compile
-// return nil and the caller falls back to the tree-walking interpreter in
-// eval.go. Compiled and interpreted evaluation are kept behaviourally
-// identical (including evaluation order, short-circuiting and error
-// propagation); the differential property test in property_test.go enforces
-// this.
+// enclosing scope, $n parameters outside a UDF body plan — makes
+// cenv.compile report !ok and its two callers (the batch lowering's lift in
+// vector.go, the planned UDF body projection below) fall back to the
+// tree-walking interpreter in eval.go. Compiled and interpreted evaluation
+// are kept behaviourally identical (including evaluation order,
+// short-circuiting and error propagation); the differential property test in
+// property_test.go enforces this.
 
 import (
 	"fmt"
@@ -51,22 +52,6 @@ type cenv struct {
 	// no UDF parameter frame: inside a UDF body the same node must resolve
 	// to the function argument, which the interpreter fallback handles.
 	clientBinds bool
-}
-
-// compile lowers e into a closure over the flat row layout described by
-// bindings; sc is the scope the expression would be interpreted in, used
-// only to decide how $n parameters resolve. It returns nil when e uses any
-// construct outside the compiled subset; callers then fall back to exec.eval.
-func (ex *exec) compile(e sqlast.Expr, bindings []*binding, sc *scope) compiledExpr {
-	if ex.interp {
-		return nil
-	}
-	env := &cenv{db: ex.db, cat: ex.cat, bindings: bindings, clientBinds: !scopeHasParams(sc)}
-	fn, ok := env.compile(e)
-	if !ok {
-		return nil
-	}
-	return fn
 }
 
 // resolveLocal mirrors one level of scope.lookup: the reference must resolve

@@ -168,9 +168,9 @@ type catalog struct {
 	funcs  map[string]*Function
 }
 
-func (c *catalog) table(name string) *Table         { return c.tables[strings.ToLower(name)] }
-func (c *catalog) function(name string) *Function   { return c.funcs[strings.ToLower(name)] }
-func (c *catalog) view(name string) *sqlast.Select  { return c.views[strings.ToLower(name)] }
+func (c *catalog) table(name string) *Table        { return c.tables[strings.ToLower(name)] }
+func (c *catalog) function(name string) *Function  { return c.funcs[strings.ToLower(name)] }
+func (c *catalog) view(name string) *sqlast.Select { return c.views[strings.ToLower(name)] }
 
 // clone returns a shallow copy of the catalog with fresh maps, the
 // starting point for every DDL mutation.
@@ -820,117 +820,20 @@ func coerce(v sqltypes.Value, kind sqltypes.Kind) (sqltypes.Value, error) {
 	return sqltypes.Null, fmt.Errorf("cannot store %s as %s", v.K, kind)
 }
 
+// update is copy-on-write, like delete: the scan walks the pristine
+// snapshot, updated rows are cloned into a staged spine, and the new heap is
+// published only after the last row succeeds. Predicates and assignments —
+// subqueries and UDF bodies reading the table included — therefore observe
+// pre-update state for every row however far ahead of the staging they are
+// evaluated, and an error publishes nothing. So they run column-wise per
+// batch; the staging walk then follows row order and aborts at the first
+// poisoned row, exactly where a row loop would have stopped.
 func (db *DB) update(ex *exec, up *sqlast.Update) (*Result, error) {
 	t := db.catalogNow().table(up.Table)
 	if t == nil {
 		return nil, fmt.Errorf("engine: no such table %s", up.Table)
 	}
 	sc := tableScope(t)
-	var pred compiledExpr
-	if up.Where != nil {
-		pred = ex.compile(up.Where, sc.bindings, sc)
-	}
-	setFns := make([]compiledExpr, len(up.Sets))
-	allCompiled := (up.Where == nil || pred != nil) && !db.hasUDFCall(up.Where)
-	for i, a := range up.Sets {
-		setFns[i] = ex.compile(a.Expr, sc.bindings, sc)
-		if setFns[i] == nil || db.hasUDFCall(a.Expr) {
-			allCompiled = false
-		}
-	}
-	// Batched path: only when the predicate and every assignment are in the
-	// compiled subset *and* call no SQL-bodied functions — then they are
-	// pure row functions (nothing that could observe earlier rows' in-place
-	// updates), so evaluating a batch ahead of applying it is
-	// indistinguishable from the row loop. An interpreting execution
-	// compiles nothing and stays on the row loop.
-	if allCompiled {
-		return db.updateBatched(ex, t, up, sc)
-	}
-	// Copy-on-write: the scan walks the pristine snapshot, updated rows are
-	// cloned into a staged spine, and the new heap is published only after
-	// the last row succeeds. The table stays consistent for the whole
-	// statement — predicates and assignments (subqueries included) observe
-	// pre-update state for every row, and an error publishes nothing.
-	heap := t.Heap()
-	var staged [][]sqltypes.Value
-	affected := 0
-	for ri, row := range heap {
-		sc.row = row
-		if up.Where != nil {
-			var v sqltypes.Value
-			var err error
-			if pred != nil {
-				v, err = pred(ex, row)
-			} else {
-				v, err = ex.eval(up.Where, sc)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if truth, _ := sqltypes.Truthy(v); !truth {
-				continue
-			}
-		}
-		// Evaluate all assignments against the pre-update row.
-		newVals := make([]sqltypes.Value, len(up.Sets))
-		for i, a := range up.Sets {
-			var v sqltypes.Value
-			var err error
-			if setFns[i] != nil {
-				v, err = setFns[i](ex, row)
-			} else {
-				v, err = ex.eval(a.Expr, sc)
-			}
-			if err != nil {
-				return nil, err
-			}
-			idx := t.ColIndex(a.Column)
-			if idx < 0 {
-				return nil, fmt.Errorf("engine: no column %s in %s", a.Column, t.Name)
-			}
-			cv, err := coerce(v, t.Cols[idx].Type)
-			if err != nil {
-				return nil, err
-			}
-			newVals[i] = cv
-		}
-		if staged == nil {
-			staged = append([][]sqltypes.Value(nil), heap...)
-		}
-		nr := append([]sqltypes.Value(nil), row...)
-		for i, a := range up.Sets {
-			nr[t.ColIndex(a.Column)] = newVals[i]
-		}
-		staged[ri] = nr
-		affected++
-	}
-	if affected > 0 {
-		t.publish(staged)
-	}
-	return &Result{Affected: affected}, nil
-}
-
-// hasUDFCall reports whether e calls a SQL-bodied function. UDF bodies are
-// full queries that may read the table a DML statement is mutating, so the
-// batched paths must not evaluate them a batch ahead of applying updates.
-func (db *DB) hasUDFCall(e sqlast.Expr) bool {
-	found := false
-	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-		if fc, ok := n.(*sqlast.FuncCall); ok && db.Function(fc.Name) != nil {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// updateBatched evaluates the UPDATE predicate and assignments column-wise
-// per batch and stages the new rows in row order afterwards, aborting at
-// the first poisoned row exactly where the row loop would have stopped.
-// Like the row loop it is copy-on-write: updated rows are cloned into a
-// staged spine published only when the whole statement succeeds.
-func (db *DB) updateBatched(ex *exec, t *Table, up *sqlast.Update, sc *scope) (*Result, error) {
 	var vpred vecExpr
 	if up.Where != nil {
 		vpred = ex.vecCompile(up.Where, sc.bindings, sc)
@@ -940,7 +843,7 @@ func (db *DB) updateBatched(ex *exec, t *Table, up *sqlast.Update, sc *scope) (*
 	for i, a := range up.Sets {
 		vsets[i] = ex.vecCompile(a.Expr, sc.bindings, sc)
 		// Resolution is hoisted; the "no column" error stays at apply time so
-		// a non-matching UPDATE succeeds exactly like the row loop.
+		// a non-matching UPDATE succeeds.
 		colIdx[i] = t.ColIndex(a.Column)
 	}
 	newVals := make([]sqltypes.Value, len(up.Sets))

@@ -44,8 +44,8 @@ type exec struct {
 
 	// interp and reference are the statement's execution configuration
 	// (DESIGN.md ADR-010), pinned at exec creation under DB.mu like the
-	// snapshot. interp turns the expression seam (vecCompile, compile,
-	// planUDF) to the tree-walking interpreter; reference additionally runs
+	// snapshot. interp turns the expression seam (vecCompile, planUDF)
+	// to the tree-walking interpreter; reference additionally runs
 	// queries on the serial materializing executor of exec.go, and implies
 	// interp. Production is both false.
 	interp, reference bool

@@ -1246,11 +1246,11 @@ func (ex *exec) leftOuterJoin(l, r *relation, on sqlast.Expr, parent *scope) (*r
 		return true, nil
 	}
 	var buf []byte
-	for ri, lr := range l.rows {
-		if ri&(BatchSize-1) == 0 {
-			if err := ex.cancelled(); err != nil {
-				return nil, err
-			}
+	for _, lr := range l.rows {
+		// Polled per probe row: the residual may reject a whole wide bucket,
+		// so output rows are no measure of the work done.
+		if err := ex.cancelled(); err != nil {
+			return nil, err
 		}
 		var null bool
 		buf, null, err = ex.joinKey(buf, lexprs, lr, lsc)

@@ -353,34 +353,50 @@ func TestQueryFuzz(t *testing.T) {
 	}
 }
 
-// TestCancelMidJoinMutant is the input that kept the fuzz leg red: a TPC-H
-// seed whose WHERE the fuzzer mutated away, so the FROM list is a cross
-// product of 150 x 1 500 x 6 000 rows. No arm can finish it; every arm must
-// notice the deadline within a fill (production) or a probe row (reference)
-// instead of first expanding a probe batch against the whole build side,
-// and leave no spill file behind.
+// cancelMutants cannot finish in any arm. The first is the input that kept
+// the fuzz leg red: a TPC-H seed whose WHERE the fuzzer mutated away, so the
+// FROM list is a cross product of 150 x 1 500 x 6 000 rows. The next is its
+// LEFT JOIN form — every candidate passes the residual — and the last a
+// skewed 1:N equi LEFT JOIN whose residual rejects every candidate, so a
+// probe row examines 1 500 candidates to emit one null-extended row.
+var cancelMutants = []struct{ name, sql string }{
+	{"cross", `SELECT * FROM customer, orders, lineitem`},
+	{"outer-pairless", `SELECT * FROM customer LEFT JOIN orders ON 1 = 1 LEFT JOIN lineitem ON 1 = 1`},
+	{"outer-rejecting", `SELECT * FROM lineitem l1 LEFT JOIN lineitem l2 ON l1.l_linestatus = l2.l_linestatus AND l2.l_quantity < 0`},
+}
+
+// TestCancelMidJoinMutant: every arm must notice the deadline within a fill
+// (production) or a probe row (reference) instead of first expanding a
+// probe batch against the whole build side, and leave no spill file behind.
 func TestCancelMidJoinMutant(t *testing.T) {
 	a := newFuzzArms(t)
 	dir := t.TempDir()
 	a.db.SetSpillDir(dir)
 	defer a.reset()
-	arms := map[string]func(){
-		"production":      func() {},
-		"reference":       func() { a.db.SetStreamExec(false) },
-		"evaluator-check": func() { a.db.SetCompileExprs(false) },
-		"parallel-8":      func() { a.db.SetParallelism(8) },
-		"capped":          func() { a.db.SetMemoryLimit(fuzzMemLimit) },
+	arms := []struct {
+		name string
+		prep func()
+	}{
+		{"production", func() {}},
+		{"reference", func() { a.db.SetStreamExec(false) }},
+		{"evaluator-check", func() { a.db.SetCompileExprs(false) }},
+		{"parallel-8", func() { a.db.SetParallelism(8) }},
+		{"capped", func() { a.db.SetMemoryLimit(fuzzMemLimit) }},
 	}
-	for name, prep := range arms {
-		a.reset()
-		prep()
-		start := time.Now()
-		got := a.run(`SELECT * FROM customer, orders, lineitem`, 100*time.Millisecond)
-		if !timedOut(got) {
-			t.Errorf("%s: want the context's deadline error, got %.80q", name, got)
-		}
-		if d := time.Since(start); d > 2*time.Second {
-			t.Errorf("%s: took %v to notice a 100ms deadline", name, d)
+	for _, m := range cancelMutants {
+		for _, arm := range arms {
+			t.Run(m.name+"/"+arm.name, func(t *testing.T) {
+				a.reset()
+				arm.prep()
+				start := time.Now()
+				got := a.run(m.sql, 100*time.Millisecond)
+				if !timedOut(got) {
+					t.Errorf("want the context's deadline error, got %.80q", got)
+				}
+				if d := time.Since(start); d > 2*time.Second {
+					t.Errorf("took %v to notice a 100ms deadline", d)
+				}
+			})
 		}
 	}
 	ents, err := os.ReadDir(dir)
@@ -406,6 +422,21 @@ func FuzzQuery(f *testing.F) {
 	}
 	a := newFuzzArms(f)
 	a.db.SetSpillDir(f.TempDir())
+	// Two LEFT JOIN seeds in the shape the rewrite gives every outer join:
+	// Q13 as rewritten at canonical (ttid equality plus D' filters in the ON
+	// clause) and at o4 (the filters pruned).
+	q13 := mth.Queries(0.001)[12]
+	if q13.ID != 13 {
+		f.Fatalf("query 13 is not at index 12: found Q%d", q13.ID)
+	}
+	for _, level := range []optimizer.Level{optimizer.Canonical, optimizer.O4} {
+		a.conn.SetOptLevel(level)
+		sel, err := a.conn.RewriteSQL(q13.SQL)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(sel.String())
+	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		if len(sql) > 4096 {
 			t.Skip("oversized input")

@@ -19,10 +19,15 @@ package engine
 //   - NULL keys behave as in memory: dropped for inner joins, immediately
 //     null-extended (with their sequence number) for left outer joins.
 //
-// Exclusions, by design: the cross product (no equi pairs) and the
-// pair-less LEFT JOIN degenerate to a single partition and stay in-memory
-// (charged, never spilled); the index fast path probes the table's
-// persistent index and retains no transient build at all.
+// Inner and left outer joins share every step; graceState reads outer at the
+// same three points as the in-memory join (operator.go): the probe
+// partitioner keeps NULL keys, and processPartition lets the residual ON
+// conjuncts decide the matches of a probe row and null-extends one without.
+//
+// Exclusions, by design: the pair-less join (cross product, LEFT JOIN
+// without an equi conjunct) degenerates to a single partition and stays
+// in-memory (charged, never spilled); the index fast path probes the
+// table's persistent index and retains no transient build at all.
 
 import "mtbase/internal/sqltypes"
 
@@ -55,11 +60,11 @@ type graceState struct {
 	pairs []equiPair
 	width int
 
-	// Left outer join hooks: nulls is the right-width null extension and
-	// louter evaluates the residual ON conjuncts per candidate.
-	outer  bool
-	nulls  []sqltypes.Value
-	louter *leftOuterOperator
+	// Left outer join: the residual ON conjuncts and the right-width null
+	// extension, both the operator's.
+	outer bool
+	on    *onResidual
+	nulls []sqltypes.Value
 
 	buildParts []*partWriter
 	probeParts []*partWriter
@@ -68,14 +73,16 @@ type graceState struct {
 	out    *spiller
 	merge  *mergeIter
 	buf    []byte
+	cands  [][]sqltypes.Value
 	rowBuf [][]sqltypes.Value
 	ran    bool
 }
 
-func newGraceState(ex *exec, pairs []equiPair, width int) *graceState {
+func newGraceState(ex *exec, j *joinOperator) *graceState {
 	return &graceState{
-		pairs:      pairs,
-		width:      width,
+		pairs: j.pairs,
+		width: j.orel.width,
+		outer: j.outer, on: j.on, nulls: j.nulls,
 		out:        newSpiller(ex, func(a, b *spillRec) bool { return a.seq < b.seq }),
 		buildParts: newPartSet(ex),
 		probeParts: newPartSet(ex),
@@ -116,34 +123,24 @@ func (g *graceState) close() {
 	}
 }
 
-// forEachKeyedRow invokes fn for every row of b whose join key has no NULL
-// component, in selection order, with the key encoded exactly as the hash
-// probe encodes it.
-func (ex *exec) forEachKeyedRow(b *Batch, ks *vecKeySet, buf []byte, fn func(i int32, key []byte) error) ([]byte, error) {
+// partitionBuildBatch routes one batch of build rows into the build
+// partition files, keys encoded exactly as the hash probe encodes them. A
+// row whose key has a NULL component matches nothing and is dropped.
+func (g *graceState) partitionBuildBatch(ex *exec, b *Batch, ks *vecKeySet) error {
 	m := ex.vs.mark()
 	defer ex.vs.release(m)
-	sel := ks.compute(b, true, nil)
+	sel := ks.compute(b, true)
 	if err := b.firstErr(); err != nil {
-		return buf, err
+		return err
 	}
 	for _, i := range sel {
-		buf = encodeKeyCols(buf[:0], ks.cols, i)
-		if err := fn(i, buf); err != nil {
-			return buf, err
+		g.buf = encodeKeyCols(g.buf[:0], ks.cols, i)
+		p := g.buildParts[graceHash(g.buf, 0)%graceParts]
+		if err := p.write(&spillRec{key: g.buf, row: b.rows[i]}); err != nil {
+			return err
 		}
 	}
-	return buf, nil
-}
-
-// partitionBuildBatch routes one batch of build rows into the build
-// partition files.
-func (g *graceState) partitionBuildBatch(ex *exec, b *Batch, ks *vecKeySet) error {
-	var err error
-	g.buf, err = ex.forEachKeyedRow(b, ks, g.buf, func(i int32, key []byte) error {
-		p := g.buildParts[graceHash(key, 0)%graceParts]
-		return p.write(&spillRec{key: key, row: b.rows[i]})
-	})
-	return err
+	return nil
 }
 
 // partitionBuildRows streams already-materialized build rows (table heap or
@@ -162,18 +159,42 @@ func (g *graceState) partitionBuildRows(ex *exec, rows [][]sqltypes.Value, ks *v
 	return nil
 }
 
-// partitionProbeBatch routes one batch of inner-join probe rows, assigning
-// global sequence numbers in stream order. NULL-key rows are dropped — they
-// cannot match.
+// partitionProbeBatch routes one batch of probe rows, assigning global
+// sequence numbers in stream order. A NULL-key row — one of b.sel the key
+// set dropped — cannot match: an inner join drops it, a left outer join
+// null-extends it right away, under its sequence number so it merges back
+// into probe order. Rows an upstream filter dropped from b.sel never
+// participate.
 func (g *graceState) partitionProbeBatch(ex *exec, b *Batch, ks *vecKeySet) error {
-	var err error
-	g.buf, err = ex.forEachKeyedRow(b, ks, g.buf, func(i int32, key []byte) error {
+	m := ex.vs.mark()
+	defer ex.vs.release(m)
+	keyed := ks.compute(b, true)
+	if err := b.firstErr(); err != nil {
+		return err
+	}
+	var ck rowChunk
+	if g.outer {
+		ck = newRowChunk(len(b.sel)-len(keyed), g.width)
+	}
+	for _, i := range b.sel {
 		seq := g.probeSeq
 		g.probeSeq++
-		p := g.probeParts[graceHash(key, 0)%graceParts]
-		return p.write(&spillRec{seq: seq, key: key, row: b.rows[i]})
-	})
-	return err
+		if len(keyed) == 0 || keyed[0] != i {
+			if g.outer { // outer (1)
+				if err := g.emitOut(ex, seq, ck.concat(b.rows[i], g.nulls, g.width)); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		keyed = keyed[1:]
+		g.buf = encodeKeyCols(g.buf[:0], ks.cols, i)
+		p := g.probeParts[graceHash(g.buf, 0)%graceParts]
+		if err := p.write(&spillRec{seq: seq, key: g.buf, row: b.rows[i]}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runPartitions joins every partition pair and opens the output merge.
@@ -283,30 +304,21 @@ func (g *graceState) processPartition(ex *exec, bp, pp *partWriter, salt, depth 
 			nout++ // room for the null extension
 		}
 		ck := newRowChunk(nout, g.width)
-		if g.outer {
-			matched := false
-			for _, ri := range ids {
-				combined := ck.concat(rec.row, brows[ri], g.width)
-				okm, err := g.louter.matchResidual(ex, combined)
-				if err != nil {
-					return err
-				}
-				if okm {
-					matched = true
-					if err := g.emitOut(ex, rec.seq, combined); err != nil {
-						return err
-					}
-				}
-			}
-			if !matched {
-				if err := g.emitOut(ex, rec.seq, ck.concat(rec.row, g.nulls, g.width)); err != nil {
-					return err
-				}
-			}
-			continue
-		}
+		g.cands = g.cands[:0]
 		for _, ri := range ids {
-			if err := g.emitOut(ex, rec.seq, ck.concat(rec.row, brows[ri], g.width)); err != nil {
+			g.cands = append(g.cands, ck.concat(rec.row, brows[ri], g.width))
+		}
+		if g.outer {
+			// outer (2) and (3), as in joinOperator.fillPending.
+			if g.cands, err = g.on.keep(g.cands); err != nil {
+				return err
+			}
+			if len(g.cands) == 0 {
+				g.cands = append(g.cands, ck.concat(rec.row, g.nulls, g.width))
+			}
+		}
+		for _, row := range g.cands {
+			if err := g.emitOut(ex, rec.seq, row); err != nil {
 				return err
 			}
 		}
@@ -387,7 +399,7 @@ func (g *graceState) emit(ex *exec, out *Batch) (*Batch, error) {
 	return out, nil
 }
 
-// openChargedBuild is the memory-limited replacement for the inner join's
+// openChargedBuild is the memory-limited replacement for the equi join's
 // hash build: it charges the build side at batch granularity and, when the
 // budget overflows, releases the charges and partitions everything —
 // already-drained rows first, then the rest of the build stream without
@@ -452,7 +464,7 @@ func (j *joinOperator) openChargedBuild(ex *exec) error {
 	}
 	ex.acct.release(j.charged)
 	j.charged = 0
-	g := newGraceState(ex, j.pairs, j.orel.width)
+	g := newGraceState(ex, j)
 	j.grace = g
 	if err := g.partitionBuildRows(ex, rows, rks); err != nil {
 		return err
@@ -503,178 +515,4 @@ func (j *joinOperator) graceNext(ex *exec) (*Batch, error) {
 		}
 	}
 	return g.emit(ex, &j.out)
-}
-
-// openChargedBuild is the left outer join's memory-limited build: identical
-// charging to the inner join's, with the Grace state carrying the null
-// extension and the residual evaluator.
-func (o *leftOuterOperator) openChargedBuild(ex *exec) error {
-	o.acct = ex.acct
-	rks := ex.vecKeys(pairExprs(o.pairs, true), o.rrel.bindings, o.rrel.scopeFor(o.parent))
-	rows := o.rrel.rows
-	streamed := rows == nil
-	spill := false
-	if streamed {
-		if err := o.right.Open(ex); err != nil {
-			return err
-		}
-		for !spill {
-			b, err := o.right.Next(ex)
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			var add int64
-			for _, i := range b.sel {
-				rows = append(rows, b.rows[i])
-				add += rowBytes(b.rows[i]) + joinBucketBytes
-			}
-			ex.acct.charge(add)
-			o.charged += add
-			if ex.acct.over() {
-				spill = true
-			}
-		}
-	} else {
-		var add int64
-		for i := range rows {
-			add += rowBytes(rows[i]) + joinBucketBytes
-			if (i+1)%batchSize == 0 {
-				ex.acct.charge(add)
-				o.charged += add
-				add = 0
-				if ex.acct.over() {
-					spill = true
-					break
-				}
-			}
-		}
-		if !spill {
-			ex.acct.charge(add)
-			o.charged += add
-			spill = ex.acct.over()
-		}
-	}
-	if !spill {
-		o.rightRows = rows
-		build, err := ex.vecJoinBuild(o.rrel, rows, o.pairs, o.parent)
-		if err != nil {
-			return err
-		}
-		o.build = build
-		return nil
-	}
-	ex.acct.release(o.charged)
-	o.charged = 0
-	g := newGraceState(ex, o.pairs, o.orel.width)
-	g.outer = true
-	g.nulls = o.nulls
-	g.louter = o
-	o.grace = g
-	if err := g.partitionBuildRows(ex, rows, rks); err != nil {
-		return err
-	}
-	if streamed {
-		for {
-			if err := ex.cancelled(); err != nil {
-				return err
-			}
-			b, err := o.right.Next(ex)
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			if err := g.partitionBuildBatch(ex, b, rks); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// gracePartitionProbe routes one probe batch of the left outer join:
-// NULL-key rows null-extend immediately (carrying their sequence number so
-// they merge back into probe order); valid keys go to their partition.
-// Rows dropped from the incoming selection by an upstream filter never
-// participate — the same inSel bookkeeping as the in-memory probe.
-func (o *leftOuterOperator) gracePartitionProbe(ex *exec, b *Batch) error {
-	g := o.grace
-	n := len(b.rows)
-	if cap(o.nullMask) < n {
-		o.nullMask = make([]bool, n)
-		o.buckets = make([][]int, n)
-		o.inSel = make([]bool, n)
-	}
-	o.nullMask = o.nullMask[:n]
-	inSel := o.inSel[:n]
-	for i := range inSel {
-		o.nullMask[i] = false
-		inSel[i] = false
-	}
-	for _, i := range b.sel {
-		inSel[i] = true
-	}
-	m := ex.vs.mark()
-	defer ex.vs.release(m)
-	o.lks.compute(b, true, o.nullMask)
-	if err := b.firstErr(); err != nil {
-		return err
-	}
-	nulls := 0
-	for i := 0; i < n; i++ {
-		if inSel[i] && o.nullMask[i] {
-			nulls++
-		}
-	}
-	ck := newRowChunk(nulls, g.width)
-	for i := 0; i < n; i++ {
-		if !inSel[i] {
-			continue
-		}
-		seq := g.probeSeq
-		g.probeSeq++
-		if o.nullMask[i] {
-			if err := g.emitOut(ex, seq, ck.concat(b.rows[i], o.nulls, g.width)); err != nil {
-				return err
-			}
-			continue
-		}
-		g.buf = encodeKeyCols(g.buf[:0], o.lks.cols, int32(i))
-		p := g.probeParts[graceHash(g.buf, 0)%graceParts]
-		if err := p.write(&spillRec{seq: seq, key: g.buf, row: b.rows[i]}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// graceNext mirrors the inner join's graceNext for the left outer join.
-func (o *leftOuterOperator) graceNext(ex *exec) (*Batch, error) {
-	g := o.grace
-	if !g.ran {
-		g.ran = true
-		for {
-			if err := ex.cancelled(); err != nil {
-				return nil, err
-			}
-			b, err := o.left.Next(ex)
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			if err := o.gracePartitionProbe(ex, b); err != nil {
-				return nil, err
-			}
-		}
-		if err := g.runPartitions(ex); err != nil {
-			return nil, err
-		}
-	}
-	return g.emit(ex, &o.out)
 }

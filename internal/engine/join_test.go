@@ -3,7 +3,7 @@ package engine
 // Tests for the two rules of DESIGN.md ADR-011: a closed subquery conjunct
 // filters its source below the joins (and nothing else does), and a join
 // chain materializes each output row once without ever sharing or rewriting
-// a row's storage.
+// a row's storage — and for the outer kind of the one hash join (ADR-014).
 
 import (
 	"fmt"
@@ -200,6 +200,26 @@ func TestJoinChainMatchesReference(t *testing.T) {
 	}
 }
 
+// checkRowsOwned fails unless every row fills its capacity exactly and no
+// two rows share storage.
+func checkRowsOwned(t *testing.T, q string, rows [][]sqltypes.Value, width int) {
+	t.Helper()
+	if len(rows) == 0 {
+		t.Fatalf("%q: no rows", q)
+	}
+	seen := make(map[unsafe.Pointer]bool, len(rows))
+	for _, row := range rows {
+		if len(row) != width || cap(row) != len(row) {
+			t.Fatalf("%q: row len/cap = %d/%d, want %d/%d", q, len(row), cap(row), width, width)
+		}
+		p := unsafe.Pointer(&row[0])
+		if seen[p] {
+			t.Fatalf("%q: two output rows share storage", q)
+		}
+		seen[p] = true
+	}
+}
+
 // TestJoinChainRowOwnership drives chains directly and checks the
 // invariant on what comes out: a final-chain row fills its capacity
 // exactly, and no two output rows share storage — the first match of a
@@ -225,20 +245,7 @@ func TestJoinChainRowOwnership(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rows) == 0 {
-			t.Fatalf("%q: no rows", q)
-		}
-		seen := make(map[unsafe.Pointer]bool, len(rows))
-		for _, row := range rows {
-			if len(row) != src.rel.width || cap(row) != len(row) {
-				t.Fatalf("%q: row len/cap = %d/%d, want %d/%d", q, len(row), cap(row), src.rel.width, src.rel.width)
-			}
-			p := unsafe.Pointer(&row[0])
-			if seen[p] {
-				t.Fatalf("%q: two output rows share storage", q)
-			}
-			seen[p] = true
-		}
+		checkRowsOwned(t, q, rows, src.rel.width)
 		for j, ok := top.left.(*joinOperator); ok; j, ok = j.left.(*joinOperator) {
 			if j.grace != nil {
 				graced++
@@ -251,5 +258,183 @@ func TestJoinChainRowOwnership(t *testing.T) {
 	}
 	if graced := check(graceChain, 8<<10); graced != 2 {
 		t.Errorf("%d of the 2 lower joins ran as Grace joins under the cap: the chain never saw respilled probe rows", graced)
+	}
+}
+
+// outerTestDB is the LEFT OUTER probe/build pair: p has NULL keys (id%7 ==
+// 3), keys without a build row (k >= 40) and two rows (id 10 and 1500, in
+// different probe batches) on key 777, whose bucket in q is wider than one
+// fill; q also has NULL keys, which never match; e is empty.
+func outerTestDB(t *testing.T) *DB {
+	t.Helper()
+	db := Open(ModePostgres)
+	if _, err := db.ExecScript(`
+		CREATE TABLE p (id INTEGER NOT NULL, k INTEGER, v INTEGER NOT NULL);
+		CREATE TABLE q (k INTEGER, w INTEGER NOT NULL, tag VARCHAR NOT NULL);
+		CREATE TABLE e (k INTEGER, z INTEGER);
+		CREATE TABLE one (id INTEGER NOT NULL, v INTEGER NOT NULL)`); err != nil {
+		t.Fatal(err)
+	}
+	tp, tq, to := db.Table("p"), db.Table("q"), db.Table("one")
+	for i := 0; i < 2500; i++ {
+		k := sqltypes.NewInt(int64(i % 50))
+		switch {
+		case i%7 == 3:
+			k = sqltypes.Null
+		case i == 10 || i == 1500:
+			k = sqltypes.NewInt(777)
+		}
+		tp.AppendRow([]sqltypes.Value{sqltypes.NewInt(int64(i)), k, sqltypes.NewInt(int64(i % 11))})
+	}
+	for k := 0; k < 40; k++ {
+		for w := 0; w < k%4; w++ { // 0..3 rows per key
+			tq.AppendRow([]sqltypes.Value{sqltypes.NewInt(int64(k)), sqltypes.NewInt(int64(w)), sqltypes.NewString(fmt.Sprintf("q%d.%d", k, w))})
+		}
+		tq.AppendRow([]sqltypes.Value{sqltypes.Null, sqltypes.NewInt(int64(k)), sqltypes.NewString("null-key")})
+	}
+	for w := 0; w < joinFillRows+3000; w++ {
+		tq.AppendRow([]sqltypes.Value{sqltypes.NewInt(777), sqltypes.NewInt(int64(w)), sqltypes.NewString("wide")})
+	}
+	for id := 0; id < 3; id++ {
+		to.AppendRow([]sqltypes.Value{sqltypes.NewInt(int64(id)), sqltypes.NewInt(int64(4 * id))})
+	}
+	return db
+}
+
+// lastWide is the w of the wide bucket's last candidate.
+const lastWide = joinFillRows + 3000 - 1
+
+// outerShapes: q keyed on a plain column is probed through its persistent
+// index and the capped run stays in memory; keyed on q.k + 0 it is hashed
+// per statement, so the cap sends the join through Grace partitions
+// (spills).
+var outerShapes = []struct {
+	sql    string
+	spills bool
+}{
+	// NULL probe keys, keys without a bucket, the wide bucket without a residual.
+	{`SELECT * FROM p LEFT JOIN q ON p.k = q.k`, false},
+	{`SELECT * FROM p LEFT JOIN q ON p.k = q.k + 0`, true},
+	// Empty build.
+	{`SELECT * FROM p LEFT JOIN e ON p.k = e.k`, false},
+	{`SELECT * FROM p LEFT JOIN e ON p.k = e.k + 0 AND e.z > p.v`, false},
+	// Residual-only ON: no equi pair, every build row a candidate.
+	{`SELECT * FROM p LEFT JOIN one ON p.v > one.v`, false},
+	{`SELECT * FROM p LEFT JOIN one ON 1 = 1`, false},
+	// ... with a build side of several morsels: the twin operator hashed it
+	// on a zero-column key, which the morsel-parallel build took for NULL.
+	{`SELECT one.id, COUNT(q.w) AS n FROM one LEFT JOIN q ON 1 = 1 GROUP BY one.id ORDER BY one.id`, true},
+	// The residual accepts only the wide bucket's last candidate (and the
+	// first of every narrow one) / none at all: one row per probe row, in
+	// probe order across the fill boundary.
+	{fmt.Sprintf(`SELECT * FROM p LEFT JOIN q ON p.k = q.k AND (q.w = %d OR q.w = 0 AND q.k < 777)`, lastWide), false},
+	{fmt.Sprintf(`SELECT * FROM p LEFT JOIN q ON p.k = q.k + 0 AND (q.w = %d OR q.w = 0 AND q.k < 777)`, lastWide), true},
+	// ... only its first: the matched bit survives the fills that follow.
+	{`SELECT * FROM p LEFT JOIN q ON p.k = q.k AND q.w = 0`, false},
+	{`SELECT * FROM p LEFT JOIN q ON p.k = q.k AND q.w < 0`, false},
+	{`SELECT * FROM p LEFT JOIN q ON p.k = q.k + 0 AND q.w < 0`, true},
+	// A residual that fails on one candidate of the wide bucket.
+	{`SELECT * FROM p LEFT JOIN q ON p.k = q.k AND 100 / (q.w - 17000) < 0`, false},
+	// An outer join feeding an inner chain, and inner joins feeding an outer.
+	{`SELECT * FROM p LEFT JOIN q ON p.k = q.k AND q.w < 2, one, q q3 WHERE one.id = 2 AND p.v = one.v AND q3.k = one.id`, false},
+	{`SELECT * FROM p LEFT JOIN q ON p.k = q.k + 0 AND q.w < 2, one WHERE p.v = one.v`, true},
+	{`SELECT * FROM p JOIN one ON p.v = one.v JOIN q ON q.k = one.id + 1 LEFT JOIN q q2 ON q2.k = p.k AND q2.w <> q.w`, false},
+	// A filtered probe stream: the inner join's residual drops rows — NULL
+	// keys among them — from the selection the outer join probes with.
+	{`SELECT * FROM p JOIN one ON one.id = 1 AND p.v % 3 = 0 LEFT JOIN q ON p.k = q.k AND q.w < 3`, false},
+	{`SELECT * FROM p JOIN one ON one.id = 1 AND p.v % 3 = 0 LEFT JOIN q ON p.k = q.k + 0 AND q.w < 3`, true},
+	// Outer output consumed by a breaker, which spills by itself.
+	{`SELECT p.k, COUNT(q.w) AS n, COUNT(*) AS m FROM p LEFT JOIN q ON p.k = q.k AND q.w < 5 GROUP BY p.k ORDER BY p.k`, true},
+}
+
+// TestJoinOuterMatchesReference: every LEFT OUTER shape is byte-identical
+// to the reference executor — unlimited, under the 64 KB cap (where the
+// q.k + 0 shapes must really run as Grace joins) and at parallelism 8.
+func TestJoinOuterMatchesReference(t *testing.T) {
+	forceParallel(t)
+	db := outerTestDB(t)
+	db.SetSpillDir(t.TempDir())
+	defer cfgProduction.apply(db)
+	for _, tc := range outerShapes {
+		q := tc.sql
+		db.SetMemoryLimit(0)
+		db.SetParallelism(1)
+		cfgReference.apply(db)
+		want := execKey(db.QuerySQL(q))
+		if strings.HasPrefix(want, "error: ") != strings.Contains(q, "100 /") {
+			t.Fatalf("%q: reference: %.200s", q, want)
+		}
+		for _, limit := range []int64{0, 64 << 10} {
+			db.SetMemoryLimit(limit)
+			for _, cfg := range checkedConfigs {
+				cfg.apply(db)
+				for _, par := range []int{1, 8} {
+					db.SetParallelism(par)
+					db.Stats = Stats{}
+					if got := execKey(db.QuerySQL(q)); got != want {
+						t.Errorf("%s limit=%d par=%d %q: differs from reference (%d vs %d bytes)", cfg.name, limit, par, q, len(got), len(want))
+					}
+					if spilled := db.Stats.Snapshot().SpillRuns > 0; limit > 0 && spilled != tc.spills {
+						t.Errorf("%s limit=%d par=%d %q: spilled = %v, want %v", cfg.name, limit, par, q, spilled, tc.spills)
+					}
+				}
+			}
+		}
+	}
+	db.SetMemoryLimit(0)
+	db.SetParallelism(1)
+	cfgProduction.apply(db)
+	// The rejecting residual: exactly one null-extended row per probe row.
+	res, err := db.QuerySQL(`SELECT p.id, q.w FROM p LEFT JOIN q ON p.k = q.k AND q.w < 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range res.Rows {
+		if len(res.Rows) != 2500 || row[0].AsInt() != int64(i) || !row[1].IsNull() {
+			t.Fatalf("rejecting residual: %d rows, row %d = %v; want 2500 null-extended rows in probe order", len(res.Rows), i, row)
+		}
+	}
+}
+
+// TestJoinOuterRowOwnership: an outer join copies every row it emits — its
+// rows fill their capacity exactly and share no storage, whether its probe
+// rows come from inner joins or it feeds a chain that then extends its own
+// rows — and one fill never holds more than joinFillRows rows.
+func TestJoinOuterRowOwnership(t *testing.T) {
+	db := outerTestDB(t)
+	for _, q := range []string{
+		`SELECT * FROM p JOIN one ON p.v = one.v JOIN q ON q.k = one.id + 1 LEFT JOIN q q2 ON q2.k = p.k AND q2.w <> q.w`,
+		`SELECT * FROM p LEFT JOIN q ON p.k = q.k AND q.w < 2, one, q q3 WHERE p.v = one.v AND q3.k = one.id`,
+		`SELECT * FROM p LEFT JOIN q ON p.k = q.k`,
+	} {
+		ex, src := sourceOf(t, db, q)
+		outer, isJoin := src.op.(*joinOperator)
+		for isJoin && !outer.outer {
+			outer, isJoin = outer.left.(*joinOperator)
+		}
+		if !isJoin || outer.extends || outer.rowCap != outer.orel.width {
+			t.Fatalf("%q: no standalone outer join on the probe spine of %s", q, opShape(src.op))
+		}
+		if err := src.op.Open(ex); err != nil {
+			t.Fatal(err)
+		}
+		var rows [][]sqltypes.Value
+		for {
+			b, err := src.op.Next(ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			if len(outer.pending) > joinFillRows {
+				t.Fatalf("%q: a fill holds %d rows, bound is %d", q, len(outer.pending), joinFillRows)
+			}
+			for _, i := range b.sel {
+				rows = append(rows, b.rows[i])
+			}
+		}
+		src.op.Close()
+		checkRowsOwned(t, q, rows, src.rel.width)
 	}
 }

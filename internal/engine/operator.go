@@ -40,6 +40,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -205,14 +206,19 @@ type filterOperator struct {
 	f     filterOp
 }
 
-// newFilterOperator lowers conjuncts against the stream's schema.
-func newFilterOperator(ex *exec, child Operator, rel *relation, conjs []*conjunct, parent *scope) *filterOperator {
+// newFilterOp lowers conjuncts against a stream's schema, one batch program
+// each.
+func (ex *exec) newFilterOp(conjs []*conjunct, rel *relation, parent *scope) filterOp {
 	sc := rel.scopeFor(parent)
-	o := &filterOperator{child: child, f: filterOp{progs: make([]vecExpr, len(conjs))}}
+	f := filterOp{progs: make([]vecExpr, len(conjs))}
 	for i, c := range conjs {
-		o.f.progs[i] = ex.vecCompile(c.expr, rel.bindings, sc)
+		f.progs[i] = ex.vecCompile(c.expr, rel.bindings, sc)
 	}
-	return o
+	return f
+}
+
+func newFilterOperator(ex *exec, child Operator, rel *relation, conjs []*conjunct, parent *scope) *filterOperator {
+	return &filterOperator{child: child, f: ex.newFilterOp(conjs, rel, parent)}
 }
 
 func (o *filterOperator) Open(ex *exec) error { return o.child.Open(ex) }
@@ -247,22 +253,32 @@ func (o *filterOperator) Close() { o.child.Close() }
 
 // ---------------------------------------------------------------- joins
 
-// joinOperator is the inner hash join (degrading to the cross product with
-// no equi pairs): Open materializes only the build side — the hash table,
-// or the probe plan against a base table's persistent index — and Next
-// streams probe batches, expanding each into at most batch-size output
-// windows.
+// joinOperator is the hash join, inner or LEFT OUTER (degrading to the cross
+// product with no equi pairs): Open materializes only the build side — the
+// hash table, or the probe plan against a base table's persistent index —
+// and Next streams probe batches, expanding each into at most batch-size
+// output windows.
+//
+// The outer kind is the inner one except at three points, each marked
+// "outer (n)" where outer is read: (1) a probe row with a NULL key or an
+// empty bucket stays in the probe instead of dropping out (probeBatch, and
+// partitionProbeBatch on the Grace path); (2) the residual ON conjuncts
+// decide whether a candidate counts as a match; (3) a probe row without a
+// match is emitted null-extended (fillPending, and processPartition on the
+// Grace path). An inner join's residual ON conjuncts filter its output
+// instead (buildJoinExprPipe).
 //
 // Row ownership (DESIGN.md ADR-011). Rows this operator allocates are
-// chunk-allocated per probe batch with capacity rowCap — the final width of
-// the join chain it belongs to — and handed to exactly one consumer, the
-// next join of that chain. That join (extends) therefore owns the reserved
-// tail of each probe row: a row's first match is written in place behind
-// the prefix, only further matches of a 1:N bucket copy. Whether a given
-// probe row really has the capacity is read off cap(row) — a row that came
-// back from a Grace spill has none and is copied like any foreign row. The
+// chunk-allocated per fill with capacity rowCap — the final width of the
+// join chain it belongs to — and handed to exactly one consumer, the next
+// join of that chain. That join (extends) therefore owns the reserved tail
+// of each probe row: a row's first match is written in place behind the
+// prefix, only further matches of a 1:N bucket copy. Whether a given probe
+// row really has the capacity is read off cap(row) — a row that came back
+// from a Grace spill has none and is copied like any foreign row. The
 // prefix of a row is never rewritten, so copies of it stay valid whenever
-// they are made.
+// they are made. An outer join is never part of a chain (extends is false):
+// it copies every row it emits.
 type joinOperator struct {
 	ex     *exec
 	left   Operator
@@ -272,6 +288,10 @@ type joinOperator struct {
 	orel   *relation
 	pairs  []equiPair
 	parent *scope
+
+	outer bool
+	on    *onResidual      // outer: the residual ON conjuncts
+	nulls []sqltypes.Value // outer: the right-width null extension
 
 	rowCap  int  // capacity of the output rows allocated here (>= orel.width)
 	extends bool // probe rows come from the previous join of the same chain
@@ -288,12 +308,15 @@ type joinOperator struct {
 
 	// Probe state: the probe batch being expanded, its selected rows with
 	// their buckets, how far the expansion got (row selPos of sel, match
-	// bktPos of its bucket) and how many output rows it still allocates.
+	// bktPos of its bucket, and for an outer join whether an earlier fill
+	// already found that row a match) and how many output rows it still
+	// allocates.
 	probe   *Batch
 	sel     []int32
 	buckets [][]int
 	selPos  int
 	bktPos  int
+	matched bool
 	fresh   int
 
 	pending [][]sqltypes.Value
@@ -307,11 +330,12 @@ type joinOperator struct {
 	grace   *graceState
 }
 
-// newJoinPipe joins l and r. A join of a FROM-list chain (buildSourcePipe)
-// passes the chain's final width as rowCap and whether l is the chain's
-// previous join; a standalone join passes 0, false and allocates exactly
-// its own width.
-func (ex *exec) newJoinPipe(l, r *pipe, pairs []equiPair, parent *scope, rowCap int, extends bool) *pipe {
+// newJoinPipe joins l and r on the equi pairs; outer makes it a LEFT OUTER
+// join whose matches the residual ON conjuncts decide. A join of a FROM-list
+// chain (buildSourcePipe) passes the chain's final width as rowCap and
+// whether l is the chain's previous join; a standalone join passes 0, false
+// and allocates exactly its own width.
+func (ex *exec) newJoinPipe(l, r *pipe, pairs []equiPair, outer bool, residual []*conjunct, parent *scope, rowCap int, extends bool) *pipe {
 	orel := joinRel(l.rel, r.rel)
 	if rowCap < orel.width {
 		rowCap = orel.width
@@ -319,10 +343,47 @@ func (ex *exec) newJoinPipe(l, r *pipe, pairs []equiPair, parent *scope, rowCap 
 	jo := &joinOperator{
 		ex: ex, left: l.op, right: r.op,
 		lrel: l.rel, rrel: r.rel, orel: orel,
-		pairs: pairs, parent: parent,
+		pairs: pairs, parent: parent, outer: outer,
 		rowCap: rowCap, extends: extends,
 	}
+	if outer {
+		jo.on = &onResidual{f: ex.newFilterOp(residual, orel, parent)}
+		jo.nulls = make([]sqltypes.Value, r.rel.width)
+	}
 	return &pipe{op: jo, rel: orel}
+}
+
+// onResidual is what is left of an outer join's ON clause once the equi
+// pairs are taken out: a filter over the joined row layout (one batch
+// program per conjunct — vecCompile never returns nil, ADR-010) and the
+// window it runs candidates through.
+type onResidual struct {
+	f   filterOp
+	win Batch
+}
+
+// keep compacts the candidate tuples of one probe row, in place and in
+// order, to those every residual conjunct accepts. The conjuncts run over
+// batch windows of the candidates; a failing candidate aborts with the
+// error of the first one in candidate order, as a row loop would.
+func (r *onResidual) keep(cands [][]sqltypes.Value) ([][]sqltypes.Value, error) {
+	if len(r.f.progs) == 0 {
+		return cands, nil
+	}
+	kept := cands[:0]
+	for len(cands) > 0 {
+		n := min(len(cands), batchSize)
+		r.win.window(cands[:n])
+		r.f.apply(&r.win)
+		if r.f.failed != nil {
+			return nil, r.f.failed
+		}
+		for _, i := range r.win.sel {
+			kept = append(kept, cands[i]) // never ahead of the read position
+		}
+		cands = cands[n:]
+	}
+	return kept, nil
 }
 
 func (j *joinOperator) Open(ex *exec) error {
@@ -346,7 +407,9 @@ func (j *joinOperator) Open(ex *exec) error {
 	// Build side: drain the right child (base scans are already
 	// materialized as the table heap) and hash it on the join keys. Under a
 	// memory limit the equi build is charged and may overflow into a Grace
-	// hash join; the cross product (no pairs) stays in-memory but charged.
+	// hash join; the pair-less join (cross product, LEFT JOIN without an
+	// equi conjunct) would degenerate to one partition, so it stays
+	// in-memory but charged.
 	if len(j.pairs) > 0 && ex.acct != nil {
 		return j.openChargedBuild(ex)
 	}
@@ -413,7 +476,7 @@ func (ex *exec) vecJoinBuild(rrel *relation, rows [][]sqltypes.Value, pairs []eq
 			return nil, err
 		}
 		m := ex.vs.mark()
-		sel := rks.compute(&b, true, nil)
+		sel := rks.compute(&b, true)
 		if err := b.firstErr(); err != nil {
 			return nil, err
 		}
@@ -446,7 +509,9 @@ func (j *joinOperator) Next(ex *exec) (*Batch, error) {
 				return nil, err
 			}
 		}
-		j.fillPending()
+		if err := j.fillPending(); err != nil {
+			return nil, err
+		}
 	}
 	n := len(j.pending) - j.pendPos
 	if n > batchSize {
@@ -458,10 +523,12 @@ func (j *joinOperator) Next(ex *exec) (*Batch, error) {
 	return &j.out, nil
 }
 
-// joinFillRows bounds the output rows one fill holds. A probe batch whose
-// buckets are wide — a cross product, a skewed 1:N key — expands over
-// several fills, so cancellation is polled and memory bounded per fill
-// rather than per probe batch times build side.
+// joinFillRows bounds the candidates one fill expands, and with them the
+// output rows it holds. A probe batch whose buckets are wide — a cross
+// product, a skewed 1:N key — expands over several fills, so cancellation
+// is polled and memory bounded per fill rather than per probe batch times
+// build side, whether or not an outer join's residual lets any candidate
+// through.
 const joinFillRows = 16 * batchSize
 
 // probeBatch looks up the buckets of one probe batch: the probe keys fill
@@ -481,11 +548,20 @@ func (j *joinOperator) probeBatch(ex *exec, b *Batch) error {
 	} else {
 		m := ex.vs.mark()
 		defer ex.vs.release(m)
-		sel = j.lks.compute(b, true, nil)
+		keyed := j.lks.compute(b, true)
 		if err := b.firstErr(); err != nil {
 			return err
 		}
-		for _, i := range sel {
+		if j.outer {
+			// outer (1): every incoming row stays selected; a NULL key has
+			// no candidates. Rows an upstream filter dropped stay dropped.
+			for _, i := range sel {
+				j.buckets[i] = nil
+			}
+		} else {
+			sel = keyed
+		}
+		for _, i := range keyed {
 			j.buf = encodeKeyCols(j.buf[:0], j.lks.cols, i)
 			j.buckets[i] = j.build[string(j.buf)]
 		}
@@ -497,6 +573,9 @@ func (j *joinOperator) probeBatch(ex *exec, b *Batch) error {
 			j.fresh--
 		}
 	}
+	if j.outer {
+		j.fresh += len(sel) // and each row's null extension
+	}
 	// The selection vector may live in scratch released on return.
 	j.probe, j.sel = b, append(j.sel[:0], sel...)
 	j.selPos, j.bktPos = 0, 0
@@ -504,18 +583,19 @@ func (j *joinOperator) probeBatch(ex *exec, b *Batch) error {
 }
 
 // fillPending expands the probe batch into joined output rows, from where
-// the previous fill stopped until the batch is exhausted or pending holds
-// joinFillRows rows.
-func (j *joinOperator) fillPending() {
+// the previous fill stopped until the batch is exhausted or joinFillRows
+// candidates are expanded.
+func (j *joinOperator) fillPending() error {
 	j.pending, j.pendPos = j.pending[:0], 0
 	ck := newRowChunk(min(j.fresh, joinFillRows), j.rowCap)
+	room := joinFillRows
 	pos, k := j.selPos, j.bktPos
-	for ; pos < len(j.sel); pos, k = pos+1, 0 {
+	for pos < len(j.sel) && room > 0 {
 		l, bucket := j.probe.rows[j.sel[pos]], j.buckets[j.sel[pos]]
-		if room := joinFillRows - len(j.pending); len(bucket)-k > room {
-			bucket = bucket[:k+room]
-		}
-		for ; k < len(bucket); k++ {
+		first := len(j.pending)
+		end := min(len(bucket), k+room)
+		room -= end - k
+		for ; k < end; k++ {
 			r := j.rightRows[bucket[k]]
 			if k == 0 && j.owns(l) {
 				row := l[:len(l)+len(r)]
@@ -526,11 +606,34 @@ func (j *joinOperator) fillPending() {
 				j.fresh--
 			}
 		}
-		if len(j.pending) == joinFillRows {
-			break // resume at match k of this row (or, past its end, at the next)
+		if j.outer {
+			// outer (2): the residual decides which candidates are matches.
+			kept, err := j.on.keep(j.pending[first:])
+			if err != nil {
+				return err
+			}
+			j.pending = j.pending[:first+len(kept)]
+			j.matched = j.matched || len(kept) > 0
 		}
+		if k < len(bucket) {
+			break // resume at match k of this row
+		}
+		if j.outer {
+			// outer (3): a row without a match is emitted null-extended.
+			if !j.matched {
+				if room == 0 {
+					break // resume at the null extension
+				}
+				j.pending = append(j.pending, ck.concat(l, j.nulls, j.rowCap))
+				room--
+			}
+			j.fresh--
+			j.matched = false
+		}
+		pos, k = pos+1, 0
 	}
 	j.selPos, j.bktPos = pos, k
+	return nil
 }
 
 // owns reports whether this join may write probe row l's first match into
@@ -551,226 +654,6 @@ func (j *joinOperator) Close() {
 	}
 	j.acct.release(j.charged)
 	j.charged = 0
-}
-
-// leftOuterOperator preserves every probe row: the equi keys prune build
-// candidates, the residual ON conjuncts decide matches, and unmatched probe
-// rows emit null-extended. The build side materializes at Open (hash
-// table); the probe side streams.
-type leftOuterOperator struct {
-	ex     *exec
-	left   Operator
-	right  Operator
-	lrel   *relation
-	rrel   *relation
-	orel   *relation
-	pairs  []equiPair
-	resid  []*conjunct
-	parent *scope
-
-	build     map[string][]int
-	rightRows [][]sqltypes.Value
-	nulls     []sqltypes.Value
-	osc       *scope
-	lks       *vecKeySet
-	resFns    []compiledExpr
-	buf       []byte
-	buckets   [][]int
-	nullMask  []bool
-	inSel     []bool
-
-	pending [][]sqltypes.Value
-	pendPos int
-	out     Batch
-
-	// Memory-limited statements: build-side charge and, after an overflow,
-	// the Grace hash join state (gracejoin.go).
-	acct    *memAccountant
-	charged int64
-	grace   *graceState
-}
-
-func (ex *exec) newLeftOuterPipe(l, r *pipe, pairs []equiPair, residual []*conjunct, parent *scope) *pipe {
-	orel := joinRel(l.rel, r.rel)
-	o := &leftOuterOperator{
-		ex: ex, left: l.op, right: r.op,
-		lrel: l.rel, rrel: r.rel, orel: orel,
-		pairs: pairs, resid: residual, parent: parent,
-	}
-	return &pipe{op: o, rel: orel}
-}
-
-func (o *leftOuterOperator) Open(ex *exec) error {
-	if err := o.left.Open(ex); err != nil {
-		return err
-	}
-	o.nulls = make([]sqltypes.Value, o.rrel.width)
-	o.osc = o.orel.scopeFor(o.parent)
-	o.lks = ex.vecKeys(pairExprs(o.pairs, false), o.lrel.bindings, o.lrel.scopeFor(o.parent))
-	o.resFns = make([]compiledExpr, len(o.resid))
-	for i, c := range o.resid {
-		o.resFns[i] = ex.compile(c.expr, o.orel.bindings, o.osc)
-	}
-	// Under a memory limit the equi build is charged and may overflow into
-	// a Grace hash join. The pair-less LEFT JOIN (every probe row matches
-	// the single bucket) would degenerate to one partition, so it stays
-	// in-memory but charged.
-	if len(o.pairs) > 0 && ex.acct != nil {
-		return o.openChargedBuild(ex)
-	}
-	rows := o.rrel.rows
-	if rows == nil {
-		var err error
-		rows, err = drainRows(ex, o.right)
-		if err != nil {
-			return err
-		}
-	}
-	o.rightRows = rows
-	if ex.acct != nil {
-		o.acct = ex.acct
-		for _, row := range rows {
-			o.charged += rowBytes(row) + joinBucketBytes
-		}
-		ex.acct.charge(o.charged)
-	}
-	build, err := ex.vecJoinBuild(o.rrel, rows, o.pairs, o.parent)
-	if err != nil {
-		return err
-	}
-	o.build = build
-	return nil
-}
-
-// matchResidual applies the non-equi ON conjuncts to one candidate tuple.
-func (o *leftOuterOperator) matchResidual(ex *exec, combined []sqltypes.Value) (bool, error) {
-	for i, c := range o.resid {
-		var v sqltypes.Value
-		var err error
-		if o.resFns[i] != nil {
-			v, err = o.resFns[i](ex, combined)
-		} else {
-			o.osc.row = combined
-			v, err = ex.eval(c.expr, o.osc)
-		}
-		if err != nil {
-			return false, err
-		}
-		if truth, _ := sqltypes.Truthy(v); !truth {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-func (o *leftOuterOperator) Next(ex *exec) (*Batch, error) {
-	if o.grace != nil {
-		return o.graceNext(ex)
-	}
-	for o.pendPos >= len(o.pending) {
-		if err := ex.cancelled(); err != nil {
-			return nil, err
-		}
-		b, err := o.left.Next(ex)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return nil, nil
-		}
-		o.pending = o.pending[:0]
-		o.pendPos = 0
-		if err := o.fillPending(ex, b); err != nil {
-			return nil, err
-		}
-	}
-	n := len(o.pending) - o.pendPos
-	if n > batchSize {
-		n = batchSize
-	}
-	o.out.window(o.pending[o.pendPos : o.pendPos+n])
-	o.pendPos += n
-	ex.noteStream(n)
-	return &o.out, nil
-}
-
-// fillPending probes one batch: valid keys land in the selection vector,
-// NULL keys in the null mask (unmatched by definition, emitted
-// null-extended). A filtered probe stream may have dropped rows from the
-// window: only rows still in the incoming selection participate at all.
-func (o *leftOuterOperator) fillPending(ex *exec, b *Batch) error {
-	width := o.orel.width
-	n := len(b.rows)
-	if cap(o.nullMask) < n {
-		o.nullMask = make([]bool, n)
-		o.buckets = make([][]int, n)
-		o.inSel = make([]bool, n)
-	}
-	o.nullMask = o.nullMask[:n]
-	o.buckets = o.buckets[:n]
-	inSel := o.inSel[:n]
-	for i := range inSel {
-		o.nullMask[i] = false
-		inSel[i] = false
-	}
-	for _, i := range b.sel {
-		inSel[i] = true
-	}
-	m := ex.vs.mark()
-	defer ex.vs.release(m)
-	o.lks.compute(b, true, o.nullMask)
-	if err := b.firstErr(); err != nil {
-		return err
-	}
-	total := 0
-	for i := 0; i < n; i++ {
-		o.buckets[i] = nil
-		if !inSel[i] {
-			continue
-		}
-		total++
-		if !o.nullMask[i] {
-			o.buf = encodeKeyCols(o.buf[:0], o.lks.cols, int32(i))
-			o.buckets[i] = o.build[string(o.buf)]
-			total += len(o.buckets[i])
-		}
-	}
-	ck := newRowChunk(total, width)
-	for i := 0; i < n; i++ {
-		if !inSel[i] {
-			continue
-		}
-		matched := false
-		for _, ri := range o.buckets[i] {
-			combined := ck.concat(b.rows[i], o.rightRows[ri], width)
-			ok, err := o.matchResidual(ex, combined)
-			if err != nil {
-				return err
-			}
-			if ok {
-				matched = true
-				o.pending = append(o.pending, combined)
-			}
-		}
-		if !matched {
-			o.pending = append(o.pending, ck.concat(b.rows[i], o.nulls, width))
-		}
-	}
-	return nil
-}
-
-func (o *leftOuterOperator) Close() {
-	o.left.Close()
-	o.right.Close()
-	o.build = nil
-	o.rightRows = nil
-	o.pending = nil
-	if o.grace != nil {
-		o.grace.close()
-		o.grace = nil
-	}
-	o.acct.release(o.charged)
-	o.charged = 0
 }
 
 // ---------------------------------------------------------------- project
@@ -1039,7 +922,7 @@ func (o *groupOperator) Open(ex *exec) error {
 			break
 		}
 		m := ex.vs.mark()
-		gsel := o.gks.compute(b, false, nil)
+		gsel := o.gks.compute(b, false)
 		if err := b.firstErr(); err != nil {
 			ex.vs.release(m)
 			return err
@@ -1981,7 +1864,7 @@ func (ex *exec) buildSourcePipe(sel *sqlast.Select, parent *scope) (*pipe, error
 		}
 		next := remaining[pick]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		cur = ex.newJoinPipe(cur, next, pairs, parent, chainWidth, cur != pipes[0])
+		cur = ex.newJoinPipe(cur, next, pairs, false, nil, parent, chainWidth, cur != pipes[0])
 		for _, p := range pairs {
 			p.src.used = true
 		}
@@ -2086,63 +1969,42 @@ func (ex *exec) buildJoinExprPipe(j *sqlast.JoinExpr, parent *scope) (*pipe, err
 	if err != nil {
 		return nil, err
 	}
+	switch j.Kind {
+	case sqlast.JoinCross:
+		return ex.newJoinPipe(l, r, nil, false, nil, parent, 0, false), nil
+	case sqlast.JoinInner, sqlast.JoinLeftOuter:
+	default:
+		return nil, fmt.Errorf("engine: unsupported join kind %v", j.Kind)
+	}
+	// The ON clause splits the same way for both kinds: equi conjuncts
+	// between the two sides become the hash keys, the rest is the residual.
 	names := func(n string) bool {
 		ln := strings.ToLower(n)
 		return l.rel.names()[ln] || r.rel.names()[ln]
 	}
-	switch j.Kind {
-	case sqlast.JoinCross:
-		return ex.newJoinPipe(l, r, nil, parent, 0, false), nil
-	case sqlast.JoinInner:
-		conjs := splitConjuncts(j.On)
-		colOwner := ownerMap(l.rel, r.rel)
-		analyzed := make([]*conjunct, len(conjs))
-		for i, c := range conjs {
-			analyzed[i] = analyzeConjunct(c, names, colOwner)
-		}
-		pairs := equiPairsBetween(analyzed, l.rel, r.rel)
-		joined := ex.newJoinPipe(l, r, pairs, parent, 0, false)
-		var residual []*conjunct
-		for _, c := range analyzed {
-			used := false
-			for _, p := range pairs {
-				if p.src == c {
-					used = true
-					break
-				}
-			}
-			if !used {
-				residual = append(residual, c)
-			}
-		}
-		if len(residual) == 0 {
-			return joined, nil
-		}
-		return ex.filterPipe(joined, residual, parent), nil
-	case sqlast.JoinLeftOuter:
-		conjs := splitConjuncts(j.On)
-		colOwner := ownerMap(l.rel, r.rel)
-		analyzed := make([]*conjunct, len(conjs))
-		for i, c := range conjs {
-			analyzed[i] = analyzeConjunct(c, names, colOwner)
-		}
-		pairs := equiPairsBetween(analyzed, l.rel, r.rel)
-		var residual []*conjunct
-		for _, c := range analyzed {
-			used := false
-			for _, p := range pairs {
-				if p.src == c {
-					used = true
-					break
-				}
-			}
-			if !used {
-				residual = append(residual, c)
-			}
-		}
-		return ex.newLeftOuterPipe(l, r, pairs, residual, parent), nil
+	colOwner := ownerMap(l.rel, r.rel)
+	var analyzed []*conjunct
+	for _, c := range splitConjuncts(j.On) {
+		analyzed = append(analyzed, analyzeConjunct(c, names, colOwner))
 	}
-	return nil, fmt.Errorf("engine: unsupported join kind %v", j.Kind)
+	pairs := equiPairsBetween(analyzed, l.rel, r.rel)
+	var residual []*conjunct
+	for _, c := range analyzed {
+		if !slices.ContainsFunc(pairs, func(p equiPair) bool { return p.src == c }) {
+			residual = append(residual, c)
+		}
+	}
+	// An outer join's residual decides matches inside the join (a probe row
+	// it rejects everywhere still comes out, null-extended); an inner join's
+	// filters the joined stream.
+	if j.Kind == sqlast.JoinLeftOuter {
+		return ex.newJoinPipe(l, r, pairs, true, residual, parent, 0, false), nil
+	}
+	joined := ex.newJoinPipe(l, r, pairs, false, nil, parent, 0, false)
+	if len(residual) == 0 {
+		return joined, nil
+	}
+	return ex.filterPipe(joined, residual, parent), nil
 }
 
 // materializePipe drains a pipe into a buffered row set so its size is

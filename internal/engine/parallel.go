@@ -359,7 +359,7 @@ func (ex *exec) parallelJoinKeys(r *relation, pairs []equiPair, parent *scope) (
 				return err
 			}
 			mk := we.vs.mark()
-			sel := ws.rks.compute(&b, true, nil)
+			sel := ws.rks.compute(&b, true)
 			if err := b.firstErr(); err != nil {
 				return err
 			}

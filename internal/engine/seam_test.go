@@ -24,7 +24,7 @@ import (
 var seamFuncs = map[string][]string{
 	"noCompile": {"DB.SetCompileExprs", "DB.newExec"},
 	"streamOff": {"DB.SetStreamExec", "DB.newExec"},
-	"interp":    {"DB.newExec", "exec.workerClone", "exec.compile", "exec.vecCompile", "exec.planUDF"},
+	"interp":    {"DB.newExec", "exec.workerClone", "exec.vecCompile", "exec.planUDF"},
 	"reference": {"DB.newExec", "exec.runQuery", "DB.queryRowsUnlock"},
 }
 
@@ -37,8 +37,19 @@ var referenceForbidden = []string{
 }
 
 // deletedTwins are the interpreter (and compiled-reference) twins this
-// design removed; they must not come back under the same names.
-var deletedTwins = []string{"applyInterp", "projectInterp", "projectRowsBatched"}
+// design removed, and the left outer join's copy of the hash join ADR-014
+// merged into joinOperator; they must not come back under the same names.
+// (The reference's local residual closure in leftOuterJoin is not a twin.)
+var deletedTwins = []string{
+	"applyInterp", "projectInterp", "projectRowsBatched",
+	"leftOuterOperator", "newLeftOuterPipe", "gracePartitionProbe", "louter",
+}
+
+// closureFree are the files that hold expressions only as batch programs:
+// the row-closure compiler (cenv.compile, compiledExpr) is reached through
+// vecCompile's lift and the UDF body projection, never from an operator or
+// a DML statement.
+var closureFree = []string{"operator.go", "gracejoin.go", "db.go"}
 
 func funcName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
@@ -61,6 +72,7 @@ func TestModeSeam(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	modeLines := 0
+	var graceOwners []string
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -81,16 +93,24 @@ func TestModeSeam(t *testing.T) {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
-				// Type declarations: filterOp must not regrow its expression twin.
+				// Type declarations: filterOp must not regrow its expression
+				// twin, and one operator owns the Grace hash join.
 				ast.Inspect(decl, func(n ast.Node) bool {
 					ts, ok := n.(*ast.TypeSpec)
-					if !ok || ts.Name.Name != "filterOp" {
+					if !ok {
 						return true
 					}
-					for _, fld := range ts.Type.(*ast.StructType).Fields.List {
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						return false
+					}
+					for _, fld := range st.Fields.List {
 						for _, id := range fld.Names {
-							if id.Name == "exprs" {
+							if ts.Name.Name == "filterOp" && id.Name == "exprs" {
 								t.Errorf("%s: filterOp.exprs is back", name)
+							}
+							if id.Name == "grace" {
+								graceOwners = append(graceOwners, ts.Name.Name)
 							}
 						}
 					}
@@ -116,6 +136,9 @@ func TestModeSeam(t *testing.T) {
 					t.Errorf("%s: %s mentions deleted twin %s", name, fn, id)
 				}
 			}
+			if slices.Contains(closureFree, name) && (used["compiledExpr"] || used["compile"]) {
+				t.Errorf("%s: %s mentions the row-closure compiler; operators and DML hold batch programs only", name, fn)
+			}
 			if name == "exec.go" {
 				for _, id := range referenceForbidden {
 					if used[id] {
@@ -126,6 +149,9 @@ func TestModeSeam(t *testing.T) {
 				t.Errorf("%s: %s uses concatRows, the reference executor's row concatenation", name, fn)
 			}
 		}
+	}
+	if len(graceOwners) != 1 {
+		t.Errorf("types with a grace field: %v; exactly one operator implements the hash join", graceOwners)
 	}
 	if modeLines > 12 {
 		t.Errorf("%d source lines mention noCompile/streamOff; the seam allows 12", modeLines)

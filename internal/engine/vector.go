@@ -761,10 +761,10 @@ func (ex *exec) vecKeys(exprs []sqlast.Expr, bindings []*binding, sc *scope) *ve
 // compute fills the key columns for b and returns the surviving selection.
 // With dropNulls (join keys) rows with a NULL key are dropped — NULL never
 // matches an equi key — and their remaining key expressions skipped, exactly
-// like the row loops' per-row short-circuit; a non-nil nullMask additionally
-// flags them so outer joins can emit them null-extended. Group-by callers
-// pass dropNulls=false: NULL is a valid group key.
-func (ks *vecKeySet) compute(b *Batch, dropNulls bool, nullMask []bool) []int32 {
+// like the row loops' per-row short-circuit; an outer join finds them again
+// as the rows of b.sel missing from the result. Group-by callers pass
+// dropNulls=false: NULL is a valid group key.
+func (ks *vecKeySet) compute(b *Batch, dropNulls bool) []int32 {
 	st := &ks.ex.vs
 	sel := b.sel
 	for j, prog := range ks.progs {
@@ -777,9 +777,6 @@ func (ks *vecKeySet) compute(b *Batch, dropNulls bool, nullMask []bool) []int32 
 				continue
 			}
 			if dropNulls && col[i].IsNull() {
-				if nullMask != nil {
-					nullMask[i] = true
-				}
 				continue
 			}
 			kept = append(kept, i)

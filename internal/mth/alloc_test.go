@@ -42,6 +42,10 @@ func TestJoinAllocBudget(t *testing.T) {
 		{18, 3_500_000}, // here 2.2 MB, per-level copy 106 MB
 		{22, 3_000_000}, // here 1.9 MB, per-level copy 5.3 MB
 		{10, 3_750_000}, // here 2.3 MB, per-level copy 7.1 MB
+		// No BENCHMARK.json workload runs a LEFT JOIN; this row is the gate on
+		// the outer kind of the one hash join (ADR-014): the twin operator it
+		// replaced allocated 3.62 MB here, pinned at that + 10 %.
+		{13, 3_985_000}, // here 3.3 MB: orders is probed through its persistent index
 	} {
 		q, err := QueryByID(cfg.SF, tc.id)
 		if err != nil {
