@@ -388,9 +388,9 @@ func BenchmarkQueryScaling(b *testing.B) {
 // scope, O4. The shards1 series is the unsharded-equivalent oracle (the
 // router passes statements straight through); the ns/op trajectory across
 // the series prices D′-routed scatter/gather — partial-agg pushdown for
-// Q1/Q6, ordered gather and the repartition fallback for Q22. One dataset
-// is generated once and re-partitioned per shard count, so every series
-// answers over identical rows.
+// Q1/Q6, the staged plan (a hoisted AVG, then a partial fold) for Q22. One
+// dataset is generated once and re-partitioned per shard count, so every
+// series answers over identical rows.
 func BenchmarkShardScaling(b *testing.B) {
 	cfg := mth.Config{SF: 0.01, Tenants: 16, Dist: mth.Uniform, Seed: 42, Mode: engine.ModePostgres}
 	data := mth.Generate(cfg)

@@ -67,16 +67,18 @@
 //     engine's concurrency, determinism and resource invariants; run
 //     `go run ./cmd/mtlint ./...` next to tier-1 verification (ADR-007
 //     in DESIGN.md)
-//   - shard — tenant-partitioned scale-out (ADR-009 and ADR-012 in
-//     DESIGN.md): N independent engine+middleware shards plus a
+//   - shard — tenant-partitioned scale-out (ADR-009, ADR-012 and ADR-015
+//     in DESIGN.md): N independent engine+middleware shards plus a
 //     coordinator replica behind the same middleware.Session surface
 //     (shard.Conn implements only the routing core).
 //     The rewrite's privilege-pruned tenant set D′ routes every
 //     statement: one shard for single-tenant work, deterministic
 //     scatter/gather for cross-tenant work (ordered k-way merge under
 //     ORDER BY, partial-aggregation pushdown with a coordinator fold,
-//     repartition fallback for shapes the pinned-query classifier cannot
-//     prove exact), byte-identical to the unsharded instance at every
+//     staged routing — a closed scalar subquery over tenant data runs
+//     first, as a routed statement of its own, and comes back as a bind
+//     parameter — and a repartition fallback for what the pinned-query
+//     classifier still cannot prove exact), byte-identical to the unsharded instance at every
 //     optimization level. The coordinator is stateless between
 //     statements: fold and fallback read the shards' rows as
 //     statement-local relations (engine.DB.QueryWith) that never enter

@@ -471,7 +471,7 @@ func tenantSpecificTables(q *sqlast.Select) []string {
 	return out
 }
 
-// rewrittenText resolves the session context and returns the optimized SQL
+// RewrittenText resolves the session context and returns the optimized SQL
 // text for q, serving repeated texts from the rewrite cache. raw is the
 // client's original text when the call came in as SQL; it keys the rewrite
 // cache together with everything the rewrite depends on (C, level, schema
@@ -479,8 +479,10 @@ func tenantSpecificTables(q *sqlast.Select) []string {
 // serialization. Bind-parameter placeholders pass through the rewrite
 // untouched, so one parameterized text — and therefore one engine plan —
 // serves every binding. Scope resolution and privilege pruning always run —
-// they are what D′ captures.
-func (c *Conn) rewrittenText(q *sqlast.Select, raw string) (string, error) {
+// they are what D′ captures. Exported for the sharding layer, which reads from
+// the text the column names the unsharded tier gives a statement that the
+// shards answer by other means.
+func (c *Conn) RewrittenText(q *sqlast.Select, raw string) (string, error) {
 	ctx, err := c.RewriteContext(sqlast.PrivRead, tenantSpecificTables(q)...)
 	if err != nil {
 		return "", err
@@ -511,7 +513,7 @@ func (c *Conn) rewrittenText(q *sqlast.Select, raw string) (string, error) {
 // middleware communicates with the DBMS "by the means of pure SQL" (§3):
 // the rewritten statement is serialized and reparsed there.
 func (c *Conn) QueryStmt(ctx context.Context, q *sqlast.Select, raw string, args []sqltypes.Value) (*engine.Rows, error) {
-	txt, err := c.rewrittenText(q, raw)
+	txt, err := c.RewrittenText(q, raw)
 	if err != nil {
 		return nil, err
 	}

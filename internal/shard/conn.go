@@ -169,10 +169,10 @@ func (c *Conn) QueryStmt(ctx context.Context, sel *sqlast.Select, sql string, ar
 	if hasView {
 		// A view's tenant set was baked at CREATE VIEW independently of
 		// the session scope, so routing cannot see it; repartition every
-		// tenant's rows to the replica and run there.
+		// tenant's rows of every tenant table to the replica and run there.
 		atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
 		atomic.AddInt64(&c.srv.stats.RoutedFallback, 1)
-		return c.fallback(ctx, sel, args, d, c.srv.Tenants())
+		return c.fallback(ctx, sel, args, d, c.srv.group(c.srv.Tenants()), c.srv.tenantTables())
 	}
 	sets := c.srv.group(d)
 	if len(sets) <= 1 {
@@ -181,19 +181,49 @@ func (c *Conn) QueryStmt(ctx context.Context, sel *sqlast.Select, sql string, ar
 		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
 		return c.sconns[c.homeRank(sets)].QueryStmt(ctx, sel, sql, args)
 	}
-	an := analyze(sel, schema)
+	return c.routeCross(ctx, sel, sql, args, d, sets)
+}
+
+// routeCross picks the gather of a view-free statement whose D′ spans the
+// shards in sets. A statement the classifier rejects gets the staged plan
+// (stage.go) before it is given up on: its closed scalar subqueries go
+// through this same function as statements of their own — each counts as the
+// routed statement it is — and what they yield is bound into the outer
+// statement, which then takes the route its second classification found. An
+// abandoned staged plan leaves the original statement to the fallback.
+func (c *Conn) routeCross(ctx context.Context, sel *sqlast.Select, sql string, args []sqltypes.Value, d []int64, sets []shardSet) (*engine.Rows, error) {
+	client, clientSQL := sel, sql // name the header an un-aliased aggregate carries
+	an := analyze(sel, c.srv.Schema())
+	if !an.pinned() {
+		st, err := c.stage(ctx, sel, args, d, sets)
+		if err != nil {
+			return nil, err
+		}
+		if st != nil {
+			atomic.AddInt64(&c.srv.stats.HoistedSubqueries, int64(len(st.args)-len(args)))
+			sel, sql, args, an = st.sel, st.sel.String(), st.args, st.an
+		}
+	}
+	if an.tenantFree {
+		// A staged outer statement whose tenant data all went into its binds:
+		// every shard holds the global rows it reads, so one answers.
+		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
+		return c.sconns[c.srv.ShardOf(c.c)].QueryStmt(ctx, sel, sql, args)
+	}
+	atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
 	switch {
-	case an.pinned && an.aggPush:
-		atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
+	case an.aggPush:
 		atomic.AddInt64(&c.srv.stats.PartialsPushed, 1)
-		return c.partialScatter(ctx, an.plan, args, sets)
-	case an.pinned && an.plainScan:
-		atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
+		header, err := c.clientHeader(an.plan, client, clientSQL, d)
+		if err != nil {
+			return nil, err
+		}
+		return c.partialScatter(ctx, an.plan, header, args, sets)
+	case an.plainScan:
 		return c.scatterMerge(ctx, sel, sql, args, sets, an)
 	default:
-		atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
 		atomic.AddInt64(&c.srv.stats.RoutedFallback, 1)
-		return c.fallback(ctx, sel, args, d, d)
+		return c.fallback(ctx, sel, args, d, sets, middleware.TenantSpecificTables(sel))
 	}
 }
 
@@ -249,42 +279,16 @@ func (c *Conn) scatterMerge(ctx context.Context, sel *sqlast.Select, sql string,
 }
 
 // fallback repartitions: the original statement is rewritten on the replica
-// under the explicit scope D′ and executed there over the owning shards'
-// rows of the tenants in copyD — D′ itself, or every tenant for a view,
-// which bakes a tenant set of its own that routing cannot see. The rows are
-// statement-local relations shadowing the replica's (always empty) tenant
-// tables: immutable shard snapshots that never enter the replica's catalog,
-// so shards keep serving and fallbacks of other sessions run alongside.
-func (c *Conn) fallback(ctx context.Context, sel *sqlast.Select, args []sqltypes.Value, d, copyD []int64) (*engine.Rows, error) {
-	s := c.srv
-	want := make(map[int64]bool, len(copyD))
-	for _, t := range copyD {
-		want[t] = true
-	}
-	var rels []engine.Relation
-	for _, ti := range s.Schema().Tables() {
-		if !ti.TenantSpecific() || s.replica.DB().Table(ti.Name) == nil {
-			continue
-		}
-		rel := engine.Relation{Name: ti.Name}
-		for _, mw := range s.shards {
-			st := mw.DB().Table(ti.Name)
-			if st == nil {
-				continue
-			}
-			ttid := st.ColIndex("ttid")
-			if ttid < 0 {
-				return nil, fmt.Errorf("shard: table %s has no ttid column", ti.Name)
-			}
-			for _, row := range st.Heap() {
-				if want[row[ttid].AsInt()] {
-					rel.Rows = append(rel.Rows, row)
-				}
-			}
-		}
-		rels = append(rels, rel)
-	}
-	q, err := c.rconn.Scoped(&sqlast.SetScope{Simple: d}).RewriteOnly(sel)
+// under the explicit scope D′ and executed there over the rows the shards in
+// from hold of their tenants, for the tenant tables in tables — the ones the
+// statement names under D′'s owners; for a view, which bakes a table list and
+// a tenant set of its own that routing cannot see, every tenant table of
+// every tenant. The rows are statement-local relations shadowing the
+// replica's (always empty) tenant tables: immutable shard snapshots that
+// never enter the replica's catalog, so shards keep serving and fallbacks of
+// other sessions run alongside.
+func (c *Conn) fallback(ctx context.Context, sel *sqlast.Select, args []sqltypes.Value, d []int64, from []shardSet, tables []string) (*engine.Rows, error) {
+	q, err := c.rewriteOnReplica(sel, d)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +297,61 @@ func (c *Conn) fallback(ctx context.Context, sel *sqlast.Select, args []sqltypes
 	if q, err = sqlparse.ParseQuery(q.String()); err != nil {
 		return nil, fmt.Errorf("shard: rewritten SQL failed to parse: %w", err)
 	}
-	return s.replica.DB().QueryWith(ctx, q, args, rels...)
+	rels, err := c.srv.repartition(from, tables)
+	if err != nil {
+		return nil, err
+	}
+	return c.srv.replica.DB().QueryWith(ctx, q, args, rels...)
+}
+
+// repartition gathers, per tenant table named in tables (other names are
+// skipped), the rows the shards in from hold of the tenants listed with them,
+// as one relation sized before it is filled.
+func (s *Server) repartition(from []shardSet, tables []string) ([]engine.Relation, error) {
+	want := make(map[int64]bool)
+	for _, ss := range from {
+		for _, t := range ss.ds {
+			want[t] = true
+		}
+	}
+	schema := s.Schema()
+	rels := make([]engine.Relation, 0, len(tables))
+	for _, name := range tables {
+		ti := schema.Table(name)
+		if ti == nil || !ti.TenantSpecific() || s.replica.DB().Table(ti.Name) == nil {
+			continue
+		}
+		heaps := make([][][]sqltypes.Value, 0, len(from))
+		ttid, size := -1, 0
+		for _, ss := range from {
+			st := s.shards[ss.rank].DB().Table(ti.Name)
+			if st == nil {
+				continue
+			}
+			if ttid = st.ColIndex("ttid"); ttid < 0 {
+				return nil, fmt.Errorf("shard: table %s has no ttid column", ti.Name)
+			}
+			heap := st.Heap()
+			heaps = append(heaps, heap)
+			// Counted, not bounded by the heap: under a narrow scope a shard
+			// holds mostly other tenants' rows.
+			for _, row := range heap {
+				if want[row[ttid].AsInt()] {
+					size++
+				}
+			}
+		}
+		rel := engine.Relation{Name: ti.Name, Rows: make([][]sqltypes.Value, 0, size)}
+		for _, heap := range heaps {
+			for _, row := range heap {
+				if want[row[ttid].AsInt()] {
+					rel.Rows = append(rel.Rows, row)
+				}
+			}
+		}
+		rels = append(rels, rel)
+	}
+	return rels, nil
 }
 
 // execInsert routes an INSERT: global targets replicate to every shard
@@ -455,5 +513,11 @@ func (c *Conn) RewriteSQL(sql string) (*sqlast.Select, error) {
 	if sets := c.srv.group(d); len(sets) == 1 {
 		return c.sconns[sets[0].rank].RewriteOnly(sel)
 	}
+	return c.rewriteOnReplica(sel, d)
+}
+
+// rewriteOnReplica rewrites and optimizes sel on the coordinator replica
+// under the explicit scope d (a pre-resolved D′) at the session's level.
+func (c *Conn) rewriteOnReplica(sel *sqlast.Select, d []int64) (*sqlast.Select, error) {
 	return c.rconn.Scoped(&sqlast.SetScope{Simple: d}).RewriteOnly(sel)
 }

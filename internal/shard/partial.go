@@ -41,6 +41,10 @@ type partialPlan struct {
 	partial     *sqlast.Select
 	combine     *sqlast.Select
 	partialCols []string // partial output columns, in order (mtg_*, mtp_*)
+	// renamed: some item's client-visible name is not an identifier (an
+	// un-aliased aggregate), so the combine carries an internal alias (mtc_i)
+	// for it and the fold cursor's header has to be restored.
+	renamed bool
 }
 
 // partialsName is the relation the combine statement reads: the gathered
@@ -192,17 +196,20 @@ func buildPartialPlan(sel *sqlast.Select) (*partialPlan, bool) {
 		Limit:   sel.Limit,
 	}
 	combineOutputs := make(map[string]bool)
-	for _, it := range sel.Items {
+	renamed := false
+	for i, it := range sel.Items {
 		name := outputNameOf(it)
-		if !validIdentifier(name) {
-			return nil, false // the fold result must carry the original column name
+		if validIdentifier(name) {
+			combineOutputs[strings.ToLower(name)] = true
+		} else {
+			name = fmt.Sprintf("mtc_%d", i)
+			renamed = true
 		}
 		folded, ok := substituteExpr(it.Expr, subst)
 		if !ok {
 			return nil, false
 		}
 		combine.Items = append(combine.Items, sqlast.SelectItem{Expr: folded, Alias: name})
-		combineOutputs[strings.ToLower(name)] = true
 	}
 	if sel.Having != nil {
 		h, ok := substituteExpr(sel.Having, subst)
@@ -229,6 +236,7 @@ func buildPartialPlan(sel *sqlast.Select) (*partialPlan, bool) {
 		partial:     partial,
 		combine:     combine,
 		partialCols: partialCols,
+		renamed:     renamed,
 	}, true
 }
 
@@ -286,6 +294,8 @@ func substituteExpr(e sqlast.Expr, subst substitution) (sqlast.Expr, bool) {
 	switch x := e.(type) {
 	case *sqlast.Literal, *sqlast.Param:
 		return e, true
+	case *sqlast.SubqueryExpr:
+		return e, isStageRef(x.Sub)
 	case *sqlast.ColumnRef:
 		return nil, false // unsubstituted base column: not computable from partials
 	case *sqlast.BinaryExpr:
@@ -371,8 +381,15 @@ func substituteExpr(e sqlast.Expr, subst substitution) (sqlast.Expr, bool) {
 	}
 }
 
+// exprHasSubquery reports a nested block that reads rows; a staged value's
+// `(SELECT $n)` reads none and folds like the bind it carries.
 func exprHasSubquery(e sqlast.Expr) bool {
-	return e != nil && len(sqlast.SubqueriesOf(e)) > 0
+	for _, sub := range sqlast.SubqueriesOf(e) {
+		if !isStageRef(sub) {
+			return true
+		}
+	}
+	return false
 }
 
 // sliceArgs trims the statement arguments to the exact bind arity the
@@ -385,12 +402,39 @@ func sliceArgs(args []sqltypes.Value, stmt sqlast.Statement) ([]sqltypes.Value, 
 	return args[:n], nil
 }
 
+// clientHeader is the header the unsharded tier gives client, or nil when the
+// plan's combine already carries it. An item without an alias is named by its
+// rewritten text, so the replica rewrites the statement under D′ as it would
+// for a fallback — once per text, session state and schema generation, since
+// both the rewrite and the parse of its text are served from the replica's
+// statement caches.
+func (c *Conn) clientHeader(plan *partialPlan, client *sqlast.Select, sql string, d []int64) ([]string, error) {
+	if !plan.renamed {
+		return nil, nil
+	}
+	txt, err := c.rconn.Scoped(&sqlast.SetScope{Simple: d}).RewrittenText(client, sql)
+	if err != nil {
+		return nil, err
+	}
+	q, err := c.ParseSelect(txt)
+	if err != nil {
+		return nil, err
+	}
+	header, _ := outputNames(q)
+	if len(header) != len(client.Items) {
+		return nil, fmt.Errorf("shard: rewrite changed the select list of %s", client)
+	}
+	return header, nil
+}
+
 // partialScatter executes an aggregation pushdown: partials on every
 // owning shard (drained concurrently — each shard has its own engine),
 // then the combine statement over the gathered partial rows as a
 // statement-local relation of the replica: the engine's own group, filter,
-// sort and project operators fold them, and nothing enters its catalog.
-func (c *Conn) partialScatter(ctx context.Context, plan *partialPlan, args []sqltypes.Value, sets []shardSet) (*engine.Rows, error) {
+// sort and project operators fold them, and nothing enters its catalog. A
+// non-nil header renames the fold cursor's columns: the combine names an item
+// by an internal alias where the client-visible name is not an identifier.
+func (c *Conn) partialScatter(ctx context.Context, plan *partialPlan, header []string, args []sqltypes.Value, sets []shardSet) (*engine.Rows, error) {
 	pargs, err := sliceArgs(args, plan.partial)
 	if err != nil {
 		return nil, err
@@ -431,7 +475,11 @@ func (c *Conn) partialScatter(ctx context.Context, plan *partialPlan, args []sql
 	for i, cn := range plan.partialCols {
 		partials.Cols = append(partials.Cols, engine.Column{Name: cn, Type: inferKind(partials.Rows, i)})
 	}
-	return c.srv.replica.DB().QueryWith(ctx, plan.combine, cargs, partials)
+	rows, err := c.srv.replica.DB().QueryWith(ctx, plan.combine, cargs, partials)
+	if err != nil || header == nil {
+		return rows, err
+	}
+	return engine.ConcatRows(header, -1, rows), nil
 }
 
 // inferKind picks a column type from the first non-null value; an

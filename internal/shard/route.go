@@ -21,10 +21,13 @@ package shard
 // injects ttid through them — and grouping/DISTINCT/LIMIT inside a
 // non-top block erases row-level tenant identity (groups merge by value
 // across tenants, limits apply to cross-tenant heap order). Hence the
-// conservative rules below; anything rejected routes through the exact
-// repartition fallback instead.
+// conservative rules below. A rejected statement gets one more planning
+// step — its closed scalar subqueries run as routed statements of their own
+// and come back as bind values (stage.go, ADR-015) — and only what is still
+// unpinned after that routes through the exact repartition fallback.
 
 import (
+	"fmt"
 	"strings"
 
 	"mtbase/internal/engine"
@@ -34,12 +37,19 @@ import (
 
 // analysis is the routing classification of one cross-shard SELECT.
 type analysis struct {
-	pinned    bool
 	plainScan bool              // pinned scan shape: scatter + concat/merge
 	aggPush   bool              // pinned aggregation: push partials, fold at gather
 	mergeKeys []engine.MergeKey // ORDER BY as output-column merge keys (plainScan)
 	plan      *partialPlan      // partial/combine ASTs (aggPush)
+	reason    string            // why the statement is not pinned ("" when it is)
+	// tenantFree: no block binds a tenant table, so any one shard answers the
+	// statement. QueryStmt routes such client statements before classifying;
+	// here it marks an outer statement whose tenant data all went into binds.
+	tenantFree bool
 }
+
+// pinned: no rule was violated and all tenant bindings form one component.
+func (a analysis) pinned() bool { return a.reason == "" }
 
 // rtBinding mirrors the rewrite resolver's binding: one FROM item of one
 // block. uf >= 0 names the union-find node of a tenant-specific binding.
@@ -102,7 +112,14 @@ type classifier struct {
 	schema *mtsql.Schema
 	parent []int                     // union-find
 	nodes  map[*sqlast.TableName]int // union-find node per tenant TableName occurrence
-	bad    bool                      // any rule violated → not pinned
+	reason string                    // first rule violated → not pinned; "" when none was
+}
+
+// reject records a violated rule; the first one names the statement's reason.
+func (c *classifier) reject(reason string) {
+	if c.reason == "" {
+		c.reason = reason
+	}
 }
 
 func (c *classifier) newNode() int {
@@ -135,9 +152,12 @@ func (c *classifier) components() int {
 // the query unpinned conservatively.
 func analyze(sel *sqlast.Select, schema *mtsql.Schema) analysis {
 	c := &classifier{schema: schema}
-	c.visitSelect(sel, nil, true)
-	an := analysis{pinned: !c.bad && c.components() <= 1}
-	if !an.pinned {
+	c.visitSelect(sel, nil, topBlock)
+	an := analysis{reason: c.reason, tenantFree: len(c.parent) == 0}
+	if n := c.components(); an.reason == "" && n > 1 {
+		an.reason = fmt.Sprintf("%d unlinked tenant components", n)
+	}
+	if !an.pinned() {
 		return an
 	}
 	if topHasAggregation(sel) {
@@ -159,12 +179,22 @@ func analyze(sel *sqlast.Select, schema *mtsql.Schema) analysis {
 	return an
 }
 
+// blockRole says where a block sits: the top and the derived blocks feed
+// rows to the result, a predicate block (EXISTS, IN, scalar) only filters.
+type blockRole int
+
+const (
+	topBlock blockRole = iota
+	derivedBlock
+	predicateBlock
+)
+
 // visitSelect processes one block: builds its binding scope (mirroring
 // buildResolver's order, so derived subqueries see the bindings declared
 // before them), collects ttid-equality edges from WHERE/ON/HAVING, and
 // recurses into nested blocks. Returns whether the block or any
 // descendant binds a tenant-specific table.
-func (c *classifier) visitSelect(sel *sqlast.Select, parent *rtScope, top bool) bool {
+func (c *classifier) visitSelect(sel *sqlast.Select, parent *rtScope, role blockRole) bool {
 	scope := &rtScope{parent: parent}
 	hasTenant := false
 	var visitFrom func(te sqlast.TableExpr)
@@ -185,17 +215,17 @@ func (c *classifier) visitSelect(sel *sqlast.Select, parent *rtScope, top bool) 
 				for _, col := range cols {
 					b.outputs[strings.ToLower(col)] = true
 				}
-				c.bad = true
+				c.reject("view")
 			} else {
-				c.bad = true
+				c.reject("unknown table")
 			}
 			scope.bindings = append(scope.bindings, b)
 		case *sqlast.DerivedTable:
-			inner := c.visitSelect(t.Sub, scope, false)
+			inner := c.visitSelect(t.Sub, scope, derivedBlock)
 			if inner && !plainBlock(t.Sub) {
 				// Grouped/distinct/limited derived rows merge or cut
 				// across tenants; their tenant identity is gone.
-				c.bad = true
+				c.reject("derived table groups across tenants")
 			}
 			hasTenant = hasTenant || inner
 			scope.bindings = append(scope.bindings, &rtBinding{
@@ -211,11 +241,12 @@ func (c *classifier) visitSelect(sel *sqlast.Select, parent *rtScope, top bool) 
 	for _, te := range sel.From {
 		visitFrom(te)
 	}
+	fromTenant := hasTenant
 
-	if !top && hasTenant && (sel.Limit >= 0 || sel.Distinct) {
+	if role != topBlock && hasTenant && (sel.Limit >= 0 || sel.Distinct) {
 		// A nested LIMIT/DISTINCT over tenant rows is order- or
 		// value-sensitive across the whole dataset, not per tenant.
-		c.bad = true
+		c.reject("nested LIMIT or DISTINCT over tenant rows")
 	}
 
 	// Edge collection mirrors rewriteBoolExpr's application sites: WHERE,
@@ -246,6 +277,12 @@ func (c *classifier) visitSelect(sel *sqlast.Select, parent *rtScope, top bool) 
 	for _, g := range sel.GroupBy {
 		hasTenant = c.visitSubqueriesOnly(g, scope) || hasTenant
 	}
+	if role != predicateBlock && hasTenant && !fromTenant {
+		// The block's rows are global rows that a predicate over tenant data
+		// merely filters (MT-H Q20): every shard would return them, filtered
+		// by its own tenants' share of a cross-tenant value.
+		c.reject("tenant rows only inside subqueries")
+	}
 	return hasTenant
 }
 
@@ -269,35 +306,35 @@ func (c *classifier) collectEdges(e sqlast.Expr, scope *rtScope) bool {
 			c.union(nodes[0], nodes[i])
 		}
 	}
+	// compare links the operands of one comparison; the blocks nested in them
+	// (a scalar subquery as a bound or a list member) are visited on their own.
+	compare := func(n sqlast.Expr, operands ...sqlast.Expr) bool {
+		link(operands...)
+		nested = c.visitSubqueriesOnly(n, scope) || nested
+		return false
+	}
 	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
 		switch x := n.(type) {
 		case *sqlast.BinaryExpr:
 			switch x.Op {
 			case "=", "<>", "<", "<=", ">", ">=":
-				link(x.L, x.R)
-				nested = c.visitSubqueriesOnly(x.L, scope) || nested
-				nested = c.visitSubqueriesOnly(x.R, scope) || nested
-				return false
+				return compare(x, x.L, x.R)
 			}
 		case *sqlast.BetweenExpr:
-			link(x.X, x.Lo, x.Hi)
-			return false
+			return compare(x, x.X, x.Lo, x.Hi)
 		case *sqlast.LikeExpr:
-			link(x.X, x.Pattern)
-			return false
+			return compare(x, x.X, x.Pattern)
 		case *sqlast.InExpr:
 			if x.Sub == nil {
-				ops := append([]sqlast.Expr{x.X}, x.List...)
-				link(ops...)
-				return false
+				return compare(x, append([]sqlast.Expr{x.X}, x.List...)...)
 			}
 			nested = c.visitInSub(x, scope) || nested
 			return false
 		case *sqlast.ExistsExpr:
-			nested = c.visitSelect(x.Sub, scope, false) || nested
+			nested = c.visitSelect(x.Sub, scope, predicateBlock) || nested
 			return false
 		case *sqlast.SubqueryExpr:
-			nested = c.visitSelect(x.Sub, scope, false) || nested
+			nested = c.visitSelect(x.Sub, scope, predicateBlock) || nested
 			return false
 		}
 		return true
@@ -316,14 +353,14 @@ func (c *classifier) visitSubqueriesOnly(e sqlast.Expr, scope *rtScope) bool {
 		switch x := n.(type) {
 		case *sqlast.InExpr:
 			if x.Sub != nil {
-				nested = c.visitSelect(x.Sub, scope, false) || nested
+				nested = c.visitSelect(x.Sub, scope, predicateBlock) || nested
 				return false
 			}
 		case *sqlast.ExistsExpr:
-			nested = c.visitSelect(x.Sub, scope, false) || nested
+			nested = c.visitSelect(x.Sub, scope, predicateBlock) || nested
 			return false
 		case *sqlast.SubqueryExpr:
-			nested = c.visitSelect(x.Sub, scope, false) || nested
+			nested = c.visitSelect(x.Sub, scope, predicateBlock) || nested
 			return false
 		}
 		return true
@@ -336,7 +373,7 @@ func (c *classifier) visitSubqueriesOnly(e sqlast.Expr, scope *rtScope) bool {
 // outer binding with the subquery item's binding.
 func (c *classifier) visitInSub(in *sqlast.InExpr, scope *rtScope) bool {
 	// Build the sub's scope first (its bindings may be edge endpoints).
-	nested := c.visitSelect(in.Sub, scope, false)
+	nested := c.visitSelect(in.Sub, scope, predicateBlock)
 	cr, ok := in.X.(*sqlast.ColumnRef)
 	if !ok {
 		return nested

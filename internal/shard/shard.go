@@ -16,7 +16,9 @@
 //   - cross-shard statements scatter to the owning shards under explicit
 //     per-shard sub-scopes and gather deterministically (engine.MergeRows /
 //     engine.ConcatRows, partial-aggregation fold, or a repartition
-//     fallback on the coordinator replica).
+//     fallback on the coordinator replica); a closed scalar subquery over
+//     tenant data is routed first, as a statement of its own, and bound
+//     into its outer statement (staged routing, ADR-015).
 //
 // A "replica" middleware.Server accompanies the shards as coordinator: it
 // holds all metadata and global data but NO tenant rows, ever. It resolves
@@ -217,6 +219,7 @@ func (s *Server) StatLines() []Stat {
 		{Name: "shard.routed_scatter", Value: snap.RoutedScatter},
 		{Name: "shard.routed_fallback", Value: snap.RoutedFallback},
 		{Name: "shard.partials_pushed", Value: snap.PartialsPushed},
+		{Name: "shard.hoisted_subqueries", Value: snap.HoistedSubqueries},
 	}
 	for i, mw := range s.shards {
 		es := mw.DB().Stats.Snapshot()
@@ -253,19 +256,27 @@ func (s *Server) PlacementMap() []TenantShard {
 	return out
 }
 
+// tenantTables names every tenant-specific table of the schema.
+func (s *Server) tenantTables() []string {
+	var out []string
+	for _, ti := range s.Schema().Tables() {
+		if ti.TenantSpecific() {
+			out = append(out, ti.Name)
+		}
+	}
+	return out
+}
+
 // RowCounts reports, per shard rank, the number of tenant-specific rows it
 // holds (mtsh \shards).
 func (s *Server) RowCounts() []int64 {
-	schema := s.Schema()
+	tables := s.tenantTables()
 	out := make([]int64, len(s.shards))
 	for i, mw := range s.shards {
 		db := mw.DB()
 		var n int64
-		for _, ti := range schema.Tables() {
-			if !ti.TenantSpecific() {
-				continue
-			}
-			if t := db.Table(ti.Name); t != nil {
+		for _, name := range tables {
+			if t := db.Table(name); t != nil {
 				n += int64(t.RowCount())
 			}
 		}

@@ -195,8 +195,8 @@ func TestAnalyzeClassification(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			an := analyze(parseSel(t, tc.sql), schema)
-			if an.pinned != tc.pinned {
-				t.Fatalf("pinned = %v, want %v", an.pinned, tc.pinned)
+			if an.pinned() != tc.pinned {
+				t.Fatalf("pinned = %v, want %v", an.pinned(), tc.pinned)
 			}
 			if an.plainScan != tc.plainScan {
 				t.Errorf("plainScan = %v, want %v", an.plainScan, tc.plainScan)
@@ -273,6 +273,26 @@ func TestBuildPartialPlanDecomposition(t *testing.T) {
 	}
 	if !strings.Contains(plan.combine.String(), "COALESCE") {
 		t.Errorf("ungrouped COUNT fold needs COALESCE(..., 0): %s", plan.combine.String())
+	}
+
+	// An item the client did not alias is named by an expression, which the
+	// combine cannot use as an alias: it carries an internal one and the
+	// plan says the header has to be restored.
+	for sql, want := range map[string]string{
+		"SELECT AVG(e_age) FROM emp":                                     "AS mtc_0 FROM",
+		"SELECT COUNT(*) FROM emp":                                       "AS mtc_0 FROM",
+		"SELECT e_role, SUM(e_age) / SUM(e_id) FROM emp GROUP BY e_role": "AS e_role, (SUM(mtp_1) / SUM(mtp_2)) AS mtc_1 FROM",
+	} {
+		plan, ok = buildPartialPlan(parseSel(t, sql))
+		if !ok || !plan.renamed {
+			t.Fatalf("%s: decomposable=%v renamed=%v, want an un-aliased aggregate to decompose under an internal alias", sql, ok, plan != nil && plan.renamed)
+		}
+		if got := plan.combine.String(); !strings.Contains(got, want) {
+			t.Errorf("%s: combine = %s, want it to contain %q", sql, got, want)
+		}
+	}
+	if plan, _ = buildPartialPlan(sel); plan.renamed {
+		t.Error("a statement whose items all have identifier names needs no header restored")
 	}
 
 	// COUNT(DISTINCT x) cannot be folded from per-shard partials.
