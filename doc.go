@@ -15,14 +15,15 @@
 //     size (ADR-004 in DESIGN.md). A FROM list joins as one chain that
 //     materializes each output row once, and closed subquery conjuncts
 //     filter their source below it (ADR-011). Expressions are lowered
-//     into vectorized kernels looping over those vectors (engine/vector.go) with
-//     row-compiled closures (engine/compile.go) as the lifted fallback,
-//     ORDER BY sorts over precomputed key columns, conversion-UDF bodies
-//     are planned once per cached statement plan with their tenant-keyed
-//     meta-table lookups cached, and pure conversion results are cached
-//     per statement; whole statement plans are cached on the DB keyed by
-//     SQL text and invalidated by referenced-table versions and DDL
-//     (engine/plan.go). Two oracles sit beside production (ADR-010): the
+//     into vectorized kernels looping over those vectors
+//     (engine/vector.go) — function calls and their arguments included,
+//     with the interpreter lifted over the batch as the only fallback
+//     (ADR-016) — ORDER BY sorts over precomputed key columns,
+//     conversion-UDF bodies are planned once per cached statement plan
+//     with their tenant-keyed meta-table lookups cached (engine/udf.go),
+//     and pure conversion results are cached per statement; whole
+//     statement plans are cached on the DB keyed by SQL text and
+//     invalidated by referenced-table versions and DDL (engine/plan.go). Two oracles sit beside production (ADR-010): the
 //     evaluator check (DB.SetCompileExprs(false)) runs the same operators
 //     with every expression lifted onto the tree-walking interpreter; the
 //     reference executor (DB.SetStreamExec(false)) materializes, interprets

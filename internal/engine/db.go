@@ -14,20 +14,21 @@
 // ExecPlan* entry points drain the tree eagerly; the Rows cursor pulls it
 // batch-at-a-time.
 //
-// Execution is compile-then-execute: before iterating rows, every per-row
+// Execution is compile-then-execute: before iterating rows, every
 // expression site (WHERE conjuncts, projections, join/group-by/sort keys,
-// aggregate arguments, DML predicates) is lowered by compile.go into a
-// closure with column references resolved to flat row offsets; constructs
-// outside the compiled subset fall back to the tree-walking interpreter in
-// eval.go per expression. Simple UDF bodies — the paper's conversion
-// functions — are additionally planned once per statement plan: the
-// tenant-keyed FROM/WHERE relation is cached per distinct parameter tuple
-// and the projection compiled against it, so a conversion call costs a hash
-// probe plus a closure invocation. Statement plans themselves are cached on
-// the DB keyed by SQL text and invalidated by referenced-table versions and
-// DDL (plan.go), so repeated texts skip parsing and lowering entirely.
-// DB.SetCompileExprs(false) forces the interpreter everywhere; the
-// differential property test relies on both paths producing identical
+// aggregate arguments, DML predicates) is lowered by vector.go into a batch
+// program over the operator's selection vector, with column references
+// resolved to flat row offsets; a construct without a kernel is lifted — a
+// loop over the tree-walking interpreter in eval.go — inside the same
+// program. Simple UDF bodies — the paper's conversion functions — are
+// additionally planned once per statement plan (udf.go): the tenant-keyed
+// FROM/WHERE relation is cached per distinct parameter tuple and the
+// projection lowered against it, so a conversion call costs a hash probe
+// plus one program run. Statement plans themselves are cached on the DB
+// keyed by SQL text and invalidated by referenced-table versions and DDL
+// (plan.go), so repeated texts skip parsing and lowering entirely.
+// DB.SetCompileExprs(false) lifts the interpreter over every expression; the
+// differential property test relies on both evaluators producing identical
 // results.
 package engine
 

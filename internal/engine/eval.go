@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -50,15 +51,17 @@ type exec struct {
 	// interp. Production is both false.
 	interp, reference bool
 
-	// udfProj caches per-execution compiled projections of planned UDF
-	// bodies: entries (rows + bindings) are shared across executions on the
-	// plan, but the projection closure resolves $n through udfArgs, which
-	// is execution state — so each exec compiles its own. udfEntries memoizes
-	// plan-level entry lookups so hot call paths skip Plan.mu after the
-	// first probe of a key.
-	udfProj    map[*udfPlanEntry]compiledExpr
-	udfEntries map[udfEntryKey]*udfPlanEntry
-	udfArgs    []sqltypes.Value // current planned-UDF argument frame
+	// udfProj holds this execution's lowered projections of planned UDF
+	// bodies (udf.go): entries (rows + bindings) are shared across
+	// executions on the plan, but a batch program captures its exec and the
+	// argument frame it reads $n from, which are execution state — so each
+	// exec lowers its own. udfEntries memoizes plan-level entry lookups so hot
+	// call paths skip Plan.mu after the first probe of a key. projBatches are
+	// the idle batches projections run on, one in use per level of UDF
+	// recursion.
+	udfProj     map[*udfPlanEntry]*udfProjection
+	udfEntries  map[udfEntryKey]*udfPlanEntry
+	projBatches []*Batch
 
 	// pool holds this statement's parallel workers; it persists across
 	// parallel sections so worker caches (compiled projections, scratch
@@ -111,10 +114,16 @@ func (ex *exec) bind(n int) (sqltypes.Value, error) {
 	if ex.binds == nil {
 		return sqltypes.Null, fmt.Errorf("engine: parameter $%d outside function body", n)
 	}
-	if n < 1 || n > len(ex.binds) {
+	return paramAt(ex.binds, n)
+}
+
+// paramAt returns $n of a parameter list: a UDF argument frame or the
+// client binds.
+func paramAt(ps []sqltypes.Value, n int) (sqltypes.Value, error) {
+	if n < 1 || n > len(ps) {
 		return sqltypes.Null, fmt.Errorf("engine: parameter $%d out of range", n)
 	}
-	return ex.binds[n-1], nil
+	return ps[n-1], nil
 }
 
 // cancelled reports the context's error once the caller's context is done.
@@ -357,17 +366,40 @@ var aggregateNames = map[string]bool{
 // IsAggregate reports whether a function name is an aggregate.
 func IsAggregate(name string) bool { return aggregateNames[strings.ToUpper(name)] }
 
-// builtinScalarFuncs lists every scalar builtin the switches in evalFunc
-// (below) and compileFunc (compile.go) resolve; a name added to those
-// switches MUST be added here too. Plan dependency analysis (plan.go)
-// treats calls outside this set and the aggregates as UDF references: an
-// unresolvable one makes the statement uncacheable, so an omission here
-// silently disables plan caching for statements using the new builtin.
-var builtinScalarFuncs = map[string]bool{
-	"CONCAT": true, "CHAR_LENGTH": true, "ABS": true, "ROUND": true,
-	"COALESCE": true, "CAST_INTEGER": true, "CAST_INT": true,
-	"CAST_BIGINT": true, "CAST_DECIMAL": true, "CAST_NUMERIC": true,
-	"CAST_VARCHAR": true, "CAST_CHAR": true, "CAST_TEXT": true,
+// strictBuiltins are the one-argument scalar builtins that return NULL for
+// a NULL argument: pure functions of one non-NULL value, shared by both
+// evaluators like sqltypes.Add. Evaluating the argument, the NULL rule and
+// the arity error stay with each evaluator.
+var strictBuiltins = map[string]func(sqltypes.Value) sqltypes.Value{
+	"CHAR_LENGTH": func(v sqltypes.Value) sqltypes.Value { return sqltypes.NewInt(int64(len(v.AsString()))) },
+	"ABS": func(v sqltypes.Value) sqltypes.Value {
+		if v.K == sqltypes.KindInt {
+			if v.I < 0 {
+				return sqltypes.NewInt(-v.I)
+			}
+			return v
+		}
+		return sqltypes.NewFloat(math.Abs(v.AsFloat()))
+	},
+	"CAST_INTEGER": castInt, "CAST_INT": castInt, "CAST_BIGINT": castInt,
+	"CAST_DECIMAL": castFloat, "CAST_NUMERIC": castFloat,
+	"CAST_VARCHAR": castString, "CAST_CHAR": castString, "CAST_TEXT": castString,
+}
+
+func castInt(v sqltypes.Value) sqltypes.Value    { return sqltypes.NewInt(v.AsInt()) }
+func castFloat(v sqltypes.Value) sqltypes.Value  { return sqltypes.NewFloat(v.AsFloat()) }
+func castString(v sqltypes.Value) sqltypes.Value { return sqltypes.NewString(v.AsString()) }
+
+// isScalarBuiltin reports whether upper names a scalar builtin: the table
+// above plus the three calls with an argument rule of their own. Plan
+// dependency analysis (plan.go) treats every other non-aggregate call as a
+// UDF reference.
+func isScalarBuiltin(upper string) bool {
+	switch upper {
+	case "CONCAT", "COALESCE", "ROUND":
+		return true
+	}
+	return strictBuiltins[upper] != nil
 }
 
 func (ex *exec) eval(e sqlast.Expr, sc *scope) (sqltypes.Value, error) {
@@ -468,19 +500,52 @@ func (ex *exec) eval(e sqlast.Expr, sc *scope) (sqltypes.Value, error) {
 	return sqltypes.Null, fmt.Errorf("engine: cannot evaluate %T", e)
 }
 
-// Errors shared between the interpreter and the compiled closures so both
-// paths fail identically.
+// Value functions and errors the interpreter and the kernels share, so both
+// fail and round identically; each evaluator keeps its own argument order
+// and NULL handling.
 var errModuloZero = fmt.Errorf("engine: modulo by zero")
 
-func errExtractNonDate(k sqltypes.Kind) error {
-	return fmt.Errorf("engine: EXTRACT from non-date %s", k)
-}
-
-// roundTo rounds f to the given number of decimal digits, shared by the
-// interpreted and compiled ROUND.
+// roundTo rounds f to the given number of decimal digits.
 func roundTo(f float64, digits int64) sqltypes.Value {
 	scale := math.Pow(10, float64(digits))
 	return sqltypes.NewFloat(math.Round(f*scale) / scale)
+}
+
+// extractField is EXTRACT(field FROM v) for a non-NULL v.
+func extractField(field string, v sqltypes.Value) (sqltypes.Value, error) {
+	if v.K != sqltypes.KindDate {
+		return sqltypes.Null, fmt.Errorf("engine: EXTRACT from non-date %s", v.K)
+	}
+	t := sqltypes.DateToTime(v)
+	switch field {
+	case "YEAR":
+		return sqltypes.NewInt(int64(t.Year())), nil
+	case "MONTH":
+		return sqltypes.NewInt(int64(t.Month())), nil
+	case "DAY":
+		return sqltypes.NewInt(int64(t.Day())), nil
+	}
+	return sqltypes.Null, fmt.Errorf("engine: bad EXTRACT field %s", field)
+}
+
+// substring returns up to chars bytes of s starting at 1-based position
+// from, both clamped to s; a SUBSTRING without FOR passes len(s).
+func substring(s string, from, chars int64) string {
+	start := int(from) - 1
+	if start < 0 {
+		start = 0
+	}
+	if start > len(s) {
+		start = len(s)
+	}
+	end := start + int(chars)
+	if end > len(s) {
+		end = len(s)
+	}
+	if end < start {
+		end = start
+	}
+	return s[start:end]
 }
 
 func (ex *exec) evalBinary(x *sqlast.BinaryExpr, sc *scope) (sqltypes.Value, error) {
@@ -848,19 +913,7 @@ func (ex *exec) evalExtract(x *sqlast.ExtractExpr, sc *scope) (sqltypes.Value, e
 	if v.IsNull() {
 		return sqltypes.Null, nil
 	}
-	if v.K != sqltypes.KindDate {
-		return sqltypes.Null, errExtractNonDate(v.K)
-	}
-	t := sqltypes.DateToTime(v)
-	switch x.Field {
-	case "YEAR":
-		return sqltypes.NewInt(int64(t.Year())), nil
-	case "MONTH":
-		return sqltypes.NewInt(int64(t.Month())), nil
-	case "DAY":
-		return sqltypes.NewInt(int64(t.Day())), nil
-	}
-	return sqltypes.Null, fmt.Errorf("engine: bad EXTRACT field %s", x.Field)
+	return extractField(x.Field, v)
 }
 
 func (ex *exec) evalSubstring(x *sqlast.SubstringExpr, sc *scope) (sqltypes.Value, error) {
@@ -876,14 +929,7 @@ func (ex *exec) evalSubstring(x *sqlast.SubstringExpr, sc *scope) (sqltypes.Valu
 		return sqltypes.Null, nil
 	}
 	s := v.AsString()
-	start := int(from.AsInt()) - 1 // SQL is 1-based
-	if start < 0 {
-		start = 0
-	}
-	if start > len(s) {
-		start = len(s)
-	}
-	end := len(s)
+	chars := int64(len(s))
 	if x.For != nil {
 		n, err := ex.eval(x.For, sc)
 		if err != nil {
@@ -892,15 +938,9 @@ func (ex *exec) evalSubstring(x *sqlast.SubstringExpr, sc *scope) (sqltypes.Valu
 		if n.IsNull() {
 			return sqltypes.Null, nil
 		}
-		end = start + int(n.AsInt())
-		if end > len(s) {
-			end = len(s)
-		}
-		if end < start {
-			end = start
-		}
+		chars = n.AsInt()
 	}
-	return sqltypes.NewString(s[start:end]), nil
+	return sqltypes.NewString(substring(s, from.AsInt(), chars)), nil
 }
 
 // ---------------------------------------------------------------- functions
@@ -911,6 +951,13 @@ func (ex *exec) evalFunc(x *sqlast.FuncCall, sc *scope) (sqltypes.Value, error) 
 		return ex.evalAggregate(x, sc)
 	}
 	// scalar builtins
+	if f := strictBuiltins[upper]; f != nil {
+		v, err := ex.evalOneArg(x, sc)
+		if err != nil || v.IsNull() {
+			return sqltypes.Null, err
+		}
+		return f(v), nil
+	}
 	switch upper {
 	case "CONCAT":
 		var sb strings.Builder
@@ -925,24 +972,6 @@ func (ex *exec) evalFunc(x *sqlast.FuncCall, sc *scope) (sqltypes.Value, error) 
 			sb.WriteString(v.AsString())
 		}
 		return sqltypes.NewString(sb.String()), nil
-	case "CHAR_LENGTH":
-		v, err := ex.evalOneArg(x, sc)
-		if err != nil || v.IsNull() {
-			return sqltypes.Null, err
-		}
-		return sqltypes.NewInt(int64(len(v.AsString()))), nil
-	case "ABS":
-		v, err := ex.evalOneArg(x, sc)
-		if err != nil || v.IsNull() {
-			return sqltypes.Null, err
-		}
-		if v.K == sqltypes.KindInt {
-			if v.I < 0 {
-				return sqltypes.NewInt(-v.I), nil
-			}
-			return v, nil
-		}
-		return sqltypes.NewFloat(math.Abs(v.AsFloat())), nil
 	case "ROUND":
 		if len(x.Args) == 0 || len(x.Args) > 2 {
 			return sqltypes.Null, fmt.Errorf("engine: ROUND takes 1 or 2 arguments")
@@ -971,24 +1000,6 @@ func (ex *exec) evalFunc(x *sqlast.FuncCall, sc *scope) (sqltypes.Value, error) 
 			}
 		}
 		return sqltypes.Null, nil
-	case "CAST_INTEGER", "CAST_INT", "CAST_BIGINT":
-		v, err := ex.evalOneArg(x, sc)
-		if err != nil || v.IsNull() {
-			return sqltypes.Null, err
-		}
-		return sqltypes.NewInt(v.AsInt()), nil
-	case "CAST_DECIMAL", "CAST_NUMERIC":
-		v, err := ex.evalOneArg(x, sc)
-		if err != nil || v.IsNull() {
-			return sqltypes.Null, err
-		}
-		return sqltypes.NewFloat(v.AsFloat()), nil
-	case "CAST_VARCHAR", "CAST_CHAR", "CAST_TEXT":
-		v, err := ex.evalOneArg(x, sc)
-		if err != nil || v.IsNull() {
-			return sqltypes.Null, err
-		}
-		return sqltypes.NewString(v.AsString()), nil
 	}
 	// user-defined function
 	fn := ex.function(x.Name)
@@ -1017,53 +1028,72 @@ func (ex *exec) evalOneArg(x *sqlast.FuncCall, sc *scope) (sqltypes.Value, error
 // IMMUTABLE function is cached per (function, arguments) for the duration
 // of the statement; ModeSystemC always re-executes the body — the cost
 // difference is exactly what separates Tables 3–5 from Tables 7–9 in the
-// paper.
+// paper. The paper's conversion functions are deterministic per (value,
+// tenant) pair, so the Canonical/O1 levels' 2N conversion calls collapse to
+// |distinct inputs| body executions. Both evaluators call here — the
+// interpreter's evalFunc and the call kernel of vector.go — so a result is
+// visible across every call site of the function.
 func (ex *exec) callUDF(fn *Function, args []sqltypes.Value) (sqltypes.Value, error) {
 	if len(args) != fn.NumParams {
 		return sqltypes.Null, fmt.Errorf("engine: %s expects %d arguments, got %d", fn.Name, fn.NumParams, len(args))
 	}
-	var key string
-	if fn.Immutable && ex.db.mode == ModePostgres {
-		buf := append(ex.keyBuf[:0], fn.Name...)
-		for _, a := range args {
+	if !fn.Immutable || ex.db.mode != ModePostgres {
+		return ex.execUDFBody(fn, args)
+	}
+	// The key names the call exactly. AppendKey is a grouping key — INTEGER
+	// 3 and DECIMAL 3.00 encode alike, and a body can tell them apart
+	// ($1 / 2) — so integers take an encoding of their own, and the name is
+	// terminated so that f(NULL) is not fn().
+	buf := append(append(ex.keyBuf[:0], fn.Name...), 0)
+	for _, a := range args {
+		if a.K == sqltypes.KindInt {
+			buf = binary.LittleEndian.AppendUint64(append(buf, 'i'), uint64(a.I))
+		} else {
 			buf = sqltypes.AppendKey(buf, a)
 		}
-		ex.keyBuf = buf
-		if v, ok := ex.udfCache[string(buf)]; ok {
-			atomic.AddInt64(&ex.db.Stats.UDFCacheHits, 1)
-			return v, nil
-		}
-		key = string(buf)
 	}
+	ex.keyBuf = buf
+	if v, ok := ex.udfCache[string(buf)]; ok {
+		atomic.AddInt64(&ex.db.Stats.UDFCacheHits, 1)
+		return v, nil
+	}
+	// Materialize the key before executing the body: a recursive function
+	// re-enters callUDF, and the nested call's key encoding reuses keyBuf.
+	// Storing under string(buf) after the call would record this result
+	// under the *innermost* call's key, poisoning the cache for every later
+	// lookup (TestRecursiveMemoPoison2).
+	key := string(buf)
 	out, err := ex.execUDFBody(fn, args)
 	if err != nil {
 		return sqltypes.Null, err
 	}
-	if key != "" {
-		ex.udfCache[key] = out
-	}
+	ex.udfCache[key] = out
 	return out, nil
 }
 
-// execUDFBody runs a function body uncached — the shared tail of callUDF and
-// the compiled call sites, which probe the statement cache themselves.
+// execUDFBody runs a function body uncached. args is the body's parameter
+// frame while it runs: callers hand over a list nothing else writes until
+// the call returns (the interpreter builds one per call, the call kernel
+// keeps one per activation on the scratch stack).
 func (ex *exec) execUDFBody(fn *Function, args []sqltypes.Value) (sqltypes.Value, error) {
 	atomic.AddInt64(&ex.db.Stats.UDFCalls, 1)
 	if ex.depth > 64 {
 		return sqltypes.Null, fmt.Errorf("engine: UDF recursion too deep in %s", fn.Name)
 	}
+	if args == nil {
+		// A call without arguments still opens a frame: $n in its body is
+		// out of range, never the caller's client bind.
+		args = []sqltypes.Value{}
+	}
 	ex.depth++
 	var out sqltypes.Value
 	var err error
 	if plan := ex.planUDF(fn); plan.ok {
-		// Planned body: cached FROM/WHERE relation + compiled projection.
+		// Planned body: cached FROM/WHERE relation + lowered projection.
 		out, err = ex.runPlannedUDF(plan, args)
 	} else {
 		sc := rootScope()
-		// Copy: args is typically a compiled call site's reused argv slice,
-		// and a recursive call through the same site would overwrite it while
-		// the body still resolves $n through this frame.
-		sc.params = append([]sqltypes.Value(nil), args...)
+		sc.params = args
 		var res *Result
 		res, err = ex.runQuery(fn.Body, sc)
 		if err == nil {

@@ -409,7 +409,8 @@ func TestCancelMidJoinMutant(t *testing.T) {
 }
 
 // FuzzQuery is the native fuzz target: arbitrary SQL (seeded with the 22
-// MT-H queries and a sample of generated shapes) must never panic the
+// MT-H queries, a sample of generated shapes and calls in every clause)
+// must never panic the
 // engine, and whenever the baseline succeeds, every arm must agree as
 // described in check.
 func FuzzQuery(f *testing.F) {
@@ -419,6 +420,21 @@ func FuzzQuery(f *testing.F) {
 	g := &mtGen{r: rand.New(rand.NewSource(5))}
 	for i := 0; i < 24; i++ {
 		f.Add(g.query())
+	}
+	// Calls, EXTRACT and SUBSTRING are batch kernels whose arguments are
+	// columns of their own (DESIGN.md ADR-016): conversion UDFs over
+	// expression arguments and over each other, nested builtins, and both
+	// constructs as filters, group keys and join keys.
+	for _, sql := range []string{
+		`SELECT l_orderkey, currencyToUniversal(l_extendedprice * (1 - l_discount), 1 + l_linenumber / 5) AS v FROM lineitem WHERE l_quantity < 3 ORDER BY l_orderkey, v`,
+		`SELECT currencyFromUniversal(currencyToUniversal(c_acctbal, 1), c_nationkey / 13 + 1) AS v, phoneToUniversal(SUBSTRING(c_phone FROM 4), 1) AS p FROM customer ORDER BY v, p LIMIT 40`,
+		`SELECT ROUND(ABS(l_extendedprice) / l_quantity, 2) AS r, COUNT(*) AS n FROM lineitem GROUP BY ROUND(ABS(l_extendedprice) / l_quantity, 2) ORDER BY n, r LIMIT 50`,
+		`SELECT COALESCE(SUBSTRING(c_phone FROM c_nationkey), CONCAT(c_name, c_custkey)) AS x, CHAR_LENGTH(c_comment) AS n FROM customer ORDER BY x, n LIMIT 50`,
+		`SELECT EXTRACT(YEAR FROM o_orderdate) AS y, SUBSTRING(o_orderpriority FROM 1 FOR 1) AS p, COUNT(*), SUM(ROUND(o_totalprice)) FROM orders WHERE EXTRACT(MONTH FROM o_orderdate) < 4 AND SUBSTRING(o_clerk FROM 14 FOR 2) <> '07' GROUP BY EXTRACT(YEAR FROM o_orderdate), SUBSTRING(o_orderpriority FROM 1 FOR 1) ORDER BY y, p`,
+		`SELECT COUNT(*), MIN(c_name) FROM customer, supplier WHERE SUBSTRING(c_phone FROM 1 FOR 2) = SUBSTRING(s_phone FROM 1 FOR 2) AND CAST(c_acctbal AS INTEGER) > s_suppkey`,
+		`SELECT o_orderkey FROM orders, lineitem WHERE l_orderkey = o_orderkey AND EXTRACT(YEAR FROM l_shipdate) = EXTRACT(YEAR FROM o_orderdate) + 1 ORDER BY o_orderkey LIMIT 30`,
+	} {
+		f.Add(sql)
 	}
 	a := newFuzzArms(f)
 	a.db.SetSpillDir(f.TempDir())
@@ -441,6 +457,9 @@ func FuzzQuery(f *testing.F) {
 		if len(sql) > 4096 {
 			t.Skip("oversized input")
 		}
+		// Canonical keeps every conversion a UDF call (the call kernel, the
+		// statement's result cache, the planned bodies); o4 inlines them.
+		a.conn.SetOptLevel([]optimizer.Level{optimizer.Canonical, optimizer.O4}[len(sql)%2])
 		a.check(t, sql, false)
 	})
 }

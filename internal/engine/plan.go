@@ -74,7 +74,7 @@ type Plan struct {
 	paramKinds []sqltypes.Kind
 
 	// udfPlans holds the once-per-plan lowerings of called UDF bodies
-	// (compile.go). Their cached relations derive from dep-pinned tables, so
+	// (udf.go). Their cached relations derive from dep-pinned tables, so
 	// plan validation doubles as their invalidation.
 	udfPlans map[*Function]*udfPlan
 
@@ -403,7 +403,7 @@ func (db *DB) collectDepsLocked(stmt sqlast.Statement) ([]planDep, bool) {
 	var visitSelDeps func(s *sqlast.Select)
 	visitFunc := func(name string) {
 		upper := strings.ToUpper(name)
-		if aggregateNames[upper] || builtinScalarFuncs[upper] {
+		if aggregateNames[upper] || isScalarBuiltin(upper) {
 			return
 		}
 		key := "f:" + strings.ToLower(name)

@@ -321,15 +321,16 @@ func TestConcurrentReads(t *testing.T) {
 // ---------------------------------------------------------------- differential
 
 // diffDB builds a small two-table schema with NULLs, a rates meta table and
-// a conversion-style UDF, mirroring the shapes the MTSQL rewrite emits. The
-// big table spans multiple execution batches (> 2×1024 rows) so the batched
+// a conversion-style UDF, mirroring the shapes the MTSQL rewrite emits.
+// Column z is never NULL and zero in a few rows, so 1 / z raises for those
+// rows only. The big table spans multiple execution batches (> 2×1024 rows) so the batched
 // pipeline's window and selection-vector handling is exercised across batch
 // boundaries, not just inside one window.
 func diffDB(t testing.TB, mode Mode) *DB {
 	t.Helper()
 	db := Open(mode)
 	script := `
-		CREATE TABLE t (a INTEGER, b INTEGER, s VARCHAR, f DECIMAL, d DATE);
+		CREATE TABLE t (a INTEGER, b INTEGER, s VARCHAR, f DECIMAL, d DATE, z INTEGER);
 		CREATE TABLE u (k INTEGER, v INTEGER, w VARCHAR);
 		CREATE TABLE big (g INTEGER, h INTEGER, fl DECIMAL);
 		CREATE TABLE rates (tid INTEGER, r DECIMAL);
@@ -354,7 +355,11 @@ func diffDB(t testing.TB, mode Mode) *DB {
 				row[j] = sqltypes.Null
 			}
 		}
-		tt.AppendRow(row)
+		z := int64(1 + i%4)
+		if i%29 == 17 {
+			z = 0
+		}
+		tt.AppendRow(append(row, sqltypes.NewInt(z)))
 	}
 	ut := db.Table("u")
 	for i := 0; i < 40; i++ {
@@ -423,10 +428,14 @@ func genBigExpr(r *rand.Rand, depth int) string {
 }
 
 // genDiffExpr builds a random scalar expression over table t's columns,
-// covering every construct the compiler lowers.
+// covering every construct with a kernel. The call arms put an argument that
+// raises for some rows (1 / z) behind one the interpreter may return at —
+// a NULL or non-NULL head — so the error must surface for exactly the rows
+// the interpreter evaluates it for, and call what both evaluators must
+// reject with one text: a wrong argument count, an unknown function.
 func genDiffExpr(r *rand.Rand, depth int) string {
 	if depth <= 0 {
-		switch r.Intn(6) {
+		switch r.Intn(7) {
 		case 0:
 			return "a"
 		case 1:
@@ -437,12 +446,15 @@ func genDiffExpr(r *rand.Rand, depth int) string {
 			return fmt.Sprintf("%d", r.Intn(25))
 		case 4:
 			return "s"
+		case 5:
+			return "z"
 		default:
 			return "d"
 		}
 	}
 	sub := func() string { return genDiffExpr(r, depth-1) }
-	switch r.Intn(16) {
+	pick := func(forms ...string) string { return forms[r.Intn(len(forms))] }
+	switch r.Intn(26) {
 	case 0:
 		return fmt.Sprintf("(%s + %s)", sub(), sub())
 	case 1:
@@ -470,15 +482,27 @@ func genDiffExpr(r *rand.Rand, depth int) string {
 	case 11:
 		return fmt.Sprintf("CASE WHEN %s THEN %s ELSE %s END", sub(), sub(), sub())
 	case 12:
-		return fmt.Sprintf("COALESCE(%s, %s)", sub(), sub())
+		return fmt.Sprintf(pick("COALESCE(%s, %s)", "COALESCE(%s, 1 / z, %s)"), sub(), sub())
 	case 13:
-		return fmt.Sprintf("ABS(%s)", sub())
+		return fmt.Sprintf(pick("ABS(%s)", "CHAR_LENGTH(%s)", "CAST(%s AS INTEGER)", "CAST(%s AS DECIMAL)", "CAST(%s AS VARCHAR)"), sub())
 	case 14:
-		return "conv(f, b)"
+		return pick("conv(f, b)", "conv(f / z, b)", "conv(f, 6 / z)")
 	case 15:
-		return "SUBSTRING(s FROM 2 FOR 3)"
+		return fmt.Sprintf(pick("SUBSTRING(s FROM 2 FOR 3)", "SUBSTRING(s FROM %s)", "SUBSTRING(s FROM %s FOR 1 / z)", "SUBSTRING(%s FROM 2 / z FOR 2)"), sub())
+	case 16:
+		return fmt.Sprintf("(%s / %s)", sub(), sub())
+	case 17:
+		return fmt.Sprintf(pick("CONCAT(s, %s)", "CONCAT(%s, 1 / z)", "CONCAT(%s, s, 1 / z)"), sub())
+	case 18:
+		return fmt.Sprintf(pick("ROUND(%s)", "ROUND(f, %s)", "ROUND(%s, 1 / z)"), sub())
+	case 19:
+		return fmt.Sprintf(pick("EXTRACT(YEAR FROM d)", "EXTRACT(MONTH FROM %s)", "EXTRACT(DAY FROM %s)"), sub())
+	case 20:
+		return fmt.Sprintf(pick("ABS(%s, 1)", "ROUND(%s, 1, 2)", "conv(%s)", "conv(f, b, %s)", "nosuch(%s)", "nosuch(1 / z, %s)"), sub())
 	}
-	return "a"
+	// The remaining weight keeps expressions that evaluate for every row in
+	// the majority, so value parity is checked as often as error parity.
+	return pick("a", "b", "f", "s", "d")
 }
 
 // runBothPaths executes sql with the compiled path forced off and on,
@@ -532,7 +556,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 			}
 		}
 		r := rand.New(rand.NewSource(int64(99 + mode)))
-		for i := 0; i < 400; i++ {
+		for i := 0; i < 600; i++ {
 			var sql string
 			switch i % 10 {
 			case 0: // filtered projection with ORDER BY

@@ -2,9 +2,10 @@ package engine
 
 // TestModeSeam pins the shape DESIGN.md ADR-010 describes, by reading the
 // package's own source: the execution configuration is decided in one place
-// per layer and nowhere else, and the reference executor shares no batch
-// program, compiled closure or parallel section with the operator tree it is
-// the oracle for.
+// per layer and nowhere else, the reference executor shares no batch
+// program or parallel section with the operator tree it is the oracle for,
+// and (ADR-016) the batch kernels are the only compiled form of an
+// expression, with the interpreter their only fallback.
 
 import (
 	"go/ast"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -32,24 +34,22 @@ var seamFuncs = map[string][]string{
 // batch and kernel vocabulary of the production path.
 var referenceForbidden = []string{
 	"Batch", "vecExpr", "vecKeySet", "vecCompile", "vecKeys", "vecAggArgs",
-	"compiledExpr", "compile", "filterOp", "scanOp", "rowChunk", "newRowChunk",
+	"compile", "filterOp", "scanOp", "rowChunk", "newRowChunk",
 	"parallelFor", "parallelSortIdx", "parallelJoinKeys", "parallelAggColumn",
 }
 
 // deletedTwins are the interpreter (and compiled-reference) twins this
-// design removed, and the left outer join's copy of the hash join ADR-014
-// merged into joinOperator; they must not come back under the same names.
-// (The reference's local residual closure in leftOuterJoin is not a twin.)
+// design removed, the left outer join's copy of the hash join ADR-014
+// merged into joinOperator, and the row-closure compiler ADR-016 deleted
+// (its type, its environment, and the function names only that tier used —
+// venv keeps its own compileBinary, compileCase, …); they must not come back
+// under the same names. (The reference's local residual closure in
+// leftOuterJoin is not a twin.)
 var deletedTwins = []string{
 	"applyInterp", "projectInterp", "projectRowsBatched",
 	"leftOuterOperator", "newLeftOuterPipe", "gracePartitionProbe", "louter",
+	"compiledExpr", "cenv", "compileArith", "compileOneArg", "compileArgs", "udfSite",
 }
-
-// closureFree are the files that hold expressions only as batch programs:
-// the row-closure compiler (cenv.compile, compiledExpr) is reached through
-// vecCompile's lift and the UDF body projection, never from an operator or
-// a DML statement.
-var closureFree = []string{"operator.go", "gracejoin.go", "db.go"}
 
 func funcName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
@@ -72,7 +72,8 @@ func TestModeSeam(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	modeLines := 0
-	var graceOwners []string
+	var graceOwners, liftCallers []string
+	fallsBackToInterp := false
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -136,8 +137,37 @@ func TestModeSeam(t *testing.T) {
 					t.Errorf("%s: %s mentions deleted twin %s", name, fn, id)
 				}
 			}
-			if slices.Contains(closureFree, name) && (used["compiledExpr"] || used["compile"]) {
-				t.Errorf("%s: %s mentions the row-closure compiler; operators and DML hold batch programs only", name, fn)
+			if used["liftInterp"] && fn != "liftInterp" {
+				liftCallers = append(liftCallers, fn)
+			}
+			if fn == "exec.evalFunc" || fn == "venv.compileFunc" {
+				// A builtin either evaluator resolves by name must be one
+				// plan dependency analysis knows, or statements calling it
+				// silently stop being cached.
+				ast.Inspect(fd, func(n ast.Node) bool {
+					cc, ok := n.(*ast.CaseClause)
+					if !ok {
+						return true
+					}
+					for _, e := range cc.List {
+						if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+							if builtin, _ := strconv.Unquote(lit.Value); !isScalarBuiltin(builtin) {
+								t.Errorf("%s: %s resolves builtin %s, which isScalarBuiltin does not report", name, fn, builtin)
+							}
+						}
+					}
+					return true
+				})
+			}
+			if fn == "venv.compile" {
+				// Whatever no case of the lowering switch returned a kernel
+				// for goes to the interpreter: the function's last statement.
+				if ret, ok := fd.Body.List[len(fd.Body.List)-1].(*ast.ReturnStmt); ok && len(ret.Results) == 1 {
+					if call, ok := ret.Results[0].(*ast.CallExpr); ok {
+						id, _ := call.Fun.(*ast.Ident)
+						fallsBackToInterp = id != nil && id.Name == "liftInterp"
+					}
+				}
 			}
 			if name == "exec.go" {
 				for _, id := range referenceForbidden {
@@ -149,6 +179,16 @@ func TestModeSeam(t *testing.T) {
 				t.Errorf("%s: %s uses concatRows, the reference executor's row concatenation", name, fn)
 			}
 		}
+	}
+	// Two tiers: the interpreter is lifted over a batch for an interpreting
+	// execution (vecCompile) and for what has no kernel (venv.compile), and
+	// lowering has no other fallback.
+	slices.Sort(liftCallers)
+	if want := []string{"exec.vecCompile", "venv.compile"}; !slices.Equal(liftCallers, want) {
+		t.Errorf("liftInterp is called from %v, want %v", liftCallers, want)
+	}
+	if !fallsBackToInterp {
+		t.Error("venv.compile does not end in `return liftInterp(...)`: lowering is a kernel or the lifted interpreter, nothing in between")
 	}
 	if len(graceOwners) != 1 {
 		t.Errorf("types with a grace field: %v; exactly one operator implements the hash join", graceOwners)

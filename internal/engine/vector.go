@@ -1,20 +1,20 @@
 package engine
 
-// This file lowers expressions into batch evaluators (vecExpr): tight loops
-// over a batch's selection vector, the vectorized counterpart of the per-row
-// closures in compile.go. Lowering is total, in three tiers — IN-subqueries
-// and EXISTS run as native kernels probing the statement's subquery memos,
-// and the remaining constructs without a batch kernel are lifted, either as
-// a loop over the row-compiled closure (UDF call sites, builtins,
-// EXTRACT/SUBSTRING) or, for constructs outside the row-compiled subset too
-// (scalar subqueries, correlated references, aggregates misused outside a
-// group), as a loop over the tree-walking interpreter. Lifting preserves
-// exact per-row value and error semantics by construction, so mixing native
-// kernels with lifted subtrees stays behaviourally identical to full
-// interpretation — and full interpretation is just the last tier applied to
-// the whole expression, which is what vecCompile returns for an
-// interpreting execution. That is the evaluator seam (DESIGN.md ADR-010):
-// operators only ever hold vecExprs and never ask which tier is inside.
+// This file is the compiled evaluator: it lowers expressions into batch
+// programs (vecExpr), tight loops over a batch's selection vector. Lowering
+// is total, in two tiers. Every construct with a kernel — column and
+// parameter reads, operators, CASE, IN, BETWEEN, LIKE, IS NULL, builtin and
+// SQL-UDF calls, EXTRACT, SUBSTRING, IN-subqueries and EXISTS probing the
+// statement's subquery memos — runs natively, its operands columns of their
+// own. What has no kernel (scalar subqueries, correlated or ambiguous
+// references, $n under a UDF frame the lowering cannot see, non-literal IN
+// lists, aggregates, calls the interpreter rejects) is lifted: a loop over
+// the tree-walking interpreter of eval.go, which reproduces per-row value
+// and error semantics by construction. Full interpretation is that second
+// tier applied to the whole expression, which is what vecCompile returns for
+// an interpreting execution. That is the evaluator seam (DESIGN.md ADR-010,
+// ADR-016): operators only ever hold vecExprs and never ask which tier is
+// inside, and there is no third, row-at-a-time compiled form.
 //
 // Contract for every vecExpr fn(b, sel, out):
 //   - on entry b.errs[i] == nil for every i in sel;
@@ -29,7 +29,10 @@ package engine
 // its children (whose frames push and pop above), combines, and releases.
 // Scratch memory is therefore bounded by expression depth × batch size, not
 // node count × batch size — crucial because correlated subqueries and UDF
-// bodies recompile per execution.
+// bodies recompile per execution. It also makes every program re-entrant: a
+// recursive UDF runs its body's program from inside that program, so what
+// one invocation owns is on the stack, never in a variable a kernel closure
+// keeps across a child evaluation.
 
 import (
 	"strings"
@@ -88,16 +91,24 @@ func (st *vecStack) takeSel(n int) []int32 {
 
 // ---------------------------------------------------------------- compile
 
-// venv is the vectorizing compilation environment: the row-compile
-// environment over the same bindings, the executing exec (vecExprs are
-// built per execution — and per parallel worker, each of which compiles its
-// own programs against its workerClone — so capturing it is safe), and the
-// scope interpreter lifting runs in.
+// venv is the lowering environment: the flat row layout expressions resolve
+// columns in, the executing exec (vecExprs are built per execution — and per
+// parallel worker, each of which compiles its own programs against its
+// workerClone — so capturing it is safe), and the scope lifted
+// interpretation runs in.
 type venv struct {
-	env *cenv
-	ex  *exec
-	sc  *scope
-	vs  *vecStack
+	ex       *exec
+	bindings []*binding
+	sc       *scope
+	vs       *vecStack
+
+	// How $n lowers. frame is the argument frame of the planned UDF body
+	// whose projection is being lowered (udf.go): the kernel broadcasts the
+	// running call's argument. clientBinds holds when sc's chain carries no
+	// UDF frame at all: $n is this execution's bind value. With neither, the
+	// interpreter walks the scope chain to the innermost frame.
+	frame       *scope
+	clientBinds bool
 }
 
 // vecCompile lowers e into a batch evaluator over the flat row layout of
@@ -108,9 +119,29 @@ func (ex *exec) vecCompile(e sqlast.Expr, bindings []*binding, sc *scope) vecExp
 	if ex.interp {
 		return liftInterp(ex, e, sc)
 	}
-	env := &cenv{db: ex.db, cat: ex.cat, bindings: bindings, clientBinds: !scopeHasParams(sc)}
-	ve := &venv{env: env, ex: ex, sc: sc, vs: &ex.vs}
+	ve := &venv{ex: ex, bindings: bindings, sc: sc, vs: &ex.vs, clientBinds: !scopeHasParams(sc)}
 	return ve.compile(e)
+}
+
+// resolveLocal mirrors one level of scope.lookup: the reference must resolve
+// unambiguously against the given bindings. Ambiguous or unresolved
+// references (including correlated ones) report !ok so the interpreter
+// handles them — reproducing its error or outer-scope resolution.
+func resolveLocal(bindings []*binding, table, col string) (int, bool) {
+	tl, cl := strings.ToLower(table), strings.ToLower(col)
+	found := -1
+	for _, b := range bindings {
+		if tl != "" && b.name != tl {
+			continue
+		}
+		if i, ok := b.colIdx[cl]; ok {
+			if found >= 0 {
+				return -1, false // ambiguous: interpreter raises the error
+			}
+			found = b.off + i
+		}
+	}
+	return found, found >= 0
 }
 
 func (ve *venv) compile(e sqlast.Expr) vecExpr {
@@ -118,27 +149,18 @@ func (ve *venv) compile(e sqlast.Expr) vecExpr {
 	case *sqlast.Literal:
 		return vecConst(x.Val)
 	case *sqlast.Param:
-		// Statement-level bind: broadcast the per-execution constant. UDF
-		// parameter frames fall through to the lift, whose interpreter walk
-		// resolves the innermost frame.
-		if ve.env.params == nil && ve.env.clientBinds {
+		// One value per batch, read when the batch runs: a cached plan
+		// serves every binding, a cached projection every call.
+		n := x.N
+		if frame := ve.frame; frame != nil {
+			return vecBroadcast(func() (sqltypes.Value, error) { return paramAt(frame.params, n) })
+		}
+		if ve.clientBinds {
 			ex := ve.ex
-			n := x.N
-			return func(b *Batch, sel []int32, out []sqltypes.Value) {
-				v, err := ex.bind(n)
-				if err != nil {
-					for _, i := range sel {
-						b.poison(i, err)
-					}
-					return
-				}
-				for _, i := range sel {
-					out[i] = v
-				}
-			}
+			return vecBroadcast(func() (sqltypes.Value, error) { return ex.bind(n) })
 		}
 	case *sqlast.ColumnRef:
-		idx, ok := resolveLocal(ve.env.bindings, x.Table, x.Name)
+		idx, ok := resolveLocal(ve.bindings, x.Table, x.Name)
 		if !ok {
 			break // ambiguous or correlated: interpreter semantics via lift
 		}
@@ -181,6 +203,17 @@ func (ve *venv) compile(e sqlast.Expr) vecExpr {
 		return ve.compileLike(x)
 	case *sqlast.CaseExpr:
 		return ve.compileCase(x)
+	case *sqlast.FuncCall:
+		if fn := ve.compileFunc(x); fn != nil {
+			return fn
+		}
+	case *sqlast.ExtractExpr:
+		field := x.Field
+		return ve.compileCall([]sqlast.Expr{x.X}, true, func(argv []sqltypes.Value) (sqltypes.Value, error) {
+			return extractField(field, argv[0])
+		})
+	case *sqlast.SubstringExpr:
+		return ve.compileSubstring(x)
 	case *sqlast.IntervalExpr:
 		switch x.Unit {
 		case "DAY":
@@ -191,7 +224,8 @@ func (ve *venv) compile(e sqlast.Expr) vecExpr {
 			return vecConst(sqltypes.NewInterval(0, 12*x.N))
 		}
 	}
-	return ve.lift(e)
+	// No kernel: the interpreter, one selected row at a time.
+	return liftInterp(ve.ex, e, ve.sc)
 }
 
 // foldConst evaluates a literal-only arithmetic/compare subtree once, at
@@ -229,28 +263,22 @@ func vecConst(v sqltypes.Value) vecExpr {
 	}
 }
 
-// lift wraps non-native constructs: the row-compiled closure when the
-// expression is in the compiled subset (so UDF call sites keep their
-// statement-cache probes and planned bodies), the interpreter otherwise.
-func (ve *venv) lift(e sqlast.Expr) vecExpr {
-	if fn, ok := ve.env.compile(e); ok {
-		ex := ve.ex
-		return func(b *Batch, sel []int32, out []sqltypes.Value) {
-			rows := b.rows
-			for _, i := range sel {
-				v, err := fn(ex, rows[i])
-				if err != nil {
-					b.poison(i, err)
-					continue
-				}
-				out[i] = v
+// vecBroadcast broadcasts what get returns when the batch runs; its error
+// belongs to every selected row.
+func vecBroadcast(get func() (sqltypes.Value, error)) vecExpr {
+	return func(b *Batch, sel []int32, out []sqltypes.Value) {
+		v, err := get()
+		for _, i := range sel {
+			if err != nil {
+				b.poison(i, err)
+				continue
 			}
+			out[i] = v
 		}
 	}
-	return liftInterp(ve.ex, e, ve.sc)
 }
 
-// liftInterp is the last lowering tier: the tree-walking interpreter run
+// liftInterp is the second lowering tier: the tree-walking interpreter run
 // once per selected row, with the row installed in sc.
 func liftInterp(ex *exec, e sqlast.Expr, sc *scope) vecExpr {
 	return func(b *Batch, sel []int32, out []sqltypes.Value) {
@@ -493,9 +521,11 @@ func (ve *venv) compileBetween(x *sqlast.BetweenExpr) vecExpr {
 }
 
 // compileIn vectorizes IN over literal-only lists as one hash probe per
-// selected row (collision buckets confirmed with exact equality, matching
-// compile.go) and IN-subqueries as a native probe of the statement's hashed
-// subquery result. Other list shapes lift.
+// selected row and IN-subqueries as a native probe of the statement's hashed
+// subquery result. Other list shapes lift. AppendKey encodes integers as
+// float64, so distinct huge integers can share a key; each bucket therefore
+// keeps its values and a hit is confirmed with sqltypes.Equal, giving exact
+// parity with the interpreter's list scan.
 func (ve *venv) compileIn(x *sqlast.InExpr) vecExpr {
 	if x.Sub != nil {
 		return ve.compileInSubquery(x)
@@ -731,6 +761,192 @@ func (ve *venv) compileCase(x *sqlast.CaseExpr) vecExpr {
 					out[i] = sqltypes.Null
 				}
 			}
+		}
+		st.release(m)
+	}
+}
+
+// ---------------------------------------------------------------- calls
+
+// compileFunc lowers a scalar call. Aggregates (which need the group
+// context), unknown functions and wrong argument counts have no kernel: the
+// interpreter raises their errors for exactly the rows it evaluates.
+func (ve *venv) compileFunc(x *sqlast.FuncCall) vecExpr {
+	upper := strings.ToUpper(x.Name)
+	if aggregateNames[upper] {
+		return nil
+	}
+	if f := strictBuiltins[upper]; f != nil {
+		if len(x.Args) != 1 {
+			return nil
+		}
+		return ve.compileCall(x.Args, true, func(argv []sqltypes.Value) (sqltypes.Value, error) {
+			return f(argv[0]), nil
+		})
+	}
+	switch upper {
+	case "CONCAT":
+		return ve.compileCall(x.Args, true, func(argv []sqltypes.Value) (sqltypes.Value, error) {
+			var sb strings.Builder
+			for _, v := range argv {
+				sb.WriteString(v.AsString())
+			}
+			return sqltypes.NewString(sb.String()), nil
+		})
+	case "ROUND":
+		if len(x.Args) == 0 || len(x.Args) > 2 {
+			return nil
+		}
+		return ve.compileCall(x.Args, true, func(argv []sqltypes.Value) (sqltypes.Value, error) {
+			digits := int64(0)
+			if len(argv) == 2 {
+				digits = argv[1].AsInt()
+			}
+			return roundTo(argv[0].AsFloat(), digits), nil
+		})
+	case "COALESCE":
+		return ve.compileCoalesce(x.Args)
+	}
+	// The function resolves in the exec's pinned catalog, so the kernel and
+	// the interpreter agree on which definition a name means even if DDL
+	// swaps the live catalog mid-query.
+	ex := ve.ex
+	fn := ex.function(x.Name)
+	if fn == nil || len(x.Args) != fn.NumParams {
+		return nil
+	}
+	return ve.compileCall(x.Args, false, func(argv []sqltypes.Value) (sqltypes.Value, error) {
+		return ex.callUDF(fn, argv)
+	})
+}
+
+func (ve *venv) compileAll(exprs []sqlast.Expr) []vecExpr {
+	progs := make([]vecExpr, len(exprs))
+	for j, e := range exprs {
+		progs[j] = ve.compile(e)
+	}
+	return progs
+}
+
+// compileCall lowers a call whose arguments are evaluated left to right into
+// columns and combined per row by f. A row leaves the selection at its first
+// failing argument and, when strict, at its first NULL one with NULL as the
+// result — where the interpreter returns — so later arguments, and any error
+// they would raise, are evaluated only for the rows the interpreter
+// evaluates them for. The columns and the one row's argv f sees live on the
+// scratch stack, so a UDF body that re-enters this kernel through f cannot
+// touch them, and f's callee may keep argv as its parameter frame while it
+// runs.
+func (ve *venv) compileCall(args []sqlast.Expr, strict bool, f func(argv []sqltypes.Value) (sqltypes.Value, error)) vecExpr {
+	progs := ve.compileAll(args)
+	k, st := len(progs), ve.vs
+	return func(b *Batch, sel []int32, out []sqltypes.Value) {
+		n := len(b.rows)
+		m := st.mark()
+		cols := st.takeVals(k*n + k)
+		argv := cols[k*n:]
+		live := append(st.takeSel(len(sel)), sel...)
+		for j, prog := range progs {
+			col := cols[j*n : (j+1)*n]
+			prog(b, live, col)
+			kept := live[:0]
+			for _, i := range live {
+				switch {
+				case b.errs[i] != nil:
+				case strict && col[i].IsNull():
+					out[i] = sqltypes.Null
+				default:
+					kept = append(kept, i)
+				}
+			}
+			live = kept
+		}
+		for _, i := range live {
+			for j := range argv {
+				argv[j] = cols[j*n+int(i)]
+			}
+			v, err := f(argv)
+			if err != nil {
+				b.poison(i, err)
+				continue
+			}
+			out[i] = v
+		}
+		st.release(m)
+	}
+}
+
+// compileCoalesce evaluates each argument only for the rows every earlier
+// argument left NULL: a row keeps its first non-NULL value and drops out.
+func (ve *venv) compileCoalesce(args []sqlast.Expr) vecExpr {
+	progs := ve.compileAll(args)
+	st := ve.vs
+	return func(b *Batch, sel []int32, out []sqltypes.Value) {
+		m := st.mark()
+		pending := append(st.takeSel(len(sel)), sel...)
+		for _, prog := range progs {
+			prog(b, pending, out)
+			still := pending[:0]
+			for _, i := range pending {
+				if b.errs[i] == nil && out[i].IsNull() {
+					still = append(still, i)
+				}
+			}
+			pending = still
+		}
+		for _, i := range pending {
+			out[i] = sqltypes.Null
+		}
+		st.release(m)
+	}
+}
+
+// compileSubstring follows evalSubstring's order: X and FROM are both
+// evaluated before either NULL decides, FOR only for the rows that survive.
+func (ve *venv) compileSubstring(x *sqlast.SubstringExpr) vecExpr {
+	str, from := ve.compile(x.X), ve.compile(x.From)
+	var length vecExpr
+	if x.For != nil {
+		length = ve.compile(x.For)
+	}
+	st := ve.vs
+	return func(b *Batch, sel []int32, out []sqltypes.Value) {
+		n := len(b.rows)
+		m := st.mark()
+		str(b, sel, out)
+		selBuf := st.takeSel(len(sel))
+		sel = b.compactSel(selBuf, sel)
+		fbuf := st.takeVals(n)
+		from(b, sel, fbuf)
+		live := selBuf[:0] // may alias sel: the write position never passes the read
+		for _, i := range sel {
+			switch {
+			case b.errs[i] != nil:
+			case out[i].IsNull() || fbuf[i].IsNull():
+				out[i] = sqltypes.Null
+			default:
+				live = append(live, i)
+			}
+		}
+		var lbuf []sqltypes.Value
+		if length != nil {
+			lbuf = st.takeVals(n)
+			length(b, live, lbuf)
+		}
+		for _, i := range live {
+			if b.errs[i] != nil {
+				continue
+			}
+			s := out[i].AsString()
+			chars := int64(len(s))
+			if length != nil {
+				if lbuf[i].IsNull() {
+					out[i] = sqltypes.Null
+					continue
+				}
+				chars = lbuf[i].AsInt()
+			}
+			out[i] = sqltypes.NewString(substring(s, fbuf[i].AsInt(), chars))
 		}
 		st.release(m)
 	}

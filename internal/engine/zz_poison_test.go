@@ -10,9 +10,18 @@ import (
 func TestRecursiveMemoPoison2(t *testing.T) {
 	// f(n) = n + f(n/2 - y) evaluated over both rows of t2 (y=0,1),
 	// result taken from the first row (y=0). Gives each node two children,
-	// so the same child has multiple parents.
+	// so the same child has multiple parents. ModeSystemC has no result
+	// cache to hide behind: every call recurses through the body's one
+	// lowered projection, each level on a batch and an argument frame of its
+	// own.
+	for _, mode := range []Mode{ModePostgres, ModeSystemC} {
+		testRecursiveMemoPoison2(t, mode)
+	}
+}
+
+func testRecursiveMemoPoison2(t *testing.T, mode Mode) {
 	mk := func() *DB {
-		db := Open(ModePostgres)
+		db := Open(mode)
 		if _, err := db.ExecScript(`
 			CREATE TABLE t2 (y INTEGER);
 			CREATE TABLE t (x INTEGER);
@@ -40,7 +49,7 @@ func TestRecursiveMemoPoison2(t *testing.T) {
 		}
 		for i := range ri.Rows {
 			if fmt.Sprint(rc.Rows[i]) != fmt.Sprint(ri.Rows[i]) {
-				t.Errorf("xs=%v row %d: compiled %v, interpreter %v", xs, i, rc.Rows[i], ri.Rows[i])
+				t.Errorf("mode %s xs=%v row %d: compiled %v, interpreter %v", mode, xs, i, rc.Rows[i], ri.Rows[i])
 			}
 		}
 	}
