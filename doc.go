@@ -4,7 +4,10 @@
 //
 // The system lives in internal/ packages:
 //
-//   - sqltypes, sqllex, sqlast, sqlparse — the SQL/MTSQL frontend
+//   - sqltypes, sqllex, sqlast, sqlparse — the SQL/MTSQL frontend;
+//     sqlast/walk.go is the one place that knows where a statement holds
+//     expressions and query blocks, and names the tables a statement
+//     writes and reads (ADR-017 in DESIGN.md)
 //   - engine — the substrate in-memory DBMS (PostgreSQL / "System C" roles).
 //     Queries execute as a tree of pull-based physical operators
 //     (engine/operator.go) — scan, filter, project, hash join, group,
@@ -52,7 +55,9 @@
 //   - mtsql — MTSQL semantics: generality, comparability, conversion algebra
 //   - rewrite — the canonical MTSQL→SQL rewrite algorithm (§3)
 //   - optimizer — the o1–o4 / inl-only optimization passes (§4)
-//   - middleware — MTBase proper: sessions, scopes, privileges (Figure 4);
+//   - middleware — MTBase proper: sessions, scopes, privileges (Figure 4):
+//     a statement runs over D′, the scope pruned by every table it touches
+//     in any slot and statement kind (ADR-017);
 //     Conn.Prepare gives prepared MTSQL statements whose rewrite is cached
 //     against the parameterized text and shared across bindings. The
 //     session shape is declared once, in middleware/session.go (ADR-013 in

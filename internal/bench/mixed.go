@@ -31,8 +31,8 @@ type MixedSpec struct {
 	Dist        mth.Distribution
 	Mode        engine.Mode
 	Level       optimizer.Level
-	QueryID     int // measured read query; default Q6
-	Concurrency int // concurrent reader connections; default 1
+	QueryID     int   // measured read query; default Q6
+	Concurrency int   // concurrent reader connections; default 1
 	Parallelism int   // intra-query workers per read; 0 = engine default
 	Writers     int   // background writer goroutines; default 2
 	Ops         int   // total measured reads across all readers; default 64

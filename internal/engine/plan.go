@@ -160,7 +160,6 @@ func (f *closeFrame) resolves(cr *sqlast.ColumnRef) bool {
 // below a join, while a wrong "open" merely keeps today's residual filter.
 func selectClosed(sel *sqlast.Select, cat *catalog, outer *closeFrame) bool {
 	f := &closeFrame{outer: outer, tabs: make(map[string]*Table)}
-	var exprs []sqlast.Expr
 	var addFrom func(te sqlast.TableExpr) bool
 	addFrom = func(te sqlast.TableExpr) bool {
 		switch t := te.(type) {
@@ -173,9 +172,6 @@ func selectClosed(sel *sqlast.Select, cat *catalog, outer *closeFrame) bool {
 			f.tabs[name] = tab
 			return true
 		case *sqlast.JoinExpr:
-			if t.On != nil {
-				exprs = append(exprs, t.On)
-			}
 			return addFrom(t.L) && addFrom(t.R)
 		}
 		return false
@@ -185,17 +181,20 @@ func selectClosed(sel *sqlast.Select, cat *catalog, outer *closeFrame) bool {
 			return false
 		}
 	}
-	for _, e := range append(exprs, selectLevelExprs(sel)...) {
+	closed := true
+	sqlast.BlockExprs(sel, func(e sqlast.Expr) {
+		if !closed {
+			return
+		}
 		for _, cr := range sqlast.ColumnRefsOf(e) {
 			if !f.resolves(cr) {
-				return false
+				closed = false
+				return
 			}
 		}
-		if !allClosed(sqlast.SubqueriesOf(e), cat, f) {
-			return false
-		}
-	}
-	return true
+		closed = allClosed(sqlast.SubqueriesOf(e), cat, f)
+	})
+	return closed
 }
 
 func allClosed(subs []*sqlast.Select, cat *catalog, outer *closeFrame) bool {
@@ -281,12 +280,12 @@ func (db *DB) buildPlan(cat *catalog, sql string, stmt sqlast.Statement) *Plan {
 	switch st := stmt.(type) {
 	case *sqlast.Select, *sqlast.Insert, *sqlast.Update, *sqlast.Delete:
 		p.subqIDs = make(map[*sqlast.Select]int32)
-		for _, sel := range statementSelects(stmt) {
+		sqlast.WalkBlocks(stmt, func(sel *sqlast.Select) {
 			if _, ok := p.subqIDs[sel]; !ok {
 				p.subqIDs[sel] = p.nSubq
 				p.nSubq++
 			}
-		}
+		}, nil)
 		// Dependency pinning only matters for plans that can live in the
 		// cache; ephemeral plans (direct AST execution) execute immediately
 		// and are never revalidated.
@@ -310,83 +309,6 @@ func (db *DB) buildPlan(cat *catalog, sql string, stmt sqlast.Statement) *Plan {
 	return p
 }
 
-// statementSelects returns every SELECT node reachable from stmt — nested
-// subqueries, derived tables, join operands and INSERT ... SELECT sources —
-// in a deterministic pre-order.
-func statementSelects(stmt sqlast.Statement) []*sqlast.Select {
-	var out []*sqlast.Select
-	var visitSel func(s *sqlast.Select)
-	var visitTE func(te sqlast.TableExpr)
-	visitExpr := func(e sqlast.Expr) {
-		for _, sub := range sqlast.SubqueriesOf(e) {
-			visitSel(sub)
-		}
-	}
-	visitTE = func(te sqlast.TableExpr) {
-		switch t := te.(type) {
-		case *sqlast.DerivedTable:
-			visitSel(t.Sub)
-		case *sqlast.JoinExpr:
-			visitTE(t.L)
-			visitTE(t.R)
-			visitExpr(t.On)
-		}
-	}
-	visitSel = func(s *sqlast.Select) {
-		if s == nil {
-			return
-		}
-		out = append(out, s)
-		for _, te := range s.From {
-			visitTE(te)
-		}
-		for _, e := range selectLevelExprs(s) {
-			visitExpr(e)
-		}
-	}
-	switch st := stmt.(type) {
-	case *sqlast.Select:
-		visitSel(st)
-	case *sqlast.Insert:
-		visitSel(st.Sub)
-		for _, row := range st.Rows {
-			for _, e := range row {
-				visitExpr(e)
-			}
-		}
-	case *sqlast.Update:
-		for _, a := range st.Sets {
-			visitExpr(a.Expr)
-		}
-		visitExpr(st.Where)
-	case *sqlast.Delete:
-		visitExpr(st.Where)
-	}
-	return out
-}
-
-// selectLevelExprs returns the expressions attached to one query level
-// (join ON conditions are enumerated by the FROM traversal).
-func selectLevelExprs(s *sqlast.Select) []sqlast.Expr {
-	var out []sqlast.Expr
-	for _, it := range s.Items {
-		if it.Expr != nil {
-			out = append(out, it.Expr)
-		}
-	}
-	if s.Where != nil {
-		out = append(out, s.Where)
-	}
-	if s.Having != nil {
-		out = append(out, s.Having)
-	}
-	out = append(out, s.GroupBy...)
-	for _, o := range s.OrderBy {
-		out = append(out, o.Expr)
-	}
-	return out
-}
-
 // ---------------------------------------------------------------- deps
 
 // collectDepsLocked gathers every table, view and function the statement can
@@ -399,8 +321,25 @@ func (db *DB) collectDepsLocked(stmt sqlast.Statement) ([]planDep, bool) {
 	seen := make(map[string]bool)
 	ok := true
 
-	var addName func(name string)
-	var visitSelDeps func(s *sqlast.Select)
+	var visit func(stmt sqlast.Statement)
+	addName := func(name string) {
+		lower := strings.ToLower(name)
+		key := "t:" + lower
+		if seen[key] {
+			return
+		}
+		seen[key] = true
+		if view, isView := cat.views[lower]; isView {
+			deps = append(deps, planDep{name: lower, view: view})
+			visit(view)
+			return
+		}
+		if tab := cat.tables[lower]; tab != nil {
+			deps = append(deps, planDep{name: lower, tab: tab, version: atomic.LoadUint64(&tab.version)})
+			return
+		}
+		ok = false
+	}
 	visitFunc := func(name string) {
 		upper := strings.ToUpper(name)
 		if aggregateNames[upper] || isScalarBuiltin(upper) {
@@ -417,85 +356,29 @@ func (db *DB) collectDepsLocked(stmt sqlast.Statement) ([]planDep, bool) {
 			return
 		}
 		deps = append(deps, planDep{name: strings.ToLower(name), fn: fn})
-		visitSelDeps(fn.Body)
+		visit(fn.Body)
 	}
-	visitExprDeps := func(e sqlast.Expr) {
+	calls := func(e sqlast.Expr) {
 		sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
 			if fc, isCall := n.(*sqlast.FuncCall); isCall {
 				visitFunc(fc.Name)
 			}
 			return true
 		})
-		for _, sub := range sqlast.SubqueriesOf(e) {
-			visitSelDeps(sub)
-		}
 	}
-	addName = func(name string) {
-		lower := strings.ToLower(name)
-		key := "t:" + lower
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		if view, isView := cat.views[lower]; isView {
-			deps = append(deps, planDep{name: lower, view: view})
-			visitSelDeps(view)
-			return
-		}
-		if tab := cat.tables[lower]; tab != nil {
-			deps = append(deps, planDep{name: lower, tab: tab, version: atomic.LoadUint64(&tab.version)})
-			return
-		}
-		ok = false
+	// One walk per statement, view body and UDF body: the tables each block
+	// names, then the functions its slots call.
+	visit = func(stmt sqlast.Statement) {
+		sqlast.StmtExprs(stmt, calls)
+		sqlast.WalkBlocks(stmt, func(b *sqlast.Select) {
+			sqlast.BlockTables(b, func(t *sqlast.TableName) { addName(t.Name) })
+			sqlast.BlockExprs(b, calls)
+		}, nil)
 	}
-	var visitTEDeps func(te sqlast.TableExpr)
-	visitTEDeps = func(te sqlast.TableExpr) {
-		switch t := te.(type) {
-		case *sqlast.TableName:
-			addName(t.Name)
-		case *sqlast.DerivedTable:
-			visitSelDeps(t.Sub)
-		case *sqlast.JoinExpr:
-			visitTEDeps(t.L)
-			visitTEDeps(t.R)
-			visitExprDeps(t.On)
-		}
+	if target, _ := sqlast.Target(stmt); target != "" {
+		addName(target)
 	}
-	visitSelDeps = func(s *sqlast.Select) {
-		if s == nil {
-			return
-		}
-		for _, te := range s.From {
-			visitTEDeps(te)
-		}
-		for _, e := range selectLevelExprs(s) {
-			visitExprDeps(e)
-		}
-	}
-
-	switch st := stmt.(type) {
-	case *sqlast.Select:
-		visitSelDeps(st)
-	case *sqlast.Insert:
-		addName(st.Table)
-		visitSelDeps(st.Sub)
-		for _, row := range st.Rows {
-			for _, e := range row {
-				visitExprDeps(e)
-			}
-		}
-	case *sqlast.Update:
-		addName(st.Table)
-		for _, a := range st.Sets {
-			visitExprDeps(a.Expr)
-		}
-		visitExprDeps(st.Where)
-	case *sqlast.Delete:
-		addName(st.Table)
-		visitExprDeps(st.Where)
-	default:
-		return nil, false
-	}
+	visit(stmt)
 	return deps, ok
 }
 
@@ -552,37 +435,8 @@ func (cat *catalog) checkInArity(stmt sqlast.Statement) error {
 			return err == nil
 		})
 	}
-	for _, sel := range statementSelects(stmt) {
-		for _, e := range selectLevelExprs(sel) {
-			check(e)
-		}
-		var visitON func(te sqlast.TableExpr)
-		visitON = func(te sqlast.TableExpr) {
-			if j, isJoin := te.(*sqlast.JoinExpr); isJoin {
-				visitON(j.L)
-				visitON(j.R)
-				check(j.On)
-			}
-		}
-		for _, te := range sel.From {
-			visitON(te)
-		}
-	}
-	switch st := stmt.(type) {
-	case *sqlast.Update:
-		for _, a := range st.Sets {
-			check(a.Expr)
-		}
-		check(st.Where)
-	case *sqlast.Delete:
-		check(st.Where)
-	case *sqlast.Insert:
-		for _, row := range st.Rows {
-			for _, e := range row {
-				check(e)
-			}
-		}
-	}
+	sqlast.StmtExprs(stmt, check)
+	sqlast.WalkBlocks(stmt, func(b *sqlast.Select) { sqlast.BlockExprs(b, check) }, nil)
 	return err
 }
 
@@ -735,71 +589,51 @@ func (cat *catalog) paramKinds(stmt sqlast.Statement, n int) []sqltypes.Kind {
 		})
 	}
 
-	for _, sel := range statementSelects(stmt) {
+	sqlast.WalkBlocks(stmt, func(sel *sqlast.Select) {
 		kindOf := cat.colKindResolver(sel)
-		for _, e := range selectLevelExprs(sel) {
-			hintExprs(e, kindOf)
-		}
-		var visitON func(te sqlast.TableExpr)
-		visitON = func(te sqlast.TableExpr) {
-			if j, isJoin := te.(*sqlast.JoinExpr); isJoin {
-				visitON(j.L)
-				visitON(j.R)
-				if j.On != nil {
-					hintExprs(j.On, kindOf)
-				}
-			}
-		}
-		for _, te := range sel.From {
-			visitON(te)
-		}
-	}
+		sqlast.BlockExprs(sel, func(e sqlast.Expr) { hintExprs(e, kindOf) })
+	}, nil)
 
-	// DML statements evaluate against their target table's layout.
-	tableKindOf := func(name string) func(cr *sqlast.ColumnRef) sqltypes.Kind {
-		t := cat.table(name)
-		return func(cr *sqlast.ColumnRef) sqltypes.Kind {
-			if t == nil {
-				return sqltypes.KindNull
-			}
-			if cr.Table != "" && !strings.EqualFold(cr.Table, t.Name) {
-				return sqltypes.KindNull
-			}
-			if i := t.ColIndex(cr.Name); i >= 0 {
-				return t.Cols[i].Type
-			}
-			return sqltypes.KindNull
+	// A DML statement's own slots evaluate against its target table's layout;
+	// an assignment's or a VALUES row's bare parameter takes its column's kind.
+	target, _ := sqlast.Target(stmt)
+	t := cat.table(target)
+	if t == nil {
+		return kinds
+	}
+	colKind := func(name string) sqltypes.Kind {
+		if i := t.ColIndex(name); i >= 0 {
+			return t.Cols[i].Type
 		}
+		return sqltypes.KindNull
 	}
 	switch st := stmt.(type) {
 	case *sqlast.Update:
-		kindOf := tableKindOf(st.Table)
 		for _, a := range st.Sets {
 			if p, ok := a.Expr.(*sqlast.Param); ok {
-				hint(p.N, kindOf(&sqlast.ColumnRef{Name: a.Column}))
+				hint(p.N, colKind(a.Column))
 			}
-			hintExprs(a.Expr, kindOf)
 		}
-		hintExprs(st.Where, kindOf)
-	case *sqlast.Delete:
-		hintExprs(st.Where, tableKindOf(st.Table))
 	case *sqlast.Insert:
-		if t := cat.table(st.Table); t != nil && st.Sub == nil {
-			cols := st.Columns
-			if len(cols) == 0 {
-				cols = t.ColNames()
-			}
-			for _, row := range st.Rows {
-				for i, e := range row {
-					if p, ok := e.(*sqlast.Param); ok && i < len(cols) {
-						if ci := t.ColIndex(cols[i]); ci >= 0 {
-							hint(p.N, t.Cols[ci].Type)
-						}
-					}
+		cols := st.Columns
+		if len(cols) == 0 {
+			cols = t.ColNames()
+		}
+		for _, row := range st.Rows {
+			for i, e := range row {
+				if p, ok := e.(*sqlast.Param); ok && i < len(cols) {
+					hint(p.N, colKind(cols[i]))
 				}
 			}
 		}
 	}
+	kindOf := func(cr *sqlast.ColumnRef) sqltypes.Kind {
+		if cr.Table != "" && !strings.EqualFold(cr.Table, t.Name) {
+			return sqltypes.KindNull
+		}
+		return colKind(cr.Name)
+	}
+	sqlast.StmtExprs(stmt, func(e sqlast.Expr) { hintExprs(e, kindOf) })
 	return kinds
 }
 

@@ -73,6 +73,38 @@ func TestPlanCacheVersionEviction(t *testing.T) {
 	}
 }
 
+// TestPlanDepsCoverEverySlot: a table is a dependency of the plan wherever
+// the statement names it — the walker that numbers a statement's blocks is
+// the one that pins them (DESIGN.md ADR-017). One statement per slot names
+// Regions nowhere else; a write to Regions must re-lower each of them.
+func TestPlanDepsCoverEverySlot(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT E_name FROM Employees ORDER BY (SELECT MAX(Re_name) FROM Regions WHERE Re_reg_id = E_reg_id), E_name",
+		"SELECT COUNT(*) FROM Employees GROUP BY (SELECT MAX(Re_name) FROM Regions WHERE Re_reg_id = E_reg_id)",
+		"SELECT E_reg_id FROM Employees GROUP BY E_reg_id HAVING COUNT(*) < (SELECT COUNT(*) FROM Regions)",
+		"SELECT a.E_name FROM Employees a JOIN Employees b ON a.E_emp_id = b.E_emp_id AND a.E_reg_id IN (SELECT Re_reg_id FROM Regions)",
+		"UPDATE Employees SET E_age = (SELECT COUNT(*) FROM Regions) WHERE E_emp_id < 0",
+		"DELETE FROM Employees WHERE E_emp_id < 0 AND E_reg_id NOT IN (SELECT Re_reg_id FROM Regions)",
+	} {
+		db := newEmployeeDB(t, ModePostgres)
+		for i := 0; i < 2; i++ {
+			if _, err := db.ExecSQL(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+		db.Stats = Stats{}
+		if _, err := db.ExecSQL("INSERT INTO Regions VALUES (6, 'ANTARCTICA')"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.ExecSQL(sql); err != nil {
+			t.Fatal(err)
+		}
+		if db.Stats.PlanCacheInvalidations != 1 {
+			t.Errorf("%s\na write to Regions did not re-lower the plan: %+v", sql, db.Stats)
+		}
+	}
+}
+
 // TestPlanCacheDDLEviction is the acceptance regression for schema-change
 // invalidation: dropping and recreating a referenced table with a different
 // shape must re-lower the statement, not replay the old binding layout.

@@ -70,7 +70,7 @@ func (c *Conn) createFunction(cf *sqlast.CreateFunction) (*engine.Result, error)
 // createView rewrites the defining query with the session's (C, D) so the
 // stored view satisfies the invariant (§2.2.4), then creates it.
 func (c *Conn) createView(cv *sqlast.CreateView) (*engine.Result, error) {
-	ctx, err := c.RewriteContext(sqlast.PrivRead, tenantSpecificTables(cv.Sub)...)
+	ctx, err := c.RewriteContextFor(sqlast.Tables(cv))
 	if err != nil {
 		return nil, err
 	}
@@ -151,19 +151,14 @@ func (c *Conn) AddForeignKey(table string, fk sqlast.Constraint) error {
 // insert applies the MTSQL DML semantics of §2.5: the statement is applied
 // to each tenant in D separately, with value conversion into each target
 // tenant's format. Bind parameters pass through the rewrite and are bound
-// on every per-tenant physical statement.
+// on every per-tenant physical statement. An INSERT ... SELECT is pruned by
+// INSERT on the target and READ on its sources (pruneDataset): one D′ names
+// both the tenants written and the rows read.
 func (c *Conn) insert(ctx context.Context, ins *sqlast.Insert, args []sqltypes.Value) (*engine.Result, error) {
-	var subTables []string
-	if ins.Sub != nil {
-		subTables = tenantSpecificTables(ins.Sub)
-	}
-	rctx, err := c.RewriteContext(sqlast.PrivInsert, append([]string{ins.Table}, subTables...)...)
+	rctx, err := c.RewriteContextFor(sqlast.Tables(ins))
 	if err != nil {
 		return nil, err
 	}
-	// Reads inside INSERT ... SELECT require READ on the source tables;
-	// reuse the same context pruned for INSERT on the target (the paper
-	// prunes once per statement).
 	stmts, err := rewrite.Insert(rctx, ins)
 	if err != nil {
 		return nil, err
@@ -180,7 +175,7 @@ func (c *Conn) insert(ctx context.Context, ins *sqlast.Insert, args []sqltypes.V
 }
 
 func (c *Conn) update(ctx context.Context, up *sqlast.Update, args []sqltypes.Value) (*engine.Result, error) {
-	rctx, err := c.RewriteContext(sqlast.PrivUpdate, up.Table)
+	rctx, err := c.RewriteContextFor(sqlast.Tables(up))
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +187,7 @@ func (c *Conn) update(ctx context.Context, up *sqlast.Update, args []sqltypes.Va
 }
 
 func (c *Conn) delete(ctx context.Context, del *sqlast.Delete, args []sqltypes.Value) (*engine.Result, error) {
-	rctx, err := c.RewriteContext(sqlast.PrivDelete, del.Table)
+	rctx, err := c.RewriteContextFor(sqlast.Tables(del))
 	if err != nil {
 		return nil, err
 	}

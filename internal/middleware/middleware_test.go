@@ -493,3 +493,73 @@ func TestGrantToAllUsesD(t *testing.T) {
 		t.Errorf("grant-to-all failed: %v", res.Rows)
 	}
 }
+
+// TestOrderByKeyOutsideSelectList: an ORDER BY key that is not an output
+// column is an expression over the rows and is compared in client format,
+// like the same key in the select list is (DESIGN.md ADR-017). Zed's 65 000
+// EUR are 71 500 USD, more than John's 70 000 USD, at every level.
+func TestOrderByKeyOutsideSelectList(t *testing.T) {
+	srv := newExample(t, engine.ModePostgres)
+	c0, c1 := connFor(t, srv, 0), connFor(t, srv, 1)
+	for _, s := range []string{
+		"INSERT INTO Employees (E_emp_id, E_name, E_role_id, E_reg_id, E_salary, E_age) VALUES (3, 'Zed', 0, 4, 65000, 30)",
+		"GRANT READ ON Employees TO 0",
+	} {
+		if _, err := c1.Exec(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c0.Exec(`SET SCOPE = "IN (0, 1)"`); err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range optimizer.Levels {
+		c0.SetOptLevel(level)
+		for _, sql := range []string{
+			"SELECT E_name FROM Employees WHERE E_name IN ('John', 'Zed') ORDER BY E_salary DESC",
+			"SELECT E_name, E_salary FROM Employees WHERE E_name IN ('John', 'Zed') ORDER BY E_salary DESC",
+		} {
+			res, err := c0.Query(sql)
+			if err != nil {
+				t.Fatalf("%s at %s: %v", sql, level, err)
+			}
+			if len(res.Rows) != 2 || res.Rows[0][0].S != "Zed" || res.Rows[1][0].S != "John" {
+				t.Errorf("%s at %s: got %v, want Zed before John", sql, level, res.Rows)
+			}
+		}
+	}
+}
+
+// TestInsertSelectPrunesSourcesByRead: an INSERT ... SELECT takes INSERT on
+// its target and READ — not INSERT — on its sources, and the one D′ that
+// results names both the tenants written and the rows read.
+func TestInsertSelectPrunesSourcesByRead(t *testing.T) {
+	const ins = "INSERT INTO Roles (R_role_id, R_name) SELECT E_age + 100, E_name FROM Employees WHERE E_age > 45"
+	for _, tc := range []struct {
+		grants   []string
+		affected int
+	}{
+		// Alice (tenant 0), Nancy and Ed (tenant 1) are over 45: each of the
+		// two tenants written receives all three.
+		{[]string{"GRANT INSERT ON Roles TO 0", "GRANT READ ON Employees TO 0"}, 6},
+		// INSERT on the source is not a licence to read it: D′ = {0}.
+		{[]string{"GRANT INSERT ON Roles TO 0", "GRANT INSERT ON Employees TO 0"}, 1},
+	} {
+		srv := newExample(t, engine.ModePostgres)
+		c0, c1 := connFor(t, srv, 0), connFor(t, srv, 1)
+		for _, g := range tc.grants {
+			if _, err := c1.Exec(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c0.Exec(`SET SCOPE = "IN (0, 1)"`); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c0.Exec(ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Affected != tc.affected {
+			t.Errorf("%v: affected %d rows, want %d", tc.grants, res.Affected, tc.affected)
+		}
+	}
+}

@@ -28,11 +28,13 @@ var stmtMethods = []string{
 // interface with Exec there.
 var sessionUsers = []string{"internal/server", "internal/mth", "internal/bench", "cmd/mtsh"}
 
-func TestSessionSeam(t *testing.T) {
+// eachSourceFile parses every non-test Go file of the repository outside
+// benchmark/, testdata and dot directories, and hands it over with its
+// slash-separated path relative to the root.
+func eachSourceFile(t *testing.T, visit func(rel string, f *ast.File)) {
+	t.Helper()
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
-	var sessionFiles []string        // files declaring an interface with Prepare and QueryContext
-	methods := map[string][]string{} // "dir.Type" -> method names
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -51,6 +53,18 @@ func TestSessionSeam(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		visit(rel, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSessionSeam(t *testing.T) {
+	var sessionFiles []string        // files declaring an interface with Prepare and QueryContext
+	methods := map[string][]string{} // "dir.Type" -> method names
+	eachSourceFile(t, func(rel string, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(rel))
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
@@ -87,11 +101,7 @@ func TestSessionSeam(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if want := []string{"internal/middleware/session.go"}; !slices.Equal(sessionFiles, want) {
 		t.Errorf("interfaces with Prepare and QueryContext are declared in %v; the session shape belongs to %v alone", sessionFiles, want)
 	}
@@ -110,5 +120,37 @@ func TestSessionSeam(t *testing.T) {
 				t.Errorf("%s lost %s: the two prepared statements must keep one method set", typ, m)
 			}
 		}
+	}
+}
+
+// TestWalkerSeam pins DESIGN.md ADR-017 the same way: where a statement
+// holds expressions and blocks is written in internal/sqlast/walk.go alone.
+// The hand-written traversals that used to repeat it are gone by name, and
+// the table set privilege pruning and shard routing go by is computed by the
+// walker, not by a type switch of this package's own.
+func TestWalkerSeam(t *testing.T) {
+	gone := []string{"selectLevelExprs", "visitExprSubs", "visitSelDeps", "visitTEDeps", "statementSelects", "eachSelect"}
+	sawTables := false
+	eachSourceFile(t, func(rel string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && slices.Contains(gone, id.Name) {
+				t.Errorf("%s: %s is back; enumerate slots and blocks through internal/sqlast/walk.go", rel, id.Name)
+			}
+			fd, ok := n.(*ast.FuncDecl)
+			if !ok || !strings.EqualFold(fd.Name.Name, "tenantSpecificTables") {
+				return true
+			}
+			sawTables = true
+			ast.Inspect(fd.Body, func(m ast.Node) bool {
+				if _, isSwitch := m.(*ast.TypeSwitchStmt); isSwitch {
+					t.Errorf("%s: %s walks the statement itself; it must take sqlast.Tables' answer", rel, fd.Name.Name)
+				}
+				return true
+			})
+			return true
+		})
+	})
+	if !sawTables {
+		t.Error("middleware.TenantSpecificTables is gone; benchmark/ compiles against it")
 	}
 }

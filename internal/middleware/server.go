@@ -341,13 +341,25 @@ func (s *Server) dropViewOwner(name string) {
 
 // RewriteContext resolves the session's scope into a concrete,
 // privilege-pruned dataset D′ and returns the rewrite context for a
-// statement touching the given tenant-specific tables.
+// statement that needs priv on each of the given tables.
 func (c *Conn) RewriteContext(priv sqlast.Privilege, tables ...string) (*rewrite.Context, error) {
+	return c.rewriteContext(priv, tables, nil)
+}
+
+// RewriteContextFor is the context every statement of this tier is rewritten
+// under: D pruned over the statement's whole table set (sqlast.Tables) — the
+// statement's own privilege on the table it writes and READ on every table
+// any of its blocks reads. The sharding layer resolves D′ through here too.
+func (c *Conn) RewriteContextFor(ts sqlast.TableSet) (*rewrite.Context, error) {
+	return c.rewriteContext(ts.Priv, []string{ts.Write}, ts.Reads)
+}
+
+func (c *Conn) rewriteContext(priv sqlast.Privilege, tables, reads []string) (*rewrite.Context, error) {
 	d, all, err := c.resolveScope()
 	if err != nil {
 		return nil, err
 	}
-	pruned := c.srv.pruneDataset(c.c, d, priv, tables)
+	pruned := c.srv.pruneDataset(c.c, d, priv, tables, reads)
 	return &rewrite.Context{
 		C:      c.c,
 		D:      pruned,
@@ -386,88 +398,44 @@ func (c *Conn) resolveScope() (d []int64, all bool, err error) {
 	}
 }
 
-// pruneDataset drops tenants whose data C may not touch: D′ (§3). The
-// check covers every tenant-specific table the statement references.
-func (s *Server) pruneDataset(client int64, d []int64, priv sqlast.Privilege, tables []string) []int64 {
+// pruneDataset drops tenants whose data C may not touch: D′ (§3). An owner
+// stays when C holds priv on her instance of every table in tables and READ
+// on her instance of every table in reads; only tenant-specific tables count.
+// Statements hand in their whole table set (RewriteContextFor) and are
+// rewritten under the one D′ that results, so every D-filter in a statement —
+// the target's and each nested block's — agrees:
+//
+//	SELECT, CREATE VIEW   READ on every table named in any slot at any depth
+//	UPDATE, DELETE        the DML privilege on the target and READ on every
+//	                      table a nested block reads
+//	INSERT ... SELECT     INSERT on the target and READ on the sources
+func (s *Server) pruneDataset(client int64, d []int64, priv sqlast.Privilege, tables, reads []string) []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var ts []string
-	for _, t := range tables {
-		if info := s.schema.Table(t); info != nil && info.TenantSpecific() {
-			ts = append(ts, t)
+	specific := func(names []string) []string {
+		var ts []string
+		for _, t := range names {
+			if info := s.schema.Table(t); info != nil && info.TenantSpecific() {
+				ts = append(ts, t)
+			}
 		}
+		return ts
+	}
+	tables, reads = specific(tables), specific(reads)
+	may := func(owner int64, p sqlast.Privilege, names []string) bool {
+		for _, t := range names {
+			if !s.hasPrivilege(client, owner, t, p) {
+				return false
+			}
+		}
+		return true
 	}
 	var out []int64
 	for _, owner := range d {
-		if !s.tenants[owner] {
-			continue
-		}
-		ok := true
-		for _, t := range ts {
-			if !s.hasPrivilege(client, owner, t, priv) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if s.tenants[owner] && may(owner, priv, tables) && may(owner, sqlast.PrivRead, reads) {
 			out = append(out, owner)
 		}
 	}
-	return out
-}
-
-// tenantSpecificTables collects base-table names referenced anywhere in a
-// query (including subqueries), for privilege pruning.
-func tenantSpecificTables(q *sqlast.Select) []string {
-	seen := make(map[string]bool)
-	var out []string
-	var visitQ func(s *sqlast.Select)
-	var visitTE func(te sqlast.TableExpr)
-	visitExpr := func(e sqlast.Expr) {
-		if e == nil {
-			return
-		}
-		sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-			switch x := n.(type) {
-			case *sqlast.InExpr:
-				if x.Sub != nil {
-					visitQ(x.Sub)
-				}
-			case *sqlast.ExistsExpr:
-				visitQ(x.Sub)
-			case *sqlast.SubqueryExpr:
-				visitQ(x.Sub)
-			}
-			return true
-		})
-	}
-	visitTE = func(te sqlast.TableExpr) {
-		switch t := te.(type) {
-		case *sqlast.TableName:
-			key := strings.ToLower(t.Name)
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, t.Name)
-			}
-		case *sqlast.DerivedTable:
-			visitQ(t.Sub)
-		case *sqlast.JoinExpr:
-			visitTE(t.L)
-			visitTE(t.R)
-			visitExpr(t.On)
-		}
-	}
-	visitQ = func(s *sqlast.Select) {
-		for _, te := range s.From {
-			visitTE(te)
-		}
-		for _, it := range s.Items {
-			visitExpr(it.Expr)
-		}
-		visitExpr(s.Where)
-		visitExpr(s.Having)
-	}
-	visitQ(q)
 	return out
 }
 
@@ -483,7 +451,7 @@ func tenantSpecificTables(q *sqlast.Select) []string {
 // the text the column names the unsharded tier gives a statement that the
 // shards answer by other means.
 func (c *Conn) RewrittenText(q *sqlast.Select, raw string) (string, error) {
-	ctx, err := c.RewriteContext(sqlast.PrivRead, tenantSpecificTables(q)...)
+	ctx, err := c.RewriteContextFor(sqlast.Tables(q))
 	if err != nil {
 		return "", err
 	}
@@ -692,7 +660,7 @@ func (c *Conn) RewriteSQL(sql string) (*sqlast.Select, error) {
 // RewriteOnly rewrites and optimizes a query without executing it —
 // used by tools (mtsh -explain) and the benchmark harness.
 func (c *Conn) RewriteOnly(q *sqlast.Select) (*sqlast.Select, error) {
-	ctx, err := c.RewriteContext(sqlast.PrivRead, tenantSpecificTables(q)...)
+	ctx, err := c.RewriteContextFor(sqlast.Tables(q))
 	if err != nil {
 		return nil, err
 	}
@@ -703,11 +671,11 @@ func (c *Conn) RewriteOnly(q *sqlast.Select) (*sqlast.Select, error) {
 	return optimizer.Optimize(ctx, rewritten, c.level)
 }
 
-// TenantSpecificTables exposes tenantSpecificTables for layered
-// deployments: the sharding layer (internal/shard) classifies and routes
-// statements by the same table set the rewrite prunes privileges over.
+// TenantSpecificTables names the base tables q reads, in any slot of any
+// block: the Reads of sqlast.Tables, which is what privilege pruning and the
+// sharding layer's routing go by.
 func TenantSpecificTables(q *sqlast.Select) []string {
-	return tenantSpecificTables(q)
+	return sqlast.Tables(q).Reads
 }
 
 // ResolveScope materializes the session's dataset D without privilege

@@ -14,7 +14,7 @@ import (
 //     components of tuple-IN predicates
 //   - D = {C}               → drop conversion-function pairs entirely
 func applyO1(ctx *rewrite.Context, q *sqlast.Select) {
-	eachSelect(q, func(s *sqlast.Select) {
+	sqlast.WalkBlocks(q, nil, func(s *sqlast.Select) {
 		o1Level(ctx, s)
 	})
 }

@@ -21,7 +21,7 @@ import (
 //     constant is immutable, so a caching DBMS evaluates it once per
 //     tenant.
 func applyO2(ctx *rewrite.Context, q *sqlast.Select) {
-	eachSelect(q, func(s *sqlast.Select) {
+	sqlast.WalkBlocks(q, nil, func(s *sqlast.Select) {
 		s.Where = pushUpPredicates(ctx, s.Where)
 		s.Having = pushUpPredicates(ctx, s.Having)
 		var visitTE func(te sqlast.TableExpr)

@@ -21,7 +21,7 @@ import (
 // (to(x) = c·x), where the conversion additionally commutes with the
 // multiplicative factors TPC-H aggregates use (price * (1 - discount)).
 func applyO3(ctx *rewrite.Context, q *sqlast.Select) {
-	eachSelect(q, func(s *sqlast.Select) {
+	sqlast.WalkBlocks(q, nil, func(s *sqlast.Select) {
 		distributeAggregates(ctx, s)
 	})
 }

@@ -16,7 +16,7 @@ import (
 // aggressively — the paper's single most effective pass on System C.
 func applyO4(ctx *rewrite.Context, q *sqlast.Select) {
 	inl := &inliner{ctx: ctx}
-	eachSelect(q, func(s *sqlast.Select) {
+	sqlast.WalkBlocks(q, nil, func(s *sqlast.Select) {
 		inl.level(s)
 	})
 }

@@ -66,7 +66,9 @@ func ParseLevel(s string) (Level, error) {
 }
 
 // Optimize applies the pass stack for the level to a canonically rewritten
-// query. The input is not modified.
+// query. The input is not modified. Every pass works one block at a time,
+// innermost first (sqlast.WalkBlocks in post-order), so a block sees its
+// nested blocks already optimized.
 func Optimize(ctx *rewrite.Context, q *sqlast.Select, level Level) (*sqlast.Select, error) {
 	out := sqlast.CloneSelect(q)
 	if level == Canonical {
@@ -87,58 +89,6 @@ func Optimize(ctx *rewrite.Context, q *sqlast.Select, level Level) (*sqlast.Sele
 		applyO4(ctx, out)
 	}
 	return out, nil
-}
-
-// ---------------------------------------------------------------- traversal
-
-// eachSelect visits q and every nested subquery (derived tables, IN/EXISTS/
-// scalar subqueries), innermost first.
-func eachSelect(q *sqlast.Select, f func(*sqlast.Select)) {
-	var visitTE func(te sqlast.TableExpr)
-	visitTE = func(te sqlast.TableExpr) {
-		switch t := te.(type) {
-		case *sqlast.DerivedTable:
-			eachSelect(t.Sub, f)
-		case *sqlast.JoinExpr:
-			visitTE(t.L)
-			visitTE(t.R)
-			visitExprSubs(t.On, f)
-		}
-	}
-	for _, te := range q.From {
-		visitTE(te)
-	}
-	for _, it := range q.Items {
-		visitExprSubs(it.Expr, f)
-	}
-	visitExprSubs(q.Where, f)
-	for _, g := range q.GroupBy {
-		visitExprSubs(g, f)
-	}
-	visitExprSubs(q.Having, f)
-	for _, o := range q.OrderBy {
-		visitExprSubs(o.Expr, f)
-	}
-	f(q)
-}
-
-func visitExprSubs(e sqlast.Expr, f func(*sqlast.Select)) {
-	if e == nil {
-		return
-	}
-	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-		switch x := n.(type) {
-		case *sqlast.InExpr:
-			if x.Sub != nil {
-				eachSelect(x.Sub, f)
-			}
-		case *sqlast.ExistsExpr:
-			eachSelect(x.Sub, f)
-		case *sqlast.SubqueryExpr:
-			eachSelect(x.Sub, f)
-		}
-		return true
-	})
 }
 
 // ---------------------------------------------------------------- patterns

@@ -7,6 +7,15 @@
 // The rewrite maintains the paper's invariant for every (sub)query: the
 // result is filtered according to D′ and presented in the format required
 // by client C.
+//
+// One D′ per statement: the caller prunes D by every table the statement
+// touches — the privilege the statement kind takes on the table it writes,
+// READ on each table any block of it reads, in whatever slot
+// (middleware.Conn.RewriteContextFor over sqlast.Tables) — and every D-filter
+// this package emits, at any depth, is over that one set. Each clause has a
+// rule of its own (rewriteQuery names them in order); the one for ORDER BY:
+// a key that is an unqualified reference to an output column stays as
+// written, every other key is rewritten like a GROUP BY key.
 package rewrite
 
 import (
@@ -127,9 +136,7 @@ func rewriteQuery(ctx *Context, q *sqlast.Select, parent *resolver) error {
 	if err := rewriteHaving(ctx, q, res); err != nil {
 		return err
 	}
-	// ORDER BY clauses need not be rewritten at all (§3.1): they reference
-	// output columns, which the invariant guarantees are in client format.
-	return nil
+	return rewriteOrderBy(ctx, q, res)
 }
 
 // buildResolver walks the FROM clause, recursively rewriting derived
@@ -358,13 +365,63 @@ func DFilter(ctx *Context, bindingName string) sqlast.Expr {
 
 func rewriteGroupBy(ctx *Context, q *sqlast.Select, res *resolver) error {
 	for i, g := range q.GroupBy {
-		if err := rewriteSubqueriesIn(ctx, g, res); err != nil {
+		k, err := rewriteKey(ctx, g, res)
+		if err != nil {
 			return err
 		}
-		wrapped, _ := wrapConvertibles(ctx, g, res)
-		q.GroupBy[i] = wrapped
+		q.GroupBy[i] = k
 	}
 	return nil
+}
+
+// rewriteKey rewrites a grouping or ordering key, an expression over the
+// block's rows: its nested blocks are rewritten (D-filter, ttid predicates)
+// and its convertible attributes brought into client format, so rows of
+// different owners group and order by comparable values.
+func rewriteKey(ctx *Context, e sqlast.Expr, res *resolver) (sqlast.Expr, error) {
+	if err := rewriteSubqueriesIn(ctx, e, res); err != nil {
+		return nil, err
+	}
+	wrapped, _ := wrapConvertibles(ctx, e, res)
+	return wrapped, nil
+}
+
+// rewriteOrderBy rewrites every ORDER BY key except an unqualified reference
+// to an output column or alias: that one orders by the output, which the
+// invariant already guarantees to be D-filtered and in client format (§3.1),
+// and it stays as written so that the engine and the shard merge keep matching
+// it to an output position. Any other key is evaluated over the block's rows
+// and is rewritten like a GROUP BY key. Runs after rewriteSelectList: stars
+// are expanded and converted items carry their attribute's name as alias.
+func rewriteOrderBy(ctx *Context, q *sqlast.Select, res *resolver) error {
+	for i := range q.OrderBy {
+		o := &q.OrderBy[i]
+		if cr, ok := o.Expr.(*sqlast.ColumnRef); ok && cr.Table == "" && namesOutput(q, cr.Name) {
+			continue
+		}
+		k, err := rewriteKey(ctx, o.Expr, res)
+		if err != nil {
+			return err
+		}
+		o.Expr = k
+	}
+	return nil
+}
+
+// namesOutput reports whether name is an output column of q: an item's alias,
+// or the column an un-aliased item refers to.
+func namesOutput(q *sqlast.Select, name string) bool {
+	for i := range q.Items {
+		it := &q.Items[i]
+		if it.Alias != "" {
+			if strings.EqualFold(it.Alias, name) {
+				return true
+			}
+		} else if cr, ok := it.Expr.(*sqlast.ColumnRef); ok && strings.EqualFold(cr.Name, name) {
+			return true
+		}
+	}
+	return false
 }
 
 func rewriteHaving(ctx *Context, q *sqlast.Select, res *resolver) error {
@@ -411,30 +468,12 @@ func rewriteBoolExpr(ctx *Context, e sqlast.Expr, res *resolver) (sqlast.Expr, e
 // rewriteSubqueriesIn rewrites every directly nested subquery of e in
 // place, chaining the resolver for correlated references.
 func rewriteSubqueriesIn(ctx *Context, e sqlast.Expr, res *resolver) error {
-	var firstErr error
-	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-		if firstErr != nil {
-			return false
+	for _, sub := range sqlast.SubqueriesOf(e) {
+		if err := rewriteQuery(ctx, sub, res); err != nil {
+			return err
 		}
-		switch x := n.(type) {
-		case *sqlast.InExpr:
-			if x.Sub != nil {
-				if err := rewriteQuery(ctx, x.Sub, res); err != nil {
-					firstErr = err
-				}
-			}
-		case *sqlast.ExistsExpr:
-			if err := rewriteQuery(ctx, x.Sub, res); err != nil {
-				firstErr = err
-			}
-		case *sqlast.SubqueryExpr:
-			if err := rewriteQuery(ctx, x.Sub, res); err != nil {
-				firstErr = err
-			}
-		}
-		return true
-	})
-	return firstErr
+	}
+	return nil
 }
 
 // wrapConvertibles wraps every reference to a convertible attribute in

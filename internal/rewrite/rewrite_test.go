@@ -263,6 +263,30 @@ func TestRewriteHavingConversion(t *testing.T) {
 	}
 }
 
+// TestRewriteOrderByRule: a key that names an output column stays as written
+// (§3.1 — the output is already D-filtered and in client format); any other
+// key is an expression over the block's rows and gets the GROUP BY
+// treatment: conversion to client format, and D-filters inside its blocks.
+func TestRewriteOrderByRule(t *testing.T) {
+	ctx := ctxFor(t, 0, 0, 1)
+	const conv = "currencyFromUniversal(currencyToUniversal(E_salary, employees.ttid), 0)"
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT E_name, E_salary FROM Employees ORDER BY E_salary DESC", "ORDER BY E_salary DESC"},
+		{"SELECT E_name, E_salary AS pay FROM Employees ORDER BY pay", "ORDER BY pay"},
+		{"SELECT * FROM Employees ORDER BY E_salary", "ORDER BY E_salary"},
+		{"SELECT E_name FROM Employees ORDER BY E_salary DESC", "ORDER BY " + conv + " DESC"},
+		{"SELECT E_name, E_salary FROM Employees ORDER BY Employees.E_salary",
+			"ORDER BY currencyFromUniversal(currencyToUniversal(Employees.E_salary, employees.ttid), 0)"},
+		{"SELECT E_reg_id, SUM(E_salary) FROM Employees GROUP BY E_reg_id ORDER BY SUM(E_salary)", "ORDER BY SUM(" + conv + ")"},
+		{"SELECT E_name FROM Employees ORDER BY (SELECT MAX(R_name) FROM Roles WHERE R_name = E_name)",
+			"ORDER BY (SELECT MAX(R_name) FROM Roles WHERE ((R_name = E_name) AND roles.ttid IN (0, 1)))"},
+	} {
+		if got := mustRewrite(t, ctx, tc.sql); !strings.HasSuffix(got, tc.want) {
+			t.Errorf("%s\n got: %s\nwant suffix: %s", tc.sql, got, tc.want)
+		}
+	}
+}
+
 func TestRewriteIdempotentClone(t *testing.T) {
 	// Query() must not mutate its input.
 	ctx := ctxFor(t, 0, 0, 1)

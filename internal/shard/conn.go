@@ -8,6 +8,7 @@ import (
 
 	"mtbase/internal/engine"
 	"mtbase/internal/middleware"
+	"mtbase/internal/mtsql"
 	"mtbase/internal/optimizer"
 	"mtbase/internal/sqlast"
 	"mtbase/internal/sqlparse"
@@ -58,10 +59,8 @@ func (c *Conn) ExecStmt(ctx context.Context, stmt sqlast.Statement, raw string, 
 		return c.setScope(ctx, st, args)
 	case *sqlast.Insert:
 		return c.execInsert(ctx, st, raw, args)
-	case *sqlast.Update:
-		return c.execTargetedDML(ctx, st, st.Table, sqlast.PrivUpdate, raw, args)
-	case *sqlast.Delete:
-		return c.execTargetedDML(ctx, st, st.Table, sqlast.PrivDelete, raw, args)
+	case *sqlast.Update, *sqlast.Delete:
+		return c.execTargetedDML(ctx, st, raw, args)
 	default:
 		return c.execDDL(stmt, raw)
 	}
@@ -114,10 +113,12 @@ func (c *Conn) resolveComplex() (*sqlast.SetScope, error) {
 }
 
 // resolveDPrime computes the global privilege-pruned tenant set D′ for a
-// statement touching tables. Default, simple and all scopes resolve on
-// the replica (pure metadata, identical everywhere); a complex scope is
-// resolved globally first and pruned on the replica under that result.
-func (c *Conn) resolveDPrime(priv sqlast.Privilege, tables []string) ([]int64, error) {
+// statement touching ts — its whole table set, pruned as the unsharded tier
+// prunes it (middleware.Conn.RewriteContextFor). Default, simple and all
+// scopes resolve on the replica (pure metadata, identical everywhere); a
+// complex scope is resolved globally first and pruned on the replica under
+// that result.
+func (c *Conn) resolveDPrime(ts sqlast.TableSet) ([]int64, error) {
 	rconn := c.rconn
 	if c.complexScope() {
 		resolved, err := c.resolveComplex()
@@ -126,11 +127,21 @@ func (c *Conn) resolveDPrime(priv sqlast.Privilege, tables []string) ([]int64, e
 		}
 		rconn = rconn.Scoped(resolved)
 	}
-	rctx, err := rconn.RewriteContext(priv, tables...)
+	rctx, err := rconn.RewriteContextFor(ts)
 	if err != nil {
 		return nil, err
 	}
 	return rctx.D, nil
+}
+
+// readsTenant reports whether any of the tables named is tenant-specific.
+func readsTenant(schema *mtsql.Schema, tables []string) bool {
+	for _, t := range tables {
+		if ti := schema.Table(t); ti != nil && ti.TenantSpecific() {
+			return true
+		}
+	}
+	return false
 }
 
 // QueryStmt picks the execution strategy for one SELECT and returns its
@@ -146,23 +157,20 @@ func (c *Conn) QueryStmt(ctx context.Context, sel *sqlast.Select, sql string, ar
 		return c.sconns[0].QueryStmt(ctx, sel, sql, args)
 	}
 	schema := c.srv.Schema()
-	tables := middleware.TenantSpecificTables(sel)
-	hasTenant, hasView := false, false
-	for _, t := range tables {
-		if ti := schema.Table(t); ti != nil && ti.TenantSpecific() {
-			hasTenant = true
-		}
+	ts := sqlast.Tables(sel)
+	hasView := false
+	for _, t := range ts.Reads {
 		if schema.View(t) != nil {
 			hasView = true
 		}
 	}
-	if !hasTenant && !hasView {
+	if !hasView && !readsTenant(schema, ts.Reads) {
 		// Pure-global query: every shard holds the same global data; run
 		// on the client's home shard.
 		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
 		return c.sconns[c.srv.ShardOf(c.c)].QueryStmt(ctx, sel, sql, args)
 	}
-	d, err := c.resolveDPrime(sqlast.PrivRead, tables)
+	d, err := c.resolveDPrime(ts)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +231,7 @@ func (c *Conn) routeCross(ctx context.Context, sel *sqlast.Select, sql string, a
 		return c.scatterMerge(ctx, sel, sql, args, sets, an)
 	default:
 		atomic.AddInt64(&c.srv.stats.RoutedFallback, 1)
-		return c.fallback(ctx, sel, args, d, sets, middleware.TenantSpecificTables(sel))
+		return c.fallback(ctx, sel, args, d, sets, sqlast.Tables(sel).Reads)
 	}
 }
 
@@ -281,9 +289,9 @@ func (c *Conn) scatterMerge(ctx context.Context, sel *sqlast.Select, sql string,
 // fallback repartitions: the original statement is rewritten on the replica
 // under the explicit scope D′ and executed there over the rows the shards in
 // from hold of their tenants, for the tenant tables in tables — the ones the
-// statement names under D′'s owners; for a view, which bakes a table list and
-// a tenant set of its own that routing cannot see, every tenant table of
-// every tenant. The rows are statement-local relations shadowing the
+// statement reads, in any slot of any block, under D′'s owners; for a view,
+// which bakes a table list and a tenant set of its own that routing cannot
+// see, every tenant table of every tenant. The rows are statement-local relations shadowing the
 // replica's (always empty) tenant tables: immutable shard snapshots that
 // never enter the replica's catalog, so shards keep serving and fallbacks of
 // other sessions run alongside.
@@ -362,37 +370,29 @@ func (c *Conn) execInsert(ctx context.Context, ins *sqlast.Insert, sql string, a
 	c.srv.ddlMu.RLock()
 	defer c.srv.ddlMu.RUnlock()
 	schema := c.srv.Schema()
-	info := schema.Table(ins.Table)
-	tables := []string{ins.Table}
-	var subTenant bool
-	if ins.Sub != nil {
-		sub := middleware.TenantSpecificTables(ins.Sub)
-		tables = append(tables, sub...)
-		for _, t := range sub {
-			if ti := schema.Table(t); ti != nil && ti.TenantSpecific() {
-				subTenant = true
-				break
-			}
-		}
-	}
-	if info == nil || !info.TenantSpecific() {
+	ts := sqlast.Tables(ins)
+	subTenant := readsTenant(schema, ts.Reads)
+	if info := schema.Table(ins.Table); info == nil || !info.TenantSpecific() {
 		if subTenant && len(c.sconns) > 1 {
 			return nil, fmt.Errorf("shard: INSERT into global table from tenant-specific SELECT is not supported with %d shards", len(c.sconns))
 		}
 		return c.replicate(ctx, ins, sql, args)
 	}
-	return c.routeWrite(ctx, ins, sqlast.PrivInsert, tables, subTenant, sql, args)
+	return c.routeWrite(ctx, ins, ts, subTenant, sql, args)
 }
 
 // execTargetedDML routes UPDATE/DELETE by the target table: per-tenant
-// application splits cleanly by owning shard.
-func (c *Conn) execTargetedDML(ctx context.Context, stmt sqlast.Statement, table string, priv sqlast.Privilege, sql string, args []sqltypes.Value) (*engine.Result, error) {
+// application splits cleanly by owning shard — unless a nested block reads
+// tenant data, whose value (an average, a membership) spans the shards.
+func (c *Conn) execTargetedDML(ctx context.Context, stmt sqlast.Statement, sql string, args []sqltypes.Value) (*engine.Result, error) {
 	c.srv.ddlMu.RLock()
 	defer c.srv.ddlMu.RUnlock()
-	if info := c.srv.Schema().Table(table); info == nil || !info.TenantSpecific() {
+	schema := c.srv.Schema()
+	ts := sqlast.Tables(stmt)
+	if info := schema.Table(ts.Write); info == nil || !info.TenantSpecific() {
 		return c.replicate(ctx, stmt, sql, args)
 	}
-	return c.routeWrite(ctx, stmt, priv, []string{table}, false, sql, args)
+	return c.routeWrite(ctx, stmt, ts, readsTenant(schema, ts.Reads), sql, args)
 }
 
 // replicate applies a write to a global table on the replica and every
@@ -416,10 +416,12 @@ func (c *Conn) replicate(ctx context.Context, stmt sqlast.Statement, sql string,
 
 // routeWrite applies a tenant-table write: on the one shard owning D′, or
 // on every owning shard under its sub-scope, summing affected counts
-// (per-tenant effects are disjoint). An INSERT ... SELECT reading tenant
-// data (fromTenants) cannot be split that way.
-func (c *Conn) routeWrite(ctx context.Context, stmt sqlast.Statement, priv sqlast.Privilege, tables []string, fromTenants bool, sql string, args []sqltypes.Value) (*engine.Result, error) {
-	d, err := c.resolveDPrime(priv, tables)
+// (per-tenant effects are disjoint). A write whose nested blocks read tenant
+// data (fromTenants: an INSERT ... SELECT source, a subquery of an UPDATE or
+// DELETE) cannot be split that way — each shard would compute the value from
+// its own tenants' share.
+func (c *Conn) routeWrite(ctx context.Context, stmt sqlast.Statement, ts sqlast.TableSet, fromTenants bool, sql string, args []sqltypes.Value) (*engine.Result, error) {
+	d, err := c.resolveDPrime(ts)
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +431,7 @@ func (c *Conn) routeWrite(ctx context.Context, stmt sqlast.Statement, priv sqlas
 		return c.sconns[c.homeRank(sets)].ExecStmt(ctx, stmt, sql, args)
 	}
 	if fromTenants {
-		return nil, fmt.Errorf("shard: INSERT ... SELECT over a cross-shard tenant set is not supported")
+		return nil, fmt.Errorf("shard: %s reading tenant tables over a cross-shard tenant set is not supported", ts.Priv)
 	}
 	atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
 	affected := 0
@@ -506,7 +508,7 @@ func (c *Conn) RewriteSQL(sql string) (*sqlast.Select, error) {
 	if len(c.sconns) == 1 {
 		return c.sconns[0].RewriteOnly(sel)
 	}
-	d, err := c.resolveDPrime(sqlast.PrivRead, middleware.TenantSpecificTables(sel))
+	d, err := c.resolveDPrime(sqlast.Tables(sel))
 	if err != nil {
 		return nil, err
 	}

@@ -250,8 +250,9 @@ func (c *classifier) visitSelect(sel *sqlast.Select, parent *rtScope, role block
 	}
 
 	// Edge collection mirrors rewriteBoolExpr's application sites: WHERE,
-	// every JOIN ON, HAVING. Select items and GROUP BY only contribute
-	// their nested subqueries (the rewrite adds no ttid pairs there).
+	// every JOIN ON, HAVING. Select items, GROUP BY and ORDER BY keys only
+	// contribute their nested subqueries (the rewrite adds no ttid pairs there;
+	// an ORDER BY key that names an output column holds none).
 	var visitOns func(te sqlast.TableExpr)
 	visitOns = func(te sqlast.TableExpr) {
 		if j, ok := te.(*sqlast.JoinExpr); ok {
@@ -276,6 +277,9 @@ func (c *classifier) visitSelect(sel *sqlast.Select, parent *rtScope, role block
 	}
 	for _, g := range sel.GroupBy {
 		hasTenant = c.visitSubqueriesOnly(g, scope) || hasTenant
+	}
+	for _, o := range sel.OrderBy {
+		hasTenant = c.visitSubqueriesOnly(o.Expr, scope) || hasTenant
 	}
 	if role != predicateBlock && hasTenant && !fromTenant {
 		// The block's rows are global rows that a predicate over tenant data
@@ -343,7 +347,8 @@ func (c *classifier) collectEdges(e sqlast.Expr, scope *rtScope) bool {
 }
 
 // visitSubqueriesOnly recurses into the subqueries of an expression that
-// sits outside the rewrite's boolean positions (select items, GROUP BY):
+// sits outside the rewrite's boolean positions (select items, GROUP BY and
+// ORDER BY keys):
 // nested blocks there are rewritten as independent blocks, so they
 // contribute bindings but no ttid edges at this level. An IN-subquery
 // here gets no tuple extension either, so only its block is visited.

@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 
-	"mtbase/internal/middleware"
 	"mtbase/internal/mtsql"
 	"mtbase/internal/sqlast"
 	"mtbase/internal/sqltypes"
@@ -127,14 +126,7 @@ func (h *hoister) hoistable(sub *sqlast.Select) bool {
 	if len(sub.Items) != 1 || sub.Items[0].Star {
 		return false
 	}
-	tenant := false
-	for _, t := range middleware.TenantSpecificTables(sub) {
-		if ti := h.cl.schema.Table(t); ti != nil && ti.TenantSpecific() {
-			tenant = true
-			break
-		}
-	}
-	return tenant && h.cl.closed(sub, nil)
+	return readsTenant(h.cl.schema, sqlast.Tables(sub).Reads) && h.cl.closed(sub, nil)
 }
 
 // closed reports whether every column reference of the block — nested
@@ -145,48 +137,12 @@ func (h *hoister) hoistable(sub *sqlast.Select) bool {
 func (c *classifier) closed(sel *sqlast.Select, parent *rtScope) bool {
 	scope := c.rebuildScope(sel, parent)
 	ok := true
-	check := func(e sqlast.Expr) {
-		if e == nil || !ok {
-			return
-		}
+	sqlast.BlockExprs(sel, func(e sqlast.Expr) {
 		for _, cr := range sqlast.ColumnRefsOf(e) {
-			if scope.resolve(cr) == nil {
-				ok = false
-				return
-			}
+			ok = ok && scope.resolve(cr) != nil
 		}
-		for _, sub := range sqlast.SubqueriesOf(e) {
-			if !c.closed(sub, scope) {
-				ok = false
-				return
-			}
-		}
-	}
-	var from func(te sqlast.TableExpr)
-	from = func(te sqlast.TableExpr) {
-		switch t := te.(type) {
-		case *sqlast.DerivedTable:
-			ok = ok && c.closed(t.Sub, scope)
-		case *sqlast.JoinExpr:
-			from(t.L)
-			from(t.R)
-			check(t.On)
-		}
-	}
-	for _, te := range sel.From {
-		from(te)
-	}
-	for _, it := range sel.Items {
-		check(it.Expr)
-	}
-	check(sel.Where)
-	for _, g := range sel.GroupBy {
-		check(g)
-	}
-	check(sel.Having)
-	for _, o := range sel.OrderBy {
-		check(o.Expr)
-	}
+	})
+	sqlast.NestedBlocks(sel, func(sub *sqlast.Select) { ok = ok && c.closed(sub, scope) })
 	return ok
 }
 

@@ -569,3 +569,83 @@ func (c *cancelWhen) Err() error {
 	}
 	return nil
 }
+
+// TestWriteReadingTenantDataIsNotSplit: an UPDATE or DELETE whose nested block
+// reads tenant data is one statement over all of D′ — split per shard, each
+// shard would compute the block's value from its own tenants' share. It runs
+// where D′ lands on one shard and is refused where it does not; a write that
+// reads nothing but its target still splits. The unsharded tier is the oracle.
+func TestWriteReadingTenantDataIsNotSplit(t *testing.T) {
+	fx := newStageFixture(t)
+	for _, srvConnect := range []func(int64) (middleware.Session, error){
+		middleware.Connector(fx.srv.Connect), middleware.Connector(fx.osrv.Connect),
+	} {
+		for tt := int64(2); tt <= 4; tt++ {
+			c, err := srvConnect(tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Exec(`GRANT UPDATE, DELETE ON customer TO 1`); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const state = `SELECT c_custkey, c_acctbal FROM customer ORDER BY c_acctbal, c_custkey`
+	const avg = `UPDATE customer SET c_acctbal = (SELECT AVG(c_acctbal) FROM customer) WHERE c_custkey = 1`
+	const del = `DELETE FROM customer WHERE c_custkey = 2 AND c_acctbal < (SELECT AVG(c_acctbal) FROM customer)`
+
+	before := key(fx.conn.Query(state))
+	for _, sql := range []string{avg, del} {
+		_, err := fx.conn.Exec(sql)
+		if err == nil || !strings.Contains(err.Error(), "reading tenant tables over a cross-shard tenant set is not supported") {
+			t.Errorf("%s\nover a cross-shard D′: err = %v, want a refusal", sql, err)
+		}
+	}
+	if after := key(fx.conn.Query(state)); after != before {
+		t.Error("a refused write changed rows")
+	}
+	// Tenants 1 and 3 share shard 0: the same statements run there, whole.
+	for _, c := range []middleware.Session{fx.conn, fx.oracle} {
+		if _, err := c.Exec(`SET SCOPE = "IN (1, 3)"`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sql := range []string{avg, del, `UPDATE customer SET c_acctbal = c_acctbal + 1`} {
+		if got, want := key(fx.conn.Exec(sql)), key(fx.oracle.Exec(sql)); got != want {
+			t.Errorf("%s\nsharded %s\nunsharded %s", sql, got, want)
+		}
+	}
+	for _, c := range []middleware.Session{fx.conn, fx.oracle} {
+		if _, err := c.Exec(`SET SCOPE = "IN ()"`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const plain = `UPDATE customer SET c_acctbal = c_acctbal + 1 WHERE c_custkey > 8`
+	if got, want := key(fx.conn.Exec(plain)), key(fx.oracle.Exec(plain)); got != want {
+		t.Errorf("%s\nsharded %s\nunsharded %s", plain, got, want)
+	}
+	if got, want := key(fx.conn.Query(state)), key(fx.oracle.Query(state)); got != want {
+		t.Errorf("state after the writes\nsharded %s\nunsharded %s", got, want)
+	}
+}
+
+// TestFallbackCarriesTablesOfEverySlot: the fallback's copy set is the
+// statement's read set, so a tenant table named only in an ORDER BY or GROUP
+// BY subquery reaches the replica with its rows.
+func TestFallbackCarriesTablesOfEverySlot(t *testing.T) {
+	fx := newStageFixture(t)
+	for _, sql := range []string{
+		`SELECT c_custkey, c_acctbal FROM customer WHERE c_custkey < 5
+			ORDER BY (SELECT COUNT(*) FROM orders WHERE o_custkey = c_custkey) DESC, c_acctbal, c_custkey`,
+		`SELECT COUNT(*) AS n FROM customer GROUP BY (SELECT COUNT(*) FROM orders WHERE o_custkey = c_custkey) ORDER BY n`,
+	} {
+		before := fx.srv.Stats().Snapshot().RoutedFallback
+		got, want := key(fx.conn.Query(sql)), key(fx.oracle.Query(sql))
+		if got != want {
+			t.Errorf("%s\nsharded %s\nunsharded %s", sql, got, want)
+		}
+		if fx.srv.Stats().Snapshot().RoutedFallback != before+1 {
+			t.Errorf("%s\nexpected the repartition fallback", sql)
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package sqlast
 
+import "strings"
+
 // This file provides deep cloning and structural traversal of the AST.
 // The rewrite algorithm (internal/rewrite) and the optimizer passes
 // (internal/optimizer) are pure AST→AST functions; they clone before
@@ -227,22 +229,28 @@ func WalkExpr(e Expr, f func(Expr) bool) {
 	}
 }
 
-// SubqueriesOf returns the directly nested subqueries of e (one level).
-func SubqueriesOf(e Expr) []*Select {
-	var subs []*Select
+// eachSubquery calls f for the directly nested subqueries of e (one level),
+// in the order WalkExpr reaches the nodes that hold them.
+func eachSubquery(e Expr, f func(*Select)) {
 	WalkExpr(e, func(n Expr) bool {
 		switch x := n.(type) {
 		case *InExpr:
 			if x.Sub != nil {
-				subs = append(subs, x.Sub)
+				f(x.Sub)
 			}
 		case *ExistsExpr:
-			subs = append(subs, x.Sub)
+			f(x.Sub)
 		case *SubqueryExpr:
-			subs = append(subs, x.Sub)
+			f(x.Sub)
 		}
 		return true
 	})
+}
+
+// SubqueriesOf returns the directly nested subqueries of e (one level).
+func SubqueriesOf(e Expr) []*Select {
+	var subs []*Select
+	eachSubquery(e, func(s *Select) { subs = append(subs, s) })
 	return subs
 }
 
@@ -275,83 +283,203 @@ func AndExprs(exprs ...Expr) Expr {
 	return out
 }
 
+// ---------------------------------------------------------------- the statement walker
+//
+// Where a statement holds expressions, and which of those nest query blocks,
+// is written down here and nowhere else. The primitives are callback-shaped
+// and allocate nothing: plan building walks every statement several times,
+// and a slice-returning spelling of the same enumeration cost the compile
+// path measurably (DESIGN.md ADR-017). The order is fixed and part of the
+// contract — SQL text, plan-stable subquery IDs and table lists derive from
+// it:
+//
+//	a block's slots    join ONs (left to right, inner joins before the join
+//	                   that holds them), select items, WHERE, GROUP BY,
+//	                   HAVING, ORDER BY
+//	its nested blocks  derived tables in FROM order, then the subqueries of
+//	                   each slot in slot order
+//	a statement        its own block (SELECT, CREATE VIEW, INSERT ... SELECT),
+//	                   then the blocks nested in its own slots: INSERT rows,
+//	                   UPDATE assignments then WHERE, DELETE WHERE
+//
+// Passes that treat the clauses differently (the rewrite's per-clause rules,
+// o1–o4, String, CloneSelect) name them themselves: they are not traversals.
+
+// BlockExprs calls f for every expression slot of block s; empty slots are
+// skipped. Subqueries inside a slot are not entered (NestedBlocks).
+func BlockExprs(s *Select, f func(Expr)) {
+	for _, te := range s.From {
+		joinOns(te, f)
+	}
+	for i := range s.Items {
+		if e := s.Items[i].Expr; e != nil {
+			f(e)
+		}
+	}
+	if s.Where != nil {
+		f(s.Where)
+	}
+	for _, g := range s.GroupBy {
+		f(g)
+	}
+	if s.Having != nil {
+		f(s.Having)
+	}
+	for i := range s.OrderBy {
+		f(s.OrderBy[i].Expr)
+	}
+}
+
+func joinOns(te TableExpr, f func(Expr)) {
+	if j, ok := te.(*JoinExpr); ok {
+		joinOns(j.L, f)
+		joinOns(j.R, f)
+		if j.On != nil {
+			f(j.On)
+		}
+	}
+}
+
+// BlockTables calls f for every base-table reference in s's FROM list,
+// through joins but not into derived tables (those are nested blocks).
+func BlockTables(s *Select, f func(*TableName)) {
+	for _, te := range s.From {
+		fromItems(te, f, nil)
+	}
+}
+
+func fromItems(te TableExpr, table func(*TableName), derived func(*Select)) {
+	switch t := te.(type) {
+	case *TableName:
+		if table != nil {
+			table(t)
+		}
+	case *DerivedTable:
+		if derived != nil {
+			derived(t.Sub)
+		}
+	case *JoinExpr:
+		fromItems(t.L, table, derived)
+		fromItems(t.R, table, derived)
+	}
+}
+
+// NestedBlocks calls f for the blocks directly nested in s.
+func NestedBlocks(s *Select, f func(*Select)) {
+	for _, te := range s.From {
+		fromItems(te, nil, f)
+	}
+	BlockExprs(s, func(e Expr) { eachSubquery(e, f) })
+}
+
+// StmtExprs calls f for the expression slots a statement holds outside any
+// block: INSERT rows, UPDATE assignments and WHERE, DELETE WHERE.
+func StmtExprs(stmt Statement, f func(Expr)) {
+	switch st := stmt.(type) {
+	case *Insert:
+		for _, row := range st.Rows {
+			for _, e := range row {
+				f(e)
+			}
+		}
+	case *Update:
+		for i := range st.Sets {
+			f(st.Sets[i].Expr)
+		}
+		if st.Where != nil {
+			f(st.Where)
+		}
+	case *Delete:
+		if st.Where != nil {
+			f(st.Where)
+		}
+	}
+}
+
+// WalkBlocks visits every block reachable from stmt: pre is called on a block
+// before the blocks nested in it, post after them; either may be nil.
+func WalkBlocks(stmt Statement, pre, post func(*Select)) {
+	switch st := stmt.(type) {
+	case *Select:
+		walkBlock(st, pre, post)
+	case *CreateView:
+		walkBlock(st.Sub, pre, post)
+	case *Insert:
+		if st.Sub != nil {
+			walkBlock(st.Sub, pre, post)
+		}
+	}
+	StmtExprs(stmt, func(e Expr) {
+		eachSubquery(e, func(s *Select) { walkBlock(s, pre, post) })
+	})
+}
+
+func walkBlock(s *Select, pre, post func(*Select)) {
+	if pre != nil {
+		pre(s)
+	}
+	NestedBlocks(s, func(n *Select) { walkBlock(n, pre, post) })
+	if post != nil {
+		post(s)
+	}
+}
+
+// Target names the table a statement writes and the privilege writing it
+// takes: INSERT, UPDATE and DELETE have one, every other statement "".
+func Target(stmt Statement) (table string, priv Privilege) {
+	switch st := stmt.(type) {
+	case *Insert:
+		return st.Table, PrivInsert
+	case *Update:
+		return st.Table, PrivUpdate
+	case *Delete:
+		return st.Table, PrivDelete
+	}
+	return "", ""
+}
+
+// TableSet is what a statement touches: the table it writes under Priv
+// (Target) and every base table a block of it reads — at any depth, in any
+// slot — once each, in walk order.
+type TableSet struct {
+	Write string
+	Priv  Privilege
+	Reads []string
+}
+
+// Tables returns stmt's table set. Privilege pruning (middleware) and shard
+// routing both take it from here, so a slot the walker knows cannot be a slot
+// the pruning forgets.
+func Tables(stmt Statement) TableSet {
+	var ts TableSet
+	ts.Write, ts.Priv = Target(stmt)
+	WalkBlocks(stmt, func(b *Select) {
+		BlockTables(b, func(t *TableName) {
+			for _, r := range ts.Reads {
+				if strings.EqualFold(r, t.Name) {
+					return
+				}
+			}
+			ts.Reads = append(ts.Reads, t.Name)
+		})
+	}, nil)
+	return ts
+}
+
 // VisitAllExprs calls f for every expression node reachable from stmt,
 // descending into subqueries, derived tables, join conditions and INSERT
 // sources — unlike WalkExpr, which stops at subquery boundaries. It is the
 // traversal bind-parameter analysis uses: every Param of a statement is
 // visited exactly through here.
 func VisitAllExprs(stmt Statement, f func(Expr)) {
-	var visitSel func(s *Select)
-	var visitExpr func(e Expr)
-	visitExpr = func(e Expr) {
+	each := func(e Expr) {
 		WalkExpr(e, func(n Expr) bool {
 			f(n)
 			return true
 		})
-		for _, sub := range SubqueriesOf(e) {
-			visitSel(sub)
-		}
 	}
-	var visitTE func(te TableExpr)
-	visitTE = func(te TableExpr) {
-		switch t := te.(type) {
-		case *DerivedTable:
-			visitSel(t.Sub)
-		case *JoinExpr:
-			visitTE(t.L)
-			visitTE(t.R)
-			if t.On != nil {
-				visitExpr(t.On)
-			}
-		}
-	}
-	visitSel = func(s *Select) {
-		if s == nil {
-			return
-		}
-		for _, te := range s.From {
-			visitTE(te)
-		}
-		for _, it := range s.Items {
-			if it.Expr != nil {
-				visitExpr(it.Expr)
-			}
-		}
-		if s.Where != nil {
-			visitExpr(s.Where)
-		}
-		for _, g := range s.GroupBy {
-			visitExpr(g)
-		}
-		if s.Having != nil {
-			visitExpr(s.Having)
-		}
-		for _, o := range s.OrderBy {
-			visitExpr(o.Expr)
-		}
-	}
-	switch st := stmt.(type) {
-	case *Select:
-		visitSel(st)
-	case *Insert:
-		visitSel(st.Sub)
-		for _, row := range st.Rows {
-			for _, e := range row {
-				visitExpr(e)
-			}
-		}
-	case *Update:
-		for _, a := range st.Sets {
-			visitExpr(a.Expr)
-		}
-		if st.Where != nil {
-			visitExpr(st.Where)
-		}
-	case *Delete:
-		if st.Where != nil {
-			visitExpr(st.Where)
-		}
-	}
+	StmtExprs(stmt, each)
+	WalkBlocks(stmt, func(b *Select) { BlockExprs(b, each) }, nil)
 }
 
 // MaxParam returns the highest bind-parameter index ($n / ?) referenced
@@ -370,18 +498,9 @@ func MaxParam(stmt Statement) int {
 // but not into derived tables) in the FROM list.
 func BaseTablesOf(from []TableExpr) []*TableName {
 	var out []*TableName
-	var visit func(t TableExpr)
-	visit = func(t TableExpr) {
-		switch x := t.(type) {
-		case *TableName:
-			out = append(out, x)
-		case *JoinExpr:
-			visit(x.L)
-			visit(x.R)
-		}
-	}
-	for _, t := range from {
-		visit(t)
+	add := func(t *TableName) { out = append(out, t) }
+	for _, te := range from {
+		fromItems(te, add, nil)
 	}
 	return out
 }

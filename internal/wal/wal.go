@@ -66,8 +66,8 @@ type Log struct {
 	syncErr error  // sticky: the log is dead after a sync failure
 }
 
-func segName(firstLSN uint64) string  { return fmt.Sprintf("wal-%016x.log", firstLSN) }
-func snapName(lsn uint64) string      { return fmt.Sprintf("snap-%016x.snap", lsn) }
+func segName(firstLSN uint64) string { return fmt.Sprintf("wal-%016x.log", firstLSN) }
+func snapName(lsn uint64) string     { return fmt.Sprintf("snap-%016x.snap", lsn) }
 func parseSeq(name, pre, suf string) (uint64, bool) {
 	if !strings.HasPrefix(name, pre) || !strings.HasSuffix(name, suf) {
 		return 0, false
