@@ -53,8 +53,12 @@
 //     (MTBASE_TEST_MEMLIMIT applies the cap process-wide in tests;
 //     ADR-006 in DESIGN.md).
 //   - mtsql — MTSQL semantics: generality, comparability, conversion algebra
-//   - rewrite — the canonical MTSQL→SQL rewrite algorithm (§3)
-//   - optimizer — the o1–o4 / inl-only optimization passes (§4)
+//   - rewrite — the canonical MTSQL→SQL rewrite algorithm (§3); it owns how
+//     an MTSQL column reference resolves and which predicates tie two
+//     bindings by ttid (Resolver, Resolver.Links; ADR-018)
+//   - optimizer — the o1–o4 / inl-only optimization passes (§4); split.go
+//     owns how an aggregating block splits into a partial block and a
+//     combine, for o3 and for the shard coordinator (ADR-018)
 //   - middleware — MTBase proper: sessions, scopes, privileges (Figure 4):
 //     a statement runs over D′, the scope pruned by every table it touches
 //     in any slot and statement kind (ADR-017);
@@ -73,10 +77,11 @@
 //     engine's concurrency, determinism and resource invariants; run
 //     `go run ./cmd/mtlint ./...` next to tier-1 verification (ADR-007
 //     in DESIGN.md)
-//   - shard — tenant-partitioned scale-out (ADR-009, ADR-012 and ADR-015
-//     in DESIGN.md): N independent engine+middleware shards plus a
+//   - shard — tenant-partitioned scale-out (ADR-009, ADR-012, ADR-015 and
+//     ADR-018 in DESIGN.md): N independent engine+middleware shards plus a
 //     coordinator replica behind the same middleware.Session surface
-//     (shard.Conn implements only the routing core).
+//     (shard.Conn implements only the routing core; what the rewrite ties
+//     by ttid and how an aggregate splits it asks of rewrite and optimizer).
 //     The rewrite's privilege-pruned tenant set D′ routes every
 //     statement: one shard for single-tenant work, deterministic
 //     scatter/gather for cross-tenant work (ordered k-way merge under

@@ -359,13 +359,6 @@ func (sc *scope) lookup(table, col string) (*scope, int, error) {
 
 // ---------------------------------------------------------------- eval
 
-var aggregateNames = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
-
-// IsAggregate reports whether a function name is an aggregate.
-func IsAggregate(name string) bool { return aggregateNames[strings.ToUpper(name)] }
-
 // strictBuiltins are the one-argument scalar builtins that return NULL for
 // a NULL argument: pure functions of one non-NULL value, shared by both
 // evaluators like sqltypes.Add. Evaluating the argument, the NULL rule and
@@ -947,7 +940,7 @@ func (ex *exec) evalSubstring(x *sqlast.SubstringExpr, sc *scope) (sqltypes.Valu
 
 func (ex *exec) evalFunc(x *sqlast.FuncCall, sc *scope) (sqltypes.Value, error) {
 	upper := strings.ToUpper(x.Name)
-	if aggregateNames[upper] {
+	if sqlast.IsAggregate(upper) {
 		return ex.evalAggregate(x, sc)
 	}
 	// scalar builtins
@@ -1270,7 +1263,7 @@ func (a *aggAcc) result() (sqltypes.Value, bool) {
 func hasAggregate(e sqlast.Expr) bool {
 	found := false
 	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-		if fc, ok := n.(*sqlast.FuncCall); ok && aggregateNames[strings.ToUpper(fc.Name)] {
+		if fc, ok := n.(*sqlast.FuncCall); ok && sqlast.IsAggregate(fc.Name) {
 			found = true
 			return false
 		}

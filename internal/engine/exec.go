@@ -246,14 +246,8 @@ func (ex *exec) outputShape(sel *sqlast.Select, rel *relation) ([]string, error)
 			if !found {
 				return nil, fmt.Errorf("engine: unknown table %s in %s.*", it.StarTable, it.StarTable)
 			}
-		case it.Alias != "":
-			cols = append(cols, it.Alias)
 		default:
-			if cr, ok := it.Expr.(*sqlast.ColumnRef); ok {
-				cols = append(cols, cr.Name)
-			} else {
-				cols = append(cols, it.Expr.String())
-			}
+			cols = append(cols, it.OutputName())
 		}
 	}
 	return cols, nil

@@ -433,6 +433,12 @@ func FuzzQuery(f *testing.F) {
 		`SELECT EXTRACT(YEAR FROM o_orderdate) AS y, SUBSTRING(o_orderpriority FROM 1 FOR 1) AS p, COUNT(*), SUM(ROUND(o_totalprice)) FROM orders WHERE EXTRACT(MONTH FROM o_orderdate) < 4 AND SUBSTRING(o_clerk FROM 14 FOR 2) <> '07' GROUP BY EXTRACT(YEAR FROM o_orderdate), SUBSTRING(o_orderpriority FROM 1 FOR 1) ORDER BY y, p`,
 		`SELECT COUNT(*), MIN(c_name) FROM customer, supplier WHERE SUBSTRING(c_phone FROM 1 FOR 2) = SUBSTRING(s_phone FROM 1 FOR 2) AND CAST(c_acctbal AS INTEGER) > s_suppkey`,
 		`SELECT o_orderkey FROM orders, lineitem WHERE l_orderkey = o_orderkey AND EXTRACT(YEAR FROM l_shipdate) = EXTRACT(YEAR FROM o_orderdate) + 1 ORDER BY o_orderkey LIMIT 30`,
+		// The aggregate shapes the one split (ADR-018) must leave alone or
+		// resolve: a bare column beside an aggregate, a group key that is no
+		// output column, a group key named by its output alias.
+		`SELECT c_name, SUM(c_acctbal) AS s FROM customer`,
+		`SELECT c_name, SUM(c_acctbal) AS s, COUNT(*) FROM customer GROUP BY c_nationkey ORDER BY s`,
+		`SELECT SUBSTRING(c_phone FROM 1 FOR 2) AS cc, COUNT(*), AVG(c_acctbal) FROM customer GROUP BY cc ORDER BY cc`,
 	} {
 		f.Add(sql)
 	}

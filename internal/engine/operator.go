@@ -1011,7 +1011,7 @@ func collectAggSites(exprs []sqlast.Expr) []*sqlast.FuncCall {
 	var sites []*sqlast.FuncCall
 	for _, e := range exprs {
 		sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-			if fc, ok := n.(*sqlast.FuncCall); ok && aggregateNames[strings.ToUpper(fc.Name)] {
+			if fc, ok := n.(*sqlast.FuncCall); ok && sqlast.IsAggregate(fc.Name) {
 				sites = append(sites, fc)
 				return false
 			}

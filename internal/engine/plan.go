@@ -342,7 +342,7 @@ func (db *DB) collectDepsLocked(stmt sqlast.Statement) ([]planDep, bool) {
 	}
 	visitFunc := func(name string) {
 		upper := strings.ToUpper(name)
-		if aggregateNames[upper] || isScalarBuiltin(upper) {
+		if sqlast.IsAggregate(upper) || isScalarBuiltin(upper) {
 			return
 		}
 		key := "f:" + strings.ToLower(name)

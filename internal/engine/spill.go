@@ -4,8 +4,8 @@ package engine
 // the statement memory accountant (accountant.go) reports the budget
 // exceeded:
 //
-//   - a value/row codec (appendSpillValue / readSpillRec) that round-trips
-//     sqltypes values bit-exactly (float payloads travel as raw IEEE bits),
+//   - a record codec (appendSpillRec / spillReader.next) around sqltypes'
+//     bit-exact binary value image (float payloads travel as raw IEEE bits),
 //   - run files behind an injectable filesystem hook (spillFS) so tests can
 //     fail writes and reads mid-run,
 //   - an exec-wide registry that guarantees every temp file is removed by
@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -175,123 +174,21 @@ type spillRec struct {
 	keys []sqltypes.Value
 }
 
-// appendSpillValue appends the exact binary image of v: kind byte plus a
-// kind-specific payload. Floats travel as raw IEEE-754 bits so decoded
-// values are bit-identical to the in-memory ones.
-func appendSpillValue(buf []byte, v sqltypes.Value) []byte {
-	buf = append(buf, byte(v.K))
-	switch v.K {
-	case sqltypes.KindNull:
-	case sqltypes.KindInt, sqltypes.KindDate:
-		buf = binary.AppendVarint(buf, v.I)
-	case sqltypes.KindFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
-	case sqltypes.KindString:
-		buf = binary.AppendUvarint(buf, uint64(len(v.S)))
-		buf = append(buf, v.S...)
-	case sqltypes.KindBool:
-		b := byte(0)
-		if v.I != 0 {
-			b = 1
-		}
-		buf = append(buf, b)
-	case sqltypes.KindInterval:
-		buf = binary.AppendVarint(buf, v.I)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
-	}
-	return buf
-}
-
 var errSpillCorrupt = fmt.Errorf("engine: spill: corrupt record")
 
-// readSpillValue decodes one value from buf, returning the remainder.
-func readSpillValue(buf []byte) (sqltypes.Value, []byte, error) {
-	if len(buf) == 0 {
-		return sqltypes.Null, nil, errSpillCorrupt
-	}
-	k := sqltypes.Kind(buf[0])
-	buf = buf[1:]
-	var v sqltypes.Value
-	v.K = k
-	switch k {
-	case sqltypes.KindNull:
-	case sqltypes.KindInt, sqltypes.KindDate:
-		i, n := binary.Varint(buf)
-		if n <= 0 {
-			return sqltypes.Null, nil, errSpillCorrupt
-		}
-		v.I, buf = i, buf[n:]
-	case sqltypes.KindFloat:
-		if len(buf) < 8 {
-			return sqltypes.Null, nil, errSpillCorrupt
-		}
-		v.F, buf = math.Float64frombits(binary.LittleEndian.Uint64(buf)), buf[8:]
-	case sqltypes.KindString:
-		l, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf)-n) < l {
-			return sqltypes.Null, nil, errSpillCorrupt
-		}
-		v.S, buf = string(buf[n:n+int(l)]), buf[n+int(l):]
-	case sqltypes.KindBool:
-		if len(buf) < 1 {
-			return sqltypes.Null, nil, errSpillCorrupt
-		}
-		v.I, buf = int64(buf[0]), buf[1:]
-	case sqltypes.KindInterval:
-		i, n := binary.Varint(buf)
-		if n <= 0 || len(buf)-n < 8 {
-			return sqltypes.Null, nil, errSpillCorrupt
-		}
-		v.I = i
-		v.F = math.Float64frombits(binary.LittleEndian.Uint64(buf[n:]))
-		buf = buf[n+8:]
-	}
-	return v, buf, nil
-}
-
-// appendSpillRec appends the length-delimited encoding of rec. Value lists
-// encode length+1 so a nil slice (0) stays distinct from an empty one (1):
-// zero-width relations (SELECT with no FROM) carry empty non-nil rows.
+// appendSpillRec appends the length-delimited encoding of rec. Values travel
+// as sqltypes' bit-exact binary image; a nil value list stays distinct from an
+// empty one: zero-width relations (SELECT with no FROM) carry empty non-nil
+// rows.
 func appendSpillRec(buf []byte, rec *spillRec) []byte {
 	var payload []byte
 	payload = binary.AppendVarint(payload, rec.seq)
 	payload = binary.AppendUvarint(payload, uint64(len(rec.key)))
 	payload = append(payload, rec.key...)
-	payload = appendSpillVals(payload, rec.row)
-	payload = appendSpillVals(payload, rec.keys)
+	payload = sqltypes.AppendBinaryList(payload, rec.row)
+	payload = sqltypes.AppendBinaryList(payload, rec.keys)
 	buf = binary.AppendUvarint(buf, uint64(len(payload)))
 	return append(buf, payload...)
-}
-
-func appendSpillVals(buf []byte, vals []sqltypes.Value) []byte {
-	if vals == nil {
-		return binary.AppendUvarint(buf, 0)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(vals))+1)
-	for _, v := range vals {
-		buf = appendSpillValue(buf, v)
-	}
-	return buf
-}
-
-func readSpillVals(buf []byte) ([]sqltypes.Value, []byte, error) {
-	n, w := binary.Uvarint(buf)
-	if w <= 0 {
-		return nil, nil, errSpillCorrupt
-	}
-	buf = buf[w:]
-	if n == 0 {
-		return nil, buf, nil
-	}
-	vals := make([]sqltypes.Value, n-1)
-	var err error
-	for i := range vals {
-		vals[i], buf, err = readSpillValue(buf)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return vals, buf, nil
 }
 
 // spillReader streams records back from a finished spill file.
@@ -337,13 +234,14 @@ func (r *spillReader) next(rec *spillRec) (bool, error) {
 	}
 	key := append([]byte(nil), buf[w:w+int(kl)]...)
 	buf = buf[w+int(kl):]
-	row, buf, err := readSpillVals(buf)
-	if err != nil {
-		return false, err
+	// Every value takes a byte at least, so a record bounds its lists.
+	row, buf, ok := sqltypes.ReadBinaryList(buf, n)
+	if !ok {
+		return false, errSpillCorrupt
 	}
-	keys, _, err := readSpillVals(buf)
-	if err != nil {
-		return false, err
+	keys, _, ok := sqltypes.ReadBinaryList(buf, n)
+	if !ok {
+		return false, errSpillCorrupt
 	}
 	rec.seq, rec.key, rec.row, rec.keys = seq, key, row, keys
 	return true, nil

@@ -11,6 +11,7 @@ package engine
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -58,10 +59,10 @@ func codecValues() []sqltypes.Value {
 
 func TestSpillValueCodecRoundTrip(t *testing.T) {
 	for i, v := range codecValues() {
-		buf := appendSpillValue(nil, v)
-		got, rest, err := readSpillValue(buf)
-		if err != nil {
-			t.Fatalf("value %d: %v", i, err)
+		buf := sqltypes.AppendBinary(nil, v)
+		got, rest, ok := sqltypes.ReadBinary(buf)
+		if !ok {
+			t.Fatalf("value %d does not decode", i)
 		}
 		if len(rest) != 0 {
 			t.Fatalf("value %d: %d bytes left over", i, len(rest))
@@ -318,6 +319,7 @@ type faultFS struct {
 	failReadAt   int
 	failFinish   bool
 	failOpen     bool
+	flipKind     bool // overwrite the kind byte of the first value read back with one no kind has
 }
 
 func (fs *faultFS) create(dir string) (spillFile, error) {
@@ -382,7 +384,17 @@ func (r *faultReader) Read(p []byte) (int, error) {
 	if fail {
 		return 0, errInjected
 	}
-	return r.rc.Read(p)
+	n, err := r.rc.Read(p)
+	if r.fs.flipKind && r.fs.reads == 1 {
+		// A record is uvarint(len) varint(seq) uvarint(len(key)) key, then the
+		// row: uvarint(len+1) and the first value's kind byte.
+		_, a := binary.Uvarint(p[:n])
+		_, b := binary.Varint(p[a:n])
+		kl, c := binary.Uvarint(p[a+b : n])
+		_, d := binary.Uvarint(p[a+b+c+int(kl) : n])
+		p[a+b+c+int(kl)+d] = 0xEE
+	}
+	return n, err
 }
 
 func (r *faultReader) Close() error { return r.rc.Close() }
@@ -462,6 +474,24 @@ func TestSpillFaultInjection(t *testing.T) {
 			assertDirEmpty(t, dir)
 		})
 	}
+}
+
+// TestSpillCorruptKindByte: a spill file whose bytes changed on disk is a
+// decode error, not a row of made-up values — a kind byte no kind has fails
+// the value image's decode, and the statement reports errSpillCorrupt and
+// leaves no temp file behind.
+func TestSpillCorruptKindByte(t *testing.T) {
+	db := streamTestDB(t, 6000)
+	db.SetParallelism(1)
+	dir := t.TempDir()
+	db.SetSpillDir(dir)
+	db.SetMemoryLimit(16 << 10)
+	db.spillfs = &faultFS{flipKind: true}
+	res, err := db.QuerySQL(`SELECT id, val FROM fact ORDER BY val, id`)
+	if !errors.Is(err, errSpillCorrupt) {
+		t.Fatalf("err = %v (%v), want errSpillCorrupt", err, res)
+	}
+	assertDirEmpty(t, dir)
 }
 
 // TestSpillCursorCleanup interleaves a partially drained spilling cursor

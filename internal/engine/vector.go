@@ -773,7 +773,7 @@ func (ve *venv) compileCase(x *sqlast.CaseExpr) vecExpr {
 // interpreter raises their errors for exactly the rows it evaluates.
 func (ve *venv) compileFunc(x *sqlast.FuncCall) vecExpr {
 	upper := strings.ToUpper(x.Name)
-	if aggregateNames[upper] {
+	if sqlast.IsAggregate(upper) {
 		return nil
 	}
 	if f := strictBuiltins[upper]; f != nil {
@@ -1012,7 +1012,7 @@ func (ex *exec) vecAggArgs(bindings []*binding, sc *scope, exprs ...sqlast.Expr)
 	for _, e := range exprs {
 		sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
 			fc, ok := n.(*sqlast.FuncCall)
-			if !ok || !aggregateNames[strings.ToUpper(fc.Name)] || fc.Star || len(fc.Args) != 1 {
+			if !ok || !sqlast.IsAggregate(fc.Name) || fc.Star || len(fc.Args) != 1 {
 				return true
 			}
 			if _, done := m[fc.Args[0]]; done {

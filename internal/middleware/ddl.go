@@ -97,15 +97,8 @@ func (c *Conn) createView(cv *sqlast.CreateView) (*engine.Result, error) {
 func visibleOutputs(q *sqlast.Select) []string {
 	var out []string
 	for _, it := range q.Items {
-		switch {
-		case it.Alias != "":
-			out = append(out, it.Alias)
-		case it.Expr != nil:
-			if cr, ok := it.Expr.(*sqlast.ColumnRef); ok {
-				out = append(out, cr.Name)
-			} else {
-				out = append(out, it.Expr.String())
-			}
+		if !it.Star {
+			out = append(out, it.OutputName())
 		}
 	}
 	return out

@@ -129,7 +129,7 @@ func TestSessionSeam(t *testing.T) {
 // the table set privilege pruning and shard routing go by is computed by the
 // walker, not by a type switch of this package's own.
 func TestWalkerSeam(t *testing.T) {
-	gone := []string{"selectLevelExprs", "visitExprSubs", "visitSelDeps", "visitTEDeps", "statementSelects", "eachSelect"}
+	gone := []string{"selectLevelExprs", "visitExprSubs", "visitSelDeps", "visitTEDeps", "statementSelects", "eachSelect", "visitOns", "visitTE"}
 	sawTables := false
 	eachSourceFile(t, func(rel string, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -153,4 +153,119 @@ func TestWalkerSeam(t *testing.T) {
 	if !sawTables {
 		t.Error("middleware.TenantSpecificTables is gone; benchmark/ compiles against it")
 	}
+}
+
+// knowsNodes: the packages that may enumerate AST node types — the AST's own
+// package and the engine, which evaluates every node.
+func knowsNodes(rel string) bool {
+	return strings.HasPrefix(rel, "internal/sqlast/") || strings.HasPrefix(rel, "internal/engine/")
+}
+
+// sqlastType returns X for the type expression *sqlast.X, else "".
+func sqlastType(e ast.Expr) string {
+	if st, ok := e.(*ast.StarExpr); ok {
+		if sel, ok := st.X.(*ast.SelectorExpr); ok {
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "sqlast" {
+				return sel.Sel.Name
+			}
+		}
+	}
+	return ""
+}
+
+// TestSplitSeam pins DESIGN.md ADR-018: how an MTSQL column reference
+// resolves and which predicates tie bindings by ttid is internal/rewrite's
+// (Resolver, Links), how an aggregating block splits into a partial and a
+// combine is internal/optimizer's (split.go), and the shard coordinator, which
+// needs both, holds a copy of neither.
+func TestSplitSeam(t *testing.T) {
+	gone := map[string][]string{
+		"internal/shard":     {"rtScope", "rtBinding", "rebuildScope", "outputColumnSet", "substituteExpr", "specificBinding", "outputNames", "outputNameOf"},
+		"internal/optimizer": {"topDownReplace", "isAggregateName"},
+		"internal/rewrite":   {"buildResolver", "outputColumns"},
+		"internal/engine":    {"aggregateNames", "appendSpillValue", "readSpillValue"},
+	}
+	var folds []string // functions spelling COUNT's or AVG's conversion-free fold
+	eachSourceFile(t, func(rel string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || dir != "internal/shard" {
+						continue
+					}
+					if name := strings.ToLower(ts.Name.Name); strings.Contains(name, "scope") || strings.Contains(name, "binding") || strings.Contains(name, "resolver") {
+						t.Errorf("%s declares type %s; a column reference resolves through rewrite.Resolver", rel, ts.Name.Name)
+					}
+				}
+			case *ast.FuncDecl:
+				if dir == "internal/shard" && strings.EqualFold(d.Name.Name, "resolve") {
+					t.Errorf("%s declares %s; a column reference resolves through rewrite.Resolver", rel, d.Name.Name)
+				}
+				if dir == "internal/rewrite" && slices.Contains([]string{"Links", "inLink", "extendTenantSpecificIn"}, d.Name.Name) {
+					checkReadOnlyLinks(t, rel, d)
+				}
+				if slices.Contains([]string{"NewResolver", "Links", "SplitAggregates", "collectAggregates", "build"}, d.Name.Name) &&
+					(dir == "internal/rewrite" || dir == "internal/optimizer") {
+					for _, p := range d.Type.Params.List {
+						if id, ok := p.Type.(*ast.Ident); ok && id.Name == "bool" {
+							t.Errorf("%s: %s takes a flag; a caller's difference is a function or value it passes", rel, d.Name.Name)
+						}
+					}
+				}
+				if d.Body != nil && !knowsNodes(rel) && dir != "internal/sqlparse" {
+					ast.Inspect(d.Body, func(n ast.Node) bool {
+						if lit, ok := n.(*ast.BasicLit); ok && (lit.Value == `"COALESCE"` || lit.Value == `"CAST_DECIMAL"`) {
+							if name := dir + "." + d.Name.Name; !slices.Contains(folds, name) {
+								folds = append(folds, name)
+							}
+						}
+						return true
+					})
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && slices.Contains(gone[dir], id.Name) {
+				t.Errorf("%s: %s is back (ADR-018)", rel, id.Name)
+			}
+			// A switch over expression node types that names SubstringExpr is a
+			// hand-enumerated expression walk: those are WalkExpr,
+			// TransformExpr and ReplaceExpr.
+			if cc, ok := n.(*ast.CaseClause); ok && !knowsNodes(rel) {
+				for _, e := range cc.List {
+					if sqlastType(e) == "SubstringExpr" {
+						t.Errorf("%s enumerates expression node types by hand; walk expressions through internal/sqlast/walk.go", rel)
+					}
+				}
+			}
+			return true
+		})
+	})
+	if want := []string{"internal/optimizer.plainFold"}; !slices.Equal(folds, want) {
+		t.Errorf("the conversion-free COUNT/AVG fold is spelled in %v, want %v alone", folds, want)
+	}
+}
+
+// checkReadOnlyLinks: resolving an IN-subquery's item must not rewrite what is
+// under it — the scope it builds hands derived tables to nobody, and nothing
+// here names the rewrite's entry points.
+func checkReadOnlyLinks(t *testing.T, rel string, d *ast.FuncDecl) {
+	ast.Inspect(d.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.Ident:
+			if slices.Contains([]string{"rewriteQuery", "rewriteSubqueriesIn", "rewriteBoolExpr", "Query"}, x.Name) {
+				t.Errorf("%s: %s reaches %s; the link analysis is read-only", rel, d.Name.Name, x.Name)
+			}
+		case *ast.CallExpr:
+			if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "NewResolver" {
+				if last, ok := x.Args[len(x.Args)-1].(*ast.Ident); !ok || last.Name != "nil" {
+					t.Errorf("%s: %s builds a scope that visits derived tables; pass nil", rel, d.Name.Name)
+				}
+			}
+		}
+		return true
+	})
 }

@@ -288,3 +288,86 @@ func QueryByID(sf float64, id int) (Query, error) {
 	}
 	return Query{}, fmt.Errorf("mth: no query %d", id)
 }
+
+// StagedExtras ride with Q1–Q22 through the sharded differential and the
+// routing tests of internal/shard and this package: shapes the
+// staged plan (ADR-015) must answer like the unsharded tier, which MT-H's own
+// texts do not pin down — Q22 returns no row at these scale factors because
+// the generator gives every customer an order.
+func StagedExtras() []Query {
+	return []Query{
+		{ID: 101, Name: "Q22, every phone code, customers without a recent order", SQL: `
+SELECT cntrycode, COUNT(*) AS numcust, SUM(bal) AS totacctbal
+FROM (
+  SELECT SUBSTRING(c_phone FROM 1 FOR 2) AS cntrycode, c_acctbal AS bal
+  FROM customer
+  WHERE SUBSTRING(c_phone FROM 1 FOR 1) IN ('1', '2', '3')
+    AND c_acctbal > (
+      SELECT AVG(c_acctbal) FROM customer
+      WHERE c_acctbal > 0.00 AND SUBSTRING(c_phone FROM 1 FOR 1) IN ('1', '2', '3'))
+    AND NOT EXISTS (SELECT 1 FROM orders WHERE o_custkey = c_custkey AND o_orderdate >= DATE '1997-01-01')
+) AS custsale
+GROUP BY cntrycode
+ORDER BY cntrycode`},
+		{ID: 102, Name: "hoisted scalar over an empty input: NULL threshold, empty result", SQL: `
+SELECT c_custkey, c_acctbal FROM customer
+WHERE c_acctbal > (SELECT AVG(c_acctbal) FROM customer WHERE c_acctbal > 100000000)
+ORDER BY c_custkey`},
+		{ID: 103, Name: "hoisted scalar yielding two rows: the engine's error", SQL: `
+SELECT COUNT(*) AS n FROM customer
+WHERE c_acctbal > (SELECT c_acctbal FROM customer WHERE c_custkey <= 2)`},
+		{ID: 104, Name: "Q20's shape with a threshold this data can tell apart: a cross-tenant SUM filters global rows", SQL: `
+SELECT s_name, s_address FROM supplier, nation
+WHERE s_suppkey IN (
+    SELECT ps_suppkey FROM partsupp
+    WHERE ps_availqty > (
+      SELECT 40 * SUM(l_quantity) FROM lineitem
+      WHERE l_partkey = ps_partkey AND l_suppkey = ps_suppkey))
+  AND s_nationkey = n_nationkey
+ORDER BY s_name`},
+		// A hoisted extremum meets the very attribute it was taken from. From o2
+		// on the optimizer converts a *constant* beside a convertible attribute
+		// into the owner's format, a round trip that is not exact, and leaves a
+		// subquery's value alone: the stage's value must count as the latter, or
+		// the equalities below lose their rows. 109 and 110 also hold the
+		// classifier to the blocks nested in BETWEEN bounds and IN-list members.
+		{ID: 105, Name: "hoisted MAX of a convertible attribute, equality", SQL: `
+SELECT c_custkey, c_acctbal FROM customer
+WHERE c_acctbal = (SELECT MAX(c_acctbal) FROM customer)
+ORDER BY c_custkey`},
+		{ID: 106, Name: "hoisted MAX and MIN, >= and <=", SQL: `
+SELECT c_custkey, c_acctbal FROM customer
+WHERE c_acctbal >= (SELECT MAX(c_acctbal) FROM customer)
+   OR c_acctbal <= (SELECT MIN(c_acctbal) FROM customer)
+ORDER BY c_custkey`},
+		{ID: 107, Name: "hoisted MAX of o_totalprice, equality", SQL: `
+SELECT o_orderkey, o_totalprice FROM orders
+WHERE o_totalprice = (SELECT MAX(o_totalprice) FROM orders)
+ORDER BY o_orderkey`},
+		{ID: 108, Name: "hoisted MAX and MIN of o_totalprice, >= and <=", SQL: `
+SELECT o_orderkey, o_totalprice FROM orders
+WHERE o_totalprice >= (SELECT MAX(o_totalprice) FROM orders)
+   OR o_totalprice <= (SELECT MIN(o_totalprice) FROM orders)
+ORDER BY o_orderkey`},
+		{ID: 109, Name: "hoisted bounds of a BETWEEN", SQL: `
+SELECT COUNT(*) AS n, MIN(c_acctbal) AS lo, MAX(c_acctbal) AS hi FROM customer
+WHERE c_acctbal BETWEEN (SELECT AVG(c_acctbal) FROM customer) AND (SELECT MAX(c_acctbal) FROM customer)`},
+		{ID: 110, Name: "hoisted members of an IN list", SQL: `
+SELECT c_custkey FROM customer
+WHERE c_acctbal IN ((SELECT MIN(c_acctbal) FROM customer), (SELECT MAX(c_acctbal) FROM customer))
+ORDER BY c_custkey`},
+		// Grouped by an output alias: the coordinator's partial has to compute the
+		// aliased expression, which the one aggregate split resolves (ADR-018).
+		{ID: 111, Name: "aggregate grouped by an output alias", SQL: `
+SELECT SUBSTRING(c_phone FROM 1 FOR 2) AS cc, COUNT(*) AS numcust, SUM(c_acctbal) AS bal
+FROM customer
+GROUP BY cc
+ORDER BY cc`},
+		{ID: 112, Name: "aggregate grouped by a CASE alias over a convertible attribute", SQL: `
+SELECT CASE WHEN c_acctbal < 0 THEN 'debt' WHEN c_acctbal < 5000 THEN 'low' ELSE 'high' END AS band,
+       COUNT(*), AVG(c_acctbal) AS avgbal, MAX(c_custkey) AS hi
+FROM customer
+GROUP BY band
+ORDER BY band`},
+	}
+}

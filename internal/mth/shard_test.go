@@ -66,7 +66,7 @@ func oracleKeys(t *testing.T, d *Data, levels []optimizer.Level) map[optimizer.L
 		for _, compiled := range []bool{true, false} {
 			db.SetCompileExprs(compiled)
 			keys[level][compiled] = make(map[int]string)
-			for _, q := range append(Queries(d.Cfg.SF), stagedExtras...) {
+			for _, q := range append(Queries(d.Cfg.SF), StagedExtras()...) {
 				res, err := RunOnMT(conn, q)
 				if err != nil && q.ID <= 22 {
 					t.Fatalf("oracle level=%v compiled=%v Q%d: %v", level, compiled, q.ID, err)
@@ -76,73 +76,6 @@ func oracleKeys(t *testing.T, d *Data, levels []optimizer.Level) map[optimizer.L
 		}
 	}
 	return keys
-}
-
-// stagedExtras ride with Q1–Q22 through the sharded differential: shapes the
-// staged plan (ADR-015) must answer like the unsharded tier, which MT-H's own
-// texts do not pin down — Q22 returns no row at these scale factors because
-// the generator gives every customer an order.
-var stagedExtras = []Query{
-	{ID: 101, Name: "Q22, every phone code, customers without a recent order", SQL: `
-SELECT cntrycode, COUNT(*) AS numcust, SUM(bal) AS totacctbal
-FROM (
-  SELECT SUBSTRING(c_phone FROM 1 FOR 2) AS cntrycode, c_acctbal AS bal
-  FROM customer
-  WHERE SUBSTRING(c_phone FROM 1 FOR 1) IN ('1', '2', '3')
-    AND c_acctbal > (
-      SELECT AVG(c_acctbal) FROM customer
-      WHERE c_acctbal > 0.00 AND SUBSTRING(c_phone FROM 1 FOR 1) IN ('1', '2', '3'))
-    AND NOT EXISTS (SELECT 1 FROM orders WHERE o_custkey = c_custkey AND o_orderdate >= DATE '1997-01-01')
-) AS custsale
-GROUP BY cntrycode
-ORDER BY cntrycode`},
-	{ID: 102, Name: "hoisted scalar over an empty input: NULL threshold, empty result", SQL: `
-SELECT c_custkey, c_acctbal FROM customer
-WHERE c_acctbal > (SELECT AVG(c_acctbal) FROM customer WHERE c_acctbal > 100000000)
-ORDER BY c_custkey`},
-	{ID: 103, Name: "hoisted scalar yielding two rows: the engine's error", SQL: `
-SELECT COUNT(*) AS n FROM customer
-WHERE c_acctbal > (SELECT c_acctbal FROM customer WHERE c_custkey <= 2)`},
-	{ID: 104, Name: "Q20's shape with a threshold this data can tell apart: a cross-tenant SUM filters global rows", SQL: `
-SELECT s_name, s_address FROM supplier, nation
-WHERE s_suppkey IN (
-    SELECT ps_suppkey FROM partsupp
-    WHERE ps_availqty > (
-      SELECT 40 * SUM(l_quantity) FROM lineitem
-      WHERE l_partkey = ps_partkey AND l_suppkey = ps_suppkey))
-  AND s_nationkey = n_nationkey
-ORDER BY s_name`},
-	// A hoisted extremum meets the very attribute it was taken from. From o2
-	// on the optimizer converts a *constant* beside a convertible attribute
-	// into the owner's format, a round trip that is not exact, and leaves a
-	// subquery's value alone: the stage's value must count as the latter, or
-	// the equalities below lose their rows. 109 and 110 also hold the
-	// classifier to the blocks nested in BETWEEN bounds and IN-list members.
-	{ID: 105, Name: "hoisted MAX of a convertible attribute, equality", SQL: `
-SELECT c_custkey, c_acctbal FROM customer
-WHERE c_acctbal = (SELECT MAX(c_acctbal) FROM customer)
-ORDER BY c_custkey`},
-	{ID: 106, Name: "hoisted MAX and MIN, >= and <=", SQL: `
-SELECT c_custkey, c_acctbal FROM customer
-WHERE c_acctbal >= (SELECT MAX(c_acctbal) FROM customer)
-   OR c_acctbal <= (SELECT MIN(c_acctbal) FROM customer)
-ORDER BY c_custkey`},
-	{ID: 107, Name: "hoisted MAX of o_totalprice, equality", SQL: `
-SELECT o_orderkey, o_totalprice FROM orders
-WHERE o_totalprice = (SELECT MAX(o_totalprice) FROM orders)
-ORDER BY o_orderkey`},
-	{ID: 108, Name: "hoisted MAX and MIN of o_totalprice, >= and <=", SQL: `
-SELECT o_orderkey, o_totalprice FROM orders
-WHERE o_totalprice >= (SELECT MAX(o_totalprice) FROM orders)
-   OR o_totalprice <= (SELECT MIN(o_totalprice) FROM orders)
-ORDER BY o_orderkey`},
-	{ID: 109, Name: "hoisted bounds of a BETWEEN", SQL: `
-SELECT COUNT(*) AS n, MIN(c_acctbal) AS lo, MAX(c_acctbal) AS hi FROM customer
-WHERE c_acctbal BETWEEN (SELECT AVG(c_acctbal) FROM customer) AND (SELECT MAX(c_acctbal) FROM customer)`},
-	{ID: 110, Name: "hoisted members of an IN list", SQL: `
-SELECT c_custkey FROM customer
-WHERE c_acctbal IN ((SELECT MIN(c_acctbal) FROM customer), (SELECT MAX(c_acctbal) FROM customer))
-ORDER BY c_custkey`},
 }
 
 // outcomeKey is exactKey of a result, or the error's text for the extras
@@ -180,7 +113,7 @@ func TestShardDifferentialQ1toQ22(t *testing.T) {
 			conn.SetOptLevel(level)
 			for _, compiled := range []bool{true, false} {
 				setCompileAll(sinst.Srv, compiled)
-				for _, q := range append(Queries(cfg.SF), stagedExtras...) {
+				for _, q := range append(Queries(cfg.SF), StagedExtras()...) {
 					res, err := RunOnMT(conn, q)
 					if err != nil && q.ID <= 22 {
 						t.Fatalf("shards=%d level=%v compiled=%v Q%d: %v", nshards, level, compiled, q.ID, err)
@@ -797,8 +730,10 @@ func TestShardRouteCensus(t *testing.T) {
 		108: {routes{scatter: 3, partial: 2, hoisted: 2}, "as Q106, over orders"},
 		109: {routes{scatter: 3, partial: 3, hoisted: 2}, "partial, its BETWEEN bounds two stage-1 partials"},
 		110: {routes{scatter: 3, partial: 2, hoisted: 2}, "merge, its IN-list members two stage-1 partials"},
+		111: {partial, "GROUP BY cc resolves to the SUBSTRING it names (fell back before ADR-018)"},
+		112: {partial, "GROUP BY band resolves to the CASE it names"},
 	}
-	for _, q := range append(Queries(cfg.SF), stagedExtras...) {
+	for _, q := range append(Queries(cfg.SF), StagedExtras()...) {
 		w, ok := want[q.ID]
 		if !ok {
 			t.Fatalf("Q%d has no census entry", q.ID)
@@ -812,7 +747,7 @@ func TestShardRouteCensus(t *testing.T) {
 			t.Errorf("Q%d routed %+v, want %+v (%s)", q.ID, got, w.routes, w.why)
 		}
 		switch q.ID {
-		case 101, 105, 106, 107, 108, 110:
+		case 101, 105, 106, 107, 108, 110, 111, 112:
 			if err != nil || len(res.Rows) == 0 {
 				t.Errorf("Q%d must return rows to be a check at all: %v", q.ID, err)
 			}
@@ -872,7 +807,7 @@ func TestShardStagedConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged := stagedExtras[0]
+	staged := StagedExtras()[0]
 	res, err := RunOnMT(oconn, staged)
 	if err != nil {
 		t.Fatal(err)

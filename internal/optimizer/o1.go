@@ -32,24 +32,16 @@ func o1Level(ctx *rewrite.Context, s *sqlast.Select) {
 	s.Where = replaceConjuncts(s.Where, dropFilter)
 	s.Having = replaceConjuncts(s.Having, dropFilter)
 	// Join ON conditions get the same treatment.
-	var visitTE func(te sqlast.TableExpr)
-	visitTE = func(te sqlast.TableExpr) {
-		if j, ok := te.(*sqlast.JoinExpr); ok {
-			visitTE(j.L)
-			visitTE(j.R)
-			if j.On != nil {
-				on := replaceConjuncts(j.On, dropFilter)
-				if on == nil {
-					// A join needs some condition; keep a tautology.
-					on = &sqlast.BinaryExpr{Op: "=", L: sqlast.NewIntLit(1), R: sqlast.NewIntLit(1)}
-				}
-				j.On = on
-			}
+	sqlast.EachJoin(s.From, func(j *sqlast.JoinExpr) {
+		if j.On == nil {
+			return
 		}
-	}
-	for _, te := range s.From {
-		visitTE(te)
-	}
+		j.On = replaceConjuncts(j.On, dropFilter)
+		if j.On == nil {
+			// A join needs some condition; keep a tautology.
+			j.On = &sqlast.BinaryExpr{Op: "=", L: sqlast.NewIntLit(1), R: sqlast.NewIntLit(1)}
+		}
+	})
 
 	if len(ctx.D) == 1 {
 		simplifyTupleIns(s)
@@ -145,15 +137,5 @@ func dropConversions(ctx *rewrite.Context, s *sqlast.Select) {
 	for i := range s.OrderBy {
 		s.OrderBy[i].Expr = strip(s.OrderBy[i].Expr)
 	}
-	var visitTE func(te sqlast.TableExpr)
-	visitTE = func(te sqlast.TableExpr) {
-		if j, ok := te.(*sqlast.JoinExpr); ok {
-			visitTE(j.L)
-			visitTE(j.R)
-			j.On = strip(j.On)
-		}
-	}
-	for _, te := range s.From {
-		visitTE(te)
-	}
+	sqlast.EachJoin(s.From, func(j *sqlast.JoinExpr) { j.On = strip(j.On) })
 }

@@ -24,17 +24,7 @@ func applyO2(ctx *rewrite.Context, q *sqlast.Select) {
 	sqlast.WalkBlocks(q, nil, func(s *sqlast.Select) {
 		s.Where = pushUpPredicates(ctx, s.Where)
 		s.Having = pushUpPredicates(ctx, s.Having)
-		var visitTE func(te sqlast.TableExpr)
-		visitTE = func(te sqlast.TableExpr) {
-			if j, ok := te.(*sqlast.JoinExpr); ok {
-				visitTE(j.L)
-				visitTE(j.R)
-				j.On = pushUpPredicates(ctx, j.On)
-			}
-		}
-		for _, te := range s.From {
-			visitTE(te)
-		}
+		sqlast.EachJoin(s.From, func(j *sqlast.JoinExpr) { j.On = pushUpPredicates(ctx, j.On) })
 	})
 }
 

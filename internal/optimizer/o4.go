@@ -110,7 +110,7 @@ func (inl *inliner) level(s *sqlast.Select) {
 func hasAggregateCall(e sqlast.Expr) bool {
 	found := false
 	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-		if fc, ok := n.(*sqlast.FuncCall); ok && isAggregateName(fc.Name) {
+		if fc, ok := n.(*sqlast.FuncCall); ok && sqlast.IsAggregate(fc.Name) {
 			found = true
 			return false
 		}
@@ -125,9 +125,9 @@ func inAggregateArgs(e sqlast.Expr, f func(sqlast.Expr) sqlast.Expr) sqlast.Expr
 	if e == nil {
 		return nil
 	}
-	return topDownReplace(e, func(n sqlast.Expr) (sqlast.Expr, bool) {
+	return sqlast.ReplaceExpr(e, func(n sqlast.Expr) (sqlast.Expr, bool) {
 		fc, ok := n.(*sqlast.FuncCall)
-		if !ok || !isAggregateName(fc.Name) {
+		if !ok || !sqlast.IsAggregate(fc.Name) {
 			return n, false
 		}
 		for i, a := range fc.Args {

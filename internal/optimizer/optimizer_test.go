@@ -200,7 +200,20 @@ var queriesForEquivalence = []string{
 	"SELECT E_name FROM Employees WHERE E_salary BETWEEN 60000 AND 160000 ORDER BY E_name",
 	"SELECT SUM(E_salary * 2) AS s2 FROM Employees",
 	"SELECT COUNT(E_salary) AS c FROM Employees WHERE E_age > 100",
+	// A bare column beside an aggregate and a group key that is no output
+	// column: the engine answers both at canonical, so every level must.
+	"SELECT E_name, SUM(E_salary) AS s FROM Employees",
+	"SELECT E_name, SUM(E_salary) AS s FROM Employees GROUP BY E_reg_id ORDER BY s",
+	"SELECT SUM(E_salary) AS s, COUNT(*) AS c FROM Employees GROUP BY E_reg_id ORDER BY s",
+	// A GROUP BY name that is an input column and an output alias is the
+	// column (three groups), as in the engine — not the alias (two).
+	"SELECT E_reg_id % 2 AS E_reg_id, SUM(E_salary) AS s FROM Employees GROUP BY E_reg_id ORDER BY s",
+	// A column of the enclosing block beside the aggregate is a constant to
+	// the split: the block still distributes (TestO3KeepsOuterColumns).
+	correlatedAggregate,
 }
+
+const correlatedAggregate = "SELECT o.E_name FROM Employees o WHERE (SELECT SUM(i.E_salary) / o.E_age FROM Employees i WHERE i.E_reg_id = o.E_reg_id) > 3000 ORDER BY o.E_name"
 
 // TestAllLevelsAgreeWithCanonical is the §5-style validation: the
 // canonical rewrite defines correctness; every optimization level must
@@ -228,6 +241,49 @@ func TestAllLevelsAgreeWithCanonical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDerivedTableUnderTenantSpecificIn: a derived table inside a tuple-
+// extended IN-subquery converts its salaries once. Under D = {0, 1} ≠ {C} a
+// second conversion moves tenant 0's 70000 from 63636.36 to 57851.24 in tenant
+// 1's format, across the threshold, and John drops out. The oracle is the
+// plain statement over a copy of the data physically converted to C's format.
+func TestDerivedTableUnderTenantSpecificIn(t *testing.T) {
+	env := newEnv(t, engine.ModePostgres)
+	if _, err := env.db.ExecScript(`
+CREATE TABLE EmployeesC (ttid INTEGER NOT NULL, E_emp_id INTEGER NOT NULL, E_name VARCHAR(25) NOT NULL, E_age INTEGER NOT NULL, E_salary DECIMAL(15,2) NOT NULL);
+INSERT INTO EmployeesC SELECT ttid, E_emp_id, E_name, E_age, currencyFromUniversal(currencyToUniversal(E_salary, ttid), 1) FROM Employees;`); err != nil {
+		t.Fatal(err)
+	}
+	want, err := env.db.QuerySQL(`SELECT E_name FROM EmployeesC WHERE (E_emp_id, ttid) IN (
+		SELECT e.E_emp_id, e.ttid FROM EmployeesC e, (SELECT E_age AS a, E_salary AS s FROM EmployeesC) d
+		WHERE d.a = e.E_age AND d.s > 60000) ORDER BY E_name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) != 5 {
+		t.Fatalf("oracle has %d rows, want 5 (everyone but Patrick): %v", len(want.Rows), want.Rows)
+	}
+	ctx := env.ctx(1, false, 0, 1)
+	for _, level := range Levels {
+		got := env.run(t, ctx, level, `SELECT E_name FROM Employees WHERE E_emp_id IN (
+			SELECT e.E_emp_id FROM Employees e, (SELECT E_age AS a, E_salary AS s FROM Employees) d
+			WHERE d.a = e.E_age AND d.s > 60000) ORDER BY E_name`)
+		if !resultsEqual(want, got) {
+			t.Errorf("level=%s: %v, want %v", level, got.Rows, want.Rows)
+		}
+	}
+}
+
+// TestO3KeepsOuterColumns: the split refuses a block whose output names a
+// column of its own FROM outside every key and aggregate, not one whose output
+// names a column of the block around it.
+func TestO3KeepsOuterColumns(t *testing.T) {
+	env := newEnv(t, engine.ModePostgres)
+	got := env.optimizeText(t, env.ctx(0, true, 0, 1), O3, correlatedAggregate)
+	if !strings.Contains(got, "/ o.E_age) FROM (SELECT") || !strings.Contains(got, "AS mt_part") {
+		t.Errorf("correlated aggregate not distributed: %s", got)
 	}
 }
 

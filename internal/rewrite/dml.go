@@ -194,7 +194,7 @@ func Update(ctx *Context, up *sqlast.Update) (*sqlast.Update, error) {
 	}
 	out := &sqlast.Update{Table: up.Table}
 	binding := strings.ToLower(up.Table)
-	res := &resolver{bindings: []*rBinding{{name: binding, info: info}}}
+	res := &Resolver{schema: ctx.Schema, bindings: []*Binding{{Name: binding, Info: info}}}
 
 	for _, a := range up.Sets {
 		ci := info.Column(a.Column)
@@ -242,7 +242,7 @@ func Delete(ctx *Context, del *sqlast.Delete) (*sqlast.Delete, error) {
 	}
 	out := &sqlast.Delete{Table: del.Table}
 	binding := strings.ToLower(del.Table)
-	res := &resolver{bindings: []*rBinding{{name: binding, info: info}}}
+	res := &Resolver{schema: ctx.Schema, bindings: []*Binding{{Name: binding, Info: info}}}
 	if del.Where != nil {
 		w, err := rewriteBoolExpr(ctx, sqlast.CloneExpr(del.Where), res)
 		if err != nil {
@@ -277,15 +277,17 @@ func Scope(ctx *Context, sq *sqlast.ScopeQuery) (*sqlast.Select, error) {
 	for i, te := range sq.From {
 		tmp.From[i] = sqlast.CloneTableExpr(te)
 	}
-	res, err := buildResolver(ctx, tmp, nil)
+	res, err := NewResolver(ctx.Schema, tmp, nil, func(sub *sqlast.Select, scope *Resolver) error {
+		return rewriteQuery(ctx, sub, scope)
+	})
 	if err != nil {
 		return nil, err
 	}
 	// Project the ttid of the first tenant-specific base table.
 	var tsBinding string
 	for _, b := range res.bindings {
-		if b.info != nil && b.info.TenantSpecific() {
-			tsBinding = b.name
+		if b.Info != nil && b.Info.TenantSpecific() {
+			tsBinding = b.Name
 			break
 		}
 	}

@@ -52,67 +52,132 @@ func Query(ctx *Context, q *sqlast.Select) (*sqlast.Select, error) {
 	return out, nil
 }
 
-// resolver resolves column references to MT metadata across nested query
-// scopes (parent chain implements correlated references).
-type resolver struct {
-	parent   *resolver
-	bindings []*rBinding
+// Resolver is the MTSQL name scope of one query block: its FROM items by
+// binding name, chained to the enclosing block's scope for correlated
+// references. It is how a column reference resolves to MT metadata — for the
+// rewrite itself and for whoever has to predict what the rewrite will do (the
+// shard coordinator's classifier): there is no second copy of the rule.
+type Resolver struct {
+	parent   *Resolver
+	schema   *mtsql.Schema
+	bindings []*Binding
 }
 
-// rBinding is one FROM item: a base table with metadata, or a derived
-// table whose outputs are — by the rewrite invariant — already in client
+// Binding is one FROM item: a base table with metadata, or a derived table or
+// view whose outputs are — by the rewrite invariant — already in client
 // format and D-filtered, hence treated as comparable.
-type rBinding struct {
-	name    string // lower-case binding name
-	info    *mtsql.TableInfo
-	outputs map[string]bool // derived/global-view output columns (lower)
+type Binding struct {
+	Name    string            // lower-case binding name
+	Table   *sqlast.TableName // the FROM item of a base table or view; nil for a derived table
+	Info    *mtsql.TableInfo  // nil for a derived table or a view
+	outputs map[string]bool   // derived/view output columns (lower)
 }
 
-// attr is a resolved attribute.
-type attr struct {
-	binding string
-	col     *mtsql.ColumnInfo // nil for derived outputs
+// Attr is a resolved attribute.
+type Attr struct {
+	Binding *Binding
+	Col     *mtsql.ColumnInfo // nil for derived outputs and ttid
 }
 
-func (r *resolver) resolve(ref *sqlast.ColumnRef) (attr, bool) {
+// NewResolver binds the FROM items of q, by name only: nothing is rewritten
+// and no metadata beyond the schema's is consulted. Each derived table is
+// handed to derived — with the scope as built so far, which is what its block
+// sees as its parent — before its outputs are bound, so a caller that
+// transforms or inspects nested blocks does it from here; nil leaves them
+// alone. A table the schema does not know is an error.
+func NewResolver(schema *mtsql.Schema, q *sqlast.Select, parent *Resolver, derived func(sub *sqlast.Select, scope *Resolver) error) (*Resolver, error) {
+	res := &Resolver{parent: parent, schema: schema}
+	var err error
+	sqlast.FromItems(q.From, func(t *sqlast.TableName) {
+		b := &Binding{Name: strings.ToLower(t.Binding()), Table: t, Info: schema.Table(t.Name)}
+		if b.Info == nil {
+			// Views created through the middleware satisfy the invariant
+			// already; expose their outputs as comparable.
+			cols := schema.View(t.Name)
+			if cols == nil {
+				if err == nil {
+					err = fmt.Errorf("rewrite: unknown table %s", t.Name)
+				}
+				return
+			}
+			b.outputs = make(map[string]bool, len(cols))
+			for _, c := range cols {
+				b.outputs[strings.ToLower(c)] = true
+			}
+		}
+		res.bindings = append(res.bindings, b)
+	}, func(t *sqlast.DerivedTable) {
+		if err != nil {
+			return
+		}
+		if derived != nil {
+			if err = derived(t.Sub, res); err != nil {
+				return
+			}
+		}
+		b := &Binding{Name: strings.ToLower(t.Alias), outputs: make(map[string]bool, len(t.Sub.Items))}
+		for _, it := range t.Sub.Items {
+			if !it.Star {
+				b.outputs[strings.ToLower(it.OutputName())] = true
+			}
+		}
+		res.bindings = append(res.bindings, b)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Bindings returns the block's own FROM items, in FROM order.
+func (r *Resolver) Bindings() []*Binding { return r.bindings }
+
+// Resolve finds the attribute ref names: the innermost binding that has it,
+// own block first. ttid resolves only when qualified, and only on a
+// tenant-specific table.
+func (r *Resolver) Resolve(ref *sqlast.ColumnRef) (Attr, bool) {
 	tl := strings.ToLower(ref.Table)
 	cl := strings.ToLower(ref.Name)
 	for res := r; res != nil; res = res.parent {
 		for _, b := range res.bindings {
-			if tl != "" && b.name != tl {
+			if tl != "" && b.Name != tl {
 				continue
 			}
-			if b.info != nil {
+			if b.Info != nil {
 				if cl == mtsql.TTIDColumn {
-					if b.info.TenantSpecific() && tl != "" {
-						return attr{binding: b.name}, true
+					if b.Info.TenantSpecific() && tl != "" {
+						return Attr{Binding: b}, true
 					}
 					continue
 				}
-				if ci := b.info.Column(ref.Name); ci != nil {
-					return attr{binding: b.name, col: ci}, true
+				if ci := b.Info.Column(ref.Name); ci != nil {
+					return Attr{Binding: b, Col: ci}, true
 				}
 			} else if b.outputs[cl] {
-				return attr{binding: b.name}, true
+				return Attr{Binding: b}, true
 			}
 		}
 	}
-	return attr{}, false
+	return Attr{}, false
 }
 
 // comparability classifies a resolved attribute; derived outputs count as
 // comparable (rewrite invariant).
-func (a attr) comparability() sqlast.Comparability {
-	if a.col == nil {
+func (a Attr) comparability() sqlast.Comparability {
+	if a.Col == nil {
 		return sqlast.Comparable
 	}
-	return a.col.Comparability
+	return a.Col.Comparability
 }
 
 // rewriteQuery rewrites q in place. parent is the enclosing resolver for
-// correlated references.
-func rewriteQuery(ctx *Context, q *sqlast.Select, parent *resolver) error {
-	res, err := buildResolver(ctx, q, parent)
+// correlated references. Derived tables are rewritten while the scope is
+// built (rewriteQuery establishes the invariant for them), each seeing the
+// FROM items declared before it.
+func rewriteQuery(ctx *Context, q *sqlast.Select, parent *Resolver) error {
+	res, err := NewResolver(ctx.Schema, q, parent, func(sub *sqlast.Select, scope *Resolver) error {
+		return rewriteQuery(ctx, sub, scope)
+	})
 	if err != nil {
 		return err
 	}
@@ -139,102 +204,21 @@ func rewriteQuery(ctx *Context, q *sqlast.Select, parent *resolver) error {
 	return rewriteOrderBy(ctx, q, res)
 }
 
-// buildResolver walks the FROM clause, recursively rewriting derived
-// tables (rewriteQuery establishes the invariant for them) and recording
-// bindings.
-func buildResolver(ctx *Context, q *sqlast.Select, parent *resolver) (*resolver, error) {
-	res := &resolver{parent: parent}
-	var visit func(te sqlast.TableExpr) error
-	visit = func(te sqlast.TableExpr) error {
-		switch t := te.(type) {
-		case *sqlast.TableName:
-			info := ctx.Schema.Table(t.Name)
-			if info == nil {
-				// Views created through the middleware satisfy the
-				// invariant already; expose their outputs as comparable.
-				if cols := ctx.Schema.View(t.Name); cols != nil {
-					outputs := make(map[string]bool, len(cols))
-					for _, c := range cols {
-						outputs[strings.ToLower(c)] = true
-					}
-					res.bindings = append(res.bindings, &rBinding{
-						name:    strings.ToLower(t.Binding()),
-						outputs: outputs,
-					})
-					return nil
-				}
-				return fmt.Errorf("rewrite: unknown table %s", t.Name)
-			}
-			res.bindings = append(res.bindings, &rBinding{
-				name: strings.ToLower(t.Binding()),
-				info: info,
-			})
-		case *sqlast.DerivedTable:
-			if err := rewriteQuery(ctx, t.Sub, res); err != nil {
-				return err
-			}
-			res.bindings = append(res.bindings, &rBinding{
-				name:    strings.ToLower(t.Alias),
-				outputs: outputColumns(t.Sub),
-			})
-		case *sqlast.JoinExpr:
-			if err := visit(t.L); err != nil {
-				return err
-			}
-			return visit(t.R)
-		}
-		return nil
-	}
-	for _, te := range q.From {
-		if err := visit(te); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// outputColumns derives the visible output column names of a subquery.
-func outputColumns(q *sqlast.Select) map[string]bool {
-	out := make(map[string]bool)
-	for _, it := range q.Items {
-		switch {
-		case it.Alias != "":
-			out[strings.ToLower(it.Alias)] = true
-		case it.Expr != nil:
-			if cr, ok := it.Expr.(*sqlast.ColumnRef); ok {
-				out[strings.ToLower(cr.Name)] = true
-			} else {
-				out[strings.ToLower(it.Expr.String())] = true
-			}
-		}
-	}
-	return out
-}
-
 // rewriteFrom implements Algorithm 2: derived tables were already rewritten
-// by buildResolver; join conditions are rewritten exactly like WHERE
+// while the scope was built; join conditions are rewritten exactly like WHERE
 // clauses, including ttid-extension of tenant-specific join predicates.
 // D-filters for tenant-specific base tables on the null-supplying side of
 // a LEFT OUTER JOIN are added to the ON condition here.
-func rewriteFrom(ctx *Context, q *sqlast.Select, res *resolver, onFiltered map[string]bool) error {
-	var visit func(te sqlast.TableExpr) error
-	visit = func(te sqlast.TableExpr) error {
-		j, ok := te.(*sqlast.JoinExpr)
-		if !ok {
-			return nil
-		}
-		if err := visit(j.L); err != nil {
-			return err
-		}
-		if err := visit(j.R); err != nil {
-			return err
+func rewriteFrom(ctx *Context, q *sqlast.Select, res *Resolver, onFiltered map[string]bool) error {
+	var err error
+	sqlast.EachJoin(q.From, func(j *sqlast.JoinExpr) {
+		if err != nil {
+			return
 		}
 		if j.On != nil {
-			on, err := rewriteBoolExpr(ctx, j.On, res)
-			if err != nil {
-				return err
+			if j.On, err = rewriteBoolExpr(ctx, j.On, res); err != nil {
+				return
 			}
-			j.On = on
 		}
 		if j.Kind == sqlast.JoinLeftOuter {
 			for _, t := range sqlast.BaseTablesOf([]sqlast.TableExpr{j.R}) {
@@ -246,19 +230,13 @@ func rewriteFrom(ctx *Context, q *sqlast.Select, res *resolver, onFiltered map[s
 				}
 			}
 		}
-		return nil
-	}
-	for _, te := range q.From {
-		if err := visit(te); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
+	return err
 }
 
 // rewriteSelectList converts every attribute to client format and expands
 // star expressions hiding the invisible ttid column (§3.1, Listing 10).
-func rewriteSelectList(ctx *Context, q *sqlast.Select, res *resolver) error {
+func rewriteSelectList(ctx *Context, q *sqlast.Select, res *Resolver) error {
 	// Phase 1: expand stars into explicit column references (hiding ttid).
 	var items []sqlast.SelectItem
 	for _, it := range q.Items {
@@ -292,20 +270,20 @@ func rewriteSelectList(ctx *Context, q *sqlast.Select, res *resolver) error {
 	return nil
 }
 
-func expandStar(it sqlast.SelectItem, res *resolver) ([]sqlast.SelectItem, error) {
+func expandStar(it sqlast.SelectItem, res *Resolver) ([]sqlast.SelectItem, error) {
 	var out []sqlast.SelectItem
 	want := strings.ToLower(it.StarTable)
 	matched := false
 	for _, b := range res.bindings {
-		if want != "" && b.name != want {
+		if want != "" && b.Name != want {
 			continue
 		}
 		matched = true
-		if b.info != nil {
-			for i := range b.info.Columns {
-				ci := &b.info.Columns[i]
+		if b.Info != nil {
+			for i := range b.Info.Columns {
+				ci := &b.Info.Columns[i]
 				out = append(out, sqlast.SelectItem{
-					Expr: &sqlast.ColumnRef{Table: b.name, Name: ci.Name},
+					Expr: &sqlast.ColumnRef{Table: b.Name, Name: ci.Name},
 				})
 			}
 		} else {
@@ -316,7 +294,7 @@ func expandStar(it sqlast.SelectItem, res *resolver) ([]sqlast.SelectItem, error
 			sort.Strings(cols)
 			for _, c := range cols {
 				out = append(out, sqlast.SelectItem{
-					Expr: &sqlast.ColumnRef{Table: b.name, Name: c},
+					Expr: &sqlast.ColumnRef{Table: b.Name, Name: c},
 				})
 			}
 		}
@@ -330,7 +308,7 @@ func expandStar(it sqlast.SelectItem, res *resolver) ([]sqlast.SelectItem, error
 // rewriteWhere rewrites the WHERE clause (conversions, ttid join
 // predicates, rejection rules) and appends the D-filters for every
 // tenant-specific base table (§3.1, Listing 11).
-func rewriteWhere(ctx *Context, q *sqlast.Select, res *resolver, onFiltered map[string]bool) error {
+func rewriteWhere(ctx *Context, q *sqlast.Select, res *Resolver, onFiltered map[string]bool) error {
 	if q.Where != nil {
 		w, err := rewriteBoolExpr(ctx, q.Where, res)
 		if err != nil {
@@ -341,10 +319,10 @@ func rewriteWhere(ctx *Context, q *sqlast.Select, res *resolver, onFiltered map[
 	// D-filters for this query level's own tenant-specific base tables
 	// (those not already filtered in an outer-join ON condition).
 	for _, b := range res.bindings {
-		if b.info == nil || !b.info.TenantSpecific() || onFiltered[b.name] {
+		if b.Info == nil || !b.Info.TenantSpecific() || onFiltered[b.Name] {
 			continue
 		}
-		q.Where = sqlast.AndExprs(q.Where, DFilter(ctx, b.name))
+		q.Where = sqlast.AndExprs(q.Where, DFilter(ctx, b.Name))
 	}
 	return nil
 }
@@ -363,7 +341,7 @@ func DFilter(ctx *Context, bindingName string) sqlast.Expr {
 	return &sqlast.InExpr{X: ttid, List: list}
 }
 
-func rewriteGroupBy(ctx *Context, q *sqlast.Select, res *resolver) error {
+func rewriteGroupBy(ctx *Context, q *sqlast.Select, res *Resolver) error {
 	for i, g := range q.GroupBy {
 		k, err := rewriteKey(ctx, g, res)
 		if err != nil {
@@ -378,7 +356,7 @@ func rewriteGroupBy(ctx *Context, q *sqlast.Select, res *resolver) error {
 // block's rows: its nested blocks are rewritten (D-filter, ttid predicates)
 // and its convertible attributes brought into client format, so rows of
 // different owners group and order by comparable values.
-func rewriteKey(ctx *Context, e sqlast.Expr, res *resolver) (sqlast.Expr, error) {
+func rewriteKey(ctx *Context, e sqlast.Expr, res *Resolver) (sqlast.Expr, error) {
 	if err := rewriteSubqueriesIn(ctx, e, res); err != nil {
 		return nil, err
 	}
@@ -393,7 +371,7 @@ func rewriteKey(ctx *Context, e sqlast.Expr, res *resolver) (sqlast.Expr, error)
 // it to an output position. Any other key is evaluated over the block's rows
 // and is rewritten like a GROUP BY key. Runs after rewriteSelectList: stars
 // are expanded and converted items carry their attribute's name as alias.
-func rewriteOrderBy(ctx *Context, q *sqlast.Select, res *resolver) error {
+func rewriteOrderBy(ctx *Context, q *sqlast.Select, res *Resolver) error {
 	for i := range q.OrderBy {
 		o := &q.OrderBy[i]
 		if cr, ok := o.Expr.(*sqlast.ColumnRef); ok && cr.Table == "" && namesOutput(q, cr.Name) {
@@ -408,23 +386,17 @@ func rewriteOrderBy(ctx *Context, q *sqlast.Select, res *resolver) error {
 	return nil
 }
 
-// namesOutput reports whether name is an output column of q: an item's alias,
-// or the column an un-aliased item refers to.
+// namesOutput reports whether name is an output column of q.
 func namesOutput(q *sqlast.Select, name string) bool {
-	for i := range q.Items {
-		it := &q.Items[i]
-		if it.Alias != "" {
-			if strings.EqualFold(it.Alias, name) {
-				return true
-			}
-		} else if cr, ok := it.Expr.(*sqlast.ColumnRef); ok && strings.EqualFold(cr.Name, name) {
+	for _, it := range q.Items {
+		if !it.Star && strings.EqualFold(it.OutputName(), name) {
 			return true
 		}
 	}
 	return false
 }
 
-func rewriteHaving(ctx *Context, q *sqlast.Select, res *resolver) error {
+func rewriteHaving(ctx *Context, q *sqlast.Select, res *Resolver) error {
 	if q.Having == nil {
 		return nil
 	}
@@ -446,20 +418,23 @@ func rewriteHaving(ctx *Context, q *sqlast.Select, res *resolver) error {
 //     attributes become tuple INs carrying ttid on both sides,
 //  4. predicates mixing tenant-specific with other attributes are rejected
 //     (§2.4.2).
-func rewriteBoolExpr(ctx *Context, e sqlast.Expr, res *resolver) (sqlast.Expr, error) {
+func rewriteBoolExpr(ctx *Context, e sqlast.Expr, res *Resolver) (sqlast.Expr, error) {
 	if err := rewriteSubqueriesIn(ctx, e, res); err != nil {
 		return nil, err
 	}
-	pairs, err := analyzeTenantSpecific(ctx, e, res)
+	links, err := res.Links(e)
 	if err != nil {
 		return nil, err
 	}
+	for _, l := range links.Ins {
+		extendTenantSpecificIn(l)
+	}
 	wrapped, _ := wrapConvertibles(ctx, e, res)
-	for _, p := range pairs {
+	for _, p := range links.Pairs {
 		wrapped = sqlast.AndExprs(wrapped, &sqlast.BinaryExpr{
 			Op: "=",
-			L:  &sqlast.ColumnRef{Table: p[0], Name: mtsql.TTIDColumn},
-			R:  &sqlast.ColumnRef{Table: p[1], Name: mtsql.TTIDColumn},
+			L:  &sqlast.ColumnRef{Table: p[0].Name, Name: mtsql.TTIDColumn},
+			R:  &sqlast.ColumnRef{Table: p[1].Name, Name: mtsql.TTIDColumn},
 		})
 	}
 	return wrapped, nil
@@ -467,7 +442,7 @@ func rewriteBoolExpr(ctx *Context, e sqlast.Expr, res *resolver) (sqlast.Expr, e
 
 // rewriteSubqueriesIn rewrites every directly nested subquery of e in
 // place, chaining the resolver for correlated references.
-func rewriteSubqueriesIn(ctx *Context, e sqlast.Expr, res *resolver) error {
+func rewriteSubqueriesIn(ctx *Context, e sqlast.Expr, res *Resolver) error {
 	for _, sub := range sqlast.SubqueriesOf(e) {
 		if err := rewriteQuery(ctx, sub, res); err != nil {
 			return err
@@ -479,19 +454,19 @@ func rewriteSubqueriesIn(ctx *Context, e sqlast.Expr, res *resolver) error {
 // wrapConvertibles wraps every reference to a convertible attribute in
 // fromUniversal(toUniversal(attr, B.ttid), C). Constants are already in
 // C's format and stay untouched. Subqueries are boundaries.
-func wrapConvertibles(ctx *Context, e sqlast.Expr, res *resolver) (sqlast.Expr, bool) {
+func wrapConvertibles(ctx *Context, e sqlast.Expr, res *Resolver) (sqlast.Expr, bool) {
 	converted := false
 	out := sqlast.TransformExpr(e, func(n sqlast.Expr) sqlast.Expr {
 		cr, ok := n.(*sqlast.ColumnRef)
 		if !ok {
 			return n
 		}
-		a, found := res.resolve(cr)
-		if !found || a.col == nil || a.col.Comparability != sqlast.Convertible {
+		a, found := res.Resolve(cr)
+		if !found || a.Col == nil || a.Col.Comparability != sqlast.Convertible {
 			return n
 		}
 		converted = true
-		return ConversionCall(a.col, a.binding, cr, ctx.C)
+		return ConversionCall(a.Col, a.Binding.Name, cr, ctx.C)
 	})
 	return out, converted
 }
@@ -508,145 +483,146 @@ func ConversionCall(col *mtsql.ColumnInfo, binding string, expr sqlast.Expr, c i
 	}}
 }
 
-// analyzeTenantSpecific walks comparison predicates, validating the
-// tenant-specific comparison rules and collecting the (binding, binding)
-// pairs that need ttid equality predicates. It also tuple-extends
-// IN-subqueries over tenant-specific attributes in place.
-func analyzeTenantSpecific(ctx *Context, e sqlast.Expr, res *resolver) ([][2]string, error) {
-	var pairs [][2]string
-	seen := make(map[string]bool)
-	addPair := func(a, b string) {
-		if a == b {
-			return
-		}
-		if a > b {
-			a, b = b, a
-		}
-		k := a + "|" + b
-		if !seen[k] {
-			seen[k] = true
-			pairs = append(pairs, [2]string{a, b})
-		}
-	}
+// TTIDLinks is what the rewrite of one predicate ties together by ttid
+// (§2.4.2): the bindings it will equate with `a.ttid = b.ttid`, and the
+// IN-subqueries it will tuple-extend with ttid on both sides.
+type TTIDLinks struct {
+	Pairs [][2]*Binding // one per appended equality, in emission order
+	Ins   []InLink
+}
 
+// InLink is `attr IN (SELECT attr' ...)` over two tenant-specific attributes:
+// Outer owns attr in the predicate's scope, Inner owns attr' in the
+// subquery's.
+type InLink struct {
+	In           *sqlast.InExpr
+	Outer, Inner *Binding
+}
+
+// Links walks the comparison predicates of e — subqueries are boundaries —
+// and reports the ttid ties the rewrite makes for it, or the §2.4.2 rule e
+// breaks. It changes nothing: the rewrite applies what it reports
+// (rewriteBoolExpr), the shard classifier unions it.
+func (r *Resolver) Links(e sqlast.Expr) (TTIDLinks, error) {
+	var links TTIDLinks
 	var firstErr error
-	fail := func(err error) bool {
-		if firstErr == nil {
-			firstErr = err
-		}
-		return false
-	}
 
-	// classify returns the tenant-specific bindings and whether any
-	// non-tenant-specific attribute occurs in the operand expression.
-	classify := func(x sqlast.Expr) (tsBindings []string, hasOther bool) {
-		for _, cr := range sqlast.ColumnRefsOf(x) {
-			a, found := res.resolve(cr)
-			if !found {
-				continue
-			}
-			if a.comparability() == sqlast.Specific {
-				tsBindings = append(tsBindings, a.binding)
-			} else {
-				hasOther = true
-			}
-		}
-		return
-	}
-
-	checkComparison := func(operands ...sqlast.Expr) {
-		var ts []string
+	// compare classifies the operands of one comparison: tenant-specific
+	// attributes may only meet each other, and every further binding among
+	// them is tied to the first. Two bindings of one name are one binding to
+	// the emitted SQL, so pairs go by name.
+	compare := func(operands ...sqlast.Expr) {
+		var ts []*Binding
 		other := false
 		for _, op := range operands {
-			t, o := classify(op)
-			ts = append(ts, t...)
-			other = other || o
+			for _, cr := range sqlast.ColumnRefsOf(op) {
+				a, found := r.Resolve(cr)
+				if !found {
+					continue
+				}
+				if a.comparability() == sqlast.Specific {
+					ts = append(ts, a.Binding)
+				} else {
+					other = true
+				}
+			}
 		}
 		if len(ts) > 0 && other {
-			fail(fmt.Errorf("rewrite: cannot compare tenant-specific attributes with other attributes (§2.4.2)"))
+			firstErr = fmt.Errorf("rewrite: cannot compare tenant-specific attributes with other attributes (§2.4.2)")
 			return
 		}
 		for i := 1; i < len(ts); i++ {
-			addPair(ts[0], ts[i])
+			p := [2]*Binding{ts[0], ts[i]}
+			if p[0].Name > p[1].Name {
+				p[0], p[1] = p[1], p[0]
+			}
+			dup := p[0].Name == p[1].Name
+			for _, q := range links.Pairs {
+				dup = dup || (q[0].Name == p[0].Name && q[1].Name == p[1].Name)
+			}
+			if !dup {
+				links.Pairs = append(links.Pairs, p)
+			}
 		}
 	}
 
 	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
 		if firstErr != nil {
-			return false
+			return false // nothing is classified past the first breach, so it stays the first
 		}
 		switch x := n.(type) {
 		case *sqlast.BinaryExpr:
 			switch x.Op {
 			case "=", "<>", "<", "<=", ">", ">=":
-				checkComparison(x.L, x.R)
+				compare(x.L, x.R)
 				return false
 			}
 		case *sqlast.BetweenExpr:
-			checkComparison(x.X, x.Lo, x.Hi)
+			compare(x.X, x.Lo, x.Hi)
 			return false
 		case *sqlast.LikeExpr:
-			checkComparison(x.X, x.Pattern)
+			compare(x.X, x.Pattern)
 			return false
 		case *sqlast.InExpr:
 			if x.Sub == nil {
-				ops := append([]sqlast.Expr{x.X}, x.List...)
-				checkComparison(ops...)
-				return false
-			}
-			if err := extendTenantSpecificIn(ctx, x, res); err != nil {
-				fail(err)
+				compare(append([]sqlast.Expr{x.X}, x.List...)...)
+			} else if l, ok, err := r.inLink(x); err != nil {
+				firstErr = err
+			} else if ok {
+				links.Ins = append(links.Ins, l)
 			}
 			return false
 		}
 		return true
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	return links, firstErr
+}
+
+// inLink resolves both sides of `ts_attr IN (SELECT ts_attr ...)`. The
+// subquery's scope is built by name only: its blocks are whatever the caller
+// made of them, and nothing in them is touched from here.
+func (r *Resolver) inLink(in *sqlast.InExpr) (InLink, bool, error) {
+	cr, ok := in.X.(*sqlast.ColumnRef)
+	if !ok {
+		return InLink{}, false, nil // expression left sides stay as-is
 	}
-	return pairs, nil
+	a, found := r.Resolve(cr)
+	if !found || a.comparability() != sqlast.Specific {
+		return InLink{}, false, nil
+	}
+	// The subquery's output must itself be a tenant-specific base column.
+	if len(in.Sub.Items) != 1 || in.Sub.Items[0].Star {
+		return InLink{}, false, fmt.Errorf("rewrite: IN subquery over tenant-specific attribute must select a single column")
+	}
+	subRes, err := NewResolver(r.schema, in.Sub, r, nil)
+	if err != nil {
+		return InLink{}, false, err
+	}
+	subCr, ok := in.Sub.Items[0].Expr.(*sqlast.ColumnRef)
+	if !ok {
+		return InLink{}, false, fmt.Errorf("rewrite: cannot compare tenant-specific attribute %s with a computed subquery column (§2.4.2)", cr)
+	}
+	sa, found := subRes.Resolve(subCr)
+	if !found || sa.comparability() != sqlast.Specific {
+		return InLink{}, false, fmt.Errorf("rewrite: cannot compare tenant-specific attribute %s with non-tenant-specific subquery output (§2.4.2)", cr)
+	}
+	return InLink{In: in, Outer: a.Binding, Inner: sa.Binding}, true, nil
 }
 
 // extendTenantSpecificIn makes `ts_attr IN (SELECT ts_attr ...)` tenant-
 // aware by extending both sides with the owning tables' ttid columns:
 // (attr, B.ttid) IN (SELECT attr', B'.ttid ...). The subquery has already
 // been rewritten (and D-filtered) at this point.
-func extendTenantSpecificIn(ctx *Context, in *sqlast.InExpr, res *resolver) error {
-	cr, ok := in.X.(*sqlast.ColumnRef)
-	if !ok {
-		return nil // expression left sides stay as-is
-	}
-	a, found := res.resolve(cr)
-	if !found || a.comparability() != sqlast.Specific {
-		return nil
-	}
-	// The subquery's output must itself be a tenant-specific base column.
-	if len(in.Sub.Items) != 1 || in.Sub.Items[0].Star {
-		return fmt.Errorf("rewrite: IN subquery over tenant-specific attribute must select a single column")
-	}
-	subRes, err := buildResolver(ctx, in.Sub, res)
-	if err != nil {
-		return err
-	}
-	subItem := in.Sub.Items[0]
-	subCr, ok := subItem.Expr.(*sqlast.ColumnRef)
-	if !ok {
-		return fmt.Errorf("rewrite: cannot compare tenant-specific attribute %s with a computed subquery column (§2.4.2)", cr)
-	}
-	sa, found := subRes.resolve(subCr)
-	if !found || sa.comparability() != sqlast.Specific {
-		return fmt.Errorf("rewrite: cannot compare tenant-specific attribute %s with non-tenant-specific subquery output (§2.4.2)", cr)
-	}
+func extendTenantSpecificIn(l InLink) {
+	in := l.In
 	in.X = &sqlast.RowExpr{Exprs: []sqlast.Expr{
 		in.X,
-		&sqlast.ColumnRef{Table: a.binding, Name: mtsql.TTIDColumn},
+		&sqlast.ColumnRef{Table: l.Outer.Name, Name: mtsql.TTIDColumn},
 	}}
-	in.Sub.Items = append(in.Sub.Items, sqlast.SelectItem{
-		Expr: &sqlast.ColumnRef{Table: sa.binding, Name: mtsql.TTIDColumn},
-	})
+	inner := &sqlast.ColumnRef{Table: l.Inner.Name, Name: mtsql.TTIDColumn}
+	in.Sub.Items = append(in.Sub.Items, sqlast.SelectItem{Expr: inner})
 	// GROUP BY subqueries must group by the new ttid output as well.
 	if len(in.Sub.GroupBy) > 0 {
-		in.Sub.GroupBy = append(in.Sub.GroupBy, &sqlast.ColumnRef{Table: sa.binding, Name: mtsql.TTIDColumn})
+		in.Sub.GroupBy = append(in.Sub.GroupBy, &sqlast.ColumnRef{Table: l.Inner.Name, Name: mtsql.TTIDColumn})
 	}
-	return nil
 }

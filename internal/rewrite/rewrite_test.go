@@ -171,6 +171,20 @@ func TestRewriteRejectsMixedComparison(t *testing.T) {
 	if _, err := Query(ctx, q); err == nil {
 		t.Error("mixed tenant-specific comparison accepted")
 	}
+	// A predicate that breaks the rule twice is refused for the first breach:
+	// the shard router words its routing reason with this text.
+	for sql, want := range map[string]string{
+		"SELECT E_name FROM Employees WHERE E_role_id = E_age AND E_role_id IN (SELECT COUNT(*) FROM Roles)": "with other attributes",
+		"SELECT E_name FROM Employees WHERE E_role_id IN (SELECT COUNT(*) FROM Roles) AND E_role_id = E_age": "computed subquery column",
+	} {
+		q, err := sqlparse.ParseQuery(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Query(ctx, q); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want the first breach (%q)", sql, err, want)
+		}
+	}
 }
 
 func TestRewriteExplicitJoinOn(t *testing.T) {
@@ -233,6 +247,30 @@ func TestRewriteTupleInGroupBy(t *testing.T) {
 	// ttid must join the GROUP BY list of the subquery.
 	if !strings.Contains(got, "GROUP BY R_role_id, roles.ttid") {
 		t.Errorf("group by not extended: %s", got)
+	}
+}
+
+// TestRewriteDerivedTableUnderTupleIn: tuple-extending a tenant-specific IN
+// resolves the subquery's item in a scope built by name only, so a derived
+// table inside the subquery — already rewritten with its block — is not
+// rewritten a second time: one conversion around E_salary, one D-filter per
+// block.
+func TestRewriteDerivedTableUnderTupleIn(t *testing.T) {
+	ctx := ctxFor(t, 0, 0, 1)
+	got := mustRewrite(t, ctx, `SELECT E_name FROM Employees WHERE E_emp_id IN (
+		SELECT e.E_emp_id FROM Employees e, (SELECT E_salary AS s FROM Employees) d WHERE d.s > 5)`)
+	if !strings.Contains(got, "(SELECT currencyFromUniversal(currencyToUniversal(E_salary, employees.ttid), 0) AS s FROM Employees WHERE employees.ttid IN (0, 1)) AS d") {
+		t.Errorf("derived table under the tuple IN is not rewritten exactly once: %s", got)
+	}
+	if n := strings.Count(got, "currencyToUniversal("); n != 1 {
+		t.Errorf("%d conversions of E_salary, want 1: %s", n, got)
+	}
+	// The outer block and the derived block both bind Employees as employees.
+	if n := strings.Count(got, "employees.ttid IN (0, 1)"); n != 2 {
+		t.Errorf("%d D-filters on employees, want one per block (2): %s", n, got)
+	}
+	if !strings.Contains(got, "(E_emp_id, employees.ttid) IN (SELECT e.E_emp_id, e.ttid FROM") {
+		t.Errorf("tuple extension missing: %s", got)
 	}
 }
 

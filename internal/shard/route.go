@@ -1,6 +1,6 @@
 package shard
 
-// Pinned-query classification (DESIGN.md ADR-009).
+// Pinned-query classification (DESIGN.md ADR-009, ADR-018).
 //
 // The MTBase rewrite appends `a.ttid = b.ttid` for every comparison
 // predicate over tenant-specific (SPECIFIC) attributes of two bindings,
@@ -21,7 +21,10 @@ package shard
 // injects ttid through them — and grouping/DISTINCT/LIMIT inside a
 // non-top block erases row-level tenant identity (groups merge by value
 // across tenants, limits apply to cross-tenant heap order). Hence the
-// conservative rules below. A rejected statement gets one more planning
+// conservative rules below. Which bindings a predicate ties, and how a column
+// reference finds its binding, is asked of the rewrite itself
+// (rewrite.Resolver, Resolver.Links); what is kept here is routing: the
+// union-find, the block roles and the reject rules. A rejected statement gets one more planning
 // step — its closed scalar subqueries run as routed statements of their own
 // and come back as bind values (stage.go, ADR-015) — and only what is still
 // unpinned after that routes through the exact repartition fallback.
@@ -32,6 +35,7 @@ import (
 
 	"mtbase/internal/engine"
 	"mtbase/internal/mtsql"
+	"mtbase/internal/rewrite"
 	"mtbase/internal/sqlast"
 )
 
@@ -51,67 +55,11 @@ type analysis struct {
 // pinned: no rule was violated and all tenant bindings form one component.
 func (a analysis) pinned() bool { return a.reason == "" }
 
-// rtBinding mirrors the rewrite resolver's binding: one FROM item of one
-// block. uf >= 0 names the union-find node of a tenant-specific binding.
-type rtBinding struct {
-	name    string
-	info    *mtsql.TableInfo
-	outputs map[string]bool
-	uf      int
-}
-
-// rtScope chains binding scopes across nested blocks, mirroring the
-// rewrite's correlated-reference resolution order exactly.
-type rtScope struct {
-	parent   *rtScope
-	bindings []*rtBinding
-}
-
-func (s *rtScope) resolve(ref *sqlast.ColumnRef) *rtBinding {
-	tl := strings.ToLower(ref.Table)
-	cl := strings.ToLower(ref.Name)
-	for sc := s; sc != nil; sc = sc.parent {
-		for _, b := range sc.bindings {
-			if tl != "" && b.name != tl {
-				continue
-			}
-			if b.info != nil {
-				if cl == mtsql.TTIDColumn {
-					if b.info.TenantSpecific() && tl != "" {
-						return b
-					}
-					continue
-				}
-				if b.info.Column(ref.Name) != nil {
-					return b
-				}
-			} else if b.outputs[cl] {
-				return b
-			}
-		}
-	}
-	return nil
-}
-
-// specificBinding returns the binding when ref resolves to a SPECIFIC
-// attribute of a tenant table, else nil.
-func (s *rtScope) specificBinding(ref *sqlast.ColumnRef) *rtBinding {
-	b := s.resolve(ref)
-	if b == nil || b.info == nil {
-		return nil
-	}
-	ci := b.info.Column(ref.Name)
-	if ci == nil || ci.Comparability != sqlast.Specific {
-		return nil
-	}
-	return b
-}
-
 // classifier accumulates the union-find over tenant bindings.
 type classifier struct {
 	schema *mtsql.Schema
 	parent []int                     // union-find
-	nodes  map[*sqlast.TableName]int // union-find node per tenant TableName occurrence
+	nodes  map[*sqlast.TableName]int // union-find node per tenant-table FROM item
 	reason string                    // first rule violated → not pinned; "" when none was
 }
 
@@ -153,15 +101,16 @@ func (c *classifier) components() int {
 func analyze(sel *sqlast.Select, schema *mtsql.Schema) analysis {
 	c := &classifier{schema: schema}
 	c.visitSelect(sel, nil, topBlock)
-	an := analysis{reason: c.reason, tenantFree: len(c.parent) == 0}
+	an := analysis{reason: c.reason}
 	if n := c.components(); an.reason == "" && n > 1 {
 		an.reason = fmt.Sprintf("%d unlinked tenant components", n)
 	}
 	if !an.pinned() {
 		return an
 	}
+	an.tenantFree = len(c.parent) == 0
 	if topHasAggregation(sel) {
-		if plan, ok := buildPartialPlan(sel); ok {
+		if plan, ok := buildPartialPlan(sel, schema); ok {
 			an.aggPush = true
 			an.plan = plan
 		}
@@ -189,57 +138,37 @@ const (
 	predicateBlock
 )
 
-// visitSelect processes one block: builds its binding scope (mirroring
-// buildResolver's order, so derived subqueries see the bindings declared
-// before them), collects ttid-equality edges from WHERE/ON/HAVING, and
-// recurses into nested blocks. Returns whether the block or any
-// descendant binds a tenant-specific table.
-func (c *classifier) visitSelect(sel *sqlast.Select, parent *rtScope, role blockRole) bool {
-	scope := &rtScope{parent: parent}
+// visitSelect processes one block: binds its FROM items through the rewrite's
+// own scope (derived blocks are visited from there, seeing the items declared
+// before them, as the rewrite rewrites them), unions the ttid ties the rewrite
+// will make in WHERE/ON/HAVING, and recurses into nested blocks. Returns
+// whether the block or any descendant binds a tenant-specific table.
+func (c *classifier) visitSelect(sel *sqlast.Select, parent *rewrite.Resolver, role blockRole) bool {
 	hasTenant := false
-	var visitFrom func(te sqlast.TableExpr)
-	visitFrom = func(te sqlast.TableExpr) {
-		switch t := te.(type) {
-		case *sqlast.TableName:
-			b := &rtBinding{name: strings.ToLower(t.Binding()), uf: -1}
-			if info := c.schema.Table(t.Name); info != nil {
-				b.info = info
-				if info.TenantSpecific() {
-					b.uf = c.nodeFor(t)
-					hasTenant = true
-				}
-			} else if cols := c.schema.View(t.Name); cols != nil {
-				// Views bake their own tenant set; the router already
-				// forces them through the fallback.
-				b.outputs = make(map[string]bool, len(cols))
-				for _, col := range cols {
-					b.outputs[strings.ToLower(col)] = true
-				}
-				c.reject("view")
-			} else {
-				c.reject("unknown table")
-			}
-			scope.bindings = append(scope.bindings, b)
-		case *sqlast.DerivedTable:
-			inner := c.visitSelect(t.Sub, scope, derivedBlock)
-			if inner && !plainBlock(t.Sub) {
-				// Grouped/distinct/limited derived rows merge or cut
-				// across tenants; their tenant identity is gone.
-				c.reject("derived table groups across tenants")
-			}
-			hasTenant = hasTenant || inner
-			scope.bindings = append(scope.bindings, &rtBinding{
-				name:    strings.ToLower(t.Alias),
-				outputs: outputColumnSet(t.Sub),
-				uf:      -1,
-			})
-		case *sqlast.JoinExpr:
-			visitFrom(t.L)
-			visitFrom(t.R)
+	scope, err := rewrite.NewResolver(c.schema, sel, parent, func(sub *sqlast.Select, scope *rewrite.Resolver) error {
+		inner := c.visitSelect(sub, scope, derivedBlock)
+		if inner && !plainBlock(sub) {
+			// Grouped/distinct/limited derived rows merge or cut
+			// across tenants; their tenant identity is gone.
+			c.reject("derived table groups across tenants")
 		}
+		hasTenant = hasTenant || inner
+		return nil
+	})
+	if err != nil {
+		c.reject("unknown table")
+		return hasTenant
 	}
-	for _, te := range sel.From {
-		visitFrom(te)
+	for _, b := range scope.Bindings() {
+		switch {
+		case b.Info != nil && b.Info.TenantSpecific():
+			c.nodeFor(b.Table)
+			hasTenant = true
+		case b.Info == nil && b.Table != nil:
+			// Views bake their own tenant set; the router already
+			// forces them through the fallback.
+			c.reject("view")
+		}
 	}
 	fromTenant := hasTenant
 
@@ -249,38 +178,25 @@ func (c *classifier) visitSelect(sel *sqlast.Select, parent *rtScope, role block
 		c.reject("nested LIMIT or DISTINCT over tenant rows")
 	}
 
-	// Edge collection mirrors rewriteBoolExpr's application sites: WHERE,
-	// every JOIN ON, HAVING. Select items, GROUP BY and ORDER BY keys only
-	// contribute their nested subqueries (the rewrite adds no ttid pairs there;
-	// an ORDER BY key that names an output column holds none).
-	var visitOns func(te sqlast.TableExpr)
-	visitOns = func(te sqlast.TableExpr) {
-		if j, ok := te.(*sqlast.JoinExpr); ok {
-			visitOns(j.L)
-			visitOns(j.R)
-			if j.On != nil {
-				c.collectEdges(j.On, scope)
-			}
+	// The rewrite ties bindings by ttid where it rewrites a predicate
+	// (rewriteBoolExpr): WHERE, every JOIN ON, HAVING. Select items, GROUP BY
+	// and ORDER BY keys only contribute their nested blocks (no ttid pairs
+	// there; an ORDER BY key that names an output column holds none).
+	sqlast.EachJoin(sel.From, func(j *sqlast.JoinExpr) {
+		if j.On != nil {
+			c.link(j.On, scope)
+		}
+	})
+	for _, e := range []sqlast.Expr{sel.Where, sel.Having} {
+		if e != nil {
+			c.link(e, scope)
 		}
 	}
-	for _, te := range sel.From {
-		visitOns(te)
-	}
-	if sel.Where != nil {
-		hasTenant = c.collectEdges(sel.Where, scope) || hasTenant
-	}
-	if sel.Having != nil {
-		hasTenant = c.collectEdges(sel.Having, scope) || hasTenant
-	}
-	for _, it := range sel.Items {
-		hasTenant = c.visitSubqueriesOnly(it.Expr, scope) || hasTenant
-	}
-	for _, g := range sel.GroupBy {
-		hasTenant = c.visitSubqueriesOnly(g, scope) || hasTenant
-	}
-	for _, o := range sel.OrderBy {
-		hasTenant = c.visitSubqueriesOnly(o.Expr, scope) || hasTenant
-	}
+	sqlast.BlockExprs(sel, func(e sqlast.Expr) {
+		for _, sub := range sqlast.SubqueriesOf(e) {
+			hasTenant = c.visitSelect(sub, scope, predicateBlock) || hasTenant
+		}
+	})
 	if role != predicateBlock && hasTenant && !fromTenant {
 		// The block's rows are global rows that a predicate over tenant data
 		// merely filters (MT-H Q20): every shard would return them, filtered
@@ -290,164 +206,32 @@ func (c *classifier) visitSelect(sel *sqlast.Select, parent *rtScope, role block
 	return hasTenant
 }
 
-// collectEdges walks a predicate the way analyzeTenantSpecific does:
-// comparisons over SPECIFIC attributes of two bindings become union-find
-// edges, tenant-specific IN-subqueries link the two sides, and nested
-// subqueries recurse with the chained scope. Returns whether any nested
-// block binds a tenant table.
-func (c *classifier) collectEdges(e sqlast.Expr, scope *rtScope) bool {
-	nested := false
-	link := func(operands ...sqlast.Expr) {
-		var nodes []int
-		for _, op := range operands {
-			for _, cr := range sqlast.ColumnRefsOf(op) {
-				if b := scope.specificBinding(cr); b != nil && b.uf >= 0 {
-					nodes = append(nodes, b.uf)
-				}
-			}
-		}
-		for i := 1; i < len(nodes); i++ {
-			c.union(nodes[0], nodes[i])
+// link unions exactly the bindings the rewrite ties by ttid in predicate e:
+// the pairs it appends `a.ttid = b.ttid` for and the two sides of every
+// IN-subquery it tuple-extends. A predicate the rewrite refuses routes nowhere
+// in particular; the fallback words its error.
+func (c *classifier) link(e sqlast.Expr, scope *rewrite.Resolver) {
+	links, err := scope.Links(e)
+	if err != nil {
+		c.reject(err.Error())
+		return
+	}
+	tie := func(a, b *rewrite.Binding) {
+		if a.Info.TenantSpecific() && b.Info.TenantSpecific() {
+			c.union(c.nodeFor(a.Table), c.nodeFor(b.Table))
 		}
 	}
-	// compare links the operands of one comparison; the blocks nested in them
-	// (a scalar subquery as a bound or a list member) are visited on their own.
-	compare := func(n sqlast.Expr, operands ...sqlast.Expr) bool {
-		link(operands...)
-		nested = c.visitSubqueriesOnly(n, scope) || nested
-		return false
+	for _, p := range links.Pairs {
+		tie(p[0], p[1])
 	}
-	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-		switch x := n.(type) {
-		case *sqlast.BinaryExpr:
-			switch x.Op {
-			case "=", "<>", "<", "<=", ">", ">=":
-				return compare(x, x.L, x.R)
-			}
-		case *sqlast.BetweenExpr:
-			return compare(x, x.X, x.Lo, x.Hi)
-		case *sqlast.LikeExpr:
-			return compare(x, x.X, x.Pattern)
-		case *sqlast.InExpr:
-			if x.Sub == nil {
-				return compare(x, append([]sqlast.Expr{x.X}, x.List...)...)
-			}
-			nested = c.visitInSub(x, scope) || nested
-			return false
-		case *sqlast.ExistsExpr:
-			nested = c.visitSelect(x.Sub, scope, predicateBlock) || nested
-			return false
-		case *sqlast.SubqueryExpr:
-			nested = c.visitSelect(x.Sub, scope, predicateBlock) || nested
-			return false
-		}
-		return true
-	})
-	return nested
+	for _, in := range links.Ins {
+		tie(in.Outer, in.Inner)
+	}
 }
 
-// visitSubqueriesOnly recurses into the subqueries of an expression that
-// sits outside the rewrite's boolean positions (select items, GROUP BY and
-// ORDER BY keys):
-// nested blocks there are rewritten as independent blocks, so they
-// contribute bindings but no ttid edges at this level. An IN-subquery
-// here gets no tuple extension either, so only its block is visited.
-func (c *classifier) visitSubqueriesOnly(e sqlast.Expr, scope *rtScope) bool {
-	nested := false
-	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-		switch x := n.(type) {
-		case *sqlast.InExpr:
-			if x.Sub != nil {
-				nested = c.visitSelect(x.Sub, scope, predicateBlock) || nested
-				return false
-			}
-		case *sqlast.ExistsExpr:
-			nested = c.visitSelect(x.Sub, scope, predicateBlock) || nested
-			return false
-		case *sqlast.SubqueryExpr:
-			nested = c.visitSelect(x.Sub, scope, predicateBlock) || nested
-			return false
-		}
-		return true
-	})
-	return nested
-}
-
-// visitInSub handles `attr IN (SELECT item ...)`: the rewrite carries
-// ttid on both sides when attr and item are both SPECIFIC, linking the
-// outer binding with the subquery item's binding.
-func (c *classifier) visitInSub(in *sqlast.InExpr, scope *rtScope) bool {
-	// Build the sub's scope first (its bindings may be edge endpoints).
-	nested := c.visitSelect(in.Sub, scope, predicateBlock)
-	cr, ok := in.X.(*sqlast.ColumnRef)
-	if !ok {
-		return nested
-	}
-	outer := scope.specificBinding(cr)
-	if outer == nil || outer.uf < 0 {
-		return nested
-	}
-	if len(in.Sub.Items) != 1 || in.Sub.Items[0].Star {
-		return nested
-	}
-	subCr, ok := in.Sub.Items[0].Expr.(*sqlast.ColumnRef)
-	if !ok {
-		return nested
-	}
-	// Resolve the sub item in the sub's own scope (chained to ours).
-	subScope := c.rebuildScope(in.Sub, scope)
-	innerB := subScope.specificBinding(subCr)
-	if innerB != nil && innerB.uf >= 0 {
-		c.union(outer.uf, innerB.uf)
-	}
-	return nested
-}
-
-// rebuildScope rebuilds a block's binding scope without re-walking its
-// predicates (visitSelect already collected that block's edges; reusing
-// resolve() here only needs names). Derived tables inside get output-only
-// bindings; no new union-find nodes are created.
-func (c *classifier) rebuildScope(sel *sqlast.Select, parent *rtScope) *rtScope {
-	scope := &rtScope{parent: parent}
-	var visit func(te sqlast.TableExpr)
-	visit = func(te sqlast.TableExpr) {
-		switch t := te.(type) {
-		case *sqlast.TableName:
-			b := &rtBinding{name: strings.ToLower(t.Binding()), uf: -1}
-			if info := c.schema.Table(t.Name); info != nil {
-				b.info = info
-				if info.TenantSpecific() {
-					// The memo returns the node visitSelect created for
-					// this same TableName occurrence, so unions through
-					// this rebuilt binding land in the right component.
-					b.uf = c.nodeFor(t)
-				}
-			} else if cols := c.schema.View(t.Name); cols != nil {
-				b.outputs = make(map[string]bool, len(cols))
-				for _, col := range cols {
-					b.outputs[strings.ToLower(col)] = true
-				}
-			}
-			scope.bindings = append(scope.bindings, b)
-		case *sqlast.DerivedTable:
-			scope.bindings = append(scope.bindings, &rtBinding{
-				name:    strings.ToLower(t.Alias),
-				outputs: outputColumnSet(t.Sub),
-				uf:      -1,
-			})
-		case *sqlast.JoinExpr:
-			visit(t.L)
-			visit(t.R)
-		}
-	}
-	for _, te := range sel.From {
-		visit(te)
-	}
-	return scope
-}
-
-// nodeFor memoizes the union-find node per tenant TableName occurrence,
-// so rebuildScope resolves into the same component visitSelect built.
+// nodeFor memoizes the union-find node per tenant TableName occurrence: the
+// rewrite builds an IN-subquery's scope a second time to resolve its item, and
+// both bindings of one FROM item must land in one component.
 func (c *classifier) nodeFor(tn *sqlast.TableName) int {
 	if c.nodes == nil {
 		c.nodes = make(map[*sqlast.TableName]int)
@@ -479,7 +263,7 @@ func topHasAggregation(sel *sqlast.Select) bool {
 	found := false
 	check := func(e sqlast.Expr) {
 		sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-			if fc, ok := n.(*sqlast.FuncCall); ok && engine.IsAggregate(fc.Name) {
+			if fc, ok := n.(*sqlast.FuncCall); ok && sqlast.IsAggregate(fc.Name) {
 				found = true
 			}
 			return !found
@@ -495,46 +279,6 @@ func topHasAggregation(sel *sqlast.Select) bool {
 	return found
 }
 
-// outputColumnSet mirrors the rewrite's outputColumns.
-func outputColumnSet(q *sqlast.Select) map[string]bool {
-	out := make(map[string]bool)
-	for _, it := range q.Items {
-		switch {
-		case it.Alias != "":
-			out[strings.ToLower(it.Alias)] = true
-		case it.Expr != nil:
-			if cr, ok := it.Expr.(*sqlast.ColumnRef); ok {
-				out[strings.ToLower(cr.Name)] = true
-			} else {
-				out[strings.ToLower(it.Expr.String())] = true
-			}
-		}
-	}
-	return out
-}
-
-// outputNames mirrors the engine's output-column naming for a block with
-// no star items (stars make names placement-dependent → unmappable).
-func outputNames(sel *sqlast.Select) ([]string, bool) {
-	names := make([]string, 0, len(sel.Items))
-	for _, it := range sel.Items {
-		if it.Star {
-			return nil, false
-		}
-		switch {
-		case it.Alias != "":
-			names = append(names, it.Alias)
-		default:
-			if cr, ok := it.Expr.(*sqlast.ColumnRef); ok {
-				names = append(names, cr.Name)
-			} else {
-				names = append(names, it.Expr.String())
-			}
-		}
-	}
-	return names, true
-}
-
 // mapOrderKeys maps each ORDER BY item onto an output column position so
 // the gather can k-way merge. Items that are not plain references to an
 // output column (by alias, column name, or textual equality with the
@@ -543,16 +287,17 @@ func mapOrderKeys(sel *sqlast.Select) ([]engine.MergeKey, bool) {
 	if len(sel.OrderBy) == 0 {
 		return nil, true
 	}
-	names, ok := outputNames(sel)
-	if !ok {
-		return nil, false
+	for _, it := range sel.Items {
+		if it.Star {
+			return nil, false // a star's columns are placement-dependent: unmappable
+		}
 	}
 	keys := make([]engine.MergeKey, 0, len(sel.OrderBy))
 	for _, o := range sel.OrderBy {
 		idx := -1
 		if cr, ok := o.Expr.(*sqlast.ColumnRef); ok && cr.Table == "" {
-			for i, n := range names {
-				if strings.EqualFold(n, cr.Name) {
+			for i, it := range sel.Items {
+				if strings.EqualFold(it.OutputName(), cr.Name) {
 					idx = i
 					break
 				}

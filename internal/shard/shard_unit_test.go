@@ -128,71 +128,74 @@ func parseSel(t *testing.T, sql string) *sqlast.Select {
 	return sel
 }
 
+// classificationCases is TestAnalyzeClassification's table; the link check
+// (links_test.go) reads its statements too.
+var classificationCases = []struct {
+	name      string
+	sql       string
+	pinned    bool
+	plainScan bool
+	aggPush   bool
+}{
+	{
+		name:      "single tenant table scan merges",
+		sql:       "SELECT e_id, e_name FROM emp WHERE e_age > 30 ORDER BY e_id",
+		pinned:    true,
+		plainScan: true,
+	},
+	{
+		// The rewrite injects emp.ttid = roles.ttid for this SPECIFIC
+		// comparison, so the two bindings form one component.
+		name:      "specific join chains into one component",
+		sql:       "SELECT e_name, r_name FROM emp, roles WHERE e_role = r_id ORDER BY e_name",
+		pinned:    true,
+		plainScan: true,
+	},
+	{
+		// Joining only on COMPARABLE attributes injects no ttid
+		// equality: two components, rows may mix tenants.
+		name:   "comparable-only join is unpinned",
+		sql:    "SELECT e_name, r_name FROM emp, roles WHERE e_name = r_name",
+		pinned: false,
+	},
+	{
+		name:   "global-only query groups as unpinned",
+		sql:    "SELECT re_name FROM regions ORDER BY re_id",
+		pinned: true, // zero tenant components ≤ 1; router still scatters trivially
+	},
+	{
+		name:    "pinned aggregation pushes partials",
+		sql:     "SELECT e_role, COUNT(*) AS n, AVG(e_age) AS a FROM emp GROUP BY e_role ORDER BY e_role",
+		pinned:  true,
+		aggPush: true,
+	},
+	{
+		// Pinned but DISTINCT: concat would duplicate across shards,
+		// and there is no aggregation to fold — repartition fallback.
+		name:   "top-level distinct needs fallback",
+		sql:    "SELECT DISTINCT e_name FROM emp",
+		pinned: true,
+	},
+	{
+		name:   "nested limit erases tenant identity",
+		sql:    "SELECT s.e_id FROM (SELECT e_id FROM emp ORDER BY e_age LIMIT 5) AS s",
+		pinned: false,
+	},
+	{
+		name:   "views force the fallback",
+		sql:    "SELECT e_name FROM emp_view",
+		pinned: false,
+	},
+	{
+		name:   "unknown table is conservatively unpinned",
+		sql:    "SELECT x FROM nowhere",
+		pinned: false,
+	},
+}
+
 func TestAnalyzeClassification(t *testing.T) {
 	schema := routeSchema(t)
-	cases := []struct {
-		name      string
-		sql       string
-		pinned    bool
-		plainScan bool
-		aggPush   bool
-	}{
-		{
-			name:      "single tenant table scan merges",
-			sql:       "SELECT e_id, e_name FROM emp WHERE e_age > 30 ORDER BY e_id",
-			pinned:    true,
-			plainScan: true,
-		},
-		{
-			// The rewrite injects emp.ttid = roles.ttid for this SPECIFIC
-			// comparison, so the two bindings form one component.
-			name:      "specific join chains into one component",
-			sql:       "SELECT e_name, r_name FROM emp, roles WHERE e_role = r_id ORDER BY e_name",
-			pinned:    true,
-			plainScan: true,
-		},
-		{
-			// Joining only on COMPARABLE attributes injects no ttid
-			// equality: two components, rows may mix tenants.
-			name:   "comparable-only join is unpinned",
-			sql:    "SELECT e_name, r_name FROM emp, roles WHERE e_name = r_name",
-			pinned: false,
-		},
-		{
-			name:   "global-only query groups as unpinned",
-			sql:    "SELECT re_name FROM regions ORDER BY re_id",
-			pinned: true, // zero tenant components ≤ 1; router still scatters trivially
-		},
-		{
-			name:    "pinned aggregation pushes partials",
-			sql:     "SELECT e_role, COUNT(*) AS n, AVG(e_age) AS a FROM emp GROUP BY e_role ORDER BY e_role",
-			pinned:  true,
-			aggPush: true,
-		},
-		{
-			// Pinned but DISTINCT: concat would duplicate across shards,
-			// and there is no aggregation to fold — repartition fallback.
-			name:   "top-level distinct needs fallback",
-			sql:    "SELECT DISTINCT e_name FROM emp",
-			pinned: true,
-		},
-		{
-			name:   "nested limit erases tenant identity",
-			sql:    "SELECT s.e_id FROM (SELECT e_id FROM emp ORDER BY e_age LIMIT 5) AS s",
-			pinned: false,
-		},
-		{
-			name:   "views force the fallback",
-			sql:    "SELECT e_name FROM emp_view",
-			pinned: false,
-		},
-		{
-			name:   "unknown table is conservatively unpinned",
-			sql:    "SELECT x FROM nowhere",
-			pinned: false,
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range classificationCases {
 		t.Run(tc.name, func(t *testing.T) {
 			an := analyze(parseSel(t, tc.sql), schema)
 			if an.pinned() != tc.pinned {
@@ -237,14 +240,16 @@ func TestAnalyzeMergeKeys(t *testing.T) {
 }
 
 func TestBuildPartialPlanDecomposition(t *testing.T) {
+	schema := routeSchema(t)
 	sel := parseSel(t, `SELECT e_role, COUNT(*) AS n, SUM(e_age) AS s, AVG(e_age) AS a
 		FROM emp GROUP BY e_role ORDER BY e_role`)
-	plan, ok := buildPartialPlan(sel)
+	plan, ok := buildPartialPlan(sel, schema)
 	if !ok {
 		t.Fatal("grouped COUNT/SUM/AVG must be decomposable")
 	}
-	// mtg_0 (group key), mtp for COUNT, SUM, then AVG's sum+count pair.
-	want := []string{"mtg_0", "mtp_1", "mtp_2", "mtp_3", "mtp_4"}
+	// mt_g1 (group key), mt_a for COUNT, SUM (which reserves mt_a3, o3's
+	// numbering), then AVG's sum+count pair.
+	want := []string{"mt_g1", "mt_a1", "mt_a2", "mt_a4", "mt_a5"}
 	if len(plan.partialCols) != len(want) {
 		t.Fatalf("partial columns %v, want %v", plan.partialCols, want)
 	}
@@ -258,16 +263,13 @@ func TestBuildPartialPlanDecomposition(t *testing.T) {
 		t.Errorf("partial must strip ORDER BY/HAVING: %s", partialSQL)
 	}
 	combineSQL := plan.combine.String()
-	if !strings.Contains(combineSQL, "* 1.0") {
-		t.Errorf("AVG fold must force float division with * 1.0: %s", combineSQL)
-	}
-	if strings.Contains(combineSQL, "COALESCE") {
-		t.Errorf("grouped COUNT fold must not inject COALESCE: %s", combineSQL)
+	if !strings.Contains(combineSQL, "(CAST_DECIMAL(SUM(mt_part.mt_a4)) / SUM(mt_part.mt_a5)) AS a FROM mt_partials mt_part") {
+		t.Errorf("AVG fold must divide in floating point, over the partial rows bound as mt_part: %s", combineSQL)
 	}
 
 	// Ungrouped COUNT over zero partial rows would SUM to NULL; the fold
 	// must coalesce it back to 0.
-	plan, ok = buildPartialPlan(parseSel(t, "SELECT COUNT(*) AS n FROM emp"))
+	plan, ok = buildPartialPlan(parseSel(t, "SELECT COUNT(*) AS n FROM emp"), schema)
 	if !ok {
 		t.Fatal("ungrouped COUNT must be decomposable")
 	}
@@ -281,9 +283,9 @@ func TestBuildPartialPlanDecomposition(t *testing.T) {
 	for sql, want := range map[string]string{
 		"SELECT AVG(e_age) FROM emp":                                     "AS mtc_0 FROM",
 		"SELECT COUNT(*) FROM emp":                                       "AS mtc_0 FROM",
-		"SELECT e_role, SUM(e_age) / SUM(e_id) FROM emp GROUP BY e_role": "AS e_role, (SUM(mtp_1) / SUM(mtp_2)) AS mtc_1 FROM",
+		"SELECT e_role, SUM(e_age) / SUM(e_id) FROM emp GROUP BY e_role": "AS e_role, (SUM(mt_part.mt_a1) / SUM(mt_part.mt_a3)) AS mtc_1 FROM",
 	} {
-		plan, ok = buildPartialPlan(parseSel(t, sql))
+		plan, ok = buildPartialPlan(parseSel(t, sql), schema)
 		if !ok || !plan.renamed {
 			t.Fatalf("%s: decomposable=%v renamed=%v, want an un-aliased aggregate to decompose under an internal alias", sql, ok, plan != nil && plan.renamed)
 		}
@@ -291,13 +293,13 @@ func TestBuildPartialPlanDecomposition(t *testing.T) {
 			t.Errorf("%s: combine = %s, want it to contain %q", sql, got, want)
 		}
 	}
-	if plan, _ = buildPartialPlan(sel); plan.renamed {
+	if plan, _ = buildPartialPlan(sel, schema); plan.renamed {
 		t.Error("a statement whose items all have identifier names needs no header restored")
 	}
 
 	// COUNT(DISTINCT x) cannot be folded from per-shard partials.
 	if _, ok := buildPartialPlan(parseSel(t,
-		"SELECT COUNT(DISTINCT e_name) FROM emp")); ok {
+		"SELECT COUNT(DISTINCT e_name) FROM emp"), schema); ok {
 		t.Error("COUNT(DISTINCT) must reject the pushdown")
 	}
 }

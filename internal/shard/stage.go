@@ -25,6 +25,7 @@ import (
 	"errors"
 
 	"mtbase/internal/mtsql"
+	"mtbase/internal/rewrite"
 	"mtbase/internal/sqlast"
 	"mtbase/internal/sqltypes"
 )
@@ -65,33 +66,21 @@ func isStageRef(sub *sqlast.Select) bool {
 // decomposition rejects them anyway. A hoisted block is not searched further
 // — it is routed as a statement and gets this step itself.
 func hoistScalars(sel *sqlast.Select, schema *mtsql.Schema, n int) (*sqlast.Select, []*sqlast.Select) {
-	h := &hoister{cl: classifier{schema: schema}, n: n}
+	h := &hoister{schema: schema, n: n}
 	out := sqlast.CloneSelect(sel)
 	h.block(out)
 	return out, h.subs
 }
 
 type hoister struct {
-	cl   classifier // scope building only; its union-find is not read
-	n    int
-	subs []*sqlast.Select
+	schema *mtsql.Schema
+	n      int
+	subs   []*sqlast.Select
 }
 
 func (h *hoister) block(sel *sqlast.Select) {
-	var from func(te sqlast.TableExpr)
-	from = func(te sqlast.TableExpr) {
-		switch t := te.(type) {
-		case *sqlast.DerivedTable:
-			h.block(t.Sub)
-		case *sqlast.JoinExpr:
-			from(t.L)
-			from(t.R)
-			t.On = h.predicate(t.On)
-		}
-	}
-	for _, te := range sel.From {
-		from(te)
-	}
+	sqlast.FromItems(sel.From, nil, func(d *sqlast.DerivedTable) { h.block(d.Sub) })
+	sqlast.EachJoin(sel.From, func(j *sqlast.JoinExpr) { j.On = h.predicate(j.On) })
 	sel.Where = h.predicate(sel.Where)
 	sel.Having = h.predicate(sel.Having)
 }
@@ -126,23 +115,28 @@ func (h *hoister) hoistable(sub *sqlast.Select) bool {
 	if len(sub.Items) != 1 || sub.Items[0].Star {
 		return false
 	}
-	return readsTenant(h.cl.schema, sqlast.Tables(sub).Reads) && h.cl.closed(sub, nil)
+	return readsTenant(h.schema, sqlast.Tables(sub).Reads) && closed(h.schema, sub, nil)
 }
 
 // closed reports whether every column reference of the block — nested
 // blocks included — resolves to a binding inside the block: checked by
-// resolving against the block's own scope chain, cut off from whatever
-// encloses it (parent is nil for the block asked about). A name that does
-// not resolve at all counts as open, which leaves the subquery in place.
-func (c *classifier) closed(sel *sqlast.Select, parent *rtScope) bool {
-	scope := c.rebuildScope(sel, parent)
+// resolving, as the rewrite would, against the block's own scope chain cut
+// off from whatever encloses it (parent is nil for the block asked about). A
+// name that does not resolve at all counts as open, which leaves the subquery
+// in place.
+func closed(schema *mtsql.Schema, sel *sqlast.Select, parent *rewrite.Resolver) bool {
+	scope, err := rewrite.NewResolver(schema, sel, parent, nil)
+	if err != nil {
+		return false
+	}
 	ok := true
 	sqlast.BlockExprs(sel, func(e sqlast.Expr) {
 		for _, cr := range sqlast.ColumnRefsOf(e) {
-			ok = ok && scope.resolve(cr) != nil
+			_, found := scope.Resolve(cr)
+			ok = ok && found
 		}
 	})
-	sqlast.NestedBlocks(sel, func(sub *sqlast.Select) { ok = ok && c.closed(sub, scope) })
+	sqlast.NestedBlocks(sel, func(sub *sqlast.Select) { ok = ok && closed(schema, sub, scope) })
 	return ok
 }
 

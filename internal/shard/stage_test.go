@@ -321,13 +321,15 @@ func TestAnalyzeReason(t *testing.T) {
 		stageQ17:                         "2 unlinked tenant components",
 		"SELECT bo_cust FROM big_orders": "view",
 		"SELECT x FROM nowhere":          "unknown table",
-		"SELECT s.c_custkey FROM (SELECT DISTINCT c_custkey FROM customer) AS s":                                            "nested LIMIT or DISTINCT over tenant rows",
-		"SELECT COUNT(*) FROM orders, customer WHERE o_custkey = c_custkey":                                                 "",
-		"SELECT c_custkey FROM customer WHERE c_acctbal IN ((SELECT MIN(c_acctbal) FROM customer), 0)":                      "2 unlinked tenant components",
-		"SELECT c_custkey FROM customer WHERE c_acctbal BETWEEN 0 AND (SELECT AVG(c_acctbal) FROM customer)":                "2 unlinked tenant components",
-		"SELECT c_custkey FROM customer WHERE c_phone LIKE (SELECT MIN(c_phone) FROM customer)":                             "2 unlinked tenant components",
-		"SELECT s_suppkey FROM supplier WHERE EXISTS (SELECT 1 FROM lineitem WHERE l_partkey = s_suppkey)":                  "tenant rows only inside subqueries",
-		"SELECT g.s_suppkey FROM (SELECT s_suppkey FROM supplier WHERE s_suppkey IN (SELECT l_partkey FROM lineitem)) AS g": "tenant rows only inside subqueries",
+		"SELECT s.c_custkey FROM (SELECT DISTINCT c_custkey FROM customer) AS s":                                                                  "nested LIMIT or DISTINCT over tenant rows",
+		"SELECT COUNT(*) FROM orders, customer WHERE o_custkey = c_custkey":                                                                       "",
+		"SELECT c_custkey FROM customer WHERE c_acctbal IN ((SELECT MIN(c_acctbal) FROM customer), 0)":                                            "2 unlinked tenant components",
+		"SELECT c_custkey FROM customer WHERE c_acctbal BETWEEN 0 AND (SELECT AVG(c_acctbal) FROM customer)":                                      "2 unlinked tenant components",
+		"SELECT c_custkey FROM customer WHERE c_phone LIKE (SELECT MIN(c_phone) FROM customer)":                                                   "2 unlinked tenant components",
+		"SELECT s_suppkey FROM supplier WHERE EXISTS (SELECT 1 FROM lineitem WHERE l_partkey = s_suppkey)":                                        "tenant rows only inside subqueries",
+		"SELECT g.s_suppkey FROM (SELECT s_suppkey FROM supplier WHERE s_suppkey IN (SELECT l_partkey FROM lineitem)) AS g":                       "tenant rows only inside subqueries",
+		"SELECT s_suppkey FROM supplier JOIN nation ON s_nationkey = n_nationkey AND EXISTS (SELECT 1 FROM lineitem WHERE l_partkey = s_suppkey)": "tenant rows only inside subqueries",
+		"SELECT c_custkey FROM customer, orders WHERE c_custkey = o_custkey AND c_custkey = c_acctbal":                                            "rewrite: cannot compare tenant-specific attributes with other attributes (§2.4.2)",
 	} {
 		if got := analyze(parseSel(t, sql), fx.srv.Schema()).reason; got != want {
 			t.Errorf("reason %q, want %q: %.70s", got, want, sql)
@@ -402,9 +404,21 @@ func TestStagedStatements(t *testing.T) {
 			sql:      `SELECT s_suppkey FROM supplier WHERE 40 < (SELECT SUM(l_quantity) FROM lineitem WHERE l_partkey = s_suppkey) ORDER BY s_suppkey`,
 			fallback: 1,
 		},
+		{
+			name:     "Q20's shape in an ON: the block nested there counts as tenant data too",
+			sql:      `SELECT s_suppkey, n_name FROM supplier JOIN nation ON s_nationkey = n_nationkey AND 40 < (SELECT SUM(l_quantity) FROM lineitem WHERE l_partkey = s_suppkey) ORDER BY s_suppkey`,
+			fallback: 1,
+		},
 		{name: "un-aliased AVG", sql: `SELECT AVG(c_acctbal) FROM customer`, partial: 1},
 		{name: "un-aliased COUNT(*)", sql: `SELECT COUNT(*) FROM orders`, partial: 1},
 		{name: "un-aliased ratio beside an alias", sql: `SELECT l_partkey AS p, SUM(l_quantity) / SUM(l_extendedprice), 100.00 * MAX(l_quantity) FROM lineitem GROUP BY l_partkey ORDER BY p`, partial: 1},
+		// Grouped by an output alias: the partial computes the aliased
+		// expression (the split resolves it, as o3 does), so no fallback.
+		{name: "GROUP BY an output alias", sql: `SELECT SUBSTRING(c_phone FROM 1 FOR 2) AS cc, COUNT(*) AS n, SUM(c_acctbal) AS bal FROM customer GROUP BY cc ORDER BY cc`, partial: 1},
+		{name: "GROUP BY a CASE alias", sql: `SELECT CASE WHEN c_acctbal < 200 THEN 'low' ELSE 'high' END AS band, COUNT(*), AVG(c_acctbal) AS a FROM customer GROUP BY band ORDER BY band DESC`, partial: 1},
+		// A GROUP BY name that is an input column and an output alias is the
+		// column, as in the engine: 16 groups, not the alias's two.
+		{name: "GROUP BY a column an alias shadows", sql: `SELECT c_custkey % 2 AS c_custkey, COUNT(*) AS n FROM customer GROUP BY c_custkey ORDER BY n, c_custkey`, partial: 1},
 		{
 			name:    "un-aliased outer over a hoisted scalar",
 			sql:     `SELECT COUNT(*), SUM(c_acctbal) / 7.0 FROM customer WHERE c_acctbal > (SELECT AVG(c_acctbal) FROM customer)`,

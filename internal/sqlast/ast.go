@@ -135,6 +135,17 @@ func (f *FuncCall) String() string {
 	return sb.String()
 }
 
+// IsAggregate reports whether name is one of the aggregate functions: the
+// one table the parser, the engine, the optimizer and the shard coordinator
+// all go by.
+func IsAggregate(name string) bool {
+	switch strings.ToUpper(name) {
+	case "COUNT", "SUM", "AVG", "MIN", "MAX":
+		return true
+	}
+	return false
+}
+
 // CaseExpr is a searched or simple CASE.
 type CaseExpr struct {
 	Operand Expr // nil for searched CASE
@@ -344,6 +355,19 @@ func (it SelectItem) String() string {
 	}
 	if it.Alias != "" {
 		return it.Expr.String() + " AS " + it.Alias
+	}
+	return it.Expr.String()
+}
+
+// OutputName is the name of the result column a non-star item produces, and
+// of the column a derived table or view exposes for it: the alias, else the
+// bare column's name, else the expression's text.
+func (it SelectItem) OutputName() string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	if cr, ok := it.Expr.(*ColumnRef); ok {
+		return cr.Name
 	}
 	return it.Expr.String()
 }

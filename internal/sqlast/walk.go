@@ -128,55 +128,70 @@ func TransformExpr(e Expr, f func(Expr) Expr) Expr {
 	if e == nil {
 		return nil
 	}
+	mapChildren(e, func(c Expr) Expr { return TransformExpr(c, f) })
+	return f(e)
+}
+
+// ReplaceExpr rewrites e top-down: f sees a node before its children, and
+// when it reports a replacement the node is replaced whole and the subtree is
+// not descended — so f never sees a node it produced. Subqueries are
+// boundaries, as for TransformExpr; nodes are rewritten in place.
+func ReplaceExpr(e Expr, f func(Expr) (Expr, bool)) Expr {
+	if e == nil {
+		return nil
+	}
+	if repl, done := f(e); done {
+		return repl
+	}
+	mapChildren(e, func(c Expr) Expr { return ReplaceExpr(c, f) })
+	return e
+}
+
+// mapChildren replaces every child expression slot of e with g's result for
+// it, in WalkExpr's order. Leaves and subquery boundaries have none.
+func mapChildren(e Expr, g func(Expr) Expr) {
 	switch x := e.(type) {
-	case *ColumnRef, *Literal, *Param, *IntervalExpr, *Select:
-		// leaves (Select is a subquery boundary)
 	case *BinaryExpr:
-		x.L = TransformExpr(x.L, f)
-		x.R = TransformExpr(x.R, f)
+		x.L = g(x.L)
+		x.R = g(x.R)
 	case *UnaryExpr:
-		x.X = TransformExpr(x.X, f)
+		x.X = g(x.X)
 	case *FuncCall:
 		for i, a := range x.Args {
-			x.Args[i] = TransformExpr(a, f)
+			x.Args[i] = g(a)
 		}
 	case *CaseExpr:
-		x.Operand = TransformExpr(x.Operand, f)
+		x.Operand = g(x.Operand)
 		for i := range x.Whens {
-			x.Whens[i].Cond = TransformExpr(x.Whens[i].Cond, f)
-			x.Whens[i].Then = TransformExpr(x.Whens[i].Then, f)
+			x.Whens[i].Cond = g(x.Whens[i].Cond)
+			x.Whens[i].Then = g(x.Whens[i].Then)
 		}
-		x.Else = TransformExpr(x.Else, f)
+		x.Else = g(x.Else)
 	case *InExpr:
-		x.X = TransformExpr(x.X, f)
+		x.X = g(x.X)
 		for i, it := range x.List {
-			x.List[i] = TransformExpr(it, f)
+			x.List[i] = g(it)
 		}
-	case *ExistsExpr:
-		// subquery boundary
 	case *BetweenExpr:
-		x.X = TransformExpr(x.X, f)
-		x.Lo = TransformExpr(x.Lo, f)
-		x.Hi = TransformExpr(x.Hi, f)
+		x.X = g(x.X)
+		x.Lo = g(x.Lo)
+		x.Hi = g(x.Hi)
 	case *LikeExpr:
-		x.X = TransformExpr(x.X, f)
-		x.Pattern = TransformExpr(x.Pattern, f)
+		x.X = g(x.X)
+		x.Pattern = g(x.Pattern)
 	case *IsNullExpr:
-		x.X = TransformExpr(x.X, f)
-	case *SubqueryExpr:
-		// subquery boundary
+		x.X = g(x.X)
 	case *RowExpr:
 		for i, it := range x.Exprs {
-			x.Exprs[i] = TransformExpr(it, f)
+			x.Exprs[i] = g(it)
 		}
 	case *ExtractExpr:
-		x.X = TransformExpr(x.X, f)
+		x.X = g(x.X)
 	case *SubstringExpr:
-		x.X = TransformExpr(x.X, f)
-		x.From = TransformExpr(x.From, f)
-		x.For = TransformExpr(x.For, f)
+		x.X = g(x.X)
+		x.From = g(x.From)
+		x.For = g(x.For)
 	}
-	return f(e)
 }
 
 // WalkExpr visits e and its children pre-order; if f returns false the
@@ -308,9 +323,11 @@ func AndExprs(exprs ...Expr) Expr {
 // BlockExprs calls f for every expression slot of block s; empty slots are
 // skipped. Subqueries inside a slot are not entered (NestedBlocks).
 func BlockExprs(s *Select, f func(Expr)) {
-	for _, te := range s.From {
-		joinOns(te, f)
-	}
+	EachJoin(s.From, func(j *JoinExpr) {
+		if j.On != nil {
+			f(j.On)
+		}
+	})
 	for i := range s.Items {
 		if e := s.Items[i].Expr; e != nil {
 			f(e)
@@ -330,25 +347,33 @@ func BlockExprs(s *Select, f func(Expr)) {
 	}
 }
 
-func joinOns(te TableExpr, f func(Expr)) {
+// EachJoin calls f for every explicit join of a FROM list: the joins nested in
+// a join's left side, then those in its right side, then the join itself. f
+// may assign j.On — the passes that rewrite join conditions do.
+func EachJoin(from []TableExpr, f func(*JoinExpr)) {
+	for _, te := range from {
+		eachJoin(te, f)
+	}
+}
+
+func eachJoin(te TableExpr, f func(*JoinExpr)) {
 	if j, ok := te.(*JoinExpr); ok {
-		joinOns(j.L, f)
-		joinOns(j.R, f)
-		if j.On != nil {
-			f(j.On)
-		}
+		eachJoin(j.L, f)
+		eachJoin(j.R, f)
+		f(j)
 	}
 }
 
-// BlockTables calls f for every base-table reference in s's FROM list,
-// through joins but not into derived tables (those are nested blocks).
-func BlockTables(s *Select, f func(*TableName)) {
-	for _, te := range s.From {
-		fromItems(te, f, nil)
+// FromItems calls table for every base-table reference and derived for every
+// derived table of a FROM list, through joins, in FROM order; either may be
+// nil. A derived table's block is not entered (it is a nested block).
+func FromItems(from []TableExpr, table func(*TableName), derived func(*DerivedTable)) {
+	for _, te := range from {
+		fromItem(te, table, derived)
 	}
 }
 
-func fromItems(te TableExpr, table func(*TableName), derived func(*Select)) {
+func fromItem(te TableExpr, table func(*TableName), derived func(*DerivedTable)) {
 	switch t := te.(type) {
 	case *TableName:
 		if table != nil {
@@ -356,19 +381,21 @@ func fromItems(te TableExpr, table func(*TableName), derived func(*Select)) {
 		}
 	case *DerivedTable:
 		if derived != nil {
-			derived(t.Sub)
+			derived(t)
 		}
 	case *JoinExpr:
-		fromItems(t.L, table, derived)
-		fromItems(t.R, table, derived)
+		fromItem(t.L, table, derived)
+		fromItem(t.R, table, derived)
 	}
 }
 
+// BlockTables calls f for every base-table reference in s's FROM list,
+// through joins but not into derived tables (those are nested blocks).
+func BlockTables(s *Select, f func(*TableName)) { FromItems(s.From, f, nil) }
+
 // NestedBlocks calls f for the blocks directly nested in s.
 func NestedBlocks(s *Select, f func(*Select)) {
-	for _, te := range s.From {
-		fromItems(te, nil, f)
-	}
+	FromItems(s.From, nil, func(d *DerivedTable) { f(d.Sub) })
 	BlockExprs(s, func(e Expr) { eachSubquery(e, f) })
 }
 
@@ -498,9 +525,6 @@ func MaxParam(stmt Statement) int {
 // but not into derived tables) in the FROM list.
 func BaseTablesOf(from []TableExpr) []*TableName {
 	var out []*TableName
-	add := func(t *TableName) { out = append(out, t) }
-	for _, te := range from {
-		fromItems(te, add, nil)
-	}
+	FromItems(from, func(t *TableName) { out = append(out, t) }, nil)
 	return out
 }

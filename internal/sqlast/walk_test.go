@@ -184,6 +184,43 @@ func TestWalkerKnowsEveryField(t *testing.T) {
 	if planted != 12 {
 		t.Errorf("planted a block in %d fields, want 12: update this count with the walker", planted)
 	}
+
+	// The same for a join: a join planted in any field of JoinExpr that holds a
+	// FROM item is one EachJoin reaches before the join that holds it, and a
+	// field that holds an expression is the condition EachJoin's callers may
+	// assign — BlockExprs finds what they put there.
+	joinT := reflect.TypeOf(sqlast.JoinExpr{})
+	sides, conds := 0, 0
+	for i := 0; i < joinT.NumField(); i++ {
+		outer, inner := &sqlast.JoinExpr{}, &sqlast.JoinExpr{}
+		field := reflect.ValueOf(outer).Elem().Field(i)
+		switch field.Type() {
+		case reflect.TypeOf((*sqlast.TableExpr)(nil)).Elem():
+			sides++
+			field.Set(reflect.ValueOf(inner))
+			var order []*sqlast.JoinExpr
+			sqlast.EachJoin([]sqlast.TableExpr{outer}, func(j *sqlast.JoinExpr) { order = append(order, j) })
+			if !slices.Equal(order, []*sqlast.JoinExpr{inner, outer}) {
+				t.Errorf("EachJoin does not reach a join held in JoinExpr.%s before its holder", joinT.Field(i).Name)
+			}
+		case reflect.TypeOf((*sqlast.Expr)(nil)).Elem():
+			conds++
+			sentinel := sqlast.NewSelect()
+			sel := sqlast.NewSelect()
+			sel.From = []sqlast.TableExpr{outer}
+			sqlast.EachJoin(sel.From, func(j *sqlast.JoinExpr) {
+				reflect.ValueOf(j).Elem().Field(i).Set(reflect.ValueOf(&sqlast.SubqueryExpr{Sub: sentinel}))
+			})
+			found := false
+			sqlast.NestedBlocks(sel, func(b *sqlast.Select) { found = found || b == sentinel })
+			if !found {
+				t.Errorf("JoinExpr.%s holds an expression the walker does not reach", joinT.Field(i).Name)
+			}
+		}
+	}
+	if sides != 2 || conds != 1 {
+		t.Errorf("JoinExpr has %d FROM-item fields and %d expression fields, want L, R and On: teach EachJoin the new one", sides, conds)
+	}
 }
 
 // TestWalkerAllocatesNothing: plan building walks a statement several times
@@ -221,5 +258,35 @@ func TestSubqueriesOfOrder(t *testing.T) {
 	}
 	if want := []string{"1", "2", "3"}; !slices.Equal(got, want) {
 		t.Errorf("SubqueriesOf = %v, want %v (one level, left to right)", got, want)
+	}
+}
+
+// TestReplaceExprStopsAtReplacement: f sees a node before its children and
+// never sees inside what it put in place — a replacement that contains the
+// pattern again is not rewritten again — and subqueries are boundaries.
+func TestReplaceExprStopsAtReplacement(t *testing.T) {
+	q, err := sqlparse.ParseQuery("SELECT SUBSTRING(a FROM a FOR 2), CASE WHEN a IN (a, 1) THEN (a, b) END, (SELECT a) FROM t WHERE a BETWEEN a AND -a OR a LIKE a OR a IS NULL OR EXTRACT(YEAR FROM a) = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrap := func(n sqlast.Expr) (sqlast.Expr, bool) {
+		if cr, ok := n.(*sqlast.ColumnRef); ok && cr.Name == "a" {
+			return &sqlast.FuncCall{Name: "f", Args: []sqlast.Expr{cr}}, true
+		}
+		return n, false
+	}
+	var got []string
+	for _, it := range q.Items {
+		got = append(got, sqlast.ReplaceExpr(it.Expr, wrap).String())
+	}
+	got = append(got, sqlast.ReplaceExpr(q.Where, wrap).String())
+	want := []string{
+		"SUBSTRING(f(a) FROM f(a) FOR 2)",
+		"CASE WHEN f(a) IN (f(a), 1) THEN (f(a), b) END",
+		"(SELECT a)",
+		"((((f(a) BETWEEN f(a) AND (-f(a))) OR (f(a) LIKE f(a))) OR (f(a) IS NULL)) OR (EXTRACT(YEAR FROM f(a)) = 1))",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("ReplaceExpr:\n got %q\nwant %q", got, want)
 	}
 }

@@ -757,14 +757,18 @@ func (p *Parser) parseFuncCall(name string) (sqlast.Expr, error) {
 
 func isBuiltinName(upper string) bool {
 	switch upper {
-	case "COUNT", "SUM", "AVG", "MIN", "MAX", "CONCAT", "CHAR_LENGTH", "ABS", "ROUND", "COALESCE":
+	case "CONCAT", "CHAR_LENGTH", "ABS", "ROUND", "COALESCE":
 		return true
 	}
-	return false
+	return sqlast.IsAggregate(upper)
 }
 
 func (p *Parser) parseKeywordExpr() (sqlast.Expr, error) {
 	t := p.peek()
+	if sqlast.IsAggregate(t.Text) {
+		p.pos++
+		return p.parseFuncCall(t.Text)
+	}
 	switch t.Text {
 	case "NULL":
 		p.pos++
@@ -896,9 +900,6 @@ func (p *Parser) parseKeywordExpr() (sqlast.Expr, error) {
 			return nil, err
 		}
 		return &sqlast.SubstringExpr{X: x, From: from, For: length}, nil
-	case "COUNT", "SUM", "AVG", "MIN", "MAX":
-		p.pos++
-		return p.parseFuncCall(t.Text)
 	case "CAST":
 		p.pos++
 		if err := p.expectOp("("); err != nil {

@@ -1,15 +1,13 @@
 package wire
 
 // Payload codec: append-style writers over a []byte and a cursor-style
-// Reader, mirroring the engine spill codec's bit-exactness discipline
-// (engine/spill.go): values carry a kind byte plus a kind-specific
-// payload, float payloads are raw IEEE-754 bits, and value lists encode
-// length+1 so nil stays distinct from empty.
+// Reader. Values travel as the bit-exact binary image sqltypes defines (the
+// one the engine's spill files carry too); value lists encode length+1 so
+// nil stays distinct from empty.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"mtbase/internal/sqltypes"
 )
@@ -42,42 +40,12 @@ func AppendBool(buf []byte, b bool) []byte {
 }
 
 // AppendValue appends the exact binary image of v: kind byte plus payload.
-// Floats travel as raw IEEE-754 bits so decoded values are bit-identical.
-func AppendValue(buf []byte, v sqltypes.Value) []byte {
-	buf = append(buf, byte(v.K))
-	switch v.K {
-	case sqltypes.KindNull:
-	case sqltypes.KindInt, sqltypes.KindDate:
-		buf = binary.AppendVarint(buf, v.I)
-	case sqltypes.KindFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
-	case sqltypes.KindString:
-		buf = binary.AppendUvarint(buf, uint64(len(v.S)))
-		buf = append(buf, v.S...)
-	case sqltypes.KindBool:
-		b := byte(0)
-		if v.I != 0 {
-			b = 1
-		}
-		buf = append(buf, b)
-	case sqltypes.KindInterval:
-		buf = binary.AppendVarint(buf, v.I)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
-	}
-	return buf
-}
+func AppendValue(buf []byte, v sqltypes.Value) []byte { return sqltypes.AppendBinary(buf, v) }
 
-// AppendValues appends a value list; length encodes len+1 so a nil slice
-// (0) stays distinct from an empty one (1).
+// AppendValues appends a value list; a nil slice stays distinct from an
+// empty one.
 func AppendValues(buf []byte, vals []sqltypes.Value) []byte {
-	if vals == nil {
-		return binary.AppendUvarint(buf, 0)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(vals))+1)
-	for _, v := range vals {
-		buf = AppendValue(buf, v)
-	}
-	return buf
+	return sqltypes.AppendBinaryList(buf, vals)
 }
 
 // Reader is a cursor over a payload. Decoding methods return ErrCorrupt
@@ -142,74 +110,20 @@ func (r *Reader) Byte() (byte, error) {
 
 // Value decodes one value.
 func (r *Reader) Value() (sqltypes.Value, error) {
-	if len(r.buf) == 0 {
+	v, rest, ok := sqltypes.ReadBinary(r.buf)
+	if !ok {
 		return sqltypes.Null, ErrCorrupt
 	}
-	var v sqltypes.Value
-	v.K = sqltypes.Kind(r.buf[0])
-	r.buf = r.buf[1:]
-	switch v.K {
-	case sqltypes.KindNull:
-	case sqltypes.KindInt, sqltypes.KindDate:
-		i, err := r.Varint()
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		v.I = i
-	case sqltypes.KindFloat:
-		if len(r.buf) < 8 {
-			return sqltypes.Null, ErrCorrupt
-		}
-		v.F = math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
-		r.buf = r.buf[8:]
-	case sqltypes.KindString:
-		s, err := r.String()
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		v.S = s
-	case sqltypes.KindBool:
-		b, err := r.Bool()
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		if b {
-			v.I = 1
-		}
-	case sqltypes.KindInterval:
-		i, err := r.Varint()
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		if len(r.buf) < 8 {
-			return sqltypes.Null, ErrCorrupt
-		}
-		v.I = i
-		v.F = math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
-		r.buf = r.buf[8:]
-	default:
-		return sqltypes.Null, ErrCorrupt
-	}
+	r.buf = rest
 	return v, nil
 }
 
 // Values decodes a value list (nil for the 0 sentinel).
 func (r *Reader) Values() ([]sqltypes.Value, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n-1 > maxWireList {
+	vals, rest, ok := sqltypes.ReadBinaryList(r.buf, maxWireList)
+	if !ok {
 		return nil, ErrCorrupt
 	}
-	vals := make([]sqltypes.Value, n-1)
-	for i := range vals {
-		if vals[i], err = r.Value(); err != nil {
-			return nil, err
-		}
-	}
+	r.buf = rest
 	return vals, nil
 }
