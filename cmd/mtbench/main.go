@@ -13,16 +13,10 @@
 //	mtbench -table 5 -shards 4       # tenant-partitioned scatter/gather
 //	mtbench -table 3 -memlimit 64KB  # bounded memory: statements spill to disk
 //	mtbench -table 5 -queries 18 -level o4 -cpuprofile q18.prof   # where does Q18 o4 go
-//	mtbench -mixed -concurrency 4 -parallelism 2 -ops 200
-//	mtbench -serve -concurrency 4 -ops 100
-//	mtbench -serve -serve-addr localhost:7687
 //
-// The -mixed mode measures read throughput (qps, p50/p99 latency) while
-// background writers commit continuously — the copy-on-write snapshot
-// concurrency demonstration. The -serve mode measures the same shape of
-// numbers per optimization level over the mtserve wire protocol (a TCP
-// loopback server by default, or a running server with -serve-addr),
-// putting a price on the network hop.
+// mtbench reproduces the paper; it judges no change. Whether a PR made
+// anything faster or slower is benchmark/'s question (bash benchmark/run.sh,
+// DESIGN.md ADR-019).
 package main
 
 import (
@@ -53,29 +47,15 @@ func main() {
 		repeats     = flag.Int("repeats", 2, "measurement repetitions; the last is reported")
 		queries     = flag.String("queries", "", "restrict to comma-separated query ids")
 		progress    = flag.Bool("progress", false, "print per-measurement progress")
-		printBatch  = flag.Bool("print-batch-size", false, "print the engine's execution batch size and exit")
-		noPlanCache = flag.Bool("no-plan-cache", false, "disable the statement plan caches (A/B the pre-cache behaviour)")
 		parallelism = flag.Int("parallelism", 0, "intra-query worker count (0 = engine default GOMAXPROCS, 1 = serial)")
 		shards      = flag.Int("shards", 1, "tenant-partitioned engine shards for tables/figures (1 = unsharded)")
 		memlimit    = flag.String("memlimit", "", "per-statement memory cap, e.g. 64KB, 1MB (empty = unlimited; capped statements spill to disk)")
-		mixed       = flag.Bool("mixed", false, "run the mixed read/write throughput mode")
-		concurrency = flag.Int("concurrency", 1, "concurrent reader connections for -mixed/-serve")
-		writers     = flag.Int("writers", 2, "background writer goroutines for -mixed")
-		ops         = flag.Int("ops", 64, "total measured reads for -mixed (per level for -serve)")
-		level       = flag.String("level", "o4", "optimization level for -mixed; given with -table, the only level the table runs")
-		mixedQuery  = flag.Int("mixed-query", 6, "measured query id for -mixed/-serve")
-		serve       = flag.Bool("serve", false, "run the wire-protocol throughput mode (per optimization level, over TCP)")
-		serveAddr   = flag.String("serve-addr", "", "benchmark a running mtserve at host:port instead of an in-process loopback server")
+		level       = flag.String("level", "", "with -table: the one optimization level the table runs (empty = all six)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memprofile  = flag.String("memprofile", "", "write an allocation profile (every allocation sampled) to this file at exit")
 	)
 	flag.Parse()
 	defer startProfiles(*cpuprofile, *memprofile)()
-
-	if *printBatch {
-		fmt.Println(engine.BatchSize)
-		return
-	}
 
 	var memBytes int64
 	if *memlimit != "" {
@@ -83,53 +63,6 @@ func main() {
 		if memBytes, err = engine.ParseMemLimit(*memlimit); err != nil {
 			fatal(err)
 		}
-	}
-
-	if *serve {
-		spec := bench.ServeSpec{
-			SF: *sf, Tenants: *tenants, Mode: engine.ModePostgres,
-			QueryID: *mixedQuery, Concurrency: *concurrency, Ops: *ops,
-			Parallelism: *parallelism, Addr: *serveAddr,
-		}
-		if *dist != "" {
-			spec.Dist = mth.Distribution(*dist)
-		}
-		var progressW io.Writer
-		if *progress {
-			progressW = os.Stderr
-		}
-		res, err := bench.RunServe(spec, progressW)
-		if err != nil {
-			fatal(err)
-		}
-		res.WriteServe(os.Stdout)
-		return
-	}
-
-	if *mixed {
-		lv, err := optimizer.ParseLevel(*level)
-		if err != nil {
-			fatal(err)
-		}
-		spec := bench.MixedSpec{
-			SF: *sf, Tenants: *tenants, Mode: engine.ModePostgres, Level: lv,
-			QueryID: *mixedQuery, Concurrency: *concurrency,
-			Parallelism: *parallelism, Writers: *writers, Ops: *ops,
-			MemLimit: memBytes,
-		}
-		if *dist != "" {
-			spec.Dist = mth.Distribution(*dist)
-		}
-		var progressW io.Writer
-		if *progress {
-			progressW = os.Stderr
-		}
-		res, err := bench.RunMixed(spec, progressW)
-		if err != nil {
-			fatal(err)
-		}
-		res.WriteMixed(os.Stdout)
-		return
 	}
 
 	tableNums, err := parseInts(*tables)
@@ -162,15 +95,13 @@ func main() {
 	}
 
 	var tableLevels []optimizer.Level
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "level" {
-			lv, err := optimizer.ParseLevel(*level)
-			if err != nil {
-				fatal(err)
-			}
-			tableLevels = []optimizer.Level{lv}
+	if *level != "" {
+		lv, err := optimizer.ParseLevel(*level)
+		if err != nil {
+			fatal(err)
 		}
-	})
+		tableLevels = []optimizer.Level{lv}
+	}
 	for _, n := range tableNums {
 		spec, err := bench.TableSpec(n, *sf, *tenants)
 		if err != nil {
@@ -179,7 +110,6 @@ func main() {
 		spec.Levels = tableLevels
 		spec.Repeats = *repeats
 		spec.Queries = queryIDs
-		spec.NoPlanCache = *noPlanCache
 		spec.Parallelism = *parallelism
 		spec.MemLimit = memBytes
 		spec.Shards = *shards

@@ -70,9 +70,8 @@
 //     it (Text), so middleware.Conn and shard.Conn are both a
 //     middleware.Session and return the same *Stmt and *engine.Rows
 //   - mth — the MT-H benchmark: dbgen, 22 queries, validation (§5)
-//   - bench — the experiment driver for every table and figure (§6), plus
-//     the mixed read/write throughput mode (mtbench -mixed) and the wire
-//     throughput mode (mtbench -serve)
+//   - bench — the experiment driver behind cmd/mtbench: every table and
+//     figure of §6, with the UDF-call ablation
 //   - lint — six project-specific static analyzers mechanizing the
 //     engine's concurrency, determinism and resource invariants; run
 //     `go run ./cmd/mtlint ./...` next to tier-1 verification (ADR-007
@@ -121,6 +120,8 @@
 //	res, _ := conn.Query(`SELECT COUNT(*) FROM customer`)
 //
 // See README.md for a quickstart, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate each table/figure at laptop scale.
+// EXPERIMENTS.md for paper-vs-measured results. cmd/mtbench regenerates
+// each table and figure at laptop scale; whether a change made anything
+// faster or slower is judged by benchmark/ (bash benchmark/run.sh), a module
+// of its own (ADR-019 in DESIGN.md).
 package mtbase

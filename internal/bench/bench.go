@@ -35,10 +35,6 @@ type OptSpec struct {
 	// six of the paper's Table 6) — one level is what a profile wants.
 	Levels []optimizer.Level
 
-	// NoPlanCache disables the statement plan caches (middleware and
-	// engine), restoring per-execution lowering for A/B comparison.
-	NoPlanCache bool
-
 	// Parallelism sets the engine's intra-query worker count for the
 	// measured runs (0 keeps the engine default, GOMAXPROCS; 1 is the
 	// serial oracle).
@@ -107,7 +103,7 @@ func (s OptSpec) queryIDs() []int {
 // knobs everywhere, and returns the session plus every engine DB involved
 // so counters can be aggregated across shards and the gather replica.
 func buildMTSession(cfg mth.Config, nshards int, c int64, scope string,
-	noPlanCache bool, parallelism int, memLimit int64) (middleware.Session, []*engine.DB, error) {
+	parallelism int, memLimit int64) (middleware.Session, []*engine.DB, error) {
 	data := mth.Generate(cfg)
 	var (
 		conn    middleware.Session
@@ -141,9 +137,6 @@ func buildMTSession(cfg mth.Config, nshards int, c int64, scope string,
 	}
 	dbs := make([]*engine.DB, 0, len(servers))
 	for _, mw := range servers {
-		if noPlanCache {
-			mw.SetStatementCaching(false)
-		}
 		db := mw.DB()
 		if parallelism > 0 {
 			db.SetParallelism(parallelism)
@@ -183,7 +176,7 @@ func sumStats(dbs []*engine.DB) engine.Stats {
 func RunOptLevels(spec OptSpec, progress io.Writer) (*OptResult, error) {
 	cfg := mth.Config{SF: spec.SF, Tenants: spec.Tenants, Dist: spec.Dist, Seed: 42, Mode: spec.Mode}
 	conn, dbs, err := buildMTSession(cfg, spec.Shards, spec.C, spec.Scope,
-		spec.NoPlanCache, spec.Parallelism, spec.MemLimit)
+		spec.Parallelism, spec.MemLimit)
 	if err != nil {
 		return nil, err
 	}
@@ -261,13 +254,15 @@ func mallocs() uint64 {
 	return ms.Mallocs
 }
 
-func timePlain(db *engine.DB, q mth.Query, repeats int) (float64, uint64, error) {
+// timeRuns runs a query repeats times and reports the last run's seconds and
+// heap allocations (§6.2 reports the last of several runs).
+func timeRuns(repeats int, run func() error) (float64, uint64, error) {
 	var last float64
 	var allocs uint64
 	for i := 0; i < repeats; i++ {
 		before := mallocs()
 		start := time.Now()
-		if _, err := mth.RunOnPlain(db, q); err != nil {
+		if err := run(); err != nil {
 			return 0, 0, err
 		}
 		last = time.Since(start).Seconds()
@@ -276,19 +271,12 @@ func timePlain(db *engine.DB, q mth.Query, repeats int) (float64, uint64, error)
 	return last, allocs, nil
 }
 
+func timePlain(db *engine.DB, q mth.Query, repeats int) (float64, uint64, error) {
+	return timeRuns(repeats, func() error { _, err := mth.RunOnPlain(db, q); return err })
+}
+
 func timeMT(conn middleware.Session, q mth.Query, repeats int) (float64, uint64, error) {
-	var last float64
-	var allocs uint64
-	for i := 0; i < repeats; i++ {
-		before := mallocs()
-		start := time.Now()
-		if _, err := mth.RunOnMT(conn, q); err != nil {
-			return 0, 0, err
-		}
-		last = time.Since(start).Seconds()
-		allocs = mallocs() - before
-	}
-	return last, allocs, nil
+	return timeRuns(repeats, func() error { _, err := mth.RunOnMT(conn, q); return err })
 }
 
 // WriteTable renders the result in the paper's layout: one row per level,
@@ -438,7 +426,7 @@ func RunScaling(spec ScaleSpec, progress io.Writer) (*ScaleResult, error) {
 	for _, tcount := range spec.TenantCounts {
 		cfg := mth.Config{SF: spec.SF, Tenants: tcount, Dist: spec.Dist, Seed: 42, Mode: spec.Mode}
 		conn, _, err := buildMTSession(cfg, spec.Shards, 1, "IN ()",
-			false, spec.Parallelism, spec.MemLimit)
+			spec.Parallelism, spec.MemLimit)
 		if err != nil {
 			return nil, err
 		}

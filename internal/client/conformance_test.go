@@ -204,6 +204,24 @@ func conformance[R cursor, S statement[R], C session[R, S]](t *testing.T, connec
 		t.Fatalf("COUNT(*) under {1} = %d, under all tenants = %d", own, all)
 	}
 
+	// Names that are not bare identifiers survive the rewritten text every
+	// tier hands its engine: as an output alias, as a column, as a table.
+	for _, alias := range []string{"my count", "select"} {
+		res, err := s.Query(`SELECT COUNT(*) AS "` + alias + `" FROM customer`)
+		if got := one(res, err).AsInt(); got != one(cnt.QueryResult()).AsInt() || res.Cols[0] != alias {
+			t.Fatalf("quoted alias %q: %d under %v", alias, got, res.Cols)
+		}
+	}
+	if _, err := admin.Exec(`CREATE TABLE "conf t" SPECIFIC ("a b" INTEGER NOT NULL COMPARABLE)`); err != nil {
+		t.Fatal(err)
+	}
+	res, err = s.Exec(`INSERT INTO "conf t" ("a b") VALUES (7)`)
+	affected(1, res, err)
+	res, err = s.Query(`SELECT "a b" FROM "conf t"`)
+	if got := one(res, err).AsInt(); got != 7 || res.Cols[0] != "a b" {
+		t.Fatalf("quoted column and table: %d under %v", got, res.Cols)
+	}
+
 	// Cancelling the context mid-stream surfaces the context's error. The
 	// result (every lineitem of three tenants x 25 nations) is far larger
 	// than anything a socket buffers, so the stream is still open.

@@ -21,12 +21,10 @@ package engine
 
 import "mtbase/internal/sqltypes"
 
-// BatchSize is the number of rows operators exchange per step in batched
-// execution. Benchmark artifacts record it so BENCH_*.json files stay
-// comparable across configurations.
-const BatchSize = 1024
-
-const batchSize = BatchSize
+// batchSize is the number of rows operators exchange per step in batched
+// execution; a power of two, so the reference executor's cancellation polls
+// can mask with it.
+const batchSize = 1024
 
 // identSel is the shared identity selection vector; operators slice it to
 // the window length for freshly scanned batches. It must never be written.

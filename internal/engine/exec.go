@@ -333,7 +333,7 @@ func (ex *exec) projectRows(sel *sqlast.Select, rel *relation, parent *scope, al
 	}
 
 	for ri, row := range rel.rows {
-		if ri&(BatchSize-1) == 0 {
+		if ri&(batchSize-1) == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, err
 			}
@@ -402,7 +402,7 @@ func (ex *exec) projectGrouped(sel *sqlast.Select, rel *relation, parent *scope,
 		gr.rows = append(gr.rows, row)
 	}
 	for ri, row := range rel.rows {
-		if ri&(BatchSize-1) == 0 {
+		if ri&(batchSize-1) == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, err
 			}
@@ -650,6 +650,34 @@ func (pl *placement) residual() []*conjunct {
 	return out
 }
 
+// splitOn classifies the ON conjuncts of a join between l and r, for both
+// executors and both join kinds: an equality with one side over l and the
+// other over r (in either order) becomes a hash key, everything else is the
+// residual — which an inner join applies to the joined stream and an outer
+// join applies inside the join, where it decides matches.
+func splitOn(on sqlast.Expr, l, r *relation) (pairs []equiPair, residual []*conjunct) {
+	ln, rn := l.names(), r.names()
+	local := func(name string) bool {
+		name = strings.ToLower(name)
+		return ln[name] || rn[name]
+	}
+	colOwner := ownerMap(l, r)
+	var conjs []*conjunct
+	for _, e := range splitConjuncts(on) {
+		conjs = append(conjs, analyzeConjunct(e, local, colOwner))
+	}
+	pairs = equiPairsBetween(conjs, l, r)
+	for _, p := range pairs {
+		p.src.used = true
+	}
+	for _, c := range conjs {
+		if !c.used {
+			residual = append(residual, c)
+		}
+	}
+	return pairs, residual
+}
+
 func allBindings(rels []*relation) []*binding {
 	var out []*binding
 	off := 0
@@ -815,7 +843,7 @@ func (ex *exec) filterRelation(r *relation, conjs []*conjunct, parent *scope) (*
 	}
 	sc := r.scopeFor(parent)
 	for ri, row := range rows {
-		if ri&(BatchSize-1) == 0 {
+		if ri&(batchSize-1) == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, err
 			}
@@ -1003,12 +1031,12 @@ func (ex *exec) joinKey(buf []byte, exprs []sqlast.Expr, row []sqltypes.Value, s
 // cross product.
 func (ex *exec) hashJoin(l, r *relation, pairs []equiPair, parent *scope) (*relation, error) {
 	out := joinRel(l, r)
-	// Cancellation is polled every BatchSize probe rows and every BatchSize
+	// Cancellation is polled every batchSize probe rows and every batchSize
 	// output rows: a cross product or a wide bucket expands one probe row
 	// into many.
 	polled := 0
 	poll := func(li int) error {
-		if li&(BatchSize-1) != 0 && len(out.rows)-polled < BatchSize {
+		if li&(batchSize-1) != 0 && len(out.rows)-polled < batchSize {
 			return nil
 		}
 		polled = len(out.rows)
@@ -1135,33 +1163,10 @@ func (ex *exec) buildJoin(j *sqlast.JoinExpr, parent *scope) (*relation, error) 
 	case sqlast.JoinCross:
 		return ex.hashJoin(l, r, nil, parent)
 	case sqlast.JoinInner:
-		conjs := splitConjuncts(j.On)
-		analyzed := make([]*conjunct, len(conjs))
-		names := func(n string) bool {
-			ln := strings.ToLower(n)
-			return l.names()[ln] || r.names()[ln]
-		}
-		colOwner := ownerMap(l, r)
-		for i, c := range conjs {
-			analyzed[i] = analyzeConjunct(c, names, colOwner)
-		}
-		pairs := equiPairsBetween(analyzed, l, r)
+		pairs, residual := splitOn(j.On, l, r)
 		joined, err := ex.hashJoin(l, r, pairs, parent)
 		if err != nil {
 			return nil, err
-		}
-		var residual []*conjunct
-		for _, c := range analyzed {
-			used := false
-			for _, p := range pairs {
-				if p.src == c {
-					used = true
-					break
-				}
-			}
-			if !used {
-				residual = append(residual, c)
-			}
 		}
 		if len(residual) == 0 {
 			return joined, nil
@@ -1191,30 +1196,7 @@ func ownerMap(rels ...*relation) map[string][]string {
 func (ex *exec) leftOuterJoin(l, r *relation, on sqlast.Expr, parent *scope) (*relation, error) {
 	out := joinRel(l, r)
 
-	conjs := splitConjuncts(on)
-	names := func(n string) bool {
-		ln := strings.ToLower(n)
-		return l.names()[ln] || r.names()[ln]
-	}
-	colOwner := ownerMap(l, r)
-	analyzed := make([]*conjunct, len(conjs))
-	for i, c := range conjs {
-		analyzed[i] = analyzeConjunct(c, names, colOwner)
-	}
-	pairs := equiPairsBetween(analyzed, l, r)
-	var residual []*conjunct
-	for _, c := range analyzed {
-		used := false
-		for _, p := range pairs {
-			if p.src == c {
-				used = true
-				break
-			}
-		}
-		if !used {
-			residual = append(residual, c)
-		}
-	}
+	pairs, residual := splitOn(on, l, r)
 
 	// Build hash on R over the equi keys (or a single bucket when none).
 	build, err := ex.buildJoinHash(r, pairs, parent)

@@ -200,6 +200,36 @@ func TestJoinChainMatchesReference(t *testing.T) {
 	}
 }
 
+// TestJoinOnSplitMatchesReference: both executors and both join kinds split
+// an ON clause through splitOn; the shapes copies of that split could
+// disagree on stay byte-identical to the reference for INNER and LEFT OUTER.
+func TestJoinOnSplitMatchesReference(t *testing.T) {
+	db := chainTestDB(t, 600)
+	defer cfgProduction.apply(db)
+	for _, on := range []string{
+		`b.k = a.k`,                           // equi sides swapped
+		`id = x`,                              // unqualified, each owned by one side
+		`a.k = b.k AND bv > 100`,              // unqualified one-side residual
+		`a.k = b.k AND a.id < b.bv`,           // equi pair plus a two-side residual
+		`b.x = a.k + 1 AND pad <> 'pad-0003'`, // expression key, swapped
+	} {
+		for _, kind := range []string{"JOIN", "LEFT OUTER JOIN"} {
+			q := `SELECT * FROM a ` + kind + ` b ON ` + on
+			cfgReference.apply(db)
+			want := execKey(db.QuerySQL(q))
+			if strings.HasPrefix(want, "error: ") {
+				t.Fatalf("%q: reference: %s", q, want)
+			}
+			for _, cfg := range checkedConfigs {
+				cfg.apply(db)
+				if got := execKey(db.QuerySQL(q)); got != want {
+					t.Errorf("%s %q: differs from reference (%d vs %d bytes)", cfg.name, q, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
 // checkRowsOwned fails unless every row fills its capacity exactly and no
 // two rows share storage.
 func checkRowsOwned(t *testing.T, q string, rows [][]sqltypes.Value, width int) {

@@ -40,7 +40,6 @@ package engine
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -1025,66 +1024,99 @@ func (o *groupOperator) Next(ex *exec) (*Batch, error) {
 	if err := ex.cancelled(); err != nil {
 		return nil, err
 	}
-	if o.merge != nil {
-		return o.nextMerged(ex)
-	}
-	if o.pos >= len(o.order) {
-		return nil, nil
-	}
 	o.rowBuf = o.rowBuf[:0]
 	o.keyCols = resetKeyCols(o.keyCols, len(o.plans))
 	sc := o.sc
-	for len(o.rowBuf) < batchSize && o.pos < len(o.order) {
-		gr := o.groups[o.order[o.pos]]
-		o.pos++
-		if len(gr.rows) > 0 {
-			sc.row = gr.rows[0]
-		} else {
-			sc.row = nil
+	for len(o.rowBuf) < batchSize {
+		g, err := o.nextGroup(ex)
+		if err != nil {
+			return nil, err
 		}
-		sc.group = &groupCtx{rows: gr.rows, aggVec: o.aggVec, scr: o.aggScr}
-		if o.having != nil {
-			hv, err := ex.eval(o.having, sc)
-			if err != nil {
-				sc.group = nil
-				return nil, err
-			}
-			if truth, _ := sqltypes.Truthy(hv); !truth {
-				sc.group = nil
-				continue
-			}
+		if g == nil {
+			break
 		}
-		out := make([]sqltypes.Value, 0, len(o.sel.Items))
-		for _, it := range o.sel.Items {
-			v, err := ex.eval(it.Expr, sc)
-			if err != nil {
-				sc.group = nil
-				return nil, err
-			}
-			out = append(out, v)
-		}
-		o.rowBuf = append(o.rowBuf, out)
-		for k := range o.plans {
-			p := &o.plans[k]
-			var v sqltypes.Value
-			var err error
-			if p.outCol >= 0 {
-				v = out[p.outCol]
-			} else {
-				v, err = ex.eval(p.expr, sc)
-				if err != nil {
-					sc.group = nil
-					return nil, err
-				}
-			}
-			o.keyCols[k] = append(o.keyCols[k], v)
-		}
+		sc.group = g
+		err = o.emitGroup(ex)
 		sc.group = nil
+		if err != nil {
+			return nil, err
+		}
+	}
+	if len(o.rowBuf) == 0 {
+		return nil, nil
 	}
 	o.out.window(o.rowBuf)
 	o.out.keys = o.keyCols
 	ex.noteStream(len(o.rowBuf))
 	return &o.out, nil
+}
+
+// nextGroup is where the emit loop's two sources differ: it points o.sc.row
+// at the next group's first row and returns the group's context — the
+// resident bucket's rows, or, after a spill, the aggregate sites folded
+// while the rank-ordered merge streamed the group's rows past (each
+// consecutive run of equal-rank records is one group). nil at the end.
+func (o *groupOperator) nextGroup(ex *exec) (*groupCtx, error) {
+	if o.merge != nil {
+		if !o.mhave {
+			return nil, nil
+		}
+		if err := ex.cancelled(); err != nil {
+			return nil, err
+		}
+		firstRow, pm, err := o.nextGroupAgg(ex)
+		o.sc.row = firstRow
+		return &groupCtx{aggVec: o.aggVec, scr: o.aggScr, precomp: pm}, err
+	}
+	if o.pos >= len(o.order) {
+		return nil, nil
+	}
+	rows := o.groups[o.order[o.pos]].rows
+	o.pos++
+	o.sc.row = nil
+	if len(rows) > 0 {
+		o.sc.row = rows[0]
+	}
+	return &groupCtx{rows: rows, aggVec: o.aggVec, scr: o.aggScr}, nil
+}
+
+// emitGroup evaluates HAVING, the select items and the ORDER BY keys of the
+// group o.sc is positioned on, in that order, and appends the output row
+// unless HAVING rejects the group.
+func (o *groupOperator) emitGroup(ex *exec) error {
+	sc := o.sc
+	if o.having != nil {
+		hv, err := ex.eval(o.having, sc)
+		if err != nil {
+			return err
+		}
+		if truth, _ := sqltypes.Truthy(hv); !truth {
+			return nil
+		}
+	}
+	out := make([]sqltypes.Value, 0, len(o.sel.Items))
+	for _, it := range o.sel.Items {
+		v, err := ex.eval(it.Expr, sc)
+		if err != nil {
+			return err
+		}
+		out = append(out, v)
+	}
+	o.rowBuf = append(o.rowBuf, out)
+	for k := range o.plans {
+		p := &o.plans[k]
+		var v sqltypes.Value
+		if p.outCol >= 0 {
+			v = out[p.outCol]
+		} else {
+			var err error
+			if v, err = ex.eval(p.expr, sc); err != nil {
+				return err
+			}
+		}
+		o.keyCols[k] = append(o.keyCols[k], v)
+	}
+	return nil
 }
 
 // aggSiteState is one aggregate call site's accumulator while a spilled
@@ -1098,79 +1130,13 @@ type aggSiteState struct {
 	star bool // COUNT(*): answered by the group's row count
 }
 
-// nextMerged emits grouped output from the rank-ordered merge of spilled
-// runs: each consecutive run of equal-rank records is one group, evaluated
-// with the same HAVING/items/ORDER BY sequence — and the same error and
-// short-circuit behavior — as the in-memory Next.
-func (o *groupOperator) nextMerged(ex *exec) (*Batch, error) {
-	if !o.mhave {
-		return nil, nil
-	}
-	o.rowBuf = o.rowBuf[:0]
-	o.keyCols = resetKeyCols(o.keyCols, len(o.plans))
-	sc := o.sc
-	for len(o.rowBuf) < batchSize && o.mhave {
-		if err := ex.cancelled(); err != nil {
-			return nil, err
-		}
-		firstRow, nrows, pm, err := o.nextGroupAgg(ex)
-		if err != nil {
-			return nil, err
-		}
-		_ = nrows
-		sc.row = firstRow
-		sc.group = &groupCtx{aggVec: o.aggVec, scr: o.aggScr, precomp: pm}
-		if o.having != nil {
-			hv, err := ex.eval(o.having, sc)
-			if err != nil {
-				sc.group = nil
-				return nil, err
-			}
-			if truth, _ := sqltypes.Truthy(hv); !truth {
-				sc.group = nil
-				continue
-			}
-		}
-		out := make([]sqltypes.Value, 0, len(o.sel.Items))
-		for _, it := range o.sel.Items {
-			v, err := ex.eval(it.Expr, sc)
-			if err != nil {
-				sc.group = nil
-				return nil, err
-			}
-			out = append(out, v)
-		}
-		o.rowBuf = append(o.rowBuf, out)
-		for k := range o.plans {
-			p := &o.plans[k]
-			var v sqltypes.Value
-			var err error
-			if p.outCol >= 0 {
-				v = out[p.outCol]
-			} else {
-				v, err = ex.eval(p.expr, sc)
-				if err != nil {
-					sc.group = nil
-					return nil, err
-				}
-			}
-			o.keyCols[k] = append(o.keyCols[k], v)
-		}
-		sc.group = nil
-	}
-	o.out.window(o.rowBuf)
-	o.out.keys = o.keyCols
-	ex.noteStream(len(o.rowBuf))
-	return &o.out, nil
-}
-
 // nextGroupAgg consumes the next group (one run of equal-rank records) from
 // the merge, streaming its rows through every aggregate site's accumulator
-// in ≤ batchSize chunks, and returns the group's first row, row count and
-// the per-site results. Aggregate arguments run through the same batch
+// in ≤ batchSize chunks, and returns the group's first row and the per-site
+// results. Aggregate arguments run through the same batch
 // programs as the in-memory path, over a fresh window per site per chunk so
 // one site's poisoned rows never leak into another's.
-func (o *groupOperator) nextGroupAgg(ex *exec) ([]sqltypes.Value, int, map[*sqlast.FuncCall]precompAgg, error) {
+func (o *groupOperator) nextGroupAgg(ex *exec) ([]sqltypes.Value, map[*sqlast.FuncCall]precompAgg, error) {
 	seq := o.mrec.seq
 	firstRow := o.mrec.row
 	nrows := 0
@@ -1223,7 +1189,7 @@ func (o *groupOperator) nextGroupAgg(ex *exec) ([]sqltypes.Value, int, map[*sqla
 		}
 		rec, err := o.merge.next()
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, nil, err
 		}
 		if rec == nil {
 			o.mhave = false
@@ -1251,7 +1217,7 @@ func (o *groupOperator) nextGroupAgg(ex *exec) ([]sqltypes.Value, int, map[*sqla
 		}
 		pm[fc] = pv
 	}
-	return firstRow, nrows, pm, nil
+	return firstRow, pm, nil
 }
 
 func (o *groupOperator) Close() {
@@ -1976,24 +1942,7 @@ func (ex *exec) buildJoinExprPipe(j *sqlast.JoinExpr, parent *scope) (*pipe, err
 	default:
 		return nil, fmt.Errorf("engine: unsupported join kind %v", j.Kind)
 	}
-	// The ON clause splits the same way for both kinds: equi conjuncts
-	// between the two sides become the hash keys, the rest is the residual.
-	names := func(n string) bool {
-		ln := strings.ToLower(n)
-		return l.rel.names()[ln] || r.rel.names()[ln]
-	}
-	colOwner := ownerMap(l.rel, r.rel)
-	var analyzed []*conjunct
-	for _, c := range splitConjuncts(j.On) {
-		analyzed = append(analyzed, analyzeConjunct(c, names, colOwner))
-	}
-	pairs := equiPairsBetween(analyzed, l.rel, r.rel)
-	var residual []*conjunct
-	for _, c := range analyzed {
-		if !slices.ContainsFunc(pairs, func(p equiPair) bool { return p.src == c }) {
-			residual = append(residual, c)
-		}
-	}
+	pairs, residual := splitOn(j.On, l.rel, r.rel)
 	// An outer join's residual decides matches inside the join (a probe row
 	// it rejects everywhere still comes out, null-extended); an inner join's
 	// filters the joined stream.

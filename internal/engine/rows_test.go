@@ -93,8 +93,8 @@ func TestRowsStreamsLazily(t *testing.T) {
 		t.Fatalf("want modulo error from cursor, got %v", rows.Err())
 	}
 	// Everything before the poisoned batch was already delivered.
-	if seen < BatchSize || seen >= 3000 {
-		t.Fatalf("delivered %d rows before error; want >= %d and < 3000", seen, BatchSize)
+	if seen < batchSize || seen >= 3000 {
+		t.Fatalf("delivered %d rows before error; want >= %d and < 3000", seen, batchSize)
 	}
 	// The convenience wrapper fails as a whole, like the old Result path.
 	if _, err := db.QuerySQL(q); err == nil {

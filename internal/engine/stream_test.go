@@ -311,10 +311,10 @@ func TestStreamedJoinBoundedMemory(t *testing.T) {
 	// One probe batch flows through scan → filter → join → project (≤ 4
 	// emissions of ≤ 1024 rows) plus the dim build side; 8 batches of slack
 	// covers scratch. Anything near n means the pipeline materialized.
-	if limit := int64(8*BatchSize + 100); streamed > limit {
+	if limit := int64(8*batchSize + 100); streamed > limit {
 		t.Fatalf("RowsStreamed = %d after first row; want <= %d (probe table has %d rows)", streamed, limit, n)
 	}
-	if db.Stats.PeakBatch > int64(BatchSize) {
-		t.Fatalf("PeakBatch = %d exceeds batch size %d", db.Stats.PeakBatch, BatchSize)
+	if db.Stats.PeakBatch > int64(batchSize) {
+		t.Fatalf("PeakBatch = %d exceeds batch size %d", db.Stats.PeakBatch, batchSize)
 	}
 }

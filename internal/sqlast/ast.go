@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mtbase/internal/sqllex"
 	"mtbase/internal/sqltypes"
 )
 
@@ -47,9 +48,32 @@ func (*ColumnRef) exprNode() {}
 
 func (c *ColumnRef) String() string {
 	if c.Table != "" {
-		return c.Table + "." + c.Name
+		return quoteIdent(c.Table) + "." + quoteIdent(c.Name)
 	}
-	return c.Name
+	return quoteIdent(c.Name)
+}
+
+// quoteIdent spells a name (column, qualifier, table, alias, DDL name) so
+// that the text parses back to it: bare when the lexer would read the bare
+// spelling as that one identifier, quoted otherwise (a keyword, a space, a
+// leading digit). The rewritten SQL handed to the engine is this text, so a
+// name printed bare that does not lex back is a different statement there.
+func quoteIdent(name string) string {
+	if sqllex.BareIdent(name) {
+		return name
+	}
+	return `"` + name + `"`
+}
+
+func quoteIdents(names []string) string {
+	var sb strings.Builder
+	for i, n := range names {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(quoteIdent(n))
+	}
+	return sb.String()
 }
 
 // Literal is a constant value.
@@ -349,12 +373,12 @@ type SelectItem struct {
 func (it SelectItem) String() string {
 	if it.Star {
 		if it.StarTable != "" {
-			return it.StarTable + ".*"
+			return quoteIdent(it.StarTable) + ".*"
 		}
 		return "*"
 	}
 	if it.Alias != "" {
-		return it.Expr.String() + " AS " + it.Alias
+		return it.Expr.String() + " AS " + quoteIdent(it.Alias)
 	}
 	return it.Expr.String()
 }
@@ -466,9 +490,9 @@ func (*TableName) tableExprNode() {}
 
 func (t *TableName) String() string {
 	if t.Alias != "" {
-		return t.Name + " " + t.Alias
+		return quoteIdent(t.Name) + " " + quoteIdent(t.Alias)
 	}
-	return t.Name
+	return quoteIdent(t.Name)
 }
 
 // Binding returns the name this table is referred to by (alias or name).
@@ -488,7 +512,7 @@ type DerivedTable struct {
 func (*DerivedTable) tableExprNode() {}
 
 func (d *DerivedTable) String() string {
-	return "(" + d.Sub.String() + ") AS " + d.Alias
+	return "(" + d.Sub.String() + ") AS " + quoteIdent(d.Alias)
 }
 
 // JoinKind distinguishes join types.

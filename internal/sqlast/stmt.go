@@ -81,7 +81,7 @@ type ColumnDef struct {
 
 func (c ColumnDef) String() string {
 	var sb strings.Builder
-	sb.WriteString(c.Name)
+	sb.WriteString(quoteIdent(c.Name))
 	sb.WriteByte(' ')
 	sb.WriteString(c.Type.String())
 	if c.NotNull {
@@ -116,14 +116,18 @@ type Constraint struct {
 }
 
 func (c Constraint) String() string {
+	name := ""
+	if c.Name != "" {
+		name = "CONSTRAINT " + quoteIdent(c.Name) + " "
+	}
 	switch c.Kind {
 	case ConstraintPrimaryKey:
-		return fmt.Sprintf("CONSTRAINT %s PRIMARY KEY (%s)", c.Name, strings.Join(c.Columns, ", "))
+		return fmt.Sprintf("%sPRIMARY KEY (%s)", name, quoteIdents(c.Columns))
 	case ConstraintForeignKey:
-		return fmt.Sprintf("CONSTRAINT %s FOREIGN KEY (%s) REFERENCES %s (%s)",
-			c.Name, strings.Join(c.Columns, ", "), c.RefTable, strings.Join(c.RefColumns, ", "))
+		return fmt.Sprintf("%sFOREIGN KEY (%s) REFERENCES %s (%s)",
+			name, quoteIdents(c.Columns), quoteIdent(c.RefTable), quoteIdents(c.RefColumns))
 	case ConstraintCheck:
-		return fmt.Sprintf("CONSTRAINT %s CHECK (%s)", c.Name, c.Check.String())
+		return fmt.Sprintf("%sCHECK (%s)", name, c.Check.String())
 	}
 	return ""
 }
@@ -141,7 +145,7 @@ func (*CreateTable) stmtNode() {}
 func (c *CreateTable) String() string {
 	var sb strings.Builder
 	sb.WriteString("CREATE TABLE ")
-	sb.WriteString(c.Name)
+	sb.WriteString(quoteIdent(c.Name))
 	if c.Generality == TenantSpecific {
 		sb.WriteString(" SPECIFIC")
 	}
@@ -169,7 +173,7 @@ type CreateView struct {
 func (*CreateView) stmtNode() {}
 
 func (c *CreateView) String() string {
-	return "CREATE VIEW " + c.Name + " AS " + c.Sub.String()
+	return "CREATE VIEW " + quoteIdent(c.Name) + " AS " + c.Sub.String()
 }
 
 // CreateFunction is a SQL-bodied scalar function (the paper's conversion
@@ -190,7 +194,7 @@ func (c *CreateFunction) String() string {
 		params[i] = p.String()
 	}
 	s := fmt.Sprintf("CREATE FUNCTION %s (%s) RETURNS %s AS '%s' LANGUAGE SQL",
-		c.Name, strings.Join(params, ", "), c.ReturnType.String(), c.Body.String())
+		quoteIdent(c.Name), strings.Join(params, ", "), c.ReturnType.String(), c.Body.String())
 	if c.Immutable {
 		s += " IMMUTABLE"
 	}
@@ -202,14 +206,14 @@ type DropTable struct{ Name string }
 
 func (*DropTable) stmtNode() {}
 
-func (d *DropTable) String() string { return "DROP TABLE " + d.Name }
+func (d *DropTable) String() string { return "DROP TABLE " + quoteIdent(d.Name) }
 
 // DropView drops a view.
 type DropView struct{ Name string }
 
 func (*DropView) stmtNode() {}
 
-func (d *DropView) String() string { return "DROP VIEW " + d.Name }
+func (d *DropView) String() string { return "DROP VIEW " + quoteIdent(d.Name) }
 
 // ---------------------------------------------------------------- DML
 
@@ -226,9 +230,9 @@ func (*Insert) stmtNode() {}
 func (i *Insert) String() string {
 	var sb strings.Builder
 	sb.WriteString("INSERT INTO ")
-	sb.WriteString(i.Table)
+	sb.WriteString(quoteIdent(i.Table))
 	if len(i.Columns) > 0 {
-		sb.WriteString(" (" + strings.Join(i.Columns, ", ") + ")")
+		sb.WriteString(" (" + quoteIdents(i.Columns) + ")")
 	}
 	if i.Sub != nil {
 		sb.WriteString(" " + i.Sub.String())
@@ -269,13 +273,13 @@ func (*Update) stmtNode() {}
 func (u *Update) String() string {
 	var sb strings.Builder
 	sb.WriteString("UPDATE ")
-	sb.WriteString(u.Table)
+	sb.WriteString(quoteIdent(u.Table))
 	sb.WriteString(" SET ")
 	for i, a := range u.Sets {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString(a.Column + " = " + a.Expr.String())
+		sb.WriteString(quoteIdent(a.Column) + " = " + a.Expr.String())
 	}
 	if u.Where != nil {
 		sb.WriteString(" WHERE " + u.Where.String())
@@ -292,7 +296,7 @@ type Delete struct {
 func (*Delete) stmtNode() {}
 
 func (d *Delete) String() string {
-	s := "DELETE FROM " + d.Table
+	s := "DELETE FROM " + quoteIdent(d.Table)
 	if d.Where != nil {
 		s += " WHERE " + d.Where.String()
 	}
@@ -331,7 +335,7 @@ func (g *Grant) String() string {
 	}
 	on := "DATABASE"
 	if g.Table != "" {
-		on = g.Table
+		on = quoteIdent(g.Table)
 	}
 	to := fmt.Sprintf("%d", g.Grantee)
 	if g.GranteeAll {
@@ -357,7 +361,7 @@ func (r *Revoke) String() string {
 	}
 	on := "DATABASE"
 	if r.Table != "" {
-		on = r.Table
+		on = quoteIdent(r.Table)
 	}
 	to := fmt.Sprintf("%d", r.Grantee)
 	if r.GranteeAll {

@@ -94,8 +94,47 @@ var keywords = map[string]bool{
 	"CONVERTIBLE": true, "SCOPE": true,
 }
 
-// IsKeyword reports whether an upper-cased word is reserved.
-func IsKeyword(word string) bool { return keywords[strings.ToUpper(word)] }
+// maxKeywordLen bounds the words keyword has to fold.
+const maxKeywordLen = len("CONVERTIBLE")
+
+// keyword returns the reserved word w spells in any case (w itself when it is
+// already upper-case: the common spelling costs no allocation), or "".
+func keyword(w string) string {
+	if len(w) > maxKeywordLen {
+		return ""
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(w); i++ {
+		c := w[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	up := buf[:len(w)]
+	switch {
+	case !keywords[string(up)]:
+		return ""
+	case string(up) == w:
+		return w
+	}
+	return string(up)
+}
+
+// BareIdent reports whether s, written without quotes, lexes back to the
+// single identifier token s: a word of identifier characters that is not
+// reserved. Every other name has to be written as a quoted identifier.
+func BareIdent(s string) bool {
+	if s == "" || !isIdentStart(s[0]) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if !isIdentPart(s[i]) {
+			return false
+		}
+	}
+	return keyword(s) == ""
+}
 
 // Lexer scans SQL text into tokens.
 type Lexer struct {
@@ -203,9 +242,8 @@ func (lx *Lexer) takeWhile(pred func(byte) bool) string {
 
 func (lx *Lexer) lexWord(start int) Token {
 	w := lx.takeWhile(isIdentPart)
-	upper := strings.ToUpper(w)
-	if keywords[upper] {
-		return Token{Kind: TokKeyword, Text: upper, Pos: start}
+	if kw := keyword(w); kw != "" {
+		return Token{Kind: TokKeyword, Text: kw, Pos: start}
 	}
 	return Token{Kind: TokIdent, Text: w, Pos: start}
 }

@@ -265,6 +265,42 @@ func TestParseViews(t *testing.T) {
 	roundTrip(t, "DROP TABLE t")
 }
 
+// TestParseQuotedIdentifiers: a name the lexer would not read back bare — a
+// keyword, a space, a leading digit — is serialized quoted, wherever a
+// statement writes a name; the middleware hands the engine this text, so a
+// bare spelling is a parse error there or, worse, a different statement
+// (`SELECT a b FROM my t` aliases a column and a table).
+func TestParseQuotedIdentifiers(t *testing.T) {
+	roundTrip(t, `SELECT COUNT(*) AS "my count" FROM t`)
+	roundTrip(t, `SELECT COUNT(*) AS "select" FROM t`)
+	sel := roundTrip(t, `SELECT "a b" FROM "my t"`).(*sqlast.Select)
+	if cr, ok := sel.Items[0].Expr.(*sqlast.ColumnRef); !ok || cr.Name != "a b" || sel.Items[0].Alias != "" {
+		t.Errorf("item: %+v", sel.Items[0])
+	}
+	if tn := sel.From[0].(*sqlast.TableName); tn.Name != "my t" || tn.Alias != "" {
+		t.Errorf("table: %+v", tn)
+	}
+	for _, src := range []string{
+		`SELECT "x y"."a b", "from".* FROM "my t" "x y", (SELECT 1 AS "1st" FROM "my t") AS "from" WHERE "x y"."order" > 0 ORDER BY "a b"`,
+		`CREATE TABLE "my t" ("a b" INTEGER, "order" INTEGER, CONSTRAINT "p k" PRIMARY KEY ("a b"), CONSTRAINT fk FOREIGN KEY ("order") REFERENCES "other t" ("a b"))`,
+		`CREATE TABLE t (a INTEGER, PRIMARY KEY (a))`,
+		`CREATE VIEW "my v" AS SELECT "a b" FROM "my t"`,
+		`INSERT INTO "my t" ("a b", "order") VALUES (1, 2)`,
+		`UPDATE "my t" SET "a b" = "order" + 1 WHERE "order" > 2`,
+		`DELETE FROM "my t" WHERE "a b" = 1`,
+		`DROP TABLE "my t"`,
+		`DROP VIEW "my v"`,
+		`GRANT READ ON "my t" TO 2`,
+		`REVOKE READ ON "my t" FROM 2`,
+	} {
+		roundTrip(t, src)
+	}
+	// A bare spelling stays bare, whatever its case.
+	if got := roundTrip(t, `SELECT "Plain_1" AS "x" FROM "T" "u"`).String(); got != `SELECT Plain_1 AS x FROM T u` {
+		t.Errorf("needless quotes: %s", got)
+	}
+}
+
 func TestParseStatements(t *testing.T) {
 	stmts, err := ParseStatements("SELECT 1; SELECT 2; DROP TABLE t;")
 	if err != nil {
