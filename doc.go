@@ -30,10 +30,12 @@
 //     evaluator check (DB.SetCompileExprs(false)) runs the same operators
 //     with every expression lifted onto the tree-walking interpreter; the
 //     reference executor (DB.SetStreamExec(false)) materializes, interprets
-//     row-at-a-time, serially. The client API is Prepare → Stmt →
-//     Query(args...) → Rows (engine/stmt.go, engine/rows.go): statements
-//     carry ? / $n bind parameters resolved per execution (one cached plan
-//     serves every binding), Rows pulls the operator tree batch-at-a-time
+//     row-at-a-time, serially. The statement API is PreparePlan →
+//     QueryPlanContext(args...) → Rows (engine/plan.go, engine/rows.go):
+//     statements carry ? / $n bind parameters resolved per execution (one
+//     cached plan serves every binding), a panic in one statement is that
+//     statement's error (DB.Recover, ADR-020), Rows pulls the operator tree
+//     batch-at-a-time
 //     for every query shape — joins, grouping, ordering, DISTINCT,
 //     subqueries — and every entry point has a Context variant polled for
 //     cancellation inside every operator (ADR-003/ADR-004 in DESIGN.md).
@@ -62,13 +64,18 @@
 //   - middleware — MTBase proper: sessions, scopes, privileges (Figure 4):
 //     a statement runs over D′, the scope pruned by every table it touches
 //     in any slot and statement kind (ADR-017);
-//     Conn.Prepare gives prepared MTSQL statements whose rewrite is cached
-//     against the parameterized text and shared across bindings. The
-//     session shape is declared once, in middleware/session.go (ADR-013 in
-//     DESIGN.md): a tier implements a six-method parsed-statement core,
-//     and Exec/Query/Prepare and the prepared Stmt are written once over
-//     it (Text), so middleware.Conn and shard.Conn are both a
-//     middleware.Session and return the same *Stmt and *engine.Rows
+//     Conn.Prepare gives prepared MTSQL statements whose compiled form is
+//     cached against the parameterized text and shared across bindings. A
+//     client statement is one value, middleware.Statement (AST, text, table
+//     set and bind arity, made once by Parse), compiled in one place
+//     (Conn.compile: scope → D′ → rewrite → optimize → SQL text) under one
+//     statement cache (ADR-020 in DESIGN.md). The session shape is declared
+//     once, in middleware/session.go (ADR-013): a tier implements a
+//     six-method core over that value — QueryStmt(ctx, *Statement, args),
+//     ExecStmt(ctx, *Statement, args) — and Exec/Query/Prepare and the
+//     prepared Stmt are written once over it (Text), so middleware.Conn and
+//     shard.Conn are both a middleware.Session and return the same *Stmt
+//     and *engine.Rows
 //   - mth — the MT-H benchmark: dbgen, 22 queries, validation (§5)
 //   - bench — the experiment driver behind cmd/mtbench: every table and
 //     figure of §6, with the UDF-call ablation

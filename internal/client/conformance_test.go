@@ -11,6 +11,7 @@ package client_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"mtbase/internal/client"
@@ -55,6 +56,10 @@ type session[R cursor, S statement[R]] interface {
 type wireSession struct{ *client.Conn }
 
 func (w wireSession) Exec(sql string) (*engine.Result, error) { return w.Conn.Exec(sql) }
+
+// acrossTiers holds, per statement, the header and rows the first tier
+// answered; every later tier must answer the same bytes.
+var acrossTiers = map[string]string{}
 
 var conformanceCfg = mth.Config{SF: 0.002, Tenants: 3, Dist: mth.Uniform, Seed: 3, Mode: engine.ModePostgres}
 
@@ -220,6 +225,56 @@ func conformance[R cursor, S statement[R], C session[R, S]](t *testing.T, connec
 	res, err = s.Query(`SELECT "a b" FROM "conf t"`)
 	if got := one(res, err).AsInt(); got != 7 || res.Cols[0] != "a b" {
 		t.Fatalf("quoted column and table: %d under %v", got, res.Cols)
+	}
+
+	// An integer ORDER BY key is the output position (SQL's ordinal), on the
+	// single-engine route, through a scatter's merge keys and through a
+	// partial-aggregate fold alike; out of range it is an error. The last
+	// statement's un-aliased aggregates are headed by their rewritten text (at
+	// o4 a COUNT is a SUM over per-tenant counts) — which a sharded tier asks
+	// its replica for (middleware.Conn.Columns).
+	render := func(res *engine.Result) string {
+		out := strings.Join(res.Cols, "|")
+		for _, row := range res.Rows {
+			out += "\n"
+			for _, v := range row {
+				out += v.String() + "|"
+			}
+		}
+		return out
+	}
+	for _, q := range []struct{ ordinal, named string }{
+		{`SELECT c_custkey, c_name FROM customer ORDER BY 1`, `SELECT c_custkey, c_name FROM customer ORDER BY c_custkey`},
+		{`SELECT c_custkey, c_name FROM customer ORDER BY 2 DESC`, `SELECT c_custkey, c_name FROM customer ORDER BY c_name DESC`},
+		{`SELECT c_mktsegment, COUNT(*), SUM(c_acctbal) FROM customer GROUP BY c_mktsegment ORDER BY 2 DESC, 1`, ""},
+	} {
+		res, err := s.Query(q.ordinal)
+		if err != nil {
+			t.Fatalf("%s: %v", q.ordinal, err)
+		}
+		got := render(res)
+		if q.named != "" {
+			want, err := s.Query(q.named)
+			if err != nil || got != render(want) || len(res.Rows) < 100 {
+				t.Fatalf("%s answers differently from %s (%v)", q.ordinal, q.named, err)
+			}
+		} else if len(res.Rows) != 5 || !strings.Contains(res.Cols[1], "SUM(") || !strings.Contains(res.Cols[2], "SUM(") ||
+			res.Rows[0][1].AsInt() < res.Rows[4][1].AsInt() {
+			t.Fatalf("%s: %s", q.ordinal, got)
+		}
+		if first, seen := acrossTiers[q.ordinal]; !seen {
+			acrossTiers[q.ordinal] = got
+		} else if got != first {
+			t.Fatalf("%s differs from the first tier's answer:\n%s\nfirst:\n%s", q.ordinal, got, first)
+		}
+	}
+	for _, q := range []string{
+		`SELECT c_custkey, c_name FROM customer ORDER BY 3`,
+		`SELECT c_mktsegment, COUNT(*) FROM customer GROUP BY c_mktsegment ORDER BY 3`,
+	} {
+		if _, err := s.Query(q); err == nil || !strings.Contains(err.Error(), "ORDER BY position 3") {
+			t.Fatalf("%s: %v, want an out-of-range error", q, err)
+		}
 	}
 
 	// Cancelling the context mid-stream surfaces the context's error. The

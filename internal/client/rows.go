@@ -73,9 +73,6 @@ func (r *Rows) mapErr(err error) error {
 // Columns returns the column labels (nil for row-less statements).
 func (r *Rows) Columns() []string { return r.cols }
 
-// Affected returns the affected-row count of a row-less statement.
-func (r *Rows) Affected() int64 { return r.affected }
-
 // Row returns the current row; valid until the next Next call.
 func (r *Rows) Row() []sqltypes.Value { return r.cur }
 

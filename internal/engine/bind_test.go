@@ -287,17 +287,22 @@ func TestBindCoercionFallback(t *testing.T) {
 // cache hit (the acceptance criterion for literal-varying workloads).
 func TestPlanCacheSharedAcrossBindings(t *testing.T) {
 	db := bindTestDB(t, true)
-	st, err := db.Prepare(`SELECT id, name FROM items WHERE qty > ? ORDER BY id`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const sql = `SELECT id, name FROM items WHERE qty > ? ORDER BY id`
 	db.Stats = Stats{}
 	for i := 0; i < 100; i++ {
-		res, err := st.Exec(sqltypes.NewInt(int64(i)))
+		// The middleware's statement: the text through the plan cache, then
+		// the plan with this execution's bindings.
+		p, err := db.PreparePlan(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = res
+		rows, err := db.QueryPlanContext(context.Background(), p, sqltypes.NewInt(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rows.Collect(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if db.Stats.PlanCacheHits < 99 {
 		t.Fatalf("plan cache hits = %d of 100, want >= 99", db.Stats.PlanCacheHits)
@@ -307,12 +312,12 @@ func TestPlanCacheSharedAcrossBindings(t *testing.T) {
 	}
 }
 
-// TestStmtConcurrent reuses one Stmt from many goroutines with different
+// TestPlanConcurrent reuses one Plan from many goroutines with different
 // bindings; run under -race this enforces that executions of one cached
 // plan share no mutable state.
-func TestStmtConcurrent(t *testing.T) {
+func TestPlanConcurrent(t *testing.T) {
 	db := bindTestDB(t, true)
-	st, err := db.Prepare(`SELECT COUNT(*) AS n FROM items WHERE qty >= ?`)
+	p, err := db.PreparePlan(`SELECT COUNT(*) AS n FROM items WHERE qty >= ?`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +330,7 @@ func TestStmtConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				for arg, n := range want {
-					rows, err := st.Query(sqltypes.NewInt(arg))
+					rows, err := db.QueryPlanContext(context.Background(), p, sqltypes.NewInt(arg))
 					if err != nil {
 						errs <- err
 						return

@@ -34,8 +34,11 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"log"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -169,9 +172,8 @@ type catalog struct {
 	funcs  map[string]*Function
 }
 
-func (c *catalog) table(name string) *Table        { return c.tables[strings.ToLower(name)] }
-func (c *catalog) function(name string) *Function  { return c.funcs[strings.ToLower(name)] }
-func (c *catalog) view(name string) *sqlast.Select { return c.views[strings.ToLower(name)] }
+func (c *catalog) table(name string) *Table       { return c.tables[strings.ToLower(name)] }
+func (c *catalog) function(name string) *Function { return c.funcs[strings.ToLower(name)] }
 
 // clone returns a shallow copy of the catalog with fresh maps, the
 // starting point for every DDL mutation.
@@ -300,6 +302,9 @@ type Stats struct {
 	SpillRuns    int64
 	SpillBytes   int64
 	PeakMemBytes int64
+
+	// Panics counts statements that failed with ErrInternal (DB.Recover).
+	Panics int64
 }
 
 // Snapshot returns an atomically read copy of the counters, safe to call
@@ -318,7 +323,36 @@ func (s *Stats) Snapshot() Stats {
 		SpillRuns:              atomic.LoadInt64(&s.SpillRuns),
 		SpillBytes:             atomic.LoadInt64(&s.SpillBytes),
 		PeakMemBytes:           atomic.LoadInt64(&s.PeakMemBytes),
+		Panics:                 atomic.LoadInt64(&s.Panics),
 	}
+}
+
+// ErrInternal marks a statement that failed because its code panicked: a bug,
+// reported as that one statement's error instead of ending the process for
+// every tenant.
+var ErrInternal = errors.New("engine: internal error")
+
+// Recover turns a panic into the error of the statement that raised it. It is
+// deferred (`defer db.Recover(&err)`) where statement code runs: the execute
+// entries, every cursor pull and Close, each parallelFor worker and gather
+// feeder — a panic on a goroutine of their own would end the process whatever
+// the caller defers — and the middleware's compile. The stack is logged here,
+// once; the statement's spill files go with its exec (releaseSpills). db may
+// be nil (a gather over no parts): the panic is then only not counted.
+func (db *DB) Recover(err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if db != nil {
+		atomic.AddInt64(&db.Stats.Panics, 1)
+	}
+	stack := debug.Stack()
+	if wp, ok := r.(*workerPanic); ok {
+		r, stack = wp.val, wp.stack
+	}
+	log.Printf("%v: %v\n%s", ErrInternal, r, stack)
+	*err = fmt.Errorf("%w: %v", ErrInternal, r)
 }
 
 // Open returns an empty database in the given mode.
@@ -332,9 +366,6 @@ func Open(mode Mode) *DB {
 	})
 	return db
 }
-
-// Mode reports the emulation mode.
-func (db *DB) Mode() Mode { return db.mode }
 
 // catalogNow returns the current schema snapshot.
 func (db *DB) catalogNow() *catalog { return db.cat.Load() }
@@ -353,9 +384,6 @@ func (db *DB) TableNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// Function returns a registered function by name (case-insensitive) or nil.
-func (db *DB) Function(name string) *Function { return db.catalogNow().function(name) }
 
 // ExecSQL parses and executes a single statement through the plan cache:
 // repeated texts reuse the cached lowering as long as every referenced
@@ -417,28 +445,39 @@ func (db *DB) newExecArgs(ctx context.Context, p *Plan, args []sqltypes.Value) (
 	return ex, nil
 }
 
+// pinExecUnlock builds one statement's execution state — validated bind
+// values, the pinned catalog and table snapshots (local, when non-nil, in
+// place of the current catalog: QueryWith) — under db.mu, which the caller
+// holds and this function releases, whatever happens.
+func (db *DB) pinExecUnlock(ctx context.Context, p *Plan, args []sqltypes.Value, local *catalog) (*exec, error) {
+	defer db.mu.Unlock()
+	if p.arityErr != nil {
+		return nil, p.arityErr
+	}
+	ex, err := db.newExecArgs(ctx, p, args)
+	if err == nil && local != nil {
+		ex.cat, ex.snap = local, newSnapshotSet(local)
+	}
+	return ex, err
+}
+
 // execPlanUnlock dispatches one statement execution. It is entered with
 // db.mu held and releases the lock itself: a SELECT pins its catalog and
-// table snapshots while still under the lock (inside newExecArgs), then
-// runs lock-free against those immutable snapshots, so scans, open cursors
-// and writers overlap. Writes and DDL stay under the lock end to end and
-// publish new snapshots before releasing it.
-func (db *DB) execPlanUnlock(ctx context.Context, p *Plan, args []sqltypes.Value) (*Result, error) {
+// table snapshots while still under the lock (pinExecUnlock), then runs
+// lock-free against those immutable snapshots, so scans, open cursors and
+// writers overlap. Writes and DDL stay under the lock end to end and publish
+// new snapshots before releasing it.
+func (db *DB) execPlanUnlock(ctx context.Context, p *Plan, args []sqltypes.Value) (res *Result, err error) {
+	defer db.Recover(&err)
 	if sel, ok := p.stmt.(*sqlast.Select); ok {
-		if p.arityErr != nil {
-			db.mu.Unlock()
-			return nil, p.arityErr
-		}
-		ex, err := db.newExecArgs(ctx, p, args)
-		db.mu.Unlock()
+		ex, err := db.pinExecUnlock(ctx, p, args, nil)
 		if err != nil {
 			return nil, err
 		}
-		res, err := ex.runQuery(sel, rootScope())
-		// The statement is over: any spill file an errored subtree abandoned
-		// before its operator Close could run is removed here.
-		ex.releaseSpills()
-		return res, err
+		// The statement is over, cleanly or not: any spill file an errored
+		// subtree abandoned before its operator Close could run is removed.
+		defer ex.releaseSpills()
+		return ex.runQuery(sel, rootScope())
 	}
 	defer db.mu.Unlock()
 	return db.execPlanLocked(ctx, p, args)
@@ -514,21 +553,32 @@ func (db *DB) Query(sel *sqlast.Select) (*Result, error) {
 // snapshots current when the call started, so the result is atomic with
 // respect to concurrent writers without holding DB.mu for the scan.
 func (db *DB) QuerySQL(sql string) (*Result, error) {
+	p, _, err := db.lockQueryPlan(sql)
+	if err != nil {
+		return nil, err
+	}
+	return db.execPlanUnlock(context.Background(), p, nil)
+}
+
+// lockQueryPlan takes db.mu and resolves sql, a SELECT, through the plan
+// cache; on error the lock is released again.
+func (db *DB) lockQueryPlan(sql string) (*Plan, *sqlast.Select, error) {
 	db.mu.Lock()
 	p, err := db.planForLocked(sql)
 	if err != nil {
 		db.mu.Unlock()
-		return nil, err
+		return nil, nil, err
 	}
-	if _, isSel := p.stmt.(*sqlast.Select); !isSel {
+	sel, isSel := p.stmt.(*sqlast.Select)
+	if !isSel {
 		db.mu.Unlock()
 		// Not a query: reparse through ParseQuery for its precise error.
 		if _, qerr := sqlparse.ParseQuery(sql); qerr != nil {
-			return nil, qerr
+			return nil, nil, qerr
 		}
-		return nil, fmt.Errorf("engine: not a query: %s", sql)
+		return nil, nil, fmt.Errorf("engine: not a query: %s", sql)
 	}
-	return db.execPlanUnlock(context.Background(), p, nil)
+	return p, sel, nil
 }
 
 // QueryRows parses and executes a SELECT through the plan cache, returning
@@ -541,20 +591,9 @@ func (db *DB) QueryRows(sql string, args ...sqltypes.Value) (*Rows, error) {
 // by every operator in the cursor's tree — probe loops, join builds and
 // group/sort drains included.
 func (db *DB) QueryContext(ctx context.Context, sql string, args ...sqltypes.Value) (*Rows, error) {
-	db.mu.Lock()
-	p, err := db.planForLocked(sql)
+	p, sel, err := db.lockQueryPlan(sql)
 	if err != nil {
-		db.mu.Unlock()
 		return nil, err
-	}
-	sel, isSel := p.stmt.(*sqlast.Select)
-	if !isSel {
-		db.mu.Unlock()
-		// Not a query: reparse through ParseQuery for its precise error.
-		if _, qerr := sqlparse.ParseQuery(sql); qerr != nil {
-			return nil, qerr
-		}
-		return nil, fmt.Errorf("engine: not a query: %s", sql)
 	}
 	return db.queryRowsUnlock(ctx, p, sel, args, nil)
 }

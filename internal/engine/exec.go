@@ -261,10 +261,17 @@ type orderPlan struct {
 	desc   bool
 }
 
-func buildOrderPlan(sel *sqlast.Select, outCols []string, sc *scope, aliases map[string]sqlast.Expr) []orderPlan {
+func buildOrderPlan(sel *sqlast.Select, outCols []string, sc *scope, aliases map[string]sqlast.Expr) ([]orderPlan, error) {
 	plans := make([]orderPlan, len(sel.OrderBy))
 	for i, o := range sel.OrderBy {
 		plans[i] = orderPlan{outCol: -1, desc: o.Desc}
+		if n, ok := o.Ordinal(); ok {
+			if n < 1 || n > int64(len(outCols)) {
+				return nil, fmt.Errorf("engine: ORDER BY position %d is not in the select list (%d columns): %s", n, len(outCols), sel)
+			}
+			plans[i].outCol = int(n) - 1
+			continue
+		}
 		if cr, ok := o.Expr.(*sqlast.ColumnRef); ok && cr.Table == "" {
 			for j, c := range outCols {
 				if strings.EqualFold(c, cr.Name) {
@@ -278,7 +285,7 @@ func buildOrderPlan(sel *sqlast.Select, outCols []string, sc *scope, aliases map
 		}
 		plans[i].expr = substituteAlias(sqlast.CloneExpr(o.Expr), sc, aliases)
 	}
-	return plans
+	return plans, nil
 }
 
 // projector is one SELECT item resolved against the source relation once
@@ -321,7 +328,10 @@ func (ex *exec) projectRows(sel *sqlast.Select, rel *relation, parent *scope, al
 	if err != nil {
 		return nil, err
 	}
-	plans := buildOrderPlan(sel, outCols, sc, aliases)
+	plans, err := buildOrderPlan(sel, outCols, sc, aliases)
+	if err != nil {
+		return nil, err
+	}
 	projs, width := ex.buildProjectors(sel, rel)
 
 	res := &execResult{Cols: outCols}
@@ -375,7 +385,10 @@ func (ex *exec) projectGrouped(sel *sqlast.Select, rel *relation, parent *scope,
 	if err != nil {
 		return nil, err
 	}
-	plans := buildOrderPlan(sel, outCols, sc, aliases)
+	plans, err := buildOrderPlan(sel, outCols, sc, aliases)
+	if err != nil {
+		return nil, err
+	}
 
 	groupExprs := make([]sqlast.Expr, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {

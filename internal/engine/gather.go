@@ -68,6 +68,13 @@ func startFeeder(r *Rows, done <-chan struct{}) *feeder {
 				return false
 			}
 		}
+		var err error
+		defer func() {
+			if err != nil {
+				send(feedChunk{err: err})
+			}
+		}()
+		defer r.db.Recover(&err)
 		for r.Next() {
 			cp := make([]sqltypes.Value, len(r.Row()))
 			copy(cp, r.Row())
@@ -214,7 +221,7 @@ func (m *kwayMergeSrc) less(a, b *feeder) bool {
 // and closing the cursor cancels the remaining parts.
 func ConcatRows(cols []string, limit int64, parts ...*Rows) *Rows {
 	src := &concatSrc{gatherSrc: newGatherSrc(limit, parts)}
-	return &Rows{cols: cols, src: src}
+	return &Rows{cols: cols, db: partsDB(parts), src: src}
 }
 
 // MergeRows gathers sorted parts into one globally sorted cursor by
@@ -223,7 +230,16 @@ func ConcatRows(cols []string, limit int64, parts ...*Rows) *Rows {
 // broken by part rank. limit < 0 means no cross-part limit.
 func MergeRows(cols []string, keys []MergeKey, limit int64, parts ...*Rows) *Rows {
 	src := &kwayMergeSrc{gatherSrc: newGatherSrc(limit, parts), keys: keys}
-	return &Rows{cols: cols, src: src}
+	return &Rows{cols: cols, db: partsDB(parts), src: src}
+}
+
+// partsDB is the DB a gathered cursor counts its own panics on: the first
+// part's (nil for a gather over nothing, which runs no statement code).
+func partsDB(parts []*Rows) *DB {
+	if len(parts) == 0 {
+		return nil
+	}
+	return parts[0].db
 }
 
 func newGatherSrc(limit int64, parts []*Rows) gatherSrc {

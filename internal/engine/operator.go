@@ -683,7 +683,10 @@ func (ex *exec) newProjectOperator(child Operator, rel *relation, sel *sqlast.Se
 	if err != nil {
 		return nil, err
 	}
-	plans := buildOrderPlan(sel, cols, sc, aliases)
+	plans, err := buildOrderPlan(sel, cols, sc, aliases)
+	if err != nil {
+		return nil, err
+	}
 	projs, width := ex.buildProjectors(sel, rel)
 	o := &projectOperator{
 		child: child, projs: projs, plans: plans, width: width, cols: cols,
@@ -844,7 +847,10 @@ func (ex *exec) newGroupOperator(child Operator, rel *relation, sel *sqlast.Sele
 	if err != nil {
 		return nil, err
 	}
-	plans := buildOrderPlan(sel, cols, sc, aliases)
+	plans, err := buildOrderPlan(sel, cols, sc, aliases)
+	if err != nil {
+		return nil, err
+	}
 	gexprs := make([]sqlast.Expr, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
 		gexprs[i] = substituteAlias(sqlast.CloneExpr(g), sc, aliases)

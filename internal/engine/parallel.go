@@ -34,6 +34,7 @@ package engine
 // inside each group through parallelAggColumn instead.
 
 import (
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -98,11 +99,18 @@ func parallelFor(par, n int, fn func(worker, item int) error) error {
 	}
 	minFail := int64(n)
 	errs := make([]error, n)
+	var panicked atomic.Pointer[workerPanic]
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, &workerPanic{val: r, stack: debug.Stack()})
+					atomic.StoreInt64(&minFail, 0) // stop the other workers
+				}
+			}()
 			for i := w; i < n; i += par {
 				if int64(i) >= atomic.LoadInt64(&minFail) {
 					return
@@ -121,10 +129,22 @@ func parallelFor(par, n int, fn func(worker, item int) error) error {
 		}(w)
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(p)
+	}
 	if m := atomic.LoadInt64(&minFail); m < int64(n) {
 		return errs[m]
 	}
 	return nil
+}
+
+// workerPanic carries a panic off a worker goroutine — where it would end the
+// process whatever the statement's caller defers — to the goroutine waiting in
+// parallelFor, which raises it again for the statement's DB.Recover to report
+// with the worker's stack.
+type workerPanic struct {
+	val   any
+	stack []byte
 }
 
 // workerPool lazily materializes one workerClone per pool slot; workers are

@@ -228,12 +228,6 @@ func (ex *exec) selectAnalysis(sel *sqlast.Select) *selAnalysis {
 	return a
 }
 
-// Statement returns the parsed statement the plan executes.
-func (p *Plan) Statement() sqlast.Statement { return p.stmt }
-
-// NumParams returns the statement's bind-parameter arity.
-func (p *Plan) NumParams() int { return p.nParams }
-
 // bindArgs validates the bind values against the plan's parameter slots and
 // returns a private, hint-coerced copy (the exec retains it for the whole
 // execution, possibly past the caller's own use of the slice).
@@ -694,24 +688,15 @@ func (cat *catalog) colKindResolver(sel *sqlast.Select) func(cr *sqlast.ColumnRe
 // not (the parse never depends on the schema), and parsing on a cold miss.
 func (db *DB) planForLocked(sql string) (*Plan, error) {
 	if p, ok := db.plans[sql]; ok {
-		if db.planValidLocked(p) {
-			atomic.AddInt64(&db.Stats.PlanCacheHits, 1)
-			db.planClock++
-			p.lastUse = db.planClock
-			return p, nil
+		np := db.revalidatePlanLocked(p)
+		if np != p {
+			atomic.AddInt64(&db.Stats.PlanCacheMisses, 1)
+			return np, nil
 		}
-		atomic.AddInt64(&db.Stats.PlanCacheInvalidations, 1)
-		np := db.buildPlanLocked(sql, p.stmt)
-		atomic.AddInt64(&db.Stats.PlanCacheMisses, 1)
-		if np.cacheable {
-			db.storePlanLocked(np)
-		} else {
-			// The rebuild cannot be pinned (a dependency no longer
-			// resolves): drop the stale entry instead of leaving a zombie
-			// that re-invalidates on every lookup.
-			delete(db.plans, sql)
-		}
-		return np, nil
+		atomic.AddInt64(&db.Stats.PlanCacheHits, 1)
+		db.planClock++
+		p.lastUse = db.planClock
+		return p, nil
 	}
 	stmt, err := sqlparse.ParseStatement(sql)
 	if err != nil {
@@ -756,17 +741,20 @@ func (db *DB) evictPlansLocked() {
 
 // PreparePlan parses sql and returns its plan, reusing the cache. Errors
 // are always parse errors: plan analysis itself never fails (validation
-// errors are reported by ExecPlan, like their runtime counterparts). This
-// is the plan-level API the middleware builds on; clients use DB.Prepare,
-// which returns a bind-aware Stmt handle instead.
-func (db *DB) PreparePlan(sql string) (*Plan, error) {
+// errors are reported by ExecPlanContext, like their runtime counterparts).
+// This is the plan-level API the middleware builds on.
+func (db *DB) PreparePlan(sql string) (p *Plan, err error) {
+	defer db.Recover(&err)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.planForLocked(sql)
 }
 
 // revalidatePlanLocked returns p, or a fresh re-lowering of its AST when
-// any dependency changed since the plan was built.
+// any dependency changed since the plan was built (the parse never depends on
+// the schema), counting the invalidation. The rebuild takes p's place in the
+// cache — or, when it cannot be pinned (a dependency no longer resolves),
+// leaves none there: a zombie would re-invalidate on every lookup.
 func (db *DB) revalidatePlanLocked(p *Plan) *Plan {
 	if db.planValidLocked(p) {
 		return p
@@ -781,21 +769,11 @@ func (db *DB) revalidatePlanLocked(p *Plan) *Plan {
 	return np
 }
 
-// ExecPlan executes a prepared plan, revalidating its dependencies first:
-// a plan invalidated since PreparePlan is transparently re-lowered from its
-// AST.
-func (db *DB) ExecPlan(p *Plan) (*Result, error) {
-	return db.ExecPlanContext(context.Background(), p)
-}
-
-// ExecPlanArgs executes a prepared plan with bind-parameter values.
-func (db *DB) ExecPlanArgs(p *Plan, args ...sqltypes.Value) (*Result, error) {
-	return db.ExecPlanContext(context.Background(), p, args...)
-}
-
 // ExecPlanContext executes a prepared plan with bind-parameter values,
-// honouring ctx cancellation at batch boundaries. SELECTs pin their table
-// snapshots under the lock and then run lock-free (execPlanUnlock).
+// honouring ctx cancellation at batch boundaries. Its dependencies are
+// revalidated first: a plan invalidated since PreparePlan is transparently
+// re-lowered from its AST. SELECTs pin their table snapshots under the lock
+// and then run lock-free (execPlanUnlock).
 func (db *DB) ExecPlanContext(ctx context.Context, p *Plan, args ...sqltypes.Value) (*Result, error) {
 	db.mu.Lock()
 	return db.execPlanUnlock(ctx, db.revalidatePlanLocked(p), args)

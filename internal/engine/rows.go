@@ -39,6 +39,7 @@ type rowSource interface {
 type Rows struct {
 	cols []string
 	ex   *exec
+	db   *DB // whose statement this is: a panic below the cursor is counted there
 
 	// Streaming mode: pull batches from the root operator.
 	root   Operator
@@ -70,11 +71,18 @@ func (r *Rows) Err() error { return r.err }
 // Close releases the cursor and its operator tree. It is idempotent: safe
 // to call multiple times, after exhaustion, and after a mid-stream error;
 // Next returns false afterwards and Err keeps reporting the first error.
-func (r *Rows) Close() error {
+func (r *Rows) Close() (err error) {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
+	r.b, r.buf, r.cur = nil, nil, nil
+	defer r.db.Recover(&err)
+	if r.ex != nil {
+		// Backstop: remove any spill file an errored or abandoned subtree
+		// left behind (operator Close handles the common case).
+		defer r.ex.releaseSpills()
+	}
 	if r.root != nil {
 		r.root.Close()
 	}
@@ -83,14 +91,6 @@ func (r *Rows) Close() error {
 		// returns, every child cursor is closed and its spills released.
 		r.src.close()
 	}
-	if r.ex != nil {
-		// Backstop: remove any spill file an errored or abandoned subtree
-		// left behind (operator Close handles the common case).
-		r.ex.releaseSpills()
-	}
-	r.b = nil
-	r.buf = nil
-	r.cur = nil
 	return nil
 }
 
@@ -106,7 +106,7 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	if r.src != nil {
-		row, err := r.src.next()
+		row, err := r.srcNext()
 		if err != nil {
 			r.err = err
 			r.Close()
@@ -143,19 +143,7 @@ func (r *Rows) Next() bool {
 // the first call. It runs lock-free against the exec's pinned snapshots
 // and reports false on exhaustion or error (r.err set).
 func (r *Rows) pull() bool {
-	ex := r.ex
-	if err := ex.cancelled(); err != nil {
-		r.err = err
-		return false
-	}
-	if !r.opened {
-		r.opened = true
-		if err := r.root.Open(ex); err != nil {
-			r.err = err
-			return false
-		}
-	}
-	b, err := r.root.Next(ex)
+	b, err := r.pullBatch()
 	if err != nil {
 		r.err = err
 		return false
@@ -165,6 +153,26 @@ func (r *Rows) pull() bool {
 	}
 	r.b, r.pos = b, 0
 	return true
+}
+
+func (r *Rows) pullBatch() (b *Batch, err error) {
+	defer r.db.Recover(&err)
+	ex := r.ex
+	if err := ex.cancelled(); err != nil {
+		return nil, err
+	}
+	if !r.opened {
+		r.opened = true
+		if err := r.root.Open(ex); err != nil {
+			return nil, err
+		}
+	}
+	return r.root.Next(ex)
+}
+
+func (r *Rows) srcNext() (row []sqltypes.Value, err error) {
+	defer r.db.Recover(&err)
+	return r.src.next()
 }
 
 // Scan copies the current row into dest, one target per output column.
@@ -233,22 +241,20 @@ func (r *Rows) Collect() (*Result, error) {
 
 // queryRowsUnlock builds the cursor for one SELECT execution. It is
 // entered with db.mu held: bind coercion and snapshot pinning (newExecArgs)
-// happen under the lock, which is then released — operator tree
+// happen under the lock, which is then released (pinExecUnlock) — operator tree
 // construction and all execution run against the exec's immutable pinned
 // snapshots, overlapping freely with writers and other cursors. A non-nil
 // local is the statement's private catalog (QueryWith), pinned in place of
 // the current one.
-func (db *DB) queryRowsUnlock(ctx context.Context, p *Plan, sel *sqlast.Select, args []sqltypes.Value, local *catalog) (*Rows, error) {
-	if p.arityErr != nil {
-		db.mu.Unlock()
-		return nil, p.arityErr
-	}
-	ex, err := db.newExecArgs(ctx, p, args)
-	if err == nil && local != nil {
-		ex.cat, ex.snap = local, newSnapshotSet(local)
-	}
-	db.mu.Unlock()
-	if err != nil {
+func (db *DB) queryRowsUnlock(ctx context.Context, p *Plan, sel *sqlast.Select, args []sqltypes.Value, local *catalog) (rows *Rows, err error) {
+	var ex *exec
+	defer func() {
+		if err != nil && ex != nil {
+			ex.releaseSpills() // no cursor will: it was never handed out
+		}
+	}()
+	defer db.Recover(&err)
+	if ex, err = db.pinExecUnlock(ctx, p, args, local); err != nil {
 		return nil, err
 	}
 	// An already-cancelled context fails at cursor creation, not on the
@@ -261,11 +267,11 @@ func (db *DB) queryRowsUnlock(ctx context.Context, p *Plan, sel *sqlast.Select, 
 		if err != nil {
 			return nil, err
 		}
-		return &Rows{cols: res.Cols, ex: ex, buf: res.Rows}, nil
+		return &Rows{cols: res.Cols, ex: ex, db: db, buf: res.Rows}, nil
 	}
 	root, err := ex.buildQueryOp(sel, rootScope())
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{cols: root.cols, ex: ex, root: root.op}, nil
+	return &Rows{cols: root.cols, ex: ex, db: db, root: root.op}, nil
 }

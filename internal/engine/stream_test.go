@@ -78,6 +78,9 @@ var streamShapes = []string{
 	`SELECT grp, AVG(val) AS a FROM fact WHERE id % 2 = 0 GROUP BY grp ORDER BY grp`,
 	`SELECT 1 AS one`,
 	`SELECT f1.id FROM fact f1, fact2 f2 WHERE f1.id = f2.id AND f1.id < 30 ORDER BY f1.id`,
+	`SELECT id, val FROM fact WHERE id < 300 ORDER BY 2 DESC, 1`,
+	`SELECT grp, COUNT(*) FROM fact GROUP BY grp ORDER BY 2 DESC, 1`,
+	`SELECT id, val FROM fact ORDER BY 3`,
 }
 
 func execKey(res *Result, err error) string {
@@ -156,6 +159,33 @@ func TestOperatorTreeMatchesReference(t *testing.T) {
 			}
 			if ck != want {
 				t.Errorf("%s %q: cursor differs:\n%s\nreference:\n%s", cfg.name, q, ck, want)
+			}
+		}
+	}
+}
+
+// TestOrderByOrdinal: an integer ORDER BY key is the 1-based output position,
+// not a constant (which left heap order and said nothing), in every
+// configuration; a position outside the select list is an error that shows the
+// statement.
+func TestOrderByOrdinal(t *testing.T) {
+	db := streamTestDB(t, 500)
+	for _, cfg := range []execConfig{cfgProduction, cfgEvalCheck, cfgReference} {
+		cfg.apply(db)
+		for ordinal, named := range map[string]string{
+			`SELECT id, val FROM fact ORDER BY 1`:                           `SELECT id, val FROM fact ORDER BY id`,
+			`SELECT val, id FROM fact ORDER BY 2 DESC`:                      `SELECT val, id FROM fact ORDER BY id DESC`,
+			`SELECT * FROM fact ORDER BY 3 DESC, 1`:                         `SELECT * FROM fact ORDER BY val DESC, id`,
+			`SELECT k, SUM(val) FROM fact GROUP BY k ORDER BY 2, 1 LIMIT 3`: `SELECT k, SUM(val) AS s FROM fact GROUP BY k ORDER BY s, k LIMIT 3`,
+		} {
+			got, want := execKey(db.QuerySQL(ordinal)), execKey(db.QuerySQL(named))
+			if i := strings.IndexByte(got, '\n'); got[i:] != want[strings.IndexByte(want, '\n'):] {
+				t.Errorf("%s: %s differs from %s", cfg.name, ordinal, named)
+			}
+		}
+		for _, q := range []string{`SELECT id, val FROM fact ORDER BY 3`, `SELECT id, val FROM fact ORDER BY 0`, `SELECT k, COUNT(*) FROM fact GROUP BY k ORDER BY 1, 5`} {
+			if _, err := db.QuerySQL(q); err == nil || !strings.Contains(err.Error(), q) {
+				t.Errorf("%s: %s answered %v, want an out-of-range error naming the statement", cfg.name, q, err)
 			}
 		}
 	}

@@ -1,15 +1,12 @@
 package middleware
 
 import (
-	"context"
 	"fmt"
 
 	"mtbase/internal/engine"
 	"mtbase/internal/mtsql"
-	"mtbase/internal/optimizer"
 	"mtbase/internal/rewrite"
 	"mtbase/internal/sqlast"
-	"mtbase/internal/sqltypes"
 )
 
 // createTable handles MTSQL CREATE TABLE: only the data modeller (or a
@@ -67,22 +64,16 @@ func (c *Conn) createFunction(cf *sqlast.CreateFunction) (*engine.Result, error)
 	return res, nil
 }
 
-// createView rewrites the defining query with the session's (C, D) so the
-// stored view satisfies the invariant (§2.2.4), then creates it.
-func (c *Conn) createView(cv *sqlast.CreateView) (*engine.Result, error) {
-	ctx, err := c.RewriteContextFor(sqlast.Tables(cv))
+// createView compiles the statement — the defining query rewritten and
+// optimized under the session's (C, D), so the stored view satisfies the
+// invariant (§2.2.4) — and creates what it compiled to.
+func (c *Conn) createView(st *Statement) (*engine.Result, error) {
+	cv := st.ast.(*sqlast.CreateView)
+	f, err := c.compile(st)
 	if err != nil {
 		return nil, err
 	}
-	rw, err := rewrite.View(ctx, cv)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := optimizer.Optimize(ctx, rw.Sub, c.level)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.srv.db.Exec(&sqlast.CreateView{Name: rw.Name, Sub: opt})
+	res, err := c.srv.db.Exec(f.stmts[0])
 	if err != nil {
 		return nil, err
 	}
@@ -141,82 +132,22 @@ func (c *Conn) AddForeignKey(table string, fk sqlast.Constraint) error {
 	return nil
 }
 
-// insert applies the MTSQL DML semantics of §2.5: the statement is applied
-// to each tenant in D separately, with value conversion into each target
-// tenant's format. Bind parameters pass through the rewrite and are bound
-// on every per-tenant physical statement. An INSERT ... SELECT is pruned by
-// INSERT on the target and READ on its sources (pruneDataset): one D′ names
-// both the tenants written and the rows read.
-func (c *Conn) insert(ctx context.Context, ins *sqlast.Insert, args []sqltypes.Value) (*engine.Result, error) {
-	rctx, err := c.RewriteContextFor(sqlast.Tables(ins))
-	if err != nil {
-		return nil, err
-	}
-	stmts, err := rewrite.Insert(rctx, ins)
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, st := range stmts {
-		res, err := c.srv.execSQLArgs(ctx, st.String(), args)
-		if err != nil {
-			return nil, err
-		}
-		total += res.Affected
-	}
-	return &engine.Result{Affected: total}, nil
-}
-
-func (c *Conn) update(ctx context.Context, up *sqlast.Update, args []sqltypes.Value) (*engine.Result, error) {
-	rctx, err := c.RewriteContextFor(sqlast.Tables(up))
-	if err != nil {
-		return nil, err
-	}
-	rw, err := rewrite.Update(rctx, up)
-	if err != nil {
-		return nil, err
-	}
-	return c.srv.execSQLArgs(ctx, rw.String(), args)
-}
-
-func (c *Conn) delete(ctx context.Context, del *sqlast.Delete, args []sqltypes.Value) (*engine.Result, error) {
-	rctx, err := c.RewriteContextFor(sqlast.Tables(del))
-	if err != nil {
-		return nil, err
-	}
-	rw, err := rewrite.Delete(rctx, del)
-	if err != nil {
-		return nil, err
-	}
-	return c.srv.execSQLArgs(ctx, rw.String(), args)
-}
-
 // grant implements the MTSQL GRANT semantics (§2.3): privileges are
 // granted on C's instance of the table; GRANT ... TO ALL grants to every
-// tenant in D.
+// tenant in D. revoke takes them back the same way.
 func (c *Conn) grant(g *sqlast.Grant) (*engine.Result, error) {
-	grantees := []int64{g.Grantee}
-	if g.GranteeAll {
-		d, _, err := c.resolveScope()
-		if err != nil {
-			return nil, err
-		}
-		grantees = d
-	}
-	c.srv.mu.Lock()
-	defer c.srv.mu.Unlock()
-	for _, grantee := range grantees {
-		for _, p := range g.Privileges {
-			c.srv.grantLocked(grantee, c.c, g.Table, p)
-		}
-	}
-	return &engine.Result{}, nil
+	return c.eachGrant(g.Grantee, g.GranteeAll, g.Table, g.Privileges, c.srv.grantLocked)
 }
 
 func (c *Conn) revoke(r *sqlast.Revoke) (*engine.Result, error) {
-	grantees := []int64{r.Grantee}
-	if r.GranteeAll {
-		d, _, err := c.resolveScope()
+	return c.eachGrant(r.Grantee, r.GranteeAll, r.Table, r.Privileges, c.srv.revokeLocked)
+}
+
+func (c *Conn) eachGrant(grantee int64, all bool, table string, privs []sqlast.Privilege,
+	apply func(grantee, owner int64, table string, p sqlast.Privilege)) (*engine.Result, error) {
+	grantees := []int64{grantee}
+	if all {
+		d, _, err := c.ResolveScope()
 		if err != nil {
 			return nil, err
 		}
@@ -225,8 +156,8 @@ func (c *Conn) revoke(r *sqlast.Revoke) (*engine.Result, error) {
 	c.srv.mu.Lock()
 	defer c.srv.mu.Unlock()
 	for _, grantee := range grantees {
-		for _, p := range r.Privileges {
-			c.srv.revokeLocked(grantee, c.c, r.Table, p)
+		for _, p := range privs {
+			apply(grantee, c.c, table, p)
 		}
 	}
 	return &engine.Result{}, nil

@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -167,5 +168,135 @@ func TestConcurrentSessionsSharedCaches(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestStatementCacheKeepsWhatIsUsed: the cache drops the least-recently-used
+// half when it overflows (the engine plan cache's rule), so one tenant issuing
+// 600 distinct literal texts does not cost another tenant the text it keeps
+// re-running between them — a cache that restarts empty at capacity, as the
+// two this one replaced did, would.
+func TestStatementCacheKeepsWhatIsUsed(t *testing.T) {
+	srv := newExample(t, engine.ModePostgres)
+	steady, noisy := connFor(t, srv, 0), connFor(t, srv, 1)
+	const hot = "SELECT E_name FROM Employees WHERE E_age > 27 ORDER BY E_name"
+	if _, err := steady.Exec(hot); err != nil {
+		t.Fatal(err)
+	}
+	parsed, _ := steady.Statement(hot)
+	hits0, misses0 := srv.RewriteCacheStats()
+	reruns := 0
+	for i := 0; i < 600; i++ {
+		if _, err := noisy.Exec(fmt.Sprintf("SELECT COUNT(*) AS n FROM Employees WHERE E_age > %d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if i%25 == 0 {
+			reruns++
+			if _, err := steady.Exec(hot); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	hits, misses := srv.RewriteCacheStats()
+	if hits-hits0 != int64(reruns) || misses-misses0 != 600 {
+		t.Errorf("%d hits / %d misses, want %d / 600: the re-run text was evicted by another tenant's literals", hits-hits0, misses-misses0, reruns)
+	}
+	if again, _ := steady.Statement(hot); again != parsed {
+		t.Error("the re-run text was parsed again")
+	}
+	if n := len(srv.cache.entries); n > stmtCacheCap {
+		t.Errorf("cache holds %d texts, capacity %d", n, stmtCacheCap)
+	}
+}
+
+// TestPreparedDMLCompilesPerContext: a prepared write keeps its compiled
+// forms like a query does — one per (scope, schema generation) it ran under,
+// each applied to its own D′ — and DDL between two executions recompiles it.
+func TestPreparedDMLCompilesPerContext(t *testing.T) {
+	srv := newExample(t, engine.ModePostgres)
+	admin, c0, c1 := connFor(t, srv, 99), connFor(t, srv, 0), connFor(t, srv, 1)
+	if _, err := c1.Exec("GRANT UPDATE ON Employees TO 0"); err != nil {
+		t.Fatal(err)
+	}
+	ages := func(c *Conn) int64 {
+		t.Helper()
+		res, err := c.Query("SELECT SUM(E_age) AS s FROM Employees")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].AsInt()
+	}
+	own0, own1 := ages(c0), ages(c1)
+	delta := func(want0, want1 int64) {
+		t.Helper()
+		if got0, got1 := ages(c0)-own0, ages(c1)-own1; got0 != want0 || got1 != want1 {
+			t.Fatalf("ages moved by %d (tenant 0) and %d (tenant 1), want %d and %d", got0, got1, want0, want1)
+		}
+	}
+	counters := func(f func()) (hits, misses int64) {
+		h0, m0 := srv.RewriteCacheStats()
+		f()
+		h, m := srv.RewriteCacheStats()
+		return h - h0, m - m0
+	}
+
+	up, err := c0.Prepare("UPDATE Employees SET E_age = E_age + ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(st *Stmt, wantAffected int, args ...any) {
+		t.Helper()
+		res, err := st.Exec(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Affected != wantAffected {
+			t.Fatalf("%s affected %d rows, want %d", st.SQL(), res.Affected, wantAffected)
+		}
+	}
+	hits, misses := counters(func() {
+		run(up, 3, 1) // default scope {0}
+		if _, err := c0.Exec(`SET SCOPE = "IN (0, 1)"`); err != nil {
+			t.Fatal(err)
+		}
+		run(up, 6, 10) // both tenants
+		if _, err := c0.Exec(`SET SCOPE = "IN (0)"`); err != nil {
+			t.Fatal(err)
+		}
+		run(up, 3, 100) // the first form again
+	})
+	if hits != 1 || misses != 2 {
+		t.Errorf("prepared UPDATE under two scopes: %d hits / %d misses, want 1 / 2", hits, misses)
+	}
+	delta(3*111, 3*10)
+
+	ins, err := c0.Prepare("INSERT INTO Roles VALUES (?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses = counters(func() {
+		run(ins, 1, 70, "clerk")
+		run(ins, 1, 71, "auditor")
+		if _, err := admin.Exec("CREATE TABLE Scratch (x INTEGER)"); err != nil {
+			t.Fatal(err)
+		}
+		run(ins, 1, 72, "janitor")
+	})
+	if hits != 1 || misses != 2 {
+		t.Errorf("prepared INSERT across DDL: %d hits / %d misses, want 1 / 2", hits, misses)
+	}
+	res, err := c0.Query("SELECT COUNT(*) AS n FROM Roles WHERE R_role_id >= 70")
+	if err != nil || res.Rows[0][0].AsInt() != 3 {
+		t.Fatalf("prepared INSERTs landed %v rows (%v), want 3", res, err)
+	}
+
+	// The same texts unprepared compile through the same function, unstored.
+	hits, misses = counters(func() {
+		if _, err := c0.Exec("UPDATE Employees SET E_age = E_age + 0 WHERE E_age < 0"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if hits != 0 || misses != 0 {
+		t.Errorf("unprepared DML touched the cache: %d hits / %d misses", hits, misses)
 	}
 }

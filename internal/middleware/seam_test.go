@@ -1,10 +1,11 @@
 package middleware
 
-// TestSessionSeam pins the shape DESIGN.md ADR-013 describes, by reading
-// the repository's own source (benchmark/ and test files excluded): the
-// session shape is declared once, the prepared statement is implemented
-// once per transport, and the packages that merely use sessions declare no
-// session-shaped interface of their own.
+// TestSessionSeam pins the shape DESIGN.md ADR-013 and ADR-020 describe, by
+// reading the repository's own source (benchmark/ and test files excluded):
+// the session shape is declared once, the prepared statement is implemented
+// once per transport, the packages that merely use sessions declare no
+// session-shaped interface of their own — and a statement is one value,
+// parsed in one place, compiled in one place, cached in one place.
 
 import (
 	"go/ast"
@@ -61,13 +62,33 @@ func eachSourceFile(t *testing.T, visit func(rel string, f *ast.File)) {
 	}
 }
 
+// statementTiers are the packages a client statement travels through as a
+// *middleware.Statement.
+var statementTiers = []string{"internal/middleware", "internal/shard", "internal/server"}
+
+// qualified returns "pkg.Name" for the selector expression pkg.Name, else "".
+func qualified(e ast.Expr) string {
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		if pkg, ok := sel.X.(*ast.Ident); ok {
+			return pkg.Name + "." + sel.Sel.Name
+		}
+	}
+	return ""
+}
+
 func TestSessionSeam(t *testing.T) {
 	var sessionFiles []string        // files declaring an interface with Prepare and QueryContext
 	methods := map[string][]string{} // "dir.Type" -> method names
+	calls := map[string][]string{}   // "dir pkg.Func" -> enclosing functions, per call site
+	cacheFields := 0                 // statement-cache fields of middleware.Server
 	eachSourceFile(t, func(rel string, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(rel))
 		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if fd.Recv != nil {
 				recv := fd.Recv.List[0].Type
 				if st, ok := recv.(*ast.StarExpr); ok {
 					recv = st.X
@@ -76,11 +97,50 @@ func TestSessionSeam(t *testing.T) {
 					methods[dir+"."+id.Name] = append(methods[dir+"."+id.Name], fd.Name.Name)
 				}
 			}
+			if !slices.Contains(statementTiers, dir) {
+				continue
+			}
+			// The one invariant of a statement — this text is the text of this
+			// AST — is held by middleware.Statement, whose constructor alone
+			// sees the two side by side.
+			var hasAST, hasText bool
+			for _, p := range fd.Type.Params.List {
+				hasAST = hasAST || qualified(p.Type) == "sqlast.Statement" || sqlastType(p.Type) == "Select"
+				if id, ok := p.Type.(*ast.Ident); ok && id.Name == "string" {
+					hasText = true
+				}
+			}
+			if hasAST && hasText && !(dir == "internal/middleware" && fd.Name.Name == "newStatement") {
+				t.Errorf("%s: %s takes a parsed statement and a string; carry the pair as a *middleware.Statement", rel, fd.Name.Name)
+			}
+			if fd.Body != nil {
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if q := qualified(call.Fun); q != "" {
+							calls[dir+" "+q] = append(calls[dir+" "+q], fd.Name.Name)
+						}
+					}
+					return true
+				})
+			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok {
 				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok && dir == "internal/middleware" && ts.Name.Name == "Server" {
+				for _, fld := range st.Fields.List {
+					if id, ok := fld.Type.(*ast.Ident); ok && id.Name == "stmtCache" {
+						cacheFields += len(fld.Names)
+						continue
+					}
+					for _, name := range fld.Names {
+						if strings.Contains(strings.ToLower(name.Name), "cache") {
+							t.Errorf("%s: Server.%s is a second statement cache", rel, name.Name)
+						}
+					}
+				}
 			}
 			it, ok := ts.Type.(*ast.InterfaceType)
 			if !ok {
@@ -120,6 +180,33 @@ func TestSessionSeam(t *testing.T) {
 				t.Errorf("%s lost %s: the two prepared statements must keep one method set", typ, m)
 			}
 		}
+	}
+
+	// One compile: the rewrite step is the only way into the rewrite's and the
+	// optimizer's statement entry points.
+	for _, fn := range []string{"rewrite.Query", "rewrite.Insert", "rewrite.Update", "rewrite.Delete", "optimizer.Optimize"} {
+		if sites := calls["internal/middleware "+fn]; !slices.Equal(sites, []string{"rewritten"}) {
+			t.Errorf("internal/middleware calls %s from %v; the rewrite step (rewritten) is its one caller", fn, sites)
+		}
+	}
+	// One parse: text becomes a statement in middleware.Parse; the server holds
+	// no parser, and the coordinator reparses only what it ships to the replica
+	// across the pure-SQL seam (§3).
+	parsers := map[string][]string{}
+	for key, sites := range calls {
+		dir, fn, _ := strings.Cut(key, " ")
+		if strings.HasPrefix(fn, "sqlparse.Parse") && slices.Contains(statementTiers, dir) {
+			parsers[dir] = append(parsers[dir], sites...)
+		}
+	}
+	want := map[string][]string{"internal/middleware": {"Parse"}, "internal/shard": {"fallback"}}
+	for _, dir := range statementTiers {
+		if !slices.Equal(parsers[dir], want[dir]) {
+			t.Errorf("%s parses SQL text in %v, want %v", dir, parsers[dir], want[dir])
+		}
+	}
+	if cacheFields != 1 {
+		t.Errorf("middleware.Server has %d stmtCache fields, want the one statement cache", cacheFields)
 	}
 }
 

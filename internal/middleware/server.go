@@ -20,7 +20,6 @@ import (
 	"mtbase/internal/optimizer"
 	"mtbase/internal/rewrite"
 	"mtbase/internal/sqlast"
-	"mtbase/internal/sqlparse"
 	"mtbase/internal/sqltypes"
 )
 
@@ -46,31 +45,10 @@ type Server struct {
 	modellers  map[int64]bool   // tenants with DDL privilege (§2.2)
 	viewOwners map[string]int64 // view name -> creating tenant
 
-	// Statement caches: selCache maps client MTSQL SELECT text to its parsed
-	// form (rewrite and optimizer clone their input, so the AST is shared
-	// safely); rwCache maps (text, C, level, schema generation, D′) to the
-	// rewritten-and-optimized SQL text shipped to the DBMS, which the engine
-	// plan cache then recognizes. schemaGen bumps on every DDL so rewrites
-	// derived from an older schema can never be served.
-	selCache   map[string]*sqlast.Select
-	rwCache    map[rwKey]string
-	schemaGen  uint64
-	rwHits     int64
-	rwMisses   int64
-	cachingOff bool
-}
-
-// stmtCacheCap bounds both statement caches; on overflow they restart empty.
-const stmtCacheCap = 512
-
-// rwKey identifies one rewrite-cache entry. D′ is part of the key — scope,
-// privilege and tenant changes land in a different slot instead of evicting.
-type rwKey struct {
-	sql   string
-	c     int64
-	level optimizer.Level
-	gen   uint64
-	dkey  string
+	// cache is the one statement cache (cache.go); schemaGen bumps on every
+	// DDL so a form compiled against an older schema can never be served.
+	cache     stmtCache
+	schemaGen uint64
 }
 
 // Option configures a Server.
@@ -90,8 +68,6 @@ func NewServer(db *engine.DB, opts ...Option) *Server {
 		privs:      make(map[privKey]bool),
 		modellers:  make(map[int64]bool),
 		viewOwners: make(map[string]int64),
-		selCache:   make(map[string]*sqlast.Select),
-		rwCache:    make(map[rwKey]string),
 	}
 	for _, o := range opts {
 		o(s)
@@ -236,52 +212,65 @@ func (c *Conn) SetOptLevel(l optimizer.Level) { c.level = l }
 // OptLevel returns the session's optimization level.
 func (c *Conn) OptLevel() optimizer.Level { return c.level }
 
-// ExecStmt executes a parsed MTSQL statement other than a SELECT (those
-// stream through QueryStmt).
-func (c *Conn) ExecStmt(ctx context.Context, stmt sqlast.Statement, raw string, args []sqltypes.Value) (*engine.Result, error) {
-	switch st := stmt.(type) {
-	case *sqlast.Insert:
-		return c.insert(ctx, st, args)
-	case *sqlast.Update:
-		return c.update(ctx, st, args)
-	case *sqlast.Delete:
-		return c.delete(ctx, st, args)
+// ExecStmt executes an MTSQL statement other than a SELECT (those stream
+// through QueryStmt). DML runs the statements it compiles to — an INSERT is
+// one per tenant of D′ (§2.5) — and reports the rows they affected together.
+func (c *Conn) ExecStmt(ctx context.Context, st *Statement, args []sqltypes.Value) (*engine.Result, error) {
+	switch st.ast.(type) {
+	case *sqlast.Insert, *sqlast.Update, *sqlast.Delete:
+		f, err := c.compile(st)
+		if err != nil {
+			return nil, err
+		}
+		total := 0
+		for i := range f.texts {
+			plan, err := f.plan(c.srv.db, i)
+			if err != nil {
+				return nil, err
+			}
+			res, err := c.srv.db.ExecPlanContext(ctx, plan, args...)
+			if err != nil {
+				return nil, err
+			}
+			total += res.Affected
+		}
+		return &engine.Result{Affected: total}, nil
 	}
 	if len(args) > 0 {
 		return nil, fmt.Errorf("middleware: statement takes no bind parameters, got %d", len(args))
 	}
-	switch st := stmt.(type) {
+	switch ast := st.ast.(type) {
 	case *sqlast.SetScope:
-		c.scope = st
+		c.scope = ast
 		return &engine.Result{}, nil
 	case *sqlast.CreateTable:
-		return c.createTable(st)
+		return c.createTable(ast)
 	case *sqlast.CreateView:
 		return c.createView(st)
 	case *sqlast.CreateFunction:
-		return c.createFunction(st)
+		return c.createFunction(ast)
 	case *sqlast.DropTable:
-		return c.dropTable(st)
+		return c.dropTable(ast)
 	case *sqlast.DropView:
 		// Views are droppable by their creator or the data modeller
 		// (tenants manage their own views, §2.2.4).
-		if owner, ok := c.srv.viewOwner(st.Name); ok && owner != c.c && !c.srv.isModeller(c.c) {
-			return nil, fmt.Errorf("middleware: view %s belongs to tenant %d", st.Name, owner)
+		if owner, ok := c.srv.viewOwner(ast.Name); ok && owner != c.c && !c.srv.isModeller(c.c) {
+			return nil, fmt.Errorf("middleware: view %s belongs to tenant %d", ast.Name, owner)
 		}
-		res, err := c.srv.db.Exec(st)
+		res, err := c.srv.db.Exec(ast)
 		if err != nil {
 			return nil, err
 		}
-		c.srv.schema.DropView(st.Name)
-		c.srv.dropViewOwner(st.Name)
+		c.srv.schema.DropView(ast.Name)
+		c.srv.dropViewOwner(ast.Name)
 		c.srv.bumpSchemaGen()
 		return res, nil
 	case *sqlast.Grant:
-		return c.grant(st)
+		return c.grant(ast)
 	case *sqlast.Revoke:
-		return c.revoke(st)
+		return c.revoke(ast)
 	}
-	return nil, fmt.Errorf("middleware: unsupported statement %T", stmt)
+	return nil, fmt.Errorf("middleware: unsupported statement %T", st.ast)
 }
 
 func (s *Server) isModeller(ttid int64) bool {
@@ -355,23 +344,29 @@ func (c *Conn) RewriteContextFor(ts sqlast.TableSet) (*rewrite.Context, error) {
 }
 
 func (c *Conn) rewriteContext(priv sqlast.Privilege, tables, reads []string) (*rewrite.Context, error) {
-	d, all, err := c.resolveScope()
+	d, all, err := c.scopeDataset()
 	if err != nil {
 		return nil, err
 	}
-	pruned := c.srv.pruneDataset(c.c, d, priv, tables, reads)
-	return &rewrite.Context{
-		C:      c.c,
-		D:      pruned,
-		DAll:   all && len(pruned) == len(d),
-		Schema: c.srv.schema,
-	}, nil
+	c.srv.mu.Lock()
+	defer c.srv.mu.Unlock()
+	return c.srv.rewriteContextLocked(c.c, d, all, priv, tables, reads), nil
 }
 
-// resolveScope materializes D: the default scope {C}, a simple IN list,
-// all tenants for the empty IN list, or the result of evaluating a
-// complex scope query against the DBMS (§3, Listing 12).
-func (c *Conn) resolveScope() (d []int64, all bool, err error) {
+// rewriteContextLocked prunes D (every registered tenant when all) to D′.
+func (s *Server) rewriteContextLocked(client int64, d []int64, all bool, priv sqlast.Privilege, tables, reads []string) *rewrite.Context {
+	if all {
+		d = s.tenantsLocked()
+	}
+	pruned := s.pruneDatasetLocked(client, d, priv, tables, reads)
+	return &rewrite.Context{C: client, D: pruned, DAll: all && len(pruned) == len(d), Schema: s.schema}
+}
+
+// scopeDataset materializes D as far as the session alone can: the default
+// scope {C}, a simple IN list, or the result of evaluating a complex scope
+// query against the DBMS (§3, Listing 12). The empty IN list reports all and
+// no d: the registered tenants are read under Server.mu by whoever prunes.
+func (c *Conn) scopeDataset() (d []int64, all bool, err error) {
 	switch {
 	case c.scope == nil:
 		return []int64{c.c}, false, nil
@@ -391,17 +386,16 @@ func (c *Conn) resolveScope() (d []int64, all bool, err error) {
 		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
 		return d, false, nil
 	case c.scope.All:
-		return c.srv.Tenants(), true, nil
+		return nil, true, nil
 	default:
-		d = append(d, c.scope.Simple...)
-		return d, false, nil
+		return append(d, c.scope.Simple...), false, nil
 	}
 }
 
-// pruneDataset drops tenants whose data C may not touch: D′ (§3). An owner
-// stays when C holds priv on her instance of every table in tables and READ
-// on her instance of every table in reads; only tenant-specific tables count.
-// Statements hand in their whole table set (RewriteContextFor) and are
+// pruneDatasetLocked drops tenants whose data C may not touch: D′ (§3). An
+// owner stays when C holds priv on her instance of every table in tables and
+// READ on her instance of every table in reads; only tenant-specific tables
+// count. Statements hand in their whole table set (RewriteContextFor) and are
 // rewritten under the one D′ that results, so every D-filter in a statement —
 // the target's and each nested block's — agrees:
 //
@@ -409,22 +403,10 @@ func (c *Conn) resolveScope() (d []int64, all bool, err error) {
 //	UPDATE, DELETE        the DML privilege on the target and READ on every
 //	                      table a nested block reads
 //	INSERT ... SELECT     INSERT on the target and READ on the sources
-func (s *Server) pruneDataset(client int64, d []int64, priv sqlast.Privilege, tables, reads []string) []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	specific := func(names []string) []string {
-		var ts []string
-		for _, t := range names {
-			if info := s.schema.Table(t); info != nil && info.TenantSpecific() {
-				ts = append(ts, t)
-			}
-		}
-		return ts
-	}
-	tables, reads = specific(tables), specific(reads)
+func (s *Server) pruneDatasetLocked(client int64, d []int64, priv sqlast.Privilege, tables, reads []string) []int64 {
 	may := func(owner int64, p sqlast.Privilege, names []string) bool {
 		for _, t := range names {
-			if !s.hasPrivilege(client, owner, t, p) {
+			if info := s.schema.Table(t); info != nil && info.TenantSpecific() && !s.hasPrivilege(client, owner, t, p) {
 				return false
 			}
 		}
@@ -439,125 +421,149 @@ func (s *Server) pruneDataset(client int64, d []int64, priv sqlast.Privilege, ta
 	return out
 }
 
-// RewrittenText resolves the session context and returns the optimized SQL
-// text for q, serving repeated texts from the rewrite cache. raw is the
-// client's original text when the call came in as SQL; it keys the rewrite
-// cache together with everything the rewrite depends on (C, level, schema
-// generation, the resolved D′), so a hit skips rewrite, optimization and
-// serialization. Bind-parameter placeholders pass through the rewrite
-// untouched, so one parameterized text — and therefore one engine plan —
-// serves every binding. Scope resolution and privilege pruning always run —
-// they are what D′ captures. Exported for the sharding layer, which reads from
-// the text the column names the unsharded tier gives a statement that the
-// shards answer by other means.
-func (c *Conn) RewrittenText(q *sqlast.Select, raw string) (string, error) {
-	ctx, err := c.RewriteContextFor(sqlast.Tables(q))
-	if err != nil {
-		return "", err
-	}
-	var key rwKey
-	if raw != "" {
-		key = rwKey{sql: raw, c: c.c, level: c.level, gen: c.srv.schemaGeneration(), dkey: datasetKey(ctx)}
-		if txt, ok := c.srv.rewriteLookup(key); ok {
-			return txt, nil
+// rewritten is the rewrite step of §3: the canonical rewrite of one statement
+// under ctx, and the optimization passes of level over the query it holds —
+// the one place this package enters internal/rewrite's and the optimizer's
+// statement entry points. An INSERT comes back as one statement per tenant
+// of D′ (§2.5); everything else as one.
+func rewritten(ctx *rewrite.Context, ast sqlast.Statement, level optimizer.Level) ([]sqlast.Statement, error) {
+	var (
+		q    *sqlast.Select
+		view *sqlast.CreateView
+		one  sqlast.Statement
+		err  error
+	)
+	switch st := ast.(type) {
+	case *sqlast.Select:
+		q, err = rewrite.Query(ctx, st)
+	case *sqlast.CreateView:
+		if view, err = rewrite.View(ctx, st); err == nil {
+			q = view.Sub
 		}
+	case *sqlast.Insert:
+		return rewrite.Insert(ctx, st)
+	case *sqlast.Update:
+		one, err = rewrite.Update(ctx, st)
+	case *sqlast.Delete:
+		one, err = rewrite.Delete(ctx, st)
+	default:
+		err = fmt.Errorf("middleware: %T is not rewritten", ast)
 	}
-	rewritten, err := rewrite.Query(ctx, q)
-	if err != nil {
-		return "", err
-	}
-	optimized, err := optimizer.Optimize(ctx, rewritten, c.level)
-	if err != nil {
-		return "", err
-	}
-	txt := optimized.String()
-	if raw != "" {
-		c.srv.rewriteStore(key, txt)
-	}
-	return txt, nil
-}
-
-// QueryStmt executes a parsed SELECT through a streaming cursor. The
-// middleware communicates with the DBMS "by the means of pure SQL" (§3):
-// the rewritten statement is serialized and reparsed there.
-func (c *Conn) QueryStmt(ctx context.Context, q *sqlast.Select, raw string, args []sqltypes.Value) (*engine.Rows, error) {
-	txt, err := c.RewrittenText(q, raw)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := c.srv.plan(txt)
+	if q != nil {
+		if q, err = optimizer.Optimize(ctx, q, level); err != nil {
+			return nil, err
+		}
+		if one = q; view != nil {
+			one = &sqlast.CreateView{Name: view.Name, Sub: q}
+		}
+	}
+	return []sqlast.Statement{one}, nil
+}
+
+// compiled is what a statement compiles to under one session context: the
+// rewritten, optimized statements and their SQL text — the form in which they
+// enter the DBMS (§3, "by the means of pure SQL").
+type compiled struct {
+	stmts []sqlast.Statement
+	texts []string
+}
+
+// plan lowers the i-th compiled statement through the engine's plan cache. A
+// failure is a parse error of the rewritten text — a rewrite bug worth showing
+// with the SQL; bind and execution errors are the caller's and pass through
+// clean.
+func (f *compiled) plan(db *engine.DB, i int) (*engine.Plan, error) {
+	plan, err := db.PreparePlan(f.texts[i])
+	if err != nil {
+		return nil, fmt.Errorf("middleware: rewritten SQL failed to parse: %w\n%s", err, f.texts[i])
+	}
+	return plan, nil
+}
+
+// compile is the one place a client statement becomes what the DBMS runs
+// (§3, Figure 4): the scope is resolved and pruned to D′ — always, it is what
+// the cached form is keyed by — and the statement is rewritten, optimized and
+// serialized unless the cache holds its form for this session context. Bind
+// placeholders pass through the rewrite untouched, so one parameterized text —
+// and therefore one engine plan — serves every binding. SELECTs and prepared
+// statements keep their forms; other statements compile unstored. A panic
+// below is the statement's error (engine.DB.Recover).
+func (c *Conn) compile(st *Statement) (f *compiled, err error) {
+	s := c.srv
+	defer s.db.Recover(&err)
+	d, all, err := c.scopeDataset()
+	if err != nil {
+		return nil, err
+	}
+	keep := st.prepared || st.IsQuery()
+	s.mu.Lock()
+	write := [1]string{st.tables.Write}
+	ctx := s.rewriteContextLocked(c.c, d, all, st.tables.Priv, write[:], st.tables.Reads)
+	var key formKey
+	if keep {
+		key = formKey{c: c.c, level: c.level, gen: s.schemaGen, d: datasetKey(ctx.D), all: ctx.DAll}
+		f = s.cache.lookup(st.text, key)
+	}
+	s.mu.Unlock()
+	if f != nil {
+		return f, nil
+	}
+	f = &compiled{}
+	if f.stmts, err = rewritten(ctx, st.ast, c.level); err != nil {
+		return nil, err
+	}
+	for _, rw := range f.stmts {
+		f.texts = append(f.texts, rw.String())
+	}
+	if keep {
+		s.mu.Lock()
+		s.cache.store(st, key, f)
+		s.mu.Unlock()
+	}
+	return f, nil
+}
+
+// QueryStmt executes a SELECT through a streaming cursor. The middleware
+// communicates with the DBMS "by the means of pure SQL" (§3): the compiled
+// statement enters the engine as text.
+func (c *Conn) QueryStmt(ctx context.Context, st *Statement, args []sqltypes.Value) (*engine.Rows, error) {
+	if _, err := st.Select(); err != nil {
+		return nil, err
+	}
+	f, err := c.compile(st)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := f.plan(c.srv.db, 0)
 	if err != nil {
 		return nil, err
 	}
 	return c.srv.db.QueryPlanContext(ctx, plan, args...)
 }
 
-// datasetKey serializes the rewrite-relevant dataset state: D′ in rewrite
-// order plus the all-tenants flag.
-func datasetKey(ctx *rewrite.Context) string {
-	var sb strings.Builder
-	for i, t := range ctx.D {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%d", t)
+// Columns names the header this tier gives st, a SELECT: an item without an
+// alias is named by its rewritten text. The sharding layer heads a fold with
+// it when the shards answer the statement by other means.
+func (c *Conn) Columns(st *Statement) ([]string, error) {
+	if _, err := st.Select(); err != nil {
+		return nil, err
 	}
-	if ctx.DAll {
-		sb.WriteString("|all")
-	}
-	return sb.String()
-}
-
-// plan resolves rewritten SQL through the engine's plan cache. A failure is
-// a parse error of the rewritten text — a rewrite bug worth showing with the
-// SQL; bind and execution errors are the caller's and pass through clean.
-func (s *Server) plan(sql string) (*engine.Plan, error) {
-	plan, err := s.db.PreparePlan(sql)
-	if err != nil {
-		return nil, fmt.Errorf("middleware: rewritten SQL failed to parse: %w\n%s", err, sql)
-	}
-	return plan, nil
-}
-
-func (s *Server) execSQLArgs(ctx context.Context, sql string, args []sqltypes.Value) (*engine.Result, error) {
-	plan, err := s.plan(sql)
+	f, err := c.compile(st)
 	if err != nil {
 		return nil, err
 	}
-	return s.db.ExecPlanContext(ctx, plan, args...)
-}
-
-// ---------------------------------------------------------------- caches
-
-func (s *Server) cachedSelect(sql string) (*sqlast.Select, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cachingOff {
-		return nil, false
+	items := f.stmts[0].(*sqlast.Select).Items
+	header := make([]string, len(items))
+	for i, it := range items {
+		header[i] = it.OutputName()
 	}
-	sel, ok := s.selCache[sql]
-	return sel, ok
+	return header, nil
 }
 
-func (s *Server) storeSelect(sql string, sel *sqlast.Select) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cachingOff {
-		return
-	}
-	if len(s.selCache) >= stmtCacheCap {
-		s.selCache = make(map[string]*sqlast.Select)
-	}
-	s.selCache[sql] = sel
-}
-
-func (s *Server) schemaGeneration() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.schemaGen
-}
-
-// bumpSchemaGen retires every cached rewrite derived from the previous
+// bumpSchemaGen retires every cached form compiled against the previous
 // schema. DDL paths already holding s.mu increment schemaGen directly.
 func (s *Server) bumpSchemaGen() {
 	s.mu.Lock()
@@ -565,38 +571,12 @@ func (s *Server) bumpSchemaGen() {
 	s.mu.Unlock()
 }
 
-func (s *Server) rewriteLookup(key rwKey) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cachingOff {
-		return "", false
-	}
-	txt, ok := s.rwCache[key]
-	if ok {
-		s.rwHits++
-	} else {
-		s.rwMisses++
-	}
-	return txt, ok
-}
-
-func (s *Server) rewriteStore(key rwKey, txt string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cachingOff {
-		return
-	}
-	if len(s.rwCache) >= stmtCacheCap {
-		s.rwCache = make(map[rwKey]string)
-	}
-	s.rwCache[key] = txt
-}
-
-// RewriteCacheStats reports rewrite-cache hits and misses.
+// RewriteCacheStats reports how many compilations the statement cache served
+// (hits) and how many it could have but did not hold (misses).
 func (s *Server) RewriteCacheStats() (hits, misses int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.rwHits, s.rwMisses
+	return s.cache.hits, s.cache.misses
 }
 
 // Stat is one named counter of a stats surface (mtserve Stats frames,
@@ -621,54 +601,61 @@ func (s *Server) StatLines() []Stat {
 		{Name: "engine.spill_runs", Value: es.SpillRuns},
 		{Name: "engine.spill_bytes", Value: es.SpillBytes},
 		{Name: "engine.peak_mem_bytes", Value: es.PeakMemBytes},
+		{Name: "engine.panics", Value: es.Panics},
 		{Name: "middleware.rewrite_cache_hits", Value: rwHits},
 		{Name: "middleware.rewrite_cache_misses", Value: rwMisses},
 	}
 }
 
-// InvalidateStatementCaches drops the parse and rewrite caches and the
-// engine's plan cache; benchmarks use it to measure cold planning.
+// InvalidateStatementCaches drops the statement cache and the engine's plan
+// cache; benchmarks use it to measure cold planning.
 func (s *Server) InvalidateStatementCaches() {
 	s.mu.Lock()
-	s.selCache = make(map[string]*sqlast.Select)
-	s.rwCache = make(map[rwKey]string)
+	s.cache.reset()
 	s.mu.Unlock()
 	s.db.InvalidatePlans()
 }
 
-// SetStatementCaching toggles the middleware statement caches and the
-// engine plan cache together (on by default); mtbench -no-plan-cache uses
-// it to A/B the pre-cache behaviour.
+// SetStatementCaching toggles the statement cache and the engine plan cache
+// together (on by default), to A/B the pre-cache behaviour.
 func (s *Server) SetStatementCaching(on bool) {
 	s.mu.Lock()
-	s.cachingOff = !on
-	s.selCache = make(map[string]*sqlast.Select)
-	s.rwCache = make(map[rwKey]string)
+	s.cache.off = !on
+	s.cache.reset()
 	s.mu.Unlock()
 	s.db.SetPlanCache(on)
 }
 
 // RewriteSQL parses, rewrites and optimizes a query without executing it.
 func (c *Conn) RewriteSQL(sql string) (*sqlast.Select, error) {
-	q, err := sqlparse.ParseQuery(sql)
+	st, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return c.RewriteOnly(q)
+	q, err := st.Select()
+	if err != nil {
+		return nil, err
+	}
+	return c.rewriteOnly(q, st.tables)
 }
 
-// RewriteOnly rewrites and optimizes a query without executing it —
-// used by tools (mtsh -explain) and the benchmark harness.
+// RewriteOnly rewrites and optimizes a query without executing, planning or
+// caching it — used by tools (mtsh \explain), the benchmark harness and the
+// sharding layer's fallback.
 func (c *Conn) RewriteOnly(q *sqlast.Select) (*sqlast.Select, error) {
-	ctx, err := c.RewriteContextFor(sqlast.Tables(q))
+	return c.rewriteOnly(q, sqlast.Tables(q))
+}
+
+func (c *Conn) rewriteOnly(q *sqlast.Select, ts sqlast.TableSet) (*sqlast.Select, error) {
+	ctx, err := c.RewriteContextFor(ts)
 	if err != nil {
 		return nil, err
 	}
-	rewritten, err := rewrite.Query(ctx, q)
+	out, err := rewritten(ctx, q, c.level)
 	if err != nil {
 		return nil, err
 	}
-	return optimizer.Optimize(ctx, rewritten, c.level)
+	return out[0].(*sqlast.Select), nil
 }
 
 // TenantSpecificTables names the base tables q reads, in any slot of any
@@ -686,5 +673,9 @@ func TenantSpecificTables(q *sqlast.Select) []string {
 // shard evaluating a complex scope against its own partition would
 // diverge.
 func (c *Conn) ResolveScope() ([]int64, bool, error) {
-	return c.resolveScope()
+	d, all, err := c.scopeDataset()
+	if all {
+		d = c.srv.Tenants()
+	}
+	return d, all, err
 }

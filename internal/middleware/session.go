@@ -7,12 +7,12 @@ package middleware
 // sharded shard.Conn) is one Session.
 //
 // The seam runs through the middle of the interface. A tier implements the
-// parsed-statement, value-typed core: six methods that take what a parser
-// and a bind decoder produce. Everything a client calls with text and Go
+// statement-valued core: six methods that take a *Statement (statement.go) and
+// what a bind decoder produces. Everything a client calls with text and Go
 // values — Exec, Query, the cursor variants, Prepare and the prepared
 // statement — is written once here, over that core, in Text and Stmt; a
-// tier gets it by embedding Text. Callers that already hold a parsed
-// statement and decoded values (the network server) call the core directly.
+// tier gets it by embedding Text. Callers that already hold a Statement and
+// decoded values (the network server) call the core directly.
 
 import (
 	"context"
@@ -21,25 +21,23 @@ import (
 	"mtbase/internal/engine"
 	"mtbase/internal/optimizer"
 	"mtbase/internal/sqlast"
-	"mtbase/internal/sqlparse"
 	"mtbase/internal/sqltypes"
 )
 
 // Session is one client session of an in-process tier.
 type Session interface {
-	// The core a tier implements. raw is the client text the statement was
-	// parsed from: it keys the statement caches ("" bypasses them) and is
-	// what a sharded session forwards to its shards for DDL.
-	// QueryStmt streams a SELECT; ExecStmt runs everything else (DML, DDL,
-	// grants, SET SCOPE) to its materialized outcome.
+	// The core a tier implements. QueryStmt streams a SELECT; ExecStmt runs
+	// everything else (DML, DDL, grants, SET SCOPE) to its materialized
+	// outcome.
 	C() int64
 	OptLevel() optimizer.Level
 	SetOptLevel(optimizer.Level)
 	RewriteSQL(sql string) (*sqlast.Select, error)
-	QueryStmt(ctx context.Context, sel *sqlast.Select, raw string, args []sqltypes.Value) (*engine.Rows, error)
-	ExecStmt(ctx context.Context, stmt sqlast.Statement, raw string, args []sqltypes.Value) (*engine.Result, error)
+	QueryStmt(ctx context.Context, st *Statement, args []sqltypes.Value) (*engine.Rows, error)
+	ExecStmt(ctx context.Context, st *Statement, args []sqltypes.Value) (*engine.Result, error)
 
 	// The text-level surface, supplied by the embedded Text.
+	Statement(sql string) (*Statement, error)
 	Exec(sql string) (*engine.Result, error)
 	ExecContext(ctx context.Context, sql string, args ...any) (*engine.Result, error)
 	Query(sql string, args ...any) (*engine.Result, error)
@@ -61,65 +59,38 @@ func Connector[C Session](connect func(ttid int64) (C, error)) func(int64) (Sess
 	}
 }
 
-// Text is the text-level half of a Session: it parses (through a server's
-// parse cache), converts bind arguments, and hands the result to the tier's
-// core. A tier embeds it and points it at itself with NewText; a copied
-// session must be given a Text of its own.
+// Text is the text-level half of a Session: it resolves text to a Statement
+// (through a server's statement cache), converts bind arguments, and hands
+// both to the tier's core. A tier embeds it and points it at itself with
+// NewText; a copied session must be given a Text of its own.
 type Text struct {
 	tier  Session
 	cache *Server
 }
 
-// NewText returns the text-level surface over tier, parsing through
-// cache's parse cache.
+// NewText returns the text-level surface over tier, resolving texts through
+// cache's statement cache.
 func NewText(tier Session, cache *Server) Text { return Text{tier: tier, cache: cache} }
 
-// parse resolves sql to a statement. SELECT texts are served from the parse
-// cache: rewrite and optimizer clone their input, so the AST is shared.
-func (t Text) parse(sql string) (sqlast.Statement, error) {
-	if sel, ok := t.cache.cachedSelect(sql); ok {
-		return sel, nil
-	}
-	stmt, err := sqlparse.ParseStatement(sql)
-	if err != nil {
-		return nil, err
-	}
-	if sel, ok := stmt.(*sqlast.Select); ok {
-		t.cache.storeSelect(sql, sel)
-	}
-	return stmt, nil
-}
+// Statement resolves sql to its Statement: the cached one when the text has
+// been seen, a fresh Parse otherwise.
+func (t Text) Statement(sql string) (*Statement, error) { return t.cache.statement(sql) }
 
-// ParseSelect resolves sql to a SELECT through the parse cache, rejecting
-// non-queries. The AST is shared: callers clone before mutating.
-func (t Text) ParseSelect(sql string) (*sqlast.Select, error) {
-	stmt, err := t.parse(sql)
-	if err != nil {
-		return nil, err
+// run executes a statement of any kind to its materialized outcome.
+func (t Text) run(ctx context.Context, st *Statement, args []sqltypes.Value) (*engine.Result, error) {
+	if !st.IsQuery() {
+		return t.tier.ExecStmt(ctx, st, args)
 	}
-	sel, ok := stmt.(*sqlast.Select)
-	if !ok {
-		return nil, fmt.Errorf("middleware: not a query: %T (use Exec for DML/DDL)", stmt)
-	}
-	return sel, nil
-}
-
-// run executes a parsed statement of any kind to its materialized outcome.
-func (t Text) run(ctx context.Context, stmt sqlast.Statement, raw string, args []sqltypes.Value) (*engine.Result, error) {
-	sel, ok := stmt.(*sqlast.Select)
-	if !ok {
-		return t.tier.ExecStmt(ctx, stmt, raw, args)
-	}
-	rows, err := t.tier.QueryStmt(ctx, sel, raw, args)
+	rows, err := t.tier.QueryStmt(ctx, st, args)
 	if err != nil {
 		return nil, err
 	}
 	return rows.Collect()
 }
 
-// Exec parses and executes one MTSQL statement. SELECT texts hit the
-// statement caches: the parse, the canonical rewrite and the optimization
-// are each reused when the text, session context and schema are unchanged.
+// Exec parses and executes one MTSQL statement. A repeated SELECT text is
+// served from the statement cache: its parse, and its rewritten and optimized
+// form while session context and schema are unchanged.
 func (t Text) Exec(sql string) (*engine.Result, error) {
 	return t.ExecContext(context.Background(), sql)
 }
@@ -131,11 +102,11 @@ func (t Text) ExecContext(ctx context.Context, sql string, args ...any) (*engine
 	if err != nil {
 		return nil, err
 	}
-	stmt, err := t.parse(sql)
+	st, err := t.Statement(sql)
 	if err != nil {
 		return nil, err
 	}
-	return t.run(ctx, stmt, sql, vals)
+	return t.run(ctx, st, vals)
 }
 
 // Query executes a SELECT and materializes the result, which is atomic:
@@ -165,63 +136,58 @@ func (t Text) QueryContext(ctx context.Context, sql string, args ...any) (*engin
 	if err != nil {
 		return nil, err
 	}
-	sel, err := t.ParseSelect(sql)
+	st, err := t.Statement(sql)
 	if err != nil {
 		return nil, err
 	}
-	return t.tier.QueryStmt(ctx, sel, sql, vals)
+	return t.tier.QueryStmt(ctx, st, vals)
 }
 
-// Stmt is a prepared MTSQL statement bound to one session. The client text
-// is parsed once; scope and optimization level are read per execution, like
-// any other statement on the connection, so each execution resolves D′ anew
-// (a sharded session re-routes by it) and serves the canonical rewrite from
-// the rewrite cache keyed on the *parameterized* text. The rewrite — and
-// the engine plan behind it — is therefore shared across every binding:
-// with placeholders the "pure SQL" the middleware ships per statement is
-// byte-identical across bindings, which is what makes plan-cache hits the
-// common case for literal-varying workloads.
+// Stmt is a prepared MTSQL statement: a Statement bound to one session. The
+// client text is parsed once; scope and optimization level are read per
+// execution, like any other statement on the connection, so each execution
+// resolves D′ anew (a sharded session re-routes by it) and serves the
+// compiled form from the statement cache keyed on the *parameterized* text.
+// The rewrite — and the engine plan behind it — is therefore shared across
+// every binding: with placeholders the "pure SQL" the middleware ships per
+// statement is byte-identical across bindings, which is what makes plan-cache
+// hits the common case for literal-varying workloads.
 type Stmt struct {
-	t       Text
-	raw     string
-	stmt    sqlast.Statement
-	nParams int
+	t    Text
+	stmt *Statement
 }
 
 // Prepare parses one MTSQL statement with `?` / `$n` placeholders and
 // returns a reusable handle. Queries and DML are accepted; DDL and
 // session statements have nothing to parameterize and are rejected.
 func (t Text) Prepare(sql string) (*Stmt, error) {
-	stmt, err := t.parse(sql)
+	st, err := t.Statement(sql)
 	if err != nil {
 		return nil, err
 	}
-	switch stmt.(type) {
+	switch st.ast.(type) {
 	case *sqlast.Select, *sqlast.Insert, *sqlast.Update, *sqlast.Delete:
-		return &Stmt{t: t, raw: sql, stmt: stmt, nParams: sqlast.MaxParam(stmt)}, nil
+		return &Stmt{t: t, stmt: st.asPrepared()}, nil
 	}
-	return nil, fmt.Errorf("middleware: cannot prepare %T (only queries and DML)", stmt)
+	return nil, fmt.Errorf("middleware: cannot prepare %T (only queries and DML)", st.ast)
 }
 
 // NumParams returns the number of bind parameters the statement expects.
-func (st *Stmt) NumParams() int { return st.nParams }
+func (st *Stmt) NumParams() int { return st.stmt.nParams }
 
 // SQL returns the client text the statement was prepared from.
-func (st *Stmt) SQL() string { return st.raw }
+func (st *Stmt) SQL() string { return st.stmt.text }
 
-// Statement returns the parsed statement, for callers that run it on the
-// session's core themselves. It is shared and must not be modified.
-func (st *Stmt) Statement() sqlast.Statement { return st.stmt }
+// Statement returns the statement value, for callers that run it on the
+// session's core themselves.
+func (st *Stmt) Statement() *Statement { return st.stmt }
 
 // IsQuery reports whether the statement is a SELECT (row-returning)
 // rather than DML.
-func (st *Stmt) IsQuery() bool {
-	_, ok := st.stmt.(*sqlast.Select)
-	return ok
-}
+func (st *Stmt) IsQuery() bool { return st.stmt.IsQuery() }
 
-// Close releases the handle; the cached parse and rewrites stay warm for
-// future preparations of the same text.
+// Close releases the handle; the cached parse and compiled forms stay warm
+// for future preparations of the same text.
 func (st *Stmt) Close() error { return nil }
 
 // Query executes a prepared SELECT with the given bind values and returns
@@ -231,17 +197,14 @@ func (st *Stmt) Query(args ...any) (*engine.Rows, error) {
 	return st.QueryContext(context.Background(), args...)
 }
 
-// QueryContext is Query with cancellation polled inside every operator.
+// QueryContext is Query with cancellation polled inside every operator; the
+// tier's core rejects a statement that is not a query.
 func (st *Stmt) QueryContext(ctx context.Context, args ...any) (*engine.Rows, error) {
-	sel, ok := st.stmt.(*sqlast.Select)
-	if !ok {
-		return nil, fmt.Errorf("middleware: not a query: %s (use Exec)", st.raw)
-	}
 	vals, err := sqltypes.BindValues(args)
 	if err != nil {
 		return nil, err
 	}
-	return st.t.tier.QueryStmt(ctx, sel, st.raw, vals)
+	return st.t.tier.QueryStmt(ctx, st.stmt, vals)
 }
 
 // QueryResult executes a prepared SELECT and materializes the result — a
@@ -266,5 +229,5 @@ func (st *Stmt) ExecContext(ctx context.Context, args ...any) (*engine.Result, e
 	if err != nil {
 		return nil, err
 	}
-	return st.t.run(ctx, st.stmt, st.raw, vals)
+	return st.t.run(ctx, st.stmt, vals)
 }

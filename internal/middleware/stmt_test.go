@@ -107,7 +107,7 @@ func TestPreparedSharesCaches(t *testing.T) {
 	}
 	db := srv.DB()
 	db.Stats = engine.Stats{}
-	srv.rwHits, srv.rwMisses = 0, 0
+	srv.cache.hits, srv.cache.misses = 0, 0
 	for i := 0; i < 100; i++ {
 		res, err := st.QueryResult(1000 * i)
 		if err != nil {

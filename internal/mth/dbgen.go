@@ -33,11 +33,6 @@ type Config struct {
 	Mode    engine.Mode
 }
 
-// DefaultConfig is a laptop-scale Scenario-1 shape (§6.2).
-func DefaultConfig() Config {
-	return Config{SF: 0.01, Tenants: 10, Dist: Uniform, Seed: 42, Mode: engine.ModePostgres}
-}
-
 // rowCounts scales the TPC-H table cardinalities.
 func (c Config) rowCounts() (suppliers, parts, customers, orders int) {
 	suppliers = max(int(c.SF*10000), 10)

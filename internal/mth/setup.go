@@ -131,79 +131,100 @@ func BuildMT(cfg Config) (*Instance, error) {
 
 // LoadMT stands up an MTBase instance from pre-generated data.
 func LoadMT(d *Data) (*Instance, error) {
-	cfg := d.Cfg
-	db := engine.Open(cfg.Mode)
-	srv := middleware.NewServer(db, middleware.WithDataModeller(ModellerTTID))
-	if err := srv.Schema().Convs().Register(mtsql.ConvPair{
-		Name: "currency", ToFunc: "currencyToUniversal", FromFunc: "currencyFromUniversal",
-		Class: mtsql.ClassLinear,
-	}); err != nil {
+	srv := middleware.NewServer(engine.Open(d.Cfg.Mode), middleware.WithDataModeller(ModellerTTID))
+	one := []*middleware.Server{srv}
+	if err := load(d, srv.Connect, srv.CreateTenant, one, one, func(int64) int { return 0 }); err != nil {
 		return nil, err
 	}
-	if err := srv.Schema().Convs().Register(mtsql.ConvPair{
-		Name: "phone", ToFunc: "phoneToUniversal", FromFunc: "phoneFromUniversal",
-		Class: mtsql.ClassEqualityPreserving,
-	}); err != nil {
-		return nil, err
+	return &Instance{Cfg: d.Cfg, Srv: srv, Data: d}, nil
+}
+
+// load fills a freshly stood-up deployment, unsharded or sharded, from d.
+// Every server in meta carries the conversion registry, the schema (DDL goes
+// through a modeller session, which a sharded tier fans out under its schema
+// barrier), the tenants, the conversion meta rows and the global tables —
+// rewrites happen wherever a statement lands. Each tenant's rows go to
+// owners[ownerOf(t)] only, in generated order: heap order is part of what the
+// differential suites compare through unordered scans.
+func load[C middleware.Session](d *Data, connect func(int64) (C, error), createTenant func(int64) error,
+	meta, owners []*middleware.Server, ownerOf func(t int64) int) error {
+	for _, mw := range meta {
+		for _, pair := range []mtsql.ConvPair{
+			{Name: "currency", ToFunc: "currencyToUniversal", FromFunc: "currencyFromUniversal", Class: mtsql.ClassLinear},
+			{Name: "phone", ToFunc: "phoneToUniversal", FromFunc: "phoneFromUniversal", Class: mtsql.ClassEqualityPreserving},
+		} {
+			if err := mw.Schema().Convs().Register(pair); err != nil {
+				return err
+			}
+		}
 	}
-	admin, err := srv.Connect(ModellerTTID)
+	admin, err := connect(ModellerTTID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, group := range [][]string{metaDDL, globalDDL, tenantDDL} {
 		for _, ddl := range group {
 			if _, err := admin.Exec(ddl); err != nil {
-				return nil, fmt.Errorf("mth: DDL failed: %w", err)
+				return fmt.Errorf("mth: DDL failed: %w", err)
 			}
 		}
 	}
-	for t := int64(1); t <= int64(cfg.Tenants); t++ {
-		if err := srv.CreateTenant(t); err != nil {
-			return nil, err
+	tenants := int64(d.Cfg.Tenants)
+	for t := int64(1); t <= tenants; t++ {
+		if err := createTenant(t); err != nil {
+			return err
 		}
 	}
 
-	// Conversion meta data: one currency and one phone prefix per tenant.
-	tenantT := db.Table("Tenant")
-	ct := db.Table("CurrencyTransform")
-	pt := db.Table("PhoneTransform")
-	for t := int64(1); t <= int64(cfg.Tenants); t++ {
-		tenantT.AppendRow([]sqltypes.Value{
-			sqltypes.NewInt(t), sqltypes.NewInt(t), sqltypes.NewInt(t),
-		})
-		rate := d.ToUniversalRate[t]
-		ct.AppendRow([]sqltypes.Value{
-			sqltypes.NewInt(t), sqltypes.NewFloat(rate), sqltypes.NewFloat(1 / rate),
-		})
-		pt.AppendRow([]sqltypes.Value{
-			sqltypes.NewInt(t), sqltypes.NewString(d.PhonePrefix[t]),
-		})
+	// Conversion meta data — one currency and one phone prefix per tenant —
+	// and the global tables.
+	for _, mw := range meta {
+		db := mw.DB()
+		tenantT := db.Table("Tenant")
+		ct := db.Table("CurrencyTransform")
+		pt := db.Table("PhoneTransform")
+		for t := int64(1); t <= tenants; t++ {
+			tenantT.AppendRow([]sqltypes.Value{
+				sqltypes.NewInt(t), sqltypes.NewInt(t), sqltypes.NewInt(t),
+			})
+			rate := d.ToUniversalRate[t]
+			ct.AppendRow([]sqltypes.Value{
+				sqltypes.NewInt(t), sqltypes.NewFloat(rate), sqltypes.NewFloat(1 / rate),
+			})
+			pt.AppendRow([]sqltypes.Value{
+				sqltypes.NewInt(t), sqltypes.NewString(d.PhonePrefix[t]),
+			})
+		}
+		db.Table("region").BulkLoad(d.Region)
+		db.Table("nation").BulkLoad(d.Nation)
+		db.Table("supplier").BulkLoad(d.Supplier)
+		db.Table("part").BulkLoad(d.Part)
+		db.Table("partsupp").BulkLoad(d.Partsupp)
 	}
-
-	loadGlobal := func(name string, rows [][]sqltypes.Value) {
-		db.Table(name).BulkLoad(rows)
-	}
-	loadGlobal("region", d.Region)
-	loadGlobal("nation", d.Nation)
-	loadGlobal("supplier", d.Supplier)
-	loadGlobal("part", d.Part)
-	loadGlobal("partsupp", d.Partsupp)
 
 	// Tenant-specific rows: prepend ttid and convert monetary / phone
 	// values from universal into the owner's format (the dbgen
 	// modification of §5).
-	loadTenant := func(name string, rows [][]sqltypes.Value, tenants []int64, convert func(row []sqltypes.Value, t int64)) {
-		tab := db.Table(name)
-		out := make([][]sqltypes.Value, len(rows))
+	loadTenant := func(name string, rows [][]sqltypes.Value, tenantOf []int64, convert func(row []sqltypes.Value, t int64)) {
+		counts := make([]int, len(owners))
+		for _, t := range tenantOf {
+			counts[ownerOf(t)]++
+		}
+		parts := make([][][]sqltypes.Value, len(owners))
+		for i, n := range counts {
+			parts[i] = make([][]sqltypes.Value, 0, n)
+		}
 		for i, row := range rows {
-			t := tenants[i]
+			t := tenantOf[i]
 			nr := make([]sqltypes.Value, 0, len(row)+1)
 			nr = append(nr, sqltypes.NewInt(t))
 			nr = append(nr, row...)
 			convert(nr, t)
-			out[i] = nr
+			parts[ownerOf(t)] = append(parts[ownerOf(t)], nr)
 		}
-		tab.BulkLoad(out)
+		for i, mw := range owners {
+			mw.DB().Table(name).BulkLoad(parts[i])
+		}
 	}
 	// Tenant-format monetary values are stored at full precision (not
 	// rounded to cents): rounding at load time would make converted
@@ -221,7 +242,7 @@ func LoadMT(d *Data) (*Instance, error) {
 	loadTenant("lineitem", d.Lineitem, d.LineTenant, func(row []sqltypes.Value, t int64) {
 		row[6] = sqltypes.NewFloat(d.ConvertCurrency(row[6].F, t))
 	})
-	return &Instance{Cfg: cfg, Srv: srv, Data: d}, nil
+	return nil
 }
 
 // GrantReadTo lets the given client read every tenant's data (database-

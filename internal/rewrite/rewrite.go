@@ -364,16 +364,19 @@ func rewriteKey(ctx *Context, e sqlast.Expr, res *Resolver) (sqlast.Expr, error)
 	return wrapped, nil
 }
 
-// rewriteOrderBy rewrites every ORDER BY key except an unqualified reference
-// to an output column or alias: that one orders by the output, which the
-// invariant already guarantees to be D-filtered and in client format (§3.1),
-// and it stays as written so that the engine and the shard merge keep matching
-// it to an output position. Any other key is evaluated over the block's rows
+// rewriteOrderBy rewrites every ORDER BY key except an ordinal and an
+// unqualified reference to an output column or alias: those order by the
+// output, which the invariant already guarantees to be D-filtered and in
+// client format (§3.1), and they stay as written so that the engine and the
+// shard merge keep matching them to an output position. Any other key is evaluated over the block's rows
 // and is rewritten like a GROUP BY key. Runs after rewriteSelectList: stars
 // are expanded and converted items carry their attribute's name as alias.
 func rewriteOrderBy(ctx *Context, q *sqlast.Select, res *Resolver) error {
 	for i := range q.OrderBy {
 		o := &q.OrderBy[i]
+		if _, ok := o.Ordinal(); ok {
+			continue
+		}
 		if cr, ok := o.Expr.(*sqlast.ColumnRef); ok && cr.Table == "" && namesOutput(q, cr.Name) {
 			continue
 		}

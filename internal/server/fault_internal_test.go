@@ -8,14 +8,15 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
 
+	"mtbase/internal/client"
 	"mtbase/internal/engine"
 	"mtbase/internal/middleware"
 	"mtbase/internal/mth"
-	"mtbase/internal/sqlast"
 	"mtbase/internal/sqltypes"
 	"mtbase/internal/wal"
 	"mtbase/internal/wire"
@@ -72,12 +73,12 @@ type cancelledOpen struct {
 	sess *session
 }
 
-func (c cancelledOpen) QueryStmt(context.Context, *sqlast.Select, string, []sqltypes.Value) (*engine.Rows, error) {
+func (c cancelledOpen) QueryStmt(context.Context, *middleware.Statement, []sqltypes.Value) (*engine.Rows, error) {
 	c.sess.cancelStmt()
 	return nil, context.Canceled
 }
 
-func (c cancelledOpen) ExecStmt(context.Context, sqlast.Statement, string, []sqltypes.Value) (*engine.Result, error) {
+func (c cancelledOpen) ExecStmt(context.Context, *middleware.Statement, []sqltypes.Value) (*engine.Result, error) {
 	c.sess.cancelStmt()
 	return nil, context.Canceled
 }
@@ -118,6 +119,152 @@ func TestCancelledAtOpenIsTypedCancelled(t *testing.T) {
 		if e, _ := wire.DecodeError(payload); e == nil || e.Code != wire.CodeCancelled {
 			t.Errorf("%s: answered %v, want code %q", sql, e, wire.CodeCancelled)
 		}
+	}
+}
+
+// countedSession counts what the served path asks of its session and
+// remembers the statement values that crossed.
+type countedSession struct {
+	middleware.Session
+	resolved, queried []*middleware.Statement
+}
+
+func (c *countedSession) Statement(sql string) (*middleware.Statement, error) {
+	st, err := c.Session.Statement(sql)
+	c.resolved = append(c.resolved, st)
+	return st, err
+}
+
+func (c *countedSession) QueryStmt(ctx context.Context, st *middleware.Statement, args []sqltypes.Value) (*engine.Rows, error) {
+	c.queried = append(c.queried, st)
+	return c.Session.QueryStmt(ctx, st, args)
+}
+
+// TestAdHocStatementParsedOnce: a served ad-hoc statement is resolved to its
+// Statement once — one middleware.Parse on a new text, none on a repeated one
+// — and that one value is what the session's core executes: the server has no
+// parser of its own (TestSessionSeam) and hands no text further down. The
+// statement cache is the witness: the value served is the value it holds, a
+// first serve is its one miss and a second its one hit.
+func TestAdHocStatementParsedOnce(t *testing.T) {
+	cfg := mth.Config{SF: 0.001, Tenants: 1, Dist: mth.Uniform, Seed: 1, Mode: engine.ModePostgres}
+	inst, err := mth.BuildMT(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := inst.Srv.Connect(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	counted := &countedSession{Session: conn}
+	sess := &session{
+		srv: New(inst.Srv, nil, Config{}), tenant: 1, conn: counted,
+		bw: bufio.NewWriter(&out), ctx: context.Background(),
+	}
+	const text = `SELECT COUNT(*) FROM region WHERE r_regionkey = 3`
+	hits0, misses0 := inst.Srv.RewriteCacheStats()
+	for i := 0; i < 2; i++ {
+		if !sess.handleQuery(wire.EncodeQuery(wire.Query{SQL: text})) {
+			t.Fatal("session did not survive")
+		}
+	}
+	if len(counted.resolved) != 2 || len(counted.queried) != 2 {
+		t.Fatalf("two served statements resolved %d texts and ran %d queries", len(counted.resolved), len(counted.queried))
+	}
+	first := counted.resolved[0]
+	for i, st := range append(counted.resolved[1:], counted.queried...) {
+		if st != first {
+			t.Errorf("statement value %d differs from the first one resolved: the text was parsed again", i+1)
+		}
+	}
+	if cached, _ := conn.Statement(text); cached != first {
+		t.Error("the statement cache does not hold the value the served path executed")
+	}
+	hits, misses := inst.Srv.RewriteCacheStats()
+	if hits-hits0 != 1 || misses-misses0 != 1 {
+		t.Errorf("two serves of one new text: %d hits / %d misses, want 1/1", hits-hits0, misses-misses0)
+	}
+}
+
+// shortRows is a session whose queries over region read it as a statement-
+// local relation with a row shorter than the table's schema — what a shard
+// handing the coordinator a malformed partial would be. Evaluating a column
+// past the row's end panics inside the operator tree.
+type shortRows struct {
+	middleware.Session
+	db *engine.DB
+}
+
+func (c shortRows) QueryStmt(ctx context.Context, st *middleware.Statement, args []sqltypes.Value) (*engine.Rows, error) {
+	if reads := st.Tables().Reads; len(reads) != 1 || reads[0] != "region" {
+		return c.Session.QueryStmt(ctx, st, args)
+	}
+	sel, _ := st.Select()
+	return c.db.QueryWith(ctx, sel, args, engine.Relation{Name: "region", Rows: [][]sqltypes.Value{{sqltypes.NewInt(1)}}})
+}
+
+// TestPanicIsAnErrorFrame: a statement that panics in the engine answers an
+// `internal` error frame; its session goes on, its admission slot is returned
+// (the tenant's quota is one statement in flight), and another tenant's
+// session never notices.
+func TestPanicIsAnErrorFrame(t *testing.T) {
+	cfg := mth.Config{SF: 0.001, Tenants: 2, Dist: mth.Uniform, Seed: 1, Mode: engine.ModePostgres}
+	inst, err := mth.BuildMT(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(inst.Srv, nil, Config{Limits: Limits{TenantInflight: 1}})
+	plain := srv.connect
+	srv.connect = func(ttid int64) (middleware.Session, error) {
+		conn, err := plain(ttid)
+		if err != nil || ttid != 1 {
+			return conn, err
+		}
+		return shortRows{Session: conn, db: inst.Srv.DB()}, nil
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	victim, err := client.Dial(addr.String(), 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer victim.Close()
+	bystander, err := client.Dial(addr.String(), 2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bystander.Close()
+
+	count := func(c *client.Conn, sql string) int64 {
+		t.Helper()
+		res, err := c.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res.Rows[0][0].AsInt()
+	}
+	if n := count(bystander, `SELECT COUNT(*) FROM region`); n != 5 {
+		t.Fatalf("bystander before: %d regions", n)
+	}
+	for i := 0; i < 2; i++ { // twice: the first must have returned its slot
+		_, err = victim.Query(`SELECT r_name FROM region`)
+		var we *wire.Err
+		if !errors.As(err, &we) || we.Code != wire.CodeInternal {
+			t.Fatalf("panicking statement answered %v, want code %q", err, wire.CodeInternal)
+		}
+	}
+	if n := count(victim, `SELECT COUNT(*) FROM nation`); n != 25 {
+		t.Fatalf("victim's next statement: %d nations", n)
+	}
+	if n := count(bystander, `SELECT COUNT(*) FROM region`); n != 5 {
+		t.Fatalf("bystander after: %d regions", n)
+	}
+	if got := inst.Srv.DB().Stats.Snapshot().Panics; got != 2 {
+		t.Errorf("engine.panics = %d, want 2", got)
 	}
 }
 

@@ -85,9 +85,6 @@ func NewSharded(ss *shard.Server, cfg Config) *Server {
 	return s
 }
 
-// Store returns the durability store, or nil for an ephemeral server.
-func (s *Server) Store() *Store { return s.store }
-
 // Listen binds addr and starts serving in a background goroutine,
 // returning the bound address (useful with ":0").
 func (s *Server) Listen(addr string) (net.Addr, error) {

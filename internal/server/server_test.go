@@ -453,47 +453,3 @@ func TestCancelMidStream(t *testing.T) {
 		t.Fatalf("after ad-hoc cancel: %v", err)
 	}
 }
-
-// TestAdHocStatementParsedOnce: the served path parses an ad-hoc statement
-// itself and hands the AST to the session's core, so the text never goes
-// through the text-level entry points and their parse cache a second time.
-// The cache is the witness: filled to capacity it restarts empty on the next
-// new text, so an entry surviving a served statement proves that statement
-// stored nothing, and the same entry vanishing on one more in-process parse
-// proves the cache was full.
-func TestAdHocStatementParsedOnce(t *testing.T) {
-	inst, addr := e2e(t)
-	local, err := inst.Connect(1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := func(i int) string { return fmt.Sprintf("SELECT COUNT(*) FROM region WHERE r_regionkey = %d", i) }
-	inst.Srv.InvalidateStatementCaches()
-	first, err := local.ParseSelect(text(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const parseCacheCap = 512 // middleware.stmtCacheCap
-	for i := 1; i < parseCacheCap; i++ {
-		if _, err := local.ParseSelect(text(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	remote, err := client.Dial(addr, 1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	if res, err := remote.Query(text(parseCacheCap)); err != nil || len(res.Rows) != 1 {
-		t.Fatalf("served ad-hoc query: %v", err)
-	}
-	if again, _ := local.ParseSelect(text(0)); again != first {
-		t.Fatal("a served ad-hoc SELECT went through the parse cache: it was parsed a second time below the server")
-	}
-	if _, err := local.ParseSelect(text(parseCacheCap + 1)); err != nil {
-		t.Fatal(err)
-	}
-	if again, _ := local.ParseSelect(text(0)); again == first {
-		t.Fatal("parse cache was not at capacity; the check above proved nothing")
-	}
-}

@@ -10,6 +10,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -19,7 +20,6 @@ import (
 	"mtbase/internal/middleware"
 	"mtbase/internal/optimizer"
 	"mtbase/internal/sqlast"
-	"mtbase/internal/sqlparse"
 	"mtbase/internal/sqltypes"
 	"mtbase/internal/wal"
 	"mtbase/internal/wire"
@@ -268,43 +268,43 @@ func (s *session) handleQuery(payload []byte) bool {
 		return s.sendErr(e)
 	}
 	defer done()
-	stmt, err := sqlparse.ParseStatement(q.SQL)
+	st, err := s.conn.Statement(q.SQL)
 	if err != nil {
 		return s.sendErr(wireErr(wire.CodeParse, err))
 	}
-	return s.execute(stmt, q.SQL, q.Args)
+	return s.execute(st, q.Args)
 }
 
 // execute runs one admitted statement on the session's core and answers
 // it: a SELECT streams, anything else answers Done with its affected count,
 // after going through the WAL when it mutates durable state. The caller
-// already holds the parsed statement and the decoded bind values, so
-// nothing is parsed or converted again on the way down.
-func (s *session) execute(stmt sqlast.Statement, sql string, args []sqltypes.Value) bool {
+// already holds the Statement and the decoded bind values, so nothing is
+// parsed or converted again on the way down.
+func (s *session) execute(st *middleware.Statement, args []sqltypes.Value) bool {
 	ctx, finish := s.beginStmtCtx()
 	defer finish()
-	if sel, ok := stmt.(*sqlast.Select); ok {
-		rows, err := s.conn.QueryStmt(ctx, sel, sql, args)
+	if st.IsQuery() {
+		rows, err := s.conn.QueryStmt(ctx, st, args)
 		if err != nil {
 			return s.sendErr(s.execErr(ctx, err))
 		}
 		return s.streamRows(ctx, rows)
 	}
-	exec := func() (*engine.Result, error) { return s.conn.ExecStmt(ctx, stmt, sql, args) }
+	exec := func() (*engine.Result, error) { return s.conn.ExecStmt(ctx, st, args) }
 	var (
 		res *engine.Result
 		err error
 	)
-	if kind, logged := classify(stmt); logged && s.srv.store != nil {
-		res, err = s.srv.store.Apply(kind, s.tenant, s.conn.OptLevel(), s.scope, sql, args, exec)
+	if kind, logged := classify(st.AST()); logged && s.srv.store != nil {
+		res, err = s.srv.store.Apply(kind, s.tenant, s.conn.OptLevel(), s.scope, st.Text(), args, exec)
 	} else {
 		res, err = exec()
 	}
 	if err != nil {
 		return s.sendErr(s.execErr(ctx, err))
 	}
-	if _, ok := stmt.(*sqlast.SetScope); ok {
-		s.scope = sql
+	if _, ok := st.AST().(*sqlast.SetScope); ok {
+		s.scope = st.Text()
 	}
 	// Only SELECTs return rows, and those streamed above.
 	return s.send(wire.MsgDone, wire.EncodeDone(wire.Done{Affected: int64(res.Affected)}))
@@ -325,10 +325,14 @@ func classify(stmt sqlast.Statement) (wal.Kind, bool) {
 }
 
 // execErr types a statement failure: cancellation (client Cancel or
-// disconnect) is distinguished from an execution error.
+// disconnect) and a panic the engine recovered into the statement's error
+// are distinguished from an execution error.
 func (s *session) execErr(ctx context.Context, err error) *wire.Err {
-	if ctx.Err() != nil {
+	switch {
+	case ctx.Err() != nil:
 		return &wire.Err{Code: wire.CodeCancelled, Message: err.Error()}
+	case errors.Is(err, engine.ErrInternal):
+		return &wire.Err{Code: wire.CodeInternal, Message: err.Error()}
 	}
 	return wireErr(wire.CodeExec, err)
 }
@@ -404,7 +408,7 @@ func (s *session) handleExecute(payload []byte) bool {
 		return s.sendErr(&wire.Err{Code: wire.CodeNotQuery,
 			Message: fmt.Sprintf("statement id %d is not a query", e.StmtID)})
 	}
-	return s.execute(st.st.Statement(), st.st.SQL(), st.args)
+	return s.execute(st.st.Statement(), st.args)
 }
 
 func (s *session) handleCloseStmt(payload []byte) bool {

@@ -25,7 +25,6 @@ import (
 	"mtbase/internal/middleware"
 	"mtbase/internal/mth"
 	"mtbase/internal/optimizer"
-	"mtbase/internal/sqlparse"
 	"mtbase/internal/sqltypes"
 	"mtbase/internal/wal"
 )
@@ -142,9 +141,6 @@ func (st *Store) Instance() *mth.Instance { return st.inst }
 
 // Manifest returns the effective manifest (the stored one, on reopen).
 func (st *Store) Manifest() Manifest { return st.man }
-
-// Dir returns the durability directory.
-func (st *Store) Dir() string { return st.dir }
 
 // Recovered reports how many WAL records replayed at open.
 func (st *Store) Recovered() int { return st.recovered }
@@ -324,9 +320,9 @@ func (st *Store) replay(recs []wal.Record, snap *wal.Snapshot) error {
 			return err
 		}
 		c.SetOptLevel(optimizer.Level(rec.Level))
-		stmt, err := sqlparse.ParseStatement(rec.SQL)
+		stmt, err := middleware.Parse(rec.SQL)
 		if err == nil {
-			_, err = c.ExecStmt(ctx, stmt, rec.SQL, rec.Args)
+			_, err = c.ExecStmt(ctx, stmt, rec.Args)
 		}
 		if err != nil {
 			// Only successful statements are logged; a replay failure

@@ -17,8 +17,8 @@ import (
 
 // Conn is a sharded session: a middleware.Session whose core routes every
 // statement by its resolved tenant set D′; the text-level surface and the
-// prepared statement are the embedded middleware.Text's, parsing through
-// the replica's parse cache. It is not safe for concurrent use by multiple
+// prepared statement are the embedded middleware.Text's, resolving texts
+// through the replica's statement cache. It is not safe for concurrent use by multiple
 // goroutines (like middleware.Conn).
 type Conn struct {
 	middleware.Text
@@ -38,8 +38,7 @@ func (c *Conn) C() int64 { return c.c }
 // every sub-connection.
 func (c *Conn) SetOptLevel(l optimizer.Level) {
 	c.level = l
-	c.rconn.SetOptLevel(l)
-	for _, sc := range c.sconns {
+	for _, sc := range c.conns() {
 		sc.SetOptLevel(l)
 	}
 }
@@ -47,37 +46,57 @@ func (c *Conn) SetOptLevel(l optimizer.Level) {
 // OptLevel returns the session's optimization level.
 func (c *Conn) OptLevel() optimizer.Level { return c.level }
 
-// ExecStmt routes a parsed statement other than a SELECT: SET SCOPE is
-// installed from the AST (never re-serialized: an empty simple scope
-// serializes to the all-tenants form), DML goes to the owning shards, and
-// everything else is schema or privilege state that fans out everywhere.
-func (c *Conn) ExecStmt(ctx context.Context, stmt sqlast.Statement, raw string, args []sqltypes.Value) (*engine.Result, error) {
-	switch st := stmt.(type) {
+// ExecStmt routes a statement other than a SELECT: SET SCOPE is installed
+// on every server, DML goes to the owning shards, and everything else is
+// schema or privilege state that fans out everywhere.
+func (c *Conn) ExecStmt(ctx context.Context, st *middleware.Statement, args []sqltypes.Value) (*engine.Result, error) {
+	switch ast := st.AST().(type) {
 	case *sqlast.Select:
-		return nil, fmt.Errorf("shard: unsupported statement %T (queries stream through QueryStmt)", stmt)
+		return nil, fmt.Errorf("shard: unsupported statement %T (queries stream through QueryStmt)", ast)
 	case *sqlast.SetScope:
-		return c.setScope(ctx, st, args)
-	case *sqlast.Insert:
-		return c.execInsert(ctx, st, raw, args)
-	case *sqlast.Update, *sqlast.Delete:
-		return c.execTargetedDML(ctx, st, raw, args)
+		return c.setScope(ctx, st, ast, args)
+	case *sqlast.Insert, *sqlast.Update, *sqlast.Delete:
+		return c.execDML(ctx, st, args)
 	default:
-		return c.execDDL(stmt, raw)
+		return c.execDDL(ctx, st, args)
 	}
 }
 
 // setScope installs the session scope on every sub-connection; the AST is
 // kept to tell a data-dependent (complex) scope from a metadata one.
-func (c *Conn) setScope(ctx context.Context, st *sqlast.SetScope, args []sqltypes.Value) (*engine.Result, error) {
+func (c *Conn) setScope(ctx context.Context, st *middleware.Statement, scope *sqlast.SetScope, args []sqltypes.Value) (*engine.Result, error) {
 	c.srv.ddlMu.RLock()
 	defer c.srv.ddlMu.RUnlock()
-	for _, sc := range append([]*middleware.Conn{c.rconn}, c.sconns...) {
-		if _, err := sc.ExecStmt(ctx, st, "", args); err != nil {
+	if _, err := everywhere(ctx, c.conns(), st, args); err != nil {
+		return nil, err
+	}
+	c.scope = scope
+	return &engine.Result{}, nil
+}
+
+// conns lists the session's sub-connections: the replica's, then one per shard.
+func (c *Conn) conns() []*middleware.Conn {
+	return append([]*middleware.Conn{c.rconn}, c.sconns...)
+}
+
+// everywhere runs st on the replica and then on every shard, returning the
+// first shard's result. The replica goes first: a statement that fails its
+// checks (privileges, unknown table) fails there before any shard changed.
+func everywhere(ctx context.Context, conns []*middleware.Conn, st *middleware.Statement, args []sqltypes.Value) (*engine.Result, error) {
+	var first *engine.Result
+	for i, sc := range conns {
+		res, err := sc.ExecStmt(ctx, st, args)
+		if err != nil && i > 0 {
+			err = fmt.Errorf("shard: statement diverged across shards (replica succeeded): %w", err)
+		}
+		if err != nil {
 			return nil, err
 		}
+		if i == 1 {
+			first = res
+		}
 	}
-	c.scope = st
-	return &engine.Result{}, nil
+	return first, nil
 }
 
 // sub is shard ss.rank's session under the tenant subset it owns: a value
@@ -147,17 +166,21 @@ func readsTenant(schema *mtsql.Schema, tables []string) bool {
 // QueryStmt picks the execution strategy for one SELECT and returns its
 // cursor: routed to one shard when D′ lands on one, scattered and gathered
 // otherwise.
-func (c *Conn) QueryStmt(ctx context.Context, sel *sqlast.Select, sql string, args []sqltypes.Value) (*engine.Rows, error) {
+func (c *Conn) QueryStmt(ctx context.Context, st *middleware.Statement, args []sqltypes.Value) (*engine.Rows, error) {
+	sel, err := st.Select()
+	if err != nil {
+		return nil, err
+	}
 	c.srv.ddlMu.RLock()
 	defer c.srv.ddlMu.RUnlock()
 	if len(c.sconns) == 1 {
 		// One shard: the original scope passes through verbatim — this is
 		// the differential oracle configuration.
 		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
-		return c.sconns[0].QueryStmt(ctx, sel, sql, args)
+		return c.sconns[0].QueryStmt(ctx, st, args)
 	}
 	schema := c.srv.Schema()
-	ts := sqlast.Tables(sel)
+	ts := st.Tables()
 	hasView := false
 	for _, t := range ts.Reads {
 		if schema.View(t) != nil {
@@ -168,7 +191,7 @@ func (c *Conn) QueryStmt(ctx context.Context, sel *sqlast.Select, sql string, ar
 		// Pure-global query: every shard holds the same global data; run
 		// on the client's home shard.
 		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
-		return c.sconns[c.srv.ShardOf(c.c)].QueryStmt(ctx, sel, sql, args)
+		return c.sconns[c.srv.ShardOf(c.c)].QueryStmt(ctx, st, args)
 	}
 	d, err := c.resolveDPrime(ts)
 	if err != nil {
@@ -187,51 +210,52 @@ func (c *Conn) QueryStmt(ctx context.Context, sel *sqlast.Select, sql string, ar
 		// All of D′ lives on one shard: the shard's own middleware
 		// resolves the original session scope to the same D′ locally.
 		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
-		return c.sconns[c.homeRank(sets)].QueryStmt(ctx, sel, sql, args)
+		return c.sconns[c.homeRank(sets)].QueryStmt(ctx, st, args)
 	}
-	return c.routeCross(ctx, sel, sql, args, d, sets)
+	return c.routeCross(ctx, st, args, d, sets)
 }
 
-// routeCross picks the gather of a view-free statement whose D′ spans the
-// shards in sets. A statement the classifier rejects gets the staged plan
-// (stage.go) before it is given up on: its closed scalar subqueries go
-// through this same function as statements of their own — each counts as the
-// routed statement it is — and what they yield is bound into the outer
-// statement, which then takes the route its second classification found. An
-// abandoned staged plan leaves the original statement to the fallback.
-func (c *Conn) routeCross(ctx context.Context, sel *sqlast.Select, sql string, args []sqltypes.Value, d []int64, sets []shardSet) (*engine.Rows, error) {
-	client, clientSQL := sel, sql // name the header an un-aliased aggregate carries
+// routeCross picks the gather of a view-free SELECT whose D′ spans the shards
+// in sets. A statement the classifier rejects gets the
+// staged plan (stage.go) before it is given up on: its closed scalar
+// subqueries go through this same function as statements of their own — each
+// counts as the routed statement it is — and what they yield is bound into the
+// outer statement, which then takes the route its second classification found.
+// An abandoned staged plan leaves the original statement to the fallback.
+func (c *Conn) routeCross(ctx context.Context, st *middleware.Statement, args []sqltypes.Value, d []int64, sets []shardSet) (*engine.Rows, error) {
+	client := st // names the header an un-aliased aggregate carries
+	sel := st.AST().(*sqlast.Select)
 	an := analyze(sel, c.srv.Schema())
 	if !an.pinned() {
-		st, err := c.stage(ctx, sel, args, d, sets)
+		sg, err := c.stage(ctx, st, args, d, sets)
 		if err != nil {
 			return nil, err
 		}
-		if st != nil {
-			atomic.AddInt64(&c.srv.stats.HoistedSubqueries, int64(len(st.args)-len(args)))
-			sel, sql, args, an = st.sel, st.sel.String(), st.args, st.an
+		if sg != nil {
+			atomic.AddInt64(&c.srv.stats.HoistedSubqueries, int64(len(sg.args)-len(args)))
+			st, sel, args, an = middleware.NewStatement(sg.sel), sg.sel, sg.args, sg.an
 		}
 	}
 	if an.tenantFree {
 		// A staged outer statement whose tenant data all went into its binds:
 		// every shard holds the global rows it reads, so one answers.
 		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
-		return c.sconns[c.srv.ShardOf(c.c)].QueryStmt(ctx, sel, sql, args)
+		return c.sconns[c.srv.ShardOf(c.c)].QueryStmt(ctx, st, args)
 	}
 	atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
 	switch {
 	case an.aggPush:
 		atomic.AddInt64(&c.srv.stats.PartialsPushed, 1)
-		header, err := c.clientHeader(an.plan, client, clientSQL, d)
+		header, err := c.clientHeader(an.plan, client, d)
 		if err != nil {
 			return nil, err
 		}
 		return c.partialScatter(ctx, an.plan, header, args, sets)
 	case an.plainScan:
-		return c.scatterMerge(ctx, sel, sql, args, sets, an)
+		return c.scatterMerge(ctx, st, sel.Limit, args, sets, an)
 	default:
 		atomic.AddInt64(&c.srv.stats.RoutedFallback, 1)
-		return c.fallback(ctx, sel, args, d, sets, sqlast.Tables(sel).Reads)
+		return c.fallback(ctx, sel, args, d, sets, st.Tables().Reads)
 	}
 }
 
@@ -262,10 +286,10 @@ func openParts(sets []shardSet, open func(shardSet) (*engine.Rows, error)) ([]*e
 	return parts, nil
 }
 
-// scatter runs sel on every owning shard under D′ ∩ owned(shard).
-func (c *Conn) scatter(ctx context.Context, sel *sqlast.Select, sql string, args []sqltypes.Value, sets []shardSet) ([]*engine.Rows, error) {
+// scatter runs st on every owning shard under D′ ∩ owned(shard).
+func (c *Conn) scatter(ctx context.Context, st *middleware.Statement, args []sqltypes.Value, sets []shardSet) ([]*engine.Rows, error) {
 	return openParts(sets, func(ss shardSet) (*engine.Rows, error) {
-		return c.sub(ss).QueryStmt(ctx, sel, sql, args)
+		return c.sub(ss).QueryStmt(ctx, st, args)
 	})
 }
 
@@ -274,16 +298,16 @@ func (c *Conn) scatter(ctx context.Context, sel *sqlast.Select, sql string, args
 // orders its output, stable rank-order concatenation otherwise. Only
 // pinned scan-shaped statements come here (analyze), so per-shard results
 // partition the unsharded result by tenant.
-func (c *Conn) scatterMerge(ctx context.Context, sel *sqlast.Select, sql string, args []sqltypes.Value, sets []shardSet, an analysis) (*engine.Rows, error) {
-	parts, err := c.scatter(ctx, sel, sql, args, sets)
+func (c *Conn) scatterMerge(ctx context.Context, st *middleware.Statement, limit int64, args []sqltypes.Value, sets []shardSet, an analysis) (*engine.Rows, error) {
+	parts, err := c.scatter(ctx, st, args, sets)
 	if err != nil {
 		return nil, err
 	}
 	cols := parts[0].Columns()
 	if len(an.mergeKeys) > 0 {
-		return engine.MergeRows(cols, an.mergeKeys, sel.Limit, parts...), nil
+		return engine.MergeRows(cols, an.mergeKeys, limit, parts...), nil
 	}
-	return engine.ConcatRows(cols, sel.Limit, parts...), nil
+	return engine.ConcatRows(cols, limit, parts...), nil
 }
 
 // fallback repartitions: the original statement is rewritten on the replica
@@ -362,56 +386,24 @@ func (s *Server) repartition(from []shardSet, tables []string) ([]engine.Relatio
 	return rels, nil
 }
 
-// execInsert routes an INSERT: global targets replicate to every shard
-// and the replica; tenant-specific targets split by the owning shard of
-// each tenant in D′ (rewrite.Insert already derives one statement per
-// target tenant).
-func (c *Conn) execInsert(ctx context.Context, ins *sqlast.Insert, sql string, args []sqltypes.Value) (*engine.Result, error) {
+// execDML routes a write by its target table. A global target replicates to
+// every shard and the replica; a tenant-specific one splits by the owning
+// shard of each tenant in D′ (rewrite.Insert already derives one statement per
+// target tenant; UPDATE and DELETE apply per tenant) — unless a nested block
+// reads tenant data, whose value (an average, a membership) spans the shards.
+func (c *Conn) execDML(ctx context.Context, st *middleware.Statement, args []sqltypes.Value) (*engine.Result, error) {
 	c.srv.ddlMu.RLock()
 	defer c.srv.ddlMu.RUnlock()
 	schema := c.srv.Schema()
-	ts := sqlast.Tables(ins)
-	subTenant := readsTenant(schema, ts.Reads)
-	if info := schema.Table(ins.Table); info == nil || !info.TenantSpecific() {
-		if subTenant && len(c.sconns) > 1 {
+	ts := st.Tables()
+	fromTenants := readsTenant(schema, ts.Reads)
+	if info := schema.Table(ts.Write); info == nil || !info.TenantSpecific() {
+		if _, isInsert := st.AST().(*sqlast.Insert); isInsert && fromTenants && len(c.sconns) > 1 {
 			return nil, fmt.Errorf("shard: INSERT into global table from tenant-specific SELECT is not supported with %d shards", len(c.sconns))
 		}
-		return c.replicate(ctx, ins, sql, args)
+		return everywhere(ctx, c.conns(), st, args) // a global table lives on every server
 	}
-	return c.routeWrite(ctx, ins, ts, subTenant, sql, args)
-}
-
-// execTargetedDML routes UPDATE/DELETE by the target table: per-tenant
-// application splits cleanly by owning shard — unless a nested block reads
-// tenant data, whose value (an average, a membership) spans the shards.
-func (c *Conn) execTargetedDML(ctx context.Context, stmt sqlast.Statement, sql string, args []sqltypes.Value) (*engine.Result, error) {
-	c.srv.ddlMu.RLock()
-	defer c.srv.ddlMu.RUnlock()
-	schema := c.srv.Schema()
-	ts := sqlast.Tables(stmt)
-	if info := schema.Table(ts.Write); info == nil || !info.TenantSpecific() {
-		return c.replicate(ctx, stmt, sql, args)
-	}
-	return c.routeWrite(ctx, stmt, ts, readsTenant(schema, ts.Reads), sql, args)
-}
-
-// replicate applies a write to a global table on the replica and every
-// shard, returning the first shard's result.
-func (c *Conn) replicate(ctx context.Context, stmt sqlast.Statement, sql string, args []sqltypes.Value) (*engine.Result, error) {
-	if _, err := c.rconn.ExecStmt(ctx, stmt, sql, args); err != nil {
-		return nil, err
-	}
-	var first *engine.Result
-	for _, sc := range c.sconns {
-		res, err := sc.ExecStmt(ctx, stmt, sql, args)
-		if err != nil {
-			return nil, err
-		}
-		if first == nil {
-			first = res
-		}
-	}
-	return first, nil
+	return c.routeWrite(ctx, st, fromTenants, args)
 }
 
 // routeWrite applies a tenant-table write: on the one shard owning D′, or
@@ -420,7 +412,8 @@ func (c *Conn) replicate(ctx context.Context, stmt sqlast.Statement, sql string,
 // data (fromTenants: an INSERT ... SELECT source, a subquery of an UPDATE or
 // DELETE) cannot be split that way — each shard would compute the value from
 // its own tenants' share.
-func (c *Conn) routeWrite(ctx context.Context, stmt sqlast.Statement, ts sqlast.TableSet, fromTenants bool, sql string, args []sqltypes.Value) (*engine.Result, error) {
+func (c *Conn) routeWrite(ctx context.Context, st *middleware.Statement, fromTenants bool, args []sqltypes.Value) (*engine.Result, error) {
+	ts := st.Tables()
 	d, err := c.resolveDPrime(ts)
 	if err != nil {
 		return nil, err
@@ -428,7 +421,7 @@ func (c *Conn) routeWrite(ctx context.Context, stmt sqlast.Statement, ts sqlast.
 	sets := c.srv.group(d)
 	if len(sets) <= 1 {
 		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
-		return c.sconns[c.homeRank(sets)].ExecStmt(ctx, stmt, sql, args)
+		return c.sconns[c.homeRank(sets)].ExecStmt(ctx, st, args)
 	}
 	if fromTenants {
 		return nil, fmt.Errorf("shard: %s reading tenant tables over a cross-shard tenant set is not supported", ts.Priv)
@@ -436,7 +429,7 @@ func (c *Conn) routeWrite(ctx context.Context, stmt sqlast.Statement, ts sqlast.
 	atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
 	affected := 0
 	for _, ss := range sets {
-		res, err := c.sub(ss).ExecStmt(ctx, stmt, sql, args)
+		res, err := c.sub(ss).ExecStmt(ctx, st, args)
 		if err != nil {
 			return nil, err
 		}
@@ -446,17 +439,15 @@ func (c *Conn) routeWrite(ctx context.Context, stmt sqlast.Statement, ts sqlast.
 }
 
 // execDDL fans a schema/privilege statement out to the replica and every
-// shard under the exclusive schema barrier. The replica goes first: a
-// statement that fails its checks (privileges, unknown table) fails there
-// before any shard changed. Statements whose semantics bake the resolved
-// scope (CREATE VIEW; GRANT/REVOKE ... TO ALL) run under the globally
+// shard under the exclusive schema barrier. Statements whose semantics bake the
+// resolved scope (CREATE VIEW; GRANT/REVOKE ... TO ALL) run under the globally
 // resolved scope when the session scope is complex — each server evaluating
 // a complex scope against its own partition would diverge.
-func (c *Conn) execDDL(stmt sqlast.Statement, sql string) (*engine.Result, error) {
+func (c *Conn) execDDL(ctx context.Context, st *middleware.Statement, args []sqltypes.Value) (*engine.Result, error) {
 	c.srv.ddlMu.Lock()
 	defer c.srv.ddlMu.Unlock()
-	conns := append([]*middleware.Conn{c.rconn}, c.sconns...)
-	if needsResolvedScope(stmt) && c.complexScope() {
+	conns := c.conns()
+	if needsResolvedScope(st.AST()) && c.complexScope() {
 		resolved, err := c.resolveComplex()
 		if err != nil {
 			return nil, err
@@ -465,20 +456,7 @@ func (c *Conn) execDDL(stmt sqlast.Statement, sql string) (*engine.Result, error
 			conns[i] = sc.Scoped(resolved)
 		}
 	}
-	if _, err := conns[0].Exec(sql); err != nil {
-		return nil, err
-	}
-	var first *engine.Result
-	for _, sc := range conns[1:] {
-		res, err := sc.Exec(sql)
-		if err != nil {
-			return nil, fmt.Errorf("shard: DDL diverged across shards (replica succeeded): %w", err)
-		}
-		if first == nil {
-			first = res
-		}
-	}
-	return first, nil
+	return everywhere(ctx, conns, st, args)
 }
 
 // needsResolvedScope reports whether a statement's effect bakes the
@@ -499,7 +477,11 @@ func needsResolvedScope(stmt sqlast.Statement) bool {
 // text a single-shard route would run, or the replica's rewrite under the
 // pre-resolved global D′ for cross-shard statements.
 func (c *Conn) RewriteSQL(sql string) (*sqlast.Select, error) {
-	sel, err := c.ParseSelect(sql)
+	st, err := c.Statement(sql)
+	if err != nil {
+		return nil, err
+	}
+	sel, err := st.Select()
 	if err != nil {
 		return nil, err
 	}
@@ -508,7 +490,7 @@ func (c *Conn) RewriteSQL(sql string) (*sqlast.Select, error) {
 	if len(c.sconns) == 1 {
 		return c.sconns[0].RewriteOnly(sel)
 	}
-	d, err := c.resolveDPrime(sqlast.Tables(sel))
+	d, err := c.resolveDPrime(st.Tables())
 	if err != nil {
 		return nil, err
 	}

@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"mtbase/internal/engine"
+	"mtbase/internal/middleware"
 	"mtbase/internal/mtsql"
 	"mtbase/internal/optimizer"
 	"mtbase/internal/sqlast"
@@ -38,7 +39,7 @@ import (
 // partialPlan carries the shard-side partial statement and the
 // coordinator-side combine statement of one aggregation pushdown.
 type partialPlan struct {
-	partial     *sqlast.Select
+	partial     *middleware.Statement
 	combine     *sqlast.Select
 	partialCols []string // partial output columns, in order (mt_g*, mt_a*)
 	// renamed: some item's client-visible name is not an identifier (an
@@ -73,7 +74,8 @@ func buildPartialPlan(sel *sqlast.Select, schema *mtsql.Schema) (*partialPlan, b
 	if !ok {
 		return nil, false
 	}
-	plan := &partialPlan{partial: partial, combine: combine}
+	// The shards get the partial as the statement a client would have sent.
+	plan := &partialPlan{partial: middleware.NewStatement(partial), combine: combine}
 	for _, it := range partial.Items {
 		plan.partialCols = append(plan.partialCols, it.Alias)
 	}
@@ -98,10 +100,9 @@ func exprHasSubquery(e sqlast.Expr) bool {
 	return false
 }
 
-// sliceArgs trims the statement arguments to the exact bind arity the
-// engine demands.
-func sliceArgs(args []sqltypes.Value, stmt sqlast.Statement) ([]sqltypes.Value, error) {
-	n := sqlast.MaxParam(stmt)
+// sliceArgs trims the statement arguments to the exact bind arity n the
+// engine demands of one of the statements they were given for.
+func sliceArgs(args []sqltypes.Value, n int) ([]sqltypes.Value, error) {
 	if n > len(args) {
 		return nil, fmt.Errorf("shard: statement references $%d but only %d arguments given", n, len(args))
 	}
@@ -110,28 +111,19 @@ func sliceArgs(args []sqltypes.Value, stmt sqlast.Statement) ([]sqltypes.Value, 
 
 // clientHeader is the header the unsharded tier gives client, or nil when the
 // plan's combine already carries it. An item without an alias is named by its
-// rewritten text, so the replica rewrites the statement under D′ as it would
-// for a fallback — once per text, session state and schema generation, since
-// both the rewrite and the parse of its text are served from the replica's
-// statement caches.
-func (c *Conn) clientHeader(plan *partialPlan, client *sqlast.Select, sql string, d []int64) ([]string, error) {
+// rewritten text, so the replica compiles the statement under D′ as it would
+// for a fallback — once per text, session state and schema generation: its
+// statement cache holds the form.
+func (c *Conn) clientHeader(plan *partialPlan, client *middleware.Statement, d []int64) ([]string, error) {
 	if !plan.renamed {
 		return nil, nil
 	}
-	txt, err := c.rconn.Scoped(&sqlast.SetScope{Simple: d}).RewrittenText(client, sql)
+	header, err := c.rconn.Scoped(&sqlast.SetScope{Simple: d}).Columns(client)
 	if err != nil {
 		return nil, err
 	}
-	q, err := c.ParseSelect(txt)
-	if err != nil {
-		return nil, err
-	}
-	if len(q.Items) != len(client.Items) {
-		return nil, fmt.Errorf("shard: rewrite changed the select list of %s", client)
-	}
-	header := make([]string, len(q.Items))
-	for i, it := range q.Items {
-		header[i] = it.OutputName()
+	if len(header) != len(client.AST().(*sqlast.Select).Items) {
+		return nil, fmt.Errorf("shard: rewrite changed the select list of %s", client.Text())
 	}
 	return header, nil
 }
@@ -144,22 +136,15 @@ func (c *Conn) clientHeader(plan *partialPlan, client *sqlast.Select, sql string
 // non-nil header renames the fold cursor's columns: the combine names an item
 // by an internal alias where the client-visible name is not an identifier.
 func (c *Conn) partialScatter(ctx context.Context, plan *partialPlan, header []string, args []sqltypes.Value, sets []shardSet) (*engine.Rows, error) {
-	pargs, err := sliceArgs(args, plan.partial)
+	pargs, err := sliceArgs(args, plan.partial.NumParams())
 	if err != nil {
 		return nil, err
 	}
-	cargs, err := sliceArgs(args, plan.combine)
+	cargs, err := sliceArgs(args, sqlast.MaxParam(plan.combine))
 	if err != nil {
 		return nil, err
 	}
-	// The shards get the partial as the text a client would have sent,
-	// reparsed (once per text: the parse cache holds it).
-	ptxt := plan.partial.String()
-	partial, err := c.ParseSelect(ptxt)
-	if err != nil {
-		return nil, err
-	}
-	curs, err := c.scatter(ctx, partial, ptxt, pargs, sets)
+	curs, err := c.scatter(ctx, plan.partial, pargs, sets)
 	if err != nil {
 		return nil, err
 	}

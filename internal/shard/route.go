@@ -281,8 +281,9 @@ func topHasAggregation(sel *sqlast.Select) bool {
 
 // mapOrderKeys maps each ORDER BY item onto an output column position so
 // the gather can k-way merge. Items that are not plain references to an
-// output column (by alias, column name, or textual equality with the
-// item expression) make the statement unmergeable → fallback.
+// output column (by ordinal, alias, column name, or textual equality with the
+// item expression) make the statement unmergeable → fallback; so does an
+// ordinal out of range, whose error the engine words there.
 func mapOrderKeys(sel *sqlast.Select) ([]engine.MergeKey, bool) {
 	if len(sel.OrderBy) == 0 {
 		return nil, true
@@ -295,7 +296,12 @@ func mapOrderKeys(sel *sqlast.Select) ([]engine.MergeKey, bool) {
 	keys := make([]engine.MergeKey, 0, len(sel.OrderBy))
 	for _, o := range sel.OrderBy {
 		idx := -1
-		if cr, ok := o.Expr.(*sqlast.ColumnRef); ok && cr.Table == "" {
+		if n, ok := o.Ordinal(); ok {
+			if n < 1 || n > int64(len(sel.Items)) {
+				return nil, false
+			}
+			idx = int(n) - 1
+		} else if cr, ok := o.Expr.(*sqlast.ColumnRef); ok && cr.Table == "" {
 			for i, it := range sel.Items {
 				if strings.EqualFold(it.OutputName(), cr.Name) {
 					idx = i

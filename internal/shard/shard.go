@@ -117,9 +117,6 @@ func New(nshards int, mode engine.Mode, opts ...Option) (*Server, error) {
 // NumShards returns the shard count (excluding the coordinator replica).
 func (s *Server) NumShards() int { return len(s.shards) }
 
-// Placement returns the tenant→shard mapping in force.
-func (s *Server) Placement() Placement { return s.place }
-
 // ShardOf returns the rank of the shard owning ttid's rows.
 func (s *Server) ShardOf(ttid int64) int { return s.place.ShardOf(ttid) }
 

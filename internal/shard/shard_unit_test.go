@@ -258,7 +258,7 @@ func TestBuildPartialPlanDecomposition(t *testing.T) {
 			t.Fatalf("partial columns %v, want %v", plan.partialCols, want)
 		}
 	}
-	partialSQL := plan.partial.String()
+	partialSQL := plan.partial.Text()
 	if strings.Contains(partialSQL, "ORDER BY") || strings.Contains(partialSQL, "HAVING") {
 		t.Errorf("partial must strip ORDER BY/HAVING: %s", partialSQL)
 	}

@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 
+	"mtbase/internal/middleware"
 	"mtbase/internal/mtsql"
 	"mtbase/internal/rewrite"
 	"mtbase/internal/sqlast"
@@ -157,12 +158,12 @@ type staged struct {
 // or stage 1 did not produce one value per subquery: the caller then runs the
 // original on the fallback, so error text and laziness stay the engine's own.
 // Only cancellation is reported from here.
-func (c *Conn) stage(ctx context.Context, sel *sqlast.Select, args []sqltypes.Value, d []int64, sets []shardSet) (*staged, error) {
-	if sqlast.MaxParam(sel) != len(args) {
+func (c *Conn) stage(ctx context.Context, st *middleware.Statement, args []sqltypes.Value, d []int64, sets []shardSet) (*staged, error) {
+	if st.NumParams() != len(args) {
 		return nil, nil // the engine words the arity error
 	}
 	schema := c.srv.Schema()
-	outer, subs := hoistScalars(sel, schema, len(args))
+	outer, subs := hoistScalars(st.AST().(*sqlast.Select), schema, len(args))
 	if len(subs) == 0 {
 		return nil, nil
 	}
@@ -188,11 +189,12 @@ func (c *Conn) stage(ctx context.Context, sel *sqlast.Select, args []sqltypes.Va
 // outer statement's D′, which was pruned over a superset of its tables — and
 // reads its one value: NULL when it yields no row.
 func (c *Conn) stageValue(ctx context.Context, sub *sqlast.Select, args []sqltypes.Value, d []int64, sets []shardSet) (sqltypes.Value, error) {
-	sargs, err := sliceArgs(args, sub)
+	st := middleware.NewStatement(sub)
+	sargs, err := sliceArgs(args, st.NumParams())
 	if err != nil {
 		return sqltypes.Null, err
 	}
-	rows, err := c.routeCross(ctx, sub, sub.String(), sargs, d, sets)
+	rows, err := c.routeCross(ctx, st, sargs, d, sets)
 	if err != nil {
 		return sqltypes.Null, err
 	}

@@ -62,7 +62,7 @@ func quoteIdent(name string) string {
 	if sqllex.BareIdent(name) {
 		return name
 	}
-	return `"` + name + `"`
+	return `"` + strings.ReplaceAll(name, `"`, `""`) + `"`
 }
 
 func quoteIdents(names []string) string {
@@ -141,7 +141,11 @@ func (*FuncCall) exprNode() {}
 
 func (f *FuncCall) String() string {
 	var sb strings.Builder
-	sb.WriteString(f.Name)
+	if sqllex.BareIdent(f.Name) || IsAggregate(f.Name) {
+		sb.WriteString(f.Name) // the aggregates are reserved words the parser reads as calls
+	} else {
+		sb.WriteString(quoteIdent(f.Name))
+	}
 	sb.WriteByte('(')
 	if f.Distinct {
 		sb.WriteString("DISTINCT ")
@@ -400,6 +404,17 @@ func (it SelectItem) OutputName() string {
 type OrderItem struct {
 	Expr Expr
 	Desc bool
+}
+
+// Ordinal reports the 1-based output position an ORDER BY key names when it
+// is an integer literal (`ORDER BY 2`): SQL's ordinal, not a constant. The
+// engine, the rewrite and the shard merge all ask here, so they agree.
+func (o OrderItem) Ordinal() (int64, bool) {
+	lit, ok := o.Expr.(*Literal)
+	if !ok || lit.Val.K != sqltypes.KindInt {
+		return 0, false
+	}
+	return lit.Val.I, true
 }
 
 func (o OrderItem) String() string {

@@ -194,7 +194,7 @@ func (c *CreateFunction) String() string {
 		params[i] = p.String()
 	}
 	s := fmt.Sprintf("CREATE FUNCTION %s (%s) RETURNS %s AS '%s' LANGUAGE SQL",
-		quoteIdent(c.Name), strings.Join(params, ", "), c.ReturnType.String(), c.Body.String())
+		quoteIdent(c.Name), strings.Join(params, ", "), c.ReturnType.String(), strings.ReplaceAll(c.Body.String(), "'", "''"))
 	if c.Immutable {
 		s += " IMMUTABLE"
 	}

@@ -287,15 +287,23 @@ func (lx *Lexer) lexString(start int) (Token, error) {
 	return Token{}, fmt.Errorf("sqllex: unterminated string at offset %d", start)
 }
 
+// lexQuotedIdent scans "name"; a doubled quote inside stands for one.
 func (lx *Lexer) lexQuotedIdent(start int) (Token, error) {
 	lx.pos++ // opening quote
-	end := strings.IndexByte(lx.src[lx.pos:], '"')
-	if end < 0 {
-		return Token{}, fmt.Errorf("sqllex: unterminated quoted identifier at offset %d", start)
+	var sb strings.Builder
+	for {
+		end := strings.IndexByte(lx.src[lx.pos:], '"')
+		if end < 0 {
+			return Token{}, fmt.Errorf("sqllex: unterminated quoted identifier at offset %d", start)
+		}
+		sb.WriteString(lx.src[lx.pos : lx.pos+end])
+		lx.pos += end + 1
+		if lx.pos >= len(lx.src) || lx.src[lx.pos] != '"' {
+			return Token{Kind: TokIdent, Text: sb.String(), Pos: start}, nil
+		}
+		sb.WriteByte('"')
+		lx.pos++
 	}
-	text := lx.src[lx.pos : lx.pos+end]
-	lx.pos += end + 1
-	return Token{Kind: TokIdent, Text: text, Pos: start}, nil
 }
 
 var twoCharOps = map[string]bool{

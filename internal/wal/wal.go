@@ -105,9 +105,6 @@ func Open(dir string) (*Log, []Record, error) {
 	return l, recs, nil
 }
 
-// Dir returns the durability directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Append encodes rec, assigns it the next LSN and buffers it. The record
 // is NOT durable until Sync(lsn) returns; the caller must apply records in
 // Append order (hold one lock across Append+apply) so replay order equals

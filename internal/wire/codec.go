@@ -58,9 +58,6 @@ type Reader struct {
 // NewReader returns a Reader over payload.
 func NewReader(payload []byte) *Reader { return &Reader{buf: payload} }
 
-// Rest reports how many undecoded bytes remain.
-func (r *Reader) Rest() int { return len(r.buf) }
-
 // Uvarint decodes an unsigned varint.
 func (r *Reader) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.buf)
