@@ -89,10 +89,12 @@ func rowBytes(row []sqltypes.Value) int64 {
 	return n
 }
 
-// groupEntryBytes approximates the per-group overhead of the group hash
-// table beyond key bytes and member rows (map bucket share, rowGroup
-// header, order slot).
+// groupEntryBytes approximates a resident group's overhead beyond its key,
+// first row and accumulators (map bucket share, first-row slot).
 const groupEntryBytes = 96
+
+// aggAccBytes is the size of one aggAcc: a resident group's state per site.
+const aggAccBytes = 104
 
 // rankEntryBytes approximates one entry of the persistent group-rank
 // directory a spilling group-by keeps resident.

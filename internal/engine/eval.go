@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"unicode/utf8"
@@ -291,34 +292,16 @@ type scope struct {
 	crossed *bool
 }
 
-// groupCtx holds the rows of the current group during aggregate evaluation,
-// plus — on the operator tree — the aggregate arguments lowered to batch
-// programs against the grouped relation (shared by every group of one
-// grouped projection, along with the batch scratch).
+// groupCtx is the group a grouped projection is being evaluated for. The
+// reference executor hands evalAggregate the group's rows, to fold on
+// demand; the operator tree folded them as they arrived (groupOperator):
+// accs[i] is the group's accumulator of call site sites[i], and what latched
+// in it is raised only if the site is evaluated — which is how HAVING and
+// CASE short-circuit in both executors.
 type groupCtx struct {
-	rows   [][]sqltypes.Value
-	aggVec map[sqlast.Expr]vecExpr
-	scr    *aggScratch
-
-	// precomp holds aggregate results computed incrementally while merging
-	// spilled group runs (operator.go): the group's rows were streamed
-	// through per-site accumulators and are no longer resident, so
-	// evalAggregate answers from here instead of folding rows. Keyed by
-	// call-site node; an error recorded for a site is raised only when the
-	// site is actually evaluated, preserving HAVING/CASE short-circuiting.
-	precomp map[*sqlast.FuncCall]precompAgg
-}
-
-// precompAgg is one precomputed aggregate call-site result.
-type precompAgg struct {
-	v   sqltypes.Value
-	err error
-}
-
-// aggScratch is the reusable batch state aggregate evaluation streams group
-// rows through; one instance is shared by all groups of a projection.
-type aggScratch struct {
-	b Batch
+	rows  [][]sqltypes.Value
+	sites []*sqlast.FuncCall
+	accs  []aggAcc
 }
 
 func rootScope() *scope { return &scope{} }
@@ -1110,152 +1093,156 @@ func (ex *exec) evalAggregate(x *sqlast.FuncCall, sc *scope) (sqltypes.Value, er
 	if g == nil {
 		return sqltypes.Null, fmt.Errorf("engine: aggregate %s outside grouped context", x.Name)
 	}
-	if g.precomp != nil {
-		// Spill-merge path: the group's rows already streamed through this
-		// site's accumulator in row order; answer from the stored result.
-		if pv, ok := g.precomp[x]; ok {
-			return pv.v, pv.err
-		}
+	if i := slices.Index(g.sites, x); i >= 0 {
+		return g.accs[i].result()
 	}
-	upper := strings.ToUpper(x.Name)
-	if upper == "COUNT" && x.Star {
-		return sqltypes.NewInt(int64(len(g.rows))), nil
+	// The reference executor's grouped projection, and the specification of
+	// the fold above: one interpreted row at a time, in row order.
+	acc := newAggAcc(x)
+	if acc.op == aggCountStar {
+		acc.count = int64(len(g.rows))
+		return acc.result()
 	}
-	if len(x.Args) != 1 {
-		return sqltypes.Null, fmt.Errorf("engine: %s takes exactly one argument", x.Name)
-	}
-	arg := x.Args[0]
-
-	savedRow, savedGroup := sc.row, sc.group
+	savedRow := sc.row
 	sc.group = nil // nested aggregates are invalid
-	defer func() { sc.row, sc.group = savedRow, savedGroup }()
-
-	acc := aggAcc{op: upper, distinct: x.Distinct}
-	if ex.par > 1 && ex.depth == 0 && len(g.rows) >= 2*morselLen() {
-		// Morsel-parallel accumulation for large groups: workers compute the
-		// argument column for disjoint chunks of the group's rows, then the
-		// values fold serially in row order — identical sums, ties and
-		// DISTINCT sets as the serial paths, just computed on all cores.
-		// This is where Q1's conversion-function work parallelizes.
-		col, err := ex.parallelAggColumn(arg, sc, g.rows)
+	defer func() { sc.row, sc.group = savedRow, g }()
+	for i := 0; i < len(g.rows) && acc.err == nil; i++ {
+		sc.row = g.rows[i]
+		v, err := ex.eval(x.Args[0], sc)
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		for _, v := range col {
-			acc.add(v)
-		}
-	} else if vecFn := g.aggVec[arg]; vecFn != nil && g.scr != nil {
-		// Batched accumulation: the argument program fills a column per
-		// window of group rows; values accumulate from the column in row
-		// order, so sums, ties and DISTINCT sets match the row loop exactly.
-		scr := g.scr
-		src := scanOp{rows: g.rows}
-		for src.next(&scr.b) {
-			m := ex.vs.mark()
-			col := ex.vs.takeVals(len(scr.b.rows))
-			vecFn(&scr.b, scr.b.sel, col)
-			if err := scr.b.firstErr(); err != nil {
-				return sqltypes.Null, err
-			}
-			for _, i := range scr.b.sel {
-				acc.add(col[i])
-			}
-			ex.vs.release(m)
-		}
-	} else {
-		// No program: the reference executor's grouped projection, which
-		// folds one interpreted row at a time.
-		for _, row := range g.rows {
-			sc.row = row
-			v, err := ex.eval(arg, sc)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			acc.add(v)
-		}
+		acc.add(&v)
 	}
-	res, ok := acc.result()
-	if !ok {
-		return sqltypes.Null, fmt.Errorf("engine: unknown aggregate %s", x.Name)
-	}
-	return res, nil
+	return acc.result()
 }
 
-// aggAcc accumulates one aggregate over a group's argument values; every
-// path feeds it in row order.
+// aggOp is an aggregate function; COUNT(*) is one of its own because it
+// counts rows, not argument values. aggNames is indexed by it: a name's
+// index is its op, unless COUNT comes with an argument.
+type aggOp uint8
+
+const (
+	aggCountStar aggOp = iota
+	aggCount
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+var aggNames = [...]string{"COUNT", "COUNT", "SUM", "AVG", "MIN", "MAX"}
+
+// aggAcc accumulates one aggregate call site over one group's argument
+// values; every path feeds it in row order. err latches the first thing that
+// makes the site unanswerable — a wrong argument count, a failing argument
+// row, SUM or AVG over a non-number — and result raises it.
 type aggAcc struct {
-	op       string
+	op       aggOp
 	distinct bool
-	seen     map[string]bool
-	count    int64
+	plainSum bool  // SUM or AVG without DISTINCT: one test keeps add inlinable
+	count    int64 // values folded, DECIMAL summands apart
+	floats   int64 // DECIMAL summands folded
 	sumI     int64
 	sumF     float64
-	isFloat  bool
-	minV     sqltypes.Value
-	maxV     sqltypes.Value
+	ext      sqltypes.Value // MIN/MAX: the extreme so far
+	seen     map[string]struct{}
+	err      error
 }
 
-func (a *aggAcc) add(v sqltypes.Value) {
+// newAggAcc returns the empty accumulator of call site x. Anything but
+// COUNT(*) takes exactly one argument.
+func newAggAcc(x *sqlast.FuncCall) aggAcc {
+	a := aggAcc{op: aggOp(slices.Index(aggNames[:], strings.ToUpper(x.Name))), distinct: x.Distinct}
+	if a.op == aggCountStar {
+		if x.Star {
+			return a
+		}
+		a.op = aggCount
+	}
+	if len(x.Args) != 1 {
+		a.err = fmt.Errorf("engine: %s takes exactly one argument", x.Name)
+	}
+	a.plainSum = (a.op == aggSum || a.op == aggAvg) && !a.distinct
+	return a
+}
+
+// add folds one argument value. The plain decimal sum is the hot case of
+// every fold and small enough to be inlined into its loop.
+func (a *aggAcc) add(v *sqltypes.Value) {
+	if a.plainSum && v.K == sqltypes.KindFloat {
+		a.floats++
+		a.sumF += v.F
+	} else {
+		a.addAny(v)
+	}
+}
+
+func (a *aggAcc) addAny(v *sqltypes.Value) {
 	if v.IsNull() {
+		return
+	}
+	if (a.op == aggSum || a.op == aggAvg) && !v.IsNumeric() {
+		if a.err == nil {
+			a.err = fmt.Errorf("engine: %s over %s", aggNames[a.op], v.K)
+		}
 		return
 	}
 	if a.distinct {
 		if a.seen == nil {
-			a.seen = make(map[string]bool)
+			a.seen = make(map[string]struct{})
 		}
-		k := string(sqltypes.AppendKey(nil, v))
-		if a.seen[k] {
+		k := string(sqltypes.AppendKey(nil, *v))
+		if _, dup := a.seen[k]; dup {
 			return
 		}
-		a.seen[k] = true
+		a.seen[k] = struct{}{}
+	}
+	switch a.op {
+	case aggSum, aggAvg:
+		if v.K == sqltypes.KindFloat {
+			a.floats++
+			a.sumF += v.F
+			return
+		}
+		a.sumI += v.I
+	case aggMin:
+		if a.ext.IsNull() {
+			a.ext = *v
+		} else if c, ok := sqltypes.Compare(*v, a.ext); ok && c < 0 {
+			a.ext = *v
+		}
+	case aggMax:
+		if a.ext.IsNull() {
+			a.ext = *v
+		} else if c, ok := sqltypes.Compare(*v, a.ext); ok && c > 0 {
+			a.ext = *v
+		}
 	}
 	a.count++
-	switch a.op {
-	case "SUM", "AVG":
-		if v.K == sqltypes.KindFloat {
-			a.isFloat = true
-			a.sumF += v.F
-		} else {
-			a.sumI += v.AsInt()
-		}
-	case "MIN":
-		if a.minV.IsNull() {
-			a.minV = v
-		} else if c, ok := sqltypes.Compare(v, a.minV); ok && c < 0 {
-			a.minV = v
-		}
-	case "MAX":
-		if a.maxV.IsNull() {
-			a.maxV = v
-		} else if c, ok := sqltypes.Compare(v, a.maxV); ok && c > 0 {
-			a.maxV = v
-		}
-	}
 }
 
-func (a *aggAcc) result() (sqltypes.Value, bool) {
-	switch a.op {
-	case "COUNT":
-		return sqltypes.NewInt(a.count), true
-	case "SUM":
-		if a.count == 0 {
-			return sqltypes.Null, true
-		}
-		if a.isFloat {
-			return sqltypes.NewFloat(a.sumF + float64(a.sumI)), true
-		}
-		return sqltypes.NewInt(a.sumI), true
-	case "AVG":
-		if a.count == 0 {
-			return sqltypes.Null, true
-		}
-		return sqltypes.NewFloat((a.sumF + float64(a.sumI)) / float64(a.count)), true
-	case "MIN":
-		return a.minV, true
-	case "MAX":
-		return a.maxV, true
+func (a *aggAcc) result() (sqltypes.Value, error) {
+	if a.err != nil {
+		return sqltypes.Null, a.err
 	}
-	return sqltypes.Null, false
+	n := a.count + a.floats
+	switch a.op {
+	case aggCountStar, aggCount:
+		return sqltypes.NewInt(n), nil
+	case aggMin, aggMax:
+		return a.ext, nil
+	}
+	if n == 0 {
+		return sqltypes.Null, nil
+	}
+	if a.op == aggAvg {
+		return sqltypes.NewFloat((a.sumF + float64(a.sumI)) / float64(n)), nil
+	}
+	if a.floats > 0 {
+		return sqltypes.NewFloat(a.sumF + float64(a.sumI)), nil
+	}
+	return sqltypes.NewInt(a.sumI), nil
 }
 
 // hasAggregate reports whether e contains an aggregate call at this query

@@ -374,29 +374,50 @@ func (ex *exec) projectRows(sel *sqlast.Select, rel *relation, parent *scope, al
 
 // ---------------------------------------------------------------- grouping
 
-func (ex *exec) projectGrouped(sel *sqlast.Select, rel *relation, parent *scope, aliases map[string]sqlast.Expr) (*execResult, error) {
-	sc := rel.scopeFor(parent)
+// groupedShape is what both executors' grouped projections start from:
+// GROUP BY and HAVING come with the select list's aliases substituted.
+type groupedShape struct {
+	sc     *scope
+	cols   []string
+	plans  []orderPlan
+	gexprs []sqlast.Expr
+	having sqlast.Expr
+}
+
+func (ex *exec) groupedShape(sel *sqlast.Select, rel *relation, parent *scope, aliases map[string]sqlast.Expr) (gs groupedShape, err error) {
+	gs.sc = rel.scopeFor(parent)
 	for _, it := range sel.Items {
 		if it.Star {
-			return nil, fmt.Errorf("engine: SELECT * is invalid in a grouped query")
+			return gs, fmt.Errorf("engine: SELECT * is invalid in a grouped query")
 		}
 	}
-	outCols, err := ex.outputShape(sel, rel)
-	if err != nil {
-		return nil, err
+	if gs.cols, err = ex.outputShape(sel, rel); err != nil {
+		return gs, err
 	}
-	plans, err := buildOrderPlan(sel, outCols, sc, aliases)
-	if err != nil {
-		return nil, err
+	if gs.plans, err = buildOrderPlan(sel, gs.cols, gs.sc, aliases); err != nil {
+		return gs, err
 	}
-
-	groupExprs := make([]sqlast.Expr, len(sel.GroupBy))
+	gs.gexprs = make([]sqlast.Expr, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
-		groupExprs[i] = substituteAlias(sqlast.CloneExpr(g), sc, aliases)
-		if hasAggregate(groupExprs[i]) {
-			return nil, fmt.Errorf("engine: aggregate in GROUP BY")
+		gs.gexprs[i] = substituteAlias(sqlast.CloneExpr(g), gs.sc, aliases)
+		if hasAggregate(gs.gexprs[i]) {
+			return gs, fmt.Errorf("engine: aggregate in GROUP BY")
 		}
 	}
+	if sel.Having != nil {
+		gs.having = sqlast.TransformExpr(sqlast.CloneExpr(sel.Having), func(e sqlast.Expr) sqlast.Expr {
+			return substituteAlias(e, gs.sc, aliases)
+		})
+	}
+	return gs, nil
+}
+
+func (ex *exec) projectGrouped(sel *sqlast.Select, rel *relation, parent *scope, aliases map[string]sqlast.Expr) (*execResult, error) {
+	gs, err := ex.groupedShape(sel, rel, parent, aliases)
+	if err != nil {
+		return nil, err
+	}
+	sc, outCols, plans, groupExprs, having := gs.sc, gs.cols, gs.plans, gs.gexprs, gs.having
 
 	type group struct {
 		rows [][]sqltypes.Value
@@ -435,13 +456,6 @@ func (ex *exec) projectGrouped(sel *sqlast.Select, rel *relation, parent *scope,
 	if len(sel.GroupBy) == 0 && len(order) == 0 {
 		groups[""] = &group{}
 		order = append(order, "")
-	}
-
-	having := sel.Having
-	if having != nil {
-		having = sqlast.TransformExpr(sqlast.CloneExpr(having), func(e sqlast.Expr) sqlast.Expr {
-			return substituteAlias(e, sc, aliases)
-		})
 	}
 
 	res := &execResult{Cols: outCols}

@@ -40,6 +40,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -786,244 +787,365 @@ func (o *projectOperator) Close() { o.child.Close() }
 
 // ---------------------------------------------------------------- group
 
-// groupOperator is the grouped projection: a pipeline breaker that drains
-// its input into hash buckets at Open (first-seen key order) and then
-// evaluates HAVING, the SELECT list and ORDER BY keys group-at-a-time,
-// emitting dense batches. Only the group members — the rows themselves are
-// shared with the input, never copied — and the emitted output live in
-// operator state.
+// groupOperator is the grouped projection, a streaming hash aggregate
+// (DESIGN.md ADR-021): a pipeline breaker that at Open gives each arriving
+// row the dense id of its group (first-seen key order) and folds its
+// aggregate arguments into the group's accumulators in arrival order — so
+// sums, MIN/MAX ties and DISTINCT sets come out as evalAggregate's row
+// loop, the specification, computes them — then evaluates HAVING, the SELECT
+// list and ORDER BY keys group-at-a-time. It keeps a group's first row and
+// accumulators, never its rows. Under a memory limit that state is charged
+// as groups are admitted; once over, the table freezes: resident groups keep
+// folding, a key not seen before is ranked (ids keeps counting: above every
+// resident id) and its rows spill, to come back from the rank-ordered merge
+// a group at a time behind the resident ones — in first-seen order, each
+// group folded entirely here or entirely there.
 type groupOperator struct {
-	child    Operator
-	rel      *relation
-	sel      *sqlast.Select
-	sc       *scope
-	cols     []string
-	plans    []orderPlan
-	having   sqlast.Expr
-	gks      *vecKeySet
-	aggVec   map[sqlast.Expr]vecExpr
-	aggScr   *aggScratch
-	aggExprs []sqlast.Expr // retained for spill-merge site discovery
+	groupedShape
+	child Operator
+	rel   *relation
+	sel   *sqlast.Select
+	sites []*sqlast.FuncCall // the outermost aggregate call sites: what evalAggregate is invoked on
+	proto []aggAcc           // their empty accumulators
+	progs groupProgs         // this exec's lowering of gexprs and the sites' arguments
 
-	groups map[string]*rowGroup
-	order  []string
-	pos    int
+	ids   map[string]int32   // group key -> dense first-seen id (rank, once frozen)
+	first [][]sqltypes.Value // resident group id -> its first row
+	accs  []aggAcc           // resident group id × site
+	gids  []int32
+	pos   int
+	g     groupCtx
 
+	in   []aggInput         // the current window, a chunk of at most batchSize rows each
+	win  [][]sqltypes.Value // parallel executions: the rows gathered for it
+	aggB Batch
+
+	ck      rowChunk
 	rowBuf  [][]sqltypes.Value
 	keyCols [][]sqltypes.Value
 	out     Batch
 
-	// Spill state (memory-limited statements only). keyRank is the
-	// persistent key directory: every group key ever seen maps to its dense
-	// first-seen rank, so rows spilled across multiple flushes regroup —
-	// and emit — in exactly the in-memory first-seen order. The directory
-	// itself stays resident (charged, never released until Close): it is
-	// the irreducible state that makes regrouping deterministic.
-	acct        *memAccountant
-	charged     int64
-	rankCharged int64
-	keyRank     map[string]int64
-	sp          *spiller
-	merge       *mergeIter
-	mrec        spillRec
-	mhave       bool
-	aggSites    []*sqlast.FuncCall
-	chunk       [][]sqltypes.Value
-	aggB        Batch
+	// Memory-limited statements only.
+	acct    *memAccountant
+	charged int64
+	frozen  bool
+	sp      *spiller
+	merge   *mergeIter
+	mrec    spillRec
+	mhave   bool
+	macc    []aggAcc // the merged group being emitted
+	chunk   [][]sqltypes.Value
 }
 
-type rowGroup struct {
-	rows [][]sqltypes.Value
+// groupProgs is one exec's lowering of the input side: the group keys, and
+// per site the argument (nil for COUNT(*) and a wrong argument count).
+type groupProgs struct {
+	gks  *vecKeySet
+	args []vecExpr
 }
+
+// aggInput is what the fold reads of one chunk of input rows: the encoded
+// keys, and per site the argument column and, if any row failed, the errors.
+type aggInput struct {
+	rows [][]sqltypes.Value
+	sel  []int32
+	keys []byte  // the keys of sel's rows, back to back
+	ends []int32 // ends[j]: where the key of row sel[j] ends
+	args [][]sqltypes.Value
+	errs [][]error
+}
+
+var zeroGids [batchSize]int32 // every row of a chunk to the one group the merge is on
 
 func (ex *exec) newGroupOperator(child Operator, rel *relation, sel *sqlast.Select, parent *scope, aliases map[string]sqlast.Expr) (*groupOperator, error) {
-	sc := rel.scopeFor(parent)
-	for _, it := range sel.Items {
-		if it.Star {
-			return nil, fmt.Errorf("engine: SELECT * is invalid in a grouped query")
-		}
-	}
-	cols, err := ex.outputShape(sel, rel)
+	gs, err := ex.groupedShape(sel, rel, parent, aliases)
 	if err != nil {
 		return nil, err
 	}
-	plans, err := buildOrderPlan(sel, cols, sc, aliases)
-	if err != nil {
-		return nil, err
-	}
-	gexprs := make([]sqlast.Expr, len(sel.GroupBy))
-	for i, g := range sel.GroupBy {
-		gexprs[i] = substituteAlias(sqlast.CloneExpr(g), sc, aliases)
-		if hasAggregate(gexprs[i]) {
-			return nil, fmt.Errorf("engine: aggregate in GROUP BY")
-		}
-	}
-	having := sel.Having
-	if having != nil {
-		having = sqlast.TransformExpr(sqlast.CloneExpr(having), func(e sqlast.Expr) sqlast.Expr {
-			return substituteAlias(e, sc, aliases)
-		})
-	}
-	aggExprs := make([]sqlast.Expr, 0, len(sel.Items)+1+len(plans))
+	o := &groupOperator{groupedShape: gs, child: child, rel: rel, sel: sel}
 	for _, it := range sel.Items {
-		aggExprs = append(aggExprs, it.Expr)
+		o.collectAggSites(it.Expr)
 	}
-	if having != nil {
-		aggExprs = append(aggExprs, having)
+	o.collectAggSites(o.having)
+	for _, p := range o.plans {
+		o.collectAggSites(p.expr)
 	}
-	for _, p := range plans {
-		if p.expr != nil {
-			aggExprs = append(aggExprs, p.expr)
-		}
-	}
-	o := &groupOperator{
-		child: child, rel: rel, sel: sel, sc: sc, cols: cols, plans: plans,
-		having:   having,
-		gks:      ex.vecKeys(gexprs, rel.bindings, sc),
-		aggVec:   ex.vecAggArgs(rel.bindings, sc, aggExprs...),
-		aggExprs: aggExprs,
-	}
-	if o.aggVec != nil {
-		o.aggScr = &aggScratch{}
-	}
+	o.progs = o.lower(ex, o.sc)
+	o.g.sites = o.sites
 	return o, nil
+}
+
+// collectAggSites adds the outermost aggregate call sites of e. A nested
+// aggregate is its outer one's argument (and fails there, in both
+// executors); subqueries are walk boundaries, their aggregates their own.
+func (o *groupOperator) collectAggSites(e sqlast.Expr) {
+	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
+		fc, ok := n.(*sqlast.FuncCall)
+		if !ok || !sqlast.IsAggregate(fc.Name) {
+			return true
+		}
+		if !slices.Contains(o.sites, fc) {
+			o.sites, o.proto = append(o.sites, fc), append(o.proto, newAggAcc(fc))
+		}
+		return false
+	})
+}
+
+// lower builds ex's programs; sc is the scope lifted interpretation runs in.
+func (o *groupOperator) lower(ex *exec, sc *scope) groupProgs {
+	p := groupProgs{gks: ex.vecKeys(o.gexprs, o.rel.bindings, sc), args: make([]vecExpr, len(o.sites))}
+	for s, a := range o.proto {
+		if a.op != aggCountStar && a.err == nil {
+			p.args[s] = ex.vecCompile(o.sites[s].Args[0], o.rel.bindings, sc)
+		}
+	}
+	return p
+}
+
+// evalKeys encodes the keys of b's selected rows; a failing key is the
+// statement's error.
+func (p *groupProgs) evalKeys(b *Batch, in *aggInput) error {
+	st := &p.gks.ex.vs
+	m := st.mark()
+	p.gks.compute(b, false)
+	err := b.firstErr()
+	in.rows, in.sel = b.rows, b.sel
+	in.keys, in.ends = in.keys[:0], slices.Grow(in.ends[:0], len(b.sel))
+	if err == nil {
+		for j, i := range b.sel {
+			in.keys = encodeKeyCols(in.keys, p.gks.cols, i)
+			if j == 0 { // predicts the rest; append's steps allocate the buffer five times over
+				in.keys = slices.Grow(in.keys, len(in.keys)*(len(b.sel)-1))
+			}
+			in.ends = append(in.ends, int32(len(in.keys)))
+		}
+	}
+	st.release(m)
+	return err
+}
+
+// evalArgs computes every site's argument column. Each site starts from a
+// clean batch, so one site's failing rows are still evaluated by the next.
+func (p *groupProgs) evalArgs(b *Batch, in *aggInput) {
+	n := len(b.rows)
+	in.args = slices.Grow(in.args, len(p.args))[:len(p.args)]
+	in.errs = slices.Grow(in.errs, len(p.args))[:len(p.args)]
+	for s, prog := range p.args {
+		in.errs[s] = nil
+		if prog == nil {
+			continue
+		}
+		in.args[s] = growVals(in.args[s], n)
+		prog(b, b.sel, in.args[s])
+		if b.anyErr {
+			in.errs[s] = append([]error(nil), b.errs...)
+			b.reset(n)
+		}
+	}
 }
 
 func (o *groupOperator) Open(ex *exec) error {
 	if err := o.child.Open(ex); err != nil {
 		return err
 	}
-	o.acct = ex.acct
-	o.groups = make(map[string]*rowGroup)
-	o.order = o.order[:0]
-	o.pos = 0
-	var buf []byte
-	var pend int64
-	bucket := func(key []byte, row []sqltypes.Value) {
-		k := string(key)
-		gr, ok := o.groups[k]
-		if !ok {
-			gr = &rowGroup{}
-			o.groups[k] = gr
-			o.order = append(o.order, k)
-			if o.acct != nil {
-				pend += int64(len(k)) + groupEntryBytes
-			}
-		}
-		gr.rows = append(gr.rows, row)
-		if o.acct != nil {
-			pend += rowBytes(row)
-		}
+	o.acct, o.ids, o.in = ex.acct, make(map[string]int32), make([]aggInput, 1)
+	// A DISTINCT set grows with its input, not with the number of groups, and
+	// has no image a spill could resume from: under a limit no group of such
+	// a projection is resident and every row takes the spill route.
+	o.frozen = o.acct != nil && slices.ContainsFunc(o.proto, func(a aggAcc) bool { return a.distinct })
+	drain := o.drain
+	if ex.par > 1 && ex.depth == 0 && o.acct == nil { // a window is state no limit accounts for
+		drain = o.drainParallel
 	}
+	err := drain(ex)
+	if err != nil {
+		return err
+	}
+	if o.sp != nil { // the rows of every key first seen after the freeze, rank by rank
+		if o.merge, err = o.sp.drain(); err != nil {
+			return err
+		}
+		return o.advance()
+	}
+	// A global aggregate (no GROUP BY) over zero rows still yields one group.
+	if len(o.gexprs) == 0 && len(o.first) == 0 {
+		o.admit(nil)
+	}
+	return nil
+}
+
+// drain folds the input a batch at a time, on this exec.
+func (o *groupOperator) drain(ex *exec) error {
+	in := &o.in[0]
 	for {
 		if err := ex.cancelled(); err != nil {
 			return err
 		}
 		b, err := o.child.Next(ex)
-		if err != nil {
-			return err
-		}
 		if b == nil {
-			break
-		}
-		m := ex.vs.mark()
-		gsel := o.gks.compute(b, false)
-		if err := b.firstErr(); err != nil {
-			ex.vs.release(m)
 			return err
 		}
-		for _, i := range gsel {
-			buf = encodeKeyCols(buf[:0], o.gks.cols, i)
-			bucket(buf, b.rows[i])
+		if err := o.progs.evalKeys(b, in); err != nil {
+			return err
 		}
-		ex.vs.release(m)
-		ex.acct.charge(pend)
-		o.charged += pend
-		pend = 0
-		if ex.acct.over() {
-			o.spillResidentGroups(ex)
+		if len(o.first) > 0 || !o.frozen { // else nothing is resident to fold into
+			o.progs.evalArgs(b, in)
+		}
+		o.fold(ex, in)
+		if o.sp != nil && ex.acct.over() {
 			if err := o.sp.flush(); err != nil {
 				return err
 			}
 		}
 	}
-	if o.sp != nil {
-		// Sort-based fallback: spill the remainder (kept in memory as the
-		// newest run) and merge everything back rank by rank.
-		o.spillResidentGroups(ex)
-		m, err := o.sp.drain()
+}
+
+// drainParallel gathers the input into windows of one morsel per worker,
+// computes a window's keys and argument columns in one parallel section — a
+// worker does every site of its morsel, so its UDF memo serves them all —
+// and folds the window serially, in arrival order. What fails in a gathered
+// row is raised before the error that ended the gathering, as when serial.
+func (o *groupOperator) drainParallel(ex *exec) error {
+	morsel := morselLen()
+	pool := ex.workerPool()
+	progs := make([]*groupProgs, ex.par)
+	wb := make([]Batch, ex.par)
+	var childErr error
+	for more := true; more; {
+		o.win = o.win[:0]
+		for len(o.win) < ex.par*morsel {
+			if childErr = ex.cancelled(); childErr != nil {
+				break
+			}
+			var b *Batch
+			if b, childErr = o.child.Next(ex); b == nil {
+				break
+			}
+			for _, i := range b.sel {
+				o.win = append(o.win, b.rows[i])
+			}
+		}
+		more = len(o.win) >= ex.par*morsel
+		n := len(o.win)
+		nc := (n + batchSize - 1) / batchSize
+		for len(o.in) < nc {
+			o.in = append(o.in, aggInput{})
+		}
+		err := parallelFor(ex.par, (n+morsel-1)/morsel, func(w, m int) error {
+			we := pool.worker(w)
+			if progs[w] == nil {
+				p := o.lower(we, &scope{parent: o.sc.parent, bindings: o.sc.bindings})
+				progs[w] = &p
+			}
+			for c := m * morsel / batchSize; c < min((m+1)*morsel/batchSize, nc); c++ {
+				if err := we.cancelled(); err != nil {
+					return err
+				}
+				wb[w].window(o.win[c*batchSize : min((c+1)*batchSize, n)])
+				if err := progs[w].evalKeys(&wb[w], &o.in[c]); err != nil {
+					return err
+				}
+				progs[w].evalArgs(&wb[w], &o.in[c])
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		o.merge = m
-		o.aggSites = collectAggSites(o.aggExprs)
-		rec, err := m.next()
-		if err != nil {
-			return err
+		for c := 0; c < nc; c++ {
+			o.fold(ex, &o.in[c])
 		}
-		if rec != nil {
-			o.mrec, o.mhave = *rec, true
+		if childErr != nil {
+			return childErr
 		}
-		return nil
-	}
-	// A global aggregate (no GROUP BY) over zero rows still yields one group.
-	if len(o.sel.GroupBy) == 0 && len(o.order) == 0 {
-		o.groups[""] = &rowGroup{}
-		o.order = append(o.order, "")
 	}
 	return nil
 }
 
-// spillResidentGroups moves every resident group's rows into the spiller,
-// keyed by the group's persistent first-seen rank. Rows of one group spill
-// in arrival order and later flushes land in later runs, so the
-// rank-ordered merge reassembles each group's rows in exactly the order
-// the in-memory bucket held them.
-func (o *groupOperator) spillResidentGroups(ex *exec) {
-	if o.sp == nil {
-		o.sp = newSpiller(ex, func(a, b *spillRec) bool { return a.seq < b.seq })
+// admit makes a resident group of a key first seen on row. The slices
+// double: append's 1.25x steps allocate five times what a big table holds.
+func (o *groupOperator) admit(row []sqltypes.Value) {
+	if len(o.first) == cap(o.first) {
+		groups := max(2*cap(o.first), 16)
+		o.first = append(make([][]sqltypes.Value, 0, groups), o.first...)
+		o.accs = append(make([]aggAcc, 0, groups*len(o.sites)), o.accs...)
 	}
-	if o.keyRank == nil {
-		o.keyRank = make(map[string]int64, len(o.order))
-	}
-	ex.acct.release(o.charged)
-	o.charged = 0
-	var rankAdd int64
-	for _, k := range o.order {
-		if _, ok := o.keyRank[k]; !ok {
-			o.keyRank[k] = int64(len(o.keyRank))
-			rankAdd += int64(len(k)) + rankEntryBytes
-		}
-	}
-	ex.acct.charge(rankAdd)
-	o.rankCharged += rankAdd
-	for _, k := range o.order {
-		seq := o.keyRank[k]
-		for _, row := range o.groups[k].rows {
-			o.sp.add(spillRec{seq: seq, row: row}, rowBytes(row))
-		}
-	}
-	o.groups = make(map[string]*rowGroup)
-	o.order = o.order[:0]
+	o.first, o.accs = append(o.first, row), append(o.accs, o.proto...)
 }
 
-// collectAggSites gathers the outermost aggregate call sites of the grouped
-// projection's expressions — exactly the nodes evalAggregate is invoked on.
-// Nested aggregates are not descended into (they error at eval time in both
-// modes) and subqueries are walk boundaries (their aggregates belong to
-// their own grouped context).
-func collectAggSites(exprs []sqlast.Expr) []*sqlast.FuncCall {
-	var sites []*sqlast.FuncCall
-	for _, e := range exprs {
-		sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-			if fc, ok := n.(*sqlast.FuncCall); ok && sqlast.IsAggregate(fc.Name) {
-				sites = append(sites, fc)
-				return false
+// fold gives every row of in its group — admitting unseen keys in arrival
+// order until the budget freezes the table, ranking them and spilling their
+// rows after — and folds the resident groups' argument values.
+func (o *groupOperator) fold(ex *exec, in *aggInput) {
+	o.gids = slices.Grow(o.gids[:0], len(in.rows))
+	gids := o.gids[:len(in.rows)]
+	lo := int32(0)
+	for j, i := range in.sel {
+		key := in.keys[lo:in.ends[j]]
+		lo = in.ends[j]
+		gid, seen := o.ids[string(key)]
+		if !seen {
+			gid = int32(len(o.ids))
+			o.ids[string(key)] = gid
+			if !o.frozen {
+				o.admit(in.rows[i])
 			}
-			return true
-		})
+			if o.acct != nil {
+				cost := int64(len(key)) + rankEntryBytes
+				if !o.frozen {
+					cost = int64(len(key)) + groupEntryBytes + int64(len(o.sites))*aggAccBytes + rowBytes(in.rows[i])
+				}
+				o.acct.charge(cost)
+				o.charged += cost
+				o.frozen = o.frozen || o.acct.over()
+			}
+		}
+		if int(gid) >= len(o.first) {
+			if o.sp == nil {
+				o.sp = newSpiller(ex, func(a, b *spillRec) bool { return a.seq < b.seq })
+			}
+			o.sp.add(spillRec{seq: int64(gid), row: in.rows[i]}, rowBytes(in.rows[i]))
+			gid = -1
+		}
+		gids[i] = gid
 	}
-	return sites
+	if len(o.first) > 0 {
+		o.foldSites(in, gids, o.accs)
+	}
+}
+
+// foldSites is the one fold kernel: site by site, in row order. Row i goes
+// to the accumulators at accs[gids[i]*len(sites)], nowhere if gids[i] < 0;
+// the first row of a group a site's argument failed on latches its error.
+func (o *groupOperator) foldSites(in *aggInput, gids []int32, accs []aggAcc) {
+	ns := len(o.sites)
+	for s := range o.sites {
+		proto := &o.proto[s]
+		switch {
+		case proto.op == aggCountStar:
+			for _, i := range in.sel {
+				if g := gids[i]; g >= 0 {
+					accs[int(g)*ns+s].count++
+				}
+			}
+		case proto.err == nil:
+			col, errs := in.args[s], in.errs[s]
+			for _, i := range in.sel {
+				g := gids[i]
+				if g < 0 {
+					continue
+				}
+				acc := &accs[int(g)*ns+s]
+				if errs != nil && errs[i] != nil {
+					if acc.err == nil {
+						acc.err = errs[i]
+					}
+					continue
+				}
+				acc.add(&col[i])
+			}
+		}
+	}
 }
 
 func (o *groupOperator) Next(ex *exec) (*Batch, error) {
@@ -1032,18 +1154,18 @@ func (o *groupOperator) Next(ex *exec) (*Batch, error) {
 	}
 	o.rowBuf = o.rowBuf[:0]
 	o.keyCols = resetKeyCols(o.keyCols, len(o.plans))
-	sc := o.sc
+	o.ck = rowChunk{}
 	for len(o.rowBuf) < batchSize {
-		g, err := o.nextGroup(ex)
+		ok, err := o.nextGroup(ex)
 		if err != nil {
 			return nil, err
 		}
-		if g == nil {
+		if !ok {
 			break
 		}
-		sc.group = g
+		o.sc.group = &o.g // not before: a merged group's arguments are evaluated outside any group
 		err = o.emitGroup(ex)
-		sc.group = nil
+		o.sc.group = nil
 		if err != nil {
 			return nil, err
 		}
@@ -1057,33 +1179,23 @@ func (o *groupOperator) Next(ex *exec) (*Batch, error) {
 	return &o.out, nil
 }
 
-// nextGroup is where the emit loop's two sources differ: it points o.sc.row
-// at the next group's first row and returns the group's context — the
-// resident bucket's rows, or, after a spill, the aggregate sites folded
-// while the rank-ordered merge streamed the group's rows past (each
-// consecutive run of equal-rank records is one group). nil at the end.
-func (o *groupOperator) nextGroup(ex *exec) (*groupCtx, error) {
-	if o.merge != nil {
-		if !o.mhave {
-			return nil, nil
-		}
-		if err := ex.cancelled(); err != nil {
-			return nil, err
-		}
-		firstRow, pm, err := o.nextGroupAgg(ex)
-		o.sc.row = firstRow
-		return &groupCtx{aggVec: o.aggVec, scr: o.aggScr, precomp: pm}, err
+// nextGroup points o.sc.row at the next group's first row and o.g at its
+// accumulators: a resident group's or, behind them, those of the next rank
+// the merge streams past. false at the end.
+func (o *groupOperator) nextGroup(ex *exec) (bool, error) {
+	if ns := len(o.sites); o.pos < len(o.first) {
+		o.sc.row = o.first[o.pos]
+		o.g.accs = o.accs[o.pos*ns : (o.pos+1)*ns]
+		o.pos++
+		return true, nil
 	}
-	if o.pos >= len(o.order) {
-		return nil, nil
+	if !o.mhave {
+		return false, nil
 	}
-	rows := o.groups[o.order[o.pos]].rows
-	o.pos++
-	o.sc.row = nil
-	if len(rows) > 0 {
-		o.sc.row = rows[0]
+	if err := ex.cancelled(); err != nil {
+		return false, err
 	}
-	return &groupCtx{rows: rows, aggVec: o.aggVec, scr: o.aggScr}, nil
+	return true, o.nextMerged(ex)
 }
 
 // emitGroup evaluates HAVING, the select items and the ORDER BY keys of the
@@ -1100,13 +1212,21 @@ func (o *groupOperator) emitGroup(ex *exec) error {
 			return nil
 		}
 	}
-	out := make([]sqltypes.Value, 0, len(o.sel.Items))
-	for _, it := range o.sel.Items {
+	width := len(o.sel.Items)
+	if len(o.ck.buf)+width > cap(o.ck.buf) {
+		rows := batchSize - len(o.rowBuf) // what the batch still takes, or the resident groups left
+		if left := len(o.first) - o.pos + 1; o.merge == nil && left < rows {
+			rows = left
+		}
+		o.ck = newRowChunk(rows, width)
+	}
+	out := o.ck.alloc(width)
+	for j, it := range o.sel.Items {
 		v, err := ex.eval(it.Expr, sc)
 		if err != nil {
 			return err
 		}
-		out = append(out, v)
+		out[j] = v
 	}
 	o.rowBuf = append(o.rowBuf, out)
 	for k := range o.plans {
@@ -1125,112 +1245,55 @@ func (o *groupOperator) emitGroup(ex *exec) error {
 	return nil
 }
 
-// aggSiteState is one aggregate call site's accumulator while a spilled
-// group's rows stream through nextGroupAgg. An error latches on first
-// occurrence (arity, argument evaluation) and is raised only if the site
-// is actually evaluated — matching the in-memory path, where evalAggregate
-// runs lazily per site.
-type aggSiteState struct {
-	acc  aggAcc
-	err  error
-	star bool // COUNT(*): answered by the group's row count
-}
-
-// nextGroupAgg consumes the next group (one run of equal-rank records) from
-// the merge, streaming its rows through every aggregate site's accumulator
-// in ≤ batchSize chunks, and returns the group's first row and the per-site
-// results. Aggregate arguments run through the same batch
-// programs as the in-memory path, over a fresh window per site per chunk so
-// one site's poisoned rows never leak into another's.
-func (o *groupOperator) nextGroupAgg(ex *exec) ([]sqltypes.Value, map[*sqlast.FuncCall]precompAgg, error) {
+// nextMerged consumes the next group (one run of equal-rank records) from
+// the merge, folding its rows chunk by chunk through the resident kernel.
+func (o *groupOperator) nextMerged(ex *exec) error {
 	seq := o.mrec.seq
-	firstRow := o.mrec.row
-	nrows := 0
-	sts := make([]aggSiteState, len(o.aggSites))
-	for i, fc := range o.aggSites {
-		st := &sts[i]
-		upper := strings.ToUpper(fc.Name)
-		if upper == "COUNT" && fc.Star {
-			st.star = true
-			continue
-		}
-		if len(fc.Args) != 1 {
-			st.err = fmt.Errorf("engine: %s takes exactly one argument", fc.Name)
-			continue
-		}
-		st.acc = aggAcc{op: upper, distinct: fc.Distinct}
-	}
-	flush := func() {
-		if len(o.chunk) == 0 {
-			return
-		}
-		for i, fc := range o.aggSites {
-			st := &sts[i]
-			if st.star || st.err != nil {
-				continue
-			}
-			// Every evaluated site has exactly one argument, so vecAggArgs
-			// built its program.
-			o.aggB.window(o.chunk)
-			m := ex.vs.mark()
-			col := ex.vs.takeVals(len(o.chunk))
-			o.aggVec[fc.Args[0]](&o.aggB, o.aggB.sel, col)
-			if err := o.aggB.firstErr(); err != nil {
-				st.err = err
-			} else {
-				for _, j := range o.aggB.sel {
-					st.acc.add(col[j])
-				}
-			}
-			ex.vs.release(m)
-		}
-		o.chunk = o.chunk[:0]
-	}
-	o.chunk = o.chunk[:0]
+	o.sc.row = o.mrec.row
+	o.macc = append(o.macc[:0], o.proto...)
+	o.g.accs = o.macc
+	in := &o.in[0]
 	for o.mhave && o.mrec.seq == seq {
 		o.chunk = append(o.chunk, o.mrec.row)
-		nrows++
-		if len(o.chunk) >= batchSize {
-			flush()
+		if err := o.advance(); err != nil {
+			return err
 		}
-		rec, err := o.merge.next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if rec == nil {
-			o.mhave = false
-		} else {
-			o.mrec = *rec
+		if len(o.chunk) == batchSize || !o.mhave || o.mrec.seq != seq {
+			o.aggB.window(o.chunk)
+			in.sel = o.aggB.sel
+			o.progs.evalArgs(&o.aggB, in)
+			o.foldSites(in, zeroGids[:], o.macc)
+			o.chunk = o.chunk[:0]
 		}
 	}
-	flush()
-	pm := make(map[*sqlast.FuncCall]precompAgg, len(o.aggSites))
-	for i, fc := range o.aggSites {
-		st := &sts[i]
-		var pv precompAgg
-		switch {
-		case st.err != nil:
-			pv.err = st.err
-		case st.star:
-			pv.v = sqltypes.NewInt(int64(nrows))
-		default:
-			res, ok := st.acc.result()
-			if !ok {
-				pv.err = fmt.Errorf("engine: unknown aggregate %s", fc.Name)
-			} else {
-				pv.v = res
-			}
-		}
-		pm[fc] = pv
+	return nil
+}
+
+// advance steps the merge: mrec is its head while mhave.
+func (o *groupOperator) advance() error {
+	rec, err := o.merge.next()
+	if o.mhave = rec != nil; o.mhave {
+		o.mrec = *rec
 	}
-	return firstRow, pm, nil
+	return err
+}
+
+func (o *groupOperator) foldChunk() {
+	if len(o.chunk) == 0 {
+		return
+	}
+	in := &o.in[0]
+	o.aggB.window(o.chunk)
+	in.sel = o.aggB.sel
+	o.progs.evalArgs(&o.aggB, in)
+	o.foldSites(in, zeroGids[:], o.macc)
+	o.chunk = o.chunk[:0]
 }
 
 func (o *groupOperator) Close() {
 	o.child.Close()
-	o.groups = nil
-	o.order = nil
-	o.keyRank = nil
+	o.ids, o.first, o.accs, o.macc, o.pos = nil, nil, nil, nil, 0
+	o.in, o.win, o.chunk = nil, nil, nil
 	if o.merge != nil {
 		o.merge.close()
 		o.merge = nil
@@ -1239,9 +1302,8 @@ func (o *groupOperator) Close() {
 		o.sp.close()
 		o.sp = nil
 	}
-	o.acct.release(o.charged + o.rankCharged)
-	o.charged, o.rankCharged = 0, 0
-	o.chunk = nil
+	o.acct.release(o.charged)
+	o.charged = 0
 }
 
 // ---------------------------------------------------------------- distinct

@@ -13,9 +13,9 @@ package engine
 // merges fold per-morsel results back in morsel order, so every parallel
 // path produces byte-identical output to the serial one (parallelism 1 is
 // the differential oracle):
-//   - aggregate columns are computed per-morsel, then folded serially in
-//     row order — float sums see the same addition order, DISTINCT sets and
-//     MIN/MAX ties resolve identically;
+//   - aggregate argument columns are computed per-morsel, then folded
+//     serially in row order — float sums see the same addition order,
+//     DISTINCT sets and MIN/MAX ties resolve identically;
 //   - filters emit survivors in morsel order, matching the serial stream;
 //   - join builds encode keys per-morsel and insert serially in row order,
 //     so hash buckets keep build insertion order;
@@ -27,11 +27,11 @@ package engine
 // one the serial path would have hit first (lowest failing morsel, first
 // failing batch within it).
 //
-// Group-by bucketing stays serial by design: bucket assignment is a cheap
-// hash per row, first-seen group order is part of the engine's output
-// contract, and the expensive part of grouped queries — evaluating
-// aggregate argument expressions, conversion UDFs included — parallelizes
-// inside each group through parallelAggColumn instead.
+// Grouped projections keep the hash table serial (DESIGN.md ADR-021): group
+// ids in first-seen order and accumulators folded in arrival order are part
+// of the output contract. What feeds the table — group keys and aggregate
+// arguments, conversion UDFs included — is computed in one parallel section
+// per window of gathered rows (groupOperator.drainParallel).
 
 import (
 	"runtime/debug"
@@ -71,7 +71,7 @@ func SetMorselSize(n int) {
 // goroutines. Assignment is striped: worker w processes items w, w+par,
 // w+2·par, … in increasing order. The static stripe — rather than dynamic
 // claiming — is deliberate: a statement runs many parallel sections over
-// the same heap (one per aggregate column, scan, join build), and striping
+// the same heap (one per scan, join build, window of aggregate input), and striping
 // sends the same rows to the same worker every time, so per-worker memo
 // caches (conversion-UDF results above all) hit across sections instead of
 // every worker redundantly computing every distinct value. Morsel work is
@@ -175,49 +175,6 @@ func (p *workerPool) worker(w int) *exec {
 	return p.workers[w]
 }
 
-// ---------------------------------------------------------------- aggregate
-
-// parallelAggColumn evaluates one aggregate argument expression for every
-// row of a group, morsel-parallel: workers fill disjoint ranges of one
-// output column, each through its own batch program. The caller folds the
-// column serially in row order.
-func (ex *exec) parallelAggColumn(arg sqlast.Expr, sc *scope, rows [][]sqltypes.Value) ([]sqltypes.Value, error) {
-	morsel := morselLen()
-	n := len(rows)
-	nm := (n + morsel - 1) / morsel
-	col := make([]sqltypes.Value, n)
-	pool := ex.workerPool()
-	progs := make([]vecExpr, ex.par)
-	err := parallelFor(ex.par, nm, func(w, m int) error {
-		we := pool.worker(w)
-		if progs[w] == nil {
-			progs[w] = we.vecCompile(arg, sc.bindings, &scope{parent: sc.parent, bindings: sc.bindings})
-		}
-		lo := m * morsel
-		hi := lo + morsel
-		if hi > n {
-			hi = n
-		}
-		src := scanOp{rows: rows[lo:hi]}
-		var b Batch
-		for src.next(&b) {
-			if err := we.cancelled(); err != nil {
-				return err
-			}
-			out := col[lo+b.base : lo+b.base+len(b.rows)]
-			progs[w](&b, b.sel, out)
-			if err := b.firstErr(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return col, nil
-}
-
 // ---------------------------------------------------------------- scan+filter
 
 // parallelScanFilter is the fused morsel-parallel scan+filter operator: it
@@ -237,9 +194,10 @@ type parallelScanFilter struct {
 	conjs  []sqlast.Expr
 	parent *scope
 
-	kept [][]sqltypes.Value
+	// kept holds the survivors not yet emitted, morsel by morsel, up to and
+	// including the first failing morsel, whose error err is.
+	kept [][][]sqltypes.Value
 	err  error
-	pos  int
 	out  Batch
 
 	// Memory-limited statements: the retained survivor references are
@@ -263,10 +221,11 @@ func (o *parallelScanFilter) Open(ex *exec) error {
 	morsel := morselLen()
 	n := len(o.rows)
 	nm := (n + morsel - 1) / morsel
-	outs := make([][][]sqltypes.Value, nm)
+	o.kept = make([][][]sqltypes.Value, nm)
 	merrs := make([]error, nm)
 	pool := o.ex.workerPool()
 	progs := make([][]vecExpr, o.ex.par)
+	idxs := make([][]int32, o.ex.par) // a morsel's survivors so far, as offsets into it
 	parallelFor(o.ex.par, nm, func(w, m int) error {
 		we := pool.worker(w)
 		if progs[w] == nil {
@@ -277,14 +236,10 @@ func (o *parallelScanFilter) Open(ex *exec) error {
 			}
 		}
 		lo := m * morsel
-		hi := lo + morsel
-		if hi > n {
-			hi = n
-		}
+		src := scanOp{rows: o.rows[lo:min(lo+morsel, n)]}
 		f := filterOp{progs: progs[w]}
-		src := scanOp{rows: o.rows[lo:hi]}
 		var b Batch
-		var kept [][]sqltypes.Value
+		idx := idxs[w][:0]
 		for f.failed == nil && src.next(&b) {
 			if err := we.cancelled(); err != nil {
 				merrs[m] = err
@@ -293,27 +248,31 @@ func (o *parallelScanFilter) Open(ex *exec) error {
 			f.apply(&b)
 			if f.failed == nil {
 				for _, i := range b.sel {
-					kept = append(kept, b.rows[i])
+					idx = append(idx, int32(b.base)+i)
 				}
 			}
 		}
-		outs[m] = kept // survivors ahead of a failing batch still emit
+		// Sized once, by the count; survivors ahead of a failing batch still emit.
+		kept := make([][]sqltypes.Value, len(idx))
+		for j, i := range idx {
+			kept[j] = src.rows[i]
+		}
+		o.kept[m], idxs[w] = kept, idx
 		merrs[m] = f.failed
 		return f.failed
 	})
-	for m := 0; m < nm; m++ {
-		o.kept = append(o.kept, outs[m]...)
-		if merrs[m] != nil {
-			o.err = merrs[m]
-			break
+	survivors := 0
+	for m := 0; m < nm && o.err == nil; m++ {
+		survivors += len(o.kept[m])
+		if o.err = merrs[m]; o.err != nil {
+			o.kept = o.kept[:m+1]
 		}
 	}
 	if ex.acct != nil {
 		o.acct = ex.acct
-		o.charged = int64(len(o.kept)) * rowRefBytes
+		o.charged = int64(survivors) * rowRefBytes
 		ex.acct.charge(o.charged)
 	}
-	o.pos = 0
 	return nil
 }
 
@@ -321,15 +280,15 @@ func (o *parallelScanFilter) Next(ex *exec) (*Batch, error) {
 	if err := ex.cancelled(); err != nil {
 		return nil, err
 	}
-	if o.pos >= len(o.kept) {
+	for len(o.kept) > 0 && len(o.kept[0]) == 0 {
+		o.kept = o.kept[1:]
+	}
+	if len(o.kept) == 0 {
 		return nil, o.err
 	}
-	n := len(o.kept) - o.pos
-	if n > batchSize {
-		n = batchSize
-	}
-	o.out.window(o.kept[o.pos : o.pos+n])
-	o.pos += n
+	n := min(len(o.kept[0]), batchSize)
+	o.out.window(o.kept[0][:n])
+	o.kept[0] = o.kept[0][n:]
 	ex.noteStream(n)
 	return &o.out, nil
 }

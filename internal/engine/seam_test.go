@@ -33,9 +33,9 @@ var seamFuncs = map[string][]string{
 // referenceForbidden lists what no function of exec.go may mention: the
 // batch and kernel vocabulary of the production path.
 var referenceForbidden = []string{
-	"Batch", "vecExpr", "vecKeySet", "vecCompile", "vecKeys", "vecAggArgs",
+	"Batch", "vecExpr", "vecKeySet", "vecCompile", "vecKeys", "groupProgs", "aggInput",
 	"compile", "filterOp", "scanOp", "rowChunk", "newRowChunk",
-	"parallelFor", "parallelSortIdx", "parallelJoinKeys", "parallelAggColumn",
+	"parallelFor", "parallelSortIdx", "parallelJoinKeys",
 }
 
 // deletedTwins are the interpreter (and compiled-reference) twins this

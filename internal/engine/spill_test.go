@@ -228,12 +228,15 @@ func assertDirEmpty(t *testing.T, dir string) {
 }
 
 // spillShapes engages every breaker's overflow path: external sort, group
-// hash table, DISTINCT set, hash join build and LEFT JOIN build.
+// hash table (the thousand-group shape: the few-group ones fold within every
+// limit but the tightest, TestGroupFreezeAndSpill), DISTINCT set, hash join
+// build and LEFT JOIN build.
 var spillShapes = []string{
 	`SELECT id, val FROM fact ORDER BY val, id`,
 	`SELECT id, k FROM fact ORDER BY k DESC, id DESC LIMIT 37`,
 	`SELECT grp, k, COUNT(*) AS n, SUM(val) AS s, AVG(val) AS a, MIN(id) AS mn, MAX(id) AS mx FROM fact GROUP BY grp, k ORDER BY grp, k`,
 	`SELECT k, COUNT(DISTINCT grp) AS dg FROM fact GROUP BY k ORDER BY k`,
+	`SELECT id % 1000 AS r, COUNT(*) AS n, SUM(val) AS s, MIN(id) AS mn FROM fact GROUP BY id % 1000`,
 	`SELECT DISTINCT val FROM fact`,
 	`SELECT DISTINCT k, grp FROM fact ORDER BY k DESC, grp`,
 	`SELECT f.id, d.name FROM fact f JOIN dim d ON f.k = d.k ORDER BY f.id LIMIT 100`,
@@ -416,7 +419,7 @@ func TestSpillFaultInjection(t *testing.T) {
 		{"finish", `SELECT id, val FROM fact ORDER BY val, id`, &faultFS{failFinish: true}},
 		{"open", `SELECT id, val FROM fact ORDER BY val, id`, &faultFS{failOpen: true}},
 		{"read", `SELECT id, val FROM fact ORDER BY val, id`, &faultFS{failReadAt: 1}},
-		{"group-write", `SELECT grp, k, SUM(val) AS s FROM fact GROUP BY grp, k ORDER BY grp, k`, &faultFS{failWriteAt: 1}},
+		{"group-write", `SELECT id, SUM(val) AS s FROM fact GROUP BY id`, &faultFS{failWriteAt: 1}},
 		{"distinct-read", `SELECT DISTINCT id, val FROM fact`, &faultFS{failReadAt: 1}},
 		// The build side is filtered: an unfiltered base table keyed on plain
 		// columns is probed through its persistent index and never spills.

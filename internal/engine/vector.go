@@ -1001,29 +1001,3 @@ func (ks *vecKeySet) compute(b *Batch, dropNulls bool) []int32 {
 	}
 	return sel
 }
-
-// ---------------------------------------------------------------- agg args
-
-// vecAggArgs builds batch programs for single-argument aggregate calls; the
-// group operator hands them to evalAggregate, which streams each group's
-// rows through them batch-at-a-time.
-func (ex *exec) vecAggArgs(bindings []*binding, sc *scope, exprs ...sqlast.Expr) map[sqlast.Expr]vecExpr {
-	var m map[sqlast.Expr]vecExpr
-	for _, e := range exprs {
-		sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-			fc, ok := n.(*sqlast.FuncCall)
-			if !ok || !sqlast.IsAggregate(fc.Name) || fc.Star || len(fc.Args) != 1 {
-				return true
-			}
-			if _, done := m[fc.Args[0]]; done {
-				return true
-			}
-			if m == nil {
-				m = make(map[sqlast.Expr]vecExpr)
-			}
-			m[fc.Args[0]] = ex.vecCompile(fc.Args[0], bindings, sc)
-			return true
-		})
-	}
-	return m
-}

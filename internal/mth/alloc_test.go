@@ -15,7 +15,42 @@ import (
 	"mtbase/internal/optimizer"
 )
 
+// allocBudget is one MT-H query at o4 and what one execution of it may
+// allocate: bytes, and heap objects where objects is set.
+type allocBudget struct {
+	id      int
+	budget  uint64
+	objects uint64
+}
+
 func TestJoinAllocBudget(t *testing.T) {
+	checkAllocBudgets(t, []allocBudget{
+		{id: 18, budget: 3_500_000}, // here 2.2 MB, per-level copy 106 MB
+		{id: 22, budget: 3_000_000}, // here 1.9 MB, per-level copy 5.3 MB
+		{id: 10, budget: 3_750_000}, // here 2.3 MB, per-level copy 7.1 MB
+		// No BENCHMARK.json workload runs a LEFT JOIN; this row is the gate on
+		// the outer kind of the one hash join (ADR-014): the twin operator it
+		// replaced allocated 3.62 MB here, pinned at that + 10 %.
+		{id: 13, budget: 3_985_000}, // here 3.3 MB: orders is probed through its persistent index
+	})
+}
+
+// TestGroupAllocBudget holds the streaming hash aggregate (DESIGN.md
+// ADR-021) by a count: the grouped projection keeps one accumulator per
+// group and aggregate site, not each group's rows, so Q1 (4 groups over
+// every lineitem row, 8 sites) and Q18 (one small group per order, under
+// HAVING) stop paying a key string, a row slice and a context per group and
+// a column per group and site. Budgets are the measured level + 10 %.
+func TestGroupAllocBudget(t *testing.T) {
+	checkAllocBudgets(t, []allocBudget{
+		// here 1.16 MB in 1 256 objects; row-keeping groups 1.50 MB in 13 602
+		{id: 1, budget: 1_280_000, objects: 1_400},
+		// here 2.20 MB in 3 962 objects; row-keeping groups 2.22 MB in 27 938
+		{id: 18, budget: 2_425_000, objects: 4_400},
+	})
+}
+
+func checkAllocBudgets(t *testing.T, budgets []allocBudget) {
 	cfg := Config{SF: 0.002, Tenants: 10, Dist: Uniform, Seed: 1, Mode: engine.ModePostgres}
 	inst, err := LoadMT(Generate(cfg))
 	if err != nil {
@@ -30,23 +65,12 @@ func TestJoinAllocBudget(t *testing.T) {
 	}
 	conn.SetOptLevel(optimizer.O4)
 	// Serial and uncapped (MTBASE_TEST_MEMLIMIT must not reach in): spill
-	// buffers and per-worker programs are not what this test budgets.
+	// buffers and per-worker programs are not what these tests budget.
 	db := inst.Srv.DB()
 	db.SetParallelism(1)
 	db.SetMemoryLimit(0)
 
-	for _, tc := range []struct {
-		id     int
-		budget uint64 // bytes per execution
-	}{
-		{18, 3_500_000}, // here 2.2 MB, per-level copy 106 MB
-		{22, 3_000_000}, // here 1.9 MB, per-level copy 5.3 MB
-		{10, 3_750_000}, // here 2.3 MB, per-level copy 7.1 MB
-		// No BENCHMARK.json workload runs a LEFT JOIN; this row is the gate on
-		// the outer kind of the one hash join (ADR-014): the twin operator it
-		// replaced allocated 3.62 MB here, pinned at that + 10 %.
-		{13, 3_985_000}, // here 3.3 MB: orders is probed through its persistent index
-	} {
+	for _, tc := range budgets {
 		q, err := QueryByID(cfg.SF, tc.id)
 		if err != nil {
 			t.Fatal(err)
@@ -63,10 +87,13 @@ func TestJoinAllocBudget(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		got := (after.TotalAlloc - before.TotalAlloc) / runs
-		t.Logf("Q%d o4: %d bytes per execution (budget %d)", tc.id, got, tc.budget)
+		got, objects := (after.TotalAlloc-before.TotalAlloc)/runs, (after.Mallocs-before.Mallocs)/runs
+		t.Logf("Q%d o4: %d bytes in %d objects per execution (budget %d, %d)", tc.id, got, objects, tc.budget, tc.objects)
 		if got > tc.budget {
 			t.Errorf("Q%d o4 allocates %d bytes per execution, budget %d", tc.id, got, tc.budget)
+		}
+		if tc.objects > 0 && objects > tc.objects {
+			t.Errorf("Q%d o4 allocates %d objects per execution, budget %d", tc.id, objects, tc.objects)
 		}
 	}
 }
