@@ -68,14 +68,15 @@ func (s OptSpec) levels() []optimizer.Level {
 type OptResult struct {
 	Spec       OptSpec
 	QueryIDs   []int
-	Baseline   []float64                     // plain TPC-H per query
-	Times      map[optimizer.Level][]float64 // per level, per query
-	UDFCalls   map[optimizer.Level][]int64   // ablation metric
-	Allocs     map[optimizer.Level][]uint64  // heap allocations of the measured run
-	PlanHits   map[optimizer.Level][]int64   // engine plan-cache hits across the runs
-	PlanMisses map[optimizer.Level][]int64   // engine plan-cache misses (builds)
-	SpillRuns  map[optimizer.Level][]int64   // spill runs written (memory-capped runs)
-	PeakMem    map[optimizer.Level][]int64   // accounted peak bytes of the measured runs
+	Baseline   []float64                          // plain TPC-H per query
+	Times      map[optimizer.Level][]float64      // per level, per query
+	UDFCalls   map[optimizer.Level][]int64        // ablation metric
+	Joins      map[optimizer.Level][]engine.Stats // ablation metric: the Join* counters, which path the hash joins took
+	Allocs     map[optimizer.Level][]uint64       // heap allocations of the measured run
+	PlanHits   map[optimizer.Level][]int64        // engine plan-cache hits across the runs
+	PlanMisses map[optimizer.Level][]int64        // engine plan-cache misses (builds)
+	SpillRuns  map[optimizer.Level][]int64        // spill runs written (memory-capped runs)
+	PeakMem    map[optimizer.Level][]int64        // accounted peak bytes of the measured runs
 }
 
 func (s OptSpec) repeats() int {
@@ -164,6 +165,9 @@ func sumStats(dbs []*engine.DB) engine.Stats {
 		total.PlanCacheHits += st.PlanCacheHits
 		total.PlanCacheMisses += st.PlanCacheMisses
 		total.SpillRuns += st.SpillRuns
+		total.JoinBuildRows += st.JoinBuildRows
+		total.JoinIndexProbes += st.JoinIndexProbes
+		total.JoinEagerFallbacks += st.JoinEagerFallbacks
 		if st.PeakMemBytes > total.PeakMemBytes {
 			total.PeakMemBytes = st.PeakMemBytes
 		}
@@ -193,6 +197,7 @@ func RunOptLevels(spec OptSpec, progress io.Writer) (*OptResult, error) {
 		QueryIDs:   ids,
 		Times:      make(map[optimizer.Level][]float64),
 		UDFCalls:   make(map[optimizer.Level][]int64),
+		Joins:      make(map[optimizer.Level][]engine.Stats),
 		Allocs:     make(map[optimizer.Level][]uint64),
 		PlanHits:   make(map[optimizer.Level][]int64),
 		PlanMisses: make(map[optimizer.Level][]int64),
@@ -230,6 +235,7 @@ func RunOptLevels(spec OptSpec, progress io.Writer) (*OptResult, error) {
 			st := sumStats(dbs)
 			res.Times[level] = append(res.Times[level], secs)
 			res.UDFCalls[level] = append(res.UDFCalls[level], st.UDFCalls)
+			res.Joins[level] = append(res.Joins[level], st)
 			res.Allocs[level] = append(res.Allocs[level], allocs)
 			res.PlanHits[level] = append(res.PlanHits[level], st.PlanCacheHits)
 			res.PlanMisses[level] = append(res.PlanMisses[level], st.PlanCacheMisses)
@@ -312,6 +318,23 @@ func (r *OptResult) WriteTable(w io.Writer) {
 			fmt.Fprintf(w, " %8d", n)
 		}
 		fmt.Fprintln(w)
+	}
+	for _, c := range []struct {
+		name string
+		of   func(engine.Stats) int64
+	}{
+		{"JoinBuildRows", func(st engine.Stats) int64 { return st.JoinBuildRows }},
+		{"JoinIndexProbes", func(st engine.Stats) int64 { return st.JoinIndexProbes }},
+		{"JoinEagerFallbacks", func(st engine.Stats) int64 { return st.JoinEagerFallbacks }},
+	} {
+		fmt.Fprintf(w, "%s per level (ablation, across all runs of a query):\n", c.name)
+		for _, level := range r.Spec.levels() {
+			fmt.Fprintf(w, "%-10s", level.String())
+			for _, st := range r.Joins[level] {
+				fmt.Fprintf(w, " %8d", c.of(st))
+			}
+			fmt.Fprintln(w)
+		}
 	}
 	fmt.Fprintln(w, "heap allocations per level (measured run):")
 	for _, level := range r.Spec.levels() {

@@ -303,6 +303,14 @@ type Stats struct {
 	SpillBytes   int64
 	PeakMemBytes int64
 
+	// Hash join counters (DESIGN.md ADR-022): JoinBuildRows counts the rows
+	// inserted into transient join tables, JoinIndexProbes the joins that
+	// probed a base table's persistent index instead of building one, and
+	// JoinEagerFallbacks those of them that built one after all, mid-stream.
+	JoinBuildRows      int64
+	JoinIndexProbes    int64
+	JoinEagerFallbacks int64
+
 	// Panics counts statements that failed with ErrInternal (DB.Recover).
 	Panics int64
 }
@@ -323,6 +331,9 @@ func (s *Stats) Snapshot() Stats {
 		SpillRuns:              atomic.LoadInt64(&s.SpillRuns),
 		SpillBytes:             atomic.LoadInt64(&s.SpillBytes),
 		PeakMemBytes:           atomic.LoadInt64(&s.PeakMemBytes),
+		JoinBuildRows:          atomic.LoadInt64(&s.JoinBuildRows),
+		JoinIndexProbes:        atomic.LoadInt64(&s.JoinIndexProbes),
+		JoinEagerFallbacks:     atomic.LoadInt64(&s.JoinEagerFallbacks),
 		Panics:                 atomic.LoadInt64(&s.Panics),
 	}
 }
@@ -1075,7 +1086,7 @@ func (db *DB) validateConstraint(cat *catalog, t *Table, con sqlast.Constraint) 
 			if null {
 				continue // NULL FK values vacuously satisfy the constraint
 			}
-			if len(idx.m[string(key)]) == 0 {
+			if len(idx.bucket(key)) == 0 {
 				return fmt.Errorf("engine: FK violation %s on %s: no match in %s", con.Name, t.Name, con.RefTable)
 			}
 		}

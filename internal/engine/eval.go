@@ -1136,7 +1136,8 @@ var aggNames = [...]string{"COUNT", "COUNT", "SUM", "AVG", "MIN", "MAX"}
 // aggAcc accumulates one aggregate call site over one group's argument
 // values; every path feeds it in row order. err latches the first thing that
 // makes the site unanswerable — a wrong argument count, a failing argument
-// row, SUM or AVG over a non-number — and result raises it.
+// row, SUM or AVG over a non-number or past the INTEGER range — and result
+// raises it.
 type aggAcc struct {
 	op       aggOp
 	distinct bool
@@ -1205,7 +1206,14 @@ func (a *aggAcc) addAny(v *sqltypes.Value) {
 			a.sumF += v.F
 			return
 		}
-		a.sumI += v.I
+		sum, err := sqltypes.AddInt(a.sumI, v.I)
+		if err != nil {
+			if a.err == nil {
+				a.err = err
+			}
+			return
+		}
+		a.sumI = sum
 	case aggMin:
 		if a.ext.IsNull() {
 			a.ext = *v

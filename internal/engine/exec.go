@@ -853,7 +853,8 @@ func (ex *exec) filterRelation(r *relation, conjs []*conjunct, parent *scope) (*
 				}
 				vals[i] = v
 			}
-			ids := idx.probe(vals)
+			var ids []int
+			ids, ex.keyBuf = idx.probe(ex.keyBuf, vals)
 			rows = make([][]sqltypes.Value, len(ids))
 			for i, id := range ids {
 				rows[i] = r.rows[id]
@@ -1081,21 +1082,22 @@ func (ex *exec) hashJoin(l, r *relation, pairs []equiPair, parent *scope) (*rela
 		return out, nil
 	}
 	// Index fast path: an unfiltered base table keyed on plain columns is
-	// probed through its persistent lazy index, whose map has exactly the
-	// shape (and bucket order) buildJoinHash would produce. This keeps the
+	// probed through its persistent lazy index, whose buckets have exactly
+	// the contents (and order) buildJoinHash would produce. This keeps the
 	// meta-table lookups inside conversion-UDF bodies O(1) per call.
-	var build map[string][]int
+	var bucket func(key []byte) []int
 	if cols, ok := indexableBuild(r, pairs); ok {
 		idx, err := ex.tableIndex(r.base, cols)
 		if err != nil {
 			return nil, err
 		}
-		build = idx.m
+		bucket = idx.bucket
 	} else {
-		var err error
-		if build, err = ex.buildJoinHash(r, pairs, parent); err != nil {
+		build, err := ex.buildJoinHash(r, pairs, parent)
+		if err != nil {
 			return nil, err
 		}
+		bucket = func(key []byte) []int { return build[string(key)] }
 	}
 	lsc, lexprs := l.scopeFor(parent), pairExprs(pairs, false)
 	var buf []byte
@@ -1112,7 +1114,7 @@ func (ex *exec) hashJoin(l, r *relation, pairs []equiPair, parent *scope) (*rela
 		if null {
 			continue
 		}
-		for _, ri := range build[string(buf)] {
+		for _, ri := range bucket(buf) {
 			out.rows = append(out.rows, concatRows(lr, r.rows[ri], out.width))
 		}
 	}

@@ -26,10 +26,17 @@ package engine
 //
 // Exclusions, by design: the pair-less join (cross product, LEFT JOIN
 // without an equi conjunct) degenerates to a single partition and stays
-// in-memory (charged, never spilled); the index fast path probes the
-// table's persistent index and retains no transient build at all.
+// in-memory (charged, never spilled); the index path (ADR-022) probes the
+// table's persistent index and retains no transient build at all — until it
+// falls back to the eager build, which is charged and may end up here with
+// the probe stream already under way: the rows joined so far are out, and
+// every probe batch from the one that tripped the budget is partitioned.
 
-import "mtbase/internal/sqltypes"
+import (
+	"sync/atomic"
+
+	"mtbase/internal/sqltypes"
+)
 
 // graceParts is the partition fan-out per level.
 const graceParts = 16
@@ -280,6 +287,7 @@ func (g *graceState) processPartition(ex *exec, bp, pp *partWriter, salt, depth 
 		ex.acct.charge(add)
 		charged += add
 	}
+	atomic.AddInt64(&ex.db.Stats.JoinBuildRows, int64(len(brows)))
 	build := make(map[string][]int, len(brows))
 	for i, k := range bkeys {
 		build[k] = append(build[k], i)

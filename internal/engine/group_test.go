@@ -96,6 +96,15 @@ var foldShapes = []struct {
 	// ... in the last group alone, which under a limit comes from the merge.
 	{`SELECT id, CASE WHEN id = 11999 THEN SUM(COUNT(*)) ELSE 0 END FROM g GROUP BY id`, "outside grouped context"},
 	{`SELECT k, MIN(s), SUM(s) FROM g GROUP BY k`, "SUM over VARCHAR"},
+	// INTEGER overflow raises where it wrapped: a sum that leaves the range
+	// in one group (k = 4 holds id 4242), an argument that does on one row,
+	// and neither when HAVING or CASE keeps the site from being evaluated.
+	{`SELECT k, SUM(v + 9223372036854770000) FROM g GROUP BY k`, "integer out of range"},
+	{`SELECT k, AVG(CASE WHEN k = 4 THEN 4611686018427387904 ELSE v END) FROM g GROUP BY k`, "integer out of range"},
+	{`SELECT k, SUM(CASE WHEN k = 4 THEN 4611686018427387904 ELSE v END) FROM g GROUP BY k HAVING k <> 4`, ""},
+	{`SELECT k, SUM(id * 2174000000000000) FROM g GROUP BY k`, "integer out of range"},
+	{`SELECT k, SUM(id - 9223372036854775807) FROM g WHERE id > 0 GROUP BY k`, "integer out of range"},
+	{`SELECT k, CASE WHEN COUNT(*) < 0 THEN SUM(id * 2174000000000000) ELSE MAX(id) * 768614336404564 END FROM g GROUP BY k`, ""},
 }
 
 // TestGroupFoldDifferential: every shape, in production and in the evaluator
@@ -209,5 +218,35 @@ func TestSumOverNonNumeric(t *testing.T) {
 func TestAggAccBytes(t *testing.T) {
 	if got := unsafe.Sizeof(aggAcc{}); got != aggAccBytes {
 		t.Errorf("unsafe.Sizeof(aggAcc{}) = %d, aggAccBytes = %d", got, aggAccBytes)
+	}
+}
+
+// TestIntegerOverflowRaises: INTEGER +, -, * and SUM past the 64-bit range
+// raise one error text in every configuration — they used to wrap (SELECT
+// 9223372036854775807 + 1 answered -9223372036854775808) — and the last
+// value inside the range still answers.
+func TestIntegerOverflowRaises(t *testing.T) {
+	db := groupTestDB(t, 500)
+	const want = "sqltypes: integer out of range"
+	for _, cfg := range []execConfig{cfgReference, cfgProduction, cfgEvalCheck} {
+		cfg.apply(db)
+		for _, q := range []string{
+			`SELECT 9223372036854775807 + 1`,
+			`SELECT -9223372036854775807 - 2`,
+			`SELECT 3037000500 * 3037000500`,
+			`SELECT id + 9223372036854775807 FROM g WHERE id = 1`,
+			`SELECT id FROM g WHERE id * 4611686018427387904 > 0`,
+			`SELECT SUM(v + 9223372036854775000) FROM g`,
+			`SELECT AVG(id + 4611686018427387904) FROM g`,
+			`SELECT k, SUM(DISTINCT id * 2251799813685248) FROM g GROUP BY k`,
+		} {
+			if _, err := db.QuerySQL(q); err == nil || err.Error() != want {
+				t.Errorf("%s %q: err = %v, want %s", cfg.name, q, err, want)
+			}
+		}
+		res, err := db.QuerySQL(`SELECT 9223372036854775806 + 1, -9223372036854775807 - 1, 3037000499 * 3037000499, 4611686018427387904 * -2, SUM(id + 18446744073709000) FROM g`)
+		if got := execKey(res, err); !strings.HasSuffix(got, "\nINTEGER:9223372036854775807|INTEGER:-9223372036854775808|INTEGER:9223372030926249001|INTEGER:-9223372036854775808|INTEGER:9223372036854624750\n") {
+			t.Errorf("%s: the edge of the range answered %s", cfg.name, got)
+		}
 	}
 }

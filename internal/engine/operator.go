@@ -160,7 +160,8 @@ func (s *indexScanOperator) Open(ex *exec) error {
 		}
 		vals[i] = v
 	}
-	ids := idx.probe(vals)
+	var ids []int
+	ids, ex.keyBuf = idx.probe(ex.keyBuf, vals)
 	rows := make([][]sqltypes.Value, len(ids))
 	for i, id := range ids {
 		rows[i] = heap[id]
@@ -255,9 +256,9 @@ func (o *filterOperator) Close() { o.child.Close() }
 
 // joinOperator is the hash join, inner or LEFT OUTER (degrading to the cross
 // product with no equi pairs): Open materializes only the build side — the
-// hash table, or the probe plan against a base table's persistent index —
-// and Next streams probe batches, expanding each into at most batch-size
-// output windows.
+// hash table, or nothing at all when it probes a base table's persistent
+// index — and Next streams probe batches, expanding each into at most
+// batch-size output windows.
 //
 // The outer kind is the inner one except at three points, each marked
 // "outer (n)" where outer is read: (1) a probe row with a NULL key or an
@@ -279,6 +280,16 @@ func (o *filterOperator) Close() { o.child.Close() }
 // prefix of a row is never rewritten, so copies of it stay valid whenever
 // they are made. An outer join is never part of a chain (extends is false):
 // it copies every row it emits.
+//
+// The index path (DESIGN.md ADR-022). A build side that is a base table
+// keyed on plain columns is not built at all: the table's persistent index
+// is the hash table, and the build side's own conjuncts (own) — only ones
+// that cannot raise, since they now see just the rows a probe reaches — run
+// over each probe batch's candidates. Buckets stay in heap order either way,
+// so the output is the eager build's, row for row. The regret is bounded:
+// once the candidates evaluated would pass 1/indexJoinShare of the heap the
+// join builds eagerly after all (eagerBuild), between two probe batches, and
+// it starts that way when the probe side's known size already says so.
 type joinOperator struct {
 	ex     *exec
 	left   Operator
@@ -296,9 +307,19 @@ type joinOperator struct {
 	rowCap  int  // capacity of the output rows allocated here (>= orel.width)
 	extends bool // probe rows come from the previous join of the same chain
 
-	// Build state (Open): the build rows and, for an equi join, the hash
-	// table over them — a transient one, or a base table's persistent index;
-	// for the cross product, the one bucket that holds every build row.
+	// The index path: the key columns of the persistent index (nil: this join
+	// builds eagerly from the start), the build side's own conjuncts — not
+	// applied to right, which eagerBuild filters if it comes to that — and
+	// their filter over candidates, lowered once Open takes the path.
+	idxCols []string
+	own     []*conjunct
+	cand    candidateFilter
+
+	// Build state: the build rows and, for an equi join, the hash table over
+	// them — a base table's persistent index (idx) or a transient table
+	// (build); for the cross product, the one bucket that holds every build
+	// row.
+	idx       *hashIndex
 	build     map[string][]int
 	cross     []int
 	rightRows [][]sqltypes.Value
@@ -330,27 +351,110 @@ type joinOperator struct {
 	grace   *graceState
 }
 
+// indexJoinShare bounds what the index path may cost over the eager build:
+// a join stops filtering candidates once it would have evaluated more than
+// 1/indexJoinShare of the build table's rows. Chosen by measurement
+// (EXPERIMENTS.md "The join probes through its filters").
+const indexJoinShare = 4
+
 // newJoinPipe joins l and r on the equi pairs; outer makes it a LEFT OUTER
-// join whose matches the residual ON conjuncts decide. A join of a FROM-list
-// chain (buildSourcePipe) passes the chain's final width as rowCap and
-// whether l is the chain's previous join; a standalone join passes 0, false
-// and allocates exactly its own width.
-func (ex *exec) newJoinPipe(l, r *pipe, pairs []equiPair, outer bool, residual []*conjunct, parent *scope, rowCap int, extends bool) *pipe {
+// join whose matches the residual ON conjuncts decide. own are the build
+// side's own conjuncts, which the caller has not applied to r: the join
+// evaluates them over index candidates when r is a base table keyed on plain
+// columns and none of them can raise, and filters r with them first
+// otherwise. A join of a FROM-list chain (buildSourcePipe) passes the chain's
+// final width as rowCap and whether l is the chain's previous join; a
+// standalone join passes 0, false and allocates exactly its own width.
+func (ex *exec) newJoinPipe(l, r *pipe, own []*conjunct, pairs []equiPair, outer bool, residual []*conjunct, parent *scope, rowCap int, extends bool) *pipe {
 	orel := joinRel(l.rel, r.rel)
 	if rowCap < orel.width {
 		rowCap = orel.width
 	}
 	jo := &joinOperator{
-		ex: ex, left: l.op, right: r.op,
-		lrel: l.rel, rrel: r.rel, orel: orel,
+		ex: ex, lrel: l.rel, orel: orel,
 		pairs: pairs, parent: parent, outer: outer,
 		rowCap: rowCap, extends: extends,
 	}
+	if cols, ok := indexableBuild(r.rel, pairs); ok && ex.neverRaise(own, r.rel, parent) {
+		jo.idxCols, jo.own = cols, own
+	} else if len(own) > 0 {
+		r = ex.filterPipe(r, own, parent)
+	}
+	jo.left, jo.right, jo.rrel = l.op, r.op, r.rel
 	if outer {
 		jo.on = &onResidual{f: ex.newFilterOp(residual, orel, parent)}
 		jo.nulls = make([]sqltypes.Value, r.rel.width)
 	}
 	return &pipe{op: jo, rel: orel}
+}
+
+// neverRaise reports whether evaluating conjs over rows of the base relation
+// rel cannot raise, whatever the row: each is a comparison, BETWEEN, IN list,
+// LIKE or IS NULL — or AND, OR, NOT over those — between bare columns of rel
+// and operands that read no row. Anything else (column arithmetic, a function
+// or UDF call, CASE, a subquery) may raise on a row no probe reaches, and the
+// reference executor, which filters every row, would report it.
+func (ex *exec) neverRaise(conjs []*conjunct, rel *relation, parent *scope) bool {
+	for _, c := range conjs {
+		if !ex.predicateNeverRaises(c.expr, rel, parent) {
+			return false
+		}
+	}
+	return true
+}
+
+func (ex *exec) predicateNeverRaises(e sqlast.Expr, rel *relation, parent *scope) bool {
+	operands := func(es ...sqlast.Expr) bool {
+		for _, e := range es {
+			if !ex.operandNeverRaises(e, rel, parent) {
+				return false
+			}
+		}
+		return true
+	}
+	switch x := e.(type) {
+	case *sqlast.BinaryExpr:
+		switch x.Op {
+		case "AND", "OR":
+			return ex.predicateNeverRaises(x.L, rel, parent) && ex.predicateNeverRaises(x.R, rel, parent)
+		case "=", "<>", "<", "<=", ">", ">=":
+			return operands(x.L, x.R)
+		}
+	case *sqlast.UnaryExpr:
+		return x.Op == "NOT" && ex.predicateNeverRaises(x.X, rel, parent)
+	case *sqlast.BetweenExpr:
+		return operands(x.X, x.Lo, x.Hi)
+	case *sqlast.InExpr:
+		return x.Sub == nil && operands(x.X) && operands(x.List...)
+	case *sqlast.LikeExpr:
+		return operands(x.X, x.Pattern)
+	case *sqlast.IsNullExpr:
+		return operands(x.X)
+	}
+	return false
+}
+
+// operandNeverRaises accepts a bare column of rel, and an expression over
+// literals, binds and intervals alone — which is evaluated here, once: what
+// reads no row and raises (1/0, an unbound $2) raises on every row.
+func (ex *exec) operandNeverRaises(e sqlast.Expr, rel *relation, parent *scope) bool {
+	if cr, ok := e.(*sqlast.ColumnRef); ok {
+		return relationHasRef(rel, cr)
+	}
+	rowFree := true
+	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
+		switch n.(type) {
+		case *sqlast.Literal, *sqlast.Param, *sqlast.IntervalExpr, *sqlast.BinaryExpr, *sqlast.UnaryExpr:
+		default:
+			rowFree = false
+		}
+		return rowFree
+	})
+	if !rowFree {
+		return false
+	}
+	_, err := ex.eval(e, &scope{parent: parent})
+	return err == nil
 }
 
 // onResidual is what is left of an outer join's ON clause once the equi
@@ -386,30 +490,109 @@ func (r *onResidual) keep(cands [][]sqltypes.Value) ([][]sqltypes.Value, error) 
 	return kept, nil
 }
 
+// candidateFilter runs a build side's own conjuncts over the candidates of
+// one probe batch — the rows of the build table the batch's keys reach — and
+// counts what it has evaluated against the join's budget.
+type candidateFilter struct {
+	f    filterOp
+	win  Batch
+	rows [][]sqltypes.Value
+	ids  []int // the batch's candidates, bucket after bucket; -1 once rejected
+
+	seen, budget int // candidates evaluated so far, over all batches, and how many may be
+}
+
+// keep narrows buckets[i], for each probe row i of keyed, to the candidates
+// every conjunct accepts, in bucket order. The narrowed buckets are windows
+// of c.ids and last until the next call.
+func (c *candidateFilter) keep(heap [][]sqltypes.Value, keyed []int32, buckets [][]int) error {
+	c.ids = c.ids[:0]
+	for _, i := range keyed {
+		c.ids = append(c.ids, buckets[i]...)
+	}
+	c.seen += len(c.ids)
+	for lo := 0; lo < len(c.ids); lo += batchSize {
+		ids := c.ids[lo:min(lo+batchSize, len(c.ids))]
+		c.rows = c.rows[:0]
+		for _, id := range ids {
+			c.rows = append(c.rows, heap[id])
+		}
+		c.win.window(c.rows)
+		c.f.apply(&c.win)
+		if c.f.failed != nil {
+			return c.f.failed
+		}
+		k := 0
+		for _, s := range c.win.sel {
+			for ; k < int(s); k++ {
+				ids[k] = -1
+			}
+			k++
+		}
+		for ; k < len(ids); k++ {
+			ids[k] = -1
+		}
+	}
+	pos := 0
+	for _, i := range keyed {
+		seg := c.ids[pos : pos+len(buckets[i])]
+		pos += len(seg)
+		kept := seg[:0]
+		for _, id := range seg {
+			if id >= 0 {
+				kept = append(kept, id) // never ahead of the read position
+			}
+		}
+		buckets[i] = kept
+	}
+	return nil
+}
+
 func (j *joinOperator) Open(ex *exec) error {
 	if err := j.left.Open(ex); err != nil {
 		return err
 	}
 	if len(j.pairs) > 0 {
 		j.lks = ex.vecKeys(pairExprs(j.pairs, false), j.lrel.bindings, j.lrel.scopeFor(j.parent))
-		// Index fast path: the table's persistent lazy index already is the
-		// hash table (same key encoding, buckets in heap order); no transient
-		// one is built at all.
-		if cols, ok := indexableBuild(j.rrel, j.pairs); ok {
-			idx, err := ex.tableIndex(j.rrel.base, cols)
-			if err != nil {
-				return err
-			}
-			j.build, j.rightRows = idx.m, j.rrel.rows
-			return nil
-		}
 	}
-	// Build side: drain the right child (base scans are already
-	// materialized as the table heap) and hash it on the join keys. Under a
-	// memory limit the equi build is charged and may overflow into a Grace
-	// hash join; the pair-less join (cross product, LEFT JOIN without an
-	// equi conjunct) would degenerate to one partition, so it stays
-	// in-memory but charged.
+	if j.idxCols == nil {
+		return j.eagerBuild(ex)
+	}
+	// The table's persistent lazy index already is the hash table (same key
+	// encoding, buckets in heap order); no transient one is built — unless
+	// the probe side's size is known (a materialized source) and says the
+	// own conjuncts would meet more candidates than the budget allows.
+	heap := j.rrel.rows
+	j.cand.budget = len(heap) / indexJoinShare
+	sized := len(j.own) > 0 && j.lrel.rows != nil
+	if sized && len(j.lrel.rows) >= j.cand.budget {
+		return j.eagerBuild(ex) // a probe row reaches a candidate or more: no need for the index to tell
+	}
+	idx, err := ex.tableIndex(j.rrel.base, j.idxCols)
+	if err != nil {
+		return err
+	}
+	if sized && idx.candidates(len(j.lrel.rows)) >= j.cand.budget {
+		return j.eagerBuild(ex)
+	}
+	atomic.AddInt64(&ex.db.Stats.JoinIndexProbes, 1)
+	j.idx, j.rightRows = idx, heap
+	j.cand.f = ex.newFilterOp(j.own, j.rrel, j.parent)
+	return nil
+}
+
+// eagerBuild drains the build side — filtered by its own conjuncts first, if
+// the join was to run them over candidates — and hashes it on the join keys
+// (base scans are already materialized as the table heap). Under a memory
+// limit the equi build is charged and may overflow into a Grace hash join;
+// the pair-less join (cross product, LEFT JOIN without an equi conjunct)
+// would degenerate to one partition, so it stays in-memory but charged.
+func (j *joinOperator) eagerBuild(ex *exec) error {
+	if len(j.own) > 0 {
+		p := ex.filterPipe(&pipe{op: j.right, rel: j.rrel}, j.own, j.parent)
+		j.right, j.rrel, j.own = p.op, p.rel, nil
+	}
+	j.idx, j.idxCols = nil, nil
 	if len(j.pairs) > 0 && ex.acct != nil {
 		return j.openChargedBuild(ex)
 	}
@@ -449,6 +632,7 @@ func (j *joinOperator) Open(ex *exec) error {
 // computed column-wise per batch and encoded from the key columns, so bucket
 // lists keep build row order.
 func (ex *exec) vecJoinBuild(rrel *relation, rows [][]sqltypes.Value, pairs []equiPair, parent *scope) (map[string][]int, error) {
+	atomic.AddInt64(&ex.db.Stats.JoinBuildRows, int64(len(rows)))
 	r := &relation{bindings: rrel.bindings, rows: rows, width: rrel.width}
 	build := make(map[string][]int, len(rows))
 	// Morsel-parallel build: workers encode the key column for disjoint row
@@ -490,10 +674,7 @@ func (ex *exec) vecJoinBuild(rrel *relation, rows [][]sqltypes.Value, pairs []eq
 }
 
 func (j *joinOperator) Next(ex *exec) (*Batch, error) {
-	if j.grace != nil {
-		return j.graceNext(ex)
-	}
-	for j.pendPos >= len(j.pending) {
+	for j.grace == nil && j.pendPos >= len(j.pending) {
 		if err := ex.cancelled(); err != nil {
 			return nil, err
 		}
@@ -508,10 +689,14 @@ func (j *joinOperator) Next(ex *exec) (*Batch, error) {
 			if err := j.probeBatch(ex, b); err != nil {
 				return nil, err
 			}
+			continue // an index join may have fallen back, into a Grace join even
 		}
 		if err := j.fillPending(); err != nil {
 			return nil, err
 		}
+	}
+	if j.grace != nil {
+		return j.graceNext(ex)
 	}
 	n := len(j.pending) - j.pendPos
 	if n > batchSize {
@@ -561,9 +746,36 @@ func (j *joinOperator) probeBatch(ex *exec, b *Batch) error {
 		} else {
 			sel = keyed
 		}
-		for _, i := range keyed {
-			j.buf = encodeKeyCols(j.buf[:0], j.lks.cols, i)
-			j.buckets[i] = j.build[string(j.buf)]
+		if j.idx != nil {
+			cands := 0
+			for _, i := range keyed {
+				j.buf = encodeKeyCols(j.buf[:0], j.lks.cols, i)
+				j.buckets[i] = j.idx.bucket(j.buf)
+				cands += len(j.buckets[i])
+			}
+			switch {
+			case len(j.own) == 0:
+			case j.cand.seen+cands <= j.cand.budget:
+				if err := j.cand.keep(j.rightRows, keyed, j.buckets); err != nil {
+					return err
+				}
+			default:
+				// Over budget: build eagerly after all; this batch, none of
+				// whose rows is out yet, is the first to probe the result.
+				atomic.AddInt64(&ex.db.Stats.JoinEagerFallbacks, 1)
+				if err := j.eagerBuild(ex); err != nil {
+					return err
+				}
+				if j.grace != nil {
+					return j.grace.partitionProbeBatch(ex, b, j.lks)
+				}
+			}
+		}
+		if j.idx == nil {
+			for _, i := range keyed {
+				j.buf = encodeKeyCols(j.buf[:0], j.lks.cols, i)
+				j.buckets[i] = j.build[string(j.buf)]
+			}
 		}
 	}
 	j.fresh = 0 // rows to allocate: every match but the in-place ones
@@ -645,7 +857,7 @@ func (j *joinOperator) owns(l []sqltypes.Value) bool {
 func (j *joinOperator) Close() {
 	j.left.Close()
 	j.right.Close()
-	j.build, j.cross = nil, nil
+	j.idx, j.build, j.cross = nil, nil, nil
 	j.rightRows = nil
 	j.probe, j.sel, j.pending = nil, nil, nil
 	if j.grace != nil {
@@ -1849,17 +2061,21 @@ func (ex *exec) buildSourcePipe(sel *sqlast.Select, parent *scope) (*pipe, error
 		rel := &relation{bindings: allBindings(rels), width: totalWidth(rels)}
 		return &pipe{op: &scanOperator{}, rel: rel}, nil
 	}
-	for i, p := range pipes {
+	// A source's own conjuncts filter it before any join — except the plain
+	// ones of a source that becomes a join's build side, which are handed to
+	// that join (newJoinPipe): it may run them over index candidates instead.
+	// Closed-subquery conjuncts get a serial filter of their own: inside the
+	// morsel-parallel scan every worker would run the subquery again.
+	filtered := func(i int) *pipe {
+		p := pipes[i]
 		if len(pl.plain[i]) > 0 {
 			p = ex.filterPipe(p, pl.plain[i], parent)
 		}
-		// Closed-subquery conjuncts get a serial filter of their own: inside
-		// the morsel-parallel scan every worker would run the subquery again.
 		if len(pl.closed[i]) > 0 {
 			fo := newFilterOperator(ex, p.op, p.rel, pl.closed[i], parent)
 			p = &pipe{op: fo, rel: &relation{bindings: p.rel.bindings, width: p.rel.width}}
 		}
-		pipes[i] = p
+		return p
 	}
 
 	// Greedy hash-join order: prefer sources connected by equi-conjuncts. The
@@ -1867,38 +2083,52 @@ func (ex *exec) buildSourcePipe(sel *sqlast.Select, parent *scope) (*pipe, error
 	// chain materializes each output row once (joinOperator, ADR-011): its
 	// first join reserves the whole width, the later ones fill it in.
 	chainWidth := totalWidth(rels)
-	cur := pipes[0]
-	remaining := pipes[1:]
-	for len(remaining) > 0 {
+	cur := filtered(0)
+	remaining := make([]int, 0, len(pipes)-1)
+	for i := 1; i < len(pipes); i++ {
+		remaining = append(remaining, i)
+	}
+	for first := true; len(remaining) > 0; first = false {
 		pick := -1
 		var pairs []equiPair
-		for i, p := range remaining {
-			pr := equiPairsBetween(pl.conjs, cur.rel, p.rel)
+		for k, i := range remaining {
+			pr := equiPairsBetween(pl.conjs, cur.rel, rels[i])
 			if len(pr) > 0 {
-				pick, pairs = i, pr
+				pick, pairs = k, pr
 				break
 			}
 		}
-		if pick < 0 {
+		var next *pipe
+		var own []*conjunct
+		if pick >= 0 {
+			i := remaining[pick]
+			if len(pl.closed[i]) == 0 {
+				next, own = pipes[i], pl.plain[i]
+			} else {
+				next = filtered(i)
+			}
+		} else {
 			// No connection: the cross product takes the smallest source,
 			// measured like the materializing path — on the filtered row
 			// count, so unsized pipes are drained first (they would be
 			// materialized as a join build side anyway).
-			for _, p := range remaining {
-				if err := ex.materializePipe(p); err != nil {
+			for _, i := range remaining {
+				// Filtered for good: a later join gets it with nothing of its own left.
+				pipes[i], pl.plain[i], pl.closed[i] = filtered(i), nil, nil
+				if err := ex.materializePipe(pipes[i]); err != nil {
 					return nil, err
 				}
 			}
 			pick = 0
-			for i, p := range remaining {
-				if len(p.rel.rows) < len(remaining[pick].rel.rows) {
-					pick = i
+			for k, i := range remaining {
+				if len(pipes[i].rel.rows) < len(pipes[remaining[pick]].rel.rows) {
+					pick = k
 				}
 			}
+			next = pipes[remaining[pick]]
 		}
-		next := remaining[pick]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		cur = ex.newJoinPipe(cur, next, pairs, false, nil, parent, chainWidth, cur != pipes[0])
+		cur = ex.newJoinPipe(cur, next, own, pairs, false, nil, parent, chainWidth, !first)
 		for _, p := range pairs {
 			p.src.used = true
 		}
@@ -2005,7 +2235,7 @@ func (ex *exec) buildJoinExprPipe(j *sqlast.JoinExpr, parent *scope) (*pipe, err
 	}
 	switch j.Kind {
 	case sqlast.JoinCross:
-		return ex.newJoinPipe(l, r, nil, false, nil, parent, 0, false), nil
+		return ex.newJoinPipe(l, r, nil, nil, false, nil, parent, 0, false), nil
 	case sqlast.JoinInner, sqlast.JoinLeftOuter:
 	default:
 		return nil, fmt.Errorf("engine: unsupported join kind %v", j.Kind)
@@ -2015,9 +2245,9 @@ func (ex *exec) buildJoinExprPipe(j *sqlast.JoinExpr, parent *scope) (*pipe, err
 	// it rejects everywhere still comes out, null-extended); an inner join's
 	// filters the joined stream.
 	if j.Kind == sqlast.JoinLeftOuter {
-		return ex.newJoinPipe(l, r, pairs, true, residual, parent, 0, false), nil
+		return ex.newJoinPipe(l, r, nil, pairs, true, residual, parent, 0, false), nil
 	}
-	joined := ex.newJoinPipe(l, r, pairs, false, nil, parent, 0, false)
+	joined := ex.newJoinPipe(l, r, nil, pairs, false, nil, parent, 0, false)
 	if len(residual) == 0 {
 		return joined, nil
 	}

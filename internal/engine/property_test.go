@@ -619,6 +619,18 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 			"SELECT h FROM big WHERE h < 2000 OR 7 % 0 = 1 ORDER BY h",
 			"SELECT CASE WHEN a IS NULL THEN 1 / 0 ELSE a END FROM t WHERE a IS NOT NULL ORDER BY a, b, s, f",
 			"SELECT COUNT(*) FROM u WHERE 1 / 0 = 1 AND k < 0",
+			// INTEGER +, -, * and SUM raise past the range instead of
+			// wrapping: in a folded constant, on the rows that reach it, in
+			// the accumulator — and not one step short of the range.
+			"SELECT a FROM t WHERE a > 9223372036854775807 + 1 ORDER BY a",
+			"SELECT a + 9223372036854775800 FROM t ORDER BY a, b, s, f",
+			"SELECT a + 9223372036854775800 FROM t WHERE a < 8 ORDER BY a, b, s, f",
+			"SELECT 0 - 9223372036854775807 - a FROM t WHERE a > 1 ORDER BY a",
+			"SELECT a * 4611686018427387904, a * -4611686018427387904 FROM t WHERE a < 2 ORDER BY a, b, s, f",
+			"SELECT a * -4611686018427387904 FROM t WHERE a = 2",
+			"SELECT a * 4611686018427387904 FROM t WHERE a = 2",
+			"SELECT g, SUM(h + 9223372036854770000) FROM big GROUP BY g ORDER BY g",
+			"SELECT SUM(h * 1000000000000000) FROM big WHERE h < 9000",
 		} {
 			check(sql)
 		}

@@ -601,6 +601,9 @@ func (s *Server) StatLines() []Stat {
 		{Name: "engine.spill_runs", Value: es.SpillRuns},
 		{Name: "engine.spill_bytes", Value: es.SpillBytes},
 		{Name: "engine.peak_mem_bytes", Value: es.PeakMemBytes},
+		{Name: "engine.join_build_rows", Value: es.JoinBuildRows},
+		{Name: "engine.join_index_probes", Value: es.JoinIndexProbes},
+		{Name: "engine.join_eager_fallbacks", Value: es.JoinEagerFallbacks},
 		{Name: "engine.panics", Value: es.Panics},
 		{Name: "middleware.rewrite_cache_hits", Value: rwHits},
 		{Name: "middleware.rewrite_cache_misses", Value: rwMisses},

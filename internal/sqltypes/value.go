@@ -6,6 +6,7 @@ package sqltypes
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"time"
@@ -297,8 +298,62 @@ func Equal(a, b Value) (eq bool, ok bool) {
 	return c == 0, ok
 }
 
-// Arithmetic errors.
-var errBadOperand = fmt.Errorf("sqltypes: invalid operand types")
+// Arithmetic errors. ErrIntRange is what INTEGER +, -, * and SUM raise where
+// two's complement would wrap.
+var (
+	errBadOperand = fmt.Errorf("sqltypes: invalid operand types")
+	ErrIntRange   = fmt.Errorf("sqltypes: integer out of range")
+)
+
+// AddInt is a + b, or ErrIntRange; exported for the engine's SUM.
+func AddInt(a, b int64) (int64, error) {
+	c := a + b
+	if (a^c)&(b^c) < 0 { // the operands agree in sign and the sum does not
+		return 0, ErrIntRange
+	}
+	return c, nil
+}
+
+// subInt is a - b, or ErrIntRange.
+func subInt(a, b int64) (int64, error) {
+	c := a - b
+	if (a^b)&(a^c) < 0 { // the operands differ in sign and the difference left a's
+		return 0, ErrIntRange
+	}
+	return c, nil
+}
+
+// mulInt is a * b, or ErrIntRange.
+func mulInt(a, b int64) (int64, error) {
+	neg := (a < 0) != (b < 0)
+	hi, lo := bits.Mul64(magnitude(a), magnitude(b))
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++ // |MinInt64|
+	}
+	if hi != 0 || lo > limit {
+		return 0, ErrIntRange
+	}
+	if neg {
+		return -int64(lo), nil // lo = 1<<63 negates to MinInt64
+	}
+	return int64(lo), nil
+}
+
+func magnitude(a int64) uint64 {
+	if a < 0 {
+		return -uint64(a)
+	}
+	return uint64(a)
+}
+
+// intResult wraps a checked integer result as a Value.
+func intResult(i int64, err error) (Value, error) {
+	if err != nil {
+		return Null, err
+	}
+	return NewInt(i), nil
+}
 
 // Add evaluates a + b with numeric coercion and DATE+INTERVAL support.
 func Add(a, b Value) (Value, error) {
@@ -307,7 +362,7 @@ func Add(a, b Value) (Value, error) {
 	}
 	switch {
 	case a.K == KindInt && b.K == KindInt:
-		return NewInt(a.I + b.I), nil
+		return intResult(AddInt(a.I, b.I))
 	case a.IsNumeric() && b.IsNumeric():
 		return NewFloat(a.AsFloat() + b.AsFloat()), nil
 	case a.K == KindDate && b.K == KindInterval:
@@ -325,7 +380,7 @@ func Sub(a, b Value) (Value, error) {
 	}
 	switch {
 	case a.K == KindInt && b.K == KindInt:
-		return NewInt(a.I - b.I), nil
+		return intResult(subInt(a.I, b.I))
 	case a.IsNumeric() && b.IsNumeric():
 		return NewFloat(a.AsFloat() - b.AsFloat()), nil
 	case a.K == KindDate && b.K == KindInterval:
@@ -350,7 +405,7 @@ func Mul(a, b Value) (Value, error) {
 		return Null, nil
 	}
 	if a.K == KindInt && b.K == KindInt {
-		return NewInt(a.I * b.I), nil
+		return intResult(mulInt(a.I, b.I))
 	}
 	if a.IsNumeric() && b.IsNumeric() {
 		return NewFloat(a.AsFloat() * b.AsFloat()), nil

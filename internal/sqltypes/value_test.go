@@ -1,6 +1,9 @@
 package sqltypes
 
 import (
+	"errors"
+	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -191,6 +194,47 @@ func TestAddSubInverse(t *testing.T) {
 		return back.I == int64(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestIntegerRange holds INTEGER +, - and * to arbitrary-precision results:
+// the exact value when it fits in 64 bits, ErrIntRange when it does not —
+// at the edges, where the sign tricks live, and over random operands.
+func TestIntegerRange(t *testing.T) {
+	ops := []struct {
+		name string
+		op   func(Value, Value) (Value, error)
+		big  func(z, a, b *big.Int) *big.Int
+	}{
+		{"+", Add, (*big.Int).Add},
+		{"-", Sub, (*big.Int).Sub},
+		{"*", Mul, (*big.Int).Mul},
+	}
+	check := func(a, b int64) bool {
+		ok := true
+		for _, o := range ops {
+			want := o.big(new(big.Int), big.NewInt(a), big.NewInt(b))
+			got, err := o.op(NewInt(a), NewInt(b))
+			switch {
+			case want.IsInt64() && (err != nil || got.K != KindInt || got.I != want.Int64()):
+				t.Errorf("%d %s %d = %v, %v; want %s", a, o.name, b, got, err, want)
+				ok = false
+			case !want.IsInt64() && !errors.Is(err, ErrIntRange):
+				t.Errorf("%d %s %d = %v, %v; want ErrIntRange (%s)", a, o.name, b, got, err, want)
+				ok = false
+			}
+		}
+		return ok
+	}
+	edges := []int64{0, 1, -1, 2, -2, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1,
+		1 << 62, -(1 << 62), 1 << 31, -(1 << 31), 1 << 32, 3037000499, 3037000500, -3037000500}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
 	}
 }
