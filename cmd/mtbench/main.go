@@ -44,7 +44,7 @@ func main() {
 		tenants     = flag.Int("T", 10, "number of tenants for the tables")
 		tcounts     = flag.String("tenants", "1,10,100,1000", "tenant counts for the figures")
 		dist        = flag.String("dist", "", "override tenant share distribution (uniform|zipf)")
-		repeats     = flag.Int("repeats", 2, "measurement repetitions; the last is reported")
+		repeats     = flag.Int("repeats", 2, "runs per query: the first warms the caches, the median of the rest is reported")
 		queries     = flag.String("queries", "", "restrict to comma-separated query ids")
 		progress    = flag.Bool("progress", false, "print per-measurement progress")
 		parallelism = flag.Int("parallelism", 0, "intra-query worker count (0 = engine default GOMAXPROCS, 1 = serial)")

@@ -28,7 +28,7 @@ type OptSpec struct {
 	C       int64
 	Scope   string  // MTSQL scope text, e.g. "IN (1)" or "IN ()"
 	BaseSF  float64 // plain TPC-H baseline scale factor
-	Repeats int     // measurement runs; the last one is reported (§6.2)
+	Repeats int     // runs per query: one warm-up, then the median of the rest is reported (timeRuns)
 	Queries []int   // query ids; nil = all 22
 
 	// Levels restricts the table to these optimization levels (nil = all
@@ -71,7 +71,7 @@ type OptResult struct {
 	Baseline   []float64                          // plain TPC-H per query
 	Times      map[optimizer.Level][]float64      // per level, per query
 	UDFCalls   map[optimizer.Level][]int64        // ablation metric
-	Joins      map[optimizer.Level][]engine.Stats // ablation metric: the Join* counters, which path the hash joins took
+	Joins      map[optimizer.Level][]engine.Stats // ablation metric: the Join* and ExprSlot* counters — which path the hash joins took, what the operators shared
 	Allocs     map[optimizer.Level][]uint64       // heap allocations of the measured run
 	PlanHits   map[optimizer.Level][]int64        // engine plan-cache hits across the runs
 	PlanMisses map[optimizer.Level][]int64        // engine plan-cache misses (builds)
@@ -168,6 +168,8 @@ func sumStats(dbs []*engine.DB) engine.Stats {
 		total.JoinBuildRows += st.JoinBuildRows
 		total.JoinIndexProbes += st.JoinIndexProbes
 		total.JoinEagerFallbacks += st.JoinEagerFallbacks
+		total.ExprSlots += st.ExprSlots
+		total.ExprSlotReuses += st.ExprSlotReuses
 		if st.PeakMemBytes > total.PeakMemBytes {
 			total.PeakMemBytes = st.PeakMemBytes
 		}
@@ -260,10 +262,13 @@ func mallocs() uint64 {
 	return ms.Mallocs
 }
 
-// timeRuns runs a query repeats times and reports the last run's seconds and
-// heap allocations (§6.2 reports the last of several runs).
+// timeRuns runs a query repeats times. The first run warms the caches and is
+// left out when there is another; the report is the median of the rest (the
+// mean of the middle two when their number is even) and the heap allocations
+// of the last. §6.2 reports the last of several runs — which -repeats 2 still
+// is; with more, a median is not at the mercy of where a GC cycle lands.
 func timeRuns(repeats int, run func() error) (float64, uint64, error) {
-	var last float64
+	secs := make([]float64, 0, repeats)
 	var allocs uint64
 	for i := 0; i < repeats; i++ {
 		before := mallocs()
@@ -271,10 +276,15 @@ func timeRuns(repeats int, run func() error) (float64, uint64, error) {
 		if err := run(); err != nil {
 			return 0, 0, err
 		}
-		last = time.Since(start).Seconds()
+		secs = append(secs, time.Since(start).Seconds())
 		allocs = mallocs() - before
 	}
-	return last, allocs, nil
+	if len(secs) > 1 {
+		secs = secs[1:]
+	}
+	sort.Float64s(secs)
+	n := len(secs)
+	return (secs[(n-1)/2] + secs[n/2]) / 2, allocs, nil
 }
 
 func timePlain(db *engine.DB, q mth.Query, repeats int) (float64, uint64, error) {
@@ -326,6 +336,8 @@ func (r *OptResult) WriteTable(w io.Writer) {
 		{"JoinBuildRows", func(st engine.Stats) int64 { return st.JoinBuildRows }},
 		{"JoinIndexProbes", func(st engine.Stats) int64 { return st.JoinIndexProbes }},
 		{"JoinEagerFallbacks", func(st engine.Stats) int64 { return st.JoinEagerFallbacks }},
+		{"ExprSlots", func(st engine.Stats) int64 { return st.ExprSlots }},
+		{"ExprSlotReuses", func(st engine.Stats) int64 { return st.ExprSlotReuses }},
 	} {
 		fmt.Fprintf(w, "%s per level (ablation, across all runs of a query):\n", c.name)
 		for _, level := range r.Spec.levels() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"mtbase/internal/optimizer"
 )
@@ -128,5 +129,19 @@ func TestSig2(t *testing.T) {
 		if got := sig2(in); got != want {
 			t.Errorf("sig2(%v) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestTimeRunsReportsMedian: the warm-up run and one slow outlier (a GC
+// cycle, on a real query) do not reach the report; a single run is its own.
+func TestTimeRunsReportsMedian(t *testing.T) {
+	pauses := []time.Duration{80 * time.Millisecond, time.Millisecond, 60 * time.Millisecond, time.Millisecond, time.Millisecond}
+	i := 0
+	secs, _, err := timeRuns(len(pauses), func() error { time.Sleep(pauses[i]); i++; return nil })
+	if err != nil || secs > 0.03 {
+		t.Errorf("median of %v after the warm-up = %.3fs, %v; want about 1ms", pauses, secs, err)
+	}
+	if secs, _, _ = timeRuns(1, func() error { time.Sleep(20 * time.Millisecond); return nil }); secs < 0.02 {
+		t.Errorf("one run of 20ms reported as %.3fs", secs)
 	}
 }

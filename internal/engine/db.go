@@ -311,6 +311,13 @@ type Stats struct {
 	JoinIndexProbes    int64
 	JoinEagerFallbacks int64
 
+	// Shared subexpressions (DESIGN.md ADR-023): ExprSlots counts the slots
+	// lowered — one per shared node, operator instance, execution and
+	// parallel worker — and ExprSlotReuses the row evaluations they saved:
+	// rows an occurrence read from its slot instead of computing.
+	ExprSlots      int64
+	ExprSlotReuses int64
+
 	// Panics counts statements that failed with ErrInternal (DB.Recover).
 	Panics int64
 }
@@ -334,6 +341,8 @@ func (s *Stats) Snapshot() Stats {
 		JoinBuildRows:          atomic.LoadInt64(&s.JoinBuildRows),
 		JoinIndexProbes:        atomic.LoadInt64(&s.JoinIndexProbes),
 		JoinEagerFallbacks:     atomic.LoadInt64(&s.JoinEagerFallbacks),
+		ExprSlots:              atomic.LoadInt64(&s.ExprSlots),
+		ExprSlotReuses:         atomic.LoadInt64(&s.ExprSlotReuses),
 		Panics:                 atomic.LoadInt64(&s.Panics),
 	}
 }

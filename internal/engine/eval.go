@@ -61,7 +61,7 @@ type exec struct {
 	// the idle batches projections run on, one in use per level of UDF
 	// recursion.
 	udfProj     map[*udfPlanEntry]*udfProjection
-	udfEntries  map[udfEntryKey]*udfPlanEntry
+	udfEntries  map[*udfPlan]map[string]*udfPlanEntry
 	projBatches []*Batch
 
 	// pool holds this statement's parallel workers; it persists across
@@ -295,13 +295,14 @@ type scope struct {
 // groupCtx is the group a grouped projection is being evaluated for. The
 // reference executor hands evalAggregate the group's rows, to fold on
 // demand; the operator tree folded them as they arrived (groupOperator):
-// accs[i] is the group's accumulator of call site sites[i], and what latched
-// in it is raised only if the site is evaluated — which is how HAVING and
-// CASE short-circuit in both executors.
+// accs[siteOf[i]] is the group's accumulator of aggregate call calls[i], and
+// what latched in it is raised only if the call is evaluated — which is how
+// HAVING and CASE short-circuit in both executors.
 type groupCtx struct {
-	rows  [][]sqltypes.Value
-	sites []*sqlast.FuncCall
-	accs  []aggAcc
+	rows   [][]sqltypes.Value
+	calls  []*sqlast.FuncCall
+	siteOf []int32
+	accs   []aggAcc
 }
 
 func rootScope() *scope { return &scope{} }
@@ -1093,8 +1094,8 @@ func (ex *exec) evalAggregate(x *sqlast.FuncCall, sc *scope) (sqltypes.Value, er
 	if g == nil {
 		return sqltypes.Null, fmt.Errorf("engine: aggregate %s outside grouped context", x.Name)
 	}
-	if i := slices.Index(g.sites, x); i >= 0 {
-		return g.accs[i].result()
+	if i := slices.Index(g.calls, x); i >= 0 {
+		return g.accs[g.siteOf[i]].result()
 	}
 	// The reference executor's grouped projection, and the specification of
 	// the fold above: one interpreted row at a time, in row order.

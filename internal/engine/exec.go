@@ -63,6 +63,11 @@ type conjunct struct {
 	closed       bool // hasSub, and every subquery is statically closed (selectClosed)
 	used         bool
 	fromOrFactor bool // extracted from an OR; implied, never a residual
+
+	// WHERE conjuncts only: the analysis that holds the conjunct, and where —
+	// how a filter finds what its conjuncts share (shared.go).
+	an  *selAnalysis
+	idx int
 }
 
 // ---------------------------------------------------------------- runQuery
@@ -210,7 +215,10 @@ func selectAliases(sel *sqlast.Select) map[string]sqlast.Expr {
 
 // substituteAlias replaces an unqualified column reference that does not
 // resolve in the relation but matches an output alias with the aliased
-// expression (per the SQL rule the paper invokes for GROUP BY, §3.1).
+// expression (per the SQL rule the paper invokes for GROUP BY, §3.1) — the
+// select item's own node, not a copy: execution never writes to the AST, and
+// a node the plan owns is one the shared-subexpression analysis (shared.go)
+// recognises from one execution to the next.
 func substituteAlias(e sqlast.Expr, sc *scope, aliases map[string]sqlast.Expr) sqlast.Expr {
 	cr, ok := e.(*sqlast.ColumnRef)
 	if !ok || cr.Table != "" {
@@ -220,9 +228,25 @@ func substituteAlias(e sqlast.Expr, sc *scope, aliases map[string]sqlast.Expr) s
 		return e // resolves as a real column; prefer it
 	}
 	if sub, ok := aliases[strings.ToLower(cr.Name)]; ok {
-		return sqlast.CloneExpr(sub)
+		return sub
 	}
 	return e
+}
+
+// substituteAliases is substituteAlias at every node of e: e itself where no
+// node is an alias, a rewritten copy otherwise.
+func substituteAliases(e sqlast.Expr, sc *scope, aliases map[string]sqlast.Expr) sqlast.Expr {
+	found := false
+	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
+		found = found || substituteAlias(n, sc, aliases) != n
+		return !found
+	})
+	if !found {
+		return e
+	}
+	return sqlast.TransformExpr(sqlast.CloneExpr(e), func(n sqlast.Expr) sqlast.Expr {
+		return substituteAlias(n, sc, aliases)
+	})
 }
 
 // ---------------------------------------------------------------- projection
@@ -283,7 +307,7 @@ func buildOrderPlan(sel *sqlast.Select, outCols []string, sc *scope, aliases map
 				continue
 			}
 		}
-		plans[i].expr = substituteAlias(sqlast.CloneExpr(o.Expr), sc, aliases)
+		plans[i].expr = substituteAlias(o.Expr, sc, aliases)
 	}
 	return plans, nil
 }
@@ -399,15 +423,13 @@ func (ex *exec) groupedShape(sel *sqlast.Select, rel *relation, parent *scope, a
 	}
 	gs.gexprs = make([]sqlast.Expr, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
-		gs.gexprs[i] = substituteAlias(sqlast.CloneExpr(g), gs.sc, aliases)
+		gs.gexprs[i] = substituteAlias(g, gs.sc, aliases)
 		if hasAggregate(gs.gexprs[i]) {
 			return gs, fmt.Errorf("engine: aggregate in GROUP BY")
 		}
 	}
 	if sel.Having != nil {
-		gs.having = sqlast.TransformExpr(sqlast.CloneExpr(sel.Having), func(e sqlast.Expr) sqlast.Expr {
-			return substituteAlias(e, gs.sc, aliases)
-		})
+		gs.having = substituteAliases(sel.Having, gs.sc, aliases)
 	}
 	return gs, nil
 }
@@ -630,6 +652,7 @@ func (ex *exec) placeConjuncts(sel *sqlast.Select, rels []*relation, parent *sco
 	}
 	for i, e := range a.conjs {
 		c := analyzeConjunct(e, local, colOwner)
+		c.an, c.idx = a, i
 		c.fromOrFactor = i >= a.nPlain
 		c.closed = !c.fromOrFactor && a.closed[i]
 		pl.conjs[i] = c

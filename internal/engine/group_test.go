@@ -221,8 +221,8 @@ func TestAggAccBytes(t *testing.T) {
 	}
 }
 
-// TestIntegerOverflowRaises: INTEGER +, -, * and SUM past the 64-bit range
-// raise one error text in every configuration — they used to wrap (SELECT
+// TestIntegerOverflowRaises: INTEGER +, -, *, unary minus and SUM past the
+// 64-bit range raise one error text in every configuration — they used to wrap (SELECT
 // 9223372036854775807 + 1 answered -9223372036854775808) — and the last
 // value inside the range still answers.
 func TestIntegerOverflowRaises(t *testing.T) {
@@ -239,13 +239,16 @@ func TestIntegerOverflowRaises(t *testing.T) {
 			`SELECT SUM(v + 9223372036854775000) FROM g`,
 			`SELECT AVG(id + 4611686018427387904) FROM g`,
 			`SELECT k, SUM(DISTINCT id * 2251799813685248) FROM g GROUP BY k`,
+			`SELECT -(-9223372036854775807 - 1)`, // unary minus of the smallest INTEGER wrapped to itself
+			`SELECT -(id - 9223372036854775807 - 2) FROM g WHERE id = 1`,
+			`SELECT k FROM g WHERE -(id - 9223372036854775807 - 2) > 0 GROUP BY k`,
 		} {
 			if _, err := db.QuerySQL(q); err == nil || err.Error() != want {
 				t.Errorf("%s %q: err = %v, want %s", cfg.name, q, err, want)
 			}
 		}
-		res, err := db.QuerySQL(`SELECT 9223372036854775806 + 1, -9223372036854775807 - 1, 3037000499 * 3037000499, 4611686018427387904 * -2, SUM(id + 18446744073709000) FROM g`)
-		if got := execKey(res, err); !strings.HasSuffix(got, "\nINTEGER:9223372036854775807|INTEGER:-9223372036854775808|INTEGER:9223372030926249001|INTEGER:-9223372036854775808|INTEGER:9223372036854624750\n") {
+		res, err := db.QuerySQL(`SELECT 9223372036854775806 + 1, -9223372036854775807 - 1, 3037000499 * 3037000499, 4611686018427387904 * -2, SUM(id + 18446744073709000), -(-9223372036854775807) FROM g`)
+		if got := execKey(res, err); !strings.HasSuffix(got, "\nINTEGER:9223372036854775807|INTEGER:-9223372036854775808|INTEGER:9223372030926249001|INTEGER:-9223372036854775808|INTEGER:9223372036854624750|INTEGER:9223372036854775807\n") {
 			t.Errorf("%s: the edge of the range answered %s", cfg.name, got)
 		}
 	}

@@ -208,13 +208,19 @@ type filterOperator struct {
 }
 
 // newFilterOp lowers conjuncts against a stream's schema, one batch program
-// each.
+// each; what WHERE conjuncts share between them is evaluated once per row
+// (shared.go).
 func (ex *exec) newFilterOp(conjs []*conjunct, rel *relation, parent *scope) filterOp {
-	sc := rel.scopeFor(parent)
-	f := filterOp{progs: make([]vecExpr, len(conjs))}
+	exprs := make([]sqlast.Expr, len(conjs))
 	for i, c := range conjs {
-		f.progs[i] = ex.vecCompile(c.expr, rel.bindings, sc)
+		exprs[i] = c.expr
 	}
+	var shared *sharedExprs
+	if len(conjs) > 0 && conjs[0].an != nil {
+		shared = ex.sharedExprs(conjs[0].an, sharedFilter+conjs[0].idx, exprs, nil)
+	}
+	var f filterOp
+	f.progs, f.slots = ex.vecCompileAll(exprs, rel.bindings, rel.scopeFor(parent), shared)
 	return f
 }
 
@@ -880,8 +886,9 @@ type projectOperator struct {
 	width int
 	cols  []string
 
-	vprojs []vecExpr // nil entries are star segments
-	vkeys  []vecExpr // key expressions (outCol plans stay nil)
+	vprojs []vecExpr  // nil entries are star segments
+	vkeys  []vecExpr  // key expressions (outCol plans stay nil)
+	slots  *exprSlots // what the two share
 
 	colBuf  [][]sqltypes.Value
 	keyBuf  [][]sqltypes.Value
@@ -890,32 +897,32 @@ type projectOperator struct {
 	out     Batch
 }
 
-func (ex *exec) newProjectOperator(child Operator, rel *relation, sel *sqlast.Select, parent *scope, aliases map[string]sqlast.Expr) (*projectOperator, error) {
+func (ex *exec) newProjectOperator(child Operator, rel *relation, sel *sqlast.Select, parent *scope, a *selAnalysis) (*projectOperator, error) {
 	sc := rel.scopeFor(parent)
 	cols, err := ex.outputShape(sel, rel)
 	if err != nil {
 		return nil, err
 	}
-	plans, err := buildOrderPlan(sel, cols, sc, aliases)
+	plans, err := buildOrderPlan(sel, cols, sc, a.aliases)
 	if err != nil {
 		return nil, err
 	}
 	projs, width := ex.buildProjectors(sel, rel)
 	o := &projectOperator{
 		child: child, projs: projs, plans: plans, width: width, cols: cols,
-		vprojs: make([]vecExpr, len(projs)), colBuf: make([][]sqltypes.Value, len(projs)),
-		vkeys: make([]vecExpr, len(plans)), keyBuf: make([][]sqltypes.Value, len(plans)),
+		colBuf: make([][]sqltypes.Value, len(projs)), keyBuf: make([][]sqltypes.Value, len(plans)),
 	}
+	// One lowering for the select items and the sort keys: an expression of
+	// one that the other repeats is evaluated once per row (shared.go).
+	exprs := make([]sqlast.Expr, 0, len(projs)+len(plans))
 	for i := range projs {
-		if !projs[i].star {
-			o.vprojs[i] = ex.vecCompile(projs[i].expr, rel.bindings, sc)
-		}
+		exprs = append(exprs, projs[i].expr) // nil: a star segment
 	}
 	for k := range plans {
-		if plans[k].outCol < 0 {
-			o.vkeys[k] = ex.vecCompile(plans[k].expr, rel.bindings, sc)
-		}
+		exprs = append(exprs, plans[k].expr) // nil: sorts by an output column
 	}
+	progs, slots := ex.vecCompileAll(exprs, rel.bindings, sc, ex.sharedExprs(a, sharedProject, exprs, nil))
+	o.vprojs, o.vkeys, o.slots = progs[:len(projs)], progs[len(projs):], slots
 	return o, nil
 }
 
@@ -946,6 +953,7 @@ func (o *projectOperator) Next(ex *exec) (*Batch, error) {
 func (o *projectOperator) project(ex *exec, b *Batch) error {
 	n := len(b.rows)
 	sel := b.sel
+	o.slots.nextBatch()
 	m := ex.vs.mark()
 	defer ex.vs.release(m)
 	selBuf := ex.vs.takeSel(len(sel))
@@ -1014,12 +1022,15 @@ func (o *projectOperator) Close() { o.child.Close() }
 // group folded entirely here or entirely there.
 type groupOperator struct {
 	groupedShape
-	child Operator
-	rel   *relation
-	sel   *sqlast.Select
-	sites []*sqlast.FuncCall // the outermost aggregate call sites: what evalAggregate is invoked on
-	proto []aggAcc           // their empty accumulators
-	progs groupProgs         // this exec's lowering of gexprs and the sites' arguments
+	child  Operator
+	rel    *relation
+	sel    *sqlast.Select
+	calls  []*sqlast.FuncCall // the outermost aggregate calls: what evalAggregate is invoked on
+	siteOf []int32            // calls[i]'s site: structurally equal calls share one (shared.go)
+	sites  []*sqlast.FuncCall // a call of each site
+	proto  []aggAcc           // the sites' empty accumulators
+	shared *sharedExprs       // what gexprs and the sites' arguments share
+	progs  groupProgs         // this exec's lowering of them
 
 	ids   map[string]int32   // group key -> dense first-seen id (rank, once frozen)
 	first [][]sqltypes.Value // resident group id -> its first row
@@ -1049,11 +1060,13 @@ type groupOperator struct {
 	chunk   [][]sqltypes.Value
 }
 
-// groupProgs is one exec's lowering of the input side: the group keys, and
-// per site the argument (nil for COUNT(*) and a wrong argument count).
+// groupProgs is one exec's lowering of the input side: the group keys, per
+// site the argument (nil for COUNT(*) and a wrong argument count), and the
+// slots of what they share.
 type groupProgs struct {
-	gks  *vecKeySet
-	args []vecExpr
+	gks   *vecKeySet
+	args  []vecExpr
+	slots *exprSlots
 }
 
 // aggInput is what the fold reads of one chunk of input rows: the encoded
@@ -1069,54 +1082,75 @@ type aggInput struct {
 
 var zeroGids [batchSize]int32 // every row of a chunk to the one group the merge is on
 
-func (ex *exec) newGroupOperator(child Operator, rel *relation, sel *sqlast.Select, parent *scope, aliases map[string]sqlast.Expr) (*groupOperator, error) {
-	gs, err := ex.groupedShape(sel, rel, parent, aliases)
+func (ex *exec) newGroupOperator(child Operator, rel *relation, sel *sqlast.Select, parent *scope, a *selAnalysis) (*groupOperator, error) {
+	gs, err := ex.groupedShape(sel, rel, parent, a.aliases)
 	if err != nil {
 		return nil, err
 	}
 	o := &groupOperator{groupedShape: gs, child: child, rel: rel, sel: sel}
 	for _, it := range sel.Items {
-		o.collectAggSites(it.Expr)
+		o.collectAggCalls(it.Expr)
 	}
-	o.collectAggSites(o.having)
+	o.collectAggCalls(o.having)
 	for _, p := range o.plans {
-		o.collectAggSites(p.expr)
+		o.collectAggCalls(p.expr)
+	}
+	if o.shared = ex.sharedExprs(a, sharedGroup, o.gexprs, o.calls); o.shared != nil {
+		o.siteOf = o.shared.siteOf
+	} else { // every call a site of its own
+		o.siteOf = make([]int32, len(o.calls))
+		for i := range o.siteOf {
+			o.siteOf[i] = int32(i)
+		}
+	}
+	for i, c := range o.calls {
+		if int(o.siteOf[i]) == len(o.sites) {
+			o.sites, o.proto = append(o.sites, c), append(o.proto, newAggAcc(c))
+		}
 	}
 	o.progs = o.lower(ex, o.sc)
-	o.g.sites = o.sites
+	o.g.calls, o.g.siteOf = o.calls, o.siteOf
 	return o, nil
 }
 
-// collectAggSites adds the outermost aggregate call sites of e. A nested
+// collectAggCalls adds the outermost aggregate calls of e. A nested
 // aggregate is its outer one's argument (and fails there, in both
 // executors); subqueries are walk boundaries, their aggregates their own.
-func (o *groupOperator) collectAggSites(e sqlast.Expr) {
+func (o *groupOperator) collectAggCalls(e sqlast.Expr) {
 	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
 		fc, ok := n.(*sqlast.FuncCall)
 		if !ok || !sqlast.IsAggregate(fc.Name) {
 			return true
 		}
-		if !slices.Contains(o.sites, fc) {
-			o.sites, o.proto = append(o.sites, fc), append(o.proto, newAggAcc(fc))
+		if !slices.Contains(o.calls, fc) {
+			o.calls = append(o.calls, fc)
 		}
 		return false
 	})
 }
 
-// lower builds ex's programs; sc is the scope lifted interpretation runs in.
+// lower builds ex's programs — one lowering for the keys and the sites'
+// arguments, so what they share has one slot; sc is the scope lifted
+// interpretation runs in.
 func (o *groupOperator) lower(ex *exec, sc *scope) groupProgs {
-	p := groupProgs{gks: ex.vecKeys(o.gexprs, o.rel.bindings, sc), args: make([]vecExpr, len(o.sites))}
+	nk := len(o.gexprs)
+	exprs := slices.Grow(slices.Clone(o.gexprs), len(o.sites))
 	for s, a := range o.proto {
+		var arg sqlast.Expr
 		if a.op != aggCountStar && a.err == nil {
-			p.args[s] = ex.vecCompile(o.sites[s].Args[0], o.rel.bindings, sc)
+			arg = o.sites[s].Args[0]
 		}
+		exprs = append(exprs, arg)
 	}
-	return p
+	progs, slots := ex.vecCompileAll(exprs, o.rel.bindings, sc, o.shared)
+	gks := &vecKeySet{ex: ex, progs: progs[:nk], cols: make([][]sqltypes.Value, nk)}
+	return groupProgs{gks: gks, args: progs[nk:], slots: slots}
 }
 
-// evalKeys encodes the keys of b's selected rows; a failing key is the
-// statement's error.
+// evalKeys starts on b — rows the programs have not seen — and encodes the
+// keys of its selected rows; a failing key is the statement's error.
 func (p *groupProgs) evalKeys(b *Batch, in *aggInput) error {
+	p.slots.nextBatch()
 	st := &p.gks.ex.vs
 	m := st.mark()
 	p.gks.compute(b, false)
@@ -1137,7 +1171,8 @@ func (p *groupProgs) evalKeys(b *Batch, in *aggInput) error {
 }
 
 // evalArgs computes every site's argument column. Each site starts from a
-// clean batch, so one site's failing rows are still evaluated by the next.
+// clean batch, so one site's failing rows are still evaluated by the next —
+// or, where the next shares what failed, poisoned again from the slot.
 func (p *groupProgs) evalArgs(b *Batch, in *aggInput) {
 	n := len(b.rows)
 	in.args = slices.Grow(in.args, len(p.args))[:len(p.args)]
@@ -1473,6 +1508,7 @@ func (o *groupOperator) nextMerged(ex *exec) error {
 		if len(o.chunk) == batchSize || !o.mhave || o.mrec.seq != seq {
 			o.aggB.window(o.chunk)
 			in.sel = o.aggB.sel
+			o.progs.slots.nextBatch()
 			o.progs.evalArgs(&o.aggB, in)
 			o.foldSites(in, zeroGids[:], o.macc)
 			o.chunk = o.chunk[:0]
@@ -1488,18 +1524,6 @@ func (o *groupOperator) advance() error {
 		o.mrec = *rec
 	}
 	return err
-}
-
-func (o *groupOperator) foldChunk() {
-	if len(o.chunk) == 0 {
-		return
-	}
-	in := &o.in[0]
-	o.aggB.window(o.chunk)
-	in.sel = o.aggB.sel
-	o.progs.evalArgs(&o.aggB, in)
-	o.foldSites(in, zeroGids[:], o.macc)
-	o.chunk = o.chunk[:0]
 }
 
 func (o *groupOperator) Close() {
@@ -1989,7 +2013,7 @@ func (ex *exec) buildQueryOp(sel *sqlast.Select, parent *scope) (*queryRoot, err
 	var cols []string
 	var desc []bool
 	if a.grouped {
-		g, err := ex.newGroupOperator(src.op, src.rel, sel, parent, a.aliases)
+		g, err := ex.newGroupOperator(src.op, src.rel, sel, parent, a)
 		if err != nil {
 			return nil, err
 		}
@@ -1998,7 +2022,7 @@ func (ex *exec) buildQueryOp(sel *sqlast.Select, parent *scope) (*queryRoot, err
 			desc = append(desc, p.desc)
 		}
 	} else {
-		p, err := ex.newProjectOperator(src.op, src.rel, sel, parent, a.aliases)
+		p, err := ex.newProjectOperator(src.op, src.rel, sel, parent, a)
 		if err != nil {
 			return nil, err
 		}

@@ -38,7 +38,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mtbase/internal/sqlast"
 	"mtbase/internal/sqltypes"
 )
 
@@ -191,7 +190,7 @@ type parallelScanFilter struct {
 	ex     *exec
 	rows   [][]sqltypes.Value
 	rel    *relation
-	conjs  []sqlast.Expr
+	conjs  []*conjunct
 	parent *scope
 
 	// kept holds the survivors not yet emitted, morsel by morsel, up to and
@@ -210,11 +209,7 @@ type parallelScanFilter struct {
 }
 
 func newParallelScanFilter(ex *exec, rows [][]sqltypes.Value, rel *relation, conjs []*conjunct, parent *scope) *parallelScanFilter {
-	exprs := make([]sqlast.Expr, len(conjs))
-	for i, c := range conjs {
-		exprs[i] = c.expr
-	}
-	return &parallelScanFilter{ex: ex, rows: rows, rel: rel, conjs: exprs, parent: parent}
+	return &parallelScanFilter{ex: ex, rows: rows, rel: rel, conjs: conjs, parent: parent}
 }
 
 func (o *parallelScanFilter) Open(ex *exec) error {
@@ -224,20 +219,17 @@ func (o *parallelScanFilter) Open(ex *exec) error {
 	o.kept = make([][][]sqltypes.Value, nm)
 	merrs := make([]error, nm)
 	pool := o.ex.workerPool()
-	progs := make([][]vecExpr, o.ex.par)
+	filters := make([]*filterOp, o.ex.par)
 	idxs := make([][]int32, o.ex.par) // a morsel's survivors so far, as offsets into it
 	parallelFor(o.ex.par, nm, func(w, m int) error {
 		we := pool.worker(w)
-		if progs[w] == nil {
-			sc := o.rel.scopeFor(o.parent)
-			progs[w] = make([]vecExpr, len(o.conjs))
-			for i, e := range o.conjs {
-				progs[w][i] = we.vecCompile(e, o.rel.bindings, sc)
-			}
+		if filters[w] == nil {
+			f := we.newFilterOp(o.conjs, o.rel, o.parent)
+			filters[w] = &f
 		}
 		lo := m * morsel
 		src := scanOp{rows: o.rows[lo:min(lo+morsel, n)]}
-		f := filterOp{progs: progs[w]}
+		f := filters[w]
 		var b Batch
 		idx := idxs[w][:0]
 		for f.failed == nil && src.next(&b) {

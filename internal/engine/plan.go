@@ -92,13 +92,17 @@ type Plan struct {
 // OR-factored implied conjuncts appended after nPlain), which of the plain
 // conjuncts carry only statically closed subqueries (closed[i], see
 // selectClosed), the output alias map, and whether the query projects
-// through grouping.
+// through grouping. owned marks the analysis of a plan-owned node, the kind
+// the plan caches; shared (shared.go) is filled lazily under Plan.mu by the
+// operators of such a node, nothing else is written after analyzeSelect.
 type selAnalysis struct {
 	conjs   []sqlast.Expr
 	nPlain  int
 	closed  []bool
 	aliases map[string]sqlast.Expr
 	grouped bool
+	owned   bool
+	shared  []*sharedExprs
 }
 
 func analyzeSelect(sel *sqlast.Select, cat *catalog) *selAnalysis {
@@ -221,11 +225,42 @@ func (ex *exec) selectAnalysis(sel *sqlast.Select) *selAnalysis {
 		return a
 	}
 	a := analyzeSelect(sel, ex.cat)
+	a.owned = true
 	if p.analysis == nil {
 		p.analysis = make(map[*sqlast.Select]*selAnalysis)
 	}
 	p.analysis[sel] = a
 	return a
+}
+
+// SharedExprs describes what the plan's operators share (DESIGN.md ADR-023):
+// one line per shared subexpression — the operator, how many occurrences read
+// the slot, the expression — and per operator whose equal aggregate sites
+// folded into one, block by block in subquery order. It reports what the
+// executions so far analysed; a plan that never ran shares nothing yet. For
+// the census tests, which hold a lost sharing to a name.
+func (p *Plan) SharedExprs() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	sels := make([]*sqlast.Select, 0, len(p.analysis))
+	//mtlint:ignore detmap the blocks are sorted by subquery ID below
+	for sel := range p.analysis {
+		sels = append(sels, sel)
+	}
+	sort.Slice(sels, func(i, j int) bool { return p.subqIDs[sels[i]] < p.subqIDs[sels[j]] })
+	var out []string
+	for _, sel := range sels {
+		for key, s := range p.analysis[sel].shared {
+			if s == nil {
+				continue
+			}
+			kind := [...]string{sharedGroup: "group", sharedProject: "project", sharedFilter: "filter"}[min(key, sharedFilter)]
+			for _, line := range s.describe() {
+				out = append(out, kind+": "+line)
+			}
+		}
+	}
+	return out
 }
 
 // bindArgs validates the bind values against the plan's parameter slots and

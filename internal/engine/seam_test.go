@@ -26,14 +26,15 @@ import (
 var seamFuncs = map[string][]string{
 	"noCompile": {"DB.SetCompileExprs", "DB.newExec"},
 	"streamOff": {"DB.SetStreamExec", "DB.newExec"},
-	"interp":    {"DB.newExec", "exec.workerClone", "exec.vecCompile", "exec.planUDF"},
+	"interp":    {"DB.newExec", "exec.workerClone", "exec.vecCompileAll", "exec.planUDF"},
 	"reference": {"DB.newExec", "exec.runQuery", "DB.queryRowsUnlock"},
 }
 
 // referenceForbidden lists what no function of exec.go may mention: the
 // batch and kernel vocabulary of the production path.
 var referenceForbidden = []string{
-	"Batch", "vecExpr", "vecKeySet", "vecCompile", "vecKeys", "groupProgs", "aggInput",
+	"Batch", "vecExpr", "vecKeySet", "vecCompile", "vecCompileAll", "vecKeys", "groupProgs", "aggInput",
+	"sharedExprs", "exprSlots",
 	"compile", "filterOp", "scanOp", "rowChunk", "newRowChunk",
 	"parallelFor", "parallelSortIdx", "parallelJoinKeys",
 }
@@ -159,7 +160,7 @@ func TestModeSeam(t *testing.T) {
 					return true
 				})
 			}
-			if fn == "venv.compile" {
+			if fn == "venv.lower" {
 				// Whatever no case of the lowering switch returned a kernel
 				// for goes to the interpreter: the function's last statement.
 				if ret, ok := fd.Body.List[len(fd.Body.List)-1].(*ast.ReturnStmt); ok && len(ret.Results) == 1 {
@@ -181,14 +182,14 @@ func TestModeSeam(t *testing.T) {
 		}
 	}
 	// Two tiers: the interpreter is lifted over a batch for an interpreting
-	// execution (vecCompile) and for what has no kernel (venv.compile), and
+	// execution (vecCompileAll) and for what has no kernel (venv.lower), and
 	// lowering has no other fallback.
 	slices.Sort(liftCallers)
-	if want := []string{"exec.vecCompile", "venv.compile"}; !slices.Equal(liftCallers, want) {
+	if want := []string{"exec.vecCompileAll", "venv.lower"}; !slices.Equal(liftCallers, want) {
 		t.Errorf("liftInterp is called from %v, want %v", liftCallers, want)
 	}
 	if !fallsBackToInterp {
-		t.Error("venv.compile does not end in `return liftInterp(...)`: lowering is a kernel or the lifted interpreter, nothing in between")
+		t.Error("venv.lower does not end in `return liftInterp(...)`: lowering is a kernel or the lifted interpreter, nothing in between")
 	}
 	if len(graceOwners) != 1 {
 		t.Errorf("types with a grace field: %v; exactly one operator implements the hash join", graceOwners)

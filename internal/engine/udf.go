@@ -137,19 +137,20 @@ func (ex *exec) runPlannedUDF(plan *udfPlan, args []sqltypes.Value) (sqltypes.Va
 		}
 	}
 	ex.keyBuf = buf
-	// Materialize the key before any nested evaluation: building the entry
-	// relation below can call UDFs in the WHERE, which reuse ex.keyBuf.
-	key := string(buf)
 
 	// Per-exec memo first: parallel workers would otherwise serialize on
-	// Plan.mu for every call. The memo key carries the plan identity —
-	// different functions share the exec-level map — and entries are
-	// immutable, so a memoized pointer stays valid even if the plan-level
-	// map restarts on overflow.
-	memoKey := udfEntryKey{plan: plan, key: key}
-	if entry := ex.udfEntries[memoKey]; entry != nil {
+	// Plan.mu for every call. It is two-level — plan, then the encoded WHERE
+	// parameters — so the probe on every body execution reads the key out of
+	// the scratch buffer and allocates nothing. Entries are immutable, so a
+	// memoized pointer stays valid even if the plan-level map restarts on
+	// overflow.
+	memo := ex.udfEntries[plan]
+	if entry := memo[string(buf)]; entry != nil {
 		return ex.projectPlannedUDF(plan, entry, args)
 	}
+	// A miss materializes the key, before any nested evaluation: building the
+	// entry relation below can call UDFs in the WHERE, which reuse ex.keyBuf.
+	key := string(buf)
 	plan.mu.Lock()
 	entry := plan.entries[key]
 	plan.mu.Unlock()
@@ -175,18 +176,15 @@ func (ex *exec) runPlannedUDF(plan *udfPlan, args []sqltypes.Value) (sqltypes.Va
 		}
 		plan.mu.Unlock()
 	}
-	if ex.udfEntries == nil {
-		ex.udfEntries = make(map[udfEntryKey]*udfPlanEntry)
+	if memo == nil {
+		if ex.udfEntries == nil {
+			ex.udfEntries = make(map[*udfPlan]map[string]*udfPlanEntry)
+		}
+		memo = make(map[string]*udfPlanEntry)
+		ex.udfEntries[plan] = memo
 	}
-	ex.udfEntries[memoKey] = entry
+	memo[key] = entry
 	return ex.projectPlannedUDF(plan, entry, args)
-}
-
-// udfEntryKey identifies a planned-UDF relation in the per-exec memo:
-// the owning plan (one per function) plus the encoded WHERE parameters.
-type udfEntryKey struct {
-	plan *udfPlan
-	key  string
 }
 
 // udfProjection is one execution's lowering of a planned body's projection

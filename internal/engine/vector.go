@@ -109,6 +109,12 @@ type venv struct {
 	// interpreter walks the scope chain to the innermost frame.
 	frame       *scope
 	clientBinds bool
+
+	// What this lowering shares (shared.go): the plan's analysis of the
+	// expression list being lowered, and the slots its shared nodes get here.
+	// nil when the list shares nothing.
+	shared *sharedExprs
+	slots  *exprSlots
 }
 
 // vecCompile lowers e into a batch evaluator over the flat row layout of
@@ -116,11 +122,33 @@ type venv struct {
 // never returns nil: an interpreting execution gets the interpreter lift of
 // the whole expression.
 func (ex *exec) vecCompile(e sqlast.Expr, bindings []*binding, sc *scope) vecExpr {
-	if ex.interp {
-		return liftInterp(ex, e, sc)
-	}
+	progs, _ := ex.vecCompileAll([]sqlast.Expr{e}, bindings, sc, nil)
+	return progs[0]
+}
+
+// vecCompileAll lowers the expressions one operator evaluates over the same
+// batch, in order; a nil expression has a nil program. With shared, the
+// analysis of exactly this list, structurally equal subexpressions lower to
+// one slot each, and the operator starts every batch with nextBatch on the
+// slots returned (nil when nothing is shared). An interpreting execution
+// gets the interpreter lift of every expression and no slot: the oracle runs
+// each occurrence in place.
+func (ex *exec) vecCompileAll(exprs []sqlast.Expr, bindings []*binding, sc *scope, shared *sharedExprs) ([]vecExpr, *exprSlots) {
+	progs := make([]vecExpr, len(exprs))
 	ve := &venv{ex: ex, bindings: bindings, sc: sc, vs: &ex.vs, clientBinds: !scopeHasParams(sc)}
-	return ve.compile(e)
+	if shared != nil && len(shared.reps) > 0 && !ex.interp {
+		ve.shared, ve.slots = shared, &exprSlots{stats: &ex.db.Stats, slots: make([]exprSlot, len(shared.reps))}
+	}
+	for i, e := range exprs {
+		switch {
+		case e == nil:
+		case ex.interp:
+			progs[i] = liftInterp(ex, e, sc)
+		default:
+			progs[i] = ve.compile(e)
+		}
+	}
+	return progs, ve.slots
 }
 
 // resolveLocal mirrors one level of scope.lookup: the reference must resolve
@@ -144,7 +172,18 @@ func resolveLocal(bindings []*binding, table, col string) (int, bool) {
 	return found, found >= 0
 }
 
+// compile lowers e: to its slot's kernel where the analysis shares it, to
+// its own program otherwise.
 func (ve *venv) compile(e sqlast.Expr) vecExpr {
+	if ve.shared != nil {
+		if id, ok := ve.shared.slot[e]; ok {
+			return ve.slots.kernel(ve, id)
+		}
+	}
+	return ve.lower(e)
+}
+
+func (ve *venv) lower(e sqlast.Expr) vecExpr {
 	switch x := e.(type) {
 	case *sqlast.Literal:
 		return vecConst(x.Val)
@@ -967,11 +1006,8 @@ type vecKeySet struct {
 
 // vecKeys compiles one batch program per expression.
 func (ex *exec) vecKeys(exprs []sqlast.Expr, bindings []*binding, sc *scope) *vecKeySet {
-	ks := &vecKeySet{ex: ex, progs: make([]vecExpr, len(exprs)), cols: make([][]sqltypes.Value, len(exprs))}
-	for i, e := range exprs {
-		ks.progs[i] = ex.vecCompile(e, bindings, sc)
-	}
-	return ks
+	progs, _ := ex.vecCompileAll(exprs, bindings, sc, nil)
+	return &vecKeySet{ex: ex, progs: progs, cols: make([][]sqltypes.Value, len(exprs))}
 }
 
 // compute fills the key columns for b and returns the surviving selection.

@@ -604,6 +604,8 @@ func (s *Server) StatLines() []Stat {
 		{Name: "engine.join_build_rows", Value: es.JoinBuildRows},
 		{Name: "engine.join_index_probes", Value: es.JoinIndexProbes},
 		{Name: "engine.join_eager_fallbacks", Value: es.JoinEagerFallbacks},
+		{Name: "engine.expr_slots", Value: es.ExprSlots},
+		{Name: "engine.expr_slot_reuses", Value: es.ExprSlotReuses},
 		{Name: "engine.panics", Value: es.Panics},
 		{Name: "middleware.rewrite_cache_hits", Value: rwHits},
 		{Name: "middleware.rewrite_cache_misses", Value: rwMisses},

@@ -16,12 +16,14 @@ import (
 	"mtbase/internal/optimizer"
 )
 
-// allocBudget is one MT-H query at o4 and what one execution of it may
-// allocate: bytes, and heap objects where objects is set.
+// allocBudget is one MT-H query — at o4, or at level canonical — and what
+// one execution of it may allocate: bytes, and heap objects where objects is
+// set.
 type allocBudget struct {
-	id      int
-	budget  uint64
-	objects uint64
+	id        int
+	budget    uint64
+	objects   uint64
+	canonical bool
 }
 
 func TestJoinAllocBudget(t *testing.T) {
@@ -54,6 +56,10 @@ func TestGroupAllocBudget(t *testing.T) {
 		{id: 1, budget: 1_280_000, objects: 1_400},
 		// here 2.20 MB in 3 962 objects; row-keeping groups 2.22 MB in 27 938
 		{id: 18, budget: 2_425_000, objects: 4_400},
+		// Canonical Q1 is the conversion-call path (ADR-023): here 6.33 MB in
+		// 21 035 objects, one result-memo key per body execution; 41 571 when
+		// every planned-body execution also built a relation-memo key.
+		{id: 1, canonical: true, budget: 6_965_000, objects: 23_100},
 	})
 }
 
@@ -70,7 +76,6 @@ func checkAllocBudgets(t *testing.T, budgets []allocBudget) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.SetOptLevel(optimizer.O4)
 	// Serial and uncapped (MTBASE_TEST_MEMLIMIT must not reach in): spill
 	// buffers and per-worker programs are not what these tests budget.
 	db := inst.Srv.DB()
@@ -82,6 +87,11 @@ func checkAllocBudgets(t *testing.T, budgets []allocBudget) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		level := optimizer.O4
+		if tc.canonical {
+			level = optimizer.Canonical
+		}
+		conn.SetOptLevel(level)
 		if _, err := RunOnMT(conn, q); err != nil { // warm the statement caches
 			t.Fatalf("Q%d: %v", tc.id, err)
 		}
@@ -95,12 +105,12 @@ func checkAllocBudgets(t *testing.T, budgets []allocBudget) {
 		}
 		runtime.ReadMemStats(&after)
 		got, objects := (after.TotalAlloc-before.TotalAlloc)/runs, (after.Mallocs-before.Mallocs)/runs
-		t.Logf("Q%d o4: %d bytes in %d objects per execution (budget %d, %d)", tc.id, got, objects, tc.budget, tc.objects)
+		t.Logf("Q%d %s: %d bytes in %d objects per execution (budget %d, %d)", tc.id, level, got, objects, tc.budget, tc.objects)
 		if got > tc.budget {
-			t.Errorf("Q%d o4 allocates %d bytes per execution, budget %d", tc.id, got, tc.budget)
+			t.Errorf("Q%d %s allocates %d bytes per execution, budget %d", tc.id, level, got, tc.budget)
 		}
 		if tc.objects > 0 && objects > tc.objects {
-			t.Errorf("Q%d o4 allocates %d objects per execution, budget %d", tc.id, objects, tc.objects)
+			t.Errorf("Q%d %s allocates %d objects per execution, budget %d", tc.id, level, objects, tc.objects)
 		}
 	}
 }

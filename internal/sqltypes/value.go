@@ -235,13 +235,22 @@ func (v Value) String() string {
 	return "?"
 }
 
-// SQLLiteral renders the value as a SQL literal suitable for re-parsing.
+// SQLLiteral renders the value as a SQL literal that parses back to it. A
+// DECIMAL keeps the two fractional digits results are displayed with where
+// they hold the value exactly, and takes as many as it needs where they do
+// not: 0.001 used to print, and so reach the engine, as 0.00.
 func (v Value) SQLLiteral() string {
 	switch v.K {
 	case KindString:
 		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
 	case KindDate:
 		return "DATE '" + v.String() + "'"
+	case KindFloat:
+		s := v.String()
+		if f, err := strconv.ParseFloat(s, 64); err != nil || f != v.F {
+			s = strconv.FormatFloat(v.F, 'g', -1, 64)
+		}
+		return s
 	default:
 		return v.String()
 	}
@@ -298,7 +307,7 @@ func Equal(a, b Value) (eq bool, ok bool) {
 	return c == 0, ok
 }
 
-// Arithmetic errors. ErrIntRange is what INTEGER +, -, * and SUM raise where
+// Arithmetic errors. ErrIntRange is what INTEGER +, -, *, unary minus and SUM raise where
 // two's complement would wrap.
 var (
 	errBadOperand = fmt.Errorf("sqltypes: invalid operand types")
@@ -436,12 +445,16 @@ func Div(a, b Value) (Value, error) {
 	return NewFloat(a.AsFloat() / d), nil
 }
 
-// Neg evaluates -a.
+// Neg evaluates -a. The smallest INTEGER has no negation: ErrIntRange, like
+// the overflow of +, - and *.
 func Neg(a Value) (Value, error) {
 	switch a.K {
 	case KindNull:
 		return Null, nil
 	case KindInt:
+		if a.I == math.MinInt64 {
+			return Null, ErrIntRange
+		}
 		return NewInt(-a.I), nil
 	case KindFloat:
 		return NewFloat(-a.F), nil

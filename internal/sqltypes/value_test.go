@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/big"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -143,6 +144,14 @@ func TestSQLLiteral(t *testing.T) {
 	if got := NewInt(42).SQLLiteral(); got != "42" {
 		t.Errorf("int literal = %s", got)
 	}
+	// A DECIMAL reads back as the value it is: two fractional digits where
+	// they are exact, more where they are not (FuzzParse: 0.001 printed 0.00).
+	for f, want := range map[float64]string{1: "1.00", 0.05: "0.05", 0.001: "0.001", 1e-7: "1e-07", 1e25: "10000000000000000905969664.00", 1234.5678: "1234.5678"} {
+		got := NewFloat(f).SQLLiteral()
+		if back, err := strconv.ParseFloat(got, 64); got != want || err != nil || back != f {
+			t.Errorf("decimal literal of %v = %s, want %s (reads back %v, %v)", f, got, want, back, err)
+		}
+	}
 }
 
 func TestAppendKeyIntFloatAgreement(t *testing.T) {
@@ -198,7 +207,8 @@ func TestAddSubInverse(t *testing.T) {
 	}
 }
 
-// TestIntegerRange holds INTEGER +, - and * to arbitrary-precision results:
+// TestIntegerRange holds INTEGER +, -, * and unary minus (of the left operand)
+// to arbitrary-precision results:
 // the exact value when it fits in 64 bits, ErrIntRange when it does not —
 // at the edges, where the sign tricks live, and over random operands.
 func TestIntegerRange(t *testing.T) {
@@ -210,6 +220,7 @@ func TestIntegerRange(t *testing.T) {
 		{"+", Add, (*big.Int).Add},
 		{"-", Sub, (*big.Int).Sub},
 		{"*", Mul, (*big.Int).Mul},
+		{"neg", func(a, _ Value) (Value, error) { return Neg(a) }, func(z, a, _ *big.Int) *big.Int { return z.Neg(a) }},
 	}
 	check := func(a, b int64) bool {
 		ok := true
