@@ -23,10 +23,12 @@
 //     with the interpreter lifted over the batch as the only fallback
 //     (ADR-016) — ORDER BY sorts over precomputed key columns,
 //     conversion-UDF bodies are planned once per cached statement plan
-//     with their tenant-keyed meta-table lookups cached (engine/udf.go),
-//     and pure conversion results are cached per statement; whole
-//     statement plans are cached on the DB keyed by SQL text and
-//     invalidated by referenced-table versions and DDL (engine/plan.go). Two oracles sit beside production (ADR-010): the
+//     with their tenant-keyed meta-table lookups cached per table
+//     snapshot (engine/udf.go), and pure conversion results are cached
+//     per statement; whole statement plans are cached on the DB keyed by
+//     SQL text and stay valid until the schema changes — a write
+//     re-lowers nothing (engine/plan.go, ADR-024). Two oracles sit beside
+//     production (ADR-010): the
 //     evaluator check (DB.SetCompileExprs(false)) runs the same operators
 //     with every expression lifted onto the tree-walking interpreter; the
 //     reference executor (DB.SetStreamExec(false)) materializes, interprets

@@ -25,8 +25,9 @@
 // FROM/WHERE relation is cached per distinct parameter tuple and the
 // projection lowered against it, so a conversion call costs a hash probe
 // plus one program run. Statement plans themselves are cached on the DB
-// keyed by SQL text and invalidated by referenced-table versions and DDL
-// (plan.go), so repeated texts skip parsing and lowering entirely.
+// keyed by SQL text and valid until the next schema change (plan.go), so
+// repeated texts skip parsing and lowering entirely, whatever is written
+// between them.
 // DB.SetCompileExprs(false) lifts the interpreter over every expression; the
 // differential property test relies on both evaluators producing identical
 // results.
@@ -98,13 +99,12 @@ type tableData struct {
 // tableData and scan it without holding DB.mu, writers build a replacement
 // under DB.mu and publish it at statement end.
 type Table struct {
-	Name    string
-	Cols    []Column
-	PK      []string // primary key column names (may be empty)
-	colIdx  map[string]int
-	data    atomic.Pointer[tableData]
-	version uint64 // read/written atomically; bumped on every publish
-	db      *DB    // owning DB, so AppendRow/BulkLoad can self-serialize
+	Name   string
+	Cols   []Column
+	PK     []string // primary key column names (may be empty)
+	colIdx map[string]int
+	data   atomic.Pointer[tableData]
+	db     *DB // owning DB, so AppendRow/BulkLoad can self-serialize
 
 	Constraints []sqlast.Constraint // FK / CHECK retained for validation
 }
@@ -139,13 +139,9 @@ func (t *Table) ColNames() []string {
 	return names
 }
 
-// publish installs rows as the table's new current snapshot and bumps the
-// version (invalidating cached plans that depend on the table). Callers
-// must hold DB.mu — writers are serialized; only readers run lock-free.
-func (t *Table) publish(rows [][]sqltypes.Value) {
-	t.data.Store(newTableData(rows))
-	atomic.AddUint64(&t.version, 1)
-}
+// publish installs rows as the table's new current snapshot. Callers must
+// hold DB.mu — writers are serialized; only readers run lock-free.
+func (t *Table) publish(rows [][]sqltypes.Value) { t.data.Store(newTableData(rows)) }
 
 // Function is a SQL-bodied scalar function.
 type Function struct {
@@ -211,7 +207,7 @@ type DB struct {
 	noCompile, streamOff bool
 
 	// plans is the statement plan cache (plan.go): SQL text → immutable
-	// Plan, validated against dependency versions per lookup.
+	// Plan, valid while the catalog it was lowered against is current.
 	plans       map[string]*Plan
 	planClock   uint64
 	noPlanCache bool
@@ -280,8 +276,9 @@ type Stats struct {
 	UDFCacheHits int64
 
 	// Plan cache counters: hits serve a validated cached plan, misses build
-	// one (cold or after invalidation), invalidations count dependency
-	// version/DDL mismatches detected on lookup.
+	// one (cold or after invalidation), invalidations count the plans found
+	// lowered against a catalog some DDL has replaced since — a DML write
+	// invalidates none.
 	PlanCacheHits          int64
 	PlanCacheMisses        int64
 	PlanCacheInvalidations int64
@@ -406,8 +403,7 @@ func (db *DB) TableNames() []string {
 }
 
 // ExecSQL parses and executes a single statement through the plan cache:
-// repeated texts reuse the cached lowering as long as every referenced
-// table, view and function is unchanged.
+// repeated texts reuse the cached lowering as long as the schema is unchanged.
 func (db *DB) ExecSQL(sql string) (*Result, error) {
 	return db.ExecContext(context.Background(), sql)
 }
@@ -421,13 +417,11 @@ func (db *DB) ExecArgs(sql string, args ...sqltypes.Value) (*Result, error) {
 // ExecContext is ExecArgs with cancellation: ctx is polled at batch
 // boundaries, so a cancelled context aborts a long scan within one batch.
 func (db *DB) ExecContext(ctx context.Context, sql string, args ...sqltypes.Value) (*Result, error) {
-	db.mu.Lock()
-	p, err := db.planForLocked(sql)
+	p, err := db.PreparePlan(sql)
 	if err != nil {
-		db.mu.Unlock()
 		return nil, err
 	}
-	return db.execPlanUnlock(ctx, p, args)
+	return db.ExecPlanContext(ctx, p, args...)
 }
 
 // ExecScript executes a ;-separated script, returning the last result.
@@ -446,10 +440,10 @@ func (db *DB) ExecScript(sql string) (*Result, error) {
 	return res, nil
 }
 
-// Exec executes a parsed statement through an ephemeral (uncached) plan.
+// Exec executes a parsed statement through an ephemeral (uncached) plan,
+// lowered where a prepared one is revalidated.
 func (db *DB) Exec(stmt sqlast.Statement) (*Result, error) {
-	db.mu.Lock()
-	return db.execPlanUnlock(context.Background(), db.buildPlanLocked("", stmt), nil)
+	return db.ExecPlanContext(context.Background(), &Plan{stmt: stmt})
 }
 
 // newExecArgs builds the per-statement execution state with validated,
@@ -465,12 +459,23 @@ func (db *DB) newExecArgs(ctx context.Context, p *Plan, args []sqltypes.Value) (
 	return ex, nil
 }
 
-// pinExecUnlock builds one statement's execution state — validated bind
-// values, the pinned catalog and table snapshots (local, when non-nil, in
-// place of the current catalog: QueryWith) — under db.mu, which the caller
-// holds and this function releases, whatever happens.
-func (db *DB) pinExecUnlock(ctx context.Context, p *Plan, args []sqltypes.Value, local *catalog) (*exec, error) {
+// pinExec is the locked region of a SELECT: under db.mu the plan is
+// revalidated — or, with rels, lowered against the statement's own catalog
+// (QueryWith) — and the execution state is built: validated bind values, the
+// pinned catalog and table snapshots. The lock is released whatever happens.
+func (db *DB) pinExec(ctx context.Context, p *Plan, args []sqltypes.Value, rels []Relation) (*exec, error) {
+	db.mu.Lock()
 	defer db.mu.Unlock()
+	var local *catalog
+	if len(rels) > 0 {
+		var err error
+		if local, err = db.catalogNow().with(rels); err != nil {
+			return nil, err
+		}
+		p = buildPlan(local, "", p.stmt)
+	} else {
+		p = db.revalidatePlanLocked(p)
+	}
 	if p.arityErr != nil {
 		return nil, p.arityErr
 	}
@@ -479,28 +484,6 @@ func (db *DB) pinExecUnlock(ctx context.Context, p *Plan, args []sqltypes.Value,
 		ex.cat, ex.snap = local, newSnapshotSet(local)
 	}
 	return ex, err
-}
-
-// execPlanUnlock dispatches one statement execution. It is entered with
-// db.mu held and releases the lock itself: a SELECT pins its catalog and
-// table snapshots while still under the lock (pinExecUnlock), then runs
-// lock-free against those immutable snapshots, so scans, open cursors and
-// writers overlap. Writes and DDL stay under the lock end to end and publish
-// new snapshots before releasing it.
-func (db *DB) execPlanUnlock(ctx context.Context, p *Plan, args []sqltypes.Value) (res *Result, err error) {
-	defer db.Recover(&err)
-	if sel, ok := p.stmt.(*sqlast.Select); ok {
-		ex, err := db.pinExecUnlock(ctx, p, args, nil)
-		if err != nil {
-			return nil, err
-		}
-		// The statement is over, cleanly or not: any spill file an errored
-		// subtree abandoned before its operator Close could run is removed.
-		defer ex.releaseSpills()
-		return ex.runQuery(sel, rootScope())
-	}
-	defer db.mu.Unlock()
-	return db.execPlanLocked(ctx, p, args)
 }
 
 // execPlanLocked dispatches one write or DDL statement under db.mu.
@@ -563,42 +546,34 @@ func (db *DB) execPlanLocked(ctx context.Context, p *Plan, args []sqltypes.Value
 }
 
 // Query executes a SELECT through an ephemeral plan.
-func (db *DB) Query(sel *sqlast.Select) (*Result, error) {
-	db.mu.Lock()
-	return db.execPlanUnlock(context.Background(), db.buildPlanLocked("", sel), nil)
-}
+func (db *DB) Query(sel *sqlast.Select) (*Result, error) { return db.Exec(sel) }
 
 // QuerySQL parses and executes a SELECT through the plan cache, returning
 // the fully materialized Result. The execution runs against the table
 // snapshots current when the call started, so the result is atomic with
 // respect to concurrent writers without holding DB.mu for the scan.
 func (db *DB) QuerySQL(sql string) (*Result, error) {
-	p, _, err := db.lockQueryPlan(sql)
+	p, err := db.prepareQuery(sql)
 	if err != nil {
 		return nil, err
 	}
-	return db.execPlanUnlock(context.Background(), p, nil)
+	return db.ExecPlanContext(context.Background(), p)
 }
 
-// lockQueryPlan takes db.mu and resolves sql, a SELECT, through the plan
-// cache; on error the lock is released again.
-func (db *DB) lockQueryPlan(sql string) (*Plan, *sqlast.Select, error) {
-	db.mu.Lock()
-	p, err := db.planForLocked(sql)
+// prepareQuery is PreparePlan for the entries that take a SELECT only.
+func (db *DB) prepareQuery(sql string) (*Plan, error) {
+	p, err := db.PreparePlan(sql)
 	if err != nil {
-		db.mu.Unlock()
-		return nil, nil, err
+		return nil, err
 	}
-	sel, isSel := p.stmt.(*sqlast.Select)
-	if !isSel {
-		db.mu.Unlock()
+	if _, isSel := p.stmt.(*sqlast.Select); !isSel {
 		// Not a query: reparse through ParseQuery for its precise error.
 		if _, qerr := sqlparse.ParseQuery(sql); qerr != nil {
-			return nil, nil, qerr
+			return nil, qerr
 		}
-		return nil, nil, fmt.Errorf("engine: not a query: %s", sql)
+		return nil, fmt.Errorf("engine: not a query: %s", sql)
 	}
-	return p, sel, nil
+	return p, nil
 }
 
 // QueryRows parses and executes a SELECT through the plan cache, returning
@@ -611,11 +586,11 @@ func (db *DB) QueryRows(sql string, args ...sqltypes.Value) (*Rows, error) {
 // by every operator in the cursor's tree — probe loops, join builds and
 // group/sort drains included.
 func (db *DB) QueryContext(ctx context.Context, sql string, args ...sqltypes.Value) (*Rows, error) {
-	p, sel, err := db.lockQueryPlan(sql)
+	p, err := db.prepareQuery(sql)
 	if err != nil {
 		return nil, err
 	}
-	return db.queryRowsUnlock(ctx, p, sel, args, nil)
+	return db.queryRows(ctx, p, args, nil)
 }
 
 // Relation is a named in-memory row set that one statement reads as a table
@@ -629,17 +604,20 @@ type Relation struct {
 // QueryWith executes sel with rels visible to this execution only: a name
 // the catalog already holds as a table is shadowed (same schema, these rows,
 // fresh indexes), a new name is added. Both live in a private clone of the
-// catalog the statement pins, so the DB's catalog, the tables' heaps and
-// versions, the plan cache and every other statement are untouched, and the
-// cursor keeps its relations for as long as it is open. The plan is
-// ephemeral: whatever it derives from the relations dies with it.
+// catalog the statement pins, so the DB's catalog, the tables' heaps, the plan
+// cache and every other statement are untouched, and the cursor keeps its
+// relations for as long as it is open. The plan is ephemeral: whatever it
+// derives from the relations dies with it.
 func (db *DB) QueryWith(ctx context.Context, sel *sqlast.Select, args []sqltypes.Value, rels ...Relation) (*Rows, error) {
-	db.mu.Lock()
-	cat := db.catalogNow().clone()
+	return db.queryRows(ctx, &Plan{stmt: sel}, args, rels)
+}
+
+// with returns a clone of c in which rels are tables.
+func (c *catalog) with(rels []Relation) (*catalog, error) {
+	cat := c.clone()
 	for _, r := range rels {
 		key := strings.ToLower(r.Name)
 		if cat.views[key] != nil {
-			db.mu.Unlock()
 			return nil, fmt.Errorf("engine: relation %s would shadow a view", r.Name)
 		}
 		t := newTable(r.Name, r.Cols, r.Rows)
@@ -648,7 +626,7 @@ func (db *DB) QueryWith(ctx context.Context, sel *sqlast.Select, args []sqltypes
 		}
 		cat.tables[key] = t
 	}
-	return db.queryRowsUnlock(ctx, db.buildPlan(cat, "", sel), sel, args, cat)
+	return cat, nil
 }
 
 // ---------------------------------------------------------------- DDL
@@ -1100,7 +1078,7 @@ func (db *DB) validateConstraint(cat *catalog, t *Table, con sqlast.Constraint) 
 			}
 		}
 	case sqlast.ConstraintCheck:
-		ex := db.newExec(db.buildPlanLocked("", nil))
+		ex := db.newExec(buildPlan(cat, "", nil))
 		v, err := ex.eval(con.Check, rootScope())
 		if err != nil {
 			return fmt.Errorf("engine: CHECK %s: %w", con.Name, err)

@@ -56,12 +56,13 @@ type exec struct {
 	// bodies (udf.go): entries (rows + bindings) are shared across
 	// executions on the plan, but a batch program captures its exec and the
 	// argument frame it reads $n from, which are execution state — so each
-	// exec lowers its own. udfEntries memoizes plan-level entry lookups so hot
-	// call paths skip Plan.mu after the first probe of a key. projBatches are
-	// the idle batches projections run on, one in use per level of UDF
-	// recursion.
+	// exec lowers its own. udfEntries holds, per planned body, the relation
+	// memo of this execution's snapshots (memoFor) and the entries already
+	// looked up there, so hot call paths take no lock after the first probe of
+	// a key. projBatches are the idle batches projections run on, one in use
+	// per level of UDF recursion.
 	udfProj     map[*udfPlanEntry]*udfProjection
-	udfEntries  map[*udfPlan]map[string]*udfPlanEntry
+	udfEntries  map[*udfPlan]*execUDFMemo
 	projBatches []*Batch
 
 	// pool holds this statement's parallel workers; it persists across
@@ -368,9 +369,9 @@ func castFloat(v sqltypes.Value) sqltypes.Value  { return sqltypes.NewFloat(v.As
 func castString(v sqltypes.Value) sqltypes.Value { return sqltypes.NewString(v.AsString()) }
 
 // isScalarBuiltin reports whether upper names a scalar builtin: the table
-// above plus the three calls with an argument rule of their own. Plan
-// dependency analysis (plan.go) treats every other non-aggregate call as a
-// UDF reference.
+// above plus the three calls with an argument rule of their own. The shared
+// subexpression analysis (shared.go) treats every other non-aggregate call as
+// a UDF reference.
 func isScalarBuiltin(upper string) bool {
 	switch upper {
 	case "CONCAT", "COALESCE", "ROUND":

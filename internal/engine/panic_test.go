@@ -9,10 +9,12 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"mtbase/internal/sqlast"
 	"mtbase/internal/sqltypes"
 )
 
@@ -106,6 +108,94 @@ func TestPanicIsTheStatementsError(t *testing.T) {
 				t.Fatalf("statement after the panic: %v %v", res, err)
 			}
 			assertDirEmpty(t, dir)
+		})
+	}
+}
+
+// TestPanicInLoweringIsTheStatementsError: a plan is lowered inside the locked
+// region of the entry that needs it, and that region releases the lock and
+// recovers whatever the lowering does. A malformed AST (EXISTS over no block)
+// makes the walker panic under Exec, Query and QueryWith; a catalog holding a
+// view without a body makes the arity check panic under the text entries and
+// under the re-lowering of a prepared plan.
+func TestPanicInLoweringIsTheStatementsError(t *testing.T) {
+	ctx := context.Background()
+	badSel := func() *sqlast.Select {
+		sel := sqlast.NewSelect()
+		sel.Items = []sqlast.SelectItem{{Star: true}}
+		sel.From = []sqlast.TableExpr{&sqlast.TableName{Name: "fact"}}
+		sel.Where = &sqlast.ExistsExpr{}
+		return sel
+	}
+	drain := func(rows *Rows, err error) error {
+		if err != nil {
+			return err
+		}
+		_, err = rows.Collect()
+		return err
+	}
+	const overView = `SELECT id FROM fact WHERE id IN (SELECT * FROM hollow)`
+	hollow := func(db *DB) {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		nc := db.catalogNow().clone()
+		nc.views["hollow"] = nil
+		db.cat.Store(nc)
+	}
+	hollowed := func(run func(db *DB) error) func(db *DB) error {
+		return func(db *DB) error { hollow(db); return run(db) }
+	}
+	// stale prepares over a table, then puts the bodiless view in its place.
+	stale := func(run func(db *DB, p *Plan) error) func(db *DB) error {
+		return func(db *DB) error {
+			if _, err := db.ExecSQL(`CREATE TABLE hollow (id INTEGER)`); err != nil {
+				return err
+			}
+			p, err := db.PreparePlan(overView)
+			if err != nil || db.Stats.Panics != 0 {
+				return fmt.Errorf("preparing over the table: %v", err)
+			}
+			hollow(db)
+			return run(db, p)
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(db *DB) error
+	}{
+		{"Exec", func(db *DB) error {
+			_, err := db.Exec(&sqlast.Delete{Table: "fact", Where: &sqlast.ExistsExpr{}})
+			return err
+		}},
+		{"Query", func(db *DB) error { _, err := db.Query(badSel()); return err }},
+		{"QueryWith", func(db *DB) error { return drain(db.QueryWith(ctx, badSel(), nil)) }},
+		{"QueryWith relations", func(db *DB) error {
+			return drain(db.QueryWith(ctx, badSel(), nil, Relation{Name: "extra", Cols: []Column{{Name: "id", Type: sqltypes.KindInt}}}))
+		}},
+		{"ExecSQL", hollowed(func(db *DB) error { _, err := db.ExecSQL(overView); return err })},
+		{"QuerySQL", hollowed(func(db *DB) error { _, err := db.QuerySQL(overView); return err })},
+		{"QueryRows", hollowed(func(db *DB) error { return drain(db.QueryRows(overView)) })},
+		{"PreparePlan", hollowed(func(db *DB) error { _, err := db.PreparePlan(overView); return err })},
+		{"ExecPlanContext re-lowering", stale(func(db *DB, p *Plan) error { _, err := db.ExecPlanContext(ctx, p); return err })},
+		{"QueryPlanContext re-lowering", stale(func(db *DB, p *Plan) error { return drain(db.QueryPlanContext(ctx, p)) })},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db := streamTestDB(t, 100)
+			err := tc.run(db)
+			if !errors.Is(err, ErrInternal) {
+				t.Fatalf("got %v, want ErrInternal", err)
+			}
+			if got := atomic.LoadInt64(&db.Stats.Panics); got != 1 {
+				t.Errorf("engine.panics = %d, want 1", got)
+			}
+			// The lock was released: a write and a read go through.
+			if _, err := db.ExecSQL(`UPDATE fact SET val = val + 1 WHERE id = 0`); err != nil {
+				t.Fatalf("write after the panic: %v", err)
+			}
+			if res, err := db.QuerySQL(`SELECT COUNT(*) FROM fact`); err != nil || res.Rows[0][0].AsInt() != 100 {
+				t.Fatalf("statement after the panic: %v %v", res, err)
+			}
 		})
 	}
 }

@@ -10,15 +10,16 @@ package engine
 // per-execution exec object (eval.go), so one Plan serves any number of
 // executions.
 //
-// Plans are cached on the DB keyed by SQL text — a Plan holds nothing that
-// depends on the execution configuration, which each execution pins for
-// itself (newExec) — and validated against their dependencies on every lookup: each referenced
-// table is pinned by identity *and* version (any write bumps Table.version),
-// views and functions by identity. A DML write, a DROP/CREATE of a referenced
-// name, or a schema change therefore evicts exactly the plans that could
-// observe it; plans whose dependencies cannot be resolved at build time
-// (missing tables, unknown functions) are never cached, so later DDL cannot
-// resurrect a stale lowering.
+// Plans are cached on the DB keyed by SQL text. A Plan holds nothing that
+// depends on the execution configuration, which each execution pins for itself
+// (newExec), and nothing that depends on the data: it is a function of the
+// statement and the schema, so it remembers the catalog it was lowered against
+// and is valid exactly while that catalog is the DB's current one (DESIGN.md
+// ADR-024). Every DDL swaps the catalog and thereby retires every plan — a plan
+// over a name that does not resolve included, so a later CREATE meets a fresh
+// lowering — and a DML write retires none. The one data-dependent artifact a
+// plan carries, the relation memo of planned UDF bodies, is tied to the table
+// snapshots it was read from instead (udf.go).
 
 import (
 	"context"
@@ -37,17 +38,6 @@ import (
 // least-recently-used half is dropped.
 const planCacheCap = 512
 
-// planDep pins one schema object the plan depends on. Exactly one of tab,
-// view, fn is set. Tables are additionally pinned by version so data writes
-// invalidate plans that cache derived artifacts (UDF body relations).
-type planDep struct {
-	name    string // lower-case
-	tab     *Table
-	view    *sqlast.Select
-	fn      *Function
-	version uint64
-}
-
 // Plan is an immutable, reentrant lowering of one statement plus the
 // artifacts shared by its executions. The only mutable fields — udfPlans,
 // analysis, and the entry memo inside each udfPlan — are lazily filled
@@ -61,9 +51,13 @@ type Plan struct {
 	subqIDs   map[*sqlast.Select]int32 // plan-stable subquery IDs
 	nSubq     int32
 	arityErr  error // IN-subquery arity mismatch found at plan time
-	deps      []planDep
 	cacheable bool
 	lastUse   uint64
+
+	// cat is the catalog the plan was lowered against, nil for an AST no
+	// catalog has met yet (Exec, Query): revalidatePlanLocked is the one place
+	// that compares it with the current one.
+	cat *catalog
 
 	// nParams is the bind-parameter arity: the highest $n / ? slot the
 	// statement references. Executions must supply exactly this many values.
@@ -74,8 +68,8 @@ type Plan struct {
 	paramKinds []sqltypes.Kind
 
 	// udfPlans holds the once-per-plan lowerings of called UDF bodies
-	// (udf.go). Their cached relations derive from dep-pinned tables, so
-	// plan validation doubles as their invalidation.
+	// (udf.go); each carries its relation memo with the table snapshots the
+	// memo was read from.
 	udfPlans map[*Function]*udfPlan
 
 	// analysis caches the data-independent lowering analysis of plan-owned
@@ -296,16 +290,10 @@ func (p *Plan) bindArgs(args []sqltypes.Value) ([]sqltypes.Value, error) {
 
 // ---------------------------------------------------------------- build
 
-// buildPlanLocked analyses stmt into a Plan. sql may be empty for ephemeral
-// plans built around caller-supplied ASTs.
-func (db *DB) buildPlanLocked(sql string, stmt sqlast.Statement) *Plan {
-	return db.buildPlan(db.catalogNow(), sql, stmt)
-}
-
-// buildPlan is buildPlanLocked against an explicit catalog: QueryWith lowers
-// against its statement-local one (sql empty, so nothing is pinned or cached).
-func (db *DB) buildPlan(cat *catalog, sql string, stmt sqlast.Statement) *Plan {
-	p := &Plan{stmt: stmt, sql: sql}
+// buildPlan lowers stmt against cat. sql is the cache key, empty for the
+// ephemeral plans around caller-supplied ASTs, which are never stored.
+func buildPlan(cat *catalog, sql string, stmt sqlast.Statement) *Plan {
+	p := &Plan{stmt: stmt, sql: sql, cat: cat}
 	switch st := stmt.(type) {
 	case *sqlast.Select, *sqlast.Insert, *sqlast.Update, *sqlast.Delete:
 		p.subqIDs = make(map[*sqlast.Select]int32)
@@ -315,124 +303,21 @@ func (db *DB) buildPlan(cat *catalog, sql string, stmt sqlast.Statement) *Plan {
 				p.nSubq++
 			}
 		}, nil)
-		// Dependency pinning only matters for plans that can live in the
-		// cache; ephemeral plans (direct AST execution) execute immediately
-		// and are never revalidated.
-		if sql != "" {
-			p.deps, p.cacheable = db.collectDepsLocked(stmt)
-		}
-		// A VALUES-only INSERT is the classic unique-text shape (bulk loads
-		// serialize distinct literals per row); caching those would churn
-		// the cache with plans that also self-invalidate on execution.
-		if ins, isIns := st.(*sqlast.Insert); isIns && ins.Sub == nil {
-			p.cacheable = false
-		}
 		p.arityErr = cat.checkInArity(stmt)
 		p.nParams = sqlast.MaxParam(stmt)
 		if p.nParams > 0 {
 			p.paramKinds = cat.paramKinds(stmt, p.nParams)
 		}
+		// A VALUES-only INSERT without placeholders is the classic unique-text
+		// shape (bulk loads serialize distinct literals per row): caching those
+		// would only churn the cache. With placeholders it is one repeating
+		// text like any other.
+		ins, isIns := st.(*sqlast.Insert)
+		p.cacheable = !(isIns && ins.Sub == nil && p.nParams == 0)
 	default:
 		// DDL and anything else: execute through an ephemeral plan.
 	}
 	return p
-}
-
-// ---------------------------------------------------------------- deps
-
-// collectDepsLocked gathers every table, view and function the statement can
-// touch, recursing through view and UDF bodies. It reports cacheable=false
-// when any referenced name does not resolve — execution will surface the
-// error, and a later CREATE must not hit a stale plan.
-func (db *DB) collectDepsLocked(stmt sqlast.Statement) ([]planDep, bool) {
-	cat := db.catalogNow()
-	var deps []planDep
-	seen := make(map[string]bool)
-	ok := true
-
-	var visit func(stmt sqlast.Statement)
-	addName := func(name string) {
-		lower := strings.ToLower(name)
-		key := "t:" + lower
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		if view, isView := cat.views[lower]; isView {
-			deps = append(deps, planDep{name: lower, view: view})
-			visit(view)
-			return
-		}
-		if tab := cat.tables[lower]; tab != nil {
-			deps = append(deps, planDep{name: lower, tab: tab, version: atomic.LoadUint64(&tab.version)})
-			return
-		}
-		ok = false
-	}
-	visitFunc := func(name string) {
-		upper := strings.ToUpper(name)
-		if sqlast.IsAggregate(upper) || isScalarBuiltin(upper) {
-			return
-		}
-		key := "f:" + strings.ToLower(name)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		fn := cat.funcs[strings.ToLower(name)]
-		if fn == nil {
-			ok = false
-			return
-		}
-		deps = append(deps, planDep{name: strings.ToLower(name), fn: fn})
-		visit(fn.Body)
-	}
-	calls := func(e sqlast.Expr) {
-		sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-			if fc, isCall := n.(*sqlast.FuncCall); isCall {
-				visitFunc(fc.Name)
-			}
-			return true
-		})
-	}
-	// One walk per statement, view body and UDF body: the tables each block
-	// names, then the functions its slots call.
-	visit = func(stmt sqlast.Statement) {
-		sqlast.StmtExprs(stmt, calls)
-		sqlast.WalkBlocks(stmt, func(b *sqlast.Select) {
-			sqlast.BlockTables(b, func(t *sqlast.TableName) { addName(t.Name) })
-			sqlast.BlockExprs(b, calls)
-		}, nil)
-	}
-	if target, _ := sqlast.Target(stmt); target != "" {
-		addName(target)
-	}
-	visit(stmt)
-	return deps, ok
-}
-
-// planValidLocked reports whether every dependency still resolves to the
-// same object at the same version.
-func (db *DB) planValidLocked(p *Plan) bool {
-	cat := db.catalogNow()
-	for i := range p.deps {
-		d := &p.deps[i]
-		switch {
-		case d.tab != nil:
-			if cat.tables[d.name] != d.tab || atomic.LoadUint64(&d.tab.version) != d.version {
-				return false
-			}
-		case d.view != nil:
-			if cat.views[d.name] != d.view {
-				return false
-			}
-		case d.fn != nil:
-			if cat.funcs[d.name] != d.fn {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------- IN arity
@@ -718,28 +603,27 @@ func (cat *catalog) colKindResolver(sel *sqlast.Select) func(cr *sqlast.ColumnRe
 
 // ---------------------------------------------------------------- cache
 
-// planForLocked returns the plan for sql, reusing the cached one when its
-// dependencies are unchanged, re-lowering the retained AST when they are
-// not (the parse never depends on the schema), and parsing on a cold miss.
+// planForLocked returns the plan for sql: the cached one while the catalog it
+// was lowered against is current, a re-lowering of its retained AST when it is
+// not (the parse never depends on the schema), a parse and a lowering on a
+// cold miss.
 func (db *DB) planForLocked(sql string) (*Plan, error) {
-	if p, ok := db.plans[sql]; ok {
-		np := db.revalidatePlanLocked(p)
-		if np != p {
-			atomic.AddInt64(&db.Stats.PlanCacheMisses, 1)
-			return np, nil
+	p, cached := db.plans[sql]
+	if !cached {
+		stmt, err := sqlparse.ParseStatement(sql)
+		if err != nil {
+			return nil, err
 		}
-		atomic.AddInt64(&db.Stats.PlanCacheHits, 1)
-		db.planClock++
-		p.lastUse = db.planClock
-		return p, nil
+		p = &Plan{stmt: stmt, sql: sql}
 	}
-	stmt, err := sqlparse.ParseStatement(sql)
-	if err != nil {
-		return nil, err
+	np := db.revalidatePlanLocked(p)
+	if np != p {
+		atomic.AddInt64(&db.Stats.PlanCacheMisses, 1)
+		return np, nil
 	}
-	atomic.AddInt64(&db.Stats.PlanCacheMisses, 1)
-	p := db.buildPlanLocked(sql, stmt)
-	db.storePlanLocked(p)
+	atomic.AddInt64(&db.Stats.PlanCacheHits, 1)
+	db.planClock++
+	p.lastUse = db.planClock
 	return p, nil
 }
 
@@ -785,46 +669,55 @@ func (db *DB) PreparePlan(sql string) (p *Plan, err error) {
 	return db.planForLocked(sql)
 }
 
-// revalidatePlanLocked returns p, or a fresh re-lowering of its AST when
-// any dependency changed since the plan was built (the parse never depends on
-// the schema), counting the invalidation. The rebuild takes p's place in the
-// cache — or, when it cannot be pinned (a dependency no longer resolves),
-// leaves none there: a zombie would re-invalidate on every lookup.
+// revalidatePlanLocked is where a plan's validity is decided: p is valid while
+// the catalog it was lowered against is the current one. A stale plan — some
+// DDL ran since — is re-lowered from its AST, counted, and takes p's place in
+// the cache; an AST not lowered yet (p.cat nil: a cold miss, Exec, Query) is
+// lowered here, inside its entry's locked region.
 func (db *DB) revalidatePlanLocked(p *Plan) *Plan {
-	if db.planValidLocked(p) {
+	cat := db.catalogNow()
+	if p.cat == cat {
 		return p
 	}
-	atomic.AddInt64(&db.Stats.PlanCacheInvalidations, 1)
-	np := db.buildPlanLocked(p.sql, p.stmt)
-	if np.cacheable {
-		db.storePlanLocked(np)
-	} else if p.sql != "" {
-		delete(db.plans, p.sql)
+	if p.cat != nil {
+		atomic.AddInt64(&db.Stats.PlanCacheInvalidations, 1)
 	}
+	np := buildPlan(cat, p.sql, p.stmt)
+	db.storePlanLocked(np)
 	return np
 }
 
 // ExecPlanContext executes a prepared plan with bind-parameter values,
-// honouring ctx cancellation at batch boundaries. Its dependencies are
-// revalidated first: a plan invalidated since PreparePlan is transparently
-// re-lowered from its AST. SELECTs pin their table snapshots under the lock
-// and then run lock-free (execPlanUnlock).
-func (db *DB) ExecPlanContext(ctx context.Context, p *Plan, args ...sqltypes.Value) (*Result, error) {
+// honouring ctx cancellation at batch boundaries. The plan is revalidated
+// first: one lowered before a schema change is transparently re-lowered from
+// its AST. A SELECT pins its catalog and table snapshots under db.mu (pinExec)
+// and then runs lock-free against those immutable snapshots, so scans, open
+// cursors and writers overlap; writes and DDL stay under the lock end to end
+// and publish new snapshots before releasing it.
+func (db *DB) ExecPlanContext(ctx context.Context, p *Plan, args ...sqltypes.Value) (res *Result, err error) {
+	defer db.Recover(&err)
+	if sel, ok := p.stmt.(*sqlast.Select); ok {
+		ex, err := db.pinExec(ctx, p, args, nil)
+		if err != nil {
+			return nil, err
+		}
+		// The statement is over, cleanly or not: any spill file an errored
+		// subtree abandoned before its operator Close could run is removed.
+		defer ex.releaseSpills()
+		return ex.runQuery(sel, rootScope())
+	}
 	db.mu.Lock()
-	return db.execPlanUnlock(ctx, db.revalidatePlanLocked(p), args)
+	defer db.mu.Unlock()
+	return db.execPlanLocked(ctx, db.revalidatePlanLocked(p), args)
 }
 
 // QueryPlanContext is ExecPlanContext's streaming counterpart: it executes a
 // prepared SELECT plan and returns the cursor over its operator tree.
 func (db *DB) QueryPlanContext(ctx context.Context, p *Plan, args ...sqltypes.Value) (*Rows, error) {
-	db.mu.Lock()
-	p = db.revalidatePlanLocked(p)
-	sel, ok := p.stmt.(*sqlast.Select)
-	if !ok {
-		db.mu.Unlock()
+	if _, ok := p.stmt.(*sqlast.Select); !ok {
 		return nil, fmt.Errorf("engine: not a query: %s", p.sql)
 	}
-	return db.queryRowsUnlock(ctx, p, sel, args, nil)
+	return db.queryRows(ctx, p, args, nil)
 }
 
 // InvalidatePlans drops every cached plan (and resets nothing else); used

@@ -34,12 +34,12 @@ func TestPlanCacheHitsRepeatedText(t *testing.T) {
 	}
 }
 
-// TestPlanCacheVersionEviction is the acceptance regression for data-write
-// invalidation: the cached plan of a conversion-UDF query holds the UDF
-// body's materialized meta-table relation, so serving it after the meta
-// table changed would return stale conversions. A write to any referenced
-// table must evict the plan.
-func TestPlanCacheVersionEviction(t *testing.T) {
+// TestPlanFreshAcrossWrites is the acceptance regression for the rule that
+// replaced data-write invalidation (DESIGN.md ADR-024): the cached plan of a
+// conversion-UDF query holds the UDF body's materialized meta-table relation,
+// and after the meta table changed the same *Plan must answer with the new
+// rate — the relation follows the snapshot, the plan stays.
+func TestPlanFreshAcrossWrites(t *testing.T) {
 	db := newEmployeeDB(t, ModePostgres)
 	db.Stats = Stats{}
 	sql := "SELECT currencyToUniversal(100.0, 1) FROM Regions WHERE Re_reg_id = 0"
@@ -56,8 +56,9 @@ func TestPlanCacheVersionEviction(t *testing.T) {
 	if db.Stats.PlanCacheHits != 1 {
 		t.Fatalf("second run should hit: %+v", db.Stats)
 	}
+	p := db.plans[sql]
 	// Change the conversion rate of tenant 1's currency: the UDF body reads
-	// CurrencyTransform, which the plan pinned by version.
+	// CurrencyTransform, whose snapshot the plan's relation memo is pinned to.
 	if _, err := db.ExecSQL("UPDATE CurrencyTransform SET CT_to_universal = 2.0 WHERE CT_currency_key = 1"); err != nil {
 		t.Fatal(err)
 	}
@@ -66,41 +67,55 @@ func TestPlanCacheVersionEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := res.Rows[0][0].AsFloat(); got != 200 {
-		t.Fatalf("conversion after rate change = %v, want 200 (stale plan served)", got)
+		t.Fatalf("conversion after rate change = %v, want 200 (stale relation served)", got)
 	}
-	if db.Stats.PlanCacheInvalidations == 0 {
-		t.Fatalf("version bump did not evict the plan: %+v", db.Stats)
+	if p == nil || db.plans[sql] != p || db.Stats.PlanCacheInvalidations != 0 || db.Stats.PlanCacheHits != 2 {
+		t.Fatalf("a data write re-lowered the plan: %p → %p, %+v", p, db.plans[sql], db.Stats)
 	}
 }
 
-// TestPlanDepsCoverEverySlot: a table is a dependency of the plan wherever
-// the statement names it — the walker that numbers a statement's blocks is
-// the one that pins them (DESIGN.md ADR-017). One statement per slot names
-// Regions nowhere else; a write to Regions must re-lower each of them.
-func TestPlanDepsCoverEverySlot(t *testing.T) {
+// TestWritesVisibleInEverySlot: wherever a statement names a table, a write
+// to it is visible to the next execution and re-lowers nothing. One statement
+// per slot names Regions nowhere else; each is answered by the cached plan
+// exactly as by the reference executor, before and after the write.
+func TestWritesVisibleInEverySlot(t *testing.T) {
 	for _, sql := range []string{
-		"SELECT E_name FROM Employees ORDER BY (SELECT MAX(Re_name) FROM Regions WHERE Re_reg_id = E_reg_id), E_name",
-		"SELECT COUNT(*) FROM Employees GROUP BY (SELECT MAX(Re_name) FROM Regions WHERE Re_reg_id = E_reg_id)",
-		"SELECT E_reg_id FROM Employees GROUP BY E_reg_id HAVING COUNT(*) < (SELECT COUNT(*) FROM Regions)",
-		"SELECT a.E_name FROM Employees a JOIN Employees b ON a.E_emp_id = b.E_emp_id AND a.E_reg_id IN (SELECT Re_reg_id FROM Regions)",
-		"UPDATE Employees SET E_age = (SELECT COUNT(*) FROM Regions) WHERE E_emp_id < 0",
-		"DELETE FROM Employees WHERE E_emp_id < 0 AND E_reg_id NOT IN (SELECT Re_reg_id FROM Regions)",
+		"SELECT E_name FROM Employees ORDER BY (SELECT COUNT(*) FROM Regions WHERE Re_reg_id = E_reg_id + 2) DESC, E_name",
+		"SELECT COUNT(*) FROM Employees GROUP BY (SELECT COUNT(*) FROM Regions WHERE Re_reg_id = E_reg_id + 2) ORDER BY 1",
+		"SELECT E_reg_id FROM Employees GROUP BY E_reg_id HAVING COUNT(*) < (SELECT COUNT(*) - 5 FROM Regions) ORDER BY 1",
+		"SELECT a.E_name FROM Employees a JOIN Employees b ON a.E_emp_id = b.E_emp_id AND a.E_reg_id + 2 IN (SELECT Re_reg_id FROM Regions WHERE Re_reg_id > 5) ORDER BY 1",
+		"UPDATE Employees SET E_age = (SELECT COUNT(*) FROM Regions) WHERE E_emp_id = 0",
+		"DELETE FROM Employees WHERE E_reg_id + 2 IN (SELECT Re_reg_id FROM Regions WHERE Re_reg_id > 5)",
 	} {
-		db := newEmployeeDB(t, ModePostgres)
-		for i := 0; i < 2; i++ {
-			if _, err := db.ExecSQL(sql); err != nil {
-				t.Fatalf("%s: %v", sql, err)
+		db, ref := newEmployeeDB(t, ModePostgres), newEmployeeDB(t, ModePostgres)
+		cfgReference.apply(ref)
+		ref.SetPlanCache(false)
+		// What a statement did: its result, and for a write the table it left.
+		run := func(d *DB, text string) string {
+			res, err := d.ExecSQL(text)
+			after, _ := d.ExecSQL("SELECT * FROM Employees ORDER BY ttid, E_emp_id")
+			return execKey(res, err) + execKey(after, nil)
+		}
+		before := run(db, sql)
+		if want := run(ref, sql); before != want {
+			t.Fatalf("%s\nbefore the write: %s, reference %s", sql, before, want)
+		}
+		p := db.plans[sql]
+		db.Stats = Stats{}
+		for _, d := range []*DB{db, ref} {
+			if _, err := d.ExecSQL("INSERT INTO Regions VALUES (6, 'ZEALANDIA')"); err != nil {
+				t.Fatal(err)
 			}
 		}
-		db.Stats = Stats{}
-		if _, err := db.ExecSQL("INSERT INTO Regions VALUES (6, 'ANTARCTICA')"); err != nil {
-			t.Fatal(err)
+		after, want := run(db, sql), run(ref, sql)
+		if after != want {
+			t.Errorf("%s\nafter the write: %s, reference %s", sql, after, want)
 		}
-		if _, err := db.ExecSQL(sql); err != nil {
-			t.Fatal(err)
+		if after == before {
+			t.Errorf("%s\nthe write to Regions changed nothing: the statement does not test its slot", sql)
 		}
-		if db.Stats.PlanCacheInvalidations != 1 {
-			t.Errorf("%s\na write to Regions did not re-lower the plan: %+v", sql, db.Stats)
+		if p == nil || db.plans[sql] != p || db.Stats.PlanCacheInvalidations != 0 {
+			t.Errorf("%s\na write to Regions re-lowered the plan: %+v", sql, db.Stats)
 		}
 	}
 }
@@ -183,39 +198,10 @@ func TestPlanNotCachedForMissingNames(t *testing.T) {
 	}
 }
 
-// TestStalePlanEntryDroppedWhenRebuildUncacheable: after a referenced
-// table is dropped, re-executing the text must remove the dead cache entry
-// instead of leaving a zombie that re-invalidates on every lookup.
-func TestStalePlanEntryDroppedWhenRebuildUncacheable(t *testing.T) {
-	db := Open(ModePostgres)
-	if _, err := db.ExecScript("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1)"); err != nil {
-		t.Fatal(err)
-	}
-	sql := "SELECT a FROM t"
-	if _, err := db.ExecSQL(sql); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.ExecSQL("DROP TABLE t"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.ExecSQL(sql); err == nil {
-		t.Fatal("query over dropped table succeeded")
-	}
-	if _, zombie := db.plans[sql]; zombie {
-		t.Fatal("stale plan entry left in cache after uncacheable rebuild")
-	}
-	inv := db.Stats.PlanCacheInvalidations
-	if _, err := db.ExecSQL(sql); err == nil {
-		t.Fatal("query over dropped table succeeded")
-	}
-	if db.Stats.PlanCacheInvalidations != inv {
-		t.Fatal("dead entry still being invalidated per lookup")
-	}
-}
-
-// TestValuesInsertNotCached: VALUES-only INSERT texts are the unique-text
-// bulk-load shape and self-invalidate on execution; caching them would only
-// churn the plan cache.
+// TestValuesInsertNotCached: a VALUES-only INSERT of literals is the
+// unique-text bulk-load shape, and caching those would only churn the plan
+// cache; with placeholders it is one repeating text, parsed and lowered once
+// however many rows it writes.
 func TestValuesInsertNotCached(t *testing.T) {
 	db := Open(ModePostgres)
 	if _, err := db.ExecSQL("CREATE TABLE t (a INTEGER)"); err != nil {
@@ -229,6 +215,19 @@ func TestValuesInsertNotCached(t *testing.T) {
 	}
 	if _, cached := db.plans[sql]; cached {
 		t.Fatal("VALUES-only INSERT plan was cached")
+	}
+	db.Stats = Stats{}
+	sql = "INSERT INTO t VALUES (?)"
+	for i := 0; i < 3; i++ {
+		if _, err := db.ExecArgs(sql, sqltypes.NewInt(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := db.Stats; db.plans[sql] == nil || st.PlanCacheMisses != 1 || st.PlanCacheHits != 2 || st.PlanCacheInvalidations != 0 {
+		t.Fatalf("parameterized VALUES INSERT: cached=%v, %+v; want one miss, two hits", db.plans[sql] != nil, st)
+	}
+	if got := queryRows(t, db, "SELECT COUNT(*), SUM(a) FROM t")[0]; got[0].AsInt() != 5 || got[1].AsInt() != 17 {
+		t.Fatalf("table holds %v, want 5 rows summing to 17", got)
 	}
 }
 
@@ -361,7 +360,7 @@ func TestUDFPlanRelationsSharedAcrossExecutions(t *testing.T) {
 	}
 	var entries int
 	for _, up := range p.udfPlans {
-		entries += len(up.entries)
+		entries += len(up.memo.entries)
 	}
 	if entries == 0 {
 		t.Fatal("no UDF plan entries materialized on the cached plan")
@@ -376,25 +375,23 @@ func TestUDFPlanRelationsSharedAcrossExecutions(t *testing.T) {
 	if db.plans[sql] != p {
 		t.Fatal("second execution rebuilt the plan")
 	}
-	// Writes to an unrelated table must NOT evict the plan.
+	// A write evicts nothing, to a table the statement reads or not — and the
+	// next execution sees it.
 	if _, err := db.ExecSQL("INSERT INTO Regions VALUES (6, 'ANTARCTICA')"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ExecSQL(sql); err != nil {
-		t.Fatal(err)
-	}
-	if db.plans[sql] != p {
-		t.Fatal("write to unrelated table evicted the plan")
-	}
-	// Appending an employee (referenced table) must evict it.
 	db.Table("Employees").AppendRow([]sqltypes.Value{
 		sqltypes.NewInt(0), sqltypes.NewInt(9), sqltypes.NewString("Zoe"),
 		sqltypes.NewInt(1), sqltypes.NewInt(3), sqltypes.NewFloat(100), sqltypes.NewInt(33),
 	})
-	if _, err := db.ExecSQL(sql); err != nil {
+	third, err := db.ExecSQL(sql)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if db.plans[sql] == p {
-		t.Fatal("write to referenced table did not evict the plan")
+	if db.plans[sql] != p {
+		t.Fatal("a write evicted the plan")
+	}
+	if got, want := third.Rows[0][0].AsFloat(), first.Rows[0][0].AsFloat()+100; got != want {
+		t.Fatalf("sum after appending an employee = %v, want %v", got, want)
 	}
 }

@@ -665,9 +665,65 @@ func TestRecursiveUDFCompiledParity(t *testing.T) {
 	}
 }
 
+// TestLargeIntKeys: INTEGERs beyond 2^53 are distinct keys in every hash
+// structure — DISTINCT aggregates, GROUP BY, the transient join table and a
+// base table's persistent index — where they used to share the key of the one
+// float64 their neighbours round to. Every configuration answers alike, and
+// the answers are spelled out: the reference hashes with the same key.
+func TestLargeIntKeys(t *testing.T) {
+	db := Open(ModePostgres)
+	if _, err := db.ExecScript(`
+		CREATE TABLE big (k BIGINT NOT NULL, v INTEGER NOT NULL);
+		CREATE TABLE dim (k BIGINT NOT NULL, name VARCHAR(8) NOT NULL);
+		INSERT INTO big VALUES (4611686018427387904, 1), (4611686018427387905, 2), (4611686018427387906, 1), (4611686018427387905, 2);
+		INSERT INTO dim VALUES (4611686018427387905, 'five'), (4611686018427387906, 'six'), (4611686018427387907, 'seven')`); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ sql, want string }{
+		{`SELECT COUNT(DISTINCT v + 4611686018427387904), SUM(DISTINCT v - 4611686018427387904) FROM big`, "2|-9223372036854775805"},
+		{`SELECT k, COUNT(*) FROM big GROUP BY k ORDER BY k`, "4611686018427387904|1 4611686018427387905|2 4611686018427387906|1"},
+		{`SELECT b.v, d.name FROM big b, dim d WHERE b.k = d.k ORDER BY 1, 2`, "1|six 2|five 2|five"},                            // probes dim's index
+		{`SELECT b.v, d.name FROM big b, dim d WHERE b.k = d.k + 0 ORDER BY 1, 2`, "1|six 2|five 2|five"},                        // builds a table
+		{`SELECT d.name, COUNT(b.v) FROM dim d LEFT JOIN big b ON b.k = d.k GROUP BY d.name ORDER BY 1`, "five|2 seven|0 six|1"}, // outer
+		{`SELECT name FROM dim WHERE k IN (SELECT k + 1 FROM big) ORDER BY 1`, "five seven six"},                                 // IN set
+		{`SELECT name FROM dim WHERE k IN (4611686018427387904, 4611686018427387906) ORDER BY 1`, "six"},                         // literal IN set
+		{`SELECT COUNT(*) FROM (SELECT DISTINCT k FROM big) x`, "3"},
+	} {
+		for _, cfg := range []execConfig{cfgReference, cfgProduction, cfgEvalCheck} {
+			cfg.apply(db)
+			res, err := db.QuerySQL(tc.sql)
+			if err != nil {
+				t.Fatalf("%s\n%s: %v", tc.sql, cfg.name, err)
+			}
+			var rows []string
+			for _, r := range res.Rows {
+				cells := make([]string, len(r))
+				for i, v := range r {
+					cells[i] = v.String()
+				}
+				rows = append(rows, strings.Join(cells, "|"))
+			}
+			if got := strings.Join(rows, " "); got != tc.want {
+				t.Errorf("%s\n%s: %s, want %s", tc.sql, cfg.name, got, tc.want)
+			}
+		}
+	}
+	cfgProduction.apply(db)
+	idx, err := db.Table("dim").index([]string{"k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{0, 1, 1, 1, 0} {
+		k := sqltypes.NewInt(4611686018427387904 + int64(i))
+		if got := len(idx.bucket(sqltypes.AppendKey(nil, k))); got != want {
+			t.Errorf("dim's index holds %d rows under %s, want %d", got, k, want)
+		}
+	}
+}
+
 // TestCompiledInListLargeInts pins the fix for hash-key collisions in the
-// compiled literal IN set: integers beyond 2^53 share float-encoded keys,
-// so membership must be confirmed with exact equality.
+// compiled literal IN set: integers beyond 2^53 shared float-encoded keys,
+// so membership is confirmed with exact equality.
 func TestCompiledInListLargeInts(t *testing.T) {
 	db := Open(ModePostgres)
 	if _, err := db.ExecSQL("CREATE TABLE big (a BIGINT)"); err != nil {

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"mtbase/internal/sqlast"
@@ -99,7 +98,7 @@ func TestQueryWithMatchesLoadedTables(t *testing.T) {
 	}
 }
 
-// TestQueryWithLeavesDatabaseUntouched: catalog, heap, indexes, versions and
+// TestQueryWithLeavesDatabaseUntouched: catalog, heap, indexes, snapshots and
 // the plan cache are what they were, while the cursor is open and after.
 func TestQueryWithLeavesDatabaseUntouched(t *testing.T) {
 	db := streamTestDB(t, 3000)
@@ -111,7 +110,7 @@ func TestQueryWithLeavesDatabaseUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, heap, version := fmt.Sprint(db.TableNames()), tab.Heap(), atomic.LoadUint64(&tab.version)
+	names, heap, data := fmt.Sprint(db.TableNames()), tab.Heap(), tab.data.Load()
 
 	fact, extra := relFixture(2600)
 	stats, nplans := db.Stats.Snapshot(), len(db.plans)
@@ -137,8 +136,8 @@ func TestQueryWithLeavesDatabaseUntouched(t *testing.T) {
 		if now, _ := tab.index([]string{"k"}); now != idx {
 			t.Errorf("%s: shadowed table's index was rebuilt", when)
 		}
-		if v := atomic.LoadUint64(&tab.version); v != version {
-			t.Errorf("%s: table version %d, want %d", when, v, version)
+		if tab.data.Load() != data {
+			t.Errorf("%s: shadowed table published a new snapshot", when)
 		}
 		res, err := db.QuerySQL(`SELECT COUNT(*) FROM fact`)
 		if err != nil || res.Rows[0][0].AsInt() != 3000 {

@@ -239,14 +239,12 @@ func (r *Rows) Collect() (*Result, error) {
 	return res, nil
 }
 
-// queryRowsUnlock builds the cursor for one SELECT execution. It is
-// entered with db.mu held: bind coercion and snapshot pinning (newExecArgs)
-// happen under the lock, which is then released (pinExecUnlock) — operator tree
-// construction and all execution run against the exec's immutable pinned
-// snapshots, overlapping freely with writers and other cursors. A non-nil
-// local is the statement's private catalog (QueryWith), pinned in place of
-// the current one.
-func (db *DB) queryRowsUnlock(ctx context.Context, p *Plan, sel *sqlast.Select, args []sqltypes.Value, local *catalog) (rows *Rows, err error) {
+// queryRows builds the cursor for one execution of p, a SELECT. Plan
+// revalidation, bind coercion and snapshot pinning happen under db.mu
+// (pinExec); operator tree construction and all execution run against the
+// exec's immutable pinned snapshots, overlapping freely with writers and other
+// cursors. rels are the statement's private relations (QueryWith).
+func (db *DB) queryRows(ctx context.Context, p *Plan, args []sqltypes.Value, rels []Relation) (rows *Rows, err error) {
 	var ex *exec
 	defer func() {
 		if err != nil && ex != nil {
@@ -254,9 +252,10 @@ func (db *DB) queryRowsUnlock(ctx context.Context, p *Plan, sel *sqlast.Select, 
 		}
 	}()
 	defer db.Recover(&err)
-	if ex, err = db.pinExecUnlock(ctx, p, args, local); err != nil {
+	if ex, err = db.pinExec(ctx, p, args, rels); err != nil {
 		return nil, err
 	}
+	sel := ex.plan.stmt.(*sqlast.Select)
 	// An already-cancelled context fails at cursor creation, not on the
 	// first pull — the contract the eager-FROM/WHERE cursor had.
 	if err := ex.cancelled(); err != nil {

@@ -27,7 +27,7 @@ var seamFuncs = map[string][]string{
 	"noCompile": {"DB.SetCompileExprs", "DB.newExec"},
 	"streamOff": {"DB.SetStreamExec", "DB.newExec"},
 	"interp":    {"DB.newExec", "exec.workerClone", "exec.vecCompileAll", "exec.planUDF"},
-	"reference": {"DB.newExec", "exec.runQuery", "DB.queryRowsUnlock"},
+	"reference": {"DB.newExec", "exec.runQuery", "DB.queryRows"},
 }
 
 // referenceForbidden lists what no function of exec.go may mention: the

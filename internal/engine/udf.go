@@ -10,6 +10,8 @@ package engine
 // (eval.go), and only where the engine mode says PostgreSQL would.
 
 import (
+	"slices"
+	"strings"
 	"sync"
 
 	"mtbase/internal/sqlast"
@@ -27,31 +29,44 @@ import (
 // cached per distinct tuple of those parameters; the projection is lowered
 // once per cached relation and execution. A conversion call then costs one
 // hash probe plus one batch-program run instead of a full query
-// plan-and-execute, independent of the engine mode — like a prepared plan, it accelerates
-// ModeSystemC too without caching *results*, preserving the paper's
-// cached-vs-uncached distinction (Tables 3–5 vs 7–9).
+// plan-and-execute, independent of the engine mode — like a prepared plan, it
+// accelerates ModeSystemC too without caching *results*, preserving the
+// paper's cached-vs-uncached distinction (Tables 3–5 vs 7–9).
 //
-// udfPlans live on the statement Plan and survive across executions; the
-// entries derive exclusively from dep-pinned tables, so plan validation
-// doubles as their invalidation. mu guards the entries map: concurrent
-// executions (and parallel workers within one) share the plan, and all of
-// them pinned identical snapshots of the dep tables — a plan is only handed
-// out after validation against the same versions the exec pinned, and any
-// version bump produces a fresh plan object — so whichever execution builds
-// an entry first builds the same relation every other sharer would.
+// udfPlans live on the statement Plan and survive across executions and
+// writes: the lowering depends on the schema only, like the plan. The relations
+// do depend on the data, so they belong to the snapshots they were read from
+// (DESIGN.md ADR-024): memo holds the relations of one set of pinned
+// tableData of tabs, the body's FROM tables, and an execution whose own pins
+// of tabs differ starts a fresh one in its place (memoFor). An open cursor
+// therefore keeps converting at the rates of its snapshot while a statement
+// started after a write to the meta tables sees the new ones, through the same
+// cached plan. mu guards memo and every memo's entries map: concurrent
+// executions (and parallel workers within one) share the plan, and whichever
+// of those with equal pins builds an entry first builds the same relation
+// every other would.
 type udfPlan struct {
-	mu          sync.Mutex
 	ok          bool
 	body        *sqlast.Select
 	proj        sqlast.Expr
-	whereParams []int // 1-based parameter indices the WHERE references
-	entries     map[string]*udfPlanEntry
+	whereParams []int    // 1-based parameter indices the WHERE references
+	tabs        []*Table // the body's FROM tables in the plan's catalog
+
+	mu   sync.Mutex
+	memo *udfMemo
 }
 
-// udfPlanEntryCap bounds the relations a udfPlan accumulates: conversion
+// udfMemo is a planned body's FROM/WHERE relations over one set of table
+// snapshots: pins[i] is the tableData of tabs[i] they were read from.
+type udfMemo struct {
+	pins    []*tableData
+	entries map[string]*udfPlanEntry
+}
+
+// udfPlanEntryCap bounds the relations a udfMemo accumulates: conversion
 // functions are keyed by tenant (entries ≤ tenant count), but a body whose
 // WHERE references a value parameter would otherwise grow one materialized
-// relation per distinct argument for the life of the cached plan. On
+// relation per distinct argument for as long as nothing writes its tables. On
 // overflow the memo restarts empty; entries rebuild on demand.
 const udfPlanEntryCap = 4096
 
@@ -64,13 +79,10 @@ type udfPlanEntry struct {
 	bindings []*binding
 }
 
-// planUDF analyses fn's body once per *plan* and returns its lowering. The
-// plan owns the memo, so a cached statement pays the analysis — and the
-// per-parameter-tuple relations its entries accumulate — once across all of
-// its executions; version-based plan invalidation (plan.go) discards them
-// the moment any table a body reads changes. An interpreting execution gets
-// the empty lowering and never touches the memo, so one cached Plan serves
-// every execution configuration.
+// planUDF analyses fn's body once per *plan* and returns its lowering, so a
+// cached statement pays the analysis once across all of its executions. An
+// interpreting execution gets the empty lowering and never touches the memo,
+// so one cached Plan serves every execution configuration.
 func (ex *exec) planUDF(fn *Function) *udfPlan {
 	if ex.interp {
 		return &udfPlan{}
@@ -81,7 +93,7 @@ func (ex *exec) planUDF(fn *Function) *udfPlan {
 	if plan, ok := p.udfPlans[fn]; ok {
 		return plan
 	}
-	plan := buildUDFPlan(fn.Body)
+	plan := buildUDFPlan(fn.Body, ex.cat)
 	if p.udfPlans == nil {
 		p.udfPlans = make(map[*Function]*udfPlan)
 	}
@@ -89,39 +101,84 @@ func (ex *exec) planUDF(fn *Function) *udfPlan {
 	return plan
 }
 
-func buildUDFPlan(body *sqlast.Select) *udfPlan {
+// buildUDFPlan lowers body against cat, the plan's catalog. A body is planned
+// only when its relation is a function of the WHERE parameters and the rows of
+// the base tables its FROM names — those are what a memo is pinned to — so a
+// FROM item that is anything else (a view, a derived table, a join, a missing
+// name) and a WHERE that reads further tables through a subquery or another
+// UDF leave it to the general path.
+func buildUDFPlan(body *sqlast.Select, cat *catalog) *udfPlan {
 	if body.Distinct || len(body.GroupBy) > 0 || body.Having != nil ||
 		len(body.OrderBy) > 0 || body.Limit >= 0 || len(body.Items) != 1 {
 		return &udfPlan{}
 	}
 	it := body.Items[0]
-	if it.Star || hasAggregate(it.Expr) {
+	if it.Star || hasAggregate(it.Expr) ||
+		len(sqlast.SubqueriesOf(body.Where)) > 0 || len(sqlast.SubqueriesOf(it.Expr)) > 0 {
 		return &udfPlan{}
 	}
+	plan := &udfPlan{ok: true, body: body, proj: it.Expr}
 	for _, te := range body.From {
-		if _, isName := te.(*sqlast.TableName); !isName {
+		name, isName := te.(*sqlast.TableName)
+		if !isName {
 			return &udfPlan{}
 		}
-	}
-	if len(sqlast.SubqueriesOf(body.Where)) > 0 || len(sqlast.SubqueriesOf(it.Expr)) > 0 {
-		return &udfPlan{}
+		key := strings.ToLower(name.Name)
+		if cat.tables[key] == nil || cat.views[key] != nil {
+			return &udfPlan{}
+		}
+		plan.tabs = append(plan.tabs, cat.tables[key])
 	}
 	seen := map[int]bool{}
-	var params []int
 	sqlast.WalkExpr(body.Where, func(n sqlast.Expr) bool {
-		if p, ok := n.(*sqlast.Param); ok && !seen[p.N] {
-			seen[p.N] = true
-			params = append(params, p.N)
+		switch x := n.(type) {
+		case *sqlast.Param:
+			if !seen[x.N] {
+				seen[x.N] = true
+				plan.whereParams = append(plan.whereParams, x.N)
+			}
+		case *sqlast.FuncCall:
+			// Anything else is a UDF, and reads what its body reads.
+			plan.ok = plan.ok && isScalarBuiltin(strings.ToUpper(x.Name))
 		}
-		return true
+		return plan.ok
 	})
-	return &udfPlan{
-		ok:          true,
-		body:        body,
-		proj:        it.Expr,
-		whereParams: params,
-		entries:     make(map[string]*udfPlanEntry),
+	return plan
+}
+
+// memoFor returns this execution's handle on plan's relation memo: the plan's
+// own when it was read from the table snapshots this execution pinned, else a
+// fresh one, which takes its place. Decided once per exec and worker; after
+// that a call probes its own map and takes no lock.
+func (ex *exec) memoFor(plan *udfPlan) *execUDFMemo {
+	if m := ex.udfEntries[plan]; m != nil {
+		return m
 	}
+	pins := make([]*tableData, len(plan.tabs))
+	for i, t := range plan.tabs {
+		pins[i] = ex.snap.pin(t)
+	}
+	plan.mu.Lock()
+	if plan.memo == nil || !slices.Equal(plan.memo.pins, pins) {
+		plan.memo = &udfMemo{pins: pins, entries: make(map[string]*udfPlanEntry)}
+	}
+	m := &execUDFMemo{shared: plan.memo, seen: make(map[string]*udfPlanEntry)}
+	plan.mu.Unlock()
+	if ex.udfEntries == nil {
+		ex.udfEntries = make(map[*udfPlan]*execUDFMemo)
+	}
+	ex.udfEntries[plan] = m
+	return m
+}
+
+// execUDFMemo is one execution's (and worker's) handle on a planned body's
+// relations: the memo of its snapshots, and the entries it already looked up
+// there — parallel workers would otherwise serialize on udfPlan.mu for every
+// call. Entries are immutable, so a remembered pointer stays valid even if the
+// shared map restarts on overflow.
+type execUDFMemo struct {
+	shared *udfMemo
+	seen   map[string]*udfPlanEntry
 }
 
 // run executes one call through the plan. Behaviour matches
@@ -138,24 +195,20 @@ func (ex *exec) runPlannedUDF(plan *udfPlan, args []sqltypes.Value) (sqltypes.Va
 	}
 	ex.keyBuf = buf
 
-	// Per-exec memo first: parallel workers would otherwise serialize on
-	// Plan.mu for every call. It is two-level — plan, then the encoded WHERE
-	// parameters — so the probe on every body execution reads the key out of
-	// the scratch buffer and allocates nothing. Entries are immutable, so a
-	// memoized pointer stays valid even if the plan-level map restarts on
-	// overflow.
-	memo := ex.udfEntries[plan]
-	if entry := memo[string(buf)]; entry != nil {
+	// The probe on every body execution reads the key out of the scratch
+	// buffer and allocates nothing.
+	memo := ex.memoFor(plan)
+	if entry := memo.seen[string(buf)]; entry != nil {
 		return ex.projectPlannedUDF(plan, entry, args)
 	}
-	// A miss materializes the key, before any nested evaluation: building the
-	// entry relation below can call UDFs in the WHERE, which reuse ex.keyBuf.
-	key := string(buf)
+	key := string(buf) // a miss materializes the key
+
+	shared := memo.shared
 	plan.mu.Lock()
-	entry := plan.entries[key]
+	entry := shared.entries[key]
 	plan.mu.Unlock()
 	if entry == nil {
-		// Build outside the lock: the relation derives only from dep-pinned
+		// Build outside the lock: the relation derives only from the pinned
 		// snapshots plus args, so two racing builders produce identical rows
 		// and the first insert wins.
 		psc := rootScope()
@@ -166,24 +219,17 @@ func (ex *exec) runPlannedUDF(plan *udfPlan, args []sqltypes.Value) (sqltypes.Va
 		}
 		entry = &udfPlanEntry{rows: rel.rows, bindings: rel.bindings}
 		plan.mu.Lock()
-		if existing := plan.entries[key]; existing != nil {
+		if existing := shared.entries[key]; existing != nil {
 			entry = existing
 		} else {
-			if len(plan.entries) >= udfPlanEntryCap {
-				plan.entries = make(map[string]*udfPlanEntry)
+			if len(shared.entries) >= udfPlanEntryCap {
+				shared.entries = make(map[string]*udfPlanEntry)
 			}
-			plan.entries[key] = entry
+			shared.entries[key] = entry
 		}
 		plan.mu.Unlock()
 	}
-	if memo == nil {
-		if ex.udfEntries == nil {
-			ex.udfEntries = make(map[*udfPlan]map[string]*udfPlanEntry)
-		}
-		memo = make(map[string]*udfPlanEntry)
-		ex.udfEntries[plan] = memo
-	}
-	memo[key] = entry
+	memo.seen[key] = entry
 	return ex.projectPlannedUDF(plan, entry, args)
 }
 

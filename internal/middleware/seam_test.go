@@ -268,7 +268,7 @@ func sqlastType(e ast.Expr) string {
 func TestSplitSeam(t *testing.T) {
 	gone := map[string][]string{
 		"internal/shard":     {"rtScope", "rtBinding", "rebuildScope", "outputColumnSet", "substituteExpr", "specificBinding", "outputNames", "outputNameOf"},
-		"internal/optimizer": {"topDownReplace", "isAggregateName"},
+		"internal/optimizer": {"topDownReplace", "isAggregateName", "outputExprs"},
 		"internal/rewrite":   {"buildResolver", "outputColumns"},
 		"internal/engine":    {"aggregateNames", "appendSpillValue", "readSpillValue"},
 	}

@@ -501,6 +501,9 @@ func TestShardWriteRouting(t *testing.T) {
 // statement and leaves nothing behind either, and so does a context
 // cancelled between the stages.
 func TestShardCoordinatorStateless(t *testing.T) {
+	// Spill files go to a directory of this test's own: the leak check below
+	// must not see what another package's tests are spilling meanwhile.
+	t.Setenv("TMPDIR", t.TempDir())
 	cfg := shardTestConfig()
 	d := Generate(cfg)
 	place := shard.MapPlacement{Assign: map[int64]int{1: 0, 2: 1, 3: 2, 4: 3, 5: 0}, Fallback: shard.HashPlacement{N: 4}}

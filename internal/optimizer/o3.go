@@ -34,7 +34,7 @@ func applyO3(ctx *rewrite.Context, q *sqlast.Select) {
 func distributeAggregates(ctx *rewrite.Context, path []*sqlast.Select) {
 	s := path[len(path)-1]
 	nested := false
-	outputExprs(s, func(e sqlast.Expr) { nested = nested || len(sqlast.SubqueriesOf(e)) > 0 })
+	sqlast.OutputExprs(s, func(e sqlast.Expr) { nested = nested || len(sqlast.SubqueriesOf(e)) > 0 })
 	if nested {
 		return
 	}

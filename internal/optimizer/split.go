@@ -87,22 +87,6 @@ func plainFold(agg *sqlast.FuncCall, alias func() string) (*aggFold, bool) {
 	return nil, false
 }
 
-// outputExprs calls f for the expressions of the clauses computed over a
-// block's groups: select items, HAVING, ORDER BY keys.
-func outputExprs(s *sqlast.Select, f func(sqlast.Expr)) {
-	for _, it := range s.Items {
-		if it.Expr != nil {
-			f(it.Expr)
-		}
-	}
-	if s.Having != nil {
-		f(s.Having)
-	}
-	for _, o := range s.OrderBy {
-		f(o.Expr)
-	}
-}
-
 // aggSplit is an aggregating block with every distinct aggregate call of its
 // output clauses split by a rule; build cuts the block along them.
 type aggSplit struct {
@@ -132,7 +116,7 @@ func collectAggregates(s *sqlast.Select, rule aggRule) (*aggSplit, bool) {
 		return fmt.Sprintf("mt_a%d", n)
 	}
 	ok := true
-	outputExprs(s, func(e sqlast.Expr) {
+	sqlast.OutputExprs(s, func(e sqlast.Expr) {
 		sqlast.WalkExpr(e, func(x sqlast.Expr) bool {
 			fc, isCall := x.(*sqlast.FuncCall)
 			if !ok || !isCall || !sqlast.IsAggregate(fc.Name) {

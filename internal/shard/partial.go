@@ -58,16 +58,12 @@ const partialsName = "mt_partials"
 func buildPartialPlan(sel *sqlast.Select, schema *mtsql.Schema) (*partialPlan, bool) {
 	// A nested block that reads rows cannot be computed from partial rows.
 	nested := false
-	for _, it := range sel.Items {
-		nested = nested || (it.Expr != nil && exprHasSubquery(it.Expr))
-	}
+	check := func(e sqlast.Expr) { nested = nested || exprHasSubquery(e) }
+	sqlast.OutputExprs(sel, check)
 	for _, g := range sel.GroupBy {
-		nested = nested || exprHasSubquery(g)
+		check(g)
 	}
-	for _, o := range sel.OrderBy {
-		nested = nested || exprHasSubquery(o.Expr)
-	}
-	if nested || exprHasSubquery(sel.Having) {
+	if nested {
 		return nil, false
 	}
 	partial, combine, ok := optimizer.SplitAggregates(sel, schema)

@@ -261,21 +261,14 @@ func topHasAggregation(sel *sqlast.Select) bool {
 		return true
 	}
 	found := false
-	check := func(e sqlast.Expr) {
+	sqlast.OutputExprs(sel, func(e sqlast.Expr) {
 		sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
 			if fc, ok := n.(*sqlast.FuncCall); ok && sqlast.IsAggregate(fc.Name) {
 				found = true
 			}
 			return !found
 		})
-	}
-	for _, it := range sel.Items {
-		check(it.Expr)
-	}
-	check(sel.Having)
-	for _, o := range sel.OrderBy {
-		check(o.Expr)
-	}
+	})
 	return found
 }
 

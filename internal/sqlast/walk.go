@@ -311,6 +311,8 @@ func AndExprs(exprs ...Expr) Expr {
 //	a block's slots    join ONs (left to right, inner joins before the join
 //	                   that holds them), select items, WHERE, GROUP BY,
 //	                   HAVING, ORDER BY
+//	its output clauses select items, HAVING, ORDER BY: the slots computed
+//	                   over the block's groups (OutputExprs)
 //	its nested blocks  derived tables in FROM order, then the subqueries of
 //	                   each slot in slot order
 //	a statement        its own block (SELECT, CREATE VIEW, INSERT ... SELECT),
@@ -338,6 +340,23 @@ func BlockExprs(s *Select, f func(Expr)) {
 	}
 	for _, g := range s.GroupBy {
 		f(g)
+	}
+	if s.Having != nil {
+		f(s.Having)
+	}
+	for i := range s.OrderBy {
+		f(s.OrderBy[i].Expr)
+	}
+}
+
+// OutputExprs calls f for the expressions of the clauses computed over a
+// block's groups — select items, HAVING, ORDER BY keys, in that order: where an
+// aggregate call may stand at the block's own level.
+func OutputExprs(s *Select, f func(Expr)) {
+	for i := range s.Items {
+		if e := s.Items[i].Expr; e != nil {
+			f(e)
+		}
 	}
 	if s.Having != nil {
 		f(s.Having)

@@ -185,6 +185,31 @@ func TestWalkerKnowsEveryField(t *testing.T) {
 		t.Errorf("planted a block in %d fields, want 12: update this count with the walker", planted)
 	}
 
+	// A block's output clauses are a subset of its slots, and which ones is
+	// written down once (OutputExprs): a new clause of Select is either one of
+	// them or named here as one that is not.
+	perRow := map[string]bool{"From": true, "Where": true, "GroupBy": true}
+	selT := reflect.TypeOf(sqlast.Select{})
+	var output []string
+	for i := 0; i < selT.NumField(); i++ {
+		sel, sentinel := sqlast.NewSelect(), sqlast.NewSelect()
+		if !plant(reflect.ValueOf(sel).Elem().Field(i), sentinel) {
+			continue
+		}
+		name, found := selT.Field(i).Name, false
+		sqlast.OutputExprs(sel, func(e sqlast.Expr) {
+			found = found || slices.Contains(sqlast.SubqueriesOf(e), sentinel)
+		})
+		if found {
+			output = append(output, name)
+		} else if !perRow[name] {
+			t.Errorf("Select.%s holds expressions OutputExprs does not reach and is not known as a per-row clause", name)
+		}
+	}
+	if want := []string{"Items", "Having", "OrderBy"}; !slices.Equal(output, want) {
+		t.Errorf("OutputExprs reaches %v, want %v", output, want)
+	}
+
 	// The same for a join: a join planted in any field of JoinExpr that holds a
 	// FROM item is one EachJoin reaches before the join that holds it, and a
 	// field that holds an expression is the condition EachJoin's callers may

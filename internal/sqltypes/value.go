@@ -4,6 +4,7 @@
 package sqltypes
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -464,15 +465,21 @@ func Neg(a Value) (Value, error) {
 
 // AppendKey appends a canonical, collision-free encoding of v to key, used
 // for hash-join and group-by keys. Numeric values that compare equal encode
-// identically (integers widen to float encoding when mixed groups occur is
-// avoided by encoding ints and floats with equal magnitude the same way).
+// identically: an INTEGER that float64 represents exactly takes the float
+// encoding, so 1 and 1.0 meet in every hash structure. One that it does not
+// — beyond 2^53, where neighbouring integers round to one float — is equal to
+// no DECIMAL the engine can hold exactly and takes an exact encoding of its
+// own, which keeps 2^62 and 2^62+1 apart.
 func AppendKey(key []byte, v Value) []byte {
 	switch v.K {
 	case KindNull:
 		return append(key, 'n')
 	case KindInt:
-		// Encode integers as floats so 1 and 1.0 group together.
-		return appendFloatKey(append(key, 'f'), float64(v.I))
+		// f < 2^63 guards the conversion back: int64(2^63) is not defined.
+		if f := float64(v.I); f < 1<<63 && int64(f) == v.I {
+			return appendFloatKey(append(key, 'f'), f)
+		}
+		return binary.LittleEndian.AppendUint64(append(key, 'i'), uint64(v.I))
 	case KindFloat:
 		return appendFloatKey(append(key, 'f'), v.F)
 	case KindString:

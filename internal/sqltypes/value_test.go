@@ -163,6 +163,29 @@ func TestAppendKeyIntFloatAgreement(t *testing.T) {
 	}
 }
 
+// TestAppendKeyKeepsLargeIntsApart: an INTEGER key is exact at any magnitude —
+// neighbours beyond 2^53 round to one float64 and used to share its key —
+// while every INTEGER that a DECIMAL can equal still shares that DECIMAL's.
+func TestAppendKeyKeepsLargeIntsApart(t *testing.T) {
+	key := func(v Value) string { return string(AppendKey(nil, v)) }
+	edges := []int64{0, 1, -1, 1 << 53, 1<<53 + 1, 1<<53 + 2, -(1 << 53) - 1, 1 << 62, 1<<62 + 1,
+		math.MaxInt64 - 1, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for i, a := range edges {
+		for _, b := range edges[i+1:] {
+			if key(NewInt(a)) == key(NewInt(b)) {
+				t.Errorf("INTEGER %d and %d share a key", a, b)
+			}
+		}
+		if f := float64(a); f < 1<<63 && int64(f) == a && key(NewInt(a)) != key(NewFloat(f)) {
+			t.Errorf("INTEGER %d and the DECIMAL equal to it have different keys", a)
+		}
+	}
+	distinct := func(a, b int64) bool { return a == b || key(NewInt(a)) != key(NewInt(b)) }
+	if err := quick.Check(distinct, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestAppendKeyInjective(t *testing.T) {
 	// Property: distinct (string, string) pairs never collide because of the
 	// length-prefixed encoding.
