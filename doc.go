@@ -81,10 +81,6 @@
 //   - mth — the MT-H benchmark: dbgen, 22 queries, validation (§5)
 //   - bench — the experiment driver behind cmd/mtbench: every table and
 //     figure of §6, with the UDF-call ablation
-//   - lint — six project-specific static analyzers mechanizing the
-//     engine's concurrency, determinism and resource invariants; run
-//     `go run ./cmd/mtlint ./...` next to tier-1 verification (ADR-007
-//     in DESIGN.md)
 //   - shard — tenant-partitioned scale-out (ADR-009, ADR-012, ADR-015 and
 //     ADR-018 in DESIGN.md): N independent engine+middleware shards plus a
 //     coordinator replica behind the same middleware.Session surface

@@ -68,15 +68,15 @@ func (s OptSpec) levels() []optimizer.Level {
 type OptResult struct {
 	Spec       OptSpec
 	QueryIDs   []int
-	Baseline   []float64                          // plain TPC-H per query
-	Times      map[optimizer.Level][]float64      // per level, per query
-	UDFCalls   map[optimizer.Level][]int64        // ablation metric
-	Joins      map[optimizer.Level][]engine.Stats // ablation metric: the Join* and ExprSlot* counters — which path the hash joins took, what the operators shared
-	Allocs     map[optimizer.Level][]uint64       // heap allocations of the measured run
-	PlanHits   map[optimizer.Level][]int64        // engine plan-cache hits across the runs
-	PlanMisses map[optimizer.Level][]int64        // engine plan-cache misses (builds)
-	SpillRuns  map[optimizer.Level][]int64        // spill runs written (memory-capped runs)
-	PeakMem    map[optimizer.Level][]int64        // accounted peak bytes of the measured runs
+	Baseline   []float64                                  // plain TPC-H per query
+	Times      map[optimizer.Level][]float64              // per level, per query
+	UDFCalls   map[optimizer.Level][]int64                // ablation metric
+	Joins      map[optimizer.Level][]engine.StatsSnapshot // ablation metric: the Join* and ExprSlot* counters — which path the hash joins took, what the operators shared
+	Allocs     map[optimizer.Level][]uint64               // heap allocations of the measured run
+	PlanHits   map[optimizer.Level][]int64                // engine plan-cache hits across the runs
+	PlanMisses map[optimizer.Level][]int64                // engine plan-cache misses (builds)
+	SpillRuns  map[optimizer.Level][]int64                // spill runs written (memory-capped runs)
+	PeakMem    map[optimizer.Level][]int64                // accounted peak bytes of the measured runs
 }
 
 func (s OptSpec) repeats() int {
@@ -157,8 +157,8 @@ func resetStats(dbs []*engine.DB) {
 	}
 }
 
-func sumStats(dbs []*engine.DB) engine.Stats {
-	var total engine.Stats
+func sumStats(dbs []*engine.DB) engine.StatsSnapshot {
+	var total engine.StatsSnapshot
 	for _, db := range dbs {
 		st := db.Stats.Snapshot()
 		total.UDFCalls += st.UDFCalls
@@ -199,7 +199,7 @@ func RunOptLevels(spec OptSpec, progress io.Writer) (*OptResult, error) {
 		QueryIDs:   ids,
 		Times:      make(map[optimizer.Level][]float64),
 		UDFCalls:   make(map[optimizer.Level][]int64),
-		Joins:      make(map[optimizer.Level][]engine.Stats),
+		Joins:      make(map[optimizer.Level][]engine.StatsSnapshot),
 		Allocs:     make(map[optimizer.Level][]uint64),
 		PlanHits:   make(map[optimizer.Level][]int64),
 		PlanMisses: make(map[optimizer.Level][]int64),
@@ -231,9 +231,6 @@ func RunOptLevels(spec OptSpec, progress io.Writer) (*OptResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s Q%d at %s: %w", spec.Label, id, level, err)
 			}
-			// Counters are updated with sync/atomic by the engine; read them
-			// through Snapshot copies rather than plain field loads (mtlint
-			// atomicstats — plain reads race with any still-parallel work).
 			st := sumStats(dbs)
 			res.Times[level] = append(res.Times[level], secs)
 			res.UDFCalls[level] = append(res.UDFCalls[level], st.UDFCalls)
@@ -331,13 +328,13 @@ func (r *OptResult) WriteTable(w io.Writer) {
 	}
 	for _, c := range []struct {
 		name string
-		of   func(engine.Stats) int64
+		of   func(engine.StatsSnapshot) int64
 	}{
-		{"JoinBuildRows", func(st engine.Stats) int64 { return st.JoinBuildRows }},
-		{"JoinIndexProbes", func(st engine.Stats) int64 { return st.JoinIndexProbes }},
-		{"JoinEagerFallbacks", func(st engine.Stats) int64 { return st.JoinEagerFallbacks }},
-		{"ExprSlots", func(st engine.Stats) int64 { return st.ExprSlots }},
-		{"ExprSlotReuses", func(st engine.Stats) int64 { return st.ExprSlotReuses }},
+		{"JoinBuildRows", func(st engine.StatsSnapshot) int64 { return st.JoinBuildRows }},
+		{"JoinIndexProbes", func(st engine.StatsSnapshot) int64 { return st.JoinIndexProbes }},
+		{"JoinEagerFallbacks", func(st engine.StatsSnapshot) int64 { return st.JoinEagerFallbacks }},
+		{"ExprSlots", func(st engine.StatsSnapshot) int64 { return st.ExprSlots }},
+		{"ExprSlotReuses", func(st engine.StatsSnapshot) int64 { return st.ExprSlotReuses }},
 	} {
 		fmt.Fprintf(w, "%s per level (ablation, across all runs of a query):\n", c.name)
 		for _, level := range r.Spec.levels() {

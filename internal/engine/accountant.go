@@ -45,10 +45,10 @@ func (a *memAccountant) charge(n int64) {
 		return
 	}
 	used := atomic.AddInt64(&a.used, n)
-	st := &a.db.Stats
+	peakMem := &a.db.Stats.PeakMemBytes
 	for {
-		peak := atomic.LoadInt64(&st.PeakMemBytes)
-		if used <= peak || atomic.CompareAndSwapInt64(&st.PeakMemBytes, peak, used) {
+		peak := peakMem.Load()
+		if used <= peak || peakMem.CompareAndSwap(peak, used) {
 			return
 		}
 	}

@@ -304,11 +304,11 @@ func TestPlanCacheSharedAcrossBindings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db.Stats.PlanCacheHits < 99 {
-		t.Fatalf("plan cache hits = %d of 100, want >= 99", db.Stats.PlanCacheHits)
+	if db.Stats.PlanCacheHits.Load() < 99 {
+		t.Fatalf("plan cache hits = %d of 100, want >= 99", db.Stats.PlanCacheHits.Load())
 	}
-	if db.Stats.PlanCacheMisses > 1 {
-		t.Fatalf("plan cache misses = %d, want <= 1", db.Stats.PlanCacheMisses)
+	if db.Stats.PlanCacheMisses.Load() > 1 {
+		t.Fatalf("plan cache misses = %d, want <= 1", db.Stats.PlanCacheMisses.Load())
 	}
 }
 

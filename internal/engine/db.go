@@ -38,8 +38,10 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -270,77 +272,89 @@ func (db *DB) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Stats counts interesting engine events.
+// Stats counts interesting engine events. Parallel workers and concurrent
+// statements update the counters, so each is an atomic.Int64: arithmetic on
+// one does not compile, and copying one or the live struct is `go vet`'s
+// copylocks finding. Read them through Snapshot; tests reset with
+// db.Stats = Stats{}.
 type Stats struct {
-	UDFCalls     int64 // UDF body executions (cache misses in ModePostgres)
-	UDFCacheHits int64
+	UDFCalls     atomic.Int64 // UDF body executions (cache misses in ModePostgres)
+	UDFCacheHits atomic.Int64
 
 	// Plan cache counters: hits serve a validated cached plan, misses build
 	// one (cold or after invalidation), invalidations count the plans found
 	// lowered against a catalog some DDL has replaced since — a DML write
 	// invalidates none.
-	PlanCacheHits          int64
-	PlanCacheMisses        int64
-	PlanCacheInvalidations int64
+	PlanCacheHits          atomic.Int64
+	PlanCacheMisses        atomic.Int64
+	PlanCacheInvalidations atomic.Int64
 
 	// Streaming executor counters: RowsStreamed totals the rows emitted by
 	// physical operators (every operator counts its own emissions, so one
 	// row flowing through a scan, a join and a projection counts three
 	// times), PeakBatch is the largest single batch emitted. Benchmarks
 	// report them per operation to catch accidental materialization.
-	RowsStreamed int64
-	PeakBatch    int64
+	RowsStreamed atomic.Int64
+	PeakBatch    atomic.Int64
 
 	// Spill counters (SetMemoryLimit): SpillRuns counts overflow files
 	// created (sorted runs and Grace join partitions alike), SpillBytes the
 	// bytes written to them, and PeakMemBytes the highest accounted
 	// pipeline-breaker footprint any single statement reached. All stay
 	// zero under the default unlimited budget.
-	SpillRuns    int64
-	SpillBytes   int64
-	PeakMemBytes int64
+	SpillRuns    atomic.Int64
+	SpillBytes   atomic.Int64
+	PeakMemBytes atomic.Int64
 
 	// Hash join counters (DESIGN.md ADR-022): JoinBuildRows counts the rows
 	// inserted into transient join tables, JoinIndexProbes the joins that
 	// probed a base table's persistent index instead of building one, and
 	// JoinEagerFallbacks those of them that built one after all, mid-stream.
-	JoinBuildRows      int64
-	JoinIndexProbes    int64
-	JoinEagerFallbacks int64
+	JoinBuildRows      atomic.Int64
+	JoinIndexProbes    atomic.Int64
+	JoinEagerFallbacks atomic.Int64
 
 	// Shared subexpressions (DESIGN.md ADR-023): ExprSlots counts the slots
 	// lowered — one per shared node, operator instance, execution and
 	// parallel worker — and ExprSlotReuses the row evaluations they saved:
 	// rows an occurrence read from its slot instead of computing.
-	ExprSlots      int64
-	ExprSlotReuses int64
+	ExprSlots      atomic.Int64
+	ExprSlotReuses atomic.Int64
 
 	// Panics counts statements that failed with ErrInternal (DB.Recover).
-	Panics int64
+	Panics atomic.Int64
 }
 
-// Snapshot returns an atomically read copy of the counters, safe to call
-// while parallel queries are updating them. The fields stay plain int64s
-// (updated via sync/atomic) so single-threaded tests and benchmarks can
-// keep resetting with db.Stats = Stats{}.
-func (s *Stats) Snapshot() Stats {
-	return Stats{
-		UDFCalls:               atomic.LoadInt64(&s.UDFCalls),
-		UDFCacheHits:           atomic.LoadInt64(&s.UDFCacheHits),
-		PlanCacheHits:          atomic.LoadInt64(&s.PlanCacheHits),
-		PlanCacheMisses:        atomic.LoadInt64(&s.PlanCacheMisses),
-		PlanCacheInvalidations: atomic.LoadInt64(&s.PlanCacheInvalidations),
-		RowsStreamed:           atomic.LoadInt64(&s.RowsStreamed),
-		PeakBatch:              atomic.LoadInt64(&s.PeakBatch),
-		SpillRuns:              atomic.LoadInt64(&s.SpillRuns),
-		SpillBytes:             atomic.LoadInt64(&s.SpillBytes),
-		PeakMemBytes:           atomic.LoadInt64(&s.PeakMemBytes),
-		JoinBuildRows:          atomic.LoadInt64(&s.JoinBuildRows),
-		JoinIndexProbes:        atomic.LoadInt64(&s.JoinIndexProbes),
-		JoinEagerFallbacks:     atomic.LoadInt64(&s.JoinEagerFallbacks),
-		ExprSlots:              atomic.LoadInt64(&s.ExprSlots),
-		ExprSlotReuses:         atomic.LoadInt64(&s.ExprSlotReuses),
-		Panics:                 atomic.LoadInt64(&s.Panics),
+// StatsSnapshot is a point-in-time copy of Stats, field for field.
+type StatsSnapshot struct {
+	UDFCalls, UDFCacheHits                                 int64
+	PlanCacheHits, PlanCacheMisses, PlanCacheInvalidations int64
+	RowsStreamed, PeakBatch                                int64
+	SpillRuns, SpillBytes, PeakMemBytes                    int64
+	JoinBuildRows, JoinIndexProbes, JoinEagerFallbacks     int64
+	ExprSlots, ExprSlotReuses                              int64
+	Panics                                                 int64
+}
+
+// Snapshot reads every counter, safe while parallel queries update them.
+func (s *Stats) Snapshot() StatsSnapshot {
+	return StatsSnapshot{
+		UDFCalls:               s.UDFCalls.Load(),
+		UDFCacheHits:           s.UDFCacheHits.Load(),
+		PlanCacheHits:          s.PlanCacheHits.Load(),
+		PlanCacheMisses:        s.PlanCacheMisses.Load(),
+		PlanCacheInvalidations: s.PlanCacheInvalidations.Load(),
+		RowsStreamed:           s.RowsStreamed.Load(),
+		PeakBatch:              s.PeakBatch.Load(),
+		SpillRuns:              s.SpillRuns.Load(),
+		SpillBytes:             s.SpillBytes.Load(),
+		PeakMemBytes:           s.PeakMemBytes.Load(),
+		JoinBuildRows:          s.JoinBuildRows.Load(),
+		JoinIndexProbes:        s.JoinIndexProbes.Load(),
+		JoinEagerFallbacks:     s.JoinEagerFallbacks.Load(),
+		ExprSlots:              s.ExprSlots.Load(),
+		ExprSlotReuses:         s.ExprSlotReuses.Load(),
+		Panics:                 s.Panics.Load(),
 	}
 }
 
@@ -362,7 +376,7 @@ func (db *DB) Recover(err *error) {
 		return
 	}
 	if db != nil {
-		atomic.AddInt64(&db.Stats.Panics, 1)
+		db.Stats.Panics.Add(1)
 	}
 	stack := debug.Stack()
 	if wp, ok := r.(*workerPanic); ok {
@@ -394,7 +408,6 @@ func (db *DB) Table(name string) *Table { return db.catalogNow().table(name) }
 func (db *DB) TableNames() []string {
 	cat := db.catalogNow()
 	names := make([]string, 0, len(cat.tables))
-	//mtlint:ignore detmap names are sorted below before they are returned
 	for _, t := range cat.tables {
 		names = append(names, t.Name)
 	}
@@ -1024,13 +1037,7 @@ func (db *DB) ValidateConstraints() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	cat := db.catalogNow()
-	names := make([]string, 0, len(cat.tables))
-	//mtlint:ignore detmap names are sorted below; validation runs in sorted order
-	for k := range cat.tables {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(cat.tables)) {
 		t := cat.tables[name]
 		for _, con := range t.Constraints {
 			if err := db.validateConstraint(cat, t, con); err != nil {

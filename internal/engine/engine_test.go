@@ -2,8 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
+	"mtbase/internal/sqlparse"
 	"mtbase/internal/sqltypes"
 )
 
@@ -293,12 +296,12 @@ func TestUDFAndCacheModes(t *testing.T) {
 		}
 		switch mode {
 		case ModePostgres:
-			if db.Stats.UDFCalls != 1 || db.Stats.UDFCacheHits != 5 {
-				t.Errorf("postgres mode stats = %+v", db.Stats)
+			if db.Stats.UDFCalls.Load() != 1 || db.Stats.UDFCacheHits.Load() != 5 {
+				t.Errorf("postgres mode stats = %+v", db.Stats.Snapshot())
 			}
 		case ModeSystemC:
-			if db.Stats.UDFCalls != 6 || db.Stats.UDFCacheHits != 0 {
-				t.Errorf("system-c mode stats = %+v", db.Stats)
+			if db.Stats.UDFCalls.Load() != 6 || db.Stats.UDFCacheHits.Load() != 0 {
+				t.Errorf("system-c mode stats = %+v", db.Stats.Snapshot())
 			}
 		}
 	}
@@ -321,8 +324,8 @@ func TestUDFCacheIsPerStatement(t *testing.T) {
 	db.Stats = Stats{}
 	queryRows(t, db, "SELECT currencyToUniversal(100, 1)")
 	queryRows(t, db, "SELECT currencyToUniversal(100, 1)")
-	if db.Stats.UDFCalls != 2 {
-		t.Errorf("cache must not span statements: %+v", db.Stats)
+	if db.Stats.UDFCalls.Load() != 2 {
+		t.Errorf("cache must not span statements: %+v", db.Stats.Snapshot())
 	}
 }
 
@@ -449,6 +452,17 @@ INSERT INTO Employees VALUES (1, 0), (2, NULL);`
 	if err := db.ValidateConstraints(); err == nil {
 		t.Error("dangling FK not detected")
 	}
+	// With two tables in violation, the first by name is reported, every time.
+	if _, err := db.ExecScript(`CREATE TABLE Audit (A_role_id INTEGER,
+  CONSTRAINT fk_a FOREIGN KEY (A_role_id) REFERENCES Roles (R_role_id));
+INSERT INTO Audit VALUES (98);`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := db.ValidateConstraints(); err == nil || !strings.Contains(err.Error(), "fk_a") {
+			t.Fatalf("want Audit's fk_a reported first, got %v", err)
+		}
+	}
 }
 
 func TestDateArithmeticInQueries(t *testing.T) {
@@ -496,6 +510,23 @@ CREATE TABLE l (lpk INTEGER, qty INTEGER);`
 		((brand = 'B1' AND qty BETWEEN 1 AND 11) OR (brand = 'B2' AND qty BETWEEN 10 AND 20))`)
 	if rows[0][0].I != rows2[0][0].I || rows[0][0].I == 0 {
 		t.Errorf("or factoring mismatch: %v vs %v", rows[0][0], rows2[0][0])
+	}
+	// The implied conjuncts come out in text order however the branches list
+	// them: a map collects them, and a plan's conjunct order must not follow
+	// its iteration.
+	q, err := sqlparse.ParseQuery(`SELECT 1 FROM l, p WHERE (qty > 1 AND pk = lpk AND brand = 'B1') OR
+		(brand = 'B1' AND qty < 9 AND pk = lpk AND qty > 1)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		var got []string
+		for _, c := range factorCommonOr(q.Where) {
+			got = append(got, c.String())
+		}
+		if want := []string{"(brand = 'B1')", "(pk = lpk)", "(qty > 1)"}; !slices.Equal(got, want) {
+			t.Fatalf("factored conjuncts %q, want %q", got, want)
+		}
 	}
 }
 

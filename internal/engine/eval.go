@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"unicode/utf8"
 
 	"mtbase/internal/sqlast"
@@ -1032,7 +1031,7 @@ func (ex *exec) callUDF(fn *Function, args []sqltypes.Value) (sqltypes.Value, er
 	}
 	ex.keyBuf = buf
 	if v, ok := ex.udfCache[string(buf)]; ok {
-		atomic.AddInt64(&ex.db.Stats.UDFCacheHits, 1)
+		ex.db.Stats.UDFCacheHits.Add(1)
 		return v, nil
 	}
 	// Materialize the key before executing the body: a recursive function
@@ -1054,7 +1053,7 @@ func (ex *exec) callUDF(fn *Function, args []sqltypes.Value) (sqltypes.Value, er
 // the call returns (the interpreter builds one per call, the call kernel
 // keeps one per activation on the scratch stack).
 func (ex *exec) execUDFBody(fn *Function, args []sqltypes.Value) (sqltypes.Value, error) {
-	atomic.AddInt64(&ex.db.Stats.UDFCalls, 1)
+	ex.db.Stats.UDFCalls.Add(1)
 	if ex.depth > 64 {
 		return sqltypes.Null, fmt.Errorf("engine: UDF recursion too deep in %s", fn.Name)
 	}

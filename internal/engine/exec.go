@@ -11,7 +11,8 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"mtbase/internal/sqlast"
@@ -800,13 +801,7 @@ func factorCommonOr(e sqlast.Expr) []sqlast.Expr {
 				}
 			}
 		}
-		keys := make([]string, 0, len(common))
-		//mtlint:ignore detmap keys are sorted below before the conjuncts are emitted
-		for k := range common {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range slices.Sorted(maps.Keys(common)) {
 			out = append(out, sqlast.CloneExpr(common[k]))
 		}
 	}
@@ -1234,7 +1229,6 @@ func ownerMap(rels ...*relation) map[string][]string {
 	m := make(map[string][]string)
 	for _, r := range rels {
 		for _, b := range r.bindings {
-			//mtlint:ignore detmap one append per (column, binding); the binding slice order fixes each per-column list
 			for c := range b.colIdx {
 				m[c] = append(m[c], b.name)
 			}

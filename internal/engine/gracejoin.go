@@ -33,8 +33,6 @@ package engine
 // every probe batch from the one that tripped the budget is partitioned.
 
 import (
-	"sync/atomic"
-
 	"mtbase/internal/sqltypes"
 )
 
@@ -287,7 +285,7 @@ func (g *graceState) processPartition(ex *exec, bp, pp *partWriter, salt, depth 
 		ex.acct.charge(add)
 		charged += add
 	}
-	atomic.AddInt64(&ex.db.Stats.JoinBuildRows, int64(len(brows)))
+	ex.db.Stats.JoinBuildRows.Add(int64(len(brows)))
 	build := make(map[string][]int, len(brows))
 	for i, k := range bkeys {
 		build[k] = append(build[k], i)

@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"mtbase/internal/sqlast"
 	"mtbase/internal/sqltypes"
@@ -81,10 +80,10 @@ func resetKeyCols(cols [][]sqltypes.Value, n int) [][]sqltypes.Value {
 // stream batches at once.
 func (ex *exec) noteStream(n int) {
 	st := &ex.db.Stats
-	atomic.AddInt64(&st.RowsStreamed, int64(n))
+	st.RowsStreamed.Add(int64(n))
 	for {
-		peak := atomic.LoadInt64(&st.PeakBatch)
-		if int64(n) <= peak || atomic.CompareAndSwapInt64(&st.PeakBatch, peak, int64(n)) {
+		peak := st.PeakBatch.Load()
+		if int64(n) <= peak || st.PeakBatch.CompareAndSwap(peak, int64(n)) {
 			return
 		}
 	}
@@ -581,7 +580,7 @@ func (j *joinOperator) Open(ex *exec) error {
 	if sized && idx.candidates(len(j.lrel.rows)) >= j.cand.budget {
 		return j.eagerBuild(ex)
 	}
-	atomic.AddInt64(&ex.db.Stats.JoinIndexProbes, 1)
+	ex.db.Stats.JoinIndexProbes.Add(1)
 	j.idx, j.rightRows = idx, heap
 	j.cand.f = ex.newFilterOp(j.own, j.rrel, j.parent)
 	return nil
@@ -638,7 +637,7 @@ func (j *joinOperator) eagerBuild(ex *exec) error {
 // computed column-wise per batch and encoded from the key columns, so bucket
 // lists keep build row order.
 func (ex *exec) vecJoinBuild(rrel *relation, rows [][]sqltypes.Value, pairs []equiPair, parent *scope) (map[string][]int, error) {
-	atomic.AddInt64(&ex.db.Stats.JoinBuildRows, int64(len(rows)))
+	ex.db.Stats.JoinBuildRows.Add(int64(len(rows)))
 	r := &relation{bindings: rrel.bindings, rows: rows, width: rrel.width}
 	build := make(map[string][]int, len(rows))
 	// Morsel-parallel build: workers encode the key column for disjoint row
@@ -768,7 +767,7 @@ func (j *joinOperator) probeBatch(ex *exec, b *Batch) error {
 			default:
 				// Over budget: build eagerly after all; this batch, none of
 				// whose rows is out yet, is the first to probe the result.
-				atomic.AddInt64(&ex.db.Stats.JoinEagerFallbacks, 1)
+				ex.db.Stats.JoinEagerFallbacks.Add(1)
 				if err := j.eagerBuild(ex); err != nil {
 					return err
 				}

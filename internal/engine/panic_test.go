@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"mtbase/internal/sqlast"
@@ -89,7 +88,7 @@ func TestPanicIsTheStatementsError(t *testing.T) {
 			if !errors.Is(err, ErrInternal) || !strings.Contains(err.Error(), "boom") {
 				t.Fatalf("got %v, want ErrInternal carrying the panic value", err)
 			}
-			if got := atomic.LoadInt64(&db.Stats.Panics); got != 1 {
+			if got := db.Stats.Panics.Load(); got != 1 {
 				t.Errorf("engine.panics = %d, want 1", got)
 			}
 			assertDirEmpty(t, dir)
@@ -152,7 +151,7 @@ func TestPanicInLoweringIsTheStatementsError(t *testing.T) {
 				return err
 			}
 			p, err := db.PreparePlan(overView)
-			if err != nil || db.Stats.Panics != 0 {
+			if err != nil || db.Stats.Panics.Load() != 0 {
 				return fmt.Errorf("preparing over the table: %v", err)
 			}
 			hollow(db)
@@ -186,7 +185,7 @@ func TestPanicInLoweringIsTheStatementsError(t *testing.T) {
 			if !errors.Is(err, ErrInternal) {
 				t.Fatalf("got %v, want ErrInternal", err)
 			}
-			if got := atomic.LoadInt64(&db.Stats.Panics); got != 1 {
+			if got := db.Stats.Panics.Load(); got != 1 {
 				t.Errorf("engine.panics = %d, want 1", got)
 			}
 			// The lock was released: a write and a read go through.

@@ -27,7 +27,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"mtbase/internal/sqlast"
 	"mtbase/internal/sqlparse"
@@ -237,7 +236,6 @@ func (p *Plan) SharedExprs() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	sels := make([]*sqlast.Select, 0, len(p.analysis))
-	//mtlint:ignore detmap the blocks are sorted by subquery ID below
 	for sel := range p.analysis {
 		sels = append(sels, sel)
 	}
@@ -618,10 +616,10 @@ func (db *DB) planForLocked(sql string) (*Plan, error) {
 	}
 	np := db.revalidatePlanLocked(p)
 	if np != p {
-		atomic.AddInt64(&db.Stats.PlanCacheMisses, 1)
+		db.Stats.PlanCacheMisses.Add(1)
 		return np, nil
 	}
-	atomic.AddInt64(&db.Stats.PlanCacheHits, 1)
+	db.Stats.PlanCacheHits.Add(1)
 	db.planClock++
 	p.lastUse = db.planClock
 	return p, nil
@@ -645,7 +643,6 @@ func (db *DB) storePlanLocked(p *Plan) {
 // evictPlansLocked drops the least-recently-used half of the cache.
 func (db *DB) evictPlansLocked() {
 	uses := make([]uint64, 0, len(db.plans))
-	//mtlint:ignore detmap uses are sorted below to pick the cutoff; eviction itself is order-free
 	for _, p := range db.plans {
 		uses = append(uses, p.lastUse)
 	}
@@ -680,7 +677,7 @@ func (db *DB) revalidatePlanLocked(p *Plan) *Plan {
 		return p
 	}
 	if p.cat != nil {
-		atomic.AddInt64(&db.Stats.PlanCacheInvalidations, 1)
+		db.Stats.PlanCacheInvalidations.Add(1)
 	}
 	np := buildPlan(cat, p.sql, p.stmt)
 	db.storePlanLocked(np)

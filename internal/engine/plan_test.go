@@ -20,8 +20,8 @@ func TestPlanCacheHitsRepeatedText(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db.Stats.PlanCacheHits != 3 || db.Stats.PlanCacheMisses != 1 {
-		t.Fatalf("want 3 hits / 1 miss, got %+v", db.Stats)
+	if db.Stats.PlanCacheHits.Load() != 3 || db.Stats.PlanCacheMisses.Load() != 1 {
+		t.Fatalf("want 3 hits / 1 miss, got %+v", db.Stats.Snapshot())
 	}
 	for _, cfg := range []execConfig{cfgEvalCheck, cfgReference} {
 		cfg.apply(db)
@@ -29,8 +29,8 @@ func TestPlanCacheHitsRepeatedText(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db.Stats.PlanCacheHits != 5 || db.Stats.PlanCacheMisses != 1 {
-		t.Fatalf("%s and %s runs should hit the production plan: %+v", cfgEvalCheck.name, cfgReference.name, db.Stats)
+	if db.Stats.PlanCacheHits.Load() != 5 || db.Stats.PlanCacheMisses.Load() != 1 {
+		t.Fatalf("%s and %s runs should hit the production plan: %+v", cfgEvalCheck.name, cfgReference.name, db.Stats.Snapshot())
 	}
 }
 
@@ -53,8 +53,8 @@ func TestPlanFreshAcrossWrites(t *testing.T) {
 	if _, err := db.ExecSQL(sql); err != nil {
 		t.Fatal(err)
 	}
-	if db.Stats.PlanCacheHits != 1 {
-		t.Fatalf("second run should hit: %+v", db.Stats)
+	if db.Stats.PlanCacheHits.Load() != 1 {
+		t.Fatalf("second run should hit: %+v", db.Stats.Snapshot())
 	}
 	p := db.plans[sql]
 	// Change the conversion rate of tenant 1's currency: the UDF body reads
@@ -69,8 +69,8 @@ func TestPlanFreshAcrossWrites(t *testing.T) {
 	if got := res.Rows[0][0].AsFloat(); got != 200 {
 		t.Fatalf("conversion after rate change = %v, want 200 (stale relation served)", got)
 	}
-	if p == nil || db.plans[sql] != p || db.Stats.PlanCacheInvalidations != 0 || db.Stats.PlanCacheHits != 2 {
-		t.Fatalf("a data write re-lowered the plan: %p → %p, %+v", p, db.plans[sql], db.Stats)
+	if p == nil || db.plans[sql] != p || db.Stats.PlanCacheInvalidations.Load() != 0 || db.Stats.PlanCacheHits.Load() != 2 {
+		t.Fatalf("a data write re-lowered the plan: %p → %p, %+v", p, db.plans[sql], db.Stats.Snapshot())
 	}
 }
 
@@ -114,8 +114,8 @@ func TestWritesVisibleInEverySlot(t *testing.T) {
 		if after == before {
 			t.Errorf("%s\nthe write to Regions changed nothing: the statement does not test its slot", sql)
 		}
-		if p == nil || db.plans[sql] != p || db.Stats.PlanCacheInvalidations != 0 {
-			t.Errorf("%s\na write to Regions re-lowered the plan: %+v", sql, db.Stats)
+		if p == nil || db.plans[sql] != p || db.Stats.PlanCacheInvalidations.Load() != 0 {
+			t.Errorf("%s\na write to Regions re-lowered the plan: %+v", sql, db.Stats.Snapshot())
 		}
 	}
 }
@@ -223,7 +223,7 @@ func TestValuesInsertNotCached(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := db.Stats; db.plans[sql] == nil || st.PlanCacheMisses != 1 || st.PlanCacheHits != 2 || st.PlanCacheInvalidations != 0 {
+	if st := db.Stats.Snapshot(); db.plans[sql] == nil || st.PlanCacheMisses != 1 || st.PlanCacheHits != 2 || st.PlanCacheInvalidations != 0 {
 		t.Fatalf("parameterized VALUES INSERT: cached=%v, %+v; want one miss, two hits", db.plans[sql] != nil, st)
 	}
 	if got := queryRows(t, db, "SELECT COUNT(*), SUM(a) FROM t")[0]; got[0].AsInt() != 5 || got[1].AsInt() != 17 {
@@ -317,8 +317,8 @@ func TestPlanCacheDisabled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db.Stats.PlanCacheHits != 0 || db.Stats.PlanCacheMisses != 3 {
-		t.Fatalf("want 0 hits / 3 misses with cache off, got %+v", db.Stats)
+	if db.Stats.PlanCacheHits.Load() != 0 || db.Stats.PlanCacheMisses.Load() != 3 {
+		t.Fatalf("want 0 hits / 3 misses with cache off, got %+v", db.Stats.Snapshot())
 	}
 }
 
@@ -340,6 +340,17 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 	if len(db.plans) > planCacheCap {
 		t.Fatalf("cache grew to %d entries (cap %d)", len(db.plans), planCacheCap)
+	}
+	// The least recently used half goes at once: one text past a full cache
+	// leaves the newest cap/2 − 1 and itself.
+	db.InvalidatePlans()
+	for i := 0; i <= planCacheCap; i++ {
+		if _, err := db.PreparePlan(fmt.Sprintf("SELECT a + %d FROM t", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(db.plans) != planCacheCap/2 {
+		t.Fatalf("%d entries after one eviction, want %d", len(db.plans), planCacheCap/2)
 	}
 }
 

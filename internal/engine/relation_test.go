@@ -110,7 +110,12 @@ func TestQueryWithLeavesDatabaseUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, heap, data := fmt.Sprint(db.TableNames()), tab.Heap(), tab.data.Load()
+	names, heap, data := "[dim fact other]", tab.Heap(), tab.data.Load()
+	for i := 0; i < 100; i++ {
+		if got := fmt.Sprint(db.TableNames()); got != names {
+			t.Fatalf("TableNames %s, want them sorted: %s", got, names)
+		}
+	}
 
 	fact, extra := relFixture(2600)
 	stats, nplans := db.Stats.Snapshot(), len(db.plans)

@@ -5,12 +5,16 @@ package engine
 // per layer and nowhere else, the reference executor shares no batch
 // program or parallel section with the operator tree it is the oracle for,
 // and (ADR-016) the batch kernels are the only compiled form of an
-// expression, with the interpreter their only fallback.
+// expression, with the interpreter their only fallback. TestLockedRegionsPullNothing,
+// TestOperatorNextPolls and TestSpillFileSeam hold, on the same source walk,
+// the three structural invariants of ADR-025: no batch pull under db.mu, a
+// cancellation poll in every operator's Next, spill files from one seam.
 
 import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"slices"
@@ -28,6 +32,26 @@ var seamFuncs = map[string][]string{
 	"streamOff": {"DB.SetStreamExec", "DB.newExec"},
 	"interp":    {"DB.newExec", "exec.workerClone", "exec.vecCompileAll", "exec.planUDF"},
 	"reference": {"DB.newExec", "exec.runQuery", "DB.queryRows"},
+}
+
+// spillSeamFuncs: spill files (ADR-006) come from one seam. Only the
+// osSpillFS seam creates a temp file, and only newSpillFile, which registers
+// it for cleanup, calls the seam.
+var spillSeamFuncs = map[string][]string{
+	"CreateTemp": {"osSpillFS.create"},
+	"create":     {"osSpillFS.create", "exec.newSpillFile"},
+}
+
+// lockedEntries are the functions that take db.mu. Each holds it from the
+// Lock to its return — `defer ….mu.Unlock()` is the next statement, one
+// locked region per entry (ADR-024) — and mentions no Next, pull* or Collect:
+// a batch pull runs lock-free against pinned snapshots (ADR-004), so a
+// writer never waits on a cursor.
+var lockedEntries = []string{
+	"DB.CreateTableDirect", "DB.ExecPlanContext", "DB.InvalidatePlans", "DB.PreparePlan",
+	"DB.SetCompileExprs", "DB.SetMemoryLimit", "DB.SetParallelism", "DB.SetPlanCache",
+	"DB.SetSpillDir", "DB.SetStreamExec", "DB.ValidateConstraints", "DB.pinExec",
+	"Table.BulkLoad", "Table.ReplaceRows",
 }
 
 // referenceForbidden lists what no function of exec.go may mention: the
@@ -66,15 +90,21 @@ func funcName(fd *ast.FuncDecl) string {
 	return fd.Name.Name
 }
 
-func TestModeSeam(t *testing.T) {
+// sourceFile is one parsed non-test file of the package.
+type sourceFile struct {
+	name string
+	src  []byte
+	f    *ast.File
+}
+
+func parsePackage(t *testing.T) []sourceFile {
+	t.Helper()
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	modeLines := 0
-	var graceOwners, liftCallers []string
-	fallsBackToInterp := false
+	var out []sourceFile
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -83,16 +113,70 @@ func TestModeSeam(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, line := range strings.Split(string(src), "\n") {
-			if strings.Contains(line, "noCompile") || strings.Contains(line, "streamOff") {
-				modeLines++
-			}
-		}
 		f, err := parser.ParseFile(fset, name, src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, decl := range f.Decls {
+		out = append(out, sourceFile{name, src, f})
+	}
+	return out
+}
+
+// sourceFunc is one function declaration with every identifier it mentions.
+type sourceFunc struct {
+	file string
+	name string
+	fd   *ast.FuncDecl
+	used map[string]bool
+}
+
+func packageFuncs(t *testing.T) []sourceFunc {
+	t.Helper()
+	var out []sourceFunc
+	for _, sf := range parsePackage(t) {
+		for _, decl := range sf.f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				out = append(out, sourceFunc{sf.name, funcName(fd), fd, identsUsed(fd)})
+			}
+		}
+	}
+	return out
+}
+
+func identsUsed(n ast.Node) map[string]bool {
+	used := map[string]bool{}
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			used[id.Name] = true
+		}
+		return true
+	})
+	return used
+}
+
+// checkSeam fails for each identifier of seam that sf mentions without being
+// one of the functions allowed to.
+func checkSeam(t *testing.T, seam map[string][]string, sf sourceFunc) {
+	t.Helper()
+	for id, allowed := range seam {
+		if sf.used[id] && !slices.Contains(allowed, sf.name) {
+			t.Errorf("%s: %s mentions %s; only %v may", sf.file, sf.name, id, allowed)
+		}
+	}
+}
+
+func TestModeSeam(t *testing.T) {
+	modeLines := 0
+	var graceOwners, liftCallers []string
+	fallsBackToInterp := false
+	for _, sf := range parsePackage(t) {
+		name := sf.name
+		for _, line := range strings.Split(string(sf.src), "\n") {
+			if strings.Contains(line, "noCompile") || strings.Contains(line, "streamOff") {
+				modeLines++
+			}
+		}
+		for _, decl := range sf.f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				// Type declarations: filterOp must not regrow its expression
@@ -120,19 +204,8 @@ func TestModeSeam(t *testing.T) {
 				})
 				continue
 			}
-			fn := funcName(fd)
-			used := map[string]bool{}
-			ast.Inspect(fd, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					used[id.Name] = true
-				}
-				return true
-			})
-			for id, allowed := range seamFuncs {
-				if used[id] && !slices.Contains(allowed, fn) {
-					t.Errorf("%s: %s mentions %s; only %v may", name, fn, id, allowed)
-				}
-			}
+			fn, used := funcName(fd), identsUsed(fd)
+			checkSeam(t, seamFuncs, sourceFunc{name, fn, fd, used})
 			for _, id := range deletedTwins {
 				if used[id] {
 					t.Errorf("%s: %s mentions deleted twin %s", name, fn, id)
@@ -197,4 +270,98 @@ func TestModeSeam(t *testing.T) {
 	if modeLines > 12 {
 		t.Errorf("%d source lines mention noCompile/streamOff; the seam allows 12", modeLines)
 	}
+}
+
+// TestLockedRegionsPullNothing: the functions taking db.mu are exactly
+// lockedEntries, each defers its Unlock right after the Lock, and none
+// mentions a batch pull.
+func TestLockedRegionsPullNothing(t *testing.T) {
+	var lockers []string
+	for _, sf := range packageFuncs(t) {
+		if !takesDBMu(t, sf.fd) {
+			continue
+		}
+		lockers = append(lockers, sf.name)
+		for id := range sf.used {
+			if id == "Next" || id == "Collect" || strings.HasPrefix(id, "pull") {
+				t.Errorf("%s: %s holds db.mu and mentions %s", sf.file, sf.name, id)
+			}
+		}
+	}
+	slices.Sort(lockers)
+	if !slices.Equal(lockers, lockedEntries) {
+		t.Errorf("functions taking db.mu: %v, want %v", lockers, lockedEntries)
+	}
+}
+
+// TestOperatorNextPolls: every operator's Next polls ex.cancelled() or pulls
+// a child's Next, so a cancelled statement stops within one batch.
+func TestOperatorNextPolls(t *testing.T) {
+	nexts := 0
+	for _, sf := range packageFuncs(t) {
+		if !isOperatorNext(sf.fd) {
+			continue
+		}
+		nexts++
+		if !sf.used["cancelled"] && !callsNext(sf.fd.Body) {
+			t.Errorf("%s: %s neither polls ex.cancelled() nor pulls a child's Next", sf.file, sf.name)
+		}
+	}
+	if nexts == 0 {
+		t.Error("no Operator.Next(ex *exec) found")
+	}
+}
+
+// TestSpillFileSeam: spill temp files are created only through the
+// registered seam (spillSeamFuncs).
+func TestSpillFileSeam(t *testing.T) {
+	for _, sf := range packageFuncs(t) {
+		checkSeam(t, spillSeamFuncs, sf)
+	}
+}
+
+// takesDBMu reports whether fd locks db.mu (or t.db.mu, ex.db.mu), failing
+// the test unless the statement right after the Lock defers its Unlock.
+func takesDBMu(t *testing.T, fd *ast.FuncDecl) bool {
+	locks := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		blk, ok := n.(*ast.BlockStmt)
+		if !ok {
+			return true
+		}
+		for i, st := range blk.List {
+			es, _ := st.(*ast.ExprStmt)
+			if es == nil || !strings.HasSuffix(types.ExprString(es.X), "db.mu.Lock()") {
+				continue
+			}
+			locks = true
+			unlock := strings.TrimSuffix(types.ExprString(es.X), "Lock()") + "Unlock()"
+			var next ast.Stmt
+			if i+1 < len(blk.List) {
+				next = blk.List[i+1]
+			}
+			if d, ok := next.(*ast.DeferStmt); !ok || types.ExprString(d.Call) != unlock {
+				t.Errorf("%s: %s is not followed by defer %s", funcName(fd), types.ExprString(es.X), unlock)
+			}
+		}
+		return true
+	})
+	return locks
+}
+
+// isOperatorNext reports whether fd is an Operator's Next(ex *exec).
+func isOperatorNext(fd *ast.FuncDecl) bool {
+	p := fd.Type.Params.List
+	return fd.Recv != nil && fd.Name.Name == "Next" && len(p) == 1 && types.ExprString(p[0].Type) == "*exec"
+}
+
+func callsNext(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Next" {
+			found = true
+		}
+		return !found
+	})
+	return found
 }

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"mtbase/internal/sqlast"
 	"mtbase/internal/sqltypes"
@@ -277,7 +276,7 @@ func (s *exprSlots) kernel(ve *venv, id int32) vecExpr {
 	sl := &s.slots[id]
 	if sl.prog == nil {
 		sl.prog = ve.lower(ve.shared.reps[id])
-		atomic.AddInt64(&s.stats.ExprSlots, 1)
+		s.stats.ExprSlots.Add(1)
 	}
 	st, stats := ve.vs, s.stats
 	return func(b *Batch, sel []int32, out []sqltypes.Value) {
@@ -305,7 +304,7 @@ func (s *exprSlots) kernel(ve *venv, id int32) vecExpr {
 				}
 			}
 			if reused := len(sel) - len(need); reused > 0 {
-				atomic.AddInt64(&stats.ExprSlotReuses, int64(reused))
+				stats.ExprSlotReuses.Add(int64(reused))
 			}
 		}
 		if len(need) > 0 {

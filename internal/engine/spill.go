@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 
 	"mtbase/internal/sqltypes"
 )
@@ -140,7 +139,7 @@ func (ex *exec) newSpillFile() (spillFile, error) {
 		return nil, fmt.Errorf("engine: spill: %w", err)
 	}
 	ex.spills.register(f)
-	atomic.AddInt64(&ex.db.Stats.SpillRuns, 1)
+	ex.db.Stats.SpillRuns.Add(1)
 	return f, nil
 }
 
@@ -280,7 +279,7 @@ func (p *partWriter) write(rec *spillRec) error {
 	if _, err := p.bw.Write(p.buf); err != nil {
 		return fmt.Errorf("engine: spill: %w", err)
 	}
-	atomic.AddInt64(&p.ex.db.Stats.SpillBytes, int64(len(p.buf)))
+	p.ex.db.Stats.SpillBytes.Add(int64(len(p.buf)))
 	p.n++
 	return nil
 }
@@ -367,7 +366,7 @@ func (s *spiller) flush() error {
 	if err := f.finish(); err != nil {
 		return fmt.Errorf("engine: spill: %w", err)
 	}
-	atomic.AddInt64(&s.ex.db.Stats.SpillBytes, written)
+	s.ex.db.Stats.SpillBytes.Add(written)
 	s.runs = append(s.runs, f)
 	s.recs = s.recs[:0]
 	s.ex.acct.release(s.charged)

@@ -314,6 +314,7 @@ var errInjected = errors.New("injected spill fault")
 type faultFS struct {
 	mu      sync.Mutex
 	creates int
+	filled  int // files written to at least once
 	writes  int
 	reads   int
 
@@ -343,11 +344,16 @@ func (fs *faultFS) create(dir string) (spillFile, error) {
 type faultFile struct {
 	fs *faultFS
 	spillFile
+	written bool
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
 	f.fs.mu.Lock()
 	f.fs.writes++
+	if !f.written {
+		f.written = true
+		f.fs.filled++
+	}
 	fail := f.fs.failWriteAt > 0 && f.fs.writes >= f.fs.failWriteAt
 	f.fs.mu.Unlock()
 	if fail {
@@ -461,8 +467,11 @@ func TestSpillFaultInjection(t *testing.T) {
 			assertDirEmpty(t, dir)
 
 			// Fault cleared: the statement must recover, actually spill, and
-			// match the unlimited oracle byte for byte.
-			db.spillfs = nil
+			// match the unlimited oracle byte for byte — and write every file
+			// it acquired: one it took and lost would be left to the
+			// end-of-statement sweep.
+			clean := &faultFS{}
+			db.spillfs = clean
 			db.Stats = Stats{}
 			got, err := db.QuerySQL(tc.query)
 			if err != nil {
@@ -473,6 +482,9 @@ func TestSpillFaultInjection(t *testing.T) {
 			}
 			if db.Stats.Snapshot().SpillRuns == 0 {
 				t.Fatal("recovered statement did not spill")
+			}
+			if clean.filled != clean.creates {
+				t.Fatalf("%d of %d spill files acquired were never written", clean.creates-clean.filled, clean.creates)
 			}
 			assertDirEmpty(t, dir)
 		})

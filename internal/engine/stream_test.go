@@ -337,14 +337,14 @@ func TestStreamedJoinBoundedMemory(t *testing.T) {
 	if !rows.Next() {
 		t.Fatalf("no row: %v", rows.Err())
 	}
-	streamed := db.Stats.RowsStreamed
+	streamed := db.Stats.RowsStreamed.Load()
 	// One probe batch flows through scan → filter → join → project (≤ 4
 	// emissions of ≤ 1024 rows) plus the dim build side; 8 batches of slack
 	// covers scratch. Anything near n means the pipeline materialized.
 	if limit := int64(8*batchSize + 100); streamed > limit {
 		t.Fatalf("RowsStreamed = %d after first row; want <= %d (probe table has %d rows)", streamed, limit, n)
 	}
-	if db.Stats.PeakBatch > int64(batchSize) {
-		t.Fatalf("PeakBatch = %d exceeds batch size %d", db.Stats.PeakBatch, batchSize)
+	if db.Stats.PeakBatch.Load() > int64(batchSize) {
+		t.Fatalf("PeakBatch = %d exceeds batch size %d", db.Stats.PeakBatch.Load(), batchSize)
 	}
 }

@@ -34,8 +34,8 @@ func TestUncorrelatedSubqueryCachedOnce(t *testing.T) {
 	}
 	// 6 employee rows with distinct (salary, ttid) pairs -> 6 UDF body runs
 	// if the subquery ran once; far more if it ran per outer row.
-	if db.Stats.UDFCalls > 6 {
-		t.Errorf("uncorrelated subquery not cached: %d UDF calls", db.Stats.UDFCalls)
+	if db.Stats.UDFCalls.Load() > 6 {
+		t.Errorf("uncorrelated subquery not cached: %d UDF calls", db.Stats.UDFCalls.Load())
 	}
 }
 

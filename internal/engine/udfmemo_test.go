@@ -218,7 +218,7 @@ func TestUDFBodyReadingThroughUDFIsNotPlanned(t *testing.T) {
 			t.Errorf("body of %s planned = %v, want %v", fn.Name, up.ok, want)
 		}
 	}
-	if db.Stats.PlanCacheInvalidations != 0 {
-		t.Errorf("writes re-lowered the plan: %+v", db.Stats)
+	if db.Stats.PlanCacheInvalidations.Load() != 0 {
+		t.Errorf("writes re-lowered the plan: %+v", db.Stats.Snapshot())
 	}
 }

@@ -106,7 +106,6 @@ func (sc *stmtCache) store(st *Statement, key formKey, f *compiled) {
 // evict drops the least-recently-used half of the entries with their forms.
 func (sc *stmtCache) evict() {
 	uses := make([]uint64, 0, len(sc.entries))
-	//mtlint:ignore detmap uses are sorted below to pick the cutoff; eviction itself is order-free
 	for _, e := range sc.entries {
 		uses = append(uses, e.lastUse)
 	}

@@ -207,6 +207,19 @@ func TestStatementCacheKeepsWhatIsUsed(t *testing.T) {
 	if n := len(srv.cache.entries); n > stmtCacheCap {
 		t.Errorf("cache holds %d texts, capacity %d", n, stmtCacheCap)
 	}
+	// The least recently used half goes at once: one text past a full cache
+	// leaves the newest cap/2 − 1 and itself.
+	var sc stmtCache
+	for i := 0; i <= stmtCacheCap; i++ {
+		st, err := Parse(fmt.Sprintf("SELECT %d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.entry(st)
+	}
+	if len(sc.entries) != stmtCacheCap/2 {
+		t.Errorf("%d texts after one eviction, want %d", len(sc.entries), stmtCacheCap/2)
+	}
 }
 
 // TestPreparedDMLCompilesPerContext: a prepared write keeps its compiled

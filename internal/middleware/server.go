@@ -11,6 +11,8 @@ package middleware
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -121,12 +123,7 @@ func (s *Server) Tenants() []int64 {
 }
 
 func (s *Server) tenantsLocked() []int64 {
-	out := make([]int64, 0, len(s.tenants))
-	for t := range s.tenants { //mtlint:ignore detmap the ttids are sorted below before they are returned
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(s.tenants))
 }
 
 func (s *Server) grantLocked(grantee, owner int64, table string, p sqlast.Privilege) {

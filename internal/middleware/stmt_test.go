@@ -117,9 +117,9 @@ func TestPreparedSharesCaches(t *testing.T) {
 			t.Fatalf("iteration %d: %d rows", i, len(res.Rows))
 		}
 	}
-	if db.Stats.PlanCacheHits < 99 {
+	if db.Stats.PlanCacheHits.Load() < 99 {
 		t.Fatalf("engine plan-cache hits = %d of 100, want >= 99 (misses %d)",
-			db.Stats.PlanCacheHits, db.Stats.PlanCacheMisses)
+			db.Stats.PlanCacheHits.Load(), db.Stats.PlanCacheMisses.Load())
 	}
 	hits, misses := srv.RewriteCacheStats()
 	if misses != 1 || hits != 99 {

@@ -85,9 +85,9 @@ func TestParamQ1PlanCacheHitRate(t *testing.T) {
 			t.Fatalf("binding %d: %v", i, err)
 		}
 	}
-	if db.Stats.PlanCacheHits < 99 {
+	if db.Stats.PlanCacheHits.Load() < 99 {
 		t.Fatalf("parameterized Q1 plan-cache hits = %d of 100, want >= 99 (misses %d)",
-			db.Stats.PlanCacheHits, db.Stats.PlanCacheMisses)
+			db.Stats.PlanCacheHits.Load(), db.Stats.PlanCacheMisses.Load())
 	}
 
 	// The same 100 executions inlined as literals: every distinct text is a
@@ -98,8 +98,8 @@ func TestParamQ1PlanCacheHitRate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db.Stats.PlanCacheHits != 0 {
-		t.Fatalf("distinct inlined texts should never hit, got %d hits", db.Stats.PlanCacheHits)
+	if db.Stats.PlanCacheHits.Load() != 0 {
+		t.Fatalf("distinct inlined texts should never hit, got %d hits", db.Stats.PlanCacheHits.Load())
 	}
 }
 

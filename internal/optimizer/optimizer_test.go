@@ -387,10 +387,10 @@ func TestO3ReducesUDFCalls(t *testing.T) {
 	ctx := env.ctx(0, false, 0, 1)
 	env.db.Stats = engine.Stats{}
 	env.run(t, ctx, O2, "SELECT SUM(E_salary) AS s FROM Employees")
-	callsO2 := env.db.Stats.UDFCalls
+	callsO2 := env.db.Stats.UDFCalls.Load()
 	env.db.Stats = engine.Stats{}
 	env.run(t, ctx, O3, "SELECT SUM(E_salary) AS s FROM Employees")
-	callsO3 := env.db.Stats.UDFCalls
+	callsO3 := env.db.Stats.UDFCalls.Load()
 	// 2N = 12 calls canonically vs T+1 = 3 after distribution.
 	if callsO2 < 12 {
 		t.Errorf("o2 call count unexpectedly low: %d", callsO2)
@@ -459,8 +459,8 @@ func TestO4EliminatesUDFCalls(t *testing.T) {
 	ctx := env.ctx(0, false, 0, 1)
 	env.db.Stats = engine.Stats{}
 	env.run(t, ctx, O4, "SELECT E_salary FROM Employees ORDER BY E_name")
-	if env.db.Stats.UDFCalls != 0 {
-		t.Errorf("o4 still issued %d UDF calls", env.db.Stats.UDFCalls)
+	if env.db.Stats.UDFCalls.Load() != 0 {
+		t.Errorf("o4 still issued %d UDF calls", env.db.Stats.UDFCalls.Load())
 	}
 }
 

@@ -20,7 +20,8 @@ package rewrite
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"mtbase/internal/mtsql"
@@ -287,12 +288,7 @@ func expandStar(it sqlast.SelectItem, res *Resolver) ([]sqlast.SelectItem, error
 				})
 			}
 		} else {
-			cols := make([]string, 0, len(b.outputs))
-			for c := range b.outputs { //mtlint:ignore detmap the column names are sorted below before the items are emitted
-				cols = append(cols, c)
-			}
-			sort.Strings(cols)
-			for _, c := range cols {
+			for _, c := range slices.Sorted(maps.Keys(b.outputs)) {
 				out = append(out, sqlast.SelectItem{
 					Expr: &sqlast.ColumnRef{Table: b.Name, Name: c},
 				})

@@ -118,6 +118,14 @@ func TestRewriteStarHidesTTID(t *testing.T) {
 	if !strings.Contains(got, "currencyToUniversal(employees.E_salary") {
 		t.Errorf("star expansion must convert E_salary: %s", got)
 	}
+	// Over a derived table the star lists its output columns by name, on
+	// every call: the binding holds them in a map.
+	for i := 0; i < 100; i++ {
+		got := mustRewrite(t, ctx, "SELECT * FROM (SELECT E_name, E_age, E_reg_id, E_role_id FROM Employees) e")
+		if !strings.HasPrefix(got, "SELECT e.e_age, e.e_name, e.e_reg_id, e.e_role_id FROM") {
+			t.Fatalf("star over a derived table: %s", got)
+		}
+	}
 }
 
 func TestRewriteConstantComparison(t *testing.T) {

@@ -355,7 +355,6 @@ func writeManifest(dir string, m Manifest) error {
 	if err != nil {
 		return err
 	}
-	//mtlint:ignore spillsafe durability-directory manifest, not a spill file; removed on every exit path and renamed over MANIFEST.json on success
 	tmp, err := os.CreateTemp(dir, "manifest-tmp-*")
 	if err != nil {
 		return err

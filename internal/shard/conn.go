@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"mtbase/internal/engine"
 	"mtbase/internal/middleware"
@@ -176,7 +175,7 @@ func (c *Conn) QueryStmt(ctx context.Context, st *middleware.Statement, args []s
 	if len(c.sconns) == 1 {
 		// One shard: the original scope passes through verbatim — this is
 		// the differential oracle configuration.
-		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
+		c.srv.stats.RoutedSingle.Add(1)
 		return c.sconns[0].QueryStmt(ctx, st, args)
 	}
 	schema := c.srv.Schema()
@@ -190,7 +189,7 @@ func (c *Conn) QueryStmt(ctx context.Context, st *middleware.Statement, args []s
 	if !hasView && !readsTenant(schema, ts.Reads) {
 		// Pure-global query: every shard holds the same global data; run
 		// on the client's home shard.
-		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
+		c.srv.stats.RoutedSingle.Add(1)
 		return c.sconns[c.srv.ShardOf(c.c)].QueryStmt(ctx, st, args)
 	}
 	d, err := c.resolveDPrime(ts)
@@ -201,15 +200,15 @@ func (c *Conn) QueryStmt(ctx context.Context, st *middleware.Statement, args []s
 		// A view's tenant set was baked at CREATE VIEW independently of
 		// the session scope, so routing cannot see it; repartition every
 		// tenant's rows of every tenant table to the replica and run there.
-		atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
-		atomic.AddInt64(&c.srv.stats.RoutedFallback, 1)
+		c.srv.stats.RoutedScatter.Add(1)
+		c.srv.stats.RoutedFallback.Add(1)
 		return c.fallback(ctx, sel, args, d, c.srv.group(c.srv.Tenants()), c.srv.tenantTables())
 	}
 	sets := c.srv.group(d)
 	if len(sets) <= 1 {
 		// All of D′ lives on one shard: the shard's own middleware
 		// resolves the original session scope to the same D′ locally.
-		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
+		c.srv.stats.RoutedSingle.Add(1)
 		return c.sconns[c.homeRank(sets)].QueryStmt(ctx, st, args)
 	}
 	return c.routeCross(ctx, st, args, d, sets)
@@ -232,20 +231,20 @@ func (c *Conn) routeCross(ctx context.Context, st *middleware.Statement, args []
 			return nil, err
 		}
 		if sg != nil {
-			atomic.AddInt64(&c.srv.stats.HoistedSubqueries, int64(len(sg.args)-len(args)))
+			c.srv.stats.HoistedSubqueries.Add(int64(len(sg.args) - len(args)))
 			st, sel, args, an = middleware.NewStatement(sg.sel), sg.sel, sg.args, sg.an
 		}
 	}
 	if an.tenantFree {
 		// A staged outer statement whose tenant data all went into its binds:
 		// every shard holds the global rows it reads, so one answers.
-		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
+		c.srv.stats.RoutedSingle.Add(1)
 		return c.sconns[c.srv.ShardOf(c.c)].QueryStmt(ctx, st, args)
 	}
-	atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
+	c.srv.stats.RoutedScatter.Add(1)
 	switch {
 	case an.aggPush:
-		atomic.AddInt64(&c.srv.stats.PartialsPushed, 1)
+		c.srv.stats.PartialsPushed.Add(1)
 		header, err := c.clientHeader(an.plan, client, d)
 		if err != nil {
 			return nil, err
@@ -254,7 +253,7 @@ func (c *Conn) routeCross(ctx context.Context, st *middleware.Statement, args []
 	case an.plainScan:
 		return c.scatterMerge(ctx, st, sel.Limit, args, sets, an)
 	default:
-		atomic.AddInt64(&c.srv.stats.RoutedFallback, 1)
+		c.srv.stats.RoutedFallback.Add(1)
 		return c.fallback(ctx, sel, args, d, sets, st.Tables().Reads)
 	}
 }
@@ -420,13 +419,13 @@ func (c *Conn) routeWrite(ctx context.Context, st *middleware.Statement, fromTen
 	}
 	sets := c.srv.group(d)
 	if len(sets) <= 1 {
-		atomic.AddInt64(&c.srv.stats.RoutedSingle, 1)
+		c.srv.stats.RoutedSingle.Add(1)
 		return c.sconns[c.homeRank(sets)].ExecStmt(ctx, st, args)
 	}
 	if fromTenants {
 		return nil, fmt.Errorf("shard: %s reading tenant tables over a cross-shard tenant set is not supported", ts.Priv)
 	}
-	atomic.AddInt64(&c.srv.stats.RoutedScatter, 1)
+	c.srv.stats.RoutedScatter.Add(1)
 	affected := 0
 	for _, ss := range sets {
 		res, err := c.sub(ss).ExecStmt(ctx, st, args)

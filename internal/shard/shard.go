@@ -46,7 +46,8 @@ package shard
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"mtbase/internal/engine"
@@ -191,13 +192,8 @@ func (s *Server) group(d []int64) []shardSet {
 		r := s.place.ShardOf(t)
 		byRank[r] = append(byRank[r], t)
 	}
-	ranks := make([]int, 0, len(byRank))
-	for r := range byRank { //mtlint:ignore detmap the ranks are sorted below before the targets are built
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	sets := make([]shardSet, 0, len(ranks))
-	for _, r := range ranks {
+	sets := make([]shardSet, 0, len(byRank))
+	for _, r := range slices.Sorted(maps.Keys(byRank)) {
 		sets = append(sets, shardSet{rank: r, ds: byRank[r]})
 	}
 	return sets

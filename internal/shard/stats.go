@@ -3,18 +3,17 @@ package shard
 import "sync/atomic"
 
 // Stats counts routing decisions across all connections of one sharded
-// server. The counters are plain int64s accessed only through sync/atomic
-// (the engine's Stats idiom, enforced by mtlint atomicstats): sessions
-// route concurrently.
+// server. Sessions route concurrently, so the counters are atomic.Int64s (the
+// engine's Stats idiom): read them through Snapshot.
 type Stats struct {
-	RoutedSingle   int64 // statements sent to exactly one shard
-	RoutedScatter  int64 // statements scattered to >1 shard
-	RoutedFallback int64 // scatter statements repartitioned to the coordinator
-	PartialsPushed int64 // scatter statements with partial aggregation pushed into shards
+	RoutedSingle   atomic.Int64 // statements sent to exactly one shard
+	RoutedScatter  atomic.Int64 // statements scattered to >1 shard
+	RoutedFallback atomic.Int64 // scatter statements repartitioned to the coordinator
+	PartialsPushed atomic.Int64 // scatter statements with partial aggregation pushed into shards
 	// HoistedSubqueries counts closed scalar subqueries run as routed
 	// statements of their own and bound into their outer statement (ADR-015);
 	// each also counts, as the statement it is, in the route counters above.
-	HoistedSubqueries int64
+	HoistedSubqueries atomic.Int64
 }
 
 // StatsSnapshot is a point-in-time copy of the routing counters.
@@ -29,10 +28,10 @@ type StatsSnapshot struct {
 // Snapshot copies the counters.
 func (s *Stats) Snapshot() StatsSnapshot {
 	return StatsSnapshot{
-		RoutedSingle:      atomic.LoadInt64(&s.RoutedSingle),
-		RoutedScatter:     atomic.LoadInt64(&s.RoutedScatter),
-		RoutedFallback:    atomic.LoadInt64(&s.RoutedFallback),
-		PartialsPushed:    atomic.LoadInt64(&s.PartialsPushed),
-		HoistedSubqueries: atomic.LoadInt64(&s.HoistedSubqueries),
+		RoutedSingle:      s.RoutedSingle.Load(),
+		RoutedScatter:     s.RoutedScatter.Load(),
+		RoutedFallback:    s.RoutedFallback.Load(),
+		PartialsPushed:    s.PartialsPushed.Load(),
+		HoistedSubqueries: s.HoistedSubqueries.Load(),
 	}
 }
