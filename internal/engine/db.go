@@ -323,6 +323,15 @@ type Stats struct {
 
 	// Panics counts statements that failed with ErrInternal (DB.Recover).
 	Panics atomic.Int64
+
+	// Base-table reads (DESIGN.md ADR-026): ScanRows counts the rows
+	// base-table sources hand on before any filter — the heap for a scan, the
+	// candidates for an index scan or a join probing an index; the operator
+	// tree counts them, the reference executor does not. ScanRanges counts
+	// the sources a `col IN (list)` conjunct was served for by the union of
+	// the list's index buckets, in both executors.
+	ScanRows   atomic.Int64
+	ScanRanges atomic.Int64
 }
 
 // StatsSnapshot is a point-in-time copy of Stats, field for field.
@@ -334,6 +343,7 @@ type StatsSnapshot struct {
 	JoinBuildRows, JoinIndexProbes, JoinEagerFallbacks     int64
 	ExprSlots, ExprSlotReuses                              int64
 	Panics                                                 int64
+	ScanRows, ScanRanges                                   int64
 }
 
 // Snapshot reads every counter, safe while parallel queries update them.
@@ -355,6 +365,8 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		ExprSlots:              s.ExprSlots.Load(),
 		ExprSlotReuses:         s.ExprSlotReuses.Load(),
 		Panics:                 s.Panics.Load(),
+		ScanRows:               s.ScanRows.Load(),
+		ScanRanges:             s.ScanRanges.Load(),
 	}
 }
 
@@ -504,25 +516,21 @@ func (db *DB) execPlanLocked(ctx context.Context, p *Plan, args []sqltypes.Value
 	if p.arityErr != nil {
 		return nil, p.arityErr
 	}
-	switch s := p.stmt.(type) {
-	case *sqlast.Insert:
+	switch p.stmt.(type) {
+	case *sqlast.Insert, *sqlast.Update, *sqlast.Delete:
 		ex, err := db.newExecArgs(ctx, p, args)
 		if err != nil {
 			return nil, err
 		}
-		return db.insert(ex, s)
-	case *sqlast.Update:
-		ex, err := db.newExecArgs(ctx, p, args)
-		if err != nil {
-			return nil, err
+		defer ex.releaseSpills()
+		switch s := p.stmt.(type) {
+		case *sqlast.Insert:
+			return db.insert(ex, s)
+		case *sqlast.Update:
+			return db.update(ex, s)
+		default:
+			return db.delete(ex, s.(*sqlast.Delete))
 		}
-		return db.update(ex, s)
-	case *sqlast.Delete:
-		ex, err := db.newExecArgs(ctx, p, args)
-		if err != nil {
-			return nil, err
-		}
-		return db.delete(ex, s)
 	}
 	if len(args) > 0 {
 		return nil, fmt.Errorf("engine: statement takes no bind parameters, got %d", len(args))

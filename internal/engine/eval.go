@@ -86,8 +86,10 @@ type exec struct {
 	nextDynID  int32
 
 	// vs is the statement-wide scratch stack batch evaluation allocates its
-	// intermediate columns and selection buffers from (see vector.go).
-	vs vecStack
+	// intermediate columns and selection buffers from (see vector.go). A
+	// statement takes a warm one from the last that ended and hands it back at
+	// its end (releaseSpills); a worker's is its own.
+	vs *vecStack
 
 	// binds holds the client bind-parameter values of this execution; a
 	// statement-level $n / ? resolves here after the scope walk finds no UDF
@@ -169,6 +171,7 @@ func (db *DB) newExec(p *Plan) *exec {
 		subqCache:  make(map[int32]*Result),
 		inSetCache: make(map[int32]*inSet),
 		nextDynID:  p.nSubq,
+		vs:         vecStacks.Get().(*vecStack),
 	}
 	if ex.reference {
 		ex.par = 1
@@ -239,6 +242,7 @@ func (ex *exec) workerClone() *exec {
 		subqCache:  make(map[int32]*Result),
 		inSetCache: make(map[int32]*inSet),
 		nextDynID:  ex.plan.nSubq,
+		vs:         new(vecStack),
 	}
 }
 

@@ -836,63 +836,29 @@ func addRefs(e sqlast.Expr, local func(string) bool, colOwner map[string][]strin
 	}
 }
 
-// filterRelation applies conjuncts to a relation. For an unfiltered base
-// table, equality conjuncts whose other side is constant w.r.t. this query
-// level (a literal, parameter, or outer/correlated reference) are served by
-// a lazily built hash index instead of a scan — the engine's stand-in for
-// the B-tree lookups PostgreSQL would use for correlated subqueries and the
-// conversion-UDF meta-table lookups.
+// filterRelation applies conjuncts to a relation: over an unfiltered base
+// table the rows its persistent index selects (indexSource), then the rest of
+// the conjuncts over those rows, one row at a time.
 func (ex *exec) filterRelation(r *relation, conjs []*conjunct, parent *scope) (*relation, error) {
-	rows := r.rows
-	rest := conjs
-	if r.base != nil && len(r.bindings) == 1 {
-		var probeCols []string
-		var probeExprs []sqlast.Expr
-		rest = rest[:0:0]
-		for _, c := range conjs {
-			if col, val, ok := probeForm(c.expr, r); ok {
-				probeCols = append(probeCols, col)
-				probeExprs = append(probeExprs, val)
-			} else {
-				rest = append(rest, c)
-			}
+	rng, served, rest := ex.indexSource(r, conjs, parent)
+	n := len(r.rows)
+	if served {
+		if rng.err != nil {
+			return nil, rng.err
 		}
-		if len(probeCols) > 0 {
-			idx, err := ex.tableIndex(r.base, probeCols)
-			if err != nil {
-				return nil, err
-			}
-			vals := make([]sqltypes.Value, len(probeExprs))
-			psc := &scope{parent: parent}
-			for i, e := range probeExprs {
-				v, err := ex.eval(e, psc)
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = v
-			}
-			var ids []int
-			ids, ex.keyBuf = idx.probe(ex.keyBuf, vals)
-			rows = make([][]sqltypes.Value, len(ids))
-			for i, id := range ids {
-				rows[i] = r.rows[id]
-			}
-		} else {
-			rest = conjs
-		}
+		n = len(rng.ids)
 	}
-
 	out := &relation{bindings: r.bindings, width: r.width}
-	if len(rest) == 0 {
-		out.rows = rows
-		return out, nil
-	}
 	sc := r.scopeFor(parent)
-	for ri, row := range rows {
+	for ri := 0; ri < n; ri++ {
 		if ri&(batchSize-1) == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, err
 			}
+		}
+		row := r.rows[ri]
+		if served {
+			row = r.rows[rng.ids[ri]]
 		}
 		sc.row = row
 		keep := true
@@ -913,33 +879,155 @@ func (ex *exec) filterRelation(r *relation, conjs []*conjunct, parent *scope) (*
 	return out, nil
 }
 
+// indexRange is what a base table's persistent hash index serves of one
+// source's conjuncts: the heap ordinals they select, in heap order — or the
+// error evaluating a probe value raised, which reading the source reports.
+type indexRange struct {
+	ids []int
+	err error
+}
+
+// indexSource splits the conjuncts over an unfiltered base table into what
+// its persistent hash indexes serve and the rest. Both executors take their
+// rows from it, so they read the same rows of the heap and raise the same
+// errors. Two forms, over columns of the table and values constant w.r.t. it
+// (literals, binds, outer references; no subquery):
+//   - `col = v` conjuncts: one probe of the index on their columns — the
+//     engine's stand-in for the B-tree lookups PostgreSQL would use for
+//     correlated subqueries and the conversion-UDF meta-table lookups;
+//   - failing those, one `col IN (v1, …, vk)` — the rewrite's D′ filter: the
+//     union of the items' buckets, taken while it is at most 1/indexJoinShare
+//     of the heap, the join's bound on what the index path may cost
+//     (DESIGN.md ADR-026).
+//
+// When nothing is served, rest is conjs.
+func (ex *exec) indexSource(r *relation, conjs []*conjunct, parent *scope) (rng indexRange, served bool, rest []*conjunct) {
+	if r.base == nil || len(r.bindings) != 1 {
+		return rng, false, conjs
+	}
+	var cols []string
+	var vals []sqlast.Expr
+	for _, c := range conjs {
+		if col, val, ok := probeForm(c.expr, r); ok {
+			cols, vals = append(cols, col), append(vals, val)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	if len(cols) > 0 {
+		rng.ids, rng.err = ex.probeIndex(r.base, cols, vals, parent)
+		return rng, true, rest
+	}
+	for i, c := range conjs {
+		if ids, ok := ex.inRange(r, c.expr, parent); ok {
+			ex.db.Stats.ScanRanges.Add(1)
+			return indexRange{ids: ids}, true, slices.Concat(conjs[:i], conjs[i+1:])
+		}
+	}
+	return rng, false, conjs
+}
+
+// probeIndex returns the ordinals of t's rows whose columns cols equal the
+// values of exprs.
+func (ex *exec) probeIndex(t *Table, cols []string, exprs []sqlast.Expr, parent *scope) ([]int, error) {
+	idx, err := ex.tableIndex(t, cols)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]sqltypes.Value, len(exprs))
+	psc := &scope{parent: parent}
+	for i, e := range exprs {
+		if vals[i], err = ex.eval(e, psc); err != nil {
+			return nil, err
+		}
+	}
+	var ids []int
+	ids, ex.keyBuf = idx.probe(ex.keyBuf, vals)
+	return ids, nil
+}
+
+// inRange serves `col IN (items)` over the base relation r from the index on
+// col: the union of the items' buckets, in heap order. ok is false — the
+// conjunct stays a filter — when e is not of that form, an item raises (the
+// filter reports it for the rows that reach it), or the union would pass
+// 1/indexJoinShare of the heap. A NULL item selects no row, in the filter as
+// here.
+func (ex *exec) inRange(r *relation, e sqlast.Expr, parent *scope) (ids []int, ok bool) {
+	in, isIn := e.(*sqlast.InExpr)
+	if !isIn || in.Not || in.Sub != nil {
+		return nil, false
+	}
+	cr, isCol := in.X.(*sqlast.ColumnRef)
+	if !isCol || !relationHasRef(r, cr) || slices.ContainsFunc(in.List, func(v sqlast.Expr) bool { return !constantFor(r, v) }) {
+		return nil, false
+	}
+	idx, err := ex.tableIndex(r.base, []string{cr.Name})
+	if err != nil {
+		return nil, false
+	}
+	var buckets []int32
+	psc := &scope{parent: parent}
+	for _, item := range in.List {
+		v, err := ex.eval(item, psc)
+		if err != nil {
+			return nil, false
+		}
+		if v.IsNull() {
+			continue
+		}
+		ex.keyBuf = sqltypes.AppendKey(ex.keyBuf[:0], v)
+		if b, ok := idx.buckets[string(ex.keyBuf)]; ok {
+			buckets = append(buckets, b)
+		}
+	}
+	slices.Sort(buckets)
+	buckets = slices.Compact(buckets) // equal items (2, 2.0) reach one bucket
+	n := 0
+	for _, b := range buckets {
+		n += len(idx.rowsOf(b))
+	}
+	if n > len(r.rows)/indexJoinShare {
+		return nil, false
+	}
+	if len(buckets) == 1 {
+		return idx.rowsOf(buckets[0]), true
+	}
+	ids = make([]int, 0, n)
+	for _, b := range buckets {
+		ids = append(ids, idx.rowsOf(b)...)
+	}
+	slices.Sort(ids)
+	return ids, true
+}
+
 // probeForm recognizes `col = expr` (either side) where col belongs to the
-// relation and expr is constant w.r.t. the relation (no local references,
-// no subqueries). It returns the column name and the value expression.
+// relation and expr is constant w.r.t. it. It returns the column name and the
+// value expression.
 func probeForm(e sqlast.Expr, r *relation) (string, sqlast.Expr, bool) {
 	be, ok := e.(*sqlast.BinaryExpr)
 	if !ok || be.Op != "=" {
 		return "", nil, false
 	}
-	try := func(colSide, valSide sqlast.Expr) (string, sqlast.Expr, bool) {
-		cr, ok := colSide.(*sqlast.ColumnRef)
-		if !ok || !relationHasRef(r, cr) {
-			return "", nil, false
+	for _, s := range [][2]sqlast.Expr{{be.L, be.R}, {be.R, be.L}} {
+		if cr, ok := s[0].(*sqlast.ColumnRef); ok && relationHasRef(r, cr) && constantFor(r, s[1]) {
+			return cr.Name, s[1], true
 		}
-		if len(sqlast.SubqueriesOf(valSide)) > 0 {
-			return "", nil, false
-		}
-		for _, ref := range sqlast.ColumnRefsOf(valSide) {
-			if relationHasRef(r, ref) {
-				return "", nil, false
-			}
-		}
-		return cr.Name, valSide, true
 	}
-	if col, val, ok := try(be.L, be.R); ok {
-		return col, val, true
+	return "", nil, false
+}
+
+// constantFor reports whether e reads nothing of the relation: none of its
+// columns and no subquery.
+func constantFor(r *relation, e sqlast.Expr) bool {
+	if len(sqlast.SubqueriesOf(e)) > 0 {
+		return false
 	}
-	return try(be.R, be.L)
+	for _, ref := range sqlast.ColumnRefsOf(e) {
+		if relationHasRef(r, ref) {
+			return false
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------------------- joins

@@ -65,6 +65,7 @@ type fuzzCols struct {
 	nums  []string
 	strs  [][2]string // column, sample constant
 	dates []string
+	lists [][]string // a low-cardinality column, then values it takes: IN-list material
 }
 
 var (
@@ -75,15 +76,21 @@ var (
 			{"l_shipmode", "TRUCK"}, {"l_shipinstruct", "DELIVER IN PERSON"},
 		},
 		dates: []string{"l_shipdate", "l_commitdate", "l_receiptdate"},
+		lists: [][]string{
+			{"l_linenumber", "1", "2", "3", "4", "5", "6", "7"},
+			{"l_shipmode", "'MAIL'", "'SHIP'", "'AIR'", "'TRUCK'", "'RAIL'", "'FOB'", "'REG AIR'"},
+		},
 	}
 	ordersCols = fuzzCols{
 		nums:  []string{"o_shippriority", "o_totalprice", "o_custkey"},
 		strs:  [][2]string{{"o_orderstatus", "O"}, {"o_orderpriority", "1-URGENT"}},
 		dates: []string{"o_orderdate"},
+		lists: [][]string{{"o_orderpriority", "'1-URGENT'", "'2-HIGH'", "'3-MEDIUM'", "'4-NOT SPECIFIED'", "'5-LOW'"}},
 	}
 	customerCols = fuzzCols{
-		nums: []string{"c_custkey", "c_nationkey", "c_acctbal"},
-		strs: [][2]string{{"c_mktsegment", "BUILDING"}, {"c_name", "Customer#000000001"}},
+		nums:  []string{"c_custkey", "c_nationkey", "c_acctbal"},
+		strs:  [][2]string{{"c_mktsegment", "BUILDING"}, {"c_name", "Customer#000000001"}},
+		lists: [][]string{{"c_nationkey", "0", "3", "7", "7.0", "12", "19", "24"}},
 	}
 	supplierCols = fuzzCols{
 		nums: []string{"s_suppkey", "s_nationkey", "s_acctbal"},
@@ -97,6 +104,7 @@ func merge(cs ...fuzzCols) fuzzCols {
 		out.nums = append(out.nums, c.nums...)
 		out.strs = append(out.strs, c.strs...)
 		out.dates = append(out.dates, c.dates...)
+		out.lists = append(out.lists, c.lists...)
 	}
 	return out
 }
@@ -119,6 +127,9 @@ func (g *mtGen) numExpr(c fuzzCols, depth int) string {
 
 func (g *mtGen) pred(c fuzzCols, depth int) string {
 	if depth <= 0 {
+		if len(c.lists) > 0 && g.r.Intn(4) == 0 {
+			return g.inList(c)
+		}
 		switch g.r.Intn(3) {
 		case 0:
 			cmps := []string{"=", "<>", "<", "<=", ">", ">="}
@@ -140,6 +151,27 @@ func (g *mtGen) pred(c fuzzCols, depth int) string {
 	conj := []string{"AND", "OR"}
 	return fmt.Sprintf("(%s %s %s)",
 		g.pred(c, depth-1), conj[g.r.Intn(2)], g.pred(c, depth-1))
+}
+
+// inList is `col IN (…)` over a low-cardinality column: one to four of its
+// values — duplicates, a NULL or a value it never takes among them — so the
+// list selects anything from nothing to most of the table, on either side of
+// the quarter of the heap where the index scan's range stops (DESIGN.md
+// ADR-026).
+func (g *mtGen) inList(c fuzzCols) string {
+	l := c.lists[g.r.Intn(len(c.lists))]
+	items := make([]string, 1+g.r.Intn(4))
+	for i := range items {
+		switch g.r.Intn(10) {
+		case 0:
+			items[i] = "NULL"
+		case 1:
+			items[i] = "99"
+		default:
+			items[i] = g.pick(l[1:])
+		}
+	}
+	return fmt.Sprintf("(%s IN (%s))", l[0], strings.Join(items, ", "))
 }
 
 // query emits one random SELECT covering the breaker-heavy shapes: sorts,

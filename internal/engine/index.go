@@ -110,6 +110,11 @@ func (ix *hashIndex) bucket(key []byte) []int {
 	if !ok {
 		return nil
 	}
+	return ix.rowsOf(n)
+}
+
+// rowsOf returns the row ordinals of bucket n.
+func (ix *hashIndex) rowsOf(n int32) []int {
 	return ix.rows[ix.offs[n]:ix.offs[n+1]:ix.offs[n+1]]
 }
 

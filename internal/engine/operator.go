@@ -106,9 +106,11 @@ type queryRoot struct {
 
 // ---------------------------------------------------------------- sources
 
-// scanOperator streams a materialized row set in fixed-size windows.
+// scanOperator streams a materialized row set in fixed-size windows; base
+// says the rows are a base table's heap, which Stats.ScanRows counts.
 type scanOperator struct {
 	rows [][]sqltypes.Value
+	base bool
 	src  scanOp
 	b    Batch
 }
@@ -125,53 +127,54 @@ func (s *scanOperator) Next(ex *exec) (*Batch, error) {
 	if !s.src.next(&s.b) {
 		return nil, nil
 	}
+	if s.base {
+		ex.db.Stats.ScanRows.Add(int64(len(s.b.sel)))
+	}
 	ex.noteStream(len(s.b.sel))
 	return &s.b, nil
 }
 
 func (s *scanOperator) Close() {}
 
-// indexScanOperator serves equality conjuncts over an unfiltered base table
-// from the table's lazily built hash index: the probe values (constant
-// w.r.t. the query level — literals, binds, outer references) are evaluated
-// once at Open, and the matching heap rows stream through an embedded scan.
+// indexScanOperator streams the heap rows a base table's persistent index
+// selects (indexSource) in windows of at most batchSize, gathered from their
+// ordinals into one buffer the operator reuses: the rows stay in heap order
+// and nothing is copied up front.
 type indexScanOperator struct {
-	tab    *Table
-	cols   []string
-	exprs  []sqlast.Expr
-	parent *scope
-
-	scan scanOperator
+	heap [][]sqltypes.Value
+	rng  indexRange
+	pos  int
+	buf  [][]sqltypes.Value
+	b    Batch
 }
 
 func (s *indexScanOperator) Open(ex *exec) error {
-	heap := ex.heap(s.tab)
-	idx, err := ex.tableIndex(s.tab, s.cols)
-	if err != nil {
-		return err
-	}
-	vals := make([]sqltypes.Value, len(s.exprs))
-	psc := &scope{parent: s.parent}
-	for i, e := range s.exprs {
-		v, err := ex.eval(e, psc)
-		if err != nil {
-			return err
-		}
-		vals[i] = v
-	}
-	var ids []int
-	ids, ex.keyBuf = idx.probe(ex.keyBuf, vals)
-	rows := make([][]sqltypes.Value, len(ids))
-	for i, id := range ids {
-		rows[i] = heap[id]
-	}
-	s.scan.rows = rows
-	return s.scan.Open(ex)
+	s.pos = 0
+	s.buf = make([][]sqltypes.Value, 0, min(len(s.rng.ids), batchSize))
+	return s.rng.err
 }
 
-func (s *indexScanOperator) Next(ex *exec) (*Batch, error) { return s.scan.Next(ex) }
+func (s *indexScanOperator) Next(ex *exec) (*Batch, error) {
+	if err := ex.cancelled(); err != nil {
+		return nil, err
+	}
+	ids := s.rng.ids[s.pos:]
+	if len(ids) == 0 {
+		return nil, nil
+	}
+	ids = ids[:min(len(ids), batchSize)]
+	s.pos += len(ids)
+	s.buf = s.buf[:0]
+	for _, id := range ids {
+		s.buf = append(s.buf, s.heap[id])
+	}
+	s.b.window(s.buf)
+	ex.db.Stats.ScanRows.Add(int64(len(ids)))
+	ex.noteStream(len(ids))
+	return &s.b, nil
+}
 
-func (s *indexScanOperator) Close() { s.scan.rows = nil }
+func (s *indexScanOperator) Close() { s.buf = nil }
 
 // errWrapOperator prefixes every error of its subtree — the streaming
 // counterpart of the "in view X" wrapping of the materializing executor.
@@ -446,16 +449,7 @@ func (ex *exec) operandNeverRaises(e sqlast.Expr, rel *relation, parent *scope) 
 	if cr, ok := e.(*sqlast.ColumnRef); ok {
 		return relationHasRef(rel, cr)
 	}
-	rowFree := true
-	sqlast.WalkExpr(e, func(n sqlast.Expr) bool {
-		switch n.(type) {
-		case *sqlast.Literal, *sqlast.Param, *sqlast.IntervalExpr, *sqlast.BinaryExpr, *sqlast.UnaryExpr:
-		default:
-			rowFree = false
-		}
-		return rowFree
-	})
-	if !rowFree {
+	if ok, _ := rowFree(e); !ok {
 		return false
 	}
 	_, err := ex.eval(e, &scope{parent: parent})
@@ -598,6 +592,9 @@ func (j *joinOperator) eagerBuild(ex *exec) error {
 		j.right, j.rrel, j.own = p.op, p.rel, nil
 	}
 	j.idx, j.idxCols = nil, nil
+	if j.rrel.base != nil {
+		ex.db.Stats.ScanRows.Add(int64(len(j.rrel.rows))) // the heap, read without its scan
+	}
 	if len(j.pairs) > 0 && ex.acct != nil {
 		return j.openChargedBuild(ex)
 	}
@@ -758,6 +755,7 @@ func (j *joinOperator) probeBatch(ex *exec, b *Batch) error {
 				j.buckets[i] = j.idx.bucket(j.buf)
 				cands += len(j.buckets[i])
 			}
+			ex.db.Stats.ScanRows.Add(int64(cands))
 			switch {
 			case len(j.own) == 0:
 			case j.cand.seen+cands <= j.cand.budget:
@@ -1150,7 +1148,7 @@ func (o *groupOperator) lower(ex *exec, sc *scope) groupProgs {
 // keys of its selected rows; a failing key is the statement's error.
 func (p *groupProgs) evalKeys(b *Batch, in *aggInput) error {
 	p.slots.nextBatch()
-	st := &p.gks.ex.vs
+	st := p.gks.ex.vs
 	m := st.mark()
 	p.gks.compute(b, false)
 	err := b.firstErr()
@@ -2164,31 +2162,15 @@ func (ex *exec) buildSourcePipe(sel *sqlast.Select, parent *scope) (*pipe, error
 }
 
 // filterPipe applies conjuncts to a streaming source, mirroring
-// filterRelation: over an unfiltered base table, constant equality
-// conjuncts become an index scan; everything else becomes a filter
-// operator refining the stream's selection vectors.
+// filterRelation: over an unfiltered base table, what its persistent index
+// serves becomes an index scan (indexSource); everything else becomes a
+// filter operator refining the stream's selection vectors.
 func (ex *exec) filterPipe(p *pipe, conjs []*conjunct, parent *scope) *pipe {
-	src := p.op
-	rel := p.rel
-	rest := conjs
-	if rel.base != nil && len(rel.bindings) == 1 {
-		var probeCols []string
-		var probeExprs []sqlast.Expr
-		rest = rest[:0:0]
-		for _, c := range conjs {
-			if col, val, ok := probeForm(c.expr, rel); ok {
-				probeCols = append(probeCols, col)
-				probeExprs = append(probeExprs, val)
-			} else {
-				rest = append(rest, c)
-			}
-		}
-		if len(probeCols) > 0 {
-			src = &indexScanOperator{tab: rel.base, cols: probeCols, exprs: probeExprs, parent: parent}
-			rel = &relation{bindings: rel.bindings, width: rel.width}
-		} else {
-			rest = conjs
-		}
+	src, rel := p.op, p.rel
+	rng, served, rest := ex.indexSource(rel, conjs, parent)
+	if served {
+		src = &indexScanOperator{heap: rel.rows, rng: rng}
+		rel = &relation{bindings: rel.bindings, width: rel.width}
 	}
 	if len(rest) == 0 {
 		return &pipe{op: src, rel: rel}
@@ -2231,7 +2213,7 @@ func (ex *exec) buildTablePipe(te sqlast.TableExpr, parent *scope) (*pipe, error
 		heap := ex.heap(tab)
 		b := newBinding(t.Binding(), tab.ColNames())
 		return &pipe{
-			op:  &scanOperator{rows: heap},
+			op:  &scanOperator{rows: heap, base: true},
 			rel: &relation{bindings: []*binding{b}, rows: heap, width: len(tab.Cols), base: tab},
 		}, nil
 	case *sqlast.DerivedTable:

@@ -215,6 +215,7 @@ func newParallelScanFilter(ex *exec, rows [][]sqltypes.Value, rel *relation, con
 func (o *parallelScanFilter) Open(ex *exec) error {
 	morsel := morselLen()
 	n := len(o.rows)
+	ex.db.Stats.ScanRows.Add(int64(n))
 	nm := (n + morsel - 1) / morsel
 	o.kept = make([][][]sqltypes.Value, nm)
 	merrs := make([]error, nm)

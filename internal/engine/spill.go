@@ -152,11 +152,17 @@ func (ex *exec) dropSpillFile(f spillFile) {
 	ex.spills.deregister(f)
 }
 
-// releaseSpills removes every spill file the statement still holds. Called
-// from Rows.Close and at the end of a top-level query execution; idempotent.
+// releaseSpills ends the statement: it removes every spill file the
+// statement still holds and hands its scratch stack to the next statement.
+// Called from Rows.Close and at the end of ExecPlanContext, once nothing of
+// the statement runs any more; idempotent.
 func (ex *exec) releaseSpills() {
 	if ex.spills != nil {
 		ex.spills.removeAll()
+	}
+	if ex.vs != nil {
+		ex.vs.put()
+		ex.vs = nil
 	}
 }
 

@@ -251,7 +251,7 @@ func (ex *exec) projectPlannedUDF(plan *udfPlan, entry *udfPlanEntry, args []sql
 	if p == nil {
 		frame := rootScope()
 		sc := &scope{parent: frame, bindings: entry.bindings}
-		ve := &venv{ex: ex, bindings: entry.bindings, sc: sc, vs: &ex.vs, frame: frame}
+		ve := &venv{ex: ex, bindings: entry.bindings, sc: sc, vs: ex.vs, frame: frame}
 		p = &udfProjection{prog: ve.compile(plan.proj), sc: sc}
 		if ex.udfProj == nil {
 			ex.udfProj = make(map[*udfPlanEntry]*udfProjection)

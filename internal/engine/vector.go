@@ -7,10 +7,10 @@ package engine
 // SQL-UDF calls, EXTRACT, SUBSTRING, IN-subqueries and EXISTS probing the
 // statement's subquery memos — runs natively, its operands columns of their
 // own. What has no kernel (scalar subqueries, correlated or ambiguous
-// references, $n under a UDF frame the lowering cannot see, non-literal IN
-// lists, aggregates, calls the interpreter rejects) is lifted: a loop over
-// the tree-walking interpreter of eval.go, which reproduces per-row value
-// and error semantics by construction. Full interpretation is that second
+// references, $n under a UDF frame the lowering cannot see, IN lists whose
+// items read a row, aggregates, calls the interpreter rejects) is lifted: a
+// loop over the tree-walking interpreter of eval.go, which reproduces per-row
+// value and error semantics by construction. Full interpretation is that second
 // tier applied to the whole expression, which is what vecCompile returns for
 // an interpreting execution. That is the evaluator seam (DESIGN.md ADR-010,
 // ADR-016): operators only ever hold vecExprs and never ask which tier is
@@ -36,6 +36,7 @@ package engine
 
 import (
 	"strings"
+	"sync"
 
 	"mtbase/internal/sqlast"
 	"mtbase/internal/sqltypes"
@@ -49,10 +50,24 @@ type vecExpr func(b *Batch, sel []int32, out []sqltypes.Value)
 // vecStack is the statement-wide stack allocator for batch scratch: value
 // columns and selection vectors live exactly as long as the kernel
 // invocation that took them. Nested queries (lifted subtrees) push frames on
-// the same stack, so one statement reuses one arena throughout.
+// the same stack, so one statement reuses one arena throughout — and, once it
+// ends, hands the arena to the next statement (vecStacks).
 type vecStack struct {
 	vals []sqltypes.Value
 	sel  []int32
+	used int // how deep vals has been taken: what put clears
+}
+
+// vecStacks holds the stacks of statements that have ended.
+var vecStacks = sync.Pool{New: func() any { return new(vecStack) }}
+
+// put clears the values the stack's columns still hold — they would keep the
+// ended statement's strings alive — and hands the stack to the next
+// statement. The caller must not touch it again.
+func (st *vecStack) put() {
+	clear(st.vals[:st.used])
+	st.vals, st.sel, st.used = st.vals[:0], st.sel[:0], 0
+	vecStacks.Put(st)
 }
 
 // vmark remembers a stack position for release.
@@ -74,6 +89,7 @@ func (st *vecStack) takeVals(n int) []sqltypes.Value {
 		st.vals = grown
 	}
 	st.vals = st.vals[:off+n]
+	st.used = max(st.used, off+n)
 	return st.vals[off : off+n : off+n]
 }
 
@@ -135,7 +151,7 @@ func (ex *exec) vecCompile(e sqlast.Expr, bindings []*binding, sc *scope) vecExp
 // each occurrence in place.
 func (ex *exec) vecCompileAll(exprs []sqlast.Expr, bindings []*binding, sc *scope, shared *sharedExprs) ([]vecExpr, *exprSlots) {
 	progs := make([]vecExpr, len(exprs))
-	ve := &venv{ex: ex, bindings: bindings, sc: sc, vs: &ex.vs, clientBinds: !scopeHasParams(sc)}
+	ve := &venv{ex: ex, bindings: bindings, sc: sc, vs: ex.vs, clientBinds: !scopeHasParams(sc)}
 	if shared != nil && len(shared.reps) > 0 && !ex.interp {
 		ve.shared, ve.slots = shared, &exprSlots{stats: &ex.db.Stats, slots: make([]exprSlot, len(shared.reps))}
 	}
@@ -210,13 +226,16 @@ func (ve *venv) lower(e sqlast.Expr) vecExpr {
 			}
 		}
 	case *sqlast.BinaryExpr:
-		if v, ok := ve.foldConst(x); ok {
-			return vecConst(v)
+		if fn := ve.constOperand(x); fn != nil {
+			return fn
 		}
 		if fn := ve.compileBinary(x); fn != nil {
 			return fn
 		}
 	case *sqlast.UnaryExpr:
+		if fn := ve.constOperand(x); fn != nil {
+			return fn
+		}
 		return ve.compileUnary(x)
 	case *sqlast.IsNullExpr:
 		sub := ve.compile(x.X)
@@ -267,30 +286,58 @@ func (ve *venv) lower(e sqlast.Expr) vecExpr {
 	return liftInterp(ve.ex, e, ve.sc)
 }
 
-// foldConst evaluates a literal-only arithmetic/compare subtree once, at
-// lowering time — DATE '1998-12-01' - INTERVAL '90' DAY otherwise walks the
-// calendar for every row. A subtree whose evaluation fails (1/0) is not
-// folded: its error must surface per evaluated row, short-circuits included.
-func (ve *venv) foldConst(x *sqlast.BinaryExpr) (sqltypes.Value, bool) {
-	if !literalOnly(x) {
-		return sqltypes.Null, false
+// constOperand lowers a subtree that reads no row to one evaluation per batch,
+// broadcast over its selection, where it would otherwise be computed for every
+// row: DATE '1998-12-01' - INTERVAL '90' DAY and $1 + INTERVAL '1' YEAR both
+// walk the calendar. A subtree of literals alone that evaluates is folded
+// once, here. An error belongs to every row the subtree is evaluated for, as
+// evaluating it per row would raise it for each — short-circuits included,
+// since the kernel only ever sees the rows its parent selects. nil when e is
+// not such a subtree (constant).
+func (ve *venv) constOperand(e sqlast.Expr) vecExpr {
+	ok, binds := ve.constant(e)
+	if !ok {
+		return nil
 	}
-	v, err := ve.ex.eval(x, rootScope())
-	return v, err == nil
+	ex, sc := ve.ex, rootScope()
+	if !binds {
+		if v, err := ex.eval(e, sc); err == nil {
+			return vecConst(v)
+		}
+	}
+	return vecBroadcast(func() (sqltypes.Value, error) { return ex.eval(e, sc) })
 }
 
-// literalOnly reports whether e is built from literals, intervals, unary
-// minus and non-logical binary operators alone.
-func literalOnly(e sqlast.Expr) bool {
+// constant reports whether e reads no row, and whether it reads a client bind:
+// whether it is built from literals, intervals and $n alone under unary minus
+// and non-logical binary operators, each $n this execution's bind value, which
+// no UDF frame on the lowering's scope can shadow.
+func (ve *venv) constant(e sqlast.Expr) (ok, binds bool) {
+	ok, binds = rowFree(e)
+	return ok && !(binds && (ve.frame != nil || !ve.clientBinds)), binds
+}
+
+// rowFree reports whether e is built from literals, intervals and $n alone,
+// under unary minus and non-logical binary operators, and whether a $n is
+// among them.
+func rowFree(e sqlast.Expr) (ok, binds bool) {
 	switch x := e.(type) {
 	case *sqlast.Literal, *sqlast.IntervalExpr:
-		return true
+		return true, false
+	case *sqlast.Param:
+		return true, true
 	case *sqlast.UnaryExpr:
-		return x.Op == "-" && literalOnly(x.X)
+		if x.Op == "-" {
+			return rowFree(x.X)
+		}
 	case *sqlast.BinaryExpr:
-		return x.Op != "AND" && x.Op != "OR" && literalOnly(x.L) && literalOnly(x.R)
+		if x.Op != "AND" && x.Op != "OR" {
+			lok, lb := rowFree(x.L)
+			rok, rb := rowFree(x.R)
+			return lok && rok, lb || rb
+		}
 	}
-	return false
+	return false, false
 }
 
 // vecConst broadcasts a constant.
@@ -559,37 +606,36 @@ func (ve *venv) compileBetween(x *sqlast.BetweenExpr) vecExpr {
 	}
 }
 
-// compileIn vectorizes IN over literal-only lists as one hash probe per
-// selected row and IN-subqueries as a native probe of the statement's hashed
-// subquery result. Other list shapes lift. AppendKey encodes integers as
-// float64, so distinct huge integers can share a key; each bucket therefore
-// keeps its values and a hit is confirmed with sqltypes.Equal, giving exact
-// parity with the interpreter's list scan.
+// compileIn vectorizes IN over a list of items that read no row (constant)
+// as one hash probe per selected row — the list evaluated once here, or once
+// per batch where it reads binds — and IN-subqueries as a native probe of the
+// statement's hashed subquery result. Other list shapes lift. AppendKey
+// encodes integers as float64, so distinct huge integers can share a key;
+// each bucket therefore keeps its values and a hit is confirmed with
+// sqltypes.Equal, giving exact parity with the interpreter's list scan.
 func (ve *venv) compileIn(x *sqlast.InExpr) vecExpr {
 	if x.Sub != nil {
 		return ve.compileInSubquery(x)
 	}
+	perBatch := false
 	for _, item := range x.List {
-		if _, isLit := item.(*sqlast.Literal); !isLit {
+		ok, binds := ve.constant(item)
+		if !ok {
 			return nil
 		}
+		perBatch = perBatch || binds
+	}
+	l := inList{ex: ve.ex, items: x.List, sc: rootScope()}
+	if !perBatch {
+		l.fill()
 	}
 	sub := ve.compile(x.X)
 	not := x.Not
-	set := make(map[string][]sqltypes.Value, len(x.List))
-	sawNull := false
-	var kb []byte
-	for _, item := range x.List {
-		v := item.(*sqlast.Literal).Val
-		if v.IsNull() {
-			sawNull = true
-			continue
-		}
-		kb = sqltypes.AppendKey(kb[:0], v)
-		set[string(kb)] = append(set[string(kb)], v)
-	}
 	var probe []byte
 	return func(b *Batch, sel []int32, out []sqltypes.Value) {
+		if perBatch {
+			l.fill()
+		}
 		sub(b, sel, out)
 		for _, i := range sel {
 			if b.errs[i] != nil {
@@ -602,18 +648,63 @@ func (ve *venv) compileIn(x *sqlast.InExpr) vecExpr {
 			}
 			probe = sqltypes.AppendKey(probe[:0], v)
 			found := false
-			for _, lv := range set[string(probe)] {
+			for _, lv := range l.set[string(probe)] {
 				if eq, ok := sqltypes.Equal(v, lv); ok && eq {
 					found = true
 					break
 				}
 			}
-			if !found && sawNull {
+			switch {
+			case found:
+				out[i] = sqltypes.NewBool(!not)
+			case l.err != nil:
+				b.poison(i, l.err)
+			case l.sawNull:
 				out[i] = sqltypes.Null
-				continue
+			default:
+				out[i] = sqltypes.NewBool(not)
 			}
-			out[i] = sqltypes.NewBool(found != not)
 		}
+	}
+}
+
+// inList is an IN list hashed for membership. The interpreter scans the list
+// in order and stops at the first match, so an item that raises is reached
+// only by the values no item before it matches: set holds the items before
+// the first that raised, err is its error, sawNull says one of them was NULL.
+type inList struct {
+	ex    *exec
+	items []sqlast.Expr
+	sc    *scope
+
+	set     map[string][]sqltypes.Value
+	sawNull bool
+	err     error
+	kb      []byte
+}
+
+// fill evaluates the items into the set, reusing the buckets of the last
+// fill: a bind list hashes to the same keys batch after batch.
+func (l *inList) fill() {
+	if l.set == nil {
+		l.set = make(map[string][]sqltypes.Value, len(l.items))
+	}
+	for k, vs := range l.set {
+		l.set[k] = vs[:0]
+	}
+	l.sawNull, l.err = false, nil
+	for _, item := range l.items {
+		v, err := l.ex.eval(item, l.sc)
+		if err != nil {
+			l.err = err
+			return
+		}
+		if v.IsNull() {
+			l.sawNull = true
+			continue
+		}
+		l.kb = sqltypes.AppendKey(l.kb[:0], v)
+		l.set[string(l.kb)] = append(l.set[string(l.kb)], v)
 	}
 }
 
@@ -1017,7 +1108,7 @@ func (ex *exec) vecKeys(exprs []sqlast.Expr, bindings []*binding, sc *scope) *ve
 // as the rows of b.sel missing from the result. Group-by callers pass
 // dropNulls=false: NULL is a valid group key.
 func (ks *vecKeySet) compute(b *Batch, dropNulls bool) []int32 {
-	st := &ks.ex.vs
+	st := ks.ex.vs
 	sel := b.sel
 	for j, prog := range ks.progs {
 		ks.cols[j] = st.takeVals(len(b.rows))

@@ -606,6 +606,8 @@ func (s *Server) StatLines() []Stat {
 		{Name: "engine.panics", Value: es.Panics},
 		{Name: "middleware.rewrite_cache_hits", Value: rwHits},
 		{Name: "middleware.rewrite_cache_misses", Value: rwMisses},
+		{Name: "engine.scan_rows", Value: es.ScanRows},
+		{Name: "engine.scan_ranges", Value: es.ScanRanges},
 	}
 }
 

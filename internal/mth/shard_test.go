@@ -291,6 +291,9 @@ func spillLeftovers(t *testing.T) []string {
 // in-flight shard cursor and leave no spill files behind, and the session
 // must stay usable.
 func TestShardGatherCancellation(t *testing.T) {
+	// A directory of its own: under MTBASE_TEST_MEMLIMIT the engine package's
+	// capped tests, in another process, spill into the shared temp directory.
+	t.Setenv("TMPDIR", t.TempDir())
 	if n := spillLeftovers(t); len(n) > 0 {
 		t.Skipf("pre-existing spill files in temp dir: %v", n)
 	}
