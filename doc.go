@@ -22,24 +22,25 @@
 //     (engine/vector.go) — function calls and their arguments included,
 //     with the interpreter lifted over the batch as the only fallback
 //     (ADR-016) — ORDER BY sorts over precomputed key columns,
-//     conversion-UDF bodies are planned once per cached statement plan
-//     with their tenant-keyed meta-table lookups cached per table
-//     snapshot (engine/udf.go), and pure conversion results are cached
-//     per statement; whole statement plans are cached on the DB keyed by
-//     SQL text and stay valid until the schema changes — a write
-//     re-lowers nothing (engine/plan.go, ADR-024). Two oracles sit beside
+//     conversion-UDF bodies are planned once per statement plan with
+//     their tenant-keyed meta-table lookups cached per table snapshot
+//     (engine/udf.go), and pure conversion results are cached per
+//     statement; a statement plan is a value its caller holds and stays
+//     valid until the schema changes — a write re-lowers nothing
+//     (engine/plan.go, ADR-024, ADR-027). Two oracles sit beside
 //     production (ADR-010): the
 //     evaluator check (DB.SetCompileExprs(false)) runs the same operators
 //     with every expression lifted onto the tree-walking interpreter; the
 //     reference executor (DB.SetStreamExec(false)) materializes, interprets
-//     row-at-a-time, serially. The statement API is PreparePlan →
-//     QueryPlanContext(args...) → Rows (engine/plan.go, engine/rows.go):
-//     statements carry ? / $n bind parameters resolved per execution (one
-//     cached plan serves every binding), a panic in one statement is that
+//     row-at-a-time, serially. The statement API is PrepareStatement (an
+//     AST) or PreparePlan (text) → QueryPlanContext(args...) → Rows
+//     (engine/plan.go, engine/rows.go): statements carry ? / $n bind
+//     parameters resolved per execution (one plan serves every binding),
+//     a panic in one statement is that
 //     statement's error (DB.Recover, ADR-020), Rows pulls the operator tree
 //     batch-at-a-time
 //     for every query shape — joins, grouping, ordering, DISTINCT,
-//     subqueries — and every entry point has a Context variant polled for
+//     subqueries — and the execute entries take a Context polled for
 //     cancellation inside every operator (ADR-003/ADR-004 in DESIGN.md).
 //     Statements read immutable copy-on-write snapshots pinned at exec
 //     creation — writers publish new snapshots under DB.mu, so readers,
@@ -70,8 +71,10 @@
 //     cached against the parameterized text and shared across bindings. A
 //     client statement is one value, middleware.Statement (AST, text, table
 //     set and bind arity, made once by Parse), compiled in one place
-//     (Conn.compile: scope → D′ → rewrite → optimize → SQL text) under one
-//     statement cache (ADR-020 in DESIGN.md). The session shape is declared
+//     (Conn.compile: scope → D′ → rewrite → optimize → engine plan, lowered
+//     from the rewritten statement, whose text is pure SQL but is not
+//     parsed again) under one statement cache whose forms hold the plans
+//     (ADR-020, ADR-027 in DESIGN.md). The session shape is declared
 //     once, in middleware/session.go (ADR-013): a tier implements a
 //     six-method core over that value — QueryStmt(ctx, *Statement, args),
 //     ExecStmt(ctx, *Statement, args) — and Exec/Query/Prepare and the

@@ -2,7 +2,7 @@ package engine
 
 // Tests for the bind-parameter subsystem: plan-time arity validation,
 // type-slot coercion, NULL binds, differential compiled/interpreted
-// execution, plan-cache sharing across bindings and concurrent Stmt reuse.
+// execution, one held plan across bindings and concurrent plan reuse.
 
 import (
 	"context"
@@ -158,7 +158,7 @@ func TestBindDifferential(t *testing.T) {
 			var keys []string
 			for _, compiled := range []bool{true, false} {
 				db := bindTestDB(t, compiled)
-				got, err := db.ExecArgs(c.param, c.args...)
+				got, err := db.ExecPlanContext(context.Background(), mustPrepare(db, c.param), c.args...)
 				if err != nil {
 					t.Fatalf("compiled=%v param: %v", compiled, err)
 				}
@@ -184,7 +184,7 @@ func TestBindDML(t *testing.T) {
 	for _, compiled := range []bool{true, false} {
 		t.Run(fmt.Sprintf("compiled=%v", compiled), func(t *testing.T) {
 			db := bindTestDB(t, compiled)
-			res, err := db.ExecArgs(`UPDATE items SET qty = qty + ? WHERE price < ?`,
+			res, err := db.ExecPlanContext(context.Background(), mustPrepare(db, `UPDATE items SET qty = qty + ? WHERE price < ?`),
 				sqltypes.NewInt(100), sqltypes.NewFloat(5.0))
 			if err != nil {
 				t.Fatal(err)
@@ -199,7 +199,7 @@ func TestBindDML(t *testing.T) {
 			if got.Rows[0][0].AsInt() != 190 {
 				t.Fatalf("qty = %v, want 190", got.Rows[0][0])
 			}
-			if _, err := db.ExecArgs(`INSERT INTO items VALUES (?, ?, ?, ?, ?)`,
+			if _, err := db.ExecPlanContext(context.Background(), mustPrepare(db, `INSERT INTO items VALUES (?, ?, ?, ?, ?)`),
 				sqltypes.NewInt(5), sqltypes.NewString("epoxy"), sqltypes.NewFloat(3.5),
 				sqltypes.NewInt(7), sqltypes.NewString("1998-03-04")); err != nil {
 				t.Fatal(err)
@@ -211,7 +211,7 @@ func TestBindDML(t *testing.T) {
 			if got.Rows[0][0].K != sqltypes.KindDate {
 				t.Fatalf("INSERT bind not coerced to DATE: %s", got.Rows[0][0].K)
 			}
-			res, err = db.ExecArgs(`DELETE FROM items WHERE id = ?`, sqltypes.NewInt(5))
+			res, err = db.ExecPlanContext(context.Background(), mustPrepare(db, `DELETE FROM items WHERE id = ?`), sqltypes.NewInt(5))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,26 +227,26 @@ func TestBindDML(t *testing.T) {
 func TestBindArity(t *testing.T) {
 	for _, compiled := range []bool{true, false} {
 		db := bindTestDB(t, compiled)
-		_, err := db.ExecArgs(`SELECT id FROM items WHERE qty > ? AND price < ?`, sqltypes.NewInt(1))
+		_, err := db.ExecPlanContext(context.Background(), mustPrepare(db, `SELECT id FROM items WHERE qty > ? AND price < ?`), sqltypes.NewInt(1))
 		if err == nil || !strings.Contains(err.Error(), "requires 2 bind parameters, got 1") {
 			t.Fatalf("compiled=%v: want arity error, got %v", compiled, err)
 		}
-		_, err = db.ExecArgs(`SELECT id FROM items`, sqltypes.NewInt(1))
+		_, err = db.ExecPlanContext(context.Background(), mustPrepare(db, `SELECT id FROM items`), sqltypes.NewInt(1))
 		if err == nil || !strings.Contains(err.Error(), "requires 0 bind parameters, got 1") {
 			t.Fatalf("compiled=%v: want zero-arity error, got %v", compiled, err)
 		}
 		// $2 referenced without $1: arity is the max index; unused slots are
 		// legal but the count must match.
-		_, err = db.ExecArgs(`SELECT id FROM items WHERE qty > $2`, sqltypes.NewInt(0))
+		_, err = db.ExecPlanContext(context.Background(), mustPrepare(db, `SELECT id FROM items WHERE qty > $2`), sqltypes.NewInt(0))
 		if err == nil || !strings.Contains(err.Error(), "requires 2 bind parameters") {
 			t.Fatalf("compiled=%v: want max-index arity error, got %v", compiled, err)
 		}
-		if _, err = db.ExecArgs(`SELECT id FROM items WHERE qty > $2`,
+		if _, err = db.ExecPlanContext(context.Background(), mustPrepare(db, `SELECT id FROM items WHERE qty > $2`),
 			sqltypes.Null, sqltypes.NewInt(0)); err != nil {
 			t.Fatalf("compiled=%v: unused slot should be legal: %v", compiled, err)
 		}
 		// DDL never takes binds.
-		_, err = db.ExecArgs(`DROP TABLE tags`, sqltypes.NewInt(1))
+		_, err = db.ExecPlanContext(context.Background(), mustPrepare(db, `DROP TABLE tags`), sqltypes.NewInt(1))
 		if err == nil || !strings.Contains(err.Error(), "takes no bind parameters") {
 			t.Fatalf("compiled=%v: want DDL bind rejection, got %v", compiled, err)
 		}
@@ -261,14 +261,14 @@ func TestBindArity(t *testing.T) {
 func TestBindCoercionFallback(t *testing.T) {
 	for _, compiled := range []bool{true, false} {
 		db := bindTestDB(t, compiled)
-		res, err := db.ExecArgs(`SELECT id FROM items WHERE shipped < ?`, sqltypes.NewString("not-a-date"))
+		res, err := db.ExecPlanContext(context.Background(), mustPrepare(db, `SELECT id FROM items WHERE shipped < ?`), sqltypes.NewString("not-a-date"))
 		if err != nil {
 			t.Fatalf("compiled=%v: %v", compiled, err)
 		}
 		if len(res.Rows) != 0 {
 			t.Fatalf("compiled=%v: string/date comparison must be unknown, got %d rows", compiled, len(res.Rows))
 		}
-		got, err := db.ExecArgs(`SELECT id FROM items WHERE qty > ? ORDER BY id`, sqltypes.NewFloat(1.5))
+		got, err := db.ExecPlanContext(context.Background(), mustPrepare(db, `SELECT id FROM items WHERE qty > ? ORDER BY id`), sqltypes.NewFloat(1.5))
 		if err != nil {
 			t.Fatalf("compiled=%v: %v", compiled, err)
 		}
@@ -282,20 +282,16 @@ func TestBindCoercionFallback(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSharedAcrossBindings executes one parameterized text 100×
+// TestPlanCacheSharedAcrossBindings executes one held parameterized plan 100×
 // with distinct bindings: every execution after the first must be a plan
 // cache hit (the acceptance criterion for literal-varying workloads).
 func TestPlanCacheSharedAcrossBindings(t *testing.T) {
 	db := bindTestDB(t, true)
-	const sql = `SELECT id, name FROM items WHERE qty > ? ORDER BY id`
 	db.Stats = Stats{}
+	// The middleware's statement: a compiled form holds the plan, and each
+	// execution runs it with its own bindings.
+	p := mustPrepare(db, `SELECT id, name FROM items WHERE qty > ? ORDER BY id`)
 	for i := 0; i < 100; i++ {
-		// The middleware's statement: the text through the plan cache, then
-		// the plan with this execution's bindings.
-		p, err := db.PreparePlan(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rows, err := db.QueryPlanContext(context.Background(), p, sqltypes.NewInt(int64(i)))
 		if err != nil {
 			t.Fatal(err)
@@ -365,7 +361,7 @@ func TestBindInsideUDFBodyKeepsFunctionArgs(t *testing.T) {
 			AS 'SELECT $1 * 3' LANGUAGE SQL IMMUTABLE`); err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.ExecArgs(`SELECT id, triple(qty) AS t3 FROM items WHERE id = $1`, sqltypes.NewInt(2))
+		res, err := db.ExecPlanContext(context.Background(), mustPrepare(db, `SELECT id, triple(qty) AS t3 FROM items WHERE id = $1`), sqltypes.NewInt(2))
 		if err != nil {
 			t.Fatalf("compiled=%v: %v", compiled, err)
 		}
@@ -389,13 +385,13 @@ func TestQueryContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := db.ExecContext(ctx, `SELECT COUNT(*) AS n FROM items WHERE qty > 0`)
+	_, err := db.ExecPlanContext(ctx, mustPrepare(db, `SELECT COUNT(*) AS n FROM items WHERE qty > 0`))
 	if err == nil || err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	// Streaming cursor: cancellation surfaces from Next.
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	rows, err := db.QueryContext(ctx2, `SELECT id FROM items`)
+	rows, err := db.QueryPlanContext(ctx2, mustPrepare(db, `SELECT id FROM items`))
 	if err != nil {
 		t.Fatal(err)
 	}

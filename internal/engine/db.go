@@ -24,10 +24,10 @@
 // additionally planned once per statement plan (udf.go): the tenant-keyed
 // FROM/WHERE relation is cached per distinct parameter tuple and the
 // projection lowered against it, so a conversion call costs a hash probe
-// plus one program run. Statement plans themselves are cached on the DB
-// keyed by SQL text and valid until the next schema change (plan.go), so
-// repeated texts skip parsing and lowering entirely, whatever is written
-// between them.
+// plus one program run. A statement plan is a value its caller holds, valid
+// until the next schema change (plan.go), so a caller that keeps one — the
+// middleware's compiled forms — skips lowering entirely on every later
+// execution, whatever is written between them.
 // DB.SetCompileExprs(false) lifts the interpreter over every expression; the
 // differential property test relies on both evaluators producing identical
 // results.
@@ -168,6 +168,10 @@ type catalog struct {
 	tables map[string]*Table
 	views  map[string]*sqlast.Select
 	funcs  map[string]*Function
+
+	// private marks one statement's own clone (QueryWith): never the DB's
+	// catalog, so a plan lowered against it is not revalidated.
+	private bool
 }
 
 func (c *catalog) table(name string) *Table       { return c.tables[strings.ToLower(name)] }
@@ -207,12 +211,6 @@ type DB struct {
 	// SetCompileExprs and SetStreamExec and pinned per statement by newExec —
 	// nothing else reads these two fields.
 	noCompile, streamOff bool
-
-	// plans is the statement plan cache (plan.go): SQL text → immutable
-	// Plan, valid while the catalog it was lowered against is current.
-	plans       map[string]*Plan
-	planClock   uint64
-	noPlanCache bool
 
 	// memLimit caps the bytes one statement's pipeline breakers may retain
 	// before spilling to disk (SetMemoryLimit); 0 means unlimited. spillDir
@@ -281,10 +279,12 @@ type Stats struct {
 	UDFCalls     atomic.Int64 // UDF body executions (cache misses in ModePostgres)
 	UDFCacheHits atomic.Int64
 
-	// Plan cache counters: hits serve a validated cached plan, misses build
-	// one (cold or after invalidation), invalidations count the plans found
-	// lowered against a catalog some DDL has replaced since — a DML write
-	// invalidates none.
+	// Plan counters (DESIGN.md ADR-027), named as benchmark/ and the wire
+	// Stats order read them: misses count lowerings through PreparePlan and
+	// PrepareStatement, hits the executions of a plan that has run before,
+	// invalidations the executions that found their plan lowered against a
+	// catalog some DDL has replaced since and re-lowered it — each also a miss.
+	// A DML write invalidates nothing; Exec and QueryWith count nothing.
 	PlanCacheHits          atomic.Int64
 	PlanCacheMisses        atomic.Int64
 	PlanCacheInvalidations atomic.Int64
@@ -427,26 +427,15 @@ func (db *DB) TableNames() []string {
 	return names
 }
 
-// ExecSQL parses and executes a single statement through the plan cache:
-// repeated texts reuse the cached lowering as long as the schema is unchanged.
+// ExecSQL prepares and executes a single statement: set-up DDL and loads,
+// which run once. A caller that repeats a statement holds its plan instead
+// (PreparePlan, ExecPlanContext).
 func (db *DB) ExecSQL(sql string) (*Result, error) {
-	return db.ExecContext(context.Background(), sql)
-}
-
-// ExecArgs parses and executes a single statement with bind-parameter
-// values for its $n / ? placeholders.
-func (db *DB) ExecArgs(sql string, args ...sqltypes.Value) (*Result, error) {
-	return db.ExecContext(context.Background(), sql, args...)
-}
-
-// ExecContext is ExecArgs with cancellation: ctx is polled at batch
-// boundaries, so a cancelled context aborts a long scan within one batch.
-func (db *DB) ExecContext(ctx context.Context, sql string, args ...sqltypes.Value) (*Result, error) {
 	p, err := db.PreparePlan(sql)
 	if err != nil {
 		return nil, err
 	}
-	return db.ExecPlanContext(ctx, p, args...)
+	return db.ExecPlanContext(context.Background(), p)
 }
 
 // ExecScript executes a ;-separated script, returning the last result.
@@ -465,10 +454,14 @@ func (db *DB) ExecScript(sql string) (*Result, error) {
 	return res, nil
 }
 
-// Exec executes a parsed statement through an ephemeral (uncached) plan,
-// lowered where a prepared one is revalidated.
+// Exec executes a parsed statement through a plan lowered for this one
+// execution, which counts nothing.
 func (db *DB) Exec(stmt sqlast.Statement) (*Result, error) {
-	return db.ExecPlanContext(context.Background(), &Plan{stmt: stmt})
+	p, err := db.lower(db.catalogNow(), stmt)
+	if err != nil {
+		return nil, err
+	}
+	return db.ExecPlanContext(context.Background(), p)
 }
 
 // newExecArgs builds the per-statement execution state with validated,
@@ -485,30 +478,16 @@ func (db *DB) newExecArgs(ctx context.Context, p *Plan, args []sqltypes.Value) (
 }
 
 // pinExec is the locked region of a SELECT: under db.mu the plan is
-// revalidated — or, with rels, lowered against the statement's own catalog
-// (QueryWith) — and the execution state is built: validated bind values, the
+// revalidated and the execution state is built: validated bind values, the
 // pinned catalog and table snapshots. The lock is released whatever happens.
-func (db *DB) pinExec(ctx context.Context, p *Plan, args []sqltypes.Value, rels []Relation) (*exec, error) {
+func (db *DB) pinExec(ctx context.Context, p *Plan, args []sqltypes.Value) (*exec, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	var local *catalog
-	if len(rels) > 0 {
-		var err error
-		if local, err = db.catalogNow().with(rels); err != nil {
-			return nil, err
-		}
-		p = buildPlan(local, "", p.stmt)
-	} else {
-		p = db.revalidatePlanLocked(p)
-	}
+	p = db.revalidatePlanLocked(p)
 	if p.arityErr != nil {
 		return nil, p.arityErr
 	}
-	ex, err := db.newExecArgs(ctx, p, args)
-	if err == nil && local != nil {
-		ex.cat, ex.snap = local, newSnapshotSet(local)
-	}
-	return ex, err
+	return db.newExecArgs(ctx, p, args)
 }
 
 // execPlanLocked dispatches one write or DDL statement under db.mu.
@@ -566,23 +545,11 @@ func (db *DB) execPlanLocked(ctx context.Context, p *Plan, args []sqltypes.Value
 	return nil, fmt.Errorf("engine: unsupported statement %T", p.stmt)
 }
 
-// Query executes a SELECT through an ephemeral plan.
-func (db *DB) Query(sel *sqlast.Select) (*Result, error) { return db.Exec(sel) }
-
-// QuerySQL parses and executes a SELECT through the plan cache, returning
-// the fully materialized Result. The execution runs against the table
-// snapshots current when the call started, so the result is atomic with
-// respect to concurrent writers without holding DB.mu for the scan.
+// QuerySQL prepares and executes a SELECT, returning the fully materialized
+// Result. The execution runs against the table snapshots current when the
+// call started, so the result is atomic with respect to concurrent writers
+// without holding DB.mu for the scan.
 func (db *DB) QuerySQL(sql string) (*Result, error) {
-	p, err := db.prepareQuery(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.ExecPlanContext(context.Background(), p)
-}
-
-// prepareQuery is PreparePlan for the entries that take a SELECT only.
-func (db *DB) prepareQuery(sql string) (*Plan, error) {
 	p, err := db.PreparePlan(sql)
 	if err != nil {
 		return nil, err
@@ -594,24 +561,7 @@ func (db *DB) prepareQuery(sql string) (*Plan, error) {
 		}
 		return nil, fmt.Errorf("engine: not a query: %s", sql)
 	}
-	return p, nil
-}
-
-// QueryRows parses and executes a SELECT through the plan cache, returning
-// a streaming cursor with the given bind-parameter values.
-func (db *DB) QueryRows(sql string, args ...sqltypes.Value) (*Rows, error) {
-	return db.QueryContext(context.Background(), sql, args...)
-}
-
-// QueryContext is QueryRows with cancellation, polled at batch boundaries
-// by every operator in the cursor's tree — probe loops, join builds and
-// group/sort drains included.
-func (db *DB) QueryContext(ctx context.Context, sql string, args ...sqltypes.Value) (*Rows, error) {
-	p, err := db.prepareQuery(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.queryRows(ctx, p, args, nil)
+	return db.ExecPlanContext(context.Background(), p)
 }
 
 // Relation is a named in-memory row set that one statement reads as a table
@@ -625,17 +575,26 @@ type Relation struct {
 // QueryWith executes sel with rels visible to this execution only: a name
 // the catalog already holds as a table is shadowed (same schema, these rows,
 // fresh indexes), a new name is added. Both live in a private clone of the
-// catalog the statement pins, so the DB's catalog, the tables' heaps, the plan
-// cache and every other statement are untouched, and the cursor keeps its
-// relations for as long as it is open. The plan is ephemeral: whatever it
-// derives from the relations dies with it.
+// catalog the statement pins, so the DB's catalog, the tables' heaps and
+// every other statement are untouched, and the cursor keeps its relations for
+// as long as it is open. The plan is lowered for this one execution and counts
+// nothing: whatever it derives from the relations dies with it.
 func (db *DB) QueryWith(ctx context.Context, sel *sqlast.Select, args []sqltypes.Value, rels ...Relation) (*Rows, error) {
-	return db.queryRows(ctx, &Plan{stmt: sel}, args, rels)
+	cat, err := db.catalogNow().with(rels)
+	if err != nil {
+		return nil, err
+	}
+	p, err := db.lower(cat, sel)
+	if err != nil {
+		return nil, err
+	}
+	return db.queryRows(ctx, p, args)
 }
 
-// with returns a clone of c in which rels are tables.
+// with returns a private clone of c in which rels are tables.
 func (c *catalog) with(rels []Relation) (*catalog, error) {
 	cat := c.clone()
+	cat.private = true
 	for _, r := range rels {
 		key := strings.ToLower(r.Name)
 		if cat.views[key] != nil {
@@ -1093,7 +1052,7 @@ func (db *DB) validateConstraint(cat *catalog, t *Table, con sqlast.Constraint) 
 			}
 		}
 	case sqlast.ConstraintCheck:
-		ex := db.newExec(buildPlan(cat, "", nil))
+		ex := db.newExec(buildPlan(cat, nil))
 		v, err := ex.eval(con.Check, rootScope())
 		if err != nil {
 			return fmt.Errorf("engine: CHECK %s: %w", con.Name, err)

@@ -72,6 +72,18 @@ CREATE FUNCTION currencyFromUniversal (DECIMAL(15,2), INTEGER) RETURNS DECIMAL(1
 	return db
 }
 
+// mustPrepare is how these tests run text with binds, a context or a cursor:
+// they hold its plan and call ExecPlanContext or QueryPlanContext, as the
+// middleware does with a compiled form. The text is the test's own, so a
+// parse error is a bug in the test.
+func mustPrepare(db *DB, sql string) *Plan {
+	p, err := db.PreparePlan(sql)
+	if err != nil {
+		panic(fmt.Sprintf("preparing %q: %v", sql, err))
+	}
+	return p
+}
+
 func queryRows(t testing.TB, db *DB, sql string) [][]sqltypes.Value {
 	t.Helper()
 	res, err := db.QuerySQL(sql)

@@ -18,7 +18,7 @@ import (
 // PostgreSQL caches IMMUTABLE function results "for the rest of the query
 // execution" (§4.2.1). The immutable side of the statement — the AST,
 // subquery IDs, UDF body lowerings — lives in the Plan (plan.go), which the
-// exec only reads, so one cached plan serves any number of executions.
+// exec only reads, so one plan serves any number of executions.
 type exec struct {
 	db       *DB
 	plan     *Plan
@@ -74,7 +74,7 @@ type exec struct {
 	// engine's equivalent of PostgreSQL's InitPlan, evaluated once per
 	// statement. inSetCache additionally hashes IN-subquery results. Both
 	// are keyed by plan-stable subquery IDs, not node pointers: the AST is
-	// shared by every execution of a cached plan, so pointer keys would tie
+	// shared by every execution of a plan, so pointer keys would tie
 	// the memo's identity to object identity the exec does not own.
 	subqCache  map[int32]*Result
 	inSetCache map[int32]*inSet
@@ -93,7 +93,7 @@ type exec struct {
 
 	// binds holds the client bind-parameter values of this execution; a
 	// statement-level $n / ? resolves here after the scope walk finds no UDF
-	// parameter frame. One cached plan serves every binding because binds
+	// parameter frame. One plan serves every binding because binds
 	// live on the exec, never on the plan.
 	binds []sqltypes.Value
 
@@ -158,7 +158,7 @@ type inSet struct {
 }
 
 func (db *DB) newExec(p *Plan) *exec {
-	cat := db.catalogNow()
+	cat := p.cat
 	ex := &exec{
 		db:         db,
 		plan:       p,

@@ -235,7 +235,7 @@ func TestScratchReuseConcurrent(t *testing.T) {
 	want := map[string]string{spills: execKey(db.QuerySQL(spills))}
 	for _, q := range reads {
 		for c := 0; c < 10; c++ {
-			want[key(q, c)] = execKey(db.ExecArgs(q, sqltypes.NewInt(int64(c))))
+			want[key(q, c)] = execKey(db.ExecPlanContext(context.Background(), mustPrepare(db, q), sqltypes.NewInt(int64(c))))
 		}
 	}
 	cfgProduction.apply(db)
@@ -254,7 +254,7 @@ func TestScratchReuseConcurrent(t *testing.T) {
 		}
 		return execKey(res, nil)
 	}
-	held, err := db.QueryRows(reads[1], sqltypes.NewInt(3))
+	held, err := db.QueryPlanContext(context.Background(), mustPrepare(db, reads[1]), sqltypes.NewInt(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestScratchReuseConcurrent(t *testing.T) {
 					}
 				default:
 					q, c := reads[(s+i)%len(reads)], (s*7+i)%10
-					rows, err := db.QueryRows(q, sqltypes.NewInt(int64(c)))
+					rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db, q), sqltypes.NewInt(int64(c)))
 					if err != nil {
 						t.Errorf("session %d: %s: %v", s, key(q, c), err)
 						continue

@@ -5,7 +5,7 @@ package engine
 // executes as a tree of Operators exchanging Batches, so memory scales with
 // batch size plus pipeline-breaker state (hash tables, group buckets, sort
 // buffers) rather than with intermediate result size. The tree is built per
-// execution from the cached Plan's AST (join order and index choices are
+// execution from the Plan's AST (join order and index choices are
 // data-dependent, so the physical tree itself is not cached; the Plan
 // contributes the parsed AST, the per-Select conjunct analysis and the UDF
 // body lowerings), and both the materializing Result consumers and the

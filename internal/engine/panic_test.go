@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"mtbase/internal/sqlast"
+	"mtbase/internal/sqlparse"
 	"mtbase/internal/sqltypes"
 )
 
@@ -50,26 +51,26 @@ func TestPanicIsTheStatementsError(t *testing.T) {
 		run  func(db *DB) error
 	}{
 		{"cursor over a spilled sort", 1, func(db *DB) error {
-			return drain(db.QueryRows(`SELECT id, MT_BOOM(id) AS b FROM fact ORDER BY val, id`))
+			return drain(db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT id, MT_BOOM(id) AS b FROM fact ORDER BY val, id`)))
 		}},
 		{"materialized result", 1, func(db *DB) error {
 			_, err := db.QuerySQL(`SELECT id, MT_BOOM(id) AS b FROM fact ORDER BY val, id`)
 			return err
 		}},
 		{"parallelFor worker", 4, func(db *DB) error {
-			return drain(db.QueryRows(`SELECT id FROM fact WHERE MT_BOOM(id) >= 0 ORDER BY val, id`))
+			return drain(db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT id FROM fact WHERE MT_BOOM(id) >= 0 ORDER BY val, id`)))
 		}},
 		{"reference executor", 1, func(db *DB) error {
 			db.SetStreamExec(false)
 			defer db.SetStreamExec(true)
-			return drain(db.QueryRows(`SELECT id FROM fact WHERE MT_BOOM(id) >= 0`))
+			return drain(db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT id FROM fact WHERE MT_BOOM(id) >= 0`)))
 		}},
 		{"write under the DB lock", 1, func(db *DB) error {
 			_, err := db.ExecSQL(`UPDATE fact SET val = MT_BOOM(id)`)
 			return err
 		}},
 		{"gather feeder", 1, func(db *DB) error {
-			part, err := db.QueryRows(`SELECT id, MT_BOOM(id) AS b FROM fact ORDER BY val, id`)
+			part, err := db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT id, MT_BOOM(id) AS b FROM fact ORDER BY val, id`))
 			if err != nil {
 				return err
 			}
@@ -98,7 +99,7 @@ func TestPanicIsTheStatementsError(t *testing.T) {
 			if _, err := db.ExecSQL(`UPDATE fact SET val = val + 1 WHERE id = 0`); err != nil {
 				t.Fatalf("write after the panic: %v", err)
 			}
-			rows, err := db.QueryContext(context.Background(), `SELECT COUNT(*) FROM fact WHERE MT_BOOM(id % 7) >= 0`)
+			rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT COUNT(*) FROM fact WHERE MT_BOOM(id % 7) >= 0`))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,12 +112,13 @@ func TestPanicIsTheStatementsError(t *testing.T) {
 	}
 }
 
-// TestPanicInLoweringIsTheStatementsError: a plan is lowered inside the locked
-// region of the entry that needs it, and that region releases the lock and
-// recovers whatever the lowering does. A malformed AST (EXISTS over no block)
-// makes the walker panic under Exec, Query and QueryWith; a catalog holding a
-// view without a body makes the arity check panic under the text entries and
-// under the re-lowering of a prepared plan.
+// TestPanicInLoweringIsTheStatementsError: a plan is lowered by the prepare
+// entries, or for one execution by Exec and QueryWith, under Recover — and a
+// stale one is re-lowered inside the locked region of its execution, which
+// releases the lock and recovers whatever the lowering does. A malformed AST
+// (EXISTS over no block) makes the walker panic under Exec and QueryWith; a
+// catalog holding a view without a body makes the arity check panic under the
+// text entries, PrepareStatement and the re-lowering of a held plan.
 func TestPanicInLoweringIsTheStatementsError(t *testing.T) {
 	ctx := context.Background()
 	badSel := func() *sqlast.Select {
@@ -166,14 +168,20 @@ func TestPanicInLoweringIsTheStatementsError(t *testing.T) {
 			_, err := db.Exec(&sqlast.Delete{Table: "fact", Where: &sqlast.ExistsExpr{}})
 			return err
 		}},
-		{"Query", func(db *DB) error { _, err := db.Query(badSel()); return err }},
+		{"Exec of a query", func(db *DB) error { _, err := db.Exec(badSel()); return err }},
 		{"QueryWith", func(db *DB) error { return drain(db.QueryWith(ctx, badSel(), nil)) }},
 		{"QueryWith relations", func(db *DB) error {
 			return drain(db.QueryWith(ctx, badSel(), nil, Relation{Name: "extra", Cols: []Column{{Name: "id", Type: sqltypes.KindInt}}}))
 		}},
 		{"ExecSQL", hollowed(func(db *DB) error { _, err := db.ExecSQL(overView); return err })},
 		{"QuerySQL", hollowed(func(db *DB) error { _, err := db.QuerySQL(overView); return err })},
-		{"QueryRows", hollowed(func(db *DB) error { return drain(db.QueryRows(overView)) })},
+		{"PrepareStatement", hollowed(func(db *DB) error {
+			stmt, err := sqlparse.ParseStatement(overView)
+			if err == nil {
+				_, err = db.PrepareStatement(stmt)
+			}
+			return err
+		})},
 		{"PreparePlan", hollowed(func(db *DB) error { _, err := db.PreparePlan(overView); return err })},
 		{"ExecPlanContext re-lowering", stale(func(db *DB, p *Plan) error { _, err := db.ExecPlanContext(ctx, p); return err })},
 		{"QueryPlanContext re-lowering", stale(func(db *DB, p *Plan) error { return drain(db.QueryPlanContext(ctx, p)) })},

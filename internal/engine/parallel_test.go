@@ -6,6 +6,7 @@ package engine
 // commits, and a reader/writer/DDL stress test meant to run under -race.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -69,7 +70,7 @@ func TestParallelErrorParity(t *testing.T) {
 
 		collect := func(par int) (got []int64, errStr string) {
 			db.SetParallelism(par)
-			rs, err := db.QueryRows(q)
+			rs, err := db.QueryPlanContext(context.Background(), mustPrepare(db, q))
 			if err != nil {
 				return nil, err.Error()
 			}
@@ -119,7 +120,7 @@ func TestCursorSnapshotAcrossWrites(t *testing.T) {
 	}
 	db.Table("acct").BulkLoad(rows)
 
-	rs, err := db.QueryRows(`SELECT id, bal FROM acct`)
+	rs, err := db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT id, bal FROM acct`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestParallelStress(t *testing.T) {
 					return
 				}
 				// Cursor held open across other goroutines' commits.
-				rs, err := db.QueryRows(`SELECT amt FROM ledger WHERE amt % 2 = 0`)
+				rs, err := db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT amt FROM ledger WHERE amt % 2 = 0`))
 				if err != nil {
 					report("reader %d cursor: %v", r, err)
 					return

@@ -1,25 +1,24 @@
 package engine
 
-// This file implements the DB-level statement plan cache. A Plan is the
-// immutable part of a statement's lowering: the parsed AST (never mutated by
-// execution — operators clone before transforming), plan-stable IDs for every
-// subquery node (the keys of the per-execution subquery/IN-set memos), the
-// plan-time IN-subquery arity validation, and the shared lowerings of called
-// UDF bodies. Everything that changes while a statement runs — the UDF result
-// memo, subquery result caches, the batch scratch stack — lives in the
-// per-execution exec object (eval.go), so one Plan serves any number of
-// executions.
+// This file implements statement plans. A Plan is the immutable part of a
+// statement's lowering: the AST (never mutated by execution — operators clone
+// before transforming), plan-stable IDs for every subquery node (the keys of
+// the per-execution subquery/IN-set memos), the plan-time IN-subquery arity
+// validation, and the shared lowerings of called UDF bodies. Everything that
+// changes while a statement runs — the UDF result memo, subquery result
+// caches, the batch scratch stack — lives in the per-execution exec object
+// (eval.go), so one Plan serves any number of executions.
 //
-// Plans are cached on the DB keyed by SQL text. A Plan holds nothing that
-// depends on the execution configuration, which each execution pins for itself
-// (newExec), and nothing that depends on the data: it is a function of the
-// statement and the schema, so it remembers the catalog it was lowered against
-// and is valid exactly while that catalog is the DB's current one (DESIGN.md
-// ADR-024). Every DDL swaps the catalog and thereby retires every plan — a plan
-// over a name that does not resolve included, so a later CREATE meets a fresh
-// lowering — and a DML write retires none. The one data-dependent artifact a
-// plan carries, the relation memo of planned UDF bodies, is tied to the table
-// snapshots it was read from instead (udf.go).
+// A Plan is a value its caller holds (DESIGN.md ADR-027): the DB keeps none.
+// It holds nothing that depends on the execution configuration, which each
+// execution pins for itself (newExec), and nothing that depends on the data:
+// it is a function of the statement and the schema, so it remembers the
+// catalog it was lowered against and is valid exactly while that catalog is
+// the DB's current one (ADR-024). Every DDL swaps the catalog and thereby
+// retires every plan — a plan over a name that does not resolve included, so
+// a later CREATE meets a fresh lowering — and a DML write retires none. The
+// one data-dependent artifact a plan carries, the relation memo of planned UDF
+// bodies, is tied to the table snapshots it was read from instead (udf.go).
 
 import (
 	"context"
@@ -27,35 +26,29 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"mtbase/internal/sqlast"
 	"mtbase/internal/sqlparse"
 	"mtbase/internal/sqltypes"
 )
 
-// planCacheCap bounds the number of cached plans; on overflow the
-// least-recently-used half is dropped.
-const planCacheCap = 512
-
 // Plan is an immutable, reentrant lowering of one statement plus the
 // artifacts shared by its executions. The only mutable fields — udfPlans,
 // analysis, and the entry memo inside each udfPlan — are lazily filled
 // caches guarded by mu: SELECT executions run outside DB.mu and may share
-// one plan concurrently. lastUse is written only under DB.mu (cache
-// bookkeeping happens at lookup, before execution leaves the lock).
+// one plan concurrently; ran is set by the first execution.
 type Plan struct {
-	mu        sync.Mutex
-	stmt      sqlast.Statement
-	sql       string                   // cache key; "" for ephemeral plans
-	subqIDs   map[*sqlast.Select]int32 // plan-stable subquery IDs
-	nSubq     int32
-	arityErr  error // IN-subquery arity mismatch found at plan time
-	cacheable bool
-	lastUse   uint64
+	mu       sync.Mutex
+	stmt     sqlast.Statement
+	subqIDs  map[*sqlast.Select]int32 // plan-stable subquery IDs
+	nSubq    int32
+	arityErr error // IN-subquery arity mismatch found at plan time
+	ran      atomic.Bool
 
-	// cat is the catalog the plan was lowered against, nil for an AST no
-	// catalog has met yet (Exec, Query): revalidatePlanLocked is the one place
-	// that compares it with the current one.
+	// cat is the catalog the plan was lowered against: revalidatePlanLocked is
+	// the one place that compares it with the current one, and the execution
+	// pins it (newExec).
 	cat *catalog
 
 	// nParams is the bind-parameter arity: the highest $n / ? slot the
@@ -288,11 +281,10 @@ func (p *Plan) bindArgs(args []sqltypes.Value) ([]sqltypes.Value, error) {
 
 // ---------------------------------------------------------------- build
 
-// buildPlan lowers stmt against cat. sql is the cache key, empty for the
-// ephemeral plans around caller-supplied ASTs, which are never stored.
-func buildPlan(cat *catalog, sql string, stmt sqlast.Statement) *Plan {
-	p := &Plan{stmt: stmt, sql: sql, cat: cat}
-	switch st := stmt.(type) {
+// buildPlan lowers stmt against cat.
+func buildPlan(cat *catalog, stmt sqlast.Statement) *Plan {
+	p := &Plan{stmt: stmt, cat: cat}
+	switch stmt.(type) {
 	case *sqlast.Select, *sqlast.Insert, *sqlast.Update, *sqlast.Delete:
 		p.subqIDs = make(map[*sqlast.Select]int32)
 		sqlast.WalkBlocks(stmt, func(sel *sqlast.Select) {
@@ -306,12 +298,6 @@ func buildPlan(cat *catalog, sql string, stmt sqlast.Statement) *Plan {
 		if p.nParams > 0 {
 			p.paramKinds = cat.paramKinds(stmt, p.nParams)
 		}
-		// A VALUES-only INSERT without placeholders is the classic unique-text
-		// shape (bulk loads serialize distinct literals per row): caching those
-		// would only churn the cache. With placeholders it is one repeating
-		// text like any other.
-		ins, isIns := st.(*sqlast.Insert)
-		p.cacheable = !(isIns && ins.Sub == nil && p.nParams == 0)
 	default:
 		// DDL and anything else: execute through an ephemeral plan.
 	}
@@ -599,89 +585,56 @@ func (cat *catalog) colKindResolver(sel *sqlast.Select) func(cr *sqlast.ColumnRe
 	}
 }
 
-// ---------------------------------------------------------------- cache
+// ---------------------------------------------------------------- prepare
 
-// planForLocked returns the plan for sql: the cached one while the catalog it
-// was lowered against is current, a re-lowering of its retained AST when it is
-// not (the parse never depends on the schema), a parse and a lowering on a
-// cold miss.
-func (db *DB) planForLocked(sql string) (*Plan, error) {
-	p, cached := db.plans[sql]
-	if !cached {
-		stmt, err := sqlparse.ParseStatement(sql)
-		if err != nil {
-			return nil, err
-		}
-		p = &Plan{stmt: stmt, sql: sql}
+// PreparePlan parses sql and lowers it (PrepareStatement), for callers that
+// hold text. Errors are parse errors or ErrInternal: plan analysis itself
+// never fails (validation errors are reported by ExecPlanContext, like their
+// runtime counterparts).
+func (db *DB) PreparePlan(sql string) (*Plan, error) {
+	stmt, err := sqlparse.ParseStatement(sql)
+	if err != nil {
+		return nil, err
 	}
-	np := db.revalidatePlanLocked(p)
-	if np != p {
+	return db.PrepareStatement(stmt)
+}
+
+// PrepareStatement lowers stmt against the current schema and returns the
+// plan for its caller to hold and execute any number of times — the middleware
+// hands it the statement its rewrite built. It counts one plan-cache miss.
+func (db *DB) PrepareStatement(stmt sqlast.Statement) (*Plan, error) {
+	p, err := db.lower(db.catalogNow(), stmt)
+	if err == nil {
 		db.Stats.PlanCacheMisses.Add(1)
-		return np, nil
 	}
-	db.Stats.PlanCacheHits.Add(1)
-	db.planClock++
-	p.lastUse = db.planClock
-	return p, nil
+	return p, err
 }
 
-func (db *DB) storePlanLocked(p *Plan) {
-	if !p.cacheable || p.sql == "" || db.noPlanCache {
-		return
-	}
-	if db.plans == nil {
-		db.plans = make(map[string]*Plan)
-	}
-	if len(db.plans) >= planCacheCap {
-		db.evictPlansLocked()
-	}
-	db.planClock++
-	p.lastUse = db.planClock
-	db.plans[p.sql] = p
-}
-
-// evictPlansLocked drops the least-recently-used half of the cache.
-func (db *DB) evictPlansLocked() {
-	uses := make([]uint64, 0, len(db.plans))
-	for _, p := range db.plans {
-		uses = append(uses, p.lastUse)
-	}
-	sort.Slice(uses, func(i, j int) bool { return uses[i] < uses[j] })
-	cutoff := uses[len(uses)/2]
-	for k, p := range db.plans {
-		if p.lastUse <= cutoff {
-			delete(db.plans, k)
-		}
-	}
-}
-
-// PreparePlan parses sql and returns its plan, reusing the cache. Errors
-// are always parse errors: plan analysis itself never fails (validation
-// errors are reported by ExecPlanContext, like their runtime counterparts).
-// This is the plan-level API the middleware builds on.
-func (db *DB) PreparePlan(sql string) (p *Plan, err error) {
+// lower builds stmt's plan against cat; a panic in the lowering is the
+// statement's error. The entries that lower for one execution of their own
+// (Exec, QueryWith) call it directly and count nothing.
+func (db *DB) lower(cat *catalog, stmt sqlast.Statement) (p *Plan, err error) {
 	defer db.Recover(&err)
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.planForLocked(sql)
+	return buildPlan(cat, stmt), nil
 }
 
-// revalidatePlanLocked is where a plan's validity is decided: p is valid while
-// the catalog it was lowered against is the current one. A stale plan — some
-// DDL ran since — is re-lowered from its AST, counted, and takes p's place in
-// the cache; an AST not lowered yet (p.cat nil: a cold miss, Exec, Query) is
-// lowered here, inside its entry's locked region.
+// revalidatePlanLocked is where a plan's validity is decided and its execution
+// counted: p is valid while the catalog it was lowered against is the current
+// one, or a statement's own (QueryWith). A stale plan — some DDL ran since — is
+// re-lowered from its AST for this execution only and counted as an
+// invalidation and a miss; its holder keeps p (ADR-027). Every execution of a
+// valid plan after its first is a hit.
 func (db *DB) revalidatePlanLocked(p *Plan) *Plan {
-	cat := db.catalogNow()
-	if p.cat == cat {
-		return p
-	}
-	if p.cat != nil {
+	switch cat := db.catalogNow(); {
+	case p.cat.private:
+	case p.cat != cat:
 		db.Stats.PlanCacheInvalidations.Add(1)
+		db.Stats.PlanCacheMisses.Add(1)
+		return buildPlan(cat, p.stmt)
+	case p.ran.Swap(true):
+		db.Stats.PlanCacheHits.Add(1)
 	}
-	np := buildPlan(cat, p.sql, p.stmt)
-	db.storePlanLocked(np)
-	return np
+	return p
 }
 
 // ExecPlanContext executes a prepared plan with bind-parameter values,
@@ -694,7 +647,7 @@ func (db *DB) revalidatePlanLocked(p *Plan) *Plan {
 func (db *DB) ExecPlanContext(ctx context.Context, p *Plan, args ...sqltypes.Value) (res *Result, err error) {
 	defer db.Recover(&err)
 	if sel, ok := p.stmt.(*sqlast.Select); ok {
-		ex, err := db.pinExec(ctx, p, args, nil)
+		ex, err := db.pinExec(ctx, p, args)
 		if err != nil {
 			return nil, err
 		}
@@ -712,26 +665,7 @@ func (db *DB) ExecPlanContext(ctx context.Context, p *Plan, args ...sqltypes.Val
 // prepared SELECT plan and returns the cursor over its operator tree.
 func (db *DB) QueryPlanContext(ctx context.Context, p *Plan, args ...sqltypes.Value) (*Rows, error) {
 	if _, ok := p.stmt.(*sqlast.Select); !ok {
-		return nil, fmt.Errorf("engine: not a query: %s", p.sql)
+		return nil, fmt.Errorf("engine: not a query: %s", p.stmt)
 	}
-	return db.queryRows(ctx, p, args, nil)
-}
-
-// InvalidatePlans drops every cached plan (and resets nothing else); used
-// by benchmarks to isolate planning cost and by tests.
-func (db *DB) InvalidatePlans() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.plans = nil
-}
-
-// SetPlanCache toggles plan caching (on by default). With caching off every
-// statement is parsed and lowered from scratch — the pre-cache behaviour.
-func (db *DB) SetPlanCache(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.noPlanCache = !on
-	if !on {
-		db.plans = nil
-	}
+	return db.queryRows(ctx, p, args)
 }

@@ -1,82 +1,183 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 
+	"mtbase/internal/sqlparse"
 	"mtbase/internal/sqltypes"
 )
 
-// TestPlanCacheHitsRepeatedText: repeated execution of the same SQL text
-// reuses the cached plan, whatever the execution configuration — a Plan
-// holds nothing configuration-dependent (DESIGN.md ADR-010).
+// planCounts wraps db's plan counters for the counter-contract tests.
+type planCounts struct {
+	t  *testing.T
+	db *DB
+}
+
+// want runs f and checks the hits, misses and invalidations it counted.
+func (c planCounts) want(what string, f func(), hits, misses, invalidations int64) {
+	c.t.Helper()
+	before := c.db.Stats.Snapshot()
+	f()
+	after := c.db.Stats.Snapshot()
+	h, m, i := after.PlanCacheHits-before.PlanCacheHits, after.PlanCacheMisses-before.PlanCacheMisses,
+		after.PlanCacheInvalidations-before.PlanCacheInvalidations
+	if h != hits || m != misses || i != invalidations {
+		c.t.Errorf("%s: %d hits / %d misses / %d invalidations, want %d / %d / %d", what, h, m, i, hits, misses, invalidations)
+	}
+}
+
+// run executes a held plan.
+func (c planCounts) run(p *Plan) *Result {
+	c.t.Helper()
+	res, err := c.db.ExecPlanContext(context.Background(), p)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return res
+}
+
+// TestPlanCacheHitsRepeatedText: the held plan of a text is reused by every
+// execution of it, whatever the execution configuration — a Plan holds
+// nothing configuration-dependent (DESIGN.md ADR-010). Its first run counts
+// nothing and every later run one hit (ADR-027).
 func TestPlanCacheHitsRepeatedText(t *testing.T) {
 	db := newEmployeeDB(t, ModePostgres)
-	db.Stats = Stats{}
-	sql := "SELECT COUNT(*) FROM Employees WHERE E_age > 27"
-	for i := 0; i < 4; i++ {
-		if _, err := db.ExecSQL(sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if db.Stats.PlanCacheHits.Load() != 3 || db.Stats.PlanCacheMisses.Load() != 1 {
-		t.Fatalf("want 3 hits / 1 miss, got %+v", db.Stats.Snapshot())
-	}
-	for _, cfg := range []execConfig{cfgEvalCheck, cfgReference} {
+	c := planCounts{t, db}
+	p := mustPrepare(db, "SELECT COUNT(*) FROM Employees WHERE E_age > 27")
+	c.want("the first run", func() { c.run(p) }, 0, 0, 0)
+	c.want("three more runs", func() { c.run(p); c.run(p); c.run(p) }, 3, 0, 0)
+	for _, cfg := range []execConfig{cfgEvalCheck, cfgReference, cfgProduction} {
 		cfg.apply(db)
-		if _, err := db.ExecSQL(sql); err != nil {
-			t.Fatal(err)
+		var res *Result
+		c.want(cfg.name+" run", func() { res = c.run(p) }, 1, 0, 0)
+		if got := res.Rows[0][0].AsInt(); got != 5 {
+			t.Errorf("%s run counted %d employees over 27, want 5", cfg.name, got)
 		}
 	}
-	if db.Stats.PlanCacheHits.Load() != 5 || db.Stats.PlanCacheMisses.Load() != 1 {
-		t.Fatalf("%s and %s runs should hit the production plan: %+v", cfgEvalCheck.name, cfgReference.name, db.Stats.Snapshot())
+}
+
+// TestPlanCacheDisabled: the DB keeps no text-keyed plans, so the text entries
+// lower afresh on every call — every call one miss, none a hit (ADR-027).
+func TestPlanCacheDisabled(t *testing.T) {
+	db := newEmployeeDB(t, ModePostgres)
+	c := planCounts{t, db}
+	const sql = "SELECT COUNT(*) FROM Roles"
+	c.want("ExecSQL three times", func() {
+		for i := 0; i < 3; i++ {
+			if _, err := db.ExecSQL(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}, 0, 3, 0)
+	c.want("PreparePlan twice", func() {
+		if mustPrepare(db, sql) == mustPrepare(db, sql) {
+			t.Error("two prepares of one text returned one plan")
+		}
+	}, 0, 2, 0)
+}
+
+// TestPlanCounters pins the rest of what the plan counters count now that a
+// plan is a value its caller holds (DESIGN.md ADR-027): a prepare is one miss
+// and its first run counts nothing; a plan held across DDL answers against the
+// new schema and counts one invalidation and one miss per execution; the
+// entries that lower for one execution of their own count nothing.
+// TestPlanCacheHitsRepeatedText and TestPlanCacheDisabled have the hits and the
+// text entries.
+func TestPlanCounters(t *testing.T) {
+	ctx := context.Background()
+	db := newEmployeeDB(t, ModePostgres)
+	c := planCounts{t, db}
+	want, run := c.want, c.run
+
+	const sql = "SELECT COUNT(*) FROM Employees WHERE E_age > 27"
+	var p *Plan
+	want("a prepare", func() { p = mustPrepare(db, sql) }, 0, 1, 0)
+	want("the first run", func() { run(p) }, 0, 0, 0)
+
+	// A plan held across DDL answers against the new schema, re-lowered for
+	// each execution: it stays the caller's, and the DB keeps nothing to swap.
+	if _, err := db.ExecSQL("CREATE TABLE Scratch (x INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ExecSQL("INSERT INTO Employees VALUES (0, 9, 'Zoe', 1, 3, 100, 33)"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		var res *Result
+		want("a run across DDL", func() { res = run(p) }, 0, 1, 1)
+		if got := res.Rows[0][0].AsInt(); got != 6 {
+			t.Errorf("held plan across DDL counted %d employees over 27, want 6", got)
+		}
+	}
+
+	// Exec, ExecScript and QueryWith lower for one execution and count nothing.
+	sel, err := sqlparse.ParseQuery(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want("Exec", func() {
+		if _, err := db.Exec(sel); err != nil {
+			t.Fatal(err)
+		}
+	}, 0, 0, 0)
+	want("ExecScript", func() {
+		if _, err := db.ExecScript("INSERT INTO Scratch VALUES (1); SELECT x FROM Scratch"); err != nil {
+			t.Fatal(err)
+		}
+	}, 0, 0, 0)
+	for _, rels := range [][]Relation{nil, {{Name: "Scratch", Rows: [][]sqltypes.Value{{sqltypes.NewInt(2)}}}}} {
+		want("QueryWith", func() {
+			rows, err := db.QueryWith(ctx, sel, nil, rels...)
+			if err == nil {
+				_, err = rows.Collect()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}, 0, 0, 0)
 	}
 }
 
 // TestPlanFreshAcrossWrites is the acceptance regression for the rule that
-// replaced data-write invalidation (DESIGN.md ADR-024): the cached plan of a
+// replaced data-write invalidation (DESIGN.md ADR-024): the held plan of a
 // conversion-UDF query holds the UDF body's materialized meta-table relation,
 // and after the meta table changed the same *Plan must answer with the new
 // rate — the relation follows the snapshot, the plan stays.
 func TestPlanFreshAcrossWrites(t *testing.T) {
 	db := newEmployeeDB(t, ModePostgres)
+	p := mustPrepare(db, "SELECT currencyToUniversal(100.0, 1) FROM Regions WHERE Re_reg_id = 0")
 	db.Stats = Stats{}
-	sql := "SELECT currencyToUniversal(100.0, 1) FROM Regions WHERE Re_reg_id = 0"
-	res, err := db.ExecSQL(sql)
-	if err != nil {
-		t.Fatal(err)
+	run := func() float64 {
+		t.Helper()
+		res, err := db.ExecPlanContext(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].AsFloat()
 	}
-	if got := res.Rows[0][0].AsFloat(); got < 109.99 || got > 110.01 {
+	if got := run(); got < 109.99 || got > 110.01 {
 		t.Fatalf("initial conversion = %v, want ~110", got)
 	}
-	if _, err := db.ExecSQL(sql); err != nil {
-		t.Fatal(err)
-	}
-	if db.Stats.PlanCacheHits.Load() != 1 {
-		t.Fatalf("second run should hit: %+v", db.Stats.Snapshot())
-	}
-	p := db.plans[sql]
+	run()
 	// Change the conversion rate of tenant 1's currency: the UDF body reads
 	// CurrencyTransform, whose snapshot the plan's relation memo is pinned to.
 	if _, err := db.ExecSQL("UPDATE CurrencyTransform SET CT_to_universal = 2.0 WHERE CT_currency_key = 1"); err != nil {
 		t.Fatal(err)
 	}
-	res, err = db.ExecSQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Rows[0][0].AsFloat(); got != 200 {
+	if got := run(); got != 200 {
 		t.Fatalf("conversion after rate change = %v, want 200 (stale relation served)", got)
 	}
-	if p == nil || db.plans[sql] != p || db.Stats.PlanCacheInvalidations.Load() != 0 || db.Stats.PlanCacheHits.Load() != 2 {
-		t.Fatalf("a data write re-lowered the plan: %p → %p, %+v", p, db.plans[sql], db.Stats.Snapshot())
+	if st := db.Stats.Snapshot(); st.PlanCacheInvalidations != 0 || st.PlanCacheHits != 2 {
+		t.Fatalf("a data write re-lowered the plan: %+v", st)
 	}
 }
 
 // TestWritesVisibleInEverySlot: wherever a statement names a table, a write
 // to it is visible to the next execution and re-lowers nothing. One statement
-// per slot names Regions nowhere else; each is answered by the cached plan
+// per slot names Regions nowhere else; each is answered by its held plan
 // exactly as by the reference executor, before and after the write.
 func TestWritesVisibleInEverySlot(t *testing.T) {
 	for _, sql := range []string{
@@ -89,40 +190,39 @@ func TestWritesVisibleInEverySlot(t *testing.T) {
 	} {
 		db, ref := newEmployeeDB(t, ModePostgres), newEmployeeDB(t, ModePostgres)
 		cfgReference.apply(ref)
-		ref.SetPlanCache(false)
+		held := mustPrepare(db, sql)
 		// What a statement did: its result, and for a write the table it left.
-		run := func(d *DB, text string) string {
-			res, err := d.ExecSQL(text)
-			after, _ := d.ExecSQL("SELECT * FROM Employees ORDER BY ttid, E_emp_id")
+		run := func(d *DB, p *Plan) string {
+			res, err := d.ExecPlanContext(context.Background(), p)
+			after, _ := d.QuerySQL("SELECT * FROM Employees ORDER BY ttid, E_emp_id")
 			return execKey(res, err) + execKey(after, nil)
 		}
-		before := run(db, sql)
-		if want := run(ref, sql); before != want {
+		before := run(db, held)
+		if want := run(ref, mustPrepare(ref, sql)); before != want {
 			t.Fatalf("%s\nbefore the write: %s, reference %s", sql, before, want)
 		}
-		p := db.plans[sql]
 		db.Stats = Stats{}
 		for _, d := range []*DB{db, ref} {
 			if _, err := d.ExecSQL("INSERT INTO Regions VALUES (6, 'ZEALANDIA')"); err != nil {
 				t.Fatal(err)
 			}
 		}
-		after, want := run(db, sql), run(ref, sql)
+		after, want := run(db, held), run(ref, mustPrepare(ref, sql))
 		if after != want {
 			t.Errorf("%s\nafter the write: %s, reference %s", sql, after, want)
 		}
 		if after == before {
 			t.Errorf("%s\nthe write to Regions changed nothing: the statement does not test its slot", sql)
 		}
-		if p == nil || db.plans[sql] != p || db.Stats.PlanCacheInvalidations.Load() != 0 {
-			t.Errorf("%s\na write to Regions re-lowered the plan: %+v", sql, db.Stats.Snapshot())
+		if st := db.Stats.Snapshot(); st.PlanCacheInvalidations != 0 || st.PlanCacheHits != 1 {
+			t.Errorf("%s\na write to Regions re-lowered the plan: %+v", sql, st)
 		}
 	}
 }
 
 // TestPlanCacheDDLEviction is the acceptance regression for schema-change
 // invalidation: dropping and recreating a referenced table with a different
-// shape must re-lower the statement, not replay the old binding layout.
+// shape must re-lower a held plan, not replay the old binding layout.
 func TestPlanCacheDDLEviction(t *testing.T) {
 	db := Open(ModePostgres)
 	if _, err := db.ExecScript(`
@@ -130,28 +230,26 @@ func TestPlanCacheDDLEviction(t *testing.T) {
 		INSERT INTO t VALUES (1, 2)`); err != nil {
 		t.Fatal(err)
 	}
-	sql := "SELECT * FROM t"
-	res, err := db.ExecSQL(sql)
-	if err != nil {
-		t.Fatal(err)
+	p := mustPrepare(db, "SELECT * FROM t")
+	run := func() *Result {
+		t.Helper()
+		res, err := db.ExecPlanContext(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if len(res.Cols) != 2 {
+	if res := run(); len(res.Cols) != 2 {
 		t.Fatalf("cols = %v", res.Cols)
 	}
-	if _, err := db.ExecSQL(sql); err != nil { // warm the plan
-		t.Fatal(err)
-	}
+	run() // the plan has run before
 	if _, err := db.ExecScript(`
 		DROP TABLE t;
 		CREATE TABLE t (x INTEGER, y INTEGER, z VARCHAR);
 		INSERT INTO t VALUES (7, 8, 'nine')`); err != nil {
 		t.Fatal(err)
 	}
-	res, err = db.ExecSQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cols) != 3 || res.Cols[2] != "z" || res.Rows[0][2].S != "nine" {
+	if res := run(); len(res.Cols) != 3 || res.Cols[2] != "z" || res.Rows[0][2].S != "nine" {
 		t.Fatalf("stale plan after DDL: cols %v rows %v", res.Cols, res.Rows)
 	}
 	// A table dropped and re-created as a *view* must also be re-resolved.
@@ -161,22 +259,19 @@ func TestPlanCacheDDLEviction(t *testing.T) {
 		CREATE VIEW t AS SELECT x FROM u`); err != nil {
 		t.Fatal(err)
 	}
-	res, err = db.ExecSQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cols) != 1 || res.Rows[0][0].I != 42 {
+	if res := run(); len(res.Cols) != 1 || res.Rows[0][0].I != 42 {
 		t.Fatalf("stale plan after table->view swap: %v %v", res.Cols, res.Rows)
 	}
 }
 
-// TestPlanNotCachedForMissingNames: a statement referencing an unresolvable
-// table or function must not be cached — a later CREATE has to see a fresh
-// lowering, never a plan built against the old namespace.
+// TestPlanNotCachedForMissingNames: a plan over an unresolvable table or
+// function fails when it runs, and once a CREATE has resolved the names the
+// same held plan answers — the CREATE swapped the catalog, so it is re-lowered,
+// never replayed against the old namespace.
 func TestPlanNotCachedForMissingNames(t *testing.T) {
 	db := Open(ModePostgres)
-	sql := "SELECT missingFn(1) FROM nowhere"
-	if _, err := db.ExecSQL(sql); err == nil {
+	p := mustPrepare(db, "SELECT missingFn(1) FROM nowhere")
+	if _, err := db.ExecPlanContext(context.Background(), p); err == nil {
 		t.Fatal("query over missing table succeeded")
 	}
 	if _, err := db.ExecSQL(`CREATE TABLE nowhere (a INTEGER)`); err != nil {
@@ -189,42 +284,42 @@ func TestPlanNotCachedForMissingNames(t *testing.T) {
 	if _, err := db.ExecSQL("INSERT INTO nowhere VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.ExecSQL(sql)
+	res, err := db.ExecPlanContext(context.Background(), p)
 	if err != nil {
-		t.Fatalf("after CREATE, cached failure replayed: %v", err)
+		t.Fatalf("after CREATE, the failed lowering replayed: %v", err)
 	}
 	if res.Rows[0][0].I != 2 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 }
 
-// TestValuesInsertNotCached: a VALUES-only INSERT of literals is the
-// unique-text bulk-load shape, and caching those would only churn the plan
-// cache; with placeholders it is one repeating text, parsed and lowered once
-// however many rows it writes.
+// TestValuesInsertNotCached: the DB keeps no plan, so a VALUES INSERT of
+// literals — the unique-text bulk-load shape — is prepared per call and leaves
+// nothing behind; a held parameterized INSERT is lowered once however many
+// rows it writes.
 func TestValuesInsertNotCached(t *testing.T) {
 	db := Open(ModePostgres)
 	if _, err := db.ExecSQL("CREATE TABLE t (a INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
-	sql := "INSERT INTO t VALUES (7)"
+	db.Stats = Stats{}
 	for i := 0; i < 2; i++ {
-		if _, err := db.ExecSQL(sql); err != nil {
+		if _, err := db.ExecSQL("INSERT INTO t VALUES (7)"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, cached := db.plans[sql]; cached {
-		t.Fatal("VALUES-only INSERT plan was cached")
+	if st := db.Stats.Snapshot(); st.PlanCacheMisses != 2 || st.PlanCacheHits != 0 {
+		t.Fatalf("literal VALUES INSERT twice: %+v; want two misses, no hit", st)
 	}
 	db.Stats = Stats{}
-	sql = "INSERT INTO t VALUES (?)"
+	p := mustPrepare(db, "INSERT INTO t VALUES (?)")
 	for i := 0; i < 3; i++ {
-		if _, err := db.ExecArgs(sql, sqltypes.NewInt(int64(i))); err != nil {
+		if _, err := db.ExecPlanContext(context.Background(), p, sqltypes.NewInt(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := db.Stats.Snapshot(); db.plans[sql] == nil || st.PlanCacheMisses != 1 || st.PlanCacheHits != 2 || st.PlanCacheInvalidations != 0 {
-		t.Fatalf("parameterized VALUES INSERT: cached=%v, %+v; want one miss, two hits", db.plans[sql] != nil, st)
+	if st := db.Stats.Snapshot(); st.PlanCacheMisses != 1 || st.PlanCacheHits != 2 || st.PlanCacheInvalidations != 0 {
+		t.Fatalf("held parameterized VALUES INSERT: %+v; want one miss, two hits", st)
 	}
 	if got := queryRows(t, db, "SELECT COUNT(*), SUM(a) FROM t")[0]; got[0].AsInt() != 5 || got[1].AsInt() != 17 {
 		t.Fatalf("table holds %v, want 5 rows summing to 17", got)
@@ -259,7 +354,7 @@ func TestInSubqueryArityPlanTime(t *testing.T) {
 }
 
 // TestConcurrentExecutionsShareCachedPlan runs many goroutines through one
-// DB and one cached plan whose statement exercises the per-exec memos
+// DB and one held plan whose statement exercises the per-exec memos
 // (uncorrelated IN-subquery, scalar subquery, conversion UDF). The
 // plan must be reentrant: every execution owns its memos, keyed by
 // plan-stable subquery IDs, and the -race CI job enforces the discipline.
@@ -269,7 +364,8 @@ func TestConcurrentExecutionsShareCachedPlan(t *testing.T) {
 		WHERE E_role_id IN (SELECT R_role_id FROM Roles WHERE R_name = 'professor')
 		AND E_salary > (SELECT MIN(currencyToUniversal(E_salary, ttid)) FROM Employees)
 		ORDER BY E_name`
-	want, err := db.ExecSQL(sql) // warm the plan
+	p := mustPrepare(db, sql)
+	want, err := db.ExecPlanContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +376,7 @@ func TestConcurrentExecutionsShareCachedPlan(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				res, err := db.ExecSQL(sql)
+				res, err := db.ExecPlanContext(context.Background(), p)
 				if err != nil {
 					errs <- err
 					return
@@ -305,89 +401,40 @@ func TestConcurrentExecutionsShareCachedPlan(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabled: SetPlanCache(false) restores per-statement
-// lowering.
-func TestPlanCacheDisabled(t *testing.T) {
-	db := newEmployeeDB(t, ModePostgres)
-	db.SetPlanCache(false)
-	db.Stats = Stats{}
-	sql := "SELECT COUNT(*) FROM Roles"
-	for i := 0; i < 3; i++ {
-		if _, err := db.ExecSQL(sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if db.Stats.PlanCacheHits.Load() != 0 || db.Stats.PlanCacheMisses.Load() != 3 {
-		t.Fatalf("want 0 hits / 3 misses with cache off, got %+v", db.Stats.Snapshot())
-	}
-}
-
-// TestPlanCacheEviction fills the cache beyond its capacity and checks it
-// stays bounded while continuing to serve correct results.
-func TestPlanCacheEviction(t *testing.T) {
-	db := Open(ModePostgres)
-	if _, err := db.ExecScript("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (5)"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2*planCacheCap; i++ {
-		res, err := db.ExecSQL(fmt.Sprintf("SELECT a + %d FROM t", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Rows[0][0].I != int64(5+i) {
-			t.Fatalf("i=%d: %v", i, res.Rows[0][0])
-		}
-	}
-	if len(db.plans) > planCacheCap {
-		t.Fatalf("cache grew to %d entries (cap %d)", len(db.plans), planCacheCap)
-	}
-	// The least recently used half goes at once: one text past a full cache
-	// leaves the newest cap/2 − 1 and itself.
-	db.InvalidatePlans()
-	for i := 0; i <= planCacheCap; i++ {
-		if _, err := db.PreparePlan(fmt.Sprintf("SELECT a + %d FROM t", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(db.plans) != planCacheCap/2 {
-		t.Fatalf("%d entries after one eviction, want %d", len(db.plans), planCacheCap/2)
-	}
-}
-
-// TestUDFPlanRelationsSharedAcrossExecutions: with a cached plan, the
+// TestUDFPlanRelationsSharedAcrossExecutions: with a held plan, the
 // conversion-UDF body's per-tenant relation is materialized once and reused
 // by later executions of the same statement — the repeated-execution payoff
 // the paper's recurring cross-tenant statements motivate.
 func TestUDFPlanRelationsSharedAcrossExecutions(t *testing.T) {
 	db := newEmployeeDB(t, ModePostgres)
-	sql := "SELECT SUM(currencyToUniversal(E_salary, ttid)) FROM Employees"
-	first, err := db.ExecSQL(sql)
-	if err != nil {
-		t.Fatal(err)
+	p := mustPrepare(db, "SELECT SUM(currencyToUniversal(E_salary, ttid)) FROM Employees")
+	run := func() sqltypes.Value {
+		t.Helper()
+		res, err := db.ExecPlanContext(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0]
 	}
-	p := db.plans[sql]
-	if p == nil {
-		t.Fatal("plan not cached")
+	entries := func() (n int) {
+		for _, up := range p.udfPlans {
+			n += len(up.memo.entries)
+		}
+		return n
 	}
-	var entries int
-	for _, up := range p.udfPlans {
-		entries += len(up.memo.entries)
+	first := run()
+	materialized := entries()
+	if materialized == 0 {
+		t.Fatal("no UDF plan entries materialized on the held plan")
 	}
-	if entries == 0 {
-		t.Fatal("no UDF plan entries materialized on the cached plan")
+	if again := run(); again != first {
+		t.Fatalf("results differ across executions: %v vs %v", first, again)
 	}
-	again, err := db.ExecSQL(sql)
-	if err != nil {
-		t.Fatal(err)
+	if entries() != materialized {
+		t.Fatalf("second execution materialized the relations again: %d entries, then %d", materialized, entries())
 	}
-	if first.Rows[0][0] != again.Rows[0][0] {
-		t.Fatalf("results differ across executions: %v vs %v", first.Rows[0][0], again.Rows[0][0])
-	}
-	if db.plans[sql] != p {
-		t.Fatal("second execution rebuilt the plan")
-	}
-	// A write evicts nothing, to a table the statement reads or not — and the
-	// next execution sees it.
+	// A write re-lowers nothing, to a table the statement reads or not — and
+	// the next execution sees it.
 	if _, err := db.ExecSQL("INSERT INTO Regions VALUES (6, 'ANTARCTICA')"); err != nil {
 		t.Fatal(err)
 	}
@@ -395,14 +442,10 @@ func TestUDFPlanRelationsSharedAcrossExecutions(t *testing.T) {
 		sqltypes.NewInt(0), sqltypes.NewInt(9), sqltypes.NewString("Zoe"),
 		sqltypes.NewInt(1), sqltypes.NewInt(3), sqltypes.NewFloat(100), sqltypes.NewInt(33),
 	})
-	third, err := db.ExecSQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.plans[sql] != p {
-		t.Fatal("a write evicted the plan")
-	}
-	if got, want := third.Rows[0][0].AsFloat(), first.Rows[0][0].AsFloat()+100; got != want {
+	if got, want := run().AsFloat(), first.AsFloat()+100; got != want {
 		t.Fatalf("sum after appending an employee = %v, want %v", got, want)
+	}
+	if n := db.Stats.PlanCacheInvalidations.Load(); n != 0 {
+		t.Fatalf("a write re-lowered the plan: %d invalidations", n)
 	}
 }

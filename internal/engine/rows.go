@@ -243,8 +243,8 @@ func (r *Rows) Collect() (*Result, error) {
 // revalidation, bind coercion and snapshot pinning happen under db.mu
 // (pinExec); operator tree construction and all execution run against the
 // exec's immutable pinned snapshots, overlapping freely with writers and other
-// cursors. rels are the statement's private relations (QueryWith).
-func (db *DB) queryRows(ctx context.Context, p *Plan, args []sqltypes.Value, rels []Relation) (rows *Rows, err error) {
+// cursors.
+func (db *DB) queryRows(ctx context.Context, p *Plan, args []sqltypes.Value) (rows *Rows, err error) {
 	var ex *exec
 	defer func() {
 		if err != nil && ex != nil {
@@ -252,7 +252,7 @@ func (db *DB) queryRows(ctx context.Context, p *Plan, args []sqltypes.Value, rel
 		}
 	}()
 	defer db.Recover(&err)
-	if ex, err = db.pinExec(ctx, p, args, rels); err != nil {
+	if ex, err = db.pinExec(ctx, p, args); err != nil {
 		return nil, err
 	}
 	sel := ex.plan.stmt.(*sqlast.Select)

@@ -5,6 +5,7 @@ package engine
 // evaluated), Scan targets and LIMIT handling.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -52,13 +53,13 @@ func TestRowsMatchesResult(t *testing.T) {
 			t.Fatalf("%q: %v", q, err)
 		}
 		cfgReference.apply(db)
-		want, err := db.Query(sel)
+		want, err := db.Exec(sel)
 		if err != nil {
 			t.Fatalf("reference %q: %v", q, err)
 		}
 		for _, cfg := range checkedConfigs {
 			cfg.apply(db)
-			rows, err := db.QueryRows(q)
+			rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db, q))
 			if err != nil {
 				t.Fatalf("%s %q: %v", cfg.name, q, err)
 			}
@@ -81,7 +82,7 @@ func TestRowsStreamsLazily(t *testing.T) {
 	db := rowsTestDB(t, true, 3000)
 	// div = 0 only at id = 2999, far past the first batch of 1024.
 	q := `SELECT id, 100 % div AS m FROM seq`
-	rows, err := db.QueryRows(q)
+	rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +106,11 @@ func TestRowsStreamsLazily(t *testing.T) {
 // TestRowsScan exercises the Scan targets, NULL rejection included.
 func TestRowsScan(t *testing.T) {
 	db := bindTestDB(t, true)
-	rows, err := db.QueryRows(`SELECT id, name, price FROM seqless LIMIT 1`)
+	rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT id, name, price FROM seqless LIMIT 1`))
 	if err == nil {
 		t.Fatal("expected error for unknown table")
 	}
-	rows, err = db.QueryRows(`SELECT id, name, price FROM items WHERE id = 1`)
+	rows, err = db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT id, name, price FROM items WHERE id = 1`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestRowsScan(t *testing.T) {
 	}
 
 	// NULL into a typed target errors; into *sqltypes.Value it is fine.
-	nr, err := db.QueryRows(`SELECT NULL AS n FROM items WHERE id = 1`)
+	nr, err := db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT NULL AS n FROM items WHERE id = 1`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestRowsScan(t *testing.T) {
 func TestRowsLimitStreams(t *testing.T) {
 	for _, compiled := range []bool{true, false} {
 		db := rowsTestDB(t, compiled, 3000)
-		rows, err := db.QueryRows(`SELECT id FROM seq LIMIT 5`)
+		rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT id FROM seq LIMIT 5`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +198,7 @@ func TestMaterializedQueryAtomicWithWriters(t *testing.T) {
 	}()
 	go func() {
 		for i := 0; i < 50; i++ {
-			if _, err := db.ExecArgs(`UPDATE seq SET val = val + ? WHERE id % 7 = 0`, sqltypes.NewInt(1)); err != nil {
+			if _, err := db.ExecPlanContext(context.Background(), mustPrepare(db, `UPDATE seq SET val = val + ? WHERE id % 7 = 0`), sqltypes.NewInt(1)); err != nil {
 				done <- err
 				return
 			}

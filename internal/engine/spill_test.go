@@ -11,6 +11,7 @@ package engine
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -456,7 +457,7 @@ func TestSpillFaultInjection(t *testing.T) {
 			tc.fs.mu.Lock()
 			tc.fs.creates, tc.fs.writes, tc.fs.reads = 0, 0, 0
 			tc.fs.mu.Unlock()
-			rows, err := db.QueryRows(tc.query)
+			rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db, tc.query))
 			if err == nil {
 				_, err = rows.Collect()
 				rows.Close()
@@ -518,7 +519,7 @@ func TestSpillCursorCleanup(t *testing.T) {
 	dir := t.TempDir()
 	db.SetSpillDir(dir)
 	db.SetMemoryLimit(16 << 10)
-	rows, err := db.QueryRows(`SELECT id, val FROM fact ORDER BY val, id`)
+	rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT id, val FROM fact ORDER BY val, id`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func TestOperatorTreeMatchesReference(t *testing.T) {
 			if got := execKey(db.QuerySQL(q)); got != want {
 				t.Errorf("%s %q:\ngot:\n%s\nreference:\n%s", cfg.name, q, got, want)
 			}
-			rows, err := db.QueryRows(q)
+			rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db, q))
 			var ck string
 			if err != nil {
 				ck = "error: " + err.Error()
@@ -217,7 +217,7 @@ func TestCancelMidJoin(t *testing.T) {
 
 	// Build-phase cancellation: the countdown trips after a few operator
 	// polls, well before the probe produces its first batch.
-	rows, err := db.QueryContext(&countdownCtx{Context: context.Background(), polls: 3}, join)
+	rows, err := db.QueryPlanContext(&countdownCtx{Context: context.Background(), polls: 3}, mustPrepare(db, join))
 	if err != nil {
 		// Creation-time detection is also acceptable only if the countdown
 		// already hit zero — it must be a cancellation either way.
@@ -236,7 +236,7 @@ func TestCancelMidJoin(t *testing.T) {
 
 	// Probe-phase cancellation: deliver the first batch, then cancel.
 	ctx, cancel := context.WithCancel(context.Background())
-	rows, err = db.QueryContext(ctx, join)
+	rows, err = db.QueryPlanContext(ctx, mustPrepare(db, join))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestRowsCloseIdempotentAfterError(t *testing.T) {
 	db := streamTestDB(t, 3000)
 
 	// Mid-stream close, no error.
-	rows, err := db.QueryRows(`SELECT id FROM fact`)
+	rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT id FROM fact`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestRowsCloseIdempotentAfterError(t *testing.T) {
 	}
 
 	// Mid-stream error: val/(id-2000) poisons row 2000, past batch one.
-	rows, err = db.QueryRows(`SELECT id, val % (id - 2000) AS m FROM fact`)
+	rows, err = db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT id, val % (id - 2000) AS m FROM fact`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestRowsCloseIdempotentAfterError(t *testing.T) {
 // returns the operator error and no partial result.
 func TestCollectPropagatesFirstError(t *testing.T) {
 	db := streamTestDB(t, 3000)
-	rows, err := db.QueryRows(`SELECT id, val % (id - 2000) AS m FROM fact`)
+	rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT id, val % (id - 2000) AS m FROM fact`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestStreamedJoinBoundedMemory(t *testing.T) {
 	// serial pipeline, so pin it.
 	db.SetParallelism(1)
 	db.Stats = Stats{}
-	rows, err := db.QueryRows(`SELECT f.id, d.name FROM fact f, dim d WHERE f.k = d.k AND f.id % 2 = 0`)
+	rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT f.id, d.name FROM fact f, dim d WHERE f.k = d.k AND f.id % 2 = 0`))
 	if err != nil {
 		t.Fatal(err)
 	}

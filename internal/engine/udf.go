@@ -41,7 +41,7 @@ import (
 // of tabs differ starts a fresh one in its place (memoFor). An open cursor
 // therefore keeps converting at the rates of its snapshot while a statement
 // started after a write to the meta tables sees the new ones, through the same
-// cached plan. mu guards memo and every memo's entries map: concurrent
+// plan. mu guards memo and every memo's entries map: concurrent
 // executions (and parallel workers within one) share the plan, and whichever
 // of those with equal pins builds an entry first builds the same relation
 // every other would.
@@ -80,9 +80,9 @@ type udfPlanEntry struct {
 }
 
 // planUDF analyses fn's body once per *plan* and returns its lowering, so a
-// cached statement pays the analysis once across all of its executions. An
+// held plan pays the analysis once across all of its executions. An
 // interpreting execution gets the empty lowering and never touches the memo,
-// so one cached Plan serves every execution configuration.
+// so one Plan serves every execution configuration.
 func (ex *exec) planUDF(fn *Function) *udfPlan {
 	if ex.interp {
 		return &udfPlan{}

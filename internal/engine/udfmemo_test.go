@@ -7,6 +7,7 @@ package engine
 // rate its snapshot does not hold.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -41,16 +42,17 @@ const (
 	memoNewRate = `UPDATE CurrencyTransform SET CT_to_universal = 2.5 WHERE CT_currency_key = 1`
 )
 
-// straddle opens a cursor over sql, commits the rate change, runs sql again
-// and only then drains the cursor, and runs sql once more — the cursor's memo
-// is the plan's by then, and the next statement must not meet it. It returns
-// what the open cursor answered and what the statements started after the
-// write did. lazy requires that opening the cursor ran no body, so that the
-// ones it runs, it runs after the write.
-func straddle(t *testing.T, db *DB, sql string, lazy bool) (cursor, after, again string) {
+// straddle opens a cursor over the held plan p, commits the rate change, runs
+// p again and only then drains the cursor, and runs p once more — the cursor's
+// memo is the plan's by then, and the next statement must not meet it. It
+// returns what the open cursor answered and what the statements started after
+// the write did. lazy requires that opening the cursor ran no body, so that
+// the ones it runs, it runs after the write.
+func straddle(t *testing.T, db *DB, p *Plan, lazy bool) (cursor, after, again string) {
 	t.Helper()
+	ctx := context.Background()
 	calls := db.Stats.Snapshot().UDFCalls
-	rows, err := db.QueryRows(sql)
+	rows, err := db.QueryPlanContext(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +62,9 @@ func straddle(t *testing.T, db *DB, sql string, lazy bool) (cursor, after, again
 	if _, err := db.ExecSQL(memoNewRate); err != nil {
 		t.Fatal(err)
 	}
-	after = execKey(db.QuerySQL(sql))
+	after = execKey(db.ExecPlanContext(ctx, p))
 	cursor = execKey(rows.Collect())
-	return cursor, after, execKey(db.QuerySQL(sql))
+	return cursor, after, execKey(db.ExecPlanContext(ctx, p))
 }
 
 func TestUDFMemoFollowsSnapshot(t *testing.T) {
@@ -72,7 +74,7 @@ func TestUDFMemoFollowsSnapshot(t *testing.T) {
 		for _, sql := range []string{memoPlanned, memoViaView} {
 			ref := payDB(t, mode, n)
 			cfgReference.apply(ref)
-			wantCursor, wantAfter, _ := straddle(t, ref, sql, false)
+			wantCursor, wantAfter, _ := straddle(t, ref, mustPrepare(ref, sql), false)
 			if wantCursor == wantAfter {
 				t.Fatal("the rate change does not show in the statement")
 			}
@@ -82,21 +84,21 @@ func TestUDFMemoFollowsSnapshot(t *testing.T) {
 					db := payDB(t, mode, n)
 					cfg.apply(db)
 					db.SetParallelism(par)
-					if _, err := db.QuerySQL(sql); err != nil { // the plan is cached and its memo filled at the old rate
+					p := mustPrepare(db, sql)
+					if _, err := db.ExecPlanContext(context.Background(), p); err != nil { // the memo is filled at the old rate
 						t.Fatal(err)
 					}
-					p := db.plans[sql]
 					db.Stats = Stats{}
-					cursor, after, again := straddle(t, db, sql, true)
+					cursor, after, again := straddle(t, db, p, true)
 					if cursor != wantCursor {
 						t.Errorf("%s\n%s: the cursor opened before the write does not answer from its snapshot", sql, name)
 					}
 					if after != wantAfter || again != wantAfter {
 						t.Errorf("%s\n%s: a statement started after the write does not see the new rate", sql, name)
 					}
-					// Three hits on sql; the one miss is the UPDATE's own text.
-					if st := db.Stats.Snapshot(); db.plans[sql] != p || st.PlanCacheInvalidations != 0 || st.PlanCacheHits != 3 || st.PlanCacheMisses != 1 {
-						t.Errorf("%s\n%s: the statements did not share one cached plan: %+v", sql, name, st)
+					// Three hits on p; the one miss is the UPDATE's own prepare.
+					if st := db.Stats.Snapshot(); st.PlanCacheInvalidations != 0 || st.PlanCacheHits != 3 || st.PlanCacheMisses != 1 {
+						t.Errorf("%s\n%s: the statements did not share one held plan: %+v", sql, name, st)
 					}
 					if cfg != cfgProduction {
 						continue
@@ -115,7 +117,7 @@ func TestUDFMemoFollowsSnapshot(t *testing.T) {
 }
 
 // TestUDFMemoConcurrentWriters: writers flip the rate of tenant 1's currency
-// while readers run one cached statement. Each reader converts every row at
+// while readers run one held plan. Each reader converts every row at
 // one rate — the one its snapshot holds — and nothing re-lowers the plan.
 func TestUDFMemoConcurrentWriters(t *testing.T) {
 	forceParallel(t)
@@ -123,10 +125,7 @@ func TestUDFMemoConcurrentWriters(t *testing.T) {
 	db := payDB(t, ModePostgres, n)
 	db.SetParallelism(4)
 	sql := `SELECT MIN(currencyToUniversal(10.0, ttid)), MAX(currencyToUniversal(10.0, ttid)), COUNT(*) FROM pay WHERE ttid = 1`
-	if _, err := db.QuerySQL(sql); err != nil {
-		t.Fatal(err)
-	}
-	p := db.plans[sql]
+	p, up := mustPrepare(db, sql), mustPrepare(db, `UPDATE CurrencyTransform SET CT_to_universal = ? WHERE CT_currency_key = 1`)
 	db.Stats = Stats{}
 
 	iters := 60
@@ -147,7 +146,7 @@ func TestUDFMemoConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				rate := sqltypes.NewFloat(rates[(i+w)%len(rates)])
-				if _, err := db.ExecArgs(`UPDATE CurrencyTransform SET CT_to_universal = ? WHERE CT_currency_key = 1`, rate); err != nil {
+				if _, err := db.ExecPlanContext(context.Background(), up, rate); err != nil {
 					errs <- err
 					return
 				}
@@ -159,7 +158,7 @@ func TestUDFMemoConcurrentWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				res, err := db.QuerySQL(sql)
+				res, err := db.ExecPlanContext(context.Background(), p)
 				if err != nil {
 					errs <- err
 					return
@@ -179,10 +178,10 @@ func TestUDFMemoConcurrentWriters(t *testing.T) {
 	}
 	// Whichever writer was last, the next statement converts at its rate.
 	rate := queryRows(t, db, `SELECT CT_to_universal FROM CurrencyTransform WHERE CT_currency_key = 1`)[0][0].AsFloat()
-	if got := queryRows(t, db, sql)[0][0].AsFloat(); got != rate*ten {
-		t.Errorf("after the writers: 10 converts to %v, the table says %v", got, rate*ten)
+	if res, err := db.ExecPlanContext(context.Background(), p); err != nil || res.Rows[0][0].AsFloat() != rate*ten {
+		t.Errorf("after the writers: 10 converts to %v (%v), the table says %v", res, err, rate*ten)
 	}
-	if st := db.Stats.Snapshot(); db.plans[sql] != p || st.PlanCacheInvalidations != 0 {
+	if st := db.Stats.Snapshot(); st.PlanCacheInvalidations != 0 {
 		t.Errorf("writes re-lowered the readers' plan: %+v", st)
 	}
 }
@@ -200,9 +199,9 @@ func TestUDFBodyReadingThroughUDFIsNotPlanned(t *testing.T) {
 		  LANGUAGE SQL IMMUTABLE`); err != nil {
 		t.Fatal(err)
 	}
-	sql := "SELECT viaKey(100.0, 1) FROM Regions WHERE Re_reg_id = 0"
+	p := mustPrepare(db, "SELECT viaKey(100.0, 1) FROM Regions WHERE Re_reg_id = 0")
 	for i, want := range []float64{110, 100} {
-		res, err := db.QuerySQL(sql)
+		res, err := db.ExecPlanContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +212,7 @@ func TestUDFBodyReadingThroughUDFIsNotPlanned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for fn, up := range db.plans[sql].udfPlans {
+	for fn, up := range p.udfPlans {
 		if want := fn.Name == "currencyOf"; up.ok != want {
 			t.Errorf("body of %s planned = %v, want %v", fn.Name, up.ok, want)
 		}

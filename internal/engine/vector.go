@@ -204,7 +204,7 @@ func (ve *venv) lower(e sqlast.Expr) vecExpr {
 	case *sqlast.Literal:
 		return vecConst(x.Val)
 	case *sqlast.Param:
-		// One value per batch, read when the batch runs: a cached plan
+		// One value per batch, read when the batch runs: one plan
 		// serves every binding, a cached projection every call.
 		n := x.N
 		if frame := ve.frame; frame != nil {

@@ -9,14 +9,15 @@ import (
 
 // stmtCacheCap bounds the statement cache — the texts it holds and,
 // separately, their forms; on overflow the least-recently-used half of the
-// texts is dropped, the engine plan cache's rule.
+// texts is dropped.
 const stmtCacheCap = 512
 
 // stmtCache is the one statement cache of a Server (DESIGN.md ADR-020),
 // guarded by Server.mu: client text → entry, entry → compiled form per session
 // context. The entry holds the text's Statement, so a repeated text is neither
 // parsed nor table-scanned again; a form is what the statement compiles to
-// under one formKey, so scope, privilege, tenant and schema changes land in a
+// under one formKey — the rewritten statements and their engine plans
+// (ADR-027) — so scope, privilege, tenant and schema changes land in a
 // different slot instead of invalidating.
 type stmtCache struct {
 	entries      map[string]*cacheEntry

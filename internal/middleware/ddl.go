@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"context"
 	"fmt"
 
 	"mtbase/internal/engine"
@@ -67,13 +68,13 @@ func (c *Conn) createFunction(cf *sqlast.CreateFunction) (*engine.Result, error)
 // createView compiles the statement — the defining query rewritten and
 // optimized under the session's (C, D), so the stored view satisfies the
 // invariant (§2.2.4) — and creates what it compiled to.
-func (c *Conn) createView(st *Statement) (*engine.Result, error) {
+func (c *Conn) createView(ctx context.Context, st *Statement) (*engine.Result, error) {
 	cv := st.ast.(*sqlast.CreateView)
 	f, err := c.compile(st)
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.srv.db.Exec(f.stmts[0])
+	res, err := c.srv.db.ExecPlanContext(ctx, f.plans[0])
 	if err != nil {
 		return nil, err
 	}

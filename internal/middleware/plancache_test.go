@@ -4,17 +4,18 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mtbase/internal/engine"
 )
 
 // TestStatementCacheInvalidatedByDDL is the stale-plan-after-DDL regression:
-// a SELECT text executes (caching its rewrite and its engine plan), the data
-// modeller drops and recreates a referenced table with a different shape,
-// and the same text must re-execute against the new schema — both the
-// middleware rewrite cache (schema generation) and the engine plan cache
-// (dependency identity) have to notice.
+// a SELECT text executes (caching its form and the engine plan the form
+// holds), the data modeller drops and recreates a referenced table with a
+// different shape, and the same text must re-execute against the new schema —
+// the DDL retires the form (schema generation), so the text compiles and
+// lowers afresh.
 func TestStatementCacheInvalidatedByDDL(t *testing.T) {
 	srv := newExample(t, engine.ModePostgres)
 	admin := connFor(t, srv, 99)
@@ -130,12 +131,12 @@ func TestRewriteCacheHitsRepeatedStatements(t *testing.T) {
 	if hits != 4 || misses != 1 {
 		t.Fatalf("rewrite cache: %d hits / %d misses, want 4/1", hits, misses)
 	}
-	srv.InvalidateStatementCaches()
+	srv.SetStatementCaching(true) // empties the cache
 	if _, err := c0.Exec(sql); err != nil {
 		t.Fatal(err)
 	}
 	if _, m2 := srv.RewriteCacheStats(); m2 != 2 {
-		t.Fatalf("invalidation did not clear the rewrite cache: misses = %d", m2)
+		t.Fatalf("SetStatementCaching did not clear the rewrite cache: misses = %d", m2)
 	}
 }
 
@@ -311,5 +312,169 @@ func TestPreparedDMLCompilesPerContext(t *testing.T) {
 	})
 	if hits != 0 || misses != 0 {
 		t.Errorf("unprepared DML touched the cache: %d hits / %d misses", hits, misses)
+	}
+}
+
+// TestFormPlanConcurrent: sessions of three tenants — one of them under a
+// cross-tenant scope — run one prepared text concurrently while writes and
+// view DDL run through the middleware. A compiled form holds its engine plan
+// (DESIGN.md ADR-027): every answer must be byte-identical to a serial run,
+// and no execution may find the plan its form holds stale — DDL through the
+// middleware retires the forms and waits for the statements between compile
+// and pin, so the engine never re-lowers one (plan_cache_invalidations 0).
+func TestFormPlanConcurrent(t *testing.T) {
+	srv := newExample(t, engine.ModePostgres)
+	admin := connFor(t, srv, 99)
+	if err := srv.CreateTenant(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.DB().ExecSQL("INSERT INTO Tenant VALUES (2, 1)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := admin.Exec(`CREATE TABLE Events SPECIFIC (
+		ev_id INTEGER NOT NULL SPECIFIC,
+		ev_amount DECIMAL(15,2) NOT NULL COMPARABLE,
+		CONSTRAINT pk_ev PRIMARY KEY (ev_id))`); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{
+		"INSERT INTO Roles (R_role_id, R_name) VALUES (0, 'clerk'), (1, 'auditor')",
+		"INSERT INTO Employees (E_emp_id, E_name, E_role_id, E_reg_id, E_salary, E_age) VALUES (0, 'Zoe', 1, 1, 64000, 39), (1, 'Yan', 0, 5, 41000, 33)",
+		"GRANT READ ON DATABASE TO 0",
+	} {
+		if _, err := connFor(t, srv, 2).Exec(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := connFor(t, srv, 1).Exec("GRANT READ ON DATABASE TO 0"); err != nil {
+		t.Fatal(err)
+	}
+
+	const read = `SELECT E_name, E_salary, R_name FROM Employees, Roles WHERE E_role_id = R_role_id AND E_age > ? ORDER BY E_name`
+	ages := []any{20, 30, 40}
+	readers := make([]*Stmt, 3)
+	for ttid := range readers {
+		c := connFor(t, srv, int64(ttid))
+		if ttid == 0 {
+			if _, err := c.Exec(`SET SCOPE = "IN ()"`); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := c.Prepare(read)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readers[ttid] = st
+	}
+	answer := func(st *Stmt, age any) (string, error) {
+		res, err := st.QueryResult(age)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprint(res.Cols, res.Rows), nil
+	}
+	serial := map[[2]int]string{}
+	for r, st := range readers {
+		for a, age := range ages {
+			got, err := answer(st, age)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial[[2]int{r, a}] = got
+		}
+	}
+
+	iters := 40
+	if testing.Short() {
+		iters = 10
+	}
+	before := srv.DB().Stats.Snapshot().PlanCacheInvalidations
+	var wg sync.WaitGroup
+	var ddlDone atomic.Bool // readers keep reading until the DDL is through
+	errs := make(chan error, 16)
+	for r, st := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters || !ddlDone.Load(); i++ {
+				a := (r + i) % len(ages)
+				got, err := answer(st, ages[a])
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got != serial[[2]int{r, a}] {
+					errs <- fmt.Errorf("tenant %d, age > %v: %s, serially %s", r, ages[a], got, serial[[2]int{r, a}])
+					return
+				}
+			}
+		}()
+	}
+	for ttid := int64(0); ttid < 3; ttid++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := srv.Connect(ttid)
+			if err != nil {
+				errs <- err
+				return
+			}
+			ins, err := c.Prepare("INSERT INTO Events VALUES (?, ?)")
+			if err != nil {
+				errs <- err
+				return
+			}
+			up, err := c.Prepare("UPDATE Events SET ev_amount = ev_amount + ? WHERE ev_id = ?")
+			if err != nil {
+				errs <- err
+				return
+			}
+			for i := 0; i < iters; i++ {
+				if _, err := ins.Exec(i, 1.5); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := up.Exec(2, i); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer ddlDone.Store(true)
+		c, err := srv.Connect(2)
+		if err != nil {
+			errs <- err
+			return
+		}
+		for i := 0; i < iters/2; i++ {
+			for _, ddl := range []string{
+				fmt.Sprintf("CREATE VIEW names%d AS SELECT E_name FROM Employees", i),
+				fmt.Sprintf("DROP VIEW names%d", i),
+			} {
+				if _, err := c.Exec(ddl); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := srv.DB().Stats.Snapshot().PlanCacheInvalidations - before; n != 0 {
+		t.Errorf("%d executions found the plan their form holds stale, want 0", n)
+	}
+	res, err := connFor(t, srv, 1).Query("SELECT COUNT(*) AS n, SUM(ev_amount) AS s FROM Events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Rows[0][0].AsInt(); n != int64(iters) {
+		t.Errorf("tenant 1 holds %d events, want %d", n, iters)
 	}
 }

@@ -5,7 +5,8 @@ package middleware
 // the session shape is declared once, the prepared statement is implemented
 // once per transport, the packages that merely use sessions declare no
 // session-shaped interface of their own — and a statement is one value,
-// parsed in one place, compiled in one place, cached in one place.
+// parsed in one place, compiled in one place, cached in one place, and handed
+// to the DBMS as the statement the rewrite built (ADR-027).
 
 import (
 	"go/ast"
@@ -81,6 +82,7 @@ func TestSessionSeam(t *testing.T) {
 	methods := map[string][]string{} // "dir.Type" -> method names
 	calls := map[string][]string{}   // "dir pkg.Func" -> enclosing functions, per call site
 	cacheFields := 0                 // statement-cache fields of middleware.Server
+	var textPlans []string           // statement-tier functions handing the engine text
 	eachSourceFile(t, func(rel string, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(rel))
 		for _, decl := range f.Decls {
@@ -118,6 +120,9 @@ func TestSessionSeam(t *testing.T) {
 					if call, ok := n.(*ast.CallExpr); ok {
 						if q := qualified(call.Fun); q != "" {
 							calls[dir+" "+q] = append(calls[dir+" "+q], fd.Name.Name)
+						}
+						if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "PreparePlan" {
+							textPlans = append(textPlans, rel+": "+fd.Name.Name)
 						}
 					}
 					return true
@@ -189,9 +194,10 @@ func TestSessionSeam(t *testing.T) {
 			t.Errorf("internal/middleware calls %s from %v; the rewrite step (rewritten) is its one caller", fn, sites)
 		}
 	}
-	// One parse: text becomes a statement in middleware.Parse; the server holds
-	// no parser, and the coordinator reparses only what it ships to the replica
-	// across the pure-SQL seam (§3).
+	// One parse: text becomes a statement in middleware.Parse. Neither the
+	// server nor the coordinator holds a parser, and nothing reparses what the
+	// rewrite built: the DBMS is handed the statement (PrepareStatement,
+	// QueryWith), whose text parses back to it (mth.TestRewriteDeterministic).
 	parsers := map[string][]string{}
 	for key, sites := range calls {
 		dir, fn, _ := strings.Cut(key, " ")
@@ -199,11 +205,14 @@ func TestSessionSeam(t *testing.T) {
 			parsers[dir] = append(parsers[dir], sites...)
 		}
 	}
-	want := map[string][]string{"internal/middleware": {"Parse"}, "internal/shard": {"fallback"}}
+	want := map[string][]string{"internal/middleware": {"Parse"}}
 	for _, dir := range statementTiers {
 		if !slices.Equal(parsers[dir], want[dir]) {
 			t.Errorf("%s parses SQL text in %v, want %v", dir, parsers[dir], want[dir])
 		}
+	}
+	if len(textPlans) > 0 {
+		t.Errorf("statement tiers hand the engine text to parse again: %v", textPlans)
 	}
 	if cacheFields != 1 {
 		t.Errorf("middleware.Server has %d stmtCache fields, want the one statement cache", cacheFields)

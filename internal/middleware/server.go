@@ -51,6 +51,12 @@ type Server struct {
 	// DDL so a form compiled against an older schema can never be served.
 	cache     stmtCache
 	schemaGen uint64
+
+	// ddl is held shared by a statement from its compile until the engine has
+	// pinned the plan its form holds, and exclusively by DDL, which swaps the
+	// engine's catalog: a plan served from a form is never stale when it runs
+	// (DESIGN.md ADR-027).
+	ddl sync.RWMutex
 }
 
 // Option configures a Server.
@@ -215,16 +221,14 @@ func (c *Conn) OptLevel() optimizer.Level { return c.level }
 func (c *Conn) ExecStmt(ctx context.Context, st *Statement, args []sqltypes.Value) (*engine.Result, error) {
 	switch st.ast.(type) {
 	case *sqlast.Insert, *sqlast.Update, *sqlast.Delete:
+		c.srv.ddl.RLock()
+		defer c.srv.ddl.RUnlock()
 		f, err := c.compile(st)
 		if err != nil {
 			return nil, err
 		}
 		total := 0
-		for i := range f.texts {
-			plan, err := f.plan(c.srv.db, i)
-			if err != nil {
-				return nil, err
-			}
+		for _, plan := range f.plans {
 			res, err := c.srv.db.ExecPlanContext(ctx, plan, args...)
 			if err != nil {
 				return nil, err
@@ -240,10 +244,20 @@ func (c *Conn) ExecStmt(ctx context.Context, st *Statement, args []sqltypes.Valu
 	case *sqlast.SetScope:
 		c.scope = ast
 		return &engine.Result{}, nil
+	case *sqlast.Grant:
+		return c.grant(ast)
+	case *sqlast.Revoke:
+		return c.revoke(ast)
+	}
+	// DDL swaps the engine's catalog: it waits for every statement between
+	// its compile and its pin (Server.ddl).
+	c.srv.ddl.Lock()
+	defer c.srv.ddl.Unlock()
+	switch ast := st.ast.(type) {
 	case *sqlast.CreateTable:
 		return c.createTable(ast)
 	case *sqlast.CreateView:
-		return c.createView(st)
+		return c.createView(ctx, st)
 	case *sqlast.CreateFunction:
 		return c.createFunction(ast)
 	case *sqlast.DropTable:
@@ -262,10 +276,6 @@ func (c *Conn) ExecStmt(ctx context.Context, st *Statement, args []sqltypes.Valu
 		c.srv.dropViewOwner(ast.Name)
 		c.srv.bumpSchemaGen()
 		return res, nil
-	case *sqlast.Grant:
-		return c.grant(ast)
-	case *sqlast.Revoke:
-		return c.revoke(ast)
 	}
 	return nil, fmt.Errorf("middleware: unsupported statement %T", st.ast)
 }
@@ -373,7 +383,7 @@ func (c *Conn) scopeDataset() (d []int64, all bool, err error) {
 		if err != nil {
 			return nil, false, err
 		}
-		res, err := c.srv.db.Query(sq)
+		res, err := c.srv.db.Exec(sq)
 		if err != nil {
 			return nil, false, fmt.Errorf("middleware: evaluating scope: %w", err)
 		}
@@ -461,33 +471,24 @@ func rewritten(ctx *rewrite.Context, ast sqlast.Statement, level optimizer.Level
 }
 
 // compiled is what a statement compiles to under one session context: the
-// rewritten, optimized statements and their SQL text — the form in which they
-// enter the DBMS (§3, "by the means of pure SQL").
+// rewritten, optimized statements and the engine plans lowered from them. The
+// DBMS is handed the statement the rewrite built rather than its text; that
+// text is pure SQL (§3) — it parses back to an equal statement, which
+// mth.TestRewriteDeterministic holds for every shape the rewrite emits — and it
+// is what EXPLAIN prints.
 type compiled struct {
 	stmts []sqlast.Statement
-	texts []string
-}
-
-// plan lowers the i-th compiled statement through the engine's plan cache. A
-// failure is a parse error of the rewritten text — a rewrite bug worth showing
-// with the SQL; bind and execution errors are the caller's and pass through
-// clean.
-func (f *compiled) plan(db *engine.DB, i int) (*engine.Plan, error) {
-	plan, err := db.PreparePlan(f.texts[i])
-	if err != nil {
-		return nil, fmt.Errorf("middleware: rewritten SQL failed to parse: %w\n%s", err, f.texts[i])
-	}
-	return plan, nil
+	plans []*engine.Plan
 }
 
 // compile is the one place a client statement becomes what the DBMS runs
 // (§3, Figure 4): the scope is resolved and pruned to D′ — always, it is what
 // the cached form is keyed by — and the statement is rewritten, optimized and
-// serialized unless the cache holds its form for this session context. Bind
-// placeholders pass through the rewrite untouched, so one parameterized text —
-// and therefore one engine plan — serves every binding. SELECTs and prepared
-// statements keep their forms; other statements compile unstored. A panic
-// below is the statement's error (engine.DB.Recover).
+// lowered unless the cache holds its form for this session context. Bind
+// placeholders pass through the rewrite untouched, so one form — and therefore
+// one engine plan — serves every binding. SELECTs and prepared statements keep
+// their forms; other statements compile unstored. A panic below is the
+// statement's error (engine.DB.Recover).
 func (c *Conn) compile(st *Statement) (f *compiled, err error) {
 	s := c.srv
 	defer s.db.Recover(&err)
@@ -513,7 +514,11 @@ func (c *Conn) compile(st *Statement) (f *compiled, err error) {
 		return nil, err
 	}
 	for _, rw := range f.stmts {
-		f.texts = append(f.texts, rw.String())
+		plan, err := s.db.PrepareStatement(rw)
+		if err != nil {
+			return nil, err
+		}
+		f.plans = append(f.plans, plan)
 	}
 	if keep {
 		s.mu.Lock()
@@ -523,22 +528,19 @@ func (c *Conn) compile(st *Statement) (f *compiled, err error) {
 	return f, nil
 }
 
-// QueryStmt executes a SELECT through a streaming cursor. The middleware
-// communicates with the DBMS "by the means of pure SQL" (§3): the compiled
-// statement enters the engine as text.
+// QueryStmt executes a SELECT through a streaming cursor over the plan its
+// compiled form holds.
 func (c *Conn) QueryStmt(ctx context.Context, st *Statement, args []sqltypes.Value) (*engine.Rows, error) {
 	if _, err := st.Select(); err != nil {
 		return nil, err
 	}
+	c.srv.ddl.RLock()
+	defer c.srv.ddl.RUnlock()
 	f, err := c.compile(st)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := f.plan(c.srv.db, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.srv.db.QueryPlanContext(ctx, plan, args...)
+	return c.srv.db.QueryPlanContext(ctx, f.plans[0], args...)
 }
 
 // Columns names the header this tier gives st, a SELECT: an item without an
@@ -611,23 +613,13 @@ func (s *Server) StatLines() []Stat {
 	}
 }
 
-// InvalidateStatementCaches drops the statement cache and the engine's plan
-// cache; benchmarks use it to measure cold planning.
-func (s *Server) InvalidateStatementCaches() {
-	s.mu.Lock()
-	s.cache.reset()
-	s.mu.Unlock()
-	s.db.InvalidatePlans()
-}
-
-// SetStatementCaching toggles the statement cache and the engine plan cache
-// together (on by default), to A/B the pre-cache behaviour.
+// SetStatementCaching toggles the statement cache (on by default) and empties
+// it: with caching off every statement is parsed, compiled and lowered afresh.
 func (s *Server) SetStatementCaching(on bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.cache.off = !on
 	s.cache.reset()
-	s.mu.Unlock()
-	s.db.SetPlanCache(on)
 }
 
 // RewriteSQL parses, rewrites and optimizes a query without executing it.

@@ -148,10 +148,9 @@ func (t Text) QueryContext(ctx context.Context, sql string, args ...any) (*engin
 // execution, like any other statement on the connection, so each execution
 // resolves D′ anew (a sharded session re-routes by it) and serves the
 // compiled form from the statement cache keyed on the *parameterized* text.
-// The rewrite — and the engine plan behind it — is therefore shared across
-// every binding: with placeholders the "pure SQL" the middleware ships per
-// statement is byte-identical across bindings, which is what makes plan-cache
-// hits the common case for literal-varying workloads.
+// The form — the rewritten statement and the engine plan it holds — is
+// therefore shared across every binding, which is what makes plan hits the
+// common case for literal-varying workloads.
 type Stmt struct {
 	t    Text
 	stmt *Statement

@@ -1,6 +1,7 @@
 package mth
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -58,19 +59,21 @@ func TestSharedExprCensus(t *testing.T) {
 	for _, level := range []optimizer.Level{optimizer.Canonical, optimizer.O4} {
 		conn.SetOptLevel(level)
 		for _, q := range Queries(cfg.SF) {
-			// The engine's plan of the text this level hands it, read once the
-			// query ran and before its teardown drops what the text names.
+			// The engine's plan of the statement this level hands it, read once
+			// it ran and before the query's teardown drops what it names.
 			var plan *engine.Plan
 			_, err := q.Run(func(sql string) (*engine.Result, error) {
-				res, err := conn.Exec(sql)
-				if sql == q.SQL && err == nil {
-					rewritten, rerr := conn.RewriteSQL(sql)
-					if rerr != nil {
-						return nil, rerr
-					}
-					plan, err = db.PreparePlan(rewritten.String())
+				if sql != q.SQL {
+					return conn.Exec(sql)
 				}
-				return res, err
+				rewritten, err := conn.RewriteSQL(sql)
+				if err == nil {
+					plan, err = db.PrepareStatement(rewritten)
+				}
+				if err != nil {
+					return nil, err
+				}
+				return db.ExecPlanContext(context.Background(), plan)
 			})
 			if err != nil {
 				t.Fatalf("%s Q%d: %v", level, q.ID, err)

@@ -127,7 +127,7 @@ func (env *testEnv) run(t testing.TB, ctx *rewrite.Context, level Level, sql str
 	if err != nil {
 		t.Fatalf("optimized SQL does not reparse at %s: %v\n%s", level, err, text)
 	}
-	res, err := env.db.Query(reparsed)
+	res, err := env.db.Exec(reparsed)
 	if err != nil {
 		t.Fatalf("execute at %s: %v\n%s", level, err, text)
 	}

@@ -44,7 +44,7 @@ func partRef(alias string) sqlast.Expr {
 // SUM, MIN and MAX fold with themselves, AVG as the sum of partial sums over
 // the sum of partial counts, in floating point like the engine's AVG. SUM
 // reserves a count alias it does not emit: the numbering is part of o3's text,
-// which plan-cache keys and recorded digests go by.
+// which EXPLAIN and recorded digests go by.
 func plainFold(agg *sqlast.FuncCall, alias func() string) (*aggFold, bool) {
 	// Anything but f(x) or COUNT(*) — COUNT() included — is left as written
 	// for the engine to reject; DISTINCT cannot fold from partials.

@@ -10,7 +10,6 @@ import (
 	"mtbase/internal/mtsql"
 	"mtbase/internal/optimizer"
 	"mtbase/internal/sqlast"
-	"mtbase/internal/sqlparse"
 	"mtbase/internal/sqltypes"
 )
 
@@ -322,11 +321,6 @@ func (c *Conn) fallback(ctx context.Context, sel *sqlast.Select, args []sqltypes
 	q, err := c.rewriteOnReplica(sel, d)
 	if err != nil {
 		return nil, err
-	}
-	// The DBMS is addressed in pure SQL (§3): serialize and reparse, as the
-	// middleware does for every statement it ships.
-	if q, err = sqlparse.ParseQuery(q.String()); err != nil {
-		return nil, fmt.Errorf("shard: rewritten SQL failed to parse: %w", err)
 	}
 	rels, err := c.srv.repartition(from, tables)
 	if err != nil {

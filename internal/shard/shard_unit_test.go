@@ -5,6 +5,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -315,7 +316,11 @@ func TestOpenPartsClosesOpenedOnFailure(t *testing.T) {
 		if ss.rank == 2 {
 			return nil, down
 		}
-		rows, err := db.QueryRows("SELECT 1 AS one")
+		p, err := db.PreparePlan("SELECT 1 AS one")
+		if err != nil {
+			return nil, err
+		}
+		rows, err := db.QueryPlanContext(context.Background(), p)
 		opened = append(opened, rows)
 		return rows, err
 	}

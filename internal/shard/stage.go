@@ -12,8 +12,8 @@ package shard
 // value to the outer statement as an extra bind parameter. The outer
 // statement is classified again with the parameter in the subquery's place.
 //
-// The value travels as a bind, not as a printed literal: the shards' rewrite-
-// and plan-cache keys stay independent of the data, and a float never
+// The value travels as a bind, not as a printed literal: the shards'
+// statement-cache keys stay independent of the data, and a float never
 // round-trips through text. It lives in the statement's own argument slice,
 // so nothing outlives the statement (ADR-012). And the bind stands where the
 // block stood as what the block was — a scalar subquery (stageRef) — so every
