@@ -1,7 +1,7 @@
 // Command mtsh is a minimal MTSQL shell. By default it loads an in-process
 // MTBase instance with the MT-H dataset; with -connect it speaks the mtserve
-// wire protocol to a running server instead. Either way it demonstrates the
-// full client experience of the paper: connect as a tenant (C comes from the
+// wire protocol to a running server instead. Either way it holds one
+// middleware.Session and demonstrates the full client experience of the paper: connect as a tenant (C comes from the
 // connection), steer the dataset with SET SCOPE, and run plain SQL that the
 // middleware rewrites behind the scenes. Query output streams through the
 // cursor API — rows print as batches arrive, so large cross-tenant scans are
@@ -30,9 +30,11 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -43,36 +45,8 @@ import (
 	"mtbase/internal/mth"
 	"mtbase/internal/optimizer"
 	"mtbase/internal/shard"
-	"mtbase/internal/sqlast"
-	"mtbase/internal/sqlparse"
 	"mtbase/internal/sqltypes"
 )
-
-// preparedStmt is one \prepare'd statement: what \exec needs of it, whichever
-// transport holds the handle.
-type preparedStmt struct {
-	nParams int
-	run     func(args ...any) (*engine.Result, error)
-	close   func() error
-}
-
-// backend abstracts the transport statements travel over: function calls
-// into an in-process tier (any middleware.Session), or the mtserve wire
-// protocol, whose cursors and statement handles are the client package's
-// own types.
-type backend interface {
-	C() int64
-	Exec(sql string) (*engine.Result, error)
-	// Stream runs a query, handing the column names and then each row (valid
-	// only during the call) to the callbacks as batches arrive.
-	Stream(sql string, header func(cols []string), row func([]sqltypes.Value)) error
-	Prepare(sql string) (*preparedStmt, error)
-	SetLevel(l optimizer.Level) error
-	Explain(sql string) (string, error)
-	Reconnect(ttid int64) (backend, error)
-	Stats() ([]string, error)
-	ShardInfo() ([]string, error)
-}
 
 func main() {
 	var (
@@ -86,30 +60,51 @@ func main() {
 	flag.Parse()
 
 	var (
-		be  backend
+		sh  *shell
 		err error
 	)
 	switch {
 	case *connect != "":
-		be, err = dialRemote(*connect, *ttid, optimizer.O4)
+		sh = dialRemote(*connect)
 	default:
-		be, err = buildInProcess(*sf, *tenants, *mode, *shards, *ttid)
+		sh, err = buildInProcess(demoConfig(*sf, *tenants, *mode), *shards)
+	}
+	if err == nil {
+		sh.conn, err = sh.connect(*ttid)
 	}
 	if err != nil {
 		fatal(err)
 	}
+	sh.run(os.Stdin, os.Stdout)
+}
 
-	in := bufio.NewScanner(os.Stdin)
-	in.Buffer(make([]byte, 1<<20), 1<<20)
+// shell runs the statements and meta commands of one mtsh session over any
+// middleware.Session: the tiers differ only in how a session is opened, which
+// counters they report and whether there is a shard placement to print.
+type shell struct {
+	connect func(ttid int64) (middleware.Session, error)
+	stats   func() ([]middleware.Stat, error)
+	shards  *shard.Server // nil unless in-process and sharded
+
+	conn     middleware.Session
+	prepared map[string]*middleware.Stmt
+	out      io.Writer
+}
+
+// run reads statements (terminated by ';') and meta commands (one line each,
+// starting with a backslash) from in until EOF or \q, writing results to out.
+func (sh *shell) run(in io.Reader, out io.Writer) {
+	sh.out, sh.prepared = out, make(map[string]*middleware.Stmt)
+	scan := bufio.NewScanner(in)
+	scan.Buffer(make([]byte, 1<<20), 1<<20)
 	var pending strings.Builder
-	prepared := make(map[string]*preparedStmt)
-	prompt := func() { fmt.Printf("mtsql(C=%d)> ", be.C()) }
+	prompt := func() { fmt.Fprintf(out, "mtsql(C=%d)> ", sh.conn.C()) }
 	prompt()
-	for in.Scan() {
-		line := in.Text()
+	for scan.Scan() {
+		line := scan.Text()
 		trimmed := strings.TrimSpace(line)
 		if strings.HasPrefix(trimmed, "\\") {
-			if done := metaCommand(&be, prepared, trimmed); done {
+			if done := sh.metaCommand(trimmed); done {
 				return
 			}
 			prompt()
@@ -123,358 +118,247 @@ func main() {
 		stmt := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(pending.String()), ";"))
 		pending.Reset()
 		if stmt != "" {
-			execute(be, stmt)
+			sh.execute(stmt)
 		}
 		prompt()
 	}
 }
 
-// inProcess runs statements on an in-process instance, unsharded or
-// tenant-partitioned: the two tiers differ only in how a session is opened
-// and which counters they report.
-type inProcess struct {
-	connect func(ttid int64) (middleware.Session, error)
-	stats   func() []middleware.Stat
-	shards  *shard.Server // nil when unsharded
-	conn    middleware.Session
-}
-
-func buildInProcess(sf float64, tenants int, mode string, nshards int, ttid int64) (backend, error) {
+// demoConfig is the MT-H data set mtsh loads in process.
+func demoConfig(sf float64, tenants int, mode string) mth.Config {
 	cfg := mth.Config{SF: sf, Tenants: tenants, Dist: mth.Uniform, Seed: 42, Mode: engine.ModePostgres}
 	if mode == "system-c" {
 		cfg.Mode = engine.ModeSystemC
 	}
-	fmt.Fprintf(os.Stderr, "loading MT-H sf=%g T=%d over %d shard(s) ...\n", sf, tenants, nshards)
-	b := &inProcess{}
+	return cfg
+}
+
+// buildInProcess loads cfg into an in-process instance, unsharded or
+// tenant-partitioned.
+func buildInProcess(cfg mth.Config, nshards int) (*shell, error) {
+	fmt.Fprintf(os.Stderr, "loading MT-H sf=%g T=%d over %d shard(s) ...\n", cfg.SF, cfg.Tenants, nshards)
+	sh := &shell{}
 	var grantRead func(client int64) error
 	if nshards > 1 {
 		inst, err := mth.BuildMTSharded(cfg, nshards)
 		if err != nil {
 			return nil, err
 		}
-		b.connect, b.stats, b.shards = middleware.Connector(inst.Srv.Connect), inst.Srv.StatLines, inst.Srv
+		sh.connect, sh.stats, sh.shards = middleware.Connector(inst.Srv.Connect), statLines(inst.Srv.StatLines), inst.Srv
 		grantRead = inst.GrantReadTo
 	} else {
 		inst, err := mth.BuildMT(cfg)
 		if err != nil {
 			return nil, err
 		}
-		b.connect, b.stats = middleware.Connector(inst.Srv.Connect), inst.Srv.StatLines
+		sh.connect, sh.stats = middleware.Connector(inst.Srv.Connect), statLines(inst.Srv.StatLines)
 		grantRead = inst.GrantReadTo
 	}
 	// Demo convenience: everyone may read everyone (the paper's healthcare
 	// scenario would use explicit GRANTs instead).
-	for t := int64(1); t <= int64(tenants); t++ {
+	for t := int64(1); t <= int64(cfg.Tenants); t++ {
 		if err := grantRead(t); err != nil {
 			return nil, err
 		}
 	}
-	var err error
-	if b.conn, err = b.connect(ttid); err != nil {
-		return nil, err
-	}
-	return b, nil
+	return sh, nil
 }
 
-func (b *inProcess) C() int64                                { return b.conn.C() }
-func (b *inProcess) Exec(sql string) (*engine.Result, error) { return b.conn.Exec(sql) }
-func (b *inProcess) SetLevel(l optimizer.Level) error        { b.conn.SetOptLevel(l); return nil }
-
-func (b *inProcess) Stream(sql string, header func([]string), row func([]sqltypes.Value)) error {
-	rows, err := b.conn.QueryRows(sql)
-	if err != nil {
-		return err
-	}
-	defer rows.Close()
-	header(rows.Columns())
-	for rows.Next() {
-		row(rows.Row())
-	}
-	return rows.Err()
+func statLines(lines func() []middleware.Stat) func() ([]middleware.Stat, error) {
+	return func() ([]middleware.Stat, error) { return lines(), nil }
 }
 
-func (b *inProcess) Prepare(sql string) (*preparedStmt, error) {
-	st, err := b.conn.Prepare(sql)
-	if err != nil {
-		return nil, err
+// dialRemote speaks the mtserve wire protocol to addr; the counters are the
+// server's, fetched over the current session.
+func dialRemote(addr string) *shell {
+	var cur *client.Conn
+	return &shell{
+		connect: func(ttid int64) (middleware.Session, error) {
+			c, err := client.Dial(addr, ttid, "")
+			if err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(os.Stderr, "connected to %s (%s, session %d)\n", addr, c.Server(), c.SessionID())
+			if cur != nil {
+				cur.Close()
+			}
+			cur = c
+			return c, nil
+		},
+		stats: func() ([]middleware.Stat, error) { return cur.Stats() },
 	}
-	run := st.Exec
-	if st.IsQuery() {
-		run = st.QueryResult
-	}
-	return &preparedStmt{nParams: st.NumParams(), run: run, close: st.Close}, nil
-}
-
-func (b *inProcess) Explain(sql string) (string, error) {
-	rewritten, err := b.conn.RewriteSQL(sql)
-	if err != nil {
-		return "", err
-	}
-	return rewritten.String(), nil
-}
-
-func (b *inProcess) Reconnect(ttid int64) (backend, error) {
-	conn, err := b.connect(ttid)
-	if err != nil {
-		return nil, err
-	}
-	conn.SetOptLevel(b.conn.OptLevel())
-	next := *b
-	next.conn = conn
-	return &next, nil
-}
-
-func (b *inProcess) Stats() ([]string, error) {
-	stats := b.stats()
-	lines := make([]string, len(stats))
-	for i, st := range stats {
-		lines[i] = fmt.Sprintf("%s %d", st.Name, st.Value)
-	}
-	return lines, nil
-}
-
-func (b *inProcess) ShardInfo() ([]string, error) {
-	if b.shards == nil {
-		return nil, errNotSharded
-	}
-	lines := []string{fmt.Sprintf("shards %d (placement: tenant -> shard)", b.shards.NumShards())}
-	for _, ts := range b.shards.PlacementMap() {
-		lines = append(lines, fmt.Sprintf("tenant %d -> shard %d", ts.Tenant, ts.Shard))
-	}
-	for rank, n := range b.shards.RowCounts() {
-		lines = append(lines, fmt.Sprintf("shard %d: %d tenant rows", rank, n))
-	}
-	return lines, nil
 }
 
 var errNotSharded = errors.New("not a sharded session (start mtsh with -shards N)")
 
-// remoteBackend runs statements over the mtserve wire protocol.
-type remoteBackend struct {
-	addr  string
-	conn  *client.Conn
-	level optimizer.Level
-}
-
-func dialRemote(addr string, ttid int64, level optimizer.Level) (backend, error) {
-	conn, err := client.Dial(addr, ttid, level.String())
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "connected to %s (%s, session %d)\n", addr, conn.Server(), conn.SessionID())
-	return &remoteBackend{addr: addr, conn: conn, level: level}, nil
-}
-
-func (b *remoteBackend) C() int64                                { return b.conn.C() }
-func (b *remoteBackend) Exec(sql string) (*engine.Result, error) { return b.conn.Exec(sql) }
-func (b *remoteBackend) Explain(sql string) (string, error)      { return b.conn.Explain(sql) }
-func (b *remoteBackend) ShardInfo() ([]string, error)            { return nil, errNotSharded }
-
-func (b *remoteBackend) Stream(sql string, header func([]string), row func([]sqltypes.Value)) error {
-	rows, err := b.conn.QueryRows(sql)
-	if err != nil {
-		return err
-	}
-	defer rows.Close()
-	header(rows.Columns())
-	for rows.Next() {
-		row(rows.Row())
-	}
-	return rows.Err()
-}
-
-func (b *remoteBackend) Prepare(sql string) (*preparedStmt, error) {
-	st, err := b.conn.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	run := st.Exec
-	if st.IsQuery() {
-		run = st.QueryResult
-	}
-	return &preparedStmt{nParams: st.NumParams(), run: run, close: st.Close}, nil
-}
-
-func (b *remoteBackend) SetLevel(l optimizer.Level) error {
-	if err := b.conn.SetOptLevel(l); err != nil {
-		return err
-	}
-	b.level = l
-	return nil
-}
-
-func (b *remoteBackend) Reconnect(ttid int64) (backend, error) {
-	next, err := dialRemote(b.addr, ttid, b.level)
-	if err != nil {
-		return nil, err
-	}
-	b.conn.Close()
-	return next, nil
-}
-
-func (b *remoteBackend) Stats() ([]string, error) {
-	pairs, err := b.conn.Stats()
-	if err != nil {
-		return nil, err
-	}
-	lines := make([]string, len(pairs))
-	for i, p := range pairs {
-		lines[i] = fmt.Sprintf("%s %d", p.Name, p.Value)
-	}
-	return lines, nil
-}
-
-func metaCommand(be *backend, prepared map[string]*preparedStmt, cmd string) bool {
+func (sh *shell) metaCommand(cmd string) bool {
+	out := sh.out
 	fields := strings.Fields(cmd)
 	switch fields[0] {
 	case "\\q":
 		return true
 	case "\\c":
 		if len(fields) != 2 {
-			fmt.Println("usage: \\c <ttid>")
+			fmt.Fprintln(out, "usage: \\c <ttid>")
 			return false
 		}
 		ttid, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
-			fmt.Println("bad tenant id:", fields[1])
+			fmt.Fprintln(out, "bad tenant id:", fields[1])
 			return false
 		}
-		next, err := (*be).Reconnect(ttid)
+		conn, err := sh.connect(ttid)
 		if err != nil {
-			fmt.Println(err)
+			fmt.Fprintln(out, err)
 			return false
 		}
-		*be = next
+		level := sh.conn.OptLevel()
+		sh.conn = conn
 		// Prepared statements capture the session's C; drop them.
-		for name, st := range prepared {
-			st.close()
-			delete(prepared, name)
+		for name, st := range sh.prepared {
+			st.Close()
+			delete(sh.prepared, name)
 		}
-		fmt.Println("prepared statements cleared")
+		fmt.Fprintln(out, "prepared statements cleared")
+		if err := conn.SetOptLevel(level); err != nil {
+			fmt.Fprintln(out, err)
+		}
 	case "\\prepare":
 		rest := strings.TrimSpace(strings.TrimPrefix(cmd, "\\prepare"))
 		name, sql, ok := strings.Cut(rest, " ")
 		if !ok || name == "" || strings.TrimSpace(sql) == "" {
-			fmt.Println("usage: \\prepare name <sql with ? or $n placeholders>")
+			fmt.Fprintln(out, "usage: \\prepare name <sql with ? or $n placeholders>")
 			return false
 		}
-		st, err := (*be).Prepare(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
+		st, err := sh.conn.Prepare(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
 		if err != nil {
-			fmt.Println(err)
+			fmt.Fprintln(out, err)
 			return false
 		}
-		prepared[name] = st
-		fmt.Printf("prepared %q (%d parameters)\n", name, st.nParams)
+		sh.prepared[name] = st
+		fmt.Fprintf(out, "prepared %q (%d parameters)\n", name, st.NumParams())
 	case "\\exec":
 		if len(fields) < 2 {
-			fmt.Println("usage: \\exec name [args...]")
+			fmt.Fprintln(out, "usage: \\exec name [args...]")
 			return false
 		}
-		st, ok := prepared[fields[1]]
+		st, ok := sh.prepared[fields[1]]
 		if !ok {
-			fmt.Printf("no prepared statement %q\n", fields[1])
+			fmt.Fprintf(out, "no prepared statement %q\n", fields[1])
 			return false
 		}
 		rest := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(strings.TrimPrefix(cmd, "\\exec")), fields[1]))
 		args, err := parseBindArgs(rest)
 		if err != nil {
-			fmt.Println(err)
+			fmt.Fprintln(out, err)
 			return false
 		}
-		if len(args) != st.nParams {
-			fmt.Printf("statement %q takes %d parameters, got %d\n", fields[1], st.nParams, len(args))
+		if len(args) != st.NumParams() {
+			fmt.Fprintf(out, "statement %q takes %d parameters, got %d\n", fields[1], st.NumParams(), len(args))
 			return false
 		}
-		res, err := st.run(args...)
+		res, err := st.Exec(args...)
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(out, "error:", err)
 			return false
 		}
-		printResult(res)
+		sh.printResult(res)
 	case "\\level":
 		if len(fields) != 2 {
-			fmt.Println("usage: \\level <canonical|o1|o2|o3|o4|inl-only>")
+			fmt.Fprintln(out, "usage: \\level <canonical|o1|o2|o3|o4|inl-only>")
 			return false
 		}
 		level, err := optimizer.ParseLevel(fields[1])
+		if err == nil {
+			err = sh.conn.SetOptLevel(level)
+		}
 		if err != nil {
-			fmt.Println(err)
+			fmt.Fprintln(out, err)
 			return false
 		}
-		if err := (*be).SetLevel(level); err != nil {
-			fmt.Println(err)
-			return false
-		}
-		fmt.Println("optimization level:", level)
+		fmt.Fprintln(out, "optimization level:", level)
 	case "\\explain":
 		sql := strings.TrimSpace(strings.TrimPrefix(cmd, "\\explain"))
-		rewritten, err := (*be).Explain(strings.TrimSuffix(sql, ";"))
+		rewritten, err := sh.conn.RewriteSQL(strings.TrimSuffix(sql, ";"))
 		if err != nil {
-			fmt.Println(err)
+			fmt.Fprintln(out, err)
 			return false
 		}
-		fmt.Println(rewritten)
+		fmt.Fprintln(out, rewritten.String())
 	case "\\stats":
-		lines, err := (*be).Stats()
+		stats, err := sh.stats()
 		if err != nil {
-			fmt.Println(err)
+			fmt.Fprintln(out, err)
 			return false
 		}
-		for _, l := range lines {
-			fmt.Println(l)
+		for _, st := range stats {
+			fmt.Fprintf(out, "%s %d\n", st.Name, st.Value)
 		}
 	case "\\shards":
-		lines, err := (*be).ShardInfo()
-		if err != nil {
-			fmt.Println(err)
+		if sh.shards == nil {
+			fmt.Fprintln(out, errNotSharded)
 			return false
 		}
-		for _, l := range lines {
-			fmt.Println(l)
+		fmt.Fprintf(out, "shards %d (placement: tenant -> shard)\n", sh.shards.NumShards())
+		for _, ts := range sh.shards.PlacementMap() {
+			fmt.Fprintf(out, "tenant %d -> shard %d\n", ts.Tenant, ts.Shard)
+		}
+		for rank, n := range sh.shards.RowCounts() {
+			fmt.Fprintf(out, "shard %d: %d tenant rows\n", rank, n)
 		}
 	default:
-		fmt.Println("unknown command:", fields[0])
+		fmt.Fprintln(out, "unknown command:", fields[0])
 	}
 	return false
 }
 
-func execute(be backend, sql string) {
-	// Queries stream through the cursor API: rows print as batches arrive
-	// from the operator tree (or the wire), so a large cross-tenant scan
-	// shows output immediately instead of materializing the whole result
-	// first. DML/DDL and session statements go through Exec.
-	if stmt, err := sqlparse.ParseStatement(sql); err == nil {
-		if _, ok := stmt.(*sqlast.Select); ok {
-			streamQuery(be, sql)
-			return
-		}
-	}
-	res, err := be.Exec(sql)
+// execute runs one statement. Queries stream through the cursor API: rows
+// print as batches arrive from the operator tree (or the wire), so a large
+// cross-tenant scan shows output immediately instead of materializing the
+// whole result first. DML/DDL and session statements run to their outcome.
+func (sh *shell) execute(sql string) {
+	st, err := sh.conn.Statement(sql)
 	if err != nil {
-		fmt.Println("error:", err)
+		fmt.Fprintln(sh.out, "error:", err)
 		return
 	}
-	printResult(res)
+	if st.IsQuery() {
+		sh.streamQuery(st)
+		return
+	}
+	res, err := sh.conn.ExecStmt(context.Background(), st, nil)
+	if err != nil {
+		fmt.Fprintln(sh.out, "error:", err)
+		return
+	}
+	sh.printResult(res)
 }
+
+// maxShow is how many rows of a result mtsh prints; the rest are counted.
+const maxShow = 50
 
 // streamQuery prints the first maxShow rows as they are delivered and
 // counts the rest.
-func streamQuery(be backend, sql string) {
-	const maxShow = 50
-	n := 0
-	err := be.Stream(sql,
-		func(cols []string) { fmt.Println(strings.Join(cols, " | ")) },
-		func(row []sqltypes.Value) {
-			if n++; n <= maxShow {
-				fmt.Println(rowLine(row))
-			}
-		})
+func (sh *shell) streamQuery(st *middleware.Statement) {
+	rows, err := sh.conn.QueryStmt(context.Background(), st, nil)
 	if err != nil {
-		fmt.Println("error:", err)
+		fmt.Fprintln(sh.out, "error:", err)
+		return
+	}
+	defer rows.Close()
+	fmt.Fprintln(sh.out, strings.Join(rows.Columns(), " | "))
+	n := 0
+	for rows.Next() {
+		if n++; n <= maxShow {
+			fmt.Fprintln(sh.out, rowLine(rows.Row()))
+		}
+	}
+	if err := rows.Err(); err != nil {
+		fmt.Fprintln(sh.out, "error:", err)
 		return
 	}
 	if n > maxShow {
-		fmt.Printf("... (%d rows total)\n", n)
+		fmt.Fprintf(sh.out, "... (%d rows total)\n", n)
 	}
 }
 
@@ -486,18 +370,18 @@ func rowLine(row []sqltypes.Value) string {
 	return strings.Join(parts, " | ")
 }
 
-func printResult(res *engine.Result) {
+func (sh *shell) printResult(res *engine.Result) {
 	if len(res.Cols) == 0 {
-		fmt.Printf("ok (%d rows affected)\n", res.Affected)
+		fmt.Fprintf(sh.out, "ok (%d rows affected)\n", res.Affected)
 		return
 	}
-	fmt.Println(strings.Join(res.Cols, " | "))
+	fmt.Fprintln(sh.out, strings.Join(res.Cols, " | "))
 	for i, row := range res.Rows {
-		if i >= 50 {
-			fmt.Printf("... (%d rows total)\n", len(res.Rows))
+		if i >= maxShow {
+			fmt.Fprintf(sh.out, "... (%d rows total)\n", len(res.Rows))
 			break
 		}
-		fmt.Println(rowLine(row))
+		fmt.Fprintln(sh.out, rowLine(row))
 	}
 }
 

@@ -75,12 +75,12 @@
 //     from the rewritten statement, whose text is pure SQL but is not
 //     parsed again) under one statement cache whose forms hold the plans
 //     (ADR-020, ADR-027 in DESIGN.md). The session shape is declared
-//     once, in middleware/session.go (ADR-013): a tier implements a
-//     six-method core over that value — QueryStmt(ctx, *Statement, args),
+//     once, in middleware/session.go (ADR-013, ADR-028): a tier implements
+//     a six-method core over that value — QueryStmt(ctx, *Statement, args),
 //     ExecStmt(ctx, *Statement, args) — and Exec/Query/Prepare and the
-//     prepared Stmt are written once over it (Text), so middleware.Conn and
-//     shard.Conn are both a middleware.Session and return the same *Stmt
-//     and *engine.Rows
+//     prepared Stmt are written once over it (Text), so middleware.Conn,
+//     shard.Conn and the wire client's client.Conn are each a
+//     middleware.Session and return the same *Stmt and *engine.Rows
 //   - mth — the MT-H benchmark: dbgen, 22 queries, validation (§5)
 //   - bench — the experiment driver behind cmd/mtbench: every table and
 //     figure of §6, with the UDF-call ablation
@@ -110,9 +110,10 @@
 //     -data — a logical write-ahead log with group commit, copy-on-write
 //     heap snapshots and online backup that recovers the exact
 //     acknowledged state after a crash (execution determinism makes
-//     statement replay byte-exact). internal/client mirrors the
-//     middleware Conn/Stmt/Rows API over the wire; cmd/mtsh -connect
-//     gives an interactive shell against a running server.
+//     statement replay byte-exact). internal/client's Conn is a
+//     middleware.Session over the wire (ADR-028): its cursor is an
+//     engine.Rows, its prepared statement the one middleware.Stmt;
+//     cmd/mtsh -connect runs the shell against a running server.
 //
 // Quickstart (in-process):
 //

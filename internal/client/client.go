@@ -1,13 +1,15 @@
-// Package client is the native mtserve client: the Conn / Stmt / Rows API
-// of an in-process middleware.Conn, spoken over the internal/wire protocol
-// instead of function calls. Results use the same engine.Result and
-// sqltypes.Value types, so code (and tests) can swap an embedded
-// connection for a remote one and compare outputs byte for byte.
+// Package client is the native mtserve client: a middleware.Session spoken
+// over the internal/wire protocol instead of function calls. A Conn embeds
+// middleware.Text, so Exec, Query, the cursor variants, Prepare and the
+// prepared statement are the very ones of an in-process session; the Conn
+// supplies the statement-valued core, and its cursor is an engine.Rows over
+// the reply stream. Code (and tests) can therefore swap an embedded session
+// for a remote one and compare outputs byte for byte.
 //
 // A Conn is a single session and, like its in-process counterpart, is not
-// safe for concurrent use — except Cancel-driven aborts: closing a Rows
-// mid-stream or cancelling a QueryContext sends an asynchronous Cancel
-// that the server honors at the next row-batch boundary.
+// safe for concurrent use — except Cancel-driven aborts: closing a cursor
+// mid-stream or cancelling a QueryContext sends an asynchronous Cancel that
+// the server honors at the next row-batch boundary.
 package client
 
 import (
@@ -19,26 +21,42 @@ import (
 	"time"
 
 	"mtbase/internal/engine"
+	"mtbase/internal/middleware"
 	"mtbase/internal/optimizer"
+	"mtbase/internal/sqlast"
 	"mtbase/internal/sqltypes"
 	"mtbase/internal/wire"
 )
 
+// Stmt is the prepared statement a Conn's Prepare returns: the one
+// middleware.Stmt of every tier.
+type Stmt = middleware.Stmt
+
 // Conn is one open session with an mtserve server.
 type Conn struct {
+	middleware.Text
+
 	nc net.Conn
 	br *bufio.Reader
 
 	wmu sync.Mutex // serializes socket writes (Cancel races the request path)
 	bw  *bufio.Writer
 
-	mu       sync.Mutex
-	cursor   *Rows // open streaming result, if any
+	mu     sync.Mutex
+	busy   bool // a streaming result is open
+	closed bool
+
+	// stmts holds the server-side id of each prepared text, registered by
+	// the text's first execution and shared by every open handle of the text.
+	// Closing a handle frees the id: its CloseStmt waits in closing for the
+	// next statement's flush, and a handle of the text still open registers
+	// it afresh when it next runs.
+	stmts    map[string]uint32
+	closing  []uint32
 	nextStmt uint32
-	closed   bool
 
 	tenant    int64
-	version   uint32
+	level     optimizer.Level
 	server    string
 	sessionID uint64
 }
@@ -47,53 +65,73 @@ type Conn struct {
 const DialTimeout = 10 * time.Second
 
 // Dial connects to an mtserve server at addr and binds the session to
-// tenant. level may be empty for the server default, or any
-// optimizer.Level name ("canonical", "o1" … "o4", "inline-only").
+// tenant. level may be empty for the tiers' default (middleware.DefaultLevel),
+// or any optimizer.Level name ("canonical", "o1" … "o4", "inline-only").
 func Dial(addr string, tenant int64, level string) (*Conn, error) {
+	lv := middleware.DefaultLevel
+	if level != "" {
+		var err error
+		if lv, err = optimizer.ParseLevel(level); err != nil {
+			return nil, err
+		}
+	}
 	nc, err := net.DialTimeout("tcp", addr, DialTimeout)
 	if err != nil {
 		return nil, err
 	}
 	c := &Conn{
 		nc: nc, br: bufio.NewReaderSize(nc, 64<<10), bw: bufio.NewWriterSize(nc, 64<<10),
-		tenant: tenant,
+		stmts: make(map[string]uint32), tenant: tenant, level: lv,
 	}
+	c.Text = middleware.NewText(c, nil)
 	nc.SetDeadline(time.Now().Add(DialTimeout))
 	hello := wire.EncodeHello(wire.Hello{Version: wire.MaxVersion, Tenant: tenant, Level: level})
 	if err := c.writeFrames(frameOut{wire.MsgHello, hello}); err != nil {
 		nc.Close()
 		return nil, err
 	}
-	t, payload, err := wire.ReadFrame(c.br)
+	payload, err := c.expect(wire.MsgHelloOK)
+	var ok wire.HelloOK
+	if err == nil {
+		ok, err = wire.DecodeHelloOK(payload)
+	}
 	if err != nil {
 		nc.Close()
-		return nil, fmt.Errorf("client: handshake: %w", err)
+		return nil, err
 	}
-	switch t {
-	case wire.MsgHelloOK:
-		ok, err := wire.DecodeHelloOK(payload)
-		if err != nil {
-			nc.Close()
-			return nil, err
-		}
-		c.version, c.server, c.sessionID = ok.Version, ok.Server, ok.SessionID
-	case wire.MsgError:
-		e, derr := wire.DecodeError(payload)
-		nc.Close()
-		if derr != nil {
-			return nil, derr
-		}
-		return nil, e
-	default:
-		nc.Close()
-		return nil, fmt.Errorf("client: handshake: unexpected %s", t)
-	}
+	c.server, c.sessionID = ok.Server, ok.SessionID
 	nc.SetDeadline(time.Time{})
 	return c, nil
 }
 
 // C returns the tenant this session is bound to.
 func (c *Conn) C() int64 { return c.tenant }
+
+// OptLevel returns the session's optimization level.
+func (c *Conn) OptLevel() optimizer.Level { return c.level }
+
+// SetOptLevel switches the session's optimization level on the server.
+func (c *Conn) SetOptLevel(l optimizer.Level) error {
+	if _, err := c.set("level", l.String()); err != nil {
+		return err
+	}
+	c.level = l
+	return nil
+}
+
+// RewriteSQL returns the cross-tenant rewrite of a query as the server's
+// session computes it, without executing it.
+func (c *Conn) RewriteSQL(sql string) (*sqlast.Select, error) {
+	text, err := c.set("explain", sql)
+	if err != nil {
+		return nil, err
+	}
+	st, err := middleware.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	return st.Select()
+}
 
 // Server returns the server name from the handshake.
 func (c *Conn) Server() string { return c.server }
@@ -113,13 +151,49 @@ func (c *Conn) Close() error {
 	return c.nc.Close()
 }
 
+// QueryStmt streams a SELECT. Anything else is refused before a frame is
+// sent, with the error an in-process tier gives.
+func (c *Conn) QueryStmt(ctx context.Context, st *middleware.Statement, args []sqltypes.Value) (*engine.Rows, error) {
+	if _, err := st.Select(); err != nil {
+		return nil, err
+	}
+	s, err := c.run(ctx, st, args, true)
+	if err != nil {
+		return nil, err
+	}
+	return engine.NewRows(s.cols, s), nil
+}
+
+// ExecStmt runs a statement other than a SELECT (those stream through
+// QueryStmt) and reports the rows it affected.
+func (c *Conn) ExecStmt(ctx context.Context, st *middleware.Statement, args []sqltypes.Value) (*engine.Result, error) {
+	if st.IsQuery() {
+		return nil, fmt.Errorf("client: queries stream through QueryStmt")
+	}
+	s, err := c.run(ctx, st, args, false)
+	if err != nil {
+		return nil, err
+	}
+	return &engine.Result{Affected: int(s.affected)}, nil
+}
+
+// ReleaseStmt frees the server-side id of a prepared statement's text as a
+// handle of it closes. The CloseStmt travels with the next statement, so a
+// close neither waits on the socket nor fails while a stream is open.
+func (c *Conn) ReleaseStmt(st *middleware.Statement) {
+	if id, ok := c.stmts[st.Text()]; ok {
+		delete(c.stmts, st.Text())
+		c.closing = append(c.closing, id)
+	}
+}
+
 type frameOut struct {
 	t       wire.MsgType
 	payload []byte
 }
 
 // writeFrames ships frames in one flush (the pipelining primitive:
-// Bind+Execute travel together).
+// Prepare, Bind and Execute travel together).
 func (c *Conn) writeFrames(frames ...frameOut) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -143,7 +217,7 @@ func (c *Conn) acquire() error {
 	if c.closed {
 		return fmt.Errorf("client: connection closed")
 	}
-	if c.cursor != nil {
+	if c.busy {
 		return fmt.Errorf("client: connection busy: a streaming result is open (close it first)")
 	}
 	return nil
@@ -165,103 +239,76 @@ func (c *Conn) readReply() (wire.MsgType, []byte, error) {
 	return t, payload, nil
 }
 
-// Exec runs one statement (any kind) and returns its materialized result.
-func (c *Conn) Exec(sql string, args ...any) (*engine.Result, error) {
-	return c.ExecContext(context.Background(), sql, args...)
+// expect reads one reply frame that must be of type want.
+func (c *Conn) expect(want wire.MsgType) ([]byte, error) {
+	t, payload, err := c.readReply()
+	if err == nil && t != want {
+		err = fmt.Errorf("client: unexpected %s, want %s", t, want)
+	}
+	return payload, err
 }
 
-// ExecContext is Exec with cancellation: ctx expiry sends Cancel and the
-// server aborts the statement at its next batch boundary.
-func (c *Conn) ExecContext(ctx context.Context, sql string, args ...any) (*engine.Result, error) {
-	rows, err := c.QueryContext(ctx, sql, args...)
-	if err != nil {
-		return nil, err
-	}
-	return rows.collect()
-}
-
-// Query runs a statement and returns its materialized result, failing for
-// statements that return no rows.
-func (c *Conn) Query(sql string, args ...any) (*engine.Result, error) {
-	res, err := c.Exec(sql, args...)
-	if err != nil {
-		return nil, err
-	}
-	if res.Cols == nil {
-		return nil, &wire.Err{Code: wire.CodeNotQuery, Message: "statement returned no rows"}
-	}
-	return res, nil
-}
-
-// QueryRows runs a statement and streams its result.
-func (c *Conn) QueryRows(sql string, args ...any) (*Rows, error) {
-	return c.QueryContext(context.Background(), sql, args...)
-}
-
-// QueryContext streams a statement's result with cancellation. For
-// row-less statements the returned Rows has nil Columns and is already
-// exhausted; Result() (or collect via ExecContext) carries the affected
-// count.
-func (c *Conn) QueryContext(ctx context.Context, sql string, args ...any) (*Rows, error) {
-	vals, err := sqltypes.BindValues(args)
-	if err != nil {
-		return nil, err
-	}
+// run sends one statement and reads the head of its reply: a stream when the
+// server answers rows, one already done, with the affected count, when it
+// answers Done. A prepared statement travels as Bind+Execute of the
+// server-side id its text was registered under; the text's first execution
+// registers it, pipelining Prepare in the same flush. Every other statement
+// is one Query frame. The ids of handles closed since the last statement are
+// freed at the head of the flush.
+func (c *Conn) run(ctx context.Context, st *middleware.Statement, args []sqltypes.Value, wantRows bool) (*stream, error) {
 	if err := c.acquire(); err != nil {
 		return nil, err
 	}
-	q := wire.EncodeQuery(wire.Query{SQL: sql, Args: vals})
-	if err := c.writeFrames(frameOut{wire.MsgQuery, q}); err != nil {
+	text := st.Text()
+	frames := make([]frameOut, 0, len(c.closing)+3)
+	for _, id := range c.closing {
+		frames = append(frames, frameOut{wire.MsgCloseStmt, wire.EncodeStmtID(id)})
+	}
+	closes := len(c.closing)
+	c.closing = c.closing[:0]
+	var (
+		id                  uint32
+		registered, prepare bool
+	)
+	if st.Prepared() {
+		if id, registered = c.stmts[text]; !registered {
+			prepare = true
+			c.nextStmt++
+			id = c.nextStmt
+			frames = append(frames, frameOut{wire.MsgPrepare, wire.EncodePrepare(wire.Prepare{StmtID: id, SQL: text})})
+		}
+		frames = append(frames,
+			frameOut{wire.MsgBind, wire.EncodeBind(wire.Bind{StmtID: id, Args: args})},
+			frameOut{wire.MsgExecute, wire.EncodeExecute(wire.Execute{StmtID: id, WantRows: wantRows})})
+	} else {
+		frames = append(frames, frameOut{wire.MsgQuery, wire.EncodeQuery(wire.Query{SQL: text, Args: args})})
+	}
+	if err := c.writeFrames(frames...); err != nil {
 		return nil, err
 	}
-	return c.startRows(ctx)
-}
-
-// startRows reads the head of a statement reply: RowHeader begins a
-// stream, Done ends a row-less statement, Error fails it.
-func (c *Conn) startRows(ctx context.Context) (*Rows, error) {
-	rows := &Rows{c: c, ctx: ctx}
-	rows.watch()
-	t, payload, err := c.readReply()
+	// The server answers every pipelined frame, a failed one included, so the
+	// client reads one reply per frame and the connection stays in lockstep:
+	// the first failure is the statement's, the replies after it are dropped.
+	for range closes {
+		c.readReply() // CloseOK
+	}
+	var err error
+	if prepare {
+		if _, err = c.expect(wire.MsgPrepareOK); err == nil {
+			c.stmts[text] = id
+		}
+	}
+	if st.Prepared() {
+		if _, berr := c.expect(wire.MsgBindOK); err == nil {
+			err = berr
+		}
+	}
 	if err != nil {
-		rows.unwatch()
-		return nil, rows.mapErr(err)
+		c.readReply() // the Execute's
+		return nil, err
 	}
-	switch t {
-	case wire.MsgRowHeader:
-		h, err := wire.DecodeRowHeader(payload)
-		if err != nil {
-			rows.unwatch()
-			return nil, err
-		}
-		rows.cols = h.Cols
-		c.mu.Lock()
-		c.cursor = rows
-		c.mu.Unlock()
-		return rows, nil
-	case wire.MsgDone:
-		d, err := wire.DecodeDone(payload)
-		rows.unwatch()
-		if err != nil {
-			return nil, err
-		}
-		rows.done = true
-		rows.affected = d.Affected
-		return rows, nil
-	default:
-		rows.unwatch()
-		return nil, fmt.Errorf("client: unexpected %s at statement start", t)
-	}
+	return c.head(ctx)
 }
-
-// SetOptLevel switches the session's optimization level.
-func (c *Conn) SetOptLevel(l optimizer.Level) error {
-	_, err := c.set("level", l.String())
-	return err
-}
-
-// Explain returns the cross-tenant rewrite of a query as SQL text.
-func (c *Conn) Explain(sql string) (string, error) { return c.set("explain", sql) }
 
 // Backup runs an online backup of the server's durability directory into
 // dir (a path on the server's filesystem). Admin tenant only.
@@ -271,38 +318,38 @@ func (c *Conn) Backup(dir string) (string, error) { return c.set("backup", dir) 
 func (c *Conn) Snapshot() (string, error) { return c.set("snapshot", "") }
 
 func (c *Conn) set(name, value string) (string, error) {
-	if err := c.acquire(); err != nil {
-		return "", err
-	}
-	if err := c.writeFrames(frameOut{wire.MsgSet, wire.EncodeSet(wire.Set{Name: name, Value: value})}); err != nil {
-		return "", err
-	}
-	t, payload, err := c.readReply()
+	payload, err := c.request(frameOut{wire.MsgSet, wire.EncodeSet(wire.Set{Name: name, Value: value})}, wire.MsgSetOK)
 	if err != nil {
 		return "", err
-	}
-	if t != wire.MsgSetOK {
-		return "", fmt.Errorf("client: unexpected %s in Set reply", t)
 	}
 	return wire.DecodeSetOK(payload)
 }
 
 // Stats fetches the server's counter snapshot (engine, middleware, server
 // and WAL counters, in stable order).
-func (c *Conn) Stats() ([]wire.StatPair, error) {
-	if err := c.acquire(); err != nil {
-		return nil, err
-	}
-	if err := c.writeFrames(frameOut{wire.MsgStats, nil}); err != nil {
-		return nil, err
-	}
-	t, payload, err := c.readReply()
+func (c *Conn) Stats() ([]middleware.Stat, error) {
+	payload, err := c.request(frameOut{wire.MsgStats, nil}, wire.MsgStatsOK)
 	if err != nil {
 		return nil, err
 	}
-	if t != wire.MsgStatsOK {
-		return nil, fmt.Errorf("client: unexpected %s in Stats reply", t)
-	}
 	ok, err := wire.DecodeStatsOK(payload)
-	return ok.Pairs, err
+	if err != nil {
+		return nil, err
+	}
+	stats := make([]middleware.Stat, len(ok.Pairs))
+	for i, p := range ok.Pairs {
+		stats[i] = middleware.Stat(p)
+	}
+	return stats, nil
+}
+
+// request sends one frame and reads its reply, which must be of type want.
+func (c *Conn) request(f frameOut, want wire.MsgType) ([]byte, error) {
+	if err := c.acquire(); err != nil {
+		return nil, err
+	}
+	if err := c.writeFrames(f); err != nil {
+		return nil, err
+	}
+	return c.expect(want)
 }

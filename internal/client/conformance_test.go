@@ -2,17 +2,17 @@ package client_test
 
 // Session conformance: one suite, written against middleware.Session, run
 // over every tier a client can reach — the unsharded middleware.Conn, a
-// two-shard shard.Conn, and client.Conn through a loopback mtserve. The
-// wire transport has cursor and statement types of its own (client.Rows,
-// client.Stmt), so the suite is generic over those two and the in-process
-// instantiation is exactly middleware.Session; wireSession is the whole
-// adapter the client needs.
+// two-shard shard.Conn, and client.Conn through a loopback mtserve. The three
+// are one interface with one cursor (engine.Rows) and one prepared statement
+// (middleware.Stmt), so the suite holds no adapter of its own.
 
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"mtbase/internal/client"
 	"mtbase/internal/engine"
@@ -26,36 +26,8 @@ import (
 var (
 	_ middleware.Session = (*middleware.Conn)(nil)
 	_ middleware.Session = (*shard.Conn)(nil)
+	_ middleware.Session = (*client.Conn)(nil)
 )
-
-type cursor interface {
-	Next() bool
-	Row() []sqltypes.Value
-	Err() error
-	Close() error
-}
-
-type statement[R cursor] interface {
-	NumParams() int
-	IsQuery() bool
-	Close() error
-	Query(args ...any) (R, error)
-	QueryResult(args ...any) (*engine.Result, error)
-	Exec(args ...any) (*engine.Result, error)
-}
-
-type session[R cursor, S statement[R]] interface {
-	Exec(sql string) (*engine.Result, error)
-	Query(sql string, args ...any) (*engine.Result, error)
-	QueryContext(ctx context.Context, sql string, args ...any) (R, error)
-	Prepare(sql string) (S, error)
-}
-
-// wireSession narrows client.Conn.Exec (which also takes bind arguments) to
-// the session's Exec(sql).
-type wireSession struct{ *client.Conn }
-
-func (w wireSession) Exec(sql string) (*engine.Result, error) { return w.Conn.Exec(sql) }
 
 // acrossTiers holds, per statement, the header and rows the first tier
 // answered; every later tier must answer the same bytes.
@@ -72,7 +44,7 @@ func TestSessionConformance(t *testing.T) {
 		if err := inst.GrantReadTo(1); err != nil {
 			t.Fatal(err)
 		}
-		conformance[*engine.Rows, *middleware.Stmt](t, middleware.Connector(inst.Srv.Connect))
+		conformance(t, middleware.Connector(inst.Srv.Connect))
 	})
 	t.Run("shard", func(t *testing.T) {
 		inst, err := mth.BuildMTSharded(conformanceCfg, 2)
@@ -82,7 +54,7 @@ func TestSessionConformance(t *testing.T) {
 		if err := inst.GrantReadTo(1); err != nil {
 			t.Fatal(err)
 		}
-		conformance[*engine.Rows, *middleware.Stmt](t, middleware.Connector(inst.Srv.Connect))
+		conformance(t, middleware.Connector(inst.Srv.Connect))
 	})
 	t.Run("client", func(t *testing.T) {
 		inst, err := mth.BuildMT(conformanceCfg)
@@ -98,20 +70,20 @@ func TestSessionConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Shutdown(context.Background()) })
-		conformance[*client.Rows, *client.Stmt](t, func(ttid int64) (wireSession, error) {
+		conformance(t, func(ttid int64) (middleware.Session, error) {
 			c, err := client.Dial(addr.String(), ttid, "")
 			if err != nil {
-				return wireSession{}, err
+				return nil, err
 			}
 			t.Cleanup(func() { c.Close() })
-			return wireSession{c}, nil
+			return c, nil
 		})
 	})
 }
 
 // conformance runs the suite on sessions opened by connect: the data
 // modeller for the DDL, tenant 1 (who may read tenants 2 and 3) for the rest.
-func conformance[R cursor, S statement[R], C session[R, S]](t *testing.T, connect func(ttid int64) (C, error)) {
+func conformance(t *testing.T, connect func(ttid int64) (middleware.Session, error)) {
 	admin, err := connect(mth.ModellerTTID)
 	if err != nil {
 		t.Fatal(err)
@@ -153,10 +125,34 @@ func conformance[R cursor, S statement[R], C session[R, S]](t *testing.T, connec
 	res, err = s.Exec(`DELETE FROM conf_note WHERE n_id = 2`)
 	affected(1, res, err)
 
-	// Query is for queries only.
+	// Query is for queries only: anything else is refused before it runs, with
+	// the same error on every tier, through the text surface and through a
+	// prepared handle alike.
 	if _, err := s.Query(`SET SCOPE = "IN (1)"`); err == nil {
 		t.Fatal("Query accepted a non-SELECT")
 	}
+	const orders = `SELECT COUNT(*) FROM orders`
+	before := one(s.Query(orders)).AsInt()
+	_, err = s.Query(`DELETE FROM orders`)
+	if err == nil {
+		t.Fatal("Query accepted a DELETE")
+	}
+	refused := err.Error()
+	if _, err := s.QueryContext(context.Background(), `DELETE FROM orders`); err == nil || err.Error() != refused {
+		t.Fatalf("QueryContext of a DELETE: %v, want %q", err, refused)
+	}
+	del, err := s.Prepare(`DELETE FROM orders WHERE o_orderkey > ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := del.Query(0); err == nil || err.Error() != refused {
+		t.Fatalf("prepared DELETE's Query: %v, want %q", err, refused)
+	}
+	del.Close()
+	if after := one(s.Query(orders)).AsInt(); before == 0 || after != before {
+		t.Fatalf("refused DELETEs changed the orders: %d before, %d after", before, after)
+	}
+	agree(t, "refused DELETE", refused)
 
 	// Prepared query: parameter count, arity check, execution.
 	sel, err := s.Prepare(`SELECT n_text FROM conf_note WHERE n_id = ?`)
@@ -172,6 +168,20 @@ func conformance[R cursor, S statement[R], C session[R, S]](t *testing.T, connec
 	}
 	if got := one(sel.QueryResult(1)).AsString(); got != "a" {
 		t.Fatalf("prepared query: %q", got)
+	}
+	// A closed handle refuses to run; another of the same text still does.
+	again, err := s.Prepare(`SELECT n_text FROM conf_note WHERE n_id = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := again.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := again.QueryResult(1); err == nil {
+		t.Fatal("closed statement executed")
+	}
+	if got := one(sel.QueryResult(1)).AsString(); got != "a" {
+		t.Fatalf("prepared query after closing its twin: %q", got)
 	}
 
 	// Prepared DML: not a query, binds reach the per-tenant rewrite.
@@ -262,11 +272,7 @@ func conformance[R cursor, S statement[R], C session[R, S]](t *testing.T, connec
 			res.Rows[0][1].AsInt() < res.Rows[4][1].AsInt() {
 			t.Fatalf("%s: %s", q.ordinal, got)
 		}
-		if first, seen := acrossTiers[q.ordinal]; !seen {
-			acrossTiers[q.ordinal] = got
-		} else if got != first {
-			t.Fatalf("%s differs from the first tier's answer:\n%s\nfirst:\n%s", q.ordinal, got, first)
-		}
+		agree(t, q.ordinal, got)
 	}
 	for _, q := range []string{
 		`SELECT c_custkey, c_name FROM customer ORDER BY 3`,
@@ -279,10 +285,13 @@ func conformance[R cursor, S statement[R], C session[R, S]](t *testing.T, connec
 
 	// Cancelling the context mid-stream surfaces the context's error. The
 	// result (every lineitem of three tenants x 25 nations) is far larger
-	// than anything a socket buffers, so the stream is still open.
+	// than anything a socket buffers, so the stream is still open. Whatever
+	// the cursor started — parallel workers, gather feeders, the wire
+	// client's context watcher — is gone once it is closed.
 	const big = `SELECT * FROM lineitem, nation`
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	goroutines := runtime.NumGoroutine()
 	rows, err := s.QueryContext(ctx, big)
 	if err != nil {
 		t.Fatal(err)
@@ -297,9 +306,14 @@ func conformance[R cursor, S statement[R], C session[R, S]](t *testing.T, connec
 		t.Fatalf("after cancel: want context.Canceled, got %v", rows.Err())
 	}
 	rows.Close()
+	settled(t, "cancel", goroutines)
 
-	// Closing a cursor early leaves the session usable.
-	rows, err = s.QueryContext(context.Background(), big)
+	// Closing a cursor early leaves the session usable — under a context that
+	// is still live, so nothing ends by the context alone.
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	goroutines = runtime.NumGoroutine()
+	rows, err = s.QueryContext(live, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +323,32 @@ func conformance[R cursor, S statement[R], C session[R, S]](t *testing.T, connec
 	if err := rows.Close(); err != nil {
 		t.Fatalf("early close: %v", err)
 	}
+	settled(t, "early close", goroutines)
 	if n := one(s.Query(`SELECT COUNT(*) FROM region`)).AsInt(); n != 5 {
 		t.Fatalf("after early close: %d regions", n)
+	}
+}
+
+// agree holds every tier to the answer the first tier gave under key.
+func agree(t *testing.T, key, got string) {
+	t.Helper()
+	if first, seen := acrossTiers[key]; !seen {
+		acrossTiers[key] = got
+	} else if got != first {
+		t.Fatalf("%s differs from the first tier's answer:\n%s\nfirst:\n%s", key, got, first)
+	}
+}
+
+// settled waits until the goroutine count is back at before, failing with
+// every goroutine's stack if it is not within a few seconds.
+func settled(t *testing.T, arm string, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%s: %d goroutines, %d before the query:\n%s", arm, runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -124,11 +124,11 @@ type gatherSrc struct {
 
 func (g *gatherSrc) limited() bool { return g.limit >= 0 && g.emitted >= g.limit }
 
-// close cancels every feeder and waits for each to finish: after it
+// Close cancels every feeder and waits for each to finish: after it
 // returns, all part cursors are closed and their spill files gone.
-func (g *gatherSrc) close() {
+func (g *gatherSrc) Close() error {
 	if g.closed {
-		return
+		return nil
 	}
 	g.closed = true
 	close(g.done)
@@ -136,6 +136,7 @@ func (g *gatherSrc) close() {
 		for range f.ch {
 		}
 	}
+	return nil
 }
 
 // concatSrc emits each part whole, in rank order.
@@ -144,7 +145,7 @@ type concatSrc struct {
 	idx int
 }
 
-func (c *concatSrc) next() ([]sqltypes.Value, error) {
+func (c *concatSrc) Next() ([]sqltypes.Value, error) {
 	if c.limited() {
 		return nil, nil
 	}
@@ -172,7 +173,7 @@ type kwayMergeSrc struct {
 	keys []MergeKey
 }
 
-func (m *kwayMergeSrc) next() ([]sqltypes.Value, error) {
+func (m *kwayMergeSrc) Next() ([]sqltypes.Value, error) {
 	if m.limited() {
 		return nil, nil
 	}

@@ -26,14 +26,19 @@ import (
 	"mtbase/internal/sqltypes"
 )
 
-// rowSource is an external row supplier a Rows can wrap (gather.go):
-// next returns the following row (nil on exhaustion), close releases the
-// source and every resource behind it. Both are called by the single
-// cursor consumer only.
-type rowSource interface {
-	next() ([]sqltypes.Value, error)
-	close()
+// RowSource is a row supplier a Rows can wrap instead of an operator tree:
+// the reference executor's materialized result, the shard gather
+// (gather.go), a result streamed over the wire. Next returns the following
+// row, nil on exhaustion; a row it returns is never overwritten, so Collect
+// keeps it without a copy. Close releases the source and every resource
+// behind it. Both are called by the single cursor consumer only.
+type RowSource interface {
+	Next() ([]sqltypes.Value, error)
+	Close() error
 }
+
+// NewRows returns a cursor labelled cols over the rows of src.
+func NewRows(cols []string, src RowSource) *Rows { return &Rows{cols: cols, src: src} }
 
 // Rows is a forward-only cursor over a query result.
 type Rows struct {
@@ -47,14 +52,9 @@ type Rows struct {
 	b      *Batch
 	pos    int
 
-	// Materialized mode (SetStreamExec(false)): every row precomputed.
-	buf    [][]sqltypes.Value
-	bufPos int
-
-	// External-source mode (gather.go): rows come from a rowSource —
-	// a scatter/gather tree over other cursors rather than an operator
-	// tree of this engine.
-	src rowSource
+	// Source mode: rows come from a RowSource rather than an operator tree
+	// of this engine.
+	src RowSource
 
 	cur    []sqltypes.Value
 	err    error
@@ -76,7 +76,7 @@ func (r *Rows) Close() (err error) {
 		return nil
 	}
 	r.closed = true
-	r.b, r.buf, r.cur = nil, nil, nil
+	r.b, r.cur = nil, nil
 	defer r.db.Recover(&err)
 	if r.ex != nil {
 		// Backstop: remove any spill file an errored or abandoned subtree
@@ -87,9 +87,9 @@ func (r *Rows) Close() (err error) {
 		r.root.Close()
 	}
 	if r.src != nil {
-		// Cancels and joins the source's feeders: by the time Close
+		// A gather cancels and joins its feeders: by the time Close
 		// returns, every child cursor is closed and its spills released.
-		r.src.close()
+		return r.src.Close()
 	}
 	return nil
 }
@@ -117,15 +117,6 @@ func (r *Rows) Next() bool {
 			return false
 		}
 		r.cur = row
-		return true
-	}
-	if r.root == nil {
-		if r.bufPos >= len(r.buf) {
-			r.Close()
-			return false
-		}
-		r.cur = r.buf[r.bufPos]
-		r.bufPos++
 		return true
 	}
 	for r.b == nil || r.pos >= len(r.b.sel) {
@@ -172,7 +163,7 @@ func (r *Rows) pullBatch() (b *Batch, err error) {
 
 func (r *Rows) srcNext() (row []sqltypes.Value, err error) {
 	defer r.db.Recover(&err)
-	return r.src.next()
+	return r.src.Next()
 }
 
 // Scan copies the current row into dest, one target per output column.
@@ -224,12 +215,6 @@ func (r *Rows) Scan(dest ...any) error {
 func (r *Rows) Collect() (*Result, error) {
 	defer r.Close()
 	res := &Result{Cols: r.cols}
-	if r.root == nil && r.src == nil && r.bufPos == 0 && r.err == nil && !r.closed {
-		// Materialized cursor, untouched: hand the buffer over wholesale.
-		res.Rows = r.buf
-		r.buf = nil
-		return res, nil
-	}
 	for r.Next() {
 		res.Rows = append(res.Rows, r.cur)
 	}
@@ -266,11 +251,28 @@ func (db *DB) queryRows(ctx context.Context, p *Plan, args []sqltypes.Value) (ro
 		if err != nil {
 			return nil, err
 		}
-		return &Rows{cols: res.Cols, ex: ex, db: db, buf: res.Rows}, nil
+		return &Rows{cols: res.Cols, ex: ex, db: db, src: &sliceSource{rows: res.Rows}}, nil
 	}
 	root, err := ex.buildQueryOp(sel, rootScope())
 	if err != nil {
 		return nil, err
 	}
 	return &Rows{cols: root.cols, ex: ex, db: db, root: root.op}, nil
+}
+
+// sliceSource hands out the rows of a materialized result in order.
+type sliceSource struct{ rows [][]sqltypes.Value }
+
+func (s *sliceSource) Next() ([]sqltypes.Value, error) {
+	if len(s.rows) == 0 {
+		return nil, nil
+	}
+	row := s.rows[0]
+	s.rows = s.rows[1:]
+	return row, nil
+}
+
+func (s *sliceSource) Close() error {
+	s.rows = nil
+	return nil
 }

@@ -1,10 +1,11 @@
 package middleware
 
-// TestSessionSeam pins the shape DESIGN.md ADR-013 and ADR-020 describe, by
-// reading the repository's own source (benchmark/ and test files excluded):
-// the session shape is declared once, the prepared statement is implemented
-// once per transport, the packages that merely use sessions declare no
-// session-shaped interface of their own — and a statement is one value,
+// TestSessionSeam pins the shape DESIGN.md ADR-013, ADR-020 and ADR-028
+// describe, by reading the repository's own source (benchmark/ and test files
+// excluded): the session shape is declared once, the prepared statement is
+// implemented once for every tier, the wire client included, the packages
+// that merely use sessions declare no session-shaped interface of their
+// own — and a statement is one value,
 // parsed in one place, compiled in one place, cached in one place, and handed
 // to the DBMS as the statement the rewrite built (ADR-027).
 
@@ -25,9 +26,12 @@ var stmtMethods = []string{
 	"Query", "QueryContext", "QueryResult", "Exec", "ExecContext",
 }
 
+// cursorMethods is the streaming cursor's method set; engine.Rows is the one
+// cursor, whatever its rows come from (an engine.RowSource).
+var cursorMethods = []string{"Columns", "Next", "Row", "Err", "Close"}
+
 // sessionUsers are the packages that run statements on a session without
-// being a tier; only mtsh's transport-level backend may declare an
-// interface with Exec there.
+// being a tier; none may declare an interface with Exec.
 var sessionUsers = []string{"internal/server", "internal/mth", "internal/bench", "cmd/mtsh"}
 
 // eachSourceFile parses every non-test Go file of the repository outside
@@ -161,7 +165,7 @@ func TestSessionSeam(t *testing.T) {
 				sessionFiles = append(sessionFiles, rel)
 			}
 			hasExec := slices.Contains(names, "Exec") || slices.Contains(names, "ExecContext")
-			if hasExec && slices.Contains(sessionUsers, dir) && !(dir == "cmd/mtsh" && ts.Name.Name == "backend") {
+			if hasExec && slices.Contains(sessionUsers, dir) {
 				t.Errorf("%s: interface %s declares Exec/ExecContext; use middleware.Session", rel, ts.Name.Name)
 			}
 			return true
@@ -170,20 +174,25 @@ func TestSessionSeam(t *testing.T) {
 	if want := []string{"internal/middleware/session.go"}; !slices.Equal(sessionFiles, want) {
 		t.Errorf("interfaces with Prepare and QueryContext are declared in %v; the session shape belongs to %v alone", sessionFiles, want)
 	}
-	for typ, names := range methods {
-		full := true
-		for _, m := range stmtMethods {
-			full = full && slices.Contains(names, m)
+	has := func(names, set []string) bool {
+		for _, m := range set {
+			if !slices.Contains(names, m) {
+				return false
+			}
 		}
-		if full && typ != "internal/middleware.Stmt" && typ != "internal/client.Stmt" {
-			t.Errorf("%s has the prepared-statement method set; only middleware.Stmt (in process) and client.Stmt (wire) implement it", typ)
+		return true
+	}
+	for typ, names := range methods {
+		if has(names, stmtMethods) && typ != "internal/middleware.Stmt" {
+			t.Errorf("%s has the prepared-statement method set; middleware.Stmt is the one prepared statement of every tier", typ)
+		}
+		if has(names, cursorMethods) && typ != "internal/engine.Rows" {
+			t.Errorf("%s has the cursor method set; engine.Rows is the one cursor (wrap an engine.RowSource)", typ)
 		}
 	}
-	for _, typ := range []string{"internal/middleware.Stmt", "internal/client.Stmt"} {
-		for _, m := range stmtMethods {
-			if !slices.Contains(methods[typ], m) {
-				t.Errorf("%s lost %s: the two prepared statements must keep one method set", typ, m)
-			}
+	for _, m := range stmtMethods {
+		if !slices.Contains(methods["internal/middleware.Stmt"], m) {
+			t.Errorf("middleware.Stmt lost %s", m)
 		}
 	}
 

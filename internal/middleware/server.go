@@ -178,10 +178,13 @@ func (s *Server) Connect(ttid int64) (*Conn, error) {
 	if !s.tenants[ttid] && !s.modellers[ttid] {
 		return nil, fmt.Errorf("middleware: unknown tenant %d", ttid)
 	}
-	c := &Conn{srv: s, c: ttid, level: optimizer.O4}
+	c := &Conn{srv: s, c: ttid, level: DefaultLevel}
 	c.Text = NewText(c, s)
 	return c, nil
 }
+
+// DefaultLevel is the optimization level a session starts at on every tier.
+const DefaultLevel = optimizer.O4
 
 // Conn is one client session: the client tenant C, the current SCOPE and
 // the optimization level applied to rewritten statements. It implements the
@@ -210,7 +213,10 @@ func (c *Conn) Scoped(scope *sqlast.SetScope) *Conn {
 }
 
 // SetOptLevel switches the optimization pass stack for this session.
-func (c *Conn) SetOptLevel(l optimizer.Level) { c.level = l }
+func (c *Conn) SetOptLevel(l optimizer.Level) error {
+	c.level = l
+	return nil
+}
 
 // OptLevel returns the session's optimization level.
 func (c *Conn) OptLevel() optimizer.Level { return c.level }

@@ -1,10 +1,10 @@
 package middleware
 
 // This file is the one place the session shape is declared (DESIGN.md
-// ADR-013). The paper has a single session concept — a client connects as
-// tenant C, holds a scope D and an optimization level, and sends MTSQL text
-// — and every tier that answers such a client (this package's Conn, the
-// sharded shard.Conn) is one Session.
+// ADR-013, ADR-028). The paper has a single session concept — a client
+// connects as tenant C, holds a scope D and an optimization level, and sends
+// MTSQL text — and every tier that answers such a client (this package's
+// Conn, the sharded shard.Conn, the wire client's client.Conn) is one Session.
 //
 // The seam runs through the middle of the interface. A tier implements the
 // statement-valued core: six methods that take a *Statement (statement.go) and
@@ -24,21 +24,21 @@ import (
 	"mtbase/internal/sqltypes"
 )
 
-// Session is one client session of an in-process tier.
+// Session is one client session of a tier, in process or over the wire.
 type Session interface {
 	// The core a tier implements. QueryStmt streams a SELECT; ExecStmt runs
 	// everything else (DML, DDL, grants, SET SCOPE) to its materialized
-	// outcome.
+	// outcome. SetOptLevel fails only where the level lives across a socket.
 	C() int64
 	OptLevel() optimizer.Level
-	SetOptLevel(optimizer.Level)
+	SetOptLevel(optimizer.Level) error
 	RewriteSQL(sql string) (*sqlast.Select, error)
 	QueryStmt(ctx context.Context, st *Statement, args []sqltypes.Value) (*engine.Rows, error)
 	ExecStmt(ctx context.Context, st *Statement, args []sqltypes.Value) (*engine.Result, error)
 
 	// The text-level surface, supplied by the embedded Text.
 	Statement(sql string) (*Statement, error)
-	Exec(sql string) (*engine.Result, error)
+	Exec(sql string, args ...any) (*engine.Result, error)
 	ExecContext(ctx context.Context, sql string, args ...any) (*engine.Result, error)
 	Query(sql string, args ...any) (*engine.Result, error)
 	QueryRows(sql string, args ...any) (*engine.Rows, error)
@@ -60,21 +60,26 @@ func Connector[C Session](connect func(ttid int64) (C, error)) func(int64) (Sess
 }
 
 // Text is the text-level half of a Session: it resolves text to a Statement
-// (through a server's statement cache), converts bind arguments, and hands
-// both to the tier's core. A tier embeds it and points it at itself with
-// NewText; a copied session must be given a Text of its own.
+// (through a server's statement cache, when the tier has one), converts bind
+// arguments, and hands both to the tier's core. A tier embeds it and points
+// it at itself with NewText; a copied session must be given a Text of its own.
 type Text struct {
 	tier  Session
-	cache *Server
+	cache *Server // nil: every text is parsed (the wire client holds no cache)
 }
 
 // NewText returns the text-level surface over tier, resolving texts through
-// cache's statement cache.
+// cache's statement cache, or through Parse when cache is nil.
 func NewText(tier Session, cache *Server) Text { return Text{tier: tier, cache: cache} }
 
 // Statement resolves sql to its Statement: the cached one when the text has
 // been seen, a fresh Parse otherwise.
-func (t Text) Statement(sql string) (*Statement, error) { return t.cache.statement(sql) }
+func (t Text) Statement(sql string) (*Statement, error) {
+	if t.cache == nil {
+		return Parse(sql)
+	}
+	return t.cache.statement(sql)
+}
 
 // run executes a statement of any kind to its materialized outcome.
 func (t Text) run(ctx context.Context, st *Statement, args []sqltypes.Value) (*engine.Result, error) {
@@ -88,11 +93,12 @@ func (t Text) run(ctx context.Context, st *Statement, args []sqltypes.Value) (*e
 	return rows.Collect()
 }
 
-// Exec parses and executes one MTSQL statement. A repeated SELECT text is
-// served from the statement cache: its parse, and its rewritten and optimized
-// form while session context and schema are unchanged.
-func (t Text) Exec(sql string) (*engine.Result, error) {
-	return t.ExecContext(context.Background(), sql)
+// Exec parses and executes one MTSQL statement of any kind with
+// bind-parameter values. A repeated SELECT text is served from the statement
+// cache: its parse, and its rewritten and optimized form while session
+// context and schema are unchanged.
+func (t Text) Exec(sql string, args ...any) (*engine.Result, error) {
+	return t.ExecContext(context.Background(), sql, args...)
 }
 
 // ExecContext executes one MTSQL statement with bind-parameter values;
@@ -152,8 +158,9 @@ func (t Text) QueryContext(ctx context.Context, sql string, args ...any) (*engin
 // therefore shared across every binding, which is what makes plan hits the
 // common case for literal-varying workloads.
 type Stmt struct {
-	t    Text
-	stmt *Statement
+	t      Text
+	stmt   *Statement
+	closed bool
 }
 
 // Prepare parses one MTSQL statement with `?` / `$n` placeholders and
@@ -185,9 +192,28 @@ func (st *Stmt) Statement() *Statement { return st.stmt }
 // rather than DML.
 func (st *Stmt) IsQuery() bool { return st.stmt.IsQuery() }
 
-// Close releases the handle; the cached parse and compiled forms stay warm
-// for future preparations of the same text.
-func (st *Stmt) Close() error { return nil }
+// Close releases the handle, which refuses to run afterwards; the cached
+// parse and compiled forms stay warm for future preparations of the same text.
+// A tier that holds something of its own per prepared text (the wire client's
+// server-side statement id) is told to free it.
+func (st *Stmt) Close() error {
+	if r, ok := st.t.tier.(stmtReleaser); ok && !st.closed {
+		r.ReleaseStmt(st.stmt)
+	}
+	st.closed = true
+	return nil
+}
+
+// stmtReleaser is the optional part of a tier's core that Stmt.Close calls.
+type stmtReleaser interface{ ReleaseStmt(*Statement) }
+
+// bind converts args for one execution of a handle that is still open.
+func (st *Stmt) bind(args []any) ([]sqltypes.Value, error) {
+	if st.closed {
+		return nil, fmt.Errorf("middleware: prepared statement is closed")
+	}
+	return sqltypes.BindValues(args)
+}
 
 // Query executes a prepared SELECT with the given bind values and returns
 // a streaming cursor — over one engine's operator tree, or a gather cursor
@@ -199,7 +225,7 @@ func (st *Stmt) Query(args ...any) (*engine.Rows, error) {
 // QueryContext is Query with cancellation polled inside every operator; the
 // tier's core rejects a statement that is not a query.
 func (st *Stmt) QueryContext(ctx context.Context, args ...any) (*engine.Rows, error) {
-	vals, err := sqltypes.BindValues(args)
+	vals, err := st.bind(args)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +250,7 @@ func (st *Stmt) Exec(args ...any) (*engine.Result, error) {
 
 // ExecContext is Exec with cancellation checked at batch boundaries.
 func (st *Stmt) ExecContext(ctx context.Context, args ...any) (*engine.Result, error) {
-	vals, err := sqltypes.BindValues(args)
+	vals, err := st.bind(args)
 	if err != nil {
 		return nil, err
 	}

@@ -67,6 +67,10 @@ func (s *Statement) Select() (*sqlast.Select, error) {
 	return sel, nil
 }
 
+// Prepared reports whether the statement was made by Prepare: a tier keeps
+// what it compiles or registers for it, since it will run again.
+func (s *Statement) Prepared() bool { return s.prepared }
+
 // asPrepared returns the statement marked as prepared — a copy, because the
 // receiver may already be shared through the cache.
 func (s *Statement) asPrepared() *Statement {

@@ -36,7 +36,9 @@ func (q Query) Run(exec func(sql string) (*engine.Result, error)) (*engine.Resul
 func RunOnPlain(db *engine.DB, q Query) (*engine.Result, error) { return q.Run(db.ExecSQL) }
 
 // RunOnMT executes a query through a middleware or sharded session.
-func RunOnMT(conn middleware.Session, q Query) (*engine.Result, error) { return q.Run(conn.Exec) }
+func RunOnMT(conn middleware.Session, q Query) (*engine.Result, error) {
+	return q.Run(func(sql string) (*engine.Result, error) { return conn.Exec(sql) })
+}
 
 // canonicalRows renders a result as a sorted multiset of rows for
 // order-insensitive comparison; floats are normalized.

@@ -20,6 +20,7 @@ import (
 
 	"mtbase/internal/client"
 	"mtbase/internal/engine"
+	"mtbase/internal/middleware"
 	"mtbase/internal/mth"
 	"mtbase/internal/optimizer"
 	"mtbase/internal/server"
@@ -207,11 +208,11 @@ func TestE2EStatsAndExplain(t *testing.T) {
 	if byName["server.statements"] <= 0 || byName["server.sessions_open"] <= 0 {
 		t.Fatalf("no server counters: %v", pairs)
 	}
-	plan, err := remote.Explain(`SELECT c_name FROM customer WHERE c_custkey = 1`)
+	plan, err := remote.RewriteSQL(`SELECT c_name FROM customer WHERE c_custkey = 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "ttid") {
+	if !strings.Contains(plan.String(), "ttid") {
 		t.Fatalf("explain returned no rewritten SQL: %s", plan)
 	}
 }
@@ -223,8 +224,33 @@ func TestE2ETypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	if _, err := remote.Query(`SELEC nonsense`); wire.ErrCode(err) != wire.CodeParse {
-		t.Fatalf("parse error: %v", err)
+	// Text is parsed on the client, as in process: a parse error is the
+	// parser's own and nothing reaches the server.
+	_, want := middleware.Parse(`SELEC nonsense`)
+	if _, err := remote.Query(`SELEC nonsense`); err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("parse error: %v, want %v", err, want)
+	}
+	// The server types the same text when a raw-protocol client sends it.
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := wire.WriteFrame(nc, wire.MsgHello, wire.EncodeHello(wire.Hello{Version: wire.MaxVersion, Tenant: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if mt, _, err := wire.ReadFrame(nc); err != nil || mt != wire.MsgHelloOK {
+		t.Fatalf("handshake: %v %v", mt, err)
+	}
+	if err := wire.WriteFrame(nc, wire.MsgQuery, wire.EncodeQuery(wire.Query{SQL: `SELEC nonsense`})); err != nil {
+		t.Fatal(err)
+	}
+	mt, payload, err := wire.ReadFrame(nc)
+	if err != nil || mt != wire.MsgError {
+		t.Fatalf("raw parse error: %v %v", mt, err)
+	}
+	if e, err := wire.DecodeError(payload); err != nil || wire.ErrCode(e) != wire.CodeParse {
+		t.Fatalf("raw parse error: %v %v", e, err)
 	}
 	if _, err := remote.Query(`SELECT no_such_col FROM customer`); wire.ErrCode(err) != wire.CodeExec {
 		t.Fatalf("exec error: %v", err)

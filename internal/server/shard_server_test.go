@@ -162,12 +162,12 @@ func TestShardedE2EPreparedAndStats(t *testing.T) {
 		t.Fatalf("server counters missing: %v", pairs)
 	}
 
-	// Explain goes through the shard session's rewriter.
-	plan, err := remote.Explain(`SELECT c_name FROM customer WHERE c_custkey = 1`)
+	// RewriteSQL goes through the shard session's rewriter.
+	plan, err := remote.RewriteSQL(`SELECT c_name FROM customer WHERE c_custkey = 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "ttid") {
+	if !strings.Contains(plan.String(), "ttid") {
 		t.Fatalf("explain returned no rewritten SQL: %s", plan)
 	}
 }

@@ -34,11 +34,12 @@ func (c *Conn) C() int64 { return c.c }
 
 // SetOptLevel sets the optimization level for subsequent statements on
 // every sub-connection.
-func (c *Conn) SetOptLevel(l optimizer.Level) {
+func (c *Conn) SetOptLevel(l optimizer.Level) error {
 	c.level = l
 	for _, sc := range c.conns() {
 		sc.SetOptLevel(l)
 	}
+	return nil
 }
 
 // OptLevel returns the session's optimization level.
