@@ -44,19 +44,19 @@
 //     cancellation inside every operator (ADR-003/ADR-004 in DESIGN.md).
 //     Statements read immutable copy-on-write snapshots pinned at exec
 //     creation — writers publish new snapshots under DB.mu, so readers,
-//     open cursors and writers overlap without blocking — and large scans,
-//     aggregate columns, join builds and sorts fan out morsel-parallel
+//     open cursors and writers overlap without blocking — and large
+//     scans+filters and grouped aggregate columns fan out morsel-parallel
 //     across a worker pool (DB.SetParallelism; results are byte-identical
 //     at every setting, parallelism 1 being the serial differential
-//     oracle; ADR-005 in DESIGN.md). DB.SetMemoryLimit caps per-statement
-//     working memory (0 = unlimited default): over budget, sorts run as
-//     external merge sorts, group-bys fall back to sort-based grouping,
-//     DISTINCT spills its key set and hash joins Grace-partition — all to
-//     temp files under DB.SetSpillDir, removed at statement end even on
-//     error — with results byte-identical to the unlimited path and
-//     Stats.SpillRuns/SpillBytes/PeakMemBytes reporting what spilled
-//     (MTBASE_TEST_MEMLIMIT applies the cap process-wide in tests;
-//     ADR-006 in DESIGN.md).
+//     oracle; ADR-005, ADR-029 in DESIGN.md). DB.SetMemoryLimit caps
+//     per-statement working memory (0 = unlimited default): over budget,
+//     sorts run as external merge sorts, group-bys fall back to sort-based
+//     grouping, DISTINCT spills its key set and hash joins Grace-partition
+//     — all to temp files under DB.SetSpillDir, removed at statement end
+//     even on error — with results byte-identical to the unlimited path
+//     and Stats.SpillRuns/SpillBytes/PeakMemBytes reporting what spilled
+//     (MTBASE_TEST_MEMLIMIT applies the cap process-wide in tests; ADR-006
+//     in DESIGN.md).
 //   - mtsql — MTSQL semantics: generality, comparability, conversion algebra
 //   - rewrite — the canonical MTSQL→SQL rewrite algorithm (§3); it owns how
 //     an MTSQL column reference resolves and which predicates tie two

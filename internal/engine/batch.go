@@ -243,9 +243,7 @@ func (c *rowChunk) concat(l, r []sqltypes.Value, rowCap int) []sqltypes.Value {
 
 // orderByKeyCols returns rows stably ordered by their ORDER BY key columns
 // (keys[k][i] is key k of rows[i]; NULLs first, desc[k] flips key k).
-// sortIdx is the permutation sort to run: stableSortIdx, or an
-// order-equivalent parallel one.
-func orderByKeyCols(rows [][]sqltypes.Value, keys [][]sqltypes.Value, desc []bool, sortIdx func(idx []int32, less func(a, b int32) bool)) [][]sqltypes.Value {
+func orderByKeyCols(rows [][]sqltypes.Value, keys [][]sqltypes.Value, desc []bool) [][]sqltypes.Value {
 	if len(desc) == 0 || len(rows) < 2 {
 		return rows
 	}
@@ -253,7 +251,7 @@ func orderByKeyCols(rows [][]sqltypes.Value, keys [][]sqltypes.Value, desc []boo
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	sortIdx(idx, func(a, b int32) bool {
+	stableSortIdx(idx, func(a, b int32) bool {
 		for k := range desc {
 			c := compareNullsFirst(keys[k][a], keys[k][b])
 			if desc[k] {

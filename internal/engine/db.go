@@ -246,8 +246,9 @@ func (db *DB) SetStreamExec(on bool) {
 	db.streamOff = !on
 }
 
-// SetParallelism sets the degree of intra-query parallelism for morsel
-// scans, aggregate evaluation, sort runs and join builds. n <= 0 restores
+// SetParallelism sets the degree of intra-query parallelism for the two
+// morsel-parallel sections (ADR-005, ADR-029): the fused scan+filter and the
+// grouped projection's key and argument windows. n <= 0 restores
 // the default (GOMAXPROCS); 1 keeps the serial execution path, which the
 // differential tests use as the oracle. Results are identical at every
 // setting — parallel operators emit morsels in heap order and fold
@@ -809,15 +810,24 @@ func (db *DB) insert(ex *exec, ins *sqlast.Insert) (*Result, error) {
 			}
 			row[idx] = v
 		}
-		for i, c := range t.Cols {
-			if c.NotNull && row[i].IsNull() {
-				return nil, fmt.Errorf("engine: NULL in NOT NULL column %s.%s", t.Name, c.Name)
-			}
+		if err := t.checkNotNull(row); err != nil {
+			return nil, err
 		}
 		staged = append(staged, row)
 	}
 	t.publish(staged)
 	return &Result{Affected: len(srcRows)}, nil
+}
+
+// checkNotNull is the one NOT NULL check INSERT and UPDATE stage each new
+// row through; a violation aborts the statement before anything publishes.
+func (t *Table) checkNotNull(row []sqltypes.Value) error {
+	for i, c := range t.Cols {
+		if c.NotNull && row[i].IsNull() {
+			return fmt.Errorf("engine: NULL in NOT NULL column %s.%s", t.Name, c.Name)
+		}
+	}
+	return nil
 }
 
 // coerce converts v to the declared column kind where lossless.
@@ -925,6 +935,9 @@ func (db *DB) update(ex *exec, up *sqlast.Update) (*Result, error) {
 			nr := append([]sqltypes.Value(nil), row...)
 			for j := range up.Sets {
 				nr[colIdx[j]] = newVals[j]
+			}
+			if err := t.checkNotNull(nr); err != nil {
+				return nil, err
 			}
 			staged[b.base+i] = nr
 			affected++

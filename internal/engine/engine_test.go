@@ -444,6 +444,33 @@ func TestInsertTypeChecks(t *testing.T) {
 	}
 }
 
+// TestUpdateNotNull: UPDATE runs the NOT NULL check INSERT does, and a row
+// that trips it publishes nothing — not even the rows staged before it.
+func TestUpdateNotNull(t *testing.T) {
+	db := Open(ModePostgres)
+	if _, err := db.ExecScript(`CREATE TABLE t (a INTEGER NOT NULL, b INTEGER);
+INSERT INTO t VALUES (1, 1), (2, 2), (3, NULL);`); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"UPDATE t SET a = NULL WHERE b = 2",
+		"UPDATE t SET a = CASE WHEN b = 2 THEN NULL ELSE a + 10 END",
+		"UPDATE t SET a = b",
+	} {
+		res, err := db.ExecSQL(sql)
+		if err == nil || !strings.Contains(err.Error(), "NULL in NOT NULL column t.a") {
+			t.Errorf("%s: %v, %v; want the NOT NULL error", sql, res, err)
+		}
+		got := fmt.Sprint(queryRows(t, db, "SELECT a, b FROM t"))
+		if want := "[[1 1] [2 2] [3 NULL]]"; got != want {
+			t.Errorf("%s: rows %s after the error, want %s", sql, got, want)
+		}
+	}
+	if _, err := db.ExecSQL("UPDATE t SET b = NULL WHERE a = 1"); err != nil {
+		t.Errorf("NULL into a nullable column: %v", err)
+	}
+}
+
 func TestConstraintValidation(t *testing.T) {
 	db := Open(ModePostgres)
 	script := `

@@ -149,7 +149,7 @@ func (r *execResult) dedupe() {
 }
 
 func (r *execResult) sortAndTrim(limit int64) {
-	r.Rows = orderByKeyCols(r.Rows, r.keyCols, r.desc, stableSortIdx)
+	r.Rows = orderByKeyCols(r.Rows, r.keyCols, r.desc)
 	if limit >= 0 && int64(len(r.Rows)) > limit {
 		r.Rows = r.Rows[:limit]
 	}

@@ -635,25 +635,8 @@ func (j *joinOperator) eagerBuild(ex *exec) error {
 // lists keep build row order.
 func (ex *exec) vecJoinBuild(rrel *relation, rows [][]sqltypes.Value, pairs []equiPair, parent *scope) (map[string][]int, error) {
 	ex.db.Stats.JoinBuildRows.Add(int64(len(rows)))
-	r := &relation{bindings: rrel.bindings, rows: rows, width: rrel.width}
 	build := make(map[string][]int, len(rows))
-	// Morsel-parallel build: workers encode the key column for disjoint row
-	// ranges, then the map inserts run serially in row order — bucket
-	// contents and order match the serial build exactly.
-	if ex.par > 1 && ex.depth == 0 && len(rows) >= 2*morselLen() {
-		keys, err := ex.parallelJoinKeys(r, pairs, parent)
-		if err != nil {
-			return nil, err
-		}
-		for i, k := range keys {
-			if k == nil {
-				continue // NULL key
-			}
-			build[string(k)] = append(build[string(k)], i)
-		}
-		return build, nil
-	}
-	rks := ex.vecKeys(pairExprs(pairs, true), r.bindings, r.scopeFor(parent))
+	rks := ex.vecKeys(pairExprs(pairs, true), rrel.bindings, rrel.scopeFor(parent))
 	var buf []byte
 	src := scanOp{rows: rows}
 	var b Batch
@@ -1884,13 +1867,7 @@ func (o *sortOperator) Open(ex *exec) error {
 		o.merge = m
 		return nil
 	}
-	// Parallel sorted runs merge into the same order a global stable sort
-	// produces (earlier run wins ties).
-	sortIdx := stableSortIdx
-	if ex.par > 1 && ex.depth == 0 && len(o.rows) >= 2*morselLen() {
-		sortIdx = func(idx []int32, less func(a, b int32) bool) { parallelSortIdx(ex.par, idx, less) }
-	}
-	o.rows = orderByKeyCols(o.rows, o.keyCols, o.desc, sortIdx)
+	o.rows = orderByKeyCols(o.rows, o.keyCols, o.desc)
 	return nil
 }
 

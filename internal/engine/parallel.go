@@ -1,13 +1,16 @@
 package engine
 
-// This file implements morsel-driven intra-query parallelism (ADR-005).
-// Scans split the pinned table heap into morsels — batch-aligned contiguous
-// row ranges — assigned to a bounded worker pool by static striping: worker
-// w owns morsels w, w+par, w+2·par, … (see parallelFor for why striping
-// beats dynamic claiming here). Each worker owns a workerClone of the
-// statement's exec — private caches, scratch stack and compiled programs —
-// and shares only immutable statement state: the plan, the pinned catalog
-// and heap snapshots, the bind values.
+// This file implements morsel-driven intra-query parallelism (ADR-005,
+// ADR-029). Two sections fan out, the two the workloads enter: the fused
+// scan+filter over a base-table heap, and the grouped projection's windows of
+// gathered rows. Join builds and sorts run serially inside a parallel
+// statement. Scans split the pinned table heap into morsels — batch-aligned
+// contiguous row ranges — assigned to a bounded worker pool by static
+// striping: worker w owns morsels w, w+par, w+2·par, … (see parallelFor for
+// why striping beats dynamic claiming here). Each worker owns a workerClone
+// of the statement's exec — private caches, scratch stack and compiled
+// programs — and shares only immutable statement state: the plan, the pinned
+// catalog and heap snapshots, the bind values.
 //
 // Determinism discipline: morsels partition the heap in row order and all
 // merges fold per-morsel results back in morsel order, so every parallel
@@ -16,11 +19,7 @@ package engine
 //   - aggregate argument columns are computed per-morsel, then folded
 //     serially in row order — float sums see the same addition order,
 //     DISTINCT sets and MIN/MAX ties resolve identically;
-//   - filters emit survivors in morsel order, matching the serial stream;
-//   - join builds encode keys per-morsel and insert serially in row order,
-//     so hash buckets keep build insertion order;
-//   - sorts stable-sort per-morsel runs and k-way merge with the earlier
-//     run winning ties, which is equivalent to one global stable sort.
+//   - filters emit survivors in morsel order, matching the serial stream.
 // Error parity: each worker walks its stripe in increasing morsel order and
 // stops once its next morsel is at or past the lowest failing index seen so
 // far (parallelFor's minFail protocol), so the surfaced error is always the
@@ -70,7 +69,7 @@ func SetMorselSize(n int) {
 // goroutines. Assignment is striped: worker w processes items w, w+par,
 // w+2·par, … in increasing order. The static stripe — rather than dynamic
 // claiming — is deliberate: a statement runs many parallel sections over
-// the same heap (one per scan, join build, window of aggregate input), and striping
+// the same heap (one per scan, window of aggregate input), and striping
 // sends the same rows to the same worker every time, so per-worker memo
 // caches (conversion-UDF results above all) hit across sections instead of
 // every worker redundantly computing every distinct value. Morsel work is
@@ -291,111 +290,4 @@ func (o *parallelScanFilter) Close() {
 	o.err = nil
 	o.acct.release(o.charged)
 	o.charged = 0
-}
-
-// ---------------------------------------------------------------- join build
-
-// parallelJoinKeys encodes the build-side join keys of rows morsel-parallel:
-// workers fill disjoint ranges of one key column (nil = NULL key, dropped
-// from equi joins), each with privately compiled key programs. The caller
-// inserts into the hash map serially in row order, so bucket contents and
-// order are identical to the serial build.
-func (ex *exec) parallelJoinKeys(r *relation, pairs []equiPair, parent *scope) ([][]byte, error) {
-	morsel := morselLen()
-	n := len(r.rows)
-	nm := (n + morsel - 1) / morsel
-	keys := make([][]byte, n)
-	pool := ex.workerPool()
-	type wstate struct {
-		sc  *scope
-		rks *vecKeySet
-	}
-	states := make([]*wstate, ex.par)
-	err := parallelFor(ex.par, nm, func(w, m int) error {
-		we := pool.worker(w)
-		ws := states[w]
-		if ws == nil {
-			wsc := r.scopeFor(parent)
-			ws = &wstate{sc: wsc, rks: we.vecKeys(pairExprs(pairs, true), r.bindings, wsc)}
-			states[w] = ws
-		}
-		lo := m * morsel
-		hi := lo + morsel
-		if hi > n {
-			hi = n
-		}
-		src := scanOp{rows: r.rows[lo:hi]}
-		var b Batch
-		for src.next(&b) {
-			if err := we.cancelled(); err != nil {
-				return err
-			}
-			mk := we.vs.mark()
-			sel := ws.rks.compute(&b, true)
-			if err := b.firstErr(); err != nil {
-				return err
-			}
-			for _, i := range sel {
-				buf := encodeKeyCols(nil, ws.rks.cols, i)
-				keys[lo+b.base+int(i)] = buf
-			}
-			we.vs.release(mk)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return keys, nil
-}
-
-// ---------------------------------------------------------------- sort
-
-// parallelSortIdx stable-sorts idx like stableSortIdx, but parallel: the
-// index splits into contiguous runs, workers stable-sort the runs
-// independently, and a k-way merge picks the smallest head — the earliest
-// run winning ties — which is order-equivalent to one global stable sort.
-func parallelSortIdx(par int, idx []int32, less func(a, b int32) bool) {
-	n := len(idx)
-	runLen := (n + par - 1) / par
-	if runLen < batchSize {
-		runLen = batchSize
-	}
-	nr := (n + runLen - 1) / runLen
-	if nr < 2 {
-		stableSortIdx(idx, less)
-		return
-	}
-	bounds := make([][2]int, nr)
-	for r := 0; r < nr; r++ {
-		lo := r * runLen
-		hi := lo + runLen
-		if hi > n {
-			hi = n
-		}
-		bounds[r] = [2]int{lo, hi}
-	}
-	parallelFor(par, nr, func(_, r int) error {
-		stableSortIdx(idx[bounds[r][0]:bounds[r][1]], less)
-		return nil
-	})
-	out := make([]int32, 0, n)
-	heads := make([]int, nr)
-	for r := range heads {
-		heads[r] = bounds[r][0]
-	}
-	for len(out) < n {
-		best := -1
-		for r := 0; r < nr; r++ {
-			if heads[r] >= bounds[r][1] {
-				continue
-			}
-			if best < 0 || less(idx[heads[r]], idx[heads[best]]) {
-				best = r
-			}
-		}
-		out = append(out, idx[heads[best]])
-		heads[best]++
-	}
-	copy(idx, out)
 }

@@ -59,20 +59,22 @@ var referenceForbidden = []string{
 	"Batch", "vecExpr", "vecKeySet", "vecCompile", "vecCompileAll", "vecKeys", "groupProgs", "aggInput",
 	"sharedExprs", "exprSlots",
 	"compile", "filterOp", "scanOp", "rowChunk", "newRowChunk",
-	"parallelFor", "parallelSortIdx", "parallelJoinKeys",
+	"parallelFor",
 }
 
 // deletedTwins are the interpreter (and compiled-reference) twins this
 // design removed, the left outer join's copy of the hash join ADR-014
-// merged into joinOperator, and the row-closure compiler ADR-016 deleted
+// merged into joinOperator, the row-closure compiler ADR-016 deleted
 // (its type, its environment, and the function names only that tier used —
-// venv keeps its own compileBinary, compileCase, …); they must not come back
-// under the same names. (The reference's local residual closure in
+// venv keeps its own compileBinary, compileCase, …), and the parallel join-key
+// encoder and sort ADR-029 deleted, which no workload entered; they must not
+// come back under the same names. (The reference's local residual closure in
 // leftOuterJoin is not a twin.)
 var deletedTwins = []string{
 	"applyInterp", "projectInterp", "projectRowsBatched",
 	"leftOuterOperator", "newLeftOuterPipe", "gracePartitionProbe", "louter",
 	"compiledExpr", "cenv", "compileArith", "compileOneArg", "compileArgs", "udfSite",
+	"parallelSortIdx", "parallelJoinKeys",
 }
 
 func funcName(fd *ast.FuncDecl) string {

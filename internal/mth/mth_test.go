@@ -1,6 +1,8 @@
 package mth
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"mtbase/internal/engine"
@@ -138,6 +140,44 @@ func TestBuildMTAndConstraints(t *testing.T) {
 	}
 	if n := db.Table("region").RowCount(); n != 5 {
 		t.Errorf("region rows = %d", n)
+	}
+}
+
+// TestUpdateNotNullThroughConn: a tenant's UPDATE that would store NULL in a
+// NOT NULL column errors through middleware.Conn and changes no row.
+func TestUpdateNotNullThroughConn(t *testing.T) {
+	inst, err := BuildMT(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := inst.Connect(2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func() string {
+		res, err := conn.Query("SELECT c_custkey, c_name FROM customer ORDER BY c_custkey")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(res.Rows)
+	}
+	before := names()
+	res, err := conn.Query("SELECT MIN(c_custkey) FROM customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := res.Rows[0][0].I
+	for _, sql := range []string{
+		fmt.Sprintf("UPDATE customer SET c_name = NULL WHERE c_custkey = %d", key),
+		"UPDATE customer SET c_name = NULL",
+	} {
+		res, err := conn.Exec(sql)
+		if err == nil || !strings.Contains(err.Error(), "NULL in NOT NULL column customer.c_name") {
+			t.Errorf("%s: %v, %v; want the NOT NULL error", sql, res, err)
+		}
+		if after := names(); after != before {
+			t.Errorf("%s: tenant 2's customers changed after the error", sql)
+		}
 	}
 }
 

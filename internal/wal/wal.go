@@ -60,10 +60,9 @@ type Log struct {
 	segBytes int64
 
 	syncMu  sync.Mutex // sync path: one fsync at a time
-	durMu   sync.Mutex // durable/err + cond
-	durCond *sync.Cond
-	durable uint64 // last LSN known fsynced
-	syncErr error  // sticky: the log is dead after a sync failure
+	durMu   sync.Mutex // durable, syncErr
+	durable uint64     // last LSN known fsynced
+	syncErr error      // sticky: the log is dead after a sync failure
 }
 
 func segName(firstLSN uint64) string { return fmt.Sprintf("wal-%016x.log", firstLSN) }
@@ -99,9 +98,7 @@ func Open(dir string) (*Log, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open segment: %w", err)
 	}
-	l := &Log{dir: dir, f: f, w: bufio.NewWriterSize(f, 256<<10), appended: next - 1}
-	l.durCond = sync.NewCond(&l.durMu)
-	l.durable = next - 1
+	l := &Log{dir: dir, f: f, w: bufio.NewWriterSize(f, 256<<10), appended: next - 1, durable: next - 1}
 	return l, recs, nil
 }
 
@@ -138,24 +135,31 @@ func (l *Log) LastLSN() uint64 {
 // touching the disk (group commit).
 func (l *Log) Sync(lsn uint64) error {
 	for {
-		l.durMu.Lock()
-		d, err := l.durable, l.syncErr
-		l.durMu.Unlock()
-		if err != nil {
+		covered, err := l.durableTo(lsn)
+		if err != nil || covered {
 			return err
 		}
-		if d >= lsn {
-			return nil
-		}
-		l.syncOnce()
+		l.syncOnce(lsn)
 	}
 }
 
-// syncOnce performs (or waits out) one flush+fsync round covering every
-// record appended before it started.
-func (l *Log) syncOnce() {
+// durableTo reports whether every record up to lsn is fsynced, or the
+// sticky error that ended the log.
+func (l *Log) durableTo(lsn uint64) (bool, error) {
+	l.durMu.Lock()
+	defer l.durMu.Unlock()
+	return l.durable >= lsn, l.syncErr
+}
+
+// syncOnce performs one flush+fsync round covering every record appended
+// before it started, unless the round that held the sync path meanwhile
+// already made lsn durable: then the caller shares that round's fsync.
+func (l *Log) syncOnce(lsn uint64) {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
+	if covered, err := l.durableTo(lsn); covered || err != nil {
+		return
+	}
 
 	l.mu.Lock()
 	target := l.appended
@@ -172,7 +176,6 @@ func (l *Log) syncOnce() {
 	} else if target > l.durable {
 		l.durable = target
 	}
-	l.durCond.Broadcast()
 	l.durMu.Unlock()
 
 	if err == nil {

@@ -12,8 +12,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mtbase/internal/sqltypes"
 )
@@ -185,6 +188,69 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		if r.LSN != uint64(i+1) {
 			t.Fatalf("record %d has LSN %d", i, r.LSN)
 		}
+	}
+}
+
+// TestSyncSharesRoundInFlight: a writer that queued for the sync path while
+// the round holding it made the writer's record durable returns on that
+// round's fsync; it runs no round of its own, so a record appended since
+// stays buffered and the segment file is not touched.
+func TestSyncSharesRoundInFlight(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir)
+	defer l.Close()
+	lsn, err := l.Append(rec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.syncMu.Lock() // a round is in flight
+	done := make(chan error)
+	go func() { done <- l.Sync(lsn) }()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		buf := make([]byte, 1<<16)
+		if strings.Contains(string(buf[:runtime.Stack(buf, true)]), "(*Log).syncOnce") {
+			break // the writer is queued behind the round
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the writer never reached the sync path")
+		}
+	}
+	// The round in flight flushes and fsyncs through lsn.
+	l.mu.Lock()
+	if err := l.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Unlock()
+	if err := l.f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	l.durMu.Lock()
+	l.durable = lsn
+	l.durMu.Unlock()
+	seg := filepath.Join(dir, segName(1))
+	st, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(rec(1)); err != nil {
+		t.Fatal(err)
+	}
+	l.syncMu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	l.durMu.Lock()
+	durable := l.durable
+	l.durMu.Unlock()
+	if durable != lsn {
+		t.Errorf("durable through %d, want %d: the queued writer ran a round of its own", durable, lsn)
+	}
+	st2, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.Size() != st.Size() {
+		t.Errorf("segment is %d bytes after the shared round, want %d", st2.Size(), st.Size())
 	}
 }
 
