@@ -47,7 +47,7 @@ func main() {
 		repeats     = flag.Int("repeats", 2, "runs per query: the first warms the caches, the median of the rest is reported")
 		queries     = flag.String("queries", "", "restrict to comma-separated query ids")
 		progress    = flag.Bool("progress", false, "print per-measurement progress")
-		parallelism = flag.Int("parallelism", 0, "intra-query worker count (0 = engine default GOMAXPROCS, 1 = serial)")
+		parallelism = flag.Int("parallelism", 0, "intra-query worker count (0 = engine default GOMAXPROCS, 1 = serial); with -shards, the replica's, and each shard engine runs max(1, n/shards)")
 		shards      = flag.Int("shards", 1, "tenant-partitioned engine shards for tables/figures (1 = unsharded)")
 		memlimit    = flag.String("memlimit", "", "per-statement memory cap, e.g. 64KB, 1MB (empty = unlimited; capped statements spill to disk)")
 		level       = flag.String("level", "", "with -table: the one optimization level the table runs (empty = all six)")

@@ -54,7 +54,7 @@ func main() {
 
 		memLimit    = flag.Int64("memlimit", 0, "engine memory budget in bytes (0 = unlimited)")
 		spillDir    = flag.String("spill-dir", "", "spill directory (default: system temp)")
-		parallelism = flag.Int("parallelism", 0, "engine worker count (0 = GOMAXPROCS)")
+		parallelism = flag.Int("parallelism", 0, "engine worker count (0 = GOMAXPROCS); with -shards, the replica's, and each shard engine runs max(1, n/shards)")
 		drain       = flag.Duration("drain", 15*time.Second, "graceful shutdown drain timeout")
 	)
 	flag.Parse()
@@ -71,11 +71,13 @@ func main() {
 		TenantInflight: *inflight, MaxStmtWait: *stmtWait,
 	}
 
-	// Each tier ends in a server and the engines behind it.
+	// Each tier ends in a server and the engines behind it, each with the
+	// worker count it runs at (0 keeps its default).
 	var (
-		srv  *server.Server
-		dbs  []*engine.DB
-		scfg = server.Config{AdminTenant: mth.ModellerTTID, Limits: limits}
+		srv     *server.Server
+		dbs     []*engine.DB
+		workers []int
+		scfg    = server.Config{AdminTenant: mth.ModellerTTID, Limits: limits}
 	)
 	switch {
 	case *shards > 1:
@@ -93,10 +95,14 @@ func main() {
 		if *grantAll {
 			grantReadToAll(cfg.Tenants, sinst.GrantReadTo)
 		}
+		// A scatter's parts run side by side: each shard engine gets its
+		// share of -parallelism, the replica all of it.
 		for _, mw := range sinst.Srv.Shards() {
 			dbs = append(dbs, mw.DB())
+			workers = append(workers, sinst.Srv.PartWorkers(*parallelism))
 		}
 		dbs = append(dbs, sinst.Srv.Replica().DB())
+		workers = append(workers, *parallelism)
 		log.Printf("sharded: shards=%d sf=%g tenants=%d mode=%s", *shards, *sf, *tenants, *mode)
 		srv = server.NewSharded(sinst.Srv, scfg)
 	case *data != "":
@@ -110,7 +116,7 @@ func main() {
 		log.Printf("durable: dir=%s sf=%g tenants=%d mode=%s recovered=%d records (lsn %d)",
 			*data, eff.SF, eff.Tenants, eff.Mode, st.Recovered(), st.LastLSN())
 		mw := st.Instance().Srv
-		dbs = []*engine.DB{mw.DB()}
+		dbs, workers = []*engine.DB{mw.DB()}, []int{*parallelism}
 		srv = server.New(mw, st, scfg)
 	default:
 		cfg, err := man.Config()
@@ -125,10 +131,10 @@ func main() {
 			grantReadToAll(cfg.Tenants, inst.GrantReadTo)
 		}
 		log.Printf("ephemeral: sf=%g tenants=%d mode=%s", *sf, *tenants, *mode)
-		dbs = []*engine.DB{inst.Srv.DB()}
+		dbs, workers = []*engine.DB{inst.Srv.DB()}, []int{*parallelism}
 		srv = server.New(inst.Srv, nil, scfg)
 	}
-	for _, db := range dbs {
+	for i, db := range dbs {
 		if *memLimit > 0 {
 			db.SetMemoryLimit(*memLimit)
 		}
@@ -136,7 +142,7 @@ func main() {
 			db.SetSpillDir(*spillDir)
 		}
 		if *parallelism > 0 {
-			db.SetParallelism(*parallelism)
+			db.SetParallelism(workers[i])
 		}
 	}
 	serveUntilSignal(srv, *addr, *drain)

@@ -46,10 +46,13 @@
 //     creation — writers publish new snapshots under DB.mu, so readers,
 //     open cursors and writers overlap without blocking — and large
 //     scans+filters and grouped aggregate columns fan out morsel-parallel
-//     across a worker pool (DB.SetParallelism; results are byte-identical
-//     at every setting, parallelism 1 being the serial differential
-//     oracle; ADR-005, ADR-029 in DESIGN.md). DB.SetMemoryLimit caps
-//     per-statement working memory (0 = unlimited default): over budget,
+//     across a worker pool (DB.SetParallelism, GOMAXPROCS by default; a
+//     shard engine's default is its share, max(1, GOMAXPROCS/shards), so a
+//     scatter's parts together fit the CPUs; results are byte-identical at
+//     every setting and every share, parallelism 1 being the serial
+//     differential oracle; ADR-005, ADR-029, ADR-030 in DESIGN.md).
+//     DB.SetMemoryLimit caps per-statement working memory (0 = unlimited
+//     default): over budget,
 //     sorts run as external merge sorts, group-bys fall back to sort-based
 //     grouping, DISTINCT spills its key set and hash joins Grace-partition
 //     — all to temp files under DB.SetSpillDir, removed at statement end

@@ -37,7 +37,8 @@ type OptSpec struct {
 
 	// Parallelism sets the engine's intra-query worker count for the
 	// measured runs (0 keeps the engine default, GOMAXPROCS; 1 is the
-	// serial oracle).
+	// serial oracle). Sharded, it is the gather replica's, and each shard
+	// engine runs max(1, Parallelism/Shards) (shard.Server.PartWorkers).
 	Parallelism int
 
 	// MemLimit caps per-statement working memory in bytes (0 keeps the
@@ -101,14 +102,16 @@ func (s OptSpec) queryIDs() []int {
 
 // buildMTSession stands up the measured deployment — unsharded, or with
 // nshards > 1 partitioned over engine shards — applying the spec's engine
-// knobs everywhere, and returns the session plus every engine DB involved
-// so counters can be aggregated across shards and the gather replica.
+// knobs everywhere (a shard engine gets its share of parallelism), and
+// returns the session plus every engine DB involved so counters can be
+// aggregated across shards and the gather replica.
 func buildMTSession(cfg mth.Config, nshards int, c int64, scope string,
 	parallelism int, memLimit int64) (middleware.Session, []*engine.DB, error) {
 	data := mth.Generate(cfg)
 	var (
 		conn    middleware.Session
 		servers []*middleware.Server
+		workers []int // per server, in step with servers
 	)
 	if nshards > 1 {
 		inst, err := mth.LoadMTSharded(data, nshards)
@@ -121,8 +124,12 @@ func buildMTSession(cfg mth.Config, nshards int, c int64, scope string,
 		if conn, err = inst.Connect(c, scope); err != nil {
 			return nil, nil, err
 		}
-		servers = append(servers, inst.Srv.Shards()...)
+		for _, mw := range inst.Srv.Shards() {
+			servers = append(servers, mw)
+			workers = append(workers, inst.Srv.PartWorkers(parallelism))
+		}
 		servers = append(servers, inst.Srv.Replica())
+		workers = append(workers, parallelism)
 	} else {
 		inst, err := mth.LoadMT(data)
 		if err != nil {
@@ -135,12 +142,13 @@ func buildMTSession(cfg mth.Config, nshards int, c int64, scope string,
 			return nil, nil, err
 		}
 		servers = append(servers, inst.Srv)
+		workers = append(workers, parallelism)
 	}
 	dbs := make([]*engine.DB, 0, len(servers))
-	for _, mw := range servers {
+	for i, mw := range servers {
 		db := mw.DB()
 		if parallelism > 0 {
-			db.SetParallelism(parallelism)
+			db.SetParallelism(workers[i])
 		}
 		if memLimit > 0 {
 			db.SetMemoryLimit(memLimit)

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"mtbase/internal/engine"
+	"mtbase/internal/mth"
 	"mtbase/internal/optimizer"
 )
 
@@ -114,6 +116,29 @@ func TestRunScalingShape(t *testing.T) {
 	res.WriteFigure(&buf)
 	if !strings.Contains(buf.String(), "MT-H Query 6") {
 		t.Errorf("figure output:\n%s", buf.String())
+	}
+}
+
+// TestExplicitParallelismShardShare: an explicit worker count n on a
+// sharded deployment is the gather replica's, and each shard engine runs
+// max(1, n/shards), so -parallelism 2 -shards 4 runs two workers, not
+// eight; unsharded, the one engine runs n.
+func TestExplicitParallelismShardShare(t *testing.T) {
+	cfg := mth.Config{SF: 0.001, Tenants: 4, Dist: mth.Uniform, Seed: 42, Mode: engine.ModePostgres}
+	for _, tc := range []struct{ shards, n, part int }{{4, 2, 1}, {4, 8, 2}, {2, 3, 1}, {2, 4, 2}, {1, 2, 0}} {
+		_, dbs, err := buildMTSession(cfg, tc.shards, 1, "IN ()", tc.n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replica := dbs[len(dbs)-1]
+		for i, db := range dbs[:len(dbs)-1] {
+			if got := db.Parallelism(); got != tc.part {
+				t.Errorf("-parallelism %d -shards %d: shard %d runs %d workers, want %d", tc.n, tc.shards, i, got, tc.part)
+			}
+		}
+		if got := replica.Parallelism(); got != tc.n {
+			t.Errorf("-parallelism %d -shards %d: replica runs %d workers, want %d", tc.n, tc.shards, got, tc.n)
+		}
 	}
 }
 

@@ -250,10 +250,12 @@ func (db *DB) SetStreamExec(on bool) {
 // morsel-parallel sections (ADR-005, ADR-029): the fused scan+filter and the
 // grouped projection's key and argument windows. n <= 0 restores
 // the default (GOMAXPROCS); 1 keeps the serial execution path, which the
-// differential tests use as the oracle. Results are identical at every
-// setting — parallel operators emit morsels in heap order and fold
-// aggregates in row order, so even float sums match the serial path byte
-// for byte.
+// differential tests use as the oracle. The default is per engine: a
+// sharded deployment runs its parts' engines side by side, so shard.New
+// gives each shard engine its share instead (ADR-030). Results are
+// identical at every setting — parallel operators emit morsels in heap
+// order and fold aggregates in row order, so even float sums match the
+// serial path byte for byte.
 func (db *DB) SetParallelism(n int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -261,6 +263,14 @@ func (db *DB) SetParallelism(n int) {
 		n = 0
 	}
 	db.par = n
+}
+
+// Parallelism reports the worker count a statement starting now would use:
+// SetParallelism's n, or GOMAXPROCS when that is the default.
+func (db *DB) Parallelism() int {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.parallelism()
 }
 
 // parallelism resolves the effective worker count; callers hold db.mu.

@@ -48,9 +48,9 @@ var spillSeamFuncs = map[string][]string{
 // a batch pull runs lock-free against pinned snapshots (ADR-004), so a
 // writer never waits on a cursor.
 var lockedEntries = []string{
-	"DB.CreateTableDirect", "DB.ExecPlanContext", "DB.SetCompileExprs", "DB.SetMemoryLimit",
-	"DB.SetParallelism", "DB.SetSpillDir", "DB.SetStreamExec", "DB.ValidateConstraints",
-	"DB.pinExec", "Table.BulkLoad", "Table.ReplaceRows",
+	"DB.CreateTableDirect", "DB.ExecPlanContext", "DB.Parallelism", "DB.SetCompileExprs",
+	"DB.SetMemoryLimit", "DB.SetParallelism", "DB.SetSpillDir", "DB.SetStreamExec",
+	"DB.ValidateConstraints", "DB.pinExec", "Table.BulkLoad", "Table.ReplaceRows",
 }
 
 // referenceForbidden lists what no function of exec.go may mention: the

@@ -47,6 +47,7 @@ package shard
 import (
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -91,7 +92,8 @@ func WithDataModeller(ttid int64) Option {
 }
 
 // New builds a sharded server with nshards fresh engines (plus the
-// coordinator replica) in the given engine mode.
+// coordinator replica) in the given engine mode. Each shard engine runs
+// PartWorkers(0) workers; the replica keeps the engine default.
 func New(nshards int, mode engine.Mode, opts ...Option) (*Server, error) {
 	if nshards < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", nshards)
@@ -107,12 +109,28 @@ func New(nshards int, mode engine.Mode, opts ...Option) (*Server, error) {
 	for _, m := range cfg.modellers {
 		mwOpts = append(mwOpts, middleware.WithDataModeller(m))
 	}
-	s := &Server{place: cfg.place}
-	for i := 0; i < nshards; i++ {
-		s.shards = append(s.shards, middleware.NewServer(engine.Open(mode), mwOpts...))
+	s := &Server{place: cfg.place, shards: make([]*middleware.Server, nshards)}
+	for i := range s.shards {
+		db := engine.Open(mode)
+		db.SetParallelism(s.PartWorkers(0))
+		s.shards[i] = middleware.NewServer(db, mwOpts...)
 	}
 	s.replica = middleware.NewServer(engine.Open(mode), mwOpts...)
 	return s, nil
+}
+
+// PartWorkers is the worker count each shard engine gets out of a
+// deployment's n (n <= 0: GOMAXPROCS), so that a scatter's parts, which
+// run side by side, together use no more than n: max(1, n/NumShards()).
+// The replica is exempt and keeps n — it runs the partial-aggregate fold
+// and the fallback after the parts or instead of them (DESIGN.md ADR-030).
+// A caller that sets an explicit worker count gives the replica n and each
+// shard engine PartWorkers(n).
+func (s *Server) PartWorkers(n int) int {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return max(1, n/len(s.shards))
 }
 
 // NumShards returns the shard count (excluding the coordinator replica).

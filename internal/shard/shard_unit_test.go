@@ -7,6 +7,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -49,6 +50,37 @@ func TestMapPlacementPinAndFallback(t *testing.T) {
 	for ttid := int64(1); ttid <= 6; ttid++ {
 		if got, want := m.ShardOf(ttid), fb.ShardOf(ttid); got != want {
 			t.Errorf("unpinned tenant %d: got rank %d, fallback says %d", ttid, got, want)
+		}
+	}
+}
+
+// TestPartWorkersShareTheCPUs: a scatter's parts run side by side, so under
+// a fixed GOMAXPROCS each shard engine of New(n, …) resolves max(1,
+// GOMAXPROCS/n) workers and the replica, which runs after the parts or
+// instead of them, GOMAXPROCS; an explicit count divides the same way
+// (DESIGN.md ADR-030).
+func TestPartWorkersShareTheCPUs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{1, 2, 4, 8} {
+			s, err := New(n, engine.ModePostgres)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rank, mw := range s.Shards() {
+				if got, want := mw.DB().Parallelism(), max(1, procs/n); got != want {
+					t.Errorf("GOMAXPROCS %d, %d shards: shard %d runs %d workers, want %d", procs, n, rank, got, want)
+				}
+			}
+			if got := s.Replica().DB().Parallelism(); got != procs {
+				t.Errorf("GOMAXPROCS %d, %d shards: replica runs %d workers, want %d", procs, n, got, procs)
+			}
+			for _, explicit := range []int{1, 2, 3, 8} {
+				if got, want := s.PartWorkers(explicit), max(1, explicit/n); got != want {
+					t.Errorf("%d shards: PartWorkers(%d) = %d, want %d", n, explicit, got, want)
+				}
+			}
 		}
 	}
 }
