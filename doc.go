@@ -94,8 +94,9 @@
 //     by ttid and how an aggregate splits it asks of rewrite and optimizer).
 //     The rewrite's privilege-pruned tenant set D′ routes every
 //     statement: one shard for single-tenant work, deterministic
-//     scatter/gather for cross-tenant work (ordered k-way merge under
-//     ORDER BY, partial-aggregation pushdown with a coordinator fold,
+//     scatter/fold for cross-tenant work (a pinned scan's parts sorted and
+//     limited on the coordinator, partial-aggregation pushdown with a
+//     coordinator fold,
 //     staged routing — a closed scalar subquery over tenant data runs
 //     first, as a routed statement of its own, and comes back as a bind
 //     parameter — and a repartition fallback for what the pinned-query

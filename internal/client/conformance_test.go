@@ -286,8 +286,8 @@ func conformance(t *testing.T, connect func(ttid int64) (middleware.Session, err
 	// Cancelling the context mid-stream surfaces the context's error. The
 	// result (every lineitem of three tenants x 25 nations) is far larger
 	// than anything a socket buffers, so the stream is still open. Whatever
-	// the cursor started — parallel workers, gather feeders, the wire
-	// client's context watcher — is gone once it is closed.
+	// the cursor started — parallel workers, the shard tier's part drains,
+	// the wire client's context watcher — is gone once it is closed.
 	const big = `SELECT * FROM lineitem, nation`
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -388,11 +388,12 @@ var ErrInternal = errors.New("engine: internal error")
 
 // Recover turns a panic into the error of the statement that raised it. It is
 // deferred (`defer db.Recover(&err)`) where statement code runs: the execute
-// entries, every cursor pull and Close, each parallelFor worker and gather
-// feeder — a panic on a goroutine of their own would end the process whatever
-// the caller defers — and the middleware's compile. The stack is logged here,
-// once; the statement's spill files go with its exec (releaseSpills). db may
-// be nil (a gather over no parts): the panic is then only not counted.
+// entries, every cursor pull and Close, each parallelFor worker — a panic on a
+// goroutine of its own would end the process whatever the caller defers — and
+// the middleware's compile. The stack is logged here, once; the statement's
+// spill files go with its exec (releaseSpills). db may be nil (a cursor over a
+// RowSource, which runs no statement code): the panic is then only not
+// counted.
 func (db *DB) Recover(err *error) {
 	r := recover()
 	if r == nil {

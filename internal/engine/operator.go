@@ -1759,8 +1759,7 @@ func (o *distinctOperator) Close() {
 // ---------------------------------------------------------------- sort
 
 // sortOperator is the ORDER BY pipeline breaker: Open drains the child,
-// collecting rows and their precomputed key columns, stable-sorts them
-// (morsel-parallel runs merged in run order when the input is large), and
+// collecting rows and their precomputed key columns, stable-sorts them, and
 // Next emits windows of the sorted result.
 //
 // Under a memory limit the buffer is charged per input batch; when the

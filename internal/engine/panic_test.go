@@ -69,13 +69,6 @@ func TestPanicIsTheStatementsError(t *testing.T) {
 			_, err := db.ExecSQL(`UPDATE fact SET val = MT_BOOM(id)`)
 			return err
 		}},
-		{"gather feeder", 1, func(db *DB) error {
-			part, err := db.QueryPlanContext(context.Background(), mustPrepare(db, `SELECT id, MT_BOOM(id) AS b FROM fact ORDER BY val, id`))
-			if err != nil {
-				return err
-			}
-			return drain(ConcatRows(part.Columns(), -1, part), nil)
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

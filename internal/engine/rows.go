@@ -27,11 +27,11 @@ import (
 )
 
 // RowSource is a row supplier a Rows can wrap instead of an operator tree:
-// the reference executor's materialized result, the shard gather
-// (gather.go), a result streamed over the wire. Next returns the following
-// row, nil on exhaustion; a row it returns is never overwritten, so Collect
-// keeps it without a copy. Close releases the source and every resource
-// behind it. Both are called by the single cursor consumer only.
+// the reference executor's materialized result, a result streamed over the
+// wire. Next returns the following row, nil on exhaustion; a row it returns
+// is never overwritten, so Collect keeps it without a copy. Close releases
+// the source and every resource behind it. Both are called by the single
+// cursor consumer only.
 type RowSource interface {
 	Next() ([]sqltypes.Value, error)
 	Close() error
@@ -64,6 +64,14 @@ type Rows struct {
 // Columns returns the output column names.
 func (r *Rows) Columns() []string { return r.cols }
 
+// Relabel names the cursor's columns cols, one per column, and returns the
+// cursor: the shard tier heads a fold on its replica as the client's
+// statement is headed.
+func (r *Rows) Relabel(cols []string) *Rows {
+	r.cols = cols
+	return r
+}
+
 // Err returns the first error encountered while iterating, nil after a
 // clean exhaustion.
 func (r *Rows) Err() error { return r.err }
@@ -87,8 +95,6 @@ func (r *Rows) Close() (err error) {
 		r.root.Close()
 	}
 	if r.src != nil {
-		// A gather cancels and joins its feeders: by the time Close
-		// returns, every child cursor is closed and its spills released.
 		return r.src.Close()
 	}
 	return nil

@@ -216,8 +216,8 @@ func (st *Stmt) bind(args []any) ([]sqltypes.Value, error) {
 }
 
 // Query executes a prepared SELECT with the given bind values and returns
-// a streaming cursor — over one engine's operator tree, or a gather cursor
-// for a cross-shard route.
+// a streaming cursor — over one engine's operator tree (a cross-shard
+// route's fold on the coordinator replica included), or over a wire reply.
 func (st *Stmt) Query(args ...any) (*engine.Rows, error) {
 	return st.QueryContext(context.Background(), args...)
 }

@@ -286,10 +286,10 @@ func spillLeftovers(t *testing.T) []string {
 	return files
 }
 
-// TestShardGatherCancellation: closing a scatter-gather cursor early —
+// TestShardGatherCancellation: closing a cross-shard cursor early —
 // explicitly or via context cancellation mid-stream — must release every
-// in-flight shard cursor and leave no spill files behind, and the session
-// must stay usable.
+// shard part and the replica's fold and leave no spill files behind, and the
+// session must stay usable.
 func TestShardGatherCancellation(t *testing.T) {
 	// A directory of its own: under MTBASE_TEST_MEMLIMIT the engine package's
 	// capped tests, in another process, spill into the shared temp directory.
@@ -309,8 +309,8 @@ func TestShardGatherCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A pinned scan with ORDER BY: cross-shard k-way merge keeps shard
-	// cursors open while the client iterates.
+	// A pinned scan with ORDER BY: the shard parts are drained and the
+	// replica's sort/limit fold is the cursor the client iterates.
 	const scan = "SELECT c_custkey, c_name FROM customer ORDER BY c_custkey"
 
 	// Early Rows.Close after a single row.

@@ -58,8 +58,8 @@ func shardE2E(t *testing.T) (*mth.ShardedInstance, string) {
 
 // TestShardedE2EByteIdentical compares the wire path against the in-process
 // sharded session (which the mth differential suite already pins to the
-// unsharded oracle) across routing shapes: partial-agg pushdown (Q1, Q6),
-// merge-gather joins (Q12) and the repartition fallback (Q22).
+// unsharded oracle) across routing shapes: partial-agg pushdown (Q1, Q6,
+// Q12) and the repartition fallback (Q22).
 func TestShardedE2EByteIdentical(t *testing.T) {
 	inst, addr := shardE2E(t)
 	local, err := inst.Connect(1, "IN ()")

@@ -371,5 +371,9 @@ func writeManifest(dir string, m Manifest) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, manifestName))
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, manifestName)); err != nil {
+		return err
+	}
+	// A lost manifest entry would make recovery rebuild the wrong base state.
+	return wal.SyncDir(dir)
 }

@@ -163,8 +163,8 @@ func readsTenant(schema *mtsql.Schema, tables []string) bool {
 }
 
 // QueryStmt picks the execution strategy for one SELECT and returns its
-// cursor: routed to one shard when D′ lands on one, scattered and gathered
-// otherwise.
+// cursor: routed to one shard when D′ lands on one, scattered and folded on
+// the replica otherwise.
 func (c *Conn) QueryStmt(ctx context.Context, st *middleware.Statement, args []sqltypes.Value) (*engine.Rows, error) {
 	sel, err := st.Select()
 	if err != nil {
@@ -214,8 +214,10 @@ func (c *Conn) QueryStmt(ctx context.Context, st *middleware.Statement, args []s
 	return c.routeCross(ctx, st, args, d, sets)
 }
 
-// routeCross picks the gather of a view-free SELECT whose D′ spans the shards
-// in sets. A statement the classifier rejects gets the
+// routeCross picks the route of a view-free SELECT whose D′ spans the shards
+// in sets: a fold on the replica over what every owning shard returns (a
+// pinned scan's own rows, or an aggregate's partials), or the repartition
+// fallback. A statement the classifier rejects gets the
 // staged plan (stage.go) before it is given up on: its closed scalar
 // subqueries go through this same function as statements of their own — each
 // counts as the routed statement it is — and what they yield is bound into the
@@ -251,7 +253,7 @@ func (c *Conn) routeCross(ctx context.Context, st *middleware.Statement, args []
 		}
 		return c.partialScatter(ctx, an.plan, header, args, sets)
 	case an.plainScan:
-		return c.scatterMerge(ctx, st, sel.Limit, args, sets, an)
+		return c.scanScatter(ctx, st, sel.Limit, an.order, args, sets)
 	default:
 		c.srv.stats.RoutedFallback.Add(1)
 		return c.fallback(ctx, sel, args, d, sets, st.Tables().Reads)
@@ -283,30 +285,6 @@ func openParts(sets []shardSet, open func(shardSet) (*engine.Rows, error)) ([]*e
 		parts = append(parts, rows)
 	}
 	return parts, nil
-}
-
-// scatter runs st on every owning shard under D′ ∩ owned(shard).
-func (c *Conn) scatter(ctx context.Context, st *middleware.Statement, args []sqltypes.Value, sets []shardSet) ([]*engine.Rows, error) {
-	return openParts(sets, func(ss shardSet) (*engine.Rows, error) {
-		return c.sub(ss).QueryStmt(ctx, st, args)
-	})
-}
-
-// scatterMerge runs the statement unchanged on every owning shard under
-// its sub-scope and gathers: ordered k-way merge when the statement
-// orders its output, stable rank-order concatenation otherwise. Only
-// pinned scan-shaped statements come here (analyze), so per-shard results
-// partition the unsharded result by tenant.
-func (c *Conn) scatterMerge(ctx context.Context, st *middleware.Statement, limit int64, args []sqltypes.Value, sets []shardSet, an analysis) (*engine.Rows, error) {
-	parts, err := c.scatter(ctx, st, args, sets)
-	if err != nil {
-		return nil, err
-	}
-	cols := parts[0].Columns()
-	if len(an.mergeKeys) > 0 {
-		return engine.MergeRows(cols, an.mergeKeys, limit, parts...), nil
-	}
-	return engine.ConcatRows(cols, limit, parts...), nil
 }
 
 // fallback repartitions: the original statement is rewritten on the replica

@@ -1,6 +1,11 @@
 package shard
 
-// Partial-aggregation pushdown (DESIGN.md ADR-009, ADR-018).
+// The replica's folds (DESIGN.md ADR-009, ADR-018, ADR-031): a pinned
+// cross-shard SELECT runs a statement on every owning shard, the parts are
+// drained concurrently into one statement-local relation, and a statement on
+// the coordinator replica folds them. A plain scan is the simplest case — the
+// client's statement on every shard, a sort/limit over the parts on the
+// replica; an aggregation pushes partials.
 //
 // For a pinned, grouped/aggregated cross-shard SELECT, each owning shard
 // computes a partial and the coordinator folds the gathered partial rows with
@@ -124,13 +129,11 @@ func (c *Conn) clientHeader(plan *partialPlan, client *middleware.Statement, d [
 	return header, nil
 }
 
-// partialScatter executes an aggregation pushdown: partials on every
-// owning shard (drained concurrently — each shard has its own engine),
-// then the combine statement over the gathered partial rows as a
-// statement-local relation of the replica: the engine's own group, filter,
-// sort and project operators fold them, and nothing enters its catalog. A
-// non-nil header renames the fold cursor's columns: the combine names an item
-// by an internal alias where the client-visible name is not an identifier.
+// partialScatter executes an aggregation pushdown: partials on every owning
+// shard, then the combine statement over them on the replica — the engine's
+// own group, filter, sort and project operators fold them. A non-nil header
+// renames the fold cursor's columns: the combine names an item by an internal
+// alias where the client-visible name is not an identifier.
 func (c *Conn) partialScatter(ctx context.Context, plan *partialPlan, header []string, args []sqltypes.Value, sets []shardSet) (*engine.Rows, error) {
 	pargs, err := sliceArgs(args, plan.partial.NumParams())
 	if err != nil {
@@ -140,9 +143,53 @@ func (c *Conn) partialScatter(ctx context.Context, plan *partialPlan, header []s
 	if err != nil {
 		return nil, err
 	}
-	curs, err := c.scatter(ctx, plan.partial, pargs, sets)
+	partials, _, err := c.gather(ctx, plan.partial, pargs, sets, plan.partialCols)
 	if err != nil {
 		return nil, err
+	}
+	rows, err := c.srv.replica.DB().QueryWith(ctx, plan.combine, cargs, partials)
+	if err != nil || header == nil {
+		return rows, err
+	}
+	return rows.Relabel(header), nil
+}
+
+// scanScatter executes a pinned scan (DESIGN.md ADR-031): the statement runs
+// unchanged on every owning shard, its ORDER BY and LIMIT included, and the
+// replica folds the parts with SELECT mt_c0, … FROM mt_partials ORDER BY
+// <output positions> LIMIT n under the parts' own header. The engine's sort is
+// stable, so over the parts concatenated in shard-rank order it is a merge
+// that breaks ties by rank; without ORDER BY the rows keep that order.
+func (c *Conn) scanScatter(ctx context.Context, st *middleware.Statement, limit int64, order []sqlast.OrderItem, args []sqltypes.Value, sets []shardSet) (*engine.Rows, error) {
+	parts, header, err := c.gather(ctx, st, args, sets, nil)
+	if err != nil {
+		return nil, err
+	}
+	fold := sqlast.NewSelect()
+	for _, col := range parts.Cols {
+		fold.Items = append(fold.Items, sqlast.SelectItem{Expr: &sqlast.ColumnRef{Name: col.Name}})
+	}
+	fold.From = []sqlast.TableExpr{&sqlast.TableName{Name: partialsName}}
+	fold.OrderBy, fold.Limit = order, limit
+	rows, err := c.srv.replica.DB().QueryWith(ctx, fold, nil, parts)
+	if err != nil {
+		return nil, err
+	}
+	return rows.Relabel(header), nil
+}
+
+// gather runs st on every owning shard under D′ ∩ owned(shard) and drains the
+// parts concurrently — each shard has its own engine — into the relation a
+// fold reads, rows in shard-rank order. The relation's columns are named
+// names, or mt_cN by position when names is nil; header is the parts' own.
+// It is the one place shard parts are drained.
+func (c *Conn) gather(ctx context.Context, st *middleware.Statement, args []sqltypes.Value, sets []shardSet, names []string) (engine.Relation, []string, error) {
+	rel := engine.Relation{Name: partialsName}
+	curs, err := openParts(sets, func(ss shardSet) (*engine.Rows, error) {
+		return c.sub(ss).QueryStmt(ctx, st, args)
+	})
+	if err != nil {
+		return rel, nil, err
 	}
 	results := make([]*engine.Result, len(curs))
 	errs := make([]error, len(curs))
@@ -155,26 +202,26 @@ func (c *Conn) partialScatter(ctx context.Context, plan *partialPlan, header []s
 		}(i, rows)
 	}
 	wg.Wait()
-	partials := engine.Relation{Name: partialsName}
 	for i, e := range errs {
 		if e != nil {
-			return nil, e
+			return rel, nil, e
 		}
-		partials.Rows = append(partials.Rows, results[i].Rows...)
+		rel.Rows = append(rel.Rows, results[i].Rows...)
 	}
-	for i, cn := range plan.partialCols {
-		partials.Cols = append(partials.Cols, engine.Column{Name: cn, Type: inferKind(partials.Rows, i)})
+	header := curs[0].Columns()
+	for i := range header {
+		name := fmt.Sprintf("mt_c%d", i)
+		if names != nil {
+			name = names[i]
+		}
+		rel.Cols = append(rel.Cols, engine.Column{Name: name, Type: inferKind(rel.Rows, i)})
 	}
-	rows, err := c.srv.replica.DB().QueryWith(ctx, plan.combine, cargs, partials)
-	if err != nil || header == nil {
-		return rows, err
-	}
-	return engine.ConcatRows(header, -1, rows), nil
+	return rel, header, nil
 }
 
 // inferKind picks a column type from the first non-null value; an
-// all-null column (every shard aggregated an empty input) types as float,
-// which any fold accepts.
+// all-null column (no part returned a row, or each a NULL there) types as
+// float, which any fold accepts.
 func inferKind(rows [][]sqltypes.Value, col int) sqltypes.Kind {
 	for _, r := range rows {
 		if !r[col].IsNull() {

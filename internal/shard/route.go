@@ -33,19 +33,19 @@ import (
 	"fmt"
 	"strings"
 
-	"mtbase/internal/engine"
 	"mtbase/internal/mtsql"
 	"mtbase/internal/rewrite"
 	"mtbase/internal/sqlast"
+	"mtbase/internal/sqltypes"
 )
 
 // analysis is the routing classification of one cross-shard SELECT.
 type analysis struct {
-	plainScan bool              // pinned scan shape: scatter + concat/merge
-	aggPush   bool              // pinned aggregation: push partials, fold at gather
-	mergeKeys []engine.MergeKey // ORDER BY as output-column merge keys (plainScan)
-	plan      *partialPlan      // partial/combine ASTs (aggPush)
-	reason    string            // why the statement is not pinned ("" when it is)
+	plainScan bool               // pinned scan shape: the statement on every shard, a sort/limit fold
+	aggPush   bool               // pinned aggregation: partials on every shard, a combine fold
+	order     []sqlast.OrderItem // ORDER BY as output positions (plainScan)
+	plan      *partialPlan       // partial/combine ASTs (aggPush)
+	reason    string             // why the statement is not pinned ("" when it is)
 	// tenantFree: no block binds a tenant table, so any one shard answers the
 	// statement. QueryStmt routes such client statements before classifying;
 	// here it marks an outer statement whose tenant data all went into binds.
@@ -119,12 +119,12 @@ func analyze(sel *sqlast.Select, schema *mtsql.Schema) analysis {
 	if sel.Distinct || sel.Having != nil {
 		return an
 	}
-	keys, ok := mapOrderKeys(sel)
+	order, ok := outputOrder(sel)
 	if !ok {
 		return an
 	}
 	an.plainScan = true
-	an.mergeKeys = keys
+	an.order = order
 	return an
 }
 
@@ -272,12 +272,13 @@ func topHasAggregation(sel *sqlast.Select) bool {
 	return found
 }
 
-// mapOrderKeys maps each ORDER BY item onto an output column position so
-// the gather can k-way merge. Items that are not plain references to an
-// output column (by ordinal, alias, column name, or textual equality with the
-// item expression) make the statement unmergeable → fallback; so does an
-// ordinal out of range, whose error the engine words there.
-func mapOrderKeys(sel *sqlast.Select) ([]engine.MergeKey, bool) {
+// outputOrder maps each ORDER BY item onto an output column position, as the
+// ordinal the replica's fold sorts the gathered parts by. Items that are not
+// plain references to an output column (by ordinal, alias, column name, or
+// textual equality with the item expression) leave the statement to the
+// fallback; so does an ordinal out of range, whose error the engine words
+// there.
+func outputOrder(sel *sqlast.Select) ([]sqlast.OrderItem, bool) {
 	if len(sel.OrderBy) == 0 {
 		return nil, true
 	}
@@ -286,7 +287,7 @@ func mapOrderKeys(sel *sqlast.Select) ([]engine.MergeKey, bool) {
 			return nil, false // a star's columns are placement-dependent: unmappable
 		}
 	}
-	keys := make([]engine.MergeKey, 0, len(sel.OrderBy))
+	order := make([]sqlast.OrderItem, 0, len(sel.OrderBy))
 	for _, o := range sel.OrderBy {
 		idx := -1
 		if n, ok := o.Ordinal(); ok {
@@ -314,7 +315,7 @@ func mapOrderKeys(sel *sqlast.Select) ([]engine.MergeKey, bool) {
 		if idx < 0 {
 			return nil, false
 		}
-		keys = append(keys, engine.MergeKey{Col: idx, Desc: o.Desc})
+		order = append(order, sqlast.OrderItem{Expr: &sqlast.Literal{Val: sqltypes.NewInt(int64(idx) + 1)}, Desc: o.Desc})
 	}
-	return keys, true
+	return order, true
 }

@@ -14,18 +14,19 @@
 //     shard's own middleware resolves the original scope locally and
 //     byte-identically;
 //   - cross-shard statements scatter to the owning shards under explicit
-//     per-shard sub-scopes and gather deterministically (engine.MergeRows /
-//     engine.ConcatRows, partial-aggregation fold, or a repartition
-//     fallback on the coordinator replica); a closed scalar subquery over
-//     tenant data is routed first, as a statement of its own, and bound
-//     into its outer statement (staged routing, ADR-015).
+//     per-shard sub-scopes and fold deterministically on the coordinator
+//     replica (a pinned scan's sort/limit fold or a partial-aggregation
+//     combine, ADR-031), or take the repartition fallback there; a closed
+//     scalar subquery over tenant data is routed first, as a statement of
+//     its own, and bound into its outer statement (staged routing, ADR-015).
 //
 // A "replica" middleware.Server accompanies the shards as coordinator: it
 // holds all metadata and global data but NO tenant rows, ever. It resolves
-// scopes and privileges for routing and executes the two gathers that need
-// an engine — the partial-aggregation fold and the repartition fallback —
-// over statement-local relations (engine.QueryWith): the shards' rows are
-// visible to that one statement and never enter the replica's catalog.
+// scopes and privileges for routing and runs every cross-shard SELECT's last
+// step on its own engine — a fold over the parts the shards returned, or the
+// repartition fallback over their rows — against statement-local relations
+// (engine.QueryWith): the shards' rows are visible to that one statement and
+// never enter the replica's catalog.
 //
 // A sharded session is a middleware.Session (DESIGN.md ADR-013): Conn
 // implements the parsed-statement core — QueryStmt routes a SELECT, ExecStmt

@@ -252,23 +252,24 @@ func TestAnalyzeMergeKeys(t *testing.T) {
 	an := analyze(parseSel(t,
 		"SELECT e_id, e_name AS nm FROM emp ORDER BY nm DESC, e_id"), schema)
 	if !an.plainScan {
-		t.Fatal("aliased ORDER BY over output columns must stay mergeable")
+		t.Fatal("aliased ORDER BY over output columns must stay a plain scan")
 	}
-	want := []engine.MergeKey{{Col: 1, Desc: true}, {Col: 0, Desc: false}}
-	if len(an.mergeKeys) != len(want) {
-		t.Fatalf("got %d merge keys, want %d", len(an.mergeKeys), len(want))
+	// The fold sorts the gathered parts by output position.
+	want := []string{"2 DESC", "1"}
+	if len(an.order) != len(want) {
+		t.Fatalf("got %d order keys, want %d", len(an.order), len(want))
 	}
-	for i, k := range an.mergeKeys {
-		if k != want[i] {
-			t.Errorf("key %d = %+v, want %+v", i, k, want[i])
+	for i, o := range an.order {
+		if o.String() != want[i] {
+			t.Errorf("key %d = %s, want %s", i, o, want[i])
 		}
 	}
 
 	// ORDER BY over an expression absent from the select list cannot map
-	// to an output column — not mergeable, so not a plain scan.
+	// to an output column — the fold could not sort by it, so not a plain scan.
 	an = analyze(parseSel(t, "SELECT e_id FROM emp ORDER BY e_age"), schema)
 	if an.plainScan {
-		t.Error("un-mappable ORDER BY must reject the merge path")
+		t.Error("un-mappable ORDER BY must reject the plain-scan path")
 	}
 }
 

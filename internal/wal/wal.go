@@ -98,6 +98,10 @@ func Open(dir string) (*Log, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open segment: %w", err)
 	}
+	if err := SyncDir(dir); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("wal: sync directory: %w", err)
+	}
 	l := &Log{dir: dir, f: f, w: bufio.NewWriterSize(f, 256<<10), appended: next - 1, durable: next - 1}
 	return l, recs, nil
 }
@@ -185,21 +189,44 @@ func (l *Log) syncOnce(lsn uint64) {
 
 // maybeRotate starts a new segment once the current one is oversized. It
 // runs at a sync boundary (syncMu held, everything durable up to target),
-// so the old segment closes complete and the new one starts at target+1.
+// so the old segment closes complete and the new one starts at target+1 —
+// with its directory entry durable before the sync that acknowledges a record
+// in it can run.
 func (l *Log) maybeRotate(target uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.segBytes < SegmentSize || l.appended != target {
 		return
 	}
-	f, err := os.OpenFile(filepath.Join(l.dir, segName(target+1)), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	name := filepath.Join(l.dir, segName(target+1))
+	f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
 		return // keep appending to the old segment; rotation is opportunistic
+	}
+	if err := SyncDir(l.dir); err != nil {
+		f.Close()
+		os.Remove(name)
+		return
 	}
 	l.f.Close()
 	l.f = f
 	l.w = bufio.NewWriterSize(f, 256<<10)
 	l.segBytes = 0
+}
+
+// SyncDir makes dir's entries durable. fsync(2) on a file does not persist the
+// directory entry naming it: without this, a crash could lose a whole new
+// segment of acknowledged records, or a renamed file.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (l *Log) loadErr() error {
