@@ -81,17 +81,32 @@ type Column struct {
 	NotNull bool
 }
 
-// tableData is one immutable snapshot of a table: the row heap plus the
-// hash indexes built over exactly that heap. Writers never mutate a
-// published tableData — they build a new one and swap the table's data
-// pointer — so any reader holding a tableData sees a frozen, internally
-// consistent heap/index pair for as long as it keeps the pointer.
+// tableData is one immutable snapshot of a table: the rows, held in pages of
+// batchSize rows, plus the hash indexes that serve it. Writers never mutate
+// what a published tableData can see — they build a new one and swap the
+// table's data pointer — so any reader holding a tableData sees a frozen,
+// internally consistent snapshot for as long as it keeps the pointer.
+//
+// Pages are the unit of copy-on-write (DESIGN.md ADR-032). Every page but the
+// last holds batchSize rows. INSERT appends into the last page's spare
+// capacity — slots past a snapshot's length that no published snapshot sees —
+// and UPDATE copies the page spine and the pages it changes, never the rows of
+// the pages it leaves alone.
 type tableData struct {
-	rows [][]sqltypes.Value
+	pages [][][]sqltypes.Value
+	n     int
 
-	// Indexes are built lazily per snapshot; idxMu only serializes the
-	// build so concurrent readers of one snapshot construct each index
-	// once. The heap itself needs no locking — it is immutable.
+	// flat is the one-slice view readers that scan get (rows): made at most
+	// once, on first use, unless the snapshot was built from one slice
+	// (flatData) and its pages are windows of it. The write path never
+	// builds it.
+	flatOnce sync.Once
+	flat     [][]sqltypes.Value
+
+	// indexes serve this snapshot: built over it, or carried from the
+	// snapshot a write derived it from and covering a prefix of its rows
+	// (index.go). idxMu serializes builds so concurrent readers of one
+	// snapshot construct each index once.
 	idxMu   sync.Mutex
 	indexes map[string]*hashIndex // keyed by lower-case comma-joined cols
 }
@@ -111,18 +126,71 @@ type Table struct {
 	Constraints []sqlast.Constraint // FK / CHECK retained for validation
 }
 
-// newTableData wraps rows as a fresh snapshot with no indexes built yet.
-func newTableData(rows [][]sqltypes.Value) *tableData {
-	return &tableData{rows: rows}
+// flatData wraps rows as a fresh snapshot with no indexes: its pages are
+// windows of rows, which is also its flat view.
+func flatData(rows [][]sqltypes.Value) *tableData {
+	d := &tableData{n: len(rows), flat: rows}
+	for lo := 0; lo < len(rows); lo += batchSize {
+		hi := min(lo+batchSize, len(rows))
+		d.pages = append(d.pages, rows[lo:hi:hi])
+	}
+	return d
 }
 
-// Heap returns the table's current immutable row snapshot. The returned
-// slice must not be modified; it stays valid (and frozen) across
-// concurrent writes, which publish new snapshots instead of mutating it.
-func (t *Table) Heap() [][]sqltypes.Value { return t.data.Load().rows }
+// rows returns the snapshot as one slice, building it on first use.
+func (d *tableData) rows() [][]sqltypes.Value {
+	d.flatOnce.Do(func() {
+		switch {
+		case d.flat != nil || d.n == 0:
+		case len(d.pages) == 1:
+			d.flat = d.pages[0]
+		default:
+			d.flat = make([][]sqltypes.Value, 0, d.n)
+			for _, p := range d.pages {
+				d.flat = append(d.flat, p...)
+			}
+		}
+	})
+	return d.flat
+}
+
+// row returns the row with ordinal id.
+func (d *tableData) row(id int) []sqltypes.Value { return d.pages[id/batchSize][id%batchSize] }
+
+// appended returns the snapshot of d with rows added at its end. It copies the
+// page spine and fills the last page's spare capacity before opening a new
+// page, so a row is never copied; d's indexes follow it, covering a prefix.
+func (d *tableData) appended(rows [][]sqltypes.Value) *tableData {
+	n := d.n + len(rows)
+	pages := make([][][]sqltypes.Value, len(d.pages), len(d.pages)+1+len(rows)/batchSize)
+	copy(pages, d.pages)
+	for len(rows) > 0 {
+		last := len(pages) - 1
+		if last < 0 || len(pages[last]) == batchSize {
+			pages = append(pages, nil)
+			last++
+		}
+		p := pages[last]
+		k := min(batchSize-len(p), len(rows))
+		if cap(p)-len(p) < k { // grow the page, doubling up to batchSize rows
+			np := make([][]sqltypes.Value, len(p), min(batchSize, max(2*cap(p), len(p)+k)))
+			copy(np, p)
+			p = np
+		}
+		pages[last] = append(p, rows[:k]...)
+		rows = rows[k:]
+	}
+	return &tableData{pages: pages, n: n, indexes: d.carry(nil)}
+}
+
+// Heap returns the table's current immutable row snapshot as one slice, built
+// once per snapshot for a table that writes have paged. The returned slice
+// must not be modified; it stays valid (and frozen) across concurrent writes,
+// which publish new snapshots instead of mutating it.
+func (t *Table) Heap() [][]sqltypes.Value { return t.data.Load().rows() }
 
 // RowCount returns the number of rows in the current snapshot.
-func (t *Table) RowCount() int { return len(t.Heap()) }
+func (t *Table) RowCount() int { return t.data.Load().n }
 
 // ColIndex returns the ordinal of a column (case-insensitive), or -1.
 func (t *Table) ColIndex(name string) int {
@@ -141,9 +209,9 @@ func (t *Table) ColNames() []string {
 	return names
 }
 
-// publish installs rows as the table's new current snapshot. Callers must
-// hold DB.mu — writers are serialized; only readers run lock-free.
-func (t *Table) publish(rows [][]sqltypes.Value) { t.data.Store(newTableData(rows)) }
+// publish installs d as the table's new current snapshot. Callers must hold
+// DB.mu — writers are serialized; only readers run lock-free.
+func (t *Table) publish(d *tableData) { t.data.Store(d) }
 
 // Function is a SQL-bodied scalar function.
 type Function struct {
@@ -646,7 +714,7 @@ func (db *DB) createTable(ct *sqlast.CreateTable) (*Result, error) {
 		return nil, fmt.Errorf("engine: table %s already exists", ct.Name)
 	}
 	t := &Table{Name: ct.Name, colIdx: make(map[string]int), db: db}
-	t.data.Store(newTableData(nil))
+	t.data.Store(flatData(nil))
 	for i, cd := range ct.Columns {
 		kind, err := kindOfType(cd.Type)
 		if err != nil {
@@ -689,7 +757,7 @@ func (db *DB) CreateTableDirect(name string, cols []Column, pk []string) *Table 
 // newTable builds a table over rows that no catalog knows yet.
 func newTable(name string, cols []Column, rows [][]sqltypes.Value) *Table {
 	t := &Table{Name: name, Cols: cols, colIdx: make(map[string]int, len(cols))}
-	t.data.Store(newTableData(rows))
+	t.data.Store(flatData(rows))
 	for i, c := range cols {
 		t.colIdx[strings.ToLower(c.Name)] = i
 	}
@@ -704,27 +772,31 @@ func (t *Table) AppendRow(row []sqltypes.Value) {
 	t.BulkLoad([][]sqltypes.Value{row})
 }
 
-// BulkLoad appends many rows and publishes one new snapshot.
+// BulkLoad appends many rows and publishes one new snapshot. Loading an empty
+// table adopts a copy of rows as its one slice, so readers that scan it build
+// no view; loading more appends like INSERT.
 func (t *Table) BulkLoad(rows [][]sqltypes.Value) {
 	if t.db != nil {
 		t.db.mu.Lock()
 		defer t.db.mu.Unlock()
 	}
-	// Appending to the previous snapshot's slice is safe even when the
-	// backing array is shared: writers are serialized, and readers of the
-	// old snapshot are bounded by the old slice length.
-	t.publish(append(t.Heap(), rows...))
+	if d := t.data.Load(); d.n > 0 {
+		t.publish(d.appended(rows))
+		return
+	}
+	t.publish(flatData(slices.Clone(rows)))
 }
 
 // ReplaceRows publishes rows as the table's entire new heap, the
 // copy-on-write replacement for in-place heap surgery by external callers
-// (the middleware's revoke path compacts tenant tables this way).
+// (the middleware's revoke path compacts tenant tables this way). Row
+// ordinals move, so no index carries over.
 func (t *Table) ReplaceRows(rows [][]sqltypes.Value) {
 	if t.db != nil {
 		t.db.mu.Lock()
 		defer t.db.mu.Unlock()
 	}
-	t.publish(rows)
+	t.publish(flatData(rows))
 }
 
 func (db *DB) createView(cv *sqlast.CreateView) (*Result, error) {
@@ -805,10 +877,7 @@ func (db *DB) insert(ex *exec, ins *sqlast.Insert) (*Result, error) {
 	// Stage coerced rows first and publish once at the end: an error leaves
 	// the table untouched, and concurrent readers never observe a partial
 	// insert — the new snapshot appears atomically.
-	// Appending past the previous snapshot's length may share its backing
-	// array; that is safe because writers are serialized and readers of the
-	// old snapshot are bounded by the old slice length.
-	staged := t.Heap()
+	staged := make([][]sqltypes.Value, 0, len(srcRows))
 	for _, src := range srcRows {
 		if len(src) != len(colOrder) {
 			return nil, fmt.Errorf("engine: INSERT into %s: %d values for %d columns", t.Name, len(src), len(colOrder))
@@ -826,7 +895,7 @@ func (db *DB) insert(ex *exec, ins *sqlast.Insert) (*Result, error) {
 		}
 		staged = append(staged, row)
 	}
-	t.publish(staged)
+	t.publish(ex.snap.pin(t).appended(staged))
 	return &Result{Affected: len(srcRows)}, nil
 }
 
@@ -859,19 +928,73 @@ func coerce(v sqltypes.Value, kind sqltypes.Kind) (sqltypes.Value, error) {
 	return sqltypes.Null, fmt.Errorf("cannot store %s as %s", v.K, kind)
 }
 
-// update is copy-on-write, like delete: the scan walks the pristine
-// snapshot, updated rows are cloned into a staged spine, and the new heap is
-// published only after the last row succeeds. Predicates and assignments —
-// subqueries and UDF bodies reading the table included — therefore observe
-// pre-update state for every row however far ahead of the staging they are
-// evaluated, and an error publishes nothing. So they run column-wise per
-// batch; the staging walk then follows row order and aborts at the first
-// poisoned row, exactly where a row loop would have stopped.
+// writeRows runs fn over the rows a DML statement's WHERE reads, a batch at a
+// time in heap order: the candidates indexSource selects — the one decision
+// every base-table source takes — or, when it serves nothing, every row of
+// d, page by page. The row at batch position i has heap ordinal ids[i], or
+// b.base+i when ids is nil. The caller runs the full WHERE over the rows all
+// the same, so a conjunct that would raise only on a row outside the
+// candidates raises nowhere, as in a SELECT (DESIGN.md ADR-026, ADR-032).
+func (ex *exec) writeRows(t *Table, d *tableData, where sqlast.Expr, fn func(b *Batch, ids []int) error) error {
+	rel := &relation{bindings: []*binding{newBinding(t.Name, t.ColNames())}, width: len(t.Cols), base: t}
+	var conjs []*conjunct
+	for _, e := range splitConjuncts(where) {
+		conjs = append(conjs, &conjunct{expr: e})
+	}
+	rng, served, _ := ex.indexSource(rel, conjs, rootScope())
+	var b Batch
+	if !served {
+		for pi, page := range d.pages {
+			if err := ex.cancelled(); err != nil {
+				return err
+			}
+			b.window(page)
+			b.base = pi * batchSize
+			ex.db.Stats.ScanRows.Add(int64(len(page)))
+			if err := fn(&b, nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if rng.err != nil {
+		return rng.err
+	}
+	buf := make([][]sqltypes.Value, 0, min(len(rng.ids), batchSize))
+	for lo := 0; lo < len(rng.ids); lo += batchSize {
+		if err := ex.cancelled(); err != nil {
+			return err
+		}
+		ids := rng.ids[lo:min(lo+batchSize, len(rng.ids))]
+		buf = buf[:0]
+		for _, id := range ids {
+			buf = append(buf, d.row(id))
+		}
+		b.window(buf)
+		ex.db.Stats.ScanRows.Add(int64(len(ids)))
+		if err := fn(&b, ids); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// update is copy-on-write, like delete: the WHERE reads the pristine
+// snapshot, updated rows are cloned into copies of the pages they live in
+// under a copy of the page spine, and the new snapshot is published only
+// after the last row succeeds. Predicates and assignments — subqueries and
+// UDF bodies reading the table included — therefore observe pre-update state
+// for every row however far ahead of the staging they are evaluated, and an
+// error publishes nothing. So they run column-wise per batch; the staging
+// walk then follows row order and aborts at the first poisoned row, exactly
+// where a row loop would have stopped. The new snapshot keeps every index
+// keyed on no assigned column: its rows stay where they were.
 func (db *DB) update(ex *exec, up *sqlast.Update) (*Result, error) {
 	t := db.catalogNow().table(up.Table)
 	if t == nil {
 		return nil, fmt.Errorf("engine: no such table %s", up.Table)
 	}
+	d := ex.snap.pin(t)
 	sc := tableScope(t)
 	var vpred vecExpr
 	if up.Where != nil {
@@ -887,20 +1010,16 @@ func (db *DB) update(ex *exec, up *sqlast.Update) (*Result, error) {
 	}
 	newVals := make([]sqltypes.Value, len(up.Sets))
 	affected := 0
-	heap := t.Heap()
-	var staged [][]sqltypes.Value
-	src := scanOp{rows: heap}
-	var b Batch
-	for src.next(&b) {
-		if err := ex.cancelled(); err != nil {
-			return nil, err
-		}
+	var pages [][][]sqltypes.Value // d's page spine, copied at the first change
+	owned := -1                    // the page copied last: rows come in heap order
+	err := ex.writeRows(t, d, up.Where, func(b *Batch, ids []int) error {
 		n := len(b.rows)
 		m := ex.vs.mark()
+		defer ex.vs.release(m)
 		sel := b.sel
 		if vpred != nil {
 			predCol := ex.vs.takeVals(n)
-			vpred(&b, sel, predCol)
+			vpred(b, sel, predCol)
 			matched := ex.vs.takeSel(len(sel))
 			for _, i := range sel {
 				if b.errs[i] != nil {
@@ -916,47 +1035,56 @@ func (db *DB) update(ex *exec, up *sqlast.Update) (*Result, error) {
 		selBuf := ex.vs.takeSel(len(sel))
 		for j, vs := range vsets {
 			setCols[j] = ex.vs.takeVals(n)
-			vs(&b, sel, setCols[j])
+			vs(b, sel, setCols[j])
 			sel = b.compactSel(selBuf, sel)
 		}
 		// Stage in row order; a poisoned row aborts with nothing published.
 		si := 0
 		for i := 0; i < n; i++ {
 			if b.errs[i] != nil {
-				return nil, b.errs[i]
+				return b.errs[i]
 			}
 			if si >= len(sel) || sel[si] != int32(i) {
 				continue
 			}
 			si++
-			row := b.rows[i]
 			for j, a := range up.Sets {
 				if colIdx[j] < 0 {
-					return nil, fmt.Errorf("engine: no column %s in %s", a.Column, t.Name)
+					return fmt.Errorf("engine: no column %s in %s", a.Column, t.Name)
 				}
 				cv, err := coerce(setCols[j][i], t.Cols[colIdx[j]].Type)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				newVals[j] = cv
 			}
-			if staged == nil {
-				staged = append([][]sqltypes.Value(nil), heap...)
-			}
-			nr := append([]sqltypes.Value(nil), row...)
+			nr := slices.Clone(b.rows[i])
 			for j := range up.Sets {
 				nr[colIdx[j]] = newVals[j]
 			}
 			if err := t.checkNotNull(nr); err != nil {
-				return nil, err
+				return err
 			}
-			staged[b.base+i] = nr
+			id := b.base + i
+			if ids != nil {
+				id = ids[i]
+			}
+			if pages == nil {
+				pages = slices.Clone(d.pages)
+			}
+			if p := id / batchSize; p != owned {
+				pages[p], owned = slices.Clone(pages[p]), p
+			}
+			pages[id/batchSize][id%batchSize] = nr
 			affected++
 		}
-		ex.vs.release(m)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if affected > 0 {
-		t.publish(staged)
+		t.publish(&tableData{pages: pages, n: d.n, indexes: d.carry(colIdx)})
 	}
 	return &Result{Affected: affected}, nil
 }
@@ -966,47 +1094,61 @@ func (db *DB) delete(ex *exec, del *sqlast.Delete) (*Result, error) {
 	if t == nil {
 		return nil, fmt.Errorf("engine: no such table %s", del.Table)
 	}
-	heap := t.Heap()
+	d := ex.snap.pin(t)
 	if del.Where == nil {
-		if len(heap) > 0 {
-			t.publish([][]sqltypes.Value{})
+		if d.n > 0 {
+			t.publish(flatData(nil))
 		}
-		return &Result{Affected: len(heap)}, nil
+		return &Result{Affected: d.n}, nil
 	}
 	sc := tableScope(t)
-	// The kept rows are staged in a fresh slice and published once at the
-	// end: the snapshot is pristine for the whole scan — a predicate with
+	// The deleted ordinals are collected and the kept rows published once at
+	// the end: the snapshot is pristine for the whole scan — a predicate with
 	// subqueries over the same table observes the state a row loop would,
 	// an erroring predicate publishes nothing, and concurrent readers keep
 	// their pinned heap. The predicate runs column-wise per batch; the
 	// keep/drop walk then follows row order, so the first poisoned row aborts
 	// exactly where a row loop would have stopped.
 	vpred := ex.vecCompile(del.Where, sc.bindings, sc)
-	kept := make([][]sqltypes.Value, 0, len(heap))
-	affected := 0
-	src := scanOp{rows: heap}
-	var b Batch
-	for src.next(&b) {
-		if err := ex.cancelled(); err != nil {
-			return nil, err
-		}
+	var gone []int // in heap order
+	err := ex.writeRows(t, d, del.Where, func(b *Batch, ids []int) error {
 		m := ex.vs.mark()
+		defer ex.vs.release(m)
 		predCol := ex.vs.takeVals(len(b.rows))
-		vpred(&b, b.sel, predCol)
+		vpred(b, b.sel, predCol)
 		for i := range b.rows {
 			if b.errs[i] != nil {
-				return nil, b.errs[i]
+				return b.errs[i]
 			}
 			if truth, _ := sqltypes.Truthy(predCol[i]); truth {
-				affected++
-			} else {
-				kept = append(kept, b.rows[i])
+				if ids != nil {
+					gone = append(gone, ids[i])
+				} else {
+					gone = append(gone, b.base+i)
+				}
 			}
 		}
-		ex.vs.release(m)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	affected := len(gone)
 	if affected > 0 {
-		t.publish(kept)
+		// Ordinals move, so the kept rows become one slice and carry no index.
+		kept := make([][]sqltypes.Value, 0, d.n-len(gone))
+		id := 0
+		for _, page := range d.pages {
+			for _, row := range page {
+				if len(gone) > 0 && gone[0] == id {
+					gone = gone[1:]
+				} else {
+					kept = append(kept, row)
+				}
+				id++
+			}
+		}
+		t.publish(flatData(kept))
 	}
 	return &Result{Affected: affected}, nil
 }

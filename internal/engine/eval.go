@@ -209,12 +209,12 @@ func (s *snapshotSet) pin(t *Table) *tableData {
 }
 
 // heap returns the statement-pinned row snapshot of t.
-func (ex *exec) heap(t *Table) [][]sqltypes.Value { return ex.snap.pin(t).rows }
+func (ex *exec) heap(t *Table) [][]sqltypes.Value { return ex.snap.pin(t).rows() }
 
-// tableIndex returns a hash index built over the statement-pinned snapshot
-// of t — heap and index always describe the same frozen rows.
+// tableIndex returns a hash index covering every row of the statement-pinned
+// snapshot of t — heap and index always describe the same frozen rows.
 func (ex *exec) tableIndex(t *Table, cols []string) (*hashIndex, error) {
-	return ex.snap.pin(t).index(t, cols)
+	return ex.snap.pin(t).index(t, cols, false)
 }
 
 // function resolves a UDF in the exec's pinned catalog.

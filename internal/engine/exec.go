@@ -930,7 +930,8 @@ func (ex *exec) indexSource(r *relation, conjs []*conjunct, parent *scope) (rng 
 // probeIndex returns the ordinals of t's rows whose columns cols equal the
 // values of exprs.
 func (ex *exec) probeIndex(t *Table, cols []string, exprs []sqlast.Expr, parent *scope) ([]int, error) {
-	idx, err := ex.tableIndex(t, cols)
+	d := ex.snap.pin(t)
+	idx, err := d.index(t, cols, true)
 	if err != nil {
 		return nil, err
 	}
@@ -942,16 +943,16 @@ func (ex *exec) probeIndex(t *Table, cols []string, exprs []sqlast.Expr, parent 
 		}
 	}
 	var ids []int
-	ids, ex.keyBuf = idx.probe(ex.keyBuf, vals)
+	ids, ex.keyBuf = idx.probe(d, ex.keyBuf, vals)
 	return ids, nil
 }
 
 // inRange serves `col IN (items)` over the base relation r from the index on
-// col: the union of the items' buckets, in heap order. ok is false — the
-// conjunct stays a filter — when e is not of that form, an item raises (the
-// filter reports it for the rows that reach it), or the union would pass
-// 1/indexJoinShare of the heap. A NULL item selects no row, in the filter as
-// here.
+// col: the union of the items' buckets and their matches in the index's
+// tail, in heap order. ok is false — the conjunct stays a filter — when e is
+// not of that form, an item raises (the filter reports it for the rows that
+// reach it), or the union would pass 1/indexJoinShare of the heap. A NULL
+// item selects no row, in the filter as here.
 func (ex *exec) inRange(r *relation, e sqlast.Expr, parent *scope) (ids []int, ok bool) {
 	in, isIn := e.(*sqlast.InExpr)
 	if !isIn || in.Not || in.Sub != nil {
@@ -961,11 +962,13 @@ func (ex *exec) inRange(r *relation, e sqlast.Expr, parent *scope) (ids []int, o
 	if !isCol || !relationHasRef(r, cr) || slices.ContainsFunc(in.List, func(v sqlast.Expr) bool { return !constantFor(r, v) }) {
 		return nil, false
 	}
-	idx, err := ex.tableIndex(r.base, []string{cr.Name})
+	d := ex.snap.pin(r.base)
+	idx, err := d.index(r.base, []string{cr.Name}, true)
 	if err != nil {
 		return nil, false
 	}
 	var buckets []int32
+	var keys [][]byte // the items' keys, when there is a tail to match them in
 	psc := &scope{parent: parent}
 	for _, item := range in.List {
 		v, err := ex.eval(item, psc)
@@ -979,17 +982,21 @@ func (ex *exec) inRange(r *relation, e sqlast.Expr, parent *scope) (ids []int, o
 		if b, ok := idx.buckets[string(ex.keyBuf)]; ok {
 			buckets = append(buckets, b)
 		}
+		if idx.n < d.n {
+			keys = append(keys, slices.Clone(ex.keyBuf))
+		}
 	}
 	slices.Sort(buckets)
 	buckets = slices.Compact(buckets) // equal items (2, 2.0) reach one bucket
-	n := 0
+	tail := idx.tail(d, nil, keys...)
+	n := len(tail)
 	for _, b := range buckets {
 		n += len(idx.rowsOf(b))
 	}
-	if n > len(r.rows)/indexJoinShare {
+	if n > d.n/indexJoinShare {
 		return nil, false
 	}
-	if len(buckets) == 1 {
+	if len(buckets) == 1 && len(tail) == 0 {
 		return idx.rowsOf(buckets[0]), true
 	}
 	ids = make([]int, 0, n)
@@ -997,7 +1004,7 @@ func (ex *exec) inRange(r *relation, e sqlast.Expr, parent *scope) (ids []int, o
 		ids = append(ids, idx.rowsOf(b)...)
 	}
 	slices.Sort(ids)
-	return ids, true
+	return append(ids, tail...), true // the tail follows every covered row
 }
 
 // probeForm recognizes `col = expr` (either side) where col belongs to the

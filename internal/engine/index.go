@@ -1,43 +1,60 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"mtbase/internal/sqltypes"
 )
 
-// hashIndex maps encoded key-column values to row ordinals of a heap
-// snapshot. Indexes are built lazily on first use and live inside the
-// tableData they were built over, so a pinned snapshot's indexes always
-// agree with its heap — writers publish fresh snapshots with no indexes
-// instead of invalidating anything in place.
+// hashIndex maps encoded key-column values to row ordinals of a table's
+// rows. Indexes are built lazily on first use and live inside the tableData
+// they serve. One built over a snapshot covers its n rows; a write that
+// leaves those rows and their key columns where they are — INSERT, UPDATE of
+// other columns — publishes a snapshot that carries the index on, its new
+// rows a tail past the covered prefix that a probe scans (DESIGN.md
+// ADR-032). DELETE and ReplaceRows move ordinals and carry none. A built
+// index is immutable; a snapshot whose tail outgrows tailBound builds its own.
 //
 // Every bucket is a window of one backing array: bucket n is
 // rows[offs[n]:offs[n+1]], its ordinals in heap order — the order a
 // transient join build over the same rows would insert them in.
 type hashIndex struct {
 	cols    []int
+	n       int              // rows covered: ordinals 0..n-1
 	buckets map[string]int32 // encoded key -> bucket number
 	offs    []int32
 	rows    []int
 }
 
+// tailBound is how many rows past its covered prefix a carried index may
+// leave to a scan before the snapshot rebuilds it: an eighth of the prefix,
+// so a rebuild over n rows follows at least n/8 appended ones, and never
+// fewer than one short table's worth.
+func tailBound(covered int) int { return max(256, covered/8) }
+
 // index returns (building if necessary) a hash index of the current
-// snapshot on the named columns. Callers that pinned a snapshot should use
-// tableData.index directly so heap and index stay paired.
+// snapshot on the named columns, covering all of its rows. Callers that
+// pinned a snapshot should use tableData.index directly so heap and index
+// stay paired.
 func (t *Table) index(cols []string) (*hashIndex, error) {
-	return t.data.Load().index(t, cols)
+	return t.data.Load().index(t, cols, false)
 }
 
-// index returns (building if necessary) a hash index over this snapshot's
-// heap. idxMu serializes the build so concurrent readers of one snapshot
-// construct each index exactly once; the built index is immutable.
-func (d *tableData) index(t *Table, cols []string) (*hashIndex, error) {
+// index returns the hash index that serves this snapshot on cols. A carried
+// index is kept while its tail is within tailBound and the caller scans one
+// (tail: a source's one lookup); a caller that looks up once per row — a
+// join, FK validation — gets an index covering every row. Otherwise the index
+// is built over this snapshot, which its successors then carry. idxMu
+// serializes the build so concurrent readers of one snapshot construct each
+// index exactly once.
+func (d *tableData) index(t *Table, cols []string, tail bool) (*hashIndex, error) {
 	key := strings.ToLower(strings.Join(cols, ","))
 	d.idxMu.Lock()
 	defer d.idxMu.Unlock()
-	if idx, ok := d.indexes[key]; ok {
+	if idx, ok := d.indexes[key]; ok && (idx.n == d.n || tail && d.n-idx.n <= tailBound(idx.n)) {
 		return idx, nil
 	}
 	ordinals := make([]int, len(cols))
@@ -47,7 +64,7 @@ func (d *tableData) index(t *Table, cols []string) (*hashIndex, error) {
 			return nil, fmt.Errorf("engine: no column %s in %s", c, t.Name)
 		}
 	}
-	idx := buildHashIndex(ordinals, d.rows)
+	idx := buildHashIndex(ordinals, d)
 	if d.indexes == nil {
 		d.indexes = make(map[string]*hashIndex)
 	}
@@ -55,38 +72,50 @@ func (d *tableData) index(t *Table, cols []string) (*hashIndex, error) {
 	return idx, nil
 }
 
+// carry returns the indexes a snapshot derived from d by a write keeps: every
+// one keyed on none of the assigned column ordinals.
+func (d *tableData) carry(assigned []int) map[string]*hashIndex {
+	d.idxMu.Lock()
+	defer d.idxMu.Unlock()
+	var kept map[string]*hashIndex
+	for k, idx := range d.indexes {
+		if slices.ContainsFunc(idx.cols, func(c int) bool { return slices.Contains(assigned, c) }) {
+			continue
+		}
+		if kept == nil {
+			kept = make(map[string]*hashIndex, len(d.indexes))
+		}
+		kept[k] = idx
+	}
+	return kept
+}
+
 // buildHashIndex counts every key's rows, then carves the buckets out of one
-// array: a pass over the heap numbers the keys, a pass over those numbers
+// array: a pass over the rows numbers the keys, a pass over those numbers
 // places the ordinals.
-func buildHashIndex(ordinals []int, heap [][]sqltypes.Value) *hashIndex {
-	idx := &hashIndex{cols: ordinals, buckets: make(map[string]int32)}
-	bucketOf := make([]int32, len(heap)) // -1: a NULL key, which no equi-probe matches
+func buildHashIndex(ordinals []int, d *tableData) *hashIndex {
+	idx := &hashIndex{cols: ordinals, n: d.n, buckets: make(map[string]int32)}
+	bucketOf := make([]int32, 0, d.n) // -1: a NULL key, which no equi-probe matches
 	var counts []int32
 	var buf []byte
 	indexed := 0
-	for rowID, row := range heap {
-		buf = buf[:0]
-		null := false
-		for _, o := range ordinals {
-			if row[o].IsNull() {
-				null = true
-				break
+	for _, page := range d.pages {
+		for _, row := range page {
+			var ok bool
+			if buf, ok = idx.key(buf[:0], row); !ok {
+				bucketOf = append(bucketOf, -1)
+				continue
 			}
-			buf = sqltypes.AppendKey(buf, row[o])
+			n, found := idx.buckets[string(buf)]
+			if !found {
+				n = int32(len(counts))
+				idx.buckets[string(buf)] = n
+				counts = append(counts, 0)
+			}
+			counts[n]++
+			bucketOf = append(bucketOf, n)
+			indexed++
 		}
-		if null {
-			bucketOf[rowID] = -1
-			continue
-		}
-		n, ok := idx.buckets[string(buf)]
-		if !ok {
-			n = int32(len(counts))
-			idx.buckets[string(buf)] = n
-			counts = append(counts, 0)
-		}
-		counts[n]++
-		bucketOf[rowID] = n
-		indexed++
 	}
 	idx.offs = make([]int32, len(counts)+1)
 	for n, c := range counts {
@@ -102,6 +131,40 @@ func buildHashIndex(ordinals []int, heap [][]sqltypes.Value) *hashIndex {
 		}
 	}
 	return idx
+}
+
+// key appends the encoding of row's key columns to buf; ok is false when one
+// is NULL, a key no equi-probe matches.
+func (ix *hashIndex) key(buf []byte, row []sqltypes.Value) (_ []byte, ok bool) {
+	for _, o := range ix.cols {
+		if row[o].IsNull() {
+			return buf, false
+		}
+		buf = sqltypes.AppendKey(buf, row[o])
+	}
+	return buf, true
+}
+
+// tail appends to ids the ordinals of d's rows past the prefix ix covers
+// whose key columns encode to one of keys, in heap order.
+func (ix *hashIndex) tail(d *tableData, ids []int, keys ...[]byte) []int {
+	if len(keys) == 0 {
+		return ids
+	}
+	var buf []byte
+	for id := ix.n; id < d.n; id++ {
+		var ok bool
+		if buf, ok = ix.key(buf[:0], d.row(id)); !ok {
+			continue
+		}
+		for _, k := range keys {
+			if bytes.Equal(buf, k) {
+				ids = append(ids, id)
+				break
+			}
+		}
+	}
+	return ids
 }
 
 // bucket returns the row ordinals whose key columns encode to key.
@@ -127,9 +190,10 @@ func (ix *hashIndex) candidates(n int) int {
 	return n * len(ix.rows) / len(ix.buckets)
 }
 
-// probe returns the row ordinals matching the given key values, and the key
-// buffer it encoded them in for the caller to keep.
-func (ix *hashIndex) probe(buf []byte, vals []sqltypes.Value) ([]int, []byte) {
+// probe returns the ordinals of d's rows whose key columns equal vals, in
+// heap order — the bucket of the covered prefix, then the matches in d's
+// tail — and the key buffer it encoded them in for the caller to keep.
+func (ix *hashIndex) probe(d *tableData, buf []byte, vals []sqltypes.Value) ([]int, []byte) {
 	buf = buf[:0]
 	for _, v := range vals {
 		if v.IsNull() {
@@ -137,5 +201,5 @@ func (ix *hashIndex) probe(buf []byte, vals []sqltypes.Value) ([]int, []byte) {
 		}
 		buf = sqltypes.AppendKey(buf, v)
 	}
-	return ix.bucket(buf), buf
+	return ix.tail(d, ix.bucket(buf), buf), buf
 }
