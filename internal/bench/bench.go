@@ -176,6 +176,7 @@ func sumStats(dbs []*engine.DB) engine.StatsSnapshot {
 		total.JoinBuildRows += st.JoinBuildRows
 		total.JoinIndexProbes += st.JoinIndexProbes
 		total.JoinEagerFallbacks += st.JoinEagerFallbacks
+		total.ExistsProbes += st.ExistsProbes
 		total.ExprSlots += st.ExprSlots
 		total.ExprSlotReuses += st.ExprSlotReuses
 		if st.PeakMemBytes > total.PeakMemBytes {
@@ -341,6 +342,7 @@ func (r *OptResult) WriteTable(w io.Writer) {
 		{"JoinBuildRows", func(st engine.StatsSnapshot) int64 { return st.JoinBuildRows }},
 		{"JoinIndexProbes", func(st engine.StatsSnapshot) int64 { return st.JoinIndexProbes }},
 		{"JoinEagerFallbacks", func(st engine.StatsSnapshot) int64 { return st.JoinEagerFallbacks }},
+		{"ExistsProbes", func(st engine.StatsSnapshot) int64 { return st.ExistsProbes }},
 		{"ExprSlots", func(st engine.StatsSnapshot) int64 { return st.ExprSlots }},
 		{"ExprSlotReuses", func(st engine.StatsSnapshot) int64 { return st.ExprSlotReuses }},
 	} {

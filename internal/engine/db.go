@@ -393,6 +393,12 @@ type Stats struct {
 	JoinIndexProbes    atomic.Int64
 	JoinEagerFallbacks atomic.Int64
 
+	// ExistsProbes counts the outer rows an EXISTS answered by probing the
+	// inner table's persistent index (the index semi-join, DESIGN.md
+	// ADR-033) instead of running its subquery; the reference executor and
+	// the evaluator check answer none this way.
+	ExistsProbes atomic.Int64
+
 	// Shared subexpressions (DESIGN.md ADR-023): ExprSlots counts the slots
 	// lowered — one per shared node, operator instance, execution and
 	// parallel worker — and ExprSlotReuses the row evaluations they saved:
@@ -420,6 +426,7 @@ type StatsSnapshot struct {
 	RowsStreamed, PeakBatch                                int64
 	SpillRuns, SpillBytes, PeakMemBytes                    int64
 	JoinBuildRows, JoinIndexProbes, JoinEagerFallbacks     int64
+	ExistsProbes                                           int64
 	ExprSlots, ExprSlotReuses                              int64
 	Panics                                                 int64
 	ScanRows, ScanRanges                                   int64
@@ -441,6 +448,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		JoinBuildRows:          s.JoinBuildRows.Load(),
 		JoinIndexProbes:        s.JoinIndexProbes.Load(),
 		JoinEagerFallbacks:     s.JoinEagerFallbacks.Load(),
+		ExistsProbes:           s.ExistsProbes.Load(),
 		ExprSlots:              s.ExprSlots.Load(),
 		ExprSlotReuses:         s.ExprSlotReuses.Load(),
 		Panics:                 s.Panics.Load(),

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -314,8 +315,22 @@ func rootScope() *scope { return &scope{} }
 // lookup resolves a (qualifier, column) pair against the scope chain,
 // marking every subquery boundary the resolution walks past.
 func (sc *scope) lookup(table, col string) (*scope, int, error) {
+	s, idx, err := sc.resolve(table, col)
+	if err != nil {
+		return nil, 0, err
+	}
+	for t := sc; t != s; t = t.parent {
+		if t.crossed != nil {
+			*t.crossed = true
+		}
+	}
+	return s, idx, nil
+}
+
+// resolve is lookup without the marking: the scope holding the pair and its
+// position in that scope's row.
+func (sc *scope) resolve(table, col string) (*scope, int, error) {
 	tl, cl := strings.ToLower(table), strings.ToLower(col)
-	var crossed []*bool
 	for s := sc; s != nil; s = s.parent {
 		found := -1
 		for _, b := range s.bindings {
@@ -330,13 +345,7 @@ func (sc *scope) lookup(table, col string) (*scope, int, error) {
 			}
 		}
 		if found >= 0 {
-			for _, f := range crossed {
-				*f = true
-			}
 			return s, found, nil
-		}
-		if s.crossed != nil {
-			crossed = append(crossed, s.crossed)
 		}
 	}
 	if table != "" {
@@ -774,15 +783,21 @@ func (ex *exec) buildInSet(sub *sqlast.Select, id int32, leftArity int, sc *scop
 	return set, nil
 }
 
+// errSubqueryDepth is the error of a subquery nested past 64 levels.
+var errSubqueryDepth = errors.New("engine: subquery nesting too deep")
+
 // runSubquery executes a subquery, memoizing the result when execution
-// never resolved a name through the subquery boundary (uncorrelated).
+// never resolved a name through the subquery boundary (uncorrelated). A
+// correlated one builds, opens and drains its operator tree once per outer
+// row; the EXISTS kernel answers the index semi-join's shape without it
+// (compileExists, ADR-033).
 func (ex *exec) runSubquery(sub *sqlast.Select, sc *scope) (*Result, error) {
 	id := ex.subqID(sub)
 	if res, ok := ex.subqCache[id]; ok {
 		return res, nil
 	}
 	if ex.depth > 64 {
-		return nil, fmt.Errorf("engine: subquery nesting too deep")
+		return nil, errSubqueryDepth
 	}
 	ex.depth++
 	correlated := false

@@ -642,24 +642,13 @@ func (ex *exec) placeConjuncts(sel *sqlast.Select, rels []*relation, parent *sco
 			seen[b.name] = true
 		}
 	}
-	local := func(name string) bool { return seen[strings.ToLower(name)] }
-	colOwner := ownerMap(rels...)
-
-	a := ex.selectAnalysis(sel)
 	pl := &placement{
-		conjs:  make([]*conjunct, len(a.conjs)),
+		conjs:  ex.whereConjuncts(sel, rels, func(name string) bool { return seen[strings.ToLower(name)] }),
 		plain:  make([][]*conjunct, len(rels)),
 		closed: make([][]*conjunct, len(rels)),
 	}
-	for i, e := range a.conjs {
-		c := analyzeConjunct(e, local, colOwner)
-		c.an, c.idx = a, i
-		c.fromOrFactor = i >= a.nPlain
-		c.closed = !c.fromOrFactor && a.closed[i]
-		pl.conjs[i] = c
-	}
 	for _, c := range pl.conjs {
-		if len(c.refs) > 0 || c.hasSub {
+		if !c.constant() {
 			continue
 		}
 		v, err := ex.eval(c.expr, &scope{parent: parent})
@@ -688,6 +677,26 @@ func (ex *exec) placeConjuncts(sel *sqlast.Select, rels []*relation, parent *sco
 	}
 	return pl, nil
 }
+
+// whereConjuncts analyzes the WHERE conjuncts of sel over its FROM sources
+// rels, whose binding names local accepts: WHERE order, OR-factored ones last.
+func (ex *exec) whereConjuncts(sel *sqlast.Select, rels []*relation, local func(string) bool) []*conjunct {
+	colOwner := ownerMap(rels...)
+	a := ex.selectAnalysis(sel)
+	conjs := make([]*conjunct, len(a.conjs))
+	for i, e := range a.conjs {
+		c := analyzeConjunct(e, local, colOwner)
+		c.an, c.idx = a, i
+		c.fromOrFactor = i >= a.nPlain
+		c.closed = !c.fromOrFactor && a.closed[i]
+		conjs[i] = c
+	}
+	return conjs
+}
+
+// constant reports whether the conjunct reads no column of its level and
+// holds no subquery: placeConjuncts evaluates it once, before any source.
+func (c *conjunct) constant() bool { return len(c.refs) == 0 && !c.hasSub }
 
 // residual returns the conjuncts neither a source filter nor a join key
 // consumed: multi-relation non-equi conjuncts and open subqueries.
@@ -894,7 +903,9 @@ type indexRange struct {
 // (literals, binds, outer references; no subquery):
 //   - `col = v` conjuncts: one probe of the index on their columns — the
 //     engine's stand-in for the B-tree lookups PostgreSQL would use for
-//     correlated subqueries and the conversion-UDF meta-table lookups;
+//     correlated subqueries and the conversion-UDF meta-table lookups (an
+//     EXISTS of the index semi-join's shape asks the same index once per
+//     outer row without building a source at all: semiJoin, ADR-033);
 //   - failing those, one `col IN (v1, …, vk)` — the rewrite's D′ filter: the
 //     union of the items' buckets, taken while it is at most 1/indexJoinShare
 //     of the heap, the join's bound on what the index path may cost

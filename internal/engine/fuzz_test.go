@@ -491,6 +491,16 @@ func FuzzQuery(f *testing.F) {
 		}
 		f.Add(sel.String())
 	}
+	// Correlated EXISTS in the index semi-join's shape (ADR-033), each beside
+	// a way its parity could break: keys that are NULL for some outer rows,
+	// a conjunct that reads the outer row, EXISTS as a select item.
+	for _, sql := range []string{
+		`SELECT c_custkey, c_name FROM customer WHERE NOT EXISTS (SELECT 1 FROM orders WHERE o_custkey = CASE WHEN c_custkey % 5 = 0 THEN NULL ELSE c_custkey END AND o_orderstatus = 'F') ORDER BY c_custkey LIMIT 40`,
+		`SELECT c_custkey FROM customer WHERE EXISTS (SELECT 1 FROM orders WHERE o_custkey = c_custkey AND o_shippriority < c_nationkey - 12) ORDER BY c_custkey`,
+		`SELECT c_custkey, EXISTS (SELECT 1 FROM orders WHERE o_custkey = c_custkey AND o_orderpriority = '1-URGENT') AS u, NOT EXISTS (SELECT o_orderkey FROM orders WHERE o_custkey = c_custkey) AS n FROM customer ORDER BY c_custkey LIMIT 30`,
+	} {
+		f.Add(sql)
+	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		if len(sql) > 4096 {
 			t.Skip("oversized input")

@@ -179,9 +179,9 @@ var indexJoinShapes = []struct {
 	{name: "a self join: one table, two indexes",
 		sql:  `SELECT a.ok, b.ok FROM ord a, ord b WHERE a.prio = 4 AND a.ok < 600 AND a.ck = b.ck AND a.ttid = b.ttid AND b.odate > a.odate AND b.x < 4`,
 		path: joinPath{1, 0, 0}},
-	{name: "inside a correlated subquery: the outer column is not a bare operand",
+	{name: "inside a correlated subquery: a column of the outer row is a bare operand, one index probe per outer row",
 		sql:  `SELECT c.ck FROM cust c WHERE c.ck < 12 AND EXISTS (SELECT 1 FROM ord o, item i WHERE o.ck = c.ck AND i.ok = o.ok AND i.qty > c.bal AND o.x < 4)`,
-		path: anyPath},
+		path: joinPath{12, 0, 0}},
 	{name: "LIMIT closes the join mid-stream",
 		sql:  `SELECT i.ok, o.prio FROM item i, ord o WHERE i.qty >= 0 AND i.ok = o.ok AND o.x < 4 LIMIT 1500`,
 		path: joinPath{1, 1, -1}},

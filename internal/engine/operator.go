@@ -442,12 +442,18 @@ func (ex *exec) predicateNeverRaises(e sqlast.Expr, rel *relation, parent *scope
 	return false
 }
 
-// operandNeverRaises accepts a bare column of rel, and an expression over
+// operandNeverRaises accepts a bare column of rel; a bare column an
+// enclosing query's row holds (`i.qty > c.bal` inside a correlated
+// subquery), one value for every row of rel; and an expression over
 // literals, binds and intervals alone — which is evaluated here, once: what
 // reads no row and raises (1/0, an unbound $2) raises on every row.
 func (ex *exec) operandNeverRaises(e sqlast.Expr, rel *relation, parent *scope) bool {
 	if cr, ok := e.(*sqlast.ColumnRef); ok {
-		return relationHasRef(rel, cr)
+		if relationHasRef(rel, cr) {
+			return true
+		}
+		s, _, err := parent.resolve(cr.Table, cr.Name)
+		return err == nil && (s.row != nil || s.group != nil)
 	}
 	if ok, _ := rowFree(e); !ok {
 		return false

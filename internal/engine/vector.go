@@ -776,14 +776,17 @@ func (ve *venv) compileInSubquery(x *sqlast.InExpr) vecExpr {
 	}
 }
 
-// compileExists evaluates EXISTS natively: runSubquery memoizes an
-// uncorrelated subquery after its first execution, so every later row costs
-// one map probe; a correlated subquery re-runs per row against the current
-// scope row, exactly like the interpreter.
+// compileExists evaluates EXISTS natively. A subquery of the index
+// semi-join's shape (semiJoinOf, DESIGN.md ADR-033) probes the inner table's
+// persistent index for each selected row. Any other shape runs through
+// runSubquery per row, against the current scope row, exactly like the
+// interpreter: runSubquery memoizes an uncorrelated subquery after its first
+// execution, so every later row costs one map probe, and builds, opens and
+// drains a correlated one's operator tree for every row.
 func (ve *venv) compileExists(x *sqlast.ExistsExpr) vecExpr {
 	ex, sc := ve.ex, ve.sc
 	sub, not := x.Sub, x.Not
-	return func(b *Batch, sel []int32, out []sqltypes.Value) {
+	perRow := func(b *Batch, sel []int32, out []sqltypes.Value) {
 		rows := b.rows
 		for _, i := range sel {
 			sc.row = rows[i]
@@ -795,6 +798,209 @@ func (ve *venv) compileExists(x *sqlast.ExistsExpr) vecExpr {
 			out[i] = sqltypes.NewBool((len(res.Rows) > 0) != not)
 		}
 	}
+	sj := ve.semiJoinOf(sub)
+	if sj == nil {
+		return perRow
+	}
+	return func(b *Batch, sel []int32, out []sqltypes.Value) {
+		if sj.busy {
+			perRow(b, sel, out) // re-entered from a call in its own conjuncts
+			return
+		}
+		sj.probe(b, sel, out, not)
+	}
+}
+
+// semiJoin is the index semi-join of one EXISTS subquery over a single base
+// table (DESIGN.md ADR-033): for each outer row, the candidates the table's
+// persistent index holds under the row's keys, run through the subquery's
+// other conjuncts. It evaluates what the per-row operator tree of the same
+// subquery evaluates, in the same order — placeConjuncts' constant conjuncts
+// (gates), indexSource's probe values (keys), then the filter over the
+// candidates in bucket order, window by window as an index scan hands them
+// on — so values and errors match by construction.
+type semiJoin struct {
+	ex    *exec
+	sc    *scope // the outer row's scope, where the filter finds the outer row
+	tab   *Table
+	cols  []string  // the index's key columns
+	gates []vecExpr // over the outer batch
+	keys  []vecExpr // over the outer batch, one per column of cols
+	rest  filterOp  // over the candidates
+
+	data  *tableData // the pinned snapshot and its index, taken on first probe
+	idx   *hashIndex
+	kcols [][]sqltypes.Value
+	kb    []byte
+	cands [][]sqltypes.Value
+	win   Batch
+	busy  bool // a probe is running: a nested call answers per row
+}
+
+// semiJoinOf returns the index semi-join of sub, or nil when sub is not of its
+// shape: one base table in FROM; no DISTINCT, GROUP BY, HAVING, ORDER BY or
+// LIMIT; select items that are literals, bare columns of the table or stars,
+// none of which can raise; no subquery in WHERE; and at least one `col = v`
+// conjunct whose value reads a column of an enclosing row, so that every
+// execution of sub is correlated and the per-row path memoizes nothing.
+func (ve *venv) semiJoinOf(sub *sqlast.Select) *semiJoin {
+	ex := ve.ex
+	if len(sub.From) != 1 || sub.Distinct || len(sub.GroupBy) > 0 || sub.Having != nil || len(sub.OrderBy) > 0 || sub.Limit >= 0 {
+		return nil
+	}
+	tn, ok := sub.From[0].(*sqlast.TableName)
+	if !ok {
+		return nil
+	}
+	key := strings.ToLower(tn.Name)
+	tab := ex.cat.tables[key]
+	if _, view := ex.cat.views[key]; view || tab == nil {
+		return nil
+	}
+	b := newBinding(tn.Binding(), tab.ColNames())
+	rel := &relation{bindings: []*binding{b}, width: len(tab.Cols), base: tab}
+	for _, it := range sub.Items {
+		switch x := it.Expr.(type) {
+		case nil:
+			if !it.Star || it.StarTable != "" && strings.ToLower(it.StarTable) != b.name {
+				return nil
+			}
+		case *sqlast.Literal:
+		case *sqlast.ColumnRef:
+			if !relationHasRef(rel, x) {
+				return nil
+			}
+		default:
+			return nil
+		}
+	}
+	var gates, vals []sqlast.Expr
+	var cols []string
+	var rest []*conjunct
+	correlated := false
+	for _, c := range ex.whereConjuncts(sub, []*relation{rel}, func(name string) bool { return strings.ToLower(name) == b.name }) {
+		switch col, val, probe := probeForm(c.expr, rel); {
+		case c.hasSub:
+			return nil
+		case c.constant():
+			gates = append(gates, c.expr)
+		case probe:
+			cols, vals = append(cols, col), append(vals, val)
+			correlated = correlated || len(sqlast.ColumnRefsOf(val)) > 0
+		default:
+			rest = append(rest, c)
+		}
+	}
+	if !correlated {
+		return nil
+	}
+	sj := &semiJoin{ex: ex, sc: ve.sc, tab: tab, cols: cols, kcols: make([][]sqltypes.Value, len(vals))}
+	for _, e := range gates {
+		sj.gates = append(sj.gates, ve.compile(e))
+	}
+	for _, e := range vals {
+		sj.keys = append(sj.keys, ve.compile(e))
+	}
+	sj.rest = ex.newFilterOp(rest, rel, &scope{parent: ve.sc})
+	return sj
+}
+
+// probe answers EXISTS (out[i] != not) for the selected rows of b. A row a
+// gate does not pass, or with a NULL key, has no candidates; an error in a
+// gate, a key or the filter over the row's candidates poisons that row.
+func (sj *semiJoin) probe(b *Batch, sel []int32, out []sqltypes.Value, not bool) {
+	ex := sj.ex
+	if ex.depth > 64 {
+		for _, i := range sel {
+			b.poison(i, errSubqueryDepth)
+		}
+		return
+	}
+	ex.db.Stats.ExistsProbes.Add(int64(len(sel)))
+	sj.busy = true
+	ex.depth++
+	st := ex.vs
+	m := st.mark()
+	defer func() {
+		st.release(m)
+		ex.depth--
+		sj.busy = false
+	}()
+	n := len(b.rows)
+	col := st.takeVals(n)
+	for _, gate := range sj.gates {
+		gate(b, sel, col)
+		kept := st.takeSel(len(sel))
+		for _, i := range sel {
+			if b.errs[i] != nil {
+				continue
+			}
+			if truth, _ := sqltypes.Truthy(col[i]); truth {
+				kept = append(kept, i)
+			} else {
+				out[i] = sqltypes.NewBool(not)
+			}
+		}
+		sel = kept
+	}
+	for j, key := range sj.keys {
+		sj.kcols[j] = st.takeVals(n)
+		key(b, sel, sj.kcols[j])
+		sel = b.compactSel(st.takeSel(len(sel)), sel)
+	}
+	for _, i := range sel {
+		found, err := sj.exists(i, b.rows[i])
+		if err != nil {
+			b.poison(i, err)
+			continue
+		}
+		out[i] = sqltypes.NewBool(found != not)
+	}
+}
+
+// exists reports whether a candidate under outer row i's keys passes the
+// filter. Every candidate is filtered, as draining the subquery would: one
+// that raises after another has passed still raises.
+func (sj *semiJoin) exists(i int32, outer []sqltypes.Value) (bool, error) {
+	ex := sj.ex
+	sj.kb = sj.kb[:0]
+	for _, c := range sj.kcols {
+		if c[i].IsNull() {
+			return false, nil
+		}
+		sj.kb = sqltypes.AppendKey(sj.kb, c[i])
+	}
+	if sj.idx == nil {
+		sj.data = ex.snap.pin(sj.tab)
+		idx, err := sj.data.index(sj.tab, sj.cols, false)
+		if err != nil {
+			return false, err
+		}
+		sj.idx = idx
+	}
+	ids := sj.idx.bucket(sj.kb)
+	ex.db.Stats.ScanRows.Add(int64(len(ids)))
+	if len(sj.rest.progs) == 0 || len(ids) == 0 {
+		return len(ids) > 0, nil
+	}
+	sj.sc.row = outer
+	found := false
+	for lo := 0; lo < len(ids); lo += batchSize {
+		if err := ex.cancelled(); err != nil {
+			return false, err
+		}
+		sj.cands = sj.cands[:0]
+		for _, id := range ids[lo:min(lo+batchSize, len(ids))] {
+			sj.cands = append(sj.cands, sj.data.row(id))
+		}
+		sj.win.window(sj.cands)
+		sj.rest.apply(&sj.win)
+		if sj.rest.failed != nil {
+			return false, sj.rest.failed
+		}
+		found = found || len(sj.win.sel) > 0
+	}
+	return found, nil
 }
 
 func (ve *venv) compileLike(x *sqlast.LikeExpr) vecExpr {

@@ -616,6 +616,7 @@ func (s *Server) StatLines() []Stat {
 		{Name: "middleware.rewrite_cache_misses", Value: rwMisses},
 		{Name: "engine.scan_rows", Value: es.ScanRows},
 		{Name: "engine.scan_ranges", Value: es.ScanRanges},
+		{Name: "engine.exists_probes", Value: es.ExistsProbes},
 	}
 }
 

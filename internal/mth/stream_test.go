@@ -41,7 +41,9 @@ func exactKey(res *engine.Result) string {
 // and with the lifted interpreter, at parallelism 1 and 8 — all four must
 // match the reference byte for byte. The morsel size is shrunk so the
 // parallel scan, aggregate, join-build and sort paths all engage on the
-// small differential dataset.
+// small differential dataset. StagedExtras ride along: Q22 is empty at every
+// test scale factor (every generated customer has an order), so Q101 is the
+// MT-H anti-join whose NOT EXISTS answers both ways here.
 func TestStreamDifferentialQ1toQ22(t *testing.T) {
 	engine.SetMorselSize(1)
 	defer engine.SetMorselSize(0)
@@ -64,23 +66,23 @@ func TestStreamDifferentialQ1toQ22(t *testing.T) {
 
 	for _, level := range []optimizer.Level{optimizer.Canonical, optimizer.O3, optimizer.O4} {
 		conn.SetOptLevel(level)
-		for _, q := range Queries(cfg.SF) {
+		for _, q := range append(Queries(cfg.SF), StagedExtras()...) {
 			db.SetStreamExec(false)
 			reference, err := RunOnMT(conn, q)
-			if err != nil {
+			if err != nil && q.ID <= 22 {
 				t.Fatalf("level=%v Q%d reference: %v", level, q.ID, err)
 			}
-			want := exactKey(reference)
+			want := outcomeKey(reference, err)
 			db.SetStreamExec(true)
 			for _, compiled := range []bool{true, false} {
 				db.SetCompileExprs(compiled)
 				for _, par := range []int{1, 8} {
 					db.SetParallelism(par)
 					got, err := RunOnMT(conn, q)
-					if err != nil {
+					if err != nil && q.ID <= 22 {
 						t.Fatalf("level=%v compiled=%v par=%d Q%d: %v", level, compiled, par, q.ID, err)
 					}
-					if exactKey(got) != want {
+					if outcomeKey(got, err) != want {
 						t.Errorf("level=%v compiled=%v par=%d Q%d: operator tree differs from the reference executor",
 							level, compiled, par, q.ID)
 					}
