@@ -177,6 +177,7 @@ func sumStats(dbs []*engine.DB) engine.StatsSnapshot {
 		total.JoinIndexProbes += st.JoinIndexProbes
 		total.JoinEagerFallbacks += st.JoinEagerFallbacks
 		total.ExistsProbes += st.ExistsProbes
+		total.DimensionBuilds += st.DimensionBuilds
 		total.ExprSlots += st.ExprSlots
 		total.ExprSlotReuses += st.ExprSlotReuses
 		if st.PeakMemBytes > total.PeakMemBytes {
@@ -343,6 +344,7 @@ func (r *OptResult) WriteTable(w io.Writer) {
 		{"JoinIndexProbes", func(st engine.StatsSnapshot) int64 { return st.JoinIndexProbes }},
 		{"JoinEagerFallbacks", func(st engine.StatsSnapshot) int64 { return st.JoinEagerFallbacks }},
 		{"ExistsProbes", func(st engine.StatsSnapshot) int64 { return st.ExistsProbes }},
+		{"DimensionBuilds", func(st engine.StatsSnapshot) int64 { return st.DimensionBuilds }},
 		{"ExprSlots", func(st engine.StatsSnapshot) int64 { return st.ExprSlots }},
 		{"ExprSlotReuses", func(st engine.StatsSnapshot) int64 { return st.ExprSlotReuses }},
 	} {

@@ -399,6 +399,12 @@ type Stats struct {
 	// the evaluator check answer none this way.
 	ExistsProbes atomic.Int64
 
+	// DimensionBuilds counts the dimension joins built (DESIGN.md ADR-034):
+	// join chains whose trailing run of small base tables was pre-joined into
+	// one build side the stream probed once per row. A pre-join that outgrew
+	// its batch and left the chain per member is not counted.
+	DimensionBuilds atomic.Int64
+
 	// Shared subexpressions (DESIGN.md ADR-023): ExprSlots counts the slots
 	// lowered — one per shared node, operator instance, execution and
 	// parallel worker — and ExprSlotReuses the row evaluations they saved:
@@ -426,7 +432,7 @@ type StatsSnapshot struct {
 	RowsStreamed, PeakBatch                                int64
 	SpillRuns, SpillBytes, PeakMemBytes                    int64
 	JoinBuildRows, JoinIndexProbes, JoinEagerFallbacks     int64
-	ExistsProbes                                           int64
+	ExistsProbes, DimensionBuilds                          int64
 	ExprSlots, ExprSlotReuses                              int64
 	Panics                                                 int64
 	ScanRows, ScanRanges                                   int64
@@ -449,6 +455,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		JoinIndexProbes:        s.JoinIndexProbes.Load(),
 		JoinEagerFallbacks:     s.JoinEagerFallbacks.Load(),
 		ExistsProbes:           s.ExistsProbes.Load(),
+		DimensionBuilds:        s.DimensionBuilds.Load(),
 		ExprSlots:              s.ExprSlots.Load(),
 		ExprSlotReuses:         s.ExprSlotReuses.Load(),
 		Panics:                 s.Panics.Load(),

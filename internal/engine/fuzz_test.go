@@ -501,6 +501,19 @@ func FuzzQuery(f *testing.F) {
 	} {
 		f.Add(sql)
 	}
+	// Last, so the seed numbers above do not move: Q22 as o4 rewrites it,
+	// two nine-way chains whose eight conversion tables each meet the stream
+	// as one pre-joined dimension (ADR-034).
+	q22 := mth.Queries(0.001)[21]
+	if q22.ID != 22 {
+		f.Fatalf("query 22 is not at index 21: found Q%d", q22.ID)
+	}
+	a.conn.SetOptLevel(optimizer.O4)
+	sel, err := a.conn.RewriteSQL(q22.SQL)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sel.String())
 	f.Fuzz(func(t *testing.T, sql string) {
 		if len(sql) > 4096 {
 			t.Skip("oversized input")

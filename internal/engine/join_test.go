@@ -256,20 +256,27 @@ func checkRowsOwned(t *testing.T, q string, rows [][]sqltypes.Value, width int) 
 // probe row is written in place, every further match is a copy. The capped
 // run repeats it on a chain whose lower joins went through Grace
 // partitions, so the joins above them probe with rows that came back from
-// disk without any reserved capacity.
+// disk without any reserved capacity. Where a chain's tail of small tables
+// is pre-joined (DESIGN.md ADR-034), the dimension join is the top one: it
+// extends the chain when a join precedes it, and the rows it emits are
+// owned the same way.
 func TestJoinChainRowOwnership(t *testing.T) {
 	db := chainTestDB(t, 3000)
 	db.SetSpillDir(t.TempDir())
 	// check returns how many joins below the top one ran as Grace joins.
-	check := func(q string, limit int64) (graced int) {
+	check := func(q string, limit int64, dim, extends bool) (graced int) {
 		t.Helper()
 		db.SetMemoryLimit(limit)
+		before := db.Stats.DimensionBuilds.Load()
 		ex, src := sourceOf(t, db, q)
 		defer ex.releaseSpills()
 		defer src.op.Close()
+		if built := db.Stats.DimensionBuilds.Load() > before; built != dim {
+			t.Fatalf("%q: dimension built = %v, want %v", q, built, dim)
+		}
 		top, ok := src.op.(*joinOperator)
-		if !ok || !top.extends {
-			t.Fatalf("%q: top of the pipeline is %s, want a join that extends its chain", q, opShape(src.op))
+		if !ok || top.extends != extends {
+			t.Fatalf("%q: top of the pipeline is %s (extends %v), want a join that extends its chain: %v", q, opShape(src.op), ok && top.extends, extends)
 		}
 		rows, err := drainRows(ex, src.op)
 		if err != nil {
@@ -283,10 +290,17 @@ func TestJoinChainRowOwnership(t *testing.T) {
 		}
 		return graced
 	}
-	for _, q := range chainShapes[:5] {
-		check(q, 0)
+	// The first four chains end in small tables and meet them as one
+	// dimension, their first join; the fifth starts with a JOIN expression,
+	// whose size is unknown until it runs, and stays per member.
+	for i, q := range chainShapes[:5] {
+		check(q, 0, i < 4, i == 4)
 	}
-	if graced := check(graceChain, 8<<10); graced != 2 {
+	// A large table between the stream and the tail: the dimension join is
+	// the chain's second join and fills in the rows the first one reserved.
+	check(`SELECT * FROM a, a a2, b, c WHERE a.id = a2.id AND a2.k = b.k AND b.x = c.x`, 0, true, true)
+	// Under a cap the chain stays per member.
+	if graced := check(graceChain, 8<<10, false, true); graced != 2 {
 		t.Errorf("%d of the 2 lower joins ran as Grace joins under the cap: the chain never saw respilled probe rows", graced)
 	}
 }

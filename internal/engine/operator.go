@@ -2081,34 +2081,31 @@ func (ex *exec) buildSourcePipe(sel *sqlast.Select, parent *scope) (*pipe, error
 		return p
 	}
 
-	// Greedy hash-join order: prefer sources connected by equi-conjuncts. The
-	// joins form one left-deep chain whose final width is known here, so the
-	// chain materializes each output row once (joinOperator, ADR-011): its
-	// first join reserves the whole width, the later ones fill it in.
-	chainWidth := totalWidth(rels)
+	// Greedy hash-join order: prefer sources connected by equi-conjuncts.
+	// joinChain composes the sequence into one left-deep chain that
+	// materializes each output row once (joinOperator, ADR-011).
 	cur := filtered(0)
 	remaining := make([]int, 0, len(pipes)-1)
 	for i := 1; i < len(pipes); i++ {
 		remaining = append(remaining, i)
 	}
-	for first := true; len(remaining) > 0; first = false {
+	steps := make([]chainStep, 0, len(remaining))
+	chained := relation{bindings: slices.Clip(cur.rel.bindings)} // the sources joined so far, by name
+	for len(remaining) > 0 {
 		pick := -1
-		var pairs []equiPair
+		var s chainStep
 		for k, i := range remaining {
-			pr := equiPairsBetween(pl.conjs, cur.rel, rels[i])
-			if len(pr) > 0 {
-				pick, pairs = k, pr
+			if pr := equiPairsBetween(pl.conjs, &chained, rels[i]); len(pr) > 0 {
+				pick, s.pairs = k, pr
 				break
 			}
 		}
-		var next *pipe
-		var own []*conjunct
 		if pick >= 0 {
-			i := remaining[pick]
-			if len(pl.closed[i]) == 0 {
-				next, own = pipes[i], pl.plain[i]
+			s.src = remaining[pick]
+			if len(pl.closed[s.src]) == 0 {
+				s.next, s.own = pipes[s.src], pl.plain[s.src]
 			} else {
-				next = filtered(i)
+				s.next = filtered(s.src)
 			}
 		} else {
 			// No connection: the cross product takes the smallest source,
@@ -2128,13 +2125,16 @@ func (ex *exec) buildSourcePipe(sel *sqlast.Select, parent *scope) (*pipe, error
 					pick = k
 				}
 			}
-			next = pipes[remaining[pick]]
+			s.src, s.next = remaining[pick], pipes[remaining[pick]]
 		}
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		cur = ex.newJoinPipe(cur, next, own, pairs, false, nil, parent, chainWidth, !first)
-		for _, p := range pairs {
+		for _, p := range s.pairs {
 			p.src.used = true
 		}
+		steps, chained.bindings = append(steps, s), append(chained.bindings, rels[s.src].bindings...)
+	}
+	if cur, err = ex.joinChain(cur, steps, rels, parent, totalWidth(rels)); err != nil {
+		return nil, err
 	}
 
 	if residual := pl.residual(); len(residual) > 0 {

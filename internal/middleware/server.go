@@ -617,6 +617,7 @@ func (s *Server) StatLines() []Stat {
 		{Name: "engine.scan_rows", Value: es.ScanRows},
 		{Name: "engine.scan_ranges", Value: es.ScanRanges},
 		{Name: "engine.exists_probes", Value: es.ExistsProbes},
+		{Name: "engine.dimension_builds", Value: es.DimensionBuilds},
 	}
 }
 

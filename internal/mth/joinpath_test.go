@@ -12,8 +12,10 @@ import (
 // path its hash joins take (DESIGN.md ADR-022), read off the engine's join
 // counters over one warm execution: how many joins probed a base table's
 // persistent index, how many of those built eagerly after all, and how many
-// rows were inserted into transient join tables — and how many outer rows an
-// EXISTS answered through the index semi-join (ADR-033). A change to the
+// rows were inserted into transient join tables — how many outer rows an
+// EXISTS answered through the index semi-join (ADR-033), and how many join
+// chains met their tail of small tables as one dimension (ADR-034). A
+// change to the
 // rule — what may be filtered over candidates, the budget, the pre-check,
 // the semi-join's shape — fails here by query and by name, not as a slower
 // benchmark. The counts include the joins inside conversion-UDF bodies a
@@ -21,13 +23,26 @@ import (
 // serial): the budget is a share of each build table's heap. Q101, the one
 // staged extra with a NOT EXISTS, rides along.
 //
+// A dimension's stream join hashes the pre-joined rows (Q22: ten a chain,
+// one per tenant; Q9 and Q10: 250, 25 nations by ten tenants; Q5: the three
+// suppliers of ASIA), and its members are joined among themselves, so the
+// chain probes fewer indexes: the dimension's first member is its driving
+// source, probed by nothing, and a member linked only to a stream column no
+// earlier member holds (Q9's and Q10's Tenant after nation) is crossed into
+// the pre-join. Q11's supplier join no longer
+// starts on the index and falls back: supplier ⋈ nation is pre-joined, nation
+// built eagerly from its one GERMANY row. Q14's part (400 rows here) would
+// be a member, but part crossed with ten tenants is past a batch: the chain
+// stays per member without pre-joining anything (at SF 0.01 part is past a
+// batch itself and Q14 pre-joins its four conversion tables).
+//
 // Every EXISTS of MT-H takes the semi-join — Q4's, Q21's two, Q22's and
 // Q101's, at every level — and none falls back to a per-row subquery. Q21
 // reads 0 here only because no row of this data set reaches its EXISTS
 // conjuncts (the statement answers no row; at SF 0.01 it probes ≈ 1 160
 // rows a statement).
 func TestJoinPathCensus(t *testing.T) {
-	type census struct{ probes, fallbacks, built, exists int64 }
+	type census struct{ probes, fallbacks, built, exists, dims int64 }
 	want := map[string]map[int]census{
 		// Q3: orders and lineitem are reached through (key, ttid) indexes and
 		// their date predicates run over the candidates — nothing is hashed
@@ -38,20 +53,20 @@ func TestJoinPathCensus(t *testing.T) {
 		// Q16, Q20, Q21: a join starts on the index, spends its budget and
 		// builds after all.
 		"IN ()": {
-			1: {0, 0, 0, 0}, 2: {4, 0, 0, 0}, 3: {2, 0, 0, 0}, 4: {0, 0, 0, 119}, 5: {4, 1, 461, 0}, 6: {0, 0, 0, 0},
-			7: {7, 0, 4087, 0}, 8: {10, 0, 0, 0}, 9: {8, 0, 0, 0}, 10: {8, 0, 122, 0}, 11: {2, 1, 1, 0}, 12: {0, 0, 62, 0},
-			13: {1, 0, 0, 0}, 14: {4, 0, 0, 0}, 15: {11, 0, 20, 0}, 16: {1, 1, 57, 0}, 17: {0, 0, 0, 0}, 18: {4, 0, 10, 0},
-			19: {1, 0, 0, 0}, 20: {1, 1, 1, 0}, 21: {2, 2, 9058, 0}, 22: {12, 0, 0, 42}, 101: {12, 0, 0, 125},
+			1: {0, 0, 0, 0, 0}, 2: {4, 0, 0, 0, 0}, 3: {2, 0, 0, 0, 0}, 4: {0, 0, 0, 119, 0}, 5: {3, 1, 464, 0, 1}, 6: {0, 0, 0, 0, 0},
+			7: {7, 0, 4087, 0, 0}, 8: {10, 0, 0, 0, 0}, 9: {6, 0, 250, 0, 1}, 10: {6, 0, 372, 0, 1}, 11: {0, 0, 1, 0, 1}, 12: {0, 0, 62, 0, 0},
+			13: {1, 0, 0, 0, 0}, 14: {4, 0, 0, 0, 0}, 15: {11, 0, 20, 0, 0}, 16: {1, 1, 57, 0, 0}, 17: {0, 0, 0, 0, 0}, 18: {3, 0, 20, 0, 1},
+			19: {1, 0, 0, 0, 0}, 20: {1, 1, 1, 0, 0}, 21: {2, 2, 9058, 0, 0}, 22: {10, 0, 20, 42, 2}, 101: {10, 0, 20, 125, 2},
 		},
 		// The default scope puts ttid = C on every tenant table: no probe side
 		// is an unfiltered table any more, so Q12 probes lineitem through its
 		// (l_orderkey, ttid) index, and Q17 finds out from its first probe
 		// batch that part is cheaper filtered and built (to no row, here).
 		"": {
-			1: {0, 0, 0, 0}, 2: {4, 0, 0, 0}, 3: {2, 0, 0, 0}, 4: {0, 0, 0, 7}, 5: {5, 1, 1, 0}, 6: {0, 0, 0, 0},
-			7: {4, 1, 433, 0}, 8: {7, 0, 0, 0}, 9: {5, 0, 0, 0}, 10: {3, 0, 0, 0}, 11: {2, 1, 1, 0}, 12: {1, 0, 0, 0},
-			13: {1, 0, 0, 0}, 14: {1, 0, 0, 0}, 15: {0, 0, 19, 0}, 16: {1, 1, 57, 0}, 17: {1, 1, 0, 0}, 18: {1, 0, 0, 0},
-			19: {1, 0, 0, 0}, 20: {1, 0, 0, 0}, 21: {2, 1, 718, 0}, 22: {0, 0, 0, 7}, 101: {0, 0, 0, 14},
+			1: {0, 0, 0, 0, 0}, 2: {4, 0, 0, 0, 0}, 3: {2, 0, 0, 0, 0}, 4: {0, 0, 0, 7, 0}, 5: {5, 1, 1, 0, 0}, 6: {0, 0, 0, 0, 0},
+			7: {4, 1, 433, 0, 0}, 8: {7, 0, 0, 0, 0}, 9: {5, 0, 0, 0, 0}, 10: {3, 0, 0, 0, 0}, 11: {0, 0, 1, 0, 1}, 12: {1, 0, 0, 0, 0},
+			13: {1, 0, 0, 0, 0}, 14: {1, 0, 0, 0, 0}, 15: {0, 0, 19, 0, 0}, 16: {1, 1, 57, 0, 0}, 17: {1, 1, 0, 0, 0}, 18: {1, 0, 0, 0, 0},
+			19: {1, 0, 0, 0, 0}, 20: {1, 0, 0, 0, 0}, 21: {2, 1, 718, 0, 0}, 22: {0, 0, 0, 7, 0}, 101: {0, 0, 0, 14, 0},
 		},
 	}
 
@@ -88,9 +103,9 @@ func TestJoinPathCensus(t *testing.T) {
 			}
 			a := db.Stats.Snapshot()
 			got := census{a.JoinIndexProbes - b.JoinIndexProbes, a.JoinEagerFallbacks - b.JoinEagerFallbacks, a.JoinBuildRows - b.JoinBuildRows,
-				a.ExistsProbes - b.ExistsProbes}
+				a.ExistsProbes - b.ExistsProbes, a.DimensionBuilds - b.DimensionBuilds}
 			if got != w {
-				t.Errorf("scope %q Q%d: {index probes, eager fallbacks, rows hashed, EXISTS probes} = %+v, want %+v", scope, q.ID, got, w)
+				t.Errorf("scope %q Q%d: {index probes, eager fallbacks, rows hashed, EXISTS probes, dimensions} = %+v, want %+v", scope, q.ID, got, w)
 			}
 		}
 	}

@@ -71,7 +71,10 @@ func TestScopedScanCensus(t *testing.T) {
 	// rest of Q3, Q9's tenant tables), whose candidates are C's already — nor
 	// inside a LEFT JOIN (Q13), whose WHERE runs above the join. Q16's is not
 	// D′ but the query's own p_size list over part, a global table: eight of
-	// fifty sizes.
+	// fifty sizes. Q11's partsupp meets supplier ⋈ nation as one dimension
+	// (ADR-034): the pre-join reads the two small heaps once, where the
+	// supplier join probed its index for every partsupp batch until its budget
+	// ran out and then read the heap to build.
 	type read struct {
 		ranged []string
 		rows   int64
@@ -79,7 +82,7 @@ func TestScopedScanCensus(t *testing.T) {
 	want := map[int]read{
 		1: {[]string{"lineitem"}, 1181}, 2: {nil, 12}, 3: {nil, 150}, 4: {[]string{"orders"}, 338},
 		5: {[]string{"customer"}, 534}, 6: {[]string{"lineitem"}, 1181}, 7: {[]string{"lineitem", "customer"}, 2707},
-		8: {nil, 0}, 9: {nil, 914}, 10: {[]string{"customer"}, 428}, 11: {nil, 4225}, 12: {[]string{"orders"}, 1481},
+		8: {nil, 0}, 9: {nil, 914}, 10: {[]string{"customer"}, 428}, 11: {nil, 1621}, 12: {[]string{"orders"}, 1481},
 		13: {nil, 3300}, 14: {[]string{"lineitem"}, 1197}, 15: {[]string{"lineitem", "lineitem"}, 2382},
 		16: {[]string{"part"}, 2706}, 17: {[]string{"lineitem"}, 2205},
 		18: {[]string{"customer", "orders", "lineitem"}, 1518}, 19: {nil, 3074}, 20: {nil, 2160},

@@ -61,9 +61,10 @@ func canonicalRows(res *engine.Result) []string {
 func normalizeValue(v sqltypes.Value) string {
 	switch v.K {
 	case sqltypes.KindFloat:
-		// Round to 4 significant decimals relative to magnitude to absorb
-		// float reassociation across optimization levels.
-		return fmt.Sprintf("%.4g", roundRel(v.F))
+		// Compare at 10 significant digits: enough to absorb float
+		// reassociation across optimization levels (a few ulps), too few
+		// to let a conversion applied to the wrong rows through.
+		return fmt.Sprintf("%.10g", roundRel(v.F))
 	case sqltypes.KindInt:
 		return fmt.Sprintf("%d", v.I)
 	default:
@@ -75,7 +76,7 @@ func roundRel(f float64) float64 {
 	if f == 0 || math.IsNaN(f) || math.IsInf(f, 0) {
 		return f
 	}
-	mag := math.Pow(10, math.Floor(math.Log10(math.Abs(f)))-5)
+	mag := math.Pow(10, math.Floor(math.Log10(math.Abs(f)))-11)
 	return math.Round(f/mag) * mag
 }
 

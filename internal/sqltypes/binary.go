@@ -98,8 +98,8 @@ func AppendBinaryList(buf []byte, vals []Value) []byte {
 }
 
 // ReadBinaryList decodes a value list (nil for the 0 sentinel). A length above
-// max — the caller's bound on what a sound encoder can have written — fails
-// before anything is allocated for it.
+// max — the caller's bound on what a sound encoder can have written — or
+// above the bytes left fails before anything is allocated for it.
 func ReadBinaryList(buf []byte, max uint64) (vals []Value, rest []byte, ok bool) {
 	n, w := binary.Uvarint(buf)
 	if w <= 0 {
@@ -109,7 +109,7 @@ func ReadBinaryList(buf []byte, max uint64) (vals []Value, rest []byte, ok bool)
 	if n == 0 {
 		return nil, buf, true
 	}
-	if n-1 > max {
+	if n-1 > max || n-1 > uint64(len(buf)) { // every value image takes its kind byte at least
 		return nil, nil, false
 	}
 	vals = make([]Value, n-1)

@@ -89,6 +89,17 @@ func (r *Reader) String() (string, error) {
 	return s, nil
 }
 
+// count decodes the length of a list whose every element takes at least one
+// byte: a length above maxWireList or above the bytes left is corrupt, and
+// fails before the list is allocated.
+func (r *Reader) count() (int, error) {
+	n, err := r.Uvarint()
+	if err != nil || n > maxWireList || n > uint64(len(r.buf)) {
+		return 0, ErrCorrupt
+	}
+	return int(n), nil
+}
+
 // Bool decodes a 0/1 byte.
 func (r *Reader) Bool() (bool, error) {
 	b, err := r.Byte()

@@ -238,9 +238,9 @@ func EncodeRowHeader(h RowHeader) []byte {
 func DecodeRowHeader(payload []byte) (RowHeader, error) {
 	var h RowHeader
 	r := NewReader(payload)
-	n, err := r.Uvarint()
-	if err != nil || n > maxWireList {
-		return h, ErrCorrupt
+	n, err := r.count()
+	if err != nil {
+		return h, err
 	}
 	h.Cols = make([]string, n)
 	for i := range h.Cols {
@@ -269,9 +269,9 @@ func EncodeRowBatch(b RowBatch) []byte {
 func DecodeRowBatch(payload []byte) (RowBatch, error) {
 	var b RowBatch
 	r := NewReader(payload)
-	n, err := r.Uvarint()
-	if err != nil || n > maxWireList {
-		return b, ErrCorrupt
+	n, err := r.count()
+	if err != nil {
+		return b, err
 	}
 	b.Rows = make([][]sqltypes.Value, n)
 	for i := range b.Rows {
@@ -352,9 +352,9 @@ func EncodeStatsOK(s StatsOK) []byte {
 func DecodeStatsOK(payload []byte) (StatsOK, error) {
 	var s StatsOK
 	r := NewReader(payload)
-	n, err := r.Uvarint()
-	if err != nil || n > maxWireList {
-		return s, ErrCorrupt
+	n, err := r.count()
+	if err != nil {
+		return s, err
 	}
 	s.Pairs = make([]StatPair, n)
 	for i := range s.Pairs {

@@ -41,6 +41,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Magic opens every Hello payload.
@@ -51,6 +52,10 @@ const MaxVersion uint32 = 1
 
 // MaxFrame bounds a single frame (type byte + payload).
 const MaxFrame = 16 << 20
+
+// frameChunk is the most ReadFrame allocates for a payload before its bytes
+// arrive; a frame up to it is read into one exact allocation.
+const frameChunk = 64 << 10
 
 // DefaultPort is the conventional mtserve listen port.
 const DefaultPort = 7687
@@ -201,9 +206,19 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	if n == 0 || n > MaxFrame {
 		return MsgInvalid, nil, fmt.Errorf("wire: bad frame length %d", n)
 	}
-	payload := make([]byte, n-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return MsgInvalid, nil, err
+	// The payload grows with the bytes that arrive: a length the stream does
+	// not back fails having allocated at most twice what arrived, or one
+	// frameChunk, not the MaxFrame it may claim.
+	size := int(n - 1)
+	payload := make([]byte, min(size, frameChunk))
+	for have := 0; ; {
+		if _, err := io.ReadFull(r, payload[have:]); err != nil {
+			return MsgInvalid, nil, err
+		}
+		if have = len(payload); have == size {
+			return MsgType(hdr[4]), payload, nil
+		}
+		next := min(size, 2*have)
+		payload = slices.Grow(payload, next-have)[:next]
 	}
-	return MsgType(hdr[4]), payload, nil
 }

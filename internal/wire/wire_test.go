@@ -66,9 +66,10 @@ func TestNilVsEmptyValueList(t *testing.T) {
 	}
 }
 
-func TestCorruptPayloadsError(t *testing.T) {
+// corruptPayloads are value images and lists no decoder may accept.
+func corruptPayloads() map[string][]byte {
 	good := AppendValue(nil, sqltypes.NewString("hello"))
-	cases := map[string][]byte{
+	return map[string][]byte{
 		"empty":          {},
 		"bad kind":       {0xee},
 		"truncated str":  good[:len(good)-2],
@@ -76,10 +77,14 @@ func TestCorruptPayloadsError(t *testing.T) {
 		"truncated f64":  AppendValue(nil, sqltypes.NewFloat(1))[:5],
 		"huge list":      AppendUvarint(nil, uint64(maxWireList)+10),
 		"truncated list": AppendUvarint(nil, 5),
+		"long list":      AppendUvarint(nil, uint64(maxWireList)),
 	}
-	for name, buf := range cases {
+}
+
+func TestCorruptPayloadsError(t *testing.T) {
+	for name, buf := range corruptPayloads() {
 		r := NewReader(buf)
-		if name == "huge list" || name == "truncated list" {
+		if strings.HasSuffix(name, " list") {
 			if _, err := r.Values(); err == nil {
 				t.Errorf("%s: no error", name)
 			}
@@ -109,10 +114,36 @@ func TestFrameRoundTripAndLimits(t *testing.T) {
 	if err := WriteFrame(&buf, MsgQuery, make([]byte, MaxFrame+1)); err == nil {
 		t.Fatal("oversized write accepted")
 	}
+	// A payload past frameChunk arrives in growing pieces, byte for byte; cut
+	// short, it is an error.
+	big := bytes.Repeat([]byte("0123456789abcdef"), 3*frameChunk/16+5)
+	buf.Reset()
+	if err := WriteFrame(&buf, MsgRowBatch, big); err != nil {
+		t.Fatal(err)
+	}
+	cut := buf.Bytes()[:buf.Len()-1]
+	if tp, got, err := ReadFrame(&buf); err != nil || tp != MsgRowBatch || !bytes.Equal(got, big) {
+		t.Fatalf("%d-byte frame: %v %s, %d bytes back", len(big), err, tp, len(got))
+	}
+	if _, _, err := ReadFrame(bytes.NewReader(cut)); err == nil {
+		t.Fatal("truncated frame accepted")
+	}
 }
 
+// The messages TestMessageRoundTrips round-trips, one of each payload shape;
+// FuzzDecode seeds from their encodings.
+var (
+	sampleHello     = Hello{Version: 1, Tenant: 42, Level: "o3"}
+	sampleQuery     = Query{SQL: "SELECT 1", Args: []sqltypes.Value{sqltypes.NewInt(7)}}
+	samplePrepareOK = PrepareOK{StmtID: 9, NumParams: 2, IsQuery: true}
+	sampleRowBatch  = RowBatch{Rows: [][]sqltypes.Value{{sqltypes.NewInt(1)}, nil, {}}}
+	sampleDone      = Done{Rows: -3, Affected: 12}
+	sampleErr       = &Err{Code: CodeRateLimited, Message: "slow down"}
+	sampleStats     = StatsOK{Pairs: []StatPair{{Name: "a", Value: 1}, {Name: "b", Value: -2}}}
+)
+
 func TestMessageRoundTrips(t *testing.T) {
-	hello := Hello{Version: 1, Tenant: 42, Level: "o3"}
+	hello := sampleHello
 	h2, err := DecodeHello(EncodeHello(hello))
 	if err != nil || h2 != hello {
 		t.Fatalf("hello: %+v %v", h2, err)
@@ -120,26 +151,26 @@ func TestMessageRoundTrips(t *testing.T) {
 	if _, err := DecodeHello([]byte("XXWP\x01")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	q := Query{SQL: "SELECT 1", Args: []sqltypes.Value{sqltypes.NewInt(7)}}
+	q := sampleQuery
 	q2, err := DecodeQuery(EncodeQuery(q))
 	if err != nil || q2.SQL != q.SQL || len(q2.Args) != 1 || q2.Args[0].I != 7 {
 		t.Fatalf("query: %+v %v", q2, err)
 	}
-	p := PrepareOK{StmtID: 9, NumParams: 2, IsQuery: true}
+	p := samplePrepareOK
 	p2, err := DecodePrepareOK(EncodePrepareOK(p))
 	if err != nil || p2 != p {
 		t.Fatalf("prepareok: %+v %v", p2, err)
 	}
-	b := RowBatch{Rows: [][]sqltypes.Value{{sqltypes.NewInt(1)}, nil, {}}}
+	b := sampleRowBatch
 	b2, err := DecodeRowBatch(EncodeRowBatch(b))
 	if err != nil || len(b2.Rows) != 3 || b2.Rows[1] != nil || b2.Rows[2] == nil {
 		t.Fatalf("rowbatch: %+v %v", b2, err)
 	}
-	d := Done{Rows: -3, Affected: 12}
+	d := sampleDone
 	if d2, err := DecodeDone(EncodeDone(d)); err != nil || d2 != d {
 		t.Fatalf("done: %+v %v", d2, err)
 	}
-	we := &Err{Code: CodeRateLimited, Message: "slow down"}
+	we := sampleErr
 	we2, err := DecodeError(EncodeError(we))
 	if err != nil || *we2 != *we {
 		t.Fatalf("error: %+v %v", we2, err)
@@ -147,7 +178,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	if !strings.Contains(we2.Error(), CodeRateLimited) {
 		t.Fatalf("error text: %s", we2.Error())
 	}
-	s := StatsOK{Pairs: []StatPair{{Name: "a", Value: 1}, {Name: "b", Value: -2}}}
+	s := sampleStats
 	s2, err := DecodeStatsOK(EncodeStatsOK(s))
 	if err != nil || len(s2.Pairs) != 2 || s2.Pairs[1] != s.Pairs[1] {
 		t.Fatalf("stats: %+v %v", s2, err)
