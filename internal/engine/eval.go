@@ -299,15 +299,22 @@ type scope struct {
 
 // groupCtx is the group a grouped projection is being evaluated for. The
 // reference executor hands evalAggregate the group's rows, to fold on
-// demand; the operator tree folded them as they arrived (groupOperator):
-// accs[siteOf[i]] is the group's accumulator of aggregate call calls[i], and
-// what latched in it is raised only if the call is evaluated — which is how
-// HAVING and CASE short-circuit in both executors.
+// demand; the operator tree folded them as they arrived (groupOperator) and
+// evaluates a batch of groups at once: acc(r, i) is the accumulator of
+// aggregate call calls[i] in the group of batch row r, and what latched in
+// it is raised only if the call is evaluated — which is how HAVING and CASE
+// short-circuit in both executors.
 type groupCtx struct {
 	rows   [][]sqltypes.Value
 	calls  []*sqlast.FuncCall
 	siteOf []int32
-	accs   []aggAcc
+	sites  int      // accumulators per group
+	accs   []aggAcc // the batch's groups × sites
+	row    int32    // the batch row the interpreter evaluates (liftInterp)
+}
+
+func (g *groupCtx) acc(r int32, i int) *aggAcc {
+	return &g.accs[int(r)*g.sites+int(g.siteOf[i])]
 }
 
 func rootScope() *scope { return &scope{} }
@@ -1114,7 +1121,7 @@ func (ex *exec) evalAggregate(x *sqlast.FuncCall, sc *scope) (sqltypes.Value, er
 		return sqltypes.Null, fmt.Errorf("engine: aggregate %s outside grouped context", x.Name)
 	}
 	if i := slices.Index(g.calls, x); i >= 0 {
-		return g.accs[g.siteOf[i]].result()
+		return g.acc(g.row, i).result()
 	}
 	// The reference executor's grouped projection, and the specification of
 	// the fold above: one interpreted row at a time, in row order.

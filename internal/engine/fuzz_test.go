@@ -514,6 +514,15 @@ func FuzzQuery(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(sel.String())
+	// A grouped projection's output clauses as batch programs (ADR-035): a
+	// UDF over an aggregate beside one over a column no key holds (o4's q10),
+	// and scalar subqueries in HAVING and beside an aggregate.
+	for _, sql := range []string{
+		`SELECT c_nationkey, currencyFromUniversal(SUM(c_acctbal), 2) AS s, phoneToUniversal(c_phone, 1) AS p FROM customer GROUP BY c_nationkey ORDER BY c_nationkey`,
+		`SELECT c_nationkey, (SELECT COUNT(*) FROM nation WHERE n_regionkey < c_nationkey % 5) + COUNT(*) AS n FROM customer GROUP BY c_nationkey HAVING (SELECT MAX(n_nationkey) FROM nation WHERE n_regionkey = c_nationkey % 5) > COUNT(*) % 20 ORDER BY c_nationkey`,
+	} {
+		f.Add(sql)
+	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		if len(sql) > 4096 {
 			t.Skip("oversized input")

@@ -105,6 +105,25 @@ var foldShapes = []struct {
 	{`SELECT k, SUM(id * 2174000000000000) FROM g GROUP BY k`, "integer out of range"},
 	{`SELECT k, SUM(id - 9223372036854775807) FROM g WHERE id > 0 GROUP BY k`, "integer out of range"},
 	{`SELECT k, CASE WHEN COUNT(*) < 0 THEN SUM(id * 2174000000000000) ELSE MAX(id) * 768614336404564 END FROM g GROUP BY k`, ""},
+	// The output side runs over batches of groups (ADR-035): twelve
+	// thousand groups span a dozen batches, and within one batch HAVING runs
+	// for every group before the items do. The first group that fails is the
+	// statement's error either way: an item's in group 1500 before HAVING's
+	// in group 1600, HAVING's in group 1400 before the item's in 1500.
+	{`SELECT id, 10 / (id - 1500) FROM g GROUP BY id HAVING CASE WHEN id = 1600 THEN SUM(s) ELSE 1 END IS NOT NULL`, "division by zero"},
+	{`SELECT id, 10 / (id - 1500) FROM g GROUP BY id HAVING CASE WHEN id = 1400 THEN SUM(s) ELSE 1 END IS NOT NULL`, "SUM over VARCHAR"},
+	// A UDF over an aggregate beside a UDF over a column no key holds, read
+	// from the group's first row: o4's q10 keeps both shapes in its output.
+	{`SELECT k, twice(SUM(f)), label(v % 5), twice(m) + COUNT(*) FROM g GROUP BY k ORDER BY label(v % 5), k`, ""},
+	// Scalar subqueries, correlated with the group's key, in HAVING and in
+	// an item that reads an aggregate too.
+	{`SELECT k, (SELECT COUNT(*) FROM lbl WHERE lbl.v < k % 5) + SUM(v) FROM g GROUP BY k HAVING (SELECT MAX(lbl.v) FROM lbl WHERE lbl.v <= k) > COUNT(*) % 3`, ""},
+	// An aggregate in a subquery is the subquery's, outside any group — also
+	// where the semi-join lowers the subquery's key into the group's output.
+	{`SELECT k FROM g GROUP BY k HAVING EXISTS (SELECT 1 FROM lbl WHERE lbl.v = SUM(g.v))`, "outside grouped context"},
+	// The empty global group: its bare columns are NULL, inside an
+	// expression and as a UDF's argument.
+	{`SELECT COUNT(*), v + 1, label(v), twice(f) * SUM(f), COALESCE(s, 'none') FROM g WHERE id < 0`, ""},
 }
 
 // TestGroupFoldDifferential: every shape, in production and in the evaluator
@@ -179,6 +198,33 @@ func TestGroupFreezeAndSpill(t *testing.T) {
 			}
 			if st.PeakMemBytes > tc.limit+512<<10 {
 				t.Errorf("%s limit=%d %q: PeakMemBytes %d exceeds the limit plus one batch of slack", cfg.name, tc.limit, tc.sql, st.PeakMemBytes)
+			}
+		}
+	}
+}
+
+// TestGroupOutputFillsBatches: the grouped projection hands on output
+// batches of up to batchSize rows, merged groups included, so a sort above it
+// under a memory limit spills once per batch, not once per group. Both shapes
+// spill 11 and 20 runs in all (the groups' and the sort's); with each merged
+// group emitted as a batch of its own they spilled ≈ 500 and 5 000.
+func TestGroupOutputFillsBatches(t *testing.T) {
+	db := streamTestDB(t, 10000)
+	db.SetSpillDir(t.TempDir())
+	db.SetParallelism(1)
+	db.SetMemoryLimit(8 << 10)
+	for _, cfg := range checkedConfigs {
+		cfg.apply(db)
+		for _, q := range []string{
+			`SELECT id % 1000, COUNT(*), SUM(val) FROM fact GROUP BY id % 1000 ORDER BY 3, 1`,
+			`SELECT id, COUNT(*) FROM fact GROUP BY id ORDER BY 2 DESC, 1`,
+		} {
+			db.Stats = Stats{}
+			if _, err := db.QuerySQL(q); err != nil {
+				t.Fatalf("%s %q: %v", cfg.name, q, err)
+			}
+			if runs := db.Stats.Snapshot().SpillRuns; runs > 40 {
+				t.Errorf("%s %q: %d spill runs; full output batches spill at most 40", cfg.name, q, runs)
 			}
 		}
 	}

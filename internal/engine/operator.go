@@ -863,14 +863,22 @@ func (j *joinOperator) Close() {
 // ---------------------------------------------------------------- project
 
 // projectOperator evaluates the SELECT list (and ORDER BY key expressions)
-// batch-at-a-time, emitting dense batches of freshly chunk-allocated output
-// tuples with key columns attached.
+// batch-at-a-time over its input rows.
 type projectOperator struct {
 	child Operator
+	cols  []string
+	projection
+}
+
+// projection builds result-shaped batches from the selected rows of a batch:
+// the SELECT list's values and star segments as dense, freshly
+// chunk-allocated output tuples, with the ORDER BY key columns attached. The
+// project operator runs it over its input rows, the group operator over its
+// groups' first rows.
+type projection struct {
 	projs []projector
 	plans []orderPlan
 	width int
-	cols  []string
 
 	vprojs []vecExpr  // nil entries are star segments
 	vkeys  []vecExpr  // key expressions (outCol plans stay nil)
@@ -893,23 +901,28 @@ func (ex *exec) newProjectOperator(child Operator, rel *relation, sel *sqlast.Se
 	if err != nil {
 		return nil, err
 	}
-	projs, width := ex.buildProjectors(sel, rel)
-	o := &projectOperator{
-		child: child, projs: projs, plans: plans, width: width, cols: cols,
-		colBuf: make([][]sqltypes.Value, len(projs)), keyBuf: make([][]sqltypes.Value, len(plans)),
-	}
-	// One lowering for the select items and the sort keys: an expression of
-	// one that the other repeats is evaluated once per row (shared.go).
-	exprs := make([]sqlast.Expr, 0, len(projs)+len(plans))
-	for i := range projs {
-		exprs = append(exprs, projs[i].expr) // nil: a star segment
+	o := &projectOperator{child: child, cols: cols}
+	o.lowerItems(ex, sel, rel, sc, plans, a)
+	return o, nil
+}
+
+// lowerItems builds the programs of sel's items and of the sort keys in one
+// lowering over rel's rows: an expression of one that the other repeats is
+// evaluated once per row where a's analysis shares it (shared.go; a nil a
+// shares nothing).
+func (o *projection) lowerItems(ex *exec, sel *sqlast.Select, rel *relation, sc *scope, plans []orderPlan, a *selAnalysis) {
+	o.projs, o.width = ex.buildProjectors(sel, rel)
+	o.plans = plans
+	o.colBuf, o.keyBuf = make([][]sqltypes.Value, len(o.projs)), make([][]sqltypes.Value, len(plans))
+	exprs := make([]sqlast.Expr, 0, len(o.projs)+len(plans))
+	for i := range o.projs {
+		exprs = append(exprs, o.projs[i].expr) // nil: a star segment
 	}
 	for k := range plans {
 		exprs = append(exprs, plans[k].expr) // nil: sorts by an output column
 	}
 	progs, slots := ex.vecCompileAll(exprs, rel.bindings, sc, ex.sharedExprs(a, sharedProject, exprs, nil))
-	o.vprojs, o.vkeys, o.slots = progs[:len(projs)], progs[len(projs):], slots
-	return o, nil
+	o.vprojs, o.vkeys, o.slots = progs[:len(o.projs)], progs[len(o.projs):], slots
 }
 
 func (o *projectOperator) Open(ex *exec) error { return o.child.Open(ex) }
@@ -925,18 +938,32 @@ func (o *projectOperator) Next(ex *exec) (*Batch, error) {
 	if b == nil {
 		return nil, nil
 	}
-	o.rowBuf = o.rowBuf[:0]
-	o.keyCols = resetKeyCols(o.keyCols, len(o.plans))
+	o.start()
 	if err := o.project(ex, b); err != nil {
 		return nil, err
 	}
+	return o.batch(ex), nil
+}
+
+// start begins an output batch.
+func (o *projection) start() {
+	o.rowBuf = o.rowBuf[:0]
+	o.keyCols = resetKeyCols(o.keyCols, len(o.plans))
+}
+
+// batch hands on the rows and keys projected since start.
+func (o *projection) batch(ex *exec) *Batch {
 	o.out.window(o.rowBuf)
 	o.out.keys = o.keyCols
 	ex.noteStream(len(o.rowBuf))
-	return &o.out, nil
+	return &o.out
 }
 
-func (o *projectOperator) project(ex *exec, b *Batch) error {
+// project evaluates the items, then the keys, over b's selected rows — each
+// program compacts the selection, so a row's first failure is its error —
+// and appends their output rows and keys, or returns the first failing
+// row's error.
+func (o *projection) project(ex *exec, b *Batch) error {
 	n := len(b.rows)
 	sel := b.sel
 	o.slots.nextBatch()
@@ -998,8 +1025,10 @@ func (o *projectOperator) Close() { o.child.Close() }
 // row the dense id of its group (first-seen key order) and folds its
 // aggregate arguments into the group's accumulators in arrival order — so
 // sums, MIN/MAX ties and DISTINCT sets come out as evalAggregate's row
-// loop, the specification, computes them — then evaluates HAVING, the SELECT
-// list and ORDER BY keys group-at-a-time. It keeps a group's first row and
+// loop, the specification, computes them — then runs HAVING, the SELECT list
+// and ORDER BY keys as batch programs over its groups (DESIGN.md ADR-035): a
+// batch's rows are up to batchSize groups' first rows, and an aggregate call
+// reads the accumulator of its row's group. It keeps a group's first row and
 // accumulators, never its rows. Under a memory limit that state is charged
 // as groups are admitted; once over, the table freezes: resident groups keep
 // folding, a key not seen before is ranked (ids keeps counting: above every
@@ -1010,7 +1039,6 @@ type groupOperator struct {
 	groupedShape
 	child  Operator
 	rel    *relation
-	sel    *sqlast.Select
 	calls  []*sqlast.FuncCall // the outermost aggregate calls: what evalAggregate is invoked on
 	siteOf []int32            // calls[i]'s site: structurally equal calls share one (shared.go)
 	sites  []*sqlast.FuncCall // a call of each site
@@ -1029,10 +1057,9 @@ type groupOperator struct {
 	win  [][]sqltypes.Value // parallel executions: the rows gathered for it
 	aggB Batch
 
-	ck      rowChunk
-	rowBuf  [][]sqltypes.Value
-	keyCols [][]sqltypes.Value
-	out     Batch
+	projection          // the output side: select items and ORDER BY keys
+	cond       filterOp // HAVING
+	grp        Batch    // the groups being emitted
 
 	// Memory-limited statements only.
 	acct    *memAccountant
@@ -1042,7 +1069,8 @@ type groupOperator struct {
 	merge   *mergeIter
 	mrec    spillRec
 	mhave   bool
-	macc    []aggAcc // the merged group being emitted
+	macc    []aggAcc            // the merged group being emitted
+	mfirst  [1][]sqltypes.Value // its first row
 	chunk   [][]sqltypes.Value
 }
 
@@ -1073,12 +1101,12 @@ func (ex *exec) newGroupOperator(child Operator, rel *relation, sel *sqlast.Sele
 	if err != nil {
 		return nil, err
 	}
-	o := &groupOperator{groupedShape: gs, child: child, rel: rel, sel: sel}
+	o := &groupOperator{groupedShape: gs, child: child, rel: rel}
 	for _, it := range sel.Items {
 		o.collectAggCalls(it.Expr)
 	}
 	o.collectAggCalls(o.having)
-	for _, p := range o.plans {
+	for _, p := range gs.plans {
 		o.collectAggCalls(p.expr)
 	}
 	if o.shared = ex.sharedExprs(a, sharedGroup, o.gexprs, o.calls); o.shared != nil {
@@ -1095,7 +1123,15 @@ func (ex *exec) newGroupOperator(child Operator, rel *relation, sel *sqlast.Sele
 		}
 	}
 	o.progs = o.lower(ex, o.sc)
-	o.g.calls, o.g.siteOf = o.calls, o.siteOf
+	o.g.calls, o.g.siteOf, o.g.sites = o.calls, o.siteOf, len(o.sites)
+	// The output side is lowered in the group: an aggregate call becomes a
+	// kernel reading the accumulators of the group each row stands for.
+	o.sc.group = &o.g
+	o.lowerItems(ex, sel, rel, o.sc, gs.plans, nil)
+	if o.having != nil {
+		o.cond.progs = []vecExpr{ex.vecCompile(o.having, rel.bindings, o.sc)}
+	}
+	o.sc.group = nil
 	return o, nil
 }
 
@@ -1201,8 +1237,10 @@ func (o *groupOperator) Open(ex *exec) error {
 		return o.advance()
 	}
 	// A global aggregate (no GROUP BY) over zero rows still yields one group.
+	// Its first row is all NULL: the bare columns beside its aggregates read
+	// NULL, as they do in the interpreter's group without rows.
 	if len(o.gexprs) == 0 && len(o.first) == 0 {
-		o.admit(nil)
+		o.admit(make([]sqltypes.Value, o.rel.width))
 	}
 	return nil
 }
@@ -1382,22 +1420,21 @@ func (o *groupOperator) foldSites(in *aggInput, gids []int32, accs []aggAcc) {
 }
 
 func (o *groupOperator) Next(ex *exec) (*Batch, error) {
-	if err := ex.cancelled(); err != nil {
-		return nil, err
-	}
-	o.rowBuf = o.rowBuf[:0]
-	o.keyCols = resetKeyCols(o.keyCols, len(o.plans))
-	o.ck = rowChunk{}
+	o.start()
 	for len(o.rowBuf) < batchSize {
-		ok, err := o.nextGroup(ex)
+		if err := ex.cancelled(); err != nil {
+			return nil, err
+		}
+		b, err := o.nextGroups(ex, batchSize-len(o.rowBuf))
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if b == nil {
 			break
 		}
 		o.sc.group = &o.g // not before: a merged group's arguments are evaluated outside any group
-		err = o.emitGroup(ex)
+		o.cond.apply(b)
+		err = o.project(ex, b)
 		o.sc.group = nil
 		if err != nil {
 			return nil, err
@@ -1406,85 +1443,36 @@ func (o *groupOperator) Next(ex *exec) (*Batch, error) {
 	if len(o.rowBuf) == 0 {
 		return nil, nil
 	}
-	o.out.window(o.rowBuf)
-	o.out.keys = o.keyCols
-	ex.noteStream(len(o.rowBuf))
-	return &o.out, nil
+	return o.batch(ex), nil
 }
 
-// nextGroup points o.sc.row at the next group's first row and o.g at its
-// accumulators: a resident group's or, behind them, those of the next rank
-// the merge streams past. false at the end.
-func (o *groupOperator) nextGroup(ex *exec) (bool, error) {
-	if ns := len(o.sites); o.pos < len(o.first) {
-		o.sc.row = o.first[o.pos]
-		o.g.accs = o.accs[o.pos*ns : (o.pos+1)*ns]
-		o.pos++
-		return true, nil
+// nextGroups windows the groups emitted next — up to room resident ones or,
+// behind them, the next group the merge streams past — as a batch of their
+// first rows, and points o.g at their accumulators. nil at the end.
+func (o *groupOperator) nextGroups(ex *exec, room int) (*Batch, error) {
+	if n, ns := min(len(o.first)-o.pos, room), len(o.sites); n > 0 {
+		o.grp.window(o.first[o.pos : o.pos+n])
+		o.g.accs = o.accs[o.pos*ns : (o.pos+n)*ns]
+		o.pos += n
+		return &o.grp, nil
 	}
 	if !o.mhave {
-		return false, nil
+		return nil, nil
 	}
-	if err := ex.cancelled(); err != nil {
-		return false, err
+	if err := o.nextMerged(ex); err != nil {
+		return nil, err
 	}
-	return true, o.nextMerged(ex)
-}
-
-// emitGroup evaluates HAVING, the select items and the ORDER BY keys of the
-// group o.sc is positioned on, in that order, and appends the output row
-// unless HAVING rejects the group.
-func (o *groupOperator) emitGroup(ex *exec) error {
-	sc := o.sc
-	if o.having != nil {
-		hv, err := ex.eval(o.having, sc)
-		if err != nil {
-			return err
-		}
-		if truth, _ := sqltypes.Truthy(hv); !truth {
-			return nil
-		}
-	}
-	width := len(o.sel.Items)
-	if len(o.ck.buf)+width > cap(o.ck.buf) {
-		rows := batchSize - len(o.rowBuf) // what the batch still takes, or the resident groups left
-		if left := len(o.first) - o.pos + 1; o.merge == nil && left < rows {
-			rows = left
-		}
-		o.ck = newRowChunk(rows, width)
-	}
-	out := o.ck.alloc(width)
-	for j, it := range o.sel.Items {
-		v, err := ex.eval(it.Expr, sc)
-		if err != nil {
-			return err
-		}
-		out[j] = v
-	}
-	o.rowBuf = append(o.rowBuf, out)
-	for k := range o.plans {
-		p := &o.plans[k]
-		var v sqltypes.Value
-		if p.outCol >= 0 {
-			v = out[p.outCol]
-		} else {
-			var err error
-			if v, err = ex.eval(p.expr, sc); err != nil {
-				return err
-			}
-		}
-		o.keyCols[k] = append(o.keyCols[k], v)
-	}
-	return nil
+	o.grp.window(o.mfirst[:])
+	o.g.accs = o.macc
+	return &o.grp, nil
 }
 
 // nextMerged consumes the next group (one run of equal-rank records) from
 // the merge, folding its rows chunk by chunk through the resident kernel.
 func (o *groupOperator) nextMerged(ex *exec) error {
 	seq := o.mrec.seq
-	o.sc.row = o.mrec.row
+	o.mfirst[0] = o.mrec.row
 	o.macc = append(o.macc[:0], o.proto...)
-	o.g.accs = o.macc
 	in := &o.in[0]
 	for o.mhave && o.mrec.seq == seq {
 		o.chunk = append(o.chunk, o.mrec.row)
@@ -1515,7 +1503,7 @@ func (o *groupOperator) advance() error {
 func (o *groupOperator) Close() {
 	o.child.Close()
 	o.ids, o.first, o.accs, o.macc, o.pos = nil, nil, nil, nil, 0
-	o.in, o.win, o.chunk = nil, nil, nil
+	o.in, o.win, o.chunk, o.mfirst[0] = nil, nil, nil, nil
 	if o.merge != nil {
 		o.merge.close()
 		o.merge = nil
@@ -1990,25 +1978,23 @@ func (ex *exec) buildQueryOp(sel *sqlast.Select, parent *scope) (*queryRoot, err
 
 	var op Operator
 	var cols []string
-	var desc []bool
+	var out *projection
 	if a.grouped {
 		g, err := ex.newGroupOperator(src.op, src.rel, sel, parent, a)
 		if err != nil {
 			return nil, err
 		}
-		op, cols = g, g.cols
-		for _, p := range g.plans {
-			desc = append(desc, p.desc)
-		}
+		op, cols, out = g, g.cols, &g.projection
 	} else {
 		p, err := ex.newProjectOperator(src.op, src.rel, sel, parent, a)
 		if err != nil {
 			return nil, err
 		}
-		op, cols = p, p.cols
-		for _, pl := range p.plans {
-			desc = append(desc, pl.desc)
-		}
+		op, cols, out = p, p.cols, &p.projection
+	}
+	var desc []bool
+	for _, p := range out.plans {
+		desc = append(desc, p.desc)
 	}
 	if sel.Distinct {
 		op = &distinctOperator{child: op}

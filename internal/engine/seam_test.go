@@ -34,6 +34,13 @@ var seamFuncs = map[string][]string{
 	"reference": {"DB.newExec", "exec.runQuery", "DB.queryRows"},
 }
 
+// operatorEvalFuncs are the only functions of operator.go that call the
+// interpreter (ex.eval) themselves: planning-time checks of an expression
+// that reads no row. Whatever an operator evaluates per row or per group is a
+// batch program (vecCompileAll), whose lowering decides where the interpreter
+// is lifted.
+var operatorEvalFuncs = []string{"exec.operandNeverRaises", "exec.buildSourcePipe"}
+
 // spillSeamFuncs: spill files (ADR-006) come from one seam. Only the
 // osSpillFS seam creates a temp file, and only newSpillFile, which registers
 // it for cleanup, calls the seam.
@@ -212,6 +219,9 @@ func TestModeSeam(t *testing.T) {
 					t.Errorf("%s: %s mentions deleted twin %s", name, fn, id)
 				}
 			}
+			if name == "operator.go" && callsEval(fd) && !slices.Contains(operatorEvalFuncs, fn) {
+				t.Errorf("operator.go: %s calls ex.eval; only %v may", fn, operatorEvalFuncs)
+			}
 			if used["liftInterp"] && fn != "liftInterp" {
 				liftCallers = append(liftCallers, fn)
 			}
@@ -354,6 +364,20 @@ func takesDBMu(t *testing.T, fd *ast.FuncDecl) bool {
 func isOperatorNext(fd *ast.FuncDecl) bool {
 	p := fd.Type.Params.List
 	return fd.Recv != nil && fd.Name.Name == "Next" && len(p) == 1 && types.ExprString(p[0].Type) == "*exec"
+}
+
+// callsEval reports whether fd calls a method named eval: the interpreter.
+func callsEval(fd *ast.FuncDecl) bool {
+	found := false
+	ast.Inspect(fd, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "eval" {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 func callsNext(body *ast.BlockStmt) bool {

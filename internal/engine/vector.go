@@ -35,6 +35,7 @@ package engine
 // keeps across a child evaluation.
 
 import (
+	"slices"
 	"strings"
 	"sync"
 
@@ -365,12 +366,16 @@ func vecBroadcast(get func() (sqltypes.Value, error)) vecExpr {
 }
 
 // liftInterp is the second lowering tier: the tree-walking interpreter run
-// once per selected row, with the row installed in sc.
+// once per selected row, with the row installed in sc — and, in a grouped
+// projection's batch, where a row stands for a group, that group.
 func liftInterp(ex *exec, e sqlast.Expr, sc *scope) vecExpr {
 	return func(b *Batch, sel []int32, out []sqltypes.Value) {
 		rows := b.rows
 		for _, i := range sel {
 			sc.row = rows[i]
+			if sc.group != nil {
+				sc.group.row = i
+			}
 			v, err := ex.eval(e, sc)
 			if err != nil {
 				b.poison(i, err)
@@ -1110,7 +1115,7 @@ func (ve *venv) compileCase(x *sqlast.CaseExpr) vecExpr {
 func (ve *venv) compileFunc(x *sqlast.FuncCall) vecExpr {
 	upper := strings.ToUpper(x.Name)
 	if sqlast.IsAggregate(upper) {
-		return nil
+		return ve.compileAggregate(x)
 	}
 	if f := strictBuiltins[upper]; f != nil {
 		if len(x.Args) != 1 {
@@ -1154,6 +1159,35 @@ func (ve *venv) compileFunc(x *sqlast.FuncCall) vecExpr {
 	return ve.compileCall(x.Args, false, func(argv []sqltypes.Value) (sqltypes.Value, error) {
 		return ex.callUDF(fn, argv)
 	})
+}
+
+// compileAggregate reads aggregate call x in a grouped projection's output,
+// whose batch rows stand for groups (groupOperator): row r's value is the
+// result of x's accumulator in r's group, or the error it latched. nil
+// outside a group's output: the interpreter raises the call there.
+func (ve *venv) compileAggregate(x *sqlast.FuncCall) vecExpr {
+	g := ve.sc.group
+	if g == nil {
+		return nil
+	}
+	i := slices.Index(g.calls, x)
+	if i < 0 {
+		// Not the group's call but one in a subquery's WHERE that the
+		// semi-join lowers here (semiJoinOf): where it sits, it is outside
+		// any group.
+		_, err := ve.ex.evalAggregate(x, rootScope())
+		return vecBroadcast(func() (sqltypes.Value, error) { return sqltypes.Null, err })
+	}
+	return func(b *Batch, sel []int32, out []sqltypes.Value) {
+		for _, r := range sel {
+			v, err := g.acc(r, i).result()
+			if err != nil {
+				b.poison(r, err)
+				continue
+			}
+			out[r] = v
+		}
+	}
 }
 
 func (ve *venv) compileAll(exprs []sqlast.Expr) []vecExpr {

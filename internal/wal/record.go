@@ -87,9 +87,9 @@ func (r *Record) decodeFrom(br *bufio.Reader) (bool, error) {
 	if n == 0 || n > maxRecord {
 		return false, wire.ErrCorrupt
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return false, err // torn payload
+	payload, err := wire.ReadPayload(br, int(n))
+	if err != nil {
+		return false, err // torn payload, or a length the segment does not back
 	}
 	if crc32.Checksum(payload, crcTable) != crc {
 		return false, wire.ErrCorrupt

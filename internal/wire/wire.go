@@ -206,17 +206,25 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	if n == 0 || n > MaxFrame {
 		return MsgInvalid, nil, fmt.Errorf("wire: bad frame length %d", n)
 	}
-	// The payload grows with the bytes that arrive: a length the stream does
-	// not back fails having allocated at most twice what arrived, or one
-	// frameChunk, not the MaxFrame it may claim.
-	size := int(n - 1)
+	payload, err := ReadPayload(r, int(n-1))
+	if err != nil {
+		return MsgInvalid, nil, err
+	}
+	return MsgType(hdr[4]), payload, nil
+}
+
+// ReadPayload reads the size bytes a length prefix announced. The payload
+// grows with the bytes that arrive: a length the stream does not back fails
+// having allocated at most twice what arrived, or one frameChunk, not the
+// size it claims.
+func ReadPayload(r io.Reader, size int) ([]byte, error) {
 	payload := make([]byte, min(size, frameChunk))
 	for have := 0; ; {
 		if _, err := io.ReadFull(r, payload[have:]); err != nil {
-			return MsgInvalid, nil, err
+			return nil, err
 		}
 		if have = len(payload); have == size {
-			return MsgType(hdr[4]), payload, nil
+			return payload, nil
 		}
 		next := min(size, 2*have)
 		payload = slices.Grow(payload, next-have)[:next]
