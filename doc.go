@@ -54,8 +54,8 @@
 //     DB.SetMemoryLimit caps per-statement working memory (0 = unlimited
 //     default): over budget,
 //     sorts run as external merge sorts, group-bys fall back to sort-based
-//     grouping, DISTINCT spills its key set and hash joins Grace-partition
-//     — all to temp files under DB.SetSpillDir, removed at statement end
+//     grouping, DISTINCT spills its key set and hash joins merge sorted
+//     runs of both sides — all to temp files under DB.SetSpillDir, removed at statement end
 //     even on error — with results byte-identical to the unlimited path
 //     and Stats.SpillRuns/SpillBytes/PeakMemBytes reporting what spilled
 //     (MTBASE_TEST_MEMLIMIT applies the cap process-wide in tests; ADR-006

@@ -173,14 +173,12 @@ func (s *scanOp) next(b *Batch) bool {
 // row's error in failed; the driving operator stops there.
 type filterOp struct {
 	progs  []vecExpr
-	slots  *exprSlots // what the conjuncts share (shared.go)
 	out    []sqltypes.Value
 	selBuf []int32
 	failed error
 }
 
 func (f *filterOp) apply(b *Batch) {
-	f.slots.nextBatch()
 	sel := b.sel
 	for _, prog := range f.progs {
 		if len(sel) == 0 {

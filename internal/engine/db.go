@@ -377,7 +377,7 @@ type Stats struct {
 	PeakBatch    atomic.Int64
 
 	// Spill counters (SetMemoryLimit): SpillRuns counts overflow files
-	// created (sorted runs and Grace join partitions alike), SpillBytes the
+	// created (every one a sorted run), SpillBytes the
 	// bytes written to them, and PeakMemBytes the highest accounted
 	// pipeline-breaker footprint any single statement reached. All stay
 	// zero under the default unlimited budget.

@@ -64,11 +64,6 @@ type conjunct struct {
 	closed       bool // hasSub, and every subquery is statically closed (selectClosed)
 	used         bool
 	fromOrFactor bool // extracted from an OR; implied, never a residual
-
-	// WHERE conjuncts only: the analysis that holds the conjunct, and where —
-	// how a filter finds what its conjuncts share (shared.go).
-	an  *selAnalysis
-	idx int
 }
 
 // ---------------------------------------------------------------- runQuery
@@ -686,7 +681,6 @@ func (ex *exec) whereConjuncts(sel *sqlast.Select, rels []*relation, local func(
 	conjs := make([]*conjunct, len(a.conjs))
 	for i, e := range a.conjs {
 		c := analyzeConjunct(e, local, colOwner)
-		c.an, c.idx = a, i
 		c.fromOrFactor = i >= a.nPlain
 		c.closed = !c.fromOrFactor && a.closed[i]
 		conjs[i] = c

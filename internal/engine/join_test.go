@@ -154,14 +154,14 @@ func chainTestDB(t *testing.T, n int) *DB {
 	return db
 }
 
-// graceChain filters its build sides, so they are hashed per statement
-// (no persistent index) and a memory cap sends the joins through Grace.
-const graceChain = `SELECT * FROM a, b, c, one WHERE a.k = b.k AND b.bv >= 0 AND b.x = c.x AND c.cv <> '' AND one.id = 2`
+// spillChain filters its build sides, so they are hashed per statement
+// (no persistent index) and a memory cap spills the joins.
+const spillChain = `SELECT * FROM a, b, c, one WHERE a.k = b.k AND b.bv >= 0 AND b.x = c.x AND c.cv <> '' AND one.id = 2`
 
 var chainShapes = []string{
 	// 1:N fan-out at both later joins, probe rows without a match at each.
 	`SELECT * FROM a, b, c WHERE a.k = b.k AND b.x = c.x`,
-	graceChain,
+	spillChain,
 	// The Q18/Q22 shape: a filtered single-row source cross-joined in
 	// mid-chain, the next table keyed on it (mt_inl3.T_tenant_key = 1).
 	`SELECT * FROM a, b, one, c WHERE a.k = b.k AND one.id = 1 AND one.v = c.x`,
@@ -254,8 +254,8 @@ func checkRowsOwned(t *testing.T, q string, rows [][]sqltypes.Value, width int) 
 // invariant on what comes out: a final-chain row fills its capacity
 // exactly, and no two output rows share storage — the first match of a
 // probe row is written in place, every further match is a copy. The capped
-// run repeats it on a chain whose lower joins went through Grace
-// partitions, so the joins above them probe with rows that came back from
+// run repeats it on a chain whose lower joins spilled to sorted runs, so
+// the joins above them probe with rows that came back from
 // disk without any reserved capacity. Where a chain's tail of small tables
 // is pre-joined (DESIGN.md ADR-034), the dimension join is the top one: it
 // extends the chain when a join precedes it, and the rows it emits are
@@ -263,8 +263,8 @@ func checkRowsOwned(t *testing.T, q string, rows [][]sqltypes.Value, width int) 
 func TestJoinChainRowOwnership(t *testing.T) {
 	db := chainTestDB(t, 3000)
 	db.SetSpillDir(t.TempDir())
-	// check returns how many joins below the top one ran as Grace joins.
-	check := func(q string, limit int64, dim, extends bool) (graced int) {
+	// check returns how many joins below the top one spilled.
+	check := func(q string, limit int64, dim, extends bool) (spilled int) {
 		t.Helper()
 		db.SetMemoryLimit(limit)
 		before := db.Stats.DimensionBuilds.Load()
@@ -284,11 +284,11 @@ func TestJoinChainRowOwnership(t *testing.T) {
 		}
 		checkRowsOwned(t, q, rows, src.rel.width)
 		for j, ok := top.left.(*joinOperator); ok; j, ok = j.left.(*joinOperator) {
-			if j.grace != nil {
-				graced++
+			if j.spilled != nil {
+				spilled++
 			}
 		}
-		return graced
+		return spilled
 	}
 	// The first four chains end in small tables and meet them as one
 	// dimension, their first join; the fifth starts with a JOIN expression,
@@ -300,8 +300,8 @@ func TestJoinChainRowOwnership(t *testing.T) {
 	// the chain's second join and fills in the rows the first one reserved.
 	check(`SELECT * FROM a, a a2, b, c WHERE a.id = a2.id AND a2.k = b.k AND b.x = c.x`, 0, true, true)
 	// Under a cap the chain stays per member.
-	if graced := check(graceChain, 8<<10, false, true); graced != 2 {
-		t.Errorf("%d of the 2 lower joins ran as Grace joins under the cap: the chain never saw respilled probe rows", graced)
+	if spilled := check(spillChain, 8<<10, false, true); spilled != 2 {
+		t.Errorf("%d of the 2 lower joins spilled under the cap: the chain never saw respilled probe rows", spilled)
 	}
 }
 
@@ -350,8 +350,7 @@ const lastWide = joinFillRows + 3000 - 1
 
 // outerShapes: q keyed on a plain column is probed through its persistent
 // index and the capped run stays in memory; keyed on q.k + 0 it is hashed
-// per statement, so the cap sends the join through Grace partitions
-// (spills).
+// per statement, so the cap spills the join.
 var outerShapes = []struct {
 	sql    string
 	spills bool
@@ -395,7 +394,7 @@ var outerShapes = []struct {
 
 // TestJoinOuterMatchesReference: every LEFT OUTER shape is byte-identical
 // to the reference executor — unlimited, under the 64 KB cap (where the
-// q.k + 0 shapes must really run as Grace joins) and at parallelism 8.
+// q.k + 0 shapes must really spill) and at parallelism 8.
 func TestJoinOuterMatchesReference(t *testing.T) {
 	forceParallel(t)
 	db := outerTestDB(t)

@@ -210,19 +210,14 @@ type filterOperator struct {
 }
 
 // newFilterOp lowers conjuncts against a stream's schema, one batch program
-// each; what WHERE conjuncts share between them is evaluated once per row
-// (shared.go).
+// each.
 func (ex *exec) newFilterOp(conjs []*conjunct, rel *relation, parent *scope) filterOp {
 	exprs := make([]sqlast.Expr, len(conjs))
 	for i, c := range conjs {
 		exprs[i] = c.expr
 	}
-	var shared *sharedExprs
-	if len(conjs) > 0 && conjs[0].an != nil {
-		shared = ex.sharedExprs(conjs[0].an, sharedFilter+conjs[0].idx, exprs, nil)
-	}
 	var f filterOp
-	f.progs, f.slots = ex.vecCompileAll(exprs, rel.bindings, rel.scopeFor(parent), shared)
+	f.progs, _ = ex.vecCompileAll(exprs, rel.bindings, rel.scopeFor(parent), nil)
 	return f
 }
 
@@ -271,11 +266,11 @@ func (o *filterOperator) Close() { o.child.Close() }
 // The outer kind is the inner one except at three points, each marked
 // "outer (n)" where outer is read: (1) a probe row with a NULL key or an
 // empty bucket stays in the probe instead of dropping out (probeBatch, and
-// partitionProbeBatch on the Grace path); (2) the residual ON conjuncts
-// decide whether a candidate counts as a match; (3) a probe row without a
-// match is emitted null-extended (fillPending, and processPartition on the
-// Grace path). An inner join's residual ON conjuncts filter its output
-// instead (buildJoinExprPipe).
+// addProbe on the spilled path); (2) the residual ON conjuncts decide
+// whether a candidate counts as a match; (3) a probe row without a match is
+// emitted null-extended (fillPending, and expand on the spilled path). An
+// inner join's residual ON conjuncts filter its output instead
+// (buildJoinExprPipe).
 //
 // Row ownership (DESIGN.md ADR-011). Rows this operator allocates are
 // chunk-allocated per fill with capacity rowCap — the final width of the
@@ -284,7 +279,7 @@ func (o *filterOperator) Close() { o.child.Close() }
 // of each probe row: a row's first match is written in place behind the
 // prefix, only further matches of a 1:N bucket copy. Whether a given probe
 // row really has the capacity is read off cap(row) — a row that came back
-// from a Grace spill has none and is copied like any foreign row. The
+// from a spilled join has none and is copied like any foreign row. The
 // prefix of a row is never rewritten, so copies of it stay valid whenever
 // they are made. An outer join is never part of a chain (extends is false):
 // it copies every row it emits.
@@ -353,10 +348,10 @@ type joinOperator struct {
 	out     Batch
 
 	// Memory-limited statements: build-side charge and, after an overflow,
-	// the Grace hash join state (gracejoin.go).
+	// the spilled join's state (spilljoin.go).
 	acct    *memAccountant
 	charged int64
-	grace   *graceState
+	spilled *spillJoin
 }
 
 // indexJoinShare bounds what the index path may cost over the eager build:
@@ -589,9 +584,9 @@ func (j *joinOperator) Open(ex *exec) error {
 // eagerBuild drains the build side — filtered by its own conjuncts first, if
 // the join was to run them over candidates — and hashes it on the join keys
 // (base scans are already materialized as the table heap). Under a memory
-// limit the equi build is charged and may overflow into a Grace hash join;
-// the pair-less join (cross product, LEFT JOIN without an equi conjunct)
-// would degenerate to one partition, so it stays in-memory but charged.
+// limit the equi build is charged and may overflow into a spilled join
+// (spilljoin.go); the pair-less join (cross product, LEFT JOIN without an
+// equi conjunct) has one key group, so it stays in-memory but charged.
 func (j *joinOperator) eagerBuild(ex *exec) error {
 	if len(j.own) > 0 {
 		p := ex.filterPipe(&pipe{op: j.right, rel: j.rrel}, j.own, j.parent)
@@ -665,7 +660,7 @@ func (ex *exec) vecJoinBuild(rrel *relation, rows [][]sqltypes.Value, pairs []eq
 }
 
 func (j *joinOperator) Next(ex *exec) (*Batch, error) {
-	for j.grace == nil && j.pendPos >= len(j.pending) {
+	for j.spilled == nil && j.pendPos >= len(j.pending) {
 		if err := ex.cancelled(); err != nil {
 			return nil, err
 		}
@@ -680,14 +675,14 @@ func (j *joinOperator) Next(ex *exec) (*Batch, error) {
 			if err := j.probeBatch(ex, b); err != nil {
 				return nil, err
 			}
-			continue // an index join may have fallen back, into a Grace join even
+			continue // an index join may have fallen back, into a spilled join even
 		}
 		if err := j.fillPending(); err != nil {
 			return nil, err
 		}
 	}
-	if j.grace != nil {
-		return j.graceNext(ex)
+	if j.spilled != nil {
+		return j.spilledNext(ex)
 	}
 	n := len(j.pending) - j.pendPos
 	if n > batchSize {
@@ -758,8 +753,8 @@ func (j *joinOperator) probeBatch(ex *exec, b *Batch) error {
 				if err := j.eagerBuild(ex); err != nil {
 					return err
 				}
-				if j.grace != nil {
-					return j.grace.partitionProbeBatch(ex, b, j.lks)
+				if j.spilled != nil {
+					return j.spilled.addProbe(ex, b, j.lks)
 				}
 			}
 		}
@@ -852,9 +847,9 @@ func (j *joinOperator) Close() {
 	j.idx, j.build, j.cross = nil, nil, nil
 	j.rightRows = nil
 	j.probe, j.sel, j.pending = nil, nil, nil
-	if j.grace != nil {
-		j.grace.close()
-		j.grace = nil
+	if j.spilled != nil {
+		j.spilled.close()
+		j.spilled = nil
 	}
 	j.acct.release(j.charged)
 	j.charged = 0
@@ -880,9 +875,8 @@ type projection struct {
 	plans []orderPlan
 	width int
 
-	vprojs []vecExpr  // nil entries are star segments
-	vkeys  []vecExpr  // key expressions (outCol plans stay nil)
-	slots  *exprSlots // what the two share
+	vprojs []vecExpr // nil entries are star segments
+	vkeys  []vecExpr // key expressions (outCol plans stay nil)
 
 	colBuf  [][]sqltypes.Value
 	keyBuf  [][]sqltypes.Value
@@ -902,15 +896,13 @@ func (ex *exec) newProjectOperator(child Operator, rel *relation, sel *sqlast.Se
 		return nil, err
 	}
 	o := &projectOperator{child: child, cols: cols}
-	o.lowerItems(ex, sel, rel, sc, plans, a)
+	o.lowerItems(ex, sel, rel, sc, plans)
 	return o, nil
 }
 
-// lowerItems builds the programs of sel's items and of the sort keys in one
-// lowering over rel's rows: an expression of one that the other repeats is
-// evaluated once per row where a's analysis shares it (shared.go; a nil a
-// shares nothing).
-func (o *projection) lowerItems(ex *exec, sel *sqlast.Select, rel *relation, sc *scope, plans []orderPlan, a *selAnalysis) {
+// lowerItems builds the programs of sel's items and of the sort keys over
+// rel's rows.
+func (o *projection) lowerItems(ex *exec, sel *sqlast.Select, rel *relation, sc *scope, plans []orderPlan) {
 	o.projs, o.width = ex.buildProjectors(sel, rel)
 	o.plans = plans
 	o.colBuf, o.keyBuf = make([][]sqltypes.Value, len(o.projs)), make([][]sqltypes.Value, len(plans))
@@ -921,8 +913,8 @@ func (o *projection) lowerItems(ex *exec, sel *sqlast.Select, rel *relation, sc 
 	for k := range plans {
 		exprs = append(exprs, plans[k].expr) // nil: sorts by an output column
 	}
-	progs, slots := ex.vecCompileAll(exprs, rel.bindings, sc, ex.sharedExprs(a, sharedProject, exprs, nil))
-	o.vprojs, o.vkeys, o.slots = progs[:len(o.projs)], progs[len(o.projs):], slots
+	progs, _ := ex.vecCompileAll(exprs, rel.bindings, sc, nil)
+	o.vprojs, o.vkeys = progs[:len(o.projs)], progs[len(o.projs):]
 }
 
 func (o *projectOperator) Open(ex *exec) error { return o.child.Open(ex) }
@@ -966,7 +958,6 @@ func (o *projection) batch(ex *exec) *Batch {
 func (o *projection) project(ex *exec, b *Batch) error {
 	n := len(b.rows)
 	sel := b.sel
-	o.slots.nextBatch()
 	m := ex.vs.mark()
 	defer ex.vs.release(m)
 	selBuf := ex.vs.takeSel(len(sel))
@@ -1109,7 +1100,7 @@ func (ex *exec) newGroupOperator(child Operator, rel *relation, sel *sqlast.Sele
 	for _, p := range gs.plans {
 		o.collectAggCalls(p.expr)
 	}
-	if o.shared = ex.sharedExprs(a, sharedGroup, o.gexprs, o.calls); o.shared != nil {
+	if o.shared = ex.sharedExprs(a, o.gexprs, o.calls); o.shared != nil {
 		o.siteOf = o.shared.siteOf
 	} else { // every call a site of its own
 		o.siteOf = make([]int32, len(o.calls))
@@ -1127,7 +1118,7 @@ func (ex *exec) newGroupOperator(child Operator, rel *relation, sel *sqlast.Sele
 	// The output side is lowered in the group: an aggregate call becomes a
 	// kernel reading the accumulators of the group each row stands for.
 	o.sc.group = &o.g
-	o.lowerItems(ex, sel, rel, o.sc, gs.plans, nil)
+	o.lowerItems(ex, sel, rel, o.sc, gs.plans)
 	if o.having != nil {
 		o.cond.progs = []vecExpr{ex.vecCompile(o.having, rel.bindings, o.sc)}
 	}

@@ -88,7 +88,7 @@ type selAnalysis struct {
 	aliases map[string]sqlast.Expr
 	grouped bool
 	owned   bool
-	shared  []*sharedExprs
+	shared  *sharedExprs
 }
 
 func analyzeSelect(sel *sqlast.Select, cat *catalog) *selAnalysis {
@@ -235,13 +235,9 @@ func (p *Plan) SharedExprs() []string {
 	sort.Slice(sels, func(i, j int) bool { return p.subqIDs[sels[i]] < p.subqIDs[sels[j]] })
 	var out []string
 	for _, sel := range sels {
-		for key, s := range p.analysis[sel].shared {
-			if s == nil {
-				continue
-			}
-			kind := [...]string{sharedGroup: "group", sharedProject: "project", sharedFilter: "filter"}[min(key, sharedFilter)]
+		if s := p.analysis[sel].shared; s != nil {
 			for _, line := range s.describe() {
-				out = append(out, kind+": "+line)
+				out = append(out, "group: "+line)
 			}
 		}
 	}

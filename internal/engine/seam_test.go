@@ -42,11 +42,13 @@ var seamFuncs = map[string][]string{
 var operatorEvalFuncs = []string{"exec.operandNeverRaises", "exec.buildSourcePipe"}
 
 // spillSeamFuncs: spill files (ADR-006) come from one seam. Only the
-// osSpillFS seam creates a temp file, and only newSpillFile, which registers
-// it for cleanup, calls the seam.
+// osSpillFS seam creates a temp file, only newSpillFile, which registers it
+// for cleanup, calls the seam, and only spiller.flush writes one (ADR-036):
+// every spill file is a sorted run.
 var spillSeamFuncs = map[string][]string{
-	"CreateTemp": {"osSpillFS.create"},
-	"create":     {"osSpillFS.create", "exec.newSpillFile"},
+	"CreateTemp":   {"osSpillFS.create"},
+	"create":       {"osSpillFS.create", "exec.newSpillFile"},
+	"newSpillFile": {"exec.newSpillFile", "spiller.flush"},
 }
 
 // lockedEntries are the functions that take db.mu. Each holds it from the
@@ -74,14 +76,16 @@ var referenceForbidden = []string{
 // merged into joinOperator, the row-closure compiler ADR-016 deleted
 // (its type, its environment, and the function names only that tier used —
 // venv keeps its own compileBinary, compileCase, …), and the parallel join-key
-// encoder and sort ADR-029 deleted, which no workload entered; they must not
-// come back under the same names. (The reference's local residual closure in
+// encoder and sort ADR-029 deleted, which no workload entered, and the Grace
+// partitioner ADR-036 replaced with sorted runs; they must not come back
+// under the same names. (The reference's local residual closure in
 // leftOuterJoin is not a twin.)
 var deletedTwins = []string{
 	"applyInterp", "projectInterp", "projectRowsBatched",
 	"leftOuterOperator", "newLeftOuterPipe", "gracePartitionProbe", "louter",
 	"compiledExpr", "cenv", "compileArith", "compileOneArg", "compileArgs", "udfSite",
 	"parallelSortIdx", "parallelJoinKeys",
+	"graceState", "graceHash", "partWriter", "processPartition", "subPartition",
 }
 
 func funcName(fd *ast.FuncDecl) string {
@@ -175,7 +179,7 @@ func checkSeam(t *testing.T, seam map[string][]string, sf sourceFunc) {
 
 func TestModeSeam(t *testing.T) {
 	modeLines := 0
-	var graceOwners, liftCallers []string
+	var spillOwners, liftCallers []string
 	fallsBackToInterp := false
 	for _, sf := range parsePackage(t) {
 		name := sf.name
@@ -188,7 +192,7 @@ func TestModeSeam(t *testing.T) {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				// Type declarations: filterOp must not regrow its expression
-				// twin, and one operator owns the Grace hash join.
+				// twin, and one operator owns the spilled hash join.
 				ast.Inspect(decl, func(n ast.Node) bool {
 					ts, ok := n.(*ast.TypeSpec)
 					if !ok {
@@ -203,8 +207,8 @@ func TestModeSeam(t *testing.T) {
 							if ts.Name.Name == "filterOp" && id.Name == "exprs" {
 								t.Errorf("%s: filterOp.exprs is back", name)
 							}
-							if id.Name == "grace" {
-								graceOwners = append(graceOwners, ts.Name.Name)
+							if id.Name == "spilled" {
+								spillOwners = append(spillOwners, ts.Name.Name)
 							}
 						}
 					}
@@ -275,8 +279,8 @@ func TestModeSeam(t *testing.T) {
 	if !fallsBackToInterp {
 		t.Error("venv.lower does not end in `return liftInterp(...)`: lowering is a kernel or the lifted interpreter, nothing in between")
 	}
-	if len(graceOwners) != 1 {
-		t.Errorf("types with a grace field: %v; exactly one operator implements the hash join", graceOwners)
+	if len(spillOwners) != 1 {
+		t.Errorf("types with a spilled field: %v; exactly one operator implements the hash join", spillOwners)
 	}
 	if modeLines > 12 {
 		t.Errorf("%d source lines mention noCompile/streamOff; the seam allows 12", modeLines)

@@ -1,13 +1,12 @@
 package engine
 
-// This file is shared subexpressions (DESIGN.md ADR-023): the expressions one
-// operator evaluates over the same batch — a grouped projection's keys and
-// aggregate arguments, a projection's select items and sort keys, the
-// conjuncts of one filter — are lowered as a DAG instead of a forest. The
-// rewrite wraps every occurrence of a convertible attribute in its conversion
-// pair and o3 emits one partial per aggregate it distributes, so what reaches
-// the engine is redundant by construction; a subexpression that occurs twice
-// gets one slot, and a row's first demand computes what every later one reads.
+// This file is shared subexpressions (DESIGN.md ADR-023): the expressions a
+// grouped projection evaluates over the same batch — its keys and aggregate
+// arguments — are lowered as a DAG instead of a forest. The rewrite wraps
+// every occurrence of a convertible attribute in its conversion pair and o3
+// emits one partial per aggregate it distributes, so what reaches the engine
+// is redundant by construction; a subexpression that occurs twice gets one
+// slot, and a row's first demand computes what every later one reads.
 //
 // Two halves. The analysis (sharedExprs) is structural and made once per plan:
 // it lives in the lazily built selAnalysis, so a plan that never executes
@@ -52,35 +51,21 @@ type sharedExprs struct {
 	uses []int
 }
 
-// Keys of the per-select memo (selAnalysis.shared): the grouped projection,
-// the plain projection, and the filter that starts with conjunct i.
-const (
-	sharedGroup = iota
-	sharedProject
-	sharedFilter
-)
-
 // sharedExprs returns the analysis of plain ++ calls (nil entries of plain
-// are skipped: a star segment, a sort key that is an output column), serving
-// it from a's memo. nil when nothing is analysed: a query block the plan
-// does not own is a clone made per execution, whose pointers no memo can
-// recognise.
-func (ex *exec) sharedExprs(a *selAnalysis, key int, plain []sqlast.Expr, calls []*sqlast.FuncCall) *sharedExprs {
+// are skipped), serving it from a's memo. nil when nothing is analysed: a
+// query block the plan does not own is a clone made per execution, whose
+// pointers no memo can recognise.
+func (ex *exec) sharedExprs(a *selAnalysis, plain []sqlast.Expr, calls []*sqlast.FuncCall) *sharedExprs {
 	if a == nil || !a.owned {
 		return nil
 	}
 	p := ex.plan
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if key < len(a.shared) && a.shared[key].madeFor(plain, calls) {
-		return a.shared[key]
+	if !a.shared.madeFor(plain, calls) {
+		a.shared = ex.analyzeShared(plain, calls)
 	}
-	s := ex.analyzeShared(plain, calls)
-	if key >= len(a.shared) {
-		a.shared = slices.Grow(a.shared, key+1-len(a.shared))[:key+1]
-	}
-	a.shared[key] = s
-	return s
+	return a.shared
 }
 
 // madeFor reports whether s is the analysis of exactly these nodes.

@@ -59,13 +59,14 @@ var sharedPlacements = []string{
 	`(%[1]s * 2 - %[1]s)`,
 }
 
-// sharedShapes are the operators that share: a grouped projection's sites
-// (few groups; many, with the failing row's group behind HAVING; equal
-// sites; a first site that is computed and never evaluated, so what it
-// raised must reach the second from the slot), its key and a site, a
-// projection's items, an item and a sort key, the conjuncts of one filter. %[1]s is the bare term, %[2]s–%[4]s three
-// placements of it, %[5]s a WHERE conjunct that keeps every raising row out,
-// or TRUE.
+// sharedShapes are a grouped projection's sites, the one operator that
+// shares (few groups; many, with the failing row's group behind HAVING;
+// equal sites; a first site that is computed and never evaluated, so what it
+// raised must reach the second from the slot), its key and a site — and, as
+// result checks, the repeats sharing does not reach: a projection's items,
+// an item and a sort key, the conjuncts of one filter. %[1]s is the bare
+// term, %[2]s–%[4]s three placements of it, %[5]s a WHERE conjunct that
+// keeps every raising row out, or TRUE.
 var sharedShapes = []string{
 	`SELECT k, MAX(%[2]s), MIN(%[3]s), COUNT(%[4]s), SUM(%[2]s) FROM g WHERE %[5]s GROUP BY k`,
 	`SELECT id %% 700 AS r, MAX(%[2]s), MIN(%[3]s), AVG(%[1]s) FROM g WHERE %[5]s GROUP BY id %% 700 HAVING r NOT IN (317, 400, 17) ORDER BY r`,
@@ -171,16 +172,14 @@ func TestSharedExprAnalysis(t *testing.T) {
 		// Equal sites fold: same function, DISTINCT flag and argument.
 		{`SELECT SUM(v), SUM(v), SUM(DISTINCT v), COUNT(v), k FROM g GROUP BY k HAVING SUM(v) > 0`,
 			[]string{"group: 2 equal aggregate sites folded"}},
-		// A group key and a site; a select item and a sort key; two conjuncts.
+		// A group key and a site.
 		{`SELECT (v + id) % 5, SUM((v + id) * 2) FROM g GROUP BY (v + id) % 5`, []string{"group: 2x (v + id)"}},
-		{`SELECT id, twice(f) FROM g ORDER BY twice(f) + 1, id`, []string{"project: 2x twice(f)"}},
-		{`SELECT id FROM g WHERE v * 2 > 10 AND v * 2 < 150`, []string{"filter: 2x (v * 2)"}},
 		// Equal is structural, byte for byte: another literal kind, another
 		// spelling of the column or another operator is another expression.
 		{`SELECT SUM(v + 1), AVG(v + 1.0), MAX(V + 1), MIN(v - 1), COUNT(v + 1) FROM g`, []string{"group: 2x (v + 1)"}},
 		// Block by block in subquery order, whatever order the plan keeps them in.
-		{`SELECT id FROM g WHERE v * 2 > 10 AND v * 2 < 150 AND id IN (SELECT id FROM g WHERE v + 1 > 3 AND v + 1 < 90)`,
-			[]string{"filter: 2x (v * 2)", "filter: 2x (v + 1)"}},
+		{`SELECT SUM(v * 2), MAX(v * 2) FROM g WHERE id IN (SELECT SUM(v + 1) + AVG(v + 1) FROM g GROUP BY k)`,
+			[]string{"group: 2x (v * 2)", "group: 2x (v + 1)"}},
 	} {
 		plan, err := db.PreparePlan(tc.sql)
 		if err != nil {
@@ -189,7 +188,7 @@ func TestSharedExprAnalysis(t *testing.T) {
 		if got := plan.SharedExprs(); got != nil {
 			t.Errorf("%s: analysed before it ran: %q", tc.sql, got)
 		}
-		first := map[*selAnalysis][]*sharedExprs{}
+		first := map[*selAnalysis]*sharedExprs{}
 		for run := 0; run < 2; run++ {
 			if _, err := db.ExecPlanContext(context.Background(), plan); err != nil {
 				t.Fatalf("%s: %v", tc.sql, err)
@@ -201,8 +200,8 @@ func TestSharedExprAnalysis(t *testing.T) {
 			}
 			for _, a := range plan.analysis {
 				if run == 0 {
-					first[a] = slices.Clone(a.shared)
-				} else if !slices.Equal(a.shared, first[a]) {
+					first[a] = a.shared
+				} else if a.shared != first[a] {
 					t.Errorf("%s: the second execution analysed again", tc.sql)
 				}
 			}

@@ -10,12 +10,12 @@ package engine
 //     fail writes and reads mid-run,
 //   - an exec-wide registry that guarantees every temp file is removed by
 //     Rows.Close / statement end even when an operator errors before its
-//     own Close runs,
-//   - partWriter, an unsorted partition file (Grace hash join), and
-//   - spiller, the external stable merge sort: records accumulate in memory,
-//     overflow as stably-sorted runs, and drain through a k-way merge where
-//     the earlier run wins ties — so run order preserves arrival order and
-//     the merged stream is byte-identical to one global stable sort.
+//     own Close runs, and
+//   - spiller, the external stable merge sort and the one writer of a spill
+//     file: records accumulate in memory, overflow as stably-sorted runs,
+//     and drain through a k-way merge where the earlier run wins ties — so
+//     run order preserves arrival order and the merged stream is
+//     byte-identical to one global stable sort.
 //
 // Everything here is created lazily: a statement under the default
 // unlimited budget never touches this file.
@@ -256,60 +256,6 @@ func (r *spillReader) close() {
 	if r.rc != nil {
 		r.rc.Close()
 		r.rc = nil
-	}
-}
-
-// ---------------------------------------------------------------- partitions
-
-// partWriter is one unsorted partition file (Grace hash join): records are
-// appended in arrival order and read back in the same order.
-type partWriter struct {
-	ex   *exec
-	file spillFile
-	bw   *bufio.Writer
-	buf  []byte
-	n    int64 // records written
-}
-
-// write appends rec, creating the file lazily on first use.
-func (p *partWriter) write(rec *spillRec) error {
-	if p.file == nil {
-		f, err := p.ex.newSpillFile()
-		if err != nil {
-			return err
-		}
-		p.file = f
-		p.bw = bufio.NewWriterSize(f, 64<<10)
-	}
-	p.buf = appendSpillRec(p.buf[:0], rec)
-	if _, err := p.bw.Write(p.buf); err != nil {
-		return fmt.Errorf("engine: spill: %w", err)
-	}
-	p.ex.db.Stats.SpillBytes.Add(int64(len(p.buf)))
-	p.n++
-	return nil
-}
-
-// finish closes the write side; a nil-file partition stays empty.
-func (p *partWriter) finish() error {
-	if p.file == nil {
-		return nil
-	}
-	if err := p.bw.Flush(); err != nil {
-		return fmt.Errorf("engine: spill: %w", err)
-	}
-	if err := p.file.finish(); err != nil {
-		return fmt.Errorf("engine: spill: %w", err)
-	}
-	return nil
-}
-
-func (p *partWriter) open() (*spillReader, error) { return openSpillReader(p.file) }
-
-func (p *partWriter) drop() {
-	if p.file != nil {
-		p.ex.dropSpillFile(p.file)
-		p.file = nil
 	}
 }
 
