@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -21,11 +20,10 @@ import (
 // subquery IDs, UDF body lowerings — lives in the Plan (plan.go), which the
 // exec only reads, so one plan serves any number of executions.
 type exec struct {
-	db       *DB
-	plan     *Plan
-	udfCache map[string]sqltypes.Value // statement-wide UDF result memo (per worker)
-	keyBuf   []byte                    // scratch for UDF cache keys; reused across calls
-	depth    int                       // subquery/UDF nesting guard
+	db     *DB
+	plan   *Plan
+	keyBuf []byte // scratch for UDF cache and index keys; reused across calls
+	depth  int    // subquery/UDF nesting guard
 
 	// cat is the schema snapshot captured at exec creation: every name
 	// resolution during execution — tables, views, UDFs, compiled call
@@ -52,18 +50,12 @@ type exec struct {
 	// interp. Production is both false.
 	interp, reference bool
 
-	// udfProj holds this execution's lowered projections of planned UDF
-	// bodies (udf.go): entries (rows + bindings) are shared across
-	// executions on the plan, but a batch program captures its exec and the
-	// argument frame it reads $n from, which are execution state — so each
-	// exec lowers its own. udfEntries holds, per planned body, the relation
-	// memo of this execution's snapshots (memoFor) and the entries already
-	// looked up there, so hot call paths take no lock after the first probe of
-	// a key. projBatches are the idle batches projections run on, one in use
-	// per level of UDF recursion.
-	udfProj     map[*udfPlanEntry]*udfProjection
-	udfEntries  map[*udfPlan]*execUDFMemo
-	projBatches []*Batch
+	// udfCalls holds this execution's handle on each SQL function it calls
+	// (udf.go): the statement-wide IMMUTABLE-result cache (ModePostgres), and
+	// for a planned body the relation memo of this execution's snapshots and
+	// the projection program — a batch program captures its exec, so each
+	// exec and worker lowers its own.
+	udfCalls map[*Function]*udfCall
 
 	// pool holds this statement's parallel workers; it persists across
 	// parallel sections so worker caches (compiled projections, scratch
@@ -168,7 +160,6 @@ func (db *DB) newExec(p *Plan) *exec {
 		par:        db.parallelism(),
 		interp:     db.noCompile || db.streamOff,
 		reference:  db.streamOff,
-		udfCache:   make(map[string]sqltypes.Value),
 		subqCache:  make(map[int32]*Result),
 		inSetCache: make(map[int32]*inSet),
 		nextDynID:  p.nSubq,
@@ -239,7 +230,6 @@ func (ex *exec) workerClone() *exec {
 		ctx:        ex.ctx,
 		acct:       ex.acct,
 		spills:     ex.spills,
-		udfCache:   make(map[string]sqltypes.Value),
 		subqCache:  make(map[int32]*Result),
 		inSetCache: make(map[int32]*inSet),
 		nextDynID:  ex.plan.nSubq,
@@ -289,6 +279,7 @@ type scope struct {
 	bindings []*binding
 	row      []sqltypes.Value
 	params   []sqltypes.Value // UDF arguments, addressed by $n
+	args     *udfArgs         // a planned UDF body's arguments: liftInterp sets params per batch row
 	group    *groupCtx        // non-nil while evaluating grouped output
 
 	// crossed marks a subquery boundary: any name resolution that walks
@@ -1033,84 +1024,15 @@ func (ex *exec) evalOneArg(x *sqlast.FuncCall, sc *scope) (sqltypes.Value, error
 // difference is exactly what separates Tables 3–5 from Tables 7–9 in the
 // paper. The paper's conversion functions are deterministic per (value,
 // tenant) pair, so the Canonical/O1 levels' 2N conversion calls collapse to
-// |distinct inputs| body executions. Both evaluators call here — the
-// interpreter's evalFunc and the call kernel of vector.go — so a result is
-// visible across every call site of the function.
+// |distinct inputs| body executions. The interpreter calls here, one call at
+// a time; the call kernel of vector.go answers a batch through the same
+// handle (exec.udf), so a result is visible across every call site of the
+// function.
 func (ex *exec) callUDF(fn *Function, args []sqltypes.Value) (sqltypes.Value, error) {
 	if len(args) != fn.NumParams {
 		return sqltypes.Null, fmt.Errorf("engine: %s expects %d arguments, got %d", fn.Name, fn.NumParams, len(args))
 	}
-	if !fn.Immutable || ex.db.mode != ModePostgres {
-		return ex.execUDFBody(fn, args)
-	}
-	// The key names the call exactly. AppendKey is a grouping key — INTEGER
-	// 3 and DECIMAL 3.00 encode alike, and a body can tell them apart
-	// ($1 / 2) — so integers take an encoding of their own, and the name is
-	// terminated so that f(NULL) is not fn().
-	buf := append(append(ex.keyBuf[:0], fn.Name...), 0)
-	for _, a := range args {
-		if a.K == sqltypes.KindInt {
-			buf = binary.LittleEndian.AppendUint64(append(buf, 'i'), uint64(a.I))
-		} else {
-			buf = sqltypes.AppendKey(buf, a)
-		}
-	}
-	ex.keyBuf = buf
-	if v, ok := ex.udfCache[string(buf)]; ok {
-		ex.db.Stats.UDFCacheHits.Add(1)
-		return v, nil
-	}
-	// Materialize the key before executing the body: a recursive function
-	// re-enters callUDF, and the nested call's key encoding reuses keyBuf.
-	// Storing under string(buf) after the call would record this result
-	// under the *innermost* call's key, poisoning the cache for every later
-	// lookup (TestRecursiveMemoPoison2).
-	key := string(buf)
-	out, err := ex.execUDFBody(fn, args)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	ex.udfCache[key] = out
-	return out, nil
-}
-
-// execUDFBody runs a function body uncached. args is the body's parameter
-// frame while it runs: callers hand over a list nothing else writes until
-// the call returns (the interpreter builds one per call, the call kernel
-// keeps one per activation on the scratch stack).
-func (ex *exec) execUDFBody(fn *Function, args []sqltypes.Value) (sqltypes.Value, error) {
-	ex.db.Stats.UDFCalls.Add(1)
-	if ex.depth > 64 {
-		return sqltypes.Null, fmt.Errorf("engine: UDF recursion too deep in %s", fn.Name)
-	}
-	if args == nil {
-		// A call without arguments still opens a frame: $n in its body is
-		// out of range, never the caller's client bind.
-		args = []sqltypes.Value{}
-	}
-	ex.depth++
-	var out sqltypes.Value
-	var err error
-	if plan := ex.planUDF(fn); plan.ok {
-		// Planned body: cached FROM/WHERE relation + lowered projection.
-		out, err = ex.runPlannedUDF(plan, args)
-	} else {
-		sc := rootScope()
-		sc.params = args
-		var res *Result
-		res, err = ex.runQuery(fn.Body, sc)
-		if err == nil {
-			out = sqltypes.Null
-			if len(res.Rows) > 0 {
-				out = res.Rows[0][0]
-			}
-		}
-	}
-	ex.depth--
-	if err != nil {
-		return sqltypes.Null, fmt.Errorf("engine: in function %s: %w", fn.Name, err)
-	}
-	return out, nil
+	return ex.udf(fn).call(args)
 }
 
 // ---------------------------------------------------------------- aggregates

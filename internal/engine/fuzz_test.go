@@ -523,6 +523,18 @@ func FuzzQuery(f *testing.F) {
 	} {
 		f.Add(sql)
 	}
+	// The batch call (ADR-037): conversion calls whose arguments repeat
+	// within a batch, are NULL for some rows, name a tenant without a meta
+	// row (3, and 0), fail for some rows, and are VARCHAR.
+	for _, sql := range []string{
+		`SELECT l_linenumber, SUM(currencyToUniversal(ROUND(l_extendedprice, -3), l_linenumber % 3 + 1)) AS s, COUNT(*) FROM lineitem GROUP BY l_linenumber ORDER BY l_linenumber`,
+		`SELECT o_orderkey, currencyFromUniversal(CASE WHEN o_orderkey % 4 = 0 THEN NULL ELSE o_totalprice END, CASE WHEN o_orderkey % 5 = 0 THEN NULL ELSE 1 END) AS v FROM orders ORDER BY o_orderkey LIMIT 60`,
+		`SELECT c_custkey, currencyToUniversal(c_acctbal, c_custkey % 4) AS v FROM customer ORDER BY c_custkey LIMIT 50`,
+		`SELECT p_partkey, currencyToUniversal(p_retailprice, 2 / (p_partkey % 7)) AS v FROM part ORDER BY p_partkey`,
+		`SELECT s_suppkey, phoneToUniversal(s_phone, s_suppkey % 3 + 1) AS p, phoneFromUniversal(phoneToUniversal(s_phone, 1), s_nationkey % 2 + 1) AS q FROM supplier ORDER BY s_suppkey LIMIT 40`,
+	} {
+		f.Add(sql)
+	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		if len(sql) > 4096 {
 			t.Skip("oversized input")

@@ -76,16 +76,20 @@ var referenceForbidden = []string{
 // merged into joinOperator, the row-closure compiler ADR-016 deleted
 // (its type, its environment, and the function names only that tier used —
 // venv keeps its own compileBinary, compileCase, …), and the parallel join-key
-// encoder and sort ADR-029 deleted, which no workload entered, and the Grace
-// partitioner ADR-036 replaced with sorted runs; they must not come back
-// under the same names. (The reference's local residual closure in
-// leftOuterJoin is not a twin.)
+// encoder and sort ADR-029 deleted, which no workload entered, the Grace
+// partitioner ADR-036 replaced with sorted runs, and the per-call projection
+// of a planned UDF body ADR-037 replaced with the batch call (its argument
+// frame, per-entry lowerings, batch free list and per-call entry points);
+// they must not come back under the same names. (The reference's local
+// residual closure in leftOuterJoin is not a twin.)
 var deletedTwins = []string{
 	"applyInterp", "projectInterp", "projectRowsBatched",
 	"leftOuterOperator", "newLeftOuterPipe", "gracePartitionProbe", "louter",
 	"compiledExpr", "cenv", "compileArith", "compileOneArg", "compileArgs", "udfSite",
 	"parallelSortIdx", "parallelJoinKeys",
 	"graceState", "graceHash", "partWriter", "processPartition", "subPartition",
+	"frame", "udfProjection", "udfProj", "projBatches", "projectPlannedUDF",
+	"runPlannedUDF", "execUDFBody", "execUDFMemo", "memoFor", "udfCache",
 }
 
 func funcName(fd *ast.FuncDecl) string {

@@ -1,15 +1,17 @@
 package engine
 
-// This file plans the bodies of SQL UDFs. The paper's residual cost after
-// O1–O4 is per-row conversion-function calls, and a conversion function's
-// body is one scalar expression over a meta-table row selected by the tenant
-// key: planning it once per statement plan, caching the selected relation
-// per distinct key and lowering the projection to a batch program (vector.go)
-// turns a call into a hash probe plus one kernel invocation instead of a
-// full query plan-and-execute. Results are cached one level up, in callUDF
-// (eval.go), and only where the engine mode says PostgreSQL would.
+// This file runs SQL UDFs (DESIGN.md ADR-037). The paper's residual cost
+// after O1–O4 is per-row conversion-function calls, and a conversion
+// function's body is one scalar expression over a meta-table row selected by
+// the tenant key. Planned once per statement plan, with the selected relation
+// cached per key, a batch of calls costs a probe per distinct key and one run
+// of the body's batch program. Results are cached only where the engine mode
+// says PostgreSQL would (udfResults).
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -26,19 +28,17 @@ import (
 //
 // The FROM/WHERE part depends only on the parameters the WHERE references
 // (the tenant key for conversion functions), so its materialized relation is
-// cached per distinct tuple of those parameters; the projection is lowered
-// once per cached relation and execution. A conversion call then costs one
-// hash probe plus one batch-program run instead of a full query
-// plan-and-execute, independent of the engine mode — like a prepared plan, it
-// accelerates ModeSystemC too without caching *results*, preserving the
-// paper's cached-vs-uncached distinction (Tables 3–5 vs 7–9).
+// cached per distinct tuple of those parameters, laid out as bindings; the
+// projection is lowered once per execution against them. Like a prepared
+// plan, this accelerates ModeSystemC too without caching *results*,
+// preserving the paper's cached-vs-uncached distinction (Tables 3–5 vs 7–9).
 //
 // udfPlans live on the statement Plan and survive across executions and
 // writes: the lowering depends on the schema only, like the plan. The relations
 // do depend on the data, so they belong to the snapshots they were read from
 // (DESIGN.md ADR-024): memo holds the relations of one set of pinned
 // tableData of tabs, the body's FROM tables, and an execution whose own pins
-// of tabs differ starts a fresh one in its place (memoFor). An open cursor
+// of tabs differ starts a fresh one in its place (exec.udf). An open cursor
 // therefore keeps converting at the rates of its snapshot while a statement
 // started after a write to the meta tables sees the new ones, through the same
 // plan. mu guards memo and every memo's entries map: concurrent
@@ -49,8 +49,14 @@ type udfPlan struct {
 	ok          bool
 	body        *sqlast.Select
 	proj        sqlast.Expr
-	whereParams []int    // 1-based parameter indices the WHERE references
-	tabs        []*Table // the body's FROM tables in the plan's catalog
+	whereParams []int      // 1-based parameter indices the WHERE references
+	tabs        []*Table   // the body's FROM tables in the plan's catalog
+	bindings    []*binding // tabs' columns in FROM order: every entry's row layout
+
+	// callsUDF: the projection calls a SQL function, whose calls consult the
+	// result cache, so the calls of a batch run one at a time in row order
+	// (udfCall.call) to keep the cache's counts those of that order.
+	callsUDF bool
 
 	mu   sync.Mutex
 	memo *udfMemo
@@ -71,12 +77,10 @@ type udfMemo struct {
 const udfPlanEntryCap = 4096
 
 // udfPlanEntry is the body's FROM/WHERE relation for one tuple of
-// WHERE-referenced arguments. It is immutable once inserted; the projection
-// program lowered against it is per-exec (ex.udfProj), because a program
-// captures its exec's scratch and must not cross goroutines.
+// WHERE-referenced arguments, in the plan's layout (udfPlan.bindings). It is
+// immutable once inserted.
 type udfPlanEntry struct {
-	rows     [][]sqltypes.Value
-	bindings []*binding
+	rows [][]sqltypes.Value
 }
 
 // planUDF analyses fn's body once per *plan* and returns its lowering, so a
@@ -105,8 +109,8 @@ func (ex *exec) planUDF(fn *Function) *udfPlan {
 // only when its relation is a function of the WHERE parameters and the rows of
 // the base tables its FROM names — those are what a memo is pinned to — so a
 // FROM item that is anything else (a view, a derived table, a join, a missing
-// name) and a WHERE that reads further tables through a subquery or another
-// UDF leave it to the general path.
+// name, a name given twice) and a WHERE that reads further tables through a
+// subquery or another UDF leave it to the general path.
 func buildUDFPlan(body *sqlast.Select, cat *catalog) *udfPlan {
 	if body.Distinct || len(body.GroupBy) > 0 || body.Having != nil ||
 		len(body.OrderBy) > 0 || body.Limit >= 0 || len(body.Items) != 1 {
@@ -118,16 +122,23 @@ func buildUDFPlan(body *sqlast.Select, cat *catalog) *udfPlan {
 		return &udfPlan{}
 	}
 	plan := &udfPlan{ok: true, body: body, proj: it.Expr}
+	width := 0
 	for _, te := range body.From {
 		name, isName := te.(*sqlast.TableName)
 		if !isName {
 			return &udfPlan{}
 		}
 		key := strings.ToLower(name.Name)
-		if cat.tables[key] == nil || cat.views[key] != nil {
+		tab := cat.tables[key]
+		if tab == nil || cat.views[key] != nil {
 			return &udfPlan{}
 		}
-		plan.tabs = append(plan.tabs, cat.tables[key])
+		b := newBinding(name.Binding(), tab.ColNames())
+		if slices.ContainsFunc(plan.bindings, func(o *binding) bool { return o.name == b.name }) {
+			return &udfPlan{}
+		}
+		b.off, width = width, width+len(b.cols)
+		plan.tabs, plan.bindings = append(plan.tabs, tab), append(plan.bindings, b)
 	}
 	seen := map[int]bool{}
 	sqlast.WalkExpr(body.Where, func(n sqlast.Expr) bool {
@@ -143,16 +154,121 @@ func buildUDFPlan(body *sqlast.Select, cat *catalog) *udfPlan {
 		}
 		return plan.ok
 	})
+	sqlast.WalkExpr(it.Expr, func(n sqlast.Expr) bool {
+		if x, ok := n.(*sqlast.FuncCall); ok && !isScalarBuiltin(strings.ToUpper(x.Name)) {
+			plan.callsUDF = true
+		}
+		return !plan.callsUDF
+	})
 	return plan
 }
 
-// memoFor returns this execution's handle on plan's relation memo: the plan's
-// own when it was read from the table snapshots this execution pinned, else a
-// fresh one, which takes its place. Decided once per exec and worker; after
-// that a call probes its own map and takes no lock.
-func (ex *exec) memoFor(plan *udfPlan) *execUDFMemo {
-	if m := ex.udfEntries[plan]; m != nil {
-		return m
+// inLayout returns rel's rows in the plan's layout. A join lays its sources
+// out in join order, and a cross product takes the smaller side first, so the
+// order can differ from one tuple of WHERE arguments to the next; the one
+// program lowered against bindings reads every entry.
+func (p *udfPlan) inLayout(rel *relation) [][]sqltypes.Value {
+	same := len(rel.bindings) == len(p.bindings)
+	for i := 0; same && i < len(p.bindings); i++ {
+		same = rel.bindings[i].name == p.bindings[i].name && rel.bindings[i].off == p.bindings[i].off
+	}
+	if same || len(rel.rows) == 0 {
+		return rel.rows
+	}
+	width := 0
+	from := make([]int, len(p.bindings))
+	for i, b := range p.bindings {
+		width += len(b.cols)
+		for _, rb := range rel.bindings {
+			if rb.name == b.name {
+				from[i] = rb.off
+			}
+		}
+	}
+	rows := make([][]sqltypes.Value, len(rel.rows))
+	for r, row := range rel.rows {
+		out := make([]sqltypes.Value, width)
+		for i, b := range p.bindings {
+			copy(out[b.off:b.off+len(b.cols)], row[from[i]:])
+		}
+		rows[r] = out
+	}
+	return rows
+}
+
+// udfCall is one execution's (and parallel worker's) handle on a SQL
+// function, made when a call to it is first lowered or interpreted (exec.udf):
+// its result cache, and for a planned body the relation memo of this
+// execution's snapshots, the entries already looked up there — parallel
+// workers would otherwise serialize on udfPlan.mu for every call — and the
+// projection program, lowered once against the plan's layout. The program
+// reads $n from args and runs its lifted subtrees in sc, whose row and
+// parameter frame liftInterp sets per batch row.
+type udfCall struct {
+	ex    *exec
+	fn    *Function
+	plan  *udfPlan
+	cache *udfResults // nil unless ModePostgres caches fn's results
+
+	memo     *udfMemo
+	seen     map[string]*udfPlanEntry
+	lastKey  callKey // the last fixed WHERE key looked up, and its entry
+	lastSeen *udfPlanEntry
+
+	prog vecExpr
+	args udfArgs
+	sc   *scope
+	idle *Batch             // a batch for the next project; a recursive one allocates its own
+	rows [][]sqltypes.Value // batch scratch: the entry row each call of the batch reads
+}
+
+// udfArgs is where a running body program reads its arguments: argument j of
+// batch row i is vals[j*col + i*row] — column j of a batch of calls (col the
+// batch's length, row 1), or one call's list for every row (col 1, row 0).
+type udfArgs struct {
+	vals     []sqltypes.Value
+	col, row int
+	argv     []sqltypes.Value // of's gathered row; its length is the arity
+}
+
+// of returns batch row i's arguments as a list: a frame for the interpreter,
+// a key for the caches. A gathered list lasts until the next gather. It is
+// never nil, so a call without arguments still opens a frame: $n in its body
+// is out of range, never the caller's client bind.
+func (a *udfArgs) of(i int32) []sqltypes.Value {
+	if a.row == 0 {
+		return a.vals
+	}
+	for j := range a.argv {
+		a.argv[j] = a.vals[j*a.col+int(i)]
+	}
+	return a.argv
+}
+
+// noArgs is the argument list of a call without arguments.
+var noArgs = []sqltypes.Value{}
+
+// udf returns this execution's handle on fn, making it on first use: the
+// plan is resolved (planUDF), the memo of this execution's pins chosen — the
+// plan's own when it was read from the same table snapshots, else a fresh one,
+// which takes its place — and the projection lowered. The handle is
+// registered before its program is lowered, so a recursive body's call site
+// finds it.
+func (ex *exec) udf(fn *Function) *udfCall {
+	if c := ex.udfCalls[fn]; c != nil {
+		return c
+	}
+	c := &udfCall{ex: ex, fn: fn, plan: ex.planUDF(fn)}
+	if fn.Immutable && ex.db.mode == ModePostgres {
+		c.cache = &udfResults{}
+	}
+	if ex.udfCalls == nil {
+		ex.udfCalls = make(map[*Function]*udfCall)
+	}
+	ex.udfCalls[fn] = c
+	plan := c.plan
+	if !plan.ok {
+		return c
 	}
 	pins := make([]*tableData, len(plan.tabs))
 	for i, t := range plan.tabs {
@@ -162,131 +278,434 @@ func (ex *exec) memoFor(plan *udfPlan) *execUDFMemo {
 	if plan.memo == nil || !slices.Equal(plan.memo.pins, pins) {
 		plan.memo = &udfMemo{pins: pins, entries: make(map[string]*udfPlanEntry)}
 	}
-	m := &execUDFMemo{shared: plan.memo, seen: make(map[string]*udfPlanEntry)}
+	c.memo = plan.memo
 	plan.mu.Unlock()
-	if ex.udfEntries == nil {
-		ex.udfEntries = make(map[*udfPlan]*execUDFMemo)
-	}
-	ex.udfEntries[plan] = m
-	return m
+	c.args = udfArgs{vals: noArgs, col: 1, argv: make([]sqltypes.Value, fn.NumParams)}
+	c.sc = &scope{bindings: plan.bindings, params: noArgs, args: &c.args}
+	ve := &venv{ex: ex, bindings: plan.bindings, sc: c.sc, vs: ex.vs, args: &c.args}
+	c.prog = ve.compile(plan.proj)
+	return c
 }
 
-// execUDFMemo is one execution's (and worker's) handle on a planned body's
-// relations: the memo of its snapshots, and the entries it already looked up
-// there — parallel workers would otherwise serialize on udfPlan.mu for every
-// call. Entries are immutable, so a remembered pointer stays valid even if the
-// shared map restarts on overflow.
-type execUDFMemo struct {
-	shared *udfMemo
-	seen   map[string]*udfPlanEntry
+// batched reports whether the call kernel answers a whole batch of calls at
+// once (udfCall.batch) rather than one call at a time in row order.
+func (c *udfCall) batched() bool { return c.plan.ok && !c.plan.callsUDF }
+
+// call answers one call: from the result cache where the mode keeps one, else
+// by running the body. Behaviour matches runQuery(body, scope-with-params)
+// followed by taking the first row's only column (NULL over an empty result).
+func (c *udfCall) call(args []sqltypes.Value) (sqltypes.Value, error) {
+	ex := c.ex
+	if c.cache == nil {
+		return c.execBody(args)
+	}
+	key := keyOf(args)
+	if v, ok := c.cache.lookup(key, &ex.keyBuf); ok {
+		ex.db.Stats.UDFCacheHits.Add(1)
+		return v, nil
+	}
+	out, err := c.execBody(args)
+	if err == nil {
+		c.cache.insert(key, out, &ex.keyBuf)
+	}
+	return out, err
 }
 
-// run executes one call through the plan. Behaviour matches
-// runQuery(body, scope-with-params) followed by taking the first row's only
-// column (NULL over an empty result), the contract of callUDF.
-func (ex *exec) runPlannedUDF(plan *udfPlan, args []sqltypes.Value) (sqltypes.Value, error) {
-	buf := ex.keyBuf[:0]
-	for _, n := range plan.whereParams {
-		if n >= 1 && n <= len(args) {
-			buf = sqltypes.AppendKey(buf, args[n-1])
-		} else {
-			buf = append(buf, 'x')
-		}
+// execBody runs the body for one call, uncached. args is the body's parameter
+// frame while it runs: callers hand over a list nothing else writes until
+// the call returns.
+func (c *udfCall) execBody(args []sqltypes.Value) (sqltypes.Value, error) {
+	ex := c.ex
+	ex.db.Stats.UDFCalls.Add(1)
+	if ex.depth > 64 {
+		return sqltypes.Null, c.tooDeep()
 	}
-	ex.keyBuf = buf
-
-	// The probe on every body execution reads the key out of the scratch
-	// buffer and allocates nothing.
-	memo := ex.memoFor(plan)
-	if entry := memo.seen[string(buf)]; entry != nil {
-		return ex.projectPlannedUDF(plan, entry, args)
+	if args == nil {
+		args = noArgs
 	}
-	key := string(buf) // a miss materializes the key
-
-	shared := memo.shared
-	plan.mu.Lock()
-	entry := shared.entries[key]
-	plan.mu.Unlock()
-	if entry == nil {
-		// Build outside the lock: the relation derives only from the pinned
-		// snapshots plus args, so two racing builders produce identical rows
-		// and the first insert wins.
-		psc := rootScope()
-		psc.params = args
-		rel, err := ex.fromWhereRelation(plan.body, psc)
-		if err != nil {
-			return sqltypes.Null, err
+	ex.depth++
+	var out sqltypes.Value
+	var err error
+	if c.plan.ok {
+		var e *udfPlanEntry
+		if e, err = c.entry(args); err == nil {
+			out, err = c.project(e, args)
 		}
-		entry = &udfPlanEntry{rows: rel.rows, bindings: rel.bindings}
-		plan.mu.Lock()
-		if existing := shared.entries[key]; existing != nil {
-			entry = existing
-		} else {
-			if len(shared.entries) >= udfPlanEntryCap {
-				shared.entries = make(map[string]*udfPlanEntry)
-			}
-			shared.entries[key] = entry
-		}
-		plan.mu.Unlock()
-	}
-	memo.seen[key] = entry
-	return ex.projectPlannedUDF(plan, entry, args)
-}
-
-// udfProjection is one execution's lowering of a planned body's projection
-// over one entry: the batch program and the scope its lifted subtrees are
-// interpreted in — the entry's bindings under the argument frame (sc.parent)
-// the program's $n kernels read.
-type udfProjection struct {
-	prog vecExpr
-	sc   *scope
-}
-
-// projectPlannedUDF evaluates the body projection over an entry's cached
-// relation — the per-call tail of runPlannedUDF once the relation is known.
-// Like the interpreter it projects every row and returns the first row's
-// value, so a later row's error surfaces, first in row order.
-func (ex *exec) projectPlannedUDF(plan *udfPlan, entry *udfPlanEntry, args []sqltypes.Value) (sqltypes.Value, error) {
-	p := ex.udfProj[entry]
-	if p == nil {
-		frame := rootScope()
-		sc := &scope{parent: frame, bindings: entry.bindings}
-		ve := &venv{ex: ex, bindings: entry.bindings, sc: sc, vs: ex.vs, frame: frame}
-		p = &udfProjection{prog: ve.compile(plan.proj), sc: sc}
-		if ex.udfProj == nil {
-			ex.udfProj = make(map[*udfPlanEntry]*udfProjection)
-		}
-		ex.udfProj[entry] = p
-	}
-
-	// A recursive function re-enters its own projection from inside prog, so
-	// what one activation owns — the frame's arguments, the row a lifted
-	// subtree is on, the batch — is taken on entry and put back on exit; the
-	// program's columns are on the scratch stack already.
-	frame := p.sc.parent
-	savedParams, savedRow := frame.params, p.sc.row
-	frame.params = args
-	var b *Batch
-	if n := len(ex.projBatches); n > 0 {
-		b, ex.projBatches = ex.projBatches[n-1], ex.projBatches[:n-1]
 	} else {
-		b = new(Batch)
+		sc := rootScope()
+		sc.params = args
+		var res *Result
+		if res, err = ex.runQuery(c.fn.Body, sc); err == nil && len(res.Rows) > 0 {
+			out = res.Rows[0][0]
+		}
 	}
+	ex.depth--
+	if err != nil {
+		return sqltypes.Null, c.failed(err)
+	}
+	return out, nil
+}
+
+func (c *udfCall) tooDeep() error {
+	return fmt.Errorf("engine: UDF recursion too deep in %s", c.fn.Name)
+}
+
+func (c *udfCall) failed(err error) error {
+	return fmt.Errorf("engine: in function %s: %w", c.fn.Name, err)
+}
+
+// batch answers the calls of the live rows of b, whose arguments are the
+// columns of cols (argument j of row i at cols[j*len(b.rows)+i]), into out,
+// and poisons exactly the rows whose call fails. The cache answers what it
+// holds; the remaining calls run the body together: one memo probe per
+// distinct WHERE key, then one run of the projection over every call whose
+// relation is one row. The values and counts are those of answering the
+// calls one at a time in row order. A body that calls no function leaves the
+// cache alone, so the results are inserted in row order afterwards: a call
+// counts where its insert adds an entry, and where an earlier row of the
+// batch added one already it counts a hit and answers that row's result (an
+// equal key need not be equal arguments: ±0). A failed call inserts nothing
+// and counts as a call, as its every repetition would run the body again.
+func (c *udfCall) batch(b *Batch, live []int32, cols, out []sqltypes.Value) {
+	ex := c.ex
+	c.args.vals, c.args.col, c.args.row = cols, len(b.rows), 1
+	stats := &ex.db.Stats
+	if c.cache != nil {
+		hits, miss := 0, live[:0]
+		for _, i := range live {
+			if v, ok := c.cache.lookup(keyOf(c.args.of(i)), &ex.keyBuf); ok {
+				out[i] = v
+				hits++
+			} else {
+				miss = append(miss, i)
+			}
+		}
+		stats.UDFCacheHits.Add(int64(hits))
+		live = miss
+	}
+	if len(live) == 0 {
+		return
+	}
+	if ex.depth > 64 {
+		err := c.tooDeep()
+		for _, i := range live {
+			b.poison(i, err)
+		}
+		stats.UDFCalls.Add(int64(len(live)))
+		return
+	}
+	ex.depth++
+	c.run(b, live, out)
+	ex.depth--
+	calls := len(live)
+	if c.cache != nil {
+		for _, i := range live {
+			key := keyOf(c.args.of(i))
+			var v sqltypes.Value
+			var hit bool
+			if b.errs[i] != nil {
+				v, hit = c.cache.lookup(key, &ex.keyBuf)
+			} else {
+				v, hit = c.cache.insert(key, out[i], &ex.keyBuf)
+				hit = !hit
+			}
+			if hit {
+				b.errs[i], out[i] = nil, v
+				calls--
+			}
+		}
+		stats.UDFCacheHits.Add(int64(len(live) - calls))
+	}
+	stats.UDFCalls.Add(int64(calls))
+}
+
+// run executes the body for the live rows' calls (see batch). The program
+// runs on b itself, its rows swapped for the entry rows of the calls; a body
+// that calls no function does not re-enter its own program, so the scratch
+// is the handle's.
+func (c *udfCall) run(b *Batch, live []int32, out []sqltypes.Value) {
+	st := c.ex.vs
+	m := st.mark()
+	one := st.takeSel(len(live))
+	if len(c.rows) < len(b.rows) {
+		c.rows = make([][]sqltypes.Value, len(b.rows))
+	}
+	for _, i := range live {
+		argv := c.args.of(i)
+		e, err := c.entry(argv)
+		switch {
+		case err != nil:
+			b.poison(i, c.failed(err))
+		case len(e.rows) == 1:
+			c.rows[i] = e.rows[0]
+			one = append(one, i)
+		case len(e.rows) == 0:
+			out[i] = sqltypes.Null
+		default:
+			if v, err := c.project(e, argv); err != nil {
+				b.poison(i, c.failed(err))
+			} else {
+				out[i] = v
+			}
+		}
+	}
+	if len(one) > 0 {
+		rows := b.rows
+		b.rows = c.rows[:len(rows)]
+		c.prog(b, one, out)
+		b.rows = rows
+		for _, i := range one {
+			if err := b.errs[i]; err != nil {
+				b.errs[i] = c.failed(err)
+			}
+		}
+	}
+	st.release(m)
+}
+
+// project runs the projection for one call over its relation e in batch-sized
+// windows. Like the interpreter it projects every row and returns the first
+// row's value, so a later row's error surfaces, first in row order. A
+// recursive function re-enters its own projection from inside prog, so what
+// one activation owns — the arguments, the row and frame a lifted subtree is
+// on, the batch — is taken on entry and put back on exit; the program's
+// columns are on the scratch stack already.
+func (c *udfCall) project(e *udfPlanEntry, args []sqltypes.Value) (sqltypes.Value, error) {
+	vs := c.ex.vs
+	b := c.takeBatch()
+	saved, savedRow, savedParams := c.args, c.sc.row, c.sc.params
+	c.args.vals, c.args.col, c.args.row = args, 1, 0
 	out := sqltypes.Null
 	var err error
-	for src := (scanOp{rows: entry.rows}); err == nil && src.next(b); {
-		m := ex.vs.mark()
-		col := ex.vs.takeVals(len(b.rows))
-		p.prog(b, b.sel, col)
+	for src := (scanOp{rows: e.rows}); err == nil && src.next(b); {
+		m := vs.mark()
+		col := vs.takeVals(len(b.rows))
+		c.prog(b, b.sel, col)
 		if err = b.firstErr(); err == nil && b.base == 0 {
 			out = col[0]
 		}
-		ex.vs.release(m)
+		vs.release(m)
 	}
-	ex.projBatches = append(ex.projBatches, b)
-	frame.params, p.sc.row = savedParams, savedRow
-	if err != nil {
-		return sqltypes.Null, err
+	c.args, c.sc.row, c.sc.params = saved, savedRow, savedParams
+	c.idle = b
+	return out, err
+}
+
+func (c *udfCall) takeBatch() *Batch {
+	b := c.idle
+	c.idle = nil
+	if b == nil {
+		b = new(Batch)
 	}
-	return out, nil
+	return b
+}
+
+// entry returns the relation of the call whose arguments are args: from this
+// execution's lookups, else the shared memo, else built and inserted there.
+// A call whose WHERE key is the last one's takes its entry without a probe,
+// and the probe of an entry already seen allocates nothing.
+func (c *udfCall) entry(args []sqltypes.Value) (*udfPlanEntry, error) {
+	var wbuf [2]sqltypes.Value
+	where := wbuf[:0]
+	for _, n := range c.plan.whereParams {
+		if n >= 1 && n <= len(args) {
+			where = append(where, args[n-1])
+		}
+	}
+	k, fixed := fixedKey(where)
+	if fixed && c.lastSeen != nil && k == c.lastKey {
+		return c.lastSeen, nil
+	}
+	ex := c.ex
+	ex.keyBuf = appendCallKey(ex.keyBuf[:0], where)
+	e := c.seen[string(ex.keyBuf)]
+	if e == nil {
+		key := string(ex.keyBuf)
+		plan, shared := c.plan, c.memo
+		plan.mu.Lock()
+		e = shared.entries[key]
+		plan.mu.Unlock()
+		if e == nil {
+			// Build outside the lock: the relation derives only from the
+			// pinned snapshots plus args, so two racing builders produce
+			// identical rows and the first insert wins.
+			psc := rootScope()
+			psc.params = args
+			rel, err := ex.fromWhereRelation(plan.body, psc)
+			if err != nil {
+				return nil, err
+			}
+			e = &udfPlanEntry{rows: plan.inLayout(rel)}
+			plan.mu.Lock()
+			if existing := shared.entries[key]; existing != nil {
+				e = existing
+			} else {
+				if len(shared.entries) >= udfPlanEntryCap {
+					shared.entries = make(map[string]*udfPlanEntry)
+				}
+				shared.entries[key] = e
+			}
+			plan.mu.Unlock()
+		}
+		if c.seen == nil {
+			c.seen = make(map[string]*udfPlanEntry)
+		}
+		c.seen[key] = e
+	}
+	if fixed {
+		c.lastKey, c.lastSeen = k, e
+	}
+	return e, nil
+}
+
+// ---------------------------------------------------------------- result cache
+
+// udfResults is the IMMUTABLE-result cache of one function for one statement
+// and worker, mirroring how PostgreSQL caches IMMUTABLE function results "for
+// the rest of the query execution" (§4.2.1); ModeSystemC keeps none. A call of
+// at most two fixed-width arguments with a fixed-width result is keyed and
+// stored without pointers (callKey, callWord), which neither allocates per
+// insert nor gives the collector a map to scan; any other call — a VARCHAR or
+// INTERVAL argument, more arguments, a VARCHAR result — is keyed by its
+// encoding (appendCallKey). mixed says a call with a fixed key stored its
+// result in enc.
+type udfResults struct {
+	fixed map[callKey]callWord
+	enc   map[string]sqltypes.Value
+	mixed bool
+}
+
+// udfKey is a call's key in its function's result cache: its callKey where
+// fixed, else the encoding of args.
+type udfKey struct {
+	k     callKey
+	fixed bool
+	args  []sqltypes.Value
+}
+
+func keyOf(args []sqltypes.Value) udfKey {
+	k, fixed := fixedKey(args)
+	return udfKey{k, fixed, args}
+}
+
+// lookup returns the cached result of the call key names. The one lookup
+// both evaluators use: the call kernel for a batch, callUDF for one call.
+func (r *udfResults) lookup(key udfKey, buf *[]byte) (sqltypes.Value, bool) {
+	if key.fixed {
+		if w, ok := r.fixed[key.k]; ok {
+			return w.value(), true
+		}
+		if !r.mixed {
+			return sqltypes.Null, false
+		}
+	}
+	*buf = appendCallKey((*buf)[:0], key.args)
+	v, ok := r.enc[string(*buf)]
+	return v, ok
+}
+
+// insert caches v as the result of the call key names unless one is cached
+// already, and returns the cached result and whether the insert added it.
+func (r *udfResults) insert(key udfKey, v sqltypes.Value, buf *[]byte) (sqltypes.Value, bool) {
+	if old, ok := r.lookup(key, buf); ok {
+		return old, false
+	}
+	if key.fixed {
+		if w, ok := wordOf(v); ok {
+			if r.fixed == nil {
+				r.fixed = make(map[callKey]callWord)
+			}
+			r.fixed[key.k] = w
+			return v, true
+		}
+		r.mixed = true
+		*buf = appendCallKey((*buf)[:0], key.args)
+	}
+	if r.enc == nil {
+		r.enc = make(map[string]sqltypes.Value)
+	}
+	r.enc[string(*buf)] = v
+	return v, true
+}
+
+// callKey names a call of at most two fixed-width arguments: their kinds, one
+// byte each, then their bits, with the equality of appendCallKey's encoding —
+// an INTEGER is tagged apart from the DECIMAL of equal value (a body can tell
+// them apart: $1 / 2), ±0 is one key and a BOOLEAN is its truth value. Three
+// words and no padding: the map hashes it in one pass.
+type callKey [3]uint64
+
+// fixedKey returns the callKey of args, or false when an argument is not
+// fixed-width (NULL, INTEGER, DECIMAL, BOOLEAN, DATE) or there are more than
+// two.
+func fixedKey(args []sqltypes.Value) (callKey, bool) {
+	var k callKey
+	if len(args) > len(k)-1 {
+		return k, false
+	}
+	for j, a := range args {
+		var bits uint64
+		switch a.K {
+		case sqltypes.KindNull:
+		case sqltypes.KindInt, sqltypes.KindDate:
+			bits = uint64(a.I)
+		case sqltypes.KindBool:
+			if a.I != 0 {
+				bits = 1
+			}
+		case sqltypes.KindFloat:
+			if a.F != 0 { // -0 and +0 are one key
+				bits = math.Float64bits(a.F)
+			}
+		default:
+			return k, false
+		}
+		k[0] |= uint64(a.K) << (8 * j)
+		k[1+j] = bits
+	}
+	return k, true
+}
+
+// appendCallKey encodes args for the maps keyed by string. AppendKey is a
+// grouping key — INTEGER 3 and DECIMAL 3.00 encode alike — so integers take an
+// encoding of their own, as do intervals, which AppendKey does not tell apart.
+func appendCallKey(buf []byte, args []sqltypes.Value) []byte {
+	for _, a := range args {
+		switch a.K {
+		case sqltypes.KindInt:
+			buf = binary.LittleEndian.AppendUint64(append(buf, 'i'), uint64(a.I))
+		case sqltypes.KindInterval:
+			buf = binary.LittleEndian.AppendUint64(append(buf, 'v'), uint64(a.I))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.F))
+		default:
+			buf = sqltypes.AppendKey(buf, a)
+		}
+	}
+	return buf
+}
+
+// callWord is a cached fixed-width result, exactly: value() rebuilds the
+// Value it was made from.
+type callWord struct {
+	kind sqltypes.Kind
+	bits uint64
+}
+
+// wordOf returns v as a callWord, or false when v is not a fixed-width value
+// the word holds exactly.
+func wordOf(v sqltypes.Value) (callWord, bool) {
+	switch v.K {
+	case sqltypes.KindNull, sqltypes.KindInt, sqltypes.KindBool, sqltypes.KindDate:
+		return callWord{v.K, uint64(v.I)}, math.Float64bits(v.F) == 0 && v.S == ""
+	case sqltypes.KindFloat:
+		return callWord{v.K, math.Float64bits(v.F)}, v.I == 0 && v.S == ""
+	}
+	return callWord{}, false
+}
+
+func (w callWord) value() sqltypes.Value {
+	if w.kind == sqltypes.KindFloat {
+		return sqltypes.Value{K: w.kind, F: math.Float64frombits(w.bits)}
+	}
+	return sqltypes.Value{K: w.kind, I: int64(w.bits)}
 }

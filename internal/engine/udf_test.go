@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"mtbase/internal/sqltypes"
@@ -42,14 +44,16 @@ func acrossModesAndEvaluators(t *testing.T, setup func(*DB), sql, want string) {
 // TestUDFResultCacheKey: the statement's IMMUTABLE-result cache must tell
 // apart what a body can tell apart. Its key used to be the function name
 // followed by grouping keys, so INTEGER 3 hit DECIMAL 3.00's entry and
-// f(NULL) hit fn()'s.
+// f(NULL) hit fn()'s; and the grouping key encodes every INTERVAL alike, so a
+// day hit two days' entry.
 func TestUDFResultCacheKey(t *testing.T) {
 	setup := func(db *DB) {
 		if _, err := db.ExecScript(`
 			CREATE TABLE t (a INTEGER, b DECIMAL);
 			CREATE FUNCTION half (DECIMAL) RETURNS DECIMAL AS 'SELECT $1 / 2' LANGUAGE SQL IMMUTABLE;
 			CREATE FUNCTION f (INTEGER) RETURNS INTEGER AS 'SELECT 1' LANGUAGE SQL IMMUTABLE;
-			CREATE FUNCTION fn () RETURNS INTEGER AS 'SELECT 2' LANGUAGE SQL IMMUTABLE`); err != nil {
+			CREATE FUNCTION fn () RETURNS INTEGER AS 'SELECT 2' LANGUAGE SQL IMMUTABLE;
+			CREATE FUNCTION later (DATE, INTEGER) RETURNS DATE AS 'SELECT $1 + $2' LANGUAGE SQL IMMUTABLE`); err != nil {
 			t.Fatal(err)
 		}
 		db.Table("t").AppendRow([]sqltypes.Value{sqltypes.NewInt(3), sqltypes.NewFloat(3)})
@@ -57,6 +61,8 @@ func TestUDFResultCacheKey(t *testing.T) {
 	acrossModesAndEvaluators(t, setup, "SELECT half(a), half(b) FROM t", "INTEGER:1 DECIMAL:1.50 \n")
 	acrossModesAndEvaluators(t, setup, "SELECT half(b), half(a) FROM t", "DECIMAL:1.50 INTEGER:1 \n")
 	acrossModesAndEvaluators(t, setup, "SELECT f(NULL), fn() FROM t", "INTEGER:1 INTEGER:2 \n")
+	acrossModesAndEvaluators(t, setup, "SELECT later(DATE '2020-01-01', INTERVAL '1' DAY), later(DATE '2020-01-01', INTERVAL '2' DAY) FROM t",
+		"DATE:2020-01-02 DATE:2020-01-03 \n")
 }
 
 // TestPlannedUDFProjectionWindows: a planned body's projection runs over its
@@ -149,4 +155,146 @@ func TestNestedUDFProjections(t *testing.T) {
 		}
 	}
 	acrossModesAndEvaluators(t, setup, "SELECT f(5), f(y) FROM t3", "INTEGER:40 INTEGER:50 \nINTEGER:40 INTEGER:70 \nINTEGER:40 INTEGER:90 \n")
+}
+
+// udfParityDB holds facts over five tenant keys, one of them (5) without a
+// meta row and one (3) whose body divides by zero, and a function of every
+// kind the call kernel meets: a planned conversion, the same without
+// IMMUTABLE, a VARCHAR argument and a third argument (the encoded cache key),
+// a recursive body, a projection whose IN list is lifted to the interpreter
+// with a $n inside it, and a cross product whose join order follows the
+// WHERE key.
+func udfParityDB(t *testing.T, mode Mode, n int) *DB {
+	t.Helper()
+	db := Open(mode)
+	if _, err := db.ExecScript(`
+		CREATE TABLE meta (tk INTEGER, rate DECIMAL, label VARCHAR(8), div INTEGER);
+		CREATE TABLE facts (id INTEGER, tk INTEGER, amt DECIMAL, name VARCHAR(8));
+		CREATE FUNCTION conv (DECIMAL, INTEGER) RETURNS DECIMAL
+			AS 'SELECT rate * $1 / div FROM meta WHERE tk = $2' LANGUAGE SQL IMMUTABLE;
+		CREATE FUNCTION convv (DECIMAL, INTEGER) RETURNS DECIMAL
+			AS 'SELECT rate * $1 / div FROM meta WHERE tk = $2' LANGUAGE SQL;
+		CREATE FUNCTION tag (VARCHAR(8), INTEGER) RETURNS VARCHAR(16)
+			AS 'SELECT CONCAT(label, $1) FROM meta WHERE tk = $2' LANGUAGE SQL IMMUTABLE;
+		CREATE FUNCTION scale3 (DECIMAL, INTEGER, INTEGER) RETURNS DECIMAL
+			AS 'SELECT rate * $1 + $3 FROM meta WHERE tk = $2' LANGUAGE SQL IMMUTABLE;
+		CREATE FUNCTION fact (INTEGER) RETURNS INTEGER
+			AS 'SELECT CASE WHEN $1 <= 0 THEN 1 ELSE $1 * fact($1 - 1) END' LANGUAGE SQL IMMUTABLE;
+		CREATE FUNCTION lifted (INTEGER, INTEGER) RETURNS DECIMAL
+			AS 'SELECT CASE WHEN $1 IN (div, tk, 2) THEN rate ELSE $1 END FROM meta WHERE tk = $2' LANGUAGE SQL IMMUTABLE;
+		CREATE TABLE cx (k INTEGER, v INTEGER);
+		CREATE TABLE cy (k INTEGER, w INTEGER);
+		CREATE TABLE cz (k INTEGER, u INTEGER);
+		CREATE FUNCTION cross3 (INTEGER, INTEGER) RETURNS INTEGER
+			AS 'SELECT v * 100 + w * 10 + u FROM cx, cy, cz WHERE cx.k = $1 AND cy.k = $2 AND cz.k = $2' LANGUAGE SQL IMMUTABLE`); err != nil {
+		t.Fatal(err)
+	}
+	// cross3's three sources share no join conjunct, so the cross product
+	// takes the smaller of cy and cz first: cy for key 1, cz for key 2.
+	db.Table("cx").AppendRow([]sqltypes.Value{sqltypes.NewInt(1), sqltypes.NewInt(1)})
+	for _, r := range [][3]int64{{1, 1, 2}, {2, 3, 4}, {2, 5, 6}} {
+		db.Table("cy").AppendRow([]sqltypes.Value{sqltypes.NewInt(r[0]), sqltypes.NewInt(r[1])})
+		db.Table("cz").AppendRow([]sqltypes.Value{sqltypes.NewInt(3 - r[0]), sqltypes.NewInt(r[2])})
+	}
+	for tk := int64(1); tk <= 4; tk++ {
+		div := tk
+		if tk == 3 {
+			div = 0
+		}
+		db.Table("meta").AppendRow([]sqltypes.Value{sqltypes.NewInt(tk), sqltypes.NewFloat(float64(tk) + 0.5),
+			sqltypes.NewString(fmt.Sprintf("+%d-", tk)), sqltypes.NewInt(div)})
+	}
+	rows := make([][]sqltypes.Value, n)
+	for i := range rows {
+		id := int64(i)
+		tk, amt := sqltypes.NewInt(id%5+1), sqltypes.NewFloat(float64(id%7)*1.5)
+		if id%13 == 0 {
+			tk = sqltypes.Null
+		}
+		if id%11 == 0 {
+			amt = sqltypes.Null
+		}
+		rows[i] = []sqltypes.Value{sqltypes.NewInt(id), tk, amt, sqltypes.NewString(fmt.Sprintf("n%d", id%4))}
+	}
+	db.Table("facts").BulkLoad(rows)
+	return db
+}
+
+// udfParityStmts call every function of udfParityDB over the facts: in a
+// projection, a filter, an aggregate's argument and a group's output, with
+// tenant 3 filtered out and not, with an argument that fails on one row, and
+// with -0 and +0, which are one key: a later call is answered what the first
+// one returned.
+var udfParityStmts = []string{
+	`SELECT id, conv(amt, tk) FROM facts WHERE tk <> 3 OR tk IS NULL`,
+	`SELECT id, conv(amt, tk) FROM facts`,
+	`SELECT SUM(conv(amt, tk)), COUNT(*) FROM facts WHERE tk <> 3`,
+	`SELECT COUNT(*) FROM facts WHERE tk <> 3 AND conv(amt, tk) > 2`,
+	`SELECT tk, conv(SUM(amt), tk) FROM facts WHERE tk <> 3 GROUP BY tk`,
+	`SELECT id, conv(100 / (id - 1717), 1) FROM facts`,
+	`SELECT id, convv(amt, tk) FROM facts WHERE tk <> 3`,
+	`SELECT id, tag(name, tk) FROM facts`,
+	`SELECT id, scale3(amt, tk, id % 3) FROM facts WHERE tk <> 3`,
+	`SELECT id, fact(id % 8) FROM facts`,
+	`SELECT id, lifted(id % 5, tk) FROM facts`,
+	`SELECT id, conv(conv(amt, tk), id % 2 + 1) FROM facts WHERE tk <> 3`,
+	`SELECT id, conv(CASE WHEN id % 3 = 1 THEN -(0.0) ELSE 0.0 END, tk) FROM facts WHERE tk <> 3`,
+	`SELECT id, cross3(1, id % 2 + 1) FROM facts`,
+}
+
+// exactKey renders a statement's outcome like execKey, with every DECIMAL's
+// bits, so that a value is compared byte for byte and not as printed.
+func exactKey(res *Result, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	var sb strings.Builder
+	for _, row := range res.Rows {
+		for _, v := range row {
+			fmt.Fprintf(&sb, "%v:%s:%x|", v.K, v.String(), math.Float64bits(v.F))
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// TestUDFBatchParity: the call kernel answers a batch of calls at once — the
+// cache's hits, then one memo probe per tenant key and one projection run —
+// and must answer what calling one row at a time does. Over more than three
+// batches of one-batch morsels, values and the first error equal the
+// evaluator check's (SetCompileExprs(false), which interprets every call) at
+// parallelism 1 and 4; at parallelism 1, where both run the same rows in the
+// same order, so do the body executions and cache hits, in both modes.
+func TestUDFBatchParity(t *testing.T) {
+	SetMorselSize(1)
+	defer SetMorselSize(0)
+	const n = 3*batchSize + 300
+	for _, mode := range []Mode{ModePostgres, ModeSystemC} {
+		db := udfParityDB(t, mode, n)
+		for _, q := range udfParityStmts {
+			for _, par := range []int{1, 4} {
+				db.SetParallelism(par)
+				var want string
+				var wantStats StatsSnapshot
+				for _, cfg := range []execConfig{cfgEvalCheck, cfgProduction} {
+					cfg.apply(db)
+					before := db.Stats.Snapshot()
+					got := exactKey(db.QuerySQL(q))
+					after := db.Stats.Snapshot()
+					calls, hits := after.UDFCalls-before.UDFCalls, after.UDFCacheHits-before.UDFCacheHits
+					if cfg == cfgEvalCheck {
+						want, wantStats = got, StatsSnapshot{UDFCalls: calls, UDFCacheHits: hits}
+						continue
+					}
+					if got != want {
+						t.Errorf("%s par=%d %q:\ngot  %.300s\nwant %.300s", mode, par, q, got, want)
+					}
+					if par == 1 && (calls != wantStats.UDFCalls || hits != wantStats.UDFCacheHits) {
+						t.Errorf("%s %q: %d body executions and %d cache hits, the interpreter %d and %d",
+							mode, q, calls, hits, wantStats.UDFCalls, wantStats.UDFCacheHits)
+					}
+				}
+			}
+		}
+	}
 }

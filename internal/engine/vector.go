@@ -119,12 +119,12 @@ type venv struct {
 	sc       *scope
 	vs       *vecStack
 
-	// How $n lowers. frame is the argument frame of the planned UDF body
-	// whose projection is being lowered (udf.go): the kernel broadcasts the
-	// running call's argument. clientBinds holds when sc's chain carries no
-	// UDF frame at all: $n is this execution's bind value. With neither, the
-	// interpreter walks the scope chain to the innermost frame.
-	frame       *scope
+	// How $n lowers. args holds the arguments of the planned UDF body whose
+	// projection is being lowered (udf.go): the kernel reads each row's call.
+	// clientBinds holds when sc's chain carries no UDF frame at all: $n is
+	// this execution's bind value. With neither, the interpreter walks the
+	// scope chain to the innermost frame.
+	args        *udfArgs
 	clientBinds bool
 
 	// What this lowering shares (shared.go): the plan's analysis of the
@@ -205,12 +205,21 @@ func (ve *venv) lower(e sqlast.Expr) vecExpr {
 	case *sqlast.Literal:
 		return vecConst(x.Val)
 	case *sqlast.Param:
-		// One value per batch, read when the batch runs: one plan
-		// serves every binding, a cached projection every call.
 		n := x.N
-		if frame := ve.frame; frame != nil {
-			return vecBroadcast(func() (sqltypes.Value, error) { return paramAt(frame.params, n) })
+		if a := ve.args; a != nil {
+			if n < 1 || n > len(a.argv) {
+				_, err := paramAt(noArgs, n)
+				return vecBroadcast(func() (sqltypes.Value, error) { return sqltypes.Null, err })
+			}
+			return func(b *Batch, sel []int32, out []sqltypes.Value) {
+				vals, off, row := a.vals, (n-1)*a.col, a.row
+				for _, i := range sel {
+					out[i] = vals[off+int(i)*row]
+				}
+			}
 		}
+		// A bind is one value per batch, read when the batch runs: one plan
+		// serves every binding.
 		if ve.clientBinds {
 			ex := ve.ex
 			return vecBroadcast(func() (sqltypes.Value, error) { return ex.bind(n) })
@@ -315,7 +324,7 @@ func (ve *venv) constOperand(e sqlast.Expr) vecExpr {
 // no UDF frame on the lowering's scope can shadow.
 func (ve *venv) constant(e sqlast.Expr) (ok, binds bool) {
 	ok, binds = rowFree(e)
-	return ok && !(binds && (ve.frame != nil || !ve.clientBinds)), binds
+	return ok && !(binds && !ve.clientBinds), binds
 }
 
 // rowFree reports whether e is built from literals, intervals and $n alone,
@@ -367,7 +376,8 @@ func vecBroadcast(get func() (sqltypes.Value, error)) vecExpr {
 
 // liftInterp is the second lowering tier: the tree-walking interpreter run
 // once per selected row, with the row installed in sc — and, in a grouped
-// projection's batch, where a row stands for a group, that group.
+// projection's batch, where a row stands for a group, that group; in a UDF
+// body's, where a row stands for a call, that call's arguments.
 func liftInterp(ex *exec, e sqlast.Expr, sc *scope) vecExpr {
 	return func(b *Batch, sel []int32, out []sqltypes.Value) {
 		rows := b.rows
@@ -375,6 +385,9 @@ func liftInterp(ex *exec, e sqlast.Expr, sc *scope) vecExpr {
 			sc.row = rows[i]
 			if sc.group != nil {
 				sc.group.row = i
+			}
+			if sc.args != nil {
+				sc.params = sc.args.of(i)
 			}
 			v, err := ex.eval(e, sc)
 			if err != nil {
@@ -1151,14 +1164,15 @@ func (ve *venv) compileFunc(x *sqlast.FuncCall) vecExpr {
 	// The function resolves in the exec's pinned catalog, so the kernel and
 	// the interpreter agree on which definition a name means even if DDL
 	// swaps the live catalog mid-query.
-	ex := ve.ex
-	fn := ex.function(x.Name)
+	fn := ve.ex.function(x.Name)
 	if fn == nil || len(x.Args) != fn.NumParams {
 		return nil
 	}
-	return ve.compileCall(x.Args, false, func(argv []sqltypes.Value) (sqltypes.Value, error) {
-		return ex.callUDF(fn, argv)
-	})
+	c := ve.ex.udf(fn)
+	if c.batched() {
+		return ve.compileCalls(x.Args, false, c.batch)
+	}
+	return ve.compileCall(x.Args, false, c.call)
 }
 
 // compileAggregate reads aggregate call x in a grouped projection's output,
@@ -1198,23 +1212,46 @@ func (ve *venv) compileAll(exprs []sqlast.Expr) []vecExpr {
 	return progs
 }
 
-// compileCall lowers a call whose arguments are evaluated left to right into
-// columns and combined per row by f. A row leaves the selection at its first
-// failing argument and, when strict, at its first NULL one with NULL as the
-// result — where the interpreter returns — so later arguments, and any error
-// they would raise, are evaluated only for the rows the interpreter
-// evaluates them for. The columns and the one row's argv f sees live on the
-// scratch stack, so a UDF body that re-enters this kernel through f cannot
-// touch them, and f's callee may keep argv as its parameter frame while it
-// runs.
+// compileCall lowers a call whose arguments are evaluated as compileCalls
+// evaluates them and combined per row by f. The one row's argv f sees lives
+// on the scratch stack, so a UDF body that re-enters this kernel through f
+// cannot touch it, and f's callee may keep argv as its parameter frame while
+// it runs.
 func (ve *venv) compileCall(args []sqlast.Expr, strict bool, f func(argv []sqltypes.Value) (sqltypes.Value, error)) vecExpr {
+	st := ve.vs
+	return ve.compileCalls(args, strict, func(b *Batch, live []int32, cols, out []sqltypes.Value) {
+		n, argv := len(b.rows), st.takeVals(len(args))
+		for _, i := range live {
+			for j := range argv {
+				argv[j] = cols[j*n+int(i)]
+			}
+			v, err := f(argv)
+			if err != nil {
+				b.poison(i, err)
+				continue
+			}
+			out[i] = v
+		}
+	})
+}
+
+// compileCalls lowers a call whose arguments are evaluated left to right into
+// columns and answered by calls, for the batch's live rows at once. A row
+// leaves the selection at its first failing argument and, when strict, at its
+// first NULL one with NULL as the result — where the interpreter returns — so
+// later arguments, and any error they would raise, are evaluated only for the
+// rows the interpreter evaluates them for. calls gets the live rows and the
+// argument columns (argument j of row i at cols[j*len(b.rows)+i]); it writes
+// out[i] or poisons row i for each, and may overwrite live and take from the
+// scratch stack. The columns live on the scratch stack, so a UDF body that
+// re-enters this kernel cannot touch them.
+func (ve *venv) compileCalls(args []sqlast.Expr, strict bool, calls func(b *Batch, live []int32, cols, out []sqltypes.Value)) vecExpr {
 	progs := ve.compileAll(args)
 	k, st := len(progs), ve.vs
 	return func(b *Batch, sel []int32, out []sqltypes.Value) {
 		n := len(b.rows)
 		m := st.mark()
-		cols := st.takeVals(k*n + k)
-		argv := cols[k*n:]
+		cols := st.takeVals(k * n)
 		live := append(st.takeSel(len(sel)), sel...)
 		for j, prog := range progs {
 			col := cols[j*n : (j+1)*n]
@@ -1231,17 +1268,7 @@ func (ve *venv) compileCall(args []sqlast.Expr, strict bool, f func(argv []sqlty
 			}
 			live = kept
 		}
-		for _, i := range live {
-			for j := range argv {
-				argv[j] = cols[j*n+int(i)]
-			}
-			v, err := f(argv)
-			if err != nil {
-				b.poison(i, err)
-				continue
-			}
-			out[i] = v
-		}
+		calls(b, live, cols, out)
 		st.release(m)
 	}
 }

@@ -45,9 +45,10 @@ func exactKey(res *engine.Result) string {
 // test scale factor (every generated customer has an order), so Q101 is the
 // MT-H anti-join whose NOT EXISTS answers both ways here. Tenant 1's formats
 // are the universal ones, so converting a result back to its client's
-// formats is the identity there; the C ≠ 1 arm runs O4, whose grouped
-// output clauses keep those conversions, as tenant 2, whose currency and
-// phone formats are its own.
+// formats is the identity there; the C ≠ 1 arm runs as tenant 2, whose
+// currency and phone formats are its own, at canonical, where every
+// conversion is a UDF call through the batch call kernel (DESIGN.md ADR-037),
+// and at O4, whose grouped output clauses keep the client conversions.
 func TestStreamDifferentialQ1toQ22(t *testing.T) {
 	engine.SetMorselSize(1)
 	defer engine.SetMorselSize(0)
@@ -70,7 +71,7 @@ func TestStreamDifferentialQ1toQ22(t *testing.T) {
 		levels []optimizer.Level
 	}{
 		{1, []optimizer.Level{optimizer.Canonical, optimizer.O3, optimizer.O4}},
-		{2, []optimizer.Level{optimizer.O4}},
+		{2, []optimizer.Level{optimizer.Canonical, optimizer.O4}},
 	} {
 		if err := inst.GrantReadTo(arm.client); err != nil {
 			t.Fatal(err)
