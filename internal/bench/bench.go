@@ -72,7 +72,7 @@ type OptResult struct {
 	Baseline   []float64                                  // plain TPC-H per query
 	Times      map[optimizer.Level][]float64              // per level, per query
 	UDFCalls   map[optimizer.Level][]int64                // ablation metric
-	Joins      map[optimizer.Level][]engine.StatsSnapshot // ablation metric: the Join* and ExprSlot* counters — which path the hash joins took, what the operators shared
+	Joins      map[optimizer.Level][]engine.StatsSnapshot // ablation metric: the UDF cache hits and the Join* and ExprSlot* counters — which path the hash joins took, what the operators shared
 	Allocs     map[optimizer.Level][]uint64               // heap allocations of the measured run
 	PlanHits   map[optimizer.Level][]int64                // engine plan-cache hits across the runs
 	PlanMisses map[optimizer.Level][]int64                // engine plan-cache misses (builds)
@@ -170,6 +170,7 @@ func sumStats(dbs []*engine.DB) engine.StatsSnapshot {
 	for _, db := range dbs {
 		st := db.Stats.Snapshot()
 		total.UDFCalls += st.UDFCalls
+		total.UDFCacheHits += st.UDFCacheHits
 		total.PlanCacheHits += st.PlanCacheHits
 		total.PlanCacheMisses += st.PlanCacheMisses
 		total.SpillRuns += st.SpillRuns
@@ -333,6 +334,14 @@ func (r *OptResult) WriteTable(w io.Writer) {
 		fmt.Fprintf(w, "%-10s", level.String())
 		for _, n := range r.UDFCalls[level] {
 			fmt.Fprintf(w, " %8d", n)
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintln(w, "UDF cache hits per level (ablation):")
+	for _, level := range r.Spec.levels() {
+		fmt.Fprintf(w, "%-10s", level.String())
+		for _, st := range r.Joins[level] {
+			fmt.Fprintf(w, " %8d", st.UDFCacheHits)
 		}
 		fmt.Fprintln(w)
 	}

@@ -80,8 +80,8 @@ type exec struct {
 
 	// vs is the statement-wide scratch stack batch evaluation allocates its
 	// intermediate columns and selection buffers from (see vector.go). A
-	// statement takes a warm one from the last that ended and hands it back at
-	// its end (releaseSpills); a worker's is its own.
+	// statement, and each of its pool workers, takes a warm one from the last
+	// that ended and hands it back at the statement's end (releaseSpills).
 	vs *vecStack
 
 	// binds holds the client bind-parameter values of this execution; a
@@ -233,7 +233,7 @@ func (ex *exec) workerClone() *exec {
 		subqCache:  make(map[int32]*Result),
 		inSetCache: make(map[int32]*inSet),
 		nextDynID:  ex.plan.nSubq,
-		vs:         new(vecStack),
+		vs:         vecStacks.Get().(*vecStack),
 	}
 }
 

@@ -79,9 +79,11 @@ var referenceForbidden = []string{
 // encoder and sort ADR-029 deleted, which no workload entered, the Grace
 // partitioner ADR-036 replaced with sorted runs, and the per-call projection
 // of a planned UDF body ADR-037 replaced with the batch call (its argument
-// frame, per-entry lowerings, batch free list and per-call entry points);
-// they must not come back under the same names. (The reference's local
-// residual closure in leftOuterJoin is not a twin.)
+// frame, per-entry lowerings, batch free list and per-call entry points),
+// and the result cache's two maps ADR-038 replaced with one table (the key
+// that chose between them, and the word a fixed result was stored as); they
+// must not come back under the same names. (The reference's local residual
+// closure in leftOuterJoin is not a twin.)
 var deletedTwins = []string{
 	"applyInterp", "projectInterp", "projectRowsBatched",
 	"leftOuterOperator", "newLeftOuterPipe", "gracePartitionProbe", "louter",
@@ -90,6 +92,7 @@ var deletedTwins = []string{
 	"graceState", "graceHash", "partWriter", "processPartition", "subPartition",
 	"frame", "udfProjection", "udfProj", "projBatches", "projectPlannedUDF",
 	"runPlannedUDF", "execUDFBody", "execUDFMemo", "memoFor", "udfCache",
+	"udfKey", "keyOf", "callWord", "wordOf",
 }
 
 func funcName(fd *ast.FuncDecl) string {

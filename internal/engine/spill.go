@@ -153,13 +153,24 @@ func (ex *exec) dropSpillFile(f spillFile) {
 }
 
 // releaseSpills ends the statement: it removes every spill file the
-// statement still holds and hands its scratch stack to the next statement.
-// Called from Rows.Close and at the end of ExecPlanContext, once nothing of
-// the statement runs any more; idempotent.
+// statement still holds and hands its scratch stack, and each of its pool
+// workers', to the next statement. Called from Rows.Close and at the end of
+// ExecPlanContext, once nothing of the statement runs any more; idempotent.
 func (ex *exec) releaseSpills() {
 	if ex.spills != nil {
 		ex.spills.removeAll()
 	}
+	ex.putStack()
+	if ex.pool != nil {
+		for _, w := range ex.pool.workers {
+			if w != nil {
+				w.putStack()
+			}
+		}
+	}
+}
+
+func (ex *exec) putStack() {
 	if ex.vs != nil {
 		ex.vs.put()
 		ex.vs = nil

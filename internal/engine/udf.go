@@ -11,10 +11,13 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"mtbase/internal/sqlast"
 	"mtbase/internal/sqltypes"
@@ -57,6 +60,10 @@ type udfPlan struct {
 	// result cache, so the calls of a batch run one at a time in row order
 	// (udfCall.call) to keep the cache's counts those of that order.
 	callsUDF bool
+
+	// cacheSlots is the largest result cache an execution of the plan grew
+	// (udfResults.reserve): where the next one's starts.
+	cacheSlots atomic.Int64
 
 	mu   sync.Mutex
 	memo *udfMemo
@@ -260,7 +267,7 @@ func (ex *exec) udf(fn *Function) *udfCall {
 	}
 	c := &udfCall{ex: ex, fn: fn, plan: ex.planUDF(fn)}
 	if fn.Immutable && ex.db.mode == ModePostgres {
-		c.cache = &udfResults{}
+		c.cache = &udfResults{hint: &c.plan.cacheSlots}
 	}
 	if ex.udfCalls == nil {
 		ex.udfCalls = make(map[*Function]*udfCall)
@@ -294,19 +301,28 @@ func (c *udfCall) batched() bool { return c.plan.ok && !c.plan.callsUDF }
 // call answers one call: from the result cache where the mode keeps one, else
 // by running the body. Behaviour matches runQuery(body, scope-with-params)
 // followed by taking the first row's only column (NULL over an empty result).
+// A body may call the function again, and a nested call may grow the cache,
+// so the slot is probed again after the body where the table moved.
 func (c *udfCall) call(args []sqltypes.Value) (sqltypes.Value, error) {
-	ex := c.ex
-	if c.cache == nil {
+	ex, r := c.ex, c.cache
+	if r == nil {
 		return c.execBody(args)
 	}
-	key := keyOf(args)
-	if v, ok := c.cache.lookup(key, &ex.keyBuf); ok {
+	r.reserve(1)
+	s := r.probe(args, &ex.keyBuf)
+	if v, ok := r.result(&r.slots[s]); ok {
 		ex.db.Stats.UDFCacheHits.Add(1)
 		return v, nil
 	}
+	size := len(r.slots)
 	out, err := c.execBody(args)
 	if err == nil {
-		c.cache.insert(key, out, &ex.keyBuf)
+		if len(r.slots) != size {
+			s = r.probe(args, &ex.keyBuf)
+		}
+		if slot := &r.slots[s]; slot.state < slotWord {
+			r.fill(slot, out)
+		}
 	}
 	return out, err
 }
@@ -356,75 +372,97 @@ func (c *udfCall) failed(err error) error {
 
 // batch answers the calls of the live rows of b, whose arguments are the
 // columns of cols (argument j of row i at cols[j*len(b.rows)+i]), into out,
-// and poisons exactly the rows whose call fails. The cache answers what it
-// holds; the remaining calls run the body together: one memo probe per
-// distinct WHERE key, then one run of the projection over every call whose
-// relation is one row. The values and counts are those of answering the
-// calls one at a time in row order. A body that calls no function leaves the
-// cache alone, so the results are inserted in row order afterwards: a call
-// counts where its insert adds an entry, and where an earlier row of the
-// batch added one already it counts a hit and answers that row's result (an
-// equal key need not be equal arguments: ±0). A failed call inserts nothing
-// and counts as a call, as its every repetition would run the body again.
+// and poisons exactly the rows whose call fails. The values and counts are
+// those of answering the calls one at a time in row order.
+//
+// Without a result cache every call runs the body (run). With one, the table
+// makes room for the whole batch and each call probes it once: a slot with a
+// result answers the call, a hit; a vacant slot becomes pending, owned by the
+// call, which joins the ones the body runs for; a pending slot is an earlier
+// row's key, and the call waits for it. After the body has run, the pending
+// calls are settled in row order: an owner counts a call and fills its slot,
+// or on failure leaves it vacant; a waiting call whose owner filled the slot
+// counts a hit and answers the slot's result (an equal key need not be equal
+// arguments: ±0); one whose owner failed owns the slot in the next round,
+// as its call would run the body again.
 func (c *udfCall) batch(b *Batch, live []int32, cols, out []sqltypes.Value) {
 	ex := c.ex
 	c.args.vals, c.args.col, c.args.row = cols, len(b.rows), 1
 	stats := &ex.db.Stats
-	if c.cache != nil {
-		hits, miss := 0, live[:0]
-		for _, i := range live {
-			if v, ok := c.cache.lookup(keyOf(c.args.of(i)), &ex.keyBuf); ok {
-				out[i] = v
-				hits++
-			} else {
-				miss = append(miss, i)
-			}
-		}
-		stats.UDFCacheHits.Add(int64(hits))
-		live = miss
-	}
-	if len(live) == 0 {
+	r := c.cache
+	if r == nil {
+		c.run(b, live, out)
+		stats.UDFCalls.Add(int64(len(live)))
 		return
 	}
+	st := ex.vs
+	m := st.mark()
+	r.reserve(len(live))
+	hits, calls := 0, 0
+	slotOf := st.takeSel(len(b.rows))[:len(b.rows)] // the slot of each row in pend
+	owners, pend := st.takeSel(len(live)), live[:0]
+	for _, i := range live {
+		s := r.probe(c.args.of(i), &ex.keyBuf)
+		slot := &r.slots[s]
+		switch slot.state {
+		case slotWord, slotSide:
+			out[i], _ = r.result(slot)
+			hits++
+			continue
+		case slotVacant:
+			slot.state, slot.bits = slotPending, uint64(i)
+			owners = append(owners, i)
+		}
+		slotOf[i] = int32(s)
+		pend = append(pend, i)
+	}
+	for len(owners) > 0 {
+		c.run(b, owners, out)
+		owners = owners[:0]
+		wait := pend[:0]
+		for _, i := range pend {
+			slot := &r.slots[slotOf[i]]
+			switch {
+			case slot.state >= slotWord:
+				out[i], _ = r.result(slot)
+				hits++
+			case slot.state == slotPending && slot.bits == uint64(i):
+				calls++
+				if b.errs[i] != nil {
+					slot.state = slotVacant
+				} else {
+					r.fill(slot, out[i])
+				}
+			case slot.state == slotVacant:
+				slot.state, slot.bits = slotPending, uint64(i)
+				owners = append(owners, i)
+				wait = append(wait, i)
+			default:
+				wait = append(wait, i)
+			}
+		}
+		pend = wait
+	}
+	st.release(m)
+	stats.UDFCacheHits.Add(int64(hits))
+	stats.UDFCalls.Add(int64(calls))
+}
+
+// run executes the body for the live rows' calls (see batch), one call level
+// deeper. The program runs on b itself, its rows swapped for the entry rows
+// of the calls; a body that calls no function does not re-enter its own
+// program, so the scratch is the handle's.
+func (c *udfCall) run(b *Batch, live []int32, out []sqltypes.Value) {
+	ex := c.ex
 	if ex.depth > 64 {
 		err := c.tooDeep()
 		for _, i := range live {
 			b.poison(i, err)
 		}
-		stats.UDFCalls.Add(int64(len(live)))
 		return
 	}
 	ex.depth++
-	c.run(b, live, out)
-	ex.depth--
-	calls := len(live)
-	if c.cache != nil {
-		for _, i := range live {
-			key := keyOf(c.args.of(i))
-			var v sqltypes.Value
-			var hit bool
-			if b.errs[i] != nil {
-				v, hit = c.cache.lookup(key, &ex.keyBuf)
-			} else {
-				v, hit = c.cache.insert(key, out[i], &ex.keyBuf)
-				hit = !hit
-			}
-			if hit {
-				b.errs[i], out[i] = nil, v
-				calls--
-			}
-		}
-		stats.UDFCacheHits.Add(int64(len(live) - calls))
-	}
-	stats.UDFCalls.Add(int64(calls))
-}
-
-// run executes the body for the live rows' calls (see batch). The program
-// runs on b itself, its rows swapped for the entry rows of the calls; a body
-// that calls no function does not re-enter its own program, so the scratch
-// is the handle's.
-func (c *udfCall) run(b *Batch, live []int32, out []sqltypes.Value) {
-	st := c.ex.vs
+	st := ex.vs
 	m := st.mark()
 	one := st.takeSel(len(live))
 	if len(c.rows) < len(b.rows) {
@@ -461,6 +499,7 @@ func (c *udfCall) run(b *Batch, live []int32, out []sqltypes.Value) {
 		}
 	}
 	st.release(m)
+	ex.depth--
 }
 
 // project runs the projection for one call over its relation e in batch-sized
@@ -562,78 +601,155 @@ func (c *udfCall) entry(args []sqltypes.Value) (*udfPlanEntry, error) {
 
 // udfResults is the IMMUTABLE-result cache of one function for one statement
 // and worker, mirroring how PostgreSQL caches IMMUTABLE function results "for
-// the rest of the query execution" (§4.2.1); ModeSystemC keeps none. A call of
-// at most two fixed-width arguments with a fixed-width result is keyed and
-// stored without pointers (callKey, callWord), which neither allocates per
-// insert nor gives the collector a map to scan; any other call — a VARCHAR or
-// INTERVAL argument, more arguments, a VARCHAR result — is keyed by its
-// encoding (appendCallKey). mixed says a call with a fixed key stored its
-// result in enc.
+// the rest of the query execution" (§4.2.1); ModeSystemC keeps none
+// (DESIGN.md ADR-038). It is one open-addressed, linearly probed table of
+// callSlots, at most 3/4 full, that holds no pointer: the collector does not
+// scan it and a call adds no object. A call of at most two fixed-width
+// arguments is keyed by its callKey; any other — a VARCHAR or INTERVAL
+// argument, more arguments — by its appendCallKey encoding, kept in arena. A
+// fixed-width result is stored in its slot, any other in side. A slot, once a
+// key holds it, is that key's for the statement: a failed call leaves it
+// vacant, which only its own key reuses, so no probe sequence is broken.
 type udfResults struct {
-	fixed map[callKey]callWord
-	enc   map[string]sqltypes.Value
-	mixed bool
+	slots []callSlot
+	used  int // slots that are not free
+	arena []byte
+	side  []sqltypes.Value
+	hint  *atomic.Int64 // the plan's largest table, where the next execution starts
 }
 
-// udfKey is a call's key in its function's result cache: its callKey where
-// fixed, else the encoding of args.
-type udfKey struct {
-	k     callKey
-	fixed bool
-	args  []sqltypes.Value
+// callSlot is one key of a udfResults and, in state slotWord or slotSide, its
+// result. An encoded key is tagged encodedKey in key[0], which no callKey
+// sets, with its length beside the tag, its offset in the arena in key[1] and
+// its hash in key[2].
+type callSlot struct {
+	key   callKey
+	bits  uint64        // slotWord: the result's bits; slotSide: its index in side; slotPending: the row that owns the call
+	kind  sqltypes.Kind // slotWord: the result's kind
+	state slotState
 }
 
-func keyOf(args []sqltypes.Value) udfKey {
+type slotState uint8
+
+const (
+	slotFree    slotState = iota
+	slotVacant            // a key without a result: just claimed, or its call failed
+	slotPending           // a key whose call runs in the current batch (udfCall.batch)
+	slotWord              // a key and its fixed-width result
+	slotSide              // a key and its result in side
+)
+
+const encodedKey = 1 << 63
+
+var callSeed = maphash.MakeSeed()
+
+// reserve makes room for n more keys at a load of at most 3/4. A first table
+// takes the size the plan's executions grew theirs to (udfPlan.cacheSlots),
+// so a warm statement does not grow one.
+func (r *udfResults) reserve(n int) {
+	if 4*(r.used+n) <= 3*len(r.slots) {
+		return
+	}
+	size := max(len(r.slots), int(r.hint.Load()), 16)
+	for 4*(r.used+n) > 3*size {
+		size *= 2
+	}
+	old := r.slots
+	r.slots = make([]callSlot, size)
+	mask := uint64(size - 1)
+	for _, s := range old {
+		if s.state == slotFree {
+			continue
+		}
+		i := s.key.hash() & mask
+		for r.slots[i].state != slotFree {
+			i = (i + 1) & mask
+		}
+		r.slots[i] = s
+	}
+	for seen := r.hint.Load(); int64(size) > seen && !r.hint.CompareAndSwap(seen, int64(size)); {
+		seen = r.hint.Load()
+	}
+}
+
+// probe returns the slot of the call whose arguments are args — the one probe
+// of both paths: udfCall.batch for a batch, udfCall.call for one call. A key
+// not in the table claims a free slot, vacant; there must be room for it
+// (reserve). buf is scratch for an encoded key.
+func (r *udfResults) probe(args []sqltypes.Value, buf *[]byte) int {
 	k, fixed := fixedKey(args)
-	return udfKey{k, fixed, args}
-}
-
-// lookup returns the cached result of the call key names. The one lookup
-// both evaluators use: the call kernel for a batch, callUDF for one call.
-func (r *udfResults) lookup(key udfKey, buf *[]byte) (sqltypes.Value, bool) {
-	if key.fixed {
-		if w, ok := r.fixed[key.k]; ok {
-			return w.value(), true
-		}
-		if !r.mixed {
-			return sqltypes.Null, false
-		}
+	var enc []byte
+	if !fixed {
+		*buf = appendCallKey((*buf)[:0], args)
+		enc = *buf
+		k = callKey{encodedKey | uint64(len(enc)), 0, maphash.Bytes(callSeed, enc)}
 	}
-	*buf = appendCallKey((*buf)[:0], key.args)
-	v, ok := r.enc[string(*buf)]
-	return v, ok
-}
-
-// insert caches v as the result of the call key names unless one is cached
-// already, and returns the cached result and whether the insert added it.
-func (r *udfResults) insert(key udfKey, v sqltypes.Value, buf *[]byte) (sqltypes.Value, bool) {
-	if old, ok := r.lookup(key, buf); ok {
-		return old, false
-	}
-	if key.fixed {
-		if w, ok := wordOf(v); ok {
-			if r.fixed == nil {
-				r.fixed = make(map[callKey]callWord)
+	mask := uint64(len(r.slots) - 1)
+	for i := k.hash() & mask; ; i = (i + 1) & mask {
+		s := &r.slots[i]
+		if s.state == slotFree {
+			if !fixed {
+				k[1] = uint64(len(r.arena))
+				r.arena = append(r.arena, enc...)
 			}
-			r.fixed[key.k] = w
-			return v, true
+			s.key, s.state = k, slotVacant
+			r.used++
+			return int(i)
 		}
-		r.mixed = true
-		*buf = appendCallKey((*buf)[:0], key.args)
+		if fixed && s.key == k ||
+			!fixed && s.key[0] == k[0] && s.key[2] == k[2] && string(r.arena[s.key[1]:][:len(enc)]) == string(enc) {
+			return int(i)
+		}
 	}
-	if r.enc == nil {
-		r.enc = make(map[string]sqltypes.Value)
+}
+
+// result returns the result slot s holds, if it holds one.
+func (r *udfResults) result(s *callSlot) (sqltypes.Value, bool) {
+	switch s.state {
+	case slotWord:
+		if s.kind == sqltypes.KindFloat {
+			return sqltypes.Value{K: s.kind, F: math.Float64frombits(s.bits)}, true
+		}
+		return sqltypes.Value{K: s.kind, I: int64(s.bits)}, true
+	case slotSide:
+		return r.side[s.bits], true
 	}
-	r.enc[string(*buf)] = v
-	return v, true
+	return sqltypes.Null, false
+}
+
+// fill stores v as the result of s's key: in the slot where v is a
+// fixed-width value its kind and bits rebuild exactly, else in side.
+func (r *udfResults) fill(s *callSlot, v sqltypes.Value) {
+	switch v.K {
+	case sqltypes.KindNull, sqltypes.KindInt, sqltypes.KindBool, sqltypes.KindDate:
+		if math.Float64bits(v.F) == 0 && v.S == "" {
+			s.kind, s.bits, s.state = v.K, uint64(v.I), slotWord
+			return
+		}
+	case sqltypes.KindFloat:
+		if v.I == 0 && v.S == "" {
+			s.kind, s.bits, s.state = v.K, math.Float64bits(v.F), slotWord
+			return
+		}
+	}
+	s.bits, s.state = uint64(len(r.side)), slotSide
+	r.side = append(r.side, v)
 }
 
 // callKey names a call of at most two fixed-width arguments: their kinds, one
 // byte each, then their bits, with the equality of appendCallKey's encoding —
 // an INTEGER is tagged apart from the DECIMAL of equal value (a body can tell
-// them apart: $1 / 2), ±0 is one key and a BOOLEAN is its truth value. Three
-// words and no padding: the map hashes it in one pass.
+// them apart: $1 / 2), ±0 is one key and a BOOLEAN is its truth value.
 type callKey [3]uint64
+
+// hash spreads k over a table. An encoded key carries its hash.
+func (k callKey) hash() uint64 {
+	if k[0]&encodedKey != 0 {
+		return k[2]
+	}
+	hi, lo := bits.Mul64(k[1]^0xa0761d6478bd642f, k[2]^k[0]^0xe7037ed1a0b428db)
+	return hi ^ lo
+}
 
 // fixedKey returns the callKey of args, or false when an argument is not
 // fixed-width (NULL, INTEGER, DECIMAL, BOOLEAN, DATE) or there are more than
@@ -666,9 +782,10 @@ func fixedKey(args []sqltypes.Value) (callKey, bool) {
 	return k, true
 }
 
-// appendCallKey encodes args for the maps keyed by string. AppendKey is a
-// grouping key — INTEGER 3 and DECIMAL 3.00 encode alike — so integers take an
-// encoding of their own, as do intervals, which AppendKey does not tell apart.
+// appendCallKey encodes args for the result cache and the relation memo.
+// AppendKey is a grouping key — INTEGER 3 and DECIMAL 3.00 encode alike — so
+// integers take an encoding of their own, as do intervals, which AppendKey
+// does not tell apart.
 func appendCallKey(buf []byte, args []sqltypes.Value) []byte {
 	for _, a := range args {
 		switch a.K {
@@ -682,30 +799,4 @@ func appendCallKey(buf []byte, args []sqltypes.Value) []byte {
 		}
 	}
 	return buf
-}
-
-// callWord is a cached fixed-width result, exactly: value() rebuilds the
-// Value it was made from.
-type callWord struct {
-	kind sqltypes.Kind
-	bits uint64
-}
-
-// wordOf returns v as a callWord, or false when v is not a fixed-width value
-// the word holds exactly.
-func wordOf(v sqltypes.Value) (callWord, bool) {
-	switch v.K {
-	case sqltypes.KindNull, sqltypes.KindInt, sqltypes.KindBool, sqltypes.KindDate:
-		return callWord{v.K, uint64(v.I)}, math.Float64bits(v.F) == 0 && v.S == ""
-	case sqltypes.KindFloat:
-		return callWord{v.K, math.Float64bits(v.F)}, v.I == 0 && v.S == ""
-	}
-	return callWord{}, false
-}
-
-func (w callWord) value() sqltypes.Value {
-	if w.kind == sqltypes.KindFloat {
-		return sqltypes.Value{K: w.kind, F: math.Float64frombits(w.bits)}
-	}
-	return sqltypes.Value{K: w.kind, I: int64(w.bits)}
 }

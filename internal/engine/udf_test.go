@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -162,8 +163,9 @@ func TestNestedUDFProjections(t *testing.T) {
 // kind the call kernel meets: a planned conversion, the same without
 // IMMUTABLE, a VARCHAR argument and a third argument (the encoded cache key),
 // a recursive body, a projection whose IN list is lifted to the interpreter
-// with a $n inside it, and a cross product whose join order follows the
-// WHERE key.
+// with a $n inside it, a cross product whose join order follows the WHERE
+// key, a body whose result is VARCHAR for some keys and DECIMAL for others,
+// and one that fails for -0 and not for +0, which are one key.
 func udfParityDB(t *testing.T, mode Mode, n int) *DB {
 	t.Helper()
 	db := Open(mode)
@@ -186,7 +188,11 @@ func udfParityDB(t *testing.T, mode Mode, n int) *DB {
 		CREATE TABLE cy (k INTEGER, w INTEGER);
 		CREATE TABLE cz (k INTEGER, u INTEGER);
 		CREATE FUNCTION cross3 (INTEGER, INTEGER) RETURNS INTEGER
-			AS 'SELECT v * 100 + w * 10 + u FROM cx, cy, cz WHERE cx.k = $1 AND cy.k = $2 AND cz.k = $2' LANGUAGE SQL IMMUTABLE`); err != nil {
+			AS 'SELECT v * 100 + w * 10 + u FROM cx, cy, cz WHERE cx.k = $1 AND cy.k = $2 AND cz.k = $2' LANGUAGE SQL IMMUTABLE;
+		CREATE FUNCTION mixed (DECIMAL, INTEGER) RETURNS VARCHAR(16)
+			AS 'SELECT CASE WHEN $1 > 3 THEN CONCAT(label, $1) ELSE rate * $1 END FROM meta WHERE tk = $2' LANGUAGE SQL IMMUTABLE;
+		CREATE FUNCTION fragile (DECIMAL, INTEGER) RETURNS DECIMAL
+			AS 'SELECT rate / (CHAR_LENGTH(CONCAT(label, $1)) - 8) FROM meta WHERE tk = $2' LANGUAGE SQL IMMUTABLE`); err != nil {
 		t.Fatal(err)
 	}
 	// cross3's three sources share no join conjunct, so the cross product
@@ -240,6 +246,16 @@ var udfParityStmts = []string{
 	`SELECT id, conv(conv(amt, tk), id % 2 + 1) FROM facts WHERE tk <> 3`,
 	`SELECT id, conv(CASE WHEN id % 3 = 1 THEN -(0.0) ELSE 0.0 END, tk) FROM facts WHERE tk <> 3`,
 	`SELECT id, cross3(1, id % 2 + 1) FROM facts`,
+	// A failing key (tenant 3) repeats in every batch beside a succeeding one.
+	`SELECT id, conv(1, tk) FROM facts WHERE tk = 3 OR tk = 1`,
+	// NULL and VARCHAR arguments in one batch: fixed and encoded keys meet.
+	`SELECT id, tag(CASE WHEN id % 3 = 0 THEN NULL ELSE name END, tk) FROM facts`,
+	// VARCHAR results for some keys, DECIMAL for others, and ±0 among them.
+	`SELECT id, mixed(CASE WHEN id % 7 = 1 THEN -(0.0) WHEN id % 7 = 2 THEN 0.0 ELSE amt END, tk) FROM facts WHERE tk <> 3`,
+	// -0 fails ('+1--0.00' is eight characters) and +0 does not: a key's
+	// first call fails where it is -0, and the next row of the key runs it
+	// again. Which row that is decides the count of body executions.
+	`SELECT id, fragile(CASE WHEN id % 3 = 1 THEN -(0.0) ELSE 0.0 END, tk) FROM facts WHERE tk <> 3`,
 }
 
 // exactKey renders a statement's outcome like execKey, with every DECIMAL's
@@ -264,7 +280,10 @@ func exactKey(res *Result, err error) string {
 // batches of one-batch morsels, values and the first error equal the
 // evaluator check's (SetCompileExprs(false), which interprets every call) at
 // parallelism 1 and 4; at parallelism 1, where both run the same rows in the
-// same order, so do the body executions and cache hits, in both modes.
+// same order, so do the body executions and cache hits, in both modes. A
+// held plan's result cache starts at the size its last execution grew to
+// (udfPlan.cacheSlots); after an INSERT of new keys the next execution grows
+// it past that, and answers and counts the same.
 func TestUDFBatchParity(t *testing.T) {
 	SetMorselSize(1)
 	defer SetMorselSize(0)
@@ -274,27 +293,76 @@ func TestUDFBatchParity(t *testing.T) {
 		for _, q := range udfParityStmts {
 			for _, par := range []int{1, 4} {
 				db.SetParallelism(par)
-				var want string
-				var wantStats StatsSnapshot
-				for _, cfg := range []execConfig{cfgEvalCheck, cfgProduction} {
-					cfg.apply(db)
-					before := db.Stats.Snapshot()
-					got := exactKey(db.QuerySQL(q))
-					after := db.Stats.Snapshot()
-					calls, hits := after.UDFCalls-before.UDFCalls, after.UDFCacheHits-before.UDFCacheHits
-					if cfg == cfgEvalCheck {
-						want, wantStats = got, StatsSnapshot{UDFCalls: calls, UDFCacheHits: hits}
-						continue
-					}
-					if got != want {
-						t.Errorf("%s par=%d %q:\ngot  %.300s\nwant %.300s", mode, par, q, got, want)
-					}
-					if par == 1 && (calls != wantStats.UDFCalls || hits != wantStats.UDFCacheHits) {
-						t.Errorf("%s %q: %d body executions and %d cache hits, the interpreter %d and %d",
-							mode, q, calls, hits, wantStats.UDFCalls, wantStats.UDFCacheHits)
+				checkUDFParity(t, db, fmt.Sprintf("%s par=%d %q", mode, par, q), par,
+					func() (*Result, error) { return db.QuerySQL(q) })
+			}
+		}
+	}
+	var ins strings.Builder
+	ins.WriteString("INSERT INTO facts VALUES ")
+	for i := range 2000 {
+		if i > 0 {
+			ins.WriteString(", ")
+		}
+		fmt.Fprintf(&ins, "(%d, %d, %d.25, 'g')", n+i, i%5+1, 100+i)
+	}
+	for _, mode := range []Mode{ModePostgres, ModeSystemC} {
+		for _, par := range []int{1, 4} {
+			db := udfParityDB(t, mode, n)
+			db.SetParallelism(par)
+			p, err := db.PreparePlan(udfParityStmts[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			slots := func() (most int64) {
+				for _, up := range p.udfPlans {
+					most = max(most, up.cacheSlots.Load())
+				}
+				return most
+			}
+			var hint int64
+			for step, write := range []string{"", ins.String()} {
+				if write != "" {
+					if _, err := db.ExecSQL(write); err != nil {
+						t.Fatal(err)
 					}
 				}
+				label := fmt.Sprintf("%s par=%d held plan, execution %d", mode, par, step+1)
+				checkUDFParity(t, db, label, par, func() (*Result, error) {
+					return db.ExecPlanContext(context.Background(), p)
+				})
+				if mode == ModePostgres && slots() <= hint {
+					t.Errorf("%s: the result cache grew to %d slots, the hint was %d", label, slots(), hint)
+				}
+				hint = slots()
 			}
+		}
+	}
+}
+
+// checkUDFParity runs one statement under the evaluator check and in
+// production and compares values and the first error, and at parallelism 1
+// the body executions and cache hits.
+func checkUDFParity(t *testing.T, db *DB, label string, par int, run func() (*Result, error)) {
+	t.Helper()
+	var want string
+	var wantStats StatsSnapshot
+	for _, cfg := range []execConfig{cfgEvalCheck, cfgProduction} {
+		cfg.apply(db)
+		before := db.Stats.Snapshot()
+		got := exactKey(run())
+		after := db.Stats.Snapshot()
+		calls, hits := after.UDFCalls-before.UDFCalls, after.UDFCacheHits-before.UDFCacheHits
+		if cfg == cfgEvalCheck {
+			want, wantStats = got, StatsSnapshot{UDFCalls: calls, UDFCacheHits: hits}
+			continue
+		}
+		if got != want {
+			t.Errorf("%s:\ngot  %.300s\nwant %.300s", label, got, want)
+		}
+		if par == 1 && (calls != wantStats.UDFCalls || hits != wantStats.UDFCacheHits) {
+			t.Errorf("%s: %d body executions and %d cache hits, the interpreter %d and %d",
+				label, calls, hits, wantStats.UDFCalls, wantStats.UDFCacheHits)
 		}
 	}
 }
