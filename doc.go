@@ -10,8 +10,9 @@
 //     writes and reads (ADR-017 in DESIGN.md)
 //   - engine — the substrate in-memory DBMS (PostgreSQL / "System C" roles).
 //     Queries execute as a tree of pull-based physical operators
-//     (engine/operator.go) — scan, filter, project, hash join, group,
-//     sort, distinct, limit — exchanging fixed-size batches with selection
+//     (engine/operator.go) — scan, filter, project, hash join, group
+//     (SELECT DISTINCT included: a grouping by the output columns,
+//     ADR-039), sort, limit — exchanging fixed-size batches with selection
 //     vectors (engine/batch.go); only the pipeline breakers (join builds,
 //     group buckets, sort buffers) materialize state, so memory is bounded
 //     by batch size plus breaker state rather than intermediate result
@@ -53,8 +54,9 @@
 //     differential oracle; ADR-005, ADR-029, ADR-030 in DESIGN.md).
 //     DB.SetMemoryLimit caps per-statement working memory (0 = unlimited
 //     default): over budget,
-//     sorts run as external merge sorts, group-bys fall back to sort-based
-//     grouping, DISTINCT spills its key set and hash joins merge sorted
+//     sorts run as external merge sorts, group-bys and DISTINCT fold the
+//     keys their frozen table never admitted from runs sorted by key, and
+//     hash joins merge sorted
 //     runs of both sides — all to temp files under DB.SetSpillDir, removed at statement end
 //     even on error — with results byte-identical to the unlimited path
 //     and Stats.SpillRuns/SpillBytes/PeakMemBytes reporting what spilled

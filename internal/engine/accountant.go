@@ -96,10 +96,6 @@ const groupEntryBytes = 96
 // aggAccBytes is the size of one aggAcc: a resident group's state per site.
 const aggAccBytes = 104
 
-// rankEntryBytes approximates one entry of the persistent group-rank
-// directory a spilling group-by keeps resident.
-const rankEntryBytes = 48
-
 // recCost is the charge for one buffered spill record: the row footprint
 // plus any ORDER BY key values travelling with it.
 func recCost(row, keys []sqltypes.Value) int64 {

@@ -317,6 +317,28 @@ func TestUDFAndCacheModes(t *testing.T) {
 			}
 		}
 	}
+	// SELECT DISTINCT evaluates its items once per input row, before any key
+	// is compared — a grouping by the output columns (ADR-039) must not
+	// evaluate them again per group — so the seven keys run the body seven
+	// times and the other rows hit the cache, in every configuration,
+	// unlimited and spilling.
+	db := streamTestDB(t, 6000)
+	db.SetSpillDir(t.TempDir())
+	db.SetParallelism(1)
+	for _, cfg := range []execConfig{cfgReference, cfgProduction, cfgEvalCheck} {
+		cfg.apply(db)
+		for _, limit := range []int64{0, 8 << 10} {
+			db.SetMemoryLimit(limit)
+			db.Stats = Stats{}
+			res, err := db.QuerySQL(`SELECT DISTINCT dimname(k) AS n FROM fact`)
+			if err != nil || len(res.Rows) != 7 {
+				t.Fatalf("%s limit=%d: %v", cfg.name, limit, err)
+			}
+			if st := db.Stats.Snapshot(); st.UDFCalls != 7 || st.UDFCacheHits != 5993 {
+				t.Errorf("%s limit=%d: %d body executions and %d cache hits, want 7 and 5993", cfg.name, limit, st.UDFCalls, st.UDFCacheHits)
+			}
+		}
+	}
 }
 
 func TestUDFComposition(t *testing.T) {

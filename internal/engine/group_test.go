@@ -6,6 +6,7 @@ package engine
 // reference executor over each group's rows, answers.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -166,9 +167,8 @@ func TestGroupFoldDifferential(t *testing.T) {
 // TestGroupFreezeAndSpill: what a memory limit does to the group table. A
 // table of a few groups folds within 64 KB and never spills; a thousand
 // groups do not fit, so the table freezes and the rest spills — and the
-// accounted peak stays within one batch of the limit (plus the rank
-// directory, ~60 bytes for each key the freeze kept out, which is why the
-// bound is not asserted on one group per row).
+// accounted peak stays within one batch of the limit, for ten thousand
+// groups too: nothing of a key the freeze kept out stays resident (ADR-039).
 func TestGroupFreezeAndSpill(t *testing.T) {
 	db := streamTestDB(t, 10000)
 	db.SetSpillDir(t.TempDir())
@@ -184,6 +184,7 @@ func TestGroupFreezeAndSpill(t *testing.T) {
 			{`SELECT grp, k, COUNT(*), SUM(val), AVG(val), MIN(id), MAX(id) FROM fact GROUP BY grp, k`, 64 << 10, false},
 			{`SELECT id % 1000, COUNT(*), SUM(val) FROM fact GROUP BY id % 1000`, 64 << 10, true},
 			{`SELECT id % 1000, COUNT(*), SUM(val) FROM fact GROUP BY id % 1000`, 8 << 10, true},
+			{`SELECT id, COUNT(*) AS c FROM fact GROUP BY id`, 8 << 10, true},
 			// A DISTINCT set has no bound a group count gives it: spill route.
 			{`SELECT k, COUNT(DISTINCT val) FROM fact GROUP BY k`, 8 << 10, true},
 		} {
@@ -199,6 +200,43 @@ func TestGroupFreezeAndSpill(t *testing.T) {
 			if st.PeakMemBytes > tc.limit+512<<10 {
 				t.Errorf("%s limit=%d %q: PeakMemBytes %d exceeds the limit plus one batch of slack", cfg.name, tc.limit, tc.sql, st.PeakMemBytes)
 			}
+		}
+	}
+}
+
+// TestMergedGroupErrorOrder: under a memory limit the groups the frozen
+// table kept out come back from the merge, which runs their output before
+// any is emitted (ADR-039). A cursor still gets every group first seen
+// before the failing one, in first-seen order, and then its error: that of
+// id 5000, not of id 9000, whichever of the two the merge, in key order, ran
+// first.
+func TestMergedGroupErrorOrder(t *testing.T) {
+	db := groupTestDB(t, 12000)
+	db.SetSpillDir(t.TempDir())
+	db.SetParallelism(1)
+	db.SetMemoryLimit(8 << 10)
+	for _, cfg := range checkedConfigs {
+		cfg.apply(db)
+		db.Stats = Stats{}
+		rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db,
+			`SELECT id, 10 / ((id - 5000) * (id - 9000)) AS q FROM g GROUP BY id`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := int64(0)
+		for rows.Next() {
+			var id, q int64
+			if err := rows.Scan(&id, &q); err != nil || id != seen {
+				t.Fatalf("%s: row %d is id %d (%v)", cfg.name, seen, id, err)
+			}
+			seen++
+		}
+		if err := rows.Err(); err == nil || !strings.Contains(err.Error(), "division by zero") || seen != 5000 {
+			t.Errorf("%s: %d rows, then %v; want 5000, then division by zero", cfg.name, seen, err)
+		}
+		rows.Close()
+		if db.Stats.Snapshot().SpillRuns == 0 {
+			t.Errorf("%s: nothing spilled", cfg.name)
 		}
 	}
 }

@@ -23,7 +23,7 @@ package engine
 //
 // Relation-shaped streams (FROM/WHERE pipelines) emit window batches whose
 // selection vector may be refined by filters. Result-shaped streams
-// (project, group, distinct, sort, limit) emit dense batches — sel is the
+// (project, group, sort, limit) emit dense batches — sel is the
 // identity — optionally carrying ORDER BY key columns in Batch.keys.
 //
 // Every operator has one arm: expressions arrive as batch programs
@@ -59,7 +59,7 @@ type Operator interface {
 
 // resetKeyCols returns a key-column set of n empty columns, reusing the
 // backing arrays. Safe because batches are owned by their producer until
-// the next pull: every consumer (sort, distinct) copies key values out
+// the next pull: their one consumer, sort, copies key values out
 // before pulling again.
 func resetKeyCols(cols [][]sqltypes.Value, n int) [][]sqltypes.Value {
 	if n == 0 {
@@ -874,6 +874,7 @@ type projection struct {
 	projs []projector
 	plans []orderPlan
 	width int
+	tail  bool // DISTINCT's input: ORDER BY keys end each row, past width, not keyCols
 
 	vprojs []vecExpr // nil entries are star segments
 	vkeys  []vecExpr // key expressions (outCol plans stay nil)
@@ -940,7 +941,9 @@ func (o *projectOperator) Next(ex *exec) (*Batch, error) {
 // start begins an output batch.
 func (o *projection) start() {
 	o.rowBuf = o.rowBuf[:0]
-	o.keyCols = resetKeyCols(o.keyCols, len(o.plans))
+	if !o.tail {
+		o.keyCols = resetKeyCols(o.keyCols, len(o.plans))
+	}
 }
 
 // batch hands on the rows and keys projected since start.
@@ -980,9 +983,13 @@ func (o *projection) project(ex *exec, b *Batch) error {
 	if err := b.firstErr(); err != nil {
 		return err
 	}
-	ck := newRowChunk(len(sel), o.width)
+	width := o.width
+	if o.tail {
+		width += len(o.plans)
+	}
+	ck := newRowChunk(len(sel), width)
 	for _, i := range sel {
-		row := ck.alloc(o.width)
+		row := ck.alloc(width)
 		pos := 0
 		for j := range o.projs {
 			p := &o.projs[j]
@@ -997,10 +1004,16 @@ func (o *projection) project(ex *exec, b *Batch) error {
 		}
 		o.rowBuf = append(o.rowBuf, row)
 		for k := range o.plans {
+			var v sqltypes.Value
 			if o.plans[k].outCol >= 0 {
-				o.keyCols[k] = append(o.keyCols[k], row[o.plans[k].outCol])
+				v = row[o.plans[k].outCol]
 			} else {
-				o.keyCols[k] = append(o.keyCols[k], o.keyBuf[k][i])
+				v = o.keyBuf[k][i]
+			}
+			if o.tail {
+				row[o.width+k] = v
+			} else {
+				o.keyCols[k] = append(o.keyCols[k], v)
 			}
 		}
 	}
@@ -1020,12 +1033,17 @@ func (o *projectOperator) Close() { o.child.Close() }
 // and ORDER BY keys as batch programs over its groups (DESIGN.md ADR-035): a
 // batch's rows are up to batchSize groups' first rows, and an aggregate call
 // reads the accumulator of its row's group. It keeps a group's first row and
-// accumulators, never its rows. Under a memory limit that state is charged
-// as groups are admitted; once over, the table freezes: resident groups keep
-// folding, a key not seen before is ranked (ids keeps counting: above every
-// resident id) and its rows spill, to come back from the rank-ordered merge
-// a group at a time behind the resident ones — in first-seen order, each
-// group folded entirely here or entirely there.
+// accumulators, never its rows. SELECT DISTINCT is this operator too, a
+// grouping by the output columns with no aggregates (newDistinctOperator).
+//
+// Under a memory limit that state is charged as groups are admitted; once
+// over, the table freezes (DESIGN.md ADR-039): resident groups keep folding,
+// and a row of a key the table never admitted spills keyed by (key,
+// arrival). The merge of those runs yields each such key's rows together in
+// arrival order; they fold into one group, whose output row — if HAVING
+// passes it — spills keyed by the group's first arrival, and comes back
+// behind the resident groups in first-seen order. Nothing of a key outside
+// the table stays resident.
 type groupOperator struct {
 	groupedShape
 	child  Operator
@@ -1037,7 +1055,7 @@ type groupOperator struct {
 	shared *sharedExprs       // what gexprs and the sites' arguments share
 	progs  groupProgs         // this exec's lowering of them
 
-	ids   map[string]int32   // group key -> dense first-seen id (rank, once frozen)
+	ids   map[string]int32   // resident group key -> dense first-seen id
 	first [][]sqltypes.Value // resident group id -> its first row
 	accs  []aggAcc           // resident group id × site
 	gids  []int32
@@ -1053,16 +1071,18 @@ type groupOperator struct {
 	grp        Batch    // the groups being emitted
 
 	// Memory-limited statements only.
-	acct    *memAccountant
-	charged int64
-	frozen  bool
-	sp      *spiller
-	merge   *mergeIter
-	mrec    spillRec
-	mhave   bool
-	macc    []aggAcc            // the merged group being emitted
-	mfirst  [1][]sqltypes.Value // its first row
-	chunk   [][]sqltypes.Value
+	acct     *memAccountant
+	charged  int64
+	frozen   bool
+	sp       *spiller   // rows of keys the frozen table never admitted, by (key, arrival)
+	arrivals int64      // rows sp took
+	outSp    *spiller   // the merged groups' output rows, by first arrival
+	merge    *mergeIter // outSp drained: what Next emits behind the resident groups
+	merr     error      // the failure of the merged group first seen earliest
+	errSeq   int64      // its first arrival
+	macc     []aggAcc   // the merged group being folded
+	mfirst   [1][]sqltypes.Value
+	chunk    [][]sqltypes.Value
 }
 
 // groupProgs is one exec's lowering of the input side: the group keys, per
@@ -1221,11 +1241,8 @@ func (o *groupOperator) Open(ex *exec) error {
 	if err != nil {
 		return err
 	}
-	if o.sp != nil { // the rows of every key first seen after the freeze, rank by rank
-		if o.merge, err = o.sp.drain(); err != nil {
-			return err
-		}
-		return o.advance()
+	if o.sp != nil {
+		return o.mergeSpilled(ex)
 	}
 	// A global aggregate (no GROUP BY) over zero rows still yields one group.
 	// Its first row is all NULL: the bare columns beside its aggregates read
@@ -1336,8 +1353,8 @@ func (o *groupOperator) admit(row []sqltypes.Value) {
 }
 
 // fold gives every row of in its group — admitting unseen keys in arrival
-// order until the budget freezes the table, ranking them and spilling their
-// rows after — and folds the resident groups' argument values.
+// order until the budget freezes the table, spilling the rows of keys it
+// never admitted after — and folds the resident groups' argument values.
 func (o *groupOperator) fold(ex *exec, in *aggInput) {
 	o.gids = slices.Grow(o.gids[:0], len(in.rows))
 	gids := o.gids[:len(in.rows)]
@@ -1347,27 +1364,24 @@ func (o *groupOperator) fold(ex *exec, in *aggInput) {
 		lo = in.ends[j]
 		gid, seen := o.ids[string(key)]
 		if !seen {
+			if o.frozen {
+				if o.sp == nil {
+					o.sp = newSpiller(ex, byKey)
+				}
+				o.sp.add(spillRec{seq: o.arrivals, key: slices.Clone(key), row: in.rows[i]}, int64(len(key))+rowBytes(in.rows[i]))
+				o.arrivals++
+				gids[i] = -1
+				continue
+			}
 			gid = int32(len(o.ids))
 			o.ids[string(key)] = gid
-			if !o.frozen {
-				o.admit(in.rows[i])
-			}
+			o.admit(in.rows[i])
 			if o.acct != nil {
-				cost := int64(len(key)) + rankEntryBytes
-				if !o.frozen {
-					cost = int64(len(key)) + groupEntryBytes + int64(len(o.sites))*aggAccBytes + rowBytes(in.rows[i])
-				}
+				cost := int64(len(key)) + groupEntryBytes + int64(len(o.sites))*aggAccBytes + rowBytes(in.rows[i])
 				o.acct.charge(cost)
 				o.charged += cost
-				o.frozen = o.frozen || o.acct.over()
+				o.frozen = o.acct.over()
 			}
-		}
-		if int(gid) >= len(o.first) {
-			if o.sp == nil {
-				o.sp = newSpiller(ex, func(a, b *spillRec) bool { return a.seq < b.seq })
-			}
-			o.sp.add(spillRec{seq: int64(gid), row: in.rows[i]}, rowBytes(in.rows[i]))
-			gid = -1
 		}
 		gids[i] = gid
 	}
@@ -1410,85 +1424,118 @@ func (o *groupOperator) foldSites(in *aggInput, gids []int32, accs []aggAcc) {
 	}
 }
 
+// mergeSpilled folds the spilled keys a run at a time — the merge, stable
+// on the key, yields each key's rows together in arrival order — through
+// the resident programs into one accumulator row, and runs the group's
+// output at once: a row HAVING passes spills keyed by the group's first
+// arrival, a failure is kept if its group was first seen before every other
+// failing one. Next emits the rows behind the resident groups.
+func (o *groupOperator) mergeSpilled(ex *exec) error {
+	m, err := o.sp.drain()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		m.close()
+		o.sp.close()
+		o.sp = nil
+	}()
+	o.outSp = newSpiller(ex, bySeq)
+	in := &o.in[0]
+	rec, err := m.next()
+	for rec != nil {
+		if err := ex.cancelled(); err != nil {
+			return err
+		}
+		head := *rec
+		o.macc = append(o.macc[:0], o.proto...)
+		for same := true; same; {
+			o.chunk = append(o.chunk, rec.row)
+			if rec, err = m.next(); err != nil {
+				return err
+			}
+			same = rec != nil && bytes.Equal(rec.key, head.key)
+			if len(o.chunk) == batchSize || !same {
+				o.aggB.window(o.chunk)
+				in.sel = o.aggB.sel
+				o.progs.slots.nextBatch()
+				o.progs.evalArgs(&o.aggB, in)
+				o.foldSites(in, zeroGids[:], o.macc)
+				o.chunk = o.chunk[:0]
+			}
+		}
+		o.start()
+		o.mfirst[0] = head.row
+		o.grp.window(o.mfirst[:])
+		o.g.accs = o.macc
+		if err := o.output(ex); err != nil {
+			if o.merr == nil || head.seq < o.errSeq {
+				o.merr, o.errSeq = err, head.seq
+			}
+			continue
+		}
+		if len(o.rowBuf) == 0 { // HAVING rejected it
+			continue
+		}
+		keys := keyRow(o.keyCols, 0, len(o.keyCols))
+		o.outSp.add(spillRec{seq: head.seq, row: o.rowBuf[0], keys: keys}, recCost(o.rowBuf[0], keys))
+		if len(o.outSp.recs) >= batchSize && ex.acct.over() { // a batch at a time, as the input spilled
+			if err := o.outSp.flush(); err != nil {
+				return err
+			}
+		}
+	}
+	if err != nil {
+		return err
+	}
+	o.merge, err = o.outSp.drain()
+	return err
+}
+
+// output runs HAVING, the items and the ORDER BY keys over the groups grp
+// windows, appending their rows and keys to the output batch.
+func (o *groupOperator) output(ex *exec) error {
+	o.sc.group = &o.g // not before: a merged group's arguments are evaluated outside any group
+	o.cond.apply(&o.grp)
+	err := o.project(ex, &o.grp)
+	o.sc.group = nil
+	return err
+}
+
 func (o *groupOperator) Next(ex *exec) (*Batch, error) {
 	o.start()
-	for len(o.rowBuf) < batchSize {
+	for ns := len(o.sites); len(o.rowBuf) < batchSize && o.pos < len(o.first); {
 		if err := ex.cancelled(); err != nil {
 			return nil, err
 		}
-		b, err := o.nextGroups(ex, batchSize-len(o.rowBuf))
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		o.sc.group = &o.g // not before: a merged group's arguments are evaluated outside any group
-		o.cond.apply(b)
-		err = o.project(ex, b)
-		o.sc.group = nil
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(o.rowBuf) == 0 {
-		return nil, nil
-	}
-	return o.batch(ex), nil
-}
-
-// nextGroups windows the groups emitted next — up to room resident ones or,
-// behind them, the next group the merge streams past — as a batch of their
-// first rows, and points o.g at their accumulators. nil at the end.
-func (o *groupOperator) nextGroups(ex *exec, room int) (*Batch, error) {
-	if n, ns := min(len(o.first)-o.pos, room), len(o.sites); n > 0 {
+		n := min(len(o.first)-o.pos, batchSize-len(o.rowBuf))
 		o.grp.window(o.first[o.pos : o.pos+n])
 		o.g.accs = o.accs[o.pos*ns : (o.pos+n)*ns]
 		o.pos += n
-		return &o.grp, nil
-	}
-	if !o.mhave {
-		return nil, nil
-	}
-	if err := o.nextMerged(ex); err != nil {
-		return nil, err
-	}
-	o.grp.window(o.mfirst[:])
-	o.g.accs = o.macc
-	return &o.grp, nil
-}
-
-// nextMerged consumes the next group (one run of equal-rank records) from
-// the merge, folding its rows chunk by chunk through the resident kernel.
-func (o *groupOperator) nextMerged(ex *exec) error {
-	seq := o.mrec.seq
-	o.mfirst[0] = o.mrec.row
-	o.macc = append(o.macc[:0], o.proto...)
-	in := &o.in[0]
-	for o.mhave && o.mrec.seq == seq {
-		o.chunk = append(o.chunk, o.mrec.row)
-		if err := o.advance(); err != nil {
-			return err
-		}
-		if len(o.chunk) == batchSize || !o.mhave || o.mrec.seq != seq {
-			o.aggB.window(o.chunk)
-			in.sel = o.aggB.sel
-			o.progs.slots.nextBatch()
-			o.progs.evalArgs(&o.aggB, in)
-			o.foldSites(in, zeroGids[:], o.macc)
-			o.chunk = o.chunk[:0]
+		if err := o.output(ex); err != nil {
+			return nil, err
 		}
 	}
-	return nil
-}
-
-// advance steps the merge: mrec is its head while mhave.
-func (o *groupOperator) advance() error {
-	rec, err := o.merge.next()
-	if o.mhave = rec != nil; o.mhave {
-		o.mrec = *rec
+	// Behind them the merged groups' rows, up to the first-seen failing group.
+	for o.merge != nil && len(o.rowBuf) < batchSize {
+		rec, err := o.merge.next()
+		if err != nil {
+			return nil, err
+		}
+		if rec == nil || (o.merr != nil && rec.seq > o.errSeq) {
+			o.merge.close()
+			o.merge = nil
+			break
+		}
+		o.rowBuf = append(o.rowBuf, rec.row)
+		for k, v := range rec.keys {
+			o.keyCols[k] = append(o.keyCols[k], v)
+		}
 	}
-	return err
+	if len(o.rowBuf) == 0 {
+		return nil, o.merr
+	}
+	return o.batch(ex), nil
 }
 
 func (o *groupOperator) Close() {
@@ -1503,242 +1550,43 @@ func (o *groupOperator) Close() {
 		o.sp.close()
 		o.sp = nil
 	}
-	o.acct.release(o.charged)
-	o.charged = 0
-}
-
-// ---------------------------------------------------------------- distinct
-
-// distinctOperator streams DISTINCT: each output row is emitted the first
-// time its encoding is seen, so state is bounded by the number of distinct
-// output rows, not the input size. ORDER BY key columns travel with their
-// surviving rows.
-//
-// Under a memory limit the seen-set is charged per new entry. When the
-// budget overflows, streaming stops: the set's keys spill as marker records
-// (seq -1), every remaining input row spills keyed by its encoding with its
-// arrival sequence, and at child end a sort-by-(key, seq) merge picks each
-// key's survivor — skipping keys whose group holds a marker (already
-// emitted pre-spill) and otherwise keeping the earliest arrival. Survivors
-// re-sort by arrival sequence, so the post-spill emissions continue the
-// pre-spill arrival order exactly and output stays byte-identical.
-type distinctOperator struct {
-	child Operator
-	seen  map[string]bool
-	buf   []byte
-
-	rowBuf  [][]sqltypes.Value
-	keyCols [][]sqltypes.Value
-	out     Batch
-
-	acct    *memAccountant
-	charged int64
-	sp      *spiller // records keyed by row encoding, ordered (key, seq)
-	outSp   *spiller // survivors, ordered by arrival seq
-	merge   *mergeIter
-	seq     int64
-}
-
-// distinctEntryBytes approximates the per-entry overhead of the seen-set
-// (map bucket share plus string header) beyond the key bytes themselves.
-const distinctEntryBytes = 48
-
-func (o *distinctOperator) Open(ex *exec) error {
-	o.seen = make(map[string]bool)
-	o.acct = ex.acct
-	return o.child.Open(ex)
-}
-
-func (o *distinctOperator) Next(ex *exec) (*Batch, error) {
-	if o.merge != nil {
-		return o.emitMerged(ex)
-	}
-	for {
-		if err := ex.cancelled(); err != nil {
-			return nil, err
-		}
-		b, err := o.child.Next(ex)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			if o.sp == nil {
-				return nil, nil
-			}
-			if err := o.mergeSurvivors(ex); err != nil {
-				return nil, err
-			}
-			return o.emitMerged(ex)
-		}
-		if o.sp != nil {
-			for _, i := range b.sel {
-				row := b.rows[i]
-				o.buf = o.buf[:0]
-				for _, v := range row {
-					o.buf = sqltypes.AppendKey(o.buf, v)
-				}
-				rec := spillRec{
-					seq:  o.seq,
-					key:  append([]byte(nil), o.buf...),
-					row:  row,
-					keys: keyRow(b.keys, i, len(b.keys)),
-				}
-				o.seq++
-				o.sp.add(rec, int64(len(rec.key))+recCost(rec.row, rec.keys))
-			}
-			if ex.acct.over() {
-				if err := o.sp.flush(); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		o.rowBuf = o.rowBuf[:0]
-		o.keyCols = resetKeyCols(o.keyCols, len(b.keys))
-		var add int64
-		for _, i := range b.sel {
-			row := b.rows[i]
-			o.buf = o.buf[:0]
-			for _, v := range row {
-				o.buf = sqltypes.AppendKey(o.buf, v)
-			}
-			if o.seen[string(o.buf)] {
-				continue
-			}
-			o.seen[string(o.buf)] = true
-			if ex.acct != nil {
-				add += int64(len(o.buf)) + distinctEntryBytes
-			}
-			o.rowBuf = append(o.rowBuf, row)
-			for k := range b.keys {
-				o.keyCols[k] = append(o.keyCols[k], b.keys[k][i])
-			}
-		}
-		ex.acct.charge(add)
-		o.charged += add
-		if ex.acct.over() {
-			if err := o.engageSpill(ex); err != nil {
-				return nil, err
-			}
-		}
-		if len(o.rowBuf) > 0 {
-			o.out.window(o.rowBuf)
-			o.out.keys = o.keyCols
-			ex.noteStream(len(o.rowBuf))
-			return &o.out, nil
-		}
-	}
-}
-
-// engageSpill converts the seen-set into marker records (seq -1 sorts
-// before every real arrival, so a marker group head means "already
-// emitted") and frees the map.
-func (o *distinctOperator) engageSpill(ex *exec) error {
-	o.sp = newSpiller(ex, func(a, b *spillRec) bool {
-		if c := bytes.Compare(a.key, b.key); c != 0 {
-			return c < 0
-		}
-		return a.seq < b.seq
-	})
-	for k := range o.seen {
-		o.sp.add(spillRec{seq: -1, key: []byte(k)}, int64(len(k))+16)
-	}
-	o.seen = nil
-	ex.acct.release(o.charged)
-	o.charged = 0
-	return o.sp.flush()
-}
-
-// mergeSurvivors scans the (key, seq)-ordered merge of all spilled records
-// group by group: the head record of each key group is either a pre-spill
-// marker (skip the group) or the key's earliest post-spill arrival (the
-// survivor). Survivors feed a second spiller ordered by arrival sequence.
-func (o *distinctOperator) mergeSurvivors(ex *exec) error {
-	m, err := o.sp.drain()
-	if err != nil {
-		return err
-	}
-	defer m.close()
-	o.outSp = newSpiller(ex, func(a, b *spillRec) bool { return a.seq < b.seq })
-	var curKey []byte
-	have := false
-	for {
-		rec, err := m.next()
-		if err != nil {
-			return err
-		}
-		if rec == nil {
-			break
-		}
-		if have && bytes.Equal(rec.key, curKey) {
-			continue
-		}
-		curKey = append(curKey[:0], rec.key...)
-		have = true
-		if rec.seq < 0 {
-			continue
-		}
-		o.outSp.add(spillRec{seq: rec.seq, row: rec.row, keys: rec.keys},
-			recCost(rec.row, rec.keys))
-		if err := o.outSp.maybeFlush(); err != nil {
-			return err
-		}
-	}
-	o.merge, err = o.outSp.drain()
-	return err
-}
-
-// emitMerged streams the arrival-ordered survivors in batch windows,
-// re-attaching their ORDER BY key columns.
-func (o *distinctOperator) emitMerged(ex *exec) (*Batch, error) {
-	if err := ex.cancelled(); err != nil {
-		return nil, err
-	}
-	o.rowBuf = o.rowBuf[:0]
-	nk := -1
-	for len(o.rowBuf) < batchSize {
-		rec, err := o.merge.next()
-		if err != nil {
-			return nil, err
-		}
-		if rec == nil {
-			break
-		}
-		if nk < 0 {
-			nk = len(rec.keys)
-			o.keyCols = resetKeyCols(o.keyCols, nk)
-		}
-		o.rowBuf = append(o.rowBuf, rec.row)
-		for k, v := range rec.keys {
-			o.keyCols[k] = append(o.keyCols[k], v)
-		}
-	}
-	if len(o.rowBuf) == 0 {
-		return nil, nil
-	}
-	o.out.window(o.rowBuf)
-	o.out.keys = o.keyCols
-	ex.noteStream(len(o.rowBuf))
-	return &o.out, nil
-}
-
-func (o *distinctOperator) Close() {
-	o.child.Close()
-	o.seen = nil
-	if o.merge != nil {
-		o.merge.close()
-		o.merge = nil
-	}
-	if o.sp != nil {
-		o.sp.close()
-		o.sp = nil
-	}
 	if o.outSp != nil {
 		o.outSp.close()
 		o.outSp = nil
 	}
 	o.acct.release(o.charged)
 	o.charged = 0
+}
+
+// newDistinctOperator is SELECT DISTINCT as what it is, a grouping with no
+// aggregates (DESIGN.md ADR-039). child's rows are the block's w output
+// columns followed by its ORDER BY keys (projection.tail); they are grouped
+// by the output columns, and a group's first row — the first arrival of its
+// key, with that arrival's keys — is the survivor. The grouping is the block
+//
+//	SELECT #0, …, #(w-1) FROM child GROUP BY #0, …, #(w-1) ORDER BY #w, …
+//
+// over names no query spells, so a repeated output name is no ambiguity.
+func (ex *exec) newDistinctOperator(child Operator, w int, desc []bool) (*groupOperator, error) {
+	cols := make([]string, w+len(desc))
+	for i := range cols {
+		cols[i] = fmt.Sprintf("#%d", i)
+	}
+	rel := &relation{bindings: []*binding{newBinding("", cols)}, width: len(cols)}
+	sel := &sqlast.Select{Limit: -1}
+	for i, c := range cols {
+		ref := &sqlast.ColumnRef{Name: c}
+		if i < w {
+			sel.Items = append(sel.Items, sqlast.SelectItem{Expr: ref})
+			sel.GroupBy = append(sel.GroupBy, ref)
+		} else {
+			sel.OrderBy = append(sel.OrderBy, sqlast.OrderItem{Expr: ref, Desc: desc[i-w]})
+		}
+	}
+	if w == 0 { // every row is the one empty row: a key, or no rows would still be a group
+		sel.GroupBy = []sqlast.Expr{&sqlast.Literal{Val: sqltypes.Null}}
+	}
+	return ex.newGroupOperator(child, rel, sel, nil, &selAnalysis{})
 }
 
 // ---------------------------------------------------------------- sort
@@ -1957,8 +1805,8 @@ func (o *limitOperator) Close() { o.child.Close() }
 // ---------------------------------------------------------------- builder
 
 // buildQueryOp lowers one SELECT level into a physical operator tree:
-// FROM/WHERE pipeline, then grouped or plain projection, then DISTINCT,
-// ORDER BY and LIMIT. The tree's structure mirrors the reference executor's
+// FROM/WHERE pipeline, then grouped or plain projection, then DISTINCT (a
+// second grouping), ORDER BY and LIMIT. The tree's structure mirrors the reference executor's
 // evaluation order exactly.
 func (ex *exec) buildQueryOp(sel *sqlast.Select, parent *scope) (*queryRoot, error) {
 	src, err := ex.buildSourcePipe(sel, parent)
@@ -1988,7 +1836,10 @@ func (ex *exec) buildQueryOp(sel *sqlast.Select, parent *scope) (*queryRoot, err
 		desc = append(desc, p.desc)
 	}
 	if sel.Distinct {
-		op = &distinctOperator{child: op}
+		out.tail = true
+		if op, err = ex.newDistinctOperator(op, out.width, desc); err != nil {
+			return nil, err
+		}
 	}
 	if len(desc) > 0 {
 		op = newSortOperator(op, desc)

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"mtbase/internal/sqlparse"
 	"mtbase/internal/sqltypes"
 )
 
@@ -34,41 +33,40 @@ func rowsTestDB(t *testing.T, compiled bool, n int) *DB {
 
 // TestRowsMatchesResult drains cursors for a spread of query shapes —
 // every one of which streams through the operator tree — in the production
-// and evaluator-check configurations and compares against the reference
-// executor.
+// and evaluator-check configurations and compares their outcomes, rows or
+// error, against the reference executor's; a shape with wantErr must raise
+// it in the reference, every other shape must answer.
 func TestRowsMatchesResult(t *testing.T) {
-	queries := []string{
-		`SELECT id, val FROM seq WHERE val % 3 = 0`,              // scan shape
-		`SELECT id, val * 2 AS dbl FROM seq WHERE id < 100`,      // scan w/ expr
-		`SELECT * FROM seq WHERE id >= 2500`,                     // star
-		`SELECT id FROM seq WHERE id < 10 ORDER BY id DESC`,      // sort breaker
-		`SELECT val % 5 AS k, COUNT(*) AS n FROM seq GROUP BY k`, // group breaker
-		`SELECT DISTINCT val % 7 AS k FROM seq`,                  // streamed distinct
-		`SELECT id FROM seq WHERE id > 100 LIMIT 17`,             // streamed limit
+	queries := []struct{ sql, wantErr string }{
+		{`SELECT id, val FROM seq WHERE val % 3 = 0`, ""},              // scan shape
+		{`SELECT id, val * 2 AS dbl FROM seq WHERE id < 100`, ""},      // scan w/ expr
+		{`SELECT * FROM seq WHERE id >= 2500`, ""},                     // star
+		{`SELECT id FROM seq WHERE id < 10 ORDER BY id DESC`, ""},      // sort breaker
+		{`SELECT val % 5 AS k, COUNT(*) AS n FROM seq GROUP BY k`, ""}, // group breaker
+		{`SELECT DISTINCT val % 7 AS k FROM seq`, ""},                  // distinct: a grouping
+		{`SELECT id FROM seq WHERE id > 100 LIMIT 17`, ""},             // streamed limit
+		// DISTINCT drains its input before LIMIT takes a row, so the last
+		// row's modulo by zero is raised, as the reference raises it.
+		{`SELECT DISTINCT val % 7 AS k, 100 % div AS m FROM seq LIMIT 3`, "modulo by zero"},
 	}
 	db := rowsTestDB(t, true, 3000)
 	for _, q := range queries {
-		sel, err := sqlparse.ParseQuery(q)
-		if err != nil {
-			t.Fatalf("%q: %v", q, err)
-		}
 		cfgReference.apply(db)
-		want, err := db.Exec(sel)
-		if err != nil {
-			t.Fatalf("reference %q: %v", q, err)
+		want := execKey(db.QuerySQL(q.sql))
+		if isErr := strings.HasPrefix(want, "error: "); isErr != (q.wantErr != "") || !strings.Contains(want, q.wantErr) {
+			t.Fatalf("reference %q: %.300s (want error %q)", q.sql, want, q.wantErr)
 		}
 		for _, cfg := range checkedConfigs {
 			cfg.apply(db)
-			rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db, q))
-			if err != nil {
-				t.Fatalf("%s %q: %v", cfg.name, q, err)
+			rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db, q.sql))
+			got := "error: "
+			if err == nil {
+				got = execKey(rows.Collect())
+			} else {
+				got += err.Error()
 			}
-			got, err := rows.Collect()
-			if err != nil {
-				t.Fatalf("%s %q: %v", cfg.name, q, err)
-			}
-			if gk, wk := resultKey(t, got), resultKey(t, want); gk != wk {
-				t.Fatalf("%s %q: cursor differs from reference\n%s\nvs\n%s", cfg.name, q, gk, wk)
+			if got != want {
+				t.Fatalf("%s %q: cursor differs from reference\n%.300s\nvs\n%.300s", cfg.name, q.sql, got, want)
 			}
 		}
 	}

@@ -81,8 +81,10 @@ var referenceForbidden = []string{
 // of a planned UDF body ADR-037 replaced with the batch call (its argument
 // frame, per-entry lowerings, batch free list and per-call entry points),
 // and the result cache's two maps ADR-038 replaced with one table (the key
-// that chose between them, and the word a fixed result was stored as); they
-// must not come back under the same names. (The reference's local residual
+// that chose between them, and the word a fixed result was stored as), and
+// the DISTINCT operator and the frozen group table's rank directory ADR-039
+// folded into the group operator's sorted runs; they must not come back
+// under the same names. (The reference's local residual
 // closure in leftOuterJoin is not a twin.)
 var deletedTwins = []string{
 	"applyInterp", "projectInterp", "projectRowsBatched",
@@ -93,6 +95,7 @@ var deletedTwins = []string{
 	"frame", "udfProjection", "udfProj", "projBatches", "projectPlannedUDF",
 	"runPlannedUDF", "execUDFBody", "execUDFMemo", "memoFor", "udfCache",
 	"udfKey", "keyOf", "callWord", "wordOf",
+	"distinctOperator", "distinctEntryBytes", "rankEntryBytes",
 }
 
 func funcName(fd *ast.FuncDecl) string {

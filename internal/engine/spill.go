@@ -22,6 +22,7 @@ package engine
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -272,11 +273,11 @@ func (r *spillReader) close() {
 
 // ---------------------------------------------------------------- spiller
 
-// spiller is the external stable merge sort shared by the sort, group-by,
-// distinct and join overflow paths. Records accumulate in memory (charged
-// by the caller); flush writes the buffer as one stably-sorted run; drain
-// merges all runs plus the still-buffered remainder with earlier-run-wins
-// tie breaking. Because each run is a contiguous arrival-order segment and
+// spiller is the external stable merge sort shared by the sort, group-by
+// (DISTINCT included) and join overflow paths. Records accumulate in memory
+// (charged by the caller); flush writes the buffer as one stably-sorted run;
+// drain merges all runs plus the still-buffered remainder with
+// earlier-run-wins tie breaking. Because each run is a contiguous arrival-order segment and
 // the in-memory remainder is the newest segment, ties resolve to arrival
 // order — exactly what one global stable sort over all records produces.
 type spiller struct {
@@ -336,6 +337,13 @@ func (s *spiller) flush() error {
 	s.charged = 0
 	return nil
 }
+
+// byKey orders records by encoded key — a join key, a group key — and
+// bySeq by sequence; the spiller's stability keeps arrival order among equal
+// ones.
+func byKey(a, b *spillRec) bool { return bytes.Compare(a.key, b.key) < 0 }
+
+func bySeq(a, b *spillRec) bool { return a.seq < b.seq }
 
 // spilled reports whether any run has been written.
 func (s *spiller) spilled() bool { return len(s.runs) > 0 }

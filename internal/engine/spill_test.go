@@ -237,17 +237,32 @@ var hotKeyShapes = []string{
 }
 
 // spillShapes engages every breaker's overflow path: external sort, group
-// hash table (the thousand-group shape: the few-group ones fold within every
-// limit but the tightest, TestGroupFreezeAndSpill), DISTINCT set, hash join
-// build and LEFT JOIN build, and the hot-key joins.
+// hash table (the thousand- and ten-thousand-group shapes: the few-group ones
+// fold within every limit but the tightest, TestGroupFreezeAndSpill),
+// DISTINCT — a grouping by the output columns (ADR-039) — hash join build and
+// LEFT JOIN build, and the hot-key joins. The DISTINCT shapes cover a key per
+// row, an ORDER BY key the select list does not hold (the first arrival's
+// travels with its row), DISTINCT over a grouped block, once over one whose
+// groups spill too, a repeated column name, LIMIT, INTEGER and DECIMAL images
+// of one value (the first arrival's kind survives) and a NULL key.
 var spillShapes = append([]string{
 	`SELECT id, val FROM fact ORDER BY val, id`,
 	`SELECT id, k FROM fact ORDER BY k DESC, id DESC LIMIT 37`,
 	`SELECT grp, k, COUNT(*) AS n, SUM(val) AS s, AVG(val) AS a, MIN(id) AS mn, MAX(id) AS mx FROM fact GROUP BY grp, k ORDER BY grp, k`,
 	`SELECT k, COUNT(DISTINCT grp) AS dg FROM fact GROUP BY k ORDER BY k`,
 	`SELECT id % 1000 AS r, COUNT(*) AS n, SUM(val) AS s, MIN(id) AS mn FROM fact GROUP BY id % 1000`,
+	`SELECT id, COUNT(*) AS c FROM fact GROUP BY id`,
 	`SELECT DISTINCT val FROM fact`,
 	`SELECT DISTINCT k, grp FROM fact ORDER BY k DESC, grp`,
+	`SELECT DISTINCT id, val FROM fact`,
+	`SELECT DISTINCT grp FROM fact ORDER BY id DESC`,
+	`SELECT DISTINCT id % 3000 AS r FROM fact ORDER BY val DESC, r`,
+	`SELECT DISTINCT COUNT(*) AS n FROM fact GROUP BY k`,
+	`SELECT DISTINCT MIN(val) AS v FROM fact GROUP BY id % 2000 ORDER BY MAX(id) DESC`,
+	`SELECT DISTINCT * FROM fact f, dim d WHERE f.k = d.k`,
+	`SELECT DISTINCT k FROM fact ORDER BY 1 DESC LIMIT 3`,
+	`SELECT DISTINCT CASE WHEN id % 2 = 0 THEN 3 ELSE 3.0 END AS c, CASE WHEN grp = 2 THEN NULL ELSE grp END AS g FROM fact`,
+	`SELECT DISTINCT CASE WHEN id % 2 = 1 THEN 3 ELSE 3.0 END AS c, CASE WHEN grp = 2 THEN NULL ELSE grp END AS g FROM fact`,
 	`SELECT f.id, d.name FROM fact f JOIN dim d ON f.k = d.k ORDER BY f.id LIMIT 100`,
 	`SELECT f.id, o.tag FROM fact f LEFT JOIN other o ON f.id = o.id ORDER BY f.id`,
 	`SELECT d.name, COUNT(*) AS n FROM fact f, dim d WHERE f.k = d.k GROUP BY d.name HAVING COUNT(*) > 10 ORDER BY n DESC, d.name`,

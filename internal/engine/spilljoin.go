@@ -42,10 +42,6 @@ import (
 // table's bucket lists.
 const joinBucketBytes = 16
 
-// byJoinKey orders spilled build and probe rows by encoded join key; the
-// spiller's stability keeps arrival order within a key.
-func byJoinKey(a, b *spillRec) bool { return bytes.Compare(a.key, b.key) < 0 }
-
 // spillJoin drives one spilled join: the build and probe spillers, the
 // output spiller ordered by probe sequence, and the merge the operator
 // drains at Next.
@@ -72,9 +68,9 @@ func newSpillJoin(ex *exec, j *joinOperator) *spillJoin {
 	return &spillJoin{
 		width: j.orel.width,
 		outer: j.outer, on: j.on, nulls: j.nulls,
-		build: newSpiller(ex, byJoinKey),
-		probe: newSpiller(ex, byJoinKey),
-		out:   newSpiller(ex, func(a, b *spillRec) bool { return a.seq < b.seq }),
+		build: newSpiller(ex, byKey),
+		probe: newSpiller(ex, byKey),
+		out:   newSpiller(ex, bySeq),
 	}
 }
 

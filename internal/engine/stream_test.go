@@ -65,6 +65,8 @@ var streamShapes = []string{
 	`SELECT grp, COUNT(*) AS n FROM fact GROUP BY grp ORDER BY n DESC, grp LIMIT 3`,
 	`SELECT DISTINCT val % 7 AS m FROM fact ORDER BY m DESC`,
 	`SELECT DISTINCT k FROM fact`,
+	`SELECT DISTINCT *`,             // no column: every row is the one empty row ...
+	`SELECT DISTINCT * WHERE 1 = 0`, // ... and no row is none, not an empty global group
 	`SELECT id FROM fact WHERE id > 100 LIMIT 17`,
 	`SELECT x.id, x.v2 FROM (SELECT id, val * 2 AS v2 FROM fact WHERE grp = 1) AS x WHERE x.v2 > 150 ORDER BY x.id LIMIT 9`,
 	`SELECT b.id, b.val FROM bigval b WHERE b.id < 200 ORDER BY b.val, b.id`,
