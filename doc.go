@@ -22,7 +22,7 @@
 //     into vectorized kernels looping over those vectors
 //     (engine/vector.go) — function calls and their arguments included,
 //     with the interpreter lifted over the batch as the only fallback
-//     (ADR-016) — ORDER BY sorts over precomputed key columns,
+//     (ADR-016) — ORDER BY sorts rows by the keys at their tail (ADR-040),
 //     conversion-UDF bodies are planned once per statement plan with
 //     their tenant-keyed meta-table lookups cached per table snapshot
 //     (engine/udf.go), and pure conversion results are cached per

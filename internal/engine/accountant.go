@@ -80,7 +80,8 @@ const rowRefBytes = 24
 // rowBytes is the logical footprint of one row: slice header plus the
 // fixed-size Value structs plus owned string payloads. The structs are
 // counted by capacity: a join-chain row owns its reserved tail whether or
-// not it has been filled yet (DESIGN.md ADR-011).
+// not it has been filled yet (DESIGN.md ADR-011). A projected row's ORDER BY
+// keys ride at its end (ADR-040), so they are charged as its values are.
 func rowBytes(row []sqltypes.Value) int64 {
 	n := int64(rowRefBytes) + valueSize*int64(cap(row))
 	for i := range row {
@@ -95,29 +96,6 @@ const groupEntryBytes = 96
 
 // aggAccBytes is the size of one aggAcc: a resident group's state per site.
 const aggAccBytes = 104
-
-// recCost is the charge for one buffered spill record: the row footprint
-// plus any ORDER BY key values travelling with it.
-func recCost(row, keys []sqltypes.Value) int64 {
-	n := rowBytes(row)
-	for i := range keys {
-		n += valueSize + int64(len(keys[i].S))
-	}
-	return n
-}
-
-// keyRow gathers row i's values from per-column key slices into one
-// per-row slice of width nk.
-func keyRow(keyCols [][]sqltypes.Value, i int32, nk int) []sqltypes.Value {
-	if nk == 0 {
-		return nil
-	}
-	ks := make([]sqltypes.Value, nk)
-	for k := range ks {
-		ks[k] = keyCols[k][i]
-	}
-	return ks
-}
 
 // SetMemoryLimit caps the memory one statement's pipeline breakers may
 // retain before overflowing to temporary spill files. bytes <= 0 restores

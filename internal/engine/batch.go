@@ -5,9 +5,10 @@ package engine
 // selection vector of surviving row indices, and expressions run as batch
 // programs over those vectors (vector.go) — compiled kernels in production,
 // the lifted interpreter in the evaluator check; the operators cannot tell.
-// Filters refine the selection vector instead of copying rows; join,
-// group-by and sort keys are computed into per-batch key columns and encoded
-// from there.
+// Filters refine the selection vector instead of copying rows; join and
+// group-by keys are computed into per-batch key columns and encoded from
+// there, while ORDER BY keys ride at the end of each projected row, past its
+// output columns, until the sort cuts them off (DESIGN.md ADR-040).
 //
 // Error discipline: batched evaluation must abort with exactly the error
 // row-at-a-time evaluation would raise — the one belonging to the first
@@ -45,21 +46,15 @@ type Batch struct {
 	sel    []int32            // selected local row indices
 	errs   []error            // errs[i] poisons local row i
 	anyErr bool               // fast check: any errs entry non-nil
-
-	// keys holds ORDER BY key columns on result-shaped (dense) batches:
-	// keys[k][i] is sort key k of rows[i]. Producers (project, group) fill
-	// it; distinct filters it alongside rows; sort consumes it.
-	keys [][]sqltypes.Value
 }
 
 // window prepares b as a dense batch over rows: the identity selection, no
-// poisoned rows, no keys. len(rows) must not exceed batchSize.
+// poisoned rows. len(rows) must not exceed batchSize.
 func (b *Batch) window(rows [][]sqltypes.Value) {
 	n := len(rows)
 	b.rows = rows
 	b.base = 0
 	b.sel = identSel[:n]
-	b.keys = nil
 	b.reset(n)
 }
 
@@ -239,40 +234,30 @@ func (c *rowChunk) concat(l, r []sqltypes.Value, rowCap int) []sqltypes.Value {
 
 // ---------------------------------------------------------------- sorting
 
-// orderByKeyCols returns rows stably ordered by their ORDER BY key columns
-// (keys[k][i] is key k of rows[i]; NULLs first, desc[k] flips key k).
-func orderByKeyCols(rows [][]sqltypes.Value, keys [][]sqltypes.Value, desc []bool) [][]sqltypes.Value {
-	if len(desc) == 0 || len(rows) < 2 {
-		return rows
-	}
-	idx := make([]int32, len(rows))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	stableSortIdx(idx, func(a, b int32) bool {
-		for k := range desc {
-			c := compareNullsFirst(keys[k][a], keys[k][b])
-			if desc[k] {
+// byTail compares two rows by the ORDER BY keys at their tail, key k at
+// row[width+k]: NULLs first, desc[k] flips key k, ties compare equal. Both
+// executors sort with it, stably (DESIGN.md ADR-040).
+func byTail(width int, desc []bool) func(a, b []sqltypes.Value) int {
+	return func(a, b []sqltypes.Value) int {
+		for k, d := range desc {
+			c := compareNullsFirst(a[width+k], b[width+k])
+			if d {
 				c = -c
 			}
 			if c != 0 {
-				return c < 0
+				return c
 			}
 		}
-		return false
-	})
-	out := make([][]sqltypes.Value, len(idx))
-	for i, j := range idx {
-		out[i] = rows[j]
+		return 0
 	}
-	return out
 }
 
 // stableSortIdx stably sorts a permutation vector with an explicit
-// comparator: bottom-up merge sort over insertion-sorted runs. It replaces
-// sort.SliceStable in ORDER BY, whose reflection-based swapper and per-row
-// key slices showed up in the Q1/Q22 profiles; keys now live in precomputed
-// key columns indexed by the permutation.
+// comparator: bottom-up merge sort over insertion-sorted runs. The spiller,
+// every ORDER BY's buffer, orders its records with it: a permutation moves
+// four bytes a step where a record moves seven words, and there is no
+// reflection-based swapper, which showed up in sort.SliceStable's Q1/Q22
+// profiles.
 func stableSortIdx(idx []int32, less func(a, b int32) bool) {
 	n := len(idx)
 	if n < 2 {

@@ -107,24 +107,24 @@ func (ex *exec) runQueryMaterialized(sel *sqlast.Select, parent *scope) (*Result
 	return res.finish(), nil
 }
 
-// execResult carries rows with their sort keys until ordering is applied.
-// Sort keys live in precomputed key columns (keyCols[k][i] is ORDER BY key k
-// of Rows[i]) rather than per-row key slices: one allocation per key instead
-// of one per row, and the sort comparator indexes flat columns.
+// execResult carries the projected rows until ordering is applied: Rows[i]
+// is width output columns followed by its ORDER BY keys (DESIGN.md ADR-040),
+// which sortAndTrim cuts off.
 type execResult struct {
-	Cols    []string
-	Rows    [][]sqltypes.Value
-	keyCols [][]sqltypes.Value
-	desc    []bool
+	Cols  []string
+	Rows  [][]sqltypes.Value
+	width int
+	desc  []bool
 }
 
+// dedupe keeps the first row of each distinct output, its keys with it.
 func (r *execResult) dedupe() {
 	seen := make(map[string]bool, len(r.Rows))
 	w := 0
 	var buf []byte
-	for i, row := range r.Rows {
+	for _, row := range r.Rows {
 		buf = buf[:0]
-		for _, v := range row {
+		for _, v := range row[:r.width] {
 			buf = sqltypes.AppendKey(buf, v)
 		}
 		if seen[string(buf)] {
@@ -132,43 +132,40 @@ func (r *execResult) dedupe() {
 		}
 		seen[string(buf)] = true
 		r.Rows[w] = row
-		for k := range r.keyCols {
-			r.keyCols[k][w] = r.keyCols[k][i]
-		}
 		w++
 	}
 	r.Rows = r.Rows[:w]
-	for k := range r.keyCols {
-		r.keyCols[k] = r.keyCols[k][:w]
-	}
 }
 
 func (r *execResult) sortAndTrim(limit int64) {
-	r.Rows = orderByKeyCols(r.Rows, r.keyCols, r.desc)
+	if len(r.desc) > 0 {
+		slices.SortStableFunc(r.Rows, byTail(r.width, r.desc))
+		for i, row := range r.Rows {
+			r.Rows[i] = row[:r.width:r.width]
+		}
+	}
 	if limit >= 0 && int64(len(r.Rows)) > limit {
 		r.Rows = r.Rows[:limit]
 	}
 }
 
-// appendKeys evaluates the ORDER BY keys of one output row into the key
-// columns; expression keys are interpreted against sc, whose current row (or
-// group context) the caller has set.
-func (r *execResult) appendKeys(ex *exec, plans []orderPlan, out []sqltypes.Value, sc *scope) error {
+// appendKeys evaluates the ORDER BY keys of one output row onto its end;
+// expression keys are interpreted against sc, whose current row (or group
+// context) the caller has set.
+func appendKeys(ex *exec, plans []orderPlan, out []sqltypes.Value, sc *scope) ([]sqltypes.Value, error) {
 	for k := range plans {
 		p := &plans[k]
-		var v sqltypes.Value
-		var err error
 		if p.outCol >= 0 {
-			v = out[p.outCol]
-		} else {
-			v, err = ex.eval(p.expr, sc)
+			out = append(out, out[p.outCol])
+			continue
 		}
+		v, err := ex.eval(p.expr, sc)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		r.keyCols[k] = append(r.keyCols[k], v)
+		out = append(out, v)
 	}
-	return nil
+	return out, nil
 }
 
 func (r *execResult) finish() *Result {
@@ -354,12 +351,9 @@ func (ex *exec) projectRows(sel *sqlast.Select, rel *relation, parent *scope, al
 	}
 	projs, width := ex.buildProjectors(sel, rel)
 
-	res := &execResult{Cols: outCols}
+	res := &execResult{Cols: outCols, width: width}
 	for _, p := range plans {
 		res.desc = append(res.desc, p.desc)
-	}
-	if len(plans) > 0 {
-		res.keyCols = make([][]sqltypes.Value, len(plans))
 	}
 
 	for ri, row := range rel.rows {
@@ -369,7 +363,7 @@ func (ex *exec) projectRows(sel *sqlast.Select, rel *relation, parent *scope, al
 			}
 		}
 		sc.row = row
-		out := make([]sqltypes.Value, 0, width)
+		out := make([]sqltypes.Value, 0, width+len(plans))
 		for i := range projs {
 			p := &projs[i]
 			if p.star {
@@ -384,10 +378,10 @@ func (ex *exec) projectRows(sel *sqlast.Select, rel *relation, parent *scope, al
 			}
 			out = append(out, v)
 		}
-		res.Rows = append(res.Rows, out)
-		if err := res.appendKeys(ex, plans, out, sc); err != nil {
+		if out, err = appendKeys(ex, plans, out, sc); err != nil {
 			return nil, err
 		}
+		res.Rows = append(res.Rows, out)
 	}
 	return res, nil
 }
@@ -476,12 +470,9 @@ func (ex *exec) projectGrouped(sel *sqlast.Select, rel *relation, parent *scope,
 		order = append(order, "")
 	}
 
-	res := &execResult{Cols: outCols}
+	res := &execResult{Cols: outCols, width: len(sel.Items)}
 	for _, p := range plans {
 		res.desc = append(res.desc, p.desc)
-	}
-	if len(plans) > 0 {
-		res.keyCols = make([][]sqltypes.Value, len(plans))
 	}
 	for _, k := range order {
 		gr := groups[k]
@@ -502,7 +493,7 @@ func (ex *exec) projectGrouped(sel *sqlast.Select, rel *relation, parent *scope,
 				continue
 			}
 		}
-		out := make([]sqltypes.Value, 0, len(sel.Items))
+		out := make([]sqltypes.Value, 0, len(sel.Items)+len(plans))
 		for _, it := range sel.Items {
 			v, err := ex.eval(it.Expr, sc)
 			if err != nil {
@@ -511,11 +502,11 @@ func (ex *exec) projectGrouped(sel *sqlast.Select, rel *relation, parent *scope,
 			}
 			out = append(out, v)
 		}
-		res.Rows = append(res.Rows, out)
-		if err := res.appendKeys(ex, plans, out, sc); err != nil {
+		if out, err = appendKeys(ex, plans, out, sc); err != nil {
 			sc.group = nil
 			return nil, err
 		}
+		res.Rows = append(res.Rows, out)
 		sc.group = nil
 	}
 	return res, nil

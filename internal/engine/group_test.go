@@ -204,39 +204,47 @@ func TestGroupFreezeAndSpill(t *testing.T) {
 	}
 }
 
-// TestMergedGroupErrorOrder: under a memory limit the groups the frozen
-// table kept out come back from the merge, which runs their output before
-// any is emitted (ADR-039). A cursor still gets every group first seen
-// before the failing one, in first-seen order, and then its error: that of
-// id 5000, not of id 9000, whichever of the two the merge, in key order, ran
-// first.
+// TestMergedGroupErrorOrder: a cursor gets every row ahead of the first
+// failing one, in order, and then its error — that of id 5000, not of id
+// 9000. It holds for a plain projection and a grouping alike, unlimited,
+// where the failing row sits mid-batch behind 904 good ones that must not be
+// dropped with it, and under a memory limit, where the groups
+// the frozen table kept out come back from the merge, which runs their output
+// before any is emitted (ADR-039) and, in key order, may run 9000's first.
 func TestMergedGroupErrorOrder(t *testing.T) {
 	db := groupTestDB(t, 12000)
 	db.SetSpillDir(t.TempDir())
 	db.SetParallelism(1)
-	db.SetMemoryLimit(8 << 10)
-	for _, cfg := range checkedConfigs {
-		cfg.apply(db)
-		db.Stats = Stats{}
-		rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db,
-			`SELECT id, 10 / ((id - 5000) * (id - 9000)) AS q FROM g GROUP BY id`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := int64(0)
-		for rows.Next() {
-			var id, q int64
-			if err := rows.Scan(&id, &q); err != nil || id != seen {
-				t.Fatalf("%s: row %d is id %d (%v)", cfg.name, seen, id, err)
+	for _, limit := range []int64{0, 8 << 10} {
+		db.SetMemoryLimit(limit)
+		for _, q := range []string{
+			`SELECT id, 10 / ((id - 5000) * (id - 9000)) AS q FROM g GROUP BY id`,
+			`SELECT id, 10 / ((id - 5000) * (id - 9000)) AS q FROM g`,
+		} {
+			for _, cfg := range checkedConfigs {
+				cfg.apply(db)
+				db.Stats = Stats{}
+				rows, err := db.QueryPlanContext(context.Background(), mustPrepare(db, q))
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := int64(0)
+				for rows.Next() {
+					var id, v int64
+					if err := rows.Scan(&id, &v); err != nil || id != seen {
+						t.Fatalf("%s limit=%d: row %d is id %d (%v)", cfg.name, limit, seen, id, err)
+					}
+					seen++
+				}
+				if err := rows.Err(); err == nil || !strings.Contains(err.Error(), "division by zero") || seen != 5000 {
+					t.Errorf("%s limit=%d %q: %d rows, then %v; want 5000, then division by zero", cfg.name, limit, q, seen, err)
+				}
+				rows.Close()
+				grouped := strings.Contains(q, "GROUP BY")
+				if spilled := db.Stats.Snapshot().SpillRuns > 0; spilled != (grouped && limit > 0) {
+					t.Errorf("%s limit=%d %q: spilled = %v", cfg.name, limit, q, spilled)
+				}
 			}
-			seen++
-		}
-		if err := rows.Err(); err == nil || !strings.Contains(err.Error(), "division by zero") || seen != 5000 {
-			t.Errorf("%s: %d rows, then %v; want 5000, then division by zero", cfg.name, seen, err)
-		}
-		rows.Close()
-		if db.Stats.Snapshot().SpillRuns == 0 {
-			t.Errorf("%s: nothing spilled", cfg.name)
 		}
 	}
 }
@@ -244,7 +252,7 @@ func TestMergedGroupErrorOrder(t *testing.T) {
 // TestGroupOutputFillsBatches: the grouped projection hands on output
 // batches of up to batchSize rows, merged groups included, so a sort above it
 // under a memory limit spills once per batch, not once per group. Both shapes
-// spill 11 and 20 runs in all (the groups' and the sort's); with each merged
+// spill 11 and 29 runs in all (the groups' and the sort's); with each merged
 // group emitted as a batch of its own they spilled ≈ 500 and 5 000.
 func TestGroupOutputFillsBatches(t *testing.T) {
 	db := streamTestDB(t, 10000)

@@ -24,7 +24,8 @@ package engine
 // Relation-shaped streams (FROM/WHERE pipelines) emit window batches whose
 // selection vector may be refined by filters. Result-shaped streams
 // (project, group, sort, limit) emit dense batches — sel is the
-// identity — optionally carrying ORDER BY key columns in Batch.keys.
+// identity. Below an ORDER BY a projected row ends in its sort keys, past
+// its output columns; the sort cuts them off (DESIGN.md ADR-040).
 //
 // Every operator has one arm: expressions arrive as batch programs
 // (vecCompile), and whether a program is a compiled kernel or the lifted
@@ -34,8 +35,8 @@ package engine
 // DB.SetStreamExec(false); it shares no operator and no kernel with this
 // file) is by construction: filters refine selection vectors in row order, joins probe
 // in input order and expand hash buckets in build insertion order, groups
-// are emitted in first-seen key order, and the sort operator runs the same
-// stable merge over the same precomputed key columns.
+// are emitted in first-seen key order, and the sort operator orders rows
+// stably by the same comparator over the same keys at their tail.
 
 import (
 	"bytes"
@@ -55,23 +56,6 @@ type Operator interface {
 	Open(ex *exec) error
 	Next(ex *exec) (*Batch, error)
 	Close()
-}
-
-// resetKeyCols returns a key-column set of n empty columns, reusing the
-// backing arrays. Safe because batches are owned by their producer until
-// the next pull: their one consumer, sort, copies key values out
-// before pulling again.
-func resetKeyCols(cols [][]sqltypes.Value, n int) [][]sqltypes.Value {
-	if n == 0 {
-		return nil
-	}
-	if cols == nil {
-		return make([][]sqltypes.Value, n)
-	}
-	for k := range cols {
-		cols[k] = cols[k][:0]
-	}
-	return cols
 }
 
 // noteStream records one emitted batch in the engine counters: total rows
@@ -867,23 +851,22 @@ type projectOperator struct {
 
 // projection builds result-shaped batches from the selected rows of a batch:
 // the SELECT list's values and star segments as dense, freshly
-// chunk-allocated output tuples, with the ORDER BY key columns attached. The
-// project operator runs it over its input rows, the group operator over its
-// groups' first rows.
+// chunk-allocated output tuples of capacity width + len(plans), the ORDER BY
+// keys at row[width:] (DESIGN.md ADR-040). The project operator runs it over
+// its input rows, the group operator over its groups' first rows.
 type projection struct {
 	projs []projector
 	plans []orderPlan
 	width int
-	tail  bool // DISTINCT's input: ORDER BY keys end each row, past width, not keyCols
 
 	vprojs []vecExpr // nil entries are star segments
 	vkeys  []vecExpr // key expressions (outCol plans stay nil)
 
-	colBuf  [][]sqltypes.Value
-	keyBuf  [][]sqltypes.Value
-	rowBuf  [][]sqltypes.Value
-	keyCols [][]sqltypes.Value
-	out     Batch
+	colBuf [][]sqltypes.Value
+	keyBuf [][]sqltypes.Value
+	rowBuf [][]sqltypes.Value
+	out    Batch
+	err    error // a failed row's: raised once the rows ahead of it are handed on
 }
 
 func (ex *exec) newProjectOperator(child Operator, rel *relation, sel *sqlast.Select, parent *scope, a *selAnalysis) (*projectOperator, error) {
@@ -924,40 +907,33 @@ func (o *projectOperator) Next(ex *exec) (*Batch, error) {
 	if err := ex.cancelled(); err != nil {
 		return nil, err
 	}
+	if o.err != nil {
+		return nil, o.err
+	}
 	b, err := o.child.Next(ex)
-	if err != nil {
+	if err != nil || b == nil {
 		return nil, err
 	}
-	if b == nil {
-		return nil, nil
-	}
-	o.start()
-	if err := o.project(ex, b); err != nil {
-		return nil, err
-	}
-	return o.batch(ex), nil
-}
-
-// start begins an output batch.
-func (o *projection) start() {
 	o.rowBuf = o.rowBuf[:0]
-	if !o.tail {
-		o.keyCols = resetKeyCols(o.keyCols, len(o.plans))
-	}
+	o.err = o.project(ex, b)
+	return o.batch(ex)
 }
 
-// batch hands on the rows and keys projected since start.
-func (o *projection) batch(ex *exec) *Batch {
+// batch hands on the rows projected since rowBuf was emptied — or, with
+// none ahead of a failed row left, its error.
+func (o *projection) batch(ex *exec) (*Batch, error) {
+	if len(o.rowBuf) == 0 && o.err != nil {
+		return nil, o.err
+	}
 	o.out.window(o.rowBuf)
-	o.out.keys = o.keyCols
 	ex.noteStream(len(o.rowBuf))
-	return &o.out
+	return &o.out, nil
 }
 
 // project evaluates the items, then the keys, over b's selected rows — each
 // program compacts the selection, so a row's first failure is its error —
-// and appends their output rows and keys, or returns the first failing
-// row's error.
+// and appends their output rows; if a row failed, only those ahead of it,
+// and it returns that row's error.
 func (o *projection) project(ex *exec, b *Batch) error {
 	n := len(b.rows)
 	sel := b.sel
@@ -980,13 +956,13 @@ func (o *projection) project(ex *exec, b *Batch) error {
 		vk(b, sel, o.keyBuf[k])
 		sel = b.compactSel(selBuf, sel)
 	}
-	if err := b.firstErr(); err != nil {
-		return err
+	err := b.firstErr()
+	if err != nil {
+		f := int32(slices.IndexFunc(b.errs, func(e error) bool { return e != nil }))
+		n, _ := slices.BinarySearch(sel, f)
+		sel = sel[:n]
 	}
-	width := o.width
-	if o.tail {
-		width += len(o.plans)
-	}
+	width := o.width + len(o.plans)
 	ck := newRowChunk(len(sel), width)
 	for _, i := range sel {
 		row := ck.alloc(width)
@@ -1004,20 +980,14 @@ func (o *projection) project(ex *exec, b *Batch) error {
 		}
 		o.rowBuf = append(o.rowBuf, row)
 		for k := range o.plans {
-			var v sqltypes.Value
-			if o.plans[k].outCol >= 0 {
-				v = row[o.plans[k].outCol]
+			if c := o.plans[k].outCol; c >= 0 {
+				row[o.width+k] = row[c]
 			} else {
-				v = o.keyBuf[k][i]
-			}
-			if o.tail {
-				row[o.width+k] = v
-			} else {
-				o.keyCols[k] = append(o.keyCols[k], v)
+				row[o.width+k] = o.keyBuf[k][i]
 			}
 		}
 	}
-	return nil
+	return err
 }
 
 func (o *projectOperator) Close() { o.child.Close() }
@@ -1464,7 +1434,7 @@ func (o *groupOperator) mergeSpilled(ex *exec) error {
 				o.chunk = o.chunk[:0]
 			}
 		}
-		o.start()
+		o.rowBuf = o.rowBuf[:0]
 		o.mfirst[0] = head.row
 		o.grp.window(o.mfirst[:])
 		o.g.accs = o.macc
@@ -1477,8 +1447,7 @@ func (o *groupOperator) mergeSpilled(ex *exec) error {
 		if len(o.rowBuf) == 0 { // HAVING rejected it
 			continue
 		}
-		keys := keyRow(o.keyCols, 0, len(o.keyCols))
-		o.outSp.add(spillRec{seq: head.seq, row: o.rowBuf[0], keys: keys}, recCost(o.rowBuf[0], keys))
+		o.outSp.add(spillRec{seq: head.seq, row: o.rowBuf[0]}, rowBytes(o.rowBuf[0]))
 		if len(o.outSp.recs) >= batchSize && ex.acct.over() { // a batch at a time, as the input spilled
 			if err := o.outSp.flush(); err != nil {
 				return err
@@ -1493,7 +1462,7 @@ func (o *groupOperator) mergeSpilled(ex *exec) error {
 }
 
 // output runs HAVING, the items and the ORDER BY keys over the groups grp
-// windows, appending their rows and keys to the output batch.
+// windows, appending their rows to the output batch.
 func (o *groupOperator) output(ex *exec) error {
 	o.sc.group = &o.g // not before: a merged group's arguments are evaluated outside any group
 	o.cond.apply(&o.grp)
@@ -1502,9 +1471,12 @@ func (o *groupOperator) output(ex *exec) error {
 	return err
 }
 
+// Next hands on the resident groups' rows in first-seen order, a failing
+// group's error behind the rows of the groups ahead of it, then the merged
+// groups' rows up to the first-seen failing one, then its error.
 func (o *groupOperator) Next(ex *exec) (*Batch, error) {
-	o.start()
-	for ns := len(o.sites); len(o.rowBuf) < batchSize && o.pos < len(o.first); {
+	o.rowBuf = o.rowBuf[:0]
+	for ns := len(o.sites); o.err == nil && len(o.rowBuf) < batchSize && o.pos < len(o.first); {
 		if err := ex.cancelled(); err != nil {
 			return nil, err
 		}
@@ -1512,12 +1484,9 @@ func (o *groupOperator) Next(ex *exec) (*Batch, error) {
 		o.grp.window(o.first[o.pos : o.pos+n])
 		o.g.accs = o.accs[o.pos*ns : (o.pos+n)*ns]
 		o.pos += n
-		if err := o.output(ex); err != nil {
-			return nil, err
-		}
+		o.err = o.output(ex)
 	}
-	// Behind them the merged groups' rows, up to the first-seen failing group.
-	for o.merge != nil && len(o.rowBuf) < batchSize {
+	for o.err == nil && o.merge != nil && len(o.rowBuf) < batchSize {
 		rec, err := o.merge.next()
 		if err != nil {
 			return nil, err
@@ -1525,17 +1494,15 @@ func (o *groupOperator) Next(ex *exec) (*Batch, error) {
 		if rec == nil || (o.merr != nil && rec.seq > o.errSeq) {
 			o.merge.close()
 			o.merge = nil
+			o.err = o.merr
 			break
 		}
 		o.rowBuf = append(o.rowBuf, rec.row)
-		for k, v := range rec.keys {
-			o.keyCols[k] = append(o.keyCols[k], v)
-		}
 	}
-	if len(o.rowBuf) == 0 {
-		return nil, o.merr
+	if len(o.rowBuf) == 0 && o.err == nil {
+		return nil, nil
 	}
-	return o.batch(ex), nil
+	return o.batch(ex)
 }
 
 func (o *groupOperator) Close() {
@@ -1560,9 +1527,9 @@ func (o *groupOperator) Close() {
 
 // newDistinctOperator is SELECT DISTINCT as what it is, a grouping with no
 // aggregates (DESIGN.md ADR-039). child's rows are the block's w output
-// columns followed by its ORDER BY keys (projection.tail); they are grouped
-// by the output columns, and a group's first row — the first arrival of its
-// key, with that arrival's keys — is the survivor. The grouping is the block
+// columns followed by its ORDER BY keys (ADR-040); they are grouped by the
+// output columns, and a group's first row — the first arrival of its key,
+// with that arrival's keys — is the survivor. The grouping is the block
 //
 //	SELECT #0, …, #(w-1) FROM child GROUP BY #0, …, #(w-1) ORDER BY #w, …
 //
@@ -1591,176 +1558,83 @@ func (ex *exec) newDistinctOperator(child Operator, w int, desc []bool) (*groupO
 
 // ---------------------------------------------------------------- sort
 
-// sortOperator is the ORDER BY pipeline breaker: Open drains the child,
-// collecting rows and their precomputed key columns, stable-sorts them, and
-// Next emits windows of the sorted result.
-//
-// Under a memory limit the buffer is charged per input batch; when the
-// budget overflows, buffered rows move into an external merge sort
-// (spill.go): stably-sorted runs on disk, remainder in memory, k-way
-// merge on Next. Runs are contiguous arrival-order segments and earlier
-// runs win merge ties, so the merged order equals one global stable sort —
-// byte-identical to the in-memory path at every parallelism setting.
+// sortOperator is the ORDER BY pipeline breaker. Its child's rows end in
+// their sort keys, past width (DESIGN.md ADR-040); Open drains the child
+// into a spiller ordered by those keys, and Next hands on each row cut back
+// to width, so nothing above a sort sees a key. Under a memory limit the
+// spiller writes its buffer as a stably sorted run whenever an input batch
+// leaves the statement over budget; a sort within it writes nothing and
+// drains the sorted buffer. Runs are contiguous arrival-order segments and
+// earlier runs win merge ties, so either way the order is one global stable
+// sort's — byte-identical at every limit and parallelism setting.
 type sortOperator struct {
 	child Operator
+	width int
 	desc  []bool
 
-	rows    [][]sqltypes.Value
-	keyCols [][]sqltypes.Value
-	pos     int
-	out     Batch
-
-	acct    *memAccountant
-	charged int64
-	sp      *spiller
-	merge   *mergeIter
-	rowBuf  [][]sqltypes.Value
+	sp     *spiller
+	merge  *mergeIter
+	rowBuf [][]sqltypes.Value
+	out    Batch
 }
 
-func newSortOperator(child Operator, desc []bool) *sortOperator {
-	return &sortOperator{child: child, desc: desc}
-}
-
-// sortRecLess orders spill records by the operator's key columns with the
-// exact comparator of orderByKeyCols; ties report false so the
-// stable run sort and the earlier-run-wins merge preserve arrival order.
-func sortRecLess(desc []bool) func(a, b *spillRec) bool {
-	return func(a, b *spillRec) bool {
-		for k := range desc {
-			c := compareNullsFirst(a.keys[k], b.keys[k])
-			if desc[k] {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	}
+func newSortOperator(child Operator, width int, desc []bool) *sortOperator {
+	return &sortOperator{child: child, width: width, desc: desc}
 }
 
 func (o *sortOperator) Open(ex *exec) error {
 	if err := o.child.Open(ex); err != nil {
 		return err
 	}
-	o.acct = ex.acct
-	o.rows = o.rows[:0]
-	o.keyCols = make([][]sqltypes.Value, len(o.desc))
-	o.pos = 0
+	cmp := byTail(o.width, o.desc)
+	o.sp = newSpiller(ex, func(a, b *spillRec) bool { return cmp(a.row, b.row) < 0 })
 	for {
 		if err := ex.cancelled(); err != nil {
 			return err
 		}
 		b, err := o.child.Next(ex)
-		if err != nil {
+		if b == nil {
+			if err == nil {
+				o.merge, err = o.sp.drain()
+			}
 			return err
 		}
-		if b == nil {
-			break
-		}
-		if o.sp != nil {
-			for _, i := range b.sel {
-				rec := spillRec{row: b.rows[i], keys: keyRow(b.keys, i, len(o.desc))}
-				o.sp.add(rec, recCost(rec.row, rec.keys))
-			}
-			if ex.acct.over() {
-				if err := o.sp.flush(); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		var add int64
 		for _, i := range b.sel {
-			o.rows = append(o.rows, b.rows[i])
-			for k := range b.keys {
-				o.keyCols[k] = append(o.keyCols[k], b.keys[k][i])
-			}
-			if ex.acct != nil {
-				add += rowBytes(b.rows[i])
-				for k := range b.keys {
-					add += valueSize + int64(len(b.keys[k][i].S))
-				}
-			}
+			o.sp.add(spillRec{row: b.rows[i]}, rowBytes(b.rows[i]))
 		}
-		ex.acct.charge(add)
-		o.charged += add
 		if ex.acct.over() {
-			if err := o.engageSpill(ex); err != nil {
+			if err := o.sp.flush(); err != nil {
 				return err
 			}
 		}
 	}
-	if o.sp != nil {
-		m, err := o.sp.drain()
-		if err != nil {
-			return err
-		}
-		o.merge = m
-		return nil
-	}
-	o.rows = orderByKeyCols(o.rows, o.keyCols, o.desc)
-	return nil
-}
-
-// engageSpill moves the buffered rows into a spiller (transferring their
-// charge) and writes them as the first run — a contiguous arrival-order
-// prefix, so stability is preserved across the switch.
-func (o *sortOperator) engageSpill(ex *exec) error {
-	o.sp = newSpiller(ex, sortRecLess(o.desc))
-	ex.acct.release(o.charged)
-	o.charged = 0
-	for i, row := range o.rows {
-		keys := make([]sqltypes.Value, len(o.desc))
-		for k := range keys {
-			keys[k] = o.keyCols[k][i]
-		}
-		o.sp.add(spillRec{row: row, keys: keys}, recCost(row, keys))
-	}
-	o.rows, o.keyCols = nil, nil
-	return o.sp.flush()
 }
 
 func (o *sortOperator) Next(ex *exec) (*Batch, error) {
 	if err := ex.cancelled(); err != nil {
 		return nil, err
 	}
-	if o.merge != nil {
-		o.rowBuf = o.rowBuf[:0]
-		for len(o.rowBuf) < batchSize {
-			rec, err := o.merge.next()
-			if err != nil {
-				return nil, err
-			}
-			if rec == nil {
-				break
-			}
-			o.rowBuf = append(o.rowBuf, rec.row)
+	o.rowBuf = o.rowBuf[:0]
+	for len(o.rowBuf) < batchSize {
+		rec, err := o.merge.next()
+		if err != nil {
+			return nil, err
 		}
-		if len(o.rowBuf) == 0 {
-			return nil, nil
+		if rec == nil {
+			break
 		}
-		o.out.window(o.rowBuf)
-		ex.noteStream(len(o.rowBuf))
-		return &o.out, nil
+		o.rowBuf = append(o.rowBuf, rec.row[:o.width:o.width])
 	}
-	if o.pos >= len(o.rows) {
+	if len(o.rowBuf) == 0 {
 		return nil, nil
 	}
-	n := len(o.rows) - o.pos
-	if n > batchSize {
-		n = batchSize
-	}
-	o.out.window(o.rows[o.pos : o.pos+n])
-	o.pos += n
-	ex.noteStream(n)
+	o.out.window(o.rowBuf)
+	ex.noteStream(len(o.rowBuf))
 	return &o.out, nil
 }
 
 func (o *sortOperator) Close() {
 	o.child.Close()
-	o.rows = nil
-	o.keyCols = nil
 	if o.merge != nil {
 		o.merge.close()
 		o.merge = nil
@@ -1769,8 +1643,6 @@ func (o *sortOperator) Close() {
 		o.sp.close()
 		o.sp = nil
 	}
-	o.acct.release(o.charged)
-	o.charged = 0
 	o.rowBuf = nil
 }
 
@@ -1836,13 +1708,12 @@ func (ex *exec) buildQueryOp(sel *sqlast.Select, parent *scope) (*queryRoot, err
 		desc = append(desc, p.desc)
 	}
 	if sel.Distinct {
-		out.tail = true
 		if op, err = ex.newDistinctOperator(op, out.width, desc); err != nil {
 			return nil, err
 		}
 	}
 	if len(desc) > 0 {
-		op = newSortOperator(op, desc)
+		op = newSortOperator(op, out.width, desc)
 	}
 	if sel.Limit >= 0 {
 		op = &limitOperator{child: op, remain: sel.Limit}

@@ -83,8 +83,9 @@ var referenceForbidden = []string{
 // and the result cache's two maps ADR-038 replaced with one table (the key
 // that chose between them, and the word a fixed result was stored as), and
 // the DISTINCT operator and the frozen group table's rank directory ADR-039
-// folded into the group operator's sorted runs; they must not come back
-// under the same names. (The reference's local residual
+// folded into the group operator's sorted runs, and the ORDER BY key columns
+// and the sort's second buffer ADR-040 replaced with keys at the row's tail
+// and the spiller; they must not come back under the same names. (The reference's local residual
 // closure in leftOuterJoin is not a twin.)
 var deletedTwins = []string{
 	"applyInterp", "projectInterp", "projectRowsBatched",
@@ -96,6 +97,7 @@ var deletedTwins = []string{
 	"runPlannedUDF", "execUDFBody", "execUDFMemo", "memoFor", "udfCache",
 	"udfKey", "keyOf", "callWord", "wordOf",
 	"distinctOperator", "distinctEntryBytes", "rankEntryBytes",
+	"resetKeyCols", "keyRow", "recCost", "engageSpill",
 }
 
 func funcName(fd *ast.FuncDecl) string {

@@ -80,11 +80,11 @@ func TestSpillValueCodecRoundTrip(t *testing.T) {
 func TestSpillRecRoundTrip(t *testing.T) {
 	vals := codecValues()
 	recs := []spillRec{
-		{seq: 0, key: nil, row: nil, keys: nil},
-		{seq: -1, key: []byte{}, row: []sqltypes.Value{}, keys: nil},
-		{seq: math.MaxInt64, key: []byte("k"), row: vals, keys: vals[:3]},
-		{seq: math.MinInt64, key: bytes.Repeat([]byte{0}, 300), row: vals[:1], keys: []sqltypes.Value{}},
-		{seq: 42, key: []byte("dup"), row: []sqltypes.Value{sqltypes.NewString("a")}, keys: vals},
+		{seq: 0, key: nil, row: nil},
+		{seq: -1, key: []byte{}, row: []sqltypes.Value{}},
+		{seq: math.MaxInt64, key: []byte("k"), row: vals},
+		{seq: math.MinInt64, key: bytes.Repeat([]byte{0}, 300), row: vals[:1]},
+		{seq: 42, key: []byte("dup"), row: []sqltypes.Value{sqltypes.NewString("a")}},
 	}
 	var buf []byte
 	for i := range recs {
@@ -101,16 +101,14 @@ func TestSpillRecRoundTrip(t *testing.T) {
 		if got.seq != want.seq || !bytes.Equal(got.key, want.key) {
 			t.Fatalf("rec %d: seq/key mismatch", i)
 		}
-		for _, pair := range [][2][]sqltypes.Value{{got.row, want.row}, {got.keys, want.keys}} {
-			g, w := pair[0], pair[1]
-			if (g == nil) != (w == nil) || len(g) != len(w) {
-				t.Fatalf("rec %d: nil-ness or length not preserved (got %d/%v want %d/%v)",
-					i, len(g), g == nil, len(w), w == nil)
-			}
-			for j := range g {
-				if !sameVal(g[j], w[j]) {
-					t.Fatalf("rec %d val %d: %v != %v", i, j, g[j], w[j])
-				}
+		g, w := got.row, want.row
+		if (g == nil) != (w == nil) || len(g) != len(w) {
+			t.Fatalf("rec %d: nil-ness or length not preserved (got %d/%v want %d/%v)",
+				i, len(g), g == nil, len(w), w == nil)
+		}
+		for j := range g {
+			if !sameVal(g[j], w[j]) {
+				t.Fatalf("rec %d val %d: %v != %v", i, j, g[j], w[j])
 			}
 		}
 	}
@@ -158,7 +156,7 @@ func TestSpillerStableExternalMerge(t *testing.T) {
 			key: []byte{byte(i % 7)},
 			row: []sqltypes.Value{sqltypes.NewInt(int64(i))},
 		}
-		sp.add(rec, recCost(rec.row, rec.keys))
+		sp.add(rec, rowBytes(rec.row))
 		if (i+1)%runLen == 0 {
 			if err := sp.flush(); err != nil {
 				t.Fatal(err)
@@ -267,6 +265,17 @@ var spillShapes = append([]string{
 	`SELECT f.id, o.tag FROM fact f LEFT JOIN other o ON f.id = o.id ORDER BY f.id`,
 	`SELECT d.name, COUNT(*) AS n FROM fact f, dim d WHERE f.k = d.k GROUP BY d.name HAVING COUNT(*) > 10 ORDER BY n DESC, d.name`,
 	`SELECT id FROM fact WHERE k IN (SELECT k FROM dim WHERE name <> 'd3') ORDER BY id LIMIT 50`,
+	// Every sort buffers its rows, keys at their tail, in its spiller
+	// (ADR-040): expression keys outside the select list, DISTINCT sorted by
+	// keys it does not output, NULL and DESC mixes, and sorted derived tables
+	// feeding a join and an aggregate, and read back with *.
+	`SELECT id FROM fact ORDER BY val * 3 - grp DESC, id`,
+	`SELECT k, COUNT(*) AS n FROM fact GROUP BY k ORDER BY SUM(val) DESC, MIN(id)`,
+	`SELECT DISTINCT id % 1500 AS r, grp FROM fact ORDER BY grp DESC, val, r`,
+	`SELECT id, CASE WHEN grp = 2 THEN NULL ELSE val END AS v FROM fact ORDER BY v DESC, id`,
+	`SELECT f.id, o.tag FROM fact f LEFT JOIN other o ON f.id = o.id ORDER BY o.tag DESC, f.id DESC`,
+	`SELECT d.name, COUNT(*) AS n, SUM(x.val) AS s FROM (SELECT id, k, val FROM fact ORDER BY val DESC, id) x JOIN dim d ON x.k = d.k GROUP BY d.name ORDER BY s DESC, d.name`,
+	`SELECT * FROM (SELECT id FROM fact ORDER BY val DESC, id) x`,
 }, hotKeyShapes...)
 
 // TestSpillDifferentialShapes is the engine-level acceptance gate: every

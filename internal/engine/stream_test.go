@@ -83,6 +83,19 @@ var streamShapes = []string{
 	`SELECT id, val FROM fact WHERE id < 300 ORDER BY 2 DESC, 1`,
 	`SELECT grp, COUNT(*) FROM fact GROUP BY grp ORDER BY 2 DESC, 1`,
 	`SELECT id, val FROM fact ORDER BY 3`,
+	// ORDER BY keys ride at the end of each row until the sort (ADR-040):
+	// expression keys outside the select list, plain and grouped; DISTINCT
+	// sorted by a key it does not output; NULL and DESC mixes; sorted derived
+	// tables feeding a join and an aggregate; and a sorted derived table read
+	// back with *, which must have one column, not its key too.
+	`SELECT id FROM fact WHERE id < 500 ORDER BY val * 3 - grp DESC, id`,
+	`SELECT k, COUNT(*) AS n FROM fact GROUP BY k ORDER BY SUM(val) DESC, MIN(id)`,
+	`SELECT DISTINCT grp, val % 4 AS m FROM fact ORDER BY id DESC, m`,
+	`SELECT id, CASE WHEN grp = 2 THEN NULL ELSE val END AS v FROM fact WHERE id < 400 ORDER BY v DESC, id`,
+	`SELECT f.id, o.tag FROM fact f LEFT JOIN other o ON f.id = o.id WHERE f.id < 90 ORDER BY o.tag DESC, f.id DESC`,
+	`SELECT d.name, COUNT(*) AS n, SUM(x.val) AS s FROM (SELECT id, k, val FROM fact WHERE id < 900 ORDER BY val DESC, id) x JOIN dim d ON x.k = d.k GROUP BY d.name ORDER BY s DESC, d.name`,
+	`SELECT b.id, o.tag FROM (SELECT id, val FROM bigval ORDER BY val, id DESC LIMIT 200) b, other o WHERE b.id = o.id ORDER BY b.val DESC, b.id`,
+	`SELECT * FROM (SELECT id FROM fact WHERE id < 300 ORDER BY val DESC, id) x`,
 }
 
 func execKey(res *Result, err error) string {
