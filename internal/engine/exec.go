@@ -581,7 +581,7 @@ func (ex *exec) buildFromWhere(sel *sqlast.Select, parent *scope) (*relation, er
 		}
 		next := remaining[pick]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		joined, err := ex.hashJoin(cur, next, pairs, parent)
+		joined, err := ex.hashJoin(cur, next, pairs, nil, false, parent)
 		if err != nil {
 			return nil, err
 		}
@@ -1117,25 +1117,6 @@ func pairExprs(pairs []equiPair, right bool) []sqlast.Expr {
 	return exprs
 }
 
-// indexableBuild reports whether build side r is an unfiltered base table
-// and every right key a plain column of it — the shape served by the
-// table's persistent index instead of a transient hash table — and returns
-// the key columns.
-func indexableBuild(r *relation, pairs []equiPair) ([]string, bool) {
-	if r.base == nil || len(r.bindings) != 1 || len(pairs) == 0 {
-		return nil, false
-	}
-	cols := make([]string, 0, len(pairs))
-	for _, p := range pairs {
-		cr, ok := p.right.(*sqlast.ColumnRef)
-		if !ok || !relationHasRef(r, cr) {
-			return nil, false
-		}
-		cols = append(cols, cr.Name)
-	}
-	return cols, true
-}
-
 // concatRows returns the concatenation of l and r as one freshly allocated
 // tuple of the given width.
 func concatRows(l, r []sqltypes.Value, width int) []sqltypes.Value {
@@ -1163,75 +1144,68 @@ func (ex *exec) joinKey(buf []byte, exprs []sqlast.Expr, row []sqltypes.Value, s
 	return buf, false, nil
 }
 
-// hashJoin joins L and R on the equi pairs (inner), probing in L's row
-// order and expanding buckets in R's. With no pairs it degrades to the
-// cross product.
-func (ex *exec) hashJoin(l, r *relation, pairs []equiPair, parent *scope) (*relation, error) {
+// hashJoin joins L and R on the equi pairs, probing in L's row order and
+// expanding buckets in R's; with no pairs R is one bucket, the empty key's,
+// and the join a cross product. The residual conjuncts decide which
+// candidates match: an inner join's caller passes none and filters the
+// joined relation itself, while outer (LEFT OUTER) keeps every L row,
+// null-extending one without a match. Cancellation is polled per probe row
+// and every batchSize output rows: a cross product or a wide bucket expands
+// one probe row into many.
+func (ex *exec) hashJoin(l, r *relation, pairs []equiPair, residual []*conjunct, outer bool, parent *scope) (*relation, error) {
 	out := joinRel(l, r)
-	// Cancellation is polled every batchSize probe rows and every batchSize
-	// output rows: a cross product or a wide bucket expands one probe row
-	// into many.
-	polled := 0
-	poll := func(li int) error {
-		if li&(batchSize-1) != 0 && len(out.rows)-polled < batchSize {
-			return nil
-		}
-		polled = len(out.rows)
-		return ex.cancelled()
+	build, err := ex.buildJoinHash(r, pairs, parent)
+	if err != nil {
+		return nil, err
 	}
-	if len(pairs) == 0 {
-		for li, lr := range l.rows {
-			if err := poll(li); err != nil {
-				return nil, err
-			}
-			for _, rr := range r.rows {
-				out.rows = append(out.rows, concatRows(lr, rr, out.width))
-			}
-		}
-		return out, nil
-	}
-	// Index fast path: an unfiltered base table keyed on plain columns is
-	// probed through its persistent lazy index, whose buckets have exactly
-	// the contents (and order) buildJoinHash would produce. This keeps the
-	// meta-table lookups inside conversion-UDF bodies O(1) per call.
-	var bucket func(key []byte) []int
-	if cols, ok := indexableBuild(r, pairs); ok {
-		idx, err := ex.tableIndex(r.base, cols)
-		if err != nil {
-			return nil, err
-		}
-		bucket = idx.bucket
-	} else {
-		build, err := ex.buildJoinHash(r, pairs, parent)
-		if err != nil {
-			return nil, err
-		}
-		bucket = func(key []byte) []int { return build[string(key)] }
-	}
+	nulls := make([]sqltypes.Value, r.width)
+	osc := out.scopeFor(parent)
 	lsc, lexprs := l.scopeFor(parent), pairExprs(pairs, false)
 	var buf []byte
-	var err error
-	for li, lr := range l.rows {
-		if err := poll(li); err != nil {
+	for _, lr := range l.rows {
+		if err := ex.cancelled(); err != nil {
 			return nil, err
 		}
 		var null bool
-		buf, null, err = ex.joinKey(buf, lexprs, lr, lsc)
-		if err != nil {
+		if buf, null, err = ex.joinKey(buf, lexprs, lr, lsc); err != nil {
 			return nil, err
 		}
-		if null {
-			continue
+		var bucket []int
+		if !null {
+			bucket = build[string(buf)]
 		}
-		for _, ri := range bucket(buf) {
-			out.rows = append(out.rows, concatRows(lr, r.rows[ri], out.width))
+		matched := false
+	cands:
+		for _, ri := range bucket {
+			combined := concatRows(lr, r.rows[ri], out.width)
+			osc.row = combined
+			for _, c := range residual {
+				v, err := ex.eval(c.expr, osc)
+				if err != nil {
+					return nil, err
+				}
+				if truth, _ := sqltypes.Truthy(v); !truth {
+					continue cands
+				}
+			}
+			matched = true
+			out.rows = append(out.rows, combined)
+			if len(out.rows)%batchSize == 0 {
+				if err := ex.cancelled(); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if outer && !matched {
+			out.rows = append(out.rows, concatRows(lr, nulls, out.width))
 		}
 	}
 	return out, nil
 }
 
 // buildJoinHash hashes relation r on the right-side key expressions, bucket
-// lists in row order; NULL keys never participate in an equi join.
+// lists in row order; NULL keys never participate in an equi join, and with
+// no pairs every row has the empty key.
 func (ex *exec) buildJoinHash(r *relation, pairs []equiPair, parent *scope) (map[string][]int, error) {
 	rsc, rexprs := r.scopeFor(parent), pairExprs(pairs, true)
 	build := make(map[string][]int, len(r.rows))
@@ -1299,19 +1273,17 @@ func (ex *exec) buildJoin(j *sqlast.JoinExpr, parent *scope) (*relation, error) 
 	}
 	switch j.Kind {
 	case sqlast.JoinCross:
-		return ex.hashJoin(l, r, nil, parent)
+		return ex.hashJoin(l, r, nil, nil, false, parent)
 	case sqlast.JoinInner:
 		pairs, residual := splitOn(j.On, l, r)
-		joined, err := ex.hashJoin(l, r, pairs, parent)
-		if err != nil {
-			return nil, err
-		}
-		if len(residual) == 0 {
-			return joined, nil
+		joined, err := ex.hashJoin(l, r, pairs, nil, false, parent)
+		if err != nil || len(residual) == 0 {
+			return joined, err
 		}
 		return ex.filterRelation(joined, residual, parent)
 	case sqlast.JoinLeftOuter:
-		return ex.leftOuterJoin(l, r, j.On, parent)
+		pairs, residual := splitOn(j.On, l, r)
+		return ex.hashJoin(l, r, pairs, residual, true, parent)
 	}
 	return nil, fmt.Errorf("engine: unsupported join kind %v", j.Kind)
 }
@@ -1326,67 +1298,4 @@ func ownerMap(rels ...*relation) map[string][]string {
 		}
 	}
 	return m
-}
-
-// leftOuterJoin preserves every left row; the full ON condition decides
-// matches, with an equi fast path for the probe set.
-func (ex *exec) leftOuterJoin(l, r *relation, on sqlast.Expr, parent *scope) (*relation, error) {
-	out := joinRel(l, r)
-
-	pairs, residual := splitOn(on, l, r)
-
-	// Build hash on R over the equi keys (or a single bucket when none).
-	build, err := ex.buildJoinHash(r, pairs, parent)
-	if err != nil {
-		return nil, err
-	}
-
-	nulls := make([]sqltypes.Value, r.width)
-	osc := out.scopeFor(parent)
-	lsc, lexprs := l.scopeFor(parent), pairExprs(pairs, false)
-	// matchResidual applies the non-equi ON conjuncts to one candidate.
-	matchResidual := func(combined []sqltypes.Value) (bool, error) {
-		osc.row = combined
-		for _, c := range residual {
-			v, err := ex.eval(c.expr, osc)
-			if err != nil {
-				return false, err
-			}
-			if truth, _ := sqltypes.Truthy(v); !truth {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	var buf []byte
-	for _, lr := range l.rows {
-		// Polled per probe row: the residual may reject a whole wide bucket,
-		// so output rows are no measure of the work done.
-		if err := ex.cancelled(); err != nil {
-			return nil, err
-		}
-		var null bool
-		buf, null, err = ex.joinKey(buf, lexprs, lr, lsc)
-		if err != nil {
-			return nil, err
-		}
-		matched := false
-		if !null {
-			for _, ri := range build[string(buf)] {
-				combined := concatRows(lr, r.rows[ri], out.width)
-				ok, err := matchResidual(combined)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					matched = true
-					out.rows = append(out.rows, combined)
-				}
-			}
-		}
-		if !matched {
-			out.rows = append(out.rows, concatRows(lr, nulls, out.width))
-		}
-	}
-	return out, nil
 }

@@ -19,8 +19,9 @@ import (
 // index is immutable; a snapshot whose tail outgrows tailBound builds its own.
 //
 // Every bucket is a window of one backing array: bucket n is
-// rows[offs[n]:offs[n+1]], its ordinals in heap order — the order a
-// transient join build over the same rows would insert them in.
+// rows[offs[n]:offs[n+1]], its ordinals in heap order. A join's transient
+// build (vecJoinBuild) is the same type over its build rows, keyed by its
+// key expressions (cols nil), so a join probes either one alike.
 type hashIndex struct {
 	cols    []int
 	n       int              // rows covered: ordinals 0..n-1
@@ -90,47 +91,69 @@ func (d *tableData) carry(assigned []int) map[string]*hashIndex {
 	return kept
 }
 
-// buildHashIndex counts every key's rows, then carves the buckets out of one
-// array: a pass over the rows numbers the keys, a pass over those numbers
-// places the ordinals.
+// buildHashIndex numbers the keys of a table's rows and carves the buckets
+// out of one array.
 func buildHashIndex(ordinals []int, d *tableData) *hashIndex {
-	idx := &hashIndex{cols: ordinals, n: d.n, buckets: make(map[string]int32)}
-	bucketOf := make([]int32, 0, d.n) // -1: a NULL key, which no equi-probe matches
-	var counts []int32
+	c := newCarver(d.n, 0)
+	c.ix.cols, c.ix.n = ordinals, d.n
 	var buf []byte
-	indexed := 0
+	id := 0
 	for _, page := range d.pages {
 		for _, row := range page {
 			var ok bool
-			if buf, ok = idx.key(buf[:0], row); !ok {
-				bucketOf = append(bucketOf, -1)
-				continue
+			if buf, ok = c.ix.key(buf[:0], row); ok {
+				c.add(id, buf)
 			}
-			n, found := idx.buckets[string(buf)]
-			if !found {
-				n = int32(len(counts))
-				idx.buckets[string(buf)] = n
-				counts = append(counts, 0)
-			}
-			counts[n]++
-			bucketOf = append(bucketOf, n)
-			indexed++
+			id++
 		}
 	}
-	idx.offs = make([]int32, len(counts)+1)
-	for n, c := range counts {
-		idx.offs[n+1] = idx.offs[n] + c
+	return c.carve()
+}
+
+// carver builds a hashIndex in two passes: add numbers each row's key in
+// arrival order and counts its bucket's rows, carve places the ordinals. The
+// table's index and a join's transient build (vecJoinBuild) are both carved
+// here, so their buckets list rows in the same order.
+type carver struct {
+	ix       *hashIndex
+	bucketOf []int32 // per row ordinal: its bucket number + 1; 0, in none (a NULL key)
+	counts   []int32
+}
+
+// newCarver sizes a carver for n rows and room for keys keys.
+func newCarver(n, keys int) carver {
+	return carver{ix: &hashIndex{buckets: make(map[string]int32, keys)}, bucketOf: make([]int32, n)}
+}
+
+// add puts row ordinal id in the bucket of key.
+func (c *carver) add(id int, key []byte) {
+	n, found := c.ix.buckets[string(key)]
+	if !found {
+		n = int32(len(c.counts))
+		c.ix.buckets[string(key)] = n
+		c.counts = append(c.counts, 0)
 	}
-	idx.rows = make([]int, indexed)
-	next := counts // reused: where each bucket's next ordinal goes
-	copy(next, idx.offs)
-	for rowID, n := range bucketOf {
-		if n >= 0 {
-			idx.rows[next[n]] = rowID
-			next[n]++
+	c.counts[n]++
+	c.bucketOf[id] = n + 1
+}
+
+// carve lays the buckets out in one array, each window in ordinal order.
+func (c *carver) carve() *hashIndex {
+	ix := c.ix
+	ix.offs = make([]int32, len(c.counts)+1)
+	for n, k := range c.counts {
+		ix.offs[n+1] = ix.offs[n] + k
+	}
+	ix.rows = make([]int, ix.offs[len(c.counts)])
+	next := c.counts // reused: where each bucket's next ordinal goes
+	copy(next, ix.offs)
+	for id, n := range c.bucketOf {
+		if n > 0 {
+			ix.rows[next[n-1]] = id
+			next[n-1]++
 		}
 	}
-	return idx
+	return ix
 }
 
 // key appends the encoding of row's key columns to buf; ok is false when one

@@ -252,8 +252,8 @@ func (o *filterOperator) Close() { o.child.Close() }
 // empty bucket stays in the probe instead of dropping out (probeBatch, and
 // addProbe on the spilled path); (2) the residual ON conjuncts decide
 // whether a candidate counts as a match; (3) a probe row without a match is
-// emitted null-extended (fillPending, and expand on the spilled path). An
-// inner join's residual ON conjuncts filter its output instead
+// emitted null-extended — (2) and (3) in fillPending, which the spilled path
+// runs too. An inner join's residual ON conjuncts filter its output instead
 // (buildJoinExprPipe).
 //
 // Row ownership (DESIGN.md ADR-011). Rows this operator allocates are
@@ -288,7 +288,7 @@ type joinOperator struct {
 	parent *scope
 
 	outer bool
-	on    *onResidual      // outer: the residual ON conjuncts
+	on    *windowFilter    // outer: the residual ON conjuncts
 	nulls []sqltypes.Value // outer: the right-width null extension
 
 	rowCap  int  // capacity of the output rows allocated here (>= orel.width)
@@ -302,13 +302,11 @@ type joinOperator struct {
 	own     []*conjunct
 	cand    candidateFilter
 
-	// Build state: the build rows and, for an equi join, the hash table over
-	// them — a base table's persistent index (idx) or a transient table
-	// (build); for the cross product, the one bucket that holds every build
-	// row.
+	// Build state: the build rows and the hash table over them — a base
+	// table's persistent index on the index path (idxCols != nil), else the
+	// transient one vecJoinBuild carves, whose pair-less form has one bucket,
+	// the empty key's, holding every build row.
 	idx       *hashIndex
-	build     map[string][]int
-	cross     []int
 	rightRows [][]sqltypes.Value
 
 	lks *vecKeySet
@@ -369,10 +367,29 @@ func (ex *exec) newJoinPipe(l, r *pipe, own []*conjunct, pairs []equiPair, outer
 	}
 	jo.left, jo.right, jo.rrel = l.op, r.op, r.rel
 	if outer {
-		jo.on = &onResidual{f: ex.newFilterOp(residual, orel, parent)}
+		jo.on = &windowFilter{f: ex.newFilterOp(residual, orel, parent)}
 		jo.nulls = make([]sqltypes.Value, r.rel.width)
 	}
 	return &pipe{op: jo, rel: orel}
+}
+
+// indexableBuild reports whether build side r is an unfiltered base table
+// and every right key a plain column of it — the shape served by the
+// table's persistent index instead of a transient hash table — and returns
+// the key columns.
+func indexableBuild(r *relation, pairs []equiPair) ([]string, bool) {
+	if r.base == nil || len(r.bindings) != 1 || len(pairs) == 0 {
+		return nil, false
+	}
+	cols := make([]string, 0, len(pairs))
+	for _, p := range pairs {
+		cr, ok := p.right.(*sqlast.ColumnRef)
+		if !ok || !relationHasRef(r, cr) {
+			return nil, false
+		}
+		cols = append(cols, cr.Name)
+	}
+	return cols, true
 }
 
 // neverRaise reports whether evaluating conjs over rows of the base relation
@@ -441,47 +458,54 @@ func (ex *exec) operandNeverRaises(e sqlast.Expr, rel *relation, parent *scope) 
 	return err == nil
 }
 
-// onResidual is what is left of an outer join's ON clause once the equi
-// pairs are taken out: a filter over the joined row layout (one batch
-// program per conjunct — vecCompile never returns nil, ADR-010) and the
-// window it runs candidates through.
-type onResidual struct {
-	f   filterOp
-	win Batch
+// windowFilter runs conjuncts (one batch program each — vecCompile never
+// returns nil, ADR-010) over candidate rows in batch windows: an outer
+// join's residual ON conjuncts over the joined candidates of one probe row,
+// and the index path's own conjuncts over the build rows a probe batch
+// reaches (candidateFilter).
+type windowFilter struct {
+	f    filterOp
+	win  Batch
+	rows [][]sqltypes.Value
 }
 
-// keep compacts the candidate tuples of one probe row, in place and in
-// order, to those every residual conjunct accepts. The conjuncts run over
-// batch windows of the candidates; a failing candidate aborts with the
-// error of the first one in candidate order, as a row loop would.
-func (r *onResidual) keep(cands [][]sqltypes.Value) ([][]sqltypes.Value, error) {
-	if len(r.f.progs) == 0 {
-		return cands, nil
+// each calls keep with the position of every candidate all conjuncts
+// accept, in order. The candidates are rows, or with ids rows[ids[0]],
+// rows[ids[1]], …, gathered a window at a time. A failing candidate aborts
+// with the error of the first one in candidate order, as a row loop would.
+func (w *windowFilter) each(rows [][]sqltypes.Value, ids []int, keep func(int)) error {
+	n := len(rows)
+	if ids != nil {
+		n = len(ids)
 	}
-	kept := cands[:0]
-	for len(cands) > 0 {
-		n := min(len(cands), batchSize)
-		r.win.window(cands[:n])
-		r.f.apply(&r.win)
-		if r.f.failed != nil {
-			return nil, r.f.failed
+	for lo := 0; lo < n; lo += batchSize {
+		hi := min(lo+batchSize, n)
+		if ids == nil {
+			w.win.window(rows[lo:hi])
+		} else {
+			w.rows = w.rows[:0]
+			for _, id := range ids[lo:hi] {
+				w.rows = append(w.rows, rows[id])
+			}
+			w.win.window(w.rows)
 		}
-		for _, i := range r.win.sel {
-			kept = append(kept, cands[i]) // never ahead of the read position
+		w.f.apply(&w.win)
+		if w.f.failed != nil {
+			return w.f.failed
 		}
-		cands = cands[n:]
+		for _, i := range w.win.sel {
+			keep(lo + int(i))
+		}
 	}
-	return kept, nil
+	return nil
 }
 
 // candidateFilter runs a build side's own conjuncts over the candidates of
 // one probe batch — the rows of the build table the batch's keys reach — and
 // counts what it has evaluated against the join's budget.
 type candidateFilter struct {
-	f    filterOp
-	win  Batch
-	rows [][]sqltypes.Value
-	ids  []int // the batch's candidates, bucket after bucket; -1 once rejected
+	windowFilter
+	ids []int // the batch's candidates, bucket after bucket; -1 once rejected
 
 	seen, budget int // candidates evaluated so far, over all batches, and how many may be
 }
@@ -495,28 +519,16 @@ func (c *candidateFilter) keep(heap [][]sqltypes.Value, keyed []int32, buckets [
 		c.ids = append(c.ids, buckets[i]...)
 	}
 	c.seen += len(c.ids)
-	for lo := 0; lo < len(c.ids); lo += batchSize {
-		ids := c.ids[lo:min(lo+batchSize, len(c.ids))]
-		c.rows = c.rows[:0]
-		for _, id := range ids {
-			c.rows = append(c.rows, heap[id])
-		}
-		c.win.window(c.rows)
-		c.f.apply(&c.win)
-		if c.f.failed != nil {
-			return c.f.failed
-		}
-		k := 0
-		for _, s := range c.win.sel {
-			for ; k < int(s); k++ {
-				ids[k] = -1
-			}
-			k++
-		}
-		for ; k < len(ids); k++ {
-			ids[k] = -1
+	next := 0 // the candidates before next are decided
+	reject := func(end int) {
+		for ; next < end; next++ {
+			c.ids[next] = -1
 		}
 	}
+	if err := c.each(heap, c.ids, func(k int) { reject(k); next++ }); err != nil {
+		return err
+	}
+	reject(len(c.ids))
 	pos := 0
 	for _, i := range keyed {
 		seg := c.ids[pos : pos+len(buckets[i])]
@@ -536,9 +548,7 @@ func (j *joinOperator) Open(ex *exec) error {
 	if err := j.left.Open(ex); err != nil {
 		return err
 	}
-	if len(j.pairs) > 0 {
-		j.lks = ex.vecKeys(pairExprs(j.pairs, false), j.lrel.bindings, j.lrel.scopeFor(j.parent))
-	}
+	j.lks = ex.vecKeys(pairExprs(j.pairs, false), j.lrel.bindings, j.lrel.scopeFor(j.parent))
 	if j.idxCols == nil {
 		return j.eagerBuild(ex)
 	}
@@ -566,62 +576,105 @@ func (j *joinOperator) Open(ex *exec) error {
 }
 
 // eagerBuild drains the build side — filtered by its own conjuncts first, if
-// the join was to run them over candidates — and hashes it on the join keys
-// (base scans are already materialized as the table heap). Under a memory
-// limit the equi build is charged and may overflow into a spilled join
-// (spilljoin.go); the pair-less join (cross product, LEFT JOIN without an
-// equi conjunct) has one key group, so it stays in-memory but charged.
+// the join was to run them over candidates — and carves its hash table (base
+// scans are already materialized as the table heap). Under a memory limit
+// the drain charges the heap window by window or the stream batch by batch,
+// and an equi build that leaves the statement over budget releases its
+// charge and overflows into a spilled join (spilljoin.go), which takes the
+// rows held so far and then the rest. The pair-less join (cross product,
+// LEFT JOIN without an equi conjunct) has one key group, so it stays in
+// memory, charged once it is whole.
 func (j *joinOperator) eagerBuild(ex *exec) error {
 	if len(j.own) > 0 {
 		p := ex.filterPipe(&pipe{op: j.right, rel: j.rrel}, j.own, j.parent)
 		j.right, j.rrel, j.own = p.op, p.rel, nil
 	}
-	j.idx, j.idxCols = nil, nil
+	j.idx, j.idxCols, j.acct = nil, nil, ex.acct
+	heap := j.rrel.rows
 	if j.rrel.base != nil {
-		ex.db.Stats.ScanRows.Add(int64(len(j.rrel.rows))) // the heap, read without its scan
+		ex.db.Stats.ScanRows.Add(int64(len(heap))) // the heap, read without its scan
 	}
-	if len(j.pairs) > 0 && ex.acct != nil {
-		return j.openChargedBuild(ex)
-	}
-	rows := j.rrel.rows
-	if rows == nil {
-		var err error
-		rows, err = drainRows(ex, j.right)
-		if err != nil {
+	if heap == nil {
+		if err := j.right.Open(ex); err != nil {
 			return err
 		}
 	}
+	rks := ex.vecKeys(pairExprs(j.pairs, true), j.rrel.bindings, j.rrel.scopeFor(j.parent))
+	src, rows := scanOp{rows: heap}, heap
+	var win Batch
+	var add int64
+	for {
+		b := &win
+		if heap == nil {
+			var err error
+			if b, err = j.right.Next(ex); err != nil {
+				return err
+			}
+		} else if j.acct == nil || !src.next(b) {
+			b = nil // an uncharged heap needs no drain
+		}
+		if b == nil {
+			break
+		}
+		if j.spilled != nil {
+			if err := ex.cancelled(); err != nil {
+				return err
+			}
+			if err := j.spilled.addBuild(ex, b, rks); err != nil {
+				return err
+			}
+			continue
+		}
+		if heap == nil {
+			for _, i := range b.sel {
+				rows = append(rows, b.rows[i])
+			}
+		}
+		if j.acct == nil {
+			continue
+		}
+		for _, i := range b.sel {
+			add += rowBytes(b.rows[i])
+		}
+		if len(j.pairs) == 0 {
+			continue
+		}
+		add += joinBucketBytes * int64(len(b.sel))
+		j.acct.charge(add)
+		j.charged, add = j.charged+add, 0
+		if j.acct.over() {
+			j.acct.release(j.charged)
+			j.charged = 0
+			j.spilled = newSpillJoin(ex, j)
+			if heap != nil {
+				rows = heap[:src.pos]
+			}
+			if err := j.spilled.addBuildRows(ex, rows, rks); err != nil {
+				return err
+			}
+		}
+	}
+	if j.spilled != nil {
+		return j.spilled.build.flush()
+	}
+	j.acct.charge(add)
+	j.charged += add
 	j.rightRows = rows
-	if ex.acct != nil {
-		j.acct = ex.acct
-		for _, row := range rows {
-			j.charged += rowBytes(row)
-		}
-		ex.acct.charge(j.charged)
-	}
-	if len(j.pairs) == 0 {
-		j.cross = make([]int, len(rows))
-		for i := range j.cross {
-			j.cross[i] = i
-		}
-		return nil
-	}
-	build, err := ex.vecJoinBuild(j.rrel, rows, j.pairs, j.parent)
-	if err != nil {
-		return err
-	}
-	j.build = build
-	return nil
+	var err error
+	j.idx, err = ex.vecJoinBuild(rks, rows)
+	return err
 }
 
-// vecJoinBuild hashes the build rows of rrel on the right-side key
-// expressions; NULL keys never participate in an equi join. Keys are
-// computed column-wise per batch and encoded from the key columns, so bucket
-// lists keep build row order.
-func (ex *exec) vecJoinBuild(rrel *relation, rows [][]sqltypes.Value, pairs []equiPair, parent *scope) (map[string][]int, error) {
-	ex.db.Stats.JoinBuildRows.Add(int64(len(rows)))
-	build := make(map[string][]int, len(rows))
-	rks := ex.vecKeys(pairExprs(pairs, true), rrel.bindings, rrel.scopeFor(parent))
+// vecJoinBuild carves the hash table over the build rows, keyed by rks — the
+// right-side key expressions; NULL keys never participate in an equi join,
+// and with no pairs every row has the empty key. Keys are computed
+// column-wise per batch, so buckets keep build row order.
+func (ex *exec) vecJoinBuild(rks *vecKeySet, rows [][]sqltypes.Value) (*hashIndex, error) {
+	if len(rks.progs) > 0 { // a pair-less build hashes no key: JoinBuildRows counts keyed builds
+		ex.db.Stats.JoinBuildRows.Add(int64(len(rows)))
+	}
+	c := newCarver(len(rows), len(rows))
+	c.ix.n = len(rows)
 	var buf []byte
 	src := scanOp{rows: rows}
 	var b Batch
@@ -636,11 +689,11 @@ func (ex *exec) vecJoinBuild(rrel *relation, rows [][]sqltypes.Value, pairs []eq
 		}
 		for _, i := range sel {
 			buf = encodeKeyCols(buf[:0], rks.cols, i)
-			build[string(buf)] = append(build[string(buf)], b.base+int(i))
+			c.add(b.base+int(i), buf)
 		}
 		ex.vs.release(m)
 	}
-	return build, nil
+	return c.carve(), nil
 }
 
 func (j *joinOperator) Next(ex *exec) (*Batch, error) {
@@ -687,68 +740,72 @@ func (j *joinOperator) Next(ex *exec) (*Batch, error) {
 const joinFillRows = 16 * batchSize
 
 // probeBatch looks up the buckets of one probe batch: the probe keys fill
-// per-batch key columns (NULL-key rows drop out of the selection vector; the
-// cross product matches every row with every build row), and the matches
-// are counted so the rows that need allocating come from exactly-sized
-// chunks.
+// per-batch key columns (NULL-key rows drop out of the selection vector; a
+// pair-less join's rows all have the empty key) and every key is looked up
+// in j.idx. On the index path its candidates are counted and filtered, and
+// past the budget the join falls back to the eager build, whose table then
+// replaces j.idx.
 func (j *joinOperator) probeBatch(ex *exec, b *Batch) error {
 	if cap(j.buckets) < len(b.rows) {
 		j.buckets = make([][]int, len(b.rows))
 	}
-	sel := b.sel
-	if len(j.pairs) == 0 {
+	m := ex.vs.mark()
+	defer ex.vs.release(m)
+	keyed := j.lks.compute(b, true)
+	if err := b.firstErr(); err != nil {
+		return err
+	}
+	sel := keyed
+	if j.outer {
+		// outer (1): every incoming row stays selected; a NULL key has no
+		// candidates. Rows an upstream filter dropped stay dropped.
+		sel = b.sel
 		for _, i := range sel {
-			j.buckets[i] = j.cross
-		}
-	} else {
-		m := ex.vs.mark()
-		defer ex.vs.release(m)
-		keyed := j.lks.compute(b, true)
-		if err := b.firstErr(); err != nil {
-			return err
-		}
-		if j.outer {
-			// outer (1): every incoming row stays selected; a NULL key has
-			// no candidates. Rows an upstream filter dropped stay dropped.
-			for _, i := range sel {
-				j.buckets[i] = nil
-			}
-		} else {
-			sel = keyed
-		}
-		if j.idx != nil {
-			cands := 0
-			for _, i := range keyed {
-				j.buf = encodeKeyCols(j.buf[:0], j.lks.cols, i)
-				j.buckets[i] = j.idx.bucket(j.buf)
-				cands += len(j.buckets[i])
-			}
-			ex.db.Stats.ScanRows.Add(int64(cands))
-			switch {
-			case len(j.own) == 0:
-			case j.cand.seen+cands <= j.cand.budget:
-				if err := j.cand.keep(j.rightRows, keyed, j.buckets); err != nil {
-					return err
-				}
-			default:
-				// Over budget: build eagerly after all; this batch, none of
-				// whose rows is out yet, is the first to probe the result.
-				ex.db.Stats.JoinEagerFallbacks.Add(1)
-				if err := j.eagerBuild(ex); err != nil {
-					return err
-				}
-				if j.spilled != nil {
-					return j.spilled.addProbe(ex, b, j.lks)
-				}
-			}
-		}
-		if j.idx == nil {
-			for _, i := range keyed {
-				j.buf = encodeKeyCols(j.buf[:0], j.lks.cols, i)
-				j.buckets[i] = j.build[string(j.buf)]
-			}
+			j.buckets[i] = nil
 		}
 	}
+	cands := j.lookup(keyed)
+	if j.idxCols != nil {
+		ex.db.Stats.ScanRows.Add(int64(cands))
+		switch {
+		case len(j.own) == 0:
+		case j.cand.seen+cands <= j.cand.budget:
+			if err := j.cand.keep(j.rightRows, keyed, j.buckets); err != nil {
+				return err
+			}
+		default:
+			// Over budget: build eagerly after all; this batch, none of
+			// whose rows is out yet, is the first to probe the result.
+			ex.db.Stats.JoinEagerFallbacks.Add(1)
+			if err := j.eagerBuild(ex); err != nil {
+				return err
+			}
+			if j.spilled != nil {
+				return j.spilled.addProbe(ex, b)
+			}
+			j.lookup(keyed)
+		}
+	}
+	j.pend(b, sel)
+	return nil
+}
+
+// lookup points the bucket of each probe row of keyed at its rows of j.idx
+// and returns how many candidates they hold.
+func (j *joinOperator) lookup(keyed []int32) int {
+	cands := 0
+	for _, i := range keyed {
+		j.buf = encodeKeyCols(j.buf[:0], j.lks.cols, i)
+		j.buckets[i] = j.idx.bucket(j.buf)
+		cands += len(j.buckets[i])
+	}
+	return cands
+}
+
+// pend makes rows sel of probe batch b, their buckets looked up, the
+// expansion fillPending works through; the matches are counted so the rows
+// that need allocating come from exactly-sized chunks.
+func (j *joinOperator) pend(b *Batch, sel []int32) {
 	j.fresh = 0 // rows to allocate: every match but the in-place ones
 	for _, i := range sel {
 		j.fresh += len(j.buckets[i])
@@ -762,7 +819,6 @@ func (j *joinOperator) probeBatch(ex *exec, b *Batch) error {
 	// The selection vector may live in scratch released on return.
 	j.probe, j.sel = b, append(j.sel[:0], sel...)
 	j.selPos, j.bktPos = 0, 0
-	return nil
 }
 
 // fillPending expands the probe batch into joined output rows, from where
@@ -791,12 +847,16 @@ func (j *joinOperator) fillPending() error {
 		}
 		if j.outer {
 			// outer (2): the residual decides which candidates are matches.
-			kept, err := j.on.keep(j.pending[first:])
+			cands, n := j.pending[first:], 0
+			err := j.on.each(cands, nil, func(i int) {
+				cands[n] = cands[i] // never ahead of the read position
+				n++
+			})
 			if err != nil {
 				return err
 			}
-			j.pending = j.pending[:first+len(kept)]
-			j.matched = j.matched || len(kept) > 0
+			j.pending = j.pending[:first+n]
+			j.matched = j.matched || n > 0
 		}
 		if k < len(bucket) {
 			break // resume at match k of this row
@@ -828,8 +888,7 @@ func (j *joinOperator) owns(l []sqltypes.Value) bool {
 func (j *joinOperator) Close() {
 	j.left.Close()
 	j.right.Close()
-	j.idx, j.build, j.cross = nil, nil, nil
-	j.rightRows = nil
+	j.idx, j.rightRows = nil, nil
 	j.probe, j.sel, j.pending = nil, nil, nil
 	if j.spilled != nil {
 		j.spilled.close()

@@ -85,8 +85,9 @@ var referenceForbidden = []string{
 // the DISTINCT operator and the frozen group table's rank directory ADR-039
 // folded into the group operator's sorted runs, and the ORDER BY key columns
 // and the sort's second buffer ADR-040 replaced with keys at the row's tail
-// and the spiller; they must not come back under the same names. (The reference's local residual
-// closure in leftOuterJoin is not a twin.)
+// and the spiller, and the reference's outer join loop, the second charged
+// build drain and the outer residual's own filter type ADR-041 merged into
+// one hash join per executor; they must not come back under the same names.
 var deletedTwins = []string{
 	"applyInterp", "projectInterp", "projectRowsBatched",
 	"leftOuterOperator", "newLeftOuterPipe", "gracePartitionProbe", "louter",
@@ -98,7 +99,13 @@ var deletedTwins = []string{
 	"udfKey", "keyOf", "callWord", "wordOf",
 	"distinctOperator", "distinctEntryBytes", "rankEntryBytes",
 	"resetKeyCols", "keyRow", "recCost", "engageSpill",
+	"leftOuterJoin", "openChargedBuild", "onResidual",
 }
+
+// referenceJoin is the reference executor's one hash join (ADR-041): it
+// hashes its build side per statement and reads no persistent index, so the
+// oracle shares no index with the operator tree's index path.
+var referenceJoin = []string{"exec.hashJoin", "exec.buildJoinHash"}
 
 func funcName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
@@ -190,7 +197,7 @@ func checkSeam(t *testing.T, seam map[string][]string, sf sourceFunc) {
 }
 
 func TestModeSeam(t *testing.T) {
-	modeLines := 0
+	modeLines, refJoins := 0, 0
 	var spillOwners, liftCallers []string
 	fallsBackToInterp := false
 	for _, sf := range parsePackage(t) {
@@ -270,6 +277,14 @@ func TestModeSeam(t *testing.T) {
 					}
 				}
 			}
+			if slices.Contains(referenceJoin, fn) {
+				refJoins++
+				for _, id := range []string{"tableIndex", "indexableBuild"} {
+					if used[id] {
+						t.Errorf("%s: %s mentions %s; the reference's join probes no persistent index", name, fn, id)
+					}
+				}
+			}
 			if name == "exec.go" {
 				for _, id := range referenceForbidden {
 					if used[id] {
@@ -290,6 +305,9 @@ func TestModeSeam(t *testing.T) {
 	}
 	if !fallsBackToInterp {
 		t.Error("venv.lower does not end in `return liftInterp(...)`: lowering is a kernel or the lifted interpreter, nothing in between")
+	}
+	if refJoins != len(referenceJoin) {
+		t.Errorf("found %d of the reference's join functions %v", refJoins, referenceJoin)
 	}
 	if len(spillOwners) != 1 {
 		t.Errorf("types with a spilled field: %v; exactly one operator implements the hash join", spillOwners)

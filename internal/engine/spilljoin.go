@@ -19,10 +19,10 @@ package engine
 //   - NULL keys behave as in memory: dropped for inner joins, immediately
 //     null-extended (with their sequence number) for left outer joins.
 //
-// Inner and left outer joins share every step; spillJoin reads outer at the
-// same three points as the in-memory join (operator.go): addProbe keeps
-// NULL keys, and expand lets the residual ON conjuncts decide the matches of
-// a probe row and null-extends one without.
+// Inner and left outer joins share every step: addProbe reads outer where
+// the in-memory join's probeBatch does, keeping NULL keys, and expand runs
+// each probe record through the in-memory join's own fill (operator.go), so
+// the residual ON conjuncts and the null extension are read in one place.
 //
 // Exclusions, by design: the pair-less join (cross product, LEFT JOIN
 // without an equi conjunct) has one key group, the whole build side, so it
@@ -46,28 +46,26 @@ const joinBucketBytes = 16
 // output spiller ordered by probe sequence, and the merge the operator
 // drains at Next.
 type spillJoin struct {
-	width int
-
-	// Left outer join: the residual ON conjuncts and the right-width null
-	// extension, both the operator's.
-	outer bool
-	on    *onResidual
-	nulls []sqltypes.Value
+	j *joinOperator
 
 	build, probe *spiller
 	probeSeq     int64
 
 	out    *spiller
 	merge  *mergeIter
-	cands  [][]sqltypes.Value
+	one    [1][]sqltypes.Value // the probe row of expand's one-row window
+	win    Batch
+	ids    []int // 0, 1, …: a key group's one bucket
 	rowBuf [][]sqltypes.Value
 	ran    bool
 }
 
+// newSpillJoin spills j. Its rows come back through the out spiller, which
+// keeps no reserved tail, so they are allocated at exactly j's width.
 func newSpillJoin(ex *exec, j *joinOperator) *spillJoin {
+	j.rowCap = j.orel.width
 	return &spillJoin{
-		width: j.orel.width,
-		outer: j.outer, on: j.on, nulls: j.nulls,
+		j:     j,
 		build: newSpiller(ex, byKey),
 		probe: newSpiller(ex, byKey),
 		out:   newSpiller(ex, bySeq),
@@ -123,27 +121,24 @@ func (g *spillJoin) addBuildRows(ex *exec, rows [][]sqltypes.Value, ks *vecKeySe
 
 // addProbe spills one batch of probe rows, assigning global sequence
 // numbers in stream order. A NULL-key row — one of b.sel the key set
-// dropped — cannot match: an inner join drops it, a left outer join
-// null-extends it right away, under its sequence number so it merges back
-// into probe order. Rows an upstream filter dropped from b.sel never
-// participate.
-func (g *spillJoin) addProbe(ex *exec, b *Batch, ks *vecKeySet) error {
+// dropped — cannot match: an inner join drops it, a left outer join expands
+// it against no build row right away — null-extending it — under its
+// sequence number, so it merges back into probe order. Rows an upstream
+// filter dropped from b.sel never participate.
+func (g *spillJoin) addProbe(ex *exec, b *Batch) error {
 	m := ex.vs.mark()
 	defer ex.vs.release(m)
+	ks := g.j.lks
 	keyed := ks.compute(b, true)
 	if err := b.firstErr(); err != nil {
 		return err
-	}
-	var ck rowChunk
-	if g.outer {
-		ck = newRowChunk(len(b.sel)-len(keyed), g.width)
 	}
 	for _, i := range b.sel {
 		seq := g.probeSeq
 		g.probeSeq++
 		if len(keyed) == 0 || keyed[0] != i {
-			if g.outer { // outer (1)
-				if err := g.emitOut(seq, ck.concat(b.rows[i], g.nulls, g.width)); err != nil {
+			if g.j.outer { // outer (1)
+				if err := g.expand(seq, b.rows[i], nil); err != nil {
 					return err
 				}
 			}
@@ -228,36 +223,34 @@ func (g *spillJoin) join(ex *exec, bm, pm *mergeIter) error {
 			}
 			ex.acct.charge(held)
 		}
-		if err := g.expand(p, group); err != nil {
+		if err := g.expand(p.seq, p.row, group); err != nil {
 			return err
 		}
 	}
 }
 
-// expand joins one probe record with its key group, as fillPending does.
-func (g *spillJoin) expand(p *spillRec, group [][]sqltypes.Value) error {
-	nout := len(group)
-	if g.outer {
-		nout++ // room for the null extension
+// expand joins one probe row with its key group through the in-memory
+// join's fill: the probe side is a one-row window, the group the build rows
+// and 0..n-1 its one bucket. Each joined row is emitted at exactly the
+// join's width, which a first match written into its probe row's reserved
+// tail exceeds.
+func (g *spillJoin) expand(seq int64, row []sqltypes.Value, group [][]sqltypes.Value) error {
+	j, w := g.j, g.j.orel.width
+	for len(g.ids) < len(group) {
+		g.ids = append(g.ids, len(g.ids))
 	}
-	ck := newRowChunk(nout, g.width)
-	g.cands = g.cands[:0]
-	for _, r := range group {
-		g.cands = append(g.cands, ck.concat(p.row, r, g.width))
-	}
-	if g.outer {
-		// outer (2) and (3), as in joinOperator.fillPending.
-		var err error
-		if g.cands, err = g.on.keep(g.cands); err != nil {
+	g.one[0] = row
+	g.win.window(g.one[:])
+	j.rightRows, j.buckets = group, append(j.buckets[:0], g.ids[:len(group)])
+	j.pend(&g.win, g.win.sel)
+	for j.selPos < len(j.sel) {
+		if err := j.fillPending(); err != nil {
 			return err
 		}
-		if len(g.cands) == 0 {
-			g.cands = append(g.cands, ck.concat(p.row, g.nulls, g.width))
-		}
-	}
-	for _, row := range g.cands {
-		if err := g.emitOut(p.seq, row); err != nil {
-			return err
+		for _, r := range j.pending {
+			if err := g.emitOut(seq, r[:w:w]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -287,96 +280,6 @@ func (g *spillJoin) emit(ex *exec, out *Batch) (*Batch, error) {
 	return out, nil
 }
 
-// openChargedBuild is the memory-limited replacement for the equi join's
-// hash build: it charges the build side at batch granularity and, when the
-// budget overflows, releases the charges and spills everything —
-// already-drained rows first, then the rest of the build stream without
-// ever materializing it.
-func (j *joinOperator) openChargedBuild(ex *exec) error {
-	j.acct = ex.acct
-	rks := ex.vecKeys(pairExprs(j.pairs, true), j.rrel.bindings, j.rrel.scopeFor(j.parent))
-	rows := j.rrel.rows
-	streamed := rows == nil
-	spill := false
-	if streamed {
-		if err := j.right.Open(ex); err != nil {
-			return err
-		}
-		for !spill {
-			b, err := j.right.Next(ex)
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			var add int64
-			for _, i := range b.sel {
-				rows = append(rows, b.rows[i])
-				add += rowBytes(b.rows[i]) + joinBucketBytes
-			}
-			ex.acct.charge(add)
-			j.charged += add
-			if ex.acct.over() {
-				spill = true
-			}
-		}
-	} else {
-		var add int64
-		for i := range rows {
-			add += rowBytes(rows[i]) + joinBucketBytes
-			if (i+1)%batchSize == 0 {
-				ex.acct.charge(add)
-				j.charged += add
-				add = 0
-				if ex.acct.over() {
-					spill = true
-					break
-				}
-			}
-		}
-		if !spill {
-			ex.acct.charge(add)
-			j.charged += add
-			spill = ex.acct.over()
-		}
-	}
-	if !spill {
-		j.rightRows = rows
-		build, err := ex.vecJoinBuild(j.rrel, rows, j.pairs, j.parent)
-		if err != nil {
-			return err
-		}
-		j.build = build
-		return nil
-	}
-	ex.acct.release(j.charged)
-	j.charged = 0
-	g := newSpillJoin(ex, j)
-	j.spilled = g
-	if err := g.addBuildRows(ex, rows, rks); err != nil {
-		return err
-	}
-	if streamed {
-		for {
-			if err := ex.cancelled(); err != nil {
-				return err
-			}
-			b, err := j.right.Next(ex)
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			if err := g.addBuild(ex, b, rks); err != nil {
-				return err
-			}
-		}
-	}
-	return g.build.flush()
-}
-
 // spilledNext drains the probe side into its spiller on first call, merges
 // the two sides, and then streams the merged output.
 func (j *joinOperator) spilledNext(ex *exec) (*Batch, error) {
@@ -394,7 +297,7 @@ func (j *joinOperator) spilledNext(ex *exec) (*Batch, error) {
 			if b == nil {
 				break
 			}
-			if err := g.addProbe(ex, b, j.lks); err != nil {
+			if err := g.addProbe(ex, b); err != nil {
 				return nil, err
 			}
 		}
