@@ -141,21 +141,44 @@ func encodeKeyCols(buf []byte, cols [][]sqltypes.Value, i int32) []byte {
 
 // ---------------------------------------------------------------- operators
 
-// scanOp streams a materialized row set in fixed-size windows.
+// scanOp is the engine's one row cursor (DESIGN.md ADR-042): it reads rows,
+// or with ids rows[ids[0]], rows[ids[1]], …, in windows of at most
+// batchSize. A window of rows is a slice of them; a window of ordinals is
+// gathered into one buffer the cursor reuses, sized at the first window.
+// b.base is the window's first position in the sequence the cursor reads —
+// an ordinal of rows, or a position in ids.
 type scanOp struct {
 	rows [][]sqltypes.Value
+	ids  []int
 	pos  int
+	buf  [][]sqltypes.Value
+}
+
+// len is the number of rows the cursor reads, from its start.
+func (s *scanOp) len() int {
+	if s.ids != nil {
+		return len(s.ids)
+	}
+	return len(s.rows)
 }
 
 func (s *scanOp) next(b *Batch) bool {
-	if s.pos >= len(s.rows) {
+	n := min(s.len()-s.pos, batchSize)
+	if n <= 0 {
 		return false
 	}
-	n := len(s.rows) - s.pos
-	if n > batchSize {
-		n = batchSize
+	if s.ids == nil {
+		b.rows = s.rows[s.pos : s.pos+n]
+	} else {
+		if cap(s.buf) < n {
+			s.buf = make([][]sqltypes.Value, 0, min(batchSize, max(n, 2*cap(s.buf))))
+		}
+		s.buf = s.buf[:0]
+		for _, id := range s.ids[s.pos : s.pos+n] {
+			s.buf = append(s.buf, s.rows[id])
+		}
+		b.rows = s.buf
 	}
-	b.rows = s.rows[s.pos : s.pos+n]
 	b.base = s.pos
 	s.pos += n
 	b.sel = identSel[:n]

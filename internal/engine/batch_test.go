@@ -371,3 +371,61 @@ func TestVecStackReuse(t *testing.T) {
 		t.Fatalf("outer release: %d/%d", len(st.vals), len(st.sel))
 	}
 }
+
+// ---------------------------------------------------------------- cursor
+
+// TestScanOpOrdinals: the row cursor over ordinals hands out rows[ids[k]]
+// in windows of at most batchSize, gathered into one buffer it allocates at
+// the first window and reuses; b.base is the window's first position in
+// ids. Around the window boundary: one short window, one full window, and a
+// full window followed by a one-row window.
+func TestScanOpOrdinals(t *testing.T) {
+	heap := make([][]sqltypes.Value, 3000)
+	for i := range heap {
+		heap[i] = []sqltypes.Value{sqltypes.NewInt(int64(i))}
+	}
+	for _, n := range []int{batchSize - 1, batchSize, batchSize + 1} {
+		ids := make([]int, n)
+		for k := range ids {
+			ids[k] = 2*k + 1 // every other row, from row 1
+		}
+		src := scanOp{rows: heap, ids: ids}
+		var b Batch
+		read := 0
+		for src.next(&b) {
+			if b.base != read {
+				t.Fatalf("%d ids: window at position %d has base %d", n, read, b.base)
+			}
+			if want := min(n-read, batchSize); len(b.rows) != want || len(b.sel) != want {
+				t.Fatalf("%d ids: window at %d has %d rows, %d selected, want %d", n, read, len(b.rows), len(b.sel), want)
+			}
+			if cap(b.rows) != min(n, batchSize) {
+				t.Fatalf("%d ids: buffer capacity %d, want %d", n, cap(b.rows), min(n, batchSize))
+			}
+			for i, row := range b.rows {
+				if got, want := row[0].I, int64(ids[read+i]); got != want {
+					t.Fatalf("%d ids: position %d holds row %d, want %d", n, read+i, got, want)
+				}
+			}
+			read += len(b.rows)
+		}
+		if read != n {
+			t.Fatalf("%d ids: the cursor read %d", n, read)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			for src := (scanOp{rows: heap, ids: ids}); src.next(&b); {
+			}
+		})
+		if allocs != 1 {
+			t.Fatalf("%d ids: a pass of the cursor allocates %v times, want one buffer", n, allocs)
+		}
+	}
+	// An empty ordinal list reads nothing; nil ordinals read the rows whole.
+	var b Batch
+	if src := (scanOp{rows: heap, ids: []int{}}); src.next(&b) {
+		t.Fatal("empty ids: the cursor read a window")
+	}
+	if src := (scanOp{rows: heap}); !src.next(&b) || len(b.rows) != batchSize || &b.rows[0] != &heap[0] {
+		t.Fatal("nil ids: the first window is not a slice of the rows")
+	}
+}

@@ -417,8 +417,9 @@ type Stats struct {
 
 	// Base-table reads (DESIGN.md ADR-026): ScanRows counts the rows
 	// base-table sources hand on before any filter — the heap for a scan, the
-	// candidates for an index scan or a join probing an index; the operator
-	// tree counts them, the reference executor does not. ScanRanges counts
+	// candidates for an index scan (one window of the row cursor at a time,
+	// ADR-042), a join probing an index or an EXISTS probe; the operator tree
+	// and the write path count them, the reference executor does not. ScanRanges counts
 	// the sources a `col IN (list)` conjunct was served for by the union of
 	// the list's index buckets, in both executors.
 	ScanRows   atomic.Int64
@@ -950,6 +951,9 @@ func coerce(v sqltypes.Value, kind sqltypes.Kind) (sqltypes.Value, error) {
 // b.base+i when ids is nil. The caller runs the full WHERE over the rows all
 // the same, so a conjunct that would raise only on a row outside the
 // candidates raises nowhere, as in a SELECT (DESIGN.md ADR-026, ADR-032).
+// It walks d's pages itself rather than through the row cursor (ADR-042):
+// the cursor reads a snapshot's flat view, which the write path never
+// builds, and a point UPDATE would otherwise flatten the table every write.
 func (ex *exec) writeRows(t *Table, d *tableData, where sqlast.Expr, fn func(b *Batch, ids []int) error) error {
 	rel := &relation{bindings: []*binding{newBinding(t.Name, t.ColNames())}, width: len(t.Cols), base: t}
 	var conjs []*conjunct

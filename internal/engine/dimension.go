@@ -11,10 +11,7 @@ package engine
 // order, so each stream row meets its matches lexicographically over the
 // members, as before.
 
-import (
-	"mtbase/internal/sqlast"
-	"mtbase/internal/sqltypes"
-)
+import "mtbase/internal/sqlast"
 
 // chainStep is one join of a FROM list's left-deep chain: the source it
 // joins (a FROM position), its build side as newJoinPipe takes it, the build
@@ -54,15 +51,13 @@ func (ex *exec) joinChain(cur *pipe, steps []chainStep, rels []*relation, parent
 }
 
 // streamBound is the most rows a chain's driving source can yield, where its
-// operator says so before it runs: the heap of a scan, the candidates of an
-// index range. Anything else — a view, a derived table, a JOIN expression —
-// is unsized, and its chain stays per member.
+// operator says so before it runs: the rows its cursor reads — a heap, or
+// the candidates of an index range. Anything else — a view, a derived table,
+// a JOIN expression — is unsized, and its chain stays per member.
 func streamBound(op Operator) (int, bool) {
 	switch o := op.(type) {
 	case *scanOperator:
-		return len(o.rows), true
-	case *indexScanOperator:
-		return len(o.rng.ids), true
+		return o.src.len(), true
 	case *parallelScanFilter:
 		return len(o.rows), true
 	case *filterOperator:
@@ -167,32 +162,9 @@ func (ex *exec) dimension(stream *relation, run []chainStep, rels []*relation, p
 		}
 		d = ex.newJoinPipe(d, s.next, s.own, inner, false, nil, parent, full.width-stream.width, k > 1)
 	}
-	rows, err := drainAtMost(ex, d.op, batchSize)
+	rows, err := drainRows(ex, d.op, batchSize)
 	if rows == nil || err != nil {
 		return nil, nil, err
 	}
-	return &pipe{op: &scanOperator{rows: rows}, rel: &relation{bindings: d.rel.bindings, width: d.rel.width, rows: rows}}, probe, nil
-}
-
-// drainAtMost drains op like drainRows, unless it yields more than limit
-// rows: then it stops at the batch that passes the limit and returns nil.
-// The rows are never nil otherwise. op is closed either way.
-func drainAtMost(ex *exec, op Operator, limit int) ([][]sqltypes.Value, error) {
-	defer op.Close()
-	if err := op.Open(ex); err != nil {
-		return nil, err
-	}
-	rows := [][]sqltypes.Value{}
-	for {
-		b, err := op.Next(ex)
-		if err != nil || b == nil {
-			return rows, err
-		}
-		if len(rows)+len(b.sel) > limit {
-			return nil, nil
-		}
-		for _, i := range b.sel {
-			rows = append(rows, b.rows[i])
-		}
-	}
+	return &pipe{op: &scanOperator{src: scanOp{rows: rows}}, rel: &relation{bindings: d.rel.bindings, width: d.rel.width, rows: rows}}, probe, nil
 }

@@ -160,6 +160,9 @@ var indexJoinShapes = []struct {
 	{name: "a sized probe that says eager before the index is built",
 		sql:  `SELECT COUNT(*), SUM(i.qty) FROM item i, ord o WHERE i.ok = o.ok AND o.prio = 2 AND o.x <= 2`,
 		path: joinPath{0, 0, 573}},
+	{name: "a probe batch none of whose keys reaches a candidate: nothing to filter",
+		sql:  `SELECT COUNT(*), MIN(o.ok) FROM tiny t, ord o WHERE t.v + 9000 = o.ok AND o.x < 4`,
+		path: joinPath{1, 0, 0}},
 	{name: "a sized probe small enough to stay on the index",
 		sql:  `SELECT t.name, COUNT(*) FROM tiny t, item i WHERE t.v = i.ok AND i.qty < 100 GROUP BY t.name`,
 		path: joinPath{1, 0, 0}},

@@ -7,6 +7,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"unsafe"
@@ -33,13 +34,26 @@ func sourceOf(t *testing.T, db *DB, sql string) (*exec, *pipe) {
 	return ex, src
 }
 
+// closeHook calls before just ahead of its operator's Close: a look at the
+// state an operator keeps until it closes, under a drain that closes it.
+type closeHook struct {
+	Operator
+	before func()
+}
+
+func (h closeHook) Close() {
+	h.before()
+	h.Operator.Close()
+}
+
 // opShape renders the join/filter skeleton of an operator tree.
 func opShape(op Operator) string {
 	switch o := op.(type) {
 	case *scanOperator:
+		if o.src.ids != nil {
+			return "index"
+		}
 		return "scan"
-	case *indexScanOperator:
-		return "index"
 	case *parallelScanFilter:
 		return "filter(scan)"
 	case *filterOperator:
@@ -278,16 +292,19 @@ func TestJoinChainRowOwnership(t *testing.T) {
 		if !ok || top.extends != extends {
 			t.Fatalf("%q: top of the pipeline is %s (extends %v), want a join that extends its chain: %v", q, opShape(src.op), ok && top.extends, extends)
 		}
-		rows, err := drainRows(ex, src.op)
+		// A join drops its spilled state when it closes, and the drain closes it.
+		count := func() {
+			for j, ok := top.left.(*joinOperator); ok; j, ok = j.left.(*joinOperator) {
+				if j.spilled != nil {
+					spilled++
+				}
+			}
+		}
+		rows, err := drainRows(ex, closeHook{src.op, count}, math.MaxInt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkRowsOwned(t, q, rows, src.rel.width)
-		for j, ok := top.left.(*joinOperator); ok; j, ok = j.left.(*joinOperator) {
-			if j.spilled != nil {
-				spilled++
-			}
-		}
 		return spilled
 	}
 	// The first four chains end in small tables and meet them as one

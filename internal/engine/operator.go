@@ -41,6 +41,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -90,18 +91,21 @@ type queryRoot struct {
 
 // ---------------------------------------------------------------- sources
 
-// scanOperator streams a materialized row set in fixed-size windows; base
-// says the rows are a base table's heap, which Stats.ScanRows counts.
+// scanOperator streams a materialized row set through the row cursor: whole,
+// or — an index scan (filterPipe) — the heap rows an index range selects, in
+// heap order, gathered a window at a time. base says the rows are a base
+// table's heap, which Stats.ScanRows counts; err is an index range's probe
+// error, which Open reports.
 type scanOperator struct {
-	rows [][]sqltypes.Value
-	base bool
 	src  scanOp
+	base bool
+	err  error
 	b    Batch
 }
 
 func (s *scanOperator) Open(ex *exec) error {
-	s.src = scanOp{rows: s.rows}
-	return nil
+	s.src.pos = 0
+	return s.err
 }
 
 func (s *scanOperator) Next(ex *exec) (*Batch, error) {
@@ -118,47 +122,7 @@ func (s *scanOperator) Next(ex *exec) (*Batch, error) {
 	return &s.b, nil
 }
 
-func (s *scanOperator) Close() {}
-
-// indexScanOperator streams the heap rows a base table's persistent index
-// selects (indexSource) in windows of at most batchSize, gathered from their
-// ordinals into one buffer the operator reuses: the rows stay in heap order
-// and nothing is copied up front.
-type indexScanOperator struct {
-	heap [][]sqltypes.Value
-	rng  indexRange
-	pos  int
-	buf  [][]sqltypes.Value
-	b    Batch
-}
-
-func (s *indexScanOperator) Open(ex *exec) error {
-	s.pos = 0
-	s.buf = make([][]sqltypes.Value, 0, min(len(s.rng.ids), batchSize))
-	return s.rng.err
-}
-
-func (s *indexScanOperator) Next(ex *exec) (*Batch, error) {
-	if err := ex.cancelled(); err != nil {
-		return nil, err
-	}
-	ids := s.rng.ids[s.pos:]
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	ids = ids[:min(len(ids), batchSize)]
-	s.pos += len(ids)
-	s.buf = s.buf[:0]
-	for _, id := range ids {
-		s.buf = append(s.buf, s.heap[id])
-	}
-	s.b.window(s.buf)
-	ex.db.Stats.ScanRows.Add(int64(len(ids)))
-	ex.noteStream(len(ids))
-	return &s.b, nil
-}
-
-func (s *indexScanOperator) Close() { s.buf = nil }
+func (s *scanOperator) Close() { s.src.buf = nil }
 
 // errWrapOperator prefixes every error of its subtree — the streaming
 // counterpart of the "in view X" wrapping of the materializing executor.
@@ -459,42 +423,30 @@ func (ex *exec) operandNeverRaises(e sqlast.Expr, rel *relation, parent *scope) 
 }
 
 // windowFilter runs conjuncts (one batch program each — vecCompile never
-// returns nil, ADR-010) over candidate rows in batch windows: an outer
-// join's residual ON conjuncts over the joined candidates of one probe row,
-// and the index path's own conjuncts over the build rows a probe batch
-// reaches (candidateFilter).
+// returns nil, ADR-010) over candidate rows, window by window through the
+// row cursor: an outer join's residual ON conjuncts over the joined
+// candidates of one probe row, the index path's own conjuncts over the build
+// rows a probe batch reaches (candidateFilter), and an EXISTS subquery's
+// other conjuncts over the rows its key reaches (semiJoin).
 type windowFilter struct {
-	f    filterOp
-	win  Batch
-	rows [][]sqltypes.Value
+	f   filterOp
+	cur scanOp
+	win Batch
 }
 
 // each calls keep with the position of every candidate all conjuncts
 // accept, in order. The candidates are rows, or with ids rows[ids[0]],
-// rows[ids[1]], …, gathered a window at a time. A failing candidate aborts
-// with the error of the first one in candidate order, as a row loop would.
+// rows[ids[1]], …. A failing candidate aborts with the error of the first
+// one in candidate order, as a row loop would.
 func (w *windowFilter) each(rows [][]sqltypes.Value, ids []int, keep func(int)) error {
-	n := len(rows)
-	if ids != nil {
-		n = len(ids)
-	}
-	for lo := 0; lo < n; lo += batchSize {
-		hi := min(lo+batchSize, n)
-		if ids == nil {
-			w.win.window(rows[lo:hi])
-		} else {
-			w.rows = w.rows[:0]
-			for _, id := range ids[lo:hi] {
-				w.rows = append(w.rows, rows[id])
-			}
-			w.win.window(w.rows)
-		}
+	w.cur.rows, w.cur.ids, w.cur.pos = rows, ids, 0
+	for w.cur.next(&w.win) {
 		w.f.apply(&w.win)
 		if w.f.failed != nil {
 			return w.f.failed
 		}
 		for _, i := range w.win.sel {
-			keep(lo + int(i))
+			keep(w.win.base + int(i))
 		}
 	}
 	return nil
@@ -517,6 +469,9 @@ func (c *candidateFilter) keep(heap [][]sqltypes.Value, keyed []int32, buckets [
 	c.ids = c.ids[:0]
 	for _, i := range keyed {
 		c.ids = append(c.ids, buckets[i]...)
+	}
+	if len(c.ids) == 0 {
+		return nil // every bucket is empty; nil ids would read the whole heap
 	}
 	c.seen += len(c.ids)
 	next := 0 // the candidates before next are decided
@@ -1799,7 +1754,7 @@ func (ex *exec) buildSourcePipe(sel *sqlast.Select, parent *scope) (*pipe, error
 				rel.rows = nil
 			}
 		}
-		return &pipe{op: &scanOperator{rows: rel.rows}, rel: rel}, nil
+		return &pipe{op: &scanOperator{src: scanOp{rows: rel.rows}}, rel: rel}, nil
 	}
 
 	pipes := make([]*pipe, len(sel.From))
@@ -1903,24 +1858,29 @@ func (ex *exec) buildSourcePipe(sel *sqlast.Select, parent *scope) (*pipe, error
 
 // filterPipe applies conjuncts to a streaming source, mirroring
 // filterRelation: over an unfiltered base table, what its persistent index
-// serves becomes an index scan (indexSource); everything else becomes a
-// filter operator refining the stream's selection vectors.
+// serves becomes an index scan — the heap's cursor over the range's
+// ordinals (indexSource, ADR-042); everything else becomes a filter operator
+// refining the stream's selection vectors.
 func (ex *exec) filterPipe(p *pipe, conjs []*conjunct, parent *scope) *pipe {
 	src, rel := p.op, p.rel
 	rng, served, rest := ex.indexSource(rel, conjs, parent)
 	if served {
-		src = &indexScanOperator{heap: rel.rows, rng: rng}
+		ids := rng.ids
+		if ids == nil {
+			ids = []int{} // an empty range reads no row, not the heap
+		}
+		src = &scanOperator{src: scanOp{rows: rel.rows, ids: ids}, base: true, err: rng.err}
 		rel = &relation{bindings: rel.bindings, width: rel.width}
 	}
 	if len(rest) == 0 {
 		return &pipe{op: src, rel: rel}
 	}
-	// Morsel-parallel fused scan+filter: engages only for a plain heap scan
-	// (src untouched by the index rewrite above) that is large enough to
-	// split, on a parallel top-level execution.
+	// Morsel-parallel fused scan+filter: engages only for a whole heap scan
+	// that is large enough to split, on a parallel top-level execution; an
+	// index scan, whose relation has no base, stays serial.
 	if sc, isScan := src.(*scanOperator); isScan && rel.base != nil && len(rel.bindings) == 1 &&
-		ex.par > 1 && ex.depth == 0 && len(sc.rows) >= 2*morselLen() {
-		po := newParallelScanFilter(ex, sc.rows, rel, rest, parent)
+		ex.par > 1 && ex.depth == 0 && sc.src.len() >= 2*morselLen() {
+		po := newParallelScanFilter(ex, sc.src.rows, rel, rest, parent)
 		return &pipe{op: po, rel: &relation{bindings: rel.bindings, width: rel.width}}
 	}
 	fo := newFilterOperator(ex, src, rel, rest, parent)
@@ -1953,7 +1913,7 @@ func (ex *exec) buildTablePipe(te sqlast.TableExpr, parent *scope) (*pipe, error
 		heap := ex.heap(tab)
 		b := newBinding(t.Binding(), tab.ColNames())
 		return &pipe{
-			op:  &scanOperator{rows: heap, base: true},
+			op:  &scanOperator{src: scanOp{rows: heap}, base: true},
 			rel: &relation{bindings: []*binding{b}, rows: heap, width: len(tab.Cols), base: tab},
 		}, nil
 	case *sqlast.DerivedTable:
@@ -2000,34 +1960,41 @@ func (ex *exec) buildJoinExprPipe(j *sqlast.JoinExpr, parent *scope) (*pipe, err
 }
 
 // materializePipe drains a pipe into a buffered row set so its size is
-// known (cross-product ordering) and its rows can be rescanned.
+// known (cross-product ordering) and its rows can be rescanned; the drained
+// operator is closed, so a breaker below it gives back its charge and its
+// spill files now, not when the statement ends.
 func (ex *exec) materializePipe(p *pipe) error {
 	if p.rel.rows != nil {
 		return nil
 	}
-	rows, err := drainRows(ex, p.op)
+	rows, err := drainRows(ex, p.op, math.MaxInt)
 	if err != nil {
 		return err
 	}
 	p.rel = &relation{bindings: p.rel.bindings, width: p.rel.width, rows: rows}
-	p.op = &scanOperator{rows: rows}
+	p.op = &scanOperator{src: scanOp{rows: rows}}
 	return nil
 }
 
-// drainRows opens op and collects every selected row. The row slices are
-// stable (heap rows or chunk allocations); only the windows are transient.
-func drainRows(ex *exec, op Operator) ([][]sqltypes.Value, error) {
+// drainRows is the engine's one drain (ADR-042): it opens op, collects
+// every selected row and closes op, whatever happens. The row slices are
+// stable (heap rows or chunk allocations) and outlive the close; only the
+// windows are transient. A drain that yields more than limit rows stops at
+// the batch that passes it and returns nil; the rows are never nil
+// otherwise.
+func drainRows(ex *exec, op Operator, limit int) ([][]sqltypes.Value, error) {
+	defer op.Close()
 	if err := op.Open(ex); err != nil {
 		return nil, err
 	}
-	var rows [][]sqltypes.Value
+	rows := [][]sqltypes.Value{}
 	for {
 		b, err := op.Next(ex)
-		if err != nil {
-			return nil, err
+		if err != nil || b == nil {
+			return rows, err
 		}
-		if b == nil {
-			return rows, nil
+		if len(rows)+len(b.sel) > limit {
+			return nil, nil
 		}
 		for _, i := range b.sel {
 			rows = append(rows, b.rows[i])
@@ -2035,30 +2002,18 @@ func drainRows(ex *exec, op Operator) ([][]sqltypes.Value, error) {
 	}
 }
 
-// runQueryStream executes one SELECT by building, opening and draining its
-// operator tree.
+// runQueryStream executes one SELECT by building and draining its operator
+// tree.
 func (ex *exec) runQueryStream(sel *sqlast.Select, parent *scope) (*Result, error) {
 	root, err := ex.buildQueryOp(sel, parent)
 	if err != nil {
 		return nil, err
 	}
-	defer root.op.Close()
-	if err := root.op.Open(ex); err != nil {
+	rows, err := drainRows(ex, root.op, math.MaxInt)
+	if err != nil {
 		return nil, err
 	}
-	res := &Result{Cols: root.cols}
-	for {
-		b, err := root.op.Next(ex)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return res, nil
-		}
-		for _, i := range b.sel {
-			res.Rows = append(res.Rows, b.rows[i])
-		}
-	}
+	return &Result{Cols: root.cols, Rows: rows}, nil
 }
 
 // fromWhereRelation materializes the FROM/WHERE part of one query level —
@@ -2073,7 +2028,7 @@ func (ex *exec) fromWhereRelation(sel *sqlast.Select, parent *scope) (*relation,
 	if p.rel.rows != nil {
 		return p.rel, nil
 	}
-	rows, err := drainRows(ex, p.op)
+	rows, err := drainRows(ex, p.op, math.MaxInt)
 	if err != nil {
 		return nil, err
 	}

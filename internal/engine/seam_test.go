@@ -87,7 +87,9 @@ var referenceForbidden = []string{
 // and the sort's second buffer ADR-040 replaced with keys at the row's tail
 // and the spiller, and the reference's outer join loop, the second charged
 // build drain and the outer residual's own filter type ADR-041 merged into
-// one hash join per executor; they must not come back under the same names.
+// one hash join per executor, and the index scan's own operator and the
+// dimension's bounded drain ADR-042 folded into the one row cursor and the
+// one drain; they must not come back under the same names.
 var deletedTwins = []string{
 	"applyInterp", "projectInterp", "projectRowsBatched",
 	"leftOuterOperator", "newLeftOuterPipe", "gracePartitionProbe", "louter",
@@ -100,6 +102,7 @@ var deletedTwins = []string{
 	"distinctOperator", "distinctEntryBytes", "rankEntryBytes",
 	"resetKeyCols", "keyRow", "recCost", "engageSpill",
 	"leftOuterJoin", "openChargedBuild", "onResidual",
+	"indexScanOperator", "drainAtMost",
 }
 
 // referenceJoin is the reference executor's one hash join (ADR-041): it

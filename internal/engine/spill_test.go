@@ -590,3 +590,53 @@ func TestSpillCursorCleanup(t *testing.T) {
 	}
 	assertDirEmpty(t, dir)
 }
+
+// TestSpillMaterializedSourceCloses: a drained operator is closed (DESIGN.md
+// ADR-042), so a breaker below it gives its charge back when its drain ends.
+// A cross product materializes its grouped sources to size them, and a
+// planned UDF body drains its FROM/WHERE join once per argument; the
+// statement peaks at its largest part alone, not at the sum of its parts,
+// and answers what the reference executor answers.
+func TestSpillMaterializedSourceCloses(t *testing.T) {
+	db := groupTestDB(t, 12000)
+	db.SetParallelism(1)
+	db.SetSpillDir(t.TempDir())
+	if _, err := db.ExecSQL(`CREATE FUNCTION peer (INTEGER) RETURNS VARCHAR
+		AS 'SELECT b.s FROM g a, g b WHERE a.id = $1 AND a.v = b.id + 0' LANGUAGE SQL`); err != nil {
+		t.Fatal(err)
+	}
+	run := func(cfg execConfig, limit int64, sql string) (string, int64) {
+		t.Helper()
+		cfg.apply(db)
+		db.SetMemoryLimit(limit)
+		db.Stats.PeakMemBytes.Store(0)
+		res, err := db.QuerySQL(sql)
+		if err != nil {
+			t.Fatalf("%s: %q: %v", cfg.name, sql, err)
+		}
+		return execKey(res, err), db.Stats.PeakMemBytes.Load()
+	}
+	const x = `SELECT id % 300 AS a, COUNT(*) AS n FROM g GROUP BY id % 300`
+	const y = `SELECT id % 400 AS b, COUNT(*) AS n FROM g GROUP BY id % 400`
+	for _, tc := range []struct {
+		name, sql string
+		parts     []string // each alone, the statement's largest part
+	}{
+		{"cross product of two groupings", `SELECT COUNT(*), SUM(x.n * y.n) FROM (` + x + `) x, (` + y + `) y`, []string{x, y}},
+		{"a UDF body's join, once per argument", `SELECT COUNT(peer(id)), MIN(peer(id)) FROM g WHERE id < 8`, []string{`SELECT peer(7) FROM lbl WHERE v = 0`}},
+	} {
+		want, _ := run(cfgReference, 0, tc.sql)
+		var largest int64
+		for _, p := range tc.parts {
+			_, peak := run(cfgProduction, 64<<20, p)
+			largest = max(largest, peak)
+		}
+		got, peak := run(cfgProduction, 64<<20, tc.sql)
+		if got != want {
+			t.Errorf("%s: got\n%s\nwant\n%s", tc.name, got, want)
+		}
+		if largest == 0 || peak > largest {
+			t.Errorf("%s: PeakMemBytes %d, over its largest part alone (%d): a drained source kept its charge", tc.name, peak, largest)
+		}
+	}
+}

@@ -841,17 +841,15 @@ type semiJoin struct {
 	ex    *exec
 	sc    *scope // the outer row's scope, where the filter finds the outer row
 	tab   *Table
-	cols  []string  // the index's key columns
-	gates []vecExpr // over the outer batch
-	keys  []vecExpr // over the outer batch, one per column of cols
-	rest  filterOp  // over the candidates
+	cols  []string     // the index's key columns
+	gates []vecExpr    // over the outer batch
+	keys  []vecExpr    // over the outer batch, one per column of cols
+	rest  windowFilter // over the candidates
 
-	data  *tableData // the pinned snapshot and its index, taken on first probe
+	heap  [][]sqltypes.Value // the pinned snapshot's heap and index, taken on first probe
 	idx   *hashIndex
 	kcols [][]sqltypes.Value
 	kb    []byte
-	cands [][]sqltypes.Value
-	win   Batch
 	busy  bool // a probe is running: a nested call answers per row
 }
 
@@ -919,7 +917,7 @@ func (ve *venv) semiJoinOf(sub *sqlast.Select) *semiJoin {
 	for _, e := range vals {
 		sj.keys = append(sj.keys, ve.compile(e))
 	}
-	sj.rest = ex.newFilterOp(rest, rel, &scope{parent: ve.sc})
+	sj.rest.f = ex.newFilterOp(rest, rel, &scope{parent: ve.sc})
 	return sj
 }
 
@@ -989,36 +987,24 @@ func (sj *semiJoin) exists(i int32, outer []sqltypes.Value) (bool, error) {
 		sj.kb = sqltypes.AppendKey(sj.kb, c[i])
 	}
 	if sj.idx == nil {
-		sj.data = ex.snap.pin(sj.tab)
-		idx, err := sj.data.index(sj.tab, sj.cols, false)
+		idx, err := ex.tableIndex(sj.tab, sj.cols)
 		if err != nil {
 			return false, err
 		}
-		sj.idx = idx
+		sj.heap, sj.idx = ex.heap(sj.tab), idx
 	}
 	ids := sj.idx.bucket(sj.kb)
 	ex.db.Stats.ScanRows.Add(int64(len(ids)))
-	if len(sj.rest.progs) == 0 || len(ids) == 0 {
+	if len(sj.rest.f.progs) == 0 || len(ids) == 0 {
 		return len(ids) > 0, nil
+	}
+	if err := ex.cancelled(); err != nil {
+		return false, err
 	}
 	sj.sc.row = outer
 	found := false
-	for lo := 0; lo < len(ids); lo += batchSize {
-		if err := ex.cancelled(); err != nil {
-			return false, err
-		}
-		sj.cands = sj.cands[:0]
-		for _, id := range ids[lo:min(lo+batchSize, len(ids))] {
-			sj.cands = append(sj.cands, sj.data.row(id))
-		}
-		sj.win.window(sj.cands)
-		sj.rest.apply(&sj.win)
-		if sj.rest.failed != nil {
-			return false, sj.rest.failed
-		}
-		found = found || len(sj.win.sel) > 0
-	}
-	return found, nil
+	err := sj.rest.each(sj.heap, ids, func(int) { found = true })
+	return found, err
 }
 
 func (ve *venv) compileLike(x *sqlast.LikeExpr) vecExpr {
