@@ -944,13 +944,15 @@ func coerce(v sqltypes.Value, kind sqltypes.Kind) (sqltypes.Value, error) {
 	return sqltypes.Null, fmt.Errorf("cannot store %s as %s", v.K, kind)
 }
 
-// writeRows runs fn over the rows a DML statement's WHERE reads, a batch at a
-// time in heap order: the candidates indexSource selects — the one decision
+// writeRows runs fn over the rows a DML statement's WHERE selects, a batch at
+// a time in heap order: the candidates indexSource selects — the one decision
 // every base-table source takes — or, when it serves nothing, every row of
-// d, page by page. The row at batch position i has heap ordinal ids[i], or
-// b.base+i when ids is nil. The caller runs the full WHERE over the rows all
-// the same, so a conjunct that would raise only on a row outside the
-// candidates raises nowhere, as in a SELECT (DESIGN.md ADR-026, ADR-032).
+// d, page by page, refined by the read path's filter over the conjuncts
+// indexSource leaves (newFilterOp, DESIGN.md ADR-043). So a write and a read
+// with one WHERE evaluate the same conjuncts over the same rows in the same
+// order. fn gets the batch with b.sel holding the rows that passed and
+// b.errs the rows the filter poisoned, for its walk in row order; the row at
+// batch position i has heap ordinal ids[i], or b.base+i when ids is nil.
 // It walks d's pages itself rather than through the row cursor (ADR-042):
 // the cursor reads a snapshot's flat view, which the write path never
 // builds, and a point UPDATE would otherwise flatten the table every write.
@@ -960,8 +962,14 @@ func (ex *exec) writeRows(t *Table, d *tableData, where sqlast.Expr, fn func(b *
 	for _, e := range splitConjuncts(where) {
 		conjs = append(conjs, &conjunct{expr: e})
 	}
-	rng, served, _ := ex.indexSource(rel, conjs, rootScope())
+	rng, served, rest := ex.indexSource(rel, conjs, rootScope())
+	f := ex.newFilterOp(rest, rel, rootScope())
 	var b Batch
+	visit := func(ids []int) error {
+		ex.db.Stats.ScanRows.Add(int64(len(b.rows)))
+		f.apply(&b)
+		return fn(&b, ids)
+	}
 	if !served {
 		for pi, page := range d.pages {
 			if err := ex.cancelled(); err != nil {
@@ -969,8 +977,7 @@ func (ex *exec) writeRows(t *Table, d *tableData, where sqlast.Expr, fn func(b *
 			}
 			b.window(page)
 			b.base = pi * batchSize
-			ex.db.Stats.ScanRows.Add(int64(len(page)))
-			if err := fn(&b, nil); err != nil {
+			if err := visit(nil); err != nil {
 				return err
 			}
 		}
@@ -990,8 +997,7 @@ func (ex *exec) writeRows(t *Table, d *tableData, where sqlast.Expr, fn func(b *
 			buf = append(buf, d.row(id))
 		}
 		b.window(buf)
-		ex.db.Stats.ScanRows.Add(int64(len(ids)))
-		if err := fn(&b, ids); err != nil {
+		if err := visit(ids); err != nil {
 			return err
 		}
 	}
@@ -1014,11 +1020,7 @@ func (db *DB) update(ex *exec, up *sqlast.Update) (*Result, error) {
 		return nil, fmt.Errorf("engine: no such table %s", up.Table)
 	}
 	d := ex.snap.pin(t)
-	sc := tableScope(t)
-	var vpred vecExpr
-	if up.Where != nil {
-		vpred = ex.vecCompile(up.Where, sc.bindings, sc)
-	}
+	sc := &scope{bindings: []*binding{newBinding(t.Name, t.ColNames())}}
 	vsets := make([]vecExpr, len(up.Sets))
 	colIdx := make([]int, len(up.Sets))
 	for i, a := range up.Sets {
@@ -1036,20 +1038,6 @@ func (db *DB) update(ex *exec, up *sqlast.Update) (*Result, error) {
 		m := ex.vs.mark()
 		defer ex.vs.release(m)
 		sel := b.sel
-		if vpred != nil {
-			predCol := ex.vs.takeVals(n)
-			vpred(b, sel, predCol)
-			matched := ex.vs.takeSel(len(sel))
-			for _, i := range sel {
-				if b.errs[i] != nil {
-					continue
-				}
-				if truth, _ := sqltypes.Truthy(predCol[i]); truth {
-					matched = append(matched, i)
-				}
-			}
-			sel = matched
-		}
 		setCols := make([][]sqltypes.Value, len(vsets))
 		selBuf := ex.vs.takeSel(len(sel))
 		for j, vs := range vsets {
@@ -1120,31 +1108,21 @@ func (db *DB) delete(ex *exec, del *sqlast.Delete) (*Result, error) {
 		}
 		return &Result{Affected: d.n}, nil
 	}
-	sc := tableScope(t)
 	// The deleted ordinals are collected and the kept rows published once at
 	// the end: the snapshot is pristine for the whole scan — a predicate with
 	// subqueries over the same table observes the state a row loop would,
 	// an erroring predicate publishes nothing, and concurrent readers keep
-	// their pinned heap. The predicate runs column-wise per batch; the
-	// keep/drop walk then follows row order, so the first poisoned row aborts
-	// exactly where a row loop would have stopped.
-	vpred := ex.vecCompile(del.Where, sc.bindings, sc)
+	// their pinned heap. The first poisoned row aborts, as a row loop would.
 	var gone []int // in heap order
 	err := ex.writeRows(t, d, del.Where, func(b *Batch, ids []int) error {
-		m := ex.vs.mark()
-		defer ex.vs.release(m)
-		predCol := ex.vs.takeVals(len(b.rows))
-		vpred(b, b.sel, predCol)
-		for i := range b.rows {
-			if b.errs[i] != nil {
-				return b.errs[i]
-			}
-			if truth, _ := sqltypes.Truthy(predCol[i]); truth {
-				if ids != nil {
-					gone = append(gone, ids[i])
-				} else {
-					gone = append(gone, b.base+i)
-				}
+		if err := b.firstErr(); err != nil {
+			return err
+		}
+		for _, i := range b.sel {
+			if ids != nil {
+				gone = append(gone, ids[i])
+			} else {
+				gone = append(gone, b.base+int(i))
 			}
 		}
 		return nil
@@ -1170,13 +1148,6 @@ func (db *DB) delete(ex *exec, del *sqlast.Delete) (*Result, error) {
 		t.publish(flatData(kept))
 	}
 	return &Result{Affected: affected}, nil
-}
-
-// tableScope builds a single-binding scope over t for DML evaluation.
-func tableScope(t *Table) *scope {
-	sc := rootScope()
-	sc.bindings = []*binding{newBinding(t.Name, t.ColNames())}
-	return sc
 }
 
 // ---------------------------------------------------------------- constraints

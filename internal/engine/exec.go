@@ -516,19 +516,7 @@ func (ex *exec) projectGrouped(sel *sqlast.Select, rel *relation, parent *scope,
 
 func (ex *exec) buildFromWhere(sel *sqlast.Select, parent *scope) (*relation, error) {
 	if len(sel.From) == 0 {
-		rel := &relation{rows: [][]sqltypes.Value{{}}}
-		if sel.Where != nil {
-			sc := rel.scopeFor(parent)
-			sc.row = rel.rows[0]
-			v, err := ex.eval(sel.Where, sc)
-			if err != nil {
-				return nil, err
-			}
-			if truth, _ := sqltypes.Truthy(v); !truth {
-				rel.rows = nil
-			}
-		}
-		return rel, nil
+		return ex.fromless(sel, parent)
 	}
 
 	rels := make([]*relation, len(sel.From))
@@ -595,6 +583,16 @@ func (ex *exec) buildFromWhere(sel *sqlast.Select, parent *scope) (*relation, er
 		return ex.filterRelation(cur, residual, parent)
 	}
 	return cur, nil
+}
+
+// fromless is the source of a query level without FROM in both executors:
+// its one empty row, kept if the WHERE's conjuncts accept it.
+func (ex *exec) fromless(sel *sqlast.Select, parent *scope) (*relation, error) {
+	var conjs []*conjunct
+	for _, e := range splitConjuncts(sel.Where) {
+		conjs = append(conjs, &conjunct{expr: e})
+	}
+	return ex.filterRelation(&relation{rows: [][]sqltypes.Value{{}}}, conjs, parent)
 }
 
 // placement is where the WHERE conjuncts of one query level run: both
@@ -830,11 +828,100 @@ func addRefs(e sqlast.Expr, local func(string) bool, colOwner map[string][]strin
 	}
 }
 
+// orderConjuncts is the one evaluation order of a conjunct list, in both
+// executors (DESIGN.md ADR-043): the conjuncts that cannot raise move ahead
+// of the rest, each part in written order, so a conjunct that can raise sees
+// only rows every one of them accepted — D′'s `ttid IN (…)` among them,
+// whatever the access path. safe is how many lead the result. A list already
+// in that order comes back as it is.
+func (ex *exec) orderConjuncts(conjs []*conjunct, rel *relation, parent *scope) (ordered []*conjunct, safe int) {
+	var buf [16]bool
+	never, sorted := buf[:0], true
+	for i, c := range conjs {
+		never = append(never, ex.predicateNeverRaises(c.expr, rel, parent))
+		if never[i] {
+			sorted, safe = sorted && i == safe, safe+1
+		}
+	}
+	if sorted {
+		return conjs, safe
+	}
+	ordered = make([]*conjunct, 0, len(conjs))
+	for _, first := range []bool{true, false} {
+		for i, c := range conjs {
+			if never[i] == first {
+				ordered = append(ordered, c)
+			}
+		}
+	}
+	return ordered, safe
+}
+
+// predicateNeverRaises reports whether e cannot raise over any row of rel: a
+// comparison, BETWEEN, IN list, LIKE or IS NULL — or AND, OR, NOT over those
+// — between bare columns and operands that read no row. Anything else
+// (column arithmetic, a function or UDF call, CASE, a subquery) may raise.
+func (ex *exec) predicateNeverRaises(e sqlast.Expr, rel *relation, parent *scope) bool {
+	operands := func(es ...sqlast.Expr) bool {
+		for _, e := range es {
+			if !ex.operandNeverRaises(e, rel, parent) {
+				return false
+			}
+		}
+		return true
+	}
+	switch x := e.(type) {
+	case *sqlast.BinaryExpr:
+		switch x.Op {
+		case "AND", "OR":
+			return ex.predicateNeverRaises(x.L, rel, parent) && ex.predicateNeverRaises(x.R, rel, parent)
+		case "=", "<>", "<", "<=", ">", ">=":
+			return operands(x.L, x.R)
+		}
+	case *sqlast.UnaryExpr:
+		return x.Op == "NOT" && ex.predicateNeverRaises(x.X, rel, parent)
+	case *sqlast.BetweenExpr:
+		return operands(x.X, x.Lo, x.Hi)
+	case *sqlast.InExpr:
+		return x.Sub == nil && operands(x.X) && operands(x.List...)
+	case *sqlast.LikeExpr:
+		return operands(x.X, x.Pattern)
+	case *sqlast.IsNullExpr:
+		return operands(x.X)
+	}
+	return false
+}
+
+// operandNeverRaises accepts a bare column of rel; a bare column of an
+// enclosing query (`i.qty > c.bal` inside a correlated subquery), one value
+// for every row of rel — classified by name, so operator build and a per-row
+// reference run agree; and an expression over literals, binds and intervals
+// alone, which is evaluated here, once: what reads no row and raises (1/0, an
+// unbound $2) raises on every row.
+func (ex *exec) operandNeverRaises(e sqlast.Expr, rel *relation, parent *scope) bool {
+	if cr, ok := e.(*sqlast.ColumnRef); ok {
+		if relationHasRef(rel, cr) {
+			return true
+		}
+		_, _, err := parent.resolve(cr.Table, cr.Name)
+		return err == nil
+	}
+	if _, ok := e.(*sqlast.Literal); ok {
+		return true
+	}
+	if ok, _ := rowFree(e); !ok {
+		return false
+	}
+	_, err := ex.eval(e, &scope{parent: parent})
+	return err == nil
+}
+
 // filterRelation applies conjuncts to a relation: over an unfiltered base
 // table the rows its persistent index selects (indexSource), then the rest of
-// the conjuncts over those rows, one row at a time.
+// the conjuncts over those rows, one row at a time, in orderConjuncts' order.
 func (ex *exec) filterRelation(r *relation, conjs []*conjunct, parent *scope) (*relation, error) {
 	rng, served, rest := ex.indexSource(r, conjs, parent)
+	rest, _ = ex.orderConjuncts(rest, r, parent)
 	n := len(r.rows)
 	if served {
 		if rng.err != nil {
@@ -1158,6 +1245,7 @@ func (ex *exec) hashJoin(l, r *relation, pairs []equiPair, residual []*conjunct,
 	if err != nil {
 		return nil, err
 	}
+	residual, _ = ex.orderConjuncts(residual, out, parent)
 	nulls := make([]sqltypes.Value, r.width)
 	osc := out.scopeFor(parent)
 	lsc, lexprs := l.scopeFor(parent), pairExprs(pairs, false)

@@ -158,8 +158,9 @@ type filterOperator struct {
 }
 
 // newFilterOp lowers conjuncts against a stream's schema, one batch program
-// each.
+// each, in orderConjuncts' order: every filter of the operator tree is one.
 func (ex *exec) newFilterOp(conjs []*conjunct, rel *relation, parent *scope) filterOp {
+	conjs, _ = ex.orderConjuncts(conjs, rel, parent)
 	exprs := make([]sqlast.Expr, len(conjs))
 	for i, c := range conjs {
 		exprs[i] = c.expr
@@ -167,10 +168,6 @@ func (ex *exec) newFilterOp(conjs []*conjunct, rel *relation, parent *scope) fil
 	var f filterOp
 	f.progs, _ = ex.vecCompileAll(exprs, rel.bindings, rel.scopeFor(parent), nil)
 	return f
-}
-
-func newFilterOperator(ex *exec, child Operator, rel *relation, conjs []*conjunct, parent *scope) *filterOperator {
-	return &filterOperator{child: child, f: ex.newFilterOp(conjs, rel, parent)}
 }
 
 func (o *filterOperator) Open(ex *exec) error { return o.child.Open(ex) }
@@ -310,10 +307,11 @@ const indexJoinShare = 4
 // join whose matches the residual ON conjuncts decide. own are the build
 // side's own conjuncts, which the caller has not applied to r: the join
 // evaluates them over index candidates when r is a base table keyed on plain
-// columns and none of them can raise, and filters r with them first
-// otherwise. A join of a FROM-list chain (buildSourcePipe) passes the chain's
-// final width as rowCap and whether l is the chain's previous join; a
-// standalone join passes 0, false and allocates exactly its own width.
+// columns and none of them can raise (orderConjuncts counts them all safe),
+// and filters r with them first otherwise. A join of a FROM-list chain
+// (buildSourcePipe) passes the chain's final width as rowCap and whether l is
+// the chain's previous join; a standalone join passes 0, false and allocates
+// exactly its own width.
 func (ex *exec) newJoinPipe(l, r *pipe, own []*conjunct, pairs []equiPair, outer bool, residual []*conjunct, parent *scope, rowCap int, extends bool) *pipe {
 	orel := joinRel(l.rel, r.rel)
 	if rowCap < orel.width {
@@ -324,7 +322,8 @@ func (ex *exec) newJoinPipe(l, r *pipe, own []*conjunct, pairs []equiPair, outer
 		pairs: pairs, parent: parent, outer: outer,
 		rowCap: rowCap, extends: extends,
 	}
-	if cols, ok := indexableBuild(r.rel, pairs); ok && ex.neverRaise(own, r.rel, parent) {
+	cols, indexable := indexableBuild(r.rel, pairs)
+	if _, safe := ex.orderConjuncts(own, r.rel, parent); indexable && safe == len(own) {
 		jo.idxCols, jo.own = cols, own
 	} else if len(own) > 0 {
 		r = ex.filterPipe(r, own, parent)
@@ -354,72 +353,6 @@ func indexableBuild(r *relation, pairs []equiPair) ([]string, bool) {
 		cols = append(cols, cr.Name)
 	}
 	return cols, true
-}
-
-// neverRaise reports whether evaluating conjs over rows of the base relation
-// rel cannot raise, whatever the row: each is a comparison, BETWEEN, IN list,
-// LIKE or IS NULL — or AND, OR, NOT over those — between bare columns of rel
-// and operands that read no row. Anything else (column arithmetic, a function
-// or UDF call, CASE, a subquery) may raise on a row no probe reaches, and the
-// reference executor, which filters every row, would report it.
-func (ex *exec) neverRaise(conjs []*conjunct, rel *relation, parent *scope) bool {
-	for _, c := range conjs {
-		if !ex.predicateNeverRaises(c.expr, rel, parent) {
-			return false
-		}
-	}
-	return true
-}
-
-func (ex *exec) predicateNeverRaises(e sqlast.Expr, rel *relation, parent *scope) bool {
-	operands := func(es ...sqlast.Expr) bool {
-		for _, e := range es {
-			if !ex.operandNeverRaises(e, rel, parent) {
-				return false
-			}
-		}
-		return true
-	}
-	switch x := e.(type) {
-	case *sqlast.BinaryExpr:
-		switch x.Op {
-		case "AND", "OR":
-			return ex.predicateNeverRaises(x.L, rel, parent) && ex.predicateNeverRaises(x.R, rel, parent)
-		case "=", "<>", "<", "<=", ">", ">=":
-			return operands(x.L, x.R)
-		}
-	case *sqlast.UnaryExpr:
-		return x.Op == "NOT" && ex.predicateNeverRaises(x.X, rel, parent)
-	case *sqlast.BetweenExpr:
-		return operands(x.X, x.Lo, x.Hi)
-	case *sqlast.InExpr:
-		return x.Sub == nil && operands(x.X) && operands(x.List...)
-	case *sqlast.LikeExpr:
-		return operands(x.X, x.Pattern)
-	case *sqlast.IsNullExpr:
-		return operands(x.X)
-	}
-	return false
-}
-
-// operandNeverRaises accepts a bare column of rel; a bare column an
-// enclosing query's row holds (`i.qty > c.bal` inside a correlated
-// subquery), one value for every row of rel; and an expression over
-// literals, binds and intervals alone — which is evaluated here, once: what
-// reads no row and raises (1/0, an unbound $2) raises on every row.
-func (ex *exec) operandNeverRaises(e sqlast.Expr, rel *relation, parent *scope) bool {
-	if cr, ok := e.(*sqlast.ColumnRef); ok {
-		if relationHasRef(rel, cr) {
-			return true
-		}
-		s, _, err := parent.resolve(cr.Table, cr.Name)
-		return err == nil && (s.row != nil || s.group != nil)
-	}
-	if ok, _ := rowFree(e); !ok {
-		return false
-	}
-	_, err := ex.eval(e, &scope{parent: parent})
-	return err == nil
 }
 
 // windowFilter runs conjuncts (one batch program each — vecCompile never
@@ -1742,17 +1675,9 @@ func (ex *exec) buildQueryOp(sel *sqlast.Select, parent *scope) (*queryRoot, err
 // join operators, and the residual conjuncts filter the joined stream.
 func (ex *exec) buildSourcePipe(sel *sqlast.Select, parent *scope) (*pipe, error) {
 	if len(sel.From) == 0 {
-		rel := &relation{rows: [][]sqltypes.Value{{}}}
-		if sel.Where != nil {
-			sc := rel.scopeFor(parent)
-			sc.row = rel.rows[0]
-			v, err := ex.eval(sel.Where, sc)
-			if err != nil {
-				return nil, err
-			}
-			if truth, _ := sqltypes.Truthy(v); !truth {
-				rel.rows = nil
-			}
+		rel, err := ex.fromless(sel, parent)
+		if err != nil {
+			return nil, err
 		}
 		return &pipe{op: &scanOperator{src: scanOp{rows: rel.rows}}, rel: rel}, nil
 	}
@@ -1788,7 +1713,7 @@ func (ex *exec) buildSourcePipe(sel *sqlast.Select, parent *scope) (*pipe, error
 			p = ex.filterPipe(p, pl.plain[i], parent)
 		}
 		if len(pl.closed[i]) > 0 {
-			fo := newFilterOperator(ex, p.op, p.rel, pl.closed[i], parent)
+			fo := &filterOperator{child: p.op, f: ex.newFilterOp(pl.closed[i], p.rel, parent)}
 			p = &pipe{op: fo, rel: &relation{bindings: p.rel.bindings, width: p.rel.width}}
 		}
 		return p
@@ -1883,7 +1808,7 @@ func (ex *exec) filterPipe(p *pipe, conjs []*conjunct, parent *scope) *pipe {
 		po := newParallelScanFilter(ex, sc.src.rows, rel, rest, parent)
 		return &pipe{op: po, rel: &relation{bindings: rel.bindings, width: rel.width}}
 	}
-	fo := newFilterOperator(ex, src, rel, rest, parent)
+	fo := &filterOperator{child: src, f: ex.newFilterOp(rest, rel, parent)}
 	return &pipe{op: fo, rel: &relation{bindings: rel.bindings, width: rel.width}}
 }
 

@@ -34,12 +34,16 @@ var seamFuncs = map[string][]string{
 	"reference": {"DB.newExec", "exec.runQuery", "DB.queryRows"},
 }
 
-// operatorEvalFuncs are the only functions of operator.go that call the
-// interpreter (ex.eval) themselves: planning-time checks of an expression
-// that reads no row. Whatever an operator evaluates per row or per group is a
-// batch program (vecCompileAll), whose lowering decides where the interpreter
-// is lifted.
-var operatorEvalFuncs = []string{"exec.operandNeverRaises", "exec.buildSourcePipe"}
+// No function of operator.go calls the interpreter (ex.eval) itself: whatever
+// an operator evaluates per row or per group is a batch program
+// (vecCompileAll), whose lowering decides where the interpreter is lifted, and
+// the planning-time checks of an expression that reads no row
+// (operandNeverRaises, the FROM-less source) are exec.go's, shared by both
+// executors (ADR-043).
+
+// writeEntries lower no WHERE of their own: they hand it to writeRows, which
+// filters it as a read does (ADR-043).
+var writeEntries = []string{"DB.update", "DB.delete"}
 
 // spillSeamFuncs: spill files (ADR-006) come from one seam. Only the
 // osSpillFS seam creates a temp file, only newSpillFile, which registers it
@@ -89,7 +93,8 @@ var referenceForbidden = []string{
 // build drain and the outer residual's own filter type ADR-041 merged into
 // one hash join per executor, and the index scan's own operator and the
 // dimension's bounded drain ADR-042 folded into the one row cursor and the
-// one drain; they must not come back under the same names.
+// one drain, and the index path's all-safe test ADR-043 replaced with the
+// count orderConjuncts returns; they must not come back under the same names.
 var deletedTwins = []string{
 	"applyInterp", "projectInterp", "projectRowsBatched",
 	"leftOuterOperator", "newLeftOuterPipe", "gracePartitionProbe", "louter",
@@ -103,6 +108,7 @@ var deletedTwins = []string{
 	"resetKeyCols", "keyRow", "recCost", "engageSpill",
 	"leftOuterJoin", "openChargedBuild", "onResidual",
 	"indexScanOperator", "drainAtMost",
+	"neverRaise",
 }
 
 // referenceJoin is the reference executor's one hash join (ADR-041): it
@@ -200,7 +206,7 @@ func checkSeam(t *testing.T, seam map[string][]string, sf sourceFunc) {
 }
 
 func TestModeSeam(t *testing.T) {
-	modeLines, refJoins := 0, 0
+	modeLines, refJoins, writes := 0, 0, 0
 	var spillOwners, liftCallers []string
 	fallsBackToInterp := false
 	for _, sf := range parsePackage(t) {
@@ -245,8 +251,14 @@ func TestModeSeam(t *testing.T) {
 					t.Errorf("%s: %s mentions deleted twin %s", name, fn, id)
 				}
 			}
-			if name == "operator.go" && callsEval(fd) && !slices.Contains(operatorEvalFuncs, fn) {
-				t.Errorf("operator.go: %s calls ex.eval; only %v may", fn, operatorEvalFuncs)
+			if name == "operator.go" && callsEval(fd) {
+				t.Errorf("operator.go: %s calls ex.eval; the operator tree evaluates through batch programs", fn)
+			}
+			if slices.Contains(writeEntries, fn) {
+				writes++
+				if callee := whereCallee(fd); callee != "" {
+					t.Errorf("%s: %s hands its WHERE to %s; only writeRows filters a write", name, fn, callee)
+				}
 			}
 			if used["liftInterp"] && fn != "liftInterp" {
 				liftCallers = append(liftCallers, fn)
@@ -308,6 +320,9 @@ func TestModeSeam(t *testing.T) {
 	}
 	if !fallsBackToInterp {
 		t.Error("venv.lower does not end in `return liftInterp(...)`: lowering is a kernel or the lifted interpreter, nothing in between")
+	}
+	if writes != len(writeEntries) {
+		t.Errorf("found %d of the write entries %v", writes, writeEntries)
 	}
 	if refJoins != len(referenceJoin) {
 		t.Errorf("found %d of the reference's join functions %v", refJoins, referenceJoin)
@@ -415,6 +430,29 @@ func callsEval(fd *ast.FuncDecl) bool {
 		return !found
 	})
 	return found
+}
+
+// whereCallee names the first function fd passes a statement's WHERE (a
+// .Where selector in an argument) to other than writeRows, or "".
+func whereCallee(fd *ast.FuncDecl) string {
+	callee := ""
+	ast.Inspect(fd, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || callee != "" {
+			return callee == ""
+		}
+		name := types.ExprString(call.Fun)
+		for _, arg := range call.Args {
+			ast.Inspect(arg, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Where" && !strings.HasSuffix(name, ".writeRows") {
+					callee = name
+				}
+				return callee == ""
+			})
+		}
+		return callee == ""
+	})
+	return callee
 }
 
 func callsNext(body *ast.BlockStmt) bool {

@@ -55,7 +55,7 @@ func streamTestDB(t *testing.T, n int) *DB {
 // grouping with HAVING, ORDER BY (column and expression keys), DISTINCT,
 // LIMIT, derived tables, views, correlated and uncorrelated subqueries,
 // EXISTS, IN, and UDF calls.
-var streamShapes = []string{
+var streamShapes = append([]string{
 	`SELECT id, val FROM fact WHERE val % 3 = 0`,
 	`SELECT * FROM fact WHERE id >= 2500`,
 	`SELECT f.id, d.name FROM fact f, dim d WHERE f.k = d.k AND f.val < 40`,
@@ -96,6 +96,52 @@ var streamShapes = []string{
 	`SELECT d.name, COUNT(*) AS n, SUM(x.val) AS s FROM (SELECT id, k, val FROM fact WHERE id < 900 ORDER BY val DESC, id) x JOIN dim d ON x.k = d.k GROUP BY d.name ORDER BY s DESC, d.name`,
 	`SELECT b.id, o.tag FROM (SELECT id, val FROM bigval ORDER BY val, id DESC LIMIT 200) b, other o WHERE b.id = o.id ORDER BY b.val DESC, b.id`,
 	`SELECT * FROM (SELECT id FROM fact WHERE id < 300 ORDER BY val DESC, id) x`,
+}, raiseLastShapes...)
+
+// raiseLastShapes write a conjunct that can raise (100 / val: val is 0 on
+// every hundredth fact row) before one that cannot and that rejects every row
+// it raises on (val is 0 only where grp is 0) — a client's predicate before
+// D′'s ttid IN (…) — on each access path: a heap scan (morsel-parallel under
+// forceParallel), an equality probe, an IN range, an inner JOIN's ON, a LEFT
+// JOIN's ON residual and an EXISTS probe. Every filter runs the conjunct that
+// cannot raise first (ADR-043), so none of them raises.
+var raiseLastShapes = []string{
+	`SELECT id FROM fact WHERE 100 / val > 1 AND grp IN (1, 2) ORDER BY id`,
+	`SELECT id FROM fact WHERE k = 3 AND 100 / val > 1 AND grp <> 0 ORDER BY id`,
+	`SELECT id FROM fact WHERE k IN (3) AND 100 / val > 1 AND grp > 0 ORDER BY id`,
+	`SELECT f.id, d.name FROM fact f JOIN dim d ON f.k = d.k AND 100 / f.val > 1 AND f.grp > 0 ORDER BY f.id`,
+	`SELECT f.id, o.tag FROM fact f LEFT JOIN other o ON f.id = o.id AND 100 / f.val > 1 AND f.grp > 0 ORDER BY f.id`,
+	`SELECT d.name FROM dim d WHERE EXISTS (SELECT 1 FROM fact f WHERE f.k = d.k AND 100 / f.val > 1 AND f.grp > 0) ORDER BY d.name`,
+}
+
+// TestRaiseLastShapes: each of raiseLastShapes answers rows, and the same
+// rows in production and the evaluator check, morsel-parallel at parallelism
+// 4 and under an 8 KB limit, as in the reference.
+func TestRaiseLastShapes(t *testing.T) {
+	forceParallel(t)
+	db := streamTestDB(t, 3000)
+	db.SetSpillDir(t.TempDir())
+	for _, q := range raiseLastShapes {
+		cfgReference.apply(db)
+		want := execKey(db.QuerySQL(q))
+		if strings.HasPrefix(want, "error: ") || strings.Count(want, "\n") < 2 {
+			t.Errorf("%q: reference answered no rows: %s", q, want)
+			continue
+		}
+		for _, cfg := range checkedConfigs {
+			cfg.apply(db)
+			for _, par := range []int{1, 4} {
+				for _, limit := range []int64{0, 8 << 10} {
+					db.SetParallelism(par)
+					db.SetMemoryLimit(limit)
+					if got := execKey(db.QuerySQL(q)); got != want {
+						t.Errorf("%s par=%d limit=%d %q:\ngot:\n%.300s\nreference:\n%.300s", cfg.name, par, limit, q, got, want)
+					}
+				}
+			}
+		}
+		db.SetMemoryLimit(0)
+	}
 }
 
 func execKey(res *Result, err error) string {

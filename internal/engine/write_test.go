@@ -249,6 +249,50 @@ func TestWriteErrorParity(t *testing.T) {
 	}
 }
 
+// TestWriteFiltersAsRead: a write's WHERE runs through the read path's
+// filter (ADR-043), so an UPDATE and a DELETE touch exactly the rows a SELECT
+// with the same WHERE returns — in production, the evaluator check and the
+// reference, at parallelism 4 and under an 8 KB limit. `a + 0 = 5 AND 10 / x
+// > 0` raises only where a is NULL, which its first conjunct rejects; the
+// others write a conjunct that can raise before one that cannot and that
+// rejects every row it raises on (v is 0 there), through a heap scan, an
+// equality probe and an IN range.
+func TestWriteFiltersAsRead(t *testing.T) {
+	for _, w := range []struct{ table, where string }{
+		{"t", `a + 0 = 5 AND 10 / x > 0`},
+		{"ev", `k + 0 = 3 AND 10 / (id % 29) > 0`},
+		{"ev", `10 / v > 2 AND v > 0`},
+		{"ev", `k = 3 AND 10 / v > 2 AND v <> 0`},
+		{"ev", `id IN (5, 6, 7, 10, 11) AND 10 / v > 2 AND v > 0`},
+	} {
+		for _, cfg := range []execConfig{cfgProduction, cfgEvalCheck, cfgReference} {
+			for _, par := range []int{1, 4} {
+				for _, limit := range []int64{0, 8 << 10} {
+					for _, write := range []string{`UPDATE ` + w.table + ` SET id = -1 WHERE `, `DELETE FROM ` + w.table + ` WHERE `} {
+						db := writeData(t, "ev", 3000)
+						if _, err := db.ExecScript(`CREATE TABLE t (id INTEGER NOT NULL, a INTEGER, x INTEGER NOT NULL);
+							INSERT INTO t VALUES (1, 5, 2), (2, NULL, 0)`); err != nil {
+							t.Fatal(err)
+						}
+						cfg.apply(db)
+						db.SetParallelism(par)
+						db.SetMemoryLimit(limit)
+						read := writeKey(db, `SELECT COUNT(*) FROM `+w.table+` WHERE `+w.where)
+						n, ok := strings.CutPrefix(read, "COUNT(*)\nINTEGER:")
+						if !ok || n == "0\n" {
+							t.Errorf("%s %s: the read answered %q, want rows", cfg.name, w.where, read)
+							continue
+						}
+						if got, want := writeKey(db, write+w.where), "affected "+strings.TrimSpace(n); got != want {
+							t.Errorf("%s par=%d limit=%d %s%s: %s, the read %s", cfg.name, par, limit, write, w.where, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWriteVisitsCandidates: DML adds the rows it reads to ScanRows — the
 // candidates of an equality probe (on any column), of a range, counted in
 // ScanRanges, or every row.

@@ -40,6 +40,8 @@ var isoDDL = []string{
 		p_amt DECIMAL(15,2) NOT NULL CONVERTIBLE @currencyToUniversal @currencyFromUniversal)`,
 	`CREATE TABLE Secret SPECIFIC (s_id INTEGER NOT NULL COMPARABLE, s_val VARCHAR(25) NOT NULL COMPARABLE,
 		s_amt DECIMAL(15,2) NOT NULL CONVERTIBLE @currencyToUniversal @currencyFromUniversal)`,
+	`CREATE TABLE Risk SPECIFIC (r_id INTEGER NOT NULL COMPARABLE, r_div INTEGER NOT NULL COMPARABLE,
+		r_big INTEGER NOT NULL COMPARABLE)`,
 	// Tenant 1 keeps its books in a currency of its own; the others in the
 	// universal one, so the marker number survives every conversion.
 	`INSERT INTO Tenant VALUES (0, 0), (1, 1), (2, 0), (3, 0)`,
@@ -47,17 +49,26 @@ var isoDDL = []string{
 }
 
 // isoRows is what each tenant loads through a session of its own. Tenants 2
-// and 3 hold a marker in every column but the correlation key.
+// and 3 hold a marker in every column but the correlation key, and in Risk
+// a value that raises: a zero divisor and the largest integer, which
+// overflows when incremented.
 var isoRows = map[int64][]string{
 	0: {`INSERT INTO Pub VALUES (1, 'a-one', 10)`,
-		`INSERT INTO Secret VALUES (1, 'a-secret-1', 5)`},
+		`INSERT INTO Secret VALUES (1, 'a-secret-1', 5)`,
+		`INSERT INTO Risk VALUES (1, 5, 1)`},
 	1: {`INSERT INTO Pub VALUES (1, 'b-one', 30), (2, 'b-two', 40)`,
-		`INSERT INTO Secret VALUES (1, 'b-secret-1', 7), (2, 'b-secret-2', 9)`},
+		`INSERT INTO Secret VALUES (1, 'b-secret-1', 7), (2, 'b-secret-2', 9)`,
+		`INSERT INTO Risk VALUES (1, 7, 2), (2, 9, 3)`},
 	2: {`INSERT INTO Pub VALUES (1, 'zMARK-p1', 987654), (2, 'zMARK-p2', 987654), (3, 'zMARK-p3', 987654)`,
-		`INSERT INTO Secret VALUES (1, 'zMARK-s1', 987654), (2, 'zMARK-s2', 987654), (3, 'zMARK-s3', 987654)`},
+		`INSERT INTO Secret VALUES (1, 'zMARK-s1', 987654), (2, 'zMARK-s2', 987654), (3, 'zMARK-s3', 987654)`,
+		isoRiskRow},
 	3: {`INSERT INTO Pub VALUES (1, 'zMARK-q1', 987654), (2, 'zMARK-q2', 987654)`,
-		`INSERT INTO Secret VALUES (1, 'zMARK-t1', 987654), (2, 'zMARK-t2', 987654)`},
+		`INSERT INTO Secret VALUES (1, 'zMARK-t1', 987654), (2, 'zMARK-t2', 987654)`,
+		isoRiskRow},
 }
+
+// isoRiskRow is one raising Risk row of a tenant outside D′.
+const isoRiskRow = `INSERT INTO Risk VALUES (1, 0, 9223372036854775807)`
 
 // isoTier is one way of standing the fixture up.
 type isoTier struct {
@@ -119,30 +130,32 @@ func newIsoInstance(t testing.TB, tier isoTier, grants map[int64][]string, purge
 			t.Fatal(err)
 		}
 	}
-	run := func(ttid int64, stmts []string) {
-		t.Helper()
-		c, err := in.connect(ttid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range stmts {
-			if _, err := c.Exec(s); err != nil {
-				t.Fatalf("tenant %d: %s: %v", ttid, s, err)
-			}
-		}
-	}
-	run(isoModeller, isoDDL)
+	in.run(t, isoModeller, isoDDL...)
 	for ttid := int64(0); ttid < 4; ttid++ {
 		if err := createTenant(ttid); err != nil {
 			t.Fatal(err)
 		}
-		run(ttid, isoRows[ttid])
-		run(ttid, grants[ttid])
+		in.run(t, ttid, isoRows[ttid]...)
+		in.run(t, ttid, grants[ttid]...)
 	}
 	for _, ttid := range purge {
-		run(ttid, []string{`DELETE FROM Pub`, `DELETE FROM Secret`})
+		in.run(t, ttid, `DELETE FROM Pub`, `DELETE FROM Secret`, `DELETE FROM Risk`)
 	}
 	return in
+}
+
+// run executes stmts as tenant ttid, under its default scope.
+func (in *isoInstance) run(t testing.TB, ttid int64, stmts ...string) {
+	t.Helper()
+	c, err := in.connect(ttid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stmts {
+		if _, err := c.Exec(s); err != nil {
+			t.Fatalf("tenant %d: %s: %v", ttid, s, err)
+		}
+	}
 }
 
 // ownData reads what a tenant holds, as that tenant and in its own format.
@@ -153,6 +166,7 @@ func (in *isoInstance) ownData(t testing.TB, ttid int64) string {
 	for _, q := range []string{
 		`SELECT p_id, p_name, p_amt FROM Pub ORDER BY p_id, p_name`,
 		`SELECT s_id, s_val, s_amt FROM Secret ORDER BY s_id, s_val`,
+		`SELECT r_id, r_div, r_big FROM Risk ORDER BY r_id, r_div`,
 	} {
 		sb.WriteString(outcomeKey(c.Query(q)))
 	}
@@ -190,7 +204,8 @@ var isoSlots = []struct {
 // Pub and nothing on Secret — the partial grant that a forgotten slot turns
 // into a hole; tenant 3 nothing at all.
 var isoGrants = map[int64][]string{
-	1: {`GRANT READ, INSERT, UPDATE, DELETE ON Pub TO 0`, `GRANT READ, INSERT, UPDATE, DELETE ON Secret TO 0`},
+	1: {`GRANT READ, INSERT, UPDATE, DELETE ON Pub TO 0`, `GRANT READ, INSERT, UPDATE, DELETE ON Secret TO 0`,
+		`GRANT READ, INSERT, UPDATE, DELETE ON Risk TO 0`},
 	2: {`GRANT READ, INSERT, UPDATE, DELETE ON Pub TO 0`},
 }
 
@@ -202,37 +217,95 @@ func TestIsolationEverySlot(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%s", tier.name, level, tc.slot), func(t *testing.T) {
 					full := newIsoInstance(t, tier, isoGrants)
 					pruned := newIsoInstance(t, tier, isoGrants, 2, 3)
-					outside := full.ownData(t, 2) + full.ownData(t, 3)
-
-					got := outcomeKey(full.session(t, 0, "IN ()", level).Query(tc.sql))
-					want := outcomeKey(pruned.session(t, 0, "IN ()", level).Query(tc.sql))
-					if tc.dml {
-						got = dmlOutcome(full.session(t, 0, "IN ()", level).Exec(tc.sql))
-						want = dmlOutcome(pruned.session(t, 0, "IN ()", level).Exec(tc.sql))
-						for _, owner := range []int64{0, 1} {
-							got += full.ownData(t, owner)
-							want += pruned.ownData(t, owner)
-						}
-						if after := full.ownData(t, 2) + full.ownData(t, 3); after != outside {
-							t.Errorf("rows outside D′ were written\nbefore:\n%s\nafter:\n%s", outside, after)
-						}
-					}
-					if got != want {
-						t.Errorf("%s\nwith the rows outside D′ present:\n%s\nwith them physically deleted:\n%s", tc.sql, got, want)
-					}
-					if hasMarker(got) {
-						t.Errorf("%s\na marker value of a tenant outside D′ came out:\n%s", tc.sql, got)
-					}
-					// The unsharded tier is the oracle of the sharded ones,
-					// except where a shard refuses what it cannot split.
-					oracle, ran := unsharded[tc.slot]
-					switch {
-					case tier.shards == 0:
-						unsharded[tc.slot] = got
-					case ran && !strings.Contains(got, "cross-shard tenant set is not supported") && got != oracle:
-						t.Errorf("%s\nsharded:\n%s\nunsharded:\n%s", tc.sql, got, oracle)
-					}
+					checkIsoSlot(t, full, pruned, tier, level, tc.slot, tc.sql, tc.dml, unsharded)
 				})
+			}
+		}
+	}
+}
+
+// checkIsoSlot runs sql as tenant 0 under SET SCOPE = "IN ()" at level on
+// full and on pruned, the same fixture after the rows outside D′ were
+// deleted, and fails unless the outcomes — rows or error, and after a write
+// what the owners in D′ hold — are equal, nothing outside D′ was written, no
+// marker came out, and a sharded tier answers as the unsharded one did
+// (unsharded maps a slot to that tier's outcome).
+func checkIsoSlot(t *testing.T, full, pruned *isoInstance, tier isoTier, level optimizer.Level, slot, sql string, dml bool, unsharded map[string]string) {
+	t.Helper()
+	outside := full.ownData(t, 2) + full.ownData(t, 3)
+	got := outcomeKey(full.session(t, 0, "IN ()", level).Query(sql))
+	want := outcomeKey(pruned.session(t, 0, "IN ()", level).Query(sql))
+	if dml {
+		got = dmlOutcome(full.session(t, 0, "IN ()", level).Exec(sql))
+		want = dmlOutcome(pruned.session(t, 0, "IN ()", level).Exec(sql))
+		for _, owner := range []int64{0, 1} {
+			got += full.ownData(t, owner)
+			want += pruned.ownData(t, owner)
+		}
+		if after := full.ownData(t, 2) + full.ownData(t, 3); after != outside {
+			t.Errorf("rows outside D′ were written\nbefore:\n%s\nafter:\n%s", outside, after)
+		}
+	}
+	if got != want {
+		t.Errorf("%s\nwith the rows outside D′ present:\n%s\nwith them physically deleted:\n%s", sql, got, want)
+	}
+	if hasMarker(got) {
+		t.Errorf("%s\na marker value of a tenant outside D′ came out:\n%s", sql, got)
+	}
+	// The unsharded tier is the oracle of the sharded ones, except where a
+	// shard refuses what it cannot split.
+	oracle, ran := unsharded[slot]
+	switch {
+	case tier.shards == 0:
+		unsharded[slot] = got
+	case ran && !strings.Contains(got, "cross-shard tenant set is not supported") && got != oracle:
+		t.Errorf("%s\nsharded:\n%s\nunsharded:\n%s", sql, got, oracle)
+	}
+}
+
+// isoRaisingSlots read Risk, on which tenants 2 and 3 granted nothing, through
+// a conjunct that raises on their rows (ROADMAP item 14): D′ is {0, 1}, so
+// the statement must answer as if those rows did not exist, where a row
+// outside D′ deciding its fate shows as an error. Each shape is one way a
+// conjunct list becomes a filter (DESIGN.md ADR-043).
+var isoRaisingSlots = []struct {
+	slot, sql string
+	dml       bool
+}{
+	{slot: "WHERE", sql: `SELECT r_id FROM Risk WHERE 100 / r_div > 0 ORDER BY r_id`},
+	{slot: "WHERE overflow", sql: `SELECT r_id, r_big FROM Risk WHERE r_big + 1 > 0 ORDER BY r_id, r_big`},
+	{slot: "join ON, tenant partner", sql: `SELECT r.r_id, p.p_name FROM Risk r JOIN Pub p ON r.r_id = p.p_id AND 100 / r.r_div > 0 ORDER BY r.r_id, p.p_name`},
+	{slot: "join ON, global partner", sql: `SELECT r.r_id, t.T_currency_key FROM Risk r JOIN Tenant t ON r.r_id = t.T_tenant_key AND r.r_big + 1 > 0 ORDER BY r.r_id, t.T_currency_key`},
+	{slot: "LEFT JOIN ON, null-supplying side", sql: `SELECT p.p_name, r.r_id FROM Pub p LEFT JOIN Risk r ON r.r_id = p.p_id AND 100 / r.r_div > 0 ORDER BY p.p_name, r.r_id`},
+	{slot: "EXISTS", sql: `SELECT p_name FROM Pub WHERE EXISTS (SELECT 1 FROM Risk WHERE r_id = p_id AND 100 / r_div > 0) ORDER BY p_name`},
+	{slot: "IN subquery", sql: `SELECT p_name FROM Pub WHERE p_id IN (SELECT r_id FROM Risk WHERE r_big + 1 > 0) ORDER BY p_name`},
+	{slot: "point probe", sql: `SELECT r_id, r_div FROM Risk WHERE r_id = 1 AND 100 / r_div > 0 ORDER BY r_id, r_div`},
+	{slot: "UPDATE WHERE", dml: true, sql: `UPDATE Risk SET r_big = r_big * 2 WHERE 100 / r_div > 0`},
+	{slot: "DELETE WHERE", dml: true, sql: `DELETE FROM Risk WHERE r_big + 1 > 2`},
+}
+
+// TestIsolationEverySlotRaising is TestIsolationEverySlot over
+// isoRaisingSlots, once with one raising row per tenant outside D′ and once
+// with ten, so that D′'s rows fall below 1/indexJoinShare of Risk's heap and
+// the ttid range serves the scan (ADR-026): the outcome must not depend on
+// the access path.
+func TestIsolationEverySlotRaising(t *testing.T) {
+	for _, outsideRows := range []int{1, 10} {
+		for _, level := range optimizer.Levels {
+			unsharded := make(map[string]string)
+			for _, tier := range isoTiers {
+				for _, tc := range isoRaisingSlots {
+					t.Run(fmt.Sprintf("%d/%s/%s/%s", outsideRows, tier.name, level, tc.slot), func(t *testing.T) {
+						full := newIsoInstance(t, tier, isoGrants)
+						for _, ttid := range []int64{2, 3} {
+							for range outsideRows - 1 {
+								full.run(t, ttid, isoRiskRow)
+							}
+						}
+						pruned := newIsoInstance(t, tier, isoGrants, 2, 3)
+						checkIsoSlot(t, full, pruned, tier, level, tc.slot, tc.sql, tc.dml, unsharded)
+					})
+				}
 			}
 		}
 	}

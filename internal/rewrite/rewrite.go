@@ -182,10 +182,11 @@ func rewriteQuery(ctx *Context, q *sqlast.Select, parent *Resolver) error {
 	if err != nil {
 		return err
 	}
-	// D-filters for tables under the preserved side of an outer join must
-	// live in the ON condition: a WHERE filter on a NULL-extended ttid
-	// would wrongly drop unmatched rows. rewriteFrom records the bindings
-	// it filters so rewriteWhere skips them.
+	// D-filters for tables under the null-supplying side of an outer join
+	// must live in the ON condition: a WHERE filter on a NULL-extended ttid
+	// would wrongly drop unmatched rows. Those of an inner join's tables live
+	// there too. rewriteFrom records the bindings it filters so rewriteWhere
+	// skips them.
 	onFiltered := make(map[string]bool)
 	if err := rewriteFrom(ctx, q, res, onFiltered); err != nil {
 		return err
@@ -208,8 +209,10 @@ func rewriteQuery(ctx *Context, q *sqlast.Select, parent *Resolver) error {
 // rewriteFrom implements Algorithm 2: derived tables were already rewritten
 // while the scope was built; join conditions are rewritten exactly like WHERE
 // clauses, including ttid-extension of tenant-specific join predicates.
-// D-filters for tenant-specific base tables on the null-supplying side of
-// a LEFT OUTER JOIN are added to the ON condition here.
+// The D-filter of a tenant-specific base table that a join's ON joins —
+// either side of an inner JOIN, the null-supplying side of a LEFT OUTER JOIN —
+// is added to the innermost such ON here, so D′ filters the table's rows
+// where the join reads them (DESIGN.md ADR-043).
 func rewriteFrom(ctx *Context, q *sqlast.Select, res *Resolver, onFiltered map[string]bool) error {
 	var err error
 	sqlast.EachJoin(q.From, func(j *sqlast.JoinExpr) {
@@ -221,14 +224,19 @@ func rewriteFrom(ctx *Context, q *sqlast.Select, res *Resolver, onFiltered map[s
 				return
 			}
 		}
-		if j.Kind == sqlast.JoinLeftOuter {
-			for _, t := range sqlast.BaseTablesOf([]sqlast.TableExpr{j.R}) {
-				binding := strings.ToLower(t.Binding())
-				info := ctx.Schema.Table(t.Name)
-				if info != nil && info.TenantSpecific() && !onFiltered[binding] {
-					onFiltered[binding] = true
-					j.On = sqlast.AndExprs(j.On, DFilter(ctx, binding))
-				}
+		var joined []sqlast.TableExpr
+		switch j.Kind {
+		case sqlast.JoinInner:
+			joined = []sqlast.TableExpr{j.L, j.R}
+		case sqlast.JoinLeftOuter:
+			joined = []sqlast.TableExpr{j.R}
+		}
+		for _, t := range sqlast.BaseTablesOf(joined) {
+			binding := strings.ToLower(t.Binding())
+			info := ctx.Schema.Table(t.Name)
+			if info != nil && info.TenantSpecific() && !onFiltered[binding] {
+				onFiltered[binding] = true
+				j.On = sqlast.AndExprs(j.On, DFilter(ctx, binding))
 			}
 		}
 	})

@@ -201,6 +201,18 @@ func TestRewriteExplicitJoinOn(t *testing.T) {
 	if !strings.Contains(got, "employees.ttid = roles.ttid") {
 		t.Errorf("ON condition not extended: %s", got)
 	}
+	// Each table an inner JOIN joins is filtered by D′ in the innermost ON
+	// that joins it, where the join reads its rows; a LEFT JOIN filters its
+	// null-supplying side in its ON, a cross join's tables in the WHERE.
+	for sql, want := range map[string]string{
+		"SELECT E_name FROM Employees JOIN Roles ON E_role_id = R_role_id":                                                                          "SELECT E_name FROM Employees JOIN Roles ON ((((E_role_id = R_role_id) AND (employees.ttid = roles.ttid)) AND employees.ttid IN (0, 1)) AND roles.ttid IN (0, 1))",
+		"SELECT e.E_name FROM Employees e JOIN Roles r ON e.E_role_id = r.R_role_id LEFT JOIN Employees e2 ON e2.E_age = e.E_age WHERE e.E_age > 3": "SELECT e.E_name FROM Employees e JOIN Roles r ON ((((e.E_role_id = r.R_role_id) AND (e.ttid = r.ttid)) AND e.ttid IN (0, 1)) AND r.ttid IN (0, 1)) LEFT OUTER JOIN Employees e2 ON ((e2.E_age = e.E_age) AND e2.ttid IN (0, 1)) WHERE (e.E_age > 3)",
+		"SELECT E_name FROM Employees CROSS JOIN Roles":                                                                                             "SELECT E_name FROM Employees CROSS JOIN Roles WHERE (employees.ttid IN (0, 1) AND roles.ttid IN (0, 1))",
+	} {
+		if got := mustRewrite(t, ctx, sql); got != want {
+			t.Errorf("%s:\ngot  %s\nwant %s", sql, got, want)
+		}
+	}
 }
 
 func TestRewriteGlobalTableUntouched(t *testing.T) {
