@@ -90,9 +90,9 @@ func rowBytes(row []sqltypes.Value) int64 {
 	return n
 }
 
-// groupEntryBytes approximates a resident group's overhead beyond its key,
-// first row and accumulators (map bucket share, first-row slot).
-const groupEntryBytes = 96
+// groupEntryBytes is a resident group's overhead beyond its key, first row
+// and accumulators: its entry in the key table and its first-row slot.
+const groupEntryBytes = keyEntryBytes + rowRefBytes
 
 // aggAccBytes is the size of one aggAcc: a resident group's state per site.
 const aggAccBytes = 104

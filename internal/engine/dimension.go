@@ -11,7 +11,11 @@ package engine
 // order, so each stream row meets its matches lexicographically over the
 // members, as before.
 
-import "mtbase/internal/sqlast"
+import (
+	"strings"
+
+	"mtbase/internal/sqlast"
+)
 
 // chainStep is one join of a FROM list's left-deep chain: the source it
 // joins (a FROM position), its build side as newJoinPipe takes it, the build
@@ -25,11 +29,12 @@ type chainStep struct {
 }
 
 // joinChain composes the join sequence steps onto the chain's driving source
-// cur; width is the chain's final row width, which its first join reserves
-// and the later ones fill in (ADR-011). A trailing run of small base tables
-// joins as one dimension when dimensionRun finds one and its pre-join stays
-// within a batch; every other step is one join.
-func (ex *exec) joinChain(cur *pipe, steps []chainStep, rels []*relation, parent *scope, width int) (*pipe, error) {
+// cur, each join writing what is read above it (DESIGN.md ADR-044): the names
+// in keep and the keys of the joins after it; a nil reads keeps every
+// column. A trailing run of small base tables joins as one dimension when
+// dimensionRun finds one and its pre-join stays within a batch; every other
+// step is one join.
+func (ex *exec) joinChain(cur *pipe, steps []chainStep, rels []*relation, parent *scope, reads *chainReads, keep uint64) (*pipe, error) {
 	run := len(steps)
 	if bound, sized := streamBound(cur.op); sized && ex.acct == nil {
 		run = dimensionRun(steps, rels, bound)
@@ -42,10 +47,16 @@ func (ex *exec) joinChain(cur *pipe, steps []chainStep, rels []*relation, parent
 			}
 			if dim != nil {
 				ex.db.Stats.DimensionBuilds.Add(1)
-				return ex.newJoinPipe(cur, dim, nil, pairs, false, nil, parent, width, k > 0), nil
+				return ex.newJoinPipe(cur, dim, nil, pairs, false, nil, parent, k > 0, reads, keep), nil
 			}
 		}
-		cur = ex.newJoinPipe(cur, s.next, s.own, s.pairs, false, nil, parent, width, k > 0)
+		above := keep
+		for _, later := range steps[k+1:] {
+			for _, p := range later.pairs {
+				above |= p.src.reads
+			}
+		}
+		cur = ex.newJoinPipe(cur, s.next, s.own, s.pairs, false, nil, parent, k > 0, reads, above)
 	}
 	return cur, nil
 }
@@ -117,7 +128,8 @@ func (ex *exec) dimension(stream *relation, run []chainStep, rels []*relation, p
 	}
 	column := func(e sqlast.Expr) (int, bool) {
 		cr := e.(*sqlast.ColumnRef)
-		return resolveLocal(full.bindings, cr.Table, cr.Name)
+		pos, n := resolveIn(full.bindings, strings.ToLower(cr.Table), strings.ToLower(cr.Name))
+		return pos, n == 1
 	}
 	var d *pipe
 	var probe []equiPair
@@ -160,7 +172,7 @@ func (ex *exec) dimension(stream *relation, run []chainStep, rels []*relation, p
 			}
 			continue
 		}
-		d = ex.newJoinPipe(d, s.next, s.own, inner, false, nil, parent, full.width-stream.width, k > 1)
+		d = ex.newJoinPipe(d, s.next, s.own, inner, false, nil, parent, k > 1, nil, 0)
 	}
 	rows, err := drainRows(ex, d.op, batchSize)
 	if rows == nil || err != nil {

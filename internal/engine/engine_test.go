@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -654,6 +655,57 @@ func TestBuiltinScalars(t *testing.T) {
 	}
 	if rows[0][3].AsFloat() != 2.57 || rows[0][4].I != 7 {
 		t.Errorf("round/coalesce: %v", rows[0])
+	}
+}
+
+// TestCastText: a VARCHAR casts to a number by parsing it, spaces around it
+// allowed, and text that spells no number of the target type raises ErrCast
+// — in production, the evaluator check and the reference alike, as a
+// constant and per row.
+func TestCastText(t *testing.T) {
+	for _, cfg := range []struct {
+		name string
+		set  func(*DB)
+	}{
+		{"production", func(*DB) {}},
+		{"evaluator", func(db *DB) { db.SetCompileExprs(false) }},
+		{"reference", func(db *DB) { db.SetStreamExec(false) }},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			db := Open(ModePostgres)
+			cfg.set(db)
+			if _, err := db.ExecScript(`CREATE TABLE t (k INTEGER NOT NULL, s VARCHAR(10) NOT NULL);
+INSERT INTO t VALUES (1, '5'), (2, ' -7 '), (3, '2.5'), (4, 'abc'), (5, '1e2');`); err != nil {
+				t.Fatal(err)
+			}
+			rows := queryRows(t, db, "SELECT CAST('5' AS INTEGER), CAST(' 2.5 ' AS DECIMAL), CAST(12 AS VARCHAR), CAST(3.9 AS INTEGER)")
+			if got := fmt.Sprint(rows[0]); got != "[5 2.50 12 3]" {
+				t.Errorf("constant casts = %s", got)
+			}
+			rows = queryRows(t, db, "SELECT CAST(s AS INTEGER) FROM t WHERE k < 3 ORDER BY k")
+			if got := fmt.Sprint(rows); got != "[[5] [-7]]" {
+				t.Errorf("CAST(s AS INTEGER) = %s", got)
+			}
+			rows = queryRows(t, db, "SELECT CAST(s AS DECIMAL) FROM t WHERE k <> 4 ORDER BY k")
+			if got := fmt.Sprint(rows); got != "[[5.00] [-7.00] [2.50] [100.00]]" {
+				t.Errorf("CAST(s AS DECIMAL) = %s", got)
+			}
+			for _, q := range []string{
+				"SELECT CAST('abc' AS INTEGER)",
+				"SELECT CAST('2.5' AS INTEGER)",
+				"SELECT CAST('' AS DECIMAL)",
+				"SELECT CAST('inf' AS DECIMAL)",
+				"SELECT CAST(s AS INTEGER) FROM t WHERE k <> 1",
+				"SELECT k FROM t WHERE CAST(s AS DECIMAL) > 0",
+			} {
+				if _, err := db.QuerySQL(q); !errors.Is(err, ErrCast) {
+					t.Errorf("%s: err = %v, want ErrCast", q, err)
+				}
+			}
+			if _, err := db.QuerySQL("SELECT CAST('99999999999999999999' AS INTEGER)"); !errors.Is(err, sqltypes.ErrIntRange) {
+				t.Errorf("out-of-range cast: err = %v, want ErrIntRange", err)
+			}
+		})
 	}
 }
 

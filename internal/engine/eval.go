@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 
@@ -144,9 +145,9 @@ func scopeHasParams(sc *scope) bool {
 	return false
 }
 
-// inSet is a hashed IN-subquery result.
+// inSet is a hashed IN-subquery result: its rows without a NULL, as keys.
 type inSet struct {
-	m       map[string]bool
+	keys    keyTable
 	sawNull bool
 }
 
@@ -258,16 +259,27 @@ func (ex *exec) subqID(sub *sqlast.Select) int32 {
 // binding is one named tuple slot (table alias) inside a scope. Columns of
 // all bindings of a scope are concatenated in the scope's current row.
 type binding struct {
-	name   string // lower-case alias or table name
-	cols   []string
-	colIdx map[string]int // lower-case column name -> position within binding
-	off    int            // offset of this binding within the scope row
+	name  string // lower-case alias or table name
+	cols  []string
+	lower []string // cols in lower case
+	off   int      // offset of this binding within the scope row
+}
+
+// col is the position of lower-case column name cl within b: the last
+// column of that name.
+func (b *binding) col(cl string) (int, bool) {
+	for i := len(b.lower) - 1; i >= 0; i-- {
+		if b.lower[i] == cl {
+			return i, true
+		}
+	}
+	return -1, false
 }
 
 func newBinding(name string, cols []string) *binding {
-	b := &binding{name: strings.ToLower(name), cols: cols, colIdx: make(map[string]int, len(cols))}
+	b := &binding{name: strings.ToLower(name), cols: cols, lower: make([]string, len(cols))}
 	for i, c := range cols {
-		b.colIdx[strings.ToLower(c)] = i
+		b.lower[i] = strings.ToLower(c)
 	}
 	return b
 }
@@ -330,20 +342,11 @@ func (sc *scope) lookup(table, col string) (*scope, int, error) {
 func (sc *scope) resolve(table, col string) (*scope, int, error) {
 	tl, cl := strings.ToLower(table), strings.ToLower(col)
 	for s := sc; s != nil; s = s.parent {
-		found := -1
-		for _, b := range s.bindings {
-			if tl != "" && b.name != tl {
-				continue
-			}
-			if i, ok := b.colIdx[cl]; ok {
-				if found >= 0 {
-					return nil, 0, fmt.Errorf("engine: ambiguous column %s", col)
-				}
-				found = b.off + i
-			}
-		}
-		if found >= 0 {
-			return s, found, nil
+		switch pos, n := resolveIn(s.bindings, tl, cl); {
+		case n > 1:
+			return nil, 0, fmt.Errorf("engine: ambiguous column %s", col)
+		case n == 1:
+			return s, pos, nil
 		}
 	}
 	if table != "" {
@@ -352,31 +355,77 @@ func (sc *scope) resolve(table, col string) (*scope, int, error) {
 	return nil, 0, fmt.Errorf("engine: unknown column %s", col)
 }
 
+// resolveIn resolves the lower-case pair (tl, cl) against one level's
+// bindings, as every name resolution does: n is how many columns it names
+// there — one is a resolution, at pos, more an ambiguity.
+func resolveIn(bindings []*binding, tl, cl string) (pos, n int) {
+	for _, b := range bindings {
+		if tl != "" && b.name != tl {
+			continue
+		}
+		if i, ok := b.col(cl); ok {
+			pos, n = b.off+i, n+1
+		}
+	}
+	return pos, n
+}
+
 // ---------------------------------------------------------------- eval
 
 // strictBuiltins are the one-argument scalar builtins that return NULL for
 // a NULL argument: pure functions of one non-NULL value, shared by both
 // evaluators like sqltypes.Add. Evaluating the argument, the NULL rule and
 // the arity error stay with each evaluator.
-var strictBuiltins = map[string]func(sqltypes.Value) sqltypes.Value{
-	"CHAR_LENGTH": func(v sqltypes.Value) sqltypes.Value { return sqltypes.NewInt(int64(len(v.AsString()))) },
-	"ABS": func(v sqltypes.Value) sqltypes.Value {
+var strictBuiltins = map[string]func(sqltypes.Value) (sqltypes.Value, error){
+	"CHAR_LENGTH": func(v sqltypes.Value) (sqltypes.Value, error) {
+		return sqltypes.NewInt(int64(len(v.AsString()))), nil
+	},
+	"ABS": func(v sqltypes.Value) (sqltypes.Value, error) {
 		if v.K == sqltypes.KindInt {
 			if v.I < 0 {
-				return sqltypes.NewInt(-v.I)
+				return sqltypes.NewInt(-v.I), nil
 			}
-			return v
+			return v, nil
 		}
-		return sqltypes.NewFloat(math.Abs(v.AsFloat()))
+		return sqltypes.NewFloat(math.Abs(v.AsFloat())), nil
 	},
 	"CAST_INTEGER": castInt, "CAST_INT": castInt, "CAST_BIGINT": castInt,
 	"CAST_DECIMAL": castFloat, "CAST_NUMERIC": castFloat,
 	"CAST_VARCHAR": castString, "CAST_CHAR": castString, "CAST_TEXT": castString,
 }
 
-func castInt(v sqltypes.Value) sqltypes.Value    { return sqltypes.NewInt(v.AsInt()) }
-func castFloat(v sqltypes.Value) sqltypes.Value  { return sqltypes.NewFloat(v.AsFloat()) }
-func castString(v sqltypes.Value) sqltypes.Value { return sqltypes.NewString(v.AsString()) }
+// ErrCast is the error of a CAST of a VARCHAR that, spaces around it aside,
+// spells no number of the target type: an INTEGER in range, or a finite
+// DECIMAL of digits, one point at most, a sign and an exponent.
+var ErrCast = errors.New("engine: invalid text for CAST")
+
+func castInt(v sqltypes.Value) (sqltypes.Value, error) {
+	if v.K != sqltypes.KindString {
+		return sqltypes.NewInt(v.AsInt()), nil
+	}
+	n, err := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64)
+	if errors.Is(err, strconv.ErrRange) {
+		return sqltypes.Null, sqltypes.ErrIntRange
+	} else if err != nil {
+		return sqltypes.Null, fmt.Errorf("%w: %q AS INTEGER", ErrCast, v.S)
+	}
+	return sqltypes.NewInt(n), nil
+}
+
+func castFloat(v sqltypes.Value) (sqltypes.Value, error) {
+	if v.K != sqltypes.KindString {
+		return sqltypes.NewFloat(v.AsFloat()), nil
+	}
+	s := strings.TrimSpace(v.S)
+	if f, err := strconv.ParseFloat(s, 64); err == nil && !math.IsInf(f, 0) && strings.Trim(s, "0123456789+-.eE") == "" {
+		return sqltypes.NewFloat(f), nil
+	}
+	return sqltypes.Null, fmt.Errorf("%w: %q AS DECIMAL", ErrCast, v.S)
+}
+
+func castString(v sqltypes.Value) (sqltypes.Value, error) {
+	return sqltypes.NewString(v.AsString()), nil
+}
 
 // isScalarBuiltin reports whether upper names a scalar builtin: the table
 // above plus the three calls with an argument rule of their own. The shared
@@ -737,7 +786,7 @@ func (ex *exec) evalInSubquery(x *sqlast.InExpr, sc *scope) (sqltypes.Value, err
 	for _, v := range leftVals {
 		buf = sqltypes.AppendKey(buf, v)
 	}
-	found := set.m[string(buf)]
+	_, found := set.keys.id(buf, false)
 	if !found && set.sawNull {
 		return sqltypes.Null, nil
 	}
@@ -757,7 +806,7 @@ func (ex *exec) buildInSet(sub *sqlast.Select, id int32, leftArity int, sc *scop
 	if len(res.Cols) != leftArity {
 		return nil, fmt.Errorf("engine: IN subquery returns %d columns, left side has %d", len(res.Cols), leftArity)
 	}
-	set := &inSet{m: make(map[string]bool, len(res.Rows))}
+	set := &inSet{keys: newKeyTable(len(res.Rows))}
 	var buf []byte
 	for _, row := range res.Rows {
 		buf = buf[:0]
@@ -773,7 +822,7 @@ func (ex *exec) buildInSet(sub *sqlast.Select, id int32, leftArity int, sc *scop
 			set.sawNull = true
 			continue
 		}
-		set.m[string(buf)] = true
+		set.keys.id(buf, true)
 	}
 	if _, cached := ex.subqCache[id]; cached {
 		ex.inSetCache[id] = set
@@ -950,7 +999,7 @@ func (ex *exec) evalFunc(x *sqlast.FuncCall, sc *scope) (sqltypes.Value, error) 
 		if err != nil || v.IsNull() {
 			return sqltypes.Null, err
 		}
-		return f(v), nil
+		return f(v)
 	}
 	switch upper {
 	case "CONCAT":

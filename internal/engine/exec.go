@@ -61,7 +61,8 @@ type conjunct struct {
 	expr         sqlast.Expr
 	refs         map[string]bool // local binding names referenced
 	hasSub       bool
-	closed       bool // hasSub, and every subquery is statically closed (selectClosed)
+	closed       bool   // hasSub, and every subquery is statically closed (outerRefs)
+	reads        uint64 // the names it reads, by chainReads id
 	used         bool
 	fromOrFactor bool // extracted from an OR; implied, never a residual
 }
@@ -602,6 +603,7 @@ func (ex *exec) fromless(sel *sqlast.Select, parent *scope) (*relation, error) {
 type placement struct {
 	conjs []*conjunct // every conjunct, WHERE order, OR-factored ones last
 	empty bool        // a constant conjunct is not true: the level yields no rows
+	reads *chainReads // what the block's join chain carries (ADR-044)
 	// Per FROM source: the conjuncts that reference only that source. plain
 	// ones filter it first (index probes where a base table allows), then
 	// the closed-subquery ones; either way before any join.
@@ -626,8 +628,10 @@ func (ex *exec) placeConjuncts(sel *sqlast.Select, rels []*relation, parent *sco
 			seen[b.name] = true
 		}
 	}
+	a := ex.selectAnalysis(sel)
 	pl := &placement{
-		conjs:  ex.whereConjuncts(sel, rels, func(name string) bool { return seen[strings.ToLower(name)] }),
+		reads:  a.reads,
+		conjs:  ex.whereConjuncts(a, rels, func(name string) bool { return seen[strings.ToLower(name)] }),
 		plain:  make([][]*conjunct, len(rels)),
 		closed: make([][]*conjunct, len(rels)),
 	}
@@ -662,16 +666,17 @@ func (ex *exec) placeConjuncts(sel *sqlast.Select, rels []*relation, parent *sco
 	return pl, nil
 }
 
-// whereConjuncts analyzes the WHERE conjuncts of sel over its FROM sources
-// rels, whose binding names local accepts: WHERE order, OR-factored ones last.
-func (ex *exec) whereConjuncts(sel *sqlast.Select, rels []*relation, local func(string) bool) []*conjunct {
-	colOwner := ownerMap(rels...)
-	a := ex.selectAnalysis(sel)
+// whereConjuncts analyzes the WHERE conjuncts of a's block over its FROM
+// sources rels, whose binding names local accepts: OR-factored ones last.
+func (ex *exec) whereConjuncts(a *selAnalysis, rels []*relation, local func(string) bool) []*conjunct {
 	conjs := make([]*conjunct, len(a.conjs))
 	for i, e := range a.conjs {
-		c := analyzeConjunct(e, local, colOwner)
+		c := analyzeConjunct(e, local, rels)
 		c.fromOrFactor = i >= a.nPlain
 		c.closed = !c.fromOrFactor && a.closed[i]
+		if a.reads != nil {
+			c.reads = a.reads.conj[i]
+		}
 		conjs[i] = c
 	}
 	return conjs
@@ -704,10 +709,9 @@ func splitOn(on sqlast.Expr, l, r *relation) (pairs []equiPair, residual []*conj
 		name = strings.ToLower(name)
 		return ln[name] || rn[name]
 	}
-	colOwner := ownerMap(l, r)
 	var conjs []*conjunct
 	for _, e := range splitConjuncts(on) {
-		conjs = append(conjs, analyzeConjunct(e, local, colOwner))
+		conjs = append(conjs, analyzeConjunct(e, local, []*relation{l, r}))
 	}
 	pairs = equiPairsBetween(conjs, l, r)
 	for _, p := range pairs {
@@ -807,25 +811,29 @@ func splitDisjuncts(e sqlast.Expr) []sqlast.Expr {
 	return []sqlast.Expr{e}
 }
 
-func analyzeConjunct(e sqlast.Expr, local func(string) bool, colOwner map[string][]string) *conjunct {
+// analyzeConjunct analyzes e over the sources rels, whose binding names
+// local accepts: refs are the bindings it names or whose columns it names
+// unqualified.
+func analyzeConjunct(e sqlast.Expr, local func(string) bool, rels []*relation) *conjunct {
 	c := &conjunct{expr: e, refs: make(map[string]bool)}
 	c.hasSub = len(sqlast.SubqueriesOf(e)) > 0
-	addRefs(e, local, colOwner, c.refs)
-	return c
-}
-
-func addRefs(e sqlast.Expr, local func(string) bool, colOwner map[string][]string, refs map[string]bool) {
 	for _, cr := range sqlast.ColumnRefsOf(e) {
 		if cr.Table != "" {
 			if local(cr.Table) {
-				refs[strings.ToLower(cr.Table)] = true
+				c.refs[strings.ToLower(cr.Table)] = true
 			}
 			continue
 		}
-		for _, owner := range colOwner[strings.ToLower(cr.Name)] {
-			refs[owner] = true
+		cl := strings.ToLower(cr.Name)
+		for _, r := range rels {
+			for _, b := range r.bindings {
+				if _, ok := b.col(cl); ok {
+					c.refs[b.name] = true
+				}
+			}
 		}
 	}
+	return c
 }
 
 // orderConjuncts is the one evaluation order of a conjunct list, in both
@@ -1062,7 +1070,7 @@ func (ex *exec) inRange(r *relation, e sqlast.Expr, parent *scope) (ids []int, o
 			continue
 		}
 		ex.keyBuf = sqltypes.AppendKey(ex.keyBuf[:0], v)
-		if b, ok := idx.buckets[string(ex.keyBuf)]; ok {
+		if b, ok := idx.keys.id(ex.keyBuf, false); ok {
 			buckets = append(buckets, b)
 		}
 		if idx.n < d.n {
@@ -1154,26 +1162,11 @@ func equiPairsBetween(conjs []*conjunct, a, b *relation) []equiPair {
 	return out
 }
 
-// relationHasRef reports whether a column reference resolves against the
-// bindings of r (by qualifier, or unqualified column ownership).
+// relationHasRef reports whether a column reference names a column of r,
+// resolved or ambiguous.
 func relationHasRef(r *relation, ref *sqlast.ColumnRef) bool {
-	cl := strings.ToLower(ref.Name)
-	if ref.Table != "" {
-		tl := strings.ToLower(ref.Table)
-		for _, b := range r.bindings {
-			if b.name == tl {
-				_, ok := b.colIdx[cl]
-				return ok
-			}
-		}
-		return false
-	}
-	for _, b := range r.bindings {
-		if _, ok := b.colIdx[cl]; ok {
-			return true
-		}
-	}
-	return false
+	_, n := resolveIn(r.bindings, strings.ToLower(ref.Table), strings.ToLower(ref.Name))
+	return n > 0
 }
 
 // resolvesOnlyIn reports whether every reference resolves in relation a
@@ -1374,16 +1367,4 @@ func (ex *exec) buildJoin(j *sqlast.JoinExpr, parent *scope) (*relation, error) 
 		return ex.hashJoin(l, r, pairs, residual, true, parent)
 	}
 	return nil, fmt.Errorf("engine: unsupported join kind %v", j.Kind)
-}
-
-func ownerMap(rels ...*relation) map[string][]string {
-	m := make(map[string][]string)
-	for _, r := range rels {
-		for _, b := range r.bindings {
-			for c := range b.colIdx {
-				m[c] = append(m[c], b.name)
-			}
-		}
-	}
-	return m
 }

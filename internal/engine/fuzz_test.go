@@ -535,6 +535,17 @@ func FuzzQuery(f *testing.F) {
 	} {
 		f.Add(sql)
 	}
+	// Last again: Q3 and Q18 as o4 rewrites them, chains whose rows hold only
+	// the columns read above each join (ADR-044) — Q18's beside an IN
+	// subquery over a grouping.
+	a.conn.SetOptLevel(optimizer.O4)
+	for _, q := range []mth.Query{mth.Queries(0.001)[2], mth.Queries(0.001)[17]} {
+		sel, err := a.conn.RewriteSQL(q.SQL)
+		if err != nil || q.ID != 3 && q.ID != 18 {
+			f.Fatalf("Q%d: %v", q.ID, err)
+		}
+		f.Add(sel.String())
+	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		if len(sql) > 4096 {
 			t.Skip("oversized input")

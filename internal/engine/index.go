@@ -23,11 +23,11 @@ import (
 // build (vecJoinBuild) is the same type over its build rows, keyed by its
 // key expressions (cols nil), so a join probes either one alike.
 type hashIndex struct {
-	cols    []int
-	n       int              // rows covered: ordinals 0..n-1
-	buckets map[string]int32 // encoded key -> bucket number
-	offs    []int32
-	rows    []int
+	cols []int
+	n    int      // rows covered: ordinals 0..n-1
+	keys keyTable // encoded key -> bucket number
+	offs []int32
+	rows []int
 }
 
 // tailBound is how many rows past its covered prefix a carried index may
@@ -122,15 +122,13 @@ type carver struct {
 
 // newCarver sizes a carver for n rows and room for keys keys.
 func newCarver(n, keys int) carver {
-	return carver{ix: &hashIndex{buckets: make(map[string]int32, keys)}, bucketOf: make([]int32, n)}
+	return carver{ix: &hashIndex{keys: newKeyTable(keys)}, bucketOf: make([]int32, n)}
 }
 
 // add puts row ordinal id in the bucket of key.
 func (c *carver) add(id int, key []byte) {
-	n, found := c.ix.buckets[string(key)]
+	n, found := c.ix.keys.id(key, true)
 	if !found {
-		n = int32(len(c.counts))
-		c.ix.buckets[string(key)] = n
 		c.counts = append(c.counts, 0)
 	}
 	c.counts[n]++
@@ -192,7 +190,7 @@ func (ix *hashIndex) tail(d *tableData, ids []int, keys ...[]byte) []int {
 
 // bucket returns the row ordinals whose key columns encode to key.
 func (ix *hashIndex) bucket(key []byte) []int {
-	n, ok := ix.buckets[string(key)]
+	n, ok := ix.keys.id(key, false)
 	if !ok {
 		return nil
 	}
@@ -207,10 +205,10 @@ func (ix *hashIndex) rowsOf(n int32) []int {
 // candidates is how many row ordinals n probes reach if each finds a bucket
 // of the mean length.
 func (ix *hashIndex) candidates(n int) int {
-	if len(ix.buckets) == 0 {
+	if ix.keys.len() == 0 {
 		return 0
 	}
-	return n * len(ix.rows) / len(ix.buckets)
+	return n * len(ix.rows) / ix.keys.len()
 }
 
 // probe returns the ordinals of d's rows whose key columns equal vals, in

@@ -187,10 +187,38 @@ var chainShapes = []string{
 	`SELECT a.k, COUNT(*) AS n, MIN(cv) AS m FROM a, b, c WHERE a.k = b.k AND b.x = c.x AND a.id + bv > c.x GROUP BY a.k ORDER BY a.k`,
 	// No row survives the second join.
 	`SELECT * FROM a, b, c WHERE a.k = b.k AND b.bv = c.x AND b.bv > 100`,
+	// Chains whose rows hold only the columns read above each join (DESIGN.md
+	// ADR-044), each with a reader a keep-set could miss: a column only a
+	// correlated subquery reads (also from a derived table in its FROM), a
+	// star, HAVING or ORDER BY over a column no select item names, a column
+	// only a later join's key reads, an explicit LEFT JOIN beside the chain,
+	// one name in two tables or twice in one (the last is the one a name
+	// reads), and the dimension join (b, c: small tables at the chain's end).
+	`SELECT a.id FROM a, b WHERE a.k = b.k AND EXISTS (SELECT 1 FROM c WHERE c.x = b.bv % 100)`,
+	`SELECT a.id FROM a, b WHERE a.k = b.k AND EXISTS (SELECT 1 FROM (SELECT c.x FROM c WHERE c.x = b.bv % 100) d)`,
+	`SELECT a.id, (SELECT COUNT(*) FROM (SELECT c.cv FROM c WHERE c.x = bv % 100) d) AS n FROM a, b WHERE a.k = b.k`,
+	`SELECT a.id, b.x FROM a, b WHERE a.k = b.k AND NOT EXISTS (SELECT 1 FROM c WHERE c.x = b.bv % 50)`,
+	`SELECT a.id, (SELECT COUNT(*) FROM c WHERE c.x = b.bv % 100) AS n FROM a, b WHERE a.k = b.k`,
+	`SELECT a.id, (SELECT MAX(one.v) FROM one WHERE one.id = a.k % 3 OR one.id = b.bv % 3) AS m FROM a, b WHERE a.k = b.k AND a.id < 500`,
+	`SELECT * FROM a, b, c WHERE a.k = b.k AND b.x = c.x AND a.id < 700`,
+	`SELECT b.*, c.cv FROM a, b, c WHERE a.k = b.k AND b.x = c.x AND a.id < 700`,
+	`SELECT a.k, COUNT(*) AS n FROM a, b WHERE a.k = b.k GROUP BY a.k HAVING MAX(b.bv) > 500 ORDER BY MIN(a.pad), a.k`,
+	`SELECT a.id FROM a, b WHERE a.k = b.k ORDER BY b.bv DESC, a.id LIMIT 50`,
+	`SELECT DISTINCT c.cv FROM a, b, c WHERE a.k = b.k AND b.x = c.x ORDER BY c.cv`,
+	`SELECT b.bv FROM a, b, c WHERE a.k = b.k AND a.id % 100 = c.x`,
+	`SELECT a.id, b.bv, o.v FROM a LEFT JOIN one o ON a.id = o.id, b WHERE a.k = b.k`,
+	`SELECT a.id, c.cv, one.v FROM a, b, c LEFT JOIN one ON c.x = one.v WHERE a.k = b.k AND b.x = c.x`,
+	`SELECT b.x, c.x, a.k, b.k FROM b, c, a WHERE b.x = c.x AND a.k = b.k AND a.id < 900`,
+	`SELECT a.id, one.id FROM a, one WHERE a.k = one.v`,
+	`SELECT d.x, b.bv FROM (SELECT a.k AS x, a.id AS x FROM a WHERE a.id < 300) d, b WHERE d.x % 97 = b.k`,
+	`SELECT a.id, c.cv FROM a, b, c WHERE a.k = b.k AND b.x = c.x`,
+	`SELECT a.pad, c.cv FROM a, a a2, b, c WHERE a.id = a2.id AND a2.k = b.k AND b.x = c.x`,
+	`SELECT COUNT(*) FROM a, b, c WHERE a.k = b.k AND b.x = c.x`,
 }
 
 // TestJoinChainMatchesReference: every chain shape is byte-identical to the
-// reference executor, unlimited and under a memory cap.
+// reference executor, serial and parallel, unlimited and under caps that
+// spill its joins.
 func TestJoinChainMatchesReference(t *testing.T) {
 	db := chainTestDB(t, 3000)
 	db.SetSpillDir(t.TempDir())
@@ -202,12 +230,15 @@ func TestJoinChainMatchesReference(t *testing.T) {
 		if strings.HasPrefix(want, "error: ") {
 			t.Fatalf("%q: %s", q, want)
 		}
-		for _, limit := range []int64{0, 8 << 10} {
+		for _, limit := range []int64{0, 8 << 10, 64 << 10} {
 			db.SetMemoryLimit(limit)
 			for _, cfg := range checkedConfigs {
-				cfg.apply(db)
-				if got := execKey(db.QuerySQL(q)); got != want {
-					t.Errorf("%s limit=%d %q: differs from reference (%d vs %d bytes)", cfg.name, limit, q, len(got), len(want))
+				for _, par := range []int{1, 4} {
+					cfg.apply(db)
+					db.SetParallelism(par)
+					if got := execKey(db.QuerySQL(q)); got != want {
+						t.Errorf("%s limit=%d par=%d %q: differs from reference\ngot  %.300s\nwant %.300s", cfg.name, limit, par, q, got, want)
+					}
 				}
 			}
 		}

@@ -255,6 +255,8 @@ type joinOperator struct {
 	rowCap  int  // capacity of the output rows allocated here (>= orel.width)
 	extends bool // probe rows come from the previous join of the same chain
 
+	lcols, rcols []int // what an output row holds of the probe and the build row; all where nil
+
 	// The index path: the key columns of the persistent index (nil: this join
 	// builds eagerly from the start), the build side's own conjuncts — not
 	// applied to right, which eagerBuild filters if it comes to that — and
@@ -309,19 +311,16 @@ const indexJoinShare = 4
 // evaluates them over index candidates when r is a base table keyed on plain
 // columns and none of them can raise (orderConjuncts counts them all safe),
 // and filters r with them first otherwise. A join of a FROM-list chain
-// (buildSourcePipe) passes the chain's final width as rowCap and whether l is
-// the chain's previous join; a standalone join passes 0, false and allocates
-// exactly its own width.
-func (ex *exec) newJoinPipe(l, r *pipe, own []*conjunct, pairs []equiPair, outer bool, residual []*conjunct, parent *scope, rowCap int, extends bool) *pipe {
-	orel := joinRel(l.rel, r.rel)
-	if rowCap < orel.width {
-		rowCap = orel.width
-	}
+// (joinChain) says whether l is the chain's previous join and writes only
+// the columns whose names keep holds (chainReads.cut); a standalone join
+// passes false and nil reads. Its rows are its own width until Open.
+func (ex *exec) newJoinPipe(l, r *pipe, own []*conjunct, pairs []equiPair, outer bool, residual []*conjunct, parent *scope, extends bool, reads *chainReads, keep uint64) *pipe {
 	jo := &joinOperator{
-		ex: ex, lrel: l.rel, orel: orel,
-		pairs: pairs, parent: parent, outer: outer,
-		rowCap: rowCap, extends: extends,
+		ex: ex, lrel: l.rel,
+		pairs: pairs, parent: parent, outer: outer, extends: extends,
 	}
+	jo.orel, jo.lcols, jo.rcols = reads.cut(l.rel, r.rel, keep, extends)
+	jo.rowCap = jo.orel.width
 	cols, indexable := indexableBuild(r.rel, pairs)
 	if _, safe := ex.orderConjuncts(own, r.rel, parent); indexable && safe == len(own) {
 		jo.idxCols, jo.own = cols, own
@@ -330,10 +329,10 @@ func (ex *exec) newJoinPipe(l, r *pipe, own []*conjunct, pairs []equiPair, outer
 	}
 	jo.left, jo.right, jo.rrel = l.op, r.op, r.rel
 	if outer {
-		jo.on = &windowFilter{f: ex.newFilterOp(residual, orel, parent)}
+		jo.on = &windowFilter{f: ex.newFilterOp(residual, jo.orel, parent)}
 		jo.nulls = make([]sqltypes.Value, r.rel.width)
 	}
-	return &pipe{op: jo, rel: orel}
+	return &pipe{op: jo, rel: jo.orel}
 }
 
 // indexableBuild reports whether build side r is an unfiltered base table
@@ -433,6 +432,9 @@ func (c *candidateFilter) keep(heap [][]sqltypes.Value, keyed []int32, buckets [
 }
 
 func (j *joinOperator) Open(ex *exec) error {
+	if l, ok := j.left.(*joinOperator); ok && j.extends {
+		l.rowCap = j.rowCap // its rows reserve what this join writes in place
+	}
 	if err := j.left.Open(ex); err != nil {
 		return err
 	}
@@ -725,11 +727,13 @@ func (j *joinOperator) fillPending() error {
 		for ; k < end; k++ {
 			r := j.rightRows[bucket[k]]
 			if k == 0 && j.owns(l) {
-				row := l[:len(l)+len(r)]
-				copy(row[len(l):], r)
+				row := l[:j.orel.width]
+				pick(row[len(l):], r, j.rcols)
 				j.pending = append(j.pending, row)
 			} else {
-				j.pending = append(j.pending, ck.concat(l, r, j.rowCap))
+				row := ck.concat(nil, nil, j.rowCap)[:j.orel.width]
+				pick(row[pick(row, l, j.lcols):], r, j.rcols)
+				j.pending = append(j.pending, row)
 				j.fresh--
 			}
 		}
@@ -765,6 +769,18 @@ func (j *joinOperator) fillPending() error {
 	}
 	j.selPos, j.bktPos = pos, k
 	return nil
+}
+
+// pick copies the columns cols of src, all of src where cols is nil, to the
+// front of dst and returns how many.
+func pick(dst, src []sqltypes.Value, cols []int) int {
+	if cols == nil {
+		return copy(dst, src)
+	}
+	for i, c := range cols {
+		dst[i] = src[c]
+	}
+	return len(cols)
 }
 
 // owns reports whether this join may write probe row l's first match into
@@ -972,7 +988,7 @@ type groupOperator struct {
 	shared *sharedExprs       // what gexprs and the sites' arguments share
 	progs  groupProgs         // this exec's lowering of them
 
-	ids   map[string]int32   // resident group key -> dense first-seen id
+	ids   keyTable           // resident group key -> dense first-seen id
 	first [][]sqltypes.Value // resident group id -> its first row
 	accs  []aggAcc           // resident group id × site
 	gids  []int32
@@ -1145,7 +1161,7 @@ func (o *groupOperator) Open(ex *exec) error {
 	if err := o.child.Open(ex); err != nil {
 		return err
 	}
-	o.acct, o.ids, o.in = ex.acct, make(map[string]int32), make([]aggInput, 1)
+	o.acct, o.ids, o.in = ex.acct, newKeyTable(0), make([]aggInput, 1)
 	// A DISTINCT set grows with its input, not with the number of groups, and
 	// has no image a spill could resume from: under a limit no group of such
 	// a projection is resident and every row takes the spill route.
@@ -1279,7 +1295,7 @@ func (o *groupOperator) fold(ex *exec, in *aggInput) {
 	for j, i := range in.sel {
 		key := in.keys[lo:in.ends[j]]
 		lo = in.ends[j]
-		gid, seen := o.ids[string(key)]
+		gid, seen := o.ids.id(key, !o.frozen)
 		if !seen {
 			if o.frozen {
 				if o.sp == nil {
@@ -1290,8 +1306,6 @@ func (o *groupOperator) fold(ex *exec, in *aggInput) {
 				gids[i] = -1
 				continue
 			}
-			gid = int32(len(o.ids))
-			o.ids[string(key)] = gid
 			o.admit(in.rows[i])
 			if o.acct != nil {
 				cost := int64(len(key)) + groupEntryBytes + int64(len(o.sites))*aggAccBytes + rowBytes(in.rows[i])
@@ -1454,7 +1468,7 @@ func (o *groupOperator) Next(ex *exec) (*Batch, error) {
 
 func (o *groupOperator) Close() {
 	o.child.Close()
-	o.ids, o.first, o.accs, o.macc, o.pos = nil, nil, nil, nil, 0
+	o.ids, o.first, o.accs, o.macc, o.pos = keyTable{}, nil, nil, nil, 0
 	o.in, o.win, o.chunk, o.mfirst[0] = nil, nil, nil, nil
 	if o.merge != nil {
 		o.merge.close()
@@ -1771,11 +1785,18 @@ func (ex *exec) buildSourcePipe(sel *sqlast.Select, parent *scope) (*pipe, error
 		}
 		steps, chained.bindings = append(steps, s), append(chained.bindings, rels[s.src].bindings...)
 	}
-	if cur, err = ex.joinChain(cur, steps, rels, parent, totalWidth(rels)); err != nil {
+	residual := pl.residual()
+	reads, keep := pl.reads, uint64(0)
+	if reads != nil {
+		keep = reads.above
+		for _, c := range residual {
+			keep |= c.reads
+		}
+	}
+	if cur, err = ex.joinChain(cur, steps, rels, parent, reads, keep); err != nil {
 		return nil, err
 	}
-
-	if residual := pl.residual(); len(residual) > 0 {
+	if len(residual) > 0 {
 		cur = ex.filterPipe(cur, residual, parent)
 	}
 	return cur, nil
@@ -1865,7 +1886,7 @@ func (ex *exec) buildJoinExprPipe(j *sqlast.JoinExpr, parent *scope) (*pipe, err
 	}
 	switch j.Kind {
 	case sqlast.JoinCross:
-		return ex.newJoinPipe(l, r, nil, nil, false, nil, parent, 0, false), nil
+		return ex.newJoinPipe(l, r, nil, nil, false, nil, parent, false, nil, 0), nil
 	case sqlast.JoinInner, sqlast.JoinLeftOuter:
 	default:
 		return nil, fmt.Errorf("engine: unsupported join kind %v", j.Kind)
@@ -1875,9 +1896,9 @@ func (ex *exec) buildJoinExprPipe(j *sqlast.JoinExpr, parent *scope) (*pipe, err
 	// it rejects everywhere still comes out, null-extended); an inner join's
 	// filters the joined stream.
 	if j.Kind == sqlast.JoinLeftOuter {
-		return ex.newJoinPipe(l, r, nil, pairs, true, residual, parent, 0, false), nil
+		return ex.newJoinPipe(l, r, nil, pairs, true, residual, parent, false, nil, 0), nil
 	}
-	joined := ex.newJoinPipe(l, r, nil, pairs, false, nil, parent, 0, false)
+	joined := ex.newJoinPipe(l, r, nil, pairs, false, nil, parent, false, nil, 0)
 	if len(residual) == 0 {
 		return joined, nil
 	}

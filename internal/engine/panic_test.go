@@ -21,11 +21,11 @@ import (
 // injectBoom registers MT_BOOM(x): x, except that it panics on trigger.
 func injectBoom(t *testing.T, trigger int64) {
 	t.Helper()
-	strictBuiltins["MT_BOOM"] = func(v sqltypes.Value) sqltypes.Value {
+	strictBuiltins["MT_BOOM"] = func(v sqltypes.Value) (sqltypes.Value, error) {
 		if v.AsInt() == trigger {
 			panic("boom: injected by panic_test")
 		}
-		return v
+		return v, nil
 	}
 	t.Cleanup(func() { delete(strictBuiltins, "MT_BOOM") })
 }

@@ -23,6 +23,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -77,10 +78,10 @@ type Plan struct {
 // and materializing executors: the flattened WHERE conjuncts (with the
 // OR-factored implied conjuncts appended after nPlain), which of the plain
 // conjuncts carry only statically closed subqueries (closed[i], see
-// selectClosed), the output alias map, and whether the query projects
+// outerRefs), the output alias map, and whether the query projects
 // through grouping. owned marks the analysis of a plan-owned node, the kind
-// the plan caches; shared (shared.go) is filled lazily under Plan.mu by the
-// operators of such a node, nothing else is written after analyzeSelect.
+// the plan caches and the only kind with reads; shared (shared.go) is filled
+// lazily under Plan.mu by the operators of such a node.
 type selAnalysis struct {
 	conjs   []sqlast.Expr
 	nPlain  int
@@ -88,6 +89,7 @@ type selAnalysis struct {
 	aliases map[string]sqlast.Expr
 	grouped bool
 	owned   bool
+	reads   *chainReads
 	shared  *sharedExprs
 }
 
@@ -98,7 +100,10 @@ func analyzeSelect(sel *sqlast.Select, cat *catalog) *selAnalysis {
 	a.closed = make([]bool, a.nPlain)
 	for i, c := range a.conjs {
 		subs := sqlast.SubqueriesOf(c)
-		a.closed[i] = len(subs) > 0 && allClosed(subs, cat, nil)
+		a.closed[i] = len(subs) > 0
+		for _, sub := range subs {
+			a.closed[i] = outerRefs(sub, cat, nil, func(*sqlast.ColumnRef) { a.closed[i] = false }) && a.closed[i]
+		}
 	}
 	a.conjs = append(a.conjs, factorCommonOr(sel.Where)...)
 	a.grouped = len(sel.GroupBy) > 0 || sel.Having != nil
@@ -113,87 +118,135 @@ func analyzeSelect(sel *sqlast.Select, cat *catalog) *selAnalysis {
 	return a
 }
 
-// closeFrame is the FROM list of one query level during the closedness
-// check: binding name -> base table, linked to the enclosing levels that
-// still lie inside the subquery being judged.
-type closeFrame struct {
-	outer *closeFrame
-	tabs  map[string]*Table
-}
-
-// resolves mirrors scope.lookup over the frames: innermost level first, a
-// qualifier must name a binding that has the column.
-func (f *closeFrame) resolves(cr *sqlast.ColumnRef) bool {
-	for ; f != nil; f = f.outer {
-		if cr.Table != "" {
-			if t := f.tabs[strings.ToLower(cr.Table)]; t != nil && t.ColIndex(cr.Name) >= 0 {
-				return true
-			}
-			continue
-		}
-		for _, t := range f.tabs {
-			if t.ColIndex(cr.Name) >= 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// selectClosed reports whether sel is statically closed: every column
-// reference in it (nested subqueries included) resolves against a FROM list
-// inside sel itself, so no evaluation of it can read a row of the query
-// level that contains it. The test is deliberately conservative — FROM may
-// hold base tables and joins of them only (no view, no derived table, no
-// unknown name), and a name that resolves only as an output alias counts as
-// unresolved — because a wrong "closed" would move a correlated conjunct
-// below a join, while a wrong "open" merely keeps today's residual filter.
-func selectClosed(sel *sqlast.Select, cat *catalog, outer *closeFrame) bool {
-	f := &closeFrame{outer: outer, tabs: make(map[string]*Table)}
+// outerRefs calls ref with every column reference of subquery sel, nested
+// subqueries and its derived tables' bodies included (these see the levels
+// around sel, not sel's FROM), that no FROM list inside the subquery resolves
+// (outer holds the levels from the subquery the walk started at), and reports
+// whether it knew every such FROM list: base tables and joins of them, not a
+// view, a derived table or an unknown name. What it cannot resolve counts as
+// outer, an output alias too. A subquery is statically closed — no
+// evaluation of it reads a row of the level that contains it — when the walk
+// knows its FROM lists and finds no outer reference: conservative, since a
+// wrong "closed" moves a correlated conjunct below a join, while a wrong
+// outer reference only keeps a column in a join chain's rows (chainReads).
+func outerRefs(sel *sqlast.Select, cat *catalog, outer *scope, ref func(*sqlast.ColumnRef)) bool {
+	f := &scope{parent: outer}
 	var addFrom func(te sqlast.TableExpr) bool
 	addFrom = func(te sqlast.TableExpr) bool {
 		switch t := te.(type) {
 		case *sqlast.TableName:
 			key, name := strings.ToLower(t.Name), strings.ToLower(t.Binding())
 			tab := cat.tables[key]
-			if tab == nil || cat.views[key] != nil || f.tabs[name] != nil {
+			if tab == nil || cat.views[key] != nil || slices.ContainsFunc(f.bindings, func(b *binding) bool { return b.name == name }) {
 				return false
 			}
-			f.tabs[name] = tab
+			f.bindings = append(f.bindings, newBinding(name, tab.ColNames()))
 			return true
 		case *sqlast.JoinExpr:
 			return addFrom(t.L) && addFrom(t.R)
 		}
 		return false
 	}
+	known := true
 	for _, te := range sel.From {
-		if !addFrom(te) {
-			return false
-		}
+		known = addFrom(te) && known
 	}
-	closed := true
+	sqlast.FromItems(sel.From, nil, func(d *sqlast.DerivedTable) { outerRefs(d.Sub, cat, outer, ref) })
 	sqlast.BlockExprs(sel, func(e sqlast.Expr) {
-		if !closed {
-			return
-		}
+	refs:
 		for _, cr := range sqlast.ColumnRefsOf(e) {
-			if !f.resolves(cr) {
-				closed = false
-				return
+			for s := f; s != nil; s = s.parent {
+				if _, n := resolveIn(s.bindings, strings.ToLower(cr.Table), strings.ToLower(cr.Name)); n > 0 {
+					continue refs
+				}
 			}
+			ref(cr)
 		}
-		closed = allClosed(sqlast.SubqueriesOf(e), cat, f)
+		for _, sub := range sqlast.SubqueriesOf(e) {
+			known = outerRefs(sub, cat, f, ref) && known
+		}
 	})
-	return closed
+	return known
 }
 
-func allClosed(subs []*sqlast.Select, cat *catalog, outer *closeFrame) bool {
-	for _, sub := range subs {
-		if !selectClosed(sub, cat, outer) {
-			return false
+// chainReads is what a plan-owned block's FROM chain carries (DESIGN.md
+// ADR-044), by column name: ids numbers the names the block reads, above
+// holds those every clause but WHERE reads, conj[i] those WHERE conjunct i
+// reads, each with its subqueries' outer references. A star or a 65th name
+// keeps every column: readsOf returns nil.
+type chainReads struct {
+	ids   map[string]uint
+	above uint64
+	conj  []uint64
+}
+
+func readsOf(sel *sqlast.Select, cat *catalog, conjs []sqlast.Expr) *chainReads {
+	r := &chainReads{ids: make(map[string]uint), conj: make([]uint64, len(conjs))}
+	all := slices.ContainsFunc(sel.Items, func(it sqlast.SelectItem) bool { return it.Star })
+	names := func(e sqlast.Expr, bits *uint64) {
+		ref := func(cr *sqlast.ColumnRef) {
+			name := strings.ToLower(cr.Name)
+			if _, ok := r.ids[name]; !ok {
+				r.ids[name] = uint(len(r.ids))
+			}
+			all = all || r.ids[name] >= 64
+			*bits |= 1 << (r.ids[name] & 63)
+		}
+		for _, cr := range sqlast.ColumnRefsOf(e) {
+			ref(cr)
+		}
+		for _, sub := range sqlast.SubqueriesOf(e) {
+			outerRefs(sub, cat, nil, ref)
 		}
 	}
-	return true
+	sqlast.BlockExprs(sel, func(e sqlast.Expr) {
+		if e != sel.Where {
+			names(e, &r.above)
+		}
+	})
+	for i, c := range conjs {
+		names(c, &r.conj[i])
+	}
+	if all {
+		return nil
+	}
+	return r
+}
+
+// cut is the schema of a chain join's output row (joinRel) narrowed to the
+// columns whose names keep holds — of build side r, and of probe side l
+// unless a previous join already narrowed it (extends) — and the positions
+// kept of each side's rows (nil: all of it, as where r is nil). Of the
+// columns a name repeats within a binding, only the last can be read, and kept.
+func (r *chainReads) cut(l, rr *relation, keep uint64, extends bool) (out *relation, lcols, rcols []int) {
+	if r == nil {
+		return joinRel(l, rr), nil, nil
+	}
+	out = &relation{bindings: make([]*binding, 0, len(l.bindings)+len(rr.bindings))}
+	cols, names := make([]int, 0, l.width+rr.width), make([]string, 0, l.width+rr.width)
+	side := func(rel *relation) []int {
+		start := len(cols)
+		for _, b := range rel.bindings {
+			from := len(cols)
+			for c, lc := range b.lower {
+				if id, ok := r.ids[lc]; ok && keep&(1<<id) != 0 && slices.Index(b.lower[c+1:], lc) < 0 {
+					cols, names = append(cols, b.off+c), append(names, lc)
+				}
+			}
+			kept := names[from:len(names):len(names)]
+			out.bindings = append(out.bindings, &binding{name: b.name, cols: kept, lower: kept, off: out.width + from - start})
+		}
+		return cols[start:]
+	}
+	if extends {
+		out.bindings, out.width = append(out.bindings, l.bindings...), l.width
+	} else {
+		lcols = side(l)
+		out.width = len(lcols)
+	}
+	rcols = side(rr)
+	out.width += len(rcols)
+	return out, lcols, rcols
 }
 
 // selectAnalysis returns sel's analysis, serving plan-owned nodes from the
@@ -211,7 +264,7 @@ func (ex *exec) selectAnalysis(sel *sqlast.Select) *selAnalysis {
 		return a
 	}
 	a := analyzeSelect(sel, ex.cat)
-	a.owned = true
+	a.owned, a.reads = true, readsOf(sel, ex.cat, a.conjs)
 	if p.analysis == nil {
 		p.analysis = make(map[*sqlast.Select]*selAnalysis)
 	}

@@ -94,7 +94,8 @@ var referenceForbidden = []string{
 // one hash join per executor, and the index scan's own operator and the
 // dimension's bounded drain ADR-042 folded into the one row cursor and the
 // one drain, and the index path's all-safe test ADR-043 replaced with the
-// count orderConjuncts returns; they must not come back under the same names.
+// count orderConjuncts returns, and the closedness walk ADR-044 made the
+// outer-reference walk; they must not come back under the same names.
 var deletedTwins = []string{
 	"applyInterp", "projectInterp", "projectRowsBatched",
 	"leftOuterOperator", "newLeftOuterPipe", "gracePartitionProbe", "louter",
@@ -109,12 +110,19 @@ var deletedTwins = []string{
 	"leftOuterJoin", "openChargedBuild", "onResidual",
 	"indexScanOperator", "drainAtMost",
 	"neverRaise",
+	"selectClosed", "allClosed",
 }
 
 // referenceJoin is the reference executor's one hash join (ADR-041): it
 // hashes its build side per statement and reads no persistent index, so the
 // oracle shares no index with the operator tree's index path.
 var referenceJoin = []string{"exec.hashJoin", "exec.buildJoinHash"}
+
+// referenceNaive are the reference's hash join and grouping, DISTINCT
+// included: they keep every column of a joined row and key Go maps by
+// string, so the oracle shares neither the narrowed rows nor the key table
+// of the operator tree (ADR-044).
+var referenceNaive = append([]string{"exec.projectGrouped", "execResult.dedupe"}, referenceJoin...)
 
 func funcName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
@@ -206,7 +214,7 @@ func checkSeam(t *testing.T, seam map[string][]string, sf sourceFunc) {
 }
 
 func TestModeSeam(t *testing.T) {
-	modeLines, refJoins, writes := 0, 0, 0
+	modeLines, refJoins, naive, writes := 0, 0, 0, 0
 	var spillOwners, liftCallers []string
 	fallsBackToInterp := false
 	for _, sf := range parsePackage(t) {
@@ -300,6 +308,14 @@ func TestModeSeam(t *testing.T) {
 					}
 				}
 			}
+			if slices.Contains(referenceNaive, fn) {
+				naive++
+				for _, id := range []string{"keyTable", "newKeyTable", "chainReads", "cut", "pick", "lcols", "rcols"} {
+					if used[id] {
+						t.Errorf("%s: %s mentions %s; the reference's joins and groupings keep whole rows in Go maps", name, fn, id)
+					}
+				}
+			}
 			if name == "exec.go" {
 				for _, id := range referenceForbidden {
 					if used[id] {
@@ -324,8 +340,8 @@ func TestModeSeam(t *testing.T) {
 	if writes != len(writeEntries) {
 		t.Errorf("found %d of the write entries %v", writes, writeEntries)
 	}
-	if refJoins != len(referenceJoin) {
-		t.Errorf("found %d of the reference's join functions %v", refJoins, referenceJoin)
+	if refJoins != len(referenceJoin) || naive != len(referenceNaive) {
+		t.Errorf("found %d of the reference's join functions %v and %d of %v", refJoins, referenceJoin, naive, referenceNaive)
 	}
 	if len(spillOwners) != 1 {
 		t.Errorf("types with a spilled field: %v; exactly one operator implements the hash join", spillOwners)

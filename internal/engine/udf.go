@@ -641,7 +641,7 @@ const (
 
 const encodedKey = 1 << 63
 
-var callSeed = maphash.MakeSeed()
+var hashSeed = maphash.MakeSeed()
 
 // reserve makes room for n more keys at a load of at most 3/4. A first table
 // takes the size the plan's executions grew theirs to (udfPlan.cacheSlots),
@@ -682,7 +682,7 @@ func (r *udfResults) probe(args []sqltypes.Value, buf *[]byte) int {
 	if !fixed {
 		*buf = appendCallKey((*buf)[:0], args)
 		enc = *buf
-		k = callKey{encodedKey | uint64(len(enc)), 0, maphash.Bytes(callSeed, enc)}
+		k = callKey{encodedKey | uint64(len(enc)), 0, maphash.Bytes(hashSeed, enc)}
 	}
 	mask := uint64(len(r.slots) - 1)
 	for i := k.hash() & mask; ; i = (i + 1) & mask {

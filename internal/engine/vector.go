@@ -168,27 +168,6 @@ func (ex *exec) vecCompileAll(exprs []sqlast.Expr, bindings []*binding, sc *scop
 	return progs, ve.slots
 }
 
-// resolveLocal mirrors one level of scope.lookup: the reference must resolve
-// unambiguously against the given bindings. Ambiguous or unresolved
-// references (including correlated ones) report !ok so the interpreter
-// handles them — reproducing its error or outer-scope resolution.
-func resolveLocal(bindings []*binding, table, col string) (int, bool) {
-	tl, cl := strings.ToLower(table), strings.ToLower(col)
-	found := -1
-	for _, b := range bindings {
-		if tl != "" && b.name != tl {
-			continue
-		}
-		if i, ok := b.colIdx[cl]; ok {
-			if found >= 0 {
-				return -1, false // ambiguous: interpreter raises the error
-			}
-			found = b.off + i
-		}
-	}
-	return found, found >= 0
-}
-
 // compile lowers e: to its slot's kernel where the analysis shares it, to
 // its own program otherwise.
 func (ve *venv) compile(e sqlast.Expr) vecExpr {
@@ -225,8 +204,8 @@ func (ve *venv) lower(e sqlast.Expr) vecExpr {
 			return vecBroadcast(func() (sqltypes.Value, error) { return ex.bind(n) })
 		}
 	case *sqlast.ColumnRef:
-		idx, ok := resolveLocal(ve.bindings, x.Table, x.Name)
-		if !ok {
+		idx, n := resolveIn(ve.bindings, strings.ToLower(x.Table), strings.ToLower(x.Name))
+		if n != 1 {
 			break // ambiguous or correlated: interpreter semantics via lift
 		}
 		return func(b *Batch, sel []int32, out []sqltypes.Value) {
@@ -783,7 +762,7 @@ func (ve *venv) compileInSubquery(x *sqlast.InExpr) vecExpr {
 			for j := range cols {
 				keyBuf = sqltypes.AppendKey(keyBuf, cols[j][i])
 			}
-			found := set.m[string(keyBuf)]
+			_, found := set.keys.id(keyBuf, false)
 			if !found && set.sawNull {
 				out[i] = sqltypes.Null
 				continue
@@ -894,7 +873,7 @@ func (ve *venv) semiJoinOf(sub *sqlast.Select) *semiJoin {
 	var cols []string
 	var rest []*conjunct
 	correlated := false
-	for _, c := range ex.whereConjuncts(sub, []*relation{rel}, func(name string) bool { return strings.ToLower(name) == b.name }) {
+	for _, c := range ex.whereConjuncts(ex.selectAnalysis(sub), []*relation{rel}, func(name string) bool { return strings.ToLower(name) == b.name }) {
 		switch col, val, probe := probeForm(c.expr, rel); {
 		case c.hasSub:
 			return nil
@@ -1121,7 +1100,7 @@ func (ve *venv) compileFunc(x *sqlast.FuncCall) vecExpr {
 			return nil
 		}
 		return ve.compileCall(x.Args, true, func(argv []sqltypes.Value) (sqltypes.Value, error) {
-			return f(argv[0]), nil
+			return f(argv[0])
 		})
 	}
 	switch upper {

@@ -6,8 +6,8 @@ package mth
 // 10 % above what the one-materialization chain allocates with its tail of
 // conversion tables pre-joined (ADR-034). That pre-join also shortened the
 // chains the per-level copy paid for: with the chain's reserved tail off
-// (each join's rows allocated at its own width) Q18 allocates 1.93 MB and
-// Q22 1.11 MB, inside their budgets, and Q10 3.44 MB, 1.4x its budget — Q10
+// (each join's rows allocated at its own width) Q18 allocates 1.76 MB and
+// Q22 0.58 MB, inside their budgets, and Q10 2.77 MB, 1.35x its budget — Q10
 // is the row that fails if the copy creeps back. Q3 and Q8 hold the index
 // path of the join (ADR-022) the same way: a transient build of a filtered
 // base table cannot creep back.
@@ -34,20 +34,24 @@ func TestJoinAllocBudget(t *testing.T) {
 	checkAllocBudgets(t, []allocBudget{
 		// Measured under -race, where sync.Pool drops a random quarter of what
 		// it is handed, so a run re-allocates up to three of the statement's
-		// pooled scratch blocks: the highest of 40 such runs + 10 %.
-		{id: 18, budget: 2_325_000}, // here 1.84–2.11 MB, per-level copy 1.93 MB
-		{id: 22, budget: 1_375_000}, // here 1.04–1.25 MB (1.41 per member), per-level copy 1.11 MB
-		{id: 10, budget: 2_525_000}, // here 2.03–2.29 MB (1.72 per member: 250 nation-by-tenant rows pre-joined), per-level copy 3.44 MB: the copy's gate
+		// pooled scratch blocks: the highest of 40 such runs + 10 %. A chain's
+		// rows hold only the columns read above each join (ADR-044): before,
+		// Q18 1.84–2.11 MB, Q22 1.04–1.25 MB, Q10 2.03–2.29 MB.
+		{id: 18, budget: 2_195_000, objects: 940},   // here 1.75–1.99 MB in 847–854 objects
+		{id: 22, budget: 880_000, objects: 2_835},   // here 0.52–0.80 MB in 2 568–2 576
+		{id: 10, budget: 2_050_000, objects: 2_110}, // here 1.56–1.86 MB in 1 909–1 915 (250 nation-by-tenant rows pre-joined)
 		// No BENCHMARK.json workload runs a LEFT JOIN; this row is the gate on
 		// the outer kind of the one hash join (ADR-014): the twin operator it
-		// replaced allocated 3.62 MB here, pinned at that + 10 %.
-		{id: 13, budget: 3_985_000}, // here 3.3 MB: orders is probed through its persistent index
+		// replaced allocated 3.62 MB here. Here 3.12–3.24 MB in 330–336
+		// objects: orders is probed through its persistent index.
+		{id: 13, budget: 3_560_000, objects: 370},
 		// The joins that probe an index through their build side's filters
-		// (ADR-022), budgets the measured level + 10 %. Q3 here 1.11 MB in
-		// 834 objects; scanning, filtering and hashing orders and lineitem
-		// per statement 2.33 MB in 14 364. Q8 here 56 KB in 817; 659 KB in 2 909.
-		{id: 3, budget: 1_222_000, objects: 920},
-		{id: 8, budget: 61_500, objects: 900},
+		// (ADR-022). Q3 here 0.43–0.59 MB in 464–468 objects (1.11 MB in 834
+		// with whole chain rows and Go-map keys); scanning, filtering and
+		// hashing orders and lineitem per statement 2.33 MB in 14 364. Q8 here
+		// 49 KB in 763–764 (56 KB in 817 before); 659 KB in 2 909.
+		{id: 3, budget: 647_000, objects: 515},
+		{id: 8, budget: 54_100, objects: 840},
 	})
 }
 
@@ -56,21 +60,25 @@ func TestJoinAllocBudget(t *testing.T) {
 // group and aggregate site, not each group's rows, so Q1 (4 groups over
 // every lineitem row, 8 sites) and Q18 (one small group per order, under
 // HAVING) stop paying a key string, a row slice and a context per group and
-// a column per group and site. Budgets are the measured level + 10 %.
+// a column per group and site; since ADR-044 a group's key is bytes in one
+// pointer-free table, not a Go string in a map. Budgets are the highest of
+// 40 runs under -race + 10 %.
 func TestGroupAllocBudget(t *testing.T) {
 	checkAllocBudgets(t, []allocBudget{
-		// here 1.16 MB in 1 256 objects; row-keeping groups 1.50 MB in 13 602
-		{id: 1, budget: 1_280_000, objects: 1_400},
-		// here 2.20 MB in 3 962 objects; row-keeping groups 2.22 MB in 27 938
-		{id: 18, budget: 2_425_000, objects: 4_400},
+		// here 0.74–1.10 MB in 436–441 objects; Go-map keys 1.16 MB in 1 256;
+		// row-keeping groups 1.50 MB in 13 602
+		{id: 1, budget: 1_213_000, objects: 485},
+		// here 1.75–1.99 MB in 847–854 objects; Go-map keys 2.20 MB in 3 962;
+		// row-keeping groups 2.22 MB in 27 938
+		{id: 18, budget: 2_195_000, objects: 940},
 		// Canonical Q1 is the conversion-call path (ADR-037, ADR-038): here
-		// 1.91 MB in 310 objects, the result caches one table each, sized at
+		// 1.91 MB in 288 objects, the result caches one table each, sized at
 		// their plan's last execution; 3.72 MB in 469 with a Go map per cache
 		// grown from empty, 6.33 MB in 21 035 with a string key per body
 		// execution. Under -race, where sync.Pool drops the statement's
 		// scratch stack at random, a run re-allocates it (+0.44 MB a run):
-		// the budget is all three runs doing so, 2.37 MB in 323, + 10 %.
-		{id: 1, canonical: true, budget: 2_602_000, objects: 356},
+		// the highest of 40 runs, 2.35 MB in 293, + 10 %.
+		{id: 1, canonical: true, budget: 2_589_000, objects: 323},
 	})
 }
 

@@ -41,7 +41,7 @@ var isoDDL = []string{
 	`CREATE TABLE Secret SPECIFIC (s_id INTEGER NOT NULL COMPARABLE, s_val VARCHAR(25) NOT NULL COMPARABLE,
 		s_amt DECIMAL(15,2) NOT NULL CONVERTIBLE @currencyToUniversal @currencyFromUniversal)`,
 	`CREATE TABLE Risk SPECIFIC (r_id INTEGER NOT NULL COMPARABLE, r_div INTEGER NOT NULL COMPARABLE,
-		r_big INTEGER NOT NULL COMPARABLE)`,
+		r_big INTEGER NOT NULL COMPARABLE, r_txt VARCHAR(10) NOT NULL COMPARABLE)`,
 	// Tenant 1 keeps its books in a currency of its own; the others in the
 	// universal one, so the marker number survives every conversion.
 	`INSERT INTO Tenant VALUES (0, 0), (1, 1), (2, 0), (3, 0)`,
@@ -50,15 +50,15 @@ var isoDDL = []string{
 
 // isoRows is what each tenant loads through a session of its own. Tenants 2
 // and 3 hold a marker in every column but the correlation key, and in Risk
-// a value that raises: a zero divisor and the largest integer, which
-// overflows when incremented.
+// a value that raises: a zero divisor, the largest integer, which overflows
+// when incremented, and text that casts to no number.
 var isoRows = map[int64][]string{
 	0: {`INSERT INTO Pub VALUES (1, 'a-one', 10)`,
 		`INSERT INTO Secret VALUES (1, 'a-secret-1', 5)`,
-		`INSERT INTO Risk VALUES (1, 5, 1)`},
+		`INSERT INTO Risk VALUES (1, 5, 1, '5')`},
 	1: {`INSERT INTO Pub VALUES (1, 'b-one', 30), (2, 'b-two', 40)`,
 		`INSERT INTO Secret VALUES (1, 'b-secret-1', 7), (2, 'b-secret-2', 9)`,
-		`INSERT INTO Risk VALUES (1, 7, 2), (2, 9, 3)`},
+		`INSERT INTO Risk VALUES (1, 7, 2, ' 7'), (2, 9, 3, '9 ')`},
 	2: {`INSERT INTO Pub VALUES (1, 'zMARK-p1', 987654), (2, 'zMARK-p2', 987654), (3, 'zMARK-p3', 987654)`,
 		`INSERT INTO Secret VALUES (1, 'zMARK-s1', 987654), (2, 'zMARK-s2', 987654), (3, 'zMARK-s3', 987654)`,
 		isoRiskRow},
@@ -68,7 +68,7 @@ var isoRows = map[int64][]string{
 }
 
 // isoRiskRow is one raising Risk row of a tenant outside D′.
-const isoRiskRow = `INSERT INTO Risk VALUES (1, 0, 9223372036854775807)`
+const isoRiskRow = `INSERT INTO Risk VALUES (1, 0, 9223372036854775807, 'zMARK')`
 
 // isoTier is one way of standing the fixture up.
 type isoTier struct {
@@ -166,7 +166,7 @@ func (in *isoInstance) ownData(t testing.TB, ttid int64) string {
 	for _, q := range []string{
 		`SELECT p_id, p_name, p_amt FROM Pub ORDER BY p_id, p_name`,
 		`SELECT s_id, s_val, s_amt FROM Secret ORDER BY s_id, s_val`,
-		`SELECT r_id, r_div, r_big FROM Risk ORDER BY r_id, r_div`,
+		`SELECT r_id, r_div, r_big, r_txt FROM Risk ORDER BY r_id, r_div`,
 	} {
 		sb.WriteString(outcomeKey(c.Query(q)))
 	}
@@ -274,6 +274,7 @@ var isoRaisingSlots = []struct {
 }{
 	{slot: "WHERE", sql: `SELECT r_id FROM Risk WHERE 100 / r_div > 0 ORDER BY r_id`},
 	{slot: "WHERE overflow", sql: `SELECT r_id, r_big FROM Risk WHERE r_big + 1 > 0 ORDER BY r_id, r_big`},
+	{slot: "WHERE cast", sql: `SELECT r_id, CAST(r_txt AS INTEGER) FROM Risk WHERE CAST(r_txt AS DECIMAL) > 0 ORDER BY r_id`},
 	{slot: "join ON, tenant partner", sql: `SELECT r.r_id, p.p_name FROM Risk r JOIN Pub p ON r.r_id = p.p_id AND 100 / r.r_div > 0 ORDER BY r.r_id, p.p_name`},
 	{slot: "join ON, global partner", sql: `SELECT r.r_id, t.T_currency_key FROM Risk r JOIN Tenant t ON r.r_id = t.T_tenant_key AND r.r_big + 1 > 0 ORDER BY r.r_id, t.T_currency_key`},
 	{slot: "LEFT JOIN ON, null-supplying side", sql: `SELECT p.p_name, r.r_id FROM Pub p LEFT JOIN Risk r ON r.r_id = p.p_id AND 100 / r.r_div > 0 ORDER BY p.p_name, r.r_id`},
