@@ -123,6 +123,10 @@ type Table struct {
 	data   atomic.Pointer[tableData]
 	db     *DB // owning DB, so AppendRow/BulkLoad can self-serialize
 
+	// names and lower are Cols' names and their lower-case forms, made once
+	// with the table: every binding of it shares them (bind).
+	names, lower []string
+
 	Constraints []sqlast.Constraint // FK / CHECK retained for validation
 }
 
@@ -200,13 +204,9 @@ func (t *Table) ColIndex(name string) int {
 	return -1
 }
 
-// ColNames returns the column names in order.
-func (t *Table) ColNames() []string {
-	names := make([]string, len(t.Cols))
-	for i, c := range t.Cols {
-		names[i] = c.Name
-	}
-	return names
+// bind returns a binding of the table's columns under alias.
+func (t *Table) bind(alias string) *binding {
+	return &binding{name: strings.ToLower(alias), cols: t.names, lower: t.lower}
 }
 
 // publish installs d as the table's new current snapshot. Callers must hold
@@ -699,6 +699,7 @@ func (c *catalog) with(rels []Relation) (*catalog, error) {
 		t := newTable(r.Name, r.Cols, r.Rows)
 		if base := cat.tables[key]; base != nil {
 			t.Name, t.Cols, t.PK, t.colIdx, t.Constraints = base.Name, base.Cols, base.PK, base.colIdx, base.Constraints
+			t.names, t.lower = base.names, base.lower
 		}
 		cat.tables[key] = t
 	}
@@ -729,20 +730,20 @@ func (db *DB) createTable(ct *sqlast.CreateTable) (*Result, error) {
 	if _, exists := cat.tables[key]; exists {
 		return nil, fmt.Errorf("engine: table %s already exists", ct.Name)
 	}
-	t := &Table{Name: ct.Name, colIdx: make(map[string]int), db: db}
-	t.data.Store(flatData(nil))
-	for i, cd := range ct.Columns {
+	var cols []Column
+	for _, cd := range ct.Columns {
 		kind, err := kindOfType(cd.Type)
 		if err != nil {
 			return nil, fmt.Errorf("column %s: %w", cd.Name, err)
 		}
 		lower := strings.ToLower(cd.Name)
-		if _, dup := t.colIdx[lower]; dup {
+		if slices.ContainsFunc(cols, func(c Column) bool { return strings.ToLower(c.Name) == lower }) {
 			return nil, fmt.Errorf("engine: duplicate column %s", cd.Name)
 		}
-		t.Cols = append(t.Cols, Column{Name: cd.Name, Type: kind, NotNull: cd.NotNull})
-		t.colIdx[lower] = i
+		cols = append(cols, Column{Name: cd.Name, Type: kind, NotNull: cd.NotNull})
 	}
+	t := newTable(ct.Name, cols, nil)
+	t.db = db
 	for _, con := range ct.Constraints {
 		switch con.Kind {
 		case sqlast.ConstraintPrimaryKey:
@@ -774,8 +775,10 @@ func (db *DB) CreateTableDirect(name string, cols []Column, pk []string) *Table 
 func newTable(name string, cols []Column, rows [][]sqltypes.Value) *Table {
 	t := &Table{Name: name, Cols: cols, colIdx: make(map[string]int, len(cols))}
 	t.data.Store(flatData(rows))
+	t.names, t.lower = make([]string, len(cols)), make([]string, len(cols))
 	for i, c := range cols {
-		t.colIdx[strings.ToLower(c.Name)] = i
+		t.names[i], t.lower[i] = c.Name, strings.ToLower(c.Name)
+		t.colIdx[t.lower[i]] = i
 	}
 	return t
 }
@@ -957,7 +960,7 @@ func coerce(v sqltypes.Value, kind sqltypes.Kind) (sqltypes.Value, error) {
 // the cursor reads a snapshot's flat view, which the write path never
 // builds, and a point UPDATE would otherwise flatten the table every write.
 func (ex *exec) writeRows(t *Table, d *tableData, where sqlast.Expr, fn func(b *Batch, ids []int) error) error {
-	rel := &relation{bindings: []*binding{newBinding(t.Name, t.ColNames())}, width: len(t.Cols), base: t}
+	rel := &relation{bindings: []*binding{t.bind(t.Name)}, width: len(t.Cols), base: t}
 	var conjs []*conjunct
 	for _, e := range splitConjuncts(where) {
 		conjs = append(conjs, &conjunct{expr: e})
@@ -1020,7 +1023,7 @@ func (db *DB) update(ex *exec, up *sqlast.Update) (*Result, error) {
 		return nil, fmt.Errorf("engine: no such table %s", up.Table)
 	}
 	d := ex.snap.pin(t)
-	sc := &scope{bindings: []*binding{newBinding(t.Name, t.ColNames())}}
+	sc := &scope{bindings: []*binding{t.bind(t.Name)}}
 	vsets := make([]vecExpr, len(up.Sets))
 	colIdx := make([]int, len(up.Sets))
 	for i, a := range up.Sets {

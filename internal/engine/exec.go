@@ -1339,7 +1339,7 @@ func (ex *exec) buildTableName(t *sqlast.TableName, parent *scope) (*relation, e
 	if tab == nil {
 		return nil, fmt.Errorf("engine: no such table %s", t.Name)
 	}
-	b := newBinding(t.Binding(), tab.ColNames())
+	b := tab.bind(t.Binding())
 	return &relation{bindings: []*binding{b}, rows: ex.heap(tab), width: len(tab.Cols), base: tab}, nil
 }
 

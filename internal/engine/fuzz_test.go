@@ -18,6 +18,7 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -290,6 +291,27 @@ func timedOut(key string) bool {
 // fuzz dataset.
 const fuzzMemLimit = 48 << 10
 
+// checkArms are the arms check compares with the baseline: each sets its knobs
+// on a reset database. capped arms run under fuzzMemLimit.
+var checkArms = []struct {
+	name   string
+	prep   func(a *fuzzArms)
+	capped bool
+}{
+	{"reference", func(a *fuzzArms) { a.db.SetStreamExec(false) }, false},
+	{"evaluator-check", func(a *fuzzArms) { a.db.SetCompileExprs(false) }, false},
+	{"parallel-8", func(a *fuzzArms) { a.db.SetParallelism(8) }, false},
+	{"capped", func(a *fuzzArms) { a.db.SetMemoryLimit(fuzzMemLimit) }, true},
+	{"capped-parallel-8", func(a *fuzzArms) {
+		a.db.SetMemoryLimit(fuzzMemLimit)
+		a.db.SetParallelism(8)
+	}, true},
+	{"capped-evaluator-check", func(a *fuzzArms) {
+		a.db.SetMemoryLimit(fuzzMemLimit)
+		a.db.SetCompileExprs(false)
+	}, true},
+}
+
 // check runs sql through every arm — the reference executor, the evaluator
 // check, and production under parallelism and memory caps — and compares
 // against the serial, unlimited production baseline. strict requires bit-identical
@@ -310,27 +332,9 @@ func (a *fuzzArms) check(t *testing.T, sql string, strict bool) {
 		// out); nothing to cross-check beyond "no panic".
 		return
 	}
-	arms := []struct {
-		name   string
-		prep   func()
-		capped bool
-	}{
-		{"reference", func() { a.db.SetStreamExec(false) }, false},
-		{"evaluator-check", func() { a.db.SetCompileExprs(false) }, false},
-		{"parallel-8", func() { a.db.SetParallelism(8) }, false},
-		{"capped", func() { a.db.SetMemoryLimit(fuzzMemLimit) }, true},
-		{"capped-parallel-8", func() {
-			a.db.SetMemoryLimit(fuzzMemLimit)
-			a.db.SetParallelism(8)
-		}, true},
-		{"capped-evaluator-check", func() {
-			a.db.SetMemoryLimit(fuzzMemLimit)
-			a.db.SetCompileExprs(false)
-		}, true},
-	}
-	for _, arm := range arms {
+	for _, arm := range checkArms {
 		a.reset()
-		arm.prep()
+		arm.prep(a)
 		got := a.run(sql, timeout)
 		a.reset()
 		if got == base {
@@ -382,6 +386,42 @@ func TestQueryFuzz(t *testing.T) {
 	}
 	if len(ents) != 0 {
 		t.Errorf("%d spill files leaked", len(ents))
+	}
+}
+
+// TestFuzzArmsUnderDeadlines: a deadline that lands inside a statement ends
+// each of check's arms with an error wrapping the context's, or the arm
+// finishes with the baseline's answer — never fewer rows or another error,
+// which a lenient check would report as a divergence. The statement is a
+// mutated Q5 whose cross product with nation and region runs for about half
+// a second serial in memory and longer in every other arm, so the deadlines
+// land in its first batches, in its joins and near its end.
+func TestFuzzArmsUnderDeadlines(t *testing.T) {
+	const sql = `SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue FROM customer, orders, lineitem, supplier, nation, region WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey AND l_suppkey = s_suppkey`
+	a := newFuzzArms(t)
+	a.db.SetSpillDir(t.TempDir())
+	defer a.reset()
+	a.reset()
+	base := a.run(sql, time.Minute)
+	if strings.HasPrefix(base, "error: ") {
+		t.Fatalf("baseline: %s", base)
+	}
+	for _, arm := range checkArms {
+		for _, d := range []time.Duration{time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond, 100 * time.Millisecond, 400 * time.Millisecond} {
+			a.reset()
+			arm.prep(a)
+			ctx, cancel := context.WithTimeout(context.Background(), d)
+			var res *engine.Result
+			rows, err := a.conn.QueryContext(ctx, sql)
+			if err == nil {
+				res, err = rows.Collect()
+				rows.Close()
+			}
+			cancel()
+			if got := fuzzKey(res, err); got != base && !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s arm under a %v deadline:\n--- arm\n%s--- baseline\n%s", arm.name, d, got, base)
+			}
+		}
 	}
 }
 

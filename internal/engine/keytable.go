@@ -2,14 +2,16 @@ package engine
 
 import "hash/maphash"
 
+var hashSeed = maphash.MakeSeed()
+
 // keyTable maps an encoded key to a dense id, numbered in first-seen order
 // (DESIGN.md ADR-044): the group operator's group ids (DISTINCT included),
 // a hashIndex's bucket numbers (a table's persistent index and a join's
-// transient build) and an IN subquery's set. It is one open-addressed,
-// linearly probed slot array, at most 3/4 full, of hash tag and id, with the
-// keys back to back in one arena: it holds no pointer, so the collector does
-// not scan it and a key adds no object (as ADR-038's UDF result cache). A
-// table that is only probed is safe for concurrent use.
+// transient build), an IN subquery's set and the IMMUTABLE result cache's
+// calls (udfResults, ADR-045). It is one open-addressed, linearly probed slot
+// array, at most 3/4 full, of hash tag and id, with the keys back to back in
+// one arena: it holds no pointer, so the collector does not scan it and a key
+// adds no object. A table that is only probed is safe for concurrent use.
 type keyTable struct {
 	slots []keySlot
 	offs  []uint32 // key id is arena[offs[id]:offs[id+1]]
@@ -36,6 +38,16 @@ func newKeyTable(n int) keyTable {
 }
 
 func (t *keyTable) len() int { return len(t.offs) - 1 }
+
+// reset empties the table and keeps its room: ids restart at 0. A table that
+// was never made (the zero keyTable) stays as it is.
+func (t *keyTable) reset() {
+	if t.offs == nil {
+		return
+	}
+	clear(t.slots)
+	t.offs, t.arena = t.offs[:1], t.arena[:0]
+}
 
 // id returns the id of key and whether the table held it. A key it does not
 // hold is added under the next id when add is set, and answers -1 otherwise.

@@ -41,3 +41,33 @@ func TestKeyTable(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyTableReset: an emptied table numbers from 0 again, finds none of
+// the keys it held and keeps its slot array; emptying a table that was never
+// made leaves it as it was.
+func TestKeyTableReset(t *testing.T) {
+	kt := newKeyTable(0)
+	for i := 0; i < 100; i++ {
+		kt.id([]byte(fmt.Sprint(i)), true)
+	}
+	slots := len(kt.slots)
+	kt.reset()
+	if kt.len() != 0 || len(kt.slots) != slots {
+		t.Fatalf("after reset: %d keys in %d slots, want 0 in %d", kt.len(), len(kt.slots), slots)
+	}
+	for i := 0; i < 100; i++ {
+		if id, seen := kt.id([]byte(fmt.Sprint(i)), false); id != -1 || seen {
+			t.Fatalf("after reset: key %d = %d %v", i, id, seen)
+		}
+	}
+	for i, k := range []string{"99", "x", "0"} {
+		if id, seen := kt.id([]byte(k), true); int(id) != i || seen {
+			t.Errorf("after reset: key %q = id %d seen %v, want %d false", k, id, seen, i)
+		}
+	}
+	var zero keyTable
+	zero.reset()
+	if zero.offs != nil || zero.slots != nil || zero.arena != nil {
+		t.Errorf("reset of the zero keyTable made %+v", zero)
+	}
+}

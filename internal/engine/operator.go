@@ -1857,7 +1857,7 @@ func (ex *exec) buildTablePipe(te sqlast.TableExpr, parent *scope) (*pipe, error
 			return nil, fmt.Errorf("engine: no such table %s", t.Name)
 		}
 		heap := ex.heap(tab)
-		b := newBinding(t.Binding(), tab.ColNames())
+		b := tab.bind(t.Binding())
 		return &pipe{
 			op:  &scanOperator{src: scanOp{rows: heap}, base: true},
 			rel: &relation{bindings: []*binding{b}, rows: heap, width: len(tab.Cols), base: tab},

@@ -140,7 +140,7 @@ func outerRefs(sel *sqlast.Select, cat *catalog, outer *scope, ref func(*sqlast.
 			if tab == nil || cat.views[key] != nil || slices.ContainsFunc(f.bindings, func(b *binding) bool { return b.name == name }) {
 				return false
 			}
-			f.bindings = append(f.bindings, newBinding(name, tab.ColNames()))
+			f.bindings = append(f.bindings, tab.bind(name))
 			return true
 		case *sqlast.JoinExpr:
 			return addFrom(t.L) && addFrom(t.R)
@@ -564,7 +564,7 @@ func (cat *catalog) paramKinds(stmt sqlast.Statement, n int) []sqltypes.Kind {
 	case *sqlast.Insert:
 		cols := st.Columns
 		if len(cols) == 0 {
-			cols = t.ColNames()
+			cols = t.names
 		}
 		for _, row := range st.Rows {
 			for i, e := range row {

@@ -86,6 +86,8 @@ var referenceForbidden = []string{
 // frame, per-entry lowerings, batch free list and per-call entry points),
 // and the result cache's two maps ADR-038 replaced with one table (the key
 // that chose between them, and the word a fixed result was stored as), and
+// that table's own slots, fixed-width key and size hint ADR-045 replaced with
+// the key table, and
 // the DISTINCT operator and the frozen group table's rank directory ADR-039
 // folded into the group operator's sorted runs, and the ORDER BY key columns
 // and the sort's second buffer ADR-040 replaced with keys at the row's tail
@@ -105,6 +107,7 @@ var deletedTwins = []string{
 	"frame", "udfProjection", "udfProj", "projBatches", "projectPlannedUDF",
 	"runPlannedUDF", "execUDFBody", "execUDFMemo", "memoFor", "udfCache",
 	"udfKey", "keyOf", "callWord", "wordOf",
+	"callKey", "fixedKey", "callSlot", "cacheSlots",
 	"distinctOperator", "distinctEntryBytes", "rankEntryBytes",
 	"resetKeyCols", "keyRow", "recCost", "engageSpill",
 	"leftOuterJoin", "openChargedBuild", "onResidual",

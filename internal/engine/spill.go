@@ -154,9 +154,10 @@ func (ex *exec) dropSpillFile(f spillFile) {
 }
 
 // releaseSpills ends the statement: it removes every spill file the
-// statement still holds and hands its scratch stack, and each of its pool
-// workers', to the next statement. Called from Rows.Close and at the end of
-// ExecPlanContext, once nothing of the statement runs any more; idempotent.
+// statement still holds and hands its scratch stack and result caches, and
+// each of its pool workers', on (putStack). Called from Rows.Close and at the
+// end of ExecPlanContext, once nothing of the statement runs any more;
+// idempotent.
 func (ex *exec) releaseSpills() {
 	if ex.spills != nil {
 		ex.spills.removeAll()
@@ -171,10 +172,18 @@ func (ex *exec) releaseSpills() {
 	}
 }
 
+// putStack hands the scratch stack to the next statement and each IMMUTABLE
+// result cache, emptied, to the next execution of its plan.
 func (ex *exec) putStack() {
 	if ex.vs != nil {
 		ex.vs.put()
 		ex.vs = nil
+	}
+	for _, c := range ex.udfCalls {
+		if c.cache != nil {
+			c.plan.putResults(c.cache)
+			c.cache = nil
+		}
 	}
 }
 

@@ -11,13 +11,10 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math"
-	"math/bits"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"mtbase/internal/sqlast"
 	"mtbase/internal/sqltypes"
@@ -44,7 +41,7 @@ import (
 // of tabs differ starts a fresh one in its place (exec.udf). An open cursor
 // therefore keeps converting at the rates of its snapshot while a statement
 // started after a write to the meta tables sees the new ones, through the same
-// plan. mu guards memo and every memo's entries map: concurrent
+// plan. mu guards memo, every memo's entries map and spare: concurrent
 // executions (and parallel workers within one) share the plan, and whichever
 // of those with equal pins builds an entry first builds the same relation
 // every other would.
@@ -61,12 +58,9 @@ type udfPlan struct {
 	// (udfCall.call) to keep the cache's counts those of that order.
 	callsUDF bool
 
-	// cacheSlots is the largest result cache an execution of the plan grew
-	// (udfResults.reserve): where the next one's starts.
-	cacheSlots atomic.Int64
-
-	mu   sync.Mutex
-	memo *udfMemo
+	mu    sync.Mutex
+	memo  *udfMemo
+	spare []*udfResults // result caches its ended executions emptied (putResults)
 }
 
 // udfMemo is a planned body's FROM/WHERE relations over one set of table
@@ -140,7 +134,7 @@ func buildUDFPlan(body *sqlast.Select, cat *catalog) *udfPlan {
 		if tab == nil || cat.views[key] != nil {
 			return &udfPlan{}
 		}
-		b := newBinding(name.Binding(), tab.ColNames())
+		b := tab.bind(name.Binding())
 		if slices.ContainsFunc(plan.bindings, func(o *binding) bool { return o.name == b.name }) {
 			return &udfPlan{}
 		}
@@ -219,7 +213,7 @@ type udfCall struct {
 
 	memo     *udfMemo
 	seen     map[string]*udfPlanEntry
-	lastKey  callKey // the last fixed WHERE key looked up, and its entry
+	lastKey  []byte // the last WHERE key looked up (appendCallKey), and its entry
 	lastSeen *udfPlanEntry
 
 	prog vecExpr
@@ -267,7 +261,7 @@ func (ex *exec) udf(fn *Function) *udfCall {
 	}
 	c := &udfCall{ex: ex, fn: fn, plan: ex.planUDF(fn)}
 	if fn.Immutable && ex.db.mode == ModePostgres {
-		c.cache = &udfResults{hint: &c.plan.cacheSlots}
+		c.cache = c.plan.takeResults()
 	}
 	if ex.udfCalls == nil {
 		ex.udfCalls = make(map[*Function]*udfCall)
@@ -301,28 +295,21 @@ func (c *udfCall) batched() bool { return c.plan.ok && !c.plan.callsUDF }
 // call answers one call: from the result cache where the mode keeps one, else
 // by running the body. Behaviour matches runQuery(body, scope-with-params)
 // followed by taking the first row's only column (NULL over an empty result).
-// A body may call the function again, and a nested call may grow the cache,
-// so the slot is probed again after the body where the table moved.
+// A body may call the function again, and a nested call may add calls to the
+// cache, so the call's state is looked up by its number after the body.
 func (c *udfCall) call(args []sqltypes.Value) (sqltypes.Value, error) {
 	ex, r := c.ex, c.cache
 	if r == nil {
 		return c.execBody(args)
 	}
-	r.reserve(1)
-	s := r.probe(args, &ex.keyBuf)
-	if v, ok := r.result(&r.slots[s]); ok {
+	id := r.probe(args, &ex.keyBuf)
+	if v, ok := r.result(&r.calls[id]); ok {
 		ex.db.Stats.UDFCacheHits.Add(1)
 		return v, nil
 	}
-	size := len(r.slots)
 	out, err := c.execBody(args)
-	if err == nil {
-		if len(r.slots) != size {
-			s = r.probe(args, &ex.keyBuf)
-		}
-		if slot := &r.slots[s]; slot.state < slotWord {
-			r.fill(slot, out)
-		}
+	if s := &r.calls[id]; err == nil && s.state < slotWord {
+		r.fill(s, out)
 	}
 	return out, err
 }
@@ -375,16 +362,15 @@ func (c *udfCall) failed(err error) error {
 // and poisons exactly the rows whose call fails. The values and counts are
 // those of answering the calls one at a time in row order.
 //
-// Without a result cache every call runs the body (run). With one, the table
-// makes room for the whole batch and each call probes it once: a slot with a
-// result answers the call, a hit; a vacant slot becomes pending, owned by the
-// call, which joins the ones the body runs for; a pending slot is an earlier
-// row's key, and the call waits for it. After the body has run, the pending
-// calls are settled in row order: an owner counts a call and fills its slot,
-// or on failure leaves it vacant; a waiting call whose owner filled the slot
-// counts a hit and answers the slot's result (an equal key need not be equal
-// arguments: ±0); one whose owner failed owns the slot in the next round,
-// as its call would run the body again.
+// Without a result cache every call runs the body (run). With one, each call
+// probes it once: a key with a result answers the call, a hit; a vacant key
+// becomes pending, owned by the call, which joins the ones the body runs for;
+// a pending key is an earlier row's, and the call waits for it. After the
+// body has run, the pending calls are settled in row order: an owner counts a
+// call and fills its key's result, or on failure leaves it vacant; a waiting
+// call whose owner filled it counts a hit and answers that result (an equal
+// key need not be equal arguments: ±0); one whose owner failed owns the key
+// in the next round, as its call would run the body again.
 func (c *udfCall) batch(b *Batch, live []int32, cols, out []sqltypes.Value) {
 	ex := c.ex
 	c.args.vals, c.args.col, c.args.row = cols, len(b.rows), 1
@@ -397,23 +383,22 @@ func (c *udfCall) batch(b *Batch, live []int32, cols, out []sqltypes.Value) {
 	}
 	st := ex.vs
 	m := st.mark()
-	r.reserve(len(live))
 	hits, calls := 0, 0
-	slotOf := st.takeSel(len(b.rows))[:len(b.rows)] // the slot of each row in pend
+	idOf := st.takeSel(len(b.rows))[:len(b.rows)] // the call number of each row in pend
 	owners, pend := st.takeSel(len(live)), live[:0]
 	for _, i := range live {
-		s := r.probe(c.args.of(i), &ex.keyBuf)
-		slot := &r.slots[s]
-		switch slot.state {
+		id := r.probe(c.args.of(i), &ex.keyBuf)
+		s := &r.calls[id]
+		switch s.state {
 		case slotWord, slotSide:
-			out[i], _ = r.result(slot)
+			out[i], _ = r.result(s)
 			hits++
 			continue
 		case slotVacant:
-			slot.state, slot.bits = slotPending, uint64(i)
+			s.state, s.bits = slotPending, uint64(i)
 			owners = append(owners, i)
 		}
-		slotOf[i] = int32(s)
+		idOf[i] = id
 		pend = append(pend, i)
 	}
 	for len(owners) > 0 {
@@ -421,20 +406,20 @@ func (c *udfCall) batch(b *Batch, live []int32, cols, out []sqltypes.Value) {
 		owners = owners[:0]
 		wait := pend[:0]
 		for _, i := range pend {
-			slot := &r.slots[slotOf[i]]
+			s := &r.calls[idOf[i]]
 			switch {
-			case slot.state >= slotWord:
-				out[i], _ = r.result(slot)
+			case s.state >= slotWord:
+				out[i], _ = r.result(s)
 				hits++
-			case slot.state == slotPending && slot.bits == uint64(i):
+			case s.state == slotPending && s.bits == uint64(i):
 				calls++
 				if b.errs[i] != nil {
-					slot.state = slotVacant
+					s.state = slotVacant
 				} else {
-					r.fill(slot, out[i])
+					r.fill(s, out[i])
 				}
-			case slot.state == slotVacant:
-				slot.state, slot.bits = slotPending, uint64(i)
+			case s.state == slotVacant:
+				s.state, s.bits = slotPending, uint64(i)
 				owners = append(owners, i)
 				wait = append(wait, i)
 			default:
@@ -541,8 +526,8 @@ func (c *udfCall) takeBatch() *Batch {
 
 // entry returns the relation of the call whose arguments are args: from this
 // execution's lookups, else the shared memo, else built and inserted there.
-// A call whose WHERE key is the last one's takes its entry without a probe,
-// and the probe of an entry already seen allocates nothing.
+// A call whose WHERE key is the last one's takes its entry without a lookup,
+// and the lookup of an entry already seen allocates nothing.
 func (c *udfCall) entry(args []sqltypes.Value) (*udfPlanEntry, error) {
 	var wbuf [2]sqltypes.Value
 	where := wbuf[:0]
@@ -551,15 +536,15 @@ func (c *udfCall) entry(args []sqltypes.Value) (*udfPlanEntry, error) {
 			where = append(where, args[n-1])
 		}
 	}
-	k, fixed := fixedKey(where)
-	if fixed && c.lastSeen != nil && k == c.lastKey {
-		return c.lastSeen, nil
-	}
 	ex := c.ex
 	ex.keyBuf = appendCallKey(ex.keyBuf[:0], where)
-	e := c.seen[string(ex.keyBuf)]
+	if c.lastSeen != nil && string(ex.keyBuf) == string(c.lastKey) {
+		return c.lastSeen, nil
+	}
+	c.lastKey, c.lastSeen = append(c.lastKey[:0], ex.keyBuf...), nil
+	e := c.seen[string(c.lastKey)]
 	if e == nil {
-		key := string(ex.keyBuf)
+		key := string(c.lastKey)
 		plan, shared := c.plan, c.memo
 		plan.mu.Lock()
 		e = shared.entries[key]
@@ -591,9 +576,7 @@ func (c *udfCall) entry(args []sqltypes.Value) (*udfPlanEntry, error) {
 		}
 		c.seen[key] = e
 	}
-	if fixed {
-		c.lastKey, c.lastSeen = k, e
-	}
+	c.lastSeen = e
 	return e, nil
 }
 
@@ -602,28 +585,22 @@ func (c *udfCall) entry(args []sqltypes.Value) (*udfPlanEntry, error) {
 // udfResults is the IMMUTABLE-result cache of one function for one statement
 // and worker, mirroring how PostgreSQL caches IMMUTABLE function results "for
 // the rest of the query execution" (§4.2.1); ModeSystemC keeps none
-// (DESIGN.md ADR-038). It is one open-addressed, linearly probed table of
-// callSlots, at most 3/4 full, that holds no pointer: the collector does not
-// scan it and a call adds no object. A call of at most two fixed-width
-// arguments is keyed by its callKey; any other — a VARCHAR or INTERVAL
-// argument, more arguments — by its appendCallKey encoding, kept in arena. A
-// fixed-width result is stored in its slot, any other in side. A slot, once a
-// key holds it, is that key's for the statement: a failed call leaves it
-// vacant, which only its own key reuses, so no probe sequence is broken.
+// (DESIGN.md ADR-038, ADR-045). A call is numbered by its appendCallKey
+// encoding in keys, and calls[id] is that call's state and result: a
+// fixed-width result in the entry, any other in side. Only side holds
+// pointers, so the collector does not scan the table and a call adds no
+// object. A number never moves, and once a key has it, it is that key's for
+// the statement: a failed call leaves it vacant. An ended execution empties
+// its tables and hands them to its plan's next one (udfPlan.putResults).
 type udfResults struct {
-	slots []callSlot
-	used  int // slots that are not free
-	arena []byte
+	keys  keyTable
+	calls []callResult
 	side  []sqltypes.Value
-	hint  *atomic.Int64 // the plan's largest table, where the next execution starts
 }
 
-// callSlot is one key of a udfResults and, in state slotWord or slotSide, its
-// result. An encoded key is tagged encodedKey in key[0], which no callKey
-// sets, with its length beside the tag, its offset in the arena in key[1] and
-// its hash in key[2].
-type callSlot struct {
-	key   callKey
+// callResult is the state of one call of a udfResults and, in state slotWord
+// or slotSide, its result.
+type callResult struct {
 	bits  uint64        // slotWord: the result's bits; slotSide: its index in side; slotPending: the row that owns the call
 	kind  sqltypes.Kind // slotWord: the result's kind
 	state slotState
@@ -632,79 +609,52 @@ type callSlot struct {
 type slotState uint8
 
 const (
-	slotFree    slotState = iota
-	slotVacant            // a key without a result: just claimed, or its call failed
-	slotPending           // a key whose call runs in the current batch (udfCall.batch)
-	slotWord              // a key and its fixed-width result
-	slotSide              // a key and its result in side
+	slotVacant  slotState = iota // a key without a result: just numbered, or its call failed
+	slotPending                  // a key whose call runs in the current batch (udfCall.batch)
+	slotWord                     // a key and its fixed-width result
+	slotSide                     // a key and its result in side
 )
 
-const encodedKey = 1 << 63
-
-var hashSeed = maphash.MakeSeed()
-
-// reserve makes room for n more keys at a load of at most 3/4. A first table
-// takes the size the plan's executions grew theirs to (udfPlan.cacheSlots),
-// so a warm statement does not grow one.
-func (r *udfResults) reserve(n int) {
-	if 4*(r.used+n) <= 3*len(r.slots) {
-		return
+// takeResults returns an empty result cache for an execution of the plan: one
+// an ended execution handed back, else a new one.
+func (p *udfPlan) takeResults() *udfResults {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.spare); n > 0 {
+		r := p.spare[n-1]
+		p.spare[n-1], p.spare = nil, p.spare[:n-1]
+		return r
 	}
-	size := max(len(r.slots), int(r.hint.Load()), 16)
-	for 4*(r.used+n) > 3*size {
-		size *= 2
-	}
-	old := r.slots
-	r.slots = make([]callSlot, size)
-	mask := uint64(size - 1)
-	for _, s := range old {
-		if s.state == slotFree {
-			continue
-		}
-		i := s.key.hash() & mask
-		for r.slots[i].state != slotFree {
-			i = (i + 1) & mask
-		}
-		r.slots[i] = s
-	}
-	for seen := r.hint.Load(); int64(size) > seen && !r.hint.CompareAndSwap(seen, int64(size)); {
-		seen = r.hint.Load()
-	}
+	return &udfResults{keys: newKeyTable(0)}
 }
 
-// probe returns the slot of the call whose arguments are args — the one probe
-// of both paths: udfCall.batch for a batch, udfCall.call for one call. A key
-// not in the table claims a free slot, vacant; there must be room for it
-// (reserve). buf is scratch for an encoded key.
-func (r *udfResults) probe(args []sqltypes.Value, buf *[]byte) int {
-	k, fixed := fixedKey(args)
-	var enc []byte
-	if !fixed {
-		*buf = appendCallKey((*buf)[:0], args)
-		enc = *buf
-		k = callKey{encodedKey | uint64(len(enc)), 0, maphash.Bytes(hashSeed, enc)}
-	}
-	mask := uint64(len(r.slots) - 1)
-	for i := k.hash() & mask; ; i = (i + 1) & mask {
-		s := &r.slots[i]
-		if s.state == slotFree {
-			if !fixed {
-				k[1] = uint64(len(r.arena))
-				r.arena = append(r.arena, enc...)
-			}
-			s.key, s.state = k, slotVacant
-			r.used++
-			return int(i)
-		}
-		if fixed && s.key == k ||
-			!fixed && s.key[0] == k[0] && s.key[2] == k[2] && string(r.arena[s.key[1]:][:len(enc)]) == string(enc) {
-			return int(i)
-		}
-	}
+// putResults empties r, whose execution has ended, and keeps it, room and
+// all, for the plan's next execution. The list grows only to the number of
+// tables in use at once.
+func (p *udfPlan) putResults(r *udfResults) {
+	r.keys.reset()
+	clear(r.side)
+	r.calls, r.side = r.calls[:0], r.side[:0]
+	p.mu.Lock()
+	p.spare = append(p.spare, r)
+	p.mu.Unlock()
 }
 
-// result returns the result slot s holds, if it holds one.
-func (r *udfResults) result(s *callSlot) (sqltypes.Value, bool) {
+// probe returns the number of the call whose arguments are args — the one
+// probe of both paths: udfCall.batch for a batch, udfCall.call for one call.
+// A key the table does not hold is numbered next, vacant. buf is scratch for
+// the encoded key.
+func (r *udfResults) probe(args []sqltypes.Value, buf *[]byte) int32 {
+	*buf = appendCallKey((*buf)[:0], args)
+	id, seen := r.keys.id(*buf, true)
+	if !seen {
+		r.calls = append(r.calls, callResult{})
+	}
+	return id
+}
+
+// result returns the result s holds, if it holds one.
+func (r *udfResults) result(s *callResult) (sqltypes.Value, bool) {
 	switch s.state {
 	case slotWord:
 		if s.kind == sqltypes.KindFloat {
@@ -717,9 +667,9 @@ func (r *udfResults) result(s *callSlot) (sqltypes.Value, bool) {
 	return sqltypes.Null, false
 }
 
-// fill stores v as the result of s's key: in the slot where v is a
-// fixed-width value its kind and bits rebuild exactly, else in side.
-func (r *udfResults) fill(s *callSlot, v sqltypes.Value) {
+// fill stores v as the result of s's key: in s where v is a fixed-width value
+// its kind and bits rebuild exactly, else in side.
+func (r *udfResults) fill(s *callResult, v sqltypes.Value) {
 	switch v.K {
 	case sqltypes.KindNull, sqltypes.KindInt, sqltypes.KindBool, sqltypes.KindDate:
 		if math.Float64bits(v.F) == 0 && v.S == "" {
@@ -734,52 +684,6 @@ func (r *udfResults) fill(s *callSlot, v sqltypes.Value) {
 	}
 	s.bits, s.state = uint64(len(r.side)), slotSide
 	r.side = append(r.side, v)
-}
-
-// callKey names a call of at most two fixed-width arguments: their kinds, one
-// byte each, then their bits, with the equality of appendCallKey's encoding —
-// an INTEGER is tagged apart from the DECIMAL of equal value (a body can tell
-// them apart: $1 / 2), ±0 is one key and a BOOLEAN is its truth value.
-type callKey [3]uint64
-
-// hash spreads k over a table. An encoded key carries its hash.
-func (k callKey) hash() uint64 {
-	if k[0]&encodedKey != 0 {
-		return k[2]
-	}
-	hi, lo := bits.Mul64(k[1]^0xa0761d6478bd642f, k[2]^k[0]^0xe7037ed1a0b428db)
-	return hi ^ lo
-}
-
-// fixedKey returns the callKey of args, or false when an argument is not
-// fixed-width (NULL, INTEGER, DECIMAL, BOOLEAN, DATE) or there are more than
-// two.
-func fixedKey(args []sqltypes.Value) (callKey, bool) {
-	var k callKey
-	if len(args) > len(k)-1 {
-		return k, false
-	}
-	for j, a := range args {
-		var bits uint64
-		switch a.K {
-		case sqltypes.KindNull:
-		case sqltypes.KindInt, sqltypes.KindDate:
-			bits = uint64(a.I)
-		case sqltypes.KindBool:
-			if a.I != 0 {
-				bits = 1
-			}
-		case sqltypes.KindFloat:
-			if a.F != 0 { // -0 and +0 are one key
-				bits = math.Float64bits(a.F)
-			}
-		default:
-			return k, false
-		}
-		k[0] |= uint64(a.K) << (8 * j)
-		k[1+j] = bits
-	}
-	return k, true
 }
 
 // appendCallKey encodes args for the result cache and the relation memo.

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -281,9 +282,10 @@ func exactKey(res *Result, err error) string {
 // evaluator check's (SetCompileExprs(false), which interprets every call) at
 // parallelism 1 and 4; at parallelism 1, where both run the same rows in the
 // same order, so do the body executions and cache hits, in both modes. A
-// held plan's result cache starts at the size its last execution grew to
-// (udfPlan.cacheSlots); after an INSERT of new keys the next execution grows
-// it past that, and answers and counts the same.
+// held plan's next execution takes the emptied result caches its last one
+// handed back (udfPlan.spare): after an INSERT of new keys it answers and
+// counts the same through them, and the plan keeps no more tables than one
+// execution uses at once.
 func TestUDFBatchParity(t *testing.T) {
 	SetMorselSize(1)
 	defer SetMorselSize(0)
@@ -314,13 +316,19 @@ func TestUDFBatchParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			slots := func() (most int64) {
+			spare := func() map[*udfResults]bool {
+				tables := map[*udfResults]bool{}
 				for _, up := range p.udfPlans {
-					most = max(most, up.cacheSlots.Load())
+					for _, r := range up.spare {
+						if r.keys.len() != 0 || len(r.calls) != 0 || len(r.side) != 0 {
+							t.Errorf("%s par=%d: a spare result cache holds %d keys", mode, par, r.keys.len())
+						}
+						tables[r] = true
+					}
 				}
-				return most
+				return tables
 			}
-			var hint int64
+			var left map[*udfResults]bool
 			for step, write := range []string{"", ins.String()} {
 				if write != "" {
 					if _, err := db.ExecSQL(write); err != nil {
@@ -331,10 +339,22 @@ func TestUDFBatchParity(t *testing.T) {
 				checkUDFParity(t, db, label, par, func() (*Result, error) {
 					return db.ExecPlanContext(context.Background(), p)
 				})
-				if mode == ModePostgres && slots() <= hint {
-					t.Errorf("%s: the result cache grew to %d slots, the hint was %d", label, slots(), hint)
+				now, lo, hi := spare(), 1, par+1
+				if mode == ModeSystemC {
+					lo, hi = 0, 0 // the mode caches nothing
 				}
-				hint = slots()
+				if len(now) < lo || len(now) > hi {
+					t.Errorf("%s: the plan keeps %d result caches, want %d to %d", label, len(now), lo, hi)
+				}
+				if par == 1 && step > 0 && !maps.Equal(now, left) {
+					t.Errorf("%s: the execution made result caches of its own: %d kept, %d left before", label, len(now), len(left))
+				}
+				for r := range left {
+					if !now[r] {
+						t.Errorf("%s: a result cache the last execution left is gone", label)
+					}
+				}
+				left = now
 			}
 		}
 	}

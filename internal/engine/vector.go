@@ -852,7 +852,7 @@ func (ve *venv) semiJoinOf(sub *sqlast.Select) *semiJoin {
 	if _, view := ex.cat.views[key]; view || tab == nil {
 		return nil
 	}
-	b := newBinding(tn.Binding(), tab.ColNames())
+	b := tab.bind(tn.Binding())
 	rel := &relation{bindings: []*binding{b}, width: len(tab.Cols), base: tab}
 	for _, it := range sub.Items {
 		switch x := it.Expr.(type) {

@@ -36,22 +36,24 @@ func TestJoinAllocBudget(t *testing.T) {
 		// it is handed, so a run re-allocates up to three of the statement's
 		// pooled scratch blocks: the highest of 40 such runs + 10 %. A chain's
 		// rows hold only the columns read above each join (ADR-044): before,
-		// Q18 1.84–2.11 MB, Q22 1.04–1.25 MB, Q10 2.03–2.29 MB.
-		{id: 18, budget: 2_195_000, objects: 940},   // here 1.75–1.99 MB in 847–854 objects
-		{id: 22, budget: 880_000, objects: 2_835},   // here 0.52–0.80 MB in 2 568–2 576
-		{id: 10, budget: 2_050_000, objects: 2_110}, // here 1.56–1.86 MB in 1 909–1 915 (250 nation-by-tenant rows pre-joined)
+		// Q18 1.84–2.11 MB, Q22 1.04–1.25 MB, Q10 2.03–2.29 MB. A base table
+		// binds its column names once (ADR-045): before, Q18 847–854 objects,
+		// Q22 2 568–2 576, Q10 1 909–1 915, Q13 330–336, Q3 464–468, Q8 763–764.
+		{id: 18, budget: 2_195_000, objects: 905},   // here 1.75–1.99 MB in 818–823 objects
+		{id: 22, budget: 880_000, objects: 2_740},   // here 0.51–0.70 MB in 2 485–2 491
+		{id: 10, budget: 2_050_000, objects: 2_014}, // here 1.49–1.79 MB in 1 825–1 831 (250 nation-by-tenant rows pre-joined)
 		// No BENCHMARK.json workload runs a LEFT JOIN; this row is the gate on
 		// the outer kind of the one hash join (ADR-014): the twin operator it
-		// replaced allocated 3.62 MB here. Here 3.12–3.24 MB in 330–336
+		// replaced allocated 3.62 MB here. Here 3.12–3.20 MB in 326–330
 		// objects: orders is probed through its persistent index.
-		{id: 13, budget: 3_560_000, objects: 370},
+		{id: 13, budget: 3_560_000, objects: 363},
 		// The joins that probe an index through their build side's filters
-		// (ADR-022). Q3 here 0.43–0.59 MB in 464–468 objects (1.11 MB in 834
+		// (ADR-022). Q3 here 0.43–0.66 MB in 457–464 objects (1.11 MB in 834
 		// with whole chain rows and Go-map keys); scanning, filtering and
 		// hashing orders and lineitem per statement 2.33 MB in 14 364. Q8 here
-		// 49 KB in 763–764 (56 KB in 817 before); 659 KB in 2 909.
-		{id: 3, budget: 647_000, objects: 515},
-		{id: 8, budget: 54_100, objects: 840},
+		// 46 KB in 727 (56 KB in 817 before ADR-044); 659 KB in 2 909.
+		{id: 3, budget: 647_000, objects: 510},
+		{id: 8, budget: 54_100, objects: 799},
 	})
 }
 
@@ -65,20 +67,22 @@ func TestJoinAllocBudget(t *testing.T) {
 // 40 runs under -race + 10 %.
 func TestGroupAllocBudget(t *testing.T) {
 	checkAllocBudgets(t, []allocBudget{
-		// here 0.74–1.10 MB in 436–441 objects; Go-map keys 1.16 MB in 1 256;
+		// here 0.73–1.09 MB in 433–438 objects; Go-map keys 1.16 MB in 1 256;
 		// row-keeping groups 1.50 MB in 13 602
-		{id: 1, budget: 1_213_000, objects: 485},
-		// here 1.75–1.99 MB in 847–854 objects; Go-map keys 2.20 MB in 3 962;
+		{id: 1, budget: 1_213_000, objects: 481},
+		// here 1.75–1.99 MB in 818–823 objects; Go-map keys 2.20 MB in 3 962;
 		// row-keeping groups 2.22 MB in 27 938
-		{id: 18, budget: 2_195_000, objects: 940},
-		// Canonical Q1 is the conversion-call path (ADR-037, ADR-038): here
-		// 1.91 MB in 288 objects, the result caches one table each, sized at
-		// their plan's last execution; 3.72 MB in 469 with a Go map per cache
-		// grown from empty, 6.33 MB in 21 035 with a string key per body
-		// execution. Under -race, where sync.Pool drops the statement's
-		// scratch stack at random, a run re-allocates it (+0.44 MB a run):
-		// the highest of 40 runs, 2.35 MB in 293, + 10 %.
-		{id: 1, canonical: true, budget: 2_589_000, objects: 323},
+		{id: 18, budget: 2_195_000, objects: 905},
+		// Canonical Q1 is the conversion-call path (ADR-037, ADR-045): here
+		// 0.58 MB in 277 objects serial, the result caches the emptied tables
+		// the plan's last execution handed back; 1.89 MB in 280 with each
+		// statement's tables made afresh at the size the last one grew to,
+		// 3.72 MB in 469 with a Go map per cache grown from empty, 6.33 MB in
+		// 21 035 with a string key per body execution. Under -race, where
+		// sync.Pool drops the statement's scratch stack at random, a run
+		// re-allocates it (+0.44 MB a run): the highest of 40 runs, 1.04 MB
+		// in 290, + 10 %.
+		{id: 1, canonical: true, budget: 1_147_000, objects: 319},
 	})
 }
 
