@@ -5,7 +5,9 @@ package engine
 // selection vector of surviving row indices, and expressions run as batch
 // programs over those vectors (vector.go) — compiled kernels in production,
 // the lifted interpreter in the evaluator check; the operators cannot tell.
-// Filters refine the selection vector instead of copying rows; join and
+// Filters refine the selection vector instead of copying rows — a column
+// compared with a row-free operand by a kernel that reads the column where
+// it lies and appends the rows it keeps (DESIGN.md ADR-046); join and
 // group-by keys are computed into per-batch key columns and encoded from
 // there, while ORDER BY keys ride at the end of each projected row, past its
 // output columns, until the sort cuts them off (DESIGN.md ADR-040).
@@ -187,11 +189,11 @@ func (s *scanOp) next(b *Batch) bool {
 }
 
 // filterOp refines a batch's selection vector with a conjunct list, one
-// batch program per conjunct. On a poisoned row it records the first failing
-// row's error in failed; the driving operator stops there.
+// selection program per conjunct (selCompileAll): each keeps the rows it
+// holds for, and the next sees only those. On a poisoned row it records the
+// first failing row's error in failed; the driving operator stops there.
 type filterOp struct {
-	progs  []vecExpr
-	out    []sqltypes.Value
+	progs  []selExpr
 	selBuf []int32
 	failed error
 }
@@ -202,19 +204,8 @@ func (f *filterOp) apply(b *Batch) {
 		if len(sel) == 0 {
 			break
 		}
-		f.out = growVals(f.out, len(b.rows))
-		prog(b, sel, f.out)
 		f.selBuf = growSel(f.selBuf, len(sel))
-		kept := f.selBuf[:0]
-		for _, i := range sel {
-			if b.errs[i] != nil {
-				continue
-			}
-			if truth, _ := sqltypes.Truthy(f.out[i]); truth {
-				kept = append(kept, i)
-			}
-		}
-		sel = kept
+		sel = prog(b, sel, f.selBuf)
 	}
 	b.sel = sel
 	f.failed = b.firstErr()

@@ -586,6 +586,24 @@ func FuzzQuery(f *testing.F) {
 		}
 		f.Add(sel.String())
 	}
+	// A column compared with a row-free operand is a selection kernel
+	// (ADR-046): each kind against literals and folded intervals, the column
+	// on either side, mixed INTEGER/DECIMAL, [NOT] BETWEEN, NULL columns (a
+	// LEFT JOIN's unmatched rows, filtered above it), HAVING on a group key,
+	// an operand that raises, and a bind, which this target runs unbound.
+	for _, sql := range []string{
+		`SELECT l_orderkey, l_linenumber FROM lineitem WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1994-01-01' + INTERVAL '1' YEAR AND l_discount BETWEEN 0.06 - 0.01 AND 0.06 + 0.01 AND l_quantity < 24 ORDER BY l_orderkey, l_linenumber`,
+		`SELECT c_custkey FROM customer WHERE 'BUILDING' = c_mktsegment AND c_acctbal NOT BETWEEN -100 AND 5000 AND 3 <> c_nationkey ORDER BY c_custkey`,
+		`SELECT o_orderkey FROM orders WHERE o_orderpriority <= '2-HIGH' AND DATE '1995-03-15' < o_orderdate AND o_totalprice > 1000 ORDER BY o_orderkey LIMIT 60`,
+		`SELECT l_orderkey, l_linenumber FROM lineitem WHERE l_linenumber >= 2.5 AND l_tax <> 0 AND l_extendedprice <= -(-30000) ORDER BY l_orderkey, l_linenumber LIMIT 80`,
+		`SELECT c_custkey, o_orderkey FROM customer LEFT JOIN orders ON c_custkey = o_custkey AND o_orderstatus = 'F' WHERE o_totalprice >= 50000 ORDER BY c_custkey, o_orderkey`,
+		`SELECT c_custkey, o_orderkey, o_orderdate FROM customer LEFT JOIN orders ON c_custkey = o_custkey AND o_orderpriority = '1-URGENT' WHERE o_orderdate NOT BETWEEN DATE '1995-01-01' AND DATE '1996-12-31' ORDER BY c_custkey, o_orderkey`,
+		`SELECT l_returnflag, l_linestatus, COUNT(*) FROM lineitem WHERE l_shipdate <= DATE '1998-12-01' - INTERVAL '90' DAY GROUP BY l_returnflag, l_linestatus HAVING l_returnflag > 'A' ORDER BY l_returnflag, l_linestatus`,
+		`SELECT o_orderkey FROM orders WHERE o_orderkey < 100 AND o_totalprice > 1 / 0`,
+		`SELECT l_orderkey FROM lineitem WHERE l_shipdate >= $1 AND l_quantity < $2`,
+	} {
+		f.Add(sql)
+	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		if len(sql) > 4096 {
 			t.Skip("oversized input")

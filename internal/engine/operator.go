@@ -157,17 +157,16 @@ type filterOperator struct {
 	f     filterOp
 }
 
-// newFilterOp lowers conjuncts against a stream's schema, one batch program
-// each, in orderConjuncts' order: every filter of the operator tree is one.
+// newFilterOp lowers conjuncts against a stream's schema, one selection
+// program each, in orderConjuncts' order: every filter of the operator tree
+// is one.
 func (ex *exec) newFilterOp(conjs []*conjunct, rel *relation, parent *scope) filterOp {
 	conjs, _ = ex.orderConjuncts(conjs, rel, parent)
 	exprs := make([]sqlast.Expr, len(conjs))
 	for i, c := range conjs {
 		exprs[i] = c.expr
 	}
-	var f filterOp
-	f.progs, _ = ex.vecCompileAll(exprs, rel.bindings, rel.scopeFor(parent), nil)
-	return f
+	return filterOp{progs: ex.selCompileAll(exprs, rel.bindings, rel.scopeFor(parent))}
 }
 
 func (o *filterOperator) Open(ex *exec) error { return o.child.Open(ex) }
@@ -354,12 +353,12 @@ func indexableBuild(r *relation, pairs []equiPair) ([]string, bool) {
 	return cols, true
 }
 
-// windowFilter runs conjuncts (one batch program each — vecCompile never
-// returns nil, ADR-010) over candidate rows, window by window through the
-// row cursor: an outer join's residual ON conjuncts over the joined
-// candidates of one probe row, the index path's own conjuncts over the build
-// rows a probe batch reaches (candidateFilter), and an EXISTS subquery's
-// other conjuncts over the rows its key reaches (semiJoin).
+// windowFilter runs conjuncts (one selection program each, ADR-046) over
+// candidate rows, window by window through the row cursor: an outer join's
+// residual ON conjuncts over the joined candidates of one probe row, the
+// index path's own conjuncts over the build rows a probe batch reaches
+// (candidateFilter), and an EXISTS subquery's other conjuncts over the rows
+// its key reaches (semiJoin).
 type windowFilter struct {
 	f   filterOp
 	cur scanOp
@@ -860,7 +859,7 @@ func (o *projection) lowerItems(ex *exec, sel *sqlast.Select, rel *relation, sc 
 	for k := range plans {
 		exprs = append(exprs, plans[k].expr) // nil: sorts by an output column
 	}
-	progs, _ := ex.vecCompileAll(exprs, rel.bindings, sc, nil)
+	progs, _ := ex.vecCompileAll(exprs, rel.bindings, sc, nil, nil)
 	o.vprojs, o.vkeys = progs[:len(o.projs)], progs[len(o.projs):]
 }
 
@@ -1073,7 +1072,7 @@ func (ex *exec) newGroupOperator(child Operator, rel *relation, sel *sqlast.Sele
 	o.sc.group = &o.g
 	o.lowerItems(ex, sel, rel, o.sc, gs.plans)
 	if o.having != nil {
-		o.cond.progs = []vecExpr{ex.vecCompile(o.having, rel.bindings, o.sc)}
+		o.cond.progs = ex.selCompileAll([]sqlast.Expr{o.having}, rel.bindings, o.sc)
 	}
 	o.sc.group = nil
 	return o, nil
@@ -1108,7 +1107,7 @@ func (o *groupOperator) lower(ex *exec, sc *scope) groupProgs {
 		}
 		exprs = append(exprs, arg)
 	}
-	progs, slots := ex.vecCompileAll(exprs, o.rel.bindings, sc, o.shared)
+	progs, slots := ex.vecCompileAll(exprs, o.rel.bindings, sc, o.shared, nil)
 	gks := &vecKeySet{ex: ex, progs: progs[:nk], cols: make([][]sqltypes.Value, nk)}
 	return groupProgs{gks: gks, args: progs[nk:], slots: slots}
 }

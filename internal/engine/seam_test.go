@@ -34,6 +34,12 @@ var seamFuncs = map[string][]string{
 	"reference": {"DB.newExec", "exec.runQuery", "DB.queryRows"},
 }
 
+// kernelLowering lowers a filter's conjuncts into selection programs
+// (ADR-046). It reads no configuration: vecCompileAll, the expression seam,
+// is the only caller of the kernel lowering and hands an interpreting
+// execution the lifted interpreter instead.
+var kernelLowering = []string{"exec.selCompileAll", "venv.selKernel", "truthSel"}
+
 // No function of operator.go calls the interpreter (ex.eval) itself: whatever
 // an operator evaluates per row or per group is a batch program
 // (vecCompileAll), whose lowering decides where the interpreter is lifted, and
@@ -217,8 +223,8 @@ func checkSeam(t *testing.T, seam map[string][]string, sf sourceFunc) {
 }
 
 func TestModeSeam(t *testing.T) {
-	modeLines, refJoins, naive, writes := 0, 0, 0, 0
-	var spillOwners, liftCallers []string
+	modeLines, refJoins, naive, writes, lowerings := 0, 0, 0, 0, 0
+	var spillOwners, liftCallers, kernelCallers []string
 	fallsBackToInterp := false
 	for _, sf := range parsePackage(t) {
 		name := sf.name
@@ -245,6 +251,11 @@ func TestModeSeam(t *testing.T) {
 						for _, id := range fld.Names {
 							if ts.Name.Name == "filterOp" && id.Name == "exprs" {
 								t.Errorf("%s: filterOp.exprs is back", name)
+							}
+							if ts.Name.Name == "filterOp" && id.Name == "progs" {
+								if at, ok := fld.Type.(*ast.ArrayType); !ok || types.ExprString(at.Elt) != "selExpr" {
+									t.Errorf("%s: filterOp.progs is %s; a filter runs one selection program per conjunct", name, types.ExprString(fld.Type))
+								}
 							}
 							if id.Name == "spilled" {
 								spillOwners = append(spillOwners, ts.Name.Name)
@@ -273,6 +284,17 @@ func TestModeSeam(t *testing.T) {
 			}
 			if used["liftInterp"] && fn != "liftInterp" {
 				liftCallers = append(liftCallers, fn)
+			}
+			if used["selKernel"] && fn != "venv.selKernel" {
+				kernelCallers = append(kernelCallers, fn)
+			}
+			if slices.Contains(kernelLowering, fn) {
+				lowerings++
+				for _, id := range []string{"interp", "reference", "noCompile", "streamOff"} {
+					if used[id] {
+						t.Errorf("%s: %s mentions %s; the kernel lowering reads no configuration", name, fn, id)
+					}
+				}
 			}
 			if fn == "exec.evalFunc" || fn == "venv.compileFunc" {
 				// A builtin either evaluator resolves by name must be one
@@ -336,6 +358,12 @@ func TestModeSeam(t *testing.T) {
 	slices.Sort(liftCallers)
 	if want := []string{"exec.vecCompileAll", "venv.lower"}; !slices.Equal(liftCallers, want) {
 		t.Errorf("liftInterp is called from %v, want %v", liftCallers, want)
+	}
+	if lowerings != len(kernelLowering) {
+		t.Errorf("found %d of the kernel lowering's functions %v", lowerings, kernelLowering)
+	}
+	if !slices.Equal(kernelCallers, []string{"exec.vecCompileAll"}) {
+		t.Errorf("selKernel is called from %v, want only exec.vecCompileAll, the seam that decides an interpreting execution", kernelCallers)
 	}
 	if !fallsBackToInterp {
 		t.Error("venv.lower does not end in `return liftInterp(...)`: lowering is a kernel or the lifted interpreter, nothing in between")

@@ -38,6 +38,8 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"mtbase/internal/sqlast"
 	"mtbase/internal/sqltypes"
@@ -45,6 +47,12 @@ import (
 
 // vecExpr evaluates an expression for the selected rows of a batch.
 type vecExpr func(b *Batch, sel []int32, out []sqltypes.Value)
+
+// selExpr is a conjunct's selection program: it appends to keep, in order,
+// the rows of sel the conjunct holds for and returns keep, poisoning a row
+// it raises on instead. keep may alias sel: a program reads sel[k] before it
+// writes keep[j], j ≤ k. Entry conditions are vecExpr's.
+type selExpr func(b *Batch, sel, keep []int32) []int32
 
 // ---------------------------------------------------------------- scratch
 
@@ -60,7 +68,29 @@ type vecStack struct {
 }
 
 // vecStacks holds the stacks of statements that have ended.
-var vecStacks = sync.Pool{New: func() any { return new(vecStack) }}
+var vecStacks = sync.Pool{New: func() any {
+	noteGrowth(int(unsafe.Sizeof(vecStack{})))
+	return new(vecStack)
+}}
+
+// stackGrowth counts what stacks allocate being made and growing, in bytes
+// and objects.
+var stackGrowth struct{ bytes, objects atomic.Int64 }
+
+// ScratchGrowth reports the bytes and objects scratch stacks have allocated,
+// being made and growing, since the process started. A statement's stack
+// comes from a sync.Pool, which may drop it (every GC empties the pool, and
+// under the race detector Put drops a random quarter of what it is handed);
+// the statement after a drop grows a stack afresh. Allocation budgets count
+// this apart.
+func ScratchGrowth() (bytes, objects int64) {
+	return stackGrowth.bytes.Load(), stackGrowth.objects.Load()
+}
+
+func noteGrowth(bytes int) {
+	stackGrowth.bytes.Add(int64(bytes))
+	stackGrowth.objects.Add(1)
+}
 
 // put clears the values the stack's columns still hold — they would keep the
 // ended statement's strings alive — and hands the stack to the next
@@ -88,6 +118,7 @@ func (st *vecStack) takeVals(n int) []sqltypes.Value {
 		grown := make([]sqltypes.Value, off, 2*(off+n))
 		copy(grown, st.vals)
 		st.vals = grown
+		noteGrowth(cap(grown) * int(unsafe.Sizeof(sqltypes.Value{})))
 	}
 	st.vals = st.vals[:off+n]
 	st.used = max(st.used, off+n)
@@ -101,6 +132,7 @@ func (st *vecStack) takeSel(n int) []int32 {
 		grown := make([]int32, off, 2*(off+n))
 		copy(grown, st.sel)
 		st.sel = grown
+		noteGrowth(4 * cap(grown))
 	}
 	st.sel = st.sel[:off+n]
 	return st.sel[off : off : off+n]
@@ -139,7 +171,7 @@ type venv struct {
 // never returns nil: an interpreting execution gets the interpreter lift of
 // the whole expression.
 func (ex *exec) vecCompile(e sqlast.Expr, bindings []*binding, sc *scope) vecExpr {
-	progs, _ := ex.vecCompileAll([]sqlast.Expr{e}, bindings, sc, nil)
+	progs, _ := ex.vecCompileAll([]sqlast.Expr{e}, bindings, sc, nil, nil)
 	return progs[0]
 }
 
@@ -147,10 +179,12 @@ func (ex *exec) vecCompile(e sqlast.Expr, bindings []*binding, sc *scope) vecExp
 // batch, in order; a nil expression has a nil program. With shared, the
 // analysis of exactly this list, structurally equal subexpressions lower to
 // one slot each, and the operator starts every batch with nextBatch on the
-// slots returned (nil when nothing is shared). An interpreting execution
-// gets the interpreter lift of every expression and no slot: the oracle runs
-// each occurrence in place.
-func (ex *exec) vecCompileAll(exprs []sqlast.Expr, bindings []*binding, sc *scope, shared *sharedExprs) ([]vecExpr, *exprSlots) {
+// slots returned (nil when nothing is shared). With kernels, a list of
+// conjuncts as long as exprs, a conjunct of a selection kernel's shape
+// (selKernel) gets the kernel in kernels[i] and no program. An interpreting
+// execution gets the interpreter lift of every expression, no slot and no
+// kernel: the oracle runs each occurrence in place.
+func (ex *exec) vecCompileAll(exprs []sqlast.Expr, bindings []*binding, sc *scope, shared *sharedExprs, kernels []selExpr) ([]vecExpr, *exprSlots) {
 	progs := make([]vecExpr, len(exprs))
 	ve := &venv{ex: ex, bindings: bindings, sc: sc, vs: ex.vs, clientBinds: !scopeHasParams(sc)}
 	if shared != nil && len(shared.reps) > 0 && !ex.interp {
@@ -161,11 +195,127 @@ func (ex *exec) vecCompileAll(exprs []sqlast.Expr, bindings []*binding, sc *scop
 		case e == nil:
 		case ex.interp:
 			progs[i] = liftInterp(ex, e, sc)
+		case kernels != nil && ve.selKernel(e, &kernels[i]):
 		default:
 			progs[i] = ve.compile(e)
 		}
 	}
 	return progs, ve.slots
+}
+
+// selCompileAll lowers a conjunct list into selection programs, in order: a
+// conjunct of a kernel's shape to its kernel, any other to its value program
+// followed by a truth test.
+func (ex *exec) selCompileAll(exprs []sqlast.Expr, bindings []*binding, sc *scope) []selExpr {
+	sels := make([]selExpr, len(exprs))
+	progs, _ := ex.vecCompileAll(exprs, bindings, sc, nil, sels)
+	for i, prog := range progs {
+		if sels[i] == nil {
+			sels[i] = truthSel(prog, ex.vs)
+		}
+	}
+	return sels
+}
+
+// truthSel keeps the rows of sel whose value under prog is true; the value
+// column is scratch on the stack.
+func truthSel(prog vecExpr, st *vecStack) selExpr {
+	return func(b *Batch, sel, keep []int32) []int32 {
+		m := st.mark()
+		out := st.takeVals(len(b.rows))
+		prog(b, sel, out)
+		for _, i := range sel {
+			if b.errs[i] != nil {
+				continue
+			}
+			if truth, _ := sqltypes.Truthy(out[i]); truth {
+				keep = append(keep, i)
+			}
+		}
+		st.release(m)
+		return keep
+	}
+}
+
+// selKernel lowers a comparison of one column with row-free operands — col
+// <op> e, e <op> col, col [NOT] BETWEEN e1 AND e2 — into *kernel and reports
+// whether it did: each operand is evaluated once per batch, and a row is kept
+// where its column value, read in place, compares as the value program would
+// answer true. An operand's error poisons every selected row, as its
+// broadcast would.
+func (ve *venv) selKernel(e sqlast.Expr, kernel *selExpr) bool {
+	switch x := e.(type) {
+	case *sqlast.BinaryExpr:
+		want := compareWant(x.Op)
+		if want == 0 {
+			return false
+		}
+		idx, isCol := ve.column(x.L)
+		operand := x.R
+		if !isCol { // e <op> col: col's outcomes mirrored
+			idx, isCol = ve.column(x.R)
+			operand = x.L
+			want = want&2 | want&1<<2 | want>>2
+		}
+		if !isCol {
+			return false
+		}
+		get := ve.constValue(operand)
+		if get == nil {
+			return false
+		}
+		*kernel = func(b *Batch, sel, keep []int32) []int32 {
+			v, err := get()
+			if err != nil {
+				return poisonAll(b, sel, err, keep)
+			}
+			rows := b.rows
+			for _, i := range sel {
+				if cmp, ok := compareAt(&rows[i][idx], &v); ok && want&(1<<uint(cmp+1)) != 0 {
+					keep = append(keep, i)
+				}
+			}
+			return keep
+		}
+		return true
+	case *sqlast.BetweenExpr:
+		idx, isCol := ve.column(x.X)
+		if !isCol {
+			return false
+		}
+		lo, hi := ve.constValue(x.Lo), ve.constValue(x.Hi)
+		if lo == nil || hi == nil {
+			return false
+		}
+		not := x.Not
+		*kernel = func(b *Batch, sel, keep []int32) []int32 {
+			l, err := lo()
+			var h sqltypes.Value
+			if err == nil {
+				h, err = hi()
+			}
+			if err != nil {
+				return poisonAll(b, sel, err, keep)
+			}
+			rows := b.rows
+			for _, i := range sel {
+				if in, ok := between(&rows[i][idx], &l, &h); ok && in != not {
+					keep = append(keep, i)
+				}
+			}
+			return keep
+		}
+		return true
+	}
+	return false
+}
+
+// poisonAll fails every row of sel with err and keeps none.
+func poisonAll(b *Batch, sel []int32, err error, keep []int32) []int32 {
+	for _, i := range sel {
+		b.poison(i, err)
+	}
+	return keep
 }
 
 // compile lowers e: to its slot's kernel where the analysis shares it, to
@@ -204,8 +354,8 @@ func (ve *venv) lower(e sqlast.Expr) vecExpr {
 			return vecBroadcast(func() (sqltypes.Value, error) { return ex.bind(n) })
 		}
 	case *sqlast.ColumnRef:
-		idx, n := resolveIn(ve.bindings, strings.ToLower(x.Table), strings.ToLower(x.Name))
-		if n != 1 {
+		idx, ok := ve.column(x)
+		if !ok {
 			break // ambiguous or correlated: interpreter semantics via lift
 		}
 		return func(b *Batch, sel []int32, out []sqltypes.Value) {
@@ -275,15 +425,36 @@ func (ve *venv) lower(e sqlast.Expr) vecExpr {
 	return liftInterp(ve.ex, e, ve.sc)
 }
 
+// column resolves a column reference to its one position in the row layout;
+// false for anything else, and for an ambiguous or correlated reference.
+func (ve *venv) column(e sqlast.Expr) (int, bool) {
+	x, ok := e.(*sqlast.ColumnRef)
+	if !ok {
+		return 0, false
+	}
+	idx, n := resolveIn(ve.bindings, strings.ToLower(x.Table), strings.ToLower(x.Name))
+	return idx, n == 1
+}
+
 // constOperand lowers a subtree that reads no row to one evaluation per batch,
 // broadcast over its selection, where it would otherwise be computed for every
 // row: DATE '1998-12-01' - INTERVAL '90' DAY and $1 + INTERVAL '1' YEAR both
-// walk the calendar. A subtree of literals alone that evaluates is folded
-// once, here. An error belongs to every row the subtree is evaluated for, as
-// evaluating it per row would raise it for each — short-circuits included,
-// since the kernel only ever sees the rows its parent selects. nil when e is
-// not such a subtree (constant).
+// walk the calendar. An error belongs to every row the subtree is evaluated
+// for, as evaluating it per row would raise it for each — short-circuits
+// included, since the kernel only ever sees the rows its parent selects. nil
+// when e is not such a subtree (constant).
 func (ve *venv) constOperand(e sqlast.Expr) vecExpr {
+	if get := ve.constValue(e); get != nil {
+		return vecBroadcast(get)
+	}
+	return nil
+}
+
+// constValue returns the per-batch evaluation of a subtree that reads no row
+// (constant), nil for any other: a subtree of literals alone that evaluates
+// is folded once, here; one that reads a bind is evaluated when the batch
+// runs, as one plan serves every binding.
+func (ve *venv) constValue(e sqlast.Expr) func() (sqltypes.Value, error) {
 	ok, binds := ve.constant(e)
 	if !ok {
 		return nil
@@ -291,10 +462,10 @@ func (ve *venv) constOperand(e sqlast.Expr) vecExpr {
 	ex, sc := ve.ex, rootScope()
 	if !binds {
 		if v, err := ex.eval(e, sc); err == nil {
-			return vecConst(v)
+			return func() (sqltypes.Value, error) { return v, nil }
 		}
 	}
-	return vecBroadcast(func() (sqltypes.Value, error) { return ex.eval(e, sc) })
+	return func() (sqltypes.Value, error) { return ex.eval(e, sc) }
 }
 
 // constant reports whether e reads no row, and whether it reads a client bind:
@@ -343,11 +514,11 @@ func vecConst(v sqltypes.Value) vecExpr {
 func vecBroadcast(get func() (sqltypes.Value, error)) vecExpr {
 	return func(b *Batch, sel []int32, out []sqltypes.Value) {
 		v, err := get()
+		if err != nil {
+			poisonAll(b, sel, err, nil)
+			return
+		}
 		for _, i := range sel {
-			if err != nil {
-				b.poison(i, err)
-				continue
-			}
 			out[i] = v
 		}
 	}
@@ -417,7 +588,7 @@ func (ve *venv) compileBinary(x *sqlast.BinaryExpr) vecExpr {
 
 // compareWant encodes which comparison outcomes satisfy an operator as a
 // bitmask over cmp+1 ∈ {0,1,2}, turning the per-row operator dispatch into
-// one shift-and-test.
+// one shift-and-test; 0 for an operator that is no comparison.
 func compareWant(op string) uint8 {
 	switch op {
 	case "=":
@@ -430,9 +601,42 @@ func compareWant(op string) uint8 {
 		return 1<<0 | 1<<1
 	case ">":
 		return 1 << 2
-	default: // ">="
+	case ">=":
 		return 1<<1 | 1<<2
 	}
+	return 0
+}
+
+// compareAt is the batch programs' one comparator: sqltypes.Compare of *a
+// and *b, read where they lie, with same-kind integers, dates and decimals
+// compared inline.
+func compareAt(a, b *sqltypes.Value) (cmp int, ok bool) {
+	switch {
+	case a.K != b.K:
+	case a.K == sqltypes.KindInt || a.K == sqltypes.KindDate:
+		return cmpOrder(a.I < b.I, a.I > b.I), true
+	case a.K == sqltypes.KindFloat:
+		return cmpOrder(a.F < b.F, a.F > b.F), true
+	}
+	return sqltypes.Compare(*a, *b)
+}
+
+func cmpOrder(less, greater bool) int {
+	switch {
+	case less:
+		return -1
+	case greater:
+		return 1
+	}
+	return 0
+}
+
+// between answers v BETWEEN lo AND hi through compareAt: in, or unknown when
+// either bound does not compare with v.
+func between(v, lo, hi *sqltypes.Value) (in, ok bool) {
+	c1, ok1 := compareAt(v, lo)
+	c2, ok2 := compareAt(v, hi)
+	return c1 >= 0 && c2 <= 0, ok1 && ok2
 }
 
 func (ve *venv) compileCompare(x *sqlast.BinaryExpr) vecExpr {
@@ -451,7 +655,7 @@ func (ve *venv) compileCompare(x *sqlast.BinaryExpr) vecExpr {
 			if b.errs[i] != nil {
 				continue
 			}
-			cmp, ok := sqltypes.Compare(lbuf[i], rbuf[i])
+			cmp, ok := compareAt(&lbuf[i], &rbuf[i])
 			if !ok {
 				out[i] = sqltypes.Null
 				continue
@@ -591,13 +795,12 @@ func (ve *venv) compileBetween(x *sqlast.BetweenExpr) vecExpr {
 			if b.errs[i] != nil {
 				continue
 			}
-			c1, ok1 := sqltypes.Compare(vbuf[i], lbuf[i])
-			c2, ok2 := sqltypes.Compare(vbuf[i], hbuf[i])
-			if !ok1 || !ok2 {
+			in, ok := between(&vbuf[i], &lbuf[i], &hbuf[i])
+			if !ok {
 				out[i] = sqltypes.Null
 				continue
 			}
-			out[i] = sqltypes.NewBool((c1 >= 0 && c2 <= 0) != not)
+			out[i] = sqltypes.NewBool(in != not)
 		}
 		st.release(m)
 	}
@@ -1329,7 +1532,7 @@ type vecKeySet struct {
 
 // vecKeys compiles one batch program per expression.
 func (ex *exec) vecKeys(exprs []sqlast.Expr, bindings []*binding, sc *scope) *vecKeySet {
-	progs, _ := ex.vecCompileAll(exprs, bindings, sc, nil)
+	progs, _ := ex.vecCompileAll(exprs, bindings, sc, nil, nil)
 	return &vecKeySet{ex: ex, progs: progs, cols: make([][]sqltypes.Value, len(exprs))}
 }
 

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -477,5 +478,94 @@ func TestCancelMidStream(t *testing.T) {
 	}
 	if res, err = remote.Query(`SELECT COUNT(*) FROM customer`); err != nil || len(res.Rows) != 1 {
 		t.Fatalf("after ad-hoc cancel: %v", err)
+	}
+}
+
+// countWrites is a listener whose connections count the writes made on them.
+type countWrites struct {
+	net.Listener
+	n *atomic.Int64
+}
+
+func (l countWrites) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return writeCounted{nc, l.n}, nil
+}
+
+type writeCounted struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c writeCounted) Write(p []byte) (int, error) {
+	c.n.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestPipelinedGroupOneWrite: the server answers a pipelined request group
+// in one write on its socket — a one-row prepared read's Bind and Execute
+// (and, the first time, its Prepare) get every answer frame together — and
+// still flushes a long stream batch by batch, its last partial batch riding
+// with Done.
+func TestPipelinedGroupOneWrite(t *testing.T) {
+	inst, _ := e2e(t)
+	srv := server.New(inst.Srv, nil, server.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writes atomic.Int64
+	go srv.Serve(countWrites{ln, &writes})
+	defer srv.Shutdown(context.Background())
+	remote, err := client.Dial(ln.Addr().String(), 1, "o4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+
+	point, err := remote.Prepare(`SELECT c_name FROM customer WHERE c_custkey = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := remote.Query(`SELECT c_custkey FROM customer ORDER BY c_custkey LIMIT 3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys.Rows) != 3 {
+		t.Fatalf("%d customer keys, want 3", len(keys.Rows))
+	}
+	for _, row := range keys.Rows {
+		key := row[0].I
+		writes.Store(0)
+		res, err := point.QueryResult(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
+			t.Fatalf("c_custkey = %d: %d rows, want 1", key, len(res.Rows))
+		}
+		if n := writes.Load(); n != 1 {
+			t.Errorf("c_custkey = %d answered in %d writes, want 1", key, n)
+		}
+	}
+
+	scan, err := remote.Prepare(`SELECT l_orderkey, l_linenumber FROM lineitem WHERE l_quantity > ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes.Store(0)
+	res, err := scan.QueryResult(int64(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batchRows = 256 // server.batchRows: the rows of one RowBatch frame
+	if len(res.Rows) < 4*batchRows {
+		t.Fatalf("%d rows: the stream must span several batches", len(res.Rows))
+	}
+	if n, want := writes.Load(), int64(len(res.Rows)/batchRows+1); n != want {
+		t.Errorf("%d rows answered in %d writes, want %d: one per full batch, then the rest with Done", len(res.Rows), n, want)
 	}
 }

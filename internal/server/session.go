@@ -10,6 +10,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -40,6 +41,7 @@ const (
 type frame struct {
 	t       wire.MsgType
 	payload []byte
+	more    bool // the next request is already in: this answer rides with its
 }
 
 type sessStmt struct {
@@ -78,9 +80,16 @@ func (s *session) run() {
 
 	frames := make(chan frame, 64)
 	go s.readLoop(frames)
+	// A pipelined request group (CloseStmt, Prepare, Bind, Execute sent in
+	// one flush) is answered in one write: the answers of a frame marked more
+	// wait in s.bw for the group's last.
+	defer s.bw.Flush()
 	for fr := range frames {
 		if !s.dispatch(fr) {
 			return
+		}
+		if fr.more {
+			continue
 		}
 		if err := s.bw.Flush(); err != nil {
 			return
@@ -105,11 +114,22 @@ func (s *session) readLoop(frames chan<- frame) {
 			continue
 		}
 		select {
-		case frames <- frame{t, payload}:
+		case frames <- frame{t, payload, nextFrameIn(s.br)}:
 		case <-s.ctx.Done():
 			return
 		}
 	}
+}
+
+// nextFrameIn reports whether a whole frame other than Cancel, which the
+// session loop never sees, is already in br's buffer.
+func nextFrameIn(br *bufio.Reader) bool {
+	if br.Buffered() < 5 {
+		return false
+	}
+	hdr, _ := br.Peek(5)
+	n := int(binary.BigEndian.Uint32(hdr[:4]))
+	return wire.MsgType(hdr[4]) != wire.MsgCancel && br.Buffered() >= 4+n
 }
 
 func (s *session) cancelStmt() {
@@ -429,7 +449,9 @@ func (s *session) handleCloseStmt(payload []byte) bool {
 
 // streamRows pulls the cursor and ships RowHeader / RowBatch* / Done,
 // encoding rows straight into the batch buffer (cursor rows may be reused
-// by the engine between Next calls). Rows.Close always runs — it is what
+// by the engine between Next calls). Each full batch is flushed as it is
+// made, so a long stream moves and a Cancel lands between batches; the last,
+// partial one rides with Done in run's flush. Rows.Close always runs — it is what
 // releases spill files and accounted memory — and a mid-stream failure
 // (including cancellation) terminates the stream with a typed Error frame.
 func (s *session) streamRows(ctx context.Context, rows *engine.Rows) bool {
@@ -442,7 +464,7 @@ func (s *session) streamRows(ctx context.Context, rows *engine.Rows) bool {
 		body  []byte
 		total int64
 	)
-	flush := func() bool {
+	batch := func() bool {
 		if count == 0 {
 			return true
 		}
@@ -450,14 +472,14 @@ func (s *session) streamRows(ctx context.Context, rows *engine.Rows) bool {
 		payload = append(payload, body...)
 		ok := s.send(wire.MsgRowBatch, payload)
 		count, body = 0, body[:0]
-		return ok && s.bw.Flush() == nil
+		return ok
 	}
 	for rows.Next() {
 		body = wire.AppendValues(body, rows.Row())
 		count++
 		total++
 		if count >= batchRows || len(body) >= batchBytes {
-			if !flush() {
+			if !batch() || s.bw.Flush() != nil {
 				return false // client gone; Close cleans up spills
 			}
 		}
@@ -465,10 +487,7 @@ func (s *session) streamRows(ctx context.Context, rows *engine.Rows) bool {
 	if err := rows.Err(); err != nil {
 		return s.sendErr(s.execErr(ctx, err))
 	}
-	if !flush() {
-		return false
-	}
-	return s.send(wire.MsgDone, wire.EncodeDone(wire.Done{Rows: total}))
+	return batch() && s.send(wire.MsgDone, wire.EncodeDone(wire.Done{Rows: total}))
 }
 
 // handleStats replies with the tier's (engine + middleware, or shard) and
