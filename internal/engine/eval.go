@@ -304,9 +304,9 @@ type scope struct {
 // reference executor hands evalAggregate the group's rows, to fold on
 // demand; the operator tree folded them as they arrived (groupOperator) and
 // evaluates a batch of groups at once: acc(r, i) is the accumulator of
-// aggregate call calls[i] in the group of batch row r, and what latched in
-// it is raised only if the call is evaluated — which is how HAVING and CASE
-// short-circuit in both executors.
+// aggregate call calls[i]'s site in the group of batch row r, and what
+// latched in it is raised only if the call is evaluated — which is how
+// HAVING and CASE short-circuit in both executors.
 type groupCtx struct {
 	rows   [][]sqltypes.Value
 	calls  []*sqlast.FuncCall
@@ -1092,19 +1092,19 @@ func (ex *exec) evalAggregate(x *sqlast.FuncCall, sc *scope) (sqltypes.Value, er
 		return sqltypes.Null, fmt.Errorf("engine: aggregate %s outside grouped context", x.Name)
 	}
 	if i := slices.Index(g.calls, x); i >= 0 {
-		return g.acc(g.row, i).result()
+		return g.acc(g.row, i).result(aggOpOf(x))
 	}
-	// The reference executor's grouped projection, and the specification of
-	// the fold above: one interpreted row at a time, in row order.
-	acc := newAggAcc(x)
+	// The reference's fold, and the specification of the one above: the
+	// call's own accumulator, one interpreted row at a time, in row order.
+	op, acc := aggOpOf(x), newAggAcc(x, false)
 	if acc.op == aggCountStar {
 		acc.count = int64(len(g.rows))
-		return acc.result()
+		return acc.result(op)
 	}
 	savedRow := sc.row
 	sc.group = nil // nested aggregates are invalid
 	defer func() { sc.row, sc.group = savedRow, g }()
-	for i := 0; i < len(g.rows) && acc.err == nil; i++ {
+	for i := 0; i < len(g.rows) && acc.err == nil && acc.sumBad == sqltypes.KindNull; i++ {
 		sc.row = g.rows[i]
 		v, err := ex.eval(x.Args[0], sc)
 		if err != nil {
@@ -1112,7 +1112,7 @@ func (ex *exec) evalAggregate(x *sqlast.FuncCall, sc *scope) (sqltypes.Value, er
 		}
 		acc.add(&v)
 	}
-	return acc.result()
+	return acc.result(op)
 }
 
 // aggOp is an aggregate function; COUNT(*) is one of its own because it
@@ -1131,17 +1131,29 @@ const (
 
 var aggNames = [...]string{"COUNT", "COUNT", "SUM", "AVG", "MIN", "MAX"}
 
+// aggOpOf is the function call x answers.
+func aggOpOf(x *sqlast.FuncCall) aggOp {
+	op := aggOp(slices.Index(aggNames[:], strings.ToUpper(x.Name)))
+	if op == aggCountStar && !x.Star {
+		return aggCount
+	}
+	return op
+}
+
 // aggAcc accumulates one aggregate call site over one group's argument
-// values; every path feeds it in row order. err latches the first thing that
-// makes the site unanswerable — a wrong argument count, a failing argument
-// row, SUM or AVG over a non-number or past the INTEGER range — and result
-// raises it.
+// values; every path feeds it in row order, and each call of the site reads
+// its own function's answer (result). err latches the first thing that makes
+// every call of the site unanswerable — a wrong argument count, a failing
+// argument row — and sumBad the first value the SUM side cannot add before
+// that: a non-number, or an INTEGER past range. A SUM or AVG raises
+// whichever came first; COUNT(x) counts on past sumBad.
 type aggAcc struct {
-	op       aggOp
+	op       aggOp // the fold; a site folds COUNT(x) and AVG as SUM
 	distinct bool
-	plainSum bool  // SUM or AVG without DISTINCT: one test keeps add inlinable
-	count    int64 // values folded, DECIMAL summands apart
-	floats   int64 // DECIMAL summands folded
+	plainSum bool          // SUM or AVG without DISTINCT: one test keeps add inlinable
+	sumBad   sqltypes.Kind // the kind SUM failed on, KindInt past range; KindNull: none
+	count    int64         // values folded, DECIMAL summands apart
+	floats   int64         // DECIMAL summands folded
 	sumI     int64
 	sumF     float64
 	ext      sqltypes.Value // MIN/MAX: the extreme so far
@@ -1149,15 +1161,17 @@ type aggAcc struct {
 	err      error
 }
 
-// newAggAcc returns the empty accumulator of call site x. Anything but
-// COUNT(*) takes exactly one argument.
-func newAggAcc(x *sqlast.FuncCall) aggAcc {
-	a := aggAcc{op: aggOp(slices.Index(aggNames[:], strings.ToUpper(x.Name))), distinct: x.Distinct}
+// newAggAcc returns the empty accumulator of call x: the call's own, or as
+// a site of the operator tree one that folds SUM, AVG and COUNT(x) alike — as
+// SUM, which answers all three. Anything but COUNT(*) takes exactly one
+// argument.
+func newAggAcc(x *sqlast.FuncCall, site bool) aggAcc {
+	a := aggAcc{op: aggOpOf(x), distinct: x.Distinct}
 	if a.op == aggCountStar {
-		if x.Star {
-			return a
-		}
-		a.op = aggCount
+		return a
+	}
+	if site && (a.op == aggCount || a.op == aggAvg) {
+		a.op = aggSum
 	}
 	if len(x.Args) != 1 {
 		a.err = fmt.Errorf("engine: %s takes exactly one argument", x.Name)
@@ -1181,12 +1195,6 @@ func (a *aggAcc) addAny(v *sqltypes.Value) {
 	if v.IsNull() {
 		return
 	}
-	if (a.op == aggSum || a.op == aggAvg) && !v.IsNumeric() {
-		if a.err == nil {
-			a.err = fmt.Errorf("engine: %s over %s", aggNames[a.op], v.K)
-		}
-		return
-	}
 	if a.distinct {
 		if a.seen == nil {
 			a.seen = make(map[string]struct{})
@@ -1205,13 +1213,12 @@ func (a *aggAcc) addAny(v *sqltypes.Value) {
 			return
 		}
 		sum, err := sqltypes.AddInt(a.sumI, v.I)
-		if err != nil {
-			if a.err == nil {
-				a.err = err
-			}
-			return
+		switch {
+		case v.K == sqltypes.KindInt && err == nil:
+			a.sumI = sum
+		case a.sumBad == sqltypes.KindNull && a.err == nil:
+			a.sumBad = v.K // a non-number, or KindInt past range
 		}
-		a.sumI = sum
 	case aggMin:
 		if a.ext.IsNull() {
 			a.ext = *v
@@ -1228,12 +1235,19 @@ func (a *aggAcc) addAny(v *sqltypes.Value) {
 	a.count++
 }
 
-func (a *aggAcc) result() (sqltypes.Value, error) {
+// result answers a call of the site with function op.
+func (a *aggAcc) result(op aggOp) (sqltypes.Value, error) {
+	if a.sumBad != sqltypes.KindNull && op != aggCount { // only the SUM family sets it
+		if a.sumBad == sqltypes.KindInt {
+			return sqltypes.Null, sqltypes.ErrIntRange
+		}
+		return sqltypes.Null, fmt.Errorf("engine: %s over %s", aggNames[op], a.sumBad)
+	}
 	if a.err != nil {
 		return sqltypes.Null, a.err
 	}
 	n := a.count + a.floats
-	switch a.op {
+	switch op {
 	case aggCountStar, aggCount:
 		return sqltypes.NewInt(n), nil
 	case aggMin, aggMax:
@@ -1242,7 +1256,7 @@ func (a *aggAcc) result() (sqltypes.Value, error) {
 	if n == 0 {
 		return sqltypes.Null, nil
 	}
-	if a.op == aggAvg {
+	if op == aggAvg {
 		return sqltypes.NewFloat((a.sumF + float64(a.sumI)) / float64(n)), nil
 	}
 	if a.floats > 0 {

@@ -1,6 +1,12 @@
 package engine
 
-import "mtbase/internal/sqlast"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+
+	"mtbase/internal/sqlast"
+)
 
 // Hooks for the external test package (engine_test), whose tests need the
 // MT-H rewrites that internal/mth, importing this package, provides.
@@ -48,4 +54,26 @@ func firstJoin(op Operator) *joinOperator {
 		return firstJoin(o.child)
 	}
 	return nil
+}
+
+// AggregateSites lists, block by block in subquery order, the grouped
+// projections the plan's executions so far analysed (shared.go) as "sites /
+// calls": how many accumulators a group folds, and for how many aggregate
+// calls.
+func AggregateSites(p *Plan) []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	sels := make([]*sqlast.Select, 0, len(p.analysis))
+	for sel, a := range p.analysis {
+		if a.shared != nil && len(a.shared.siteOf) > 0 {
+			sels = append(sels, sel)
+		}
+	}
+	slices.SortFunc(sels, func(a, b *sqlast.Select) int { return cmp.Compare(p.subqIDs[a], p.subqIDs[b]) })
+	var out []string
+	for _, sel := range sels {
+		siteOf := p.analysis[sel].shared.siteOf
+		out = append(out, fmt.Sprintf("%d / %d", slices.Max(siteOf)+1, len(siteOf)))
+	}
+	return out
 }

@@ -604,6 +604,19 @@ func FuzzQuery(f *testing.F) {
 	} {
 		f.Add(sql)
 	}
+	// Last again: SUM, COUNT and AVG of one argument fold into one
+	// accumulator (ADR-047). Q1 as o4 rewrites it, where o3 split every AVG
+	// into SUM and COUNT partials, and COUNT counting on past NULLs, a
+	// VARCHAR and INTEGERs near 2^63 that the SUM and AVG beside it — kept
+	// from being evaluated — would raise on.
+	q1 := mth.Queries(0.001)[0]
+	if sel, err := a.conn.RewriteSQL(q1.SQL); err != nil || q1.ID != 1 {
+		f.Fatalf("Q%d: %v", q1.ID, err)
+	} else {
+		f.Add(sel.String())
+	}
+	const x = `CASE WHEN c_custkey % 3 = 0 THEN NULL WHEN c_custkey % 3 = 1 THEN c_name ELSE c_custkey + 9223372036854775000 END`
+	f.Add(`SELECT c_nationkey, COUNT(` + x + `) AS n, COUNT(DISTINCT ` + x + `) AS d, CASE WHEN COUNT(` + x + `) < 0 THEN SUM(` + x + `) ELSE 0 END AS s, CASE WHEN COUNT(*) < 0 THEN AVG(` + x + `) END AS a FROM customer GROUP BY c_nationkey ORDER BY c_nationkey`)
 	f.Fuzz(func(t *testing.T, sql string) {
 		if len(sql) > 4096 {
 			t.Skip("oversized input")

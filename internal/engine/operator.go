@@ -981,7 +981,7 @@ type groupOperator struct {
 	child  Operator
 	rel    *relation
 	calls  []*sqlast.FuncCall // the outermost aggregate calls: what evalAggregate is invoked on
-	siteOf []int32            // calls[i]'s site: structurally equal calls share one (shared.go)
+	siteOf []int32            // calls[i]'s site: calls of one family and argument share one (shared.go)
 	sites  []*sqlast.FuncCall // a call of each site
 	proto  []aggAcc           // the sites' empty accumulators
 	shared *sharedExprs       // what gexprs and the sites' arguments share
@@ -1062,7 +1062,7 @@ func (ex *exec) newGroupOperator(child Operator, rel *relation, sel *sqlast.Sele
 	}
 	for i, c := range o.calls {
 		if int(o.siteOf[i]) == len(o.sites) {
-			o.sites, o.proto = append(o.sites, c), append(o.proto, newAggAcc(c))
+			o.sites, o.proto = append(o.sites, c), append(o.proto, newAggAcc(c, true))
 		}
 	}
 	o.progs = o.lower(ex, o.sc)

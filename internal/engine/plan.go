@@ -274,8 +274,8 @@ func (ex *exec) selectAnalysis(sel *sqlast.Select) *selAnalysis {
 
 // SharedExprs describes what the plan's operators share (DESIGN.md ADR-023):
 // one line per shared subexpression — the operator, how many occurrences read
-// the slot, the expression — and per operator whose equal aggregate sites
-// folded into one, block by block in subquery order. It reports what the
+// the slot, the expression — and per operator whose aggregate calls folded
+// into fewer sites, block by block in subquery order. It reports what the
 // executions so far analysed; a plan that never ran shares nothing yet. For
 // the census tests, which hold a lost sharing to a name.
 func (p *Plan) SharedExprs() []string {

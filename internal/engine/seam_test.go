@@ -35,10 +35,18 @@ var seamFuncs = map[string][]string{
 }
 
 // kernelLowering lowers a filter's conjuncts into selection programs
-// (ADR-046). It reads no configuration: vecCompileAll, the expression seam,
-// is the only caller of the kernel lowering and hands an interpreting
+// (ADR-046) and arithmetic into kernels that read their operands where they
+// lie (ADR-047). It reads no configuration: vecCompileAll, the expression
+// seam, is the only caller of the kernel lowering and hands an interpreting
 // execution the lifted interpreter instead.
-var kernelLowering = []string{"exec.selCompileAll", "venv.selKernel", "truthSel"}
+var kernelLowering = []string{"exec.selCompileAll", "venv.selKernel", "truthSel", "venv.binOp", "venv.operand", "arith"}
+
+// referenceFolds are the reference's aggregate fold and grouping: each call
+// folds into an accumulator of its own (newAggAcc), so the oracle shares no
+// site of the operator tree's (ADR-047) — they mention none of siteVocab.
+var referenceFolds = []string{"exec.evalAggregate", "exec.projectGrouped"}
+
+var siteVocab = []string{"siteOf", "sites", "accs", "shared", "sharedExprs", "analyzeShared"}
 
 // No function of operator.go calls the interpreter (ex.eval) itself: whatever
 // an operator evaluates per row or per group is a batch program
@@ -223,7 +231,7 @@ func checkSeam(t *testing.T, seam map[string][]string, sf sourceFunc) {
 }
 
 func TestModeSeam(t *testing.T) {
-	modeLines, refJoins, naive, writes, lowerings := 0, 0, 0, 0, 0
+	modeLines, refJoins, naive, writes, lowerings, folds := 0, 0, 0, 0, 0, 0
 	var spillOwners, liftCallers, kernelCallers []string
 	fallsBackToInterp := false
 	for _, sf := range parsePackage(t) {
@@ -325,6 +333,14 @@ func TestModeSeam(t *testing.T) {
 					}
 				}
 			}
+			if slices.Contains(referenceFolds, fn) {
+				folds++
+				for _, id := range siteVocab {
+					if used[id] {
+						t.Errorf("%s: %s mentions %s; the reference folds every call into an accumulator of its own", name, fn, id)
+					}
+				}
+			}
 			if slices.Contains(referenceJoin, fn) {
 				refJoins++
 				for _, id := range []string{"tableIndex", "indexableBuild"} {
@@ -367,6 +383,9 @@ func TestModeSeam(t *testing.T) {
 	}
 	if !fallsBackToInterp {
 		t.Error("venv.lower does not end in `return liftInterp(...)`: lowering is a kernel or the lifted interpreter, nothing in between")
+	}
+	if folds != len(referenceFolds) {
+		t.Errorf("found %d of the reference's folds %v", folds, referenceFolds)
 	}
 	if writes != len(writeEntries) {
 		t.Errorf("found %d of the write entries %v", writes, writeEntries)

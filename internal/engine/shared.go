@@ -37,9 +37,10 @@ type sharedExprs struct {
 	// (madeFor).
 	ident []sqlast.Expr
 
-	// siteOf maps aggregate call i to its site: structurally equal calls — same
-	// function, DISTINCT flag and argument — share one accumulator and one
-	// argument column.
+	// siteOf maps aggregate call i to its site: calls of the same family,
+	// DISTINCT flag and argument share one accumulator and one argument
+	// column. SUM, AVG and COUNT(x) are one family, folded as SUM (newAggAcc);
+	// MIN, MAX and COUNT(*) are a family each.
 	siteOf []int32
 
 	// slot maps every occurrence of a shared node the lowering can reach to
@@ -99,7 +100,10 @@ func (ex *exec) analyzeShared(plain []sqlast.Expr, calls []*sqlast.FuncCall) *sh
 	var sites []*sqlast.FuncCall
 	for i, c := range calls {
 		s.ident = append(s.ident, c)
-		j := slices.IndexFunc(sites, func(o *sqlast.FuncCall) bool { return sqlast.Equal(o, c) })
+		j := slices.IndexFunc(sites, func(o *sqlast.FuncCall) bool {
+			return sqlast.Equal(o, c) || o.Distinct == c.Distinct && len(o.Args) == 1 && len(c.Args) == 1 &&
+				newAggAcc(o, true).op == aggSum && newAggAcc(c, true).op == aggSum && sqlast.Equal(o.Args[0], c.Args[0])
+		})
 		if j < 0 {
 			j, sites = len(sites), append(sites, c)
 			if len(c.Args) == 1 {
@@ -206,7 +210,7 @@ func (ex *exec) shareable(e sqlast.Expr) bool {
 
 // describe lists what the analysis shares, for the census: per slot how many
 // occurrences read it and the expression, then how many aggregate calls
-// found an equal site to fold into.
+// found a site of their family to fold into.
 func (s *sharedExprs) describe() []string {
 	var out []string
 	for i, rep := range s.reps {

@@ -556,17 +556,23 @@ func (ve *venv) compileBinary(x *sqlast.BinaryExpr) vecExpr {
 	case "AND", "OR":
 		return ve.compileLogical(x)
 	case "=", "<>", "<", "<=", ">", ">=":
-		return ve.compileCompare(x)
+		want := compareWant(x.Op)
+		return ve.binOp(x, func(lv, rv *sqltypes.Value) (sqltypes.Value, error) {
+			if cmp, ok := compareAt(lv, rv); ok {
+				return sqltypes.NewBool(want&(1<<uint(cmp+1)) != 0), nil
+			}
+			return sqltypes.Null, nil
+		})
 	case "+":
-		return ve.binOp(x, sqltypes.Add)
+		return ve.binOp(x, func(a, b *sqltypes.Value) (sqltypes.Value, error) { return sqltypes.Add(*a, *b) })
 	case "-":
-		return ve.binOp(x, sqltypes.Sub)
+		return ve.binOp(x, func(a, b *sqltypes.Value) (sqltypes.Value, error) { return sqltypes.Sub(*a, *b) })
 	case "*":
-		return ve.binOp(x, sqltypes.Mul)
+		return ve.binOp(x, func(a, b *sqltypes.Value) (sqltypes.Value, error) { return sqltypes.Mul(*a, *b) })
 	case "/":
-		return ve.binOp(x, sqltypes.Div)
+		return ve.binOp(x, func(a, b *sqltypes.Value) (sqltypes.Value, error) { return sqltypes.Div(*a, *b) })
 	case "%":
-		return ve.binOp(x, func(lv, rv sqltypes.Value) (sqltypes.Value, error) {
+		return ve.binOp(x, func(lv, rv *sqltypes.Value) (sqltypes.Value, error) {
 			if lv.IsNull() || rv.IsNull() {
 				return sqltypes.Null, nil
 			}
@@ -576,7 +582,7 @@ func (ve *venv) compileBinary(x *sqlast.BinaryExpr) vecExpr {
 			return sqltypes.NewInt(lv.AsInt() % rv.AsInt()), nil
 		})
 	case "||":
-		return ve.binOp(x, func(lv, rv sqltypes.Value) (sqltypes.Value, error) {
+		return ve.binOp(x, func(lv, rv *sqltypes.Value) (sqltypes.Value, error) {
 			if lv.IsNull() || rv.IsNull() {
 				return sqltypes.Null, nil
 			}
@@ -639,50 +645,31 @@ func between(v, lo, hi *sqltypes.Value) (in, ok bool) {
 	return c1 >= 0 && c2 <= 0, ok1 && ok2
 }
 
-func (ve *venv) compileCompare(x *sqlast.BinaryExpr) vecExpr {
-	l, r := ve.compile(x.L), ve.compile(x.R)
-	want := compareWant(x.Op)
-	st := ve.vs
+// binOp combines x's operands per selected row: a column read where it lies,
+// a row-free value evaluated once per batch (its error every row's, as a
+// broadcast's), any other a program into scratch. Numbers meet inline under
+// +, - and * (arith); op takes every other pairing.
+func (ve *venv) binOp(x *sqlast.BinaryExpr, op func(a, b *sqltypes.Value) (sqltypes.Value, error)) vecExpr {
+	l, r := ve.operand(x.L), ve.operand(x.R)
+	sym, st := x.Op[0], ve.vs
+	inline := x.Op == "+" || x.Op == "-" || x.Op == "*"
 	return func(b *Batch, sel []int32, out []sqltypes.Value) {
-		n := len(b.rows)
 		m := st.mark()
-		lbuf := st.takeVals(n)
-		l(b, sel, lbuf)
-		sel = b.compactSel(st.takeSel(len(sel)), sel)
-		rbuf := st.takeVals(n)
-		r(b, sel, rbuf)
+		lv, sel := l(b, sel)
+		rv, sel := r(b, sel)
+		rows := b.rows
 		for _, i := range sel {
 			if b.errs[i] != nil {
 				continue
 			}
-			cmp, ok := compareAt(&lbuf[i], &rbuf[i])
-			if !ok {
-				out[i] = sqltypes.Null
-				continue
+			a, c := lv.at(rows, i), rv.at(rows, i)
+			if inline {
+				if v, ok := arith(sym, a, c); ok {
+					out[i] = v
+					continue
+				}
 			}
-			out[i] = sqltypes.NewBool(want&(1<<uint(cmp+1)) != 0)
-		}
-		st.release(m)
-	}
-}
-
-// binOp evaluates both sides column-wise and combines them per selected row.
-func (ve *venv) binOp(x *sqlast.BinaryExpr, op func(a, b sqltypes.Value) (sqltypes.Value, error)) vecExpr {
-	l, r := ve.compile(x.L), ve.compile(x.R)
-	st := ve.vs
-	return func(b *Batch, sel []int32, out []sqltypes.Value) {
-		n := len(b.rows)
-		m := st.mark()
-		lbuf := st.takeVals(n)
-		l(b, sel, lbuf)
-		sel = b.compactSel(st.takeSel(len(sel)), sel)
-		rbuf := st.takeVals(n)
-		r(b, sel, rbuf)
-		for _, i := range sel {
-			if b.errs[i] != nil {
-				continue
-			}
-			v, err := op(lbuf[i], rbuf[i])
+			v, err := op(a, c)
 			if err != nil {
 				b.poison(i, err)
 				continue
@@ -691,6 +678,79 @@ func (ve *venv) binOp(x *sqlast.BinaryExpr, op func(a, b sqltypes.Value) (sqltyp
 		}
 		st.release(m)
 	}
+}
+
+// operandVals is a binOp operand's values over one batch: a scratch column,
+// else one value, else column col of the rows. None points into it, so it
+// stays on the stack.
+type operandVals struct {
+	buf []sqltypes.Value
+	one *sqltypes.Value
+	col int
+}
+
+func (o *operandVals) at(rows [][]sqltypes.Value, i int32) *sqltypes.Value {
+	if o.buf != nil {
+		return &o.buf[i]
+	} else if o.one != nil {
+		return o.one
+	}
+	return &rows[i][o.col]
+}
+
+// operand lowers a binOp operand to its values over the rows of sel that it
+// leaves unpoisoned, which it returns.
+func (ve *venv) operand(e sqlast.Expr) func(b *Batch, sel []int32) (operandVals, []int32) {
+	if idx, ok := ve.column(e); ok {
+		return func(b *Batch, sel []int32) (operandVals, []int32) { return operandVals{col: idx}, sel }
+	}
+	if get := ve.constValue(e); get != nil {
+		one := new(sqltypes.Value)
+		return func(b *Batch, sel []int32) (operandVals, []int32) {
+			v, err := get()
+			if err != nil {
+				return operandVals{}, poisonAll(b, sel, err, nil)
+			}
+			*one = v
+			return operandVals{one: one}, sel
+		}
+	}
+	prog, st := ve.compile(e), ve.vs
+	return func(b *Batch, sel []int32) (operandVals, []int32) {
+		buf := st.takeVals(len(b.rows))
+		prog(b, sel, buf)
+		return operandVals{buf: buf}, b.compactSel(st.takeSel(len(sel)), sel)
+	}
+}
+
+// arith is a sym b, sym one of +, - and *, where both are numbers, computed
+// as sqltypes computes it; false for any other pairing, and for an INTEGER
+// result out of range, which sqltypes raises.
+func arith(sym byte, a, b *sqltypes.Value) (sqltypes.Value, bool) {
+	if !a.IsNumeric() || !b.IsNumeric() {
+		return sqltypes.Null, false
+	}
+	if a.K == sqltypes.KindInt && b.K == sqltypes.KindInt {
+		var c int64
+		var err error
+		switch sym {
+		case '+':
+			c, err = sqltypes.AddInt(a.I, b.I)
+		case '-':
+			c, err = sqltypes.SubInt(a.I, b.I)
+		default:
+			c, err = sqltypes.MulInt(a.I, b.I)
+		}
+		return sqltypes.NewInt(c), err == nil
+	}
+	x, y := a.AsFloat(), b.AsFloat()
+	switch sym {
+	case '+':
+		return sqltypes.NewFloat(x + y), true
+	case '-':
+		return sqltypes.NewFloat(x - y), true
+	}
+	return sqltypes.NewFloat(x * y), true
 }
 
 // compileLogical vectorizes AND/OR with the interpreter's short-circuit:
@@ -1344,9 +1404,10 @@ func (ve *venv) compileFunc(x *sqlast.FuncCall) vecExpr {
 }
 
 // compileAggregate reads aggregate call x in a grouped projection's output,
-// whose batch rows stand for groups (groupOperator): row r's value is the
-// result of x's accumulator in r's group, or the error it latched. nil
-// outside a group's output: the interpreter raises the call there.
+// whose batch rows stand for groups (groupOperator): row r's value is x's
+// function answered from its site's accumulator in r's group, or the error
+// it raises there. nil outside a group's output: the interpreter raises the
+// call there.
 func (ve *venv) compileAggregate(x *sqlast.FuncCall) vecExpr {
 	g := ve.sc.group
 	if g == nil {
@@ -1360,9 +1421,10 @@ func (ve *venv) compileAggregate(x *sqlast.FuncCall) vecExpr {
 		_, err := ve.ex.evalAggregate(x, rootScope())
 		return vecBroadcast(func() (sqltypes.Value, error) { return sqltypes.Null, err })
 	}
+	op := aggOpOf(x)
 	return func(b *Batch, sel []int32, out []sqltypes.Value) {
 		for _, r := range sel {
-			v, err := g.acc(r, i).result()
+			v, err := g.acc(r, i).result(op)
 			if err != nil {
 				b.poison(r, err)
 				continue

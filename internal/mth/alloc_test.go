@@ -42,20 +42,24 @@ func TestJoinAllocBudget(t *testing.T) {
 		// 1 909–1 915, Q13 330–336, Q3 464–468, Q8 763–764. A comparison with
 		// a row-free operand filters in place (ADR-046): before, serial and
 		// without -race, Q18 1.72 MB, Q22 0.51 MB, Q10 1.43 MB, Q13 3.09 MB,
-		// Q3 0.43 MB, Q8 46 KB.
-		{id: 18, budget: 1_833_000, objects: 905},   // here 1.67 MB in 821–822 objects
-		{id: 22, budget: 543_000, objects: 2_740},   // here 0.49 MB in 2 490
-		{id: 10, budget: 1_578_000, objects: 2_014}, // here 1.43 MB in 1 824 (250 nation-by-tenant rows pre-joined)
+		// Q3 0.43 MB, Q8 46 KB. Re-measured after ADR-047 (shared aggregate
+		// sites, operands read in place): no row's highest reading + 10 % is
+		// more than 10 % under its budget, so these kept theirs. A binOp
+		// lowers an operand closure a side, and a cell a row-free one: 5 to
+		// 23 objects more an execution.
+		{id: 18, budget: 1_833_000, objects: 905},   // here 1.67 MB in 827 objects
+		{id: 22, budget: 543_000, objects: 2_740},   // here 0.48 MB in 2 513
+		{id: 10, budget: 1_578_000, objects: 2_014}, // here 1.43 MB in 1 839 (250 nation-by-tenant rows pre-joined)
 		// No BENCHMARK.json workload runs a LEFT JOIN; this row is the gate on
 		// the outer kind of the one hash join (ADR-014): the twin operator it
 		// replaced allocated 3.62 MB here. Here 3.11 MB in 323–324 objects:
 		// orders is probed through its persistent index.
 		{id: 13, budget: 3_560_000, objects: 363},
 		// The joins that probe an index through their build side's filters
-		// (ADR-022). Q3 here 0.37 MB in 457 objects (1.11 MB in 834 with
+		// (ADR-022). Q3 here 0.37 MB in 463 objects (1.11 MB in 834 with
 		// whole chain rows and Go-map keys); scanning, filtering and hashing
-		// orders and lineitem per statement 2.33 MB in 14 364. Q8 here 46.7 KB
-		// in 730 (56 KB in 817 before ADR-044); 659 KB in 2 909.
+		// orders and lineitem per statement 2.33 MB in 14 364. Q8 here 47.2 KB
+		// in 742 (56 KB in 817 before ADR-044); 659 KB in 2 909.
 		{id: 3, budget: 406_000, objects: 510},
 		{id: 8, budget: 54_100, objects: 799},
 	})
@@ -64,18 +68,19 @@ func TestJoinAllocBudget(t *testing.T) {
 // TestGroupAllocBudget holds the streaming hash aggregate (DESIGN.md
 // ADR-021) by a count: the grouped projection keeps one accumulator per
 // group and aggregate site, not each group's rows, so Q1 (4 groups over
-// every lineitem row, 8 sites) and Q18 (one small group per order, under
-// HAVING) stop paying a key string, a row slice and a context per group and
-// a column per group and site; since ADR-044 a group's key is bytes in one
-// pointer-free table, not a Go string in a map. Budgets are the highest of
-// 40 runs under -race + 10 %, the scratch stacks counted apart.
+// every lineitem row, 6 sites since ADR-047) and Q18 (one small group per
+// order, under HAVING) stop paying a key string, a row slice and a context
+// per group and a column per group and site; since ADR-044 a group's key is
+// bytes in one pointer-free table, not a Go string in a map. Budgets are the
+// highest of 40 runs under -race + 10 %, the scratch stacks counted apart.
 func TestGroupAllocBudget(t *testing.T) {
 	checkAllocBudgets(t, []allocBudget{
-		// here 0.69 MB in 432 objects (0.70 MB serial without -race before
-		// ADR-046); Go-map keys 1.16 MB in 1 256; row-keeping groups 1.50 MB
-		// in 13 602
-		{id: 1, budget: 758_000, objects: 481},
-		// here 1.67 MB in 821–822 objects; Go-map keys 2.20 MB in 3 962;
+		// here 0.52 MB in 443 objects, six sites of eleven calls (ADR-047:
+		// 0.69 MB in 432 with nine sites, budget 758 000); 0.70 MB serial
+		// without -race before ADR-046; Go-map keys 1.16 MB in 1 256;
+		// row-keeping groups 1.50 MB in 13 602
+		{id: 1, budget: 571_000, objects: 481},
+		// here 1.67 MB in 827 objects; Go-map keys 2.20 MB in 3 962;
 		// row-keeping groups 2.22 MB in 27 938
 		{id: 18, budget: 1_833_000, objects: 905},
 		// Canonical Q1 is the conversion-call path (ADR-037, ADR-045): here
@@ -86,8 +91,9 @@ func TestGroupAllocBudget(t *testing.T) {
 		// 21 035 with a string key per body execution. Under -race, 0.56 MB
 		// in 285–287 (0.58 MB serial without -race before ADR-046); with the
 		// scratch stack counted in, a run whose stack the pool dropped
-		// re-allocated it (+0.44 MB a run).
-		{id: 1, canonical: true, budget: 617_000, objects: 319},
+		// re-allocated it (+0.44 MB a run). Six sites of eight calls
+		// (ADR-047): 0.47 MB in 293 under -race, budget 617 000 before.
+		{id: 1, canonical: true, budget: 517_000, objects: 319},
 	})
 }
 

@@ -12,26 +12,29 @@ import (
 // TestSharedExprCensus pins, by name, what each MT-H query shares at the two
 // ends of the ladder (DESIGN.md ADR-023), so that a lost sharing fails a test
 // and not a benchmark. Canonical Q1 is the case the mechanism was sized on:
-// the rewrite wrote one conversion chain four times — three occurrences the
-// lowering reaches plus one inside the product that is itself written twice —
-// and it runs once per row. Q14 is the CASE shape, where the first site
-// reaches the product for the promo rows only and the second for all. Equal
-// aggregate sites fold where o3 split AVG and SUM over one argument (o4 Q1)
-// and where HAVING repeats the select list (Q11). Everything else shares
+// the rewrite wrote one conversion chain four times — two occurrences the
+// lowering reaches once SUM and AVG of it are one site (ADR-047), plus one
+// inside the product that is itself written twice — and it runs once per row.
+// Q14 is the CASE shape, where the first site reaches the product for the
+// promo rows only and the second for all. Aggregate sites fold where SUM,
+// AVG and COUNT take one argument (Q1; o3's split of AVG into SUM and COUNT
+// partials at o4, Q1 and Q22's scalar subquery) and where HAVING repeats the
+// select list (Q11). Everything else shares
 // nothing — Q8's CASE is over a derived table's bare column, a leaf — and a
 // query that is missing here shares nothing at either level.
 func TestSharedExprCensus(t *testing.T) {
 	const conv = "currencyFromUniversal(currencyToUniversal(l_extendedprice, lineitem.ttid), 1)"
 	want := map[optimizer.Level]map[int][]string{
 		optimizer.Canonical: {
-			1:  {"group: 3x " + conv, "group: 2x (" + conv + " * (1 - l_discount))"},
+			1:  {"group: 2x " + conv, "group: 2x (" + conv + " * (1 - l_discount))", "group: 2 equal aggregate sites folded"},
 			11: {"group: 1 equal aggregate sites folded"},
 			14: {"group: 2x (" + conv + " * (1 - l_discount))"},
 		},
 		optimizer.O4: {
-			1:  {"group: 2x (l_extendedprice * (1 - l_discount))", "group: 2 equal aggregate sites folded"},
+			1:  {"group: 2x (l_extendedprice * (1 - l_discount))", "group: 5 equal aggregate sites folded"},
 			11: {"group: 1 equal aggregate sites folded"},
 			14: {"group: 2x ((mt_inl4.CT_from_universal * (mt_inl2.CT_to_universal * l_extendedprice)) * (1 - l_discount))"},
+			22: {"group: 1 equal aggregate sites folded"},
 		},
 	}
 

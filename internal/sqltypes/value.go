@@ -315,7 +315,7 @@ var (
 	ErrIntRange   = fmt.Errorf("sqltypes: integer out of range")
 )
 
-// AddInt is a + b, or ErrIntRange; exported for the engine's SUM.
+// AddInt is a + b, or ErrIntRange; exported, as SubInt and MulInt are, for the engine.
 func AddInt(a, b int64) (int64, error) {
 	c := a + b
 	if (a^c)&(b^c) < 0 { // the operands agree in sign and the sum does not
@@ -324,8 +324,8 @@ func AddInt(a, b int64) (int64, error) {
 	return c, nil
 }
 
-// subInt is a - b, or ErrIntRange.
-func subInt(a, b int64) (int64, error) {
+// SubInt is a - b, or ErrIntRange.
+func SubInt(a, b int64) (int64, error) {
 	c := a - b
 	if (a^b)&(a^c) < 0 { // the operands differ in sign and the difference left a's
 		return 0, ErrIntRange
@@ -333,8 +333,8 @@ func subInt(a, b int64) (int64, error) {
 	return c, nil
 }
 
-// mulInt is a * b, or ErrIntRange.
-func mulInt(a, b int64) (int64, error) {
+// MulInt is a * b, or ErrIntRange.
+func MulInt(a, b int64) (int64, error) {
 	neg := (a < 0) != (b < 0)
 	hi, lo := bits.Mul64(magnitude(a), magnitude(b))
 	limit := uint64(math.MaxInt64)
@@ -390,7 +390,7 @@ func Sub(a, b Value) (Value, error) {
 	}
 	switch {
 	case a.K == KindInt && b.K == KindInt:
-		return intResult(subInt(a.I, b.I))
+		return intResult(SubInt(a.I, b.I))
 	case a.IsNumeric() && b.IsNumeric():
 		return NewFloat(a.AsFloat() - b.AsFloat()), nil
 	case a.K == KindDate && b.K == KindInterval:
@@ -415,7 +415,7 @@ func Mul(a, b Value) (Value, error) {
 		return Null, nil
 	}
 	if a.K == KindInt && b.K == KindInt {
-		return intResult(mulInt(a.I, b.I))
+		return intResult(MulInt(a.I, b.I))
 	}
 	if a.IsNumeric() && b.IsNumeric() {
 		return NewFloat(a.AsFloat() * b.AsFloat()), nil
@@ -483,10 +483,8 @@ func AppendKey(key []byte, v Value) []byte {
 	case KindFloat:
 		return appendFloatKey(append(key, 'f'), v.F)
 	case KindString:
-		key = append(key, 's')
-		key = strconv.AppendInt(key, int64(len(v.S)), 10)
-		key = append(key, ':')
-		return append(key, v.S...)
+		// A uvarint length is prefix-free: no key is a prefix of another.
+		return append(binary.AppendUvarint(append(key, 's'), uint64(len(v.S))), v.S...)
 	case KindBool:
 		if v.I != 0 {
 			return append(key, 't')
